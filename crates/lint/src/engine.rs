@@ -211,10 +211,13 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileReport {
 }
 
 /// Recursively collect `.rs` files under `root`, skipping build output,
-/// vendored code, and test trees (test code is exempt from every rule, and
-/// the lint's own fixtures contain violations on purpose).
+/// vendored code, test trees (test code is exempt from every rule, and
+/// the lint's own fixtures contain violations on purpose), and the
+/// stand-alone `benchmark/` driver (a package outside this workspace whose
+/// job is to read the clock).
 fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "tests", "benches", ".github"];
+    const SKIP_DIRS: [&str; 7] =
+        ["target", "vendor", ".git", "tests", "benches", "benchmark", ".github"];
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

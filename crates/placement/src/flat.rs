@@ -10,34 +10,35 @@
 //! tests and the `scripts/check.sh` smoke byte-diff). Three mechanisms
 //! carry the speedup:
 //!
-//! 1. **Per-pod sharded candidate selection.** Each pod's contiguous
-//!    server range runs its own [`CandidateFilter`] via `parallel_sweep`;
-//!    shard results merge pod-ascending. Selection is a top-K cut of a
-//!    totally ordered set, so sharding is *exactly* equal to the
-//!    sequential scan, not merely equivalent.
+//! 1. **A persistent server-class index** ([`ServerIndex`]). Servers stay
+//!    bucketed across jobs, by DP weight-and-value for candidate selection
+//!    and by PS-score key for PS scoring; each spanning job re-keys only
+//!    the servers the previous placements changed. Candidate selection
+//!    offers [`CandidateFilter`] the first `⌊g_max/w⌋` members of each
+//!    filter class — the rest lose to class-mates of equal value and lower
+//!    id, so the kept set is exactly the full scan's.
 //! 2. **Class-deduplicated PS scoring.** For a fixed plan, the score of a
 //!    PS candidate outside the plan's racks is a pure function of
-//!    `(flows, avail, rack uplink flows, rack uplink capacity)`. Servers
-//!    are bucketed by that key once per job; each plan then scores one
-//!    representative per class plus every server in the plan's own racks,
-//!    collapsing ~50k evaluations to a few hundred. The winner under
-//!    (max score, min server id) equals the reference's
+//!    `(flows, avail, rack uplink flows, rack uplink capacity)`. Each plan
+//!    scores one representative per PS class plus every server in the
+//!    plan's own racks, collapsing ~50k evaluations to a few hundred. The
+//!    winner under (max score, min server id) equals the reference's
 //!    first-strictly-greater scan.
-//! 3. **Arena reuse.** All per-job and per-plan scratch (class tables,
-//!    stamp masks, worker lists) lives in [`FlatBatch`] and is reused
-//!    across the whole batch; the hot loop allocates nothing and the
-//!    cluster is never cloned — worker commitment is a private integer
-//!    ledger.
+//! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
+//!    worker lists) lives in [`FlatBatch`] and is reused across the whole
+//!    batch; the hot loop allocates nothing and the cluster is never
+//!    cloned — worker commitment is a private integer ledger.
 
-use crate::dp::{ServerStats, WorkerDp, WorkerPlan};
+use crate::dp::{WorkerDp, WorkerPlan};
+use crate::index::ServerIndex;
 use crate::knapsack::select_job_subset;
 use crate::netpack::{BatchMode, NetPackPlacer, ScoringMode};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
 use crate::spec::{place_batch_spec, FastWorld};
-use netpack_metrics::{parallel_sweep_reduce, parallel_sweep_with, PerfCounters, Stopwatch};
+use netpack_metrics::{parallel_sweep_reduce, PerfCounters, Stopwatch};
 use netpack_model::Placement;
-use netpack_topology::{Cluster, FlatTopology, LinkId, RackId, ServerId};
+use netpack_topology::{Cluster, FlatTopology, RackId, ServerId, TopologyError};
 use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
 use std::sync::{Mutex, TryLockError};
@@ -46,36 +47,6 @@ use std::sync::{Mutex, TryLockError};
 /// below this the pool-grab overhead outweighs the dozen scores saved.
 const PLAN_PAR_MIN: usize = 16;
 
-/// Mixes a 64-bit word (splitmix64 finalizer) — the class-table hash.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Key under which two servers are interchangeable as *ordinary* PS
-/// candidates (outside every plan rack) for one steady state: the score is
-/// a pure function of these four fields plus plan-wide constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ClassKey {
-    /// Steady-state flows on the server's access link.
-    flows: u32,
-    /// Bit pattern of the server's residual access bandwidth.
-    avail_bits: u64,
-    /// Existing flows on the server's rack uplink.
-    fc_up: u32,
-    /// Bit pattern of the rack uplink capacity (uniform today; keyed so
-    /// heterogeneous racks can never silently break the dedup).
-    up_bits: u64,
-}
-
-impl ClassKey {
-    fn hash(&self) -> u64 {
-        let a = mix64(u64::from(self.flows) ^ self.avail_bits.rotate_left(17));
-        mix64(a ^ u64::from(self.fc_up).rotate_left(43) ^ self.up_bits)
-    }
-}
-
 /// Batch-lifetime state of the flat placement path: the lowered topology,
 /// the private GPU ledger, and every scratch arena the hot loops reuse.
 pub(crate) struct FlatBatch {
@@ -83,22 +54,13 @@ pub(crate) struct FlatBatch {
     /// Free GPUs per server — the flat path's own ledger; the `Cluster`
     /// is never cloned or mutated.
     gpus_free: Vec<u32>,
-    /// `0..num_pods`, the `parallel_sweep` cell list.
-    pods: Vec<usize>,
-    // -- per-job class table (rebuilt by `build_classes`) --
-    /// Existing uplink flows per rack for the current steady state.
-    rack_fc: Vec<u32>,
-    /// Open-addressing slots holding `class id + 1` (0 = empty).
-    class_slots: Vec<u32>,
-    slot_mask: usize,
-    classes: Vec<ClassKey>,
-    /// Member count per class (build scratch), then reused as cursors.
-    class_count: Vec<u32>,
-    class_of: Vec<u32>,
-    /// Prefix offsets into `members`, one past the end per class.
-    class_start: Vec<u32>,
-    /// Server ids grouped by class, ascending within each class.
-    members: Vec<u32>,
+    /// `servers_with_free[w]` = servers with exactly `w` free GPUs, kept in
+    /// step with `gpus_free`; answers "can any server hold this job whole"
+    /// without a scan.
+    servers_with_free: Vec<u32>,
+    /// Server classes for candidate selection and PS scoring; built by the
+    /// first spanning job, refreshed by every later one.
+    index: ServerIndex,
     // -- per-plan scratch (stamped, never cleared) --
     /// The master [`PlanScratch`], used by every sequential plan loop.
     scratch: PlanScratch,
@@ -205,24 +167,17 @@ impl FlatBatch {
     }
 
     fn with_topo(topo: FlatTopology, gpus_free: Vec<u32>) -> Self {
-        let ns = topo.num_servers();
-        let nr = topo.num_racks();
-        let pods: Vec<usize> = (0..topo.num_pods()).collect();
-        let cap = (2 * ns.max(1)).next_power_of_two();
         let mut scratch = PlanScratch::default();
-        scratch.ensure(ns, nr);
+        scratch.ensure(topo.num_servers(), topo.num_racks());
+        let mut servers_with_free = vec![0; topo.gpus_per_server() + 1];
+        for &free in &gpus_free {
+            servers_with_free[free as usize] += 1;
+        }
         FlatBatch {
             topo,
             gpus_free,
-            pods,
-            rack_fc: Vec::with_capacity(nr),
-            class_slots: vec![0; cap],
-            slot_mask: cap - 1,
-            classes: Vec::new(),
-            class_count: Vec::new(),
-            class_of: vec![0; ns],
-            class_start: Vec::new(),
-            members: vec![0; ns],
+            servers_with_free,
+            index: ServerIndex::new(),
             scratch,
             plan_pool: Vec::new(),
             ps_scored: Vec::new(),
@@ -230,8 +185,8 @@ impl FlatBatch {
     }
 
     /// An independent copy for a speculative scoring worker: same topology
-    /// and GPU-ledger snapshot, fresh scratch. Forks are explicit (no
-    /// derived `Clone`) and never copy the plan pool.
+    /// and GPU-ledger snapshot, fresh scratch and an index of its own.
+    /// Forks are explicit (no derived `Clone`) and never copy the plan pool.
     pub(crate) fn fork(&self) -> FlatBatch {
         Self::with_topo(self.topo.clone(), self.gpus_free.clone())
     }
@@ -240,6 +195,7 @@ impl FlatBatch {
     /// round — the only state a fork shares with its master.
     pub(crate) fn sync_from(&mut self, master: &FlatBatch) {
         self.gpus_free.copy_from_slice(&master.gpus_free);
+        self.servers_with_free.copy_from_slice(&master.servers_with_free);
     }
 
     /// The per-server free-GPU ledger (speculation validation reads it).
@@ -266,91 +222,53 @@ impl FlatBatch {
             .workers()
             .iter()
             .all(|&(s, w)| w <= self.gpus_free[s.0] as usize);
-        if !fits {
-            return false;
+        if fits {
+            for &(s, w) in placement.workers() {
+                self.set_free(s.0, self.gpus_free[s.0] - w as u32);
+            }
+        }
+        fits
+    }
+
+    /// Credit every worker of `placement` back — the inverse of
+    /// [`commit`](Self::commit), for rollback and job completion. Refuses
+    /// (crediting nothing) if any server would end above its GPU count: a
+    /// double completion or a ledger disagreement must not corrupt the
+    /// ledger and the index keys derived from it.
+    pub(crate) fn credit(&mut self, placement: &Placement) -> Result<(), TopologyError> {
+        let gps = self.topo.gpus_per_server();
+        for &(server, released) in placement.workers() {
+            let free = self.gpus_free[server.0] as usize;
+            if free + released > gps {
+                return Err(TopologyError::ReleaseOverflow {
+                    server,
+                    released,
+                    allocated: gps - free,
+                });
+            }
         }
         for &(s, w) in placement.workers() {
-            self.gpus_free[s.0] -= w as u32;
+            self.set_free(s.0, self.gpus_free[s.0] + w as u32);
         }
-        true
+        Ok(())
     }
 
-    /// Credit `w` GPUs back to `server` — the inverse of one
-    /// [`commit`](Self::commit) entry, used by the persistent session when
-    /// a running job completes.
-    pub(crate) fn credit(&mut self, server: ServerId, w: usize) {
-        self.gpus_free[server.0] += w as u32;
+    fn set_free(&mut self, server: usize, free: u32) {
+        self.servers_with_free[self.gpus_free[server] as usize] -= 1;
+        self.servers_with_free[free as usize] += 1;
+        self.gpus_free[server] = free;
     }
 
-    /// Credit every worker of `placement` back — the full inverse of
-    /// [`commit`](Self::commit), for rollback.
-    pub(crate) fn credit_placement(&mut self, placement: &Placement) {
-        for &(s, w) in placement.workers() {
-            self.credit(s, w);
-        }
+    /// Whether some server has at least `gpus` GPUs free.
+    fn any_server_fits(&self, gpus: usize) -> bool {
+        self.servers_with_free.iter().skip(gpus).any(|&count| count > 0)
     }
 
-    /// Bucket every server by [`ClassKey`] for the current steady state.
-    /// Two passes plus one open-addressing probe per server; members end
-    /// up grouped per class in ascending server-id order.
-    fn build_classes(&mut self, cluster: &Cluster, state: &SteadyState) {
-        let ns = self.topo.num_servers();
-        let nr = self.topo.num_racks();
-        self.rack_fc.clear();
-        for r in 0..nr {
-            self.rack_fc
-                .push(state.link_flows(LinkId::RackUplink(RackId(r)), cluster));
-        }
-        self.class_slots.fill(0);
-        self.classes.clear();
-        self.class_count.clear();
-        for s in 0..ns {
-            let rack = self.topo.rack_of(s);
-            let key = ClassKey {
-                flows: state.server_flows(ServerId(s)),
-                avail_bits: state.server_available_gbps(ServerId(s)).to_bits(),
-                fc_up: self.rack_fc[rack],
-                up_bits: self.topo.rack_uplink_gbps(rack).to_bits(),
-            };
-            let mut slot = key.hash() as usize & self.slot_mask;
-            let cid = loop {
-                match self.class_slots[slot] {
-                    0 => {
-                        let cid = self.classes.len() as u32;
-                        self.class_slots[slot] = cid + 1;
-                        self.classes.push(key);
-                        self.class_count.push(0);
-                        break cid;
-                    }
-                    v => {
-                        let cid = v - 1;
-                        if self.classes[cid as usize] == key {
-                            break cid;
-                        }
-                        slot = (slot + 1) & self.slot_mask;
-                    }
-                }
-            };
-            self.class_count[cid as usize] += 1;
-            self.class_of[s] = cid;
-        }
-        self.class_start.clear();
-        let mut acc = 0u32;
-        for cursor in &mut self.class_count {
-            self.class_start.push(acc);
-            let count = *cursor;
-            // Reuse the count slot as the fill cursor for pass two.
-            *cursor = acc;
-            acc += count;
-        }
-        self.class_start.push(acc);
-        for s in 0..ns {
-            let cid = self.class_of[s] as usize;
-            self.members[self.class_count[cid] as usize] = s as u32;
-            self.class_count[cid] += 1;
-        }
+    /// Test oracle: the index, refreshed against `state`, must equal a
+    /// from-scratch build (`Ok` before the first spanning job built it).
+    pub(crate) fn audit_index(&self, state: &SteadyState) -> Result<(), String> {
+        self.index.audit(&self.topo, &self.gpus_free, state)
     }
-
 }
 
 impl NetPackPlacer {
@@ -421,10 +339,8 @@ impl NetPackPlacer {
         // Everyone else: one representative per class. All members of a
         // class outside the plan's racks share one score bit pattern, and
         // the lowest-id one is the only candidate (min id) among them.
-        for cid in 0..fb.classes.len() {
-            let start = fb.class_start[cid] as usize;
-            let end = fb.class_start[cid + 1] as usize;
-            let rep = fb.members[start..end]
+        for (_, members) in fb.index.ps.classes() {
+            let rep = members
                 .iter()
                 .map(|&m| m as usize)
                 .find(|&m| ps.rack_stamp[fb.topo.rack_of(m)] != stamp);
@@ -439,7 +355,7 @@ impl NetPackPlacer {
     }
 
     /// `place_one` over the flat arrays: identical algorithm, integer
-    /// indices, pod-sharded selection, deduplicated scoring.
+    /// indices, index-fed selection, deduplicated scoring.
     pub(crate) fn place_one_flat(
         &self,
         fb: &mut FlatBatch,
@@ -468,7 +384,8 @@ impl NetPackPlacer {
         // residual bandwidth, first wins (= the reference's `min_by`).
         let scan_start = Stopwatch::start();
         let mut single: Option<(usize, f64, usize)> = None;
-        for s in 0..n {
+        let scan = if fb.any_server_fits(job.gpus) { 0..n } else { 0..0 };
+        for s in scan {
             let free = fb.gpus_free[s] as usize;
             if free < job.gpus {
                 continue;
@@ -495,37 +412,26 @@ impl NetPackPlacer {
             );
         }
 
-        // Pod-sharded candidate selection feeding the same pruned DP as
-        // the struct path (see `CandidateFilter` for why sharding and
-        // pruning are exactly placement-preserving).
+        // Bring the server index up to date with whatever the ledger and
+        // the estimator did since the last spanning job.
+        let class_start = Stopwatch::start();
+        let refreshed = fb.index.refresh(&fb.topo, &fb.gpus_free, state);
+        perf.record("class_build", class_start.elapsed());
+        perf.incr("index_rebuilds", refreshed.rebuilds);
+        perf.incr("index_rekeyed", refreshed.rekeyed);
+        perf.incr("index_classes", refreshed.classes);
+        debug_assert_eq!(fb.audit_index(state), Ok(()));
+
+        // Index-fed candidate selection feeding the same pruned DP as the
+        // struct path (`ServerIndex::offer_candidates` says why the kept
+        // set equals a full scan's).
         let capacity = cluster.spec().server_link_gbps;
         let gps = cluster.spec().gpus_per_server;
         let slack = gps;
         let fs_max = self.config.flow_dimension.then_some(self.config.fs_max);
         let select_start = Stopwatch::start();
-        let filter = {
-            let topo = &fb.topo;
-            let gpus_free = &fb.gpus_free;
-            let shards = parallel_sweep_with(threads, &fb.pods, |&pod| {
-                let mut shard = CandidateFilter::new(gps, job.gpus, slack, fs_max);
-                for s in topo.pod_server_range(pod) {
-                    let avail = state.server_available_gbps(ServerId(s));
-                    let flows = state.server_flows(ServerId(s));
-                    shard.offer(ServerStats {
-                        id: ServerId(s),
-                        gpus_free: gpus_free[s] as usize,
-                        value: Self::server_value(capacity, avail, flows),
-                        flows,
-                    });
-                }
-                shard
-            });
-            let mut merged = CandidateFilter::new(gps, job.gpus, slack, fs_max);
-            for shard in &shards {
-                merged.merge(shard);
-            }
-            merged
-        };
+        let mut filter = CandidateFilter::new(gps, job.gpus, slack, fs_max);
+        fb.index.offer_candidates(capacity, job.gpus + slack, &mut filter);
         perf.record("candidate_select", select_start.elapsed());
         perf.incr("dp_candidates_offered", filter.offered());
         perf.incr("dp_candidates_kept", filter.kept() as u64);
@@ -544,9 +450,6 @@ impl NetPackPlacer {
 
         // PSPlacement with class-deduplicated scoring.
         perf.incr("plans_considered", plans.len() as u64);
-        let class_start = Stopwatch::start();
-        fb.build_classes(cluster, state);
-        perf.record("class_build", class_start.elapsed());
         let scoring_start = Stopwatch::start();
         let (best, evals) = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
             // Workers score disjoint plan ranges concurrently on pooled
@@ -841,6 +744,36 @@ mod tests {
         }
     }
 
+    /// The free-GPU histogram follows commit, credit and fork sync, and a
+    /// credit that would overfill a server is refused whole.
+    #[test]
+    fn free_gpu_histogram_tracks_the_ledger() {
+        let c = cluster(2, 2, 4);
+        let mut fb = FlatBatch::new(&c);
+        let recount = |fb: &FlatBatch| {
+            let mut hist = vec![0u32; 5];
+            fb.gpus_free.iter().for_each(|&f| hist[f as usize] += 1);
+            hist
+        };
+        assert!(fb.any_server_fits(4) && !fb.any_server_fits(5));
+        let p = Placement::new(vec![(ServerId(0), 4), (ServerId(1), 1)], Some(ServerId(0)));
+        let q = Placement::new(vec![(ServerId(2), 2), (ServerId(3), 3)], Some(ServerId(2)));
+        assert!(fb.commit(&p) && fb.commit(&q));
+        assert_eq!(fb.servers_with_free, recount(&fb));
+        assert!(fb.any_server_fits(3) && !fb.any_server_fits(4));
+        let mut fork = FlatBatch::new(&c).fork();
+        fork.sync_from(&fb);
+        assert_eq!(fork.servers_with_free, recount(&fork));
+        assert_eq!(fb.credit(&q), Ok(()));
+        assert_eq!(fb.servers_with_free, recount(&fb));
+        // Server 2 is full again: a second credit must change nothing,
+        // not even server 3's share of it.
+        let before = fb.gpus_free.clone();
+        assert!(matches!(fb.credit(&q), Err(TopologyError::ReleaseOverflow { .. })));
+        assert_eq!(fb.gpus_free, before);
+        assert_eq!(fb.servers_with_free, recount(&fb));
+    }
+
     /// Gradient sharding (k > 1) agrees between the paths too.
     #[test]
     fn flat_matches_struct_with_sharded_ps() {
@@ -863,16 +796,33 @@ mod tests {
     /// Class keys separate servers whose racks differ in uplink load.
     #[test]
     fn class_table_groups_interchangeable_servers() {
-        let c = cluster(4, 4, 4);
-        let fb_state = estimate(&c, &[]);
+        let c = cluster(32, 4, 4);
         let mut fb = FlatBatch::new(&c);
-        fb.build_classes(&c, &fb_state);
-        // Idle cluster: every server is interchangeable — one class.
-        assert_eq!(fb.classes.len(), 1);
-        assert_eq!(fb.class_start, vec![0, 16]);
-        let members: Vec<u32> = fb.members.clone();
-        let mut sorted = members.clone();
-        sorted.sort_unstable();
-        assert_eq!(members, sorted, "members ascending within the class");
+        fb.index.refresh(&fb.topo, &fb.gpus_free, &estimate(&c, &[]));
+        // Idle cluster: every server is interchangeable — one class in
+        // each partition, members ascending.
+        let all: Vec<u32> = (0..128).collect();
+        for classes in [
+            fb.index.ps.classes().map(|(_, m)| m).collect::<Vec<_>>(),
+            fb.index.filter.classes().map(|(_, m)| m).collect::<Vec<_>>(),
+        ] {
+            assert_eq!(classes.len(), 1);
+            assert!(classes[0].iter().eq(&all));
+        }
+        // A cross-rack job loads two rack uplinks: both racks leave the
+        // idle PS class, only the two workers leave the idle filter class,
+        // and the diff re-keys them without a rebuild.
+        let p = Placement::new(vec![(ServerId(0), 4), (ServerId(5), 4)], Some(ServerId(0)));
+        assert!(fb.commit(&p));
+        let state = estimate(&c, &[PlacedJob::new(JobId(0), &c, &p)]);
+        assert_eq!(fb.audit_index(&state), Ok(()));
+        let stats = fb.index.refresh(&fb.topo, &fb.gpus_free, &state);
+        assert_eq!(stats.rebuilds, 0);
+        let idle = |mut classes: Vec<&std::collections::VecDeque<u32>>| classes.remove(0).clone();
+        let ps_idle = idle(fb.index.ps.classes().map(|(_, m)| m).collect());
+        assert!(ps_idle.iter().eq(&(8..128).collect::<Vec<u32>>()));
+        let filter_idle = idle(fb.index.filter.classes().map(|(_, m)| m).collect());
+        assert_eq!(filter_idle.len(), 126);
+        assert!(!filter_idle.contains(&0) && !filter_idle.contains(&5));
     }
 }

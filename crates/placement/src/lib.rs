@@ -75,6 +75,7 @@ mod baselines;
 mod dp;
 mod exact;
 mod flat;
+mod index;
 mod knapsack;
 mod netpack;
 mod placer;

@@ -33,11 +33,12 @@
 //!
 //! Selection is a top-`K` cut of a totally ordered set — `(value desc,
 //! id asc)` has no ties because ids are unique — so the kept set is
-//! independent of both the order servers are offered in and any sharding
-//! of the scan. The flat path exploits this: each pod runs its own filter
-//! over its contiguous server range (via `parallel_sweep`) and the
-//! per-pod results are merged pod-ascending; the regression test
-//! `selection_is_insertion_order_independent` pins the property.
+//! independent of the order servers are offered in, and of whether
+//! servers that cannot make the cut are offered at all. The flat path
+//! exploits both: it offers only the first `⌊g_max / w⌋` members of each
+//! class of its server index, in class order rather than id order
+//! (`DESIGN.md` §3.11); the regression test
+//! `selection_is_insertion_order_independent` pins the first property.
 
 use crate::dp::ServerStats;
 
@@ -121,21 +122,6 @@ impl CandidateFilter {
         class.insert(pos, stats);
         if class.len() > cap {
             class.pop();
-        }
-    }
-
-    /// Merge another filter built with the same parameters (a pod shard's
-    /// result) into this one. Because selection is a top-`K` cut of a
-    /// totally ordered set, merging shard filters in any order yields the
-    /// same kept set as one sequential scan.
-    pub fn merge(&mut self, other: &CandidateFilter) {
-        self.offered += other.offered;
-        // `offer` re-counts, so compensate before re-offering kept entries.
-        for class in &other.classes {
-            for &stats in class {
-                self.offered -= 1;
-                self.offer(stats);
-            }
         }
     }
 
@@ -266,8 +252,8 @@ mod tests {
 
     #[test]
     fn selection_is_insertion_order_independent() {
-        // The property the pod-shard merge rests on: a top-K cut of a
-        // totally ordered set does not depend on scan order.
+        // The property the index-fed offer order rests on: a top-K cut
+        // of a totally ordered set does not depend on scan order.
         for seed in 1..=20u64 {
             let servers = random_servers(seed, 60, 4);
             let mut forward = CandidateFilter::new(4, 9, 4, Some(8));
@@ -286,35 +272,6 @@ mod tests {
                 backward.offer(s);
             }
             assert_eq!(forward.candidates(), backward.candidates(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sharded_merge_equals_sequential_scan() {
-        // Simulate the pod shards: split the server range at arbitrary
-        // boundaries, filter each chunk independently, merge ascending.
-        for seed in 1..=20u64 {
-            let servers = random_servers(seed ^ 0xABCD, 80, 4);
-            let mut sequential = CandidateFilter::new(4, 7, 4, Some(8));
-            for &s in &servers {
-                sequential.offer(s);
-            }
-            let mut rng = Rng(seed.wrapping_add(77) | 1);
-            let mut cut1 = (rng.next() % 80) as usize;
-            let mut cut2 = (rng.next() % 80) as usize;
-            if cut1 > cut2 {
-                std::mem::swap(&mut cut1, &mut cut2);
-            }
-            let mut merged = CandidateFilter::new(4, 7, 4, Some(8));
-            for chunk in [&servers[..cut1], &servers[cut1..cut2], &servers[cut2..]] {
-                let mut shard = CandidateFilter::new(4, 7, 4, Some(8));
-                for &s in chunk {
-                    shard.offer(s);
-                }
-                merged.merge(&shard);
-            }
-            assert_eq!(sequential.candidates(), merged.candidates(), "seed {seed}");
-            assert_eq!(sequential.offered(), merged.offered(), "seed {seed}");
         }
     }
 

@@ -11,8 +11,8 @@
 //! * the **authoritative GPU ledger** (the [`Cluster`]) lives inside the
 //!   session, debited on placement and credited on completion;
 //! * the **flat arenas** ([`FlatBatch`]: topology mirror, free-GPU ledger,
-//!   class tables, stamp masks) are built once and mutated in step with
-//!   the cluster;
+//!   server-class index, stamp masks) are built once and mutated in step
+//!   with the cluster;
 //! * the **warm water-filling estimator** ([`IncrementalEstimator`])
 //!   mirrors the running set in insertion order, so a batch starts from
 //!   the converged steady state instead of re-solving it.
@@ -34,6 +34,7 @@ use crate::netpack::{BatchMode, NetPackConfig, NetPackPlacer, ScoringMode};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::spec::{place_batch_spec, SessionWorld};
 use netpack_metrics::{PerfCounters, Stopwatch};
+use netpack_model::Placement;
 use netpack_topology::{Cluster, JobId, TopoMode, TopologyError};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
@@ -235,8 +236,9 @@ impl NetPackSession {
                             if !allocate_all(&mut self.cluster, &placement) {
                                 // The two ledgers disagreed — refuse the
                                 // placement rather than panic, and keep
-                                // them in step.
-                                self.fb.credit_placement(&placement);
+                                // them in step (undoing the commit just
+                                // made cannot be refused).
+                                let _ = self.fb.credit(&placement);
                                 outcome.deferred.push(job.clone());
                                 continue;
                             }
@@ -321,10 +323,20 @@ impl NetPackSession {
     /// # Errors
     ///
     /// [`SessionError::UnknownJob`] if the id is not running;
-    /// [`SessionError::Ledger`] if the cluster refuses a release (which
-    /// means the session's books were already inconsistent).
+    /// [`SessionError::Ledger`] if either ledger refuses the release (which
+    /// means the session's books were already inconsistent). The release
+    /// is all-or-nothing: on error both ledgers are unchanged and the job
+    /// is still running.
     pub fn complete(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
-        let idx = self.index.remove(&id).ok_or(SessionError::UnknownJob(id))?;
+        let &idx = self.index.get(&id).ok_or(SessionError::UnknownJob(id))?;
+        let placement = &self.running[idx].placement;
+        release_all(&mut self.cluster, placement).map_err(SessionError::Ledger)?;
+        if let Err(refusal) = self.fb.credit(placement) {
+            // Re-allocating what was just released cannot fail.
+            allocate_all(&mut self.cluster, placement);
+            return Err(SessionError::Ledger(refusal));
+        }
+        self.index.remove(&id);
         let removed = self.running.remove(idx);
         for (i, rj) in self.running.iter().enumerate().skip(idx) {
             self.index.insert(rj.id, i);
@@ -332,16 +344,33 @@ impl NetPackSession {
         let start = Stopwatch::start();
         self.tracker.remove(&self.cluster, id);
         self.placer.perf.record("waterfill_solve", start.elapsed());
-        for &(s, w) in removed.placement.workers() {
-            self.cluster.release_gpus(s, w).map_err(SessionError::Ledger)?;
-            self.fb.credit(s, w);
-        }
         Ok(removed)
+    }
+
+    /// Test oracle: the flat path's persistent server index, refreshed
+    /// against the warm steady state, must equal a from-scratch build.
+    #[doc(hidden)]
+    pub fn audit_index(&self) -> Result<(), String> {
+        self.fb.audit_index(self.tracker.state())
     }
 }
 
+/// Release every worker on the cluster ledger, rolling back on failure.
+fn release_all(cluster: &mut Cluster, placement: &Placement) -> Result<(), TopologyError> {
+    for (i, &(s, w)) in placement.workers().iter().enumerate() {
+        if let Err(e) = cluster.release_gpus(s, w) {
+            for &(s2, w2) in &placement.workers()[..i] {
+                // Re-allocating what this loop just released cannot fail.
+                let _ = cluster.allocate_gpus(s2, w2);
+            }
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
 /// Allocate every worker on the cluster ledger, rolling back on failure.
-pub(crate) fn allocate_all(cluster: &mut Cluster, placement: &netpack_model::Placement) -> bool {
+pub(crate) fn allocate_all(cluster: &mut Cluster, placement: &Placement) -> bool {
     for (i, &(s, w)) in placement.workers().iter().enumerate() {
         if cluster.allocate_gpus(s, w).is_err() {
             for &(s2, w2) in &placement.workers()[..i] {
@@ -425,6 +454,41 @@ mod tests {
                 r.id
             );
         }
+    }
+
+    #[test]
+    fn refused_completion_changes_nothing() {
+        let mut s = NetPackSession::new(cluster(), NetPackConfig::default());
+        s.place_batch(&[job(0, 6)]);
+        let placement = s.running()[0].placement.clone();
+        assert!(placement.workers().len() >= 2, "a spanning job");
+        let flat_before = s.fb.ledger().to_vec();
+
+        // The cluster refuses the *last* worker's release: the workers
+        // before it must not stay released on either ledger.
+        let &(last, w) = placement.workers().last().unwrap();
+        s.cluster.release_gpus(last, w).unwrap();
+        let err = s.complete(JobId(0)).unwrap_err();
+        assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert!(s.is_running(JobId(0)));
+        assert_eq!(s.free_gpus(), 32 - 6 + w);
+        assert_eq!(s.fb.ledger(), flat_before);
+        assert!(s.state().job_rate_gbps(JobId(0)).is_some());
+        s.cluster.allocate_gpus(last, w).unwrap();
+
+        // The flat ledger refuses (it was already credited once): the
+        // cluster's release is rolled back and the job keeps running.
+        s.fb.credit(&placement).unwrap();
+        let err = s.complete(JobId(0)).unwrap_err();
+        assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert!(s.is_running(JobId(0)));
+        assert_eq!(s.free_gpus(), 32 - 6);
+        assert!(s.fb.commit(&placement));
+
+        // Books back in step: the completion now goes through, once.
+        s.complete(JobId(0)).unwrap();
+        assert_eq!(s.free_gpus(), 32);
+        assert_eq!(s.complete(JobId(0)), Err(SessionError::UnknownJob(JobId(0))));
     }
 
     #[test]

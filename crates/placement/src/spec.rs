@@ -36,8 +36,8 @@
 //! — the common case in a saturated cluster — validates and commits in a
 //! single round no matter how stale. A degenerate window of one job is
 //! scored on the master arenas with the placer's *inner* parallelism
-//! (pod-sharded selection, plan fan-out), so `spec` never does more work
-//! than `seq` even when speculation cannot help.
+//! (plan fan-out), so `spec` never does more work than `seq` even when
+//! speculation cannot help.
 
 use crate::flat::{grab_slot, FlatBatch, SpecProbe};
 use crate::netpack::NetPackPlacer;
@@ -338,7 +338,8 @@ pub(crate) fn place_batch_spec<W: SpecWorld>(
                         deltas.push(changed);
                         out.placed.push((job.clone(), p));
                     } else {
-                        fb.credit_placement(&p);
+                        // Undoing the commit just made cannot be refused.
+                        let _ = fb.credit(&p);
                         out.deferred.push(job.clone());
                     }
                 }

@@ -3,8 +3,8 @@
 
 use netpack_placement::{
     batch_comm_time_s, BatchMode, CandidateFilter, Comb, FlowBalance, GpuBalance,
-    LeastFragmentation, NetPackConfig, NetPackPlacer, OptimusLike, Placer, RandomPlacer,
-    RunningJob, ScoringMode, ServerStats, TetrisLike, TopoMode, WorkerDp,
+    LeastFragmentation, NetPackConfig, NetPackPlacer, NetPackSession, OptimusLike, Placer,
+    RandomPlacer, RunningJob, ScoringMode, ServerStats, TetrisLike, TopoMode, WorkerDp,
 };
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ClusterSpec, JobId, ServerId};
@@ -267,8 +267,8 @@ proptest! {
     }
 
     /// The candidate filter's kept set must not depend on offer order: the
-    /// per-pod shards of the flat path offer servers in pod order, the
-    /// struct path in global id order, and both must keep the same
+    /// flat path offers servers class by class out of its server index,
+    /// the struct path in global id order, and both must keep the same
     /// candidates (value-desc, id-asc within a class, ties included).
     #[test]
     fn candidate_filter_ignores_insertion_order(
@@ -396,6 +396,20 @@ proptest! {
             prop_assert_eq!(ids(&out.deferred), ids(&reference.deferred));
             let obj = batch_comm_time_s(&cluster, &[], &out.placed);
             prop_assert_eq!(obj.to_bits(), obj_ref.to_bits());
+
+            // The same batch through a warm session at this worker count:
+            // its persistent server index (and, under debug assertions,
+            // every speculation fork's) must equal a full scan after the
+            // pass, after completions, and after the pass that follows.
+            let mut session = NetPackSession::new(cluster.clone(), spec.config().clone());
+            let first = session.place_batch(&batch);
+            prop_assert_eq!(session.audit_index(), Ok(()));
+            for (job, _) in first.placed.iter().step_by(2) {
+                prop_assert!(session.complete(job.id).is_ok());
+            }
+            prop_assert_eq!(session.audit_index(), Ok(()));
+            session.place_batch(&first.deferred);
+            prop_assert_eq!(session.audit_index(), Ok(()));
         }
     }
 }

@@ -57,6 +57,9 @@ fn run_equivalence_with(
         let placed_ref = manager.run_epoch();
         let placed_svc_before = core.counters().placed;
         core.place_pass();
+        // The session's persistent server index must equal a full scan
+        // after every pass (and, below, after every completion).
+        assert_eq!(core.session().audit_index(), Ok(()), "pass after job {i}");
         let placed_svc = core.counters().placed - placed_svc_before;
         assert_eq!(
             placed_svc,
@@ -95,6 +98,7 @@ fn run_equivalence_with(
         if let Some(&oldest) = completion_order.first() {
             let (_, p_ref) = manager.finish(oldest).expect("reference finish");
             core.apply(Command::Complete(oldest));
+            assert_eq!(core.session().audit_index(), Ok(()), "completing {oldest}");
             completion_order.remove(0);
             assert_eq!(
                 core.counters().unknown_ops,
@@ -110,6 +114,7 @@ fn run_equivalence_with(
         let placed_ref = manager.run_epoch();
         let before = core.counters().placed;
         core.place_pass();
+        assert_eq!(core.session().audit_index(), Ok(()), "drain pass {guard}");
         assert_eq!(core.counters().placed - before, placed_ref.len() as u64);
         assert_eq!(core.free_gpus(), manager.cluster().free_gpus());
         guard += 1;

@@ -229,8 +229,7 @@ impl Cluster {
 
     /// The half-open range of server indices owned by pod `pod`. Servers
     /// are rack-major and racks pod-major, so every pod owns a contiguous
-    /// server range — the invariant the pod-sharded candidate search relies
-    /// on (`DESIGN.md` §3.11).
+    /// server range (`DESIGN.md` §3.11).
     pub fn pod_server_range(&self, pod: usize) -> std::ops::Range<usize> {
         let racks = self.pod_rack_range(pod);
         let start = racks.start * self.spec.servers_per_rack;

@@ -43,8 +43,8 @@ use crate::{Cluster, LinkId};
 /// straight-line reference for the equivalence gate in `scripts/check.sh`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopoMode {
-    /// Flat integer-indexed arrays ([`FlatTopology`]) with per-pod sharded
-    /// candidate search — the warehouse-scale default.
+    /// Flat integer-indexed arrays ([`FlatTopology`]) with a persistent
+    /// server-class index — the warehouse-scale default.
     #[default]
     Flat,
     /// The original per-entity struct walk; reference implementation.

@@ -84,6 +84,22 @@ impl SteadyState {
         self.link_flows[server.0]
     }
 
+    /// [`server_available_gbps`](Self::server_available_gbps) for every
+    /// server, indexed by server id — the bulk view O(servers) scans diff.
+    pub fn servers_available_gbps(&self) -> &[f64] {
+        &self.link_residual[..self.num_servers]
+    }
+
+    /// [`server_flows`](Self::server_flows) for every server, by server id.
+    pub fn servers_flows(&self) -> &[u32] {
+        &self.link_flows[..self.num_servers]
+    }
+
+    /// Steady-state flow count on every rack uplink, indexed by rack id.
+    pub fn rack_uplinks_flows(&self) -> &[u32] {
+        &self.link_flows[self.num_servers..]
+    }
+
     /// Number of jobs the estimate covers.
     pub fn num_jobs(&self) -> usize {
         self.job_rates.len()

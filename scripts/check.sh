@@ -14,7 +14,10 @@
 # be byte-identical — the speculative engine's determinism gate), and the
 # service determinism smoke (two identical deterministic 10K-job
 # bench_service runs must be byte-identical, stdout + event log, and the
-# seq / multi-worker-spec variants must match them byte-for-byte too).
+# seq / multi-worker-spec variants must match them byte-for-byte too), and
+# the index smoke (a 2 000-job deterministic replay of a *debug* build, so
+# the placement path's debug assertion holds its persistent server index
+# to a full scan after every refresh under real churn).
 # Keep this list in sync with README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -123,6 +126,13 @@ if ! cmp "$exact_dir/svc_a.log" "$exact_dir/svc_seq.log" \
 fi
 printf '%s\n' "$svc_a"
 echo "service event log: $(wc -l < "$exact_dir/svc_a.log") lines, byte-identical across runs"
+
+echo "==> index smoke: debug 2 000-job replay, server index == full scan after every refresh"
+# A debug build keeps `debug_assert!`: every spanning job audits the
+# refreshed index against a from-scratch build (DESIGN.md §3.11), so
+# index drift under churn fails here, not in a benchmark.
+NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \
+    cargo run -q -p netpack-bench --bin bench_service > /dev/null
 
 echo "==> fig14 smoke: fast vs scratch packet path must match (stdout + CSV)"
 pkt_fast=$(NETPACK_PKT=fast NETPACK_CSV_DIR="$pkt_dir/fast" \
