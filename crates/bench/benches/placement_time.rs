@@ -2,9 +2,7 @@
 //! and batch size, plus the baseline placers for context.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netpack_placement::{
-    GpuBalance, NetPackConfig, NetPackPlacer, Placer, ScoringMode, TetrisLike,
-};
+use netpack_placement::{GpuBalance, NetPackPlacer, Placer, TetrisLike};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Job, ModelKind};
 
@@ -34,31 +32,19 @@ fn cluster(servers: usize) -> Cluster {
 }
 
 fn bench_netpack_scaling(c: &mut Criterion) {
-    // Fast (incremental + memoized + parallel) vs sequential reference
-    // scoring, at each cluster size — the before/after of the placement
-    // fast path. The two modes place identical batches, so any delta is
-    // pure scoring-machinery cost.
-    for (mode_name, mode) in [
-        ("fast", ScoringMode::Fast),
-        ("sequential", ScoringMode::Sequential),
-    ] {
-        let mut group = c.benchmark_group(format!("netpack_place_batch_{mode_name}"));
-        group.sample_size(10);
-        for servers in [100usize, 400, 1600] {
-            let cl = cluster(servers);
-            let jobs = batch(32, 32);
-            group.bench_with_input(BenchmarkId::from_parameter(servers), &servers, |b, _| {
-                b.iter(|| {
-                    let mut placer = NetPackPlacer::new(NetPackConfig {
-                        scoring: mode,
-                        ..NetPackConfig::default()
-                    });
-                    std::hint::black_box(placer.place_batch(&cl, &[], &jobs))
-                })
-            });
-        }
-        group.finish();
+    let mut group = c.benchmark_group("netpack_place_batch");
+    group.sample_size(10);
+    for servers in [100usize, 400, 1600] {
+        let cl = cluster(servers);
+        let jobs = batch(32, 32);
+        group.bench_with_input(BenchmarkId::from_parameter(servers), &servers, |b, _| {
+            b.iter(|| {
+                let mut placer = NetPackPlacer::default();
+                std::hint::black_box(placer.place_batch(&cl, &[], &jobs))
+            })
+        });
     }
+    group.finish();
 }
 
 fn bench_placer_comparison(c: &mut Criterion) {

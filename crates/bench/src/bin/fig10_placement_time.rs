@@ -6,16 +6,12 @@
 //! cluster size, and per-job time grows with cluster size
 //! (`3.25e-4 s` at 100 servers to `1.36e-2 s` at 10K in the paper).
 //!
-//! Both scoring modes are timed side by side — `fast` (incremental
-//! water-filling + memoized, parallel plan scoring, the default) and
-//! `sequential` (the from-scratch reference) — and the placer's perf
-//! counters are printed afterwards so the speedup can be attributed.
-//! Set `NETPACK_SCORING=fast` or `NETPACK_SCORING=sequential` to run only
-//! one mode.
+//! The placer's perf counters, aggregated over every cell, are printed
+//! afterwards so the time can be attributed to its phases.
 
 use netpack_bench::{emit_bench_row, quick, BenchRow};
 use netpack_metrics::TextTable;
-use netpack_placement::{NetPackConfig, NetPackPlacer, Placer, ScoringMode};
+use netpack_placement::{NetPackPlacer, Placer};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Job, ModelKind};
 use netpack_metrics::Stopwatch;
@@ -38,17 +34,6 @@ fn batch(jobs: usize, max_gpus: usize, seed: u64) -> Vec<Job> {
         .collect()
 }
 
-fn modes() -> Vec<(&'static str, ScoringMode)> {
-    match std::env::var("NETPACK_SCORING").as_deref() {
-        Ok("fast") => vec![("fast", ScoringMode::Fast)],
-        Ok("sequential") => vec![("sequential", ScoringMode::Sequential)],
-        _ => vec![
-            ("sequential", ScoringMode::Sequential),
-            ("fast", ScoringMode::Fast),
-        ],
-    }
-}
-
 fn main() {
     let sizes: Vec<usize> = if quick() {
         vec![100, 400]
@@ -60,17 +45,9 @@ fn main() {
     } else {
         vec![200, 400, 800]
     };
-    let modes = modes();
     println!("Fig. 10 — NetPack placement algorithm execution time (placement only)\n");
-    let mut table = TextTable::new(vec![
-        "servers",
-        "jobs",
-        "scoring",
-        "total (s)",
-        "per-job (s)",
-    ]);
-    // One perf-counter snapshot per mode, aggregated over every cell.
-    let mut perf_per_mode: Vec<(&'static str, netpack_metrics::PerfCounters)> = Vec::new();
+    let mut table = TextTable::new(vec!["servers", "jobs", "total (s)", "per-job (s)"]);
+    let mut perf = netpack_metrics::PerfCounters::new();
     for &servers in &sizes {
         let racks = 16.min(servers);
         let spec = ClusterSpec {
@@ -79,46 +56,37 @@ fn main() {
             ..ClusterSpec::paper_default()
         };
         for &jobs in &job_counts {
-            for &(mode_name, mode) in &modes {
-                let cluster = Cluster::new(spec.clone());
-                let b = batch(jobs, 32, 7);
-                let mut placer = NetPackPlacer::new(NetPackConfig {
-                    scoring: mode,
-                    ..NetPackConfig::default()
-                });
-                let start = Stopwatch::start();
-                let outcome = placer.place_batch(&cluster, &[], &b);
-                let elapsed = start.elapsed().as_secs_f64();
-                let placed = outcome.placed.len().max(1);
-                emit_bench_row(&BenchRow {
-                    bench: "fig10_placement_time",
-                    instance: format!("servers={servers}/jobs={jobs}"),
-                    mode: mode_name.to_string(),
-                    wall_s: elapsed,
-                    threads: netpack_bench::bench_threads(),
-                    evals: placer.perf().counter("plans_considered"),
-                    nodes: 0,
-                    pruned: 0,
-                });
-                table.row(vec![
-                    servers.to_string(),
-                    jobs.to_string(),
-                    mode_name.to_string(),
-                    format!("{elapsed:.3}"),
-                    format!("{:.2e}", elapsed / placed as f64),
-                ]);
-                match perf_per_mode.iter_mut().find(|(n, _)| *n == mode_name) {
-                    Some((_, agg)) => agg.merge(placer.perf()),
-                    None => perf_per_mode.push((mode_name, placer.take_perf())),
-                }
-            }
+            let cluster = Cluster::new(spec.clone());
+            let b = batch(jobs, 32, 7);
+            let mut placer = NetPackPlacer::default();
+            let start = Stopwatch::start();
+            let outcome = placer.place_batch(&cluster, &[], &b);
+            let elapsed = start.elapsed().as_secs_f64();
+            let placed = outcome.placed.len().max(1);
+            emit_bench_row(&BenchRow {
+                bench: "fig10_placement_time",
+                instance: format!("servers={servers}/jobs={jobs}"),
+                // The ledger key these cells have always had; earlier
+                // ledgers hold a `sequential` row beside each.
+                mode: "fast".to_string(),
+                wall_s: elapsed,
+                threads: netpack_bench::bench_threads(),
+                evals: placer.perf().counter("plans_considered"),
+                nodes: 0,
+                pruned: 0,
+            });
+            table.row(vec![
+                servers.to_string(),
+                jobs.to_string(),
+                format!("{elapsed:.3}"),
+                format!("{:.2e}", elapsed / placed as f64),
+            ]);
+            perf.merge(placer.perf());
         }
     }
     println!("{table}");
-    for (mode_name, perf) in &perf_per_mode {
-        println!("perf counters ({mode_name}, all cells):");
-        println!("{}", perf.to_table().render());
-    }
+    println!("perf counters (all cells):");
+    println!("{}", perf.to_table().render());
     println!("paper: 4K jobs placed within 1 minute on 100-10K servers; per-job time");
     println!("grows linearly with cluster size (3.25e-4 s at 100 to 1.36e-2 s at 10K).");
 }

@@ -1,26 +1,24 @@
 //! fig10_xl — warehouse-scale extension of Fig. 10: place a 100-job batch
 //! on a 50K-server three-tier fat-tree (32 pods x 49 racks x 32 servers x
-//! 4 GPUs = 50 176 servers) and record wall-clock per topology mode.
+//! 4 GPUs = 50 176 servers) and record the wall-clock.
 //!
-//! This is the acceptance benchmark for the flat-topology placement path
-//! (DESIGN.md §3.11): the `flat` mode must finish the batch in under a
-//! second on a single socket, and both modes must produce bit-identical
-//! placements. Rows land in the JSON ledger (`bench: "fig10_xl"`) when
+//! This is the acceptance benchmark for the warehouse-scale placement path
+//! (DESIGN.md §3.11): the batch must finish in under a second on a single
+//! socket. The row lands in the JSON ledger (`bench: "fig10_xl"`) when
 //! `NETPACK_BENCH_JSON` is set, via `scripts/bench.sh`.
 //!
-//! Knobs:
-//! * `NETPACK_TOPO=flat|struct` — run only one mode (default: both, with
-//!   an in-binary equality assertion across them).
-//! * `NETPACK_SMOKE=1` — shrink to a 160-server tree / 30 jobs and print
-//!   only a deterministic placement digest (no timings, no counters), so
-//!   `scripts/check.sh` can byte-diff the two modes' stdout.
+//! Knob: `NETPACK_SMOKE=1` shrinks to a 160-server tree / 30 jobs, asserts
+//! that production's outcome equals the literal algorithm's
+//! (`reference::place_batch`), and prints only a deterministic placement
+//! digest (no timings, no counters), so `scripts/check.sh` can byte-diff
+//! the stdout of runs at different worker counts.
 
 use netpack_bench::{emit_bench_row, BenchRow};
 use netpack_metrics::{Stopwatch, TextTable};
 use netpack_placement::{
-    batch_comm_time_s, BatchOutcome, NetPackConfig, NetPackPlacer, Placer,
+    batch_comm_time_s, reference, BatchOutcome, NetPackConfig, NetPackPlacer, Placer,
 };
-use netpack_topology::{Cluster, ClusterSpec, JobId, TopoMode};
+use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Job, ModelKind};
 
 /// Deterministic mixed batch of spanning jobs (same generator as Fig. 10).
@@ -41,16 +39,8 @@ fn batch(jobs: usize, max_gpus: usize, seed: u64) -> Vec<Job> {
         .collect()
 }
 
-fn modes() -> Vec<(&'static str, TopoMode)> {
-    match std::env::var("NETPACK_TOPO").as_deref() {
-        Ok("struct") => vec![("struct", TopoMode::Struct)],
-        Ok("flat") => vec![("flat", TopoMode::Flat)],
-        _ => vec![("struct", TopoMode::Struct), ("flat", TopoMode::Flat)],
-    }
-}
-
-/// Stable outcome fingerprint used both for the cross-mode assertion and
-/// the smoke digest.
+/// Stable outcome fingerprint: the smoke digest, and what the smoke
+/// compares against the reference.
 fn digest(outcome: &BatchOutcome) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -94,13 +84,20 @@ fn main() {
     let servers = spec.num_servers();
     let b = batch(jobs, 32, 7);
 
+    let cluster = Cluster::new(spec);
+    let mut placer = NetPackPlacer::default();
+
     if smoke {
         // Digest only — `scripts/check.sh` byte-diffs this output between
-        // NETPACK_TOPO=flat and NETPACK_TOPO=struct runs, so nothing
-        // mode- or time-dependent may print.
-        let cluster = Cluster::new(spec);
-        let mut placer = NetPackPlacer::default();
+        // runs at different worker counts, so nothing time-dependent may
+        // print.
         let outcome = placer.place_batch(&cluster, &[], &b);
+        let oracle = reference::place_batch(&NetPackConfig::default(), &cluster, &[], &b);
+        assert_eq!(
+            digest(&outcome),
+            digest(&oracle),
+            "production diverged from the literal algorithm"
+        );
         let objective = batch_comm_time_s(&cluster, &[], &outcome.placed);
         println!("fig10_xl smoke digest (servers={servers}, jobs={jobs})");
         print!("{}", digest(&outcome));
@@ -109,52 +106,35 @@ fn main() {
     }
 
     println!("fig10_xl — 100-job batch on a {servers}-server three-tier fat-tree\n");
-    let mut table = TextTable::new(vec!["topo", "total (s)", "per-job (s)", "placed", "deferred"]);
-    let modes = modes();
-    let mut outcomes: Vec<(&'static str, BatchOutcome)> = Vec::new();
-    for &(mode_name, mode) in &modes {
-        let cluster = Cluster::new(spec.clone());
-        let mut placer = NetPackPlacer::new(NetPackConfig {
-            topo: mode,
-            ..NetPackConfig::default()
-        });
-        let start = Stopwatch::start();
-        let outcome = placer.place_batch(&cluster, &[], &b);
-        let elapsed = start.elapsed().as_secs_f64();
-        let placed = outcome.placed.len().max(1);
-        emit_bench_row(&BenchRow {
-            bench: "fig10_xl",
-            instance: format!("servers={servers}/jobs={jobs}"),
-            mode: mode_name.to_string(),
-            wall_s: elapsed,
-            threads: netpack_bench::bench_threads(),
-            evals: placer.perf().counter("plans_considered"),
-            nodes: placer.perf().counter("dp_candidates_offered"),
-            pruned: placer
-                .perf()
-                .counter("dp_candidates_offered")
-                .saturating_sub(placer.perf().counter("dp_candidates_kept")),
-        });
-        table.row(vec![
-            mode_name.to_string(),
-            format!("{elapsed:.3}"),
-            format!("{:.2e}", elapsed / placed as f64),
-            outcome.placed.len().to_string(),
-            outcome.deferred.len().to_string(),
-        ]);
-        println!("perf counters ({mode_name}):");
-        println!("{}", placer.take_perf().to_table().render());
-        outcomes.push((mode_name, outcome));
-    }
+    let start = Stopwatch::start();
+    let outcome = placer.place_batch(&cluster, &[], &b);
+    let elapsed = start.elapsed().as_secs_f64();
+    let placed = outcome.placed.len().max(1);
+    emit_bench_row(&BenchRow {
+        bench: "fig10_xl",
+        instance: format!("servers={servers}/jobs={jobs}"),
+        // The ledger key this cell has always had; earlier ledgers hold a
+        // `struct` row beside it.
+        mode: "flat".to_string(),
+        wall_s: elapsed,
+        threads: netpack_bench::bench_threads(),
+        evals: placer.perf().counter("plans_considered"),
+        nodes: placer.perf().counter("dp_candidates_offered"),
+        pruned: placer
+            .perf()
+            .counter("dp_candidates_offered")
+            .saturating_sub(placer.perf().counter("dp_candidates_kept")),
+    });
+    let mut table = TextTable::new(vec!["total (s)", "per-job (s)", "placed", "deferred"]);
+    table.row(vec![
+        format!("{elapsed:.3}"),
+        format!("{:.2e}", elapsed / placed as f64),
+        outcome.placed.len().to_string(),
+        outcome.deferred.len().to_string(),
+    ]);
+    println!("perf counters:");
+    println!("{}", placer.take_perf().to_table().render());
     println!("{table}");
-    if let [(a_name, a), (b_name, b)] = outcomes.as_slice() {
-        assert_eq!(
-            digest(a),
-            digest(b),
-            "placements diverged between {a_name} and {b_name} topology modes"
-        );
-        println!("cross-check: {a_name} and {b_name} placements are identical");
-    }
     println!("paper scale context: Fig. 10 stops at 10K servers; this cell extends the");
-    println!("claim to a 50K-server warehouse with the flat indexed topology path.");
+    println!("claim to a 50K-server warehouse.");
 }

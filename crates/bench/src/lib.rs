@@ -155,17 +155,12 @@ pub fn placer_by_name(name: &str) -> Box<dyn Placer> {
 
 pub use netpack_metrics::parallel_sweep;
 
-/// Worker-thread count recorded in the ledger rows: the raw
-/// `NETPACK_THREADS` request when set — so the `scripts/bench.sh` thread
-/// sweep produces distinguishable rows even on machines whose core count
-/// clamps the effective parallelism — else the machine clamp
-/// [`netpack_metrics::sweep_threads`] the run actually used.
+/// Worker-thread count recorded in the ledger rows: the *effective*
+/// count the run used — `NETPACK_THREADS` clamped to the machine's cores
+/// ([`netpack_metrics::sweep_threads`]) — so no row claims more workers
+/// than ran.
 pub fn bench_threads() -> u64 {
-    std::env::var("NETPACK_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or_else(|| netpack_metrics::sweep_threads() as u64)
+    netpack_metrics::sweep_threads() as u64
 }
 
 /// Outcome of repeated trace replays for one placer.
@@ -733,22 +728,22 @@ mod tests {
 
     #[test]
     fn fig10_xl_row_shape_passes_the_validator() {
-        // The exact row shape the fig10_xl binary emits per topology mode
-        // (DESIGN.md §3.11): evals = plans considered, nodes = DP
-        // candidates offered, pruned = offered - kept.
-        for mode in ["struct", "flat"] {
-            let row = BenchRow {
-                bench: "fig10_xl",
-                instance: "servers=50176/jobs=100".to_string(),
-                mode: mode.to_string(),
-                wall_s: 0.164,
-                threads: 4,
-                evals: 1234,
-                nodes: 5_017_600,
-                pruned: 5_000_000,
-            };
-            assert_eq!(validate_bench_jsonl(&row.to_json()), Ok(1));
-        }
+        // The exact row shape the fig10_xl binary emits (DESIGN.md §3.11):
+        // evals = plans considered, nodes = DP candidates offered,
+        // pruned = offered - kept; threads = workers that actually ran.
+        let row = BenchRow {
+            bench: "fig10_xl",
+            instance: "servers=50176/jobs=100".to_string(),
+            mode: "flat".to_string(),
+            wall_s: 0.023,
+            threads: bench_threads(),
+            evals: 1234,
+            nodes: 1_138,
+            pruned: 0,
+        };
+        assert_eq!(validate_bench_jsonl(&row.to_json()), Ok(1));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        assert!((1..=cores).contains(&row.threads), "threads column exceeds the cores");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! for the NetPack workspace.
 //!
 //! Every fast path in this repo (incremental water-filling, the flow- and
-//! packet-level simulator fast modes, the speculative batch engine)
+//! packet-level simulator fast modes, the flat placement path)
 //! carries a bit-identity contract with its from-scratch reference. That
 //! contract dies quietly the moment code iterates a hash-ordered
 //! container, reads the wall clock into simulation state, draws unseeded

@@ -70,12 +70,6 @@ pub struct EnvVar {
 /// scripts/check.sh on every lint run.
 pub const REGISTRY: &[EnvVar] = &[
     EnvVar {
-        name: "NETPACK_BATCH",
-        kind: VarKind::ModeGate,
-        gate: Gate::CheckSh,
-        desc: "intra-batch engine: speculative parallel scoring (spec) or sequential reference (seq)",
-    },
-    EnvVar {
         name: "NETPACK_BENCH_JSON",
         kind: VarKind::Output,
         gate: Gate::None,
@@ -116,15 +110,6 @@ pub const REGISTRY: &[EnvVar] = &[
         kind: VarKind::Knob,
         gate: Gate::None,
         desc: "trace seeds per data point",
-    },
-    EnvVar {
-        name: "NETPACK_SCORING",
-        kind: VarKind::ModeGate,
-        gate: Gate::Test {
-            file: "crates/placement/tests/properties.rs",
-            needle: "fast_and_sequential_scoring_agree",
-        },
-        desc: "placement scoring path: fast (memoized incremental) or sequential reference",
     },
     EnvVar {
         name: "NETPACK_SERVICE_BATCH_MAX",
@@ -202,13 +187,7 @@ pub const REGISTRY: &[EnvVar] = &[
         name: "NETPACK_THREADS",
         kind: VarKind::Knob,
         gate: Gate::None,
-        desc: "worker threads for sweeps and the speculative batch engine",
-    },
-    EnvVar {
-        name: "NETPACK_TOPO",
-        kind: VarKind::ModeGate,
-        gate: Gate::CheckSh,
-        desc: "placement topology path: flat indexed SoA or struct reference",
+        desc: "worker threads for sweeps and the placer's plan-scoring fan-out",
     },
 ];
 

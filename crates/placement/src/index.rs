@@ -9,8 +9,7 @@
 //! brings them up to date by **diffing** the live arrays against the keys
 //! the index itself holds, re-keying only servers that changed. Nothing is
 //! trusted from callers, so every mutation path (ledger commit/credit,
-//! fork sync, estimator push/pop/remove, a scratch `estimate`) is covered
-//! by construction.
+//! estimator push/pop/remove) is covered by construction.
 //!
 //! * **PS classes** ([`PsKey`]): servers interchangeable as ordinary PS
 //!   candidates. A rack-uplink flow change re-keys the whole rack.

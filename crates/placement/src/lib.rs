@@ -41,18 +41,23 @@
 //! assert!(outcome.deferred.is_empty());
 //! ```
 //!
-//! # Placement-time fast path
+//! # One production path, one oracle
 //!
 //! Scoring a batch is the scheduler's hot loop: Algorithm 2 re-estimates
 //! the water-filled steady state before every job and scores every
-//! `(plan, PS server)` pair. [`NetPackPlacer`] therefore defaults to
-//! [`ScoringMode::Fast`], which keeps the steady state warm between jobs
-//! (re-solving only the resource component each placement touches),
-//! memoizes the Equation-1 hot-spot term per candidate plan, and fans plan
-//! scoring out across threads — all **bit-identical** to the
-//! [`ScoringMode::Sequential`] reference, as pinned by the
-//! `fast_and_sequential_scoring_agree` property test. The work saved is
-//! visible through [`NetPackPlacer::perf`]:
+//! `(plan, PS server)` pair. There is exactly one production
+//! implementation of it, shared by [`NetPackPlacer`] and
+//! [`NetPackSession`]: a flat integer-indexed topology mirror with a
+//! persistent server-class index, class-deduplicated PS scoring, and an
+//! incremental estimator that keeps the steady state warm between jobs
+//! (re-solving only the resource component each placement touches); jobs
+//! commit one after another in Algorithm 2's order, and only the per-plan
+//! scoring inside one job fans out across [`NetPackConfig::threads`]
+//! workers. The literal algorithm lives in [`reference`] as the oracle —
+//! **bit-identical** to production by the `production_matches_reference`
+//! property suite, and reachable only by calling it, never through
+//! configuration or environment. The work done is visible through
+//! [`NetPackPlacer::perf`]:
 //!
 //! ```
 //! use netpack_topology::{Cluster, ClusterSpec, JobId};
@@ -80,16 +85,15 @@ mod knapsack;
 mod netpack;
 mod placer;
 mod prior;
+pub mod reference;
 mod select;
 mod session;
-mod spec;
 
 pub use baselines::{FlowBalance, GpuBalance, LeastFragmentation, RandomPlacer};
 pub use dp::{ServerStats, WorkerDp, WorkerPlan};
 pub use exact::{ExactMode, ExactPlacer};
 pub use knapsack::select_job_subset;
-pub use netpack::{BatchMode, HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer, ScoringMode};
-pub use netpack_topology::TopoMode;
+pub use netpack::{HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer};
 pub use select::CandidateFilter;
 pub use placer::{batch_comm_time_s, BatchOutcome, Placer, RunningJob};
 pub use prior::{Comb, OptimusLike, TetrisLike};

@@ -1,38 +1,11 @@
 //! The NetPack placer — the paper's Algorithm 2.
 
-use crate::dp::{ServerStats, WorkerDp, WorkerPlan};
-use crate::knapsack::select_job_subset;
 use crate::placer::{BatchOutcome, Placer, RunningJob};
-use crate::select::CandidateFilter;
-use netpack_metrics::PerfCounters;
+use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::{JobHierarchy, Placement};
-use netpack_topology::{Cluster, RackId, ServerId, TopoMode};
-use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState};
+use netpack_topology::{Cluster, RackId, ServerId};
+use netpack_waterfill::{estimate, PlacedJob, SteadyState};
 use netpack_workload::Job;
-use netpack_metrics::Stopwatch;
-
-/// Minimum candidate-plan count before [`ScoringMode::Fast`] fans scoring
-/// out across threads; below this the spawn overhead dominates.
-const PARALLEL_PLAN_THRESHOLD: usize = 8;
-
-/// Result of scoring a run of plans: the best `(score, plan index, PS
-/// server)` found (if any plan had a candidate), plus the hot-spot memo
-/// hit/miss counts accumulated along the way.
-type ChunkScore = (Option<(f64, usize, ServerId)>, u64, u64);
-
-/// Per-thread scratch for fast plan scoring (see
-/// `NetPackPlacer::score_plan`): reused across plans so the hot loop is
-/// allocation-free.
-struct ScoreBuffers {
-    chosen_mask: Vec<bool>,
-    rack_workers: Vec<(RackId, u32)>,
-    /// `(rack, f_max) -> hot-spot term` memo, bucketed by rack (outer
-    /// index) so each lookup scans only that rack's few distinct `f_max`
-    /// values. Cleared per plan.
-    memo: Vec<Vec<(u32, f64)>>,
-    hits: u64,
-    misses: u64,
-}
 
 /// How the PS-placement score treats the hot-spot term of Equation 1.
 ///
@@ -66,62 +39,6 @@ pub enum InaPolicy {
     AlwaysOff,
 }
 
-/// How the placer runs the scoring-time machinery of Algorithm 2.
-///
-/// Both modes produce **bit-identical** [`Placement`]s — the fast path is
-/// an implementation optimization, not a heuristic, and the property test
-/// `fast_and_sequential_scoring_agree` pins the equivalence. The modes
-/// differ only in how much work they do:
-///
-/// * [`Fast`](ScoringMode::Fast) re-solves only the water-filling
-///   component each placed job touches ([`IncrementalEstimator`]),
-///   memoizes the Equation-1 hot-spot term per candidate plan, evaluates
-///   candidate plans on multiple threads when the host has them, and
-///   reuses the final steady state for the INA-enable step;
-/// * [`Sequential`](ScoringMode::Sequential) re-runs Algorithm 1 from
-///   scratch before every job and scores plans in one nested loop, exactly
-///   as Algorithm 2 is written — the reference the fast path is checked
-///   against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Incremental water-filling + memoized, parallel plan scoring
-    /// (the default).
-    #[default]
-    Fast,
-    /// From-scratch water-filling and straight-line scoring (reference).
-    Sequential,
-}
-
-/// Batch execution strategy for the flat fast path: how the per-batch
-/// greedy loop is driven (see `spec.rs` for the engine).
-///
-/// Placements and objective are **bit-identical** between the two modes by
-/// construction: speculative scores are only committed when provably equal
-/// to what the sequential loop would have computed, and re-scored
-/// otherwise. Pinned by the `spec_seq_equivalence` property tests and the
-/// `scripts/check.sh` smoke byte-diff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Score pending jobs concurrently against the current state, commit
-    /// them in the sequential order, and re-score only jobs whose
-    /// speculation a commit invalidated (the default).
-    #[default]
-    Spec,
-    /// The reference one-job-at-a-time loop.
-    Seq,
-}
-
-impl BatchMode {
-    /// Reads `NETPACK_BATCH`: `seq` selects the reference loop; anything
-    /// else — including unset — selects the speculative engine.
-    pub fn from_env() -> Self {
-        match std::env::var("NETPACK_BATCH").as_deref() {
-            Ok("seq") => BatchMode::Seq,
-            _ => BatchMode::Spec,
-        }
-    }
-}
-
 /// Tunable knobs of [`NetPackPlacer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetPackConfig {
@@ -139,17 +56,6 @@ pub struct NetPackConfig {
     /// gradient over the k best-scoring PS locations, relieving PS-side
     /// fan-in bottlenecks at the cost of extra flows.
     pub pses_per_job: usize,
-    /// Scoring implementation (see [`ScoringMode`]); placements are
-    /// identical either way.
-    pub scoring: ScoringMode,
-    /// Topology representation the hot path walks (see
-    /// [`TopoMode`]); placements are identical either way. Defaults to
-    /// the `NETPACK_TOPO` environment variable (flat unless `struct`).
-    pub topo: TopoMode,
-    /// Batch execution strategy (see [`BatchMode`]); placements are
-    /// identical either way. Defaults to the `NETPACK_BATCH` environment
-    /// variable (speculative unless `seq`).
-    pub batch: BatchMode,
     /// Worker-thread override for the placer's parallel regions. `None`
     /// follows `NETPACK_THREADS` clamped to the machine (see
     /// [`netpack_metrics::sweep_threads`]); equivalence tests pin explicit
@@ -165,9 +71,6 @@ impl Default for NetPackConfig {
             fs_max: 16,
             flow_dimension: true,
             pses_per_job: 1,
-            scoring: ScoringMode::default(),
-            topo: TopoMode::from_env(),
-            batch: BatchMode::from_env(),
             threads: None,
         }
     }
@@ -214,9 +117,9 @@ impl NetPackPlacer {
 
     /// Perf counters accumulated over every `place_batch` call so far:
     /// water-fill work (`waterfill_*`), candidate-scoring volume
-    /// (`plans_considered`, `ps_candidates_scored`), hot-spot memo
-    /// effectiveness (`hotspot_memo_*`), and phase timers
-    /// (`place_batch`, `ps_scoring`, `waterfill_solve`).
+    /// (`plans_considered`, `ps_candidates_scored`), server-index upkeep
+    /// (`index_*`), and phase timers (`place_batch`, `place_one`,
+    /// `worker_dp`, `ps_scoring`, `waterfill_solve`).
     pub fn perf(&self) -> &PerfCounters {
         &self.perf
     }
@@ -234,404 +137,6 @@ impl NetPackPlacer {
         avail - (capacity - avail) / (f64::from(flows) + 1.0)
     }
 
-    /// Place the workers and PS of one job. Requires a fresh steady-state
-    /// estimate of the scratch cluster. Returns `None` if the job cannot
-    /// be covered by the free GPUs.
-    fn place_one(
-        &self,
-        scratch: &Cluster,
-        state: &SteadyState,
-        job: &Job,
-        perf: &mut PerfCounters,
-    ) -> Option<Placement> {
-        // Single-server shortcut (lines 4-6): prefer the tightest fit,
-        // breaking ties toward the most residual bandwidth.
-        let single = scratch
-            .servers()
-            .iter()
-            .filter(|s| s.gpus_free() >= job.gpus)
-            .min_by(|a, b| {
-                (a.gpus_free() - job.gpus)
-                    .cmp(&(b.gpus_free() - job.gpus))
-                    .then_with(|| {
-                        state
-                            .server_available_gbps(b.id())
-                            .total_cmp(&state.server_available_gbps(a.id()))
-                    })
-            });
-        if let Some(server) = single {
-            return Some(Placement::local(server.id(), job.gpus));
-        }
-
-        // WorkerPlacement DP over servers with free GPUs, pruned to the
-        // per-class top-K that can appear in any optimal `V[s][f][g]` cell
-        // (see [`CandidateFilter`]). Both topology modes run the same
-        // filter, so their DP inputs — and hence placements — stay
-        // bit-identical by construction.
-        let capacity = scratch.spec().server_link_gbps;
-        let slack = scratch.spec().gpus_per_server;
-        let fs_max = self.config.flow_dimension.then_some(self.config.fs_max);
-        let mut filter =
-            CandidateFilter::new(scratch.spec().gpus_per_server, job.gpus, slack, fs_max);
-        for s in scratch.servers() {
-            let avail = state.server_available_gbps(s.id());
-            let flows = state.server_flows(s.id());
-            filter.offer(ServerStats {
-                id: s.id(),
-                gpus_free: s.gpus_free(),
-                value: Self::server_value(capacity, avail, flows),
-                flows,
-            });
-        }
-        perf.incr("dp_candidates_offered", filter.offered());
-        perf.incr("dp_candidates_kept", filter.kept() as u64);
-        let stats = filter.candidates();
-        let dp = if self.config.flow_dimension {
-            WorkerDp::new(self.config.fs_max)
-        } else {
-            WorkerDp::without_flow_dimension()
-        };
-        let dp_start = Stopwatch::start();
-        let plans = dp.plans(&stats, job.gpus, slack);
-        perf.record("worker_dp", dp_start.elapsed());
-        if plans.is_empty() {
-            return None;
-        }
-
-        // PSPlacement: exhaust (plan, server) pairs.
-        perf.incr("plans_considered", plans.len() as u64);
-        perf.incr(
-            "ps_candidates_scored",
-            (plans.len() * scratch.num_servers()) as u64,
-        );
-        let scoring_start = Stopwatch::start();
-        let best = match self.config.scoring {
-            ScoringMode::Sequential => self.score_plans_sequential(scratch, state, capacity, &plans),
-            ScoringMode::Fast => {
-                let (best, hits, misses) = self.score_plans_fast(scratch, state, capacity, &plans);
-                perf.incr("hotspot_memo_hits", hits);
-                perf.incr("hotspot_memo_misses", misses);
-                best
-            }
-        };
-        perf.record("ps_scoring", scoring_start.elapsed());
-        let (_, pi, ps) = best?;
-        let plan = &plans[pi];
-
-        // Gradient sharding: rank PS candidates for the winning plan and
-        // take the k best distinct locations (k = 1 reproduces Algorithm 2
-        // exactly, returning `ps` itself).
-        let pses = if self.config.pses_per_job <= 1 {
-            vec![ps]
-        } else {
-            let mut chosen_mask = vec![false; scratch.num_servers()];
-            for s in &plan.servers {
-                chosen_mask[s.0] = true;
-            }
-            let rack_workers = Self::plan_rack_workers(scratch, plan);
-            let mut scored: Vec<(f64, ServerId)> = scratch
-                .servers()
-                .iter()
-                .map(|server| {
-                    let sid = server.id();
-                    let eps: u32 = u32::from(!chosen_mask[sid.0]);
-                    let own_workers = if chosen_mask[sid.0] {
-                        server.gpus_free() as u32
-                    } else {
-                        0
-                    };
-                    let s_flows = state.server_flows(sid) + own_workers;
-                    let f_max = plan.max_flows.max(s_flows + eps);
-                    let avail = state.server_available_gbps(sid);
-                    let base = plan.value + avail
-                        - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
-                    let term =
-                        self.hotspot_term(scratch, state, &rack_workers, sid, f_max);
-                    (base + term, sid)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            scored
-                .into_iter()
-                .take(self.config.pses_per_job)
-                .map(|(_, sid)| sid)
-                .collect()
-        };
-
-        // Materialize: every free GPU of each chosen server, then release
-        // the surplus starting from the least-loaded chosen server.
-        let mut workers: Vec<(ServerId, usize)> = plan
-            .servers
-            .iter()
-            .map(|&s| (s, scratch.server(s).expect("plan server").gpus_free()))
-            .collect();
-        let mut surplus = plan.gpus.checked_sub(job.gpus).expect("plan covers demand");
-        while surplus > 0 {
-            // Release from the PS's own server first — every worker taken
-            // off it is one fewer flow sharing the PS's access link — then
-            // from the least-loaded (largest-contribution) server.
-            let idx = workers
-                .iter()
-                .position(|&(s, w)| s == ps && w > 0)
-                .unwrap_or_else(|| {
-                    workers
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, &(_, w))| w)
-                        .map(|(i, _)| i)
-                        .expect("non-empty plan")
-                });
-            let take = workers[idx].1.min(surplus);
-            workers[idx].1 -= take;
-            surplus -= take;
-            if workers[idx].1 == 0 {
-                workers.remove(idx);
-            }
-        }
-        Some(Placement::new_sharded(workers, pses))
-    }
-
-    /// Per-rack worker totals of one candidate plan, in first-seen order
-    /// (the oversubscription term's input).
-    fn plan_rack_workers(scratch: &Cluster, plan: &WorkerPlan) -> Vec<(RackId, u32)> {
-        let mut rack_workers: Vec<(RackId, u32)> = Vec::new();
-        for &sid in &plan.servers {
-            let r = scratch.rack_of(sid);
-            let w = scratch.server(sid).expect("plan server").gpus_free() as u32;
-            match rack_workers.iter_mut().find(|(rr, _)| *rr == r) {
-                Some(e) => e.1 += w,
-                None => rack_workers.push((r, w)),
-            }
-        }
-        rack_workers
-    }
-
-    /// Reference PS scoring: one nested loop over (plan, server) pairs,
-    /// exactly as Algorithm 2 is written. The first strictly-greater score
-    /// wins, so the winner is the earliest maximum in scan order.
-    fn score_plans_sequential(
-        &self,
-        scratch: &Cluster,
-        state: &SteadyState,
-        capacity: f64,
-        plans: &[WorkerPlan],
-    ) -> Option<(f64, usize, ServerId)> {
-        let mut chosen_mask = vec![false; scratch.num_servers()];
-        let mut best: Option<(f64, usize, ServerId)> = None;
-        for (pi, plan) in plans.iter().enumerate() {
-            for m in chosen_mask.iter_mut() {
-                *m = false;
-            }
-            for s in &plan.servers {
-                chosen_mask[s.0] = true;
-            }
-            let rack_workers = Self::plan_rack_workers(scratch, plan);
-            for server in scratch.servers() {
-                let sid = server.id();
-                let eps: u32 = u32::from(!chosen_mask[sid.0]);
-                // Flows the PS would share its access link with: existing
-                // steady-state flows plus this plan's own workers on the
-                // server (the job's gradient streams are flows too — a PS
-                // stacked on the busiest worker server is the hot-spot the
-                // paper's penalty is after).
-                let own_workers = if chosen_mask[sid.0] {
-                    server.gpus_free() as u32
-                } else {
-                    0
-                };
-                let s_flows = state.server_flows(sid) + own_workers;
-                let f_max = plan.max_flows.max(s_flows + eps);
-                let avail = state.server_available_gbps(sid);
-                let base = plan.value + avail
-                    - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
-                let term = self.hotspot_term(scratch, state, &rack_workers, sid, f_max);
-                let score = base + term;
-                if best.is_none_or(|(b, _, _)| score > b) {
-                    best = Some((score, pi, sid));
-                }
-            }
-        }
-        best
-    }
-
-    /// Reusable scratch buffers for fast plan scoring — one per scoring
-    /// thread, so per-plan work allocates nothing.
-    fn scoring_buffers(scratch: &Cluster) -> ScoreBuffers {
-        ScoreBuffers {
-            chosen_mask: vec![false; scratch.num_servers()],
-            rack_workers: Vec::new(),
-            memo: vec![Vec::new(); scratch.num_racks()],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Score every PS candidate of one plan, memoizing the hot-spot term.
-    ///
-    /// For a fixed plan the Equation-1 term depends on the PS server only
-    /// through its rack and the resulting `f_max`, so candidate shapes
-    /// repeat heavily (every idle server of a rack shares one
-    /// `(rack, f_max)` key). Candidates in the plan's own (single) rack
-    /// take a division-only inline path — memoizing there would cost more
-    /// than the term. Cross-rack candidates, whose term walks every rack
-    /// uplink the job crosses, go through the memo: one bucket per rack,
-    /// each a linear-scan `Vec` over that rack's few distinct `f_max`
-    /// values (scanning a handful of entries beats hashing, and bucketing
-    /// keeps scans short even when flow counts vary across a big
-    /// cluster). Returns the plan's best
-    /// `(score, server)` under the same first-strictly-greater rule the
-    /// reference scorer uses.
-    fn score_plan(
-        &self,
-        scratch: &Cluster,
-        state: &SteadyState,
-        capacity: f64,
-        plan: &WorkerPlan,
-        buf: &mut ScoreBuffers,
-    ) -> (f64, ServerId) {
-        buf.chosen_mask.fill(false);
-        for s in &plan.servers {
-            buf.chosen_mask[s.0] = true;
-        }
-        buf.rack_workers.clear();
-        for &sid in &plan.servers {
-            let r = scratch.rack_of(sid);
-            let w = scratch.server(sid).expect("plan server").gpus_free() as u32;
-            match buf.rack_workers.iter_mut().find(|(rr, _)| *rr == r) {
-                Some(e) => e.1 += w,
-                None => buf.rack_workers.push((r, w)),
-            }
-        }
-        for bucket in &mut buf.memo {
-            bucket.clear();
-        }
-        // A PS candidate is "cross-rack" iff some worker sits in another
-        // rack; with the single-rack common case precomputed the check is
-        // one comparison per candidate.
-        let multi_rack = buf.rack_workers.len() > 1;
-        let plan_rack = buf.rack_workers.first().map(|&(r, _)| r);
-        let link_capacity = scratch.spec().server_link_gbps;
-        let mut best: Option<(f64, ServerId)> = None;
-        for server in scratch.servers() {
-            let sid = server.id();
-            let eps: u32 = u32::from(!buf.chosen_mask[sid.0]);
-            let own_workers = if buf.chosen_mask[sid.0] {
-                server.gpus_free() as u32
-            } else {
-                0
-            };
-            let s_flows = state.server_flows(sid) + own_workers;
-            let f_max = plan.max_flows.max(s_flows + eps);
-            let avail = state.server_available_gbps(sid);
-            let base =
-                plan.value + avail - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
-            let ps_rack = scratch.rack_of(sid);
-            let term = if multi_rack || plan_rack != Some(ps_rack) {
-                match buf.memo[ps_rack.0].iter().find(|(k, _)| *k == f_max) {
-                    Some(&(_, t)) => {
-                        buf.hits += 1;
-                        t
-                    }
-                    None => {
-                        buf.misses += 1;
-                        let t =
-                            self.hotspot_term(scratch, state, &buf.rack_workers, sid, f_max);
-                        buf.memo[ps_rack.0].push((f_max, t));
-                        t
-                    }
-                }
-            } else {
-                self.hotspot_flat(link_capacity, f_max)
-            };
-            let score = base + term;
-            if best.is_none_or(|(b, _)| score > b) {
-                best = Some((score, sid));
-            }
-        }
-        best.expect("cluster has at least one server")
-    }
-
-    /// Fast PS scoring: plans are scored independently (memoized via
-    /// [`score_plan`](Self::score_plan)) and, when the host has multiple
-    /// cores and the plan list is long enough, on multiple threads.
-    ///
-    /// Chunk results are merged in ascending plan order with the same
-    /// strictly-greater rule as the reference scorer, so the returned
-    /// winner — and therefore the final [`Placement`] — is bit-identical
-    /// to [`score_plans_sequential`](Self::score_plans_sequential)
-    /// regardless of thread count.
-    fn score_plans_fast(
-        &self,
-        scratch: &Cluster,
-        state: &SteadyState,
-        capacity: f64,
-        plans: &[WorkerPlan],
-    ) -> ChunkScore {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(plans.len());
-        let mut best: Option<(f64, usize, ServerId)> = None;
-        if threads <= 1 || plans.len() < PARALLEL_PLAN_THRESHOLD {
-            let mut buf = Self::scoring_buffers(scratch);
-            for (pi, plan) in plans.iter().enumerate() {
-                let (score, sid) = self.score_plan(scratch, state, capacity, plan, &mut buf);
-                if best.is_none_or(|(b, _, _)| score > b) {
-                    best = Some((score, pi, sid));
-                }
-            }
-            return (best, buf.hits, buf.misses);
-        }
-        let chunk = plans.len().div_ceil(threads);
-        let results: Vec<ChunkScore> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = plans
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(ci, chunk_plans)| {
-                        scope.spawn(move || {
-                            let mut buf = Self::scoring_buffers(scratch);
-                            let mut best: Option<(f64, usize, ServerId)> = None;
-                            for (off, plan) in chunk_plans.iter().enumerate() {
-                                let (score, sid) =
-                                    self.score_plan(scratch, state, capacity, plan, &mut buf);
-                                if best.is_none_or(|(b, _, _)| score > b) {
-                                    best = Some((score, ci * chunk + off, sid));
-                                }
-                            }
-                            (best, buf.hits, buf.misses)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scoring thread panicked"))
-                    .collect()
-            });
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (chunk_best, h, m) in results {
-            hits += h;
-            misses += m;
-            if let Some((score, pi, sid)) = chunk_best {
-                if best.is_none_or(|(b, _, _)| score > b) {
-                    best = Some((score, pi, sid));
-                }
-            }
-        }
-        (best, hits, misses)
-    }
-
-    /// The Equation-1 term when the plan and PS share a rack: a single
-    /// division, no uplinks crossed. Split out so the memoized scorer can
-    /// answer the common case inline with the exact same float operations
-    /// as [`hotspot_term`](Self::hotspot_term).
-    fn hotspot_flat(&self, capacity: f64, f_max: u32) -> f64 {
-        match self.config.hotspot {
-            HotSpotTerm::PaperLiteral => -(capacity / f64::from(f_max.max(1))),
-            HotSpotTerm::RewardBottleneckShare => capacity / (f64::from(f_max) + 1.0),
-        }
-    }
-
     /// The Equation-1 hot-spot / oversubscription term.
     pub(crate) fn hotspot_term(
         &self,
@@ -645,7 +150,11 @@ impl NetPackPlacer {
         let ps_rack = cluster.rack_of(ps);
         let cross_rack = rack_workers.iter().any(|&(r, _)| r != ps_rack);
         if !cross_rack {
-            return self.hotspot_flat(capacity, f_max);
+            // Plan and PS share a rack: no uplink is crossed.
+            return match self.config.hotspot {
+                HotSpotTerm::PaperLiteral => -(capacity / f64::from(f_max.max(1))),
+                HotSpotTerm::RewardBottleneckShare => capacity / (f64::from(f_max) + 1.0),
+            };
         }
         let share = capacity / (f64::from(f_max) + 1.0);
         match self.config.hotspot {
@@ -681,7 +190,7 @@ impl NetPackPlacer {
             }
             let uplink = netpack_topology::LinkId::RackUplink(r);
             let fc = state.link_flows(uplink, cluster);
-            let c_rack = cluster.rack(r).expect("rack").uplink_gbps();
+            let c_rack = cluster.racks()[r.0].uplink_gbps();
             // Pessimistic flow estimate: every worker in the rack streams
             // through the uplink unaggregated.
             shares.push(c_rack / f64::from(fc + w));
@@ -690,7 +199,7 @@ impl NetPackPlacer {
         if inbound > 0 {
             let uplink = netpack_topology::LinkId::RackUplink(ps_rack);
             let fc = state.link_flows(uplink, cluster);
-            let c_rack = cluster.rack(ps_rack).expect("rack").uplink_gbps();
+            let c_rack = cluster.racks()[ps_rack.0].uplink_gbps();
             shares.push(c_rack / f64::from(fc + inbound));
         }
         shares.into_iter()
@@ -700,8 +209,8 @@ impl NetPackPlacer {
     ///
     /// `cached` is the steady state over running + placed jobs with batch
     /// placements still INA-enabled, when the caller already has it (the
-    /// fast path's incremental estimator ends the batch holding exactly
-    /// this state); `None` recomputes it from scratch.
+    /// incremental estimator ends the batch holding exactly this state);
+    /// `None` recomputes it from scratch, as [`crate::reference`] does.
     pub(crate) fn enable_ina(
         &self,
         cluster: &Cluster,
@@ -813,99 +322,7 @@ impl Placer for NetPackPlacer {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        if self.config.topo == TopoMode::Flat {
-            return self.place_batch_flat(cluster, running, batch);
-        }
-        // Counters are taken out of `self` so `place_one` (which borrows
-        // `self` immutably) can record into them, then put back.
-        let mut perf = std::mem::take(&mut self.perf);
-        let batch_start = Stopwatch::start();
-        let mut outcome = BatchOutcome::default();
-        // Step 1: FindSubset.
-        let subset = select_job_subset(batch, cluster.free_gpus());
-        let mut in_subset = vec![false; batch.len()];
-        for &i in &subset {
-            in_subset[i] = true;
-        }
-        for (i, job) in batch.iter().enumerate() {
-            if !in_subset[i] {
-                outcome.deferred.push(job.clone());
-            }
-        }
-        // Value-descending placement order (ties by id for determinism).
-        let mut ordered: Vec<&Job> = subset.iter().map(|&i| &batch[i]).collect();
-        ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
-
-        let mut scratch = cluster.clone();
-        match self.config.scoring {
-            ScoringMode::Fast => {
-                // Steps 2-3 with the incremental estimator: each placed
-                // job re-solves only the water-filling component it
-                // touches; everything else stays cached.
-                let running_placed: Vec<PlacedJob> =
-                    running.iter().map(|r| r.to_placed(cluster)).collect();
-                let start = Stopwatch::start();
-                let mut inc = IncrementalEstimator::new(&scratch, &running_placed);
-                perf.record("waterfill_solve", start.elapsed());
-                for job in ordered {
-                    match self.place_one(&scratch, inc.state(), job, &mut perf) {
-                        Some(placement) => {
-                            for &(s, w) in placement.workers() {
-                                scratch
-                                    .allocate_gpus(s, w)
-                                    .expect("DP placed within free GPUs");
-                            }
-                            let start = Stopwatch::start();
-                            inc.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
-                            perf.record("waterfill_solve", start.elapsed());
-                            outcome.placed.push((job.clone(), placement));
-                        }
-                        None => outcome.deferred.push(job.clone()),
-                    }
-                }
-                let stats = *inc.stats();
-                perf.incr("waterfill_pushes", stats.pushes);
-                perf.incr("waterfill_jobs_resolved", stats.jobs_resolved);
-                perf.incr("waterfill_jobs_reused", stats.jobs_reused);
-                perf.incr("waterfill_components_solved", stats.components_solved);
-                // Step 4: the estimator already holds the steady state over
-                // running + placed (batch placements still INA-on) — reuse.
-                self.enable_ina(cluster, running, &mut outcome.placed, Some(inc.state()), &mut perf);
-            }
-            ScoringMode::Sequential => {
-                let mut active: Vec<PlacedJob> =
-                    running.iter().map(|r| r.to_placed(cluster)).collect();
-                for job in ordered {
-                    // Steps 2-3 need the current steady state (rerun per
-                    // job: the fair shares shift as the batch lands,
-                    // Algorithm 2 line 7).
-                    perf.incr(
-                        "waterfill_jobs_resolved",
-                        active.iter().filter(|j| j.is_network()).count() as u64,
-                    );
-                    let start = Stopwatch::start();
-                    let state = estimate(&scratch, &active);
-                    perf.record("waterfill_solve", start.elapsed());
-                    match self.place_one(&scratch, &state, job, &mut perf) {
-                        Some(placement) => {
-                            for &(s, w) in placement.workers() {
-                                scratch
-                                    .allocate_gpus(s, w)
-                                    .expect("DP placed within free GPUs");
-                            }
-                            active.push(PlacedJob::new(job.id, &scratch, &placement));
-                            outcome.placed.push((job.clone(), placement));
-                        }
-                        None => outcome.deferred.push(job.clone()),
-                    }
-                }
-                // Step 4: selective INA enabling across the new placements.
-                self.enable_ina(cluster, running, &mut outcome.placed, None, &mut perf);
-            }
-        }
-        perf.record("place_batch", batch_start.elapsed());
-        self.perf = perf;
-        outcome
+        self.place_batch_flat(cluster, running, batch)
     }
 }
 

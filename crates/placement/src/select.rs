@@ -20,21 +20,21 @@
 //! and exchanging the two keeps the plan's `(f, g)` coordinates while not
 //! decreasing its value (exact arithmetic).
 //!
-//! Floating-point caveat, and why both topology modes share this filter:
-//! an exchange re-orders the value summation, which can move the float sum
-//! by an ulp when a class holds exact value ties; a pruned and an unpruned
-//! DP could then back-track different (equal-value) plans. The `NETPACK_TOPO`
-//! equivalence contract is therefore established *by construction*: the
-//! flat and struct paths run this **same** filter over the same inputs and
-//! feed the DP identical candidate lists, rather than by comparing a
-//! pruned run against an unpruned one. See `DESIGN.md` §3.11.
+//! Floating-point caveat, and why production and the reference share this
+//! filter: an exchange re-orders the value summation, which can move the
+//! float sum by an ulp when a class holds exact value ties; a pruned and an
+//! unpruned DP could then back-track different (equal-value) plans. Their
+//! equivalence is therefore established *by construction*: both run this
+//! **same** filter over the same inputs and feed the DP identical
+//! candidate lists, rather than by comparing a pruned run against an
+//! unpruned one. See `DESIGN.md` §3.11.
 //!
 //! # Determinism
 //!
 //! Selection is a top-`K` cut of a totally ordered set — `(value desc,
 //! id asc)` has no ties because ids are unique — so the kept set is
 //! independent of the order servers are offered in, and of whether
-//! servers that cannot make the cut are offered at all. The flat path
+//! servers that cannot make the cut are offered at all. Production
 //! exploits both: it offers only the first `⌊g_max / w⌋` members of each
 //! class of its server index, in class order rather than id order
 //! (`DESIGN.md` §3.11); the regression test

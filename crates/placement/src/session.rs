@@ -22,20 +22,19 @@
 //! (pinned by the `session_equivalence` integration test): the estimator's
 //! push/pop/remove contract guarantees its state matches a from-scratch
 //! solve over the surviving insertion order, and the session replays
-//! exactly the float-op sequence of
-//! [`place_batch_flat`](NetPackPlacer::place_batch) — including the
+//! exactly the float-op sequence of the stateless
+//! [`place_batch`](crate::Placer::place_batch) — including the
 //! selective-INA step, after which placements whose INA flag changed are
 //! popped off the estimator tail and re-pushed with their final flags so
 //! the warm state stays equal to the manager's.
 
 use crate::flat::FlatBatch;
 use crate::knapsack::select_job_subset;
-use crate::netpack::{BatchMode, NetPackConfig, NetPackPlacer, ScoringMode};
+use crate::netpack::{NetPackConfig, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
-use crate::spec::{place_batch_spec, SessionWorld};
 use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::Placement;
-use netpack_topology::{Cluster, JobId, TopoMode, TopologyError};
+use netpack_topology::{Cluster, JobId, TopologyError};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
 use std::collections::BTreeMap;
@@ -116,18 +115,8 @@ impl fmt::Debug for NetPackSession {
 }
 
 impl NetPackSession {
-    /// Open a session over `cluster` with no jobs running. The session
-    /// always uses the flat-topology fast path with incremental scoring
-    /// (`topo` and `scoring` in `config` are overridden) — the other
-    /// modes exist as cross-checking references for the stateless path,
-    /// and the session's own equivalence is pinned against a `JobManager`
-    /// run instead.
+    /// Open a session over `cluster` with no jobs running.
     pub fn new(cluster: Cluster, config: NetPackConfig) -> Self {
-        let config = NetPackConfig {
-            topo: TopoMode::Flat,
-            scoring: ScoringMode::Fast,
-            ..config
-        };
         let fb = FlatBatch::new(&cluster);
         let tracker = IncrementalEstimator::new(&cluster, &[]);
         NetPackSession {
@@ -178,7 +167,7 @@ impl NetPackSession {
     }
 
     /// Place a batch against the warm state: Algorithm 2's four steps,
-    /// identical float-for-float to the stateless flat path, with the
+    /// identical float-for-float to the stateless path, with the
     /// running set, flat arenas, and steady state carried over instead of
     /// rebuilt. Placed jobs join the running set; callers retire them via
     /// [`complete`](Self::complete).
@@ -207,53 +196,36 @@ impl NetPackSession {
         ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
 
         // Steps 2-3 per job against the warm estimator; both ledgers (the
-        // flat mirror and the cluster) advance together. The speculative
-        // engine and the reference loop are bit-identical by construction
-        // (`spec.rs`).
+        // flat mirror and the cluster) advance together.
         self.pushed_ina.clear();
-        match self.placer.config().batch {
-            BatchMode::Spec => {
-                let mut world = SessionWorld {
-                    cluster: &mut self.cluster,
-                    tracker: &mut self.tracker,
-                    pushed_ina: &mut self.pushed_ina,
-                };
-                let out =
-                    place_batch_spec(&self.placer, &mut self.fb, &mut world, &ordered, &mut perf);
-                outcome.placed.extend(out.placed);
-                outcome.deferred.extend(out.deferred);
-            }
-            BatchMode::Seq => {
-                for job in ordered {
-                    match self.placer.place_one_flat(
-                        &mut self.fb,
-                        &self.cluster,
-                        self.tracker.state(),
-                        job,
-                        &mut perf,
-                    ) {
-                        Some(placement) if self.fb.commit(&placement) => {
-                            if !allocate_all(&mut self.cluster, &placement) {
-                                // The two ledgers disagreed — refuse the
-                                // placement rather than panic, and keep
-                                // them in step (undoing the commit just
-                                // made cannot be refused).
-                                let _ = self.fb.credit(&placement);
-                                outcome.deferred.push(job.clone());
-                                continue;
-                            }
-                            let start = Stopwatch::start();
-                            self.tracker.push(
-                                &self.cluster,
-                                PlacedJob::new(job.id, &self.cluster, &placement),
-                            );
-                            perf.record("waterfill_solve", start.elapsed());
-                            self.pushed_ina.push(placement.ina_enabled());
-                            outcome.placed.push((job.clone(), placement));
-                        }
-                        _ => outcome.deferred.push(job.clone()),
+        for job in ordered {
+            let one_start = Stopwatch::start();
+            let placed = self.placer.place_one_flat(
+                &mut self.fb,
+                &self.cluster,
+                self.tracker.state(),
+                job,
+                &mut perf,
+            );
+            perf.record("place_one", one_start.elapsed());
+            match placed {
+                Some(placement) if self.fb.commit(&placement) => {
+                    if !allocate_all(&mut self.cluster, &placement) {
+                        // The two ledgers disagreed — refuse the placement
+                        // rather than panic, and keep them in step (undoing
+                        // the commit just made cannot be refused).
+                        let _ = self.fb.credit(&placement);
+                        outcome.deferred.push(job.clone());
+                        continue;
                     }
+                    let start = Stopwatch::start();
+                    self.tracker
+                        .push(&self.cluster, PlacedJob::new(job.id, &self.cluster, &placement));
+                    perf.record("waterfill_solve", start.elapsed());
+                    self.pushed_ina.push(placement.ina_enabled());
+                    outcome.placed.push((job.clone(), placement));
                 }
+                _ => outcome.deferred.push(job.clone()),
             }
         }
 
@@ -347,11 +319,23 @@ impl NetPackSession {
         Ok(removed)
     }
 
-    /// Test oracle: the flat path's persistent server index, refreshed
+    /// Test oracle: the persistent server index, refreshed
     /// against the warm steady state, must equal a from-scratch build.
     #[doc(hidden)]
     pub fn audit_index(&self) -> Result<(), String> {
         self.fb.audit_index(self.tracker.state())
+    }
+
+    /// Fault injection for tests: credit running job `id`'s GPUs back on
+    /// the flat ledger alone, so the books disagree and the next
+    /// [`complete`](Self::complete) of `id` is refused with
+    /// [`SessionError::Ledger`]. `false` if `id` is not running.
+    #[doc(hidden)]
+    pub fn precredit_flat_ledger(&mut self, id: JobId) -> bool {
+        match self.index.get(&id) {
+            Some(&idx) => self.fb.credit(&self.running[idx].placement).is_ok(),
+            None => false,
+        }
     }
 }
 
@@ -370,7 +354,7 @@ fn release_all(cluster: &mut Cluster, placement: &Placement) -> Result<(), Topol
 }
 
 /// Allocate every worker on the cluster ledger, rolling back on failure.
-pub(crate) fn allocate_all(cluster: &mut Cluster, placement: &Placement) -> bool {
+fn allocate_all(cluster: &mut Cluster, placement: &Placement) -> bool {
     for (i, &(s, w)) in placement.workers().iter().enumerate() {
         if cluster.allocate_gpus(s, w).is_err() {
             for &(s2, w2) in &placement.workers()[..i] {

@@ -2,9 +2,9 @@
 //! NetPack's DP never loses to a greedy plan on the same server values.
 
 use netpack_placement::{
-    batch_comm_time_s, BatchMode, CandidateFilter, Comb, FlowBalance, GpuBalance,
+    batch_comm_time_s, reference, CandidateFilter, Comb, FlowBalance, GpuBalance,
     LeastFragmentation, NetPackConfig, NetPackPlacer, NetPackSession, OptimusLike, Placer,
-    RandomPlacer, RunningJob, ScoringMode, ServerStats, TetrisLike, TopoMode, WorkerDp,
+    RandomPlacer, RunningJob, ServerStats, TetrisLike, WorkerDp,
 };
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ClusterSpec, JobId, ServerId};
@@ -65,55 +65,94 @@ fn all_placers() -> Vec<Box<dyn Placer>> {
     ]
 }
 
-/// Acceptance pin for DESIGN.md §3.11: on every existing fig10 quick cell
-/// (servers in {100, 400} x jobs in {50, 100}, same spec and deterministic
-/// batch generator as the `fig10_placement_time` binary), the flat and
-/// struct topology modes place bit-identical batches.
-#[test]
-fn fig10_quick_cells_agree_across_topo_modes() {
-    let batch = |jobs: usize, max_gpus: usize, seed: u64| -> Vec<Job> {
-        let mut state = seed.max(1);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        (0..jobs)
-            .map(|i| {
-                let gpus = (next() % max_gpus as u64).max(1) as usize;
-                let model = netpack_workload::ModelKind::ALL[(next() % 6) as usize];
-                Job::builder(JobId(i as u64), model, gpus).build()
-            })
-            .collect()
+/// The one production ≡ reference property (DESIGN.md §3.11): production
+/// at 1, 2 and 4 placer workers (the per-plan scoring fan-out is the only
+/// parallel region left) returns the literal algorithm's placements,
+/// deferral ids and batch-objective bits.
+fn check_against_reference(
+    config: &NetPackConfig,
+    cluster: &Cluster,
+    running: &[RunningJob],
+    batch: &[Job],
+) -> Result<(), TestCaseError> {
+    let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+    let oracle = reference::place_batch(config, cluster, running, batch);
+    let oracle_obj = batch_comm_time_s(cluster, running, &oracle.placed);
+    for threads in [1usize, 2, 4] {
+        let mut placer = NetPackPlacer::new(NetPackConfig {
+            threads: Some(threads),
+            ..config.clone()
+        });
+        let out = placer.place_batch(cluster, running, batch);
+        prop_assert_eq!(&out.placed, &oracle.placed, "threads={}", threads);
+        prop_assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "threads={}", threads);
+        let obj = batch_comm_time_s(cluster, running, &out.placed);
+        prop_assert_eq!(obj.to_bits(), oracle_obj.to_bits());
+    }
+    Ok(())
+}
+
+/// Deterministic mixed batch of the `fig10_placement_time` binary.
+fn xorshift_batch(jobs: usize, max_gpus: usize, seed: u64) -> Vec<Job> {
+    let mut state = seed.max(1);
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
     };
-    for servers in [100usize, 400] {
-        let racks = 16.min(servers);
-        let spec = ClusterSpec {
+    (0..jobs)
+        .map(|i| {
+            let gpus = (next() % max_gpus as u64).max(1) as usize;
+            let model = ModelKind::ALL[(next() % 6) as usize];
+            Job::builder(JobId(i as u64), model, gpus).build()
+        })
+        .collect()
+}
+
+/// Pinned inputs to the property: the four fig10 quick cells (servers in
+/// {100, 400} x jobs in {50, 100}), a mixed batch exercising local jobs,
+/// spanning jobs and deferral on a three-tier tree, and gradient sharding
+/// (`pses_per_job: 3`).
+#[test]
+fn production_matches_reference_on_pinned_inputs() {
+    let vgg = |id: u64, gpus: usize| Job::builder(JobId(id), ModelKind::Vgg16, gpus).build();
+    let podded = |racks: usize| {
+        Cluster::new(ClusterSpec {
             racks,
-            servers_per_rack: servers / racks,
+            servers_per_rack: 4,
+            gpus_per_server: 4,
+            racks_per_pod: Some(2),
             ..ClusterSpec::paper_default()
-        };
+        })
+    };
+    let mut cases: Vec<(NetPackConfig, Cluster, Vec<Job>)> = Vec::new();
+    for servers in [100usize, 400] {
         for jobs in [50usize, 100] {
-            let cluster = Cluster::new(spec.clone());
-            let b = batch(jobs, 32, 7);
-            let mut flat = NetPackPlacer::new(NetPackConfig {
-                topo: TopoMode::Flat,
-                ..NetPackConfig::default()
+            let cluster = Cluster::new(ClusterSpec {
+                racks: 16,
+                servers_per_rack: servers / 16,
+                ..ClusterSpec::paper_default()
             });
-            let mut strct = NetPackPlacer::new(NetPackConfig {
-                topo: TopoMode::Struct,
-                ..NetPackConfig::default()
-            });
-            let out_flat = flat.place_batch(&cluster, &[], &b);
-            let out_strct = strct.place_batch(&cluster, &[], &b);
-            assert_eq!(
-                out_flat.placed, out_strct.placed,
-                "cell servers={servers}/jobs={jobs} diverged"
-            );
-            let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-            assert_eq!(ids(&out_flat.deferred), ids(&out_strct.deferred));
+            cases.push((NetPackConfig::default(), cluster, xorshift_batch(jobs, 32, 7)));
         }
+    }
+    cases.push((
+        NetPackConfig::default(),
+        podded(6),
+        vec![vgg(0, 4), vgg(1, 6), vgg(2, 13), vgg(3, 2), vgg(4, 9), vgg(5, 40)],
+    ));
+    cases.push((
+        NetPackConfig {
+            pses_per_job: 3,
+            ..NetPackConfig::default()
+        },
+        podded(4),
+        vec![vgg(0, 10), vgg(1, 7)],
+    ));
+    for (config, cluster, batch) in &cases {
+        check_against_reference(config, cluster, &[], batch)
+            .unwrap_or_else(|e| panic!("{} servers, {} jobs: {e:?}", cluster.num_servers(), batch.len()));
     }
 }
 
@@ -149,78 +188,26 @@ proptest! {
             );
         }
     }
-
-    /// The fast scorer (incremental water-filling, hot-spot memoization,
-    /// threaded plan evaluation) must produce **bit-identical** batches to
-    /// the sequential reference scorer: the same jobs placed, byte-equal
-    /// `Placement`s (workers, PS servers, INA flags), and the same jobs
-    /// deferred — across random clusters, batches, and running jobs.
-    #[test]
-    fn fast_and_sequential_scoring_agree(
-        (cluster, batch, seed) in arb_cluster().prop_flat_map(|c| {
-            let total = c.total_gpus();
-            (Just(c), arb_batch(total), any::<u64>())
-        })
-    ) {
-        // A deterministic pre-existing job, when it fits, exercises the
-        // running-jobs path of both scorers.
-        let mut scratch = cluster.clone();
-        let mut running: Vec<RunningJob> = Vec::new();
-        if cluster.num_servers() >= 3 && cluster.spec().gpus_per_server >= 1 {
-            let w1 = ServerId(seed as usize % cluster.num_servers());
-            let w2 = ServerId((seed as usize + 1) % cluster.num_servers());
-            let ps = ServerId((seed as usize + 2) % cluster.num_servers());
-            if w1 != w2 && scratch.allocate_gpus(w1, 1).is_ok()
-                && scratch.allocate_gpus(w2, 1).is_ok()
-            {
-                running.push(RunningJob {
-                    id: JobId(1_000),
-                    gradient_gbits: 4.0,
-                    placement: Placement::new(vec![(w1, 1), (w2, 1)], Some(ps)),
-                });
-            }
-        }
-
-        let mut fast = NetPackPlacer::new(NetPackConfig {
-            scoring: ScoringMode::Fast,
-            ..NetPackConfig::default()
-        });
-        let mut sequential = NetPackPlacer::new(NetPackConfig {
-            scoring: ScoringMode::Sequential,
-            ..NetPackConfig::default()
-        });
-        let out_fast = fast.place_batch(&scratch, &running, &batch);
-        let out_seq = sequential.place_batch(&scratch, &running, &batch);
-
-        prop_assert_eq!(out_fast.placed.len(), out_seq.placed.len());
-        for ((jf, pf), (js, ps)) in out_fast.placed.iter().zip(&out_seq.placed) {
-            prop_assert_eq!(jf.id, js.id);
-            prop_assert_eq!(pf, ps, "placements diverged for {:?}", jf.id);
-        }
-        let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-        prop_assert_eq!(ids(&out_fast.deferred), ids(&out_seq.deferred));
-    }
-
 }
 
 proptest! {
-    // 100 seeded instances: the acceptance count for the flat-topology
-    // equivalence sweep (DESIGN.md §3.11).
+    // 100 seeded instances: the acceptance count for the production ≡
+    // reference sweep (DESIGN.md §3.11).
     #![proptest_config(ProptestConfig::with_cases(100))]
 
-    /// The flat indexed-topology placement path (DESIGN.md §3.11) must be
-    /// **bit-identical** to the struct reference across random fat-trees —
-    /// two-tier (no pod structure) and three-tier with mixed/ragged pod
-    /// sizes — on both the placements and the batch objective.
+    /// Production must be **bit-identical** to the literal Algorithm 2
+    /// across random fat-trees — two-tier (no pod structure) and three-tier
+    /// with mixed/ragged pod sizes — with a running job in the way, and its
+    /// warm session must keep its server index equal to a full scan.
     #[test]
-    fn flat_and_struct_topo_agree(
+    fn production_matches_reference(
         (cluster, batch, seed) in arb_fat_tree().prop_flat_map(|c| {
             let total = c.total_gpus();
             (Just(c), arb_batch(total), any::<u64>())
         })
     ) {
         // A pre-existing running job (when it fits) exercises the
-        // running-jobs path of both topology modes.
+        // running-jobs path of both implementations.
         let mut scratch = cluster.clone();
         let mut running: Vec<RunningJob> = Vec::new();
         if cluster.num_servers() >= 3 {
@@ -237,38 +224,31 @@ proptest! {
                 });
             }
         }
+        check_against_reference(&NetPackConfig::default(), &scratch, &running, &batch)?;
 
-        for scoring in [ScoringMode::Fast, ScoringMode::Sequential] {
-            let mut flat = NetPackPlacer::new(NetPackConfig {
-                topo: TopoMode::Flat,
-                scoring,
+        // The same batch through a warm session at each worker count: its
+        // persistent server index must equal a full scan after the pass,
+        // after completions, and after the pass that follows.
+        for threads in [1usize, 2, 4] {
+            let config = NetPackConfig {
+                threads: Some(threads),
                 ..NetPackConfig::default()
-            });
-            let mut strct = NetPackPlacer::new(NetPackConfig {
-                topo: TopoMode::Struct,
-                scoring,
-                ..NetPackConfig::default()
-            });
-            let out_flat = flat.place_batch(&scratch, &running, &batch);
-            let out_strct = strct.place_batch(&scratch, &running, &batch);
-
-            prop_assert_eq!(out_flat.placed.len(), out_strct.placed.len());
-            for ((jf, pf), (js, ps)) in out_flat.placed.iter().zip(&out_strct.placed) {
-                prop_assert_eq!(jf.id, js.id);
-                prop_assert_eq!(pf, ps, "placements diverged for {:?} ({:?})", jf.id, scoring);
+            };
+            let mut session = NetPackSession::new(cluster.clone(), config);
+            let first = session.place_batch(&batch);
+            prop_assert_eq!(session.audit_index(), Ok(()));
+            for (job, _) in first.placed.iter().step_by(2) {
+                prop_assert!(session.complete(job.id).is_ok());
             }
-            let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-            prop_assert_eq!(ids(&out_flat.deferred), ids(&out_strct.deferred));
-
-            let obj_flat = batch_comm_time_s(&scratch, &running, &out_flat.placed);
-            let obj_strct = batch_comm_time_s(&scratch, &running, &out_strct.placed);
-            prop_assert_eq!(obj_flat.to_bits(), obj_strct.to_bits());
+            prop_assert_eq!(session.audit_index(), Ok(()));
+            session.place_batch(&first.deferred);
+            prop_assert_eq!(session.audit_index(), Ok(()));
         }
     }
 
-    /// The candidate filter's kept set must not depend on offer order: the
-    /// flat path offers servers class by class out of its server index,
-    /// the struct path in global id order, and both must keep the same
+    /// The candidate filter's kept set must not depend on offer order:
+    /// production offers servers class by class out of its server index,
+    /// the reference in global id order, and both must keep the same
     /// candidates (value-desc, id-asc within a class, ties included).
     #[test]
     fn candidate_filter_ignores_insertion_order(
@@ -310,108 +290,6 @@ proptest! {
         prop_assert_eq!(a.kept(), b.kept());
     }
 
-}
-
-/// Speculation-conflict stress: one heavily loaded rack, many equal-value
-/// small jobs. Every speculated job targets the same least-loaded servers,
-/// so commits invalidate the speculations behind them round after round —
-/// the worst case for the conflict/re-score protocol (DESIGN.md §3.13).
-#[test]
-fn speculative_batching_survives_same_rack_conflicts() {
-    let cluster = Cluster::new(ClusterSpec {
-        racks: 1,
-        servers_per_rack: 8,
-        gpus_per_server: 4,
-        ..ClusterSpec::paper_default()
-    });
-    // 40 jobs over 32 GPUs: the tail is deferred, covering the
-    // deferral-while-stale commit path too.
-    let batch: Vec<Job> = (0..40)
-        .map(|i| Job::builder(JobId(i), ModelKind::Vgg16, 1 + (i as usize % 2)).build())
-        .collect();
-    let reference = NetPackPlacer::new(NetPackConfig {
-        topo: TopoMode::Flat,
-        batch: BatchMode::Seq,
-        ..NetPackConfig::default()
-    })
-    .place_batch(&cluster, &[], &batch);
-    for threads in [2usize, 4] {
-        let mut placer = NetPackPlacer::new(NetPackConfig {
-            topo: TopoMode::Flat,
-            batch: BatchMode::Spec,
-            threads: Some(threads),
-            ..NetPackConfig::default()
-        });
-        let out = placer.place_batch(&cluster, &[], &batch);
-        assert_eq!(out.placed, reference.placed, "threads={threads}");
-        let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-        assert_eq!(ids(&out.deferred), ids(&reference.deferred));
-        // The protocol must actually have speculated here (wide windows),
-        // not silently degenerated to the sequential loop.
-        assert!(
-            placer.perf().counter("spec_rounds") > 0,
-            "spec engine never ran a round at threads={threads}"
-        );
-    }
-}
-
-proptest! {
-    // 100 seeded instances: the acceptance count for the speculative-batch
-    // equivalence sweep (DESIGN.md §3.13).
-    #![proptest_config(ProptestConfig::with_cases(100))]
-
-    /// The speculative parallel batch engine (`NETPACK_BATCH=spec`,
-    /// DESIGN.md §3.13) must be **bit-identical** to the sequential commit
-    /// loop across random fat-trees and worker counts {1, 2, 4}: the same
-    /// jobs placed with byte-equal `Placement`s, the same deferrals, and
-    /// the same batch-objective bits.
-    #[test]
-    fn speculative_and_sequential_batching_agree(
-        (cluster, batch) in arb_fat_tree().prop_flat_map(|c| {
-            let total = c.total_gpus();
-            (Just(c), arb_batch(total))
-        })
-    ) {
-        let reference = NetPackPlacer::new(NetPackConfig {
-            topo: TopoMode::Flat,
-            batch: BatchMode::Seq,
-            ..NetPackConfig::default()
-        })
-        .place_batch(&cluster, &[], &batch);
-        let obj_ref = batch_comm_time_s(&cluster, &[], &reference.placed);
-        for threads in [1usize, 2, 4] {
-            let mut spec = NetPackPlacer::new(NetPackConfig {
-                topo: TopoMode::Flat,
-                batch: BatchMode::Spec,
-                threads: Some(threads),
-                ..NetPackConfig::default()
-            });
-            let out = spec.place_batch(&cluster, &[], &batch);
-            prop_assert_eq!(out.placed.len(), reference.placed.len());
-            for ((jf, pf), (js, ps)) in out.placed.iter().zip(&reference.placed) {
-                prop_assert_eq!(jf.id, js.id);
-                prop_assert_eq!(pf, ps, "placements diverged for {:?} at threads={}", jf.id, threads);
-            }
-            let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-            prop_assert_eq!(ids(&out.deferred), ids(&reference.deferred));
-            let obj = batch_comm_time_s(&cluster, &[], &out.placed);
-            prop_assert_eq!(obj.to_bits(), obj_ref.to_bits());
-
-            // The same batch through a warm session at this worker count:
-            // its persistent server index (and, under debug assertions,
-            // every speculation fork's) must equal a full scan after the
-            // pass, after completions, and after the pass that follows.
-            let mut session = NetPackSession::new(cluster.clone(), spec.config().clone());
-            let first = session.place_batch(&batch);
-            prop_assert_eq!(session.audit_index(), Ok(()));
-            for (job, _) in first.placed.iter().step_by(2) {
-                prop_assert!(session.complete(job.id).is_ok());
-            }
-            prop_assert_eq!(session.audit_index(), Ok(()));
-            session.place_batch(&first.deferred);
-            prop_assert_eq!(session.audit_index(), Ok(()));
-        }
-    }
 }
 
 proptest! {

@@ -49,12 +49,10 @@ pub struct ServiceConfig {
     /// the same starvation-avoidance aging the `JobManager` uses.
     pub aging_value_bump: f64,
     /// Placer worker count the adaptive batch limit floors at (default:
-    /// [`netpack_metrics::sweep_threads`]): a batch smaller than the
-    /// worker count can't keep every speculation worker busy, so the
-    /// limit never drops below it in adaptive mode.
+    /// [`netpack_metrics::sweep_threads`]): the limit never drops below
+    /// it in adaptive mode.
     pub threads: usize,
-    /// Placer configuration. Topology and scoring mode are forced to the
-    /// flat fast path by the session regardless of what is set here.
+    /// Placer configuration.
     pub placer: NetPackConfig,
 }
 
@@ -132,9 +130,7 @@ pub fn adaptive_batch_limit(cost_ewma_s: f64, cfg: &ServiceConfig) -> usize {
         return cfg.max_batch;
     }
     let budget_jobs = cfg.latency_budget.as_secs_f64() / cost_ewma_s;
-    // Floor at the placer's worker count: a batch smaller than that can't
-    // keep every speculation worker busy, so shrinking further trades
-    // throughput for no latency win.
+    // Floor at the placer's worker count.
     let floor = cfg.min_batch.max(cfg.threads.max(1)).min(cfg.max_batch);
     if budget_jobs >= cfg.max_batch as f64 {
         cfg.max_batch
@@ -190,7 +186,7 @@ mod tests {
         let mut c = cfg(1, 512, 1_000);
         c.threads = 8;
         // Cost so high the budget admits <1 job: the floor still hands
-        // the placer one job per speculation worker.
+        // the placer one job per worker.
         assert_eq!(adaptive_batch_limit(1.0, &c), 8);
         // The floor never exceeds max_batch.
         c.max_batch = 4;

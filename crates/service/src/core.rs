@@ -11,7 +11,7 @@ use crate::config::ServiceConfig;
 use crate::config::adaptive_batch_limit;
 use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::Placement;
-use netpack_placement::NetPackSession;
+use netpack_placement::{NetPackSession, SessionError};
 use netpack_topology::{Cluster, JobId};
 use netpack_workload::Job;
 use std::collections::BTreeMap;
@@ -80,6 +80,10 @@ pub struct ServiceCounters {
     pub completed_pending: u64,
     /// Cancels/completes for ids the service does not know.
     pub unknown_ops: u64,
+    /// Cancels/completes of a running job that the session refused
+    /// because its GPU ledgers disagree ([`SessionError::Ledger`]); the
+    /// job keeps running.
+    pub ledger_errors: u64,
     /// Query commands served.
     pub queries: u64,
     /// High-water mark of the pending queue.
@@ -196,6 +200,24 @@ impl ServiceCore {
         }
     }
 
+    /// Log how the session answered a cancel/complete of a non-pending
+    /// job, counting the two refusals apart: a stale id is routine, books
+    /// that disagree are the one error an operator must see.
+    fn retire_event(&mut self, op: &str, id: JobId, refusal: Option<SessionError>) {
+        let kind = match refusal {
+            None => "running",
+            Some(SessionError::Ledger(_)) => {
+                self.counters.ledger_errors += 1;
+                "ledger-error"
+            }
+            Some(_) => {
+                self.counters.unknown_ops += 1;
+                "unknown"
+            }
+        };
+        self.event(format!("{op} id={id} kind={kind}"));
+    }
+
     /// Apply one command. Placement only happens in
     /// [`place_pass`](Self::place_pass); this mutates the queue and the
     /// running set and keeps the counters honest.
@@ -229,12 +251,12 @@ impl ServiceCore {
                     let _ = self.watches.remove(&id);
                     self.counters.cancelled_pending += 1;
                     self.event(format!("cancel id={id} kind=pending"));
-                } else if self.session.complete(id).is_ok() {
-                    self.counters.cancelled_running += 1;
-                    self.event(format!("cancel id={id} kind=running"));
                 } else {
-                    self.counters.unknown_ops += 1;
-                    self.event(format!("cancel id={id} kind=unknown"));
+                    let retired = self.session.complete(id);
+                    if retired.is_ok() {
+                        self.counters.cancelled_running += 1;
+                    }
+                    self.retire_event("cancel", id, retired.err());
                 }
             }
             Command::Complete(id) => {
@@ -245,12 +267,12 @@ impl ServiceCore {
                     let _ = self.watches.remove(&id);
                     self.counters.completed_pending += 1;
                     self.event(format!("complete id={id} kind=pending"));
-                } else if self.session.complete(id).is_ok() {
-                    self.counters.completed += 1;
-                    self.event(format!("complete id={id} kind=running"));
                 } else {
-                    self.counters.unknown_ops += 1;
-                    self.event(format!("complete id={id} kind=unknown"));
+                    let retired = self.session.complete(id);
+                    if retired.is_ok() {
+                        self.counters.completed += 1;
+                    }
+                    self.retire_event("complete", id, retired.err());
                 }
             }
             Command::Query(id, reply) => {
@@ -437,6 +459,31 @@ mod tests {
         assert_eq!(c.unknown_ops, 2);
         assert_eq!(core.free_gpus(), 32);
         assert_eq!(core.pending_len(), 0);
+    }
+
+    #[test]
+    fn ledger_refusals_are_counted_apart_from_unknown_jobs() {
+        let mut core = core_with_events();
+        core.apply(Command::Submit(job(0, 6)));
+        assert_eq!(core.place_pass(), 1);
+        // Books in disagreement: the flat ledger already holds job 0's GPUs.
+        assert!(core.session.precredit_flat_ledger(JobId(0)));
+        core.apply(Command::Complete(JobId(0)));
+        core.apply(Command::Cancel(JobId(0)));
+        core.apply(Command::Complete(JobId(9))); // a stale id
+        let c = *core.counters();
+        assert_eq!((c.ledger_errors, c.unknown_ops), (2, 1));
+        assert_eq!((c.completed, c.cancelled_running), (0, 0));
+        assert_eq!(core.status(JobId(0)), JobStatus::Running, "a refused job keeps running");
+        let events = core.events();
+        assert_eq!(
+            events[events.len() - 3..],
+            [
+                "complete id=j0 kind=ledger-error",
+                "cancel id=j0 kind=ledger-error",
+                "complete id=j9 kind=unknown",
+            ]
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! from-scratch rebuild computes, placements would diverge here.
 
 use netpack_core::{JobManager, ManagerConfig};
-use netpack_placement::{BatchMode, NetPackConfig, NetPackPlacer};
+use netpack_placement::{NetPackConfig, NetPackPlacer};
 use netpack_service::{Command, ServiceConfig, ServiceCore};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{TraceKind, TraceSpec};
@@ -24,18 +24,17 @@ fn cluster() -> Cluster {
 /// Drive both engines through the same schedule: jobs arrive in trace
 /// order, a placement pass runs every `batch` arrivals, and each pass is
 /// followed by completing the oldest still-running job (churn keeps the
-/// warm state honest). Compare placements after every pass.
-fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize) {
-    run_equivalence_with(seed, kind, jobs, batch, ServiceConfig::default());
-}
-
-fn run_equivalence_with(
-    seed: u64,
-    kind: TraceKind,
-    jobs: usize,
-    batch: usize,
-    svc_config: ServiceConfig,
-) {
+/// warm state honest). Compare placements after every pass. `threads`
+/// pins the service placer's worker count (`None`: the machine default);
+/// the reference manager always runs the default.
+fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, threads: Option<usize>) {
+    let svc_config = ServiceConfig {
+        placer: NetPackConfig {
+            threads,
+            ..NetPackConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
     let trace = TraceSpec::new(kind, jobs).seed(seed).open_loop().generate();
     let jobs = trace.jobs();
 
@@ -101,8 +100,8 @@ fn run_equivalence_with(
             assert_eq!(core.session().audit_index(), Ok(()), "completing {oldest}");
             completion_order.remove(0);
             assert_eq!(
-                core.counters().unknown_ops,
-                0,
+                (core.counters().unknown_ops, core.counters().ledger_errors),
+                (0, 0),
                 "service lost track of {oldest} (reference had {p_ref:?})"
             );
         }
@@ -127,51 +126,15 @@ fn run_equivalence_with(
 
 #[test]
 fn service_matches_job_manager_on_philly_open_loop() {
-    run_equivalence(17, TraceKind::Real, 120, 8);
+    run_equivalence(17, TraceKind::Real, 120, 8, None);
 }
 
 #[test]
 fn service_matches_job_manager_on_poisson_small_batches() {
-    run_equivalence(3, TraceKind::Poisson, 90, 3);
+    run_equivalence(3, TraceKind::Poisson, 90, 3, Some(1));
 }
 
 #[test]
 fn service_matches_job_manager_on_normal_large_batches() {
-    run_equivalence(29, TraceKind::Normal, 100, 16);
-}
-
-/// The speculative batch engine inside the warm session (`NETPACK_BATCH=
-/// spec` with a real multi-worker window) must stay indistinguishable from
-/// the closed-batch reference too — speculation may only change *when*
-/// jobs are scored, never what they get.
-#[test]
-fn speculative_service_matches_job_manager() {
-    for (seed, kind, threads) in [
-        (17, TraceKind::Real, 2),
-        (29, TraceKind::Normal, 4),
-    ] {
-        let config = ServiceConfig {
-            placer: NetPackConfig {
-                batch: BatchMode::Spec,
-                threads: Some(threads),
-                ..NetPackConfig::default()
-            },
-            ..ServiceConfig::default()
-        };
-        run_equivalence_with(seed, kind, 100, 8, config);
-    }
-}
-
-/// And the explicit sequential loop must as well — the two `NETPACK_BATCH`
-/// modes bracket the same reference.
-#[test]
-fn sequential_service_matches_job_manager() {
-    let config = ServiceConfig {
-        placer: NetPackConfig {
-            batch: BatchMode::Seq,
-            ..NetPackConfig::default()
-        },
-        ..ServiceConfig::default()
-    };
-    run_equivalence_with(3, TraceKind::Poisson, 90, 3, config);
+    run_equivalence(29, TraceKind::Normal, 100, 16, Some(4));
 }

@@ -31,37 +31,9 @@
 //! The view is **read-only static data**: the GPU ledger and all transient
 //! network state stay where they were (the `Cluster` and the estimator's
 //! `SteadyState`). `DESIGN.md` §3.11 documents how the placement layer uses
-//! this view and why the flat path stays bit-identical to the struct path.
+//! this view and why it stays bit-identical to the literal algorithm.
 
 use crate::{Cluster, LinkId};
-
-/// Which topology representation the placement hot path walks.
-///
-/// Both modes produce **bit-identical placements** — the flat path is a
-/// representation change plus exactly-equal work-sharding, never a
-/// different algorithm (`DESIGN.md` §3.11). `struct` remains as the
-/// straight-line reference for the equivalence gate in `scripts/check.sh`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopoMode {
-    /// Flat integer-indexed arrays ([`FlatTopology`]) with a persistent
-    /// server-class index — the warehouse-scale default.
-    #[default]
-    Flat,
-    /// The original per-entity struct walk; reference implementation.
-    Struct,
-}
-
-impl TopoMode {
-    /// Read the mode from the `NETPACK_TOPO` environment variable:
-    /// `struct` selects the reference path, anything else (or unset) the
-    /// flat path.
-    pub fn from_env() -> Self {
-        match std::env::var("NETPACK_TOPO").as_deref() {
-            Ok("struct") => TopoMode::Struct,
-            _ => TopoMode::Flat,
-        }
-    }
-}
 
 /// Dense structure-of-arrays snapshot of a cluster's static topology.
 ///
@@ -276,10 +248,5 @@ mod tests {
             let link = LinkId::from_index(i, &cluster);
             assert_eq!(*cap, link.capacity_gbps(&cluster));
         }
-    }
-
-    #[test]
-    fn topo_mode_defaults_to_flat() {
-        assert_eq!(TopoMode::default(), TopoMode::Flat);
     }
 }

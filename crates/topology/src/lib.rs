@@ -45,7 +45,7 @@ mod spec;
 pub use cluster::{Cluster, Rack, Server};
 pub use error::TopologyError;
 pub use fattree::FatTreeSpec;
-pub use flat::{FlatTopology, TopoMode};
+pub use flat::FlatTopology;
 pub use ids::{JobId, RackId, ServerId};
 pub use link::LinkId;
 pub use spec::ClusterSpec;

@@ -166,20 +166,6 @@ impl IncrementalEstimator {
         self.jobs.len()
     }
 
-    /// Resource nodes (sorted, deduplicated) that the most recent
-    /// [`push`](Self::push) reset and re-solved — i.e. exactly the state
-    /// entries whose residual bandwidth or flow count may differ from
-    /// before that push. Empty after pushing a local (single-server) job.
-    ///
-    /// Node indices follow `PlacedJob::resource_nodes`: `0..num_links`
-    /// are link indices (`LinkId::index`), `num_links..` are per-rack PAT
-    /// slots. Only valid immediately after a `push`; `remove`/`pop`/
-    /// `replace` do not maintain it. The speculative batch placer uses
-    /// this as the footprint for conflict detection.
-    pub fn last_dirty_nodes(&self) -> &[usize] {
-        &self.scratch_dirty
-    }
-
     /// Add `job` and re-solve only the component it lands in.
     ///
     /// The resulting [`state`](Self::state) is bit-identical to
@@ -189,10 +175,7 @@ impl IncrementalEstimator {
         self.state.job_shards.insert(job.id(), job.shards());
         let nodes = job.resource_nodes(cluster);
         if nodes.is_empty() {
-            // Local job: infinite rate, touches nothing. Clear the dirty
-            // scratch so `last_dirty_nodes` reports "nothing changed"
-            // rather than the previous push's component.
-            self.scratch_dirty.clear();
+            // Local job: infinite rate, touches nothing.
             self.state.job_rates.insert(job.id(), f64::INFINITY);
             self.stats.jobs_reused += self.network_jobs;
             self.jobs.push(job);

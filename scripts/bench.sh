@@ -7,19 +7,21 @@
 # NETPACK_BENCH_JSON set so every measured cell appends a row:
 #   * table_mip_vs_dp      — exact bnb vs scratch vs DP per instance
 #   * fig10_placement_time — NetPack DP wall-clock per (servers, jobs) cell
-#   * fig10_xl             — 100 jobs on a 50K-server fat-tree, both
-#                            NETPACK_TOPO modes (flat must stay < 1 s)
+#   * fig10_xl             — 100 jobs on a 50K-server fat-tree (must
+#                            stay < 1 s)
 # Service rows come from bench_service — the open-loop Philly replay over
 # the Fig. 10 cluster — in both driver modes (threaded + deterministic),
-# plus a NETPACK_THREADS={1,2,4,8} sweep of a 200K-job replay in both
-# modes (long enough that run-to-run noise stays comparable to the gap
-# being measured): the threaded driver runs the deterministic driver's
-# exact batch schedule and must stay at or above it wherever real cores
-# exist; on a single-core container the producer/consumer hand-off is
-# pure overhead, so threaded lands a few percent under deterministic
-# there — the batched-drain queue, gather window, and notify threshold
-# are what close the seed's 46% inversion (DESIGN.md §3.12,
-# EXPERIMENTS.md bench_service).
+# plus a NETPACK_THREADS sweep of a 200K-job replay in both modes (long
+# enough that run-to-run noise stays comparable to the gap being
+# measured) over the powers of two up to this machine's core count: a
+# row's `threads` column is the worker count that ran, so a sweep point
+# above nproc would only repeat the nproc row. The threaded driver runs
+# the deterministic driver's exact batch schedule and must stay at or
+# above it wherever real cores exist; on a single-core container the
+# producer/consumer hand-off is pure overhead, so threaded lands a few
+# percent under deterministic there — the batched-drain queue, gather
+# window, and notify threshold are what close the seed's 46% inversion
+# (DESIGN.md §3.12, EXPERIMENTS.md bench_service).
 #
 # Usage: scripts/bench.sh [output.json] [service_output.json]
 #   (defaults results/BENCH_placement.json, results/BENCH_service.json)
@@ -37,7 +39,7 @@ echo "bench: table_mip_vs_dp (bnb + capped scratch + dp)"
 NETPACK_BENCH_JSON="$out" ./target/release/table_mip_vs_dp > /dev/null
 echo "bench: fig10_placement_time (quick grid)"
 NETPACK_BENCH_JSON="$out" NETPACK_QUICK=1 ./target/release/fig10_placement_time > /dev/null
-echo "bench: fig10_xl (50K-server warehouse cell, struct + flat)"
+echo "bench: fig10_xl (50K-server warehouse cell)"
 NETPACK_BENCH_JSON="$out" ./target/release/fig10_xl > /dev/null
 
 rm -f "$svc_out"
@@ -46,7 +48,7 @@ NETPACK_BENCH_JSON="$svc_out" ./target/release/bench_service > /dev/null
 echo "bench: bench_service (50K-job open-loop replay, deterministic)"
 NETPACK_BENCH_JSON="$svc_out" NETPACK_QUICK=1 NETPACK_SERVICE_MODE=deterministic \
     ./target/release/bench_service > /dev/null
-for t in 1 2 4 8; do
+for ((t = 1; t <= $(nproc); t *= 2)); do
     echo "bench: bench_service thread sweep (200K jobs, NETPACK_THREADS=$t, both modes)"
     NETPACK_BENCH_JSON="$svc_out" NETPACK_SERVICE_JOBS=200000 NETPACK_THREADS=$t \
         ./target/release/bench_service > /dev/null
