@@ -3,24 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netpack_placement::{GpuBalance, NetPackPlacer, Placer, TetrisLike};
-use netpack_topology::{Cluster, ClusterSpec, JobId};
-use netpack_workload::{Job, ModelKind};
-
-fn batch(jobs: usize, max_gpus: usize) -> Vec<Job> {
-    let mut state = 99u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..jobs)
-        .map(|i| {
-            let gpus = (next() % max_gpus as u64).max(1) as usize;
-            Job::builder(JobId(i as u64), ModelKind::ALL[(next() % 6) as usize], gpus).build()
-        })
-        .collect()
-}
+use netpack_topology::{Cluster, ClusterSpec};
+use netpack_workload::xorshift_batch;
 
 fn cluster(servers: usize) -> Cluster {
     let racks = 16.min(servers);
@@ -36,7 +20,7 @@ fn bench_netpack_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for servers in [100usize, 400, 1600] {
         let cl = cluster(servers);
-        let jobs = batch(32, 32);
+        let jobs = xorshift_batch(32, 32, 99);
         group.bench_with_input(BenchmarkId::from_parameter(servers), &servers, |b, _| {
             b.iter(|| {
                 let mut placer = NetPackPlacer::default();
@@ -51,7 +35,7 @@ fn bench_placer_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("placer_comparison_400srv");
     group.sample_size(10);
     let cl = cluster(400);
-    let jobs = batch(32, 32);
+    let jobs = xorshift_batch(32, 32, 99);
     type PlacerCtor = fn() -> Box<dyn Placer>;
     let mk: Vec<(&str, PlacerCtor)> = vec![
         ("NetPack", || Box::new(NetPackPlacer::default())),

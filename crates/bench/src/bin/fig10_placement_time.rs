@@ -7,34 +7,31 @@
 //! (`3.25e-4 s` at 100 servers to `1.36e-2 s` at 10K in the paper).
 //!
 //! The placer's perf counters, aggregated over every cell, are printed
-//! afterwards so the time can be attributed to its phases.
+//! afterwards so the time can be attributed to its phases —
+//! `ps_candidates_scored` / `ps_rack_servers_skipped` for PS scoring,
+//! `waterfill_rounds` / `waterfill_link_visits` for Algorithm 1.
+//!
+//! Knob: `NETPACK_SMOKE=1` runs one dense cell instead (16 racks x 64
+//! servers, 200 jobs: many servers per rack, many contending jobs) through
+//! [`placement_smoke`], so `scripts/check.sh` holds the per-rack PS-class
+//! dedup and the live-link water-fill rounds to the literal algorithm.
 
-use netpack_bench::{emit_bench_row, quick, BenchRow};
-use netpack_metrics::TextTable;
+use netpack_bench::{emit_bench_row, placement_smoke, quick, BenchRow};
+use netpack_metrics::{Stopwatch, TextTable};
 use netpack_placement::{NetPackPlacer, Placer};
-use netpack_topology::{Cluster, ClusterSpec, JobId};
-use netpack_workload::{Job, ModelKind};
-use netpack_metrics::Stopwatch;
-
-fn batch(jobs: usize, max_gpus: usize, seed: u64) -> Vec<Job> {
-    // Deterministic mixed batch of spanning jobs.
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..jobs)
-        .map(|i| {
-            let gpus = (next() % max_gpus as u64).max(1) as usize;
-            let model = ModelKind::ALL[(next() % 6) as usize];
-            Job::builder(JobId(i as u64), model, gpus).build()
-        })
-        .collect()
-}
+use netpack_topology::{Cluster, ClusterSpec};
+use netpack_workload::xorshift_batch;
 
 fn main() {
+    if std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0") {
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 16,
+            servers_per_rack: 64,
+            ..ClusterSpec::paper_default()
+        });
+        placement_smoke("fig10 dense", &cluster, &xorshift_batch(200, 32, 7));
+        return;
+    }
     let sizes: Vec<usize> = if quick() {
         vec![100, 400]
     } else {
@@ -57,7 +54,7 @@ fn main() {
         };
         for &jobs in &job_counts {
             let cluster = Cluster::new(spec.clone());
-            let b = batch(jobs, 32, 7);
+            let b = xorshift_batch(jobs, 32, 7);
             let mut placer = NetPackPlacer::default();
             let start = Stopwatch::start();
             let outcome = placer.place_batch(&cluster, &[], &b);

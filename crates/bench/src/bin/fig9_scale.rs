@@ -99,6 +99,11 @@ fn main() {
     }
     println!("{table}");
     println!("paper: NetPack provides an average 31% JCT reduction across scales.");
+    assert_eq!(
+        perf.counter("wf_unconverged"),
+        0,
+        "a water-fill solve hit its round bound"
+    );
     if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
         println!("\nEvent-loop perf counters (merged across all cells):");
         println!("{}", perf.to_table());

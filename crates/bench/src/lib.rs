@@ -35,11 +35,11 @@ use netpack_flowsim::{SimConfig, Simulation};
 use netpack_metrics::{Summary, TextTable};
 use netpack_packetsim::{PacketJobSpec, SwitchConfig};
 use netpack_placement::{
-    Comb, FlowBalance, GpuBalance, LeastFragmentation, NetPackPlacer, OptimusLike, Placer,
-    TetrisLike,
+    batch_comm_time_s, reference, BatchOutcome, Comb, FlowBalance, GpuBalance,
+    LeastFragmentation, NetPackConfig, NetPackPlacer, OptimusLike, Placer, TetrisLike,
 };
 use netpack_topology::{Cluster, ClusterSpec, JobId};
-use netpack_workload::{TraceKind, TraceSpec};
+use netpack_workload::{Job, TraceKind, TraceSpec};
 
 /// Number of repetitions (distinct trace seeds) per data point.
 pub fn repeats() -> usize {
@@ -161,6 +161,70 @@ pub use netpack_metrics::parallel_sweep;
 /// than ran.
 pub fn bench_threads() -> u64 {
     netpack_metrics::sweep_threads() as u64
+}
+
+/// Stable fingerprint of a batch outcome: every placement's workers, PSes
+/// and INA flag, and the deferred ids.
+fn outcome_digest(outcome: &BatchOutcome) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "placed={} deferred={}\n",
+        outcome.placed.len(),
+        outcome.deferred.len()
+    ));
+    for (job, p) in &outcome.placed {
+        let workers: Vec<String> = p
+            .workers()
+            .iter()
+            .map(|&(s, w)| format!("{}x{w}", s.0))
+            .collect();
+        let pses: Vec<String> = p.pses().iter().map(|s| s.0.to_string()).collect();
+        out.push_str(&format!(
+            "job {}: workers=[{}] ps=[{}] ina={}\n",
+            job.id.0,
+            workers.join(","),
+            pses.join(","),
+            p.ina_enabled()
+        ));
+    }
+    let deferred: Vec<String> = outcome.deferred.iter().map(|j| j.id.0.to_string()).collect();
+    out.push_str(&format!("deferred=[{}]\n", deferred.join(",")));
+    out
+}
+
+/// The placement smoke of `scripts/check.sh`: place `batch` on `cluster`
+/// with the production placer, assert that the outcome equals the literal
+/// algorithm's ([`reference::place_batch`]) and that every water-fill
+/// solve converged, and print only the outcome digest — nothing
+/// time-dependent — so runs at different worker counts can be
+/// byte-diffed.
+///
+/// # Panics
+///
+/// Panics when production and the reference disagree, or a solve hit its
+/// round bound.
+pub fn placement_smoke(label: &str, cluster: &Cluster, batch: &[Job]) {
+    let mut placer = NetPackPlacer::default();
+    let outcome = placer.place_batch(cluster, &[], batch);
+    let oracle = reference::place_batch(&NetPackConfig::default(), cluster, &[], batch);
+    assert_eq!(
+        outcome_digest(&outcome),
+        outcome_digest(&oracle),
+        "production diverged from the literal algorithm"
+    );
+    assert_eq!(
+        placer.perf().counter("waterfill_unconverged"),
+        0,
+        "a water-fill solve hit its round bound"
+    );
+    let objective = batch_comm_time_s(cluster, &[], &outcome.placed);
+    println!(
+        "{label} smoke digest (servers={}, jobs={})",
+        cluster.num_servers(),
+        batch.len()
+    );
+    print!("{}", outcome_digest(&outcome));
+    println!("objective_bits={:#018x}", objective.to_bits());
 }
 
 /// Outcome of repeated trace replays for one placer.

@@ -514,6 +514,9 @@ impl Simulation {
             perf.incr("wf_components_solved", stats.components_solved);
             perf.incr("wf_jobs_resolved", stats.jobs_resolved);
             perf.incr("wf_jobs_reused", stats.jobs_reused);
+            perf.incr("wf_rounds", stats.rounds);
+            perf.incr("wf_link_visits", stats.link_visits);
+            perf.incr("wf_unconverged", stats.unconverged);
         }
         result.perf = perf;
         result

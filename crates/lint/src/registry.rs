@@ -3,8 +3,8 @@
 //! Every env-gated behavior in this workspace — the two-mode bit-identity
 //! gates (`NETPACK_SIM`, `NETPACK_PKT`, …), the knobs, the output
 //! redirects — is part of the repo's reproducibility contract: README.md
-//! documents it, and for mode gates `scripts/check.sh` (or a named
-//! property test) pins the two modes byte-identical. Before this module
+//! documents it, and for mode gates `scripts/check.sh` pins the two modes
+//! byte-identical. Before this module
 //! that contract lived in reviewer memory across 25+ variables. Now it is
 //! *declared* here and cross-checked mechanically:
 //!
@@ -13,8 +13,8 @@
 //! * a registered variable no source file reads → M1 (dead entry);
 //! * a registered variable missing from the README env table → M1;
 //! * a `NETPACK_*` name in README that is not registered → M1;
-//! * a mode gate whose declared enforcement point (`scripts/check.sh`
-//!   line or a named test) no longer mentions it → M1.
+//! * a mode gate whose declared enforcement point (`scripts/check.sh`)
+//!   no longer mentions it → M1.
 //!
 //! The lint crate itself is exempt from read collection — this file
 //! *names* every variable without reading any.
@@ -29,14 +29,6 @@ pub enum Gate {
     /// The variable must appear in `scripts/check.sh` — the two-mode
     /// smoke diff is the enforcement point.
     CheckSh,
-    /// The bit-identity contract is pinned by a named test: the file
-    /// (workspace-relative) must exist and contain the needle.
-    Test {
-        /// Workspace-relative test file.
-        file: &'static str,
-        /// Identifier the file must contain (usually the test fn name).
-        needle: &'static str,
-    },
     /// A knob or output path with no two-mode contract to enforce.
     None,
 }
@@ -312,22 +304,6 @@ pub fn cross_check(root: &Path, reads: &[(String, usize, String)]) -> Vec<Findin
                     ));
                 }
             }
-            Gate::Test { file, needle } => match std::fs::read_to_string(root.join(file)) {
-                Ok(text) if text.contains(needle) => {}
-                Ok(_) => findings.push(m1(
-                    file,
-                    1,
-                    format!(
-                        "gate for `{}` points at `{needle}` in {file}, which no longer contains it",
-                        var.name
-                    ),
-                )),
-                Err(_) => findings.push(m1(
-                    "crates/lint/src/registry.rs",
-                    1,
-                    format!("gate for `{}` points at missing file {file}", var.name),
-                )),
-            },
             Gate::None => {}
         }
     }

@@ -178,21 +178,25 @@ impl JobHierarchy {
     /// contributes the sum of both roles to its access link.
     pub fn link_flows<F: Fn(RackId) -> bool>(&self, aggregating: F) -> Vec<(LinkId, u32)> {
         let mut flows: Vec<(LinkId, u32)> = Vec::with_capacity(self.worker_servers.len() + 4);
-        // Worker gradient streams on their server access links.
-        for &(s, w) in &self.worker_servers {
-            flows.push((LinkId::ServerAccess(s), w as u32));
-        }
+        self.for_each_link_flow(aggregating, |link, f| flows.push((link, f)));
+        flows
+    }
+
+    /// [`link_flows`](Self::link_flows) without the `Vec`: calls `visit`
+    /// once per link, in the same order — what the water-filling round
+    /// loop uses so a solve allocates nothing.
+    pub fn for_each_link_flow<F: Fn(RackId) -> bool>(
+        &self,
+        aggregating: F,
+        mut visit: impl FnMut(LinkId, u32),
+    ) {
         // Remote racks: leaf switch output crosses its own uplink and the
         // PS rack's uplink.
-        let mut into_root_from_core = 0u32;
-        for &(r, w) in &self.remote_racks {
-            let out = self.rack_output_flows(r, w, &aggregating);
-            flows.push((LinkId::RackUplink(r), out));
-            into_root_from_core += out;
-        }
-        if into_root_from_core > 0 {
-            flows.push((LinkId::RackUplink(self.ps_rack), into_root_from_core));
-        }
+        let into_root_from_core: u32 = self
+            .remote_racks
+            .iter()
+            .map(|&(r, w)| self.rack_output_flows(r, w, &aggregating))
+            .sum();
         // Root switch output onto the PS's access link.
         let root_in = into_root_from_core + self.local_workers as u32;
         let root_out = if self.aggregates_at(self.ps_rack, &aggregating) {
@@ -200,14 +204,23 @@ impl JobHierarchy {
         } else {
             root_in
         };
-        // Merge with an existing entry if the PS shares a worker server.
-        let ps_link = LinkId::ServerAccess(self.ps_server);
-        if let Some(entry) = flows.iter_mut().find(|(l, _)| *l == ps_link) {
-            entry.1 += root_out;
-        } else {
-            flows.push((ps_link, root_out));
+        // Worker gradient streams on their server access links; a PS
+        // sharing a worker server adds the root output to that entry.
+        let mut ps_merged = false;
+        for &(s, w) in &self.worker_servers {
+            let shared = s == self.ps_server;
+            ps_merged |= shared;
+            visit(LinkId::ServerAccess(s), w as u32 + if shared { root_out } else { 0 });
         }
-        flows
+        for &(r, w) in &self.remote_racks {
+            visit(LinkId::RackUplink(r), self.rack_output_flows(r, w, &aggregating));
+        }
+        if into_root_from_core > 0 {
+            visit(LinkId::RackUplink(self.ps_rack), into_root_from_core);
+        }
+        if !ps_merged {
+            visit(LinkId::ServerAccess(self.ps_server), root_out);
+        }
     }
 
     /// Largest per-link flow count this job induces (feeds the hot-spot

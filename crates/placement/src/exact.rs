@@ -221,7 +221,7 @@ impl ExactPlacer {
         let mut wf = WaterfillStats::default();
         for (branch_best, branch_stats, branch_wf) in results {
             stats.merge(&branch_stats);
-            wf = wf_sum(&wf, &branch_wf);
+            wf = wf + branch_wf;
             if let Some((obj, placed)) = branch_best {
                 if best.as_ref().is_none_or(|(cur, _)| obj < *cur) {
                     best = Some((obj, placed));
@@ -447,28 +447,6 @@ impl BnbStats {
     }
 }
 
-fn wf_sum(a: &WaterfillStats, b: &WaterfillStats) -> WaterfillStats {
-    WaterfillStats {
-        pushes: a.pushes + b.pushes,
-        removes: a.removes + b.removes,
-        jobs_resolved: a.jobs_resolved + b.jobs_resolved,
-        jobs_reused: a.jobs_reused + b.jobs_reused,
-        components_solved: a.components_solved + b.components_solved,
-    }
-}
-
-/// Per-branch water-filling work: the branch estimator's lifetime counters
-/// minus the cloned base's share.
-fn wf_delta(after: &WaterfillStats, before: &WaterfillStats) -> WaterfillStats {
-    WaterfillStats {
-        pushes: after.pushes - before.pushes,
-        removes: after.removes - before.removes,
-        jobs_resolved: after.jobs_resolved - before.jobs_resolved,
-        jobs_reused: after.jobs_reused - before.jobs_reused,
-        components_solved: after.components_solved - before.components_solved,
-    }
-}
-
 /// Read-only state shared by every branch of one `place_batch` call.
 struct BnbContext<'a> {
     cluster: &'a Cluster,
@@ -506,7 +484,7 @@ fn run_branch(
     };
     branch.apply(&ctx.batch[0], candidate.clone());
     let _ = branch.dfs(1);
-    let wf = wf_delta(branch.inc.stats(), &base_stats);
+    let wf = *branch.inc.stats() - base_stats;
     (branch.best, branch.stats, wf)
 }
 

@@ -18,11 +18,13 @@
 //!    filter class — the rest lose to class-mates of equal value and lower
 //!    id, so the kept set is exactly the full scan's.
 //! 2. **Class-deduplicated PS scoring.** For a fixed plan, the score of a
-//!    PS candidate outside the plan's racks is a pure function of
-//!    `(flows, avail, rack uplink flows, rack uplink capacity)`. Each plan
-//!    scores one representative per PS class plus every server in the
-//!    plan's own racks, collapsing ~50k evaluations to a few hundred. The
-//!    winner under (max score, min server id) equals the reference's
+//!    PS candidate that hosts none of the plan's workers is a pure function
+//!    of `(flows, avail, rack uplink flows, rack uplink capacity)` — its
+//!    PS class — and of whether its rack is one of the plan's. Each plan
+//!    scores its chosen servers, one representative per PS class *per plan
+//!    rack*, and one representative per PS class for all other racks,
+//!    collapsing ~50k evaluations to a few hundred. The winner under
+//!    (max score, min server id) equals the reference's
 //!    first-strictly-greater scan.
 //! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
 //!    worker lists) lives in [`FlatBatch`] and is reused across the whole
@@ -32,7 +34,7 @@
 use crate::dp::{WorkerDp, WorkerPlan};
 use crate::index::ServerIndex;
 use crate::knapsack::select_job_subset;
-use crate::netpack::NetPackPlacer;
+use crate::netpack::{record_waterfill, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
 use netpack_metrics::{parallel_sweep_reduce, PerfCounters, Stopwatch};
@@ -72,7 +74,8 @@ pub(crate) struct FlatBatch {
 }
 
 /// Per-plan stamped scratch: which servers and racks the current plan
-/// touches, plus its per-rack worker totals. Extracted from [`FlatBatch`]
+/// touches, its per-rack worker totals, and which PS classes the plan rack
+/// being scored has already shown. Extracted from [`FlatBatch`]
 /// so the parallel plan loop can hand each worker an independent copy; the
 /// stamp trick (bump a counter instead of clearing arrays) is unchanged,
 /// and scores are a pure function of the plan — never of which scratch, or
@@ -83,6 +86,21 @@ struct PlanScratch {
     rack_stamp: Vec<u32>,
     stamp: u32,
     rack_workers: Vec<(RackId, u32)>,
+    /// `class_seen[c] == class_mark`: PS class `c` already has its
+    /// representative in the plan rack being scored. Grown to the class
+    /// count on demand; a fresh mark per plan rack stands in for clearing.
+    class_seen: Vec<u32>,
+    class_mark: u32,
+}
+
+/// Work done scoring PS candidates.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScoreTally {
+    /// Score evaluations performed.
+    evals: u64,
+    /// Plan-rack servers not evaluated: a lower-id server of the same PS
+    /// class in the same rack already was.
+    rack_skipped: u64,
 }
 
 impl PlanScratch {
@@ -120,6 +138,20 @@ impl PlanScratch {
             }
         }
         stamp
+    }
+
+    /// Start a plan rack: a mark no entry of `class_seen` holds, with room
+    /// for `classes` class ids.
+    fn begin_rack(&mut self, classes: usize) -> u32 {
+        if self.class_seen.len() < classes {
+            self.class_seen.resize(classes, 0);
+        }
+        self.class_mark = self.class_mark.wrapping_add(1);
+        if self.class_mark == 0 {
+            self.class_seen.fill(0);
+            self.class_mark = 1;
+        }
+        self.class_mark
     }
 }
 
@@ -267,10 +299,15 @@ impl NetPackPlacer {
 
     /// Best `(score, PS server)` of one plan under (max score, min id) —
     /// equal to the reference's ascending first-strictly-greater scan.
-    /// Servers in the plan's racks are scored individually; everyone else
-    /// is covered by one representative per [`ClassKey`] class (the
-    /// lowest-id member outside the plan's racks). `evals` counts actual
-    /// score evaluations.
+    ///
+    /// A server hosting none of the plan's workers scores as a pure
+    /// function of its [`PsKey`](crate::index::PsKey) class and of which
+    /// plan rack, if any, it sits in; among servers of equal score only
+    /// the lowest id can win. So inside each plan rack the chosen servers
+    /// are scored one by one and everyone else through the first (lowest
+    /// id) server of each class, and outside the plan racks each class is
+    /// scored through its lowest-id member there. `tally` counts the
+    /// evaluations performed and the plan-rack servers they stood in for.
     #[allow(clippy::too_many_arguments)]
     fn score_plan_flat(
         &self,
@@ -280,7 +317,7 @@ impl NetPackPlacer {
         state: &SteadyState,
         capacity: f64,
         plan: &WorkerPlan,
-        evals: &mut u64,
+        tally: &mut ScoreTally,
     ) -> Option<(f64, ServerId)> {
         let stamp = ps.begin(&fb.topo, &fb.gpus_free, plan);
         let mut best: Option<(f64, usize)> = None;
@@ -293,30 +330,43 @@ impl NetPackPlacer {
                 *best = Some((score, sid));
             }
         };
-        // Servers in the plan's racks: hot-spot geometry varies per
-        // server, score each one.
+        let classes = &fb.index.ps;
         for ri in 0..ps.rack_workers.len() {
             let rack = ps.rack_workers[ri].0;
+            let mark = ps.begin_rack(classes.num_classes());
             for sid in fb.topo.rack_server_range(rack.0) {
+                if ps.chosen_stamp[sid] != stamp {
+                    let seen = &mut ps.class_seen[classes.class_of(sid)];
+                    if *seen == mark {
+                        tally.rack_skipped += 1;
+                        continue;
+                    }
+                    *seen = mark;
+                }
                 let score =
                     self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
-                *evals += 1;
+                tally.evals += 1;
                 consider(score, sid, &mut best);
             }
         }
-        // Everyone else: one representative per class. All members of a
-        // class outside the plan's racks share one score bit pattern, and
-        // the lowest-id one is the only candidate (min id) among them.
-        for (_, members) in fb.index.ps.classes() {
-            let rep = members
-                .iter()
-                .map(|&m| m as usize)
-                .find(|&m| ps.rack_stamp[fb.topo.rack_of(m)] != stamp);
-            if let Some(sid) = rep {
-                let score =
-                    self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
-                *evals += 1;
-                consider(score, sid, &mut best);
+        // Members ascend and a rack is a contiguous id range, so the first
+        // member past each plan rack is one binary search away; a class
+        // lying wholly inside plan racks costs a search per rack, not a
+        // walk over its members.
+        for (_, members) in classes.classes() {
+            let mut at = 0;
+            while let Some(&m) = members.get(at) {
+                let rack = fb.topo.rack_of(m as usize);
+                if ps.rack_stamp[rack] != stamp {
+                    let sid = m as usize;
+                    let score = self
+                        .score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
+                    tally.evals += 1;
+                    consider(score, sid, &mut best);
+                    break;
+                }
+                let rack_end = fb.topo.rack_server_range(rack).end as u32;
+                at = members.partition_point(|&x| x < rack_end);
             }
         }
         best.map(|(score, sid)| (score, ServerId(sid)))
@@ -402,7 +452,7 @@ impl NetPackPlacer {
         // PSPlacement with class-deduplicated scoring.
         perf.incr("plans_considered", plans.len() as u64);
         let scoring_start = Stopwatch::start();
-        let (best, evals) = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
+        let (best, tally) = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
             // Workers score disjoint plan ranges concurrently on pooled
             // scratches; the ordered fold re-applies the sequential
             // tie-break (strictly greater wins, lowest plan index keeps
@@ -416,14 +466,14 @@ impl NetPackPlacer {
                 &cells,
                 |&pi| {
                     let mut scratch = grab_slot(&fbr.plan_pool);
-                    let mut e = 0u64;
+                    let mut t = ScoreTally::default();
                     let r = self.score_plan_flat(
-                        fbr, &mut scratch, cluster, state, capacity, &plans[pi], &mut e,
+                        fbr, &mut scratch, cluster, state, capacity, &plans[pi], &mut t,
                     );
-                    (pi, r, e)
+                    (pi, r, t)
                 },
-                (None, 0u64),
-                |(best, evals): (Option<(f64, usize, ServerId)>, u64), (pi, r, e)| {
+                (None, ScoreTally::default()),
+                |(best, tally): (Option<(f64, usize, ServerId)>, ScoreTally), (pi, r, t)| {
                     let best = match r {
                         Some((score, sid))
                             if best.is_none_or(|(b, _, _)| score > b) =>
@@ -432,16 +482,20 @@ impl NetPackPlacer {
                         }
                         _ => best,
                     };
-                    (best, evals + e)
+                    let tally = ScoreTally {
+                        evals: tally.evals + t.evals,
+                        rack_skipped: tally.rack_skipped + t.rack_skipped,
+                    };
+                    (best, tally)
                 },
             )
         } else {
             let mut scratch = std::mem::take(&mut fb.scratch);
             let mut best: Option<(f64, usize, ServerId)> = None;
-            let mut evals = 0u64;
+            let mut tally = ScoreTally::default();
             for (pi, plan) in plans.iter().enumerate() {
                 if let Some((score, sid)) =
-                    self.score_plan_flat(fb, &mut scratch, cluster, state, capacity, plan, &mut evals)
+                    self.score_plan_flat(fb, &mut scratch, cluster, state, capacity, plan, &mut tally)
                 {
                     if best.is_none_or(|(b, _, _)| score > b) {
                         best = Some((score, pi, sid));
@@ -449,9 +503,10 @@ impl NetPackPlacer {
                 }
             }
             fb.scratch = scratch;
-            (best, evals)
+            (best, tally)
         };
-        perf.incr("ps_candidates_scored", evals);
+        perf.incr("ps_candidates_scored", tally.evals);
+        perf.incr("ps_rack_servers_skipped", tally.rack_skipped);
         perf.record("ps_scoring", scoring_start.elapsed());
         let (_, pi, ps) = best?;
         let plan = &plans[pi];
@@ -562,11 +617,7 @@ impl NetPackPlacer {
                 _ => outcome.deferred.push(job.clone()),
             }
         }
-        let stats = *inc.stats();
-        perf.incr("waterfill_pushes", stats.pushes);
-        perf.incr("waterfill_jobs_resolved", stats.jobs_resolved);
-        perf.incr("waterfill_jobs_reused", stats.jobs_reused);
-        perf.incr("waterfill_components_solved", stats.components_solved);
+        record_waterfill(&mut perf, *inc.stats());
         // Step 4: the estimator already holds the steady state over
         // running + placed (batch placements still INA-on) — reuse it.
         let ina_start = Stopwatch::start();
@@ -581,6 +632,7 @@ impl NetPackPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netpack::{HotSpotTerm, NetPackConfig};
     use crate::placer::Placer;
     use netpack_topology::{ClusterSpec, JobId};
     use netpack_waterfill::estimate;
@@ -643,6 +695,83 @@ mod tests {
         assert!(matches!(fb.credit(&q), Err(TopologyError::ReleaseOverflow { .. })));
         assert_eq!(fb.gpus_free, before);
         assert_eq!(fb.servers_with_free, recount(&fb));
+    }
+
+    /// Per plan, the deduplicated scorer must pick what a scan of every
+    /// server picks — on plans spanning racks whose servers share PS
+    /// classes (a representative of one plan rack must not stand in for
+    /// another's: the hot-spot term differs), with the plan's own servers
+    /// inside those classes, under both hot-spot variants.
+    #[test]
+    fn plan_scoring_equals_a_full_scan() {
+        let c = Cluster::new(ClusterSpec {
+            racks: 3,
+            servers_per_rack: 24,
+            gpus_per_server: 4,
+            oversubscription: 8.0,
+            ..ClusterSpec::paper_default()
+        });
+        let capacity = c.spec().server_link_gbps;
+        let mut fb = FlatBatch::new(&c);
+        // Background: racks 0 and 1 carry the same uplink load (so their
+        // idle servers share one PS class), rack 2 a different one.
+        let background = [
+            Placement::new(vec![(ServerId(1), 2), (ServerId(25), 2)], Some(ServerId(2))),
+            Placement::new(vec![(ServerId(30), 3), (ServerId(50), 1), (ServerId(51), 1)], Some(ServerId(52))),
+            Placement::new(vec![(ServerId(60), 4), (ServerId(61), 2)], Some(ServerId(61))),
+        ];
+        let mut inc = IncrementalEstimator::new(&c, &[]);
+        for (i, p) in background.iter().enumerate() {
+            assert!(fb.commit(p));
+            inc.push(&c, PlacedJob::new(JobId(100 + i as u64), &c, p));
+        }
+        let state = inc.state();
+        fb.index.refresh(&fb.topo, &fb.gpus_free, state);
+
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let mut scratch = std::mem::take(&mut fb.scratch);
+        let mut tally = ScoreTally::default();
+        for hotspot in [HotSpotTerm::RewardBottleneckShare, HotSpotTerm::PaperLiteral] {
+            let placer = NetPackPlacer::new(NetPackConfig {
+                hotspot,
+                ..NetPackConfig::default()
+            });
+            for case in 0..300 {
+                let mut servers: Vec<ServerId> = Vec::new();
+                for _ in 0..2 + below(5) {
+                    let s = ServerId(below(72));
+                    if fb.gpus_free[s.0] > 0 && !servers.contains(&s) {
+                        servers.push(s);
+                    }
+                }
+                let plan = WorkerPlan {
+                    gpus: servers.iter().map(|s| fb.gpus_free[s.0] as usize).sum(),
+                    servers,
+                    max_flows: below(6) as u32,
+                    value: below(400) as f64 * 0.5,
+                };
+                let got =
+                    placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, &plan, &mut tally);
+                let stamp = scratch.begin(&fb.topo, &fb.gpus_free, &plan);
+                let mut want: Option<(f64, ServerId)> = None;
+                for sid in 0..72 {
+                    let score = placer
+                        .score_candidate_flat(&fb, &scratch, &c, state, capacity, &plan, sid, stamp);
+                    if want.is_none_or(|(b, _)| score > b) {
+                        want = Some((score, ServerId(sid)));
+                    }
+                }
+                let bits = |r: Option<(f64, ServerId)>| r.map(|(score, sid)| (score.to_bits(), sid));
+                assert_eq!(bits(got), bits(want), "{hotspot:?} case {case}: {plan:?}");
+            }
+        }
+        assert!(tally.rack_skipped > 0 && tally.evals < 600 * 72 / 2);
     }
 
     /// Class keys separate servers whose racks differ in uplink load.

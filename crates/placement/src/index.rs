@@ -129,6 +129,16 @@ impl<K: ClassKey> Partition<K> {
         self.keys.iter().zip(&self.members)
     }
 
+    /// Class ids in use, dead classes included: `class_of` is below this.
+    pub(crate) fn num_classes(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The class `server` is currently filed under.
+    pub(crate) fn class_of(&self, server: usize) -> usize {
+        self.class_of[server] as usize
+    }
+
     /// The key `server` is currently filed under.
     fn key_of(&self, server: usize) -> &K {
         &self.keys[self.class_of[server] as usize]

@@ -4,7 +4,7 @@ use crate::placer::{BatchOutcome, Placer, RunningJob};
 use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::{JobHierarchy, Placement};
 use netpack_topology::{Cluster, RackId, ServerId};
-use netpack_waterfill::{estimate, PlacedJob, SteadyState};
+use netpack_waterfill::{estimate, PlacedJob, SteadyState, WaterfillStats};
 use netpack_workload::Job;
 
 /// How the PS-placement score treats the hot-spot term of Equation 1.
@@ -76,6 +76,18 @@ impl Default for NetPackConfig {
     }
 }
 
+/// Fold water-filling `work` (an estimator's counters, or the difference of
+/// two readings) into the placer's `waterfill_*` perf counters.
+pub(crate) fn record_waterfill(perf: &mut PerfCounters, work: WaterfillStats) {
+    perf.incr("waterfill_pushes", work.pushes);
+    perf.incr("waterfill_jobs_resolved", work.jobs_resolved);
+    perf.incr("waterfill_jobs_reused", work.jobs_reused);
+    perf.incr("waterfill_components_solved", work.components_solved);
+    perf.incr("waterfill_rounds", work.rounds);
+    perf.incr("waterfill_link_visits", work.link_visits);
+    perf.incr("waterfill_unconverged", work.unconverged);
+}
+
 /// The paper's job-placement system (Algorithm 2):
 ///
 /// 1. **FindSubset** — knapsack over free GPUs, maximizing aged job value;
@@ -116,8 +128,9 @@ impl NetPackPlacer {
     }
 
     /// Perf counters accumulated over every `place_batch` call so far:
-    /// water-fill work (`waterfill_*`), candidate-scoring volume
-    /// (`plans_considered`, `ps_candidates_scored`), server-index upkeep
+    /// water-fill work (`waterfill_*`, of which `waterfill_unconverged`
+    /// must read 0), candidate-scoring volume (`plans_considered`,
+    /// `ps_candidates_scored`, `ps_rack_servers_skipped`), server-index upkeep
     /// (`index_*`), and phase timers (`place_batch`, `place_one`,
     /// `worker_dp`, `ps_scoring`, `waterfill_solve`).
     pub fn perf(&self) -> &PerfCounters {
@@ -160,49 +173,47 @@ impl NetPackPlacer {
         match self.config.hotspot {
             HotSpotTerm::PaperLiteral => {
                 let literal = capacity / f64::from(f_max.max(1));
-                let worst = self
-                    .rack_shares(cluster, state, rack_workers, ps_rack)
-                    .fold(share, f64::max);
+                let worst = Self::fold_rack_shares(cluster, state, rack_workers, ps_rack, share, f64::max);
                 -worst.max(literal)
             }
             HotSpotTerm::RewardBottleneckShare => {
-                self.rack_shares(cluster, state, rack_workers, ps_rack)
-                    .fold(share, f64::min)
+                Self::fold_rack_shares(cluster, state, rack_workers, ps_rack, share, f64::min)
             }
         }
     }
 
-    /// Expected per-flow share on each rack uplink the job would cross:
-    /// `C_rack / (FC_r + n_r)` with `FC_r` the existing uplink flows and
-    /// `n_r` the flows this job adds.
-    fn rack_shares<'a>(
-        &self,
-        cluster: &'a Cluster,
-        state: &'a SteadyState,
-        rack_workers: &'a [(RackId, u32)],
+    /// Fold `pick` from `init` over the expected per-flow share on each
+    /// rack uplink the job would cross — the plan's racks in order, then
+    /// the PS rack: `C_rack / (FC_r + n_r)` with `FC_r` the existing uplink
+    /// flows and `n_r` the flows this job adds. Runs once per PS
+    /// evaluation, millions of times a batch, so nothing is collected.
+    fn fold_rack_shares(
+        cluster: &Cluster,
+        state: &SteadyState,
+        rack_workers: &[(RackId, u32)],
         ps_rack: RackId,
-    ) -> impl Iterator<Item = f64> + 'a {
+        init: f64,
+        pick: impl Fn(f64, f64) -> f64,
+    ) -> f64 {
+        let share = |r: RackId, added: u32| {
+            let fc = state.link_flows(netpack_topology::LinkId::RackUplink(r), cluster);
+            cluster.racks()[r.0].uplink_gbps() / f64::from(fc + added)
+        };
         let mut inbound = 0u32;
-        let mut shares = Vec::with_capacity(rack_workers.len() + 1);
+        let mut acc = init;
         for &(r, w) in rack_workers {
             if r == ps_rack {
                 continue;
             }
-            let uplink = netpack_topology::LinkId::RackUplink(r);
-            let fc = state.link_flows(uplink, cluster);
-            let c_rack = cluster.racks()[r.0].uplink_gbps();
             // Pessimistic flow estimate: every worker in the rack streams
             // through the uplink unaggregated.
-            shares.push(c_rack / f64::from(fc + w));
+            acc = pick(acc, share(r, w));
             inbound += w;
         }
         if inbound > 0 {
-            let uplink = netpack_topology::LinkId::RackUplink(ps_rack);
-            let fc = state.link_flows(uplink, cluster);
-            let c_rack = cluster.racks()[ps_rack.0].uplink_gbps();
-            shares.push(c_rack / f64::from(fc + inbound));
+            acc = pick(acc, share(ps_rack, inbound));
         }
-        shares.into_iter()
+        acc
     }
 
     /// Step 4: selective INA enabling by aggregation efficiency.

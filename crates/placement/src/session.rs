@@ -30,7 +30,7 @@
 
 use crate::flat::FlatBatch;
 use crate::knapsack::select_job_subset;
-use crate::netpack::{NetPackConfig, NetPackPlacer};
+use crate::netpack::{record_waterfill, NetPackConfig, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::Placement;
@@ -272,17 +272,7 @@ impl NetPackSession {
             });
         }
 
-        let stats = *self.tracker.stats();
-        perf.incr("waterfill_pushes", stats.pushes - stats_before.pushes);
-        perf.incr(
-            "waterfill_jobs_resolved",
-            stats.jobs_resolved - stats_before.jobs_resolved,
-        );
-        perf.incr("waterfill_jobs_reused", stats.jobs_reused - stats_before.jobs_reused);
-        perf.incr(
-            "waterfill_components_solved",
-            stats.components_solved - stats_before.components_solved,
-        );
+        record_waterfill(&mut perf, *self.tracker.stats() - stats_before);
         perf.record("place_batch", batch_start.elapsed());
         self.placer.perf = perf;
         outcome

@@ -8,7 +8,7 @@ use netpack_placement::{
 };
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ClusterSpec, JobId, ServerId};
-use netpack_workload::{Job, ModelKind};
+use netpack_workload::{xorshift_batch, Job, ModelKind};
 use proptest::prelude::*;
 
 fn arb_cluster() -> impl Strategy<Value = Cluster> {
@@ -88,32 +88,17 @@ fn check_against_reference(
         prop_assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "threads={}", threads);
         let obj = batch_comm_time_s(cluster, running, &out.placed);
         prop_assert_eq!(obj.to_bits(), oracle_obj.to_bits());
+        prop_assert_eq!(placer.perf().counter("waterfill_unconverged"), 0);
     }
     Ok(())
 }
 
-/// Deterministic mixed batch of the `fig10_placement_time` binary.
-fn xorshift_batch(jobs: usize, max_gpus: usize, seed: u64) -> Vec<Job> {
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..jobs)
-        .map(|i| {
-            let gpus = (next() % max_gpus as u64).max(1) as usize;
-            let model = ModelKind::ALL[(next() % 6) as usize];
-            Job::builder(JobId(i as u64), model, gpus).build()
-        })
-        .collect()
-}
-
 /// Pinned inputs to the property: the four fig10 quick cells (servers in
 /// {100, 400} x jobs in {50, 100}), a mixed batch exercising local jobs,
-/// spanning jobs and deferral on a three-tier tree, and gradient sharding
-/// (`pses_per_job: 3`).
+/// spanning jobs and deferral on a three-tier tree, gradient sharding
+/// (`pses_per_job: 3`), and a dense cell — 2 racks x 64 servers, 60 jobs
+/// around a running cross-rack job — where every plan rack holds dozens
+/// of servers per PS class and the plan's own servers sit inside them.
 #[test]
 fn production_matches_reference_on_pinned_inputs() {
     let vgg = |id: u64, gpus: usize| Job::builder(JobId(id), ModelKind::Vgg16, gpus).build();
@@ -126,7 +111,7 @@ fn production_matches_reference_on_pinned_inputs() {
             ..ClusterSpec::paper_default()
         })
     };
-    let mut cases: Vec<(NetPackConfig, Cluster, Vec<Job>)> = Vec::new();
+    let mut cases: Vec<(NetPackConfig, Cluster, Vec<RunningJob>, Vec<Job>)> = Vec::new();
     for servers in [100usize, 400] {
         for jobs in [50usize, 100] {
             let cluster = Cluster::new(ClusterSpec {
@@ -134,12 +119,13 @@ fn production_matches_reference_on_pinned_inputs() {
                 servers_per_rack: servers / 16,
                 ..ClusterSpec::paper_default()
             });
-            cases.push((NetPackConfig::default(), cluster, xorshift_batch(jobs, 32, 7)));
+            cases.push((NetPackConfig::default(), cluster, vec![], xorshift_batch(jobs, 32, 7)));
         }
     }
     cases.push((
         NetPackConfig::default(),
         podded(6),
+        vec![],
         vec![vgg(0, 4), vgg(1, 6), vgg(2, 13), vgg(3, 2), vgg(4, 9), vgg(5, 40)],
     ));
     cases.push((
@@ -148,10 +134,26 @@ fn production_matches_reference_on_pinned_inputs() {
             ..NetPackConfig::default()
         },
         podded(4),
+        vec![],
         vec![vgg(0, 10), vgg(1, 7)],
     ));
-    for (config, cluster, batch) in &cases {
-        check_against_reference(config, cluster, &[], batch)
+    let mut dense = Cluster::new(ClusterSpec {
+        racks: 2,
+        servers_per_rack: 64,
+        oversubscription: 16.0,
+        ..ClusterSpec::paper_default()
+    });
+    let running = RunningJob {
+        id: JobId(1_000),
+        gradient_gbits: 4.0,
+        placement: Placement::new(vec![(ServerId(3), 2), (ServerId(70), 2)], Some(ServerId(5))),
+    };
+    for &(s, w) in running.placement.workers() {
+        dense.allocate_gpus(s, w).unwrap();
+    }
+    cases.push((NetPackConfig::default(), dense, vec![running], xorshift_batch(60, 32, 7)));
+    for (config, cluster, running, batch) in &cases {
+        check_against_reference(config, cluster, running, batch)
             .unwrap_or_else(|e| panic!("{} servers, {} jobs: {e:?}", cluster.num_servers(), batch.len()));
     }
 }

@@ -65,9 +65,11 @@
 
 use crate::waterfill::{
     empty_state, link_capacity, partition_components, solve_component, Dsu, PlacedJob,
+    SolveScratch,
 };
 use crate::SteadyState;
 use netpack_topology::{Cluster, JobId};
+use std::ops::{Add, Sub};
 
 /// Work counters for one estimator instance.
 ///
@@ -89,6 +91,51 @@ pub struct WaterfillStats {
     pub jobs_reused: u64,
     /// Resource-connected components re-solved.
     pub components_solved: u64,
+    /// Filling rounds run by those solves.
+    pub rounds: u64,
+    /// Live-link entries the per-round sweeps read (share minimum,
+    /// saturation check, recount after a PAT flip) — the solver's unit of
+    /// work once frozen jobs and drained links drop out of a round.
+    pub link_visits: u64,
+    /// Solves that hit the round bound with jobs still unfrozen. Always 0
+    /// unless the solver is broken: every round saturates a link or
+    /// exhausts a PAT pool.
+    pub unconverged: u64,
+}
+
+impl Add for WaterfillStats {
+    type Output = WaterfillStats;
+
+    fn add(self, other: WaterfillStats) -> WaterfillStats {
+        WaterfillStats {
+            pushes: self.pushes + other.pushes,
+            removes: self.removes + other.removes,
+            jobs_resolved: self.jobs_resolved + other.jobs_resolved,
+            jobs_reused: self.jobs_reused + other.jobs_reused,
+            components_solved: self.components_solved + other.components_solved,
+            rounds: self.rounds + other.rounds,
+            link_visits: self.link_visits + other.link_visits,
+            unconverged: self.unconverged + other.unconverged,
+        }
+    }
+}
+
+/// Work done between two readings of one estimator's counters.
+impl Sub for WaterfillStats {
+    type Output = WaterfillStats;
+
+    fn sub(self, before: WaterfillStats) -> WaterfillStats {
+        WaterfillStats {
+            pushes: self.pushes - before.pushes,
+            removes: self.removes - before.removes,
+            jobs_resolved: self.jobs_resolved - before.jobs_resolved,
+            jobs_reused: self.jobs_reused - before.jobs_reused,
+            components_solved: self.components_solved - before.components_solved,
+            rounds: self.rounds - before.rounds,
+            link_visits: self.link_visits - before.link_visits,
+            unconverged: self.unconverged - before.unconverged,
+        }
+    }
 }
 
 /// Algorithm 1 with a warm cache: re-solves only the component a pushed
@@ -116,6 +163,8 @@ pub struct IncrementalEstimator {
     scratch_members: Vec<usize>,
     /// Arena for the dirty component's resource nodes, ditto.
     scratch_dirty: Vec<usize>,
+    /// The solver's arenas (two of them cluster-sized), ditto.
+    scratch_solve: SolveScratch,
 }
 
 impl IncrementalEstimator {
@@ -123,11 +172,9 @@ impl IncrementalEstimator {
     pub fn new(cluster: &Cluster, jobs: &[PlacedJob]) -> Self {
         let mut state = empty_state(cluster, jobs);
         let mut stats = WaterfillStats::default();
+        let mut scratch_solve = SolveScratch::new(cluster);
         for group in partition_components(cluster, jobs) {
-            let members: Vec<&PlacedJob> = group.iter().map(|&i| &jobs[i]).collect();
-            solve_component(cluster, &members, &mut state);
-            stats.components_solved += 1;
-            stats.jobs_resolved += members.len() as u64;
+            solve_component(cluster, jobs, &group, &mut state, &mut scratch_solve, &mut stats);
         }
         let mut dsu = Dsu::new(cluster.num_links() + cluster.num_racks());
         let mut job_nodes = Vec::with_capacity(jobs.len());
@@ -148,6 +195,7 @@ impl IncrementalEstimator {
             network_jobs,
             scratch_members: Vec::new(),
             scratch_dirty: Vec::new(),
+            scratch_solve,
         }
     }
 
@@ -223,11 +271,15 @@ impl IncrementalEstimator {
             }
         }
 
-        let refs: Vec<&PlacedJob> = members.iter().map(|&i| &self.jobs[i]).collect();
-        solve_component(cluster, &refs, &mut self.state);
-        self.stats.components_solved += 1;
-        self.stats.jobs_resolved += refs.len() as u64;
-        self.stats.jobs_reused += self.network_jobs - refs.len() as u64;
+        solve_component(
+            cluster,
+            &self.jobs,
+            &members,
+            &mut self.state,
+            &mut self.scratch_solve,
+            &mut self.stats,
+        );
+        self.stats.jobs_reused += self.network_jobs - members.len() as u64;
         self.scratch_members = members;
         self.scratch_dirty = dirty;
     }
@@ -338,10 +390,14 @@ impl IncrementalEstimator {
             }
         }
         for (_, group) in &groups {
-            let refs: Vec<&PlacedJob> = group.iter().map(|&i| &self.jobs[i]).collect();
-            solve_component(cluster, &refs, &mut self.state);
-            self.stats.components_solved += 1;
-            self.stats.jobs_resolved += refs.len() as u64;
+            solve_component(
+                cluster,
+                &self.jobs,
+                group,
+                &mut self.state,
+                &mut self.scratch_solve,
+                &mut self.stats,
+            );
         }
         self.stats.jobs_reused += self.network_jobs - co.len() as u64;
     }

@@ -56,6 +56,8 @@
 //! for the invalidation rules.
 
 pub mod incremental;
+#[cfg(test)]
+mod literal;
 mod state;
 mod synchronous;
 mod waterfill;

@@ -9,7 +9,7 @@
 //! is exact, and it is what lets [`IncrementalEstimator`](crate::IncrementalEstimator)
 //! re-solve only the component a new job lands in.
 
-use crate::{SteadyState, EPSILON_GBPS};
+use crate::{SteadyState, WaterfillStats, EPSILON_GBPS};
 use netpack_model::{JobHierarchy, Placement};
 use netpack_topology::{Cluster, JobId, RackId};
 use std::collections::BTreeMap;
@@ -84,9 +84,7 @@ impl PlacedJob {
         let n_links = cluster.num_links();
         let mut nodes: Vec<usize> = Vec::new();
         for h in &self.components {
-            for (l, _) in h.link_flows(|_| false) {
-                nodes.push(l.index(cluster));
-            }
+            h.for_each_link_flow(|_| false, |l, _| nodes.push(l.index(cluster)));
         }
         if self.components.iter().any(JobHierarchy::ina_enabled) {
             for h in &self.components {
@@ -173,159 +171,219 @@ pub(crate) fn empty_state(cluster: &Cluster, jobs: &[PlacedJob]) -> SteadyState 
     }
 }
 
+/// Reusable arenas of [`solve_component`]. `link_total` and `rack_jobs` are
+/// cluster-sized and indexed by link / rack id; everything else is sized by
+/// the component. Nothing here carries meaning between solves — a solve
+/// resets what it reads — so one instance serves any sequence of them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SolveScratch {
+    /// Flows of unfrozen jobs per link, maintained across rounds.
+    link_total: Vec<u64>,
+    /// INA-enabled unfrozen jobs per rack (one per switch occurrence),
+    /// whatever the rack's PAT; only read for racks with PAT left.
+    rack_jobs: Vec<u32>,
+    /// Every link of the component, ascending.
+    links: Vec<usize>,
+    /// The links some unfrozen job still crosses, ascending.
+    live_links: Vec<usize>,
+    /// Racks an INA-enabled member aggregates at whose PAT is not yet
+    /// exhausted, ascending.
+    live_racks: Vec<usize>,
+    /// Unfrozen members (positions in `members`), in member order.
+    unfrozen: Vec<usize>,
+    /// Per-member `(link index, flow count)` runs, back to back; member `m`
+    /// owns `flows[flow_start[m]..flow_start[m + 1]]`. The link set of a
+    /// job never changes, so a PAT flip rewrites counts in place.
+    flows: Vec<(usize, u32)>,
+    flow_start: Vec<usize>,
+    /// Per-member switch (rack) occurrences, same layout.
+    switches: Vec<usize>,
+    switch_start: Vec<usize>,
+    ina_enabled: Vec<bool>,
+    rate: Vec<f64>,
+}
+
+impl SolveScratch {
+    pub(crate) fn new(cluster: &Cluster) -> Self {
+        SolveScratch {
+            link_total: vec![0; cluster.num_links()],
+            rack_jobs: vec![0; cluster.num_racks()],
+            ..SolveScratch::default()
+        }
+    }
+
+    /// (Re)write member `m`'s flow run: `job`'s flow counts while exactly
+    /// the pools with `pat` left aggregate.
+    fn write_flows(&mut self, cluster: &Cluster, m: usize, job: &PlacedJob, pat: &[f64]) {
+        let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
+        let start = self.flow_start[m];
+        let mut end = start;
+        let flows = &mut self.flows;
+        // One tree reports each link once; only sharded jobs can repeat a
+        // link across trees and need the merge.
+        let merge = job.components().len() > 1;
+        for h in job.components() {
+            h.for_each_link_flow(agg, |l, f| {
+                let idx = l.index(cluster);
+                if merge {
+                    if let Some(e) = flows[start..end].iter_mut().find(|(i, _)| *i == idx) {
+                        e.1 += f;
+                        return;
+                    }
+                }
+                if end == flows.len() {
+                    flows.push((idx, f));
+                } else {
+                    flows[end] = (idx, f);
+                }
+                end += 1;
+            });
+        }
+        debug_assert!(self.flow_start.get(m + 1).is_none_or(|&next| next == end));
+    }
+}
+
 /// Water-fill one resource-connected component in place.
 ///
-/// `members` must be exactly the network jobs of one component, in their
-/// global insertion order, and the component's links and PAT pools in
-/// `state` must be at virgin capacity with zero flow counts. Everything
-/// outside the component is left untouched, which is the invariant the
-/// incremental estimator builds on.
-pub(crate) fn solve_component(cluster: &Cluster, members: &[&PlacedJob], state: &mut SteadyState) {
+/// `members` must index exactly the network jobs of one component within
+/// `jobs`, in their global insertion order, and the component's links and
+/// PAT pools in `state` must be at virgin capacity with zero flow counts.
+/// Everything outside the component is left untouched, which is the
+/// invariant the incremental estimator builds on.
+///
+/// A round costs the links and jobs still *live*: per-link flow totals and
+/// per-rack job counts are carried across rounds (a job's share is
+/// subtracted when it freezes; a PAT flip, which changes flow counts,
+/// recounts), and the share minimum, the saturation check and the augment
+/// run over compacted lists of live links and unfrozen jobs. Both lists
+/// keep their original order, so every float operation happens on the same
+/// operands in the same sequence as a sweep over the whole component
+/// (`literal::solve_component`, the test oracle) — `DESIGN.md` §3.2.
+pub(crate) fn solve_component(
+    cluster: &Cluster,
+    jobs: &[PlacedJob],
+    members: &[usize],
+    state: &mut SteadyState,
+    scratch: &mut SolveScratch,
+    stats: &mut WaterfillStats,
+) {
     if members.is_empty() {
         return;
     }
-    let n_links = cluster.num_links();
-    let n_racks = cluster.num_racks();
+    stats.components_solved += 1;
+    stats.jobs_resolved += members.len() as u64;
     let bw = &mut state.link_residual;
     let pat = &mut state.pat_residual;
+    let s = scratch;
 
-    struct Active<'a> {
-        id: JobId,
-        components: &'a [JobHierarchy],
-        /// Cached (link index, flow count); refreshed when PAT states flip.
-        flows: Vec<(usize, u32)>,
-        /// Rack indices this job's components aggregate at while PAT
-        /// remains (one entry per component occurrence).
-        switches: Vec<usize>,
-        ina_enabled: bool,
-        rate: f64,
-        frozen: bool,
-    }
-    let mut active: Vec<Active<'_>> = members
-        .iter()
-        .map(|job| Active {
-            id: job.id,
-            components: job.components(),
-            flows: Vec::new(),
-            switches: job
-                .components()
-                .iter()
-                .flat_map(|h| h.switches())
-                .map(|r| r.0)
-                .collect(),
-            ina_enabled: job.components().iter().any(JobHierarchy::ina_enabled),
-            rate: 0.0,
-            frozen: false,
-        })
-        .collect();
-
-    // The component's own resource index lists; every per-round scan is
-    // restricted to these, so a small component in a big cluster stays
-    // cheap even though the state vectors are cluster-sized.
-    let mut links: Vec<usize> = Vec::new();
-    let mut racks: Vec<usize> = Vec::new();
-    for job in members {
+    // Per-member runs, the component's link list, and the rack counts.
+    s.flows.clear();
+    s.flow_start.clear();
+    s.switches.clear();
+    s.switch_start.clear();
+    s.ina_enabled.clear();
+    s.links.clear();
+    s.live_racks.clear();
+    for (m, &ji) in members.iter().enumerate() {
+        let job = &jobs[ji];
+        s.flow_start.push(s.flows.len());
+        s.write_flows(cluster, m, job, pat);
+        s.switch_start.push(s.switches.len());
         for h in job.components() {
-            for (l, _) in h.link_flows(|_| false) {
-                links.push(l.index(cluster));
-            }
+            s.switches.extend(h.remote_racks().iter().map(|&(r, _)| r.0));
+            s.switches.push(h.ps_rack().0);
+        }
+        let ina_enabled = job.components().iter().any(JobHierarchy::ina_enabled);
+        s.ina_enabled.push(ina_enabled);
+        if ina_enabled {
+            s.live_racks.extend_from_slice(&s.switches[s.switch_start[m]..]);
         }
     }
-    for a in &active {
-        if a.ina_enabled {
-            racks.extend(a.switches.iter().copied());
-        }
-    }
-    links.sort_unstable();
-    links.dedup();
-    racks.sort_unstable();
-    racks.dedup();
-
-    let mut unfrozen = active.len();
-    let mut flows_stale = true;
+    s.flow_start.push(s.flows.len());
+    s.switch_start.push(s.switches.len());
+    s.links.extend(s.flows.iter().map(|&(l, _)| l));
+    s.links.sort_unstable();
+    s.links.dedup();
+    s.live_racks.sort_unstable();
+    s.live_racks.dedup();
     // Round bound with headroom; the loop always exits earlier because
     // every round saturates a link or exhausts a PAT pool.
-    let max_rounds = 2 * (links.len() + racks.len()) + 8;
-    let mut link_flows_total = vec![0u64; n_links];
-    let mut rack_jobs = vec![0u32; n_racks];
-    let mut pat_was_live = vec![false; n_racks];
+    let max_rounds = 2 * (s.links.len() + s.live_racks.len()) + 8;
+    for &r in &s.live_racks {
+        s.rack_jobs[r] = 0;
+    }
+    for m in 0..members.len() {
+        if s.ina_enabled[m] {
+            for &r in &s.switches[s.switch_start[m]..s.switch_start[m + 1]] {
+                s.rack_jobs[r] += 1;
+            }
+        }
+    }
+    s.live_racks.retain(|&r| pat[r] > EPSILON_GBPS);
+    for &l in &s.links {
+        s.link_total[l] = 0;
+    }
+    for &(l, f) in &s.flows {
+        s.link_total[l] += u64::from(f);
+    }
+    s.live_links.clear();
+    s.live_links.extend(s.links.iter().copied().filter(|&l| s.link_total[l] > 0));
+    s.unfrozen.clear();
+    s.unfrozen.extend(0..members.len());
+    s.rate.clear();
+    s.rate.resize(members.len(), 0.0);
 
+    let mut flows_stale = false;
     for _ in 0..max_rounds {
-        if unfrozen == 0 {
+        if s.unfrozen.is_empty() {
             break;
         }
-        // UpdateFlows: recompute per-job link flows under the current
-        // PAT-residual predicate (only needed after a PAT flip).
+        stats.rounds += 1;
+        // UpdateFlows: a PAT pool ran dry last round, so the unfrozen
+        // jobs' flow counts changed — rewrite them and recount the links.
         if flows_stale {
-            for a in active.iter_mut().filter(|a| !a.frozen) {
-                let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
-                a.flows.clear();
-                for h in a.components {
-                    for (l, f) in h.link_flows(agg) {
-                        let idx = l.index(cluster);
-                        match a.flows.iter_mut().find(|(i, _)| *i == idx) {
-                            Some(e) => e.1 += f,
-                            None => a.flows.push((idx, f)),
-                        }
-                    }
+            for u in 0..s.unfrozen.len() {
+                let m = s.unfrozen[u];
+                s.write_flows(cluster, m, &jobs[members[m]], pat);
+            }
+            for &l in &s.live_links {
+                s.link_total[l] = 0;
+            }
+            for &m in &s.unfrozen {
+                for &(l, f) in &s.flows[s.flow_start[m]..s.flow_start[m + 1]] {
+                    s.link_total[l] += u64::from(f);
                 }
             }
+            stats.link_visits += s.live_links.len() as u64;
             flows_stale = false;
-        }
-
-        // Count flows per link and aggregating jobs per rack.
-        for &l in &links {
-            link_flows_total[l] = 0;
-        }
-        for &r in &racks {
-            rack_jobs[r] = 0;
-        }
-        for a in active.iter().filter(|a| !a.frozen) {
-            for &(l, f) in &a.flows {
-                link_flows_total[l] += u64::from(f);
-            }
-            if a.ina_enabled {
-                for &r in &a.switches {
-                    if pat[r] > EPSILON_GBPS {
-                        rack_jobs[r] += 1;
-                    }
-                }
-            }
         }
 
         // Minimum per-flow share across loaded links and switches.
         let mut delta = f64::INFINITY;
-        for &l in &links {
-            if link_flows_total[l] > 0 {
-                delta = delta.min((bw[l].max(0.0)) / link_flows_total[l] as f64);
+        for &l in &s.live_links {
+            delta = delta.min((bw[l].max(0.0)) / s.link_total[l] as f64);
+        }
+        for &r in &s.live_racks {
+            if s.rack_jobs[r] > 0 {
+                delta = delta.min((pat[r].max(0.0)) / f64::from(s.rack_jobs[r]));
             }
         }
-        for &r in &racks {
-            if rack_jobs[r] > 0 {
-                delta = delta.min((pat[r].max(0.0)) / f64::from(rack_jobs[r]));
-            }
-        }
+        stats.link_visits += 2 * s.live_links.len() as u64;
         if !delta.is_finite() {
             // No unfrozen job touches any link: freeze them all at their
             // current rate (degenerate but defensively handled).
-            for a in active.iter_mut().filter(|a| !a.frozen) {
-                a.frozen = true;
-            }
-            unfrozen = 0;
+            s.unfrozen.clear();
             break;
         }
 
         // Augment: raise every active job by delta, drain links and PAT.
-        for &r in &racks {
-            pat_was_live[r] = pat[r] > EPSILON_GBPS;
-        }
-        for a in active.iter_mut().filter(|a| !a.frozen) {
-            a.rate += delta;
-            for &(l, f) in &a.flows {
+        for &m in &s.unfrozen {
+            s.rate[m] += delta;
+            for &(l, f) in &s.flows[s.flow_start[m]..s.flow_start[m + 1]] {
                 bw[l] -= delta * f64::from(f);
             }
-            if a.ina_enabled {
-                for &r in &a.switches {
+            if s.ina_enabled[m] {
+                for &r in &s.switches[s.switch_start[m]..s.switch_start[m + 1]] {
                     if pat[r] > EPSILON_GBPS {
                         pat[r] -= delta;
                     }
@@ -333,47 +391,68 @@ pub(crate) fn solve_component(cluster: &Cluster, members: &[&PlacedJob], state: 
             }
         }
         // Pin near-zero residuals and detect PAT flips.
-        for &r in &racks {
-            if pat_was_live[r] && pat[r] <= EPSILON_GBPS {
+        s.live_racks.retain(|&r| {
+            let flipped = pat[r] <= EPSILON_GBPS;
+            if flipped {
                 pat[r] = 0.0;
                 flows_stale = true;
             }
-        }
+            !flipped
+        });
         let mut any_link_saturated = false;
-        for &l in &links {
-            if link_flows_total[l] > 0 && bw[l] <= EPSILON_GBPS {
+        for &l in &s.live_links {
+            if bw[l] <= EPSILON_GBPS {
                 bw[l] = bw[l].max(0.0);
                 any_link_saturated = true;
             }
         }
-        // Freeze jobs crossing a saturated link.
+        // Freeze jobs crossing a saturated link and take their flows out
+        // of the running totals.
         if any_link_saturated {
-            for a in active.iter_mut().filter(|a| !a.frozen) {
-                if a.flows
-                    .iter()
-                    .any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS)
-                {
-                    a.frozen = true;
-                    unfrozen -= 1;
+            let SolveScratch {
+                unfrozen,
+                flows,
+                flow_start,
+                switches,
+                switch_start,
+                ina_enabled,
+                link_total,
+                rack_jobs,
+                live_links,
+                ..
+            } = &mut *s;
+            unfrozen.retain(|&m| {
+                let run = &flows[flow_start[m]..flow_start[m + 1]];
+                let frozen = run.iter().any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS);
+                if frozen {
+                    for &(l, f) in run {
+                        link_total[l] -= u64::from(f);
+                    }
+                    if ina_enabled[m] {
+                        for &r in &switches[switch_start[m]..switch_start[m + 1]] {
+                            rack_jobs[r] -= 1;
+                        }
+                    }
                 }
-            }
+                !frozen
+            });
+            live_links.retain(|&l| link_total[l] > 0);
         }
     }
-    debug_assert_eq!(unfrozen, 0, "water-filling failed to converge");
+    stats.unconverged += u64::from(!s.unfrozen.is_empty());
 
     // Converged flow counts including frozen jobs, under the final PAT view
     // (a job's own switches are all inside its component, so the component
     // view and the global view agree), and residual clamping.
     let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
-    for a in &active {
-        state.job_rates.insert(a.id, a.rate);
-        for h in a.components {
-            for (l, f) in h.link_flows(agg) {
-                state.link_flows[l.index(cluster)] += f;
-            }
+    for (m, &ji) in members.iter().enumerate() {
+        let job = &jobs[ji];
+        state.job_rates.insert(job.id, s.rate[m]);
+        for h in job.components() {
+            h.for_each_link_flow(agg, |l, f| state.link_flows[l.index(cluster)] += f);
         }
     }
-    for &l in &links {
+    for &l in &s.links {
         bw[l] = bw[l].max(0.0);
     }
 }
@@ -426,10 +505,14 @@ pub(crate) fn partition_components(cluster: &Cluster, jobs: &[PlacedJob]) -> Vec
 /// See the crate-level example.
 pub fn estimate(cluster: &Cluster, jobs: &[PlacedJob]) -> SteadyState {
     let mut state = empty_state(cluster, jobs);
+    let mut scratch = SolveScratch::new(cluster);
+    let mut stats = WaterfillStats::default();
     for group in partition_components(cluster, jobs) {
-        let members: Vec<&PlacedJob> = group.iter().map(|&i| &jobs[i]).collect();
-        solve_component(cluster, &members, &mut state);
+        solve_component(cluster, jobs, &group, &mut state, &mut scratch, &mut stats);
     }
+    // This entry point has no counters to report through; the estimator
+    // surfaces the same count as `WaterfillStats::unconverged`.
+    debug_assert_eq!(stats.unconverged, 0, "water-filling failed to converge");
     state
 }
 

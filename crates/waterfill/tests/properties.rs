@@ -82,6 +82,173 @@ fn arb_jobs(cluster: &Cluster) -> impl Strategy<Value = Vec<PlacedJob>> {
     })
 }
 
+/// Clusters whose PAT pools range from absent through "runs dry while jobs
+/// are still filling" to "never binds", with oversubscribed uplinks.
+fn arb_pat_cluster() -> impl Strategy<Value = Cluster> {
+    (1usize..4, 2usize..6, 0usize..6, 1u32..5).prop_map(|(racks, spr, pat, oversub)| {
+        Cluster::new(ClusterSpec {
+            racks,
+            servers_per_rack: spr,
+            gpus_per_server: 4,
+            server_link_gbps: 100.0,
+            pat_gbps: [0.0, 5.0, 20.0, 50.0, 100.0, 1000.0][pat],
+            oversubscription: oversub as f64,
+            rtt_us: 50.0,
+            racks_per_pod: None,
+        })
+    })
+}
+
+/// Like [`arb_jobs`], with one to three PSes per job (sharded trees).
+fn arb_sharded_jobs(cluster: &Cluster) -> impl Strategy<Value = Vec<PlacedJob>> {
+    let ns = cluster.num_servers();
+    let cluster = cluster.clone();
+    let job = (
+        proptest::collection::btree_map(0..ns, 1usize..4, 1..4.min(ns + 1)),
+        proptest::collection::vec(0..ns, 1..4),
+        any::<bool>(),
+    );
+    proptest::collection::vec(job, 1..10).prop_map(move |raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (workers, pses, ina))| {
+                let workers = workers.into_iter().map(|(s, w)| (ServerId(s), w)).collect();
+                let mut p = Placement::new_sharded(workers, pses.into_iter().map(ServerId).collect());
+                p.set_ina_enabled(ina);
+                PlacedJob::new(JobId(i as u64), &cluster, &p)
+            })
+            .collect()
+    })
+}
+
+/// Algorithm 1's fixed point, checked from the converged rates alone.
+///
+/// While a job is unfrozen its rate *is* the water level, so rack `r`'s
+/// pool runs dry at one level `rho_r` and a job with final rate `x`
+/// aggregated there over `[0, min(x, rho_r))`. That fixes, without
+/// replaying any round, what every job drew from every pool and every
+/// link; the state must account for exactly that (feasibility: nothing
+/// over capacity, residual = capacity - draw), and every network job must
+/// cross a saturated link on which nobody runs faster (max-min: raising
+/// it would take from a job that is no better off).
+fn check_two_resource_max_min(
+    cluster: &Cluster,
+    jobs: &[PlacedJob],
+    state: &SteadyState,
+) -> Result<(), TestCaseError> {
+    const TOL: f64 = 1e-6;
+    let network: Vec<(&PlacedJob, f64)> = jobs
+        .iter()
+        .filter(|j| j.is_network())
+        .map(|j| (j, state.job_rate_gbps(j.id()).expect("rate for every job")))
+        .collect();
+    let top = network.iter().map(|&(_, x)| x).fold(0.0, f64::max);
+    // Draw on rack r's pool if it ran dry at level `rho`.
+    let pool_draw = |r: usize, rho: f64| -> f64 {
+        network
+            .iter()
+            .flat_map(|&(j, x)| j.components().iter().map(move |h| (h, x)))
+            .filter(|(h, _)| h.ina_enabled())
+            .map(|(h, x)| {
+                let here = h.switches().iter().filter(|s| s.0 == r).count();
+                here as f64 * x.min(rho)
+            })
+            .sum()
+    };
+    let mut rho = vec![f64::INFINITY; cluster.num_racks()];
+    for (r, level) in rho.iter_mut().enumerate() {
+        let pat = cluster.racks()[r].pat_gbps();
+        let left = state.pat_residual_gbps(RackId(r));
+        prop_assert!((0.0..=pat + TOL).contains(&left), "pool {r} residual {left}");
+        if state.rack_aggregating(RackId(r)) {
+            let draw = pool_draw(r, f64::INFINITY);
+            prop_assert!((pat - draw - left).abs() <= TOL, "pool {r}: {pat} - {draw} != {left}");
+            continue;
+        }
+        // Dry: the level at which the draw reached the pool, by bisection
+        // (the draw is continuous and non-decreasing in the level).
+        prop_assert!(pool_draw(r, top) >= pat - TOL, "pool {r} reads dry but was not drawn down");
+        let (mut lo, mut hi) = (0.0, top);
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if pool_draw(r, mid) < pat - 1e-9 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        *level = hi;
+    }
+    // Per-link draw: integrate each tree's flow count over the level,
+    // piecewise between the dry-up levels of its own switches.
+    let mut draw = vec![0.0; cluster.num_links()];
+    for &(job, x) in &network {
+        for h in job.components() {
+            let mut cuts: Vec<f64> = h.switches().iter().map(|s| rho[s.0]).filter(|&c| c < x).collect();
+            cuts.push(x);
+            cuts.sort_by(f64::total_cmp);
+            let mut from = 0.0;
+            for to in cuts {
+                if to > from {
+                    let mid = 0.5 * (from + to);
+                    for (l, f) in h.link_flows(|r| mid < rho[r.0]) {
+                        draw[l.index(cluster)] += f64::from(f) * (to - from);
+                    }
+                    from = to;
+                }
+            }
+        }
+    }
+    for (l, &used) in draw.iter().enumerate() {
+        let link = LinkId::from_index(l, cluster);
+        let cap = link.capacity_gbps(cluster);
+        let left = state.link_residual_gbps(link, cluster);
+        prop_assert!(used <= cap + TOL, "{link} over capacity: {used} > {cap}");
+        prop_assert!((cap - used - left).abs() <= TOL, "{link}: {cap} - {used} != {left}");
+    }
+    for &(job, x) in &network {
+        let bottlenecked = job.components().iter().any(|h| {
+            h.link_flows(|r| state.rack_aggregating(r)).iter().any(|&(l, _)| {
+                let crossers_no_faster = network.iter().all(|&(other, y)| {
+                    let crosses = other.components().iter().any(|oh| {
+                        oh.link_flows(|_| false).iter().any(|&(ol, _)| ol == l)
+                    });
+                    !crosses || y <= x + TOL
+                });
+                state.link_residual_gbps(l, cluster) <= TOL && crossers_no_faster
+            })
+        });
+        prop_assert!(bottlenecked, "job {} could still rise", job.id());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The paper-level statement of Algorithm 1 (ROADMAP item 4d): the
+    /// estimate is feasible on every link and PAT pool and max-min fair,
+    /// on components with PAT flips, colocated and sharded PSes and
+    /// multi-rack jobs — and the warm estimator, fed the same jobs one by
+    /// one, reports that no solve ran out of rounds.
+    #[test]
+    fn estimate_is_the_two_resource_max_min_fixed_point(
+        (cluster, jobs) in arb_pat_cluster().prop_flat_map(|c| {
+            let jobs = arb_sharded_jobs(&c);
+            (Just(c), jobs)
+        })
+    ) {
+        check_two_resource_max_min(&cluster, &jobs, &estimate(&cluster, &jobs))?;
+        let mut inc = IncrementalEstimator::new(&cluster, &[]);
+        for job in &jobs {
+            inc.push(&cluster, job.clone());
+        }
+        check_two_resource_max_min(&cluster, &jobs, inc.state())?;
+        prop_assert_eq!(inc.stats().unconverged, 0);
+        prop_assert!(inc.stats().rounds >= inc.stats().components_solved);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -209,6 +376,7 @@ proptest! {
         // solving at every prefix would (and usually does much less).
         let scratch_work: u64 = (1..=jobs.len() as u64).sum();
         prop_assert!(inc.stats().jobs_resolved <= scratch_work);
+        prop_assert_eq!(inc.stats().unconverged, 0);
     }
 
     /// Interleaved add/remove sequences keep the warm estimator
@@ -254,6 +422,7 @@ proptest! {
             let scratch = estimate(&cluster, &live);
             assert_bitwise_match(&cluster, inc.state(), &scratch, &live)?;
         }
+        prop_assert_eq!(inc.stats().unconverged, 0);
     }
 
     /// Scale invariance: doubling all capacities (links and PAT) doubles

@@ -139,6 +139,37 @@ impl JobBuilder {
     }
 }
 
+/// The Fig. 10 batch: `jobs` jobs with ids `0..jobs`, GPU demands in
+/// `1..max_gpus` and models drawn by a xorshift64 stream from `seed`
+/// (0 is mapped to 1, the stream's fixed point being 0). One definition
+/// shared by the placement-time binaries, the criterion bench and the
+/// production ≡ reference tests, so they all place the same batches.
+///
+/// # Example
+///
+/// ```
+/// let batch = netpack_workload::xorshift_batch(50, 32, 7);
+/// assert_eq!(batch.len(), 50);
+/// assert!(batch.iter().all(|j| (1..32).contains(&j.gpus)));
+/// assert_eq!(batch, netpack_workload::xorshift_batch(50, 32, 7));
+/// ```
+pub fn xorshift_batch(jobs: usize, max_gpus: usize, seed: u64) -> Vec<Job> {
+    let mut state = seed.max(1);
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..jobs)
+        .map(|i| {
+            let gpus = (next() % max_gpus as u64).max(1) as usize;
+            let model = ModelKind::ALL[(next() % 6) as usize];
+            Job::builder(JobId(i as u64), model, gpus).build()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

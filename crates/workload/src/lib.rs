@@ -32,6 +32,6 @@ mod model;
 mod trace;
 
 pub use csv::{ParseTraceError, TRACE_CSV_HEADER};
-pub use job::{Job, JobBuilder};
+pub use job::{xorshift_batch, Job, JobBuilder};
 pub use model::ModelKind;
 pub use trace::{ArrivalProcess, Trace, TraceKind, TraceSpec};

@@ -12,7 +12,9 @@
 # workspace test suite, the doctests, the fig9/fig14 two-mode smokes, the
 # fig10_xl smoke (the binary asserts production == the literal algorithm;
 # its digest must be byte-identical at NETPACK_THREADS=1 and 4), the
-# service determinism smoke (two identical deterministic 10K-job
+# fig10 dense smoke (the same contract on a 16-rack x 64-server, 200-job
+# cell, where PS scoring dedups per rack and water-fill components are
+# large), the service determinism smoke (two identical deterministic 10K-job
 # bench_service runs at one worker and one at NETPACK_THREADS=4 must be
 # byte-identical, stdout + event log), and the index smoke (a 2 000-job
 # deterministic replay of a *debug* build, so the placement path's debug
@@ -76,6 +78,18 @@ if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_t4"); then
     exit 1
 fi
 printf '%s\n' "$xl_t1"
+
+echo "==> fig10 dense smoke: production == reference (in-binary), digest identical at 1 and 4 workers"
+# Many servers per rack and many contending jobs: the per-rack PS-class
+# representatives and the live-link water-fill rounds are the bill here.
+dense_t1=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 ./target/release/fig10_placement_time)
+dense_t4=$(NETPACK_SMOKE=1 NETPACK_THREADS=4 ./target/release/fig10_placement_time)
+if ! diff <(printf '%s\n' "$dense_t1") <(printf '%s\n' "$dense_t4"); then
+    echo "check.sh: fig10 dense smoke DIVERGED between NETPACK_THREADS=1 and 4" >&2
+    exit 1
+fi
+printf '%s\n' "$dense_t1" | head -n 1
+printf '%s\n' "$dense_t1" | tail -n 1
 
 echo "==> service smoke: deterministic 10K-job replay must be byte-reproducible"
 # NETPACK_SERVICE_MODE is pinned explicitly: this smoke is the registered
