@@ -12,11 +12,13 @@
 //!
 //! 1. **A persistent server-class index** ([`ServerIndex`]). Servers stay
 //!    bucketed across jobs, by DP weight-and-value for candidate selection
-//!    and by PS-score key for PS scoring; each spanning job re-keys only
-//!    the servers the previous placements changed. Candidate selection
-//!    offers [`CandidateFilter`] the first `⌊g_max/w⌋` members of each
-//!    filter class — the rest lose to class-mates of equal value and lower
-//!    id, so the kept set is exactly the full scan's.
+//!    and by PS-score key for PS scoring; each job re-keys only the servers
+//!    the ledger's and the estimator's change journals name, so its cost
+//!    follows what changed, not the cluster size. The single-server
+//!    shortcut reads the front member of each filter class, and candidate
+//!    selection offers [`CandidateFilter`] the first `⌊g_max/w⌋` members —
+//!    the rest lose to class-mates of equal value and lower id, so both
+//!    pick exactly what a scan of every server picks.
 //! 2. **Class-deduplicated PS scoring.** For a fixed plan, the score of a
 //!    PS candidate that hosts none of the plan's workers is a pure function
 //!    of `(flows, avail, rack uplink flows, rack uplink capacity)` — its
@@ -32,8 +34,9 @@
 //!    cloned — worker commitment is a private integer ledger.
 
 use crate::dp::{WorkerDp, WorkerPlan};
-use crate::index::ServerIndex;
+use crate::index::{RefreshStats, ServerIndex};
 use crate::knapsack::select_job_subset;
+use crate::ledger::GpuLedger;
 use crate::netpack::{record_waterfill, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
@@ -54,13 +57,9 @@ pub(crate) struct FlatBatch {
     topo: FlatTopology,
     /// Free GPUs per server — the flat path's own ledger; the `Cluster`
     /// is never cloned or mutated.
-    gpus_free: Vec<u32>,
-    /// `servers_with_free[w]` = servers with exactly `w` free GPUs, kept in
-    /// step with `gpus_free`; answers "can any server hold this job whole"
-    /// without a scan.
-    servers_with_free: Vec<u32>,
-    /// Server classes for candidate selection and PS scoring; built by the
-    /// first spanning job, refreshed by every later one.
+    ledger: GpuLedger,
+    /// Server classes for the single-server shortcut, candidate selection
+    /// and PS scoring; built by the first job, refreshed by every later one.
     index: ServerIndex,
     // -- per-plan scratch (stamped, never cleared) --
     /// The master [`PlanScratch`], used by every sequential plan loop.
@@ -175,21 +174,11 @@ fn grab_slot<T>(pool: &[Mutex<T>]) -> std::sync::MutexGuard<'_, T> {
 impl FlatBatch {
     pub(crate) fn new(cluster: &Cluster) -> Self {
         let topo = FlatTopology::new(cluster);
-        let gpus_free: Vec<u32> = cluster
-            .servers()
-            .iter()
-            .map(|s| s.gpus_free() as u32)
-            .collect();
         let mut scratch = PlanScratch::default();
         scratch.ensure(topo.num_servers(), topo.num_racks());
-        let mut servers_with_free = vec![0; topo.gpus_per_server() + 1];
-        for &free in &gpus_free {
-            servers_with_free[free as usize] += 1;
-        }
         FlatBatch {
             topo,
-            gpus_free,
-            servers_with_free,
+            ledger: GpuLedger::new(cluster),
             index: ServerIndex::new(),
             scratch,
             plan_pool: Vec::new(),
@@ -200,7 +189,7 @@ impl FlatBatch {
     /// The per-server free-GPU ledger.
     #[cfg(test)]
     pub(crate) fn ledger(&self) -> &[u32] {
-        &self.gpus_free
+        self.ledger.free()
     }
 
     /// Grow the plan-scoring scratch pool to `workers` entries.
@@ -218,13 +207,11 @@ impl FlatBatch {
     /// nothing) if any worker would overdraw — the DP guarantees this
     /// never happens, but the ledger refuses rather than panics.
     pub(crate) fn commit(&mut self, placement: &Placement) -> bool {
-        let fits = placement
-            .workers()
-            .iter()
-            .all(|&(s, w)| w <= self.gpus_free[s.0] as usize);
+        let free = self.ledger.free();
+        let fits = placement.workers().iter().all(|&(s, w)| w <= free[s.0] as usize);
         if fits {
             for &(s, w) in placement.workers() {
-                self.set_free(s.0, self.gpus_free[s.0] - w as u32);
+                self.ledger.set_free(s.0, self.ledger.free()[s.0] - w as u32);
             }
         }
         fits
@@ -238,7 +225,7 @@ impl FlatBatch {
     pub(crate) fn credit(&mut self, placement: &Placement) -> Result<(), TopologyError> {
         let gps = self.topo.gpus_per_server();
         for &(server, released) in placement.workers() {
-            let free = self.gpus_free[server.0] as usize;
+            let free = self.ledger.free()[server.0] as usize;
             if free + released > gps {
                 return Err(TopologyError::ReleaseOverflow {
                     server,
@@ -248,26 +235,37 @@ impl FlatBatch {
             }
         }
         for &(s, w) in placement.workers() {
-            self.set_free(s.0, self.gpus_free[s.0] + w as u32);
+            self.ledger.set_free(s.0, self.ledger.free()[s.0] + w as u32);
         }
         Ok(())
     }
 
-    fn set_free(&mut self, server: usize, free: u32) {
-        self.servers_with_free[self.gpus_free[server] as usize] -= 1;
-        self.servers_with_free[free as usize] += 1;
-        self.gpus_free[server] = free;
+    /// Bring the index up to date from the ledger's journal and `inc`'s,
+    /// and clear both.
+    fn refresh_index(&mut self, inc: &mut IncrementalEstimator) -> RefreshStats {
+        let refreshed = self.index.refresh(
+            &self.topo,
+            self.ledger.free(),
+            inc.state(),
+            self.ledger.journal(),
+            inc.journal(),
+        );
+        self.ledger.clear_journal();
+        inc.clear_journal();
+        refreshed
     }
 
-    /// Whether some server has at least `gpus` GPUs free.
-    fn any_server_fits(&self, gpus: usize) -> bool {
-        self.servers_with_free.iter().skip(gpus).any(|&count| count > 0)
-    }
-
-    /// Test oracle: the index, refreshed against `state`, must equal a
-    /// from-scratch build (`Ok` before the first spanning job built it).
-    pub(crate) fn audit_index(&self, state: &SteadyState) -> Result<(), String> {
-        self.index.audit(&self.topo, &self.gpus_free, state)
+    /// Oracle: the index, caught up through the ledger's pending journal
+    /// and `inc`'s and through nothing else, must equal a from-scratch
+    /// build over `inc`'s steady state.
+    pub(crate) fn audit_index(&self, inc: &IncrementalEstimator) -> Result<(), String> {
+        self.index.audit(
+            &self.topo,
+            self.ledger.free(),
+            inc.state(),
+            self.ledger.journal(),
+            inc.journal(),
+        )
     }
 }
 
@@ -288,7 +286,7 @@ impl NetPackPlacer {
     ) -> f64 {
         let chosen = ps.chosen_stamp[sid] == stamp;
         let eps = u32::from(!chosen);
-        let own_workers = if chosen { fb.gpus_free[sid] } else { 0 };
+        let own_workers = if chosen { fb.ledger.free()[sid] } else { 0 };
         let s_flows = state.server_flows(ServerId(sid)) + own_workers;
         let f_max = plan.max_flows.max(s_flows + eps);
         let avail = state.server_available_gbps(ServerId(sid));
@@ -319,7 +317,7 @@ impl NetPackPlacer {
         plan: &WorkerPlan,
         tally: &mut ScoreTally,
     ) -> Option<(f64, ServerId)> {
-        let stamp = ps.begin(&fb.topo, &fb.gpus_free, plan);
+        let stamp = ps.begin(&fb.topo, fb.ledger.free(), plan);
         let mut best: Option<(f64, usize)> = None;
         let consider = |score: f64, sid: usize, best: &mut Option<(f64, usize)>| {
             let wins = match *best {
@@ -373,55 +371,46 @@ impl NetPackPlacer {
     }
 
     /// `place_one` over the flat arrays: identical algorithm, integer
-    /// indices, index-fed selection, deduplicated scoring.
+    /// indices, index-fed shortcut and selection, deduplicated scoring.
+    /// Scores against `inc`'s steady state and drains its change journal.
     pub(crate) fn place_one_flat(
         &self,
         fb: &mut FlatBatch,
         cluster: &Cluster,
-        state: &SteadyState,
+        inc: &mut IncrementalEstimator,
         job: &Job,
         perf: &mut PerfCounters,
     ) -> Option<Placement> {
-        let n = fb.topo.num_servers();
         let threads = self.threads();
-        // Single-server shortcut: tightest fit, ties toward the most
-        // residual bandwidth, first wins (= the reference's `min_by`).
-        let scan_start = Stopwatch::start();
-        let mut single: Option<(usize, f64, usize)> = None;
-        let scan = if fb.any_server_fits(job.gpus) { 0..n } else { 0..0 };
-        for s in scan {
-            let free = fb.gpus_free[s] as usize;
-            if free < job.gpus {
-                continue;
-            }
-            let d = free - job.gpus;
-            let avail = state.server_available_gbps(ServerId(s));
-            let wins = match single {
-                None => true,
-                Some((bd, bavail, _)) => {
-                    d < bd
-                        || (d == bd
-                            && avail.total_cmp(&bavail) == std::cmp::Ordering::Greater)
-                }
-            };
-            if wins {
-                single = Some((d, avail, s));
-            }
-        }
-        perf.record("single_scan", scan_start.elapsed());
-        if let Some((_, _, s)) = single {
-            return Some(Placement::local(ServerId(s), job.gpus));
-        }
-
         // Bring the server index up to date with whatever the ledger and
-        // the estimator did since the last spanning job.
+        // the estimator did since the last job.
         let class_start = Stopwatch::start();
-        let refreshed = fb.index.refresh(&fb.topo, &fb.gpus_free, state);
+        let refreshed = fb.refresh_index(inc);
         perf.record("class_build", class_start.elapsed());
         perf.incr("index_rebuilds", refreshed.rebuilds);
         perf.incr("index_rekeyed", refreshed.rekeyed);
+        perf.incr("index_journal_servers", refreshed.journal_servers);
         perf.incr("index_classes", refreshed.classes);
-        debug_assert_eq!(fb.audit_index(state), Ok(()));
+        debug_assert_eq!(fb.audit_index(inc), Ok(()));
+        let state = inc.state();
+
+        // Single-server shortcut: tightest fit, ties toward the most
+        // residual bandwidth, first wins (= the reference's `min_by`),
+        // read off the filter classes' front members.
+        let scan_start = Stopwatch::start();
+        let single = if fb.ledger.any_server_fits(job.gpus) {
+            fb.index.tightest_fit(job.gpus)
+        } else {
+            None
+        };
+        perf.record("single_scan", scan_start.elapsed());
+        debug_assert_eq!(
+            single,
+            fb.ledger.scan_tightest_fit(state.servers_available_gbps(), job.gpus)
+        );
+        if let Some(s) = single {
+            return Some(Placement::local(ServerId(s), job.gpus));
+        }
 
         // Index-fed candidate selection feeding the same pruned DP as the
         // reference (`ServerIndex::offer_candidates` says why the kept set
@@ -518,9 +507,9 @@ impl NetPackPlacer {
         } else {
             let mut scratch = std::mem::take(&mut fb.scratch);
             let mut scored = std::mem::take(&mut fb.ps_scored);
-            let stamp = scratch.begin(&fb.topo, &fb.gpus_free, plan);
+            let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
             scored.clear();
-            for sid in 0..n {
+            for sid in 0..fb.topo.num_servers() {
                 let score =
                     self.score_candidate_flat(fb, &scratch, cluster, state, capacity, plan, sid, stamp);
                 scored.push((score, ServerId(sid)));
@@ -546,7 +535,7 @@ impl NetPackPlacer {
         let mut workers: Vec<(ServerId, usize)> = plan
             .servers
             .iter()
-            .map(|&s| (s, fb.gpus_free[s.0] as usize))
+            .map(|&s| (s, fb.ledger.free()[s.0] as usize))
             .collect();
         let mut surplus = plan.gpus.checked_sub(job.gpus)?;
         while surplus > 0 {
@@ -605,7 +594,7 @@ impl NetPackPlacer {
         // before it left (Algorithm 2 line 7), kept warm by the estimator.
         for job in ordered {
             let one_start = Stopwatch::start();
-            let placed = self.place_one_flat(&mut fb, cluster, inc.state(), job, &mut perf);
+            let placed = self.place_one_flat(&mut fb, cluster, &mut inc, job, &mut perf);
             perf.record("place_one", one_start.elapsed());
             match placed {
                 Some(placement) if fb.commit(&placement) => {
@@ -635,7 +624,6 @@ mod tests {
     use crate::netpack::{HotSpotTerm, NetPackConfig};
     use crate::placer::Placer;
     use netpack_topology::{ClusterSpec, JobId};
-    use netpack_waterfill::estimate;
     use netpack_workload::ModelKind;
 
     fn cluster(racks: usize, spr: usize, gps: usize) -> Cluster {
@@ -670,31 +658,28 @@ mod tests {
         }
     }
 
-    /// The free-GPU histogram follows commit and credit, and a credit
-    /// that would overfill a server is refused whole.
+    /// "Does any server fit" follows commit and credit, both journal the
+    /// servers they write, and a credit that would overfill a server is
+    /// refused whole.
     #[test]
-    fn free_gpu_histogram_tracks_the_ledger() {
+    fn commit_and_credit_go_through_the_ledger() {
         let c = cluster(2, 2, 4);
         let mut fb = FlatBatch::new(&c);
-        let recount = |fb: &FlatBatch| {
-            let mut hist = vec![0u32; 5];
-            fb.gpus_free.iter().for_each(|&f| hist[f as usize] += 1);
-            hist
-        };
-        assert!(fb.any_server_fits(4) && !fb.any_server_fits(5));
+        assert!(fb.ledger.any_server_fits(4) && !fb.ledger.any_server_fits(5));
         let p = Placement::new(vec![(ServerId(0), 4), (ServerId(1), 1)], Some(ServerId(0)));
         let q = Placement::new(vec![(ServerId(2), 2), (ServerId(3), 3)], Some(ServerId(2)));
         assert!(fb.commit(&p) && fb.commit(&q));
-        assert_eq!(fb.servers_with_free, recount(&fb));
-        assert!(fb.any_server_fits(3) && !fb.any_server_fits(4));
+        assert_eq!(fb.ledger(), [0, 3, 2, 1]);
+        assert!(fb.ledger.any_server_fits(3) && !fb.ledger.any_server_fits(4));
         assert_eq!(fb.credit(&q), Ok(()));
-        assert_eq!(fb.servers_with_free, recount(&fb));
+        assert!(fb.ledger.any_server_fits(4));
+        assert_eq!(fb.ledger.journal(), [0, 1, 2, 3, 2, 3]);
         // Server 2 is full again: a second credit must change nothing,
         // not even server 3's share of it.
-        let before = fb.gpus_free.clone();
+        let before = fb.ledger().to_vec();
         assert!(matches!(fb.credit(&q), Err(TopologyError::ReleaseOverflow { .. })));
-        assert_eq!(fb.gpus_free, before);
-        assert_eq!(fb.servers_with_free, recount(&fb));
+        assert_eq!(fb.ledger(), before);
+        assert_eq!(fb.ledger.journal().len(), 6);
     }
 
     /// Per plan, the deduplicated scorer must pick what a scan of every
@@ -725,8 +710,8 @@ mod tests {
             assert!(fb.commit(p));
             inc.push(&c, PlacedJob::new(JobId(100 + i as u64), &c, p));
         }
+        fb.refresh_index(&mut inc);
         let state = inc.state();
-        fb.index.refresh(&fb.topo, &fb.gpus_free, state);
 
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut below = move |n: usize| {
@@ -746,19 +731,19 @@ mod tests {
                 let mut servers: Vec<ServerId> = Vec::new();
                 for _ in 0..2 + below(5) {
                     let s = ServerId(below(72));
-                    if fb.gpus_free[s.0] > 0 && !servers.contains(&s) {
+                    if fb.ledger()[s.0] > 0 && !servers.contains(&s) {
                         servers.push(s);
                     }
                 }
                 let plan = WorkerPlan {
-                    gpus: servers.iter().map(|s| fb.gpus_free[s.0] as usize).sum(),
+                    gpus: servers.iter().map(|s| fb.ledger()[s.0] as usize).sum(),
                     servers,
                     max_flows: below(6) as u32,
                     value: below(400) as f64 * 0.5,
                 };
                 let got =
                     placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, &plan, &mut tally);
-                let stamp = scratch.begin(&fb.topo, &fb.gpus_free, &plan);
+                let stamp = scratch.begin(&fb.topo, fb.ledger(), &plan);
                 let mut want: Option<(f64, ServerId)> = None;
                 for sid in 0..72 {
                     let score = placer
@@ -779,7 +764,8 @@ mod tests {
     fn class_table_groups_interchangeable_servers() {
         let c = cluster(32, 4, 4);
         let mut fb = FlatBatch::new(&c);
-        fb.index.refresh(&fb.topo, &fb.gpus_free, &estimate(&c, &[]));
+        let mut inc = IncrementalEstimator::new(&c, &[]);
+        fb.refresh_index(&mut inc);
         // Idle cluster: every server is interchangeable — one class in
         // each partition, members ascending.
         let all: Vec<u32> = (0..128).collect();
@@ -792,13 +778,16 @@ mod tests {
         }
         // A cross-rack job loads two rack uplinks: both racks leave the
         // idle PS class, only the two workers leave the idle filter class,
-        // and the diff re-keys them without a rebuild.
+        // and the journals name just those two servers (once for their GPUs,
+        // once for their access links): they are re-keyed without a rebuild
+        // and nobody else is looked at.
         let p = Placement::new(vec![(ServerId(0), 4), (ServerId(5), 4)], Some(ServerId(0)));
         assert!(fb.commit(&p));
-        let state = estimate(&c, &[PlacedJob::new(JobId(0), &c, &p)]);
-        assert_eq!(fb.audit_index(&state), Ok(()));
-        let stats = fb.index.refresh(&fb.topo, &fb.gpus_free, &state);
-        assert_eq!(stats.rebuilds, 0);
+        inc.push(&c, PlacedJob::new(JobId(0), &c, &p));
+        assert_eq!(fb.audit_index(&inc), Ok(()));
+        let stats = fb.refresh_index(&mut inc);
+        assert_eq!((stats.rebuilds, stats.journal_servers), (0, 4));
+        assert!(fb.ledger.journal().is_empty() && inc.journal().is_empty());
         let idle = |mut classes: Vec<&std::collections::VecDeque<u32>>| classes.remove(0).clone();
         let ps_idle = idle(fb.index.ps.classes().map(|(_, m)| m).collect());
         assert!(ps_idle.iter().eq(&(8..128).collect::<Vec<u32>>()));

@@ -1,22 +1,34 @@
 //! Persistent server-class index of the flat placement path
 //! (`DESIGN.md` §3.11).
 //!
-//! One spanning placement changes the free GPUs, flows or residual
-//! bandwidth of a few dozen servers; re-bucketing all of them per job is
-//! what made the warehouse batch scan-bound. [`ServerIndex`] keeps two
-//! partitions of the servers alive across jobs — each a class table plus
-//! one ascending member list per class — and [`refresh`](ServerIndex::refresh)
-//! brings them up to date by **diffing** the live arrays against the keys
-//! the index itself holds, re-keying only servers that changed. Nothing is
-//! trusted from callers, so every mutation path (ledger commit/credit,
-//! estimator push/pop/remove) is covered by construction.
+//! One placement changes the free GPUs, flows or residual bandwidth of a
+//! few dozen servers; looking at all of them per job is what made the
+//! warehouse batch scan-bound. [`ServerIndex`] keeps two partitions of the
+//! servers alive across jobs — each a class table plus one ascending member
+//! list per class — and [`refresh`](ServerIndex::refresh) brings them up to
+//! date from two **change journals**, re-reading only the servers and rack
+//! uplinks they name. The journals are complete because each is written at
+//! the single place its array can change:
+//!
+//! * free GPUs — [`GpuLedger::set_free`](crate::ledger::GpuLedger::set_free),
+//!   the ledger's only mutator (its fields are private to its module);
+//! * flows and residual bandwidth — the estimator's component reset, the
+//!   only writer of the cached link numbers
+//!   ([`IncrementalEstimator::journal`](netpack_waterfill::IncrementalEstimator::journal)).
+//!
+//! The index trusts them, so [`audit`](ServerIndex::audit) is strict: it
+//! compares the partitions *as the journals left them* with a cold build,
+//! never through a pass that could re-derive a missed entry. Debug builds
+//! run it after every refresh.
 //!
 //! * **PS classes** ([`PsKey`]): servers interchangeable as ordinary PS
 //!   candidates. A rack-uplink flow change re-keys the whole rack.
 //! * **Filter classes** ([`FilterKey`]): servers with equal free GPUs,
 //!   flows and residual bandwidth — equal DP weight *and* equal value, so
 //!   the first `⌊g_max/w⌋` members by id are the class's only entries that
-//!   can survive [`CandidateFilter`](crate::CandidateFilter)'s top-K cut.
+//!   can survive [`CandidateFilter`](crate::CandidateFilter)'s top-K cut,
+//!   and the front member is the class's only entry the single-server
+//!   shortcut can pick.
 //!
 //! When more than one server in [`REBUILD_SHARE`] would be re-keyed, or
 //! dead (memberless) classes pile up, the partition is rebuilt by the same
@@ -33,20 +45,11 @@ use std::collections::VecDeque;
 /// from-scratch pass (4–12 ns/server) is cheaper than the member-list moves.
 const REBUILD_SHARE: usize = 8;
 
-/// Servers settled per sweep of the refresh diff.
-const DIFF_CHUNK: usize = 64;
-
 /// Mixes a 64-bit word (splitmix64 finalizer) — the class-table hash.
 fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Whether `same` holds for every element — no early exit, so the sweep
-/// vectorizes.
-fn all_hold<T>(xs: &[T], same: impl Fn(&T) -> bool) -> bool {
-    xs.iter().fold(true, |acc, x| acc & same(x))
 }
 
 /// A partition key: plain data with a cheap, well-mixed hash.
@@ -272,7 +275,12 @@ impl<K: ClassKey> Partition<K> {
                 b.len()
             ));
         }
-        match (0..self.class_of.len()).find(|&s| self.key_of(s) != other.key_of(s)) {
+        let misfiled = self
+            .class_of
+            .iter()
+            .zip(&other.class_of)
+            .position(|(&a, &b)| self.keys[a as usize] != other.keys[b as usize]);
+        match misfiled {
             Some(s) => Err(format!("server {s} filed under {:?}", self.key_of(s))),
             None => Ok(()),
         }
@@ -286,6 +294,9 @@ pub(crate) struct RefreshStats {
     pub rebuilds: u64,
     /// Servers moved between classes incrementally, both partitions.
     pub rekeyed: u64,
+    /// Journal entries whose filter key was compared with the live arrays
+    /// (0 when the partitions were built cold).
+    pub journal_servers: u64,
     /// Live PS classes after the refresh.
     pub classes: u64,
 }
@@ -295,7 +306,8 @@ pub(crate) struct RefreshStats {
 pub(crate) struct ServerIndex {
     pub ps: Partition<PsKey>,
     pub filter: Partition<FilterKey>,
-    /// Refresh scratch: servers whose filter key moved.
+    /// Refresh scratch: journalled servers, then those of them whose
+    /// filter key moved.
     changed: Vec<u32>,
     /// Refresh scratch: servers whose PS key may have moved — `changed`
     /// plus every server of a rack whose uplink flow count moved.
@@ -313,15 +325,20 @@ impl ServerIndex {
     }
 
     /// Bring both partitions in line with the live ledger and steady
-    /// state. The first call builds them; later calls diff every server's
-    /// `(free GPUs, flows, avail bits)` against its filter key and every
-    /// rack's uplink flows against its first server's PS key, so the index
-    /// is its own snapshot and no caller has to report what it mutated.
+    /// state. The first call builds them. Later calls trust the journals:
+    /// `servers` must name every server whose free-GPU count was written
+    /// since the previous refresh and `links` (flat link indices) every
+    /// link whose flows or residual were — repeats and unchanged entries
+    /// are fine, omissions are not. Only those servers' `(free GPUs, flows,
+    /// avail bits)` are compared with their filter keys, and only those
+    /// racks' uplink flows with their first server's PS key.
     pub(crate) fn refresh(
         &mut self,
         topo: &FlatTopology,
         gpus_free: &[u32],
         state: &SteadyState,
+        servers: &[u32],
+        links: &[u32],
     ) -> RefreshStats {
         let n = topo.num_servers();
         let flows = state.servers_flows();
@@ -344,34 +361,28 @@ impl ServerIndex {
         };
         self.changed.clear();
         self.ps_stale.clear();
+        let mut journal_servers = 0;
         if self.filter.class_of.len() == n {
-            // Most servers sit in long runs of one class (the idle one at
-            // warehouse scale): settle a whole chunk with four branch-free
-            // sweeps against its first server's key before looking closer.
-            for start in (0..n).step_by(DIFF_CHUNK) {
-                let chunk = start..(start + DIFF_CHUNK).min(n);
-                let class = self.filter.class_of[start];
-                let key = self.filter.keys[class as usize];
-                if all_hold(&self.filter.class_of[chunk.clone()], |&c| c == class)
-                    && all_hold(&gpus_free[chunk.clone()], |&f| f == key.free)
-                    && all_hold(&flows[chunk.clone()], |&f| f == key.flows)
-                    && all_hold(&avail[chunk.clone()], |a| a.to_bits() == key.avail_bits)
-                {
-                    continue;
-                }
-                for s in chunk {
-                    if *self.filter.key_of(s) != filter_key(s) {
-                        self.changed.push(s as u32);
+            self.changed.extend_from_slice(servers);
+            for &link in links {
+                let link = link as usize;
+                if link < n {
+                    self.changed.push(link as u32);
+                } else {
+                    let rack = link - n;
+                    let rack_servers = topo.rack_server_range(rack);
+                    if self.ps.key_of(rack_servers.start).fc_up != rack_fc[rack] {
+                        self.ps_stale.extend(rack_servers.map(|s| s as u32));
                     }
                 }
             }
-            for (rack, &fc) in rack_fc.iter().enumerate() {
-                let servers = topo.rack_server_range(rack);
-                if self.ps.key_of(servers.start).fc_up != fc {
-                    self.ps_stale.extend(servers.map(|s| s as u32));
-                }
-            }
-            // A server in both lists is re-keyed twice; the second is a no-op.
+            journal_servers = self.changed.len() as u64;
+            let filter = &self.filter;
+            self.changed
+                .retain(|&s| *filter.key_of(s as usize) != filter_key(s as usize));
+            // A server named twice (both journals, or the ledger's twice),
+            // or sitting in a stale rack too, is re-keyed twice; the second
+            // is a no-op.
             self.ps_stale.extend_from_slice(&self.changed);
         }
         let (f_rebuilt, f_rekeyed) = self.filter.update(n, &self.changed, filter_key);
@@ -379,8 +390,39 @@ impl ServerIndex {
         RefreshStats {
             rebuilds: u64::from(f_rebuilt) + u64::from(p_rebuilt),
             rekeyed: f_rekeyed + p_rekeyed,
+            journal_servers,
             classes: (self.ps.keys.len() - self.ps.dead) as u64,
         }
+    }
+
+    /// The single-server shortcut answered from the filter partition: the
+    /// server Algorithm 2's scan of all servers picks for a job of `gpus`
+    /// GPUs — tightest fit, ties toward the most residual bandwidth, first
+    /// (lowest id) wins. Members of a class tie on both criteria, so only
+    /// each class's front member competes.
+    pub(crate) fn tightest_fit(&self, gpus: usize) -> Option<usize> {
+        let mut best: Option<(u32, f64, u32)> = None;
+        for (key, members) in self.filter.classes() {
+            let Some(&front) = members.front() else {
+                continue;
+            };
+            if (key.free as usize) < gpus {
+                continue;
+            }
+            let avail = f64::from_bits(key.avail_bits);
+            let wins = match best {
+                None => true,
+                Some((bfree, bavail, bfront)) => {
+                    key.free < bfree
+                        || (key.free == bfree
+                            && avail.total_cmp(&bavail).then(bfront.cmp(&front)).is_gt())
+                }
+            };
+            if wins {
+                best = Some((key.free, avail, front));
+            }
+        }
+        best.map(|(_, _, front)| front as usize)
     }
 
     /// Offer `filter` every server that can survive its top-K cut for a
@@ -408,19 +450,31 @@ impl ServerIndex {
         }
     }
 
-    /// Test oracle: refresh a copy of this index and compare it, as a set
-    /// of `(key, ascending members)` classes per partition, with an index
-    /// built from scratch over the same live arrays.
+    /// Oracle: this index with the pending journals `servers` and `links`
+    /// applied — and nothing else; with both empty it is compared as it
+    /// stands — must equal, as a set of `(key, ascending members)` classes
+    /// per partition, an index built from scratch over the same live
+    /// arrays. `Ok` before the first refresh built it.
     pub(crate) fn audit(
         &self,
         topo: &FlatTopology,
         gpus_free: &[u32],
         state: &SteadyState,
+        servers: &[u32],
+        links: &[u32],
     ) -> Result<(), String> {
-        let mut warm = self.clone();
-        warm.refresh(topo, gpus_free, state);
+        if self.filter.class_of.len() != topo.num_servers() {
+            return Ok(());
+        }
+        let pending = !(servers.is_empty() && links.is_empty());
+        let caught_up = pending.then(|| {
+            let mut index = self.clone();
+            index.refresh(topo, gpus_free, state, servers, links);
+            index
+        });
+        let warm = caught_up.as_ref().unwrap_or(self);
         let mut cold = ServerIndex::new();
-        cold.refresh(topo, gpus_free, state);
+        cold.refresh(topo, gpus_free, state, &[], &[]);
         warm.ps.same_as(&cold.ps).map_err(|e| format!("PS partition: {e}"))?;
         warm.filter.same_as(&cold.filter).map_err(|e| format!("filter partition: {e}"))
     }
@@ -429,6 +483,7 @@ impl ServerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::GpuLedger;
     use netpack_model::Placement;
     use netpack_topology::{Cluster, ClusterSpec, JobId};
     use netpack_waterfill::{IncrementalEstimator, PlacedJob};
@@ -445,71 +500,93 @@ mod tests {
     }
 
     /// Drive a ledger and a warm estimator through a seeded random
-    /// sequence of commit / credit and push / pop / remove / replace,
-    /// refreshing the index at random points, and hold it to a full scan:
-    /// same PS and filter partitions as a from-scratch build, same
-    /// candidates out of the filter as offering every server. Returns how
-    /// many refreshes took the diff path, the `n / 8` fallback, and the
+    /// interleaving of commit / credit and push / pop / remove / replace,
+    /// refreshing the index from the two journals after every 0–50
+    /// operations (0–3 in the quiet stretches; so anything from an empty
+    /// journal to every link marked arrives at once), and hold it to a
+    /// full scan: same PS and filter
+    /// partitions as a from-scratch build — compared as the journals left
+    /// them — same candidates out of the filter as offering every server,
+    /// same single-server pick as the literal scan. Returns how many
+    /// refreshes took the re-key path, the `n / 8` fallback, and the
     /// dead-class reclaim.
-    fn churn(cluster: &Cluster, seed: u64, steps: usize) -> [usize; 3] {
+    fn churn(cluster: &Cluster, seed: u64, refreshes: usize) -> [usize; 3] {
         let topo = FlatTopology::new(cluster);
         let n = topo.num_servers();
         let gps = topo.gpus_per_server();
         let capacity = cluster.spec().server_link_gbps;
         let mut rng = Rng(seed | 1);
-        let mut free = vec![gps as u32; n];
+        let mut ledger = GpuLedger::new(cluster);
         let mut inc = IncrementalEstimator::new(cluster, &[]);
         // Running jobs in the estimator's insertion order.
         let mut live: Vec<(JobId, Placement)> = Vec::new();
         let mut index = ServerIndex::new();
+        let mut next_id = 0;
         let (mut incremental, mut fallbacks, mut reclaims) = (0, 0, 0);
-        for step in 0..steps {
-            match rng.below(6) {
-                0..=2 => {
-                    let mut workers: Vec<(ServerId, usize)> = Vec::new();
-                    for _ in 0..2 + rng.below(5) {
-                        let s = rng.below(n);
-                        if free[s] > 0 && workers.iter().all(|&(w, _)| w.0 != s) {
-                            workers.push((ServerId(s), 1 + rng.below(free[s] as usize)));
+        let credit = |ledger: &mut GpuLedger, p: &Placement| {
+            for &(s, w) in p.workers() {
+                ledger.set_free(s.0, ledger.free()[s.0] + w as u32);
+            }
+        };
+        for round in 0..refreshes {
+            // Quiet stretches (a few operations per refresh, so dead classes
+            // pile up with no fallback rebuild to sweep them) alternate
+            // with busy ones.
+            let ops = if round % 40 < 30 { rng.below(4) } else { rng.below(51) };
+            for _ in 0..ops {
+                match rng.below(6) {
+                    0..=2 => {
+                        let mut workers: Vec<(ServerId, usize)> = Vec::new();
+                        for _ in 0..2 + rng.below(5) {
+                            let s = rng.below(n);
+                            let free = ledger.free()[s] as usize;
+                            if free > 0 && workers.iter().all(|&(w, _)| w.0 != s) {
+                                workers.push((ServerId(s), 1 + rng.below(free)));
+                            }
                         }
+                        if workers.len() < 2 {
+                            continue;
+                        }
+                        for &(s, w) in &workers {
+                            ledger.set_free(s.0, ledger.free()[s.0] - w as u32);
+                        }
+                        let p = Placement::new(workers, Some(ServerId(rng.below(n))));
+                        let id = JobId(next_id);
+                        next_id += 1;
+                        inc.push(cluster, PlacedJob::new(id, cluster, &p));
+                        live.push((id, p));
                     }
-                    if workers.len() < 2 {
-                        continue;
+                    3 if !live.is_empty() => {
+                        let (id, p) = live.remove(rng.below(live.len()));
+                        assert!(inc.remove(cluster, id));
+                        credit(&mut ledger, &p);
                     }
-                    for &(s, w) in &workers {
-                        free[s.0] -= w as u32;
+                    4 if !live.is_empty() => {
+                        let (id, p) = live.pop().unwrap();
+                        assert_eq!(inc.pop(cluster), Some(id));
+                        credit(&mut ledger, &p);
                     }
-                    let p = Placement::new(workers, Some(ServerId(rng.below(n))));
-                    let id = JobId(step as u64);
-                    inc.push(cluster, PlacedJob::new(id, cluster, &p));
-                    live.push((id, p));
+                    5 if !live.is_empty() => {
+                        let (id, mut p) = live.remove(rng.below(live.len()));
+                        p.set_ina_enabled(!p.ina_enabled());
+                        inc.replace(cluster, PlacedJob::new(id, cluster, &p));
+                        live.push((id, p));
+                    }
+                    _ => {}
                 }
-                3 if !live.is_empty() => {
-                    let (id, p) = live.remove(rng.below(live.len()));
-                    assert!(inc.remove(cluster, id));
-                    p.workers().iter().for_each(|&(s, w)| free[s.0] += w as u32);
-                }
-                4 if !live.is_empty() => {
-                    let (id, p) = live.pop().unwrap();
-                    assert_eq!(inc.pop(cluster), Some(id));
-                    p.workers().iter().for_each(|&(s, w)| free[s.0] += w as u32);
-                }
-                5 if !live.is_empty() => {
-                    let (id, mut p) = live.remove(rng.below(live.len()));
-                    p.set_ina_enabled(!p.ina_enabled());
-                    inc.replace(cluster, PlacedJob::new(id, cluster, &p));
-                    live.push((id, p));
-                }
-                _ => continue,
             }
-            // Refresh only now and then, so diffs of every size pile up.
-            if rng.below(3) == 0 {
-                continue;
-            }
-            let state = inc.state();
-            assert_eq!(index.audit(&topo, &free, state), Ok(()), "seed {seed} step {step}");
+            assert!(inc.journal().len() <= cluster.num_links());
             let bloated = index.ps.bloated(n) || index.filter.bloated(n);
-            let stats = index.refresh(&topo, &free, state);
+            let stats =
+                index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
+            ledger.clear_journal();
+            inc.clear_journal();
+            let state = inc.state();
+            assert_eq!(
+                index.audit(&topo, ledger.free(), state, &[], &[]),
+                Ok(()),
+                "seed {seed} round {round}"
+            );
             match stats.rebuilds {
                 0 => incremental += 1,
                 _ if bloated => reclaims += 1,
@@ -517,7 +594,7 @@ mod tests {
             }
             let demand = 1 + rng.below(3 * gps);
             let mut full = CandidateFilter::new(gps, demand, gps, Some(16));
-            for (s, &gpus_free) in free.iter().enumerate() {
+            for (s, &gpus_free) in ledger.free().iter().enumerate() {
                 let flows = state.servers_flows()[s];
                 let avail = state.servers_available_gbps()[s];
                 full.offer(ServerStats {
@@ -529,8 +606,15 @@ mod tests {
             }
             let mut fed = CandidateFilter::new(gps, demand, gps, Some(16));
             index.offer_candidates(capacity, demand + gps, &mut fed);
-            assert_eq!(fed.candidates(), full.candidates(), "seed {seed} step {step}");
+            assert_eq!(fed.candidates(), full.candidates(), "seed {seed} round {round}");
             assert!(fed.offered() <= full.offered());
+            for gpus in 1..=gps + 1 {
+                assert_eq!(
+                    index.tightest_fit(gpus),
+                    ledger.scan_tightest_fit(state.servers_available_gbps(), gpus),
+                    "seed {seed} round {round}: {gpus} GPUs"
+                );
+            }
         }
         [incremental, fallbacks, reclaims]
     }
@@ -539,10 +623,10 @@ mod tests {
     fn churn_seeds(cluster: &Cluster, seeds: std::ops::Range<u64>) {
         let mut paths = [0; 3];
         for seed in seeds {
-            let ran = churn(cluster, seed, 400);
+            let ran = churn(cluster, seed, 80);
             paths.iter_mut().zip(ran).for_each(|(total, r)| *total += r);
         }
-        assert!(paths.iter().all(|&p| p > 0), "[diff, fallback, reclaim] = {paths:?}");
+        assert!(paths.iter().all(|&p| p > 0), "[re-key, fallback, reclaim] = {paths:?}");
     }
 
     #[test]
@@ -566,5 +650,130 @@ mod tests {
             ..ClusterSpec::paper_default()
         });
         churn_seeds(&cluster, 11..15);
+    }
+
+    /// The strict audit must see what a full diff would have healed: a
+    /// ledger write or an estimator push the journals did not carry.
+    #[test]
+    fn audit_catches_a_missed_journal_entry() {
+        // Big enough that the one job stays far below the rebuild
+        // threshold: a rebuild would re-read every server.
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 32,
+            servers_per_rack: 8,
+            gpus_per_server: 4,
+            ..ClusterSpec::paper_default()
+        });
+        let topo = FlatTopology::new(&cluster);
+        let mut ledger = GpuLedger::new(&cluster);
+        let mut inc = IncrementalEstimator::new(&cluster, &[]);
+        let mut index = ServerIndex::new();
+        index.refresh(&topo, ledger.free(), inc.state(), &[], &[]);
+        ledger.set_free(3, 1);
+        let p = Placement::new(vec![(ServerId(0), 2), (ServerId(5), 2)], Some(ServerId(9)));
+        inc.push(&cluster, PlacedJob::new(JobId(0), &cluster, &p));
+        let audit = |index: &ServerIndex, servers: &[u32], links: &[u32]| {
+            index.audit(&topo, ledger.free(), inc.state(), servers, links)
+        };
+        assert_eq!(audit(&index, ledger.journal(), inc.journal()), Ok(()));
+        assert!(audit(&index, &[], inc.journal()).is_err(), "server 3's write went unreported");
+        assert!(audit(&index, ledger.journal(), &[]).is_err(), "the push went unreported");
+        let mut partial = index.clone();
+        partial.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), &inc.journal()[1..]);
+        assert!(audit(&partial, &[], &[]).is_err(), "one link went unreported");
+        index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
+        assert_eq!(audit(&index, &[], &[]), Ok(()));
+    }
+
+    /// An estimator nobody drains (the flow simulator's) journals each link
+    /// at most once, however long it runs.
+    #[test]
+    fn undrained_estimator_journal_is_bounded_by_the_link_count() {
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 4,
+            servers_per_rack: 4,
+            gpus_per_server: 4,
+            ..ClusterSpec::paper_default()
+        });
+        let n = cluster.num_servers();
+        let mut rng = Rng(0x5EED);
+        let mut inc = IncrementalEstimator::new(&cluster, &[]);
+        for cycle in 0..10_000u64 {
+            let (a, b) = (rng.below(n), rng.below(n - 1));
+            let b = if b >= a { b + 1 } else { b };
+            let p = Placement::new(vec![(ServerId(a), 1), (ServerId(b), 1)], Some(ServerId(a)));
+            inc.push(&cluster, PlacedJob::new(JobId(cycle), &cluster, &p));
+            // Keep a few jobs running so components merge and split.
+            if cycle >= 3 {
+                assert!(inc.remove(&cluster, JobId(cycle - 3)));
+            }
+            assert!(inc.journal().len() <= cluster.num_links(), "cycle {cycle}");
+        }
+        let mut seen = inc.journal().to_vec();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), inc.journal().len(), "a link journalled twice");
+        inc.clear_journal();
+        assert!(inc.journal().is_empty());
+        inc.pop(&cluster);
+        assert!(!inc.journal().is_empty(), "marks must clear with the journal");
+    }
+
+    /// Classes that differ only in `flows` tie on both of the shortcut's
+    /// criteria: the lowest front member across them must win, as the
+    /// literal scan's "first wins" has it — whichever class came first.
+    #[test]
+    fn shortcut_breaks_ties_across_flow_classes_toward_the_lowest_id() {
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 2,
+            servers_per_rack: 64,
+            gpus_per_server: 4,
+            pat_gbps: 0.0,
+            ..ClusterSpec::paper_default()
+        });
+        let topo = FlatTopology::new(&cluster);
+        let mut ledger = GpuLedger::new(&cluster);
+        // Only the two PS hosts below will fit anything: the five workers
+        // have the one GPU they are about to use, everyone else none.
+        for s in (0..topo.num_servers()).filter(|&s| s != 2 && s != 5) {
+            ledger.set_free(s, u32::from([6, 7, 9, 10, 11].contains(&s)));
+        }
+        let mut inc = IncrementalEstimator::new(&cluster, &[]);
+        let mut index = ServerIndex::new();
+        let refresh = |index: &mut ServerIndex,
+                       ledger: &mut GpuLedger,
+                       inc: &mut IncrementalEstimator| {
+            index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
+            ledger.clear_journal();
+            inc.clear_journal();
+        };
+        refresh(&mut index, &mut ledger, &mut inc);
+        // No aggregation, so a PS's access link carries one flow per worker
+        // server and is the bottleneck: it ends saturated — residual zero —
+        // whatever the count. Server 5 serves two worker servers, server 2
+        // three; both keep all their GPUs. Each job is re-keyed in as it
+        // lands, so the class of the higher id is created first.
+        let jobs = [
+            Placement::new(vec![(ServerId(6), 1), (ServerId(7), 1)], Some(ServerId(5))),
+            Placement::new(vec![(ServerId(9), 1), (ServerId(10), 1), (ServerId(11), 1)], Some(ServerId(2))),
+        ];
+        for (i, p) in jobs.iter().enumerate() {
+            for &(s, w) in p.workers() {
+                ledger.set_free(s.0, ledger.free()[s.0] - w as u32);
+            }
+            inc.push(&cluster, PlacedJob::new(JobId(i as u64), &cluster, p));
+            refresh(&mut index, &mut ledger, &mut inc);
+        }
+        let state = inc.state();
+        let (avail, flows) = (state.servers_available_gbps(), state.servers_flows());
+        assert_eq!(avail[2].to_bits(), avail[5].to_bits(), "the fixture must tie on bandwidth");
+        assert_ne!(flows[2], flows[5], "the fixture must split the tie into two classes");
+        assert!(index.filter.class_of(5) < index.filter.class_of(2));
+        for gpus in 1..=5 {
+            let want = ledger.scan_tightest_fit(avail, gpus);
+            assert_eq!(index.tightest_fit(gpus), want, "{gpus} GPUs");
+        }
+        assert_eq!(index.tightest_fit(4), Some(2));
+        assert_eq!(index.tightest_fit(5), None);
     }
 }

@@ -1,0 +1,130 @@
+//! The flat placement path's free-GPU ledger.
+//!
+//! [`GpuLedger`] owns the per-server free-GPU counts and everything derived
+//! from them in step: the free-GPU histogram and the journal of servers
+//! whose count changed. Its fields are private to this module and
+//! [`set_free`](GpuLedger::set_free) is the only mutator, so no commit,
+//! credit or rollback variant can move a count without the
+//! [`ServerIndex`](crate::index::ServerIndex) hearing of it
+//! (`DESIGN.md` §3.11).
+
+use netpack_topology::Cluster;
+
+/// Free GPUs per server, the histogram over them, and the change journal.
+#[derive(Debug, Clone)]
+pub(crate) struct GpuLedger {
+    free: Vec<u32>,
+    /// `with_free[w]` = servers with exactly `w` free GPUs; answers "can
+    /// any server hold this job whole" without a scan.
+    with_free: Vec<u32>,
+    /// Servers written since the last [`clear_journal`](Self::clear_journal),
+    /// repeats included. Bounded by the cluster's GPU count: the placement
+    /// path clears it at every job, and what completions add in between
+    /// was committed — and cleared — before.
+    journal: Vec<u32>,
+}
+
+impl GpuLedger {
+    /// A ledger mirroring `cluster`'s current allocation, nothing journalled.
+    pub(crate) fn new(cluster: &Cluster) -> Self {
+        let free: Vec<u32> = cluster
+            .servers()
+            .iter()
+            .map(|s| s.gpus_free() as u32)
+            .collect();
+        let mut with_free = vec![0; cluster.spec().gpus_per_server + 1];
+        for &f in &free {
+            with_free[f as usize] += 1;
+        }
+        GpuLedger {
+            free,
+            with_free,
+            journal: Vec::new(),
+        }
+    }
+
+    /// Free GPUs per server, indexed by server id.
+    pub(crate) fn free(&self) -> &[u32] {
+        &self.free
+    }
+
+    /// Set `server`'s free-GPU count — the ledger's only write.
+    pub(crate) fn set_free(&mut self, server: usize, free: u32) {
+        self.with_free[self.free[server] as usize] -= 1;
+        self.with_free[free as usize] += 1;
+        self.free[server] = free;
+        self.journal.push(server as u32);
+    }
+
+    /// Whether some server has at least `gpus` GPUs free.
+    pub(crate) fn any_server_fits(&self, gpus: usize) -> bool {
+        self.with_free.iter().skip(gpus).any(|&count| count > 0)
+    }
+
+    /// Servers written since the last [`clear_journal`](Self::clear_journal).
+    pub(crate) fn journal(&self) -> &[u32] {
+        &self.journal
+    }
+
+    /// Forget the journalled servers: the index has caught up with them.
+    pub(crate) fn clear_journal(&mut self) {
+        self.journal.clear();
+    }
+
+    /// Oracle for the single-server shortcut: Algorithm 2's literal scan of
+    /// every server for the tightest fit, ties toward the most residual
+    /// bandwidth (`avail`, by server id), first wins — the reference's
+    /// `min_by`. Production answers from the index
+    /// ([`ServerIndex::tightest_fit`](crate::index::ServerIndex::tightest_fit))
+    /// and asserts this in debug builds.
+    pub(crate) fn scan_tightest_fit(&self, avail: &[f64], gpus: usize) -> Option<usize> {
+        let mut best: Option<(usize, f64, usize)> = None;
+        for (s, &free) in self.free.iter().enumerate() {
+            let Some(d) = (free as usize).checked_sub(gpus) else {
+                continue;
+            };
+            let wins = match best {
+                None => true,
+                Some((bd, bavail, _)) => d < bd || (d == bd && avail[s].total_cmp(&bavail).is_gt()),
+            };
+            if wins {
+                best = Some((d, avail[s], s));
+            }
+        }
+        best.map(|(_, _, s)| s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netpack_topology::ClusterSpec;
+
+    /// The histogram and the journal follow every write.
+    #[test]
+    fn histogram_and_journal_follow_set_free() {
+        let c = Cluster::new(ClusterSpec {
+            racks: 2,
+            servers_per_rack: 2,
+            gpus_per_server: 4,
+            ..ClusterSpec::paper_default()
+        });
+        let mut ledger = GpuLedger::new(&c);
+        let recount = |l: &GpuLedger| {
+            let mut hist = vec![0u32; 5];
+            l.free.iter().for_each(|&f| hist[f as usize] += 1);
+            hist
+        };
+        assert!(ledger.any_server_fits(4) && !ledger.any_server_fits(5));
+        assert!(ledger.journal().is_empty());
+        for (s, f) in [(0, 0), (1, 3), (2, 2), (3, 1), (1, 0)] {
+            ledger.set_free(s, f);
+            assert_eq!(ledger.with_free, recount(&ledger));
+        }
+        assert_eq!(ledger.free(), [0, 0, 2, 1]);
+        assert!(ledger.any_server_fits(2) && !ledger.any_server_fits(3));
+        assert_eq!(ledger.journal(), [0, 1, 2, 3, 1]);
+        ledger.clear_journal();
+        assert!(ledger.journal().is_empty());
+    }
+}

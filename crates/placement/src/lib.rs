@@ -82,6 +82,7 @@ mod exact;
 mod flat;
 mod index;
 mod knapsack;
+mod ledger;
 mod netpack;
 mod placer;
 mod prior;

@@ -12,7 +12,9 @@
 //!   session, debited on placement and credited on completion;
 //! * the **flat arenas** ([`FlatBatch`]: topology mirror, free-GPU ledger,
 //!   server-class index, stamp masks) are built once and mutated in step
-//!   with the cluster;
+//!   with the cluster; the index catches up from the change journals the
+//!   ledger and the estimator keep, so a completion costs the next
+//!   placement only the servers it touched;
 //! * the **warm water-filling estimator** ([`IncrementalEstimator`])
 //!   mirrors the running set in insertion order, so a batch starts from
 //!   the converged steady state instead of re-solving it.
@@ -203,7 +205,7 @@ impl NetPackSession {
             let placed = self.placer.place_one_flat(
                 &mut self.fb,
                 &self.cluster,
-                self.tracker.state(),
+                &mut self.tracker,
                 job,
                 &mut perf,
             );
@@ -309,11 +311,13 @@ impl NetPackSession {
         Ok(removed)
     }
 
-    /// Test oracle: the persistent server index, refreshed
-    /// against the warm steady state, must equal a from-scratch build.
+    /// Test oracle: the persistent server index, with the pending change
+    /// journals of the flat ledger and the warm estimator applied to a
+    /// copy — and nothing a journal missed healed by a rescan — must equal
+    /// a from-scratch build over the warm steady state.
     #[doc(hidden)]
     pub fn audit_index(&self) -> Result<(), String> {
-        self.fb.audit_index(self.tracker.state())
+        self.fb.audit_index(&self.tracker)
     }
 
     /// Fault injection for tests: credit running job `id`'s GPUs back on

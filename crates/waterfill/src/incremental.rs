@@ -32,6 +32,21 @@
 //! estimator across arbitrarily interleaved placements and completions —
 //! the flow-level simulator's fast path.
 //!
+//! # Change journal
+//!
+//! Every write to `SteadyState::{link_residual, link_flows}` after
+//! construction happens inside one routine, the reset of a dirty
+//! component's resource nodes to virgin capacity — the solve that follows
+//! writes only links of that component's member jobs, all of which were
+//! just reset. That routine records each link it resets in a journal
+//! ([`journal`](IncrementalEstimator::journal)), so a consumer that caches
+//! anything derived from per-link flows or residuals (the placement path's
+//! server index) re-reads exactly the journalled links and then calls
+//! [`clear_journal`](IncrementalEstimator::clear_journal). A per-link mark
+//! keeps each link in the journal at most once until cleared, so an
+//! estimator nobody drains (the flow simulator's) holds at most
+//! `num_links` entries however long it runs. PAT pools are not journalled.
+//!
 //! # Example
 //!
 //! ```
@@ -165,6 +180,14 @@ pub struct IncrementalEstimator {
     scratch_dirty: Vec<usize>,
     /// The solver's arenas (two of them cluster-sized), ditto.
     scratch_solve: SolveScratch,
+    /// Arena for the sub-components a removal splits its component into:
+    /// `(root, member indices)`, inner lists kept across removals.
+    scratch_groups: Vec<(usize, Vec<usize>)>,
+    /// Links reset since the last [`clear_journal`](Self::clear_journal),
+    /// each at most once (see the module docs).
+    journal: Vec<u32>,
+    /// `journalled[link]`: the link is already in `journal`.
+    journalled: Vec<bool>,
 }
 
 impl IncrementalEstimator {
@@ -196,6 +219,9 @@ impl IncrementalEstimator {
             scratch_members: Vec::new(),
             scratch_dirty: Vec::new(),
             scratch_solve,
+            scratch_groups: Vec::new(),
+            journal: Vec::new(),
+            journalled: vec![false; cluster.num_links()],
         }
     }
 
@@ -212,6 +238,42 @@ impl IncrementalEstimator {
     /// Number of jobs currently in the estimate.
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
+    }
+
+    /// Flat indices (`LinkId::index`) of the links whose flows or residual
+    /// may have changed since construction or the last
+    /// [`clear_journal`](Self::clear_journal) — every link of every
+    /// component a push, pop, remove or replace re-solved — each listed
+    /// once. At most `num_links` entries.
+    pub fn journal(&self) -> &[u32] {
+        &self.journal
+    }
+
+    /// Forget the journalled links: the caller has caught up with them.
+    pub fn clear_journal(&mut self) {
+        for &link in &self.journal {
+            self.journalled[link as usize] = false;
+        }
+        self.journal.clear();
+    }
+
+    /// Return the resource nodes `dirty` to virgin capacity and journal the
+    /// links among them — the only place cached link numbers are written
+    /// outside the solve of the component `dirty` spans.
+    fn reset_nodes(&mut self, cluster: &Cluster, dirty: &[usize]) {
+        let n_links = cluster.num_links();
+        for &node in dirty {
+            if node < n_links {
+                self.state.link_residual[node] = link_capacity(cluster, node);
+                self.state.link_flows[node] = 0;
+                if !std::mem::replace(&mut self.journalled[node], true) {
+                    self.journal.push(node as u32);
+                }
+            } else {
+                self.state.pat_residual[node - n_links] =
+                    cluster.racks()[node - n_links].pat_gbps();
+            }
+        }
     }
 
     /// Add `job` and re-solve only the component it lands in.
@@ -255,21 +317,12 @@ impl IncrementalEstimator {
 
         // Reset exactly the dirty component's resources to virgin capacity;
         // resource nodes of other components are disjoint and untouched.
-        let n_links = cluster.num_links();
         let mut dirty = std::mem::take(&mut self.scratch_dirty);
         dirty.clear();
         dirty.extend(members.iter().flat_map(|&i| self.job_nodes[i].iter().copied()));
         dirty.sort_unstable();
         dirty.dedup();
-        for &node in &dirty {
-            if node < n_links {
-                self.state.link_residual[node] = link_capacity(cluster, node);
-                self.state.link_flows[node] = 0;
-            } else {
-                self.state.pat_residual[node - n_links] =
-                    cluster.racks()[node - n_links].pat_gbps();
-            }
-        }
+        self.reset_nodes(cluster, &dirty);
 
         solve_component(
             cluster,
@@ -319,7 +372,8 @@ impl IncrementalEstimator {
         let removed_nodes = std::mem::take(&mut self.job_nodes[idx]);
         // Pre-removal indices of the network jobs sharing the removed job's
         // component — the only jobs whose converged numbers can change.
-        let mut co: Vec<usize> = Vec::new();
+        let mut co = std::mem::take(&mut self.scratch_members);
+        co.clear();
         if !removed_nodes.is_empty() {
             let root = self.dsu.find(removed_nodes[0]);
             for (i, nodes) in self.job_nodes.iter().enumerate() {
@@ -346,50 +400,55 @@ impl IncrementalEstimator {
             // Local job: it touched no resource, so every cached component
             // survives verbatim.
             self.stats.jobs_reused += self.network_jobs;
+            self.scratch_members = co;
             return;
         }
         self.network_jobs -= 1;
 
-        // Union-find supports no deletion: rebuild it over the remaining
-        // jobs. This is cheap array work; the expensive part — the
-        // water-filling below — stays restricted to the left component.
-        self.dsu = Dsu::new(cluster.num_links() + cluster.num_racks());
-        for nodes in &self.job_nodes {
-            for w in nodes.windows(2) {
-                self.dsu.union(w[0], w[1]);
-            }
-        }
-
-        // Reset the left component's resources to virgin capacity; nodes
+        // The left component's nodes: the removed job's plus its
+        // co-members'. Reset their resources to virgin capacity; nodes
         // only the removed job touched return to (and stay at) full
         // capacity, exactly as a from-scratch solve would leave them.
-        let n_links = cluster.num_links();
         let mut dirty = removed_nodes;
         dirty.extend(co.iter().flat_map(|&i| self.job_nodes[i].iter().copied()));
         dirty.sort_unstable();
         dirty.dedup();
-        for node in dirty {
-            if node < n_links {
-                self.state.link_residual[node] = link_capacity(cluster, node);
-                self.state.link_flows[node] = 0;
-            } else {
-                self.state.pat_residual[node - n_links] =
-                    cluster.racks()[node - n_links].pat_gbps();
+        self.reset_nodes(cluster, &dirty);
+
+        // Union-find supports no deletion, but components are
+        // node-disjoint: no node outside the left component points into
+        // it, so dissolving just these nodes and re-joining the surviving
+        // co-members leaves every other component's forest untouched.
+        for &node in &dirty {
+            self.dsu.isolate(node);
+        }
+        for &i in &co {
+            for w in self.job_nodes[i].windows(2) {
+                self.dsu.union(w[0], w[1]);
             }
         }
 
         // Group the co-members by their new root (the component may have
         // split) and water-fill each sub-component; `co` is ascending, so
         // members stay in global insertion order within each group.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut groups = std::mem::take(&mut self.scratch_groups);
+        let mut used = 0;
         for &i in &co {
             let root = self.dsu.find(self.job_nodes[i][0]);
-            match groups.iter_mut().find(|(r, _)| *r == root) {
+            match groups[..used].iter_mut().find(|(r, _)| *r == root) {
                 Some((_, g)) => g.push(i),
-                None => groups.push((root, vec![i])),
+                None => {
+                    if used == groups.len() {
+                        groups.push((root, Vec::new()));
+                    }
+                    groups[used].0 = root;
+                    groups[used].1.clear();
+                    groups[used].1.push(i);
+                    used += 1;
+                }
             }
         }
-        for (_, group) in &groups {
+        for (_, group) in &groups[..used] {
             solve_component(
                 cluster,
                 &self.jobs,
@@ -400,6 +459,8 @@ impl IncrementalEstimator {
             );
         }
         self.stats.jobs_reused += self.network_jobs - co.len() as u64;
+        self.scratch_members = co;
+        self.scratch_groups = groups;
     }
 
     /// Re-tune a job in place: remove any existing job with `job`'s id,

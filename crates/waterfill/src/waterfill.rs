@@ -120,6 +120,13 @@ impl Dsu {
         x
     }
 
+    /// Make `x` a singleton again. Sound only when every node of `x`'s
+    /// component is isolated in the same sweep: a node left pointing at `x`
+    /// would otherwise be cut off from its old root.
+    pub(crate) fn isolate(&mut self, x: usize) {
+        self.parent[x] = x;
+    }
+
     pub(crate) fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {

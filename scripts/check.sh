@@ -16,10 +16,14 @@
 # cell, where PS scoring dedups per rack and water-fill components are
 # large), the service determinism smoke (two identical deterministic 10K-job
 # bench_service runs at one worker and one at NETPACK_THREADS=4 must be
-# byte-identical, stdout + event log), and the index smoke (a 2 000-job
-# deterministic replay of a *debug* build, so the placement path's debug
-# assertion holds its persistent server index to a full scan after every
-# refresh under real churn).
+# byte-identical, stdout + event log), and the two index smokes (a
+# 2 000-job deterministic replay and the fig10_xl smoke, both from a
+# *debug* build, so the placement path's debug assertions hold the
+# journal-fed server index — as the journals left it — to a full scan
+# after every refresh, and the index-answered single-server shortcut to
+# the literal scan, on the session path under real churn and on the
+# stateless three-tier path; the debug fig10_xl digest must equal the
+# release one).
 # Keep this list in sync with README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -124,12 +128,20 @@ fi
 printf '%s\n' "$svc_a"
 echo "service event log: $(wc -l < "$exact_dir/svc_a.log") lines, byte-identical across runs"
 
-echo "==> index smoke: debug 2 000-job replay, server index == full scan after every refresh"
-# A debug build keeps `debug_assert!`: every spanning job audits the
-# refreshed index against a from-scratch build (DESIGN.md §3.11), so
-# index drift under churn fails here, not in a benchmark.
+echo "==> index smokes: debug builds, server index == full scan and shortcut == literal scan on every job"
+# A debug build keeps `debug_assert!`: every job audits the index as its
+# change journals left it against a from-scratch build, and the class-walk
+# single-server pick against the literal scan (DESIGN.md §3.11), so a
+# missed journal entry fails here, not in a benchmark. The service replay
+# covers the session path under churn, fig10_xl the stateless three-tier
+# path; a debug build may not move a placement either.
 NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \
     cargo run -q -p netpack-bench --bin bench_service > /dev/null
+xl_debug=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 cargo run -q -p netpack-bench --bin fig10_xl)
+if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_debug"); then
+    echo "check.sh: fig10_xl smoke DIVERGED between the release and debug builds" >&2
+    exit 1
+fi
 
 echo "==> fig14 smoke: fast vs scratch packet path must match (stdout + CSV)"
 pkt_fast=$(NETPACK_PKT=fast NETPACK_CSV_DIR="$pkt_dir/fast" \
