@@ -17,8 +17,14 @@
 //! * `deterministic` (`NETPACK_SERVICE_MODE=deterministic`, forced by
 //!   `NETPACK_SMOKE=1`) — the [`ServiceCore`] driven synchronously with a
 //!   fixed drain quantum; byte-reproducible, and with
-//!   `NETPACK_SERVICE_EVENT_LOG=<path>` the full event log is written for
-//!   `scripts/check.sh` to diff across runs.
+//!   `NETPACK_SERVICE_EVENT_LOG=<path>` the full event log is recorded and
+//!   written for `scripts/check.sh` to diff across runs (`0`, `1` and
+//!   empty name no file, so nothing is recorded).
+//!
+//! The service library reads no environment: this binary parses those
+//! variables into a [`ServiceConfig`] and leaves every other tunable at
+//! its default. `NETPACK_PERF=1` prints the merged service + placer perf
+//! counters.
 //!
 //! Scale with `NETPACK_QUICK=1` (50K jobs) or `NETPACK_SMOKE=1`
 //! (10K jobs, deterministic); the default is the 1M-job acceptance run.
@@ -26,15 +32,11 @@
 //! in `scripts/bench.sh` use it to run long enough that throughput noise
 //! stays small relative to the threaded-vs-deterministic gap.
 
-use netpack_bench::{emit_service_row, quick, ServiceRow};
+use netpack_bench::{emit_service_row, quick, smoke, ServiceRow};
 use netpack_metrics::{LatencyHistogram, Stopwatch, TextTable};
 use netpack_service::{Command, PlacementService, ServiceConfig, ServiceCore, ServiceReport};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Trace, TraceKind, TraceSpec};
-
-fn smoke() -> bool {
-    std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0")
-}
 
 /// The Fig. 10 evaluation cluster: 16 racks × 16 servers × 4 GPUs.
 fn spec() -> ClusterSpec {
@@ -143,17 +145,24 @@ fn main() {
         } else {
             1_000_000
         });
-    let mut config = ServiceConfig::from_env();
-    if smoke() {
-        config.deterministic = true;
-    }
-    let mode = if config.deterministic { "deterministic" } else { "threaded" };
+    let deterministic = smoke()
+        || std::env::var("NETPACK_SERVICE_MODE")
+            .is_ok_and(|m| m.trim().eq_ignore_ascii_case("deterministic"));
+    let event_log_path = std::env::var("NETPACK_SERVICE_EVENT_LOG")
+        .ok()
+        .filter(|p| !p.is_empty() && p != "0" && p != "1");
+    let config = ServiceConfig {
+        deterministic,
+        event_log: event_log_path.is_some(),
+        ..ServiceConfig::default()
+    };
+    let mode = if deterministic { "deterministic" } else { "threaded" };
     let trace = service_trace(&spec(), jobs, 1);
 
     println!("bench_service — open-loop Philly trace, Fig. 10 cluster ({} GPUs)", spec().total_gpus());
     println!("jobs={jobs} mode={mode}\n");
 
-    let (report, wall_s) = if config.deterministic {
+    let (report, wall_s) = if deterministic {
         run_deterministic(&trace, config)
     } else {
         run_threaded(&trace, config)
@@ -186,20 +195,18 @@ fn main() {
     }
     println!("{table}");
 
-    if std::env::var("NETPACK_SERVICE_PERF").is_ok_and(|v| v != "0") {
+    if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
         println!("perf counters (service + placer):");
         println!("{}", report.perf.to_table().render());
     }
 
-    if let Ok(path) = std::env::var("NETPACK_SERVICE_EVENT_LOG") {
-        if !path.is_empty() && path != "0" && path != "1" {
-            let mut text = report.events.join("\n");
-            text.push('\n');
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            // stderr, not stdout: the determinism gate byte-diffs stdout
-            // across runs that write to different log paths.
-            eprintln!("event log: {} lines -> {path}", report.events.len());
-        }
+    if let Some(path) = event_log_path {
+        let mut text = report.events.join("\n");
+        text.push('\n');
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        // stderr, not stdout: the determinism gate byte-diffs stdout
+        // across runs that write to different log paths.
+        eprintln!("event log: {} lines -> {path}", report.events.len());
     }
 
     emit_service_row(&ServiceRow {

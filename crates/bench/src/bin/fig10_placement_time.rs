@@ -23,7 +23,7 @@ use netpack_topology::{Cluster, ClusterSpec};
 use netpack_workload::xorshift_batch;
 
 fn main() {
-    if std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0") {
+    if netpack_bench::smoke() {
         let cluster = Cluster::new(ClusterSpec {
             racks: 16,
             servers_per_rack: 64,

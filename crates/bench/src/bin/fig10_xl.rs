@@ -19,7 +19,7 @@ use netpack_topology::{Cluster, ClusterSpec};
 use netpack_workload::xorshift_batch;
 
 fn main() {
-    let smoke = std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = netpack_bench::smoke();
     // 32 pods x 49 racks x 32 servers x 4 GPUs = 50 176 servers; the smoke
     // tree keeps three tiers (4 pods x 5 racks x 8 servers) at 160 servers.
     let (pods, racks_per_pod, servers_per_rack, jobs) =

@@ -8,8 +8,10 @@
 //!
 //! Each (part, PAT-ratio) cell is an independent packet simulation, so
 //! the sweep fans out via [`parallel_sweep`]; set `NETPACK_PERF=1` to
-//! print the merged round-loop counters and `NETPACK_PKT=scratch` to run
-//! the reference per-packet loop (`scripts/check.sh` diffs the two).
+//! print the merged round-loop counters. Under `NETPACK_SMOKE=1` every
+//! cell is repeated through the per-packet oracle
+//! (`PacketSim::run_reference`) and asserted bit-identical — same output,
+//! which is how `scripts/check.sh` runs it.
 
 use netpack_bench::{emit_table, packet_stream_job, parallel_sweep, pat_ratio_config};
 use netpack_metrics::{PerfCounters, TextTable};
@@ -21,13 +23,23 @@ fn main() {
     // One cell per (part, PAT ratio): part 0 = Fig. 14a (one job, 0.05 s),
     // part 1 = Fig. 14b (two jobs, 0.1 s).
     let cells: Vec<(usize, f64)> = (0..2).flat_map(|p| XS.iter().map(move |&x| (p, x))).collect();
+    let smoke = netpack_bench::smoke();
     let results = parallel_sweep(&cells, |&(part, x)| {
         let mut sim = PacketSim::new(pat_ratio_config(x, 10.0));
         sim.add_job(packet_stream_job(0, 2, Some(10.0)));
         if part == 1 {
             sim.add_job(packet_stream_job(1, 2, Some(10.0)));
         }
-        let report = sim.run(if part == 0 { 0.05 } else { 0.1 });
+        let duration_s = if part == 0 { 0.05 } else { 0.1 };
+        let oracle = smoke.then(|| sim.clone());
+        let report = sim.run(duration_s);
+        if let Some(mut oracle) = oracle {
+            let reference = oracle.run_reference(duration_s);
+            assert_eq!(report, reference, "part {part} x={x}: run diverged from run_reference");
+            for (a, b) in report.per_job.iter().zip(&reference.per_job) {
+                assert_eq!(a.goodput_bits.to_bits(), b.goodput_bits.to_bits());
+            }
+        }
         let ratios: Vec<f64> = report.per_job.iter().map(|s| s.aggregation_ratio()).collect();
         (ratios, report.perf)
     });

@@ -3,7 +3,9 @@
 //! The paper replays a 4K-job real workload on clusters of 100 to 10K
 //! servers (16 racks) and reports an average 31% JCT reduction for
 //! NetPack. We sweep the same shape; `NETPACK_QUICK=1` trims the sweep
-//! and `NETPACK_SMOKE=1` shrinks it to a single tiny cell (the
+//! and `NETPACK_SMOKE=1` shrinks it to a single tiny cell, every replay of
+//! which is repeated through the from-scratch oracle
+//! (`Simulation::run_reference`) and asserted bit-identical (the
 //! `scripts/check.sh` equivalence gate). Every (size, placer, repetition)
 //! cell is an independent simulation, so the sweep fans out across
 //! threads via [`parallel_sweep`]; set `NETPACK_PERF=1` to print the
@@ -16,7 +18,7 @@ use netpack_topology::{Cluster, ClusterSpec};
 use netpack_workload::TraceKind;
 
 fn main() {
-    let smoke = std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = netpack_bench::smoke();
     let sizes: Vec<usize> = if smoke {
         vec![64]
     } else if quick() {
@@ -69,12 +71,13 @@ fn main() {
             ..ClusterSpec::paper_default()
         };
         let trace = loaded_trace(TraceKind::Real, &base_spec, jobs, 3000 + rep as u64);
-        let result = Simulation::new(
-            Cluster::new(spec.clone()),
-            placer_by_name(name),
-            SimConfig::default(),
-        )
-        .run(&trace);
+        let sim = || {
+            Simulation::new(Cluster::new(spec.clone()), placer_by_name(name), SimConfig::default())
+        };
+        let result = sim().run(&trace);
+        if smoke {
+            assert_eq!(result, sim().run_reference(&trace), "{name}: run diverged from run_reference");
+        }
         let jct = result.average_jct_s().expect("jobs finished");
         (jct, result.perf)
     });

@@ -6,25 +6,28 @@
 //! size, while NetPack's DP lands within a few percent of the optimum on
 //! every instance small enough to enumerate.
 //!
-//! The exact solver runs in the mode selected by `NETPACK_EXACT`
-//! (`bnb`, the default branch-and-bound, or `scratch`, the legacy
-//! exhaustive DFS). The main table deliberately prints only objectives and
-//! gaps — never times or evaluation counts — so its bytes are identical
-//! across modes; the `scripts/check.sh` two-mode gate diffs exactly that.
-//! Under `bnb` (and outside `NETPACK_SMOKE`) a second diagnostics table
-//! compares the branch-and-bound against the scratch reference per row,
-//! with the scratch search capped on the instances it cannot finish.
+//! The exact solver is the branch-and-bound [`ExactPlacer`]. The main
+//! table prints only objectives and gaps — never times or evaluation
+//! counts — so its bytes are reproducible. Under `NETPACK_SMOKE=1` the one
+//! smoke instance is also solved by the exhaustive reference
+//! ([`reference::place_exact`]) and the binary asserts identical
+//! placements, a bit-identical objective and strictly fewer evaluations;
+//! otherwise a second diagnostics table compares the two searches per
+//! row, with the reference capped on the instances it cannot finish.
 //! Every measurement is also appended to `$NETPACK_BENCH_JSON` as a
 //! [`BenchRow`] when that variable is set (see `scripts/bench.sh`).
 
 use netpack_bench::{emit_bench_row, emit_table, BenchRow};
 use netpack_metrics::Stopwatch;
 use netpack_metrics::TextTable;
-use netpack_placement::{batch_comm_time_s, ExactMode, ExactPlacer, NetPackPlacer, Placer};
+use netpack_placement::{batch_comm_time_s, reference, ExactPlacer, NetPackPlacer, Placer};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Job, ModelKind};
 
-/// Evaluation cap for the scratch reference on rows it cannot fully
+/// Evaluation budget of both searches on rows they can finish.
+const BUDGET: u64 = 50_000_000;
+
+/// Evaluation cap for the exhaustive reference on rows it cannot fully
 /// enumerate in reasonable time; its timing is then a lower bound.
 const SCRATCH_CAP: u64 = 2_000_000;
 
@@ -32,7 +35,7 @@ struct Instance {
     servers: usize,
     gpus: usize,
     sizes: Vec<usize>,
-    /// Whether the scratch DFS can fully enumerate this row.
+    /// Whether the exhaustive reference can fully enumerate this row.
     scratch_full: bool,
 }
 
@@ -53,8 +56,8 @@ fn instances(smoke: bool) -> Vec<Instance> {
         mk(4, 2, vec![2, 2, 3], true),
         mk(5, 2, vec![3, 3, 2], true),
         mk(6, 2, vec![3, 3, 3], true),
-        // Beyond here only the branch-and-bound finishes; the scratch
-        // reference is capped at SCRATCH_CAP evaluations for timing.
+        // Beyond here only the branch-and-bound finishes; the reference
+        // is capped at SCRATCH_CAP evaluations for timing.
         mk(8, 2, vec![3, 3, 3], false),
         mk(8, 2, vec![2, 2, 3, 3], false),
         mk(10, 2, vec![3, 3, 3], false),
@@ -62,27 +65,10 @@ fn instances(smoke: bool) -> Vec<Instance> {
     ]
 }
 
-fn mode_name(mode: ExactMode) -> &'static str {
-    match mode {
-        ExactMode::Bnb => "bnb",
-        ExactMode::Scratch => "scratch",
-    }
-}
-
 fn main() {
-    let smoke = std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0");
-    let mode = ExactMode::from_env();
-    let diagnose = mode == ExactMode::Bnb && !smoke;
+    let smoke = netpack_bench::smoke();
     println!("§5.1 — exact search vs NetPack DP (objective: total comm time per iteration)\n");
     let mut table = TextTable::new(vec!["servers x gpus", "jobs", "exact obj", "dp obj", "gap"]);
-    // Pad the jobs column against the *unfiltered* instance list so the
-    // rows the scratch mode does print are byte-identical to the same rows
-    // under bnb, even though scratch skips the large instances.
-    let jobs_width = instances(smoke)
-        .iter()
-        .map(|i| i.sizes.iter().map(usize::to_string).collect::<Vec<_>>().join("+").len())
-        .max()
-        .unwrap_or(0);
     let mut diag = TextTable::new(vec![
         "servers x gpus",
         "jobs",
@@ -95,11 +81,6 @@ fn main() {
         "speedup",
     ]);
     for inst in instances(smoke) {
-        if mode == ExactMode::Scratch && !inst.scratch_full {
-            // The legacy DFS would need hours here; that blow-up is the
-            // point of the diagnostics table under the default mode.
-            continue;
-        }
         let spec = ClusterSpec {
             racks: 1,
             servers_per_rack: inst.servers,
@@ -123,7 +104,7 @@ fn main() {
             .join("+");
         let instance_id = format!("{label}/{jobs_label}");
 
-        let mut exact = ExactPlacer::new(50_000_000).mode(mode);
+        let mut exact = ExactPlacer::new(BUDGET);
         let t0 = Stopwatch::start();
         let exact_outcome = exact.place_batch(&cluster, &[], &batch);
         let exact_time = t0.elapsed().as_secs_f64();
@@ -131,7 +112,7 @@ fn main() {
         emit_bench_row(&BenchRow {
             bench: "table_mip_vs_dp",
             instance: instance_id.clone(),
-            mode: mode_name(mode).to_string(),
+            mode: "bnb".to_string(),
             wall_s: exact_time,
             threads: netpack_bench::bench_threads(),
             evals: exact.evaluations(),
@@ -164,54 +145,57 @@ fn main() {
         };
         table.row(vec![
             label.clone(),
-            format!("{jobs_label:<jobs_width$}"),
+            jobs_label.clone(),
             format!("{exact_obj:.4}"),
             format!("{dp_obj:.4}"),
             gap,
         ]);
 
-        if diagnose {
-            let budget = if inst.scratch_full {
-                50_000_000
-            } else {
-                SCRATCH_CAP
-            };
-            let mut scratch = ExactPlacer::new(budget).mode(ExactMode::Scratch);
-            let t0 = Stopwatch::start();
-            let _ = scratch.place_batch(&cluster, &[], &batch);
-            let scratch_time = t0.elapsed().as_secs_f64();
-            emit_bench_row(&BenchRow {
-                bench: "table_mip_vs_dp",
-                instance: instance_id.clone(),
-                mode: "scratch".to_string(),
-                wall_s: scratch_time,
-                threads: netpack_bench::bench_threads(),
-                evals: scratch.evaluations(),
-                nodes: 0,
-                pruned: 0,
-            });
-            let capped = scratch.evaluations() >= budget;
-            let prefix = if capped { ">" } else { "" };
-            let speedup = if exact_time > 0.0 {
-                format!("{prefix}{:.1}x", scratch_time / exact_time)
-            } else {
-                "-".to_string()
-            };
-            diag.row(vec![
-                label,
-                jobs_label,
-                format!("{exact_time:.3}"),
-                exact.evaluations().to_string(),
-                exact.perf().counter("exact_nodes").to_string(),
-                exact.perf().counter("exact_pruned_subtrees").to_string(),
-                format!("{prefix}{scratch_time:.3}"),
-                scratch.evaluations().to_string(),
-                speedup,
-            ]);
+        // The exhaustive reference: the smoke holds the branch-and-bound
+        // to it, the full run times it for the diagnostics table.
+        let budget = if inst.scratch_full { BUDGET } else { SCRATCH_CAP };
+        let t0 = Stopwatch::start();
+        let (scratch_best, scratch_evals) =
+            reference::place_exact(&cluster, &[], &batch, false, budget);
+        let scratch_time = t0.elapsed().as_secs_f64();
+        if smoke {
+            let (scratch_obj, scratch_placed) = scratch_best.expect("the smoke instance is feasible");
+            assert_eq!(exact_outcome.placed, scratch_placed, "bnb diverged from the reference");
+            assert_eq!(exact_obj.to_bits(), scratch_obj.to_bits(), "objective not bit-identical");
+            assert!(exact.evaluations() < scratch_evals, "bnb did not prune");
+            continue;
         }
+        emit_bench_row(&BenchRow {
+            bench: "table_mip_vs_dp",
+            instance: instance_id,
+            mode: "scratch".to_string(),
+            wall_s: scratch_time,
+            threads: netpack_bench::bench_threads(),
+            evals: scratch_evals,
+            nodes: 0,
+            pruned: 0,
+        });
+        let capped = scratch_evals >= budget;
+        let prefix = if capped { ">" } else { "" };
+        let speedup = if exact_time > 0.0 {
+            format!("{prefix}{:.1}x", scratch_time / exact_time)
+        } else {
+            "-".to_string()
+        };
+        diag.row(vec![
+            label,
+            jobs_label,
+            format!("{exact_time:.3}"),
+            exact.evaluations().to_string(),
+            exact.perf().counter("exact_nodes").to_string(),
+            exact.perf().counter("exact_pruned_subtrees").to_string(),
+            format!("{prefix}{scratch_time:.3}"),
+            scratch_evals.to_string(),
+            speedup,
+        ]);
     }
     emit_table("table_mip_vs_dp", &table);
-    if diagnose {
+    if !smoke {
         println!(
             "branch-and-bound vs exhaustive scratch reference \
              (scratch capped at {SCRATCH_CAP} evals on the large rows):\n"

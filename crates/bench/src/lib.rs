@@ -54,6 +54,13 @@ pub fn quick() -> bool {
     std::env::var("NETPACK_QUICK").is_ok_and(|v| v != "0")
 }
 
+/// Whether to run the single tiny cell `scripts/check.sh` gates on; a
+/// binary whose layer has a reference also runs it on that cell and
+/// asserts it equals production.
+pub fn smoke() -> bool {
+    std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0")
+}
+
 /// The paper's 5-server testbed cluster spec (heavily loaded in our runs
 /// so placement quality matters, as the production replay does).
 pub fn testbed_spec() -> ClusterSpec {
@@ -299,7 +306,7 @@ pub fn pat_ratio_config(pat_ratio: f64, rate_gbps: f64) -> SwitchConfig {
 
 /// Print a table to stdout and, when `NETPACK_CSV_DIR` is set, also write
 /// it to `$NETPACK_CSV_DIR/<name>.csv` — the shared emission path of the
-/// figure binaries (the `scripts/check.sh` two-mode gate diffs the CSVs).
+/// figure binaries.
 pub fn emit_table(name: &str, table: &TextTable) {
     println!("{table}");
     if let Ok(dir) = std::env::var("NETPACK_CSV_DIR") {
@@ -326,7 +333,8 @@ pub struct BenchRow {
     pub bench: &'static str,
     /// Instance label, e.g. `"6x2/3+3+3"` or `"servers=400/jobs=100"`.
     pub instance: String,
-    /// Algorithm variant, e.g. `"bnb"`, `"scratch"`, `"dp"`, `"fast"`.
+    /// Algorithm variant, e.g. `"bnb"`, `"scratch"` (the exhaustive
+    /// reference), `"dp"`, `"flat"`.
     pub mode: String,
     /// Wall-clock seconds for the measured call.
     pub wall_s: f64,

@@ -11,12 +11,14 @@
 //! completions — trigger a rate recomputation, exactly as real statistical
 //! INA re-converges when the competing flow set changes.
 //!
-//! Recomputation is incremental by default: a warm water-filling
-//! estimator re-solves only the resource-connected components an event
-//! touched, and completions come off a lazy-invalidation min-heap instead
-//! of a per-event scan (see [`sim`](self) internals and `SteadyMode`).
-//! Set `NETPACK_SIM=scratch` to force the from-scratch reference path —
-//! both produce bit-identical results.
+//! Recomputation is incremental: a warm water-filling estimator re-solves
+//! only the resource-connected components an event touched, and
+//! completions come off a lazy-invalidation min-heap instead of a
+//! per-event scan (see the [`sim`](self) internals). There is one
+//! production path and no option selects another: the from-scratch
+//! oracle it is bit-identical to is the hidden
+//! `Simulation::run_reference`, which tests and the `fig9_scale` smoke
+//! call directly. This crate reads no environment variable.
 //!
 //! The fluid model assumes every job communicates continuously. Real
 //! iterative jobs interleave compute and communication and can take turns
@@ -50,4 +52,4 @@ mod outcome;
 mod sim;
 
 pub use outcome::{JobOutcome, SimResult, TelemetrySample};
-pub use sim::{InaMode, SimConfig, Simulation, SteadyMode};
+pub use sim::{InaMode, SimConfig, Simulation};

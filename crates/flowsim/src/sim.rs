@@ -5,12 +5,13 @@
 //! The loop's per-event cost is proportional to what changed, not to the
 //! cluster:
 //!
-//! - **Steady state** — in [`SteadyMode::Incremental`] (the default) the
-//!   manager keeps one warm water-filling estimator across the whole run
-//!   and re-solves only the resource-connected components touched by an
-//!   arrival batch or completion. The result is bit-identical to a
-//!   from-scratch solve ([`SteadyMode::Scratch`]), which is what the
-//!   `NETPACK_SIM` equivalence gate in `scripts/check.sh` checks.
+//! - **Steady state** — under [`InaMode::Statistical`] the manager keeps
+//!   one warm water-filling estimator across the whole run and re-solves
+//!   only the resource-connected components touched by an arrival batch
+//!   or completion; [`InaMode::Synchronous`] has no incremental form and
+//!   solves from scratch. The warm result is bit-identical to the
+//!   from-scratch oracle `Simulation::run_reference`, which nothing
+//!   selects: tests and the `fig9_scale` smoke call it.
 //! - **Completions** — rather than scanning every running job per event,
 //!   predicted finish times live in a lazy-invalidation min-heap. A
 //!   job's fluid progress is anchored at the last rate change
@@ -24,9 +25,10 @@
 //!   epoch and the next arrival costs O(1).
 //!
 //! [`SimResult::perf`] records the work: `sim_events`, `heap_pushes`,
-//! `heap_stale_pops` counters and `events`, `resolve_component`,
-//! `resolve_full`, `heap_ops` phase timers, plus the warm estimator's
-//! own counters (`wf_*`).
+//! `heap_stale_pops` counters and `events`, `resolve_component` (warm
+//! solves), `resolve_full` (from-scratch solves: synchronous mode, and
+//! every solve of the reference), `heap_ops` phase timers, plus the warm
+//! estimator's own counters (`wf_*`).
 
 use crate::{JobOutcome, SimResult, TelemetrySample};
 use netpack_core::{JobManager, ManagerConfig};
@@ -51,31 +53,6 @@ pub enum InaMode {
     Synchronous,
 }
 
-/// How the event loop obtains the steady state after the running set
-/// changes. Both paths produce bit-identical results; `Scratch` exists as
-/// the reference for equivalence tests and before/after benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SteadyMode {
-    /// Maintain one warm incremental estimator across the run, re-solving
-    /// only the components touched by each event (the fast default).
-    #[default]
-    Incremental,
-    /// Re-run Algorithm 1 from scratch over all running jobs per event.
-    Scratch,
-}
-
-impl SteadyMode {
-    /// Read the mode from the `NETPACK_SIM` environment variable:
-    /// `scratch` selects [`SteadyMode::Scratch`], anything else (or
-    /// unset) selects [`SteadyMode::Incremental`].
-    pub fn from_env() -> Self {
-        match std::env::var("NETPACK_SIM").as_deref() {
-            Ok("scratch") => SteadyMode::Scratch,
-            _ => SteadyMode::Incremental,
-        }
-    }
-}
-
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -89,9 +66,6 @@ pub struct SimConfig {
     pub telemetry_interval_s: Option<f64>,
     /// Switch memory-multiplexing mode (default statistical).
     pub ina_mode: InaMode,
-    /// Steady-state recomputation strategy (default: `NETPACK_SIM` env,
-    /// falling back to incremental).
-    pub steady: SteadyMode,
 }
 
 impl Default for SimConfig {
@@ -101,7 +75,6 @@ impl Default for SimConfig {
             max_sim_time_s: 90.0 * 86_400.0,
             telemetry_interval_s: None,
             ina_mode: InaMode::default(),
-            steady: SteadyMode::from_env(),
         }
     }
 }
@@ -238,6 +211,24 @@ impl Simulation {
     /// Replay `trace` to completion (or the time cap) and return the
     /// per-job outcomes.
     pub fn run(self, trace: &Trace) -> SimResult {
+        // The warm estimator models statistical multiplexing (Algorithm 1);
+        // synchronous mode has no incremental form.
+        let warm = self.config.ina_mode == InaMode::Statistical;
+        self.replay(trace, warm)
+    }
+
+    /// The oracle [`run`](Self::run) is held to: the same event loop with
+    /// the steady state re-solved from scratch over every running job at
+    /// every event. Bit-identical [`SimResult`], far slower; tests and the
+    /// `fig9_scale` smoke call it, nothing selects it.
+    #[doc(hidden)]
+    pub fn run_reference(self, trace: &Trace) -> SimResult {
+        self.replay(trace, false)
+    }
+
+    /// The event loop. `warm` takes each steady state from the manager's
+    /// incremental estimator; otherwise every solve is from scratch.
+    fn replay(self, trace: &Trace, warm: bool) -> SimResult {
         let Simulation {
             cluster,
             placer,
@@ -245,10 +236,6 @@ impl Simulation {
         } = self;
         let epoch = config.manager.epoch_s.max(1e-6);
         let total_gpus = cluster.total_gpus();
-        // The warm estimator models statistical multiplexing (Algorithm 1);
-        // synchronous mode always solves from scratch.
-        let use_incremental =
-            config.steady == SteadyMode::Incremental && config.ina_mode == InaMode::Statistical;
         let mut manager = JobManager::new(cluster, placer, config.manager);
         let mut result = SimResult::default();
         let mut perf = PerfCounters::new();
@@ -274,7 +261,7 @@ impl Simulation {
         let mut used_gpus: usize = 0;
         let mut clock = 0.0f64;
         let mut last_epoch_run = f64::NEG_INFINITY;
-        // Scratch-mode state cache; incremental mode reads the manager's.
+        // The last from-scratch state; a warm run reads the manager's.
         let mut state: Option<SteadyState> = None;
         let mut state_ready = false;
         let mut next_telemetry = 0.0f64;
@@ -351,7 +338,8 @@ impl Simulation {
                 .front()
                 .is_some_and(|j| j.arrival_s <= clock + 1e-9)
             {
-                manager.submit(arrivals.pop_front().expect("peeked"));
+                let Some(job) = arrivals.pop_front() else { break };
+                manager.submit(job);
             }
 
             // -------- completions --------
@@ -369,8 +357,10 @@ impl Simulation {
                     break;
                 }
                 heap.pop();
-                let p = running.remove(&c.id).expect("live entry");
-                let (job, _placement) = manager.finish(c.id).expect("job was running");
+                // `running` mirrors the manager's running set, so both
+                // lookups succeed for a live entry.
+                let Some(p) = running.remove(&c.id) else { continue };
+                let Ok((job, _placement)) = manager.finish(c.id) else { continue };
                 used_gpus -= job.gpus;
                 result.outcomes.push(JobOutcome {
                     id: c.id,
@@ -409,12 +399,14 @@ impl Simulation {
 
             // -------- rate recomputation --------
             if rates_dirty || !state_ready {
-                if use_incremental {
+                state_ready = true;
+                let s: &SteadyState = if warm {
                     let solve_start = Stopwatch::start();
-                    let _ = manager.steady_state_incremental();
+                    let s = manager.steady_state_incremental();
                     perf.record("resolve_component", solve_start.elapsed());
+                    s
                 } else {
-                    let s = perf.time("resolve_full", || match config.ina_mode {
+                    state.insert(perf.time("resolve_full", || match config.ina_mode {
                         InaMode::Statistical => manager.steady_state(),
                         InaMode::Synchronous => {
                             let cluster = manager.cluster();
@@ -425,14 +417,7 @@ impl Simulation {
                                 .collect();
                             netpack_waterfill::estimate_synchronous(cluster, &placed)
                         }
-                    });
-                    state = Some(s);
-                }
-                state_ready = true;
-                let s = if use_incremental {
-                    manager.incremental_state().expect("just resolved")
-                } else {
-                    state.as_ref().expect("just solved")
+                    }))
                 };
                 for (id, p) in running.iter_mut() {
                     let comm = s
@@ -465,7 +450,7 @@ impl Simulation {
                 if clock + 1e-9 >= next_telemetry {
                     next_telemetry = clock + interval;
                 }
-                let view = if use_incremental {
+                let view = if warm {
                     manager.incremental_state()
                 } else {
                     state.as_ref()
@@ -706,23 +691,23 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_scratch_modes_agree_exactly() {
+    fn incremental_and_scratch_replays_agree_exactly() {
         let trace = TraceSpec::new(TraceKind::Real, 20)
             .seed(11)
             .duration_scale(0.03)
             .max_gpus(12)
             .generate();
-        let run = |steady| {
+        let sim = || {
             let config = SimConfig {
-                steady,
                 telemetry_interval_s: Some(50.0),
                 ..SimConfig::default()
             };
-            Simulation::new(cluster(), Box::new(NetPackPlacer::default()), config).run(&trace)
+            Simulation::new(cluster(), Box::new(NetPackPlacer::default()), config)
         };
-        let inc = run(SteadyMode::Incremental);
-        let scratch = run(SteadyMode::Scratch);
+        let inc = sim().run(&trace);
+        let scratch = sim().run_reference(&trace);
         assert_eq!(inc, scratch);
+        assert!(scratch.perf.timer_count("resolve_full") > 0);
         // The fast path actually took the incremental branch…
         assert!(inc.perf.timer_count("resolve_component") > 0);
         assert_eq!(inc.perf.timer_count("resolve_full"), 0);

@@ -1,7 +1,7 @@
 //! Property tests for the flow-level simulator: accounting invariants that
 //! must hold for any trace and any placer.
 
-use netpack_flowsim::{InaMode, SimConfig, Simulation, SteadyMode};
+use netpack_flowsim::{InaMode, SimConfig, Simulation};
 use netpack_placement::{GpuBalance, NetPackPlacer, Placer, RandomPlacer};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Job, ModelKind, Trace};
@@ -133,11 +133,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The incremental steady-state path replays any trace with a
-    /// *bit-identical* `SimResult` — outcomes, unfinished set, makespan,
-    /// telemetry, and GPU-seconds — to the from-scratch reference path,
-    /// across random clusters, INA modes (including synchronous), and
-    /// placers. Exact equality is deliberate: the warm estimator must
+    /// `run` replays any trace with a *bit-identical* `SimResult` —
+    /// outcomes, unfinished set, makespan, telemetry, and GPU-seconds —
+    /// to the from-scratch `run_reference`, across random clusters, INA
+    /// modes (including synchronous), and placers. Exact equality is deliberate: the warm estimator must
     /// replay the very same float-op sequence, not merely approximate it.
     #[test]
     fn incremental_replay_is_bit_identical_to_scratch(
@@ -156,9 +155,8 @@ proptest! {
             ..ClusterSpec::paper_default()
         };
         let ina_mode = if sync_mode { InaMode::Synchronous } else { InaMode::Statistical };
-        let run = |steady| {
+        let sim = || {
             let config = SimConfig {
-                steady,
                 ina_mode,
                 telemetry_interval_s: telemetry.then_some(20.0),
                 ..SimConfig::default()
@@ -168,8 +166,8 @@ proptest! {
                 1 => Box::new(GpuBalance),
                 _ => Box::new(RandomPlacer::new(5)),
             };
-            Simulation::new(Cluster::new(spec.clone()), placer, config).run(&trace)
+            Simulation::new(Cluster::new(spec.clone()), placer, config)
         };
-        prop_assert_eq!(run(SteadyMode::Incremental), run(SteadyMode::Scratch));
+        prop_assert_eq!(sim().run(&trace), sim().run_reference(&trace));
     }
 }

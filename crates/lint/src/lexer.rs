@@ -324,14 +324,14 @@ mod tests {
 
     #[test]
     fn literal_interiors_are_collected_per_line() {
-        let lines = scan("let v = std::env::var(\"NETPACK_SIM\"); // NETPACK_FAKE\nlet w = r#\"NETPACK_PKT\"#;");
-        assert!(lines[0].literal.contains("NETPACK_SIM"));
+        let lines = scan("let v = std::env::var(\"NETPACK_SMOKE\"); // NETPACK_FAKE\nlet w = r#\"NETPACK_QUICK\"#;");
+        assert!(lines[0].literal.contains("NETPACK_SMOKE"));
         assert!(
             !lines[0].literal.contains("NETPACK_FAKE"),
             "comment text must not leak into literal text: {:?}",
             lines[0].literal
         );
-        assert!(lines[1].literal.contains("NETPACK_PKT"));
+        assert!(lines[1].literal.contains("NETPACK_QUICK"));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! for the NetPack workspace.
 //!
 //! Every fast path in this repo (incremental water-filling, the flow- and
-//! packet-level simulator fast modes, the flat placement path)
-//! carries a bit-identity contract with its from-scratch reference. That
+//! packet-level simulator loops, the flat placement path, the exact
+//! branch-and-bound) carries a bit-identity contract with its
+//! from-scratch reference. That
 //! contract dies quietly the moment code iterates a hash-ordered
 //! container, reads the wall clock into simulation state, draws unseeded
 //! randomness, re-associates a float reduction inside a parallel fold,
@@ -25,7 +26,7 @@
 //! | `E1` | `.unwrap()` / `.expect()` / `panic!` in library-crate code |
 //! | `C1` | shared mutable state captured by a parallel closure |
 //! | `C2` | `static mut` / `Ordering::Relaxed` without a per-site proof |
-//! | `M1` | `NETPACK_*` env reads outside the declared mode-gate registry |
+//! | `M1` | `NETPACK_*` env reads outside the declared registry, or in any library crate |
 //! | `P1` | suppression pragmas that no longer suppress anything |
 //!
 //! Since v2 the analysis is scope-aware: a block/item tree ([`scopes`])

@@ -1,20 +1,25 @@
 //! The declared registry of `NETPACK_*` environment variables (rule M1).
 //!
-//! Every env-gated behavior in this workspace — the two-mode bit-identity
-//! gates (`NETPACK_SIM`, `NETPACK_PKT`, …), the knobs, the output
-//! redirects — is part of the repo's reproducibility contract: README.md
-//! documents it, and for mode gates `scripts/check.sh` pins the two modes
-//! byte-identical. Before this module
-//! that contract lived in reviewer memory across 25+ variables. Now it is
-//! *declared* here and cross-checked mechanically:
+//! Every env-gated behavior in this workspace — the one mode gate left
+//! (`NETPACK_SERVICE_MODE`), the knobs, the output redirects — is part of
+//! the repo's reproducibility contract: README.md documents it, and for a
+//! mode gate `scripts/check.sh` pins the behaviour it selects. The
+//! contract is *declared* here and cross-checked mechanically:
 //!
 //! * an `env::var("NETPACK_…")` read anywhere in workspace code whose
 //!   name is not registered → M1 at the read site;
+//! * a `NETPACK_*` literal in a library crate, registered or not → M1
+//!   (the per-file half, in [`crate::rules`]): only binaries read the
+//!   environment, `crates/metrics/src/sweep.rs` excepted;
 //! * a registered variable no source file reads → M1 (dead entry);
 //! * a registered variable missing from the README env table → M1;
 //! * a `NETPACK_*` name in README that is not registered → M1;
 //! * a mode gate whose declared enforcement point (`scripts/check.sh`)
 //!   no longer mentions it → M1.
+//!
+//! The oracles of the simulators and placers (`run_reference`,
+//! `placement::reference`) are deliberately *not* here: no variable
+//! selects them, tests and smokes call them.
 //!
 //! The lint crate itself is exempt from read collection — this file
 //! *names* every variable without reading any.
@@ -26,8 +31,8 @@ use std::path::Path;
 /// How a variable's contract is enforced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
-    /// The variable must appear in `scripts/check.sh` — the two-mode
-    /// smoke diff is the enforcement point.
+    /// The variable must appear in `scripts/check.sh` — a smoke there
+    /// pins the behaviour it selects.
     CheckSh,
     /// A knob or output path with no two-mode contract to enforce.
     None,
@@ -74,22 +79,10 @@ pub const REGISTRY: &[EnvVar] = &[
         desc: "also write each printed table as CSV under this directory",
     },
     EnvVar {
-        name: "NETPACK_EXACT",
-        kind: VarKind::ModeGate,
-        gate: Gate::CheckSh,
-        desc: "exact placer search: branch-and-bound (bnb) or exhaustive DFS (scratch)",
-    },
-    EnvVar {
         name: "NETPACK_PERF",
         kind: VarKind::Output,
         gate: Gate::None,
-        desc: "print merged perf counters after a sweep",
-    },
-    EnvVar {
-        name: "NETPACK_PKT",
-        kind: VarKind::ModeGate,
-        gate: Gate::CheckSh,
-        desc: "packet-simulator round loop: fast or scratch",
+        desc: "print merged perf counters after a sweep or service replay",
     },
     EnvVar {
         name: "NETPACK_QUICK",
@@ -104,34 +97,10 @@ pub const REGISTRY: &[EnvVar] = &[
         desc: "trace seeds per data point",
     },
     EnvVar {
-        name: "NETPACK_SERVICE_BATCH_MAX",
-        kind: VarKind::Knob,
-        gate: Gate::None,
-        desc: "service: adaptive batch-size upper clamp",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_BATCH_MIN",
-        kind: VarKind::Knob,
-        gate: Gate::None,
-        desc: "service: adaptive batch-size lower clamp",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_CHANNEL_CAP",
-        kind: VarKind::Knob,
-        gate: Gate::None,
-        desc: "service: command-channel depth in threaded mode",
-    },
-    EnvVar {
         name: "NETPACK_SERVICE_EVENT_LOG",
         kind: VarKind::Output,
         gate: Gate::None,
         desc: "bench_service: write the per-operation event log here",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_GATHER_US",
-        kind: VarKind::Knob,
-        gate: Gate::None,
-        desc: "service: threaded drain's command-coalescing window",
     },
     EnvVar {
         name: "NETPACK_SERVICE_JOBS",
@@ -140,34 +109,10 @@ pub const REGISTRY: &[EnvVar] = &[
         desc: "bench_service: replay length override",
     },
     EnvVar {
-        name: "NETPACK_SERVICE_LATENCY_BUDGET_US",
-        kind: VarKind::Knob,
-        gate: Gate::None,
-        desc: "service: per-batch placement-latency budget",
-    },
-    EnvVar {
         name: "NETPACK_SERVICE_MODE",
         kind: VarKind::ModeGate,
         gate: Gate::CheckSh,
         desc: "service driver: deterministic byte-reproducible loop vs threaded",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_PERF",
-        kind: VarKind::Output,
-        gate: Gate::None,
-        desc: "bench_service: dump merged service perf counters",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_QUEUE_CAP",
-        kind: VarKind::Knob,
-        gate: Gate::None,
-        desc: "service: pending-queue backpressure bound",
-    },
-    EnvVar {
-        name: "NETPACK_SIM",
-        kind: VarKind::ModeGate,
-        gate: Gate::CheckSh,
-        desc: "flow-simulator steady-state path: incremental or scratch",
     },
     EnvVar {
         name: "NETPACK_SMOKE",
@@ -298,7 +243,7 @@ pub fn cross_check(root: &Path, reads: &[(String, usize, String)]) -> Vec<Findin
                         "scripts/check.sh",
                         1,
                         format!(
-                            "mode gate `{}` is not exercised by scripts/check.sh — add a two-mode smoke or change its registry gate",
+                            "mode gate `{}` is not exercised by scripts/check.sh — add a smoke that pins it or change its registry gate",
                             var.name
                         ),
                     ));
@@ -328,26 +273,26 @@ mod tests {
 
     #[test]
     fn tokens_require_full_names() {
-        let toks = env_tokens("reads NETPACK_SIM and the NETPACK_SERVICE_ prefix, not NETPACK_");
+        let toks = env_tokens("reads NETPACK_SMOKE and the NETPACK_SERVICE_ prefix, not NETPACK_");
         let names: Vec<&str> = toks.iter().map(|(_, n)| n.as_str()).collect();
-        assert_eq!(names, vec!["NETPACK_SIM"]);
+        assert_eq!(names, vec!["NETPACK_SMOKE"]);
     }
 
     #[test]
     fn reads_skip_comments_and_tests() {
         let src = "\
 // NETPACK_COMMENTED is prose, not a read
-fn f() { let v = std::env::var(\"NETPACK_SIM\"); }
+fn f() { let v = std::env::var(\"NETPACK_SMOKE\"); }
 #[cfg(test)]
 mod tests {
-    fn t() { std::env::set_var(\"NETPACK_PKT\", \"fast\"); }
+    fn t() { std::env::set_var(\"NETPACK_QUICK\", \"1\"); }
 }
 ";
         let lines = crate::lexer::scan(src);
         let is_test = [false, false, true, true, true, true, false];
         let reads = reads_in(&lines, &is_test[..lines.len()]);
         assert_eq!(reads.len(), 1);
-        assert_eq!(reads[0].1, "NETPACK_SIM");
+        assert_eq!(reads[0].1, "NETPACK_SMOKE");
     }
 
     #[test]

@@ -77,14 +77,18 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             reach results: every use carries a per-site\n\
             `// netpack-lint: allow(C2): <proof>` pragma. An allowlist that\n\
             must be argued for is the point.",
-        "M1" => "M1 — the NETPACK_* mode-gate registry.\n\n\
+        "M1" => "M1 — the NETPACK_* registry, read only at the edge.\n\n\
             Every env-gated behavior is declared once, in\n\
             crates/lint/src/registry.rs, and cross-checked on every run:\n\
             an env::var read of an unregistered name, a registered name no\n\
             code reads, a name missing from the README env table, and a\n\
-            mode gate whose check.sh smoke or named property test\n\
-            disappeared are all findings. A new mode switch cannot ship\n\
-            undocumented or ungated.",
+            mode gate whose check.sh smoke disappeared are all findings.\n\
+            Library crates read no environment at all: a NETPACK_* string\n\
+            literal in non-test code of an E1 crate is a finding, so\n\
+            `cargo test` cannot be steered by a stray variable — binaries\n\
+            (crates/bench, crates/cli) parse the environment into typed\n\
+            configs. The single declared exception is\n\
+            crates/metrics/src/sweep.rs (the NETPACK_THREADS default).",
         "P1" => "P1 — stale suppression pragmas.\n\n\
             An `allow(<rule>)` pragma that no longer suppresses any finding\n\
             is debt pretending to be justification: the hazard it excused\n\
@@ -140,7 +144,7 @@ pub fn check_file(ctx: &FileContext<'_>) -> Vec<Finding> {
     e1_panics(ctx, &mut findings);
     c1_captured_mutable_state(ctx, &mut findings);
     c2_relaxed_and_static_mut(ctx, &mut findings);
-    m1_unregistered_env_reads(ctx, &mut findings);
+    m1_env_reads(ctx, &mut findings);
     findings
 }
 
@@ -786,25 +790,34 @@ fn c2_relaxed_and_static_mut(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// M1 (per-file half) — `NETPACK_*` reads whose name is not in the
-/// registry. The lint crate itself is exempt: it names every variable
-/// without reading any. The workspace-level cross-checks (dead entries,
-/// README, gates) run in [`crate::registry::cross_check`].
-fn m1_unregistered_env_reads(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
+/// The one library file that may read the environment (rule M1): the
+/// `NETPACK_THREADS` default of `netpack_metrics::sweep_threads`.
+const LIBRARY_ENV_EXCEPTION: &str = "crates/metrics/src/sweep.rs";
+
+/// M1 (per-file half) — `NETPACK_*` reads in a library crate
+/// ([`E1_CRATES`], save [`LIBRARY_ENV_EXCEPTION`]), and reads anywhere
+/// else whose name is not in the registry. The lint crate itself is
+/// exempt: it names every variable without reading any. The
+/// workspace-level cross-checks (dead entries, README, gates) run in
+/// [`crate::registry::cross_check`].
+fn m1_env_reads(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     if ctx.path.starts_with("crates/lint/") {
         return;
     }
+    let library = E1_CRATES.contains(&ctx.crate_name) && ctx.path != LIBRARY_ENV_EXCEPTION;
     for (idx, name) in registry::reads_in(ctx.lines, ctx.is_test) {
-        if registry::find(&name).is_none() {
-            out.push(finding(
-                ctx,
-                "M1",
-                idx,
-                format!(
-                    "`{name}` is read but not in the mode-gate registry (crates/lint/src/registry.rs) — register it with kind, gate, and README row"
-                ),
-            ));
-        }
+        let message = if library {
+            format!(
+                "`{name}` in a library crate — library crates read no environment; parse it in a binary (crates/bench, crates/cli) and pass a typed config"
+            )
+        } else if registry::find(&name).is_none() {
+            format!(
+                "`{name}` is read but not in the mode-gate registry (crates/lint/src/registry.rs) — register it with kind, gate, and README row"
+            )
+        } else {
+            continue;
+        };
+        out.push(finding(ctx, "M1", idx, message));
     }
 }
 

@@ -1,5 +1,6 @@
-// M1 negative: reads of registered variables are the sanctioned pattern,
-// and prose mentions of the NETPACK_ prefix in comments never count.
+// M1 negative: analyzed as a binary crate, where reads of registered
+// variables are the sanctioned pattern; prose mentions of the NETPACK_
+// prefix in comments never count.
 pub fn quick() -> bool {
     std::env::var("NETPACK_QUICK").is_ok()
 }

@@ -106,14 +106,29 @@ fn c2_positive_flags_static_mut_and_relaxed() {
 
 #[test]
 fn m1_positive_flags_unregistered_read() {
-    let src = include_str!("fixtures/tree_m1/crates/core/src/lib.rs");
-    let fs = findings("crates/core/src/lib.rs", src);
+    let src = include_str!("fixtures/tree_m1/crates/cli/src/lib.rs");
+    let fs = findings("crates/cli/src/lib.rs", src);
     assert_eq!(rule_lines(&fs, "M1"), vec![4], "{fs:#?}");
+    assert!(fs[0].message.contains("not in the mode-gate registry"), "{fs:#?}");
+}
+
+#[test]
+fn m1_positive_flags_library_reads_even_of_registered_names() {
+    let src = include_str!("fixtures/tree_m1_library/crates/flowsim/src/lib.rs");
+    let fs = findings("crates/flowsim/src/lib.rs", src);
+    assert_eq!(rule_lines(&fs, "M1"), vec![4], "{fs:#?}");
+    assert!(fs[0].message.contains("library crates read no environment"), "{fs:#?}");
+    // What is sanctioned in a binary is a finding in any library crate.
+    let src = include_str!("fixtures/snippets/m1_negative.rs");
+    for krate in netpack_lint::E1_CRATES {
+        let fs = findings(&format!("crates/{krate}/src/fix.rs"), src);
+        assert_eq!(rule_lines(&fs, "M1"), vec![5], "{krate}: {fs:#?}");
+    }
 }
 
 #[test]
 fn m1_exempts_the_lint_crate_itself() {
-    let src = include_str!("fixtures/tree_m1/crates/core/src/lib.rs");
+    let src = include_str!("fixtures/tree_m1/crates/cli/src/lib.rs");
     let fs = findings("crates/lint/src/registry.rs", src);
     assert!(rule_lines(&fs, "M1").is_empty(), "{fs:#?}");
 }
@@ -163,8 +178,12 @@ fn negatives_stay_quiet() {
             include_str!("fixtures/snippets/c1_negative.rs"),
         ),
         (
-            "crates/core/src/fix.rs",
+            "crates/bench/src/fix.rs",
             include_str!("fixtures/snippets/m1_negative.rs"),
+        ),
+        (
+            "crates/metrics/src/sweep.rs",
+            include_str!("fixtures/snippets/m1_sweep_negative.rs"),
         ),
     ] {
         let fs = findings(path, src);
@@ -277,6 +296,7 @@ fn binary_exits_nonzero_on_each_seeded_rule() {
         ("tree_c1", "[C1]"),
         ("tree_c2", "[C2]"),
         ("tree_m1", "[M1]"),
+        ("tree_m1_library", "[M1]"),
         ("tree_p1", "[P1]"),
     ] {
         let (code, stdout) = run_binary_on(tree);
@@ -330,7 +350,7 @@ fn explain_prints_rationale_and_rejects_unknown_rules() {
     }
     let (code, stdout, _) = run_binary(&["--explain", "M1"]);
     assert_eq!(code, Some(0));
-    assert!(stdout.contains("NETPACK_SIM"), "M1 lists the registry: {stdout}");
+    assert!(stdout.contains("NETPACK_SMOKE"), "M1 lists the registry: {stdout}");
     let (code, _, stderr) = run_binary(&["--explain", "Z9"]);
     assert_eq!(code, Some(2), "unknown rule must exit 2: {stderr}");
 }

@@ -24,11 +24,13 @@
 //! "one window away") is also implemented for the Fig. 2 motivation
 //! comparison.
 //!
-//! The round loop has a fast path (interval-overlap collision counting
-//! plus steady-state round batching) selected by [`PacketPath`] /
-//! `NETPACK_PKT`; see the [`sim`](self) module docs and DESIGN.md §3.8.
-//! Both paths produce bit-identical [`PacketSimReport`]s, and the
-//! report's `perf` block records how much work each path actually did.
+//! [`PacketSim::run`] is the one production round loop: interval-overlap
+//! collision counting plus steady-state round batching (see the
+//! [`sim`](self) module docs and DESIGN.md §3.8). The literal per-packet
+//! loop it is bit-identical to stays in the library as the hidden oracle
+//! `PacketSim::run_reference`, reached only by calling it; the report's
+//! `perf` block records how much work either loop actually did. This
+//! crate reads no environment variable.
 //!
 //! # Example
 //!
@@ -57,5 +59,5 @@ mod sim;
 mod stats;
 
 pub use hierarchy::{run_hierarchy, slots_to_pat_gbps, HierarchyReport, HierarchySpec};
-pub use sim::{Addressing, MemoryMode, PacketJobSpec, PacketPath, PacketSim, SwitchConfig};
+pub use sim::{Addressing, MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 pub use stats::{JobStats, PacketSimReport};

@@ -2,9 +2,8 @@
 //!
 //! # Fast path
 //!
-//! [`PacketSim::run`] has two implementations selected by
-//! [`SwitchConfig::path`] (env toggle `NETPACK_PKT=fast|scratch`,
-//! mirroring the flow simulator's `NETPACK_SIM`):
+//! [`PacketSim::run`] is the only production loop; no option selects
+//! another. It differs from the literal per-packet loop in two ways:
 //!
 //! - **Collision counting** — with [`Addressing::JobOffset`] a job's
 //!   round window is a contiguous arc `[base + psn, base + psn + window)`
@@ -22,9 +21,13 @@
 //!   once. Integer counters multiply exactly; the two float goodput
 //!   accumulators go through [`add_cycle`], which proves the repeated
 //!   additions exact (integral partial sums below 2⁵³) before replacing
-//!   them with a closed form, so the fast path stays *bit-identical* to
-//!   the scratch loop — pinned by the `fast_path_is_bit_identical_to_scratch`
-//!   property test and the `scripts/check.sh` fig14 two-mode gate.
+//!   them with a closed form.
+//!
+//! Both keep the report *bit-identical* to the literal loop, which stays
+//! in the library as the hidden oracle `PacketSim::run_reference`: every
+//! packet stamped, one round at a time. The
+//! `fast_path_is_bit_identical_to_scratch` property test, the root
+//! `oracles` test and the `fig14_aggregation_ratio` smoke call it.
 //!
 //! [`PacketSimReport::perf`] records the work: `rounds_simulated`,
 //! `rounds_stepped`, `rounds_batched`, `batches`, `packets_modeled`,
@@ -61,31 +64,6 @@ pub enum Addressing {
     HashPerPacket,
 }
 
-/// Which implementation [`PacketSim::run`] uses. Both produce
-/// bit-identical [`PacketSimReport`]s; `Scratch` exists as the reference
-/// for equivalence tests and before/after benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PacketPath {
-    /// Interval-overlap collision counting plus steady-state round
-    /// batching (the fast default).
-    #[default]
-    Fast,
-    /// The literal per-packet slot-stamping loop, one round at a time.
-    Scratch,
-}
-
-impl PacketPath {
-    /// Read the path from the `NETPACK_PKT` environment variable:
-    /// `scratch` selects [`PacketPath::Scratch`], anything else (or
-    /// unset) selects [`PacketPath::Fast`].
-    pub fn from_env() -> Self {
-        match std::env::var("NETPACK_PKT").as_deref() {
-            Ok("scratch") => PacketPath::Scratch,
-            _ => PacketPath::Fast,
-        }
-    }
-}
-
 /// Switch and link configuration for the packet simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchConfig {
@@ -101,9 +79,6 @@ pub struct SwitchConfig {
     pub rtt_us: f64,
     /// Capacity of each worker/PS access link, in Gbps.
     pub link_gbps: f64,
-    /// Simulation implementation (default: `NETPACK_PKT` env, falling
-    /// back to the fast path).
-    pub path: PacketPath,
 }
 
 impl SwitchConfig {
@@ -143,7 +118,6 @@ impl Default for SwitchConfig {
             payload_bytes: 1024,
             rtt_us: 50.0,
             link_gbps: 100.0,
-            path: PacketPath::from_env(),
         }
     }
 }
@@ -303,8 +277,8 @@ pub struct PacketSim {
     config: SwitchConfig,
     jobs: Vec<JobState>,
     /// Slot reservation table for the current round: stamped with the
-    /// round number to avoid clearing each round. Used by the scratch
-    /// path and by `HashPerPacket` addressing on either path.
+    /// round number to avoid clearing each round. Used by
+    /// `HashPerPacket` addressing and by the per-packet reference.
     slot_owner: Vec<u64>,
     round: u64,
     rng: u64,
@@ -385,6 +359,21 @@ impl PacketSim {
     /// RTT rounds) and return per-job statistics. Goodput is sampled into
     /// 100 buckets across the duration.
     pub fn run(&mut self, duration_s: f64) -> PacketSimReport {
+        self.run_rounds(duration_s, true)
+    }
+
+    /// The oracle [`run`](Self::run) is held to: the literal loop, every
+    /// packet stamped into `slot_owner`, one round at a time. Bit-identical
+    /// report, far slower; tests and the `fig14_aggregation_ratio` smoke
+    /// call it, nothing selects it.
+    #[doc(hidden)]
+    pub fn run_reference(&mut self, duration_s: f64) -> PacketSimReport {
+        self.run_rounds(duration_s, false)
+    }
+
+    /// The round loop. `fast` counts `JobOffset` arcs instead of stamping
+    /// packets and batches round-invariant stretches.
+    fn run_rounds(&mut self, duration_s: f64, fast: bool) -> PacketSimReport {
         assert!(duration_s > 0.0, "duration must be positive");
         let start = Stopwatch::start();
         let rtt_s = self.config.rtt_us * 1e-6;
@@ -402,7 +391,6 @@ impl PacketSim {
         let bdp = self.config.bdp_pkts();
         let payload_bits = self.config.payload_bytes as f64 * 8.0;
         let n_jobs = self.jobs.len().max(1);
-        let fast = self.config.path == PacketPath::Fast;
         let mut ring = RingOccupancy::default();
         let mut acc = PerfAcc::default();
 
@@ -564,7 +552,7 @@ impl PacketSim {
                 Phase::Finished => {}
                 Phase::Waiting => {
                     // Largest k with start_s > (round + k) * rtt_s, probed
-                    // with the scratch loop's own float predicate.
+                    // with the per-round loop's own float predicate.
                     let est = ((job.spec.start_s / rtt_s) - self.round as f64).floor();
                     let mut k = if est <= 0.0 { 0 } else { (est as u64).saturating_add(2) }
                         .min(kmax);
@@ -1045,11 +1033,7 @@ mod tests {
 
     #[test]
     fn fast_path_batches_the_steady_stream() {
-        let config = SwitchConfig {
-            path: PacketPath::Fast,
-            ..fig14_config(0.5, 10.0)
-        };
-        let mut sim = PacketSim::new(config);
+        let mut sim = PacketSim::new(fig14_config(0.5, 10.0));
         sim.add_job(spec(0, 2, Some(10.0)));
         let report = sim.run(0.05);
         assert_eq!(
@@ -1070,13 +1054,9 @@ mod tests {
 
     #[test]
     fn scratch_path_touches_every_packet() {
-        let config = SwitchConfig {
-            path: PacketPath::Scratch,
-            ..fig14_config(0.5, 10.0)
-        };
-        let mut sim = PacketSim::new(config);
+        let mut sim = PacketSim::new(fig14_config(0.5, 10.0));
         sim.add_job(spec(0, 2, Some(10.0)));
-        let report = sim.run(0.05);
+        let report = sim.run_reference(0.05);
         assert_eq!(report.perf.counter("rounds_batched"), 0);
         assert_eq!(
             report.perf.counter("packets_touched"),
@@ -1089,19 +1069,19 @@ mod tests {
         // 205 rounds -> bucket_rounds = 2, so the last bucket covers one
         // round. A steady paced stream must report the same goodput in
         // the final (short) bucket as in the full ones.
-        for path in [PacketPath::Fast, PacketPath::Scratch] {
-            let config = SwitchConfig { path, ..SwitchConfig::default() };
+        for fast in [true, false] {
+            let config = SwitchConfig::default();
             let rtt_s = config.rtt_us * 1e-6;
             let mut sim = PacketSim::new(config);
             sim.add_job(spec(0, 2, Some(10.0)));
-            let report = sim.run(205.0 * rtt_s);
+            let report = sim.run_rounds(205.0 * rtt_s, fast);
             assert_eq!(report.rounds, 205);
             let series = &report.per_job[0].goodput_series;
             let first = series[0].1;
             let last = series.last().unwrap().1;
             assert!(
                 (last - first).abs() < 0.5,
-                "{path:?}: short final bucket misscaled: {first} vs {last}"
+                "fast={fast}: short final bucket misscaled: {first} vs {last}"
             );
         }
     }

@@ -1,9 +1,7 @@
 //! Seeded determinism: the packet simulator is a pure function of
 //! `(SwitchConfig, jobs, seed)`.
 
-use netpack_packetsim::{
-    Addressing, MemoryMode, PacketJobSpec, PacketPath, PacketSim, SwitchConfig,
-};
+use netpack_packetsim::{Addressing, MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 use netpack_topology::JobId;
 
 fn jobs() -> Vec<PacketJobSpec> {
@@ -38,34 +36,44 @@ fn jobs() -> Vec<PacketJobSpec> {
     ]
 }
 
-fn run(config: &SwitchConfig, seed: u64) -> netpack_packetsim::PacketSimReport {
+fn sim(config: &SwitchConfig, seed: u64) -> PacketSim {
     let mut sim = PacketSim::with_seed(config.clone(), seed);
     for j in jobs() {
         sim.add_job(j);
     }
-    sim.run(0.06)
+    sim
+}
+
+fn run(config: &SwitchConfig, seed: u64) -> netpack_packetsim::PacketSimReport {
+    sim(config, seed).run(0.06)
 }
 
 /// Two fresh simulators with the same config, job set, and seed produce
 /// byte-identical reports — across both addressing modes, both memory
-/// modes, and both simulation paths.
+/// modes, and both the production loop and the per-packet reference.
 #[test]
 fn same_seed_same_report_across_all_modes() {
     for mode in [MemoryMode::Statistical, MemoryMode::Synchronous] {
         for addressing in [Addressing::JobOffset, Addressing::HashPerPacket] {
-            for path in [PacketPath::Fast, PacketPath::Scratch] {
+            for reference in [false, true] {
                 let config = SwitchConfig {
                     pool_slots: 256,
                     mode,
                     addressing,
-                    path,
                     ..SwitchConfig::default()
                 };
-                let a = run(&config, 7);
-                let b = run(&config, 7);
+                let run = |seed| {
+                    if reference {
+                        sim(&config, seed).run_reference(0.06)
+                    } else {
+                        sim(&config, seed).run(0.06)
+                    }
+                };
+                let a = run(7);
+                let b = run(7);
                 assert_eq!(
                     a, b,
-                    "{mode:?}/{addressing:?}/{path:?}: same seed must reproduce"
+                    "{mode:?}/{addressing:?}/reference={reference}: same seed must reproduce"
                 );
                 // Bit-level check on the float fields, beyond PartialEq.
                 for (x, y) in a.per_job.iter().zip(&b.per_job) {

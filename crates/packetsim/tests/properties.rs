@@ -1,8 +1,6 @@
 //! Property tests for the packet-level simulator's conservation laws.
 
-use netpack_packetsim::{
-    Addressing, MemoryMode, PacketJobSpec, PacketPath, PacketSim, SwitchConfig,
-};
+use netpack_packetsim::{Addressing, MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 use netpack_topology::JobId;
 use proptest::prelude::*;
 
@@ -149,24 +147,24 @@ fn arb_rich_jobs() -> impl Strategy<Value = Vec<PacketJobSpec>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fast path (interval collision counting + round batching) is
-    /// bit-identical to the literal per-packet scratch loop across random
+    /// `run` (interval collision counting + round batching) is
+    /// bit-identical to the literal per-packet `run_reference` across random
     /// pools, fan-ins, rate caps, iteration counts, and staggered starts —
-    /// the packetsim analogue of flowsim's incremental-vs-scratch pin.
+    /// the packetsim analogue of flowsim's `run` vs `run_reference` pin.
     #[test]
     fn fast_path_is_bit_identical_to_scratch(
         (config, jobs) in (arb_config(), arb_rich_jobs())
     ) {
-        let run = |path| {
-            let mut sim = PacketSim::new(SwitchConfig { path, ..config.clone() });
+        let sim = || {
+            let mut sim = PacketSim::new(config.clone());
             for j in &jobs {
                 sim.add_job(j.clone());
             }
-            sim.run(0.03)
+            sim
         };
-        let fast = run(PacketPath::Fast);
-        let scratch = run(PacketPath::Scratch);
-        prop_assert_eq!(&fast, &scratch, "NETPACK_PKT=fast diverged from scratch");
+        let fast = sim().run(0.03);
+        let scratch = sim().run_reference(0.03);
+        prop_assert_eq!(&fast, &scratch, "run diverged from run_reference");
         for (f, s) in fast.per_job.iter().zip(&scratch.per_job) {
             // PartialEq on the report already covers these, but compare the
             // float fields for *bit* equality, not just numeric equality.

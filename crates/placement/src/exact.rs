@@ -11,28 +11,22 @@
 //! heuristic's optimality gap, and demonstrating the exponential blow-up
 //! that motivates the DP.
 //!
-//! Two search strategies are provided, selected by [`ExactMode`] (env var
-//! `NETPACK_EXACT=bnb|scratch`, same convention as `NETPACK_SIM` /
-//! `NETPACK_PKT`):
+//! The search is a branch-and-bound: the objective is maintained
+//! incrementally ([`IncrementalEstimator`] push/pop per decision),
+//! subtrees whose admissible lower bound cannot beat the incumbent are
+//! cut, symmetric assignments (permutations over interchangeable servers)
+//! are collapsed to canonical representatives, and the first decision
+//! level fans out across threads via [`parallel_sweep`] with a shared best
+//! bound.
 //!
-//! * [`ExactMode::Scratch`] — the legacy exhaustive DFS: every leaf runs a
-//!   from-scratch water-filling via
-//!   [`batch_comm_time_s`](crate::batch_comm_time_s). Slow, but the
-//!   transparently-correct reference.
-//! * [`ExactMode::Bnb`] (default) — branch-and-bound over the same space:
-//!   the objective is maintained incrementally
-//!   ([`IncrementalEstimator`] push/pop per decision), subtrees whose
-//!   admissible lower bound cannot beat the incumbent are cut, symmetric
-//!   assignments (permutations over interchangeable servers) are collapsed
-//!   to canonical representatives, and the first decision level fans out
-//!   across threads via [`parallel_sweep`] with a shared best bound.
-//!
-//! Both modes return the **same** placement: the first-enumerated optimum
-//! in the scratch order, bit-identical objective included. DESIGN.md §3.10
-//! derives the bound, argues its admissibility under water-filling, and
-//! gives the symmetry and determinism arguments; the
-//! `tests/exact_bnb.rs` property suite pins the equivalence on 200 random
-//! instances.
+//! It returns the **same** placement as the exhaustive DFS it replaced —
+//! the first-enumerated optimum in that DFS's order, bit-identical
+//! objective included. The DFS stays in the library as the oracle
+//! [`reference::place_exact`](crate::reference::place_exact), reached only
+//! by calling it. DESIGN.md §3.10 derives the bound, argues its
+//! admissibility under water-filling, and gives the symmetry and
+//! determinism arguments; the `tests/exact_bnb.rs` suite pins the
+//! equivalence on 200 random instances.
 
 use crate::placer::{BatchOutcome, Placer, RunningJob};
 use netpack_metrics::{parallel_sweep, PerfCounters, Stopwatch};
@@ -43,49 +37,23 @@ use netpack_workload::Job;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Search strategy of the [`ExactPlacer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExactMode {
-    /// Branch-and-bound: incremental objective, admissible pruning,
-    /// symmetry breaking, deterministic parallel first level. The default.
-    #[default]
-    Bnb,
-    /// The legacy exhaustive DFS evaluating every leaf from scratch — the
-    /// reference the `bnb` mode is checked against.
-    Scratch,
-}
-
-impl ExactMode {
-    /// Read `NETPACK_EXACT` (`"bnb"` or `"scratch"`); anything else —
-    /// including unset — selects [`ExactMode::Bnb`].
-    pub fn from_env() -> Self {
-        match std::env::var("NETPACK_EXACT").as_deref() {
-            Ok("scratch") => ExactMode::Scratch,
-            _ => ExactMode::Bnb,
-        }
-    }
-}
-
 /// Exhaustive-search placer for toy instances.
 #[derive(Debug, Clone)]
 pub struct ExactPlacer {
     max_evaluations: u64,
     enumerate_ina: bool,
     evaluations: u64,
-    mode: ExactMode,
     perf: PerfCounters,
 }
 
 impl ExactPlacer {
     /// Exact placer that gives up (deferring the whole batch) after
-    /// `max_evaluations` candidate assignments. The search strategy
-    /// defaults to [`ExactMode::from_env`].
+    /// `max_evaluations` candidate assignments.
     pub fn new(max_evaluations: u64) -> Self {
         ExactPlacer {
             max_evaluations,
             enumerate_ina: false,
             evaluations: 0,
-            mode: ExactMode::from_env(),
             perf: PerfCounters::new(),
         }
     }
@@ -97,17 +65,10 @@ impl ExactPlacer {
         self
     }
 
-    /// Override the search strategy (builder style), e.g. to force the
-    /// scratch reference in equivalence tests regardless of the env var.
-    pub fn mode(mut self, mode: ExactMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Number of complete assignments evaluated by the last
-    /// [`Placer::place_batch`] call. Under [`ExactMode::Bnb`] pruned
-    /// subtrees never reach a leaf, so this is typically orders of
-    /// magnitude below the scratch count for the same instance.
+    /// [`Placer::place_batch`] call. Pruned subtrees never reach a leaf,
+    /// so this is typically orders of magnitude below the exhaustive
+    /// reference's count for the same instance.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
     }
@@ -126,28 +87,6 @@ impl ExactPlacer {
         std::mem::take(&mut self.perf)
     }
 
-    fn place_scratch(
-        &mut self,
-        cluster: &Cluster,
-        running: &[RunningJob],
-        batch: &[Job],
-    ) -> Option<(f64, Vec<(Job, Placement)>)> {
-        let mut search = ScratchSearch {
-            cluster,
-            running,
-            batch,
-            enumerate_ina: self.enumerate_ina,
-            max_evaluations: self.max_evaluations,
-            evaluations: 0,
-            best: None,
-        };
-        let mut free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
-        let mut current = Vec::new();
-        search.search(&mut free, &mut current, 0);
-        self.evaluations = search.evaluations;
-        search.best
-    }
-
     fn place_bnb(
         &mut self,
         cluster: &Cluster,
@@ -157,7 +96,7 @@ impl ExactPlacer {
         let free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
         let mut touched = vec![0u32; free.len()];
         // Cache the RunningJob -> PlacedJob conversions once per batch; the
-        // scratch path re-does them at every leaf.
+        // exhaustive reference re-does them at every leaf.
         let running_placed: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
         for r in running {
             for &(s, _) in r.placement.workers() {
@@ -168,7 +107,7 @@ impl ExactPlacer {
             }
         }
         if batch.is_empty() {
-            // Mirror the scratch search: the empty assignment is one leaf.
+            // Mirror the exhaustive reference: the empty assignment is one leaf.
             if self.max_evaluations > 0 {
                 self.evaluations = 1;
             }
@@ -265,10 +204,7 @@ impl Placer for ExactPlacer {
     ) -> BatchOutcome {
         let watch = Stopwatch::start();
         self.evaluations = 0;
-        let best = match self.mode {
-            ExactMode::Scratch => self.place_scratch(cluster, running, batch),
-            ExactMode::Bnb => self.place_bnb(cluster, running, batch),
-        };
+        let best = self.place_bnb(cluster, running, batch);
         self.perf.record("place_batch", watch.elapsed());
         match best {
             Some((_, placed)) => BatchOutcome {
@@ -284,7 +220,7 @@ impl Placer for ExactPlacer {
 }
 
 /// The INA flags to branch on for a split of `num_servers` servers.
-fn ina_options(enumerate_ina: bool, num_servers: usize) -> &'static [bool] {
+pub(crate) fn ina_options(enumerate_ina: bool, num_servers: usize) -> &'static [bool] {
     if enumerate_ina && num_servers > 1 {
         &[true, false]
     } else {
@@ -292,21 +228,11 @@ fn ina_options(enumerate_ina: bool, num_servers: usize) -> &'static [bool] {
     }
 }
 
-/// Enumerate worker distributions of `gpus` workers over servers with
-/// `free` capacities (the scratch reference; eager, like the legacy code).
-fn worker_splits(free: &[usize], gpus: usize) -> Vec<Vec<(ServerId, usize)>> {
-    let mut out = Vec::new();
-    let _ = for_each_split(free, None, gpus, &mut |split| {
-        out.push(split.to_vec());
-        ControlFlow::Continue(())
-    });
-    out
-}
-
 /// Callback enumeration of worker splits of `gpus` over `free` capacities:
 /// servers ascend, take counts descend per server, with a suffix-capacity
-/// feasibility prune — exactly the legacy `worker_splits` order, but
-/// allocation-free for the branch-and-bound hot loop.
+/// feasibility prune — exactly the order the exhaustive reference's
+/// `worker_splits` materializes, but allocation-free for the
+/// branch-and-bound hot loop.
 ///
 /// With `class` set (`class[s]` = the smallest earlier server
 /// interchangeable with `s`, or `s` itself), only canonical splits are
@@ -318,7 +244,7 @@ fn worker_splits(free: &[usize], gpus: usize) -> Vec<Vec<(ServerId, usize)>> {
 /// Visitor over one worker split: return `Break` to stop the enumeration.
 type SplitVisitor<'v> = dyn FnMut(&[(ServerId, usize)]) -> ControlFlow<()> + 'v;
 
-fn for_each_split(
+pub(crate) fn for_each_split(
     free: &[usize],
     class: Option<&[usize]>,
     gpus: usize,
@@ -503,7 +429,7 @@ struct BnbBranch<'a, 'b> {
 
 impl BnbBranch<'_, '_> {
     /// Committed jobs' objective from the live estimator — the same value,
-    /// to the bit, as the scratch leaf's `batch_comm_time_s`, because the
+    /// to the bit, as the reference leaf's `batch_comm_time_s`, because the
     /// incremental state is bit-identical to a from-scratch solve and the
     /// sum runs in the same (placement) order.
     fn partial_objective(&self) -> f64 {
@@ -579,7 +505,7 @@ impl BnbBranch<'_, '_> {
     fn leaf(&mut self, obj: f64) -> ControlFlow<()> {
         // One budget ticket per leaf; tickets past the budget abort the
         // branch with the incumbent intact.
-        // netpack-lint: allow(C2): only the ticket *count* gates the budget, never its order, and budget-abort determinism is pinned by the bnb-vs-scratch check.sh smoke
+        // netpack-lint: allow(C2): only the ticket *count* gates the budget, never its order, and budget-abort behaviour is pinned by the budget-exhaustion case of tests/exact_bnb.rs
         let ticket = self.ctx.evaluations.fetch_add(1, Ordering::Relaxed);
         if ticket >= self.ctx.max_evaluations {
             return ControlFlow::Break(());
@@ -624,69 +550,10 @@ impl BnbBranch<'_, '_> {
     }
 }
 
-/// The legacy exhaustive DFS, verbatim semantics: full enumeration (no
-/// symmetry, no bound), each leaf re-evaluated from scratch. Kept as the
-/// reference the branch-and-bound is diffed against.
-struct ScratchSearch<'a> {
-    cluster: &'a Cluster,
-    running: &'a [RunningJob],
-    batch: &'a [Job],
-    enumerate_ina: bool,
-    max_evaluations: u64,
-    evaluations: u64,
-    best: Option<(f64, Vec<(Job, Placement)>)>,
-}
-
-impl ScratchSearch<'_> {
-    fn search(&mut self, free: &mut Vec<usize>, current: &mut Vec<(Job, Placement)>, idx: usize) {
-        if self.evaluations >= self.max_evaluations {
-            return;
-        }
-        if idx == self.batch.len() {
-            self.evaluations += 1;
-            let obj = crate::placer::batch_comm_time_s(self.cluster, self.running, current);
-            if self.best.as_ref().is_none_or(|(b, _)| obj < *b) {
-                self.best = Some((obj, current.clone()));
-            }
-            return;
-        }
-        let job = &self.batch[idx];
-        for split in worker_splits(free, job.gpus) {
-            // PS candidates: every server for spanning placements, or the
-            // lone worker server / no PS for single-server placements.
-            let ps_list: Vec<Option<ServerId>> = if split.len() == 1 {
-                vec![None]
-            } else {
-                (0..self.cluster.num_servers())
-                    .map(|s| Some(ServerId(s)))
-                    .collect()
-            };
-            for ps in ps_list {
-                for &ina in ina_options(self.enumerate_ina, split.len()) {
-                    let mut placement = Placement::new(split.clone(), ps);
-                    placement.set_ina_enabled(ina);
-                    for &(s, w) in placement.workers() {
-                        free[s.0] -= w;
-                    }
-                    current.push((job.clone(), placement));
-                    self.search(free, current, idx + 1);
-                    if let Some((_, placement)) = current.pop() {
-                        for &(s, w) in placement.workers() {
-                            free[s.0] += w;
-                        }
-                    }
-                    if self.evaluations >= self.max_evaluations {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use netpack_topology::{ClusterSpec, JobId};
     use netpack_workload::ModelKind;
 
@@ -703,36 +570,44 @@ mod tests {
         Job::builder(JobId(id), ModelKind::Vgg16, gpus).build()
     }
 
-    fn both_modes() -> [ExactMode; 2] {
-        [ExactMode::Bnb, ExactMode::Scratch]
+    /// One search's `(label, placements, leaves evaluated)`.
+    type Search = (&'static str, Vec<(Job, Placement)>, u64);
+
+    /// The branch-and-bound and the exhaustive reference on the empty
+    /// cluster `c`; a search that reached no complete assignment places
+    /// nothing.
+    fn both_searches(c: &Cluster, batch: &[Job], budget: u64) -> [Search; 2] {
+        let mut p = ExactPlacer::new(budget);
+        let out = p.place_batch(c, &[], batch);
+        let (best, evals) = reference::place_exact(c, &[], batch, false, budget);
+        let reference = best.map(|(_, placed)| placed).unwrap_or_default();
+        [("bnb", out.placed, p.evaluations()), ("reference", reference, evals)]
     }
+
+    const BUDGET: u64 = 2_000_000;
 
     #[test]
     fn exact_prefers_local_placement_when_possible() {
         let c = cluster(3, 4);
-        for mode in both_modes() {
-            let mut p = ExactPlacer::default().mode(mode);
-            let out = p.place_batch(&c, &[], &[job(0, 4)]);
-            assert_eq!(out.placed.len(), 1);
+        for (_, placed, evaluations) in both_searches(&c, &[job(0, 4)], BUDGET) {
+            assert_eq!(placed.len(), 1);
             // A local placement has zero communication time: strictly optimal.
-            assert!(out.placed[0].1.is_local());
-            assert!(p.evaluations() > 0);
+            assert!(placed[0].1.is_local());
+            assert!(evaluations > 0);
         }
     }
 
     #[test]
     fn exact_separates_two_jobs_onto_disjoint_bottlenecks() {
         let c = cluster(4, 1);
-        for mode in both_modes() {
-            let mut p = ExactPlacer::default().mode(mode);
-            // Two 2-GPU jobs on four 1-GPU servers: each must span two servers
-            // with a PS; the optimum avoids stacking both PSes on one link.
-            let out = p.place_batch(&c, &[], &[job(0, 2), job(1, 2)]);
-            assert_eq!(out.placed.len(), 2);
-            let ps0 = out.placed[0].1.ps().unwrap();
-            let ps1 = out.placed[1].1.ps().unwrap();
+        // Two 2-GPU jobs on four 1-GPU servers: each must span two servers
+        // with a PS; the optimum avoids stacking both PSes on one link.
+        for (_, placed, _) in both_searches(&c, &[job(0, 2), job(1, 2)], BUDGET) {
+            assert_eq!(placed.len(), 2);
+            let ps0 = placed[0].1.ps().unwrap();
+            let ps1 = placed[1].1.ps().unwrap();
             assert_ne!(ps0, ps1, "optimal plan spreads PS load");
-            for (j, placement) in &out.placed {
+            for (j, placement) in &placed {
                 placement.validate(&c, j.gpus).unwrap();
             }
         }
@@ -741,27 +616,17 @@ mod tests {
     #[test]
     fn exact_keeps_the_first_enumerated_optimum() {
         // Many placements tie at 0 s on an empty symmetric cluster; the
-        // documented tie-break (first-found in scratch enumeration order)
-        // pins all GPUs on server 0 — in both modes, pinning the canonical
-        // representative choice of the symmetry breaker too.
+        // documented tie-break (first-found in the reference's enumeration
+        // order) pins all GPUs on server 0 — in both searches, pinning the
+        // canonical representative choice of the symmetry breaker too.
         let c = cluster(3, 4);
-        for mode in both_modes() {
-            let mut p = ExactPlacer::default().mode(mode);
-            let out = p.place_batch(&c, &[], &[job(0, 2)]);
+        for (search, placed, _) in both_searches(&c, &[job(0, 2)], BUDGET) {
             assert_eq!(
-                out.placed[0].1.workers(),
+                placed[0].1.workers(),
                 &[(ServerId(0), 2)],
-                "{mode:?} must keep the first-enumerated optimum"
+                "{search} must keep the first-enumerated optimum"
             );
         }
-    }
-
-    #[test]
-    fn worker_splits_enumerate_all_compositions() {
-        // Compositions of 2 over caps (2,2,2): (2),(1,1) over 3 servers =
-        // 3 singles + 3 pairs = 6.
-        let splits = worker_splits(&[2, 2, 2], 2);
-        assert_eq!(splits.len(), 6);
     }
 
     #[test]
@@ -804,47 +669,35 @@ mod tests {
     #[test]
     fn evaluation_budget_is_respected() {
         let c = cluster(4, 2);
-        for mode in both_modes() {
-            let mut p = ExactPlacer::new(10).mode(mode);
-            let _ = p.place_batch(&c, &[], &[job(0, 2), job(1, 2)]);
-            assert!(p.evaluations() <= 10, "{mode:?}");
+        for (search, _, evaluations) in both_searches(&c, &[job(0, 2), job(1, 2)], 10) {
+            assert!(evaluations <= 10, "{search}");
         }
     }
 
     #[test]
     fn infeasible_batch_is_deferred() {
         let c = cluster(2, 1);
-        for mode in both_modes() {
-            let mut p = ExactPlacer::default().mode(mode);
-            let out = p.place_batch(&c, &[], &[job(0, 5)]);
-            assert!(out.placed.is_empty(), "{mode:?}");
-            assert_eq!(out.deferred.len(), 1, "{mode:?}");
-        }
+        let batch = [job(0, 5)];
+        let out = ExactPlacer::default().place_batch(&c, &[], &batch);
+        assert!(out.placed.is_empty());
+        assert_eq!(out.deferred.len(), 1);
+        assert!(reference::place_exact(&c, &[], &batch, false, BUDGET).0.is_none());
     }
 
     #[test]
     fn bnb_prunes_and_collapses_work() {
         let c = cluster(4, 2);
         let batch = [job(0, 3), job(1, 3), job(2, 2)];
-        let mut scratch = ExactPlacer::default().mode(ExactMode::Scratch);
-        let mut bnb = ExactPlacer::default().mode(ExactMode::Bnb);
-        scratch.place_batch(&c, &[], &batch);
+        let (_, scratch_evaluations) = reference::place_exact(&c, &[], &batch, false, BUDGET);
+        let mut bnb = ExactPlacer::default();
         bnb.place_batch(&c, &[], &batch);
         assert!(
-            bnb.evaluations() < scratch.evaluations(),
-            "bnb must evaluate fewer leaves ({} vs {})",
+            bnb.evaluations() < scratch_evaluations,
+            "bnb must evaluate fewer leaves ({} vs {scratch_evaluations})",
             bnb.evaluations(),
-            scratch.evaluations()
         );
         assert!(bnb.perf().counter("exact_pruned_subtrees") > 0);
         assert!(bnb.perf().counter("exact_sym_ps_skips") > 0);
         assert_eq!(bnb.perf().timer_count("place_batch"), 1);
-    }
-
-    #[test]
-    fn mode_defaults_from_env_convention() {
-        // Unset or unknown values select bnb (the same "fast by default,
-        // scratch on request" convention as NETPACK_SIM / NETPACK_PKT).
-        assert_eq!(ExactMode::default(), ExactMode::Bnb);
     }
 }

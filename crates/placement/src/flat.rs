@@ -35,7 +35,7 @@
 
 use crate::dp::{WorkerDp, WorkerPlan};
 use crate::index::{RefreshStats, ServerIndex};
-use crate::knapsack::select_job_subset;
+use crate::knapsack::subset_in_placement_order;
 use crate::ledger::GpuLedger;
 use crate::netpack::{record_waterfill, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
@@ -570,19 +570,9 @@ impl NetPackPlacer {
         let mut perf = std::mem::take(&mut self.perf);
         let batch_start = Stopwatch::start();
         let mut outcome = BatchOutcome::default();
-        // Step 1: FindSubset.
-        let subset = select_job_subset(batch, cluster.free_gpus());
-        let mut in_subset = vec![false; batch.len()];
-        for &i in &subset {
-            in_subset[i] = true;
-        }
-        for (i, job) in batch.iter().enumerate() {
-            if !in_subset[i] {
-                outcome.deferred.push(job.clone());
-            }
-        }
-        let mut ordered: Vec<&Job> = subset.iter().map(|&i| &batch[i]).collect();
-        ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+        // Step 1: FindSubset, then value-descending placement order.
+        let ordered =
+            subset_in_placement_order(batch, cluster.free_gpus(), &mut outcome.deferred);
 
         let mut fb = FlatBatch::new(cluster);
         let running_placed: Vec<PlacedJob> =

@@ -82,6 +82,30 @@ pub fn select_job_subset(batch: &[Job], free_gpus: usize) -> Vec<usize> {
     picked
 }
 
+/// Algorithm 2's batch prologue, shared by the production paths and the
+/// reference: FindSubset over `free_gpus`, the jobs left out appended to
+/// `deferred` in batch order, and the chosen jobs returned in placement
+/// order — value-descending, ties by ascending id for determinism.
+pub(crate) fn subset_in_placement_order<'a>(
+    batch: &'a [Job],
+    free_gpus: usize,
+    deferred: &mut Vec<Job>,
+) -> Vec<&'a Job> {
+    let subset = select_job_subset(batch, free_gpus);
+    let mut in_subset = vec![false; batch.len()];
+    for &i in &subset {
+        in_subset[i] = true;
+    }
+    for (i, job) in batch.iter().enumerate() {
+        if !in_subset[i] {
+            deferred.push(job.clone());
+        }
+    }
+    let mut ordered: Vec<&Job> = subset.iter().map(|&i| &batch[i]).collect();
+    ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+    ordered
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

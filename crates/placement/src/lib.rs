@@ -22,9 +22,8 @@
 //! * [`RandomPlacer`] — a sanity floor.
 //! * [`ExactPlacer`] — exact search over the Table-3 decision space,
 //!   feasible only at toy scale; stands in for the paper's Gurobi MIP.
-//!   Runs as a pruned branch-and-bound by default, with the legacy
-//!   exhaustive DFS kept as a bit-identical reference
-//!   (`NETPACK_EXACT=bnb|scratch`, see [`ExactMode`]).
+//!   A pruned branch-and-bound; the exhaustive DFS it is bit-identical
+//!   to is the oracle [`reference::place_exact`].
 //!
 //! # Example
 //!
@@ -56,7 +55,9 @@
 //! workers. The literal algorithm lives in [`reference`] as the oracle —
 //! **bit-identical** to production by the `production_matches_reference`
 //! property suite, and reachable only by calling it, never through
-//! configuration or environment. The work done is visible through
+//! configuration or environment (this crate reads no environment
+//! variable; the worker-count default comes from
+//! `netpack_metrics::sweep_threads`). The work done is visible through
 //! [`NetPackPlacer::perf`]:
 //!
 //! ```
@@ -92,7 +93,7 @@ mod session;
 
 pub use baselines::{FlowBalance, GpuBalance, LeastFragmentation, RandomPlacer};
 pub use dp::{ServerStats, WorkerDp, WorkerPlan};
-pub use exact::{ExactMode, ExactPlacer};
+pub use exact::ExactPlacer;
 pub use knapsack::select_job_subset;
 pub use netpack::{HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer};
 pub use select::CandidateFilter;

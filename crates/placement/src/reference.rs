@@ -1,20 +1,27 @@
-//! Algorithm 2 exactly as the paper writes it — the oracle the production
-//! path ([`NetPackPlacer::place_batch`](crate::Placer::place_batch) and
-//! [`NetPackSession`](crate::NetPackSession)) is checked against.
-//!
-//! One job at a time over a cloned [`Cluster`]: Algorithm 1 re-run from
-//! scratch before every job (line 7), every server offered to the
-//! candidate filter, every `(plan, server)` pair scored in one nested
-//! loop. It shares `hotspot_term`, `enable_ina`, `server_value`,
-//! [`CandidateFilter`] and [`WorkerDp`] with production, so the two must
-//! return **bit-identical** placements, deferrals and objective — pinned
-//! by the `production_matches_reference` property suite, the root
-//! `placement_oracle` test and the `fig10_xl` smoke. No configuration
+//! The literal algorithms production is checked against. No configuration
 //! field or environment variable selects this code; tests and smokes call
-//! [`place_batch`] directly.
+//! the two entry points directly.
+//!
+//! [`place_batch`] is Algorithm 2 exactly as the paper writes it — the
+//! oracle for [`NetPackPlacer::place_batch`](crate::Placer::place_batch)
+//! and [`NetPackSession`](crate::NetPackSession). One job at a time over a
+//! cloned [`Cluster`]: Algorithm 1 re-run from scratch before every job
+//! (line 7), every server offered to the candidate filter, every
+//! `(plan, server)` pair scored in one nested loop. It shares
+//! `hotspot_term`, `enable_ina`, `server_value`, [`CandidateFilter`] and
+//! [`WorkerDp`] with production, so the two must return **bit-identical**
+//! placements, deferrals and objective — pinned by the
+//! `production_matches_reference` property suite, the root `oracles` test
+//! and the `fig10_xl` smoke.
+//!
+//! [`place_exact`] is the exhaustive DFS over the exact placer's decision
+//! space — the oracle for [`ExactPlacer`](crate::ExactPlacer)'s
+//! branch-and-bound, pinned by `tests/exact_bnb.rs`, the root `oracles`
+//! test and the `table_mip_vs_dp` smoke.
 
 use crate::dp::{ServerStats, WorkerDp, WorkerPlan};
-use crate::knapsack::select_job_subset;
+use crate::exact::{for_each_split, ina_options};
+use crate::knapsack::subset_in_placement_order;
 use crate::netpack::{NetPackConfig, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
@@ -23,6 +30,7 @@ use netpack_model::Placement;
 use netpack_topology::{Cluster, RackId, ServerId};
 use netpack_waterfill::{estimate, PlacedJob, SteadyState};
 use netpack_workload::Job;
+use std::ops::ControlFlow;
 
 /// Place `batch` with the literal algorithm under `config`
 /// ([`NetPackConfig::threads`] is ignored: nothing here is parallel).
@@ -34,20 +42,8 @@ pub fn place_batch(
 ) -> BatchOutcome {
     let placer = NetPackPlacer::new(config.clone());
     let mut outcome = BatchOutcome::default();
-    // Step 1: FindSubset.
-    let subset = select_job_subset(batch, cluster.free_gpus());
-    let mut in_subset = vec![false; batch.len()];
-    for &i in &subset {
-        in_subset[i] = true;
-    }
-    for (i, job) in batch.iter().enumerate() {
-        if !in_subset[i] {
-            outcome.deferred.push(job.clone());
-        }
-    }
-    // Value-descending placement order (ties by id for determinism).
-    let mut ordered: Vec<&Job> = subset.iter().map(|&i| &batch[i]).collect();
-    ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+    // Step 1: FindSubset, then value-descending placement order.
+    let ordered = subset_in_placement_order(batch, cluster.free_gpus(), &mut outcome.deferred);
 
     let mut scratch = cluster.clone();
     let mut active: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
@@ -262,5 +258,121 @@ impl NetPackPlacer {
             }
         }
         best
+    }
+}
+
+/// The best complete assignment an exact search has seen:
+/// `(objective, placements)`.
+pub type Incumbent = (f64, Vec<(Job, Placement)>);
+
+/// Place `batch` by exhaustive search: every worker split, PS location
+/// and (with `enumerate_ina`) INA flag of every job, each complete
+/// assignment evaluated from scratch, stopping after `max_evaluations`
+/// leaves. Returns the incumbent — the first-enumerated optimum when the
+/// budget sufficed, `None` when no complete assignment was reached — and
+/// the number of leaves evaluated.
+pub fn place_exact(
+    cluster: &Cluster,
+    running: &[RunningJob],
+    batch: &[Job],
+    enumerate_ina: bool,
+    max_evaluations: u64,
+) -> (Option<Incumbent>, u64) {
+    let mut search = ScratchSearch {
+        cluster,
+        running,
+        batch,
+        enumerate_ina,
+        max_evaluations,
+        evaluations: 0,
+        best: None,
+    };
+    let mut free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
+    let mut current = Vec::new();
+    search.search(&mut free, &mut current, 0);
+    (search.best, search.evaluations)
+}
+
+/// Enumerate worker distributions of `gpus` workers over servers with
+/// `free` capacities (eager, like the legacy code).
+fn worker_splits(free: &[usize], gpus: usize) -> Vec<Vec<(ServerId, usize)>> {
+    let mut out = Vec::new();
+    let _ = for_each_split(free, None, gpus, &mut |split| {
+        out.push(split.to_vec());
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// The legacy exhaustive DFS, verbatim semantics: full enumeration (no
+/// symmetry, no bound), each leaf re-evaluated from scratch. Kept as the
+/// reference the branch-and-bound is diffed against.
+struct ScratchSearch<'a> {
+    cluster: &'a Cluster,
+    running: &'a [RunningJob],
+    batch: &'a [Job],
+    enumerate_ina: bool,
+    max_evaluations: u64,
+    evaluations: u64,
+    best: Option<Incumbent>,
+}
+
+impl ScratchSearch<'_> {
+    fn search(&mut self, free: &mut Vec<usize>, current: &mut Vec<(Job, Placement)>, idx: usize) {
+        if self.evaluations >= self.max_evaluations {
+            return;
+        }
+        if idx == self.batch.len() {
+            self.evaluations += 1;
+            let obj = crate::placer::batch_comm_time_s(self.cluster, self.running, current);
+            if self.best.as_ref().is_none_or(|(b, _)| obj < *b) {
+                self.best = Some((obj, current.clone()));
+            }
+            return;
+        }
+        let job = &self.batch[idx];
+        for split in worker_splits(free, job.gpus) {
+            // PS candidates: every server for spanning placements, or the
+            // lone worker server / no PS for single-server placements.
+            let ps_list: Vec<Option<ServerId>> = if split.len() == 1 {
+                vec![None]
+            } else {
+                (0..self.cluster.num_servers())
+                    .map(|s| Some(ServerId(s)))
+                    .collect()
+            };
+            for ps in ps_list {
+                for &ina in ina_options(self.enumerate_ina, split.len()) {
+                    let mut placement = Placement::new(split.clone(), ps);
+                    placement.set_ina_enabled(ina);
+                    for &(s, w) in placement.workers() {
+                        free[s.0] -= w;
+                    }
+                    current.push((job.clone(), placement));
+                    self.search(free, current, idx + 1);
+                    if let Some((_, placement)) = current.pop() {
+                        for &(s, w) in placement.workers() {
+                            free[s.0] += w;
+                        }
+                    }
+                    if self.evaluations >= self.max_evaluations {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_splits_enumerate_all_compositions() {
+        // Compositions of 2 over caps (2,2,2): (2),(1,1) over 3 servers =
+        // 3 singles + 3 pairs = 6.
+        let splits = worker_splits(&[2, 2, 2], 2);
+        assert_eq!(splits.len(), 6);
     }
 }

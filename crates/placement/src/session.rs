@@ -31,7 +31,7 @@
 //! the warm state stays equal to the manager's.
 
 use crate::flat::FlatBatch;
-use crate::knapsack::select_job_subset;
+use crate::knapsack::subset_in_placement_order;
 use crate::netpack::{record_waterfill, NetPackConfig, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use netpack_metrics::{PerfCounters, Stopwatch};
@@ -183,19 +183,10 @@ impl NetPackSession {
         let stats_before = *self.tracker.stats();
         let mut outcome = BatchOutcome::default();
 
-        // Step 1: FindSubset over the authoritative free-GPU count.
-        let subset = select_job_subset(batch, self.cluster.free_gpus());
-        let mut in_subset = vec![false; batch.len()];
-        for &i in &subset {
-            in_subset[i] = true;
-        }
-        for (i, job) in batch.iter().enumerate() {
-            if !in_subset[i] {
-                outcome.deferred.push(job.clone());
-            }
-        }
-        let mut ordered: Vec<&Job> = subset.iter().map(|&i| &batch[i]).collect();
-        ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+        // Step 1: FindSubset over the authoritative free-GPU count, then
+        // value-descending placement order.
+        let ordered =
+            subset_in_placement_order(batch, self.cluster.free_gpus(), &mut outcome.deferred);
 
         // Steps 2-3 per job against the warm estimator; both ledgers (the
         // flat mirror and the cluster) advance together.

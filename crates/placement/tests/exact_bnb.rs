@@ -1,10 +1,10 @@
-//! Property suite pinning the branch-and-bound exact placer to the legacy
-//! exhaustive scratch search: on seeded random instances both modes must
-//! return the *identical* batch outcome (same placements in the same
-//! order, bit-identical objective), with the B&B doing no more leaf
-//! evaluations than the scratch reference.
+//! Property suite pinning the branch-and-bound exact placer to the
+//! exhaustive reference search (`reference::place_exact`): on seeded
+//! random instances both must return the *identical* batch outcome (same
+//! placements in the same order, bit-identical objective), with the B&B
+//! doing no more leaf evaluations than the reference.
 
-use netpack_placement::{batch_comm_time_s, ExactMode, ExactPlacer, Placer, RunningJob};
+use netpack_placement::{batch_comm_time_s, reference, ExactPlacer, Placer, RunningJob};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ClusterSpec, JobId, ServerId};
 use netpack_workload::{Job, ModelKind};
@@ -41,7 +41,7 @@ struct Instance {
 /// Draw a small random instance: 2-4 servers over 1-2 racks, 1-2 GPUs per
 /// server, a few pre-allocated GPUs (mixed free capacities), 0-2 running
 /// jobs pinning servers, and a 1-3 job batch whose demands may be
-/// infeasible. Shapes are capped so the scratch reference fully enumerates
+/// infeasible. Shapes are capped so the reference fully enumerates
 /// well inside its evaluation budget.
 fn instance(seed: u64) -> Instance {
     let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -126,39 +126,41 @@ fn bnb_matches_scratch_on_random_instances() {
     for seed in 1..=200u64 {
         let inst = instance(seed);
 
-        let mut scratch = ExactPlacer::new(budget)
-            .enumerate_ina(inst.enumerate_ina)
-            .mode(ExactMode::Scratch);
-        let ref_out = scratch.place_batch(&inst.cluster, &inst.running, &inst.batch);
-        assert!(
-            scratch.evaluations() < budget,
-            "seed {seed}: scratch must fully enumerate for the comparison"
+        let (ref_best, ref_evaluations) = reference::place_exact(
+            &inst.cluster,
+            &inst.running,
+            &inst.batch,
+            inst.enumerate_ina,
+            budget,
         );
+        assert!(
+            ref_evaluations < budget,
+            "seed {seed}: the reference must fully enumerate for the comparison"
+        );
+        // No complete assignment means the whole batch is deferred.
+        let (ref_placed, ref_deferred) = match ref_best {
+            Some((_, placed)) => (placed, Vec::new()),
+            None => (Vec::new(), inst.batch.clone()),
+        };
 
-        let mut bnb = ExactPlacer::new(budget)
-            .enumerate_ina(inst.enumerate_ina)
-            .mode(ExactMode::Bnb);
+        let mut bnb = ExactPlacer::new(budget).enumerate_ina(inst.enumerate_ina);
         let out = bnb.place_batch(&inst.cluster, &inst.running, &inst.batch);
 
-        assert_eq!(out.placed, ref_out.placed, "seed {seed}: placements differ");
-        assert_eq!(
-            out.deferred, ref_out.deferred,
-            "seed {seed}: deferrals differ"
-        );
+        assert_eq!(out.placed, ref_placed, "seed {seed}: placements differ");
+        assert_eq!(out.deferred, ref_deferred, "seed {seed}: deferrals differ");
         let obj = batch_comm_time_s(&inst.cluster, &inst.running, &out.placed);
-        let ref_obj = batch_comm_time_s(&inst.cluster, &inst.running, &ref_out.placed);
+        let ref_obj = batch_comm_time_s(&inst.cluster, &inst.running, &ref_placed);
         assert_eq!(
             obj.to_bits(),
             ref_obj.to_bits(),
             "seed {seed}: objective not bit-identical ({obj} vs {ref_obj})"
         );
         assert!(
-            bnb.evaluations() <= scratch.evaluations(),
-            "seed {seed}: bnb evaluated {} leaves, scratch only {}",
+            bnb.evaluations() <= ref_evaluations,
+            "seed {seed}: bnb evaluated {} leaves, the reference only {ref_evaluations}",
             bnb.evaluations(),
-            scratch.evaluations()
         );
-        if !ref_out.deferred.is_empty() {
+        if !ref_deferred.is_empty() {
             infeasible += 1;
         }
     }
@@ -180,28 +182,31 @@ fn exhausted_budget_returns_the_best_incumbent() {
         .collect();
 
     // Reference optimum with an unconstrained budget.
-    let mut full = ExactPlacer::new(50_000_000).mode(ExactMode::Scratch);
-    let full_out = full.place_batch(&cluster, &[], &batch);
-    let optimum = batch_comm_time_s(&cluster, &[], &full_out.placed);
+    let (full, _) = reference::place_exact(&cluster, &[], &batch, false, 50_000_000);
+    let (optimum, _) = full.expect("the instance is feasible");
 
-    for mode in [ExactMode::Bnb, ExactMode::Scratch] {
-        let mut p = ExactPlacer::new(40).mode(mode);
-        let out = p.place_batch(&cluster, &[], &batch);
+    let mut p = ExactPlacer::new(40);
+    let out = p.place_batch(&cluster, &[], &batch);
+    let (capped, capped_evaluations) = reference::place_exact(&cluster, &[], &batch, false, 40);
+    let capped = capped.map(|(_, placed)| placed).unwrap_or_default();
+    for (search, placed, evaluations) in [
+        ("bnb", out.placed, p.evaluations()),
+        ("reference", capped, capped_evaluations),
+    ] {
         assert!(
-            p.evaluations() <= 40,
-            "{mode:?} exceeded its evaluation budget: {}",
-            p.evaluations()
+            evaluations <= 40,
+            "{search} exceeded its evaluation budget: {evaluations}"
         );
         assert_eq!(
-            out.placed.len(),
+            placed.len(),
             batch.len(),
-            "{mode:?} must return its best complete incumbent, not give up"
+            "{search} must return its best complete incumbent, not give up"
         );
-        let obj = batch_comm_time_s(&cluster, &[], &out.placed);
+        let obj = batch_comm_time_s(&cluster, &[], &placed);
         assert!(
             obj >= optimum,
-            "{mode:?} incumbent {obj} beats the true optimum {optimum}"
+            "{search} incumbent {obj} beats the true optimum {optimum}"
         );
-        assert!(obj.is_finite(), "{mode:?} incumbent must be a real plan");
+        assert!(obj.is_finite(), "{search} incumbent must be a real plan");
     }
 }

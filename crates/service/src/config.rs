@@ -1,49 +1,47 @@
-//! Service tunables and their `NETPACK_SERVICE_*` environment knobs.
+//! Service tunables.
 
 use netpack_placement::NetPackConfig;
 use std::time::Duration;
 
 /// Tunables of the placement service (see the [crate docs](crate) for the
-/// architecture). Every field has a `NETPACK_SERVICE_*` environment
-/// override read by [`ServiceConfig::from_env`]; unset or unparsable
-/// variables keep the default.
+/// architecture). A plain typed config: the library reads no environment
+/// variable, so a binary that wants `NETPACK_SERVICE_*` knobs parses them
+/// itself and fills the fields (`bench_service` does for the mode and the
+/// event log).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Smallest command batch the drain loop settles for
-    /// (`NETPACK_SERVICE_BATCH_MIN`, default 1).
+    /// Smallest command batch the drain loop settles for (default 1).
     pub min_batch: usize,
-    /// Hard cap on commands drained per batch
-    /// (`NETPACK_SERVICE_BATCH_MAX`, default 256).
+    /// Hard cap on commands drained per batch (default 256).
     pub max_batch: usize,
     /// Target upper bound on the placement work of one batch; the
     /// adaptive limit divides this by the observed per-job cost
-    /// (`NETPACK_SERVICE_LATENCY_BUDGET_US`, default 16000 µs). The
-    /// default is throughput-leaning: training jobs run for hours, so a
-    /// placement decision a few milliseconds later is immaterial, while
-    /// small batches pay the per-pass fixed cost (pending sort, knapsack
-    /// admission, estimator-tail reconcile) per handful of jobs. Tighten
-    /// it for latency-sensitive deployments.
+    /// (default 16000 µs). The default is throughput-leaning: training
+    /// jobs run for hours, so a placement decision a few milliseconds
+    /// later is immaterial, while small batches pay the per-pass fixed
+    /// cost (pending sort, knapsack admission, estimator-tail reconcile)
+    /// per handful of jobs. Tighten it for latency-sensitive deployments.
     pub latency_budget: Duration,
     /// Pending-queue backpressure bound: submissions beyond this are
-    /// rejected and counted (`NETPACK_SERVICE_QUEUE_CAP`, default 65536).
+    /// rejected and counted (default 65536).
     pub queue_cap: usize,
     /// Command-channel depth in threaded mode; a full channel pushes
-    /// back on submitters (`NETPACK_SERVICE_CHANNEL_CAP`, default 1024).
+    /// back on submitters (default 1024).
     pub channel_cap: usize,
     /// Batching window of the threaded drain loop: after the first
     /// command of a batch arrives, the service thread keeps sleeping up
     /// to this long while the batch is still below the adaptive limit,
     /// so trickling submissions coalesce into one placement pass instead
-    /// of a pass per wakeup (`NETPACK_SERVICE_GATHER_US`, default 8000 µs
-    /// — half the latency budget; 0 disables gathering).
+    /// of a pass per wakeup (default 8000 µs — half the latency budget;
+    /// 0 disables gathering).
     pub gather: Duration,
-    /// Deterministic mode (`NETPACK_SERVICE_MODE=deterministic`): batch
-    /// sizing ignores wall-clock cost so identical command streams drain
-    /// identically, making the event log byte-reproducible.
+    /// Deterministic mode: batch sizing ignores wall-clock cost so
+    /// identical command streams drain identically, making the event log
+    /// byte-reproducible.
     pub deterministic: bool,
-    /// Record one event-log line per submit/place/defer/complete/cancel
-    /// (`NETPACK_SERVICE_EVENT_LOG=1`). Off by default: a million-job
-    /// bench would otherwise spend its time formatting strings.
+    /// Record one event-log line per submit/place/defer/complete/cancel.
+    /// Off by default: a million-job bench would otherwise spend its time
+    /// formatting strings.
     pub event_log: bool,
     /// Additive value bump for every deferred job, re-applied each pass —
     /// the same starvation-avoidance aging the `JobManager` uses.
@@ -71,49 +69,6 @@ impl Default for ServiceConfig {
             threads: netpack_metrics::sweep_threads(),
             placer: NetPackConfig::default(),
         }
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-impl ServiceConfig {
-    /// Defaults overridden by the `NETPACK_SERVICE_*` environment
-    /// variables (see each field's doc). Unset or malformed variables
-    /// fall back silently — the service must come up under a stray
-    /// environment, and the effective config is visible via `Debug`.
-    pub fn from_env() -> Self {
-        let mut cfg = ServiceConfig::default();
-        if let Some(v) = env_usize("NETPACK_SERVICE_BATCH_MIN") {
-            cfg.min_batch = v.max(1);
-        }
-        if let Some(v) = env_usize("NETPACK_SERVICE_BATCH_MAX") {
-            cfg.max_batch = v.max(1);
-        }
-        if let Some(v) = env_usize("NETPACK_SERVICE_LATENCY_BUDGET_US") {
-            cfg.latency_budget = Duration::from_micros(v as u64);
-        }
-        if let Some(v) = env_usize("NETPACK_SERVICE_QUEUE_CAP") {
-            cfg.queue_cap = v.max(1);
-        }
-        if let Some(v) = env_usize("NETPACK_SERVICE_CHANNEL_CAP") {
-            cfg.channel_cap = v.max(1);
-        }
-        if let Some(v) = env_usize("NETPACK_SERVICE_GATHER_US") {
-            cfg.gather = Duration::from_micros(v as u64);
-        }
-        if let Ok(mode) = std::env::var("NETPACK_SERVICE_MODE") {
-            cfg.deterministic = mode.trim().eq_ignore_ascii_case("deterministic");
-        }
-        if let Ok(v) = std::env::var("NETPACK_SERVICE_EVENT_LOG") {
-            let v = v.trim();
-            cfg.event_log = !v.is_empty() && v != "0";
-        }
-        if cfg.min_batch > cfg.max_batch {
-            cfg.min_batch = cfg.max_batch;
-        }
-        cfg
     }
 }
 

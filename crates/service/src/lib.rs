@@ -9,8 +9,10 @@
 //! completions that does not wait for placement to finish. This crate is
 //! that front end, in three layers:
 //!
-//! * [`ServiceConfig`] — tunables (batch bounds, latency budget, queue
-//!   cap), each with a `NETPACK_SERVICE_*` environment override.
+//! * [`ServiceConfig`] — typed tunables (batch bounds, latency budget,
+//!   queue cap). The crate reads no environment variable: a binary parses
+//!   whatever knobs it offers and fills the fields, as `bench_service`
+//!   does.
 //! * [`ServiceCore`] — the deterministic engine: a
 //!   [`NetPackSession`](netpack_placement::NetPackSession) kept warm
 //!   across batches (no per-batch topology or steady-state rebuild), a

@@ -4,26 +4,29 @@
 #   ./scripts/check.sh
 #
 # Runs the release build, clippy with warnings denied, netpack-lint (the
-# determinism/concurrency/mode-gate static pass; any finding not
+# determinism/concurrency/env-registry static pass; any finding not
 # grandfathered in lint-baseline.txt fails — including a stale suppression
-# pragma (P1) or a NETPACK_* variable missing from the registry, the
-# README table, or its declared gate (M1)), the exact-placer two-mode smoke
-# (NETPACK_EXACT=bnb vs scratch must be byte-identical), the full
-# workspace test suite, the doctests, the fig9/fig14 two-mode smokes, the
+# pragma (P1), a NETPACK_* variable missing from the registry, the README
+# table, or its declared gate, or any NETPACK_* read in a library crate
+# (M1)), the exact smoke (NETPACK_SMOKE=1 table_mip_vs_dp asserts the
+# branch-and-bound == the exhaustive reference in-binary), the full
+# workspace test suite, the doctests, the fig9 smoke (every replay of the
+# smoke cell asserted == Simulation::run_reference in-binary), the
 # fig10_xl smoke (the binary asserts production == the literal algorithm;
 # its digest must be byte-identical at NETPACK_THREADS=1 and 4), the
 # fig10 dense smoke (the same contract on a 16-rack x 64-server, 200-job
 # cell, where PS scoring dedups per rack and water-fill components are
 # large), the service determinism smoke (two identical deterministic 10K-job
 # bench_service runs at one worker and one at NETPACK_THREADS=4 must be
-# byte-identical, stdout + event log), and the two index smokes (a
+# byte-identical, stdout + event log), the two index smokes (a
 # 2 000-job deterministic replay and the fig10_xl smoke, both from a
 # *debug* build, so the placement path's debug assertions hold the
 # journal-fed server index — as the journals left it — to a full scan
 # after every refresh, and the index-answered single-server shortcut to
 # the literal scan, on the session path under real churn and on the
 # stateless three-tier path; the debug fig10_xl digest must equal the
-# release one).
+# release one), and the fig14 smoke (every cell asserted ==
+# PacketSim::run_reference in-binary).
 # Keep this list in sync with README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,25 +40,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p netpack-lint (new findings, stale pragmas, unregistered NETPACK_* vars fail)"
 cargo run -q -p netpack-lint
 
-exact_dir=$(mktemp -d)
-pkt_dir=$(mktemp -d)
-cleanup() { rm -rf "$exact_dir" "$pkt_dir"; }
-trap cleanup EXIT
+tmp_dir=$(mktemp -d)
+trap 'rm -rf "$tmp_dir"' EXIT
 
-echo "==> exact smoke: branch-and-bound vs scratch DFS must match (stdout + CSV)"
-exact_bnb=$(NETPACK_SMOKE=1 NETPACK_EXACT=bnb NETPACK_CSV_DIR="$exact_dir/bnb" \
-    ./target/release/table_mip_vs_dp)
-exact_scr=$(NETPACK_SMOKE=1 NETPACK_EXACT=scratch NETPACK_CSV_DIR="$exact_dir/scratch" \
-    ./target/release/table_mip_vs_dp)
-if ! diff <(printf '%s\n' "$exact_bnb") <(printf '%s\n' "$exact_scr"); then
-    echo "check.sh: exact smoke DIVERGED between NETPACK_EXACT modes (stdout)" >&2
-    exit 1
-fi
-if ! diff -r "$exact_dir/bnb" "$exact_dir/scratch"; then
-    echo "check.sh: exact smoke DIVERGED between NETPACK_EXACT modes (CSV)" >&2
-    exit 1
-fi
-printf '%s\n' "$exact_bnb"
+echo "==> exact smoke: branch-and-bound == exhaustive reference (in-binary)"
+NETPACK_SMOKE=1 ./target/release/table_mip_vs_dp
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -63,16 +52,8 @@ cargo test --workspace -q
 echo "==> cargo test --workspace --doc -q"
 cargo test --workspace --doc -q
 
-echo "==> fig9 smoke: incremental vs scratch steady state must match"
-smoke_inc=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 NETPACK_SIM=incremental \
-    ./target/release/fig9_scale)
-smoke_scr=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 NETPACK_SIM=scratch \
-    ./target/release/fig9_scale)
-if ! diff <(printf '%s\n' "$smoke_inc") <(printf '%s\n' "$smoke_scr"); then
-    echo "check.sh: fig9 smoke DIVERGED between NETPACK_SIM modes" >&2
-    exit 1
-fi
-printf '%s\n' "$smoke_inc"
+echo "==> fig9 smoke: run == run_reference on every replay (in-binary)"
+NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 ./target/release/fig9_scale
 
 echo "==> fig10_xl smoke: production == reference (in-binary), digest identical at 1 and 4 workers"
 xl_t1=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 ./target/release/fig10_xl)
@@ -99,34 +80,34 @@ echo "==> service smoke: deterministic 10K-job replay must be byte-reproducible"
 # NETPACK_SERVICE_MODE is pinned explicitly: this smoke is the registered
 # enforcement point for that mode gate (see crates/lint/src/registry.rs).
 svc_a=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_MODE=deterministic \
-    NETPACK_SERVICE_EVENT_LOG="$exact_dir/svc_a.log" \
+    NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_a.log" \
     ./target/release/bench_service 2> /dev/null)
 svc_b=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_MODE=deterministic \
-    NETPACK_SERVICE_EVENT_LOG="$exact_dir/svc_b.log" \
+    NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_b.log" \
     ./target/release/bench_service 2> /dev/null)
 if ! diff <(printf '%s\n' "$svc_a") <(printf '%s\n' "$svc_b"); then
     echo "check.sh: service smoke DIVERGED between identical runs (stdout)" >&2
     exit 1
 fi
-if ! cmp "$exact_dir/svc_a.log" "$exact_dir/svc_b.log"; then
+if ! cmp "$tmp_dir/svc_a.log" "$tmp_dir/svc_b.log"; then
     echo "check.sh: service smoke DIVERGED between identical runs (event log)" >&2
     exit 1
 fi
 # Same replay with the placer's plan-scoring fan-out on four workers:
 # the worker count may change timing, never a byte.
 svc_t4=$(NETPACK_SMOKE=1 NETPACK_THREADS=4 \
-    NETPACK_SERVICE_EVENT_LOG="$exact_dir/svc_t4.log" \
+    NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_t4.log" \
     ./target/release/bench_service 2> /dev/null)
 if ! diff <(printf '%s\n' "$svc_a") <(printf '%s\n' "$svc_t4"); then
     echo "check.sh: service smoke DIVERGED at NETPACK_THREADS=4 (stdout)" >&2
     exit 1
 fi
-if ! cmp "$exact_dir/svc_a.log" "$exact_dir/svc_t4.log"; then
+if ! cmp "$tmp_dir/svc_a.log" "$tmp_dir/svc_t4.log"; then
     echo "check.sh: service smoke DIVERGED at NETPACK_THREADS=4 (event log)" >&2
     exit 1
 fi
 printf '%s\n' "$svc_a"
-echo "service event log: $(wc -l < "$exact_dir/svc_a.log") lines, byte-identical across runs"
+echo "service event log: $(wc -l < "$tmp_dir/svc_a.log") lines, byte-identical across runs"
 
 echo "==> index smokes: debug builds, server index == full scan and shortcut == literal scan on every job"
 # A debug build keeps `debug_assert!`: every job audits the index as its
@@ -143,19 +124,7 @@ if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_debug"); then
     exit 1
 fi
 
-echo "==> fig14 smoke: fast vs scratch packet path must match (stdout + CSV)"
-pkt_fast=$(NETPACK_PKT=fast NETPACK_CSV_DIR="$pkt_dir/fast" \
-    ./target/release/fig14_aggregation_ratio)
-pkt_scr=$(NETPACK_PKT=scratch NETPACK_CSV_DIR="$pkt_dir/scratch" \
-    ./target/release/fig14_aggregation_ratio)
-if ! diff <(printf '%s\n' "$pkt_fast") <(printf '%s\n' "$pkt_scr"); then
-    echo "check.sh: fig14 smoke DIVERGED between NETPACK_PKT modes (stdout)" >&2
-    exit 1
-fi
-if ! diff -r "$pkt_dir/fast" "$pkt_dir/scratch"; then
-    echo "check.sh: fig14 smoke DIVERGED between NETPACK_PKT modes (CSV)" >&2
-    exit 1
-fi
-printf '%s\n' "$pkt_fast"
+echo "==> fig14 smoke: run == run_reference on every cell (in-binary)"
+NETPACK_SMOKE=1 ./target/release/fig14_aggregation_ratio
 
 echo "check.sh: all green"

@@ -1,0 +1,170 @@
+//! Tier-1 sees the oracles: `cargo test -q` runs only this root package,
+//! so each layer's production ≡ reference contract (whose full property
+//! suites run under `scripts/check.sh`) is pinned here on fixed inputs.
+//! The NetPack placer: the four Fig. 10 quick cells, one ragged three-tier
+//! fat-tree, and one dense cell (2 racks x 64 servers, 60 jobs around a
+//! running cross-rack job) where many servers per rack share a PS class
+//! with the plan's own. The flow simulator, the packet simulator and the
+//! exact placer: one case each. Every reference is reached by calling it;
+//! no configuration or environment variable selects one.
+
+use netpack::placement::{batch_comm_time_s, reference, ExactPlacer, RunningJob};
+use netpack::prelude::*;
+use netpack::workload::xorshift_batch;
+
+#[test]
+fn production_matches_the_literal_algorithm() {
+    let mut cells: Vec<(Cluster, Vec<RunningJob>, Vec<Job>)> = Vec::new();
+    for servers in [100usize, 400] {
+        for jobs in [50usize, 100] {
+            let spec = ClusterSpec {
+                racks: 16,
+                servers_per_rack: servers / 16,
+                ..ClusterSpec::paper_default()
+            };
+            cells.push((Cluster::new(spec), vec![], xorshift_batch(jobs, 32, 7)));
+        }
+    }
+    // Seven racks in pods of three: the last pod is ragged.
+    let ragged = ClusterSpec {
+        racks: 7,
+        servers_per_rack: 5,
+        gpus_per_server: 4,
+        racks_per_pod: Some(3),
+        ..ClusterSpec::paper_default()
+    };
+    cells.push((Cluster::new(ragged), vec![], xorshift_batch(40, 32, 7)));
+    let mut dense = Cluster::new(ClusterSpec {
+        racks: 2,
+        servers_per_rack: 64,
+        oversubscription: 16.0,
+        ..ClusterSpec::paper_default()
+    });
+    let running = RunningJob {
+        id: JobId(1_000),
+        gradient_gbits: 4.0,
+        placement: Placement::new(vec![(ServerId(3), 2), (ServerId(70), 2)], Some(ServerId(5))),
+    };
+    for &(s, w) in running.placement.workers() {
+        dense.allocate_gpus(s, w).unwrap();
+    }
+    cells.push((dense, vec![running], xorshift_batch(60, 32, 7)));
+
+    let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+    for (cluster, running, batch) in cells {
+        let cell = format!("servers={}/jobs={}", cluster.num_servers(), batch.len());
+        let oracle = reference::place_batch(&NetPackConfig::default(), &cluster, &running, &batch);
+        let oracle_obj = batch_comm_time_s(&cluster, &running, &oracle.placed);
+        for threads in [1usize, 4] {
+            let mut placer = NetPackPlacer::new(NetPackConfig {
+                threads: Some(threads),
+                ..NetPackConfig::default()
+            });
+            let out = placer.place_batch(&cluster, &running, &batch);
+            assert_eq!(out.placed, oracle.placed, "{cell} threads={threads}");
+            assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "{cell} threads={threads}");
+            let obj = batch_comm_time_s(&cluster, &running, &out.placed);
+            assert_eq!(obj.to_bits(), oracle_obj.to_bits(), "{cell} threads={threads}");
+            assert_eq!(placer.perf().counter("waterfill_unconverged"), 0, "{cell}");
+            // Every cell must have put the per-rack class dedup to work.
+            assert!(placer.perf().counter("ps_rack_servers_skipped") > 0, "{cell}");
+        }
+    }
+}
+
+#[test]
+fn flow_simulator_matches_its_from_scratch_reference() {
+    let trace = TraceSpec::new(TraceKind::Real, 30)
+        .seed(7)
+        .duration_scale(0.05)
+        .max_gpus(8)
+        .generate();
+    let sim = || {
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 2,
+            servers_per_rack: 4,
+            gpus_per_server: 2,
+            ..ClusterSpec::paper_default()
+        });
+        let config = SimConfig {
+            telemetry_interval_s: Some(20.0),
+            ..SimConfig::default()
+        };
+        Simulation::new(cluster, Box::new(NetPackPlacer::default()), config)
+    };
+    let result = sim().run(&trace);
+    assert_eq!(result, sim().run_reference(&trace));
+    assert_eq!(result.outcomes.len(), 30);
+    assert!(!result.telemetry.is_empty());
+    // Production took the warm estimator on every solve.
+    assert!(result.perf.timer_count("resolve_component") > 0);
+    assert_eq!(result.perf.timer_count("resolve_full"), 0);
+}
+
+#[test]
+fn packet_simulator_matches_its_per_packet_reference() {
+    // Fig. 14b at PAT ratio 0.5: two 10 Gbps jobs over a pool sized to
+    // half of one job's window.
+    let base = SwitchConfig::default();
+    let config = SwitchConfig {
+        pool_slots: (0.5 * base.rate_to_pkts(10.0) as f64).round() as usize,
+        ..base
+    };
+    let sim = || {
+        let mut sim = PacketSim::new(config.clone());
+        for id in 0..2 {
+            sim.add_job(PacketJobSpec {
+                id: JobId(id),
+                fan_in: 2,
+                gradient_gbits: 0.5,
+                compute_time_s: 0.0,
+                iterations: 0,
+                start_s: 0.0,
+                target_gbps: Some(10.0),
+            });
+        }
+        sim
+    };
+    let report = sim().run(0.1);
+    let oracle = sim().run_reference(0.1);
+    assert_eq!(report, oracle);
+    for (a, b) in report.per_job.iter().zip(&oracle.per_job) {
+        assert_eq!(a.goodput_bits.to_bits(), b.goodput_bits.to_bits());
+    }
+    // Production batched rounds and stamped no packet; the oracle stamped all.
+    assert!(report.perf.counter("rounds_batched") > 0);
+    assert_eq!(report.perf.counter("packets_touched"), 0);
+    assert_eq!(
+        oracle.perf.counter("packets_touched"),
+        oracle.perf.counter("packets_modeled")
+    );
+}
+
+#[test]
+fn exact_placer_matches_the_exhaustive_reference() {
+    // The `4x2 / 3+3` row of `table_mip_vs_dp`.
+    let cluster = Cluster::new(ClusterSpec {
+        racks: 1,
+        servers_per_rack: 4,
+        gpus_per_server: 2,
+        pat_gbps: 50.0,
+        ..ClusterSpec::paper_default()
+    });
+    let batch: Vec<Job> = (0..2)
+        .map(|i| Job::builder(JobId(i), ModelKind::Vgg16, 3).build())
+        .collect();
+    let budget = 50_000_000;
+    let mut exact = ExactPlacer::new(budget);
+    let out = exact.place_batch(&cluster, &[], &batch);
+    let (best, oracle_evaluations) = reference::place_exact(&cluster, &[], &batch, false, budget);
+    let (oracle_obj, oracle_placed) = best.expect("the instance is feasible");
+    assert_eq!(out.placed, oracle_placed);
+    assert!(out.deferred.is_empty());
+    let obj = batch_comm_time_s(&cluster, &[], &out.placed);
+    assert_eq!(obj.to_bits(), oracle_obj.to_bits());
+    assert!(
+        exact.evaluations() < oracle_evaluations,
+        "bnb evaluated {} leaves, the reference {oracle_evaluations}",
+        exact.evaluations()
+    );
+}
