@@ -1,11 +1,21 @@
 //! Job-manager implementation.
+//!
+//! The manager owns the authoritative GPU ledger, the pending queue and
+//! the running set, and — once a caller has asked for it — a warm
+//! [`IncrementalEstimator`] mirroring the running set in placement order.
+//! The running set changes in [`JobManager::run_epoch`] and
+//! [`JobManager::finish`]; the steady state is read in
+//! [`JobManager::steady_state_incremental`]. So the first two only *stage*
+//! their pushes and removals on the estimator (bookkeeping, no solve) and
+//! the third settles: an epoch's placements and an event's completions
+//! cost one solve per component they touched, and all water-filling work
+//! lands inside the one call that reads its result.
 
 use netpack_model::Placement;
-use netpack_placement::{Placer, RunningJob};
+use netpack_placement::{AdmissionIndex, Placer, RunningJob};
 use netpack_topology::{Cluster, JobId, TopologyError};
 use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState, WaterfillStats};
 use netpack_workload::Job;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -72,15 +82,6 @@ impl From<TopologyError> for ManagerError {
     }
 }
 
-/// A deferred mutation to the warm steady-state tracker. Ops are queued
-/// where the running set changes and drained inside
-/// [`JobManager::steady_state_incremental`], so all water-filling work is
-/// attributable to that one call (clean phase timing for the simulator).
-enum TrackerOp {
-    Add(PlacedJob),
-    Remove(JobId),
-}
-
 /// The cluster-wide DT job manager (Fig. 4).
 pub struct JobManager {
     cluster: Cluster,
@@ -88,14 +89,13 @@ pub struct JobManager {
     config: ManagerConfig,
     pending: Vec<Job>,
     running: Vec<(Job, Placement)>,
-    /// Id → position in `running` for O(1) [`finish`](Self::finish) lookup.
-    index: BTreeMap<JobId, usize>,
+    /// Id → position in `running` for [`finish`](Self::finish).
+    index: AdmissionIndex,
     /// Warm incremental estimator, lazily created by the first
     /// [`steady_state_incremental`](Self::steady_state_incremental) call.
     /// Its insertion order always mirrors `running` — the bit-identity
     /// contract with from-scratch [`estimate`] depends on it.
     tracker: Option<IncrementalEstimator>,
-    tracker_ops: Vec<TrackerOp>,
     /// Arena for the per-epoch running-jobs view handed to the placer,
     /// reused across epochs (placements are cloned into it; the epoch
     /// loop itself allocates no fresh vector).
@@ -122,9 +122,8 @@ impl JobManager {
             config,
             pending: Vec::new(),
             running: Vec::new(),
-            index: BTreeMap::new(),
+            index: AdmissionIndex::default(),
             tracker: None,
-            tracker_ops: Vec::new(),
             running_view: Vec::new(),
         }
     }
@@ -196,17 +195,14 @@ impl JobManager {
                     // netpack-lint: allow(E1): documented `# Panics` contract — a placer returning an invalid placement is a bug in the placer, not a recoverable condition for the epoch loop
                     panic!("placer {} proposed invalid placement: {e}", self.placer.name())
                 });
-            for &(s, w) in placement.workers() {
-                self.cluster
-                    .allocate_gpus(s, w)
-                    // netpack-lint: allow(E1): the line above validated this placement against the same ledger, so the allocation cannot fail
-                    .expect("validated placement fits the ledger");
-            }
-            self.index.insert(job.id, self.running.len());
+            placement
+                .allocate_on(&mut self.cluster)
+                // netpack-lint: allow(E1): the line above validated this placement against the same ledger, so the allocation cannot fail
+                .expect("validated placement fits the ledger");
+            self.index.admit(job.id);
             self.running.push((job.clone(), placement.clone()));
-            if self.tracker.is_some() {
-                self.tracker_ops
-                    .push(TrackerOp::Add(PlacedJob::new(job.id, &self.cluster, placement)));
+            if let Some(tracker) = &mut self.tracker {
+                tracker.stage_push(PlacedJob::new(job.id, &self.cluster, placement));
             }
         }
         for mut job in outcome.deferred {
@@ -219,31 +215,29 @@ impl JobManager {
     /// Mark a running job finished, releasing its GPUs, and return the
     /// removed `(Job, Placement)` so callers need not keep their own copy.
     ///
-    /// Lookup is O(1) via the id → index map; the removal itself is an
-    /// order-preserving `Vec::remove` (not `swap_remove`) because the
-    /// running order doubles as the warm estimator's insertion order, and
-    /// bit-identity with from-scratch [`estimate`] depends on replaying
-    /// the same float-op sequence.
+    /// Lookup is a binary search over admission numbers; the removal
+    /// itself is an order-preserving `Vec::remove` (not `swap_remove`)
+    /// because the running order doubles as the warm estimator's insertion
+    /// order, and bit-identity with from-scratch [`estimate`] depends on
+    /// replaying the same float-op sequence. The estimator removal is
+    /// staged, not solved, until the next
+    /// [`steady_state_incremental`](Self::steady_state_incremental).
     ///
     /// # Errors
     ///
-    /// Returns [`ManagerError::UnknownJob`] if the job is not running.
+    /// [`ManagerError::UnknownJob`] if the job is not running;
+    /// [`ManagerError::Ledger`] if the ledger refuses the release (the
+    /// manager's books were already inconsistent). All-or-nothing: on
+    /// error the ledger is unchanged and the job is still running.
     pub fn finish(&mut self, id: JobId) -> Result<(Job, Placement), ManagerError> {
-        let idx = self
-            .index
-            .remove(&id)
-            .ok_or(ManagerError::UnknownJob(id))?;
-        let (job, placement) = self.running.remove(idx);
-        for (i, (j, _)) in self.running.iter().enumerate().skip(idx) {
-            self.index.insert(j.id, i);
+        let idx = self.index.position(id).ok_or(ManagerError::UnknownJob(id))?;
+        self.running[idx].1.release_on(&mut self.cluster)?;
+        self.index.retire(id, idx);
+        if let Some(tracker) = &mut self.tracker {
+            let staged = tracker.stage_remove_at(idx, id);
+            debug_assert!(staged, "running set and estimator order diverged at {idx}");
         }
-        if self.tracker.is_some() {
-            self.tracker_ops.push(TrackerOp::Remove(id));
-        }
-        for &(s, w) in placement.workers() {
-            self.cluster.release_gpus(s, w)?;
-        }
-        Ok((job, placement))
+        Ok(self.running.remove(idx))
     }
 
     /// Cancel a job wherever it stands: a queued job is removed from the
@@ -280,8 +274,9 @@ impl JobManager {
     /// the last call.
     ///
     /// The first call builds the tracker from the current running set;
-    /// later calls drain the add/remove ops queued by
-    /// [`run_epoch`](Self::run_epoch) and [`finish`](Self::finish), so the
+    /// later calls settle the pushes and removals that
+    /// [`run_epoch`](Self::run_epoch) and [`finish`](Self::finish) staged —
+    /// one solve per dirty component, however many ops hit it — so the
     /// water-filling cost lands entirely inside this method (convenient
     /// for phase timing).
     pub fn steady_state_incremental(&mut self) -> &SteadyState {
@@ -292,20 +287,12 @@ impl JobManager {
                     .iter()
                     .map(|(j, p)| PlacedJob::new(j.id, &self.cluster, p))
                     .collect();
-                self.tracker_ops.clear();
                 self.tracker
                     .insert(IncrementalEstimator::new(&self.cluster, &placed))
                     .state()
             }
             Some(ref mut tracker) => {
-                for op in self.tracker_ops.drain(..) {
-                    match op {
-                        TrackerOp::Add(job) => tracker.push(&self.cluster, job),
-                        TrackerOp::Remove(id) => {
-                            tracker.remove(&self.cluster, id);
-                        }
-                    }
-                }
+                tracker.settle(&self.cluster);
                 tracker.state()
             }
         }
@@ -313,14 +300,11 @@ impl JobManager {
 
     /// The warm estimator's current state, if
     /// [`steady_state_incremental`](Self::steady_state_incremental) has
-    /// run and no ops are pending. Borrows `self` immutably so callers can
-    /// read the state alongside [`cluster`](Self::cluster).
+    /// run and nothing has been staged since. Borrows `self` immutably so
+    /// callers can read the state alongside [`cluster`](Self::cluster).
     pub fn incremental_state(&self) -> Option<&SteadyState> {
-        if self.tracker_ops.is_empty() {
-            self.tracker.as_ref().map(|t| t.state())
-        } else {
-            None
-        }
+        let tracker = self.tracker.as_ref()?;
+        tracker.is_settled().then(|| tracker.state())
     }
 
     /// Work counters from the warm estimator, if it exists.
@@ -449,7 +433,7 @@ mod tests {
         m.finish(JobId(0)).unwrap();
         m.submit(job(2, 6));
         m.run_epoch();
-        assert!(m.incremental_state().is_none(), "ops pending → no stale view");
+        assert!(m.incremental_state().is_none(), "ops staged → no stale view");
         let scratch = m.steady_state();
         let inc = m.steady_state_incremental().clone();
         for id in [1u64, 2] {
@@ -459,6 +443,60 @@ mod tests {
         let stats = m.waterfill_stats().unwrap();
         assert_eq!(stats.removes, 1);
         assert!(stats.pushes >= 1);
+    }
+
+    #[test]
+    fn incremental_state_is_withheld_while_ops_are_staged() {
+        let mut m = manager(Box::new(NetPackPlacer::default()));
+        m.submit(job(0, 6));
+        m.submit(job(1, 4));
+        m.run_epoch();
+        assert!(m.incremental_state().is_none(), "no tracker yet");
+        m.steady_state_incremental();
+        assert!(m.incremental_state().is_some());
+        // A finish stages its removal: no stale view until the settle.
+        m.finish(JobId(0)).unwrap();
+        assert!(m.incremental_state().is_none());
+        let settled = m.steady_state_incremental().clone();
+        assert_eq!(settled.first_difference(&m.steady_state()), None);
+        assert_eq!(m.incremental_state(), Some(&settled));
+        // So does an epoch's placement; both land in one settle.
+        m.submit(job(2, 6));
+        m.run_epoch();
+        m.finish(JobId(1)).unwrap();
+        assert!(m.incremental_state().is_none());
+        let settled = m.steady_state_incremental().clone();
+        assert_eq!(settled.first_difference(&m.steady_state()), None);
+        let stats = m.waterfill_stats().unwrap();
+        assert_eq!((stats.staged, stats.settles), (3, 2));
+    }
+
+    #[test]
+    fn refused_finish_changes_nothing() {
+        let mut m = manager(Box::new(NetPackPlacer::default()));
+        m.submit(job(0, 6));
+        m.run_epoch();
+        m.steady_state_incremental();
+        let placement = m.running()[0].1.clone();
+        assert!(placement.workers().len() >= 2, "a spanning job");
+
+        // The ledger refuses the *last* worker's release: the workers
+        // before it must not stay released, and the job keeps running on
+        // every book — running set, index, warm estimator.
+        let &(last, w) = placement.workers().last().unwrap();
+        m.cluster.release_gpus(last, w).unwrap();
+        let err = m.finish(JobId(0)).unwrap_err();
+        assert!(matches!(err, ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert_eq!(m.cluster().free_gpus(), 16 - 6 + w);
+        assert_eq!(m.running().len(), 1);
+        assert!(m.incremental_state().is_some(), "nothing was staged");
+        assert!(m.steady_state_incremental().job_rate_gbps(JobId(0)).is_some());
+        m.cluster.allocate_gpus(last, w).unwrap();
+
+        // Books back in step: the finish now goes through, once.
+        m.finish(JobId(0)).unwrap();
+        assert_eq!(m.cluster().free_gpus(), 16);
+        assert_eq!(m.finish(JobId(0)), Err(ManagerError::UnknownJob(JobId(0))));
     }
 
     #[test]

@@ -496,6 +496,8 @@ impl Simulation {
         if let Some(stats) = manager.waterfill_stats() {
             perf.incr("wf_pushes", stats.pushes);
             perf.incr("wf_removes", stats.removes);
+            perf.incr("wf_staged_ops", stats.staged);
+            perf.incr("wf_settles", stats.settles);
             perf.incr("wf_components_solved", stats.components_solved);
             perf.incr("wf_jobs_resolved", stats.jobs_resolved);
             perf.incr("wf_jobs_reused", stats.jobs_reused);

@@ -1,6 +1,6 @@
 //! Job placements: the decision every placer produces.
 
-use netpack_topology::{Cluster, ServerId};
+use netpack_topology::{Cluster, ServerId, TopologyError};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -155,6 +155,45 @@ impl Placement {
         }
         Ok(())
     }
+
+    /// Allocate every worker's GPUs on the cluster ledger, all or nothing.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal of [`Cluster::allocate_gpus`]; the workers
+    /// allocated before it are released again, so the ledger is unchanged.
+    pub fn allocate_on(&self, cluster: &mut Cluster) -> Result<(), TopologyError> {
+        for (i, &(s, w)) in self.workers.iter().enumerate() {
+            if let Err(e) = cluster.allocate_gpus(s, w) {
+                for &(s2, w2) in &self.workers[..i] {
+                    // Releasing what this loop just allocated cannot fail.
+                    let _ = cluster.release_gpus(s2, w2);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Release every worker's GPUs on the cluster ledger, all or nothing —
+    /// the inverse of [`allocate_on`](Self::allocate_on).
+    ///
+    /// # Errors
+    ///
+    /// The first refusal of [`Cluster::release_gpus`]; the workers released
+    /// before it are re-allocated, so the ledger is unchanged.
+    pub fn release_on(&self, cluster: &mut Cluster) -> Result<(), TopologyError> {
+        for (i, &(s, w)) in self.workers.iter().enumerate() {
+            if let Err(e) = cluster.release_gpus(s, w) {
+                for &(s2, w2) in &self.workers[..i] {
+                    // Re-allocating what this loop just released cannot fail.
+                    let _ = cluster.allocate_gpus(s2, w2);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Errors raised by [`Placement::validate`].
@@ -296,6 +335,29 @@ mod tests {
             p.validate(&c, 1),
             Err(PlacementError::UnknownServer(ServerId(77)))
         );
+    }
+
+    #[test]
+    fn ledger_moves_are_all_or_nothing() {
+        let mut c = cluster();
+        let p = Placement::new(vec![(ServerId(0), 3), (ServerId(1), 2)], Some(ServerId(2)));
+        p.allocate_on(&mut c).unwrap();
+        assert_eq!(c.free_gpus(), 16 - 5);
+        // Server 1 cannot take two more: server 0's share is handed back.
+        let q = Placement::new(vec![(ServerId(0), 1), (ServerId(1), 3)], Some(ServerId(2)));
+        assert!(matches!(
+            q.allocate_on(&mut c),
+            Err(TopologyError::InsufficientGpus { server: ServerId(1), .. })
+        ));
+        assert_eq!(c.free_gpus(), 16 - 5);
+        // Server 1 holds two, not three: releasing `q` is refused whole.
+        assert!(matches!(
+            q.release_on(&mut c),
+            Err(TopologyError::ReleaseOverflow { server: ServerId(1), .. })
+        ));
+        assert_eq!(c.free_gpus(), 16 - 5);
+        p.release_on(&mut c).unwrap();
+        assert_eq!(c.free_gpus(), 16);
     }
 
     #[test]

@@ -243,6 +243,8 @@ impl FlatBatch {
     /// Bring the index up to date from the ledger's journal and `inc`'s,
     /// and clear both.
     fn refresh_index(&mut self, inc: &mut IncrementalEstimator) -> RefreshStats {
+        // A staged op has journalled nothing yet: the keys would be stale.
+        debug_assert!(inc.is_settled());
         let refreshed = self.index.refresh(
             &self.topo,
             self.ledger.free(),

@@ -500,7 +500,10 @@ mod tests {
     }
 
     /// Drive a ledger and a warm estimator through a seeded random
-    /// interleaving of commit / credit and push / pop / remove / replace,
+    /// interleaving of commit / credit and push / pop / remove / replace —
+    /// all *staged*, as completions between two passes are, and settled
+    /// once before the index reads the journals, so a link only a removed
+    /// job touched must reach the journal through the pending list —
     /// refreshing the index from the two journals after every 0–50
     /// operations (0–3 in the quiet stretches; so anything from an empty
     /// journal to every link marked arrives at once), and hold it to a
@@ -553,28 +556,31 @@ mod tests {
                         let p = Placement::new(workers, Some(ServerId(rng.below(n))));
                         let id = JobId(next_id);
                         next_id += 1;
-                        inc.push(cluster, PlacedJob::new(id, cluster, &p));
+                        inc.stage_push(PlacedJob::new(id, cluster, &p));
                         live.push((id, p));
                     }
                     3 if !live.is_empty() => {
-                        let (id, p) = live.remove(rng.below(live.len()));
-                        assert!(inc.remove(cluster, id));
+                        let idx = rng.below(live.len());
+                        let (id, p) = live.remove(idx);
+                        assert!(inc.stage_remove_at(idx, id));
                         credit(&mut ledger, &p);
                     }
                     4 if !live.is_empty() => {
                         let (id, p) = live.pop().unwrap();
-                        assert_eq!(inc.pop(cluster), Some(id));
+                        assert_eq!(inc.stage_pop(), Some(id));
                         credit(&mut ledger, &p);
                     }
                     5 if !live.is_empty() => {
                         let (id, mut p) = live.remove(rng.below(live.len()));
                         p.set_ina_enabled(!p.ina_enabled());
-                        inc.replace(cluster, PlacedJob::new(id, cluster, &p));
+                        assert!(inc.stage_remove(id));
+                        inc.stage_push(PlacedJob::new(id, cluster, &p));
                         live.push((id, p));
                     }
                     _ => {}
                 }
             }
+            inc.settle(cluster);
             assert!(inc.journal().len() <= cluster.num_links());
             let bloated = index.ps.bloated(n) || index.filter.bloated(n);
             let stats =
@@ -683,6 +689,22 @@ mod tests {
         assert!(audit(&partial, &[], &[]).is_err(), "one link went unreported");
         index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
         assert_eq!(audit(&index, &[], &[]), Ok(()));
+        ledger.clear_journal();
+        inc.clear_journal();
+
+        // The job finishes between two passes. Its links are nobody
+        // else's, so no solve names them: only the staged removal's own
+        // pending nodes can carry them into the journal.
+        assert!(inc.stage_remove_at(0, JobId(0)));
+        assert!(inc.journal().is_empty(), "a staged op journals nothing");
+        inc.settle(&cluster);
+        let audit = |links: &[u32]| index.audit(&topo, ledger.free(), inc.state(), &[], links);
+        assert_eq!(audit(inc.journal()), Ok(()));
+        assert!(audit(&[]).is_err(), "the removal went unreported");
+        let mut freed = inc.journal().to_vec();
+        freed.sort_unstable();
+        // Three access links and, the PS sitting in rack 1, two uplinks.
+        assert_eq!(freed, [0, 5, 9, 256, 257]);
     }
 
     /// An estimator nobody drains (the flow simulator's) journals each link

@@ -97,6 +97,6 @@ pub use exact::ExactPlacer;
 pub use knapsack::select_job_subset;
 pub use netpack::{HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer};
 pub use select::CandidateFilter;
-pub use placer::{batch_comm_time_s, BatchOutcome, Placer, RunningJob};
+pub use placer::{batch_comm_time_s, AdmissionIndex, BatchOutcome, Placer, RunningJob};
 pub use prior::{Comb, OptimusLike, TetrisLike};
 pub use session::{NetPackSession, SessionError};

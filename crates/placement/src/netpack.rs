@@ -80,6 +80,8 @@ impl Default for NetPackConfig {
 /// two readings) into the placer's `waterfill_*` perf counters.
 pub(crate) fn record_waterfill(perf: &mut PerfCounters, work: WaterfillStats) {
     perf.incr("waterfill_pushes", work.pushes);
+    perf.incr("waterfill_staged_ops", work.staged);
+    perf.incr("waterfill_settles", work.settles);
     perf.incr("waterfill_jobs_resolved", work.jobs_resolved);
     perf.incr("waterfill_jobs_reused", work.jobs_reused);
     perf.incr("waterfill_components_solved", work.components_solved);

@@ -4,6 +4,7 @@ use netpack_model::Placement;
 use netpack_topology::{Cluster, JobId};
 use netpack_waterfill::PlacedJob;
 use netpack_workload::Job;
+use std::collections::BTreeMap;
 
 /// A job that is currently running in the cluster, as placers see it.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,6 +21,50 @@ impl RunningJob {
     /// Convert to the estimator's input form.
     pub fn to_placed(&self, cluster: &Cluster) -> PlacedJob {
         PlacedJob::new(self.id, cluster, &self.placement)
+    }
+}
+
+/// Id → position lookup for a running list that grows at the end and
+/// shrinks by order-preserving removal — the shape the warm estimator's
+/// insertion order forces on [`NetPackSession`](crate::NetPackSession)
+/// and on the job manager.
+///
+/// Positions shift on every removal, so none is stored: each job keeps the
+/// sequence number it was admitted under, and because removal preserves
+/// order the live sequence numbers stay sorted — a job's position is a
+/// binary search away, and retiring it re-indexes nobody.
+#[derive(Debug, Clone, Default)]
+pub struct AdmissionIndex {
+    seq_of: BTreeMap<JobId, u64>,
+    /// Sequence numbers of the live jobs, in list order (ascending).
+    seqs: Vec<u64>,
+    next_seq: u64,
+}
+
+impl AdmissionIndex {
+    /// Record `id` as appended to the end of the list.
+    pub fn admit(&mut self, id: JobId) {
+        self.seq_of.insert(id, self.next_seq);
+        self.seqs.push(self.next_seq);
+        self.next_seq += 1;
+    }
+
+    /// Current position of `id` in the list, if it is live.
+    pub fn position(&self, id: JobId) -> Option<usize> {
+        self.seqs.binary_search(self.seq_of.get(&id)?).ok()
+    }
+
+    /// Whether `id` is live.
+    pub fn contains(&self, id: JobId) -> bool {
+        self.seq_of.contains_key(&id)
+    }
+
+    /// Record that `id`, found at [`position`](Self::position) `idx`, was
+    /// removed from the list.
+    pub fn retire(&mut self, id: JobId, idx: usize) {
+        debug_assert_eq!(self.position(id), Some(idx));
+        self.seq_of.remove(&id);
+        self.seqs.remove(idx);
     }
 }
 
@@ -185,6 +230,31 @@ mod tests {
     use super::*;
     use netpack_topology::{ClusterSpec, ServerId};
     use netpack_workload::ModelKind;
+
+    #[test]
+    fn admission_index_tracks_positions_through_removals() {
+        let mut index = AdmissionIndex::default();
+        let mut list: Vec<JobId> = Vec::new();
+        // Ids out of order and re-admitted: positions follow the list.
+        for id in [7u64, 3, 9, 1, 4] {
+            index.admit(JobId(id));
+            list.push(JobId(id));
+        }
+        for id in [9u64, 7, 4] {
+            let idx = index.position(JobId(id)).unwrap();
+            assert_eq!(list.remove(idx), JobId(id));
+            index.retire(JobId(id), idx);
+            assert_eq!(index.position(JobId(id)), None);
+            assert!(!index.contains(JobId(id)));
+            for (i, &live) in list.iter().enumerate() {
+                assert_eq!(index.position(live), Some(i));
+            }
+        }
+        index.admit(JobId(9));
+        list.push(JobId(9));
+        assert_eq!(index.position(JobId(9)), Some(2));
+        assert_eq!(index.position(JobId(3)), Some(0));
+    }
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterSpec {

@@ -19,27 +19,40 @@
 //!   mirrors the running set in insertion order, so a batch starts from
 //!   the converged steady state instead of re-solving it.
 //!
+//! # Completion is ledger-now, estimator-at-next-pass
+//!
+//! Algorithm 1's steady state is consumed only when Algorithm 2 scores a
+//! job, and dozens of completions arrive between two passes, many in the
+//! same one or two components. So [`complete`](NetPackSession::complete)
+//! releases both GPU ledgers and the running-set entry at once — the next
+//! pass must see the GPUs — but only *stages* the estimator removal;
+//! [`place_batch`](NetPackSession::place_batch) settles as its first step,
+//! re-solving each component the completions touched once, and always
+//! returns settled. Inside a pass nothing can coalesce: every job is
+//! scored against the state the previous push left, so those pushes stay
+//! eager. [`state`](NetPackSession::state) is exact whenever
+//! [`is_settled`](NetPackSession::is_settled); a reader between passes
+//! calls [`settle`](NetPackSession::settle) first.
+//!
 //! The results are **bit-identical** to driving a `JobManager` +
 //! [`NetPackPlacer`] through the same sequence of batches and completions
 //! (pinned by the `session_equivalence` integration test): the estimator's
-//! push/pop/remove contract guarantees its state matches a from-scratch
-//! solve over the surviving insertion order, and the session replays
-//! exactly the float-op sequence of the stateless
+//! settled state is a function of the surviving insertion order alone —
+//! equal to a from-scratch solve over it wherever the settles fell — and
+//! the session replays exactly the float-op sequence of the stateless
 //! [`place_batch`](crate::Placer::place_batch) — including the
 //! selective-INA step, after which placements whose INA flag changed are
-//! popped off the estimator tail and re-pushed with their final flags so
-//! the warm state stays equal to the manager's.
+//! popped off the estimator tail and re-pushed with their final flags
+//! (staged, one settle) so the warm state stays equal to the manager's.
 
 use crate::flat::FlatBatch;
 use crate::knapsack::subset_in_placement_order;
 use crate::netpack::{record_waterfill, NetPackConfig, NetPackPlacer};
-use crate::placer::{BatchOutcome, RunningJob};
+use crate::placer::{AdmissionIndex, BatchOutcome, RunningJob};
 use netpack_metrics::{PerfCounters, Stopwatch};
-use netpack_model::Placement;
 use netpack_topology::{Cluster, JobId, TopologyError};
-use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
+use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState, WaterfillStats};
 use netpack_workload::Job;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -100,8 +113,10 @@ pub struct NetPackSession {
     /// bit-identity contract with a from-scratch solve depends on it.
     tracker: IncrementalEstimator,
     running: Vec<RunningJob>,
-    /// Id → position in `running` for O(log n) completion lookup.
-    index: BTreeMap<JobId, usize>,
+    /// Id → position in `running` (and so in `tracker`).
+    index: AdmissionIndex,
+    /// The tracker's counters as of the last fold into the perf counters.
+    stats_recorded: WaterfillStats,
     /// Per-batch scratch: the INA flag each placement carried when it was
     /// pushed onto the estimator, to detect selective-INA toggles.
     pushed_ina: Vec<bool>,
@@ -127,7 +142,8 @@ impl NetPackSession {
             fb,
             tracker,
             running: Vec::new(),
-            index: BTreeMap::new(),
+            index: AdmissionIndex::default(),
+            stats_recorded: WaterfillStats::default(),
             pushed_ina: Vec::new(),
         }
     }
@@ -144,7 +160,7 @@ impl NetPackSession {
 
     /// Whether `id` is running in this session.
     pub fn is_running(&self, id: JobId) -> bool {
-        self.index.contains_key(&id)
+        self.index.contains(id)
     }
 
     /// Free GPUs on the authoritative ledger.
@@ -152,9 +168,34 @@ impl NetPackSession {
         self.cluster.free_gpus()
     }
 
-    /// The warm water-filled steady state over the running set.
+    /// The warm water-filled steady state over the running set: exact —
+    /// bit-identical to a from-scratch solve — whenever
+    /// [`is_settled`](Self::is_settled), which every
+    /// [`place_batch`](Self::place_batch) guarantees on return. After a
+    /// [`complete`](Self::complete) the retired job is gone from it but
+    /// the link numbers and the other jobs' rates are those of the last
+    /// settle until [`settle`](Self::settle) or the next batch.
     pub fn state(&self) -> &SteadyState {
         self.tracker.state()
+    }
+
+    /// Whether no completion is waiting to be absorbed into
+    /// [`state`](Self::state).
+    pub fn is_settled(&self) -> bool {
+        self.tracker.is_settled()
+    }
+
+    /// Absorb the completions staged since the last pass: one solve per
+    /// component they touched. [`place_batch`](Self::place_batch) does
+    /// this itself; call it to read an exact [`state`](Self::state) in
+    /// between.
+    pub fn settle(&mut self) {
+        if self.tracker.is_settled() {
+            return;
+        }
+        let start = Stopwatch::start();
+        self.tracker.settle(&self.cluster);
+        self.placer.perf.record("waterfill_solve", start.elapsed());
     }
 
     /// Perf counters accumulated by the underlying placer (same names as
@@ -178,9 +219,12 @@ impl NetPackSession {
     /// exactly as the placer does: value-descending, ties by id) and
     /// deferred-job handling: deferred jobs are returned, not retried.
     pub fn place_batch(&mut self, batch: &[Job]) -> BatchOutcome {
-        let mut perf = std::mem::take(&mut self.placer.perf);
         let batch_start = Stopwatch::start();
-        let stats_before = *self.tracker.stats();
+        // Settle first: the completions since the last pass, each
+        // component they touched solved once.
+        self.settle();
+        debug_assert_eq!(self.audit_state(), Ok(()));
+        let mut perf = std::mem::take(&mut self.placer.perf);
         let mut outcome = BatchOutcome::default();
 
         // Step 1: FindSubset over the authoritative free-GPU count, then
@@ -189,7 +233,8 @@ impl NetPackSession {
             subset_in_placement_order(batch, self.cluster.free_gpus(), &mut outcome.deferred);
 
         // Steps 2-3 per job against the warm estimator; both ledgers (the
-        // flat mirror and the cluster) advance together.
+        // flat mirror and the cluster) advance together. Each push is
+        // eager: the next job is scored against the state it leaves.
         self.pushed_ina.clear();
         for job in ordered {
             let one_start = Stopwatch::start();
@@ -203,7 +248,7 @@ impl NetPackSession {
             perf.record("place_one", one_start.elapsed());
             match placed {
                 Some(placement) if self.fb.commit(&placement) => {
-                    if !allocate_all(&mut self.cluster, &placement) {
+                    if placement.allocate_on(&mut self.cluster).is_err() {
                         // The two ledgers disagreed — refuse the placement
                         // rather than panic, and keep them in step (undoing
                         // the commit just made cannot be refused).
@@ -236,7 +281,8 @@ impl NetPackSession {
         // batch occupies the tail in placement order, so popping down to
         // the first toggled job and re-pushing with final flags leaves the
         // warm state equal to a from-scratch solve over the running set —
-        // the invariant every later batch leans on.
+        // the invariant every later batch leans on. Nobody reads the state
+        // in between, so the pops and pushes are staged and settled once.
         let first_toggled = outcome
             .placed
             .iter()
@@ -245,19 +291,19 @@ impl NetPackSession {
         if let Some(first) = first_toggled {
             let start = Stopwatch::start();
             for _ in first..outcome.placed.len() {
-                let _ = self.tracker.pop(&self.cluster);
+                let _ = self.tracker.stage_pop();
             }
             for (job, p) in &outcome.placed[first..] {
-                self.tracker
-                    .push(&self.cluster, PlacedJob::new(job.id, &self.cluster, p));
+                self.tracker.stage_push(PlacedJob::new(job.id, &self.cluster, p));
             }
+            self.tracker.settle(&self.cluster);
             perf.record("waterfill_solve", start.elapsed());
             perf.incr("ina_reconcile_repushes", (outcome.placed.len() - first) as u64);
         }
 
         // The batch joins the running set with its final placements.
         for (job, p) in &outcome.placed {
-            self.index.insert(job.id, self.running.len());
+            self.index.admit(job.id);
             self.running.push(RunningJob {
                 id: job.id,
                 gradient_gbits: job.gradient_gbits(),
@@ -265,41 +311,45 @@ impl NetPackSession {
             });
         }
 
-        record_waterfill(&mut perf, *self.tracker.stats() - stats_before);
+        // Everything the tracker did since the last batch: the staged
+        // completions, the settle above, this batch's pushes.
+        let stats = *self.tracker.stats();
+        record_waterfill(&mut perf, stats - self.stats_recorded);
+        self.stats_recorded = stats;
         perf.record("place_batch", batch_start.elapsed());
         self.placer.perf = perf;
         outcome
     }
 
-    /// Retire a running job: release its GPUs on both ledgers and drop it
-    /// from the warm estimator, preserving the insertion order of every
-    /// other job (an order-preserving remove, like `JobManager::finish`).
+    /// Retire a running job: release its GPUs on both ledgers, drop it
+    /// from the running set, and *stage* its removal from the warm
+    /// estimator, preserving the insertion order of every other job (an
+    /// order-preserving remove, like `JobManager::finish`). The estimator
+    /// solve waits for the next [`place_batch`](Self::place_batch) or
+    /// [`settle`](Self::settle); see [`state`](Self::state).
     ///
     /// # Errors
     ///
     /// [`SessionError::UnknownJob`] if the id is not running;
     /// [`SessionError::Ledger`] if either ledger refuses the release (which
     /// means the session's books were already inconsistent). The release
-    /// is all-or-nothing: on error both ledgers are unchanged and the job
-    /// is still running.
+    /// is all-or-nothing: on error both ledgers are unchanged, nothing is
+    /// staged, and the job is still running.
     pub fn complete(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
-        let &idx = self.index.get(&id).ok_or(SessionError::UnknownJob(id))?;
+        let idx = self.index.position(id).ok_or(SessionError::UnknownJob(id))?;
         let placement = &self.running[idx].placement;
-        release_all(&mut self.cluster, placement).map_err(SessionError::Ledger)?;
+        placement.release_on(&mut self.cluster).map_err(SessionError::Ledger)?;
         if let Err(refusal) = self.fb.credit(placement) {
             // Re-allocating what was just released cannot fail.
-            allocate_all(&mut self.cluster, placement);
+            let _ = placement.allocate_on(&mut self.cluster);
             return Err(SessionError::Ledger(refusal));
         }
-        self.index.remove(&id);
-        let removed = self.running.remove(idx);
-        for (i, rj) in self.running.iter().enumerate().skip(idx) {
-            self.index.insert(rj.id, i);
-        }
-        let start = Stopwatch::start();
-        self.tracker.remove(&self.cluster, id);
-        self.placer.perf.record("waterfill_solve", start.elapsed());
-        Ok(removed)
+        self.index.retire(id, idx);
+        // `running` is the tracker's insertion order, so the position is
+        // the tracker's too.
+        let staged = self.tracker.stage_remove_at(idx, id);
+        debug_assert!(staged, "running set and estimator order diverged at {idx}");
+        Ok(self.running.remove(idx))
     }
 
     /// Test oracle: the persistent server index, with the pending change
@@ -311,45 +361,33 @@ impl NetPackSession {
         self.fb.audit_index(&self.tracker)
     }
 
+    /// Test oracle for the staged completions: the session is settled and
+    /// its steady state equals, bit for bit, Algorithm 1 run from scratch
+    /// over the running set in placement order.
+    #[doc(hidden)]
+    pub fn audit_state(&self) -> Result<(), String> {
+        if !self.is_settled() {
+            return Err("staged completions not settled".to_string());
+        }
+        let placed: Vec<PlacedJob> =
+            self.running.iter().map(|r| r.to_placed(&self.cluster)).collect();
+        match self.tracker.state().first_difference(&estimate(&self.cluster, &placed)) {
+            None => Ok(()),
+            Some(field) => Err(format!("warm {field} differ from a from-scratch estimate")),
+        }
+    }
+
     /// Fault injection for tests: credit running job `id`'s GPUs back on
     /// the flat ledger alone, so the books disagree and the next
     /// [`complete`](Self::complete) of `id` is refused with
     /// [`SessionError::Ledger`]. `false` if `id` is not running.
     #[doc(hidden)]
     pub fn precredit_flat_ledger(&mut self, id: JobId) -> bool {
-        match self.index.get(&id) {
-            Some(&idx) => self.fb.credit(&self.running[idx].placement).is_ok(),
+        match self.index.position(id) {
+            Some(idx) => self.fb.credit(&self.running[idx].placement).is_ok(),
             None => false,
         }
     }
-}
-
-/// Release every worker on the cluster ledger, rolling back on failure.
-fn release_all(cluster: &mut Cluster, placement: &Placement) -> Result<(), TopologyError> {
-    for (i, &(s, w)) in placement.workers().iter().enumerate() {
-        if let Err(e) = cluster.release_gpus(s, w) {
-            for &(s2, w2) in &placement.workers()[..i] {
-                // Re-allocating what this loop just released cannot fail.
-                let _ = cluster.allocate_gpus(s2, w2);
-            }
-            return Err(e);
-        }
-    }
-    Ok(())
-}
-
-/// Allocate every worker on the cluster ledger, rolling back on failure.
-fn allocate_all(cluster: &mut Cluster, placement: &Placement) -> bool {
-    for (i, &(s, w)) in placement.workers().iter().enumerate() {
-        if cluster.allocate_gpus(s, w).is_err() {
-            for &(s2, w2) in &placement.workers()[..i] {
-                // Releasing what this loop just allocated cannot fail.
-                let _ = cluster.release_gpus(s2, w2);
-            }
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -442,6 +480,7 @@ mod tests {
         assert!(s.is_running(JobId(0)));
         assert_eq!(s.free_gpus(), 32 - 6 + w);
         assert_eq!(s.fb.ledger(), flat_before);
+        assert!(s.is_settled(), "a refused completion stages nothing");
         assert!(s.state().job_rate_gbps(JobId(0)).is_some());
         s.cluster.allocate_gpus(last, w).unwrap();
 
@@ -452,12 +491,63 @@ mod tests {
         assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
         assert!(s.is_running(JobId(0)));
         assert_eq!(s.free_gpus(), 32 - 6);
+        assert!(s.is_settled() && s.audit_state().is_ok());
         assert!(s.fb.commit(&placement));
 
         // Books back in step: the completion now goes through, once.
         s.complete(JobId(0)).unwrap();
         assert_eq!(s.free_gpus(), 32);
         assert_eq!(s.complete(JobId(0)), Err(SessionError::UnknownJob(JobId(0))));
+    }
+
+    #[test]
+    fn completion_is_staged_until_the_next_settle() {
+        let mut s = NetPackSession::new(cluster(), NetPackConfig::default());
+        s.place_batch(&[job(0, 6), job(1, 4), job(2, 9)]);
+        assert!(s.is_settled(), "a batch returns settled");
+        assert_eq!(s.audit_state(), Ok(()));
+        let stale = s.state().clone();
+        // A spanning job retires: the ledgers and the running set move
+        // now, the link numbers wait.
+        s.complete(JobId(0)).unwrap();
+        assert!(!s.is_settled());
+        assert_eq!(s.free_gpus(), 32 - 13);
+        assert!(!s.is_running(JobId(0)));
+        assert_eq!(s.state().job_rate_gbps(JobId(0)), None);
+        assert_eq!(s.state().servers_flows(), stale.servers_flows());
+        assert!(s.audit_state().is_err(), "the audit must see the staged removal");
+        s.settle();
+        assert!(s.is_settled());
+        assert_eq!(s.audit_state(), Ok(()));
+        assert_ne!(s.state().servers_flows(), stale.servers_flows());
+    }
+
+    #[test]
+    fn staged_completions_then_a_batch_equal_eager_completions() {
+        // k completions absorbed by the batch's one settle must leave the
+        // same placements and the same bits as settling after each.
+        let first = [job(0, 6), job(1, 4), job(2, 9), job(3, 5), job(4, 3)];
+        let second = [job(5, 7), job(6, 2), job(7, 5)];
+        let run = |eager: bool| {
+            let mut s = NetPackSession::new(cluster(), NetPackConfig::default());
+            s.place_batch(&first);
+            for id in [2, 0, 3] {
+                s.complete(JobId(id)).unwrap();
+                if eager {
+                    s.settle();
+                }
+            }
+            assert_eq!(s.is_settled(), eager);
+            let out = s.place_batch(&second);
+            assert_eq!(s.audit_state(), Ok(()));
+            assert_eq!(s.audit_index(), Ok(()));
+            (out.placed, out.deferred, s.state().clone(), s.perf().counter("waterfill_settles"))
+        };
+        let (staged, eager) = (run(false), run(true));
+        assert!(!staged.0.is_empty());
+        assert_eq!((&staged.0, &staged.1), (&eager.0, &eager.1));
+        assert_eq!(staged.2.first_difference(&eager.2), None);
+        assert_eq!(eager.3 - staged.3, 2, "three completions, one settle instead of three");
     }
 
     #[test]

@@ -200,7 +200,8 @@ proptest! {
     /// Production must be **bit-identical** to the literal Algorithm 2
     /// across random fat-trees — two-tier (no pod structure) and three-tier
     /// with mixed/ragged pod sizes — with a running job in the way, and its
-    /// warm session must keep its server index equal to a full scan.
+    /// warm session must keep its server index equal to a full scan and
+    /// its steady state equal to a from-scratch estimate.
     #[test]
     fn production_matches_reference(
         (cluster, batch, seed) in arb_fat_tree().prop_flat_map(|c| {
@@ -239,12 +240,16 @@ proptest! {
             let mut session = NetPackSession::new(cluster.clone(), config);
             let first = session.place_batch(&batch);
             prop_assert_eq!(session.audit_index(), Ok(()));
+            prop_assert_eq!(session.audit_state(), Ok(()));
             for (job, _) in first.placed.iter().step_by(2) {
                 prop_assert!(session.complete(job.id).is_ok());
             }
             prop_assert_eq!(session.audit_index(), Ok(()));
+            // The completions are staged; the next pass settles them all
+            // at once and must land on the from-scratch state.
             session.place_batch(&first.deferred);
             prop_assert_eq!(session.audit_index(), Ok(()));
+            prop_assert_eq!(session.audit_state(), Ok(()));
         }
     }
 

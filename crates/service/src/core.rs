@@ -177,6 +177,14 @@ impl ServiceCore {
         &self.session
     }
 
+    /// Absorb the completions applied since the last pass into the
+    /// session's steady state ([`NetPackSession::settle`]) — what a reader
+    /// of [`session`](Self::session)`.state()` between two passes calls
+    /// first. Every [`place_pass`](Self::place_pass) does it itself.
+    pub fn settle(&mut self) {
+        self.session.settle();
+    }
+
     /// How many commands the drain loop should accept before the next
     /// placement pass, given the observed per-job cost so far.
     pub fn batch_limit(&self) -> usize {
@@ -291,8 +299,14 @@ impl ServiceCore {
     /// value-descending (ties by id) order, one [`NetPackSession`] batch,
     /// deferred jobs aged by `aging_value_bump` and requeued. Returns the
     /// number of jobs placed.
+    ///
+    /// Completions applied since the last pass only staged their estimator
+    /// removals; the pass settles them, so after every pass — one that
+    /// found the queue empty included — [`session`](Self::session)`.state()`
+    /// is the exact steady state of the running set.
     pub fn place_pass(&mut self) -> usize {
         if self.pending.is_empty() {
+            self.settle();
             return 0;
         }
         self.counters.batches += 1;
@@ -484,6 +498,25 @@ mod tests {
                 "complete id=j9 kind=unknown",
             ]
         );
+    }
+
+    #[test]
+    fn a_pass_over_an_empty_queue_still_settles_the_completions() {
+        let mut core = core_with_events();
+        for (i, gpus) in [6, 9, 5].into_iter().enumerate() {
+            core.apply(Command::Submit(job(i as u64, gpus)));
+        }
+        assert_eq!(core.place_pass(), 3);
+        assert!(core.session().is_settled());
+        core.apply(Command::Complete(JobId(0)));
+        core.apply(Command::Complete(JobId(2)));
+        assert!(!core.session().is_settled(), "completions only stage");
+        // Nothing is queued, so no batch runs — the state a caller reads
+        // after the pass must be exact all the same.
+        assert_eq!(core.place_pass(), 0);
+        assert!(core.session().is_settled());
+        assert_eq!(core.session().audit_state(), Ok(()));
+        assert_eq!(core.counters().batches, 1, "an empty pass is not a batch");
     }
 
     #[test]

@@ -56,9 +56,11 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
         let placed_ref = manager.run_epoch();
         let placed_svc_before = core.counters().placed;
         core.place_pass();
-        // The session's persistent server index must equal a full scan
-        // after every pass (and, below, after every completion).
+        // The session's persistent server index must equal a full scan,
+        // and its warm steady state a from-scratch estimate, after every
+        // pass (and, below, after every completion).
         assert_eq!(core.session().audit_index(), Ok(()), "pass after job {i}");
+        assert_eq!(core.session().audit_state(), Ok(()), "pass after job {i}");
         let placed_svc = core.counters().placed - placed_svc_before;
         assert_eq!(
             placed_svc,
@@ -98,6 +100,10 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
             let (_, p_ref) = manager.finish(oldest).expect("reference finish");
             core.apply(Command::Complete(oldest));
             assert_eq!(core.session().audit_index(), Ok(()), "completing {oldest}");
+            // The completion only staged its estimator removal; settled,
+            // the state must be the survivors' from-scratch one.
+            core.settle();
+            assert_eq!(core.session().audit_state(), Ok(()), "completing {oldest}");
             completion_order.remove(0);
             assert_eq!(
                 (core.counters().unknown_ops, core.counters().ledger_errors),
@@ -114,6 +120,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
         let before = core.counters().placed;
         core.place_pass();
         assert_eq!(core.session().audit_index(), Ok(()), "drain pass {guard}");
+        assert_eq!(core.session().audit_state(), Ok(()), "drain pass {guard}");
         assert_eq!(core.counters().placed - before, placed_ref.len() as u64);
         assert_eq!(core.free_gpus(), manager.cluster().free_gpus());
         guard += 1;

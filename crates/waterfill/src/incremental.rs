@@ -1,44 +1,80 @@
-//! Incremental steady-state estimation for placement-time scoring.
+//! Incremental steady-state estimation: Algorithm 1 with a warm cache.
 //!
-//! During one `place_batch` call the placer runs Algorithm 1 once per job
-//! it admits, each time with one more job than before. A from-scratch
-//! [`estimate`](crate::estimate) re-solves every job every time; the
-//! [`IncrementalEstimator`] instead snapshots the converged
-//! [`SteadyState`] and, when a job is pushed, re-solves only the
-//! resource-connected component the new job lands in — the links, racks,
-//! and PAT pools it actually touches. Components it does not touch keep
-//! their cached rates, flow counts, and residuals verbatim.
+//! A from-scratch [`estimate`](crate::estimate) re-solves every job every
+//! time. The [`IncrementalEstimator`] keeps the converged [`SteadyState`]
+//! and re-solves only the resource-connected components that changed — the
+//! links, racks and PAT pools a pushed or removed job actually touches.
+//! Components nothing touched keep their cached rates, flow counts and
+//! residuals verbatim.
 //!
-//! Because [`estimate`](crate::estimate) itself solves per component (in
-//! job insertion order), the incremental path replays the exact same
-//! floating-point operations on the affected component and the result is
-//! **bit-identical** to a from-scratch solve over the full job list. The
-//! property test `incremental_push_matches_from_scratch_estimate`
-//! (`tests/properties.rs`) pins this.
+//! # Stage, then settle
+//!
+//! The steady state is *consumed* only when somebody reads it (Algorithm 2
+//! line 7 scores a job against it), so a change is split in two:
+//!
+//! * a **staged** op ([`stage_push`](IncrementalEstimator::stage_push),
+//!   [`stage_remove_at`](IncrementalEstimator::stage_remove_at) /
+//!   [`stage_remove`](IncrementalEstimator::stage_remove),
+//!   [`stage_pop`](IncrementalEstimator::stage_pop)) does the bookkeeping
+//!   only — the job list, the job's `job_rates` / `job_shards` entry, the
+//!   unions of a push, and the touched resource nodes appended to a
+//!   pending list. It costs the job, never the running set: no membership
+//!   scan, no sort, no solve;
+//! * [`settle`](IncrementalEstimator::settle) finds the dirty components
+//!   from the pending nodes' roots, collects their members in one pass
+//!   over the jobs, and solves each resulting component **once**, however
+//!   many staged ops hit it.
+//!
+//! [`push`](IncrementalEstimator::push), [`remove`](IncrementalEstimator::remove),
+//! [`pop`](IncrementalEstimator::pop) and
+//! [`replace`](IncrementalEstimator::replace) are a staged op followed by a
+//! settle — there is one code path. A caller that reads the state after
+//! every op (a placement pass: each job is scored against what the
+//! previous push left) uses those; a caller that applies many ops between
+//! two reads (completions between two passes, a scheduling epoch's
+//! placements) stages them and settles before it reads.
+//!
+//! # The invariant
+//!
+//! Whenever [`is_settled`](IncrementalEstimator::is_settled), the state is
+//! **bit-identical** to `estimate(cluster, jobs in insertion order)` — a
+//! function of the surviving job list alone, not of the history of ops or
+//! of where the settles fell. [`estimate`](crate::estimate) itself solves
+//! per component, members in insertion order, every component from virgin
+//! resources, and `settle` replays exactly those solves on the dirty
+//! components. `tests/properties.rs` pins it over random interleavings of
+//! staged and eager ops. Between a staged op and the next settle the state
+//! is *stale*, not wrong: jobs removed are gone from the maps, network
+//! jobs pushed have no rate yet, and link numbers are those of the last
+//! settle.
 //!
 //! # Invalidation rules
 //!
-//! Pushing a job dirties precisely the union of the components its
-//! resource nodes connect to, where a job's resource nodes are its links
-//! plus — only when it is INA-enabled — the PAT pools of its switches.
-//! Everything else stays cached.
+//! A job's resource nodes are its links plus — only when it is
+//! INA-enabled — the PAT pools of its switches. A union-find over resource
+//! nodes names the components; a push unions the job's nodes at stage time.
 //!
-//! Removing a job ([`remove`](IncrementalEstimator::remove)) dirties the
-//! component the job *leaves*: its former co-members are regrouped (the
-//! component may split now that the bridge is gone) and each surviving
-//! sub-component is re-solved from virgin resources, again in global
-//! insertion order. Resources only the removed job touched return to full
-//! capacity. This is what lets a long-running simulation keep one warm
-//! estimator across arbitrarily interleaved placements and completions —
-//! the flow-level simulator's fast path.
+//! * A **push** dirties the (possibly merged) component its nodes now
+//!   belong to. A push only ever unions, so the union-find stays exact and
+//!   the settle pays no repair — the placement path's case.
+//! * A **removal** dirties the component the job leaves, which may split
+//!   now that the bridge is gone. Union-find supports no deletion, but
+//!   components are node-disjoint: `settle` dissolves the nodes of every
+//!   component that *lost* a job (its members' and the removed jobs'),
+//!   re-joins the members, and regroups them by their new roots. Resources
+//!   only a removed job touched return to full capacity.
+//! * Ops staged in one window compose: a job pushed and removed between
+//!   two settles leaves the components it bridged dirty, repaired and
+//!   re-solved apart; several removals from one component cost one solve.
 //!
 //! # Change journal
 //!
 //! Every write to `SteadyState::{link_residual, link_flows}` after
-//! construction happens inside one routine, the reset of a dirty
-//! component's resource nodes to virgin capacity — the solve that follows
-//! writes only links of that component's member jobs, all of which were
-//! just reset. That routine records each link it resets in a journal
+//! construction happens in a settle, in one of two places: the reset of a
+//! removed job's own nodes, and the solve of a dirty component, which
+//! resets and then fills exactly the links its members cross. `settle`
+//! records both — the removed nodes from the pending list, the component
+//! from the solver's own link list — in a journal
 //! ([`journal`](IncrementalEstimator::journal)), so a consumer that caches
 //! anything derived from per-link flows or residuals (the placement path's
 //! server index) re-reads exactly the journalled links and then calls
@@ -88,21 +124,28 @@ use std::ops::{Add, Sub};
 
 /// Work counters for one estimator instance.
 ///
-/// `jobs_resolved + jobs_reused` over the estimator's lifetime equals the
-/// total network-job work a from-scratch estimator would have done, so
+/// Every settle that follows at least one staged op accounts for each
+/// network job in the estimate once — re-solved or reused — so
 /// `jobs_reused / (jobs_resolved + jobs_reused)` is the fraction of
-/// water-filling work the cache saved.
+/// water-filling work the cache saved over a from-scratch solve at each
+/// settle, and `staged / settles` is how many ops one solve absorbed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaterfillStats {
-    /// Incremental `push` calls served.
+    /// Jobs added (`push`, `stage_push`, and the push half of `replace`).
     pub pushes: u64,
-    /// Incremental `remove` calls served.
+    /// Jobs taken out (`remove`, `pop`, their staged forms, and the remove
+    /// half of `replace`).
     pub removes: u64,
-    /// Network jobs actually water-filled (at construction and on
-    /// pushes/removes).
+    /// Ops staged, eager ones included (each stages one): `pushes +
+    /// removes` since construction.
+    pub staged: u64,
+    /// Settles that had at least one staged op to absorb.
+    pub settles: u64,
+    /// Network jobs actually water-filled (at construction and in settles).
     pub jobs_resolved: u64,
-    /// Network jobs whose converged rates were kept from the snapshot
-    /// instead of being re-solved.
+    /// Network jobs whose converged rates a settle kept from the snapshot
+    /// instead of re-solving: the network jobs in the estimate minus the
+    /// members it re-solved, once per counted settle.
     pub jobs_reused: u64,
     /// Resource-connected components re-solved.
     pub components_solved: u64,
@@ -125,6 +168,8 @@ impl Add for WaterfillStats {
         WaterfillStats {
             pushes: self.pushes + other.pushes,
             removes: self.removes + other.removes,
+            staged: self.staged + other.staged,
+            settles: self.settles + other.settles,
             jobs_resolved: self.jobs_resolved + other.jobs_resolved,
             jobs_reused: self.jobs_reused + other.jobs_reused,
             components_solved: self.components_solved + other.components_solved,
@@ -143,6 +188,8 @@ impl Sub for WaterfillStats {
         WaterfillStats {
             pushes: self.pushes - before.pushes,
             removes: self.removes - before.removes,
+            staged: self.staged - before.staged,
+            settles: self.settles - before.settles,
             jobs_resolved: self.jobs_resolved - before.jobs_resolved,
             jobs_reused: self.jobs_reused - before.jobs_reused,
             components_solved: self.components_solved - before.components_solved,
@@ -153,41 +200,81 @@ impl Sub for WaterfillStats {
     }
 }
 
-/// Algorithm 1 with a warm cache: re-solves only the component a pushed
-/// job touches.
+/// A union-find root no pending node has named in this settle.
+const CLEAN: u8 = 0;
+/// Root of a component a staged push landed in.
+const DIRTY: u8 = 1;
+/// Root of a component a staged removal left: dirty, and its union-find
+/// entries may join jobs the removed one no longer bridges.
+const LOST: u8 = 2;
+
+/// Algorithm 1 with a warm cache: ops are staged, and a settle re-solves
+/// each component they touched once.
 ///
-/// See the [module docs](self) for the invalidation rules and the
-/// bit-identical equivalence guarantee. All methods must be called with a
-/// cluster topologically identical to the one passed to [`new`](Self::new).
+/// See the [module docs](self) for the stage/settle split, the
+/// invalidation rules and the bit-identical equivalence guarantee. All
+/// methods must be called with a cluster topologically identical to the
+/// one passed to [`new`](Self::new).
 #[derive(Debug, Clone)]
 pub struct IncrementalEstimator {
-    /// Every job seen so far, in insertion order (solve order).
+    /// Every job in the estimate, in insertion order (solve order).
     jobs: Vec<PlacedJob>,
-    /// Per-job resource nodes; empty for local jobs.
-    job_nodes: Vec<Vec<usize>>,
-    /// Union-find over resource nodes (links, then rack PAT pools).
+    /// Union-find over resource nodes (links, then rack PAT pools). Exact
+    /// when settled; between settles a superset (removals are not undone
+    /// until the next settle repairs them).
     dsu: Dsu,
-    /// The converged steady state over all pushed jobs.
+    /// The converged steady state as of the last settle, with the job maps
+    /// already following the staged ops.
     state: SteadyState,
     stats: WaterfillStats,
-    /// Count of jobs with at least one resource node, maintained on
-    /// push/remove so the reuse accounting never rescans `job_nodes`.
+    /// Count of network jobs in `jobs`, maintained by the staged ops so the
+    /// reuse accounting never rescans them.
     network_jobs: u64,
-    /// Arena for the dirty component's member indices, reused across
-    /// pushes so the placement hot loop allocates nothing here.
-    scratch_members: Vec<usize>,
-    /// Arena for the dirty component's resource nodes, ditto.
-    scratch_dirty: Vec<usize>,
-    /// The solver's arenas (two of them cluster-sized), ditto.
+    /// `cluster.num_links()`: where PAT-pool nodes start.
+    n_links: usize,
+    /// One node of every network job pushed since the last settle.
+    pending_pushed: Vec<usize>,
+    /// Every node of every network job removed since the last settle.
+    pending_removed: Vec<usize>,
+    /// Whether any op, a local job's included, was staged since the last
+    /// settle.
+    unsettled: bool,
+    /// Per node: [`CLEAN`] outside a settle; inside one, what the pending
+    /// lists said about the component a root stands for.
+    root_mark: Vec<u8>,
+    /// Arena: the roots marked by the settle in progress.
+    scratch_roots: Vec<usize>,
+    /// Arena: `(root, job index)` of every member of a dirty component.
+    scratch_members: Vec<(usize, usize)>,
+    /// Arena: the member indices of the one component being solved.
+    scratch_group: Vec<usize>,
+    /// The solver's arenas (two of them cluster-sized).
     scratch_solve: SolveScratch,
-    /// Arena for the sub-components a removal splits its component into:
-    /// `(root, member indices)`, inner lists kept across removals.
-    scratch_groups: Vec<(usize, Vec<usize>)>,
-    /// Links reset since the last [`clear_journal`](Self::clear_journal),
-    /// each at most once (see the module docs).
-    journal: Vec<u32>,
-    /// `journalled[link]`: the link is already in `journal`.
-    journalled: Vec<bool>,
+    journal: Journal,
+}
+
+/// Links written since the last [`clear`](Journal::clear), each at most
+/// once (see the module docs).
+#[derive(Debug, Clone)]
+struct Journal {
+    links: Vec<u32>,
+    /// `marked[link]`: the link is already in `links`.
+    marked: Vec<bool>,
+}
+
+impl Journal {
+    fn record(&mut self, link: usize) {
+        if !std::mem::replace(&mut self.marked[link], true) {
+            self.links.push(link as u32);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &link in &self.links {
+            self.marked[link as usize] = false;
+        }
+        self.links.clear();
+    }
 }
 
 impl IncrementalEstimator {
@@ -199,33 +286,35 @@ impl IncrementalEstimator {
         for group in partition_components(cluster, jobs) {
             solve_component(cluster, jobs, &group, &mut state, &mut scratch_solve, &mut stats);
         }
-        let mut dsu = Dsu::new(cluster.num_links() + cluster.num_racks());
-        let mut job_nodes = Vec::with_capacity(jobs.len());
+        let n_links = cluster.num_links();
+        let n_nodes = n_links + cluster.num_racks();
+        let mut dsu = Dsu::new(n_nodes);
         for job in jobs {
-            let nodes = job.resource_nodes(cluster);
-            for w in nodes.windows(2) {
-                dsu.union(w[0], w[1]);
-            }
-            job_nodes.push(nodes);
+            dsu.union_all(job.nodes(n_links));
         }
-        let network_jobs = job_nodes.iter().filter(|n| !n.is_empty()).count() as u64;
         IncrementalEstimator {
             jobs: jobs.to_vec(),
-            job_nodes,
             dsu,
             state,
             stats,
-            network_jobs,
+            network_jobs: jobs.iter().filter(|j| j.is_network()).count() as u64,
+            n_links,
+            pending_pushed: Vec::new(),
+            pending_removed: Vec::new(),
+            unsettled: false,
+            root_mark: vec![CLEAN; n_nodes],
+            scratch_roots: Vec::new(),
             scratch_members: Vec::new(),
-            scratch_dirty: Vec::new(),
+            scratch_group: Vec::new(),
             scratch_solve,
-            scratch_groups: Vec::new(),
-            journal: Vec::new(),
-            journalled: vec![false; cluster.num_links()],
+            journal: Journal { links: Vec::new(), marked: vec![false; n_links] },
         }
     }
 
-    /// The converged steady state over every job pushed so far.
+    /// The steady state over the jobs in the estimate: exact (equal to a
+    /// from-scratch [`estimate`](crate::estimate)) whenever
+    /// [`is_settled`](Self::is_settled), stale in the way the module docs
+    /// describe between a staged op and the next [`settle`](Self::settle).
     pub fn state(&self) -> &SteadyState {
         &self.state
     }
@@ -240,104 +329,226 @@ impl IncrementalEstimator {
         self.jobs.len()
     }
 
+    /// Whether no op has been staged since the last
+    /// [`settle`](Self::settle) — the condition under which
+    /// [`state`](Self::state) is exact.
+    pub fn is_settled(&self) -> bool {
+        !self.unsettled
+    }
+
     /// Flat indices (`LinkId::index`) of the links whose flows or residual
     /// may have changed since construction or the last
     /// [`clear_journal`](Self::clear_journal) — every link of every
-    /// component a push, pop, remove or replace re-solved — each listed
-    /// once. At most `num_links` entries.
+    /// component a settle re-solved and of every job it removed — each
+    /// listed once. At most `num_links` entries.
     pub fn journal(&self) -> &[u32] {
-        &self.journal
+        &self.journal.links
     }
 
     /// Forget the journalled links: the caller has caught up with them.
     pub fn clear_journal(&mut self) {
-        for &link in &self.journal {
-            self.journalled[link as usize] = false;
-        }
         self.journal.clear();
     }
 
-    /// Return the resource nodes `dirty` to virgin capacity and journal the
-    /// links among them — the only place cached link numbers are written
-    /// outside the solve of the component `dirty` spans.
-    fn reset_nodes(&mut self, cluster: &Cluster, dirty: &[usize]) {
-        let n_links = cluster.num_links();
-        for &node in dirty {
-            if node < n_links {
-                self.state.link_residual[node] = link_capacity(cluster, node);
-                self.state.link_flows[node] = 0;
-                if !std::mem::replace(&mut self.journalled[node], true) {
-                    self.journal.push(node as u32);
+    fn staged_one(&mut self) {
+        self.stats.staged += 1;
+        self.unsettled = true;
+    }
+
+    /// Add `job` to the estimate without solving: its component is dirty
+    /// until the next [`settle`](Self::settle).
+    pub fn stage_push(&mut self, job: PlacedJob) {
+        self.stats.pushes += 1;
+        self.staged_one();
+        self.state.job_shards.insert(job.id(), job.shards());
+        match self.dsu.union_all(job.nodes(self.n_links)) {
+            Some(anchor) => {
+                self.network_jobs += 1;
+                self.pending_pushed.push(anchor);
+            }
+            // Local job: infinite rate, touches nothing.
+            None => drop(self.state.job_rates.insert(job.id(), f64::INFINITY)),
+        }
+        self.jobs.push(job);
+    }
+
+    /// Take the job at position `idx` of the insertion order out of the
+    /// estimate without solving — for callers that mirror that order and
+    /// so know the position. `id` is a cross-check, not a key: returns
+    /// `false` (and changes nothing) unless the job at `idx` is `id`.
+    pub fn stage_remove_at(&mut self, idx: usize, id: JobId) -> bool {
+        if self.jobs.get(idx).map(PlacedJob::id) != Some(id) {
+            return false;
+        }
+        self.stats.removes += 1;
+        self.staged_one();
+        let job = self.jobs.remove(idx);
+        self.state.job_rates.remove(&id);
+        self.state.job_shards.remove(&id);
+        if job.is_network() {
+            self.network_jobs -= 1;
+            self.pending_removed.extend(job.nodes(self.n_links));
+        }
+        true
+    }
+
+    /// [`stage_remove_at`](Self::stage_remove_at) after a scan for `id`.
+    /// Returns `false` (and changes nothing) when `id` is not in the
+    /// estimate.
+    pub fn stage_remove(&mut self, id: JobId) -> bool {
+        match self.jobs.iter().position(|j| j.id() == id) {
+            Some(idx) => self.stage_remove_at(idx, id),
+            None => false,
+        }
+    }
+
+    /// Stage the removal of the most recently pushed job. Returns its id,
+    /// or `None` when the estimate is empty.
+    pub fn stage_pop(&mut self) -> Option<JobId> {
+        let id = self.jobs.last()?.id();
+        self.stage_remove_at(self.jobs.len() - 1, id);
+        Some(id)
+    }
+
+    /// Absorb every op staged since the last settle: re-solve each
+    /// component they touched once, from virgin resources, members in
+    /// insertion order. Afterwards [`state`](Self::state) is bit-identical
+    /// to `estimate(cluster, jobs_in_insertion_order)`. A no-op (not even
+    /// counted) when nothing is staged.
+    pub fn settle(&mut self, cluster: &Cluster) {
+        if !self.unsettled {
+            return;
+        }
+        self.unsettled = false;
+        self.stats.settles += 1;
+        let resolved_before = self.stats.jobs_resolved;
+        if !(self.pending_pushed.is_empty() && self.pending_removed.is_empty()) {
+            self.solve_pending(cluster);
+        }
+        let resolved = self.stats.jobs_resolved - resolved_before;
+        self.stats.jobs_reused += self.network_jobs - resolved;
+    }
+
+    fn solve_pending(&mut self, cluster: &Cluster) {
+        let n_links = self.n_links;
+        // The dirty components, by root; one that lost a job outranks one
+        // that only gained.
+        let mut roots = std::mem::take(&mut self.scratch_roots);
+        for (pending, mark) in [(&self.pending_pushed, DIRTY), (&self.pending_removed, LOST)] {
+            for &node in pending {
+                let root = self.dsu.find(node);
+                if self.root_mark[root] == CLEAN {
+                    roots.push(root);
                 }
-            } else {
-                self.state.pat_residual[node - n_links] =
-                    cluster.racks()[node - n_links].pat_gbps();
+                self.root_mark[root] = self.root_mark[root].max(mark);
+            }
+        }
+        // Their members, in global insertion order — the order a
+        // from-scratch solve would use.
+        let mut members = std::mem::take(&mut self.scratch_members);
+        for (i, job) in self.jobs.iter().enumerate() {
+            if let Some(anchor) = job.anchor() {
+                let root = self.dsu.find(anchor);
+                if self.root_mark[root] != CLEAN {
+                    members.push((root, i));
+                }
+            }
+        }
+        let removed = std::mem::take(&mut self.pending_removed);
+        if !removed.is_empty() {
+            // Union-find supports no deletion, but components are
+            // node-disjoint: every node of a component that lost a job is
+            // one of its members' or one of the removed jobs', so
+            // dissolving exactly those and re-joining the members leaves
+            // every other component's forest untouched. A component that
+            // only gained jobs is exact already and skips this.
+            for &node in &removed {
+                self.dsu.isolate(node);
+            }
+            for &(root, i) in &members {
+                if self.root_mark[root] == LOST {
+                    for node in self.jobs[i].nodes(n_links) {
+                        self.dsu.isolate(node);
+                    }
+                }
+            }
+            for &(root, i) in &members {
+                if self.root_mark[root] == LOST {
+                    self.dsu.union_all(self.jobs[i].nodes(n_links));
+                }
+            }
+            // The component may have split: regroup by the new roots.
+            for (root, i) in &mut members {
+                if self.root_mark[*root] == LOST {
+                    if let Some(anchor) = self.jobs[*i].anchor() {
+                        *root = self.dsu.find(anchor);
+                    }
+                }
+            }
+            // Resources only a removed job touched return to (and stay
+            // at) full capacity, exactly as a from-scratch solve would
+            // leave them; the solves below reset the rest.
+            self.reset_nodes(cluster, &removed);
+        }
+        for root in roots.drain(..) {
+            self.root_mark[root] = CLEAN;
+        }
+        // `(root, index)` order: one run per component, each in insertion
+        // order. Already sorted when one component is dirty.
+        members.sort_unstable();
+        let mut group = std::mem::take(&mut self.scratch_group);
+        for component in members.chunk_by(|a, b| a.0 == b.0) {
+            group.clear();
+            group.extend(component.iter().map(|&(_, i)| i));
+            solve_component(
+                cluster,
+                &self.jobs,
+                &group,
+                &mut self.state,
+                &mut self.scratch_solve,
+                &mut self.stats,
+            );
+            for &link in self.scratch_solve.links() {
+                self.journal.record(link);
+            }
+        }
+        members.clear();
+        self.scratch_members = members;
+        self.scratch_group = group;
+        self.scratch_roots = roots;
+        self.pending_pushed.clear();
+        self.pending_removed = removed;
+        self.pending_removed.clear();
+    }
+
+    /// Return the resource nodes of removed jobs to virgin capacity and
+    /// journal the links among them — the only place cached link numbers
+    /// are written outside [`solve_component`].
+    fn reset_nodes(&mut self, cluster: &Cluster, nodes: &[usize]) {
+        for &node in nodes {
+            match node.checked_sub(self.n_links) {
+                None => {
+                    self.state.link_residual[node] = link_capacity(cluster, node);
+                    self.state.link_flows[node] = 0;
+                    self.journal.record(node);
+                }
+                Some(rack) => self.state.pat_residual[rack] = cluster.racks()[rack].pat_gbps(),
             }
         }
     }
 
-    /// Add `job` and re-solve only the component it lands in.
+    /// Add `job` and re-solve only the component it lands in:
+    /// [`stage_push`](Self::stage_push), then [`settle`](Self::settle).
     ///
     /// The resulting [`state`](Self::state) is bit-identical to
     /// `estimate(cluster, all_jobs_so_far)`.
     pub fn push(&mut self, cluster: &Cluster, job: PlacedJob) {
-        self.stats.pushes += 1;
-        self.state.job_shards.insert(job.id(), job.shards());
-        let nodes = job.resource_nodes(cluster);
-        if nodes.is_empty() {
-            // Local job: infinite rate, touches nothing.
-            self.state.job_rates.insert(job.id(), f64::INFINITY);
-            self.stats.jobs_reused += self.network_jobs;
-            self.jobs.push(job);
-            self.job_nodes.push(nodes);
-            return;
-        }
-        self.network_jobs += 1;
-        for w in nodes.windows(2) {
-            self.dsu.union(w[0], w[1]);
-        }
-        // Any node of the new job anchors its component; taken before the
-        // push moves `nodes` (the empty case returned above).
-        let anchor = nodes[0];
-        self.jobs.push(job);
-        self.job_nodes.push(nodes);
-
-        // Member jobs of the (possibly merged) dirty component, in global
-        // insertion order — the same order a from-scratch solve would use.
-        let root = self.dsu.find(anchor);
-        let mut members = std::mem::take(&mut self.scratch_members);
-        members.clear();
-        for (i, nodes) in self.job_nodes.iter().enumerate() {
-            if let Some(&first) = nodes.first() {
-                if self.dsu.find(first) == root {
-                    members.push(i);
-                }
-            }
-        }
-
-        // Reset exactly the dirty component's resources to virgin capacity;
-        // resource nodes of other components are disjoint and untouched.
-        let mut dirty = std::mem::take(&mut self.scratch_dirty);
-        dirty.clear();
-        dirty.extend(members.iter().flat_map(|&i| self.job_nodes[i].iter().copied()));
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.reset_nodes(cluster, &dirty);
-
-        solve_component(
-            cluster,
-            &self.jobs,
-            &members,
-            &mut self.state,
-            &mut self.scratch_solve,
-            &mut self.stats,
-        );
-        self.stats.jobs_reused += self.network_jobs - members.len() as u64;
-        self.scratch_members = members;
-        self.scratch_dirty = dirty;
+        self.stage_push(job);
+        self.settle(cluster);
     }
 
-    /// Remove the job `id` and re-solve only the component it leaves.
+    /// Remove the job `id` and re-solve only the component it leaves:
+    /// [`stage_remove`](Self::stage_remove), then [`settle`](Self::settle).
     ///
     /// The former component may split now that the removed job's resources
     /// no longer bridge its co-members; each surviving sub-component is
@@ -346,132 +557,32 @@ impl IncrementalEstimator {
     /// `estimate(cluster, remaining_jobs_in_insertion_order)`. Returns
     /// `false` (and changes nothing) when `id` is not in the estimate.
     pub fn remove(&mut self, cluster: &Cluster, id: JobId) -> bool {
-        let Some(idx) = self.jobs.iter().position(|j| j.id() == id) else {
-            return false;
-        };
-        self.remove_at(cluster, idx);
-        true
+        let staged = self.stage_remove(id);
+        self.settle(cluster);
+        staged
     }
 
     /// Remove the most recently pushed job — the exact inverse of
     /// [`push`](Self::push), which is what a depth-first search needs to
-    /// backtrack one decision. Counted under
+    /// backtrack one decision: [`stage_pop`](Self::stage_pop), then
+    /// [`settle`](Self::settle). Counted under
     /// [`removes`](WaterfillStats::removes). Returns the popped job's id,
     /// or `None` when the estimate is empty.
     pub fn pop(&mut self, cluster: &Cluster) -> Option<JobId> {
-        let idx = self.jobs.len().checked_sub(1)?;
-        let id = self.jobs[idx].id();
-        self.remove_at(cluster, idx);
-        Some(id)
+        let id = self.stage_pop();
+        self.settle(cluster);
+        id
     }
 
-    fn remove_at(&mut self, cluster: &Cluster, idx: usize) {
-        let id = self.jobs[idx].id();
-        self.stats.removes += 1;
-        // Take, don't clone: the slot is deleted below either way.
-        let removed_nodes = std::mem::take(&mut self.job_nodes[idx]);
-        // Pre-removal indices of the network jobs sharing the removed job's
-        // component — the only jobs whose converged numbers can change.
-        let mut co = std::mem::take(&mut self.scratch_members);
-        co.clear();
-        if !removed_nodes.is_empty() {
-            let root = self.dsu.find(removed_nodes[0]);
-            for (i, nodes) in self.job_nodes.iter().enumerate() {
-                if i == idx {
-                    continue;
-                }
-                if let Some(&first) = nodes.first() {
-                    if self.dsu.find(first) == root {
-                        co.push(i);
-                    }
-                }
-            }
-        }
-        self.jobs.remove(idx);
-        self.job_nodes.remove(idx);
-        self.state.job_rates.remove(&id);
-        self.state.job_shards.remove(&id);
-        for i in &mut co {
-            if *i > idx {
-                *i -= 1;
-            }
-        }
-        if removed_nodes.is_empty() {
-            // Local job: it touched no resource, so every cached component
-            // survives verbatim.
-            self.stats.jobs_reused += self.network_jobs;
-            self.scratch_members = co;
-            return;
-        }
-        self.network_jobs -= 1;
-
-        // The left component's nodes: the removed job's plus its
-        // co-members'. Reset their resources to virgin capacity; nodes
-        // only the removed job touched return to (and stay at) full
-        // capacity, exactly as a from-scratch solve would leave them.
-        let mut dirty = removed_nodes;
-        dirty.extend(co.iter().flat_map(|&i| self.job_nodes[i].iter().copied()));
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.reset_nodes(cluster, &dirty);
-
-        // Union-find supports no deletion, but components are
-        // node-disjoint: no node outside the left component points into
-        // it, so dissolving just these nodes and re-joining the surviving
-        // co-members leaves every other component's forest untouched.
-        for &node in &dirty {
-            self.dsu.isolate(node);
-        }
-        for &i in &co {
-            for w in self.job_nodes[i].windows(2) {
-                self.dsu.union(w[0], w[1]);
-            }
-        }
-
-        // Group the co-members by their new root (the component may have
-        // split) and water-fill each sub-component; `co` is ascending, so
-        // members stay in global insertion order within each group.
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        let mut used = 0;
-        for &i in &co {
-            let root = self.dsu.find(self.job_nodes[i][0]);
-            match groups[..used].iter_mut().find(|(r, _)| *r == root) {
-                Some((_, g)) => g.push(i),
-                None => {
-                    if used == groups.len() {
-                        groups.push((root, Vec::new()));
-                    }
-                    groups[used].0 = root;
-                    groups[used].1.clear();
-                    groups[used].1.push(i);
-                    used += 1;
-                }
-            }
-        }
-        for (_, group) in &groups[..used] {
-            solve_component(
-                cluster,
-                &self.jobs,
-                group,
-                &mut self.state,
-                &mut self.scratch_solve,
-                &mut self.stats,
-            );
-        }
-        self.stats.jobs_reused += self.network_jobs - co.len() as u64;
-        self.scratch_members = co;
-        self.scratch_groups = groups;
-    }
-
-    /// Re-tune a job in place: remove any existing job with `job`'s id,
-    /// then push `job`. The result is bit-identical to a from-scratch
-    /// solve over the current job list with the re-tuned job moved to the
-    /// end of the insertion order.
+    /// Re-tune a job in place: stage the removal of any existing job with
+    /// `job`'s id and the push of `job`, then settle once. The result is
+    /// bit-identical to a from-scratch solve over the current job list
+    /// with the re-tuned job moved to the end of the insertion order.
     pub fn replace(&mut self, cluster: &Cluster, job: PlacedJob) {
-        self.remove(cluster, job.id());
-        self.push(cluster, job);
+        self.stage_remove(job.id());
+        self.stage_push(job);
+        self.settle(cluster);
     }
-
 }
 
 #[cfg(test)]
@@ -502,17 +613,9 @@ mod tests {
         PlacedJob::new(JobId(id), c, &p)
     }
 
-    /// Bitwise equality, including the NaN-free invariant.
+    /// Bitwise equality of every number in the two states.
     fn assert_state_eq(a: &SteadyState, b: &SteadyState) {
-        assert_eq!(a.link_residual, b.link_residual);
-        assert_eq!(a.link_flows, b.link_flows);
-        assert_eq!(a.pat_residual, b.pat_residual);
-        assert_eq!(a.job_shards, b.job_shards);
-        assert_eq!(a.job_rates.len(), b.job_rates.len());
-        for (id, rate) in &a.job_rates {
-            let other = b.job_rates.get(id).copied();
-            assert_eq!(Some(*rate), other, "rate mismatch for {id:?}");
-        }
+        assert_eq!(a.first_difference(b), None);
     }
 
     #[test]
@@ -703,6 +806,82 @@ mod tests {
         assert_eq!(inc.num_jobs(), 2);
         // Equivalent from-scratch order: survivors first, replaced job last.
         assert_state_eq(inc.state(), &estimate(&c, &[b, moved]));
+    }
+
+    #[test]
+    fn staged_removals_from_one_component_settle_in_one_solve() {
+        // Four jobs funnel into one PS server: one component. Two of them
+        // finish between two reads.
+        let c = cluster(1, 6, 500.0);
+        let all: Vec<PlacedJob> = (0..4).map(|i| job(i, &c, vec![(i as usize, 2)], 5)).collect();
+        let mut inc = IncrementalEstimator::new(&c, &all);
+        let before = *inc.stats();
+        assert!(inc.stage_remove_at(1, JobId(1)));
+        assert!(!inc.is_settled());
+        assert!(inc.stage_remove(JobId(3)));
+        // Staging moved the maps, not the links.
+        assert_eq!(inc.state().job_rate_gbps(JobId(1)), None);
+        assert_eq!(inc.stats().components_solved, before.components_solved);
+        inc.settle(&c);
+        assert!(inc.is_settled());
+        let work = *inc.stats() - before;
+        assert_eq!((work.staged, work.settles, work.components_solved), (2, 1, 1));
+        assert_eq!((work.jobs_resolved, work.jobs_reused), (2, 0));
+        assert_state_eq(inc.state(), &estimate(&c, &[all[0].clone(), all[2].clone()]));
+        // Nothing staged: a settle is free and uncounted.
+        inc.settle(&c);
+        assert_eq!(*inc.stats() - before, work);
+    }
+
+    #[test]
+    fn bridge_pushed_and_removed_in_one_window_is_repaired_away() {
+        // The bridge's unions join racks 0 and 1 at stage time; its removal
+        // in the same window must dissolve them again, solve the two
+        // survivors apart, and journal the access link only it touched.
+        let c = cluster(2, 3, 500.0);
+        let a = job(0, &c, vec![(0, 1), (1, 1)], 2);
+        let b = job(1, &c, vec![(3, 1), (4, 1)], 3);
+        let mut inc = IncrementalEstimator::new(&c, &[a.clone(), b.clone()]);
+        let before = *inc.stats();
+        inc.stage_push(job(2, &c, vec![(0, 1), (3, 1)], 5));
+        assert_eq!(inc.stage_pop(), Some(JobId(2)));
+        inc.settle(&c);
+        let work = *inc.stats() - before;
+        assert_eq!((work.staged, work.settles, work.components_solved), (2, 1, 2));
+        assert_state_eq(inc.state(), &estimate(&c, &[a, b.clone()]));
+        assert!(inc.journal().contains(&5), "server 5 carried only the bridge's PS");
+        // The repair was real: a removal in rack 0 now leaves rack 1 alone.
+        let before = *inc.stats();
+        inc.remove(&c, JobId(0));
+        assert_eq!((*inc.stats() - before).jobs_reused, 1);
+        assert_state_eq(inc.state(), &estimate(&c, &[b]));
+    }
+
+    #[test]
+    fn stage_remove_at_refuses_a_mismatched_position() {
+        let c = cluster(1, 4, 500.0);
+        let all = [job(0, &c, vec![(0, 1), (1, 1)], 2), job(1, &c, vec![(0, 2)], 3)];
+        let mut inc = IncrementalEstimator::new(&c, &all);
+        assert!(!inc.stage_remove_at(0, JobId(1)));
+        assert!(!inc.stage_remove_at(2, JobId(1)));
+        assert!(inc.is_settled());
+        assert_eq!((inc.num_jobs(), inc.stats().removes), (2, 0));
+    }
+
+    #[test]
+    fn a_settle_over_local_jobs_only_counts_its_reuse_once() {
+        let c = cluster(1, 3, 500.0);
+        let net = job(0, &c, vec![(0, 1), (1, 1)], 2);
+        let mut inc = IncrementalEstimator::new(&c, std::slice::from_ref(&net));
+        for id in [8, 9] {
+            inc.stage_push(PlacedJob::new(JobId(id), &c, &Placement::local(ServerId(0), 1)));
+        }
+        assert!(!inc.is_settled());
+        assert_eq!(inc.state().job_rate_gbps(JobId(9)), Some(f64::INFINITY));
+        inc.settle(&c);
+        let stats = inc.stats();
+        assert_eq!((stats.staged, stats.settles, stats.jobs_reused), (2, 1, 1));
+        assert_eq!(stats.components_solved, 1, "only the solve at construction");
     }
 
     #[test]

@@ -50,10 +50,13 @@
 //! [`estimate`] solves each resource-connected component of the job set
 //! independently (jobs interact only through shared links or shared,
 //! INA-active PAT pools). [`IncrementalEstimator`] exploits that: it keeps
-//! the converged state warm and, when a job is added, re-solves only the
-//! component the job touches — bit-identical to a from-scratch solve, but
-//! skipping every untouched component. See the [`incremental`] module docs
-//! for the invalidation rules.
+//! the converged state warm and, when a job is added or removed, re-solves
+//! only the component the job touches — bit-identical to a from-scratch
+//! solve, but skipping every untouched component. A caller that applies
+//! many changes between two reads *stages* them and settles once: each
+//! touched component is then solved once, however many ops hit it. See the
+//! [`incremental`] module docs for the stage/settle split and the
+//! invalidation rules.
 
 pub mod incremental;
 #[cfg(test)]

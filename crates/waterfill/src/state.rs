@@ -104,6 +104,33 @@ impl SteadyState {
     pub fn num_jobs(&self) -> usize {
         self.job_rates.len()
     }
+
+    /// Test oracle: the first field on which `self` and `other` differ
+    /// **bitwise** (rates, shards, residuals, flow counts, PAT), or `None`
+    /// when they are the same state to the last bit — what the warm
+    /// estimator owes a from-scratch [`estimate`](crate::estimate).
+    #[doc(hidden)]
+    pub fn first_difference(&self, other: &SteadyState) -> Option<&'static str> {
+        fn bits(v: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            v.iter().map(|x| x.to_bits())
+        }
+        fn rates(s: &SteadyState) -> impl Iterator<Item = (JobId, u64)> + '_ {
+            s.job_rates.iter().map(|(&id, r)| (id, r.to_bits()))
+        }
+        if !rates(self).eq(rates(other)) {
+            Some("job_rates")
+        } else if self.job_shards != other.job_shards {
+            Some("job_shards")
+        } else if !bits(&self.link_residual).eq(bits(&other.link_residual)) {
+            Some("link_residual")
+        } else if self.link_flows != other.link_flows {
+            Some("link_flows")
+        } else if !bits(&self.pat_residual).eq(bits(&other.pat_residual)) {
+            Some("pat_residual")
+        } else {
+            None
+        }
+    }
 }
 
 #[cfg(test)]

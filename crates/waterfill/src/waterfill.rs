@@ -26,24 +26,36 @@ pub struct PlacedJob {
     id: JobId,
     components: Vec<JobHierarchy>,
     shards: usize,
+    /// The job's flow run: `(link index, flow count)` for every link it
+    /// crosses, each once, in tree-walk order, under the *virgin* PAT view
+    /// (a pool aggregates iff its rack has any PAT at all). That view is a
+    /// cluster constant and exactly the one every solve starts from — the
+    /// pools an INA-enabled job can see are all inside its component, and a
+    /// component is solved from virgin resources — so it is computed once
+    /// here and copied, never re-derived, at solve set-up.
+    flows: Vec<(usize, u32)>,
+    /// Rack of every switch on the job's trees, one entry per tree
+    /// occurrence ([`JobHierarchy::switches`] order).
+    switches: Vec<usize>,
+    /// Whether the job draws on the PAT pools of its switches.
+    ina_enabled: bool,
 }
 
 impl PlacedJob {
     /// Wrap a placement for estimation.
     pub fn new(id: JobId, cluster: &Cluster, placement: &Placement) -> Self {
+        let components = JobHierarchy::components_from_placement(cluster, placement);
+        let racks = cluster.racks();
+        let mut flows = Vec::new();
+        write_flow_run(cluster, &components, |r| racks[r.0].pat_gbps() > EPSILON_GBPS, &mut flows, 0);
+        let switches = components.iter().flat_map(|h| h.switches()).map(|r| r.0).collect();
         PlacedJob {
             id,
-            components: JobHierarchy::components_from_placement(cluster, placement),
+            ina_enabled: components.iter().any(JobHierarchy::ina_enabled),
+            components,
             shards: placement.shards(),
-        }
-    }
-
-    /// Build directly from a pre-computed hierarchy (`None` = local job).
-    pub fn from_hierarchy(id: JobId, hierarchy: Option<JobHierarchy>) -> Self {
-        PlacedJob {
-            id,
-            components: hierarchy.into_iter().collect(),
-            shards: 1,
+            flows,
+            switches,
         }
     }
 
@@ -72,31 +84,59 @@ impl PlacedJob {
         !self.components.is_empty()
     }
 
-    /// The indices of every resource node this job can touch during
-    /// filling: its links (by [`netpack_topology::LinkId::index`]) plus,
+    /// Every resource node this job can touch during filling, read off the
+    /// cached run: its links (by [`netpack_topology::LinkId::index`]; the
+    /// link *set* does not depend on the PAT view, only the counts do) and,
     /// when it participates in INA, the PAT pools of its switches (offset
-    /// by `cluster.num_links()`).
-    ///
-    /// The link *set* of a hierarchy does not depend on the aggregation
-    /// predicate (only the flow counts do), so one predicate-free pass
-    /// suffices. Returns an empty vector for local jobs.
-    pub(crate) fn resource_nodes(&self, cluster: &Cluster) -> Vec<usize> {
-        let n_links = cluster.num_links();
-        let mut nodes: Vec<usize> = Vec::new();
-        for h in &self.components {
-            h.for_each_link_flow(|_| false, |l, _| nodes.push(l.index(cluster)));
-        }
-        if self.components.iter().any(JobHierarchy::ina_enabled) {
-            for h in &self.components {
-                for r in h.switches() {
-                    nodes.push(n_links + r.0);
+    /// by `n_links`; a pool repeats once per tree that passes it). Nothing
+    /// for local jobs.
+    pub(crate) fn nodes(&self, n_links: usize) -> impl Iterator<Item = usize> + '_ {
+        let pools = if self.ina_enabled { &self.switches[..] } else { &[] };
+        let links = self.flows.iter().map(|&(l, _)| l);
+        links.chain(pools.iter().map(move |&r| n_links + r))
+    }
+
+    /// One of [`nodes`](Self::nodes), enough to find the job's component;
+    /// `None` for local jobs.
+    pub(crate) fn anchor(&self) -> Option<usize> {
+        self.flows.first().map(|&(l, _)| l)
+    }
+}
+
+/// Write the flow run of a job's `trees` into `flows[start..]`, pushing
+/// past the end: `(link index, flow count)` while exactly the pools `agg`
+/// names aggregate, each link once in first-seen order. Returns the run's
+/// end. The link set of a job never changes, so rewriting a run under
+/// another view overwrites it in place.
+fn write_flow_run(
+    cluster: &Cluster,
+    trees: &[JobHierarchy],
+    agg: impl Fn(RackId) -> bool,
+    flows: &mut Vec<(usize, u32)>,
+    start: usize,
+) -> usize {
+    let mut end = start;
+    // One tree reports each link once; only sharded jobs can repeat a link
+    // across trees and need the merge.
+    let merge = trees.len() > 1;
+    for h in trees {
+        h.for_each_link_flow(&agg, |l, f| {
+            let idx = l.index(cluster);
+            if merge {
+                if let Some(e) = flows[start..end].iter_mut().find(|(i, _)| *i == idx) {
+                    e.1 += f;
+                    return;
                 }
             }
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
+            if end == flows.len() {
+                flows.push((idx, f));
+            } else {
+                flows[end] = (idx, f);
+            }
+            end += 1;
+        });
     }
+    end
 }
 
 /// Minimal union-find over resource-node indices.
@@ -125,6 +165,15 @@ impl Dsu {
     /// would otherwise be cut off from its old root.
     pub(crate) fn isolate(&mut self, x: usize) {
         self.parent[x] = x;
+    }
+
+    /// Join `nodes` into one component; returns the first of them.
+    pub(crate) fn union_all(&mut self, mut nodes: impl Iterator<Item = usize>) -> Option<usize> {
+        let first = nodes.next()?;
+        for node in nodes {
+            self.union(first, node);
+        }
+        Some(first)
     }
 
     pub(crate) fn union(&mut self, a: usize, b: usize) {
@@ -219,46 +268,36 @@ impl SolveScratch {
         }
     }
 
-    /// (Re)write member `m`'s flow run: `job`'s flow counts while exactly
+    /// Rewrite member `m`'s flow run: `job`'s flow counts while exactly
     /// the pools with `pat` left aggregate.
     fn write_flows(&mut self, cluster: &Cluster, m: usize, job: &PlacedJob, pat: &[f64]) {
         let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
-        let start = self.flow_start[m];
-        let mut end = start;
-        let flows = &mut self.flows;
-        // One tree reports each link once; only sharded jobs can repeat a
-        // link across trees and need the merge.
-        let merge = job.components().len() > 1;
-        for h in job.components() {
-            h.for_each_link_flow(agg, |l, f| {
-                let idx = l.index(cluster);
-                if merge {
-                    if let Some(e) = flows[start..end].iter_mut().find(|(i, _)| *i == idx) {
-                        e.1 += f;
-                        return;
-                    }
-                }
-                if end == flows.len() {
-                    flows.push((idx, f));
-                } else {
-                    flows[end] = (idx, f);
-                }
-                end += 1;
-            });
-        }
-        debug_assert!(self.flow_start.get(m + 1).is_none_or(|&next| next == end));
+        let end = write_flow_run(cluster, &job.components, agg, &mut self.flows, self.flow_start[m]);
+        debug_assert_eq!(end, self.flow_start[m + 1]);
+    }
+
+    /// Every link of the component last solved, ascending — the links that
+    /// solve reset and rewrote.
+    pub(crate) fn links(&self) -> &[usize] {
+        &self.links
     }
 }
 
 /// Water-fill one resource-connected component in place.
 ///
 /// `members` must index exactly the network jobs of one component within
-/// `jobs`, in their global insertion order, and the component's links and
-/// PAT pools in `state` must be at virgin capacity with zero flow counts.
-/// Everything outside the component is left untouched, which is the
-/// invariant the incremental estimator builds on.
+/// `jobs`, in their global insertion order. The solve first returns the
+/// component's own resources in `state` — every link a member crosses,
+/// every PAT pool an INA-enabled member draws on — to virgin capacity with
+/// zero flow counts, then fills them; the links it wrote are
+/// [`SolveScratch::links`] afterwards. Everything outside the component is
+/// left untouched, which is the invariant the incremental estimator builds
+/// on.
 ///
-/// A round costs the links and jobs still *live*: per-link flow totals and
+/// Set-up copies each member's cached flow run and switch list
+/// ([`PlacedJob::new`] derived them under the view a solve starts from);
+/// no hierarchy is walked unless a pool runs dry. A round costs the links
+/// and jobs still *live*: per-link flow totals and
 /// per-rack job counts are carried across rounds (a job's share is
 /// subtracted when it freezes; a PAT flip, which changes flow counts,
 /// recounts), and the share minimum, the saturation check and the augment
@@ -291,19 +330,15 @@ pub(crate) fn solve_component(
     s.ina_enabled.clear();
     s.links.clear();
     s.live_racks.clear();
-    for (m, &ji) in members.iter().enumerate() {
+    for &ji in members {
         let job = &jobs[ji];
         s.flow_start.push(s.flows.len());
-        s.write_flows(cluster, m, job, pat);
+        s.flows.extend_from_slice(&job.flows);
         s.switch_start.push(s.switches.len());
-        for h in job.components() {
-            s.switches.extend(h.remote_racks().iter().map(|&(r, _)| r.0));
-            s.switches.push(h.ps_rack().0);
-        }
-        let ina_enabled = job.components().iter().any(JobHierarchy::ina_enabled);
-        s.ina_enabled.push(ina_enabled);
-        if ina_enabled {
-            s.live_racks.extend_from_slice(&s.switches[s.switch_start[m]..]);
+        s.switches.extend_from_slice(&job.switches);
+        s.ina_enabled.push(job.ina_enabled);
+        if job.ina_enabled {
+            s.live_racks.extend_from_slice(&job.switches);
         }
     }
     s.flow_start.push(s.flows.len());
@@ -317,6 +352,7 @@ pub(crate) fn solve_component(
     // every round saturates a link or exhausts a PAT pool.
     let max_rounds = 2 * (s.links.len() + s.live_racks.len()) + 8;
     for &r in &s.live_racks {
+        pat[r] = cluster.racks()[r].pat_gbps();
         s.rack_jobs[r] = 0;
     }
     for m in 0..members.len() {
@@ -328,6 +364,8 @@ pub(crate) fn solve_component(
     }
     s.live_racks.retain(|&r| pat[r] > EPSILON_GBPS);
     for &l in &s.links {
+        bw[l] = link_capacity(cluster, l);
+        state.link_flows[l] = 0;
         s.link_total[l] = 0;
     }
     for &(l, f) in &s.flows {
@@ -340,6 +378,9 @@ pub(crate) fn solve_component(
     s.rate.clear();
     s.rate.resize(members.len(), 0.0);
 
+    // Whether any pool ran dry during this solve: until one does, every
+    // run in the arena still holds the counts it was copied with.
+    let mut any_flip = false;
     let mut flows_stale = false;
     for _ in 0..max_rounds {
         if s.unfrozen.is_empty() {
@@ -406,6 +447,7 @@ pub(crate) fn solve_component(
             }
             !flipped
         });
+        any_flip |= flows_stale;
         let mut any_link_saturated = false;
         for &l in &s.live_links {
             if bw[l] <= EPSILON_GBPS {
@@ -450,15 +492,25 @@ pub(crate) fn solve_component(
 
     // Converged flow counts including frozen jobs, under the final PAT view
     // (a job's own switches are all inside its component, so the component
-    // view and the global view agree), and residual clamping.
-    let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
-    for (m, &ji) in members.iter().enumerate() {
-        let job = &jobs[ji];
-        state.job_rates.insert(job.id, s.rate[m]);
-        for h in job.components() {
-            h.for_each_link_flow(agg, |l, f| state.link_flows[l.index(cluster)] += f);
+    // view and the global view agree). With no flip that view is the one
+    // the runs were cached under and the arena already holds the answer; a
+    // frozen job's run is stale after one, so walk the trees again.
+    if any_flip {
+        let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
+        for &ji in members {
+            for h in jobs[ji].components() {
+                h.for_each_link_flow(agg, |l, f| state.link_flows[l.index(cluster)] += f);
+            }
+        }
+    } else {
+        for &(l, f) in &s.flows {
+            state.link_flows[l] += f;
         }
     }
+    for (m, &ji) in members.iter().enumerate() {
+        state.job_rates.insert(jobs[ji].id, s.rate[m]);
+    }
+    // Residual clamping.
     for &l in &s.links {
         bw[l] = bw[l].max(0.0);
     }
@@ -470,20 +522,15 @@ pub(crate) fn solve_component(
 /// with the components ordered by their first member. Local jobs appear in
 /// no component.
 pub(crate) fn partition_components(cluster: &Cluster, jobs: &[PlacedJob]) -> Vec<Vec<usize>> {
-    let n_nodes = cluster.num_links() + cluster.num_racks();
-    let mut dsu = Dsu::new(n_nodes);
-    let mut job_first_node: Vec<Option<usize>> = Vec::with_capacity(jobs.len());
+    let n_links = cluster.num_links();
+    let mut dsu = Dsu::new(n_links + cluster.num_racks());
     for job in jobs {
-        let nodes = job.resource_nodes(cluster);
-        for w in nodes.windows(2) {
-            dsu.union(w[0], w[1]);
-        }
-        job_first_node.push(nodes.first().copied());
+        dsu.union_all(job.nodes(n_links));
     }
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     let mut root_of: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, first) in job_first_node.iter().enumerate() {
-        let Some(first) = *first else { continue };
+    for (i, job) in jobs.iter().enumerate() {
+        let Some(first) = job.anchor() else { continue };
         let root = dsu.find(first);
         match root_of.get(&root) {
             Some(&g) => groups[g].1.push(i),

@@ -425,6 +425,101 @@ proptest! {
         prop_assert_eq!(inc.stats().unconverged, 0);
     }
 
+    /// Stage/settle is history-free: over a random interleaving of staged
+    /// and eager pushes, removals and pops, with settles at random points,
+    /// every settled state is bit-identical to a from-scratch solve over
+    /// the surviving jobs *and* to the same ops run eagerly one by one —
+    /// and between two settles both estimators journal the same links. PAT
+    /// from absent through "dries up mid-fill" to "never binds"; jobs span
+    /// racks (so removals split components) and are popped or removed in
+    /// the window they were staged in. Per word: bits 0-1 pick the op
+    /// (push twice as likely), bit 2 stages it or runs it eagerly, and a
+    /// staged op is followed by a settle one time in three.
+    #[test]
+    fn staged_ops_settle_to_the_eager_state(
+        ((cluster, jobs), ops) in (1usize..4, 2usize..6, 0usize..4, 1u32..5)
+            .prop_map(|(racks, spr, pat, oversub)| Cluster::new(ClusterSpec {
+                racks,
+                servers_per_rack: spr,
+                gpus_per_server: 4,
+                server_link_gbps: 100.0,
+                pat_gbps: [0.0, 7.5, 60.0, 1000.0][pat],
+                oversubscription: oversub as f64,
+                rtt_us: 50.0,
+                racks_per_pod: None,
+            }))
+            .prop_flat_map(|c| {
+                let jobs = arb_sharded_jobs(&c);
+                (Just(c), jobs)
+            })
+            .prop_flat_map(|(c, jobs)| {
+                let ops = proptest::collection::vec(any::<u32>(), 4 * jobs.len());
+                (Just((c, jobs)), ops)
+            })
+    ) {
+        let mut staged = IncrementalEstimator::new(&cluster, &[]);
+        let mut eager = IncrementalEstimator::new(&cluster, &[]);
+        let mut live: Vec<PlacedJob> = Vec::new();
+        let mut next = 0usize;
+        let mut windows_of_many = 0;
+        let mut in_window = 0;
+        for (step, &word) in ops.iter().enumerate() {
+            let lazy = word & 4 == 0;
+            let pick = (word >> 8) as usize;
+            match word & 3 {
+                0 | 1 if next < jobs.len() => {
+                    let job = jobs[next].clone();
+                    next += 1;
+                    live.push(job.clone());
+                    eager.push(&cluster, job.clone());
+                    if lazy { staged.stage_push(job) } else { staged.push(&cluster, job) }
+                }
+                2 if !live.is_empty() => {
+                    let id = live.remove(pick % live.len()).id();
+                    prop_assert!(eager.remove(&cluster, id));
+                    let found =
+                        if lazy { staged.stage_remove(id) } else { staged.remove(&cluster, id) };
+                    prop_assert!(found);
+                }
+                3 if !live.is_empty() => {
+                    let id = live.pop().map(|j| j.id());
+                    prop_assert_eq!(eager.pop(&cluster), id);
+                    let popped = if lazy { staged.stage_pop() } else { staged.pop(&cluster) };
+                    prop_assert_eq!(popped, id);
+                }
+                _ => continue,
+            }
+            in_window += 1;
+            if lazy && !pick.is_multiple_of(3) && step + 1 != ops.len() {
+                prop_assert!(!staged.is_settled());
+                continue;
+            }
+            staged.settle(&cluster);
+            windows_of_many += usize::from(in_window > 1);
+            in_window = 0;
+            prop_assert!(staged.is_settled() && eager.is_settled());
+            let scratch = estimate(&cluster, &live);
+            prop_assert_eq!(staged.state().first_difference(&scratch), None, "step {}", step);
+            prop_assert_eq!(staged.state().first_difference(eager.state()), None);
+            let sorted = |journal: &[u32]| {
+                let mut links = journal.to_vec();
+                links.sort_unstable();
+                links
+            };
+            prop_assert_eq!(sorted(staged.journal()), sorted(eager.journal()), "step {}", step);
+            staged.clear_journal();
+            eager.clear_journal();
+        }
+        // Same ops, fewer solves: eager settles once per op, staged once
+        // per window, and neither ever re-solves more than from scratch.
+        let (s, e) = (staged.stats(), eager.stats());
+        prop_assert_eq!((s.pushes, s.removes, s.staged), (e.pushes, e.removes, e.staged));
+        prop_assert_eq!(e.settles, e.staged);
+        prop_assert!(s.settles <= s.staged && s.jobs_resolved <= e.jobs_resolved);
+        prop_assert!(windows_of_many == 0 || s.settles < e.settles);
+        prop_assert_eq!(s.unconverged + e.unconverged, 0);
+    }
+
     /// Scale invariance: doubling all capacities (links and PAT) doubles
     /// every finite steady rate.
     #[test]

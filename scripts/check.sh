@@ -22,10 +22,12 @@
 # 2 000-job deterministic replay and the fig10_xl smoke, both from a
 # *debug* build, so the placement path's debug assertions hold the
 # journal-fed server index — as the journals left it — to a full scan
-# after every refresh, and the index-answered single-server shortcut to
-# the literal scan, on the session path under real churn and on the
-# stateless three-tier path; the debug fig10_xl digest must equal the
-# release one), and the fig14 smoke (every cell asserted ==
+# after every refresh, the index-answered single-server shortcut to
+# the literal scan, and — at the top of every session pass, once the
+# staged completions are settled — the warm steady state to a
+# from-scratch estimate over the running set, on the session path under
+# real churn and on the stateless three-tier path; the debug fig10_xl
+# digest must equal the release one), and the fig14 smoke (every cell asserted ==
 # PacketSim::run_reference in-binary).
 # Keep this list in sync with README.md.
 set -euo pipefail
@@ -113,7 +115,9 @@ echo "==> index smokes: debug builds, server index == full scan and shortcut == 
 # A debug build keeps `debug_assert!`: every job audits the index as its
 # change journals left it against a from-scratch build, and the class-walk
 # single-server pick against the literal scan (DESIGN.md §3.11), so a
-# missed journal entry fails here, not in a benchmark. The service replay
+# missed journal entry fails here, not in a benchmark; and every session
+# pass audits the warm steady state, completions settled, against a
+# from-scratch estimate (DESIGN.md §3.12). The service replay
 # covers the session path under churn, fig10_xl the stateless three-tier
 # path; a debug build may not move a placement either.
 NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \

@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the repo benchmark: the protocol a
+# performance claim is measured by (benchmark/README.md, "How to state a
+# claim").
+#
+#   scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]
+#
+# Extracts <parent-rev> into a directory of its own under $TMPDIR (with
+# `git archive`, so the repository's own metadata is not touched), builds
+# both sides' benchmark/ into separate target directories there, and runs
+# `benchmark/run.sh --workload W --seed S` on each side, alternating which
+# side goes first. The working tree is the change: commit or not, what is
+# on disk is what runs. Prints, per end-to-end metric, both medians, the
+# parent's quartiles, how many pairs the change won (ties count for
+# neither side), and whether the medians differ by more than the parent's
+# quartile distance; then whether comm_overhead_ratio — the quality number,
+# a function of the seed alone — is bit-equal across every run of both
+# sides. Every result line is kept in the two files named at the end.
+#
+# Never run it while another build, test or benchmark is running.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 2 ]; then
+    echo "usage: scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]" >&2
+    exit 2
+fi
+rev=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/netpack-pairs.XXXXXX")
+trap 'rm -rf "$work/parent" "$work/target-parent" "$work/target-change"' EXIT
+mkdir "$work/parent"
+git archive "$rev" | tar -x -C "$work/parent"
+
+echo "pairs.sh: building parent $(git rev-parse --short "$rev") and the working tree" >&2
+cargo build --release --offline --manifest-path "$work/parent/benchmark/Cargo.toml" \
+    --target-dir "$work/target-parent" >&2
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir "$work/target-change" >&2
+
+# One run of one side; its result line (the last of stdout) joins $3.
+run_side() {
+    local dir=$1 target=$2 rows=$3
+    (cd "$dir" && CARGO_TARGET_DIR="$target" bash benchmark/run.sh \
+        --workload "$workload" --seed "$seed" 2> /dev/null) | tail -n 1 >> "$rows"
+}
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then
+        run_side "$work/parent" "$work/target-parent" "$work/parent.rows"
+        run_side . "$work/target-change" "$work/change.rows"
+    else
+        run_side . "$work/target-change" "$work/change.rows"
+        run_side "$work/parent" "$work/target-parent" "$work/parent.rows"
+    fi
+    echo "pairs.sh: pair $i/$pairs done" >&2
+done
+
+echo "workload $workload seed $seed: $pairs alternating pairs, parent $(git rev-parse --short "$rev") vs working tree"
+awk -v pairs="$pairs" '
+function value(line, name,    at, rest) {
+    at = index(line, "\"" name "\": {\"value\": ")
+    if (at == 0) return "nan"
+    rest = substr(line, at + length(name) + 14)
+    sub(/[,}].*/, "", rest)
+    return rest
+}
+function sorted(src, dst, n,    i, j, t) {
+    for (i = 1; i <= n; i++) dst[i] = src[i] + 0
+    for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) { t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t }
+}
+function median(v, n) { return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 }
+# Quartile i of 4, the exclusive method (Python statistics.quantiles).
+function quartile(v, n, i,    m, j, delta) {
+    if (n < 2) return v[1]
+    m = n + 1
+    j = int(i * m / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+    delta = i * m - j * 4
+    return (v[j] * (4 - delta) + v[j + 1] * delta) / 4
+}
+FNR == NR { parent[FNR] = $0; next }
+{ change[FNR] = $0 }
+END {
+    n = split("jobs_per_s latency_p50_ms cpu_s_per_kjob peak_rss_mb setup_s", names, " ")
+    printf "%-16s %14s %14s %8s %14s %14s %6s  %s\n", "metric", "parent median", "change median", "ratio", "parent q1", "parent q3", "wins", "beyond parent spread"
+    for (k = 1; k <= n; k++) {
+        name = names[k]; higher = (name == "jobs_per_s"); wins = 0
+        for (i = 1; i <= pairs; i++) {
+            p[i] = value(parent[i], name); c[i] = value(change[i], name)
+            if (higher ? c[i] + 0 > p[i] + 0 : c[i] + 0 < p[i] + 0) wins++
+        }
+        sorted(p, ps, pairs); sorted(c, cs, pairs)
+        pm = median(ps, pairs); cm = median(cs, pairs)
+        q1 = quartile(ps, pairs, 1); q3 = quartile(ps, pairs, 3)
+        gap = cm - pm; if (gap < 0) gap = -gap
+        printf "%-16s %14.6g %14.6g %7.3fx %14.6g %14.6g %3d/%-2d  %s\n", name, pm, cm, cm / pm, q1, q3, wins, pairs, (gap > q3 - q1 ? "yes" : "no")
+    }
+    quality = value(parent[1], "comm_overhead_ratio"); equal = 1; correct = 1
+    for (i = 1; i <= pairs; i++) {
+        if (value(parent[i], "comm_overhead_ratio") != quality || value(change[i], "comm_overhead_ratio") != quality) equal = 0
+        if (parent[i] !~ /"correct": true/ || change[i] !~ /"correct": true/ || parent[i] !~ /"failed": 0,/ || change[i] !~ /"failed": 0,/) correct = 0
+    }
+    printf "comm_overhead_ratio %s: %s across all %d runs\n", quality, (equal ? "bit-equal" : "DIFFERS"), 2 * pairs
+    printf "correct with failed 0 on every run: %s\n", (correct ? "yes" : "NO")
+}' "$work/parent.rows" "$work/change.rows"
+echo "result lines: $work/parent.rows $work/change.rows"
