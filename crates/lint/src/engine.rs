@@ -1,7 +1,6 @@
 //! File analysis and workspace walking: test-region detection,
-//! suppression pragmas, and the baseline-aware report.
+//! suppression pragmas, and the report. Any finding fails the run.
 
-use crate::baseline::{self, Baseline};
 use crate::lexer::{self, Line};
 use crate::registry;
 use crate::rules::{self, Finding, FileContext, RULES};
@@ -131,7 +130,7 @@ fn crate_of(rel_path: &str) -> &str {
 /// Outcome of analyzing one file.
 #[derive(Debug, Default)]
 pub struct FileReport {
-    /// Findings that survived pragma suppression (baseline not applied).
+    /// Findings that survived pragma suppression.
     pub findings: Vec<Finding>,
     /// Number of findings silenced by a valid pragma.
     pub suppressed: usize,
@@ -216,8 +215,7 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileReport {
 /// stand-alone `benchmark/` driver (a package outside this workspace whose
 /// job is to read the clock).
 fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    const SKIP_DIRS: [&str; 7] =
-        ["target", "vendor", ".git", "tests", "benches", "benchmark", ".github"];
+    const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "tests", "benchmark", ".github"];
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -240,7 +238,7 @@ fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// A full workspace run, before baseline comparison.
+/// A full workspace run.
 #[derive(Debug, Default)]
 pub struct RunReport {
     /// Surviving findings across all files, in path order.
@@ -249,19 +247,6 @@ pub struct RunReport {
     pub suppressed: usize,
     /// Files analyzed.
     pub files: usize,
-}
-
-impl RunReport {
-    /// Finding counts keyed like the baseline file.
-    pub fn counts(&self) -> Baseline {
-        let mut counts = Baseline::new();
-        for f in &self.findings {
-            *counts
-                .entry((f.rule.to_string(), f.path.clone()))
-                .or_insert(0) += 1;
-        }
-        counts
-    }
 }
 
 /// Analyze every eligible file under `root`.
@@ -292,19 +277,6 @@ pub fn run_root(root: &Path) -> io::Result<RunReport> {
     Ok(report)
 }
 
-/// Compare a run against the baseline: returns the keys whose current
-/// count exceeds their grandfathered allowance (missing key = 0).
-pub fn over_baseline(report: &RunReport, baseline: &Baseline) -> Vec<((String, String), usize, usize)> {
-    report
-        .counts()
-        .into_iter()
-        .filter_map(|(key, count)| {
-            let allowed = baseline.get(&key).copied().unwrap_or(0);
-            (count > allowed).then_some((key, count, allowed))
-        })
-        .collect()
-}
-
 /// Output format for [`run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputFormat {
@@ -331,96 +303,62 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render the actionable (above-baseline) findings as one JSON object.
-fn render_json(
-    report: &RunReport,
-    over: &[((String, String), usize, usize)],
-) -> String {
+/// Render the findings as one JSON object.
+fn render_json(report: &RunReport) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"files\": {},\n  \"grandfathered\": {},\n  \"suppressed\": {},\n",
-        report.files,
-        report.findings.len(),
-        report.suppressed
+        "  \"files\": {},\n  \"suppressed\": {},\n",
+        report.files, report.suppressed
     ));
     out.push_str("  \"findings\": [");
-    let mut first = true;
-    for ((rule, path), _, _) in over {
-        for f in report.findings.iter().filter(|f| f.rule == *rule && &f.path == path) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let func = match &f.func {
-                Some(name) => format!("\"{}\"", json_escape(name)),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"func\": {}, \"message\": \"{}\"}}",
-                json_escape(f.rule),
-                json_escape(&f.path),
-                f.line,
-                func,
-                json_escape(&f.message)
-            ));
+    for (i, f) in report.findings.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        let func = match &f.func {
+            Some(name) => format!("\"{}\"", json_escape(name)),
+            None => "null".to_string(),
+        };
+        out.push_str(&format!(
+            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"func\": {}, \"message\": \"{}\"}}",
+            json_escape(f.rule),
+            json_escape(&f.path),
+            f.line,
+            func,
+            json_escape(&f.message)
+        ));
     }
-    if !first {
-        out.push('\n');
-        out.push_str("  ");
+    if !report.findings.is_empty() {
+        out.push_str("\n  ");
     }
     out.push_str("]\n}");
     out
 }
 
-/// Entry point shared by `main` and the fixture tests: lint `root`
-/// against `baseline_path`, print findings to stdout, and return the
-/// process exit code (0 = clean, 1 = new findings, 2 = I/O error is
-/// raised as `Err`).
-pub fn run(
-    root: &Path,
-    baseline_path: &Path,
-    update_baseline: bool,
-    format: OutputFormat,
-) -> io::Result<i32> {
+/// Entry point shared by `main` and the fixture tests: lint `root`, print
+/// the findings to stdout, and return the process exit code (0 = clean,
+/// 1 = findings; an I/O error is raised as `Err`, which `main` maps to 2).
+pub fn run(root: &Path, format: OutputFormat) -> io::Result<i32> {
     let report = run_root(root)?;
-    if update_baseline {
-        let rendered = baseline::render(&report.counts());
-        std::fs::write(baseline_path, rendered)?;
-        println!(
-            "netpack-lint: baseline updated ({} findings across {} files)",
-            report.findings.len(),
-            report.files
-        );
-        return Ok(0);
-    }
-    let baseline = baseline::load(baseline_path)?;
-    let over = over_baseline(&report, &baseline);
     if format == OutputFormat::Json {
-        println!("{}", render_json(&report, &over));
-        return Ok(i32::from(!over.is_empty()));
+        println!("{}", render_json(&report));
+        return Ok(i32::from(!report.findings.is_empty()));
     }
-    if over.is_empty() {
+    if report.findings.is_empty() {
         println!(
-            "netpack-lint: clean ({} files, {} grandfathered, {} suppressed)",
-            report.files,
-            report.findings.len(),
-            report.suppressed
+            "netpack-lint: clean ({} files, {} suppressed)",
+            report.files, report.suppressed
         );
         return Ok(0);
     }
-    for ((rule, path), count, allowed) in &over {
-        println!("{path}: {rule}: {count} finding(s), baseline allows {allowed}:");
-        for f in report.findings.iter().filter(|f| f.rule == *rule && &f.path == path) {
-            let func = f.func.as_deref().map(|n| format!(" (in fn {n})")).unwrap_or_default();
-            println!("  {}:{}: [{}] {}{func}", f.path, f.line, f.rule, f.message);
-        }
+    for f in &report.findings {
+        let func = f.func.as_deref().map(|n| format!(" (in fn {n})")).unwrap_or_default();
+        println!("{}:{}: [{}] {}{func}", f.path, f.line, f.rule, f.message);
     }
     println!(
-        "netpack-lint: {} rule/file pair(s) above baseline — fix the findings, \
-         suppress with `// netpack-lint: allow(<rule>): <reason>`, or (for \
-         pre-existing debt only) run `cargo run -p netpack-lint -- --update-baseline`",
-        over.len()
+        "netpack-lint: {} finding(s) — fix them, or suppress one with \
+         `// netpack-lint: allow(<rule>): <reason>`",
+        report.findings.len()
     );
     Ok(1)
 }

@@ -40,16 +40,15 @@
 //! Test code is exempt from every rule. Individual findings are silenced
 //! with `// netpack-lint: allow(<rule>): <reason>` (the reason is
 //! mandatory, and a pragma that suppresses nothing is itself a P1
-//! finding); pre-existing debt is grandfathered in `lint-baseline.txt`
-//! as per-file counts, so only *new* findings fail the build. The tool is
-//! std-only — no `syn`, no proc-macro machinery.
+//! finding); there is no baseline of grandfathered findings — any finding
+//! fails the build. The tool is std-only — no `syn`, no proc-macro
+//! machinery.
 
-pub mod baseline;
 pub mod engine;
 pub mod lexer;
 pub mod registry;
 pub mod rules;
 pub mod scopes;
 
-pub use engine::{analyze_source, over_baseline, run, run_root, FileReport, OutputFormat, RunReport};
+pub use engine::{analyze_source, run, run_root, FileReport, OutputFormat, RunReport};
 pub use rules::{explain, Finding, D1_CRATES, E1_CRATES, RULES};

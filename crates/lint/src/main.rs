@@ -1,11 +1,10 @@
 //! CLI for `netpack-lint`. Run from the workspace root:
 //!
 //! ```text
-//! cargo run -p netpack-lint                      # lint, exit 1 on new findings
+//! cargo run -p netpack-lint                      # lint, exit 1 on any finding
 //! cargo run -p netpack-lint -- --format=json     # machine-readable findings
 //! cargo run -p netpack-lint -- --explain C1      # long-form rule rationale
-//! cargo run -p netpack-lint -- --update-baseline # re-grandfather current state
-//! cargo run -p netpack-lint -- --root DIR --baseline FILE
+//! cargo run -p netpack-lint -- --root DIR
 //! ```
 
 use netpack_lint::engine::OutputFormat;
@@ -14,8 +13,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut update = false;
     let mut format = OutputFormat::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -24,11 +21,6 @@ fn main() -> ExitCode {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a directory"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a file path"),
-            },
-            "--update-baseline" => update = true,
             "--format=json" => format = OutputFormat::Json,
             "--format=text" => format = OutputFormat::Text,
             "--format" => match args.next().as_deref() {
@@ -45,16 +37,14 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "netpack-lint: determinism, concurrency & mode-gate checks\n\
-                     options: [--root DIR] [--baseline FILE] [--update-baseline]\n\
-                     \x20        [--format=json|text] [--explain RULE]"
+                     options: [--root DIR] [--format=json|text] [--explain RULE]"
                 );
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("lint-baseline.txt"));
-    match netpack_lint::run(&root, &baseline, update, format) {
+    match netpack_lint::run(&root, format) {
         Ok(0) => ExitCode::SUCCESS,
         Ok(_) => ExitCode::FAILURE,
         Err(e) => {

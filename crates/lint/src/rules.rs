@@ -57,9 +57,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             (parallel_sweep_reduce merges in cell order).",
         "E1" => "E1 — unwrap/expect/panic! in library crates.\n\n\
             Library code returns typed errors; aborting is the caller's\n\
-            decision. Grandfathered debt lives in lint-baseline.txt and\n\
-            only shrinks. A panic that asserts a proven invariant may stay,\n\
-            with the proof in the expect message and an allow(E1) pragma.",
+            decision. No use is grandfathered. A panic that asserts a proven\n\
+            invariant may stay, with the proof in the expect message and an\n\
+            allow(E1) pragma.",
         "C1" => "C1 — shared mutable state captured by a parallel closure.\n\n\
             The deterministic-parallelism contract (parallel_sweep and its\n\
             _with/_reduce variants, thread::spawn) is that every cell is\n\
@@ -133,8 +133,8 @@ impl FileContext<'_> {
     }
 }
 
-/// Run every rule over one file. Suppression and baselines are applied by
-/// the engine afterwards; this returns raw findings.
+/// Run every rule over one file. Suppression is applied by the engine
+/// afterwards; this returns raw findings.
 pub fn check_file(ctx: &FileContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     d1_hash_iteration(ctx, &mut findings);

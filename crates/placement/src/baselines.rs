@@ -5,7 +5,9 @@
 //! with INA "enabled silently and transparently"): every placement they
 //! emit keeps the default `ina_enabled = true`.
 
-use crate::placer::{greedy_batch, take_in_order, BatchOutcome, Placer, RunningJob};
+use crate::placer::{
+    free_on, greedy_batch, take_in_order, try_allocate, BatchOutcome, Placer, RunningJob,
+};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ServerId};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob};
@@ -43,9 +45,7 @@ impl Placer for GpuBalance {
         greedy_batch(cluster, batch, |scratch, job, order| {
             order.clear();
             order.extend(scratch.servers().iter().map(|s| s.id()));
-            order.sort_by_key(|&s| {
-                std::cmp::Reverse(scratch.server(s).expect("server").gpus_free())
-            });
+            order.sort_by_key(|&s| std::cmp::Reverse(free_on(scratch, s)));
             place_by_order(scratch, order, job)
         })
     }
@@ -82,23 +82,14 @@ impl Placer for FlowBalance {
                 state
                     .server_flows(a)
                     .cmp(&state.server_flows(b))
-                    .then_with(|| {
-                        scratch
-                            .server(b)
-                            .expect("server")
-                            .gpus_free()
-                            .cmp(&scratch.server(a).expect("server").gpus_free())
-                    })
+                    .then_with(|| free_on(&scratch, b).cmp(&free_on(&scratch, a)))
             });
             match place_by_order(&scratch, &order, job) {
-                Some(placement) => {
-                    for &(s, w) in placement.workers() {
-                        scratch.allocate_gpus(s, w).expect("within free GPUs");
-                    }
+                Some(placement) if try_allocate(&mut scratch, &placement) => {
                     tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
                     outcome.placed.push((job.clone(), placement));
                 }
-                None => outcome.deferred.push(job.clone()),
+                _ => outcome.deferred.push(job.clone()),
             }
         }
         outcome
@@ -134,9 +125,9 @@ impl Placer for LeastFragmentation {
             // Partially-used servers first (ascending free GPUs among
             // used ones), then untouched servers.
             order.sort_by_key(|&s| {
-                let srv = scratch.server(s).expect("server");
-                let untouched = srv.gpus_used() == 0;
-                (untouched, srv.gpus_free())
+                scratch
+                    .server(s)
+                    .map_or((true, 0), |srv| (srv.gpus_used() == 0, srv.gpus_free()))
             });
             place_by_order(scratch, order, job)
         })
@@ -193,13 +184,10 @@ impl Placer for RandomPlacer {
                 order.swap(i, j);
             }
             match place_by_order(&scratch, &order, job) {
-                Some(placement) => {
-                    for &(s, w) in placement.workers() {
-                        scratch.allocate_gpus(s, w).expect("within free GPUs");
-                    }
+                Some(placement) if try_allocate(&mut scratch, &placement) => {
                     outcome.placed.push((job.clone(), placement));
                 }
-                None => outcome.deferred.push(job.clone()),
+                _ => outcome.deferred.push(job.clone()),
             }
         }
         outcome

@@ -30,8 +30,16 @@
 //!    first-strictly-greater scan.
 //! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
 //!    worker lists) lives in [`FlatBatch`] and is reused across the whole
-//!    batch; the hot loop allocates nothing and the cluster is never
-//!    cloned — worker commitment is a private integer ledger.
+//!    batch; the hot loop allocates nothing, and the [`Cluster`] is static
+//!    information that is never cloned or written — the free GPUs are
+//!    [`GpuLedger`]'s, the only book of them on this path.
+//!
+//! The batch loop itself — FindSubset, per job worker DP + PS score +
+//! commit + eager push, INAEnable — is written once, in
+//! [`NetPackPlacer::place_batch_on`], over a `(FlatBatch,
+//! IncrementalEstimator)` pair. The stateless placer builds the pair from
+//! `(cluster, running)` and drops it after the batch;
+//! [`NetPackSession`](crate::NetPackSession) keeps its pair warm.
 
 use crate::dp::{WorkerDp, WorkerPlan};
 use crate::index::{RefreshStats, ServerIndex};
@@ -52,10 +60,10 @@ use std::sync::{Mutex, TryLockError};
 const PLAN_PAR_MIN: usize = 16;
 
 /// Batch-lifetime state of the flat placement path: the lowered topology,
-/// the private GPU ledger, and every scratch arena the hot loops reuse.
+/// the GPU ledger, and every scratch arena the hot loops reuse.
 pub(crate) struct FlatBatch {
     topo: FlatTopology,
-    /// Free GPUs per server — the flat path's own ledger; the `Cluster`
+    /// Free GPUs per server — the one ledger of this path; the `Cluster`
     /// is never cloned or mutated.
     ledger: GpuLedger,
     /// Server classes for the single-server shortcut, candidate selection
@@ -186,10 +194,9 @@ impl FlatBatch {
         }
     }
 
-    /// The per-server free-GPU ledger.
-    #[cfg(test)]
-    pub(crate) fn ledger(&self) -> &[u32] {
-        self.ledger.free()
+    /// The free-GPU ledger.
+    pub(crate) fn ledger(&self) -> &GpuLedger {
+        &self.ledger
     }
 
     /// Grow the plan-scoring scratch pool to `workers` entries.
@@ -218,10 +225,10 @@ impl FlatBatch {
     }
 
     /// Credit every worker of `placement` back — the inverse of
-    /// [`commit`](Self::commit), for rollback and job completion. Refuses
-    /// (crediting nothing) if any server would end above its GPU count: a
-    /// double completion or a ledger disagreement must not corrupt the
-    /// ledger and the index keys derived from it.
+    /// [`commit`](Self::commit), for job completion. Refuses (crediting
+    /// nothing) if any server would end above its GPU count: a double
+    /// completion must not corrupt the ledger and the index keys derived
+    /// from it.
     pub(crate) fn credit(&mut self, placement: &Placement) -> Result<(), TopologyError> {
         let gps = self.topo.gpus_per_server();
         for &(server, released) in placement.workers() {
@@ -383,7 +390,7 @@ impl NetPackPlacer {
         job: &Job,
         perf: &mut PerfCounters,
     ) -> Option<Placement> {
-        let threads = self.threads();
+        let threads = self.threads;
         // Bring the server index up to date with whatever the ledger and
         // the estimator did since the last job.
         let class_start = Stopwatch::start();
@@ -561,32 +568,31 @@ impl NetPackPlacer {
         Some(Placement::new_sharded(workers, pses))
     }
 
-    /// `place_batch` over the flat arrays: same four steps, no cluster
-    /// clone (the GPU ledger lives in [`FlatBatch`]).
-    pub(crate) fn place_batch_flat(
-        &mut self,
+    /// Algorithm 2's four steps on a `(ledger, estimator)` pair — the one
+    /// batch loop under the stateless placer and the session. `inc` must be
+    /// settled and hold exactly `running`, whose GPUs `fb`'s ledger has
+    /// debited; on return both also hold the placed jobs, every batch
+    /// placement pushed INA-on (a caller that keeps `inc` re-pushes the
+    /// ones step 4 turned off).
+    pub(crate) fn place_batch_on(
+        &self,
+        fb: &mut FlatBatch,
+        inc: &mut IncrementalEstimator,
         cluster: &Cluster,
         running: &[RunningJob],
         batch: &[Job],
+        perf: &mut PerfCounters,
     ) -> BatchOutcome {
-        let mut perf = std::mem::take(&mut self.perf);
-        let batch_start = Stopwatch::start();
         let mut outcome = BatchOutcome::default();
-        // Step 1: FindSubset, then value-descending placement order.
+        // Step 1: FindSubset over the ledger's free total, then
+        // value-descending placement order.
         let ordered =
-            subset_in_placement_order(batch, cluster.free_gpus(), &mut outcome.deferred);
-
-        let mut fb = FlatBatch::new(cluster);
-        let running_placed: Vec<PlacedJob> =
-            running.iter().map(|r| r.to_placed(cluster)).collect();
-        let start = Stopwatch::start();
-        let mut inc = IncrementalEstimator::new(cluster, &running_placed);
-        perf.record("waterfill_solve", start.elapsed());
+            subset_in_placement_order(batch, fb.ledger.total_free(), &mut outcome.deferred);
         // Steps 2-3: each job is scored against the steady state the jobs
-        // before it left (Algorithm 2 line 7), kept warm by the estimator.
+        // before it left (Algorithm 2 line 7), so every push is eager.
         for job in ordered {
             let one_start = Stopwatch::start();
-            let placed = self.place_one_flat(&mut fb, cluster, &mut inc, job, &mut perf);
+            let placed = self.place_one_flat(fb, cluster, inc, job, perf);
             perf.record("place_one", one_start.elapsed());
             match placed {
                 Some(placement) if fb.commit(&placement) => {
@@ -598,12 +604,32 @@ impl NetPackPlacer {
                 _ => outcome.deferred.push(job.clone()),
             }
         }
-        record_waterfill(&mut perf, *inc.stats());
-        // Step 4: the estimator already holds the steady state over
-        // running + placed (batch placements still INA-on) — reuse it.
+        // Step 4: selective INA over the steady state the estimator already
+        // holds — running + placed, batch placements still INA-on.
         let ina_start = Stopwatch::start();
-        self.enable_ina(cluster, running, &mut outcome.placed, Some(inc.state()), &mut perf);
+        self.enable_ina(cluster, running, &mut outcome.placed, inc.state());
         perf.record("ina_enable", ina_start.elapsed());
+        outcome
+    }
+
+    /// The stateless `place_batch`: build the pair from `(cluster,
+    /// running)`, run the batch on it, drop it.
+    pub(crate) fn place_batch_flat(
+        &mut self,
+        cluster: &Cluster,
+        running: &[RunningJob],
+        batch: &[Job],
+    ) -> BatchOutcome {
+        let mut perf = std::mem::take(&mut self.perf);
+        let batch_start = Stopwatch::start();
+        let mut fb = FlatBatch::new(cluster);
+        let running_placed: Vec<PlacedJob> =
+            running.iter().map(|r| r.to_placed(cluster)).collect();
+        let start = Stopwatch::start();
+        let mut inc = IncrementalEstimator::new(cluster, &running_placed);
+        perf.record("waterfill_solve", start.elapsed());
+        let outcome = self.place_batch_on(&mut fb, &mut inc, cluster, running, batch, &mut perf);
+        record_waterfill(&mut perf, *inc.stats());
         perf.record("place_batch", batch_start.elapsed());
         self.perf = perf;
         outcome
@@ -615,6 +641,7 @@ mod tests {
     use super::*;
     use crate::netpack::{HotSpotTerm, NetPackConfig};
     use crate::placer::Placer;
+    use crate::NetPackSession;
     use netpack_topology::{ClusterSpec, JobId};
     use netpack_workload::ModelKind;
 
@@ -661,17 +688,46 @@ mod tests {
         let p = Placement::new(vec![(ServerId(0), 4), (ServerId(1), 1)], Some(ServerId(0)));
         let q = Placement::new(vec![(ServerId(2), 2), (ServerId(3), 3)], Some(ServerId(2)));
         assert!(fb.commit(&p) && fb.commit(&q));
-        assert_eq!(fb.ledger(), [0, 3, 2, 1]);
+        assert_eq!(fb.ledger.free(), [0, 3, 2, 1]);
         assert!(fb.ledger.any_server_fits(3) && !fb.ledger.any_server_fits(4));
         assert_eq!(fb.credit(&q), Ok(()));
         assert!(fb.ledger.any_server_fits(4));
         assert_eq!(fb.ledger.journal(), [0, 1, 2, 3, 2, 3]);
         // Server 2 is full again: a second credit must change nothing,
         // not even server 3's share of it.
-        let before = fb.ledger().to_vec();
+        let before = fb.ledger.free().to_vec();
         assert!(matches!(fb.credit(&q), Err(TopologyError::ReleaseOverflow { .. })));
-        assert_eq!(fb.ledger(), before);
+        assert_eq!(fb.ledger.free(), before);
         assert_eq!(fb.ledger.journal().len(), 6);
+    }
+
+    /// The stateless placer and the session are two callers of one batch
+    /// loop: from an idle cluster they place a batch identically — subset,
+    /// placements, INA flags, deferrals — and time the same phases.
+    #[test]
+    fn stateless_and_session_share_one_batch_loop() {
+        let c = cluster(4, 8, 4);
+        let batch: Vec<Job> = (0..40).map(|i| job(i, 1 + (i as usize * 7) % 9)).collect();
+        let mut placer = NetPackPlacer::default();
+        let stateless = placer.place_batch_flat(&c, &[], &batch);
+        let mut session = NetPackSession::new(c, NetPackConfig::default());
+        let warm = session.place_batch(&batch);
+        assert!(stateless.placed.iter().any(|(_, p)| !p.is_local()));
+        assert!(!stateless.deferred.is_empty(), "128 GPUs, more demanded");
+        assert_eq!(warm.placed, stateless.placed);
+        assert_eq!(warm.deferred, stateless.deferred);
+        assert_eq!(session.audit_ledger(), Ok(()));
+        let timers = |perf: &PerfCounters| -> Vec<String> {
+            let rows = perf.to_table().to_csv();
+            rows.lines()
+                .filter_map(|row| row.split(',').next()?.strip_suffix(" (ms)").map(str::to_string))
+                .collect()
+        };
+        let timed = timers(placer.perf());
+        assert_eq!(timers(session.perf()), timed);
+        for phase in ["place_batch", "place_one", "worker_dp", "ps_scoring", "ina_enable"] {
+            assert!(timed.iter().any(|t| t == phase), "{phase}");
+        }
     }
 
     /// Per plan, the deduplicated scorer must pick what a scan of every
@@ -723,19 +779,19 @@ mod tests {
                 let mut servers: Vec<ServerId> = Vec::new();
                 for _ in 0..2 + below(5) {
                     let s = ServerId(below(72));
-                    if fb.ledger()[s.0] > 0 && !servers.contains(&s) {
+                    if fb.ledger.free()[s.0] > 0 && !servers.contains(&s) {
                         servers.push(s);
                     }
                 }
                 let plan = WorkerPlan {
-                    gpus: servers.iter().map(|s| fb.ledger()[s.0] as usize).sum(),
+                    gpus: servers.iter().map(|s| fb.ledger.free()[s.0] as usize).sum(),
                     servers,
                     max_flows: below(6) as u32,
                     value: below(400) as f64 * 0.5,
                 };
                 let got =
                     placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, &plan, &mut tally);
-                let stamp = scratch.begin(&fb.topo, fb.ledger(), &plan);
+                let stamp = scratch.begin(&fb.topo, fb.ledger.free(), &plan);
                 let mut want: Option<(f64, ServerId)> = None;
                 for sid in 0..72 {
                     let score = placer

@@ -3,11 +3,14 @@
 //! [`GpuLedger`] owns the per-server free-GPU counts and everything derived
 //! from them in step: the free-GPU histogram and the journal of servers
 //! whose count changed. Its fields are private to this module and
-//! [`set_free`](GpuLedger::set_free) is the only mutator, so no commit,
-//! credit or rollback variant can move a count without the
+//! [`set_free`](GpuLedger::set_free) is the only mutator, so no commit or
+//! credit can move a count without the
 //! [`ServerIndex`](crate::index::ServerIndex) hearing of it
-//! (`DESIGN.md` §3.11).
+//! (`DESIGN.md` §3.11). Inside a [`NetPackSession`](crate::NetPackSession)
+//! it is the only book of GPUs there is; [`audit`](GpuLedger::audit)
+//! recounts it from the running placements.
 
+use netpack_model::Placement;
 use netpack_topology::Cluster;
 
 /// Free GPUs per server, the histogram over them, and the change journal.
@@ -56,6 +59,11 @@ impl GpuLedger {
         self.journal.push(server as u32);
     }
 
+    /// Free GPUs over all servers, read off the histogram.
+    pub(crate) fn total_free(&self) -> usize {
+        self.with_free.iter().enumerate().map(|(w, &servers)| w * servers as usize).sum()
+    }
+
     /// Whether some server has at least `gpus` GPUs free.
     pub(crate) fn any_server_fits(&self, gpus: usize) -> bool {
         self.with_free.iter().skip(gpus).any(|&count| count > 0)
@@ -69,6 +77,34 @@ impl GpuLedger {
     /// Forget the journalled servers: the index has caught up with them.
     pub(crate) fn clear_journal(&mut self) {
         self.journal.clear();
+    }
+
+    /// Oracle for the books themselves: with exactly `held` placed on top
+    /// of the allocation `cluster` was mirrored with, every server's free
+    /// count is the cluster's minus the workers on it, the histogram is a
+    /// recount of those, and the free total is the cluster's minus the
+    /// held GPUs.
+    pub(crate) fn audit<'a>(
+        &self,
+        cluster: &Cluster,
+        held: impl Iterator<Item = &'a Placement>,
+    ) -> Result<(), String> {
+        let mut free: Vec<i64> = cluster.servers().iter().map(|s| s.gpus_free() as i64).collect();
+        for &(s, w) in held.flat_map(|p| p.workers()) {
+            free[s.0] -= w as i64;
+        }
+        let mut with_free = vec![0u32; self.with_free.len()];
+        for (s, &f) in free.iter().enumerate() {
+            if f != i64::from(self.free[s]) {
+                return Err(format!("server {s}: {} free on the ledger, {f} on recount", self.free[s]));
+            }
+            with_free[f as usize] += 1;
+        }
+        let total: i64 = free.iter().sum();
+        if with_free != self.with_free || total != self.total_free() as i64 {
+            return Err(format!("histogram {:?} != recount {with_free:?} ({total} free)", self.with_free));
+        }
+        Ok(())
     }
 
     /// Oracle for the single-server shortcut: Algorithm 2's literal scan of
@@ -120,6 +156,7 @@ mod tests {
         for (s, f) in [(0, 0), (1, 3), (2, 2), (3, 1), (1, 0)] {
             ledger.set_free(s, f);
             assert_eq!(ledger.with_free, recount(&ledger));
+            assert_eq!(ledger.total_free(), ledger.free.iter().sum::<u32>() as usize);
         }
         assert_eq!(ledger.free(), [0, 0, 2, 1]);
         assert!(ledger.any_server_fits(2) && !ledger.any_server_fits(3));

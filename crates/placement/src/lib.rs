@@ -45,8 +45,9 @@
 //! Scoring a batch is the scheduler's hot loop: Algorithm 2 re-estimates
 //! the water-filled steady state before every job and scores every
 //! `(plan, PS server)` pair. There is exactly one production
-//! implementation of it, shared by [`NetPackPlacer`] and
-//! [`NetPackSession`]: a flat integer-indexed topology mirror with a
+//! implementation of it — one batch loop, run by [`NetPackPlacer`] on a
+//! ledger and an estimator built for the batch and by [`NetPackSession`]
+//! on the ones it keeps: a flat integer-indexed topology mirror with a
 //! persistent server-class index, class-deduplicated PS scoring, and an
 //! incremental estimator that keeps the steady state warm between jobs
 //! (re-solving only the resource component each placement touches); jobs
@@ -57,7 +58,8 @@
 //! property suite, and reachable only by calling it, never through
 //! configuration or environment (this crate reads no environment
 //! variable; the worker-count default comes from
-//! `netpack_metrics::sweep_threads`). The work done is visible through
+//! `netpack_metrics::sweep_threads`, asked once when a placer is built).
+//! The work done is visible through
 //! [`NetPackPlacer::perf`]:
 //!
 //! ```

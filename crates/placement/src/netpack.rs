@@ -1,10 +1,10 @@
 //! The NetPack placer — the paper's Algorithm 2.
 
 use crate::placer::{BatchOutcome, Placer, RunningJob};
-use netpack_metrics::{PerfCounters, Stopwatch};
+use netpack_metrics::PerfCounters;
 use netpack_model::{JobHierarchy, Placement};
 use netpack_topology::{Cluster, RackId, ServerId};
-use netpack_waterfill::{estimate, PlacedJob, SteadyState, WaterfillStats};
+use netpack_waterfill::{SteadyState, WaterfillStats};
 use netpack_workload::Job;
 
 /// How the PS-placement score treats the hot-spot term of Equation 1.
@@ -58,8 +58,9 @@ pub struct NetPackConfig {
     pub pses_per_job: usize,
     /// Worker-thread override for the placer's parallel regions. `None`
     /// follows `NETPACK_THREADS` clamped to the machine (see
-    /// [`netpack_metrics::sweep_threads`]); equivalence tests pin explicit
-    /// counts here to exercise every chunking of the work.
+    /// [`netpack_metrics::sweep_threads`]), read once when the placer is
+    /// built; equivalence tests pin explicit counts here to exercise every
+    /// chunking of the work.
     pub threads: Option<usize>,
 }
 
@@ -100,28 +101,30 @@ pub(crate) fn record_waterfill(perf: &mut PerfCounters, work: WaterfillStats) {
 /// 4. **INAEnable** — aggregation-efficiency-ordered selective enabling.
 ///
 /// See the crate-level example for basic usage.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NetPackPlacer {
     pub(crate) config: NetPackConfig,
     pub(crate) perf: PerfCounters,
+    /// Worker count of the parallel regions: [`NetPackConfig::threads`], or
+    /// the environment / hardware default as it read when the placer was
+    /// built — asking the OS costs more than placing a small job.
+    pub(crate) threads: usize,
+}
+
+impl Default for NetPackPlacer {
+    fn default() -> Self {
+        NetPackPlacer::new(NetPackConfig::default())
+    }
 }
 
 impl NetPackPlacer {
     /// Placer with explicit configuration.
     pub fn new(config: NetPackConfig) -> Self {
         NetPackPlacer {
+            threads: config.threads.unwrap_or_else(netpack_metrics::sweep_threads),
             config,
             perf: PerfCounters::new(),
         }
-    }
-
-    /// Effective worker count for this placer's parallel regions: the
-    /// explicit [`NetPackConfig::threads`] override, or the environment /
-    /// hardware default.
-    pub(crate) fn threads(&self) -> usize {
-        self.config
-            .threads
-            .unwrap_or_else(netpack_metrics::sweep_threads)
     }
 
     /// The active configuration.
@@ -220,17 +223,16 @@ impl NetPackPlacer {
 
     /// Step 4: selective INA enabling by aggregation efficiency.
     ///
-    /// `cached` is the steady state over running + placed jobs with batch
-    /// placements still INA-enabled, when the caller already has it (the
-    /// incremental estimator ends the batch holding exactly this state);
-    /// `None` recomputes it from scratch, as [`crate::reference`] does.
+    /// `state` is the steady state over running + placed jobs with batch
+    /// placements still INA-enabled — each job's throughput for the AE
+    /// metric. The incremental estimator ends the batch holding exactly
+    /// this state; [`crate::reference`] solves it from scratch.
     pub(crate) fn enable_ina(
         &self,
         cluster: &Cluster,
         running: &[RunningJob],
         placed: &mut [(Job, Placement)],
-        cached: Option<&SteadyState>,
-        perf: &mut PerfCounters,
+        state: &SteadyState,
     ) {
         match self.config.ina_policy {
             InaPolicy::AlwaysOn => return, // placements start INA-enabled
@@ -242,26 +244,6 @@ impl NetPackPlacer {
             }
             InaPolicy::Selective => {}
         }
-        // Steady state with everything (running + batch, INA all-on) to
-        // obtain each job's throughput for the AE metric.
-        let owned: SteadyState;
-        let state: &SteadyState = match cached {
-            Some(s) => {
-                perf.incr("ina_estimate_reused", 1);
-                s
-            }
-            None => {
-                let start = Stopwatch::start();
-                let mut all: Vec<PlacedJob> =
-                    running.iter().map(|r| r.to_placed(cluster)).collect();
-                for (job, p) in placed.iter() {
-                    all.push(PlacedJob::new(job.id, cluster, p));
-                }
-                owned = estimate(cluster, &all);
-                perf.record("waterfill_solve", start.elapsed());
-                &owned
-            }
-        };
 
         // Budget per rack: PAT minus what running INA jobs already draw.
         let mut budget: Vec<f64> = cluster.racks().iter().map(|r| r.pat_gbps()).collect();
@@ -343,6 +325,7 @@ impl Placer for NetPackPlacer {
 mod tests {
     use super::*;
     use netpack_topology::{ClusterSpec, JobId, ServerId};
+    use netpack_waterfill::estimate;
     use netpack_workload::ModelKind;
 
     fn cluster(racks: usize, spr: usize, gps: usize) -> Cluster {
@@ -356,6 +339,25 @@ mod tests {
 
     fn job(id: u64, gpus: usize) -> Job {
         Job::builder(JobId(id), ModelKind::Vgg16, gpus).build()
+    }
+
+    /// `threads: None` resolves the worker count once, when the placer is
+    /// built, to what the explicit override would say — never per job.
+    #[test]
+    fn the_worker_count_is_resolved_at_construction() {
+        let resolved = netpack_metrics::sweep_threads();
+        assert_eq!(NetPackPlacer::new(NetPackConfig::default()).threads, resolved);
+        assert_eq!(NetPackPlacer::default().threads, resolved);
+        let c = cluster(4, 8, 4);
+        let batch: Vec<Job> = (0..32).map(|i| job(i, 1 + (i as usize * 5) % 11)).collect();
+        let place = |threads: Option<usize>| {
+            let config = NetPackConfig { threads, ..NetPackConfig::default() };
+            NetPackPlacer::new(config).place_batch(&c, &[], &batch)
+        };
+        let (default, pinned) = (place(None), place(Some(resolved)));
+        assert!(default.placed.iter().any(|(_, p)| !p.is_local()));
+        assert_eq!(default.placed, pinned.placed);
+        assert_eq!(default.deferred, pinned.deferred);
     }
 
     #[test]
@@ -486,13 +488,6 @@ mod tests {
         };
         let mut placed = vec![mk(0), mk(1), mk(2)];
         let placer = NetPackPlacer::default();
-        placer.enable_ina(
-            &c,
-            &[],
-            &mut placed,
-            None,
-            &mut netpack_metrics::PerfCounters::new(),
-        );
 
         // The AE metric uses the all-INA-on steady state; by symmetry all
         // three jobs converge to the same rate, and 50 Gbps of PAT shared
@@ -504,6 +499,7 @@ mod tests {
         let state = estimate(&c, &all);
         let rate = state.job_rate_gbps(JobId(0)).unwrap();
         assert!(rate > 50.0, "test premise: one job overshoots alone, rate {rate}");
+        placer.enable_ina(&c, &[], &mut placed, &state);
 
         // The marginal (first, highest-AE) job must still be enabled —
         // a positive budget admits it even though its draw exceeds the
@@ -534,17 +530,11 @@ mod tests {
             ..ClusterSpec::paper_default()
         });
         let mut placed2 = vec![mk(0), mk(1), mk(2)];
-        placer.enable_ina(
-            &c2,
-            &[],
-            &mut placed2,
-            None,
-            &mut netpack_metrics::PerfCounters::new(),
-        );
         let all2: Vec<netpack_waterfill::PlacedJob> = (0..3)
             .map(|i| netpack_waterfill::PlacedJob::new(JobId(i), &c2, &mk(i as usize).1))
             .collect();
         let state2 = estimate(&c2, &all2);
+        placer.enable_ina(&c2, &[], &mut placed2, &state2);
         let enabled2: Vec<f64> = placed2
             .iter()
             .filter(|(_, p)| p.ina_enabled())

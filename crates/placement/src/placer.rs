@@ -183,7 +183,7 @@ where
 
 /// Allocate every worker of `placement` on the scratch ledger, rolling the
 /// ledger back and returning `false` when any server lacks the free GPUs.
-fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
+pub(crate) fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
     for (i, &(s, w)) in placement.workers().iter().enumerate() {
         if scratch.allocate_gpus(s, w).is_err() {
             for &(s2, w2) in &placement.workers()[..i] {
@@ -194,6 +194,12 @@ fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
         }
     }
     true
+}
+
+/// Free GPUs on server `s` — the sort key of most baselines; an id the
+/// cluster does not know has none.
+pub(crate) fn free_on(cluster: &Cluster, s: netpack_topology::ServerId) -> usize {
+    cluster.server(s).map_or(0, netpack_topology::Server::gpus_free)
 }
 
 /// Shared helper: pick servers from a preference-ordered candidate list

@@ -1,9 +1,9 @@
 //! Prior-art placement strategies the paper compares against: Optimus,
 //! Tetris, and the naive multi-resource combination `Comb` (§6.1, §6.4).
 
-use crate::placer::{BatchOutcome, Placer, RunningJob};
+use crate::placer::{free_on, try_allocate, BatchOutcome, Placer, RunningJob};
 use netpack_model::Placement;
-use netpack_topology::{Cluster, ServerId};
+use netpack_topology::{Cluster, Server, ServerId};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
 
@@ -15,19 +15,15 @@ pub struct OptimusLike;
 
 impl OptimusLike {
     fn place_one(cluster: &Cluster, job: &Job) -> Option<Placement> {
-        let mut order: Vec<ServerId> = cluster
-            .servers()
-            .iter()
-            .filter(|s| s.gpus_free() > 0)
-            .map(|s| s.id())
-            .collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(cluster.server(s).expect("srv").gpus_free()));
+        let mut order: Vec<&Server> =
+            cluster.servers().iter().filter(|s| s.gpus_free() > 0).collect();
+        order.sort_by_key(|s| std::cmp::Reverse(s.gpus_free()));
         // Minimal k whose free GPUs cover the demand.
         let mut k = 0;
         let mut covered = 0;
-        for &s in &order {
+        for s in &order {
             k += 1;
-            covered += cluster.server(s).expect("srv").gpus_free();
+            covered += s.gpus_free();
             if covered >= job.gpus {
                 break;
             }
@@ -35,17 +31,17 @@ impl OptimusLike {
         if covered < job.gpus {
             return None;
         }
-        let top: &[ServerId] = &order[..k];
+        let top: &[&Server] = &order[..k];
         // Round-robin workers across the top-k, respecting free capacity.
         let mut assigned = vec![0usize; k];
         let mut remaining = job.gpus;
         while remaining > 0 {
             let mut progressed = false;
-            for (i, &s) in top.iter().enumerate() {
+            for (i, s) in top.iter().enumerate() {
                 if remaining == 0 {
                     break;
                 }
-                if assigned[i] < cluster.server(s).expect("srv").gpus_free() {
+                if assigned[i] < s.gpus_free() {
                     assigned[i] += 1;
                     remaining -= 1;
                     progressed = true;
@@ -60,7 +56,7 @@ impl OptimusLike {
             .iter()
             .zip(&assigned)
             .filter(|&(_, &w)| w > 0)
-            .map(|(&s, &w)| (s, w))
+            .map(|(s, &w)| (s.id(), w))
             .collect();
         // PS on the least-loaded member of the subset (fewest assigned).
         let ps = if workers.len() > 1 {
@@ -166,14 +162,11 @@ impl Placer for TetrisLike {
         let mut outcome = BatchOutcome::default();
         for job in batch {
             match Self::place_one(&scratch, tracker.state(), job) {
-                Some(placement) => {
-                    for &(s, w) in placement.workers() {
-                        scratch.allocate_gpus(s, w).expect("within free GPUs");
-                    }
+                Some(placement) if try_allocate(&mut scratch, &placement) => {
                     tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
                     outcome.placed.push((job.clone(), placement));
                 }
-                None => outcome.deferred.push(job.clone()),
+                _ => outcome.deferred.push(job.clone()),
             }
         }
         outcome
@@ -206,10 +199,8 @@ impl Placer for Comb {
             let state = tracker.state();
             let mut order: Vec<ServerId> = scratch.servers().iter().map(|s| s.id()).collect();
             order.sort_by(|&a, &b| {
-                let sa = scratch.server(a).expect("srv");
-                let sb = scratch.server(b).expect("srv");
-                sb.gpus_free()
-                    .cmp(&sa.gpus_free())
+                free_on(&scratch, b)
+                    .cmp(&free_on(&scratch, a))
                     .then_with(|| {
                         state
                             .pat_residual_gbps(scratch.rack_of(b))
@@ -231,14 +222,11 @@ impl Placer for Comb {
                     Placement::new(workers, ps)
                 });
             match placement {
-                Some(placement) => {
-                    for &(s, w) in placement.workers() {
-                        scratch.allocate_gpus(s, w).expect("within free GPUs");
-                    }
+                Some(placement) if try_allocate(&mut scratch, &placement) => {
                     tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
                     outcome.placed.push((job.clone(), placement));
                 }
-                None => outcome.deferred.push(job.clone()),
+                _ => outcome.deferred.push(job.clone()),
             }
         }
         outcome

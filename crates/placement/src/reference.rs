@@ -25,7 +25,6 @@ use crate::knapsack::subset_in_placement_order;
 use crate::netpack::{NetPackConfig, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
-use netpack_metrics::PerfCounters;
 use netpack_model::Placement;
 use netpack_topology::{Cluster, RackId, ServerId};
 use netpack_waterfill::{estimate, PlacedJob, SteadyState};
@@ -63,8 +62,10 @@ pub fn place_batch(
             None => outcome.deferred.push(job.clone()),
         }
     }
-    // Step 4: selective INA enabling across the new placements.
-    placer.enable_ina(cluster, running, &mut outcome.placed, None, &mut PerfCounters::new());
+    // Step 4: selective INA enabling across the new placements, over the
+    // from-scratch steady state of running + batch (batch still INA-on).
+    let state = estimate(cluster, &active);
+    placer.enable_ina(cluster, running, &mut outcome.placed, &state);
     outcome
 }
 

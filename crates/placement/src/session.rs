@@ -8,13 +8,14 @@
 //! dwarfs the placement itself. [`NetPackSession`] keeps all of that state
 //! warm across batches:
 //!
-//! * the **authoritative GPU ledger** (the [`Cluster`]) lives inside the
-//!   session, debited on placement and credited on completion;
-//! * the **flat arenas** ([`FlatBatch`]: topology mirror, free-GPU ledger,
-//!   server-class index, stamp masks) are built once and mutated in step
-//!   with the cluster; the index catches up from the change journals the
-//!   ledger and the estimator keep, so a completion costs the next
-//!   placement only the servers it touched;
+//! * the **flat arenas** ([`FlatBatch`]: topology mirror, server-class
+//!   index, stamp masks) are built once, and with them the **GPU ledger** —
+//!   the session's one book of free GPUs, debited by a placement's commit
+//!   and credited by its completion, each all-or-nothing. The [`Cluster`]
+//!   the session was opened over is static information (topology,
+//!   capacities) and is never written. The index catches up from the
+//!   change journals the ledger and the estimator keep, so a completion
+//!   costs the next placement only the servers it touched;
 //! * the **warm water-filling estimator** ([`IncrementalEstimator`])
 //!   mirrors the running set in insertion order, so a batch starts from
 //!   the converged steady state instead of re-solving it.
@@ -24,7 +25,7 @@
 //! Algorithm 1's steady state is consumed only when Algorithm 2 scores a
 //! job, and dozens of completions arrive between two passes, many in the
 //! same one or two components. So [`complete`](NetPackSession::complete)
-//! releases both GPU ledgers and the running-set entry at once — the next
+//! credits the ledger and drops the running-set entry at once — the next
 //! pass must see the GPUs — but only *stages* the estimator removal;
 //! [`place_batch`](NetPackSession::place_batch) settles as its first step,
 //! re-solving each component the completions touched once, and always
@@ -36,17 +37,18 @@
 //!
 //! The results are **bit-identical** to driving a `JobManager` +
 //! [`NetPackPlacer`] through the same sequence of batches and completions
-//! (pinned by the `session_equivalence` integration test): the estimator's
-//! settled state is a function of the surviving insertion order alone —
-//! equal to a from-scratch solve over it wherever the settles fell — and
-//! the session replays exactly the float-op sequence of the stateless
-//! [`place_batch`](crate::Placer::place_batch) — including the
-//! selective-INA step, after which placements whose INA flag changed are
-//! popped off the estimator tail and re-pushed with their final flags
-//! (staged, one settle) so the warm state stays equal to the manager's.
+//! (pinned by the `session_equivalence` integration test): both run the
+//! same batch loop (`NetPackPlacer::place_batch_on`), the stateless placer
+//! on a `(ledger, estimator)` pair built for the batch, the session on the
+//! pair it keeps, and the estimator's settled state is a function of the
+//! surviving insertion order alone — equal to a from-scratch solve over it
+//! wherever the settles fell. After the loop's selective-INA step the
+//! session pops the placements from the first one switched off to the end
+//! of the batch off the estimator tail and re-pushes them with their final
+//! flags (staged, one settle), so the warm state stays equal to the
+//! manager's.
 
 use crate::flat::FlatBatch;
-use crate::knapsack::subset_in_placement_order;
 use crate::netpack::{record_waterfill, NetPackConfig, NetPackPlacer};
 use crate::placer::{AdmissionIndex, BatchOutcome, RunningJob};
 use netpack_metrics::{PerfCounters, Stopwatch};
@@ -63,8 +65,9 @@ pub enum SessionError {
     /// [`NetPackSession::complete`] was called for a job that is not
     /// running in this session.
     UnknownJob(JobId),
-    /// The GPU ledger rejected a release (internal inconsistency — the
-    /// session's books no longer match the cluster's).
+    /// The GPU ledger refused the credit: the job's GPUs were not all
+    /// debited any more (a double credit — the books no longer match the
+    /// running set). Nothing was changed.
     Ledger(TopologyError),
 }
 
@@ -107,6 +110,7 @@ impl Error for SessionError {
 /// ```
 pub struct NetPackSession {
     placer: NetPackPlacer,
+    /// Static information only; the free GPUs are `fb`'s ledger's.
     cluster: Cluster,
     fb: FlatBatch,
     /// Warm estimator; insertion order always mirrors `running` — the
@@ -117,16 +121,13 @@ pub struct NetPackSession {
     index: AdmissionIndex,
     /// The tracker's counters as of the last fold into the perf counters.
     stats_recorded: WaterfillStats,
-    /// Per-batch scratch: the INA flag each placement carried when it was
-    /// pushed onto the estimator, to detect selective-INA toggles.
-    pushed_ina: Vec<bool>,
 }
 
 impl fmt::Debug for NetPackSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetPackSession")
             .field("running", &self.running.len())
-            .field("free_gpus", &self.cluster.free_gpus())
+            .field("free_gpus", &self.free_gpus())
             .finish()
     }
 }
@@ -144,13 +145,7 @@ impl NetPackSession {
             running: Vec::new(),
             index: AdmissionIndex::default(),
             stats_recorded: WaterfillStats::default(),
-            pushed_ina: Vec::new(),
         }
-    }
-
-    /// The cluster; its GPU ledger reflects every running job.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
     }
 
     /// Jobs currently running, in placement (= estimator insertion) order.
@@ -163,9 +158,9 @@ impl NetPackSession {
         self.index.contains(id)
     }
 
-    /// Free GPUs on the authoritative ledger.
+    /// Free GPUs on the ledger.
     pub fn free_gpus(&self) -> usize {
-        self.cluster.free_gpus()
+        self.fb.ledger().total_free()
     }
 
     /// The warm water-filled steady state over the running set: exact —
@@ -209,10 +204,10 @@ impl NetPackSession {
         self.placer.take_perf()
     }
 
-    /// Place a batch against the warm state: Algorithm 2's four steps,
-    /// identical float-for-float to the stateless path, with the
-    /// running set, flat arenas, and steady state carried over instead of
-    /// rebuilt. Placed jobs join the running set; callers retire them via
+    /// Place a batch against the warm state: Algorithm 2's four steps —
+    /// the same loop the stateless path runs — with the running set, flat
+    /// arenas, and steady state carried over instead of rebuilt. Placed
+    /// jobs join the running set; callers retire them via
     /// [`complete`](Self::complete).
     ///
     /// The caller owns batch policy (ordering is canonicalized internally
@@ -224,71 +219,25 @@ impl NetPackSession {
         // component they touched solved once.
         self.settle();
         debug_assert_eq!(self.audit_state(), Ok(()));
+        debug_assert_eq!(self.audit_ledger(), Ok(()));
         let mut perf = std::mem::take(&mut self.placer.perf);
-        let mut outcome = BatchOutcome::default();
-
-        // Step 1: FindSubset over the authoritative free-GPU count, then
-        // value-descending placement order.
-        let ordered =
-            subset_in_placement_order(batch, self.cluster.free_gpus(), &mut outcome.deferred);
-
-        // Steps 2-3 per job against the warm estimator; both ledgers (the
-        // flat mirror and the cluster) advance together. Each push is
-        // eager: the next job is scored against the state it leaves.
-        self.pushed_ina.clear();
-        for job in ordered {
-            let one_start = Stopwatch::start();
-            let placed = self.placer.place_one_flat(
-                &mut self.fb,
-                &self.cluster,
-                &mut self.tracker,
-                job,
-                &mut perf,
-            );
-            perf.record("place_one", one_start.elapsed());
-            match placed {
-                Some(placement) if self.fb.commit(&placement) => {
-                    if placement.allocate_on(&mut self.cluster).is_err() {
-                        // The two ledgers disagreed — refuse the placement
-                        // rather than panic, and keep them in step (undoing
-                        // the commit just made cannot be refused).
-                        let _ = self.fb.credit(&placement);
-                        outcome.deferred.push(job.clone());
-                        continue;
-                    }
-                    let start = Stopwatch::start();
-                    self.tracker
-                        .push(&self.cluster, PlacedJob::new(job.id, &self.cluster, &placement));
-                    perf.record("waterfill_solve", start.elapsed());
-                    self.pushed_ina.push(placement.ina_enabled());
-                    outcome.placed.push((job.clone(), placement));
-                }
-                _ => outcome.deferred.push(job.clone()),
-            }
-        }
-
-        // Step 4: selective INA over the final steady state (running +
-        // batch, batch still INA-on — exactly what the tracker holds).
-        self.placer.enable_ina(
+        let outcome = self.placer.place_batch_on(
+            &mut self.fb,
+            &mut self.tracker,
             &self.cluster,
             &self.running,
-            &mut outcome.placed,
-            Some(self.tracker.state()),
+            batch,
             &mut perf,
         );
 
         // Reconcile the estimator tail with the post-INA placements: the
-        // batch occupies the tail in placement order, so popping down to
-        // the first toggled job and re-pushing with final flags leaves the
-        // warm state equal to a from-scratch solve over the running set —
-        // the invariant every later batch leans on. Nobody reads the state
-        // in between, so the pops and pushes are staged and settled once.
-        let first_toggled = outcome
-            .placed
-            .iter()
-            .zip(&self.pushed_ina)
-            .position(|((_, p), &was)| p.ina_enabled() != was);
-        if let Some(first) = first_toggled {
+        // batch occupies the tail in placement order, every job pushed
+        // INA-on, so popping down to the first one switched off and
+        // re-pushing with final flags leaves the warm state equal to a
+        // from-scratch solve over the running set — the invariant every
+        // later batch leans on. Nobody reads the state in between, so the
+        // pops and pushes are staged and settled once.
+        if let Some(first) = outcome.placed.iter().position(|(_, p)| !p.ina_enabled()) {
             let start = Stopwatch::start();
             for _ in first..outcome.placed.len() {
                 let _ = self.tracker.stage_pop();
@@ -321,7 +270,7 @@ impl NetPackSession {
         outcome
     }
 
-    /// Retire a running job: release its GPUs on both ledgers, drop it
+    /// Retire a running job: credit its GPUs back on the ledger, drop it
     /// from the running set, and *stage* its removal from the warm
     /// estimator, preserving the insertion order of every other job (an
     /// order-preserving remove, like `JobManager::finish`). The estimator
@@ -331,19 +280,13 @@ impl NetPackSession {
     /// # Errors
     ///
     /// [`SessionError::UnknownJob`] if the id is not running;
-    /// [`SessionError::Ledger`] if either ledger refuses the release (which
-    /// means the session's books were already inconsistent). The release
-    /// is all-or-nothing: on error both ledgers are unchanged, nothing is
-    /// staged, and the job is still running.
+    /// [`SessionError::Ledger`] if the ledger refuses the credit (some of
+    /// the job's GPUs were already free — the books had been credited
+    /// twice). The credit is all-or-nothing: on error the ledger is
+    /// unchanged, nothing is staged, and the job is still running.
     pub fn complete(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
         let idx = self.index.position(id).ok_or(SessionError::UnknownJob(id))?;
-        let placement = &self.running[idx].placement;
-        placement.release_on(&mut self.cluster).map_err(SessionError::Ledger)?;
-        if let Err(refusal) = self.fb.credit(placement) {
-            // Re-allocating what was just released cannot fail.
-            let _ = placement.allocate_on(&mut self.cluster);
-            return Err(SessionError::Ledger(refusal));
-        }
+        self.fb.credit(&self.running[idx].placement).map_err(SessionError::Ledger)?;
         self.index.retire(id, idx);
         // `running` is the tracker's insertion order, so the position is
         // the tracker's too.
@@ -377,9 +320,18 @@ impl NetPackSession {
         }
     }
 
+    /// Test oracle for the one GPU ledger: it equals a recount — the
+    /// cluster the session was opened over minus the running placements —
+    /// per server, in its free-GPU histogram, and in
+    /// [`free_gpus`](Self::free_gpus).
+    #[doc(hidden)]
+    pub fn audit_ledger(&self) -> Result<(), String> {
+        self.fb.ledger().audit(&self.cluster, self.running.iter().map(|r| &r.placement))
+    }
+
     /// Fault injection for tests: credit running job `id`'s GPUs back on
-    /// the flat ledger alone, so the books disagree and the next
-    /// [`complete`](Self::complete) of `id` is refused with
+    /// the ledger while it keeps running, so the books are wrong and the
+    /// next [`complete`](Self::complete) of `id` is refused with
     /// [`SessionError::Ledger`]. `false` if `id` is not running.
     #[doc(hidden)]
     pub fn precredit_flat_ledger(&mut self, id: JobId) -> bool {
@@ -393,6 +345,7 @@ impl NetPackSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netpack_model::Placement;
     use netpack_topology::ClusterSpec;
     use netpack_workload::ModelKind;
 
@@ -410,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn place_and_complete_round_trips_the_ledgers() {
+    fn place_and_complete_round_trips_the_ledger() {
         let mut s = NetPackSession::new(cluster(), NetPackConfig::default());
         let out = s.place_batch(&[job(0, 4), job(1, 6)]);
         assert_eq!(out.placed.len(), 2);
@@ -447,12 +400,9 @@ mod tests {
         s.place_batch(&[job(0, 6), job(1, 4), job(2, 9)]);
         s.complete(JobId(1)).unwrap();
         s.place_batch(&[job(3, 5), job(4, 2)]);
-        let placed: Vec<PlacedJob> = s
-            .running()
-            .iter()
-            .map(|r| r.to_placed(s.cluster()))
-            .collect();
-        let fresh = IncrementalEstimator::new(s.cluster(), &placed);
+        let c = cluster();
+        let placed: Vec<PlacedJob> = s.running().iter().map(|r| r.to_placed(&c)).collect();
+        let fresh = IncrementalEstimator::new(&c, &placed);
         for r in s.running() {
             assert_eq!(
                 s.state().job_rate_gbps(r.id).map(f64::to_bits),
@@ -466,37 +416,47 @@ mod tests {
     #[test]
     fn refused_completion_changes_nothing() {
         let mut s = NetPackSession::new(cluster(), NetPackConfig::default());
-        s.place_batch(&[job(0, 6)]);
+        s.place_batch(&[job(0, 6), job(1, 3)]);
         let placement = s.running()[0].placement.clone();
         assert!(placement.workers().len() >= 2, "a spanning job");
-        let flat_before = s.fb.ledger().to_vec();
+        assert_eq!(s.audit_ledger(), Ok(()));
+        let untouched = |s: &NetPackSession, free: usize, ledger: &[u32]| {
+            assert_eq!(s.fb.ledger().free(), ledger);
+            assert_eq!(s.free_gpus(), free);
+            assert!(s.is_running(JobId(0)));
+            assert_eq!(s.running().len(), 2);
+            assert!(s.is_settled(), "a refused completion stages nothing");
+            assert!(s.state().job_rate_gbps(JobId(0)).is_some());
+            assert_eq!(s.audit_state(), Ok(()));
+            assert_eq!(s.audit_index(), Ok(()));
+        };
 
-        // The cluster refuses the *last* worker's release: the workers
-        // before it must not stay released on either ledger.
+        // Only the *last* worker's GPUs were credited already: the workers
+        // before it must not be credited either.
         let &(last, w) = placement.workers().last().unwrap();
-        s.cluster.release_gpus(last, w).unwrap();
+        let early = Placement::local(last, w);
+        s.fb.credit(&early).unwrap();
+        assert!(s.audit_ledger().is_err(), "the audit must see the early credit");
+        let before = s.fb.ledger().free().to_vec();
         let err = s.complete(JobId(0)).unwrap_err();
         assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
-        assert!(s.is_running(JobId(0)));
-        assert_eq!(s.free_gpus(), 32 - 6 + w);
-        assert_eq!(s.fb.ledger(), flat_before);
-        assert!(s.is_settled(), "a refused completion stages nothing");
-        assert!(s.state().job_rate_gbps(JobId(0)).is_some());
-        s.cluster.allocate_gpus(last, w).unwrap();
+        untouched(&s, 32 - 9 + w, &before);
+        assert!(s.fb.commit(&early));
 
-        // The flat ledger refuses (it was already credited once): the
-        // cluster's release is rolled back and the job keeps running.
-        s.fb.credit(&placement).unwrap();
+        // The whole job was credited while it kept running: its completion
+        // — a second credit — is refused whole.
+        assert!(s.precredit_flat_ledger(JobId(0)));
+        let before = s.fb.ledger().free().to_vec();
         let err = s.complete(JobId(0)).unwrap_err();
         assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
-        assert!(s.is_running(JobId(0)));
-        assert_eq!(s.free_gpus(), 32 - 6);
-        assert!(s.is_settled() && s.audit_state().is_ok());
+        untouched(&s, 32 - 3, &before);
         assert!(s.fb.commit(&placement));
 
-        // Books back in step: the completion now goes through, once.
+        // Books restored: the completion now goes through, once.
+        assert_eq!(s.audit_ledger(), Ok(()));
         s.complete(JobId(0)).unwrap();
-        assert_eq!(s.free_gpus(), 32);
+        assert_eq!(s.free_gpus(), 32 - 3);
+        assert_eq!(s.audit_ledger(), Ok(()));
         assert_eq!(s.complete(JobId(0)), Err(SessionError::UnknownJob(JobId(0))));
     }
 
@@ -507,7 +467,7 @@ mod tests {
         assert!(s.is_settled(), "a batch returns settled");
         assert_eq!(s.audit_state(), Ok(()));
         let stale = s.state().clone();
-        // A spanning job retires: the ledgers and the running set move
+        // A spanning job retires: the ledger and the running set move
         // now, the link numbers wait.
         s.complete(JobId(0)).unwrap();
         assert!(!s.is_settled());
@@ -554,7 +514,7 @@ mod tests {
     fn deferred_jobs_do_not_leak_gpus() {
         let mut s = NetPackSession::new(cluster(), NetPackConfig::default());
         // 32 GPUs, 46 demanded: the knapsack must defer something, and
-        // whatever defers must not touch either ledger.
+        // whatever defers must not touch the ledger.
         let out = s.place_batch(&[job(0, 30), job(1, 8), job(2, 8)]);
         assert!(!out.placed.is_empty());
         assert!(!out.deferred.is_empty());

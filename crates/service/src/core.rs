@@ -81,8 +81,9 @@ pub struct ServiceCounters {
     /// Cancels/completes for ids the service does not know.
     pub unknown_ops: u64,
     /// Cancels/completes of a running job that the session refused
-    /// because its GPU ledgers disagree ([`SessionError::Ledger`]); the
-    /// job keeps running.
+    /// because its GPU ledger would not take the credit — some of the
+    /// job's GPUs were free already ([`SessionError::Ledger`]); the job
+    /// keeps running.
     pub ledger_errors: u64,
     /// Query commands served.
     pub queries: u64,

@@ -1,10 +1,14 @@
 //! The service's warm-state fast path must be indistinguishable from the
 //! closed-batch `JobManager` + `NetPackPlacer` reference on the same
 //! arrival order — same placements (workers, PSes, INA flags), same
-//! deferrals, same ledger. This is the acceptance gate for the persistent
+//! deferrals, same ledger. Both sides run the same batch loop; the manager
+//! side on a `(ledger, estimator)` pair rebuilt from its `Cluster` and
+//! running list for every epoch, the session on the pair it keeps. This is
+//! the acceptance gate for the persistent
 //! [`NetPackSession`](netpack_placement::NetPackSession) state: if any
-//! carried-over arena or the warm estimator drifted from what a
-//! from-scratch rebuild computes, placements would diverge here.
+//! carried-over arena, the session's GPU ledger or the warm estimator
+//! drifted from what a from-scratch rebuild computes, placements would
+//! diverge here.
 
 use netpack_core::{JobManager, ManagerConfig};
 use netpack_placement::{NetPackConfig, NetPackPlacer};
@@ -57,10 +61,12 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
         let placed_svc_before = core.counters().placed;
         core.place_pass();
         // The session's persistent server index must equal a full scan,
-        // and its warm steady state a from-scratch estimate, after every
-        // pass (and, below, after every completion).
+        // its warm steady state a from-scratch estimate, and its GPU
+        // ledger a recount from the running placements, after every pass
+        // (and, below, after every completion).
         assert_eq!(core.session().audit_index(), Ok(()), "pass after job {i}");
         assert_eq!(core.session().audit_state(), Ok(()), "pass after job {i}");
+        assert_eq!(core.session().audit_ledger(), Ok(()), "pass after job {i}");
         let placed_svc = core.counters().placed - placed_svc_before;
         assert_eq!(
             placed_svc,
@@ -100,6 +106,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
             let (_, p_ref) = manager.finish(oldest).expect("reference finish");
             core.apply(Command::Complete(oldest));
             assert_eq!(core.session().audit_index(), Ok(()), "completing {oldest}");
+            assert_eq!(core.session().audit_ledger(), Ok(()), "completing {oldest}");
             // The completion only staged its estimator removal; settled,
             // the state must be the survivors' from-scratch one.
             core.settle();
@@ -121,6 +128,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
         core.place_pass();
         assert_eq!(core.session().audit_index(), Ok(()), "drain pass {guard}");
         assert_eq!(core.session().audit_state(), Ok(()), "drain pass {guard}");
+        assert_eq!(core.session().audit_ledger(), Ok(()), "drain pass {guard}");
         assert_eq!(core.counters().placed - before, placed_ref.len() as u64);
         assert_eq!(core.free_gpus(), manager.cluster().free_gpus());
         guard += 1;

@@ -4,8 +4,8 @@
 #   ./scripts/check.sh
 #
 # Runs the release build, clippy with warnings denied, netpack-lint (the
-# determinism/concurrency/env-registry static pass; any finding not
-# grandfathered in lint-baseline.txt fails — including a stale suppression
+# determinism/concurrency/env-registry static pass; any finding fails,
+# there is no baseline file — including a stale suppression
 # pragma (P1), a NETPACK_* variable missing from the registry, the README
 # table, or its declared gate, or any NETPACK_* read in a library crate
 # (M1)), the exact smoke (NETPACK_SMOKE=1 table_mip_vs_dp asserts the
@@ -25,8 +25,9 @@
 # after every refresh, the index-answered single-server shortcut to
 # the literal scan, and — at the top of every session pass, once the
 # staged completions are settled — the warm steady state to a
-# from-scratch estimate over the running set, on the session path under
-# real churn and on the stateless three-tier path; the debug fig10_xl
+# from-scratch estimate over the running set and the session's GPU
+# ledger to a recount from the running placements, on the session path
+# under real churn and on the stateless three-tier path; the debug fig10_xl
 # digest must equal the release one), and the fig14 smoke (every cell asserted ==
 # PacketSim::run_reference in-binary).
 # Keep this list in sync with README.md.
@@ -39,7 +40,7 @@ cargo build --workspace --release
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo run -p netpack-lint (new findings, stale pragmas, unregistered NETPACK_* vars fail)"
+echo "==> cargo run -p netpack-lint (any finding, stale pragma or unregistered NETPACK_* var fails)"
 cargo run -q -p netpack-lint
 
 tmp_dir=$(mktemp -d)
@@ -117,7 +118,8 @@ echo "==> index smokes: debug builds, server index == full scan and shortcut == 
 # single-server pick against the literal scan (DESIGN.md §3.11), so a
 # missed journal entry fails here, not in a benchmark; and every session
 # pass audits the warm steady state, completions settled, against a
-# from-scratch estimate (DESIGN.md §3.12). The service replay
+# from-scratch estimate, and the GPU ledger against a recount
+# (DESIGN.md §3.12). The service replay
 # covers the session path under churn, fig10_xl the stateless three-tier
 # path; a debug build may not move a placement either.
 NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \
