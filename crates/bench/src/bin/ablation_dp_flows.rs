@@ -4,30 +4,27 @@
 //! step can punish hot-spot plans. Collapsing the dimension turns the DP
 //! into a plain GPU knapsack; this bench quantifies what that costs.
 
-use netpack_bench::{loaded_trace, repeats, standard_jobs};
-use netpack_flowsim::{SimConfig, Simulation};
+use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_flowsim::SimConfig;
 use netpack_metrics::{Summary, TextTable};
 use netpack_placement::{NetPackConfig, NetPackPlacer};
-use netpack_topology::{Cluster, ClusterSpec};
+use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
 
 fn run(spec: &ClusterSpec, flow_dimension: bool, jobs: usize) -> Summary {
-    let mut jcts = Vec::new();
-    for rep in 0..repeats() {
-        let trace = loaded_trace(TraceKind::Real, spec, jobs, 8000 + rep as u64);
-        let placer = NetPackPlacer::new(NetPackConfig {
-            flow_dimension,
-            ..NetPackConfig::default()
-        });
-        let result = Simulation::new(
-            Cluster::new(spec.clone()),
-            Box::new(placer),
-            SimConfig::default(),
-        )
-        .run(&trace);
-        jcts.push(result.average_jct_s().expect("jobs finished"));
-    }
-    Summary::of(&jcts)
+    let config = NetPackConfig {
+        flow_dimension,
+        ..NetPackConfig::default()
+    };
+    replay_with(
+        spec,
+        TraceKind::Real,
+        jobs,
+        8000,
+        || Box::new(NetPackPlacer::new(config.clone())),
+        SimConfig::default(),
+    )
+    .jct
 }
 
 fn main() {

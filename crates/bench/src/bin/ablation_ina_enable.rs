@@ -5,30 +5,27 @@
 //! PAT-scarce cluster where the choice matters (the Fig. 12 discussion
 //! credits selective enabling for part of NetPack's oversubscribed wins).
 
-use netpack_bench::{loaded_trace, repeats, standard_jobs};
-use netpack_flowsim::{SimConfig, Simulation};
+use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_flowsim::SimConfig;
 use netpack_metrics::{Summary, TextTable};
 use netpack_placement::{InaPolicy, NetPackConfig, NetPackPlacer};
-use netpack_topology::{Cluster, ClusterSpec};
+use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
 
 fn run(spec: &ClusterSpec, policy: InaPolicy, jobs: usize) -> Summary {
-    let mut jcts = Vec::new();
-    for rep in 0..repeats() {
-        let trace = loaded_trace(TraceKind::Real, spec, jobs, 7000 + rep as u64);
-        let placer = NetPackPlacer::new(NetPackConfig {
-            ina_policy: policy,
-            ..NetPackConfig::default()
-        });
-        let result = Simulation::new(
-            Cluster::new(spec.clone()),
-            Box::new(placer),
-            SimConfig::default(),
-        )
-        .run(&trace);
-        jcts.push(result.average_jct_s().expect("jobs finished"));
-    }
-    Summary::of(&jcts)
+    let config = NetPackConfig {
+        ina_policy: policy,
+        ..NetPackConfig::default()
+    };
+    replay_with(
+        spec,
+        TraceKind::Real,
+        jobs,
+        7000,
+        || Box::new(NetPackPlacer::new(config.clone())),
+        SimConfig::default(),
+    )
+    .jct
 }
 
 fn main() {

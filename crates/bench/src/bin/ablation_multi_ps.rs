@@ -6,30 +6,27 @@
 //! PS-side fan-in bottleneck (biggest when INA is scarce) but adds flows
 //! everywhere else — this bench quantifies the trade.
 
-use netpack_bench::{loaded_trace, repeats, standard_jobs};
-use netpack_flowsim::{SimConfig, Simulation};
+use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_flowsim::SimConfig;
 use netpack_metrics::{Summary, TextTable};
 use netpack_placement::{NetPackConfig, NetPackPlacer};
-use netpack_topology::{Cluster, ClusterSpec};
+use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
 
 fn run(spec: &ClusterSpec, pses: usize, jobs: usize) -> Summary {
-    let mut jcts = Vec::new();
-    for rep in 0..repeats() {
-        let trace = loaded_trace(TraceKind::Real, spec, jobs, 9000 + rep as u64);
-        let placer = NetPackPlacer::new(NetPackConfig {
-            pses_per_job: pses,
-            ..NetPackConfig::default()
-        });
-        let result = Simulation::new(
-            Cluster::new(spec.clone()),
-            Box::new(placer),
-            SimConfig::default(),
-        )
-        .run(&trace);
-        jcts.push(result.average_jct_s().expect("jobs finished"));
-    }
-    Summary::of(&jcts)
+    let config = NetPackConfig {
+        pses_per_job: pses,
+        ..NetPackConfig::default()
+    };
+    replay_with(
+        spec,
+        TraceKind::Real,
+        jobs,
+        9000,
+        || Box::new(NetPackPlacer::new(config.clone())),
+        SimConfig::default(),
+    )
+    .jct
 }
 
 fn main() {

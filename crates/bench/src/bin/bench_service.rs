@@ -7,8 +7,9 @@
 //! are merged in virtual-time order so the service sees the same churn a
 //! live cluster would — just as fast as it can drain it. Reported per
 //! mode: sustained placements/sec and the submit-to-placement latency
-//! percentiles (p50/p99/p999), appended to `results/BENCH_service.json`
-//! when `NETPACK_BENCH_JSON` is set.
+//! percentiles (p50/p99/p999) of this one run; the number a claim is
+//! measured by is the `service_saturate` workload of `benchmark/run.sh`,
+//! which replays this same schedule.
 //!
 //! Modes:
 //!
@@ -28,11 +29,10 @@
 //!
 //! Scale with `NETPACK_QUICK=1` (50K jobs) or `NETPACK_SMOKE=1`
 //! (10K jobs, deterministic); the default is the 1M-job acceptance run.
-//! `NETPACK_SERVICE_JOBS=<n>` overrides all three — the thread-sweep rows
-//! in `scripts/bench.sh` use it to run long enough that throughput noise
-//! stays small relative to the threaded-vs-deterministic gap.
+//! `NETPACK_SERVICE_JOBS=<n>` overrides all three (`scripts/check.sh`
+//! uses it for the 2 000-job debug-build replay).
 
-use netpack_bench::{emit_service_row, quick, smoke, ServiceRow};
+use netpack_bench::{emit_table, quick, smoke};
 use netpack_metrics::{LatencyHistogram, Stopwatch, TextTable};
 use netpack_service::{Command, PlacementService, ServiceConfig, ServiceCore, ServiceReport};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
@@ -193,7 +193,7 @@ fn main() {
         table.row(vec!["p99 latency (us)".into(), p99_us.to_string()]);
         table.row(vec!["p999 latency (us)".into(), p999_us.to_string()]);
     }
-    println!("{table}");
+    emit_table("bench_service", &table);
 
     if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
         println!("perf counters (service + placer):");
@@ -208,19 +208,4 @@ fn main() {
         // across runs that write to different log paths.
         eprintln!("event log: {} lines -> {path}", report.events.len());
     }
-
-    emit_service_row(&ServiceRow {
-        bench: "bench_service",
-        instance: format!("fig10/jobs={jobs}"),
-        mode: mode.to_string(),
-        wall_s,
-        threads: netpack_bench::bench_threads(),
-        placed,
-        rejected: c.rejected,
-        deferrals: c.deferrals,
-        throughput_per_s: throughput,
-        p50_us,
-        p99_us,
-        p999_us,
-    });
 }

@@ -7,30 +7,27 @@
 //! statistical pool? (INAlloc-style re-partitioning would sit between the
 //! two, at the cost of the central controller the paper argues against.)
 
-use netpack_bench::{loaded_trace, repeats, standard_jobs};
-use netpack_flowsim::{InaMode, SimConfig, Simulation};
+use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_flowsim::{InaMode, SimConfig};
 use netpack_metrics::{Summary, TextTable};
 use netpack_placement::NetPackPlacer;
-use netpack_topology::{Cluster, ClusterSpec};
+use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
 
 fn run(spec: &ClusterSpec, mode: InaMode, jobs: usize) -> Summary {
-    let mut jcts = Vec::new();
-    for rep in 0..repeats() {
-        let trace = loaded_trace(TraceKind::Real, spec, jobs, 9500 + rep as u64);
-        let config = SimConfig {
-            ina_mode: mode,
-            ..SimConfig::default()
-        };
-        let result = Simulation::new(
-            Cluster::new(spec.clone()),
-            Box::new(NetPackPlacer::default()),
-            config,
-        )
-        .run(&trace);
-        jcts.push(result.average_jct_s().expect("jobs finished"));
-    }
-    Summary::of(&jcts)
+    let config = SimConfig {
+        ina_mode: mode,
+        ..SimConfig::default()
+    };
+    replay_with(
+        spec,
+        TraceKind::Real,
+        jobs,
+        9500,
+        || Box::new(NetPackPlacer::default()),
+        config,
+    )
+    .jct
 }
 
 fn main() {

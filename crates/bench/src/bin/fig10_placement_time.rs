@@ -5,6 +5,9 @@
 //! paper claims: total time grows linearly with the job count at fixed
 //! cluster size, and per-job time grows with cluster size
 //! (`3.25e-4 s` at 100 servers to `1.36e-2 s` at 10K in the paper).
+//! Each cell is timed once — enough for the two shapes; the measured
+//! number for the 10 000-server × 400-job cell is the `dense_batch`
+//! workload of `benchmark/run.sh`.
 //!
 //! The placer's perf counters, aggregated over every cell, are printed
 //! afterwards so the time can be attributed to its phases —
@@ -16,7 +19,7 @@
 //! [`placement_smoke`], so `scripts/check.sh` holds the per-rack PS-class
 //! dedup and the live-link water-fill rounds to the literal algorithm.
 
-use netpack_bench::{emit_bench_row, placement_smoke, quick, BenchRow};
+use netpack_bench::{emit_table, placement_smoke, quick};
 use netpack_metrics::{Stopwatch, TextTable};
 use netpack_placement::{NetPackPlacer, Placer};
 use netpack_topology::{Cluster, ClusterSpec};
@@ -60,18 +63,6 @@ fn main() {
             let outcome = placer.place_batch(&cluster, &[], &b);
             let elapsed = start.elapsed().as_secs_f64();
             let placed = outcome.placed.len().max(1);
-            emit_bench_row(&BenchRow {
-                bench: "fig10_placement_time",
-                instance: format!("servers={servers}/jobs={jobs}"),
-                // The ledger key these cells have always had; earlier
-                // ledgers hold a `sequential` row beside each.
-                mode: "fast".to_string(),
-                wall_s: elapsed,
-                threads: netpack_bench::bench_threads(),
-                evals: placer.perf().counter("plans_considered"),
-                nodes: 0,
-                pruned: 0,
-            });
             table.row(vec![
                 servers.to_string(),
                 jobs.to_string(),
@@ -81,7 +72,7 @@ fn main() {
             perf.merge(placer.perf());
         }
     }
-    println!("{table}");
+    emit_table("fig10_placement_time", &table);
     println!("perf counters (all cells):");
     println!("{}", perf.to_table().render());
     println!("paper: 4K jobs placed within 1 minute on 100-10K servers; per-job time");

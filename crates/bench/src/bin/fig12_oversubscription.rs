@@ -7,10 +7,9 @@
 //! repetition) cell is an independent simulation, fanned out across
 //! threads via [`parallel_sweep`].
 
-use netpack_bench::{loaded_trace, parallel_sweep, placer_by_name, quick, repeats, roster_names};
-use netpack_flowsim::{SimConfig, Simulation};
+use netpack_bench::{parallel_sweep, quick, repeats, replay_cell, roster_names};
 use netpack_metrics::{Summary, TextTable};
-use netpack_topology::{Cluster, ClusterSpec};
+use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
 
 fn main() {
@@ -41,15 +40,9 @@ fn main() {
             oversubscription: ratio,
             ..ClusterSpec::paper_default()
         };
-        let trace = loaded_trace(TraceKind::Real, &spec, jobs, 5000 + rep as u64);
-        Simulation::new(
-            Cluster::new(spec.clone()),
-            placer_by_name(name),
-            SimConfig::default(),
-        )
-        .run(&trace)
-        .average_jct_s()
-        .expect("jobs finished")
+        replay_cell(name, &spec, TraceKind::Real, jobs, 5000 + rep as u64)
+            .average_jct_s()
+            .expect("jobs finished")
     });
     let mut it = results.iter();
     for &ratio in &ratios {

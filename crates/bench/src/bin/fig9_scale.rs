@@ -11,9 +11,10 @@
 //! threads via [`parallel_sweep`]; set `NETPACK_PERF=1` to print the
 //! merged event-loop counters afterwards.
 
-use netpack_bench::{loaded_trace, parallel_sweep, placer_by_name, quick, repeats, roster_names};
+use netpack_bench::{loaded_trace, parallel_sweep, quick, repeats, roster_names};
 use netpack_flowsim::{SimConfig, Simulation};
 use netpack_metrics::{PerfCounters, Summary, TextTable};
+use netpack_placement::placer_by_name;
 use netpack_topology::{Cluster, ClusterSpec};
 use netpack_workload::TraceKind;
 
@@ -72,7 +73,8 @@ fn main() {
         };
         let trace = loaded_trace(TraceKind::Real, &base_spec, jobs, 3000 + rep as u64);
         let sim = || {
-            Simulation::new(Cluster::new(spec.clone()), placer_by_name(name), SimConfig::default())
+            let placer = placer_by_name(name).expect("a roster name");
+            Simulation::new(Cluster::new(spec.clone()), placer, SimConfig::default())
         };
         let result = sim().run(&trace);
         if smoke {

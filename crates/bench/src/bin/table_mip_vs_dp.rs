@@ -13,11 +13,12 @@
 //! ([`reference::place_exact`]) and the binary asserts identical
 //! placements, a bit-identical objective and strictly fewer evaluations;
 //! otherwise a second diagnostics table compares the two searches per
-//! row, with the reference capped on the instances it cannot finish.
-//! Every measurement is also appended to `$NETPACK_BENCH_JSON` as a
-//! [`BenchRow`] when that variable is set (see `scripts/bench.sh`).
+//! row, with the reference capped on the instances it cannot finish
+//! (`table_mip_vs_dp_diag.csv` under `NETPACK_CSV_DIR`). Its wall clocks
+//! are single shots that show the blow-up, not measurements to compare
+//! across commits.
 
-use netpack_bench::{emit_bench_row, emit_table, BenchRow};
+use netpack_bench::emit_table;
 use netpack_metrics::Stopwatch;
 use netpack_metrics::TextTable;
 use netpack_placement::{batch_comm_time_s, reference, ExactPlacer, NetPackPlacer, Placer};
@@ -102,39 +103,15 @@ fn main() {
             .map(usize::to_string)
             .collect::<Vec<_>>()
             .join("+");
-        let instance_id = format!("{label}/{jobs_label}");
 
         let mut exact = ExactPlacer::new(BUDGET);
         let t0 = Stopwatch::start();
         let exact_outcome = exact.place_batch(&cluster, &[], &batch);
         let exact_time = t0.elapsed().as_secs_f64();
         let exact_obj = batch_comm_time_s(&cluster, &[], &exact_outcome.placed);
-        emit_bench_row(&BenchRow {
-            bench: "table_mip_vs_dp",
-            instance: instance_id.clone(),
-            mode: "bnb".to_string(),
-            wall_s: exact_time,
-            threads: netpack_bench::bench_threads(),
-            evals: exact.evaluations(),
-            nodes: exact.perf().counter("exact_nodes"),
-            pruned: exact.perf().counter("exact_pruned_subtrees"),
-        });
 
-        let mut dp = NetPackPlacer::default();
-        let t0 = Stopwatch::start();
-        let dp_outcome = dp.place_batch(&cluster, &[], &batch);
-        let dp_time = t0.elapsed().as_secs_f64();
+        let dp_outcome = NetPackPlacer::default().place_batch(&cluster, &[], &batch);
         let dp_obj = batch_comm_time_s(&cluster, &[], &dp_outcome.placed);
-        emit_bench_row(&BenchRow {
-            bench: "table_mip_vs_dp",
-            instance: instance_id.clone(),
-            mode: "dp".to_string(),
-            wall_s: dp_time,
-            threads: netpack_bench::bench_threads(),
-            evals: dp.perf().counter("plans_considered"),
-            nodes: 0,
-            pruned: 0,
-        });
 
         let gap = if exact_obj > 0.0 {
             format!("{:+.1}%", 100.0 * (dp_obj - exact_obj) / exact_obj)
@@ -165,16 +142,6 @@ fn main() {
             assert!(exact.evaluations() < scratch_evals, "bnb did not prune");
             continue;
         }
-        emit_bench_row(&BenchRow {
-            bench: "table_mip_vs_dp",
-            instance: instance_id,
-            mode: "scratch".to_string(),
-            wall_s: scratch_time,
-            threads: netpack_bench::bench_threads(),
-            evals: scratch_evals,
-            nodes: 0,
-            pruned: 0,
-        });
         let capped = scratch_evals >= budget;
         let prefix = if capped { ">" } else { "" };
         let speedup = if exact_time > 0.0 {

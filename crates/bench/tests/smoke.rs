@@ -1,9 +1,7 @@
 //! Smoke tests for the figure scaffolding: every roster placer replays a
 //! quick loaded trace, and the shared helpers stay in sync.
 
-use netpack_bench::{loaded_trace, placer_by_name, replay, roster_names, testbed_spec};
-use netpack_flowsim::{SimConfig, Simulation};
-use netpack_topology::Cluster;
+use netpack_bench::{loaded_trace, replay, replay_cell, roster_names, testbed_spec};
 use netpack_workload::TraceKind;
 
 #[test]
@@ -29,13 +27,8 @@ fn loaded_traces_saturate_without_overflowing() {
             .jobs()
             .iter()
             .all(|j| j.gpus <= spec.total_gpus()));
-        // And the trace must actually finish under every roster placer.
-        let result = Simulation::new(
-            Cluster::new(spec.clone()),
-            placer_by_name("NetPack"),
-            SimConfig::default(),
-        )
-        .run(&trace);
+        // And the same trace must actually finish when replayed.
+        let result = replay_cell("NetPack", &spec, kind, 30, 77);
         assert_eq!(result.outcomes.len(), 30, "{kind}");
     }
 }

@@ -4,10 +4,7 @@ use crate::args::{usage, Command, PlaceArgs, SimulateArgs};
 use netpack_flowsim::{SimConfig, Simulation};
 use netpack_metrics::TextTable;
 use netpack_model::Placement;
-use netpack_placement::{
-    Comb, FlowBalance, GpuBalance, LeastFragmentation, NetPackPlacer, OptimusLike, Placer,
-    RandomPlacer, TetrisLike,
-};
+use netpack_placement::{placer_by_name, NetPackPlacer, Placer};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_waterfill::{estimate, PlacedJob};
 use netpack_workload::{Job, ModelKind, TraceSpec};
@@ -65,20 +62,6 @@ pub fn run(command: Command, out: &mut impl std::io::Write) -> Result<(), String
     }
 }
 
-fn placer_by_name(name: &str) -> Result<Box<dyn Placer>, String> {
-    Ok(match name {
-        "NetPack" => Box::new(NetPackPlacer::default()),
-        "GB" => Box::new(GpuBalance),
-        "FB" => Box::new(FlowBalance),
-        "LF" => Box::new(LeastFragmentation),
-        "Optimus" => Box::new(OptimusLike),
-        "Tetris" => Box::new(TetrisLike),
-        "Comb" => Box::new(Comb),
-        "Random" => Box::new(RandomPlacer::default()),
-        other => return Err(format!("unknown placer '{other}'")),
-    })
-}
-
 fn cluster(
     racks: usize,
     servers_per_rack: usize,
@@ -105,7 +88,8 @@ fn simulate(args: SimulateArgs, out: &mut impl std::io::Write) -> Result<(), Str
         args.pat_gbps,
         args.oversub,
     )?;
-    let placer = placer_by_name(&args.placer)?;
+    let placer = placer_by_name(&args.placer)
+        .ok_or_else(|| format!("unknown placer '{}'", args.placer))?;
     let trace = match &args.trace_file {
         Some(path) => netpack_workload::Trace::read_csv(path).map_err(|e| e.to_string())?,
         None => TraceSpec::new(args.trace, args.jobs)

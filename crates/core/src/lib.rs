@@ -12,6 +12,12 @@
 //! Deferred jobs age: their knapsack value grows every epoch they wait,
 //! which is the paper's starvation-avoidance rule for FindSubset.
 //!
+//! The manager is the closed-loop, epoch-at-a-time half: the simulators
+//! drive it, and a job leaves through [`JobManager::finish`] only. The
+//! open-loop half — submissions, cancellations and completions arriving
+//! as a command stream — is `netpack-service`, which runs the same batch
+//! loop on a `NetPackSession` of its own and does not pass through here.
+//!
 //! [`Cluster`]: netpack_topology::Cluster
 //! [`Placer`]: netpack_placement::Placer
 //!
@@ -37,4 +43,4 @@
 
 mod manager;
 
-pub use manager::{Cancelled, JobManager, ManagerConfig, ManagerError};
+pub use manager::{JobManager, ManagerConfig, ManagerError};

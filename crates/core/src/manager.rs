@@ -39,15 +39,6 @@ impl Default for ManagerConfig {
     }
 }
 
-/// Where [`JobManager::cancel`] found the job it removed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cancelled {
-    /// The job was still queued; nothing had been allocated.
-    Pending(Job),
-    /// The job was running; its GPUs have been released.
-    Running(Job, Placement),
-}
-
 /// Errors from the manager's bookkeeping API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -238,24 +229,6 @@ impl JobManager {
             debug_assert!(staged, "running set and estimator order diverged at {idx}");
         }
         Ok(self.running.remove(idx))
-    }
-
-    /// Cancel a job wherever it stands: a queued job is removed from the
-    /// pending queue (nothing was allocated); a running job is torn down
-    /// exactly like [`finish`](Self::finish). The service's `Cancel` path
-    /// and its `Complete`-while-still-queued race both land here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManagerError::UnknownJob`] if the id is neither pending
-    /// nor running (already finished, already cancelled, or never
-    /// submitted) — callers that treat cancellation as idempotent can
-    /// ignore that case.
-    pub fn cancel(&mut self, id: JobId) -> Result<Cancelled, ManagerError> {
-        if let Some(pos) = self.pending.iter().position(|j| j.id == id) {
-            return Ok(Cancelled::Pending(self.pending.remove(pos)));
-        }
-        self.finish(id).map(|(job, p)| Cancelled::Running(job, p))
     }
 
     /// Estimate the current steady state of all running jobs from scratch.
@@ -518,58 +491,6 @@ mod tests {
         for order in [[5usize, 4, 3, 2, 1, 0], [2, 5, 0, 3, 1, 4]] {
             assert_eq!(run(&order), reference, "order {order:?}");
         }
-    }
-
-    #[test]
-    fn cancel_removes_a_queued_job_before_any_allocation() {
-        let mut m = manager(Box::new(NetPackPlacer::default()));
-        m.submit(job(0, 4));
-        m.submit(job(1, 2));
-        match m.cancel(JobId(0)) {
-            Ok(Cancelled::Pending(j)) => assert_eq!(j.id, JobId(0)),
-            other => panic!("expected pending cancellation, got {other:?}"),
-        }
-        assert_eq!(m.pending().len(), 1);
-        assert_eq!(m.cluster().free_gpus(), 16, "nothing was allocated");
-        // The surviving job places normally.
-        let placed = m.run_epoch();
-        assert_eq!(placed.len(), 1);
-        assert_eq!(placed[0].0.id, JobId(1));
-    }
-
-    #[test]
-    fn cancel_tears_down_a_running_job_like_finish() {
-        let mut m = manager(Box::new(GpuBalance));
-        m.submit(job(0, 4));
-        m.run_epoch();
-        assert_eq!(m.cluster().free_gpus(), 12);
-        match m.cancel(JobId(0)) {
-            Ok(Cancelled::Running(j, _)) => assert_eq!(j.id, JobId(0)),
-            other => panic!("expected running cancellation, got {other:?}"),
-        }
-        assert_eq!(m.cluster().free_gpus(), 16);
-        assert!(m.running().is_empty());
-        // Cancel is not idempotent: the second attempt reports the miss.
-        assert_eq!(m.cancel(JobId(0)), Err(ManagerError::UnknownJob(JobId(0))));
-    }
-
-    #[test]
-    fn cancel_of_a_deferred_job_finds_it_in_the_queue() {
-        let mut m = manager(Box::new(NetPackPlacer::default()));
-        m.submit(job(0, 16));
-        m.run_epoch();
-        // Deferred by a full cluster, the job sits aged in the queue —
-        // cancel must find it there, not report UnknownJob.
-        m.submit(job(1, 4));
-        assert!(m.run_epoch().is_empty());
-        match m.cancel(JobId(1)) {
-            Ok(Cancelled::Pending(j)) => {
-                assert_eq!(j.id, JobId(1));
-                assert!(j.value > 1.0, "deferred job kept its aged value");
-            }
-            other => panic!("expected pending cancellation, got {other:?}"),
-        }
-        assert!(m.pending().is_empty());
     }
 
     #[test]

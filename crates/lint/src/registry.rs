@@ -67,12 +67,6 @@ pub struct EnvVar {
 /// scripts/check.sh on every lint run.
 pub const REGISTRY: &[EnvVar] = &[
     EnvVar {
-        name: "NETPACK_BENCH_JSON",
-        kind: VarKind::Output,
-        gate: Gate::None,
-        desc: "append machine-readable benchmark rows to this file",
-    },
-    EnvVar {
         name: "NETPACK_CSV_DIR",
         kind: VarKind::Output,
         gate: Gate::None,

@@ -99,6 +99,8 @@ pub use exact::ExactPlacer;
 pub use knapsack::select_job_subset;
 pub use netpack::{HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer};
 pub use select::CandidateFilter;
-pub use placer::{batch_comm_time_s, AdmissionIndex, BatchOutcome, Placer, RunningJob};
+pub use placer::{
+    batch_comm_time_s, placer_by_name, AdmissionIndex, BatchOutcome, Placer, RunningJob,
+};
 pub use prior::{Comb, OptimusLike, TetrisLike};
 pub use session::{NetPackSession, SessionError};

@@ -1,5 +1,9 @@
 //! The placer abstraction shared by NetPack and every baseline.
 
+use crate::{
+    Comb, FlowBalance, GpuBalance, LeastFragmentation, NetPackPlacer, OptimusLike, RandomPlacer,
+    TetrisLike,
+};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, JobId};
 use netpack_waterfill::PlacedJob;
@@ -106,6 +110,25 @@ pub trait Placer {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome;
+}
+
+/// A fresh, default-configured placer for a [`Placer::name`] string — the
+/// one name → placer table, shared by the figure binaries and the CLI.
+/// Every placer that can take a cluster-scale trace is here; the
+/// toy-scale [`ExactPlacer`](crate::ExactPlacer) is built with its budget,
+/// not looked up.
+pub fn placer_by_name(name: &str) -> Option<Box<dyn Placer>> {
+    Some(match name {
+        "NetPack" => Box::new(NetPackPlacer::default()),
+        "GB" => Box::new(GpuBalance),
+        "FB" => Box::new(FlowBalance),
+        "LF" => Box::new(LeastFragmentation),
+        "Optimus" => Box::new(OptimusLike),
+        "Tetris" => Box::new(TetrisLike),
+        "Comb" => Box::new(Comb),
+        "Random" => Box::new(RandomPlacer::default()),
+        _ => return None,
+    })
 }
 
 /// The MIP objective of Table 3 evaluated under the water-filling model:
@@ -260,6 +283,15 @@ mod tests {
         list.push(JobId(9));
         assert_eq!(index.position(JobId(9)), Some(2));
         assert_eq!(index.position(JobId(3)), Some(0));
+    }
+
+    #[test]
+    fn placer_by_name_inverts_name() {
+        for name in ["NetPack", "GB", "FB", "LF", "Optimus", "Tetris", "Comb", "Random"] {
+            assert_eq!(placer_by_name(name).map(|p| p.name()), Some(name));
+        }
+        assert!(placer_by_name("Exact").is_none(), "built with a budget, not looked up");
+        assert!(placer_by_name("nope").is_none());
     }
 
     fn cluster() -> Cluster {

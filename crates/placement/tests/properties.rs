@@ -24,7 +24,7 @@ fn arb_cluster() -> impl Strategy<Value = Cluster> {
 
 /// Random two- or three-tier fat-trees: 1–6 racks of mixed widths, with an
 /// optional pod structure whose last pod may be ragged (racks not a
-/// multiple of `racks_per_pod`) — the shapes the flat path shards by pod.
+/// multiple of `racks_per_pod`).
 fn arb_fat_tree() -> impl Strategy<Value = Cluster> {
     // rpp = 0 encodes "no pod structure" (two-tier); 1..4 declares pods,
     // with the last pod ragged whenever racks % rpp != 0.

@@ -42,7 +42,8 @@ impl JobStatus {
 /// One operation on the service's command stream.
 #[derive(Debug)]
 pub enum Command {
-    /// Enqueue a job for placement (rejected if the queue is at capacity).
+    /// Enqueue a job for placement (rejected if the queue is at capacity
+    /// or its id is already pending or running).
     Submit(Job),
     /// Abandon a job wherever it is: drop it from the queue if still
     /// pending, tear it down if running.
@@ -61,7 +62,8 @@ pub enum Command {
 pub struct ServiceCounters {
     /// Submissions accepted into the pending queue.
     pub submitted: u64,
-    /// Submissions refused because the queue was at `queue_cap`.
+    /// Submissions refused: the queue was at `queue_cap`, or the id was
+    /// already pending or running.
     pub rejected: u64,
     /// Jobs placed (each placement counted once, at the pass it landed).
     pub placed: u64,
@@ -209,22 +211,43 @@ impl ServiceCore {
         }
     }
 
-    /// Log how the session answered a cancel/complete of a non-pending
-    /// job, counting the two refusals apart: a stale id is routine, books
-    /// that disagree are the one error an operator must see.
-    fn retire_event(&mut self, op: &str, id: JobId, refusal: Option<SessionError>) {
-        let kind = match refusal {
-            None => "running",
-            Some(SessionError::Ledger(_)) => {
-                self.counters.ledger_errors += 1;
-                "ledger-error"
-            }
-            Some(_) => {
-                self.counters.unknown_ops += 1;
-                "unknown"
+    /// Cancel or complete `id` wherever it stands — the two commands
+    /// differ in the word they log and the counters they bump. A job still
+    /// pending simply leaves the queue: nothing was allocated, there is
+    /// nothing to release. Otherwise the session retires it, and its two
+    /// refusals are counted apart: a stale id is routine, books that
+    /// disagree are the one error an operator must see.
+    fn retire(
+        &mut self,
+        op: &str,
+        id: JobId,
+        from_pending: fn(&mut ServiceCounters) -> &mut u64,
+        from_running: fn(&mut ServiceCounters) -> &mut u64,
+    ) {
+        let kind = if let Some(pos) = self.pending.iter().position(|j| j.id == id) {
+            let _ = self.pending.remove(pos);
+            let _ = self.watches.remove(&id);
+            *from_pending(&mut self.counters) += 1;
+            "pending"
+        } else {
+            match self.session.complete(id) {
+                Ok(_) => {
+                    *from_running(&mut self.counters) += 1;
+                    "running"
+                }
+                Err(SessionError::Ledger(_)) => {
+                    self.counters.ledger_errors += 1;
+                    "ledger-error"
+                }
+                Err(_) => {
+                    self.counters.unknown_ops += 1;
+                    "unknown"
+                }
             }
         };
-        self.event(format!("{op} id={id} kind={kind}"));
+        if self.config.event_log {
+            self.event(format!("{op} id={id} kind={kind}"));
+        }
     }
 
     /// Apply one command. Placement only happens in
@@ -233,10 +256,20 @@ impl ServiceCore {
     pub fn apply(&mut self, cmd: Command) {
         match cmd {
             Command::Submit(job) => {
-                if self.pending.len() >= self.config.queue_cap {
+                // `watches` holds exactly the pending ids. Placing a second
+                // copy of a live id would orphan the first: one `Complete`
+                // retires one of them and the other holds its GPUs for good.
+                let duplicate =
+                    self.watches.contains_key(&job.id) || self.session.is_running(job.id);
+                if duplicate || self.pending.len() >= self.config.queue_cap {
                     self.counters.rejected += 1;
                     if self.config.event_log {
-                        self.event(format!("reject id={} queue={}", job.id, self.pending.len()));
+                        let why = if duplicate {
+                            "kind=duplicate".to_string()
+                        } else {
+                            format!("queue={}", self.pending.len())
+                        };
+                        self.event(format!("reject id={} {why}", job.id));
                     }
                     return;
                 }
@@ -254,36 +287,18 @@ impl ServiceCore {
                 self.counters.max_queue_depth =
                     self.counters.max_queue_depth.max(self.pending.len() as u64);
             }
-            Command::Cancel(id) => {
-                if let Some(pos) = self.pending.iter().position(|j| j.id == id) {
-                    let _ = self.pending.remove(pos);
-                    let _ = self.watches.remove(&id);
-                    self.counters.cancelled_pending += 1;
-                    self.event(format!("cancel id={id} kind=pending"));
-                } else {
-                    let retired = self.session.complete(id);
-                    if retired.is_ok() {
-                        self.counters.cancelled_running += 1;
-                    }
-                    self.retire_event("cancel", id, retired.err());
-                }
-            }
-            Command::Complete(id) => {
-                if let Some(pos) = self.pending.iter().position(|j| j.id == id) {
-                    // Completed before it was ever placed — it simply
-                    // leaves the queue; there is nothing to release.
-                    let _ = self.pending.remove(pos);
-                    let _ = self.watches.remove(&id);
-                    self.counters.completed_pending += 1;
-                    self.event(format!("complete id={id} kind=pending"));
-                } else {
-                    let retired = self.session.complete(id);
-                    if retired.is_ok() {
-                        self.counters.completed += 1;
-                    }
-                    self.retire_event("complete", id, retired.err());
-                }
-            }
+            Command::Cancel(id) => self.retire(
+                "cancel",
+                id,
+                |c| &mut c.cancelled_pending,
+                |c| &mut c.cancelled_running,
+            ),
+            Command::Complete(id) => self.retire(
+                "complete",
+                id,
+                |c| &mut c.completed_pending,
+                |c| &mut c.completed,
+            ),
             Command::Query(id, reply) => {
                 self.counters.queries += 1;
                 let status = self.status(id);

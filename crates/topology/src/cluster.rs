@@ -199,44 +199,6 @@ impl Cluster {
         self.num_servers() + self.num_racks()
     }
 
-    /// Number of pods (see [`ClusterSpec::racks_per_pod`]); 1 when the
-    /// spec declares no pod structure.
-    pub fn num_pods(&self) -> usize {
-        self.spec.num_pods()
-    }
-
-    /// The pod a rack belongs to. Racks are numbered pod-major, so this is
-    /// a plain division; clusters without pod structure report pod 0 for
-    /// every rack.
-    pub fn pod_of_rack(&self, rack: RackId) -> usize {
-        match self.spec.racks_per_pod {
-            Some(rpp) if rpp > 0 => rack.0 / rpp,
-            _ => 0,
-        }
-    }
-
-    /// The half-open range of rack indices owned by pod `pod` (clamped to
-    /// the rack count for a ragged final pod; empty when out of range).
-    pub fn pod_rack_range(&self, pod: usize) -> std::ops::Range<usize> {
-        let rpp = match self.spec.racks_per_pod {
-            Some(rpp) if rpp > 0 => rpp,
-            _ => self.racks.len(),
-        };
-        let start = (pod * rpp).min(self.racks.len());
-        let end = ((pod + 1) * rpp).min(self.racks.len());
-        start..end
-    }
-
-    /// The half-open range of server indices owned by pod `pod`. Servers
-    /// are rack-major and racks pod-major, so every pod owns a contiguous
-    /// server range (`DESIGN.md` §3.11).
-    pub fn pod_server_range(&self, pod: usize) -> std::ops::Range<usize> {
-        let racks = self.pod_rack_range(pod);
-        let start = racks.start * self.spec.servers_per_rack;
-        let end = racks.end * self.spec.servers_per_rack;
-        start..end
-    }
-
     /// Total GPUs installed.
     pub fn total_gpus(&self) -> usize {
         self.servers.iter().map(Server::gpus_total).sum()
@@ -384,40 +346,6 @@ mod tests {
             ..ClusterSpec::paper_default()
         };
         assert!(Cluster::try_new(spec).is_err());
-    }
-
-    #[test]
-    fn pod_ranges_cover_racks_and_servers_contiguously() {
-        // 5 racks of 2 servers, 2 racks per pod => pods {0,1}, {2,3}, {4}.
-        let c = Cluster::new(ClusterSpec {
-            racks: 5,
-            servers_per_rack: 2,
-            racks_per_pod: Some(2),
-            ..ClusterSpec::paper_default()
-        });
-        assert_eq!(c.num_pods(), 3);
-        assert_eq!(c.pod_rack_range(0), 0..2);
-        assert_eq!(c.pod_rack_range(2), 4..5, "final pod is ragged");
-        assert_eq!(c.pod_rack_range(3), 5..5, "out of range is empty");
-        assert_eq!(c.pod_server_range(1), 4..8);
-        assert_eq!(c.pod_of_rack(RackId(3)), 1);
-        assert_eq!(c.pod_of_rack(RackId(4)), 2);
-        // Ranges partition the index spaces.
-        let racks: usize = (0..c.num_pods()).map(|p| c.pod_rack_range(p).len()).sum();
-        let servers: usize = (0..c.num_pods())
-            .map(|p| c.pod_server_range(p).len())
-            .sum();
-        assert_eq!(racks, c.num_racks());
-        assert_eq!(servers, c.num_servers());
-    }
-
-    #[test]
-    fn podless_cluster_is_one_pod() {
-        let c = small();
-        assert_eq!(c.num_pods(), 1);
-        assert_eq!(c.pod_of_rack(RackId(1)), 0);
-        assert_eq!(c.pod_rack_range(0), 0..2);
-        assert_eq!(c.pod_server_range(0), 0..6);
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub struct ClusterSpec {
     /// structure is unknown; the cluster then behaves as a single pod.
     ///
     /// Pods carry **no semantics** in the one-big-switch model — capacities
-    /// are fully described by the per-rack uplink. They exist so that
-    /// warehouse-scale consumers (the flat placement path) can shard
-    /// rack-independent work per pod; see `DESIGN.md` §3.11.
+    /// are fully described by the per-rack uplink — and no placement or
+    /// simulation path reads them: the field records the fat-tree shape a
+    /// spec was lowered from ([`num_pods`](Self::num_pods)).
     pub racks_per_pod: Option<usize>,
 }
 

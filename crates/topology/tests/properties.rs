@@ -41,22 +41,6 @@ proptest! {
             prop_assert!((rack.uplink_gbps() - spec.rack_uplink_gbps()).abs() < 1e-9);
         }
         prop_assert_eq!(covered, c.num_servers());
-        // Pod ranges partition both index spaces contiguously.
-        let mut covered_racks = 0;
-        let mut covered_servers = 0;
-        for p in 0..c.num_pods() {
-            let rr = c.pod_rack_range(p);
-            prop_assert_eq!(rr.start, covered_racks);
-            covered_racks = rr.end;
-            let sr = c.pod_server_range(p);
-            prop_assert_eq!(sr.start, covered_servers);
-            covered_servers = sr.end;
-            for r in rr {
-                prop_assert_eq!(c.pod_of_rack(netpack_topology::RackId(r)), p);
-            }
-        }
-        prop_assert_eq!(covered_racks, c.num_racks());
-        prop_assert_eq!(covered_servers, c.num_servers());
     }
 
     /// Link indexing is a bijection over [0, num_links).

@@ -17,6 +17,13 @@
 # a function of the seed alone — is bit-equal across every run of both
 # sides. Every result line is kept in the two files named at the end.
 #
+# This script and `benchmark/run.sh`, which it drives, are the only ones
+# in the repository that measure. The figure binaries print single-shot
+# wall clocks for their figures, and the older JSON ledger some of them
+# appended to (with the script that regenerated it) was deleted in 0.14:
+# a timing that is not a median of alternating pairs from here is not a
+# claim.
+#
 # Never run it while another build, test or benchmark is running.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -15,6 +15,7 @@
 //! | [`waterfill`] | `netpack-waterfill` | Algorithm 1 steady-state estimation |
 //! | [`placement`] | `netpack-placement` | Algorithm 2 (NetPack) + six baselines + exact solver |
 //! | [`manager`] | `netpack-core` | the periodic batching job manager |
+//! | [`service`] | `netpack-service` | the continuous placement service (open-loop command stream) |
 //! | [`flowsim`] | `netpack-flowsim` | flow-level trace-replay simulator |
 //! | [`packetsim`] | `netpack-packetsim` | packet-level statistical-INA switch simulator |
 //! | [`metrics`] | `netpack-metrics` | JCT, distribution efficiency, stats |
@@ -47,6 +48,7 @@ pub use netpack_metrics as metrics;
 pub use netpack_model as model;
 pub use netpack_packetsim as packetsim;
 pub use netpack_placement as placement;
+pub use netpack_service as service;
 pub use netpack_topology as topology;
 pub use netpack_waterfill as waterfill;
 pub use netpack_workload as workload;
