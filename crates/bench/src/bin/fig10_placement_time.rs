@@ -16,8 +16,11 @@
 //!
 //! Knob: `NETPACK_SMOKE=1` runs one dense cell instead (16 racks x 64
 //! servers, 200 jobs: many servers per rack, many contending jobs) through
-//! [`placement_smoke`], so `scripts/check.sh` holds the per-rack PS-class
-//! dedup and the live-link water-fill rounds to the literal algorithm.
+//! [`placement_smoke`], so `scripts/check.sh` holds the per-class PS
+//! scoring and the live-link water-fill rounds to the literal algorithm,
+//! and pins the two PS-scoring counters of that cell: they count
+//! evaluations and the plan-rack servers those stood in for, which no
+//! change of mechanism may move.
 
 use netpack_bench::{emit_table, placement_smoke, quick};
 use netpack_metrics::{Stopwatch, TextTable};
@@ -32,7 +35,9 @@ fn main() {
             servers_per_rack: 64,
             ..ClusterSpec::paper_default()
         });
-        placement_smoke("fig10 dense", &cluster, &xorshift_batch(200, 32, 7));
+        let perf = placement_smoke("fig10 dense", &cluster, &xorshift_batch(200, 32, 7));
+        assert_eq!(perf.counter("ps_candidates_scored"), 35_424);
+        assert_eq!(perf.counter("ps_rack_servers_skipped"), 154_014);
         return;
     }
     let sizes: Vec<usize> = if quick() {

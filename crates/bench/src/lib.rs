@@ -40,7 +40,7 @@
 //! `bench_service` print are single shots for the figure, nothing more.
 
 use netpack_flowsim::{SimConfig, SimResult, Simulation};
-use netpack_metrics::{Summary, TextTable};
+use netpack_metrics::{PerfCounters, Summary, TextTable};
 use netpack_packetsim::{PacketJobSpec, SwitchConfig};
 use netpack_placement::{
     batch_comm_time_s, placer_by_name, reference, BatchOutcome, NetPackConfig, NetPackPlacer,
@@ -178,13 +178,14 @@ fn outcome_digest(outcome: &BatchOutcome) -> String {
 /// algorithm's ([`reference::place_batch`]) and that every water-fill
 /// solve converged, and print only the outcome digest — nothing
 /// time-dependent — so runs at different worker counts can be
-/// byte-diffed.
+/// byte-diffed. Returns the placer's perf counters, for a caller that
+/// pins some of them.
 ///
 /// # Panics
 ///
 /// Panics when production and the reference disagree, or a solve hit its
 /// round bound.
-pub fn placement_smoke(label: &str, cluster: &Cluster, batch: &[Job]) {
+pub fn placement_smoke(label: &str, cluster: &Cluster, batch: &[Job]) -> PerfCounters {
     let mut placer = NetPackPlacer::default();
     let outcome = placer.place_batch(cluster, &[], batch);
     let oracle = reference::place_batch(&NetPackConfig::default(), cluster, &[], batch);
@@ -206,6 +207,7 @@ pub fn placement_smoke(label: &str, cluster: &Cluster, batch: &[Job]) {
     );
     print!("{}", outcome_digest(&outcome));
     println!("objective_bits={:#018x}", objective.to_bits());
+    placer.take_perf()
 }
 
 /// Outcome of repeated trace replays for one placer.

@@ -19,15 +19,28 @@
 //!    selection offers [`CandidateFilter`] the first `⌊g_max/w⌋` members —
 //!    the rest lose to class-mates of equal value and lower id, so both
 //!    pick exactly what a scan of every server picks.
-//! 2. **Class-deduplicated PS scoring.** For a fixed plan, the score of a
-//!    PS candidate that hosts none of the plan's workers is a pure function
-//!    of `(flows, avail, rack uplink flows, rack uplink capacity)` — its
-//!    PS class — and of whether its rack is one of the plan's. Each plan
-//!    scores its chosen servers, one representative per PS class *per plan
-//!    rack*, and one representative per PS class for all other racks,
-//!    collapsing ~50k evaluations to a few hundred. The winner under
-//!    (max score, min server id) equals the reference's
-//!    first-strictly-greater scan.
+//! 2. **PS scoring per class, from a per-job table.** For a fixed plan,
+//!    the score of a PS candidate that hosts none of the plan's workers is
+//!    a pure function of `(flows, avail, rack uplink flows, rack uplink
+//!    capacity)` — its PS class — and of whether its rack is one of the
+//!    plan's; among equal scores only the lowest id can win. Every plan of
+//!    a job is scored against one steady state, so [`PsTable`] holds, per
+//!    live class and once per job, what no plan changes (`avail`,
+//!    `flows + 1`, the quotient `(C − avail)/(flows + 2)`, the class's
+//!    uplink group, its lowest member and the racks it spans) and, per
+//!    rack a plan of the job touches, the classes present there with their
+//!    lowest member in the rack. A plan then divides once per plan rack and
+//!    once per uplink group, scores its own servers with the literal
+//!    formula, and scores one representative per class per plan rack and
+//!    one per class outside them with two adds, a table lookup and two
+//!    `min`s (`max`s for the paper-literal term) each — a plan rack costs
+//!    its classes, not its servers. `min` and `max` are exact, so folding
+//!    them in another association returns the same bits; every operation
+//!    that rounds keeps the reference's operands and order, and a debug
+//!    build holds each representative's score to
+//!    [`score_candidate_flat`](NetPackPlacer::score_candidate_flat), the
+//!    literal formula, bit for bit. The winner under (max score, min
+//!    server id) equals the reference's first-strictly-greater scan.
 //! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
 //!    worker lists) lives in [`FlatBatch`] and is reused across the whole
 //!    batch; the hot loop allocates nothing, and the [`Cluster`] is static
@@ -42,10 +55,10 @@
 //! [`NetPackSession`](crate::NetPackSession) keeps its pair warm.
 
 use crate::dp::{WorkerDp, WorkerPlan};
-use crate::index::{RefreshStats, ServerIndex};
+use crate::index::{Partition, PsKey, RefreshStats, ServerIndex};
 use crate::knapsack::subset_in_placement_order;
 use crate::ledger::GpuLedger;
-use crate::netpack::{record_waterfill, NetPackPlacer};
+use crate::netpack::{record_waterfill, HotSpotTerm, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
 use netpack_metrics::{parallel_sweep_reduce, PerfCounters, Stopwatch};
@@ -53,6 +66,7 @@ use netpack_model::Placement;
 use netpack_topology::{Cluster, FlatTopology, RackId, ServerId, TopologyError};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
+use std::ops::Range;
 use std::sync::{Mutex, TryLockError};
 
 /// Minimum plan count before the PS-scoring loop fans out across threads;
@@ -69,6 +83,9 @@ pub(crate) struct FlatBatch {
     /// Server classes for the single-server shortcut, candidate selection
     /// and PS scoring; built by the first job, refreshed by every later one.
     index: ServerIndex,
+    /// What PS scoring reads of the index, laid out per class for the job
+    /// being placed; rebuilt by every job that reaches PS scoring.
+    ps_table: PsTable,
     // -- per-plan scratch (stamped, never cleared) --
     /// The master [`PlanScratch`], used by every sequential plan loop.
     scratch: PlanScratch,
@@ -80,9 +97,9 @@ pub(crate) struct FlatBatch {
     ps_scored: Vec<(f64, ServerId)>,
 }
 
-/// Per-plan stamped scratch: which servers and racks the current plan
-/// touches, its per-rack worker totals, and which PS classes the plan rack
-/// being scored has already shown. Extracted from [`FlatBatch`]
+/// Per-plan scratch: which servers and racks the current plan touches
+/// (stamped, never cleared), its per-rack worker totals, and the plan's
+/// share of each rack uplink it would cross. Extracted from [`FlatBatch`]
 /// so the parallel plan loop can hand each worker an independent copy; the
 /// stamp trick (bump a counter instead of clearing arrays) is unchanged,
 /// and scores are a pure function of the plan — never of which scratch, or
@@ -93,11 +110,12 @@ struct PlanScratch {
     rack_stamp: Vec<u32>,
     stamp: u32,
     rack_workers: Vec<(RackId, u32)>,
-    /// `class_seen[c] == class_mark`: PS class `c` already has its
-    /// representative in the plan rack being scored. Grown to the class
-    /// count on demand; a fresh mark per plan rack stands in for clearing.
-    class_seen: Vec<u32>,
-    class_mark: u32,
+    /// `C_r / (FC_r + n_r)` per entry of `rack_workers`.
+    rack_share: Vec<f64>,
+    /// Per [`PsTable`] uplink group: the fold of every plan rack's share
+    /// and the group's own uplink carrying all of the plan's workers — the
+    /// rack part of the hot-spot term of a PS outside the plan's racks.
+    group_term: Vec<f64>,
 }
 
 /// Work done scoring PS candidates.
@@ -146,19 +164,146 @@ impl PlanScratch {
         }
         stamp
     }
+}
 
-    /// Start a plan rack: a mark no entry of `class_seen` holds, with room
-    /// for `classes` class ids.
-    fn begin_rack(&mut self, classes: usize) -> u32 {
-        if self.class_seen.len() < classes {
-            self.class_seen.resize(classes, 0);
+/// One live PS class as every plan of the current job scores it: the part
+/// of [`NetPackPlacer::score_candidate_flat`] no plan changes.
+#[derive(Debug, Clone, Copy)]
+struct PsRow {
+    /// The class's id in the PS partition, for its member list.
+    class: u32,
+    /// Lowest-id member.
+    first: u32,
+    /// Racks of the lowest- and highest-id member: equal when the class
+    /// lies inside one rack.
+    first_rack: u32,
+    last_rack: u32,
+    /// Index of the class's `(uplink flows, uplink capacity)` in
+    /// [`PsTable::groups`].
+    group: u32,
+    /// `flows + 1`: the access link's flows with this job's PS flow added.
+    flows1: u32,
+    avail: f64,
+    /// `(C − avail) / (f64::from(flows + 1) + 1.0)`.
+    penalty: f64,
+}
+
+/// A class present in a rack: where its members there begin.
+#[derive(Debug, Clone, Copy)]
+struct RackEntry {
+    /// Index into [`PsTable::rows`].
+    row: u32,
+    /// The class's lowest-id member in the rack, at `pos` in its member
+    /// list.
+    first: u32,
+    pos: u32,
+}
+
+/// The per-job PS class table (module docs, mechanism 2): built once per
+/// job from the refreshed index, read by every plan of that job.
+#[derive(Debug)]
+struct PsTable {
+    /// Access-link capacity `C`, fixed for the batch's cluster.
+    capacity: f64,
+    /// Live classes in class-id order.
+    rows: Vec<PsRow>,
+    /// Distinct `(rack uplink flows, rack uplink capacity)` over `rows`.
+    groups: Vec<(u32, f64)>,
+    /// Per rack some plan of the job touches: the classes present, as a
+    /// range of `rack_entries`. Racks no plan touches keep an older job's
+    /// range; nothing reads it.
+    rack_lists: Vec<Range<u32>>,
+    rack_entries: Vec<RackEntry>,
+    /// `(C / (f + 1), C / max(f, 1))` by flow count `f` — the two
+    /// quotients of the hot-spot term that depend on `f_max` alone. Grown,
+    /// never cleared: `C` is the batch's.
+    hot: Vec<(f64, f64)>,
+}
+
+impl PsTable {
+    fn new(capacity: f64) -> Self {
+        PsTable {
+            capacity,
+            rows: Vec::new(),
+            groups: Vec::new(),
+            rack_lists: Vec::new(),
+            rack_entries: Vec::new(),
+            hot: Vec::new(),
         }
-        self.class_mark = self.class_mark.wrapping_add(1);
-        if self.class_mark == 0 {
-            self.class_seen.fill(0);
-            self.class_mark = 1;
+    }
+
+    /// Rebuild for the job whose plans are `plans`, from the PS partition
+    /// as [`FlatBatch::refresh_index`] just left it.
+    fn build(&mut self, topo: &FlatTopology, classes: &Partition<PsKey>, plans: &[WorkerPlan]) {
+        self.rows.clear();
+        self.groups.clear();
+        for (class, (key, members)) in classes.classes().enumerate() {
+            let (Some(&first), Some(&last)) = (members.front(), members.back()) else {
+                continue;
+            };
+            let uplink = (key.fc_up, f64::from_bits(key.up_bits));
+            let group = self.groups.iter().position(|&g| g == uplink).unwrap_or_else(|| {
+                self.groups.push(uplink);
+                self.groups.len() - 1
+            });
+            let avail = f64::from_bits(key.avail_bits);
+            let flows1 = key.flows + 1;
+            self.rows.push(PsRow {
+                class: class as u32,
+                first,
+                first_rack: topo.rack_of(first as usize) as u32,
+                last_rack: topo.rack_of(last as usize) as u32,
+                group: group as u32,
+                flows1,
+                avail,
+                penalty: (self.capacity - avail) / (f64::from(flows1) + 1.0),
+            });
         }
-        self.class_mark
+        let f_max = self.rows.iter().map(|r| r.flows1).chain(plans.iter().map(|p| p.max_flows)).max();
+        for f in self.hot.len() as u32..=f_max.unwrap_or(0) {
+            self.hot.push((self.capacity / (f64::from(f) + 1.0), self.capacity / f64::from(f.max(1))));
+        }
+        // A rack's list is filled by the first plan server found in it.
+        self.rack_entries.clear();
+        self.rack_lists.clear();
+        self.rack_lists.resize(topo.num_racks(), 0..0);
+        for &sid in plans.iter().flat_map(|p| &p.servers) {
+            let rack = topo.rack_of(sid.0);
+            if self.rack_lists[rack].is_empty() {
+                self.rack_lists[rack] = self.fill_rack(topo, classes, rack);
+            }
+        }
+    }
+
+    /// Append rack `rack`'s classes to `rack_entries`; returns their range
+    /// (never empty: the rack has servers, each in a live class).
+    fn fill_rack(&mut self, topo: &FlatTopology, classes: &Partition<PsKey>, rack: usize) -> Range<u32> {
+        let servers = topo.rack_server_range(rack);
+        let begin = self.rack_entries.len() as u32;
+        for (row, r) in self.rows.iter().enumerate() {
+            if (r.first_rack as usize) > rack || (r.last_rack as usize) < rack {
+                continue;
+            }
+            let members = classes.members_of(r.class as usize);
+            let pos = if r.first_rack as usize == rack {
+                0
+            } else {
+                members.partition_point(|&m| (m as usize) < servers.start)
+            };
+            match members.get(pos) {
+                Some(&first) if (first as usize) < servers.end => {
+                    self.rack_entries.push(RackEntry { row: row as u32, first, pos: pos as u32 });
+                }
+                _ => {}
+            }
+        }
+        begin..self.rack_entries.len() as u32
+    }
+
+    /// The classes present in `rack`, one of the current job's plan racks.
+    fn rack_list(&self, rack: usize) -> &[RackEntry] {
+        let list = &self.rack_lists[rack];
+        &self.rack_entries[list.start as usize..list.end as usize]
     }
 }
 
@@ -188,6 +333,7 @@ impl FlatBatch {
             topo,
             ledger: GpuLedger::new(cluster),
             index: ServerIndex::new(),
+            ps_table: PsTable::new(cluster.spec().server_link_gbps),
             scratch,
             plan_pool: Vec::new(),
             ps_scored: Vec::new(),
@@ -304,17 +450,33 @@ impl NetPackPlacer {
         base + term
     }
 
+    /// The hot-spot term of a PS that hosts none of the plan's workers —
+    /// [`hotspot_term`](Self::hotspot_term) with every quotient looked up:
+    /// `hot` is [`PsTable::hot`] at the candidate's `f_max`, `crossed` the
+    /// fold of the shares on the rack uplinks the job would cross (`None`
+    /// when plan and PS share one rack).
+    fn table_term(&self, hot: (f64, f64), crossed: Option<f64>) -> f64 {
+        let (share, literal) = hot;
+        match (self.config.hotspot, crossed) {
+            (HotSpotTerm::RewardBottleneckShare, None) => share,
+            (HotSpotTerm::RewardBottleneckShare, Some(racks)) => share.min(racks),
+            (HotSpotTerm::PaperLiteral, None) => -literal,
+            (HotSpotTerm::PaperLiteral, Some(racks)) => -share.max(racks).max(literal),
+        }
+    }
+
     /// Best `(score, PS server)` of one plan under (max score, min id) —
     /// equal to the reference's ascending first-strictly-greater scan.
     ///
     /// A server hosting none of the plan's workers scores as a pure
-    /// function of its [`PsKey`](crate::index::PsKey) class and of which
-    /// plan rack, if any, it sits in; among servers of equal score only
-    /// the lowest id can win. So inside each plan rack the chosen servers
-    /// are scored one by one and everyone else through the first (lowest
-    /// id) server of each class, and outside the plan racks each class is
-    /// scored through its lowest-id member there. `tally` counts the
-    /// evaluations performed and the plan-rack servers they stood in for.
+    /// function of its [`PsKey`] class and of which plan rack, if any, it
+    /// sits in; among servers of equal score only the lowest id can win.
+    /// So the plan's own servers are scored one by one with the literal
+    /// formula and everyone else through `fb`'s [`PsTable`] (built for
+    /// this job): inside each plan rack the lowest-id unchosen member of
+    /// each class there, outside the plan racks each class's lowest-id
+    /// member there. `tally` counts the evaluations performed and the
+    /// plan-rack servers they stood in for.
     #[allow(clippy::too_many_arguments)]
     fn score_plan_flat(
         &self,
@@ -327,55 +489,120 @@ impl NetPackPlacer {
         tally: &mut ScoreTally,
     ) -> Option<(f64, ServerId)> {
         let stamp = ps.begin(&fb.topo, fb.ledger.free(), plan);
+        let table = &fb.ps_table;
+        let classes = &fb.index.ps;
+        let pick = match self.config.hotspot {
+            HotSpotTerm::RewardBottleneckShare => f64::min,
+            HotSpotTerm::PaperLiteral => f64::max,
+        };
+        // `fold_rack_shares`, each quotient taken once per plan: the share
+        // of every plan rack's uplink, then per uplink group the fold a PS
+        // outside the plan racks sees — all of them and its own uplink
+        // carrying every worker of the plan. A plan has servers, each with
+        // free GPUs, so no rack adds zero flows.
+        let rack_fc = state.rack_uplinks_flows();
+        let share = |rack: usize, added: u32| {
+            fb.topo.rack_uplink_gbps(rack) / f64::from(rack_fc[rack] + added)
+        };
+        ps.rack_share.clear();
+        ps.rack_share.extend(ps.rack_workers.iter().map(|&(r, w)| share(r.0, w)));
+        let workers: u32 = ps.rack_workers.iter().map(|&(_, w)| w).sum();
+        let all = ps.rack_share.iter().copied().reduce(pick)?;
+        ps.group_term.clear();
+        ps.group_term.extend(
+            table.groups.iter().map(|&(fc, gbps)| pick(all, gbps / f64::from(fc + workers))),
+        );
+        let ps = &*ps;
+
         let mut best: Option<(f64, usize)> = None;
-        let consider = |score: f64, sid: usize, best: &mut Option<(f64, usize)>| {
-            let wins = match *best {
+        let mut consider = |score: f64, sid: usize| {
+            let wins = match best {
                 None => true,
                 Some((b, bsid)) => score > b || (score == b && sid < bsid),
             };
             if wins {
-                *best = Some((score, sid));
+                best = Some((score, sid));
             }
         };
-        let classes = &fb.index.ps;
-        for ri in 0..ps.rack_workers.len() {
-            let rack = ps.rack_workers[ri].0;
-            let mark = ps.begin_rack(classes.num_classes());
-            for sid in fb.topo.rack_server_range(rack.0) {
-                if ps.chosen_stamp[sid] != stamp {
-                    let seen = &mut ps.class_seen[classes.class_of(sid)];
-                    if *seen == mark {
-                        tally.rack_skipped += 1;
-                        continue;
+        let literal =
+            |sid: usize| self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
+        let score_row = |row: &PsRow, sid: usize, crossed: Option<f64>| {
+            let f_max = plan.max_flows.max(row.flows1);
+            let base = plan.value + row.avail - row.penalty;
+            let score = base + self.table_term(table.hot[f_max as usize], crossed);
+            debug_assert_eq!(
+                score.to_bits(),
+                literal(sid).to_bits(),
+                "server {sid}: the PS class table is not the index's"
+            );
+            score
+        };
+        for &sid in &plan.servers {
+            consider(literal(sid.0), sid.0);
+        }
+        let mut evals = plan.servers.len();
+        let mut rack_servers = 0;
+        for (ri, &(rack, w)) in ps.rack_workers.iter().enumerate() {
+            // A PS in plan rack `rack` is crossed by every other plan
+            // rack's workers: their uplinks, then its own carrying them.
+            let others = ps.rack_share.iter().enumerate().filter(|&(i, _)| i != ri);
+            let crossed = others
+                .map(|(_, &q)| q)
+                .reduce(pick)
+                .map(|racks| pick(racks, share(rack.0, workers - w)));
+            let servers = fb.topo.rack_server_range(rack.0);
+            rack_servers += servers.len();
+            for entry in table.rack_list(rack.0) {
+                let row = &table.rows[entry.row as usize];
+                // The class's lowest-id member here that the plan left
+                // alone: step past chosen heads.
+                let mut sid = entry.first as usize;
+                if ps.chosen_stamp[sid] == stamp {
+                    let members = classes.members_of(row.class as usize);
+                    let unchosen = members
+                        .range(entry.pos as usize + 1..)
+                        .map(|&m| m as usize)
+                        .take_while(|&m| m < servers.end)
+                        .find(|&m| ps.chosen_stamp[m] != stamp);
+                    match unchosen {
+                        Some(m) => sid = m,
+                        None => continue,
                     }
-                    *seen = mark;
                 }
-                let score =
-                    self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
-                tally.evals += 1;
-                consider(score, sid, &mut best);
+                consider(score_row(row, sid, crossed), sid);
+                evals += 1;
             }
         }
-        // Members ascend and a rack is a contiguous id range, so the first
-        // member past each plan rack is one binary search away; a class
-        // lying wholly inside plan racks costs a search per rack, not a
-        // walk over its members.
-        for (_, members) in classes.classes() {
+        // Every server of a plan rack was evaluated or stood in for.
+        tally.rack_skipped += (rack_servers - evals) as u64;
+        // Members ascend and a rack is a contiguous id range, so a class's
+        // first member past each plan rack is one binary search away.
+        let first_outside = |class: u32| {
+            let members = classes.members_of(class as usize);
             let mut at = 0;
-            while let Some(&m) = members.get(at) {
+            loop {
+                let &m = members.get(at)?;
                 let rack = fb.topo.rack_of(m as usize);
                 if ps.rack_stamp[rack] != stamp {
-                    let sid = m as usize;
-                    let score = self
-                        .score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
-                    tally.evals += 1;
-                    consider(score, sid, &mut best);
-                    break;
+                    return Some(m as usize);
                 }
                 let rack_end = fb.topo.rack_server_range(rack).end as u32;
                 at = members.partition_point(|&x| x < rack_end);
             }
+        };
+        for row in &table.rows {
+            let outside = if ps.rack_stamp[row.first_rack as usize] != stamp {
+                Some(row.first as usize)
+            } else if row.first_rack == row.last_rack {
+                None // wholly inside one plan rack
+            } else {
+                first_outside(row.class)
+            };
+            let Some(sid) = outside else { continue };
+            consider(score_row(row, sid, Some(ps.group_term[row.group as usize])), sid);
+            evals += 1;
         }
+        tally.evals += evals as u64;
         best.map(|(score, sid)| (score, ServerId(sid)))
     }
 
@@ -447,9 +674,10 @@ impl NetPackPlacer {
             return None;
         }
 
-        // PSPlacement with class-deduplicated scoring.
+        // PSPlacement: every plan against the one class table of this job.
         perf.incr("plans_considered", plans.len() as u64);
         let scoring_start = Stopwatch::start();
+        fb.ps_table.build(&fb.topo, &fb.index.ps, &plans);
         let (best, tally) = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
             // Workers score disjoint plan ranges concurrently on pooled
             // scratches; the ordered fold re-applies the sequential
@@ -730,36 +958,61 @@ mod tests {
         }
     }
 
-    /// Per plan, the deduplicated scorer must pick what a scan of every
-    /// server picks — on plans spanning racks whose servers share PS
-    /// classes (a representative of one plan rack must not stand in for
-    /// another's: the hot-spot term differs), with the plan's own servers
-    /// inside those classes, under both hot-spot variants.
+    /// Per plan, the table scorer must return what a scan of every server
+    /// with the literal formula returns — winner and score bits — and its
+    /// counters must add up: every plan-rack server evaluated or stood in
+    /// for, one evaluation per class with a member outside. Plans over
+    /// one to four racks, both hot-spot variants, on an index churn has
+    /// left with dead classes and a class that spans racks; each path of
+    /// the scorer is asserted taken: a chosen server alone of its class in
+    /// its rack, chosen heads of a bigger class (the member-list step), a
+    /// spanning class that begins in a plan rack (the fallback walk, ending
+    /// outside or nowhere) and a class inside one plan rack (the O(1)
+    /// skip). Three one-line mutations of `score_plan_flat` each fail it,
+    /// in a release build too: folding *every* plan rack into a plan-rack
+    /// PS's term (`i != ri` dropped), `workers` where its own uplink
+    /// carries `workers - w`, and `continue` in place of the step past a
+    /// chosen head.
     #[test]
     fn plan_scoring_equals_a_full_scan() {
         let c = Cluster::new(ClusterSpec {
-            racks: 3,
+            racks: 4,
             servers_per_rack: 24,
             gpus_per_server: 4,
             oversubscription: 8.0,
             ..ClusterSpec::paper_default()
         });
+        let (n, spr) = (96, 24);
         let capacity = c.spec().server_link_gbps;
         let mut fb = FlatBatch::new(&c);
         // Background: racks 0 and 1 carry the same uplink load (so their
-        // idle servers share one PS class), rack 2 a different one.
+        // idle servers share one PS class), rack 2 another. The job that
+        // comes and goes inside rack 3 is re-keyed in and out server by
+        // server, and leaves its classes dead.
         let background = [
             Placement::new(vec![(ServerId(1), 2), (ServerId(25), 2)], Some(ServerId(2))),
             Placement::new(vec![(ServerId(30), 3), (ServerId(50), 1), (ServerId(51), 1)], Some(ServerId(52))),
             Placement::new(vec![(ServerId(60), 4), (ServerId(61), 2)], Some(ServerId(61))),
+            Placement::new(vec![(ServerId(80), 1), (ServerId(81), 1)], Some(ServerId(82))),
         ];
         let mut inc = IncrementalEstimator::new(&c, &[]);
+        fb.refresh_index(&mut inc);
         for (i, p) in background.iter().enumerate() {
             assert!(fb.commit(p));
             inc.push(&c, PlacedJob::new(JobId(100 + i as u64), &c, p));
+            fb.refresh_index(&mut inc);
         }
-        fb.refresh_index(&mut inc);
+        assert_eq!(inc.pop(&c), Some(JobId(103)));
+        fb.credit(&background[3]).unwrap();
+        assert_eq!(fb.refresh_index(&mut inc).rebuilds, 0);
         let state = inc.state();
+        let classes: Vec<Vec<usize>> = fb
+            .index
+            .ps
+            .classes()
+            .map(|(_, members)| members.iter().map(|&m| m as usize).collect())
+            .collect();
+        assert!(classes.iter().any(|members| members.is_empty()), "no dead class");
 
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut below = move |n: usize| {
@@ -768,43 +1021,114 @@ mod tests {
             seed ^= seed << 17;
             (seed % n as u64) as usize
         };
+        // Plans over exactly `1 + case % 4` racks, starting anywhere.
+        let plans: Vec<WorkerPlan> = (0..400)
+            .map(|case| {
+                let (racks, from) = (1 + case % 4, below(4));
+                let mut servers: Vec<ServerId> = Vec::new();
+                for i in 0..racks + below(4) {
+                    let s = ServerId((from + i % racks) % 4 * spr + below(spr));
+                    if fb.ledger.free()[s.0] > 0 && !servers.contains(&s) {
+                        servers.push(s);
+                    }
+                }
+                WorkerPlan {
+                    gpus: servers.iter().map(|s| fb.ledger.free()[s.0] as usize).sum(),
+                    servers,
+                    max_flows: below(6) as u32,
+                    value: below(400) as f64 * 0.5,
+                }
+            })
+            .filter(|plan| !plan.servers.is_empty())
+            .collect();
+        fb.ps_table.build(&fb.topo, &fb.index.ps, &plans);
+
         let mut scratch = std::mem::take(&mut fb.scratch);
-        let mut tally = ScoreTally::default();
+        // [1, 2, 3, 4]-rack plans, then the scorer's paths.
+        let mut rack_counts = [0; 4];
+        let (mut alone, mut stepped, mut walked_out, mut walked_off, mut skipped) = (0, 0, 0, 0, 0);
         for hotspot in [HotSpotTerm::RewardBottleneckShare, HotSpotTerm::PaperLiteral] {
             let placer = NetPackPlacer::new(NetPackConfig {
                 hotspot,
                 ..NetPackConfig::default()
             });
-            for case in 0..300 {
-                let mut servers: Vec<ServerId> = Vec::new();
-                for _ in 0..2 + below(5) {
-                    let s = ServerId(below(72));
-                    if fb.ledger.free()[s.0] > 0 && !servers.contains(&s) {
-                        servers.push(s);
-                    }
-                }
-                let plan = WorkerPlan {
-                    gpus: servers.iter().map(|s| fb.ledger.free()[s.0] as usize).sum(),
-                    servers,
-                    max_flows: below(6) as u32,
-                    value: below(400) as f64 * 0.5,
-                };
+            for (case, plan) in plans.iter().enumerate() {
+                let mut tally = ScoreTally::default();
                 let got =
-                    placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, &plan, &mut tally);
-                let stamp = scratch.begin(&fb.topo, fb.ledger.free(), &plan);
+                    placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, plan, &mut tally);
+                let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
                 let mut want: Option<(f64, ServerId)> = None;
-                for sid in 0..72 {
+                for sid in 0..n {
                     let score = placer
-                        .score_candidate_flat(&fb, &scratch, &c, state, capacity, &plan, sid, stamp);
+                        .score_candidate_flat(&fb, &scratch, &c, state, capacity, plan, sid, stamp);
                     if want.is_none_or(|(b, _)| score > b) {
                         want = Some((score, ServerId(sid)));
                     }
                 }
                 let bits = |r: Option<(f64, ServerId)>| r.map(|(score, sid)| (score.to_bits(), sid));
                 assert_eq!(bits(got), bits(want), "{hotspot:?} case {case}: {plan:?}");
+
+                let in_plan = |s: usize| scratch.rack_stamp[s / spr] == stamp;
+                let chosen = |s: usize| scratch.chosen_stamp[s] == stamp;
+                let outside = classes.iter().filter(|members| !members.iter().all(|&s| in_plan(s)));
+                assert_eq!(
+                    tally.evals + tally.rack_skipped,
+                    (scratch.rack_workers.len() * spr + outside.count()) as u64,
+                    "{hotspot:?} case {case}: {plan:?}"
+                );
+                rack_counts[scratch.rack_workers.len() - 1] += 1;
+                for members in classes.iter().filter(|members| !members.is_empty()) {
+                    let (first, last) = (members[0], members[members.len() - 1]);
+                    for &(rack, _) in &scratch.rack_workers {
+                        let here: Vec<usize> =
+                            members.iter().copied().filter(|&s| s / spr == rack.0).collect();
+                        alone += usize::from(here.len() == 1 && chosen(here[0]));
+                        stepped += usize::from(here.len() > 1 && chosen(here[0]));
+                    }
+                    if in_plan(first) && first / spr == last / spr {
+                        skipped += 1;
+                    } else if in_plan(first) && members.iter().all(|&s| in_plan(s)) {
+                        walked_off += 1;
+                    } else if in_plan(first) {
+                        walked_out += 1;
+                    }
+                }
             }
         }
-        assert!(tally.rack_skipped > 0 && tally.evals < 600 * 72 / 2);
+        assert!(rack_counts.iter().all(|&plans| plans > 20), "{rack_counts:?}");
+        let paths = [alone, stepped, walked_out, walked_off, skipped];
+        assert!(paths.iter().all(|&taken| taken > 20), "{paths:?}");
+    }
+
+    /// The table is a reading of the index: one built before the index
+    /// moved on scores stale classes, and the per-representative assertion
+    /// of a debug build says so.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the PS class table is not the index's")]
+    fn a_table_older_than_the_index_is_caught() {
+        let c = cluster(32, 8, 4);
+        let capacity = c.spec().server_link_gbps;
+        let mut fb = FlatBatch::new(&c);
+        let mut inc = IncrementalEstimator::new(&c, &[]);
+        fb.refresh_index(&mut inc);
+        let plan = WorkerPlan {
+            servers: vec![ServerId(4), ServerId(30)],
+            gpus: 8,
+            max_flows: 1,
+            value: 10.0,
+        };
+        fb.ps_table.build(&fb.topo, &fb.index.ps, std::slice::from_ref(&plan));
+        // Rack 0's idle class loses its head to a job; the table still
+        // scores server 0 as idle.
+        let p = Placement::new(vec![(ServerId(0), 4), (ServerId(9), 4)], Some(ServerId(0)));
+        assert!(fb.commit(&p));
+        inc.push(&c, PlacedJob::new(JobId(0), &c, &p));
+        assert_eq!(fb.refresh_index(&mut inc).rebuilds, 0);
+        let mut scratch = std::mem::take(&mut fb.scratch);
+        let mut tally = ScoreTally::default();
+        NetPackPlacer::default()
+            .score_plan_flat(&fb, &mut scratch, &c, inc.state(), capacity, &plan, &mut tally);
     }
 
     /// Class keys separate servers whose racks differ in uplink load.

@@ -63,14 +63,14 @@ pub(crate) trait ClassKey: Copy + PartialEq + std::fmt::Debug {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PsKey {
     /// Steady-state flows on the server's access link.
-    flows: u32,
+    pub flows: u32,
     /// Bit pattern of the server's residual access bandwidth.
-    avail_bits: u64,
+    pub avail_bits: u64,
     /// Existing flows on the server's rack uplink.
-    fc_up: u32,
+    pub fc_up: u32,
     /// Bit pattern of the rack uplink capacity (uniform today; keyed so
     /// heterogeneous racks can never silently break the dedup).
-    up_bits: u64,
+    pub up_bits: u64,
 }
 
 impl ClassKey for PsKey {
@@ -132,14 +132,10 @@ impl<K: ClassKey> Partition<K> {
         self.keys.iter().zip(&self.members)
     }
 
-    /// Class ids in use, dead classes included: `class_of` is below this.
-    pub(crate) fn num_classes(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// The class `server` is currently filed under.
-    pub(crate) fn class_of(&self, server: usize) -> usize {
-        self.class_of[server] as usize
+    /// Ascending members of class `class`, an index into
+    /// [`classes`](Self::classes)' order.
+    pub(crate) fn members_of(&self, class: usize) -> &VecDeque<u32> {
+        &self.members[class]
     }
 
     /// The key `server` is currently filed under.
@@ -148,7 +144,7 @@ impl<K: ClassKey> Partition<K> {
     }
 
     /// Whether dead classes have piled up enough to be worth a rebuild:
-    /// each costs every plan a probe, a rebuild costs a pass over `n`.
+    /// each costs every class walk a probe, a rebuild costs a pass over `n`.
     fn bloated(&self, n: usize) -> bool {
         self.dead > self.keys.len() - self.dead + n / 32
     }
@@ -790,7 +786,7 @@ mod tests {
         let (avail, flows) = (state.servers_available_gbps(), state.servers_flows());
         assert_eq!(avail[2].to_bits(), avail[5].to_bits(), "the fixture must tie on bandwidth");
         assert_ne!(flows[2], flows[5], "the fixture must split the tie into two classes");
-        assert!(index.filter.class_of(5) < index.filter.class_of(2));
+        assert!(index.filter.class_of[5] < index.filter.class_of[2]);
         for gpus in 1..=5 {
             let want = ledger.scan_tightest_fit(avail, gpus);
             assert_eq!(index.tightest_fit(gpus), want, "{gpus} GPUs");

@@ -300,6 +300,78 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The per-job PS class table follows the server index wherever churn
+    /// leaves it. A warm session on an oversubscribed 8-rack cluster (so
+    /// the rack a PS sits in moves its score) places seeded batches and
+    /// completes a seeded half of what runs, round after round — PS keys
+    /// re-keyed in and out, dead classes, classes spanning racks are
+    /// whatever that leaves — and then places jobs one at a time: each
+    /// must land exactly where the literal algorithm puts it on a cluster
+    /// holding the same running set, at one and four placer workers, with
+    /// one and two PSes a job.
+    #[test]
+    fn placement_after_churn_matches_reference(seed in any::<u64>()) {
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 24,
+            servers_per_rack: 6,
+            gpus_per_server: 4,
+            oversubscription: 8.0,
+            ..ClusterSpec::paper_default()
+        });
+        for (threads, pses_per_job) in [(1usize, 1usize), (4, 1), (1, 2), (4, 2)] {
+            let config = NetPackConfig {
+                threads: Some(threads),
+                pses_per_job,
+                ..NetPackConfig::default()
+            };
+            let mut state = seed | 1;
+            let mut below = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut next_id = 0u64;
+            let mut job = |gpus: u64| {
+                next_id += 1;
+                Job::builder(JobId(next_id), ModelKind::Vgg16, gpus as usize).build()
+            };
+            let mut session = NetPackSession::new(cluster.clone(), config.clone());
+            for _ in 0..5 {
+                let batch: Vec<Job> = (0..12).map(|_| job(1 + below(14))).collect();
+                session.place_batch(&batch);
+                let done: Vec<JobId> = session
+                    .running()
+                    .iter()
+                    .filter(|_| below(2) == 0)
+                    .map(|r| r.id)
+                    .collect();
+                for id in done {
+                    prop_assert!(session.complete(id).is_ok());
+                }
+            }
+            for _ in 0..6 {
+                let job = job(1 + below(32));
+                let running = session.running().to_vec();
+                let mut held = cluster.clone();
+                for r in &running {
+                    for &(s, w) in r.placement.workers() {
+                        held.allocate_gpus(s, w).expect("the session over-committed");
+                    }
+                }
+                let oracle = reference::place_batch(&config, &held, &running, std::slice::from_ref(&job));
+                let out = session.place_batch(std::slice::from_ref(&job));
+                prop_assert_eq!(&out.placed, &oracle.placed, "threads={} pses={}", threads, pses_per_job);
+                prop_assert_eq!(out.deferred.len(), oracle.deferred.len());
+                prop_assert_eq!(session.audit_index(), Ok(()));
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The DP's best exact-demand plan is at least as valuable as any

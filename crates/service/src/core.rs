@@ -194,9 +194,10 @@ impl ServiceCore {
         adaptive_batch_limit(self.cost_ewma_s, &self.config)
     }
 
-    /// Where `id` currently stands.
+    /// Where `id` currently stands. `watches` holds exactly the pending
+    /// ids, so the queue itself is never searched.
     pub fn status(&self, id: JobId) -> JobStatus {
-        if self.pending.iter().any(|j| j.id == id) {
+        if self.watches.contains_key(&id) {
             JobStatus::Pending
         } else if self.session.is_running(id) {
             JobStatus::Running
@@ -216,7 +217,9 @@ impl ServiceCore {
     /// pending simply leaves the queue: nothing was allocated, there is
     /// nothing to release. Otherwise the session retires it, and its two
     /// refusals are counted apart: a stale id is routine, books that
-    /// disagree are the one error an operator must see.
+    /// disagree are the one error an operator must see. The queue is
+    /// searched only for an id `watches` says is in it: most retirements
+    /// are of running jobs, and the queue can be deep.
     fn retire(
         &mut self,
         op: &str,
@@ -224,9 +227,8 @@ impl ServiceCore {
         from_pending: fn(&mut ServiceCounters) -> &mut u64,
         from_running: fn(&mut ServiceCounters) -> &mut u64,
     ) {
-        let kind = if let Some(pos) = self.pending.iter().position(|j| j.id == id) {
-            let _ = self.pending.remove(pos);
-            let _ = self.watches.remove(&id);
+        let kind = if self.watches.remove(&id).is_some() {
+            self.pending.retain(|j| j.id != id);
             *from_pending(&mut self.counters) += 1;
             "pending"
         } else {
@@ -489,6 +491,66 @@ mod tests {
         assert_eq!(c.unknown_ops, 2);
         assert_eq!(core.free_gpus(), 32);
         assert_eq!(core.pending_len(), 0);
+    }
+
+    /// `status` and `retire` ask `watches` where a job stands and search
+    /// the queue only on a hit. With the queue 192 deep they must answer
+    /// as a scan of it does — for a pending, a running and an unknown id —
+    /// count and log the same, and leave the queue in order.
+    #[test]
+    fn a_deep_queue_answers_as_a_scan_of_it_would() {
+        let mut core = core_with_events();
+        for id in 0..200 {
+            core.apply(Command::Submit(job(id, 4)));
+        }
+        assert_eq!(core.place_pass(), 8);
+        let queued: Vec<JobId> = core.pending.iter().map(|j| j.id).collect();
+        assert_eq!(queued.len(), 192);
+        for id in (0..210).map(JobId) {
+            let scanned = if queued.contains(&id) {
+                JobStatus::Pending
+            } else if core.session.is_running(id) {
+                JobStatus::Running
+            } else {
+                JobStatus::Unknown
+            };
+            assert_eq!(core.status(id), scanned, "{id}");
+        }
+        let (deep, deeper) = (queued[150], queued[20]);
+        let (running, also_running) = (core.session.running()[3].id, core.session.running()[5].id);
+        let stranger = JobId(999);
+        let logged = core.events().len();
+        core.apply(Command::Cancel(deep));
+        core.apply(Command::Complete(deeper));
+        core.apply(Command::Cancel(running));
+        core.apply(Command::Complete(also_running));
+        core.apply(Command::Cancel(stranger));
+        core.apply(Command::Complete(stranger));
+        let c = *core.counters();
+        assert_eq!((c.cancelled_pending, c.completed_pending), (1, 1));
+        assert_eq!((c.cancelled_running, c.completed, c.unknown_ops), (1, 1, 2));
+        assert_eq!(
+            core.events()[logged..],
+            [
+                format!("cancel id={deep} kind=pending"),
+                format!("complete id={deeper} kind=pending"),
+                format!("cancel id={running} kind=running"),
+                format!("complete id={also_running} kind=running"),
+                format!("cancel id={stranger} kind=unknown"),
+                format!("complete id={stranger} kind=unknown"),
+            ]
+        );
+        let left: Vec<JobId> = core.pending.iter().map(|j| j.id).collect();
+        let want: Vec<JobId> =
+            queued.iter().copied().filter(|&id| id != deep && id != deeper).collect();
+        assert_eq!(left, want);
+        assert_eq!(core.watches.len(), left.len());
+        for id in [deep, deeper, running, also_running, stranger] {
+            assert_eq!(core.status(id), JobStatus::Unknown, "{id}");
+        }
+        // A retired pending id is free again.
+        core.apply(Command::Submit(job(deep.0, 4)));
+        assert_eq!(core.status(deep), JobStatus::Pending);
     }
 
     #[test]

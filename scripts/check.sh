@@ -16,10 +16,11 @@
 # its digest must be byte-identical at NETPACK_THREADS=1 and 4), the
 # fig10 dense smoke (the same contract on a 16-rack x 64-server, 200-job
 # cell, where PS scoring dedups per rack and water-fill components are
-# large), the service determinism smoke (two identical deterministic 10K-job
-# bench_service runs at one worker and one at NETPACK_THREADS=4 must be
-# byte-identical, stdout + event log), the two index smokes (a
-# 2 000-job deterministic replay and the fig10_xl smoke, both from a
+# large; the binary also pins the cell's ps_candidates_scored and
+# ps_rack_servers_skipped), the service determinism smoke (two identical
+# deterministic 10K-job bench_service runs at one worker and one at
+# NETPACK_THREADS=4 must be byte-identical, stdout + event log), the two
+# index smokes (a 2 000-job deterministic replay and the fig10_xl smoke, both from a
 # *debug* build, so the placement path's debug assertions hold the
 # journal-fed server index — as the journals left it — to a full scan
 # after every refresh, the index-answered single-server shortcut to

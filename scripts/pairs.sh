@@ -3,7 +3,7 @@
 # performance claim is measured by (benchmark/README.md, "How to state a
 # claim").
 #
-#   scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]
+#   scripts/pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]
 #
 # Extracts <parent-rev> into a directory of its own under $TMPDIR (with
 # `git archive`, so the repository's own metadata is not touched), builds
@@ -15,7 +15,14 @@
 # neither side), and whether the medians differ by more than the parent's
 # quartile distance; then whether comm_overhead_ratio — the quality number,
 # a function of the seed alone — is bit-equal across every run of both
-# sides. Every result line is kept in the two files named at the end.
+# sides. Every result line is kept in the files named at the end.
+#
+# `all` is what a claim needs: the claimed workload and the three that
+# must not move. It builds both sides once, runs the four workloads of
+# BENCHMARK.json in turn, prints each one's table, and closes with one
+# line per (workload, metric) whose medians differ by more than the
+# metric's bound in BENCHMARK.json — better or WORSE — or that broke the
+# comm_overhead_ratio / correctness checks.
 #
 # This script and `benchmark/run.sh`, which it drives, are the only ones
 # in the repository that measure. The figure binaries print single-shot
@@ -29,10 +36,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    echo "usage: scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]" >&2
+    echo "usage: scripts/pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
+rev=$1 workloads=$2 pairs=${3:-10} seed=${4:-1}
+[ "$workloads" != all ] || workloads="service_saturate warehouse_batch dense_batch sim_sweep"
+# "<metric> <bound>" per end-to-end metric: only those entries carry one.
+bounds=$(awk '/"name":/ { name = $2 } /"bound":/ { print name, $2 }' BENCHMARK.json | tr -d '",' | tr '\n' ' ')
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/netpack-pairs.XXXXXX")
 trap 'rm -rf "$work/parent" "$work/target-parent" "$work/target-change"' EXIT
@@ -45,26 +55,31 @@ cargo build --release --offline --manifest-path "$work/parent/benchmark/Cargo.to
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
     --target-dir "$work/target-change" >&2
 
-# One run of one side; its result line (the last of stdout) joins $3.
+# One run of one side on $workload; its result line (the last of stdout)
+# joins $3.
 run_side() {
     local dir=$1 target=$2 rows=$3
     (cd "$dir" && CARGO_TARGET_DIR="$target" bash benchmark/run.sh \
         --workload "$workload" --seed "$seed" 2> /dev/null) | tail -n 1 >> "$rows"
 }
 
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then
-        run_side "$work/parent" "$work/target-parent" "$work/parent.rows"
-        run_side . "$work/target-change" "$work/change.rows"
-    else
-        run_side . "$work/target-change" "$work/change.rows"
-        run_side "$work/parent" "$work/target-parent" "$work/parent.rows"
-    fi
-    echo "pairs.sh: pair $i/$pairs done" >&2
-done
+# The pairs of $workload, then its table; what the closing summary lists
+# joins $work/moved.
+measure() {
+    local parent_rows="$work/parent.$workload.rows" change_rows="$work/change.$workload.rows" i
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run_side "$work/parent" "$work/target-parent" "$parent_rows"
+            run_side . "$work/target-change" "$change_rows"
+        else
+            run_side . "$work/target-change" "$change_rows"
+            run_side "$work/parent" "$work/target-parent" "$parent_rows"
+        fi
+        echo "pairs.sh: $workload pair $i/$pairs done" >&2
+    done
 
-echo "workload $workload seed $seed: $pairs alternating pairs, parent $(git rev-parse --short "$rev") vs working tree"
-awk -v pairs="$pairs" '
+    echo "workload $workload seed $seed: $pairs alternating pairs, parent $(git rev-parse --short "$rev") vs working tree"
+    awk -v pairs="$pairs" -v workload="$workload" -v bounds="$bounds" -v moved="$work/moved" '
 function value(line, name,    at, rest) {
     at = index(line, "\"" name "\": {\"value\": ")
     if (at == 0) return "nan"
@@ -89,6 +104,8 @@ function quartile(v, n, i,    m, j, delta) {
 FNR == NR { parent[FNR] = $0; next }
 { change[FNR] = $0 }
 END {
+    n = split(bounds, words, " ")
+    for (k = 1; k < n; k += 2) bound[words[k]] = words[k + 1]
     n = split("jobs_per_s latency_p50_ms cpu_s_per_kjob peak_rss_mb setup_s", names, " ")
     printf "%-16s %14s %14s %8s %14s %14s %6s  %s\n", "metric", "parent median", "change median", "ratio", "parent q1", "parent q3", "wins", "beyond parent spread"
     for (k = 1; k <= n; k++) {
@@ -102,6 +119,8 @@ END {
         q1 = quartile(ps, pairs, 1); q3 = quartile(ps, pairs, 3)
         gap = cm - pm; if (gap < 0) gap = -gap
         printf "%-16s %14.6g %14.6g %7.3fx %14.6g %14.6g %3d/%-2d  %s\n", name, pm, cm, cm / pm, q1, q3, wins, pairs, (gap > q3 - q1 ? "yes" : "no")
+        if (gap > bound[name] * pm)
+            printf "%s %s: %.3fx the parent median, %s, beyond the bound %s\n", workload, name, cm / pm, ((cm > pm) == higher ? "better" : "WORSE"), bound[name] >> moved
     }
     quality = value(parent[1], "comm_overhead_ratio"); equal = 1; correct = 1
     for (i = 1; i <= pairs; i++) {
@@ -110,5 +129,17 @@ END {
     }
     printf "comm_overhead_ratio %s: %s across all %d runs\n", quality, (equal ? "bit-equal" : "DIFFERS"), 2 * pairs
     printf "correct with failed 0 on every run: %s\n", (correct ? "yes" : "NO")
-}' "$work/parent.rows" "$work/change.rows"
-echo "result lines: $work/parent.rows $work/change.rows"
+    if (!equal) printf "%s comm_overhead_ratio: DIFFERS between runs\n", workload >> moved
+    if (!correct) printf "%s: a run was not correct with failed 0\n", workload >> moved
+}' "$parent_rows" "$change_rows"
+    echo "result lines: $parent_rows $change_rows"
+}
+
+for workload in $workloads; do measure; done
+
+if [ -s "$work/moved" ]; then
+    echo "moved beyond a BENCHMARK.json bound, or broke a check:"
+    cat "$work/moved"
+else
+    echo "no (workload, metric) moved beyond its BENCHMARK.json bound; every check held"
+fi
