@@ -503,6 +503,7 @@ impl Simulation {
             perf.incr("wf_jobs_reused", stats.jobs_reused);
             perf.incr("wf_rounds", stats.rounds);
             perf.incr("wf_link_visits", stats.link_visits);
+            perf.incr("wf_lone_entries", stats.lone_entries);
             perf.incr("wf_unconverged", stats.unconverged);
         }
         result.perf = perf;

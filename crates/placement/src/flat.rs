@@ -209,10 +209,11 @@ struct PsTable {
     rows: Vec<PsRow>,
     /// Distinct `(rack uplink flows, rack uplink capacity)` over `rows`.
     groups: Vec<(u32, f64)>,
-    /// Per rack some plan of the job touches: the classes present, as a
-    /// range of `rack_entries`. Racks no plan touches keep an older job's
-    /// range; nothing reads it.
+    /// Per rack some plan of the job touches — `plan_racks` lists them —
+    /// the classes present, as a range of `rack_entries`; empty for every
+    /// other rack.
     rack_lists: Vec<Range<u32>>,
+    plan_racks: Vec<usize>,
     rack_entries: Vec<RackEntry>,
     /// `(C / (f + 1), C / max(f, 1))` by flow count `f` — the two
     /// quotients of the hot-spot term that depend on `f_max` alone. Grown,
@@ -227,6 +228,7 @@ impl PsTable {
             rows: Vec::new(),
             groups: Vec::new(),
             rack_lists: Vec::new(),
+            plan_racks: Vec::new(),
             rack_entries: Vec::new(),
             hot: Vec::new(),
         }
@@ -263,14 +265,18 @@ impl PsTable {
         for f in self.hot.len() as u32..=f_max.unwrap_or(0) {
             self.hot.push((self.capacity / (f64::from(f) + 1.0), self.capacity / f64::from(f.max(1))));
         }
-        // A rack's list is filled by the first plan server found in it.
+        // A rack's list is filled by the first plan server found in it;
+        // only the previous job's lists need emptying first.
         self.rack_entries.clear();
-        self.rack_lists.clear();
         self.rack_lists.resize(topo.num_racks(), 0..0);
+        for rack in self.plan_racks.drain(..) {
+            self.rack_lists[rack] = 0..0;
+        }
         for &sid in plans.iter().flat_map(|p| &p.servers) {
             let rack = topo.rack_of(sid.0);
             if self.rack_lists[rack].is_empty() {
                 self.rack_lists[rack] = self.fill_rack(topo, classes, rack);
+                self.plan_racks.push(rack);
             }
         }
     }

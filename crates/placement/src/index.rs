@@ -500,7 +500,8 @@ mod tests {
     /// all *staged*, as completions between two passes are, and settled
     /// once before the index reads the journals, so a link only a removed
     /// job touched must reach the journal through the pending list —
-    /// refreshing the index from the two journals after every 0–50
+    /// refreshing the index from the two journals, each in a seeded random
+    /// order, after every 0–50
     /// operations (0–3 in the quiet stretches; so anything from an empty
     /// journal to every link marked arrives at once), and hold it to a
     /// full scan: same PS and filter
@@ -579,8 +580,17 @@ mod tests {
             inc.settle(cluster);
             assert!(inc.journal().len() <= cluster.num_links());
             let bloated = index.ps.bloated(n) || index.filter.bloated(n);
-            let stats =
-                index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
+            // Neither journal promises an order (the estimator's follows
+            // its members' runs): feed both shuffled.
+            let mut shuffled = |journal: &[u32]| {
+                let mut journal = journal.to_vec();
+                for i in (1..journal.len()).rev() {
+                    journal.swap(i, rng.below(i + 1));
+                }
+                journal
+            };
+            let (servers, links) = (shuffled(ledger.journal()), shuffled(inc.journal()));
+            let stats = index.refresh(&topo, ledger.free(), inc.state(), &servers, &links);
             ledger.clear_journal();
             inc.clear_journal();
             let state = inc.state();

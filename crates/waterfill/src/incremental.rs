@@ -151,10 +151,17 @@ pub struct WaterfillStats {
     pub components_solved: u64,
     /// Filling rounds run by those solves.
     pub rounds: u64,
-    /// Live-link entries the per-round sweeps read (share minimum,
-    /// saturation check, recount after a PAT flip) — the solver's unit of
-    /// work once frozen jobs and drained links drop out of a round.
+    /// What the filling rounds read, summed over them: the live ordinary
+    /// links and live lone-link classes in the share minimum, the active
+    /// entries in the augment, and the active entries again in a round
+    /// whose saturation makes it scan them for the jobs to freeze — the
+    /// solver's unit of work.
     pub link_visits: u64,
+    /// Arena entries filled through a lone-link class instead of one by
+    /// one, summed over the solves: `lone_entries` against the entries of
+    /// the jobs re-solved is the share of a round's subtractions the
+    /// classes stand in for.
+    pub lone_entries: u64,
     /// Solves that hit the round bound with jobs still unfrozen. Always 0
     /// unless the solver is broken: every round saturates a link or
     /// exhausts a PAT pool.
@@ -175,6 +182,7 @@ impl Add for WaterfillStats {
             components_solved: self.components_solved + other.components_solved,
             rounds: self.rounds + other.rounds,
             link_visits: self.link_visits + other.link_visits,
+            lone_entries: self.lone_entries + other.lone_entries,
             unconverged: self.unconverged + other.unconverged,
         }
     }
@@ -195,6 +203,7 @@ impl Sub for WaterfillStats {
             components_solved: self.components_solved - before.components_solved,
             rounds: self.rounds - before.rounds,
             link_visits: self.link_visits - before.link_visits,
+            lone_entries: self.lone_entries - before.lone_entries,
             unconverged: self.unconverged - before.unconverged,
         }
     }
@@ -248,7 +257,7 @@ pub struct IncrementalEstimator {
     scratch_members: Vec<(usize, usize)>,
     /// Arena: the member indices of the one component being solved.
     scratch_group: Vec<usize>,
-    /// The solver's arenas (two of them cluster-sized).
+    /// The solver's arenas (three of them cluster-sized).
     scratch_solve: SolveScratch,
     journal: Journal,
 }
@@ -340,7 +349,9 @@ impl IncrementalEstimator {
     /// may have changed since construction or the last
     /// [`clear_journal`](Self::clear_journal) — every link of every
     /// component a settle re-solved and of every job it removed — each
-    /// listed once. At most `num_links` entries.
+    /// listed once, in no particular order (a component's links arrive in
+    /// the order its members' runs name them). At most `num_links`
+    /// entries.
     pub fn journal(&self) -> &[u32] {
         &self.journal.links
     }

@@ -14,6 +14,7 @@ use crate::{estimate, SteadyState, EPSILON_GBPS};
 use netpack_model::{JobHierarchy, Placement};
 use netpack_topology::{Cluster, ClusterSpec, JobId, RackId, ServerId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The literal loop. `members` are the network jobs of one component in
 /// insertion order; the component's resources in `state` are virgin.
@@ -238,7 +239,7 @@ fn bits(s: &SteadyState) -> Vec<u64> {
 /// 1–4 racks of 2–6 servers; PAT from 0 through "dries up mid-fill"
 /// (a few Gbps against 100 Gbps links, so pools flip while jobs are still
 /// unfrozen, several per solve) to "never binds"; oversubscribed uplinks.
-fn arb_cluster() -> impl Strategy<Value = Cluster> {
+pub(crate) fn arb_cluster() -> impl Strategy<Value = Cluster> {
     (1usize..5, 2usize..7, 0usize..6, 1u32..5).prop_map(|(racks, spr, pat, oversub)| {
         Cluster::new(ClusterSpec {
             racks,
@@ -256,7 +257,7 @@ fn arb_cluster() -> impl Strategy<Value = Cluster> {
 /// 1–12 jobs over the whole cluster: 1–5 worker servers anywhere (so jobs
 /// span racks and pile into one component), 1–3 PSes anywhere (sharded
 /// trees; a PS may sit on a worker server), INA on or off.
-fn arb_jobs(cluster: &Cluster) -> impl Strategy<Value = Vec<PlacedJob>> {
+pub(crate) fn arb_jobs(cluster: &Cluster) -> impl Strategy<Value = Vec<PlacedJob>> {
     let ns = cluster.num_servers();
     let cluster = cluster.clone();
     let job = (
@@ -293,4 +294,224 @@ proptest! {
         prop_assert_eq!(bits(&fast), bits(&literal));
         prop_assert_eq!(fast.job_shards, literal.job_shards);
     }
+}
+
+/// Deterministic xorshift so the packed cases are seeded and reproducible.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// A cluster with room, packed the way NetPack packs: 4–8 racks of 8–16
+/// servers with 4 or 8 GPUs; 3–18 jobs of 1–5 worker servers, most of them
+/// servers nobody else holds (a deck dealt without replacement) and two in
+/// three taken whole (`w = gpus_per_server`), the rest shared or partial;
+/// one or two PSes, on a worker server, on a server of their own, or
+/// anywhere; INA on for two jobs in three. PAT runs from absent through
+/// "dries in round 1" (0.5 Gbps against 100 Gbps links) to "never binds",
+/// by way of 25, 50 and 100 Gbps, which a pool's only job drains in the
+/// very round its own 4-, 2- or 1-flow link saturates.
+fn packed_case(seed: u64) -> (Cluster, Vec<PlacedJob>) {
+    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let gps = [4, 8][rng.below(2)];
+    let cluster = Cluster::new(ClusterSpec {
+        racks: 4 + rng.below(5),
+        servers_per_rack: 8 + rng.below(9),
+        gpus_per_server: gps,
+        server_link_gbps: 100.0,
+        pat_gbps: [0.0, 0.5, 3.0, 12.0, 25.0, 40.0, 50.0, 100.0, 150.0, 5000.0][rng.below(10)],
+        oversubscription: (1 + rng.below(3)) as f64,
+        rtt_us: 50.0,
+        racks_per_pod: None,
+    });
+    let ns = cluster.num_servers();
+    let mut deck: Vec<usize> = (0..ns).collect();
+    for i in (1..ns).rev() {
+        deck.swap(i, rng.below(i + 1));
+    }
+    let jobs = (0..3 + rng.below(16))
+        .map(|i| {
+            let mut workers = BTreeMap::new();
+            for _ in 0..1 + rng.below(5) {
+                let own = if rng.below(8) > 0 { deck.pop() } else { None };
+                let w = if rng.below(3) > 0 { gps } else { 1 + rng.below(gps) };
+                workers.insert(own.unwrap_or_else(|| rng.below(ns)), w);
+            }
+            let held: Vec<usize> = workers.keys().copied().collect();
+            let pses = (0..1 + rng.below(4) / 3)
+                .map(|_| match rng.below(3) {
+                    0 => held[rng.below(held.len())],
+                    1 => deck.pop().unwrap_or(0),
+                    _ => rng.below(ns),
+                })
+                .map(ServerId)
+                .collect();
+            let workers = workers.into_iter().map(|(s, w)| (ServerId(s), w)).collect();
+            let mut p = Placement::new_sharded(workers, pses);
+            p.set_ina_enabled(rng.below(3) > 0);
+            PlacedJob::new(JobId(i as u64), &cluster, &p)
+        })
+        .collect();
+    (cluster, jobs)
+}
+
+/// `(link index, flows with every pool aggregating, flows with none)` of
+/// `job`, each link once.
+fn run_extremes(cluster: &Cluster, job: &PlacedJob) -> Vec<(usize, u32, u32)> {
+    let mut run: Vec<(usize, u32, u32)> = Vec::new();
+    for h in job.components() {
+        for ((l, all), (_, none)) in h.link_flows(|_| true).into_iter().zip(h.link_flows(|_| false)) {
+            let idx = l.index(cluster);
+            match run.iter_mut().find(|e| e.0 == idx) {
+                Some(e) => (e.1, e.2) = (e.1 + all, e.2 + none),
+                None => run.push((idx, all, none)),
+            }
+        }
+    }
+    run
+}
+
+/// Which of the class mechanism's six situations the solve of `jobs`
+/// went through, read off the inputs and the converged `state` alone. A
+/// member's final rate names the round it froze in (the level rises every
+/// round), and a saturated link went under in the round its fastest
+/// crosser froze. In order: a link filled through a class (*lone*: an
+/// access link one run of its component names, with a count below 64 that
+/// no PAT view moves); two classes live at once; a class saturating in the
+/// round an ordinary link does; a member frozen by an ordinary link while
+/// a class of its own lives on; a pool that ran dry after a member
+/// drawing on it had frozen (had they all been unfrozen, each would have
+/// drawn the same `PAT / n`, so the slowest froze earlier iff `n` times
+/// its rate falls short of the pool); a pool that ran dry in the last
+/// round of its component's solve, when no round is left to notice (every
+/// job drew on it all its life — the rates sum to the pool — and one of
+/// them was among the last to freeze).
+fn class_coverage(cluster: &Cluster, jobs: &[PlacedJob], state: &SteadyState) -> [bool; 6] {
+    let mut seen = [false; 6];
+    let rate = |j: usize| state.job_rates[&jobs[j].id()];
+    let saturated = |l: usize| state.link_residual[l] <= EPSILON_GBPS;
+    for group in partition_components(cluster, jobs) {
+        let runs: Vec<_> = group.iter().map(|&j| (j, run_extremes(cluster, &jobs[j]))).collect();
+        let mut crossers: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (j, run) in &runs {
+            for e in run {
+                crossers.entry(e.0).or_default().push(*j);
+            }
+        }
+        let is_lone = |&(l, all, none): &(usize, u32, u32)| {
+            l < cluster.num_servers() && all == none && all < 64 && crossers[&l].len() == 1
+        };
+        // Whether `j` froze in the round one of its ordinary links went under.
+        let frozen_by_ordinary = |j: usize, run: &[(usize, u32, u32)]| {
+            run.iter().any(|e| {
+                let went_under = crossers[&e.0].iter().map(|&k| rate(k)).fold(0.0, f64::max);
+                !is_lone(e) && saturated(e.0) && went_under == rate(j)
+            })
+        };
+        // (owner, flows) of every lone entry of the component.
+        let lone = |(j, run): &(usize, Vec<(usize, u32, u32)>)| {
+            let j = *j;
+            run.iter().filter(|e| is_lone(e)).map(move |e| (j, e.1)).collect::<Vec<_>>()
+        };
+        let all_lone: Vec<(usize, u32)> = runs.iter().flat_map(lone).collect();
+        seen[0] |= !all_lone.is_empty();
+        seen[1] |= all_lone.iter().any(|a| a.1 != all_lone[0].1);
+        for (j, run) in &runs {
+            for e in run.iter().filter(|e| is_lone(e)) {
+                seen[2] |= saturated(e.0) && frozen_by_ordinary(*j, run);
+                let outlived = all_lone.iter().any(|&(k, f)| f == e.1 && rate(k) > rate(*j));
+                seen[3] |= outlived && frozen_by_ordinary(*j, run);
+            }
+        }
+        for (r, rack) in cluster.racks().iter().enumerate() {
+            let draws: Vec<f64> = group
+                .iter()
+                .filter(|&&j| jobs[j].components().iter().any(JobHierarchy::ina_enabled))
+                .flat_map(|&j| {
+                    let at = jobs[j].components().iter().flat_map(|h| h.switches());
+                    at.filter(move |s| s.0 == r).map(move |_| rate(j))
+                })
+                .collect();
+            let ran_dry = rack.pat_gbps() > EPSILON_GBPS && state.pat_residual[r] == 0.0;
+            let slowest = draws.iter().copied().fold(f64::INFINITY, f64::min);
+            let fastest = draws.iter().copied().fold(0.0, f64::max);
+            seen[4] |= ran_dry && slowest * (draws.len() as f64) < rack.pat_gbps() * (1.0 - 1e-9);
+            seen[5] |= ran_dry
+                && draws.iter().sum::<f64>() <= rack.pat_gbps() * (1.0 + 1e-9)
+                && fastest == group.iter().map(|&j| rate(j)).fold(0.0, f64::max);
+        }
+    }
+    seen
+}
+
+/// The oracle where the classes are: packed clusters, where most access
+/// links carry one job, held bit-identical to the literal loop — with the
+/// situations only a class solver can get wrong each reached in more than
+/// twenty cases ([`class_coverage`]).
+///
+/// Three small mutations of `waterfill::solve_component`, each failing
+/// this test in a debug build and under `--release`:
+///
+/// * the `class_bw[f] -= δ·f` store moved below the `freeze` call, so a
+///   freeze copies the class residual as it stood *before* the round's
+///   subtraction;
+/// * the class pin skipped (`pinned |= 1 << f` dropped, so a saturated
+///   class freezes nobody);
+/// * a steady entry with degree 2 treated as lone (`degree[l] <= 2`).
+///
+/// A fourth was a bug of the first draft, which the 512-case property
+/// above let through and this one stops at seed 4: noting a PAT flip
+/// where the *next* round rewrites the flipped members, so that a pool
+/// running dry in a solve's last round left the virgin flow counts behind.
+#[test]
+fn class_rounds_match_the_literal_loop_on_packed_clusters() {
+    let mut reached = [0usize; 6];
+    for seed in 0..1024 {
+        let (cluster, jobs) = packed_case(seed);
+        let fast = estimate(&cluster, &jobs);
+        let literal = estimate_literal(&cluster, &jobs);
+        assert_eq!(bits(&fast), bits(&literal), "seed {seed}");
+        assert_eq!(fast.job_shards, literal.job_shards, "seed {seed}");
+        for (count, seen) in reached.iter_mut().zip(class_coverage(&cluster, &jobs, &literal)) {
+            *count += usize::from(seen);
+        }
+    }
+    assert!(
+        reached.iter().all(|&n| n > 20),
+        "[lone, two classes, class with ordinary, outlived, flip after freeze, flip at the end] = {reached:?}"
+    );
+}
+
+/// A class is keyed by a flow count below 64. A server holding 70 workers
+/// of one job is past that: its link stays ordinary, next to the 2-flow
+/// link of the same job that does go through a class, and the steady
+/// state is the literal loop's all the same.
+#[test]
+fn a_link_of_64_flows_or_more_stays_ordinary() {
+    let cluster = Cluster::new(ClusterSpec {
+        racks: 1,
+        servers_per_rack: 4,
+        gpus_per_server: 80,
+        ..ClusterSpec::paper_default()
+    });
+    let mut big = Placement::new(vec![(ServerId(0), 70), (ServerId(1), 2)], Some(ServerId(2)));
+    big.set_ina_enabled(false);
+    let small = Placement::new(vec![(ServerId(3), 63)], Some(ServerId(2)));
+    let jobs = [
+        PlacedJob::new(JobId(0), &cluster, &big),
+        PlacedJob::new(JobId(1), &cluster, &small),
+    ];
+    // Server 1 (2 flows) and server 3 (63 flows) are lone; server 0 (70)
+    // is not, and the PS link both jobs cross never was.
+    let inc = crate::IncrementalEstimator::new(&cluster, &jobs);
+    assert_eq!(inc.stats().lone_entries, 2);
+    let literal = estimate_literal(&cluster, &jobs);
+    assert_eq!(bits(inc.state()), bits(&literal));
+    assert_eq!(bits(&estimate(&cluster, &jobs)), bits(&literal));
 }

@@ -8,11 +8,36 @@
 //! max-min allocation of a component depends only on its own jobs, so this
 //! is exact, and it is what lets [`IncrementalEstimator`](crate::IncrementalEstimator)
 //! re-solve only the component a new job lands in.
+//!
+//! Inside a component, [`solve_component`] runs Algorithm 1's rounds on the
+//! entries that can differ from one another. A placement that packs whole
+//! servers leaves most access links to one job with a flow count no PAT
+//! pool changes ([`PlacedJob::new`] marks those entries *steady*); all such
+//! links of one flow count hold the same bits round after round, so the
+//! solver keeps one value per flow count — a *class* — and writes it into
+//! a job's links when the job freezes. What is left — links two jobs
+//! share, uplinks, PS links whose count follows the pools — sits in one
+//! flat list the augment walks; the water level is one number, and a
+//! rack's PAT is drawn once per rack. `literal.rs` keeps the loop as
+//! Algorithm 1 states it, and the tests hold the two to identical bits.
 
 use crate::{SteadyState, WaterfillStats, EPSILON_GBPS};
 use netpack_model::{JobHierarchy, Placement};
 use netpack_topology::{Cluster, JobId, RackId};
 use std::collections::BTreeMap;
+
+/// One link of a job's cached flow run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RunEntry {
+    /// Flat link index ([`netpack_topology::LinkId::index`]).
+    link: u32,
+    /// Flow count under the virgin PAT view.
+    flows: u32,
+    /// The count is the same under *every* PAT view, the link is a server
+    /// access link, and `0 < flows < CLASSES` — what a solve needs to know
+    /// to fill the link through a class when this job has it to itself.
+    steady: bool,
+}
 
 /// A job that has been placed into the cluster, as the estimator sees it.
 ///
@@ -26,14 +51,14 @@ pub struct PlacedJob {
     id: JobId,
     components: Vec<JobHierarchy>,
     shards: usize,
-    /// The job's flow run: `(link index, flow count)` for every link it
-    /// crosses, each once, in tree-walk order, under the *virgin* PAT view
-    /// (a pool aggregates iff its rack has any PAT at all). That view is a
-    /// cluster constant and exactly the one every solve starts from — the
-    /// pools an INA-enabled job can see are all inside its component, and a
+    /// The job's flow run: one entry for every link it crosses, each once,
+    /// in tree-walk order, counted under the *virgin* PAT view (a pool
+    /// aggregates iff its rack has any PAT at all). That view is a cluster
+    /// constant and exactly the one every solve starts from — the pools an
+    /// INA-enabled job can see are all inside its component, and a
     /// component is solved from virgin resources — so it is computed once
-    /// here and copied, never re-derived, at solve set-up.
-    flows: Vec<(usize, u32)>,
+    /// here and read, never re-derived, at solve set-up.
+    flows: Vec<RunEntry>,
     /// Rack of every switch on the job's trees, one entry per tree
     /// occurrence ([`JobHierarchy::switches`] order).
     switches: Vec<usize>,
@@ -45,13 +70,38 @@ impl PlacedJob {
     /// Wrap a placement for estimation.
     pub fn new(id: JobId, cluster: &Cluster, placement: &Placement) -> Self {
         let components = JobHierarchy::components_from_placement(cluster, placement);
+        let ina_enabled = components.iter().any(JobHierarchy::ina_enabled);
         let racks = cluster.racks();
-        let mut flows = Vec::new();
-        write_flow_run(cluster, &components, |r| racks[r.0].pat_gbps() > EPSILON_GBPS, &mut flows, 0);
+        let mut run = Vec::new();
+        write_flow_run(cluster, &components, |r| racks[r.0].pat_gbps() > EPSILON_GBPS, &mut run);
+        // A count is monotone in the set of aggregating pools (one more
+        // pool aggregating never adds a flow), so a count that is equal
+        // with every pool aggregating and with none is equal under every
+        // view in between. A job without INA sees no pool at all.
+        let (mut all, mut none) = (Vec::new(), Vec::new());
+        if ina_enabled {
+            write_flow_run(cluster, &components, |_| true, &mut all);
+            write_flow_run(cluster, &components, |_| false, &mut none);
+        }
+        let n_servers = cluster.num_servers();
+        let flows = run
+            .iter()
+            .enumerate()
+            .map(|(i, &(link, flows))| {
+                debug_assert!(flows > 0, "a placement lists no server without workers");
+                RunEntry {
+                    link: link as u32,
+                    flows,
+                    steady: link < n_servers
+                        && (flows as usize) < CLASSES
+                        && (!ina_enabled || (all[i] == (link, flows) && none[i] == (link, flows))),
+                }
+            })
+            .collect();
         let switches = components.iter().flat_map(|h| h.switches()).map(|r| r.0).collect();
         PlacedJob {
             id,
-            ina_enabled: components.iter().any(JobHierarchy::ina_enabled),
+            ina_enabled,
             components,
             shards: placement.shards(),
             flows,
@@ -92,30 +142,29 @@ impl PlacedJob {
     /// for local jobs.
     pub(crate) fn nodes(&self, n_links: usize) -> impl Iterator<Item = usize> + '_ {
         let pools = if self.ina_enabled { &self.switches[..] } else { &[] };
-        let links = self.flows.iter().map(|&(l, _)| l);
+        let links = self.flows.iter().map(|e| e.link as usize);
         links.chain(pools.iter().map(move |&r| n_links + r))
     }
 
     /// One of [`nodes`](Self::nodes), enough to find the job's component;
     /// `None` for local jobs.
     pub(crate) fn anchor(&self) -> Option<usize> {
-        self.flows.first().map(|&(l, _)| l)
+        self.flows.first().map(|e| e.link as usize)
     }
 }
 
-/// Write the flow run of a job's `trees` into `flows[start..]`, pushing
-/// past the end: `(link index, flow count)` while exactly the pools `agg`
-/// names aggregate, each link once in first-seen order. Returns the run's
-/// end. The link set of a job never changes, so rewriting a run under
-/// another view overwrites it in place.
+/// Write the flow run of a job's `trees` into `run`, replacing what it
+/// held: `(link index, flow count)` while exactly the pools `agg` names
+/// aggregate, each link once in first-seen order. Neither the link set nor
+/// that order depends on `agg`, so runs of one job under different views
+/// line up entry for entry.
 fn write_flow_run(
     cluster: &Cluster,
     trees: &[JobHierarchy],
     agg: impl Fn(RackId) -> bool,
-    flows: &mut Vec<(usize, u32)>,
-    start: usize,
-) -> usize {
-    let mut end = start;
+    run: &mut Vec<(usize, u32)>,
+) {
+    run.clear();
     // One tree reports each link once; only sharded jobs can repeat a link
     // across trees and need the merge.
     let merge = trees.len() > 1;
@@ -123,20 +172,14 @@ fn write_flow_run(
         h.for_each_link_flow(&agg, |l, f| {
             let idx = l.index(cluster);
             if merge {
-                if let Some(e) = flows[start..end].iter_mut().find(|(i, _)| *i == idx) {
+                if let Some(e) = run.iter_mut().find(|(i, _)| *i == idx) {
                     e.1 += f;
                     return;
                 }
             }
-            if end == flows.len() {
-                flows.push((idx, f));
-            } else {
-                flows[end] = (idx, f);
-            }
-            end += 1;
+            run.push((idx, f));
         });
     }
-    end
 }
 
 /// Minimal union-find over resource-node indices.
@@ -227,59 +270,201 @@ pub(crate) fn empty_state(cluster: &Cluster, jobs: &[PlacedJob]) -> SteadyState 
     }
 }
 
-/// Reusable arenas of [`solve_component`]. `link_total` and `rack_jobs` are
-/// cluster-sized and indexed by link / rack id; everything else is sized by
-/// the component. Nothing here carries meaning between solves — a solve
-/// resets what it reads — so one instance serves any sequence of them.
-#[derive(Debug, Clone, Default)]
+/// Flow counts a lone-link class can stand for: a class is keyed by its
+/// flow count and a member's classes are one bit each of a `u64`.
+const CLASSES: usize = 64;
+
+/// An *ordinary* entry of a member's run — one a round must visit on its own
+/// link.
+#[derive(Debug, Clone, Copy)]
+struct ActiveEntry {
+    link: u32,
+    /// Flow count under the PAT view of the current round.
+    flows: u32,
+    /// Position in its owner's flow run, where a PAT flip finds the new
+    /// count.
+    pos: u32,
+}
+
+/// Reusable arenas of [`solve_component`]. `degree`, `link_total` and
+/// `rack_jobs` are cluster-sized and indexed by link / rack id; everything
+/// else is sized by the component. A solve resets what it reads, with one
+/// exception it restores itself: the two counters it finds its links and
+/// racks by, `degree` and `rack_jobs`, are zero between solves.
+#[derive(Debug, Clone)]
 pub(crate) struct SolveScratch {
-    /// Flows of unfrozen jobs per link, maintained across rounds.
+    /// Entries of the members' runs per link of the component being
+    /// solved.
+    degree: Vec<u32>,
+    /// Flows of unfrozen members' ordinary entries per link.
     link_total: Vec<u64>,
-    /// INA-enabled unfrozen jobs per rack (one per switch occurrence),
+    /// INA-enabled unfrozen members per rack (one per switch occurrence),
     /// whatever the rack's PAT; only read for racks with PAT left.
     rack_jobs: Vec<u32>,
-    /// Every link of the component, ascending.
+    /// Every link of the component, in the order the member runs name
+    /// them first.
     links: Vec<usize>,
-    /// The links some unfrozen job still crosses, ascending.
+    /// The links an ordinary entry of an unfrozen member still crosses.
     live_links: Vec<usize>,
-    /// Racks an INA-enabled member aggregates at whose PAT is not yet
-    /// exhausted, ascending.
+    /// Racks an INA-enabled member aggregates at; from the first round on,
+    /// those of them whose PAT is not yet exhausted.
     live_racks: Vec<usize>,
+    /// Racks whose pool ran dry in the round before this one.
+    flipped: Vec<usize>,
     /// Unfrozen members (positions in `members`), in member order.
     unfrozen: Vec<usize>,
-    /// Per-member `(link index, flow count)` runs, back to back; member `m`
-    /// owns `flows[flow_start[m]..flow_start[m + 1]]`. The link set of a
-    /// job never changes, so a PAT flip rewrites counts in place.
-    flows: Vec<(usize, u32)>,
-    flow_start: Vec<usize>,
-    /// Per-member switch (rack) occurrences, same layout.
-    switches: Vec<usize>,
-    switch_start: Vec<usize>,
-    ina_enabled: Vec<bool>,
+    /// The ordinary entries of the unfrozen members, member order, each
+    /// member's in run order: what the augment subtracts from one by one.
+    active: Vec<ActiveEntry>,
+    /// Per member: how many entries of `active` it owns while unfrozen.
+    ordinary_len: Vec<u32>,
+    /// `(link, flow count)` of every lone entry — a steady entry whose
+    /// link no other entry of the component names — back to back; member
+    /// `m` owns
+    /// `lone[lone_start[m]..lone_start[m + 1]]`.
+    lone: Vec<(u32, u32)>,
+    lone_start: Vec<usize>,
+    /// Per member: bit `f` set iff it owns a lone entry of `f` flows.
+    class_mask: Vec<u64>,
+    /// Residual of every lone link of `f` flows whose owner is unfrozen.
+    class_bw: [f64; CLASSES],
+    /// Lone entries of `f` flows whose owner is unfrozen.
+    class_count: [u32; CLASSES],
+    /// Bit `f` set iff `class_count[f] > 0`.
+    live_classes: u64,
+    /// Per member: the level it froze at.
     rate: Vec<f64>,
+    /// A flipped member's run under the new view.
+    run: Vec<(usize, u32)>,
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 impl SolveScratch {
     pub(crate) fn new(cluster: &Cluster) -> Self {
         SolveScratch {
+            degree: vec![0; cluster.num_links()],
             link_total: vec![0; cluster.num_links()],
             rack_jobs: vec![0; cluster.num_racks()],
-            ..SolveScratch::default()
+            links: Vec::new(),
+            live_links: Vec::new(),
+            live_racks: Vec::new(),
+            flipped: Vec::new(),
+            unfrozen: Vec::new(),
+            active: Vec::new(),
+            ordinary_len: Vec::new(),
+            lone: Vec::new(),
+            lone_start: Vec::new(),
+            class_mask: Vec::new(),
+            class_bw: [0.0; CLASSES],
+            class_count: [0; CLASSES],
+            live_classes: 0,
+            rate: Vec::new(),
+            run: Vec::new(),
         }
     }
 
-    /// Rewrite member `m`'s flow run: `job`'s flow counts while exactly
-    /// the pools with `pat` left aggregate.
-    fn write_flows(&mut self, cluster: &Cluster, m: usize, job: &PlacedJob, pat: &[f64]) {
-        let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
-        let end = write_flow_run(cluster, &job.components, agg, &mut self.flows, self.flow_start[m]);
-        debug_assert_eq!(end, self.flow_start[m + 1]);
-    }
-
-    /// Every link of the component last solved, ascending — the links that
-    /// solve reset and rewrote.
+    /// Every link of the component last solved — the links that solve
+    /// reset and rewrote — each once, in no particular order.
     pub(crate) fn links(&self) -> &[usize] {
         &self.links
+    }
+
+    /// UpdateFlows after a PAT flip: recount, under the view `pat` now
+    /// gives, the unfrozen INA-enabled members with a switch at a rack in
+    /// `flipped` — no other member's counts can have moved — and shift
+    /// each link total by the difference. Lone entries are steady: their
+    /// counts, and so the classes, stand.
+    fn rewrite_flipped(&mut self, cluster: &Cluster, jobs: &[PlacedJob], members: &[usize], pat: &[f64]) {
+        let mut at = 0;
+        for &m in &self.unfrozen {
+            let end = at + self.ordinary_len[m] as usize;
+            let job = &jobs[members[m]];
+            if job.ina_enabled && job.switches.iter().any(|r| self.flipped.contains(r)) {
+                write_flow_run(cluster, &job.components, |r| pat[r.0] > EPSILON_GBPS, &mut self.run);
+                debug_assert!(
+                    job.flows.iter().zip(&self.run).all(|(e, &(l, f))| {
+                        e.link as usize == l && (!e.steady || e.flows == f)
+                    }),
+                    "a steady count moved under a PAT view"
+                );
+                for e in &mut self.active[at..end] {
+                    let flows = self.run[e.pos as usize].1;
+                    let total = &mut self.link_total[e.link as usize];
+                    *total = *total - u64::from(e.flows) + u64::from(flows);
+                    e.flows = flows;
+                }
+            }
+            at = end;
+        }
+        self.flipped.clear();
+    }
+
+    /// Freeze, at rate `level`, every unfrozen member that crosses a
+    /// saturated link — an ordinary one at or under the threshold in `bw`,
+    /// or a lone one of a class in `pinned` — or, with `everyone`, all of
+    /// them. A frozen member leaves the running totals and the active
+    /// list, and its lone links take their class's residual: the value
+    /// each of them would hold had the rounds so far subtracted from it
+    /// one by one.
+    fn freeze(
+        &mut self,
+        jobs: &[PlacedJob],
+        members: &[usize],
+        bw: &mut [f64],
+        level: f64,
+        pinned: u64,
+        everyone: bool,
+    ) {
+        let (mut read, mut write, mut kept) = (0, 0, 0);
+        for u in 0..self.unfrozen.len() {
+            let m = self.unfrozen[u];
+            let end = read + self.ordinary_len[m] as usize;
+            let own = &self.active[read..end];
+            let frozen = everyone
+                || self.class_mask[m] & pinned != 0
+                || own.iter().any(|e| bw[e.link as usize] <= EPSILON_GBPS);
+            if frozen {
+                debug_assert!(self.rate[m].is_nan(), "a frozen member was still listed unfrozen");
+                self.rate[m] = level;
+                for e in own {
+                    self.link_total[e.link as usize] -= u64::from(e.flows);
+                }
+                for &(l, f) in &self.lone[self.lone_start[m]..self.lone_start[m + 1]] {
+                    bw[l as usize] = self.class_bw[f as usize];
+                    self.class_count[f as usize] -= 1;
+                    if self.class_count[f as usize] == 0 {
+                        self.live_classes &= !(1 << f);
+                    }
+                }
+                let job = &jobs[members[m]];
+                if job.ina_enabled {
+                    for &r in &job.switches {
+                        self.rack_jobs[r] -= 1;
+                    }
+                }
+            } else {
+                self.active.copy_within(read..end, write);
+                write += end - read;
+                self.unfrozen[kept] = m;
+                kept += 1;
+            }
+            read = end;
+        }
+        debug_assert_eq!(read, self.active.len(), "the active list is the unfrozen members' entries");
+        self.active.truncate(write);
+        self.unfrozen.truncate(kept);
+        let link_total = &self.link_total;
+        self.live_links.retain(|&l| link_total[l] > 0);
     }
 }
 
@@ -294,17 +479,30 @@ impl SolveScratch {
 /// left untouched, which is the invariant the incremental estimator builds
 /// on.
 ///
-/// Set-up copies each member's cached flow run and switch list
-/// ([`PlacedJob::new`] derived them under the view a solve starts from);
-/// no hierarchy is walked unless a pool runs dry. A round costs the links
-/// and jobs still *live*: per-link flow totals and
-/// per-rack job counts are carried across rounds (a job's share is
-/// subtracted when it freezes; a PAT flip, which changes flow counts,
-/// recounts), and the share minimum, the saturation check and the augment
-/// run over compacted lists of live links and unfrozen jobs. Both lists
-/// keep their original order, so every float operation happens on the same
-/// operands in the same sequence as a sweep over the whole component
-/// (`literal::solve_component`, the test oracle) — `DESIGN.md` §3.2.
+/// A round costs the entries that can differ from one another
+/// (`DESIGN.md` §3.2 has the argument that every bit equals
+/// `literal::solve_component`'s, the test oracle):
+///
+/// * **Set-up** reads each member's cached flow run ([`PlacedJob::new`]
+///   derived it under the view a solve starts from) twice and sorts
+///   nothing: one pass counts the entries on each link and lists a link
+///   the first time it is named, one pass sorts the entries into *lone*
+///   ones — steady, and alone on their link — and *ordinary* ones.
+/// * **Lone links collapse to classes.** Every lone link of `f` flows
+///   starts at the server link capacity and, while its owner is unfrozen,
+///   has `δ·f` subtracted each round: identical operations on identical
+///   values, so one `class_bw[f]` holds them all, offers one share to the
+///   minimum, and is copied into a member's lone links when it freezes.
+/// * **One level.** Every unfrozen member has added the same `δ`s to
+///   `0.0`; one `level` does, and a freeze stores it.
+/// * **One draw per rack.** A rack's PAT takes one guarded `-= δ` per
+///   unfrozen INA member at it, the same whichever member makes it, so
+///   the draws of a round run per rack, not per member.
+/// * **A flat active list** of the ordinary entries of unfrozen members
+///   is what the augment subtracts from, noting a link it leaves at or
+///   under the threshold; only a round that saturated something scans it
+///   for the owners to freeze, and compacts it. A PAT flip rewrites the
+///   members at the flipped rack and nothing else.
 pub(crate) fn solve_component(
     cluster: &Cluster,
     jobs: &[PlacedJob],
@@ -320,199 +518,199 @@ pub(crate) fn solve_component(
     stats.jobs_resolved += members.len() as u64;
     let bw = &mut state.link_residual;
     let pat = &mut state.pat_residual;
+    let link_flows = &mut state.link_flows;
     let s = scratch;
+    debug_assert!(s.links.iter().all(|&l| s.degree[l] == 0), "a solve left a link degree behind");
 
-    // Per-member runs, the component's link list, and the rack counts.
-    s.flows.clear();
-    s.flow_start.clear();
-    s.switches.clear();
-    s.switch_start.clear();
-    s.ina_enabled.clear();
+    // Degree pass: the component's links, each reset when first named.
     s.links.clear();
-    s.live_racks.clear();
     for &ji in members {
-        let job = &jobs[ji];
-        s.flow_start.push(s.flows.len());
-        s.flows.extend_from_slice(&job.flows);
-        s.switch_start.push(s.switches.len());
-        s.switches.extend_from_slice(&job.switches);
-        s.ina_enabled.push(job.ina_enabled);
-        if job.ina_enabled {
-            s.live_racks.extend_from_slice(&job.switches);
+        for e in &jobs[ji].flows {
+            let l = e.link as usize;
+            if s.degree[l] == 0 {
+                s.links.push(l);
+                bw[l] = link_capacity(cluster, l);
+                link_flows[l] = 0;
+                s.link_total[l] = 0;
+            }
+            s.degree[l] += 1;
         }
     }
-    s.flow_start.push(s.flows.len());
-    s.switch_start.push(s.switches.len());
-    s.links.extend(s.flows.iter().map(|&(l, _)| l));
-    s.links.sort_unstable();
-    s.links.dedup();
-    s.live_racks.sort_unstable();
-    s.live_racks.dedup();
-    // Round bound with headroom; the loop always exits earlier because
-    // every round saturates a link or exhausts a PAT pool.
-    let max_rounds = 2 * (s.links.len() + s.live_racks.len()) + 8;
-    for &r in &s.live_racks {
-        pat[r] = cluster.racks()[r].pat_gbps();
-        s.rack_jobs[r] = 0;
-    }
-    for m in 0..members.len() {
-        if s.ina_enabled[m] {
-            for &r in &s.switches[s.switch_start[m]..s.switch_start[m + 1]] {
+    // Classify pass: lone and ordinary entries, the totals and classes
+    // they feed, the racks, and the flow counts a solve without a PAT flip
+    // converges to (the virgin view's).
+    s.live_links.clear();
+    s.live_racks.clear();
+    s.active.clear();
+    s.ordinary_len.clear();
+    s.lone.clear();
+    s.lone_start.clear();
+    s.class_mask.clear();
+    s.class_count = [0; CLASSES];
+    s.live_classes = 0;
+    for &ji in members {
+        let job = &jobs[ji];
+        let (first, mut mask) = (s.active.len(), 0u64);
+        s.lone_start.push(s.lone.len());
+        for (pos, e) in job.flows.iter().enumerate() {
+            let l = e.link as usize;
+            link_flows[l] += e.flows;
+            if e.steady && s.degree[l] == 1 {
+                s.lone.push((e.link, e.flows));
+                s.class_count[e.flows as usize] += 1;
+                mask |= 1 << e.flows;
+            } else {
+                if s.link_total[l] == 0 {
+                    s.live_links.push(l);
+                }
+                s.link_total[l] += u64::from(e.flows);
+                s.active.push(ActiveEntry { link: e.link, flows: e.flows, pos: pos as u32 });
+            }
+        }
+        s.class_mask.push(mask);
+        s.live_classes |= mask;
+        s.ordinary_len.push((s.active.len() - first) as u32);
+        if job.ina_enabled {
+            for &r in &job.switches {
+                if s.rack_jobs[r] == 0 {
+                    s.live_racks.push(r);
+                    pat[r] = cluster.racks()[r].pat_gbps();
+                }
                 s.rack_jobs[r] += 1;
             }
         }
     }
+    s.lone_start.push(s.lone.len());
+    stats.lone_entries += s.lone.len() as u64;
+    for f in bits(s.live_classes) {
+        s.class_bw[f] = cluster.spec().server_link_gbps;
+    }
+    // Round bound with headroom; the loop always exits earlier because
+    // every round saturates a link or exhausts a PAT pool.
+    let max_rounds = 2 * (s.links.len() + s.live_racks.len()) + 8;
     s.live_racks.retain(|&r| pat[r] > EPSILON_GBPS);
-    for &l in &s.links {
-        bw[l] = link_capacity(cluster, l);
-        state.link_flows[l] = 0;
-        s.link_total[l] = 0;
-    }
-    for &(l, f) in &s.flows {
-        s.link_total[l] += u64::from(f);
-    }
-    s.live_links.clear();
-    s.live_links.extend(s.links.iter().copied().filter(|&l| s.link_total[l] > 0));
+    s.flipped.clear();
     s.unfrozen.clear();
     s.unfrozen.extend(0..members.len());
+    // NaN until the member freezes, which it does once.
     s.rate.clear();
-    s.rate.resize(members.len(), 0.0);
+    s.rate.resize(members.len(), f64::NAN);
 
-    // Whether any pool ran dry during this solve: until one does, every
-    // run in the arena still holds the counts it was copied with.
+    // The rate of every unfrozen member: each has added every `δ` so far.
+    let mut level = 0.0_f64;
+    // Whether any pool ran dry during this solve: until one does, the
+    // virgin view's flow counts are the converged ones.
     let mut any_flip = false;
-    let mut flows_stale = false;
     for _ in 0..max_rounds {
         if s.unfrozen.is_empty() {
             break;
         }
         stats.rounds += 1;
-        // UpdateFlows: a PAT pool ran dry last round, so the unfrozen
-        // jobs' flow counts changed — rewrite them and recount the links.
-        if flows_stale {
-            for u in 0..s.unfrozen.len() {
-                let m = s.unfrozen[u];
-                s.write_flows(cluster, m, &jobs[members[m]], pat);
-            }
-            for &l in &s.live_links {
-                s.link_total[l] = 0;
-            }
-            for &m in &s.unfrozen {
-                for &(l, f) in &s.flows[s.flow_start[m]..s.flow_start[m + 1]] {
-                    s.link_total[l] += u64::from(f);
-                }
-            }
-            stats.link_visits += s.live_links.len() as u64;
-            flows_stale = false;
+        if !s.flipped.is_empty() {
+            s.rewrite_flipped(cluster, jobs, members, pat);
         }
 
-        // Minimum per-flow share across loaded links and switches.
+        // Minimum per-flow share across loaded links, classes and switches.
         let mut delta = f64::INFINITY;
         for &l in &s.live_links {
-            delta = delta.min((bw[l].max(0.0)) / s.link_total[l] as f64);
+            delta = delta.min(bw[l].max(0.0) / s.link_total[l] as f64);
+        }
+        for f in bits(s.live_classes) {
+            delta = delta.min(s.class_bw[f].max(0.0) / f as f64);
         }
         for &r in &s.live_racks {
             if s.rack_jobs[r] > 0 {
-                delta = delta.min((pat[r].max(0.0)) / f64::from(s.rack_jobs[r]));
+                delta = delta.min(pat[r].max(0.0) / f64::from(s.rack_jobs[r]));
             }
         }
-        stats.link_visits += 2 * s.live_links.len() as u64;
         if !delta.is_finite() {
             // No unfrozen job touches any link: freeze them all at their
             // current rate (degenerate but defensively handled).
-            s.unfrozen.clear();
+            s.freeze(jobs, members, bw, level, 0, true);
             break;
         }
+        stats.link_visits += (s.live_links.len() + s.active.len()) as u64
+            + u64::from(s.live_classes.count_ones());
 
-        // Augment: raise every active job by delta, drain links and PAT.
-        for &m in &s.unfrozen {
-            s.rate[m] += delta;
-            for &(l, f) in &s.flows[s.flow_start[m]..s.flow_start[m + 1]] {
-                bw[l] -= delta * f64::from(f);
+        // Augment: raise every unfrozen job by delta, drain links and PAT.
+        level += delta;
+        let mut saturated = false;
+        for e in &s.active {
+            let cell = &mut bw[e.link as usize];
+            *cell -= delta * f64::from(e.flows);
+            saturated |= *cell <= EPSILON_GBPS;
+        }
+        // A class at or under the threshold is every one of its links
+        // saturating at once.
+        let mut pinned = 0u64;
+        for f in bits(s.live_classes) {
+            s.class_bw[f] -= delta * f as f64;
+            if s.class_bw[f] <= EPSILON_GBPS {
+                pinned |= 1 << f;
             }
-            if s.ina_enabled[m] {
-                for &r in &s.switches[s.switch_start[m]..s.switch_start[m + 1]] {
-                    if pat[r] > EPSILON_GBPS {
-                        pat[r] -= delta;
-                    }
+        }
+        // The round's PAT draws, rack by rack: one guarded `-= δ` per
+        // unfrozen INA member there. A pool left at or under the threshold
+        // is pinned, and flips its members' counts next round.
+        let SolveScratch { live_racks, rack_jobs, flipped, .. } = &mut *s;
+        live_racks.retain(|&r| {
+            let mut left = pat[r];
+            for _ in 0..rack_jobs[r] {
+                if left > EPSILON_GBPS {
+                    left -= delta;
                 }
             }
-        }
-        // Pin near-zero residuals and detect PAT flips.
-        s.live_racks.retain(|&r| {
-            let flipped = pat[r] <= EPSILON_GBPS;
-            if flipped {
-                pat[r] = 0.0;
-                flows_stale = true;
+            let dry = left <= EPSILON_GBPS;
+            if dry {
+                left = 0.0;
+                flipped.push(r);
             }
-            !flipped
+            pat[r] = left;
+            !dry
         });
-        any_flip |= flows_stale;
-        let mut any_link_saturated = false;
-        for &l in &s.live_links {
-            if bw[l] <= EPSILON_GBPS {
-                bw[l] = bw[l].max(0.0);
-                any_link_saturated = true;
-            }
-        }
+        any_flip |= !s.flipped.is_empty();
         // Freeze jobs crossing a saturated link and take their flows out
         // of the running totals.
-        if any_link_saturated {
-            let SolveScratch {
-                unfrozen,
-                flows,
-                flow_start,
-                switches,
-                switch_start,
-                ina_enabled,
-                link_total,
-                rack_jobs,
-                live_links,
-                ..
-            } = &mut *s;
-            unfrozen.retain(|&m| {
-                let run = &flows[flow_start[m]..flow_start[m + 1]];
-                let frozen = run.iter().any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS);
-                if frozen {
-                    for &(l, f) in run {
-                        link_total[l] -= u64::from(f);
-                    }
-                    if ina_enabled[m] {
-                        for &r in &switches[switch_start[m]..switch_start[m + 1]] {
-                            rack_jobs[r] -= 1;
-                        }
-                    }
-                }
-                !frozen
-            });
-            live_links.retain(|&l| link_total[l] > 0);
+        if saturated || pinned != 0 {
+            stats.link_visits += s.active.len() as u64;
+            s.freeze(jobs, members, bw, level, pinned, false);
         }
     }
-    stats.unconverged += u64::from(!s.unfrozen.is_empty());
+    if !s.unfrozen.is_empty() {
+        stats.unconverged += 1;
+        s.freeze(jobs, members, bw, level, 0, true);
+    }
+    debug_assert!(s.active.is_empty() && s.live_links.is_empty(), "an entry outlived its owner");
+    debug_assert!(s.live_classes == 0 && s.class_count == [0; CLASSES], "a class outlived its members");
+    debug_assert!(s.rate.iter().all(|r| !r.is_nan()), "a member never froze");
+    debug_assert!(
+        members.iter().flat_map(|&ji| &jobs[ji].switches).all(|&r| s.rack_jobs[r] == 0),
+        "a rack count outlived its members"
+    );
 
     // Converged flow counts including frozen jobs, under the final PAT view
     // (a job's own switches are all inside its component, so the component
     // view and the global view agree). With no flip that view is the one
-    // the runs were cached under and the arena already holds the answer; a
-    // frozen job's run is stale after one, so walk the trees again.
+    // the runs were cached under and set-up already summed them; a frozen
+    // job's run is stale after one, so walk the trees again.
     if any_flip {
+        for &l in &s.links {
+            link_flows[l] = 0;
+        }
         let agg = |r: RackId| pat[r.0] > EPSILON_GBPS;
         for &ji in members {
             for h in jobs[ji].components() {
-                h.for_each_link_flow(agg, |l, f| state.link_flows[l.index(cluster)] += f);
+                h.for_each_link_flow(agg, |l, f| link_flows[l.index(cluster)] += f);
             }
-        }
-    } else {
-        for &(l, f) in &s.flows {
-            state.link_flows[l] += f;
         }
     }
     for (m, &ji) in members.iter().enumerate() {
         state.job_rates.insert(jobs[ji].id, s.rate[m]);
     }
-    // Residual clamping.
+    // Residual clamping, and the degree counts back to zero.
     for &l in &s.links {
         bw[l] = bw[l].max(0.0);
+        s.degree[l] = 0;
     }
 }
 
@@ -900,5 +1098,54 @@ mod sharded_tests {
         let s = estimate(&c, &[local]);
         assert_eq!(s.job_shards(JobId(1)), Some(1));
         assert_eq!(s.comm_time_s(JobId(1), 5.0), Some(0.0));
+    }
+}
+
+#[cfg(test)]
+mod steady_tests {
+    use super::*;
+    use crate::literal::{arb_cluster, arb_jobs};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// What the lone-link classes rest on. Over every one of the 2^k
+        /// sets of aggregating pools of a cluster of k ≤ 4 racks: a job's
+        /// run names the same links in the same order; each count lies
+        /// between its value with every pool aggregating and with none
+        /// (the monotonicity that lets `PlacedJob::new` look at those two
+        /// views only); and an entry marked steady is a server access link
+        /// of fewer than 64 flows whose count never moves — while an
+        /// access link of fewer than 64 flows left unmarked does move, so
+        /// the mark is not vacuous.
+        #[test]
+        fn a_steady_count_is_the_same_under_every_pat_view(
+            (cluster, jobs) in arb_cluster().prop_flat_map(|c| {
+                let jobs = arb_jobs(&c);
+                (Just(c), jobs)
+            })
+        ) {
+            let (mut all, mut none, mut run) = (Vec::new(), Vec::new(), Vec::new());
+            for job in &jobs {
+                write_flow_run(&cluster, &job.components, |_| true, &mut all);
+                write_flow_run(&cluster, &job.components, |_| false, &mut none);
+                let mut moved = vec![false; job.flows.len()];
+                for view in 0..1u32 << cluster.num_racks() {
+                    write_flow_run(&cluster, &job.components, |r| view >> r.0 & 1 == 1, &mut run);
+                    prop_assert_eq!(run.len(), job.flows.len());
+                    for (i, e) in job.flows.iter().enumerate() {
+                        prop_assert_eq!(run[i].0, e.link as usize);
+                        prop_assert!(all[i].1 <= run[i].1 && run[i].1 <= none[i].1);
+                        prop_assert!(!e.steady || run[i].1 == e.flows);
+                        moved[i] |= run[i].1 != e.flows;
+                    }
+                }
+                for (e, moved) in job.flows.iter().zip(moved) {
+                    let could_be = (e.link as usize) < cluster.num_servers() && e.flows < 64;
+                    prop_assert_eq!(e.steady, could_be && !moved);
+                }
+            }
+        }
     }
 }

@@ -4,6 +4,7 @@
 # claim").
 #
 #   scripts/pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]
+#   scripts/pairs.sh <parent-rev> <workload|all> trace [seed=1]
 #
 # Extracts <parent-rev> into a directory of its own under $TMPDIR (with
 # `git archive`, so the repository's own metadata is not touched), builds
@@ -24,6 +25,13 @@
 # metric's bound in BENCHMARK.json — better or WORSE — or that broke the
 # comm_overhead_ratio / correctness checks.
 #
+# With `trace` in place of the pair count it makes one `--trace 1` run per
+# side instead (same two builds) and prints every metric of the two result
+# lines side by side — parent, change, change / parent — with a `DIFFERS`
+# flag on each count (work done, not time spent) that is not equal: "the
+# saving is where the issue says, and the work did not move" in one table.
+# One traced run is a reading, not a claim; the pairs are the claim.
+#
 # This script and `benchmark/run.sh`, which it drives, are the only ones
 # in the repository that measure. The figure binaries print single-shot
 # wall clocks for their figures, and the older JSON ledger some of them
@@ -36,7 +44,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    echo "usage: scripts/pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]" >&2
+    echo "usage: scripts/pairs.sh <parent-rev> <workload|all> [pairs=10|trace] [seed=1]" >&2
     exit 2
 fi
 rev=$1 workloads=$2 pairs=${3:-10} seed=${4:-1}
@@ -55,12 +63,47 @@ cargo build --release --offline --manifest-path "$work/parent/benchmark/Cargo.to
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
     --target-dir "$work/target-change" >&2
 
-# One run of one side on $workload; its result line (the last of stdout)
-# joins $3.
+# One run of one side on $workload, with any further run.sh arguments; its
+# result line (the last of stdout) joins $3.
 run_side() {
     local dir=$1 target=$2 rows=$3
+    shift 3
     (cd "$dir" && CARGO_TARGET_DIR="$target" bash benchmark/run.sh \
-        --workload "$workload" --seed "$seed" 2> /dev/null) | tail -n 1 >> "$rows"
+        --workload "$workload" --seed "$seed" "$@" 2> /dev/null) | tail -n 1 >> "$rows"
+}
+
+# One traced run per side of $workload, then every metric side by side.
+trace_table() {
+    local parent_row="$work/parent.$workload.trace" change_row="$work/change.$workload.trace"
+    run_side "$work/parent" "$work/target-parent" "$parent_row" --trace 1
+    run_side . "$work/target-change" "$change_row" --trace 1
+    echo "workload $workload seed $seed: one traced run, parent $(git rev-parse --short "$rev") vs working tree"
+    awk '
+# name, value and unit of every `"name": {"value": V, "unit": "U"}` of a result line.
+function metrics(line, value, unit, order,    n, entry, name) {
+    n = 0
+    while (match(line, /"[A-Za-z0-9_.]+": [{]"value": [^,]*, "unit": "[^"]*"[}]/)) {
+        entry = substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+        name = substr(entry, 2); sub(/".*/, "", name)
+        order[++n] = name
+        value[name] = entry; sub(/.*"value": /, "", value[name]); sub(/,.*/, "", value[name])
+        unit[name] = entry; sub(/.*"unit": "/, "", unit[name]); sub(/".*/, "", unit[name])
+    }
+    return n
+}
+FNR == NR { n = metrics($0, parent, unit, order); next }
+{ metrics($0, change, unit, ignored) }
+END {
+    printf "%-44s %18s %18s %8s  %s\n", "metric", "parent", "change", "ratio", "unit"
+    for (i = 1; i <= n; i++) {
+        name = order[i]; p = parent[name]; c = change[name]
+        ratio = (p + 0 != 0 ? sprintf("%7.3fx", c / p) : "      - ")
+        flag = (unit[name] == "count" && p != c ? "  DIFFERS" : "")
+        printf "%-44s %18.10g %18.10g %8s  %s%s\n", name, p, c, ratio, unit[name], flag
+    }
+}' "$parent_row" "$change_row"
+    echo "result lines: $parent_row $change_row"
 }
 
 # The pairs of $workload, then its table; what the closing summary lists
@@ -134,6 +177,11 @@ END {
 }' "$parent_rows" "$change_rows"
     echo "result lines: $parent_rows $change_rows"
 }
+
+if [ "$pairs" = trace ]; then
+    for workload in $workloads; do trace_table; done
+    exit 0
+fi
 
 for workload in $workloads; do measure; done
 

@@ -6,7 +6,10 @@
 //! running cross-rack job) where many servers per rack share a PS class
 //! with the plan's own. The flow simulator, the packet simulator and the
 //! exact placer: one case each. Every reference is reached by calling it;
-//! no configuration or environment variable selects one.
+//! no configuration or environment variable selects one. Algorithm 1's
+//! solver is held to its literal twin inside `netpack-waterfill`; what
+//! tier-1 pins here is that a change of its mechanism moves no count of
+//! rounds, solves or jobs re-solved on the Fig. 10 dense cell.
 
 use netpack::placement::{batch_comm_time_s, reference, ExactPlacer, RunningJob};
 use netpack::prelude::*;
@@ -70,6 +73,33 @@ fn production_matches_the_literal_algorithm() {
             assert!(placer.perf().counter("ps_rack_servers_skipped") > 0, "{cell}");
         }
     }
+}
+
+/// The water-fill work of one dense batch — the first `dense_batch` input
+/// of the repo benchmark at seed 1 — as the round-by-round solver of PR 15
+/// counted it. The counts are functions of the `δ` sequence alone: a
+/// solver that takes the same minima freezes the same jobs in the same
+/// rounds, so any faster mechanism must reproduce them exactly.
+#[test]
+fn a_dense_batch_costs_the_pinned_rounds_and_solves() {
+    let cluster = Cluster::new(ClusterSpec {
+        racks: 16,
+        servers_per_rack: 625,
+        ..ClusterSpec::paper_default()
+    });
+    let mut placer = NetPackPlacer::new(NetPackConfig {
+        threads: Some(1),
+        ..NetPackConfig::default()
+    });
+    let outcome = placer.place_batch(&cluster, &[], &xorshift_batch(400, 32, 1007));
+    assert_eq!(outcome.placed.len(), 400);
+    let count = |name| placer.perf().counter(name);
+    assert_eq!(count("waterfill_rounds"), 14_132);
+    assert_eq!(count("waterfill_components_solved"), 337);
+    assert_eq!(count("waterfill_jobs_resolved"), 56_953);
+    assert_eq!(count("waterfill_jobs_reused"), 12_001);
+    assert_eq!(count("waterfill_unconverged"), 0);
+    assert!(count("waterfill_lone_entries") > 0, "no link was filled through a class");
 }
 
 #[test]
