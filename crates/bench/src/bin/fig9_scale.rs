@@ -3,10 +3,12 @@
 //! The paper replays a 4K-job real workload on clusters of 100 to 10K
 //! servers (16 racks) and reports an average 31% JCT reduction for
 //! NetPack. We sweep the same shape; `NETPACK_QUICK=1` trims the sweep
-//! and `NETPACK_SMOKE=1` shrinks it to a single tiny cell, every replay of
-//! which is repeated through the from-scratch oracle
-//! (`Simulation::run_reference`) and asserted bit-identical (the
-//! `scripts/check.sh` equivalence gate). Every (size, placer, repetition)
+//! and `NETPACK_SMOKE=1` shrinks it to one 256-server x 400-job cell —
+//! loaded enough that completions, epochs and INA reconciliation meet in
+//! one warm session — every replay of which is repeated through the
+//! from-scratch oracle (`Simulation::run_reference`) and asserted
+//! bit-identical (the `scripts/check.sh` equivalence gate, run from a
+//! release and from a debug build). Every (size, placer, repetition)
 //! cell is an independent simulation, so the sweep fans out across
 //! threads via [`parallel_sweep`]; set `NETPACK_PERF=1` to print the
 //! merged event-loop counters afterwards.
@@ -21,14 +23,14 @@ use netpack_workload::TraceKind;
 fn main() {
     let smoke = netpack_bench::smoke();
     let sizes: Vec<usize> = if smoke {
-        vec![64]
+        vec![256]
     } else if quick() {
         vec![100, 400]
     } else {
         vec![100, 256, 1024, 4096, 10_000]
     };
     let jobs = if smoke {
-        40
+        400
     } else if quick() {
         100
     } else {

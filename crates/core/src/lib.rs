@@ -35,9 +35,9 @@
 //! manager.submit(Job::builder(JobId(0), ModelKind::ResNet50, 4).build());
 //! let decisions = manager.run_epoch();
 //! assert_eq!(decisions.len(), 1);
-//! assert_eq!(manager.running().len(), 1);
+//! assert_eq!(manager.running().count(), 1);
 //! manager.finish(JobId(0))?;
-//! assert!(manager.running().is_empty());
+//! assert_eq!(manager.running().count(), 0);
 //! # Ok::<(), netpack_core::ManagerError>(())
 //! ```
 

@@ -11,8 +11,10 @@
 //! completions — trigger a rate recomputation, exactly as real statistical
 //! INA re-converges when the competing flow set changes.
 //!
-//! Recomputation is incremental: a warm water-filling estimator re-solves
-//! only the resource-connected components an event touched, and
+//! Recomputation is incremental: a warm water-filling estimator — over
+//! NetPack, the one inside the `NetPackSession` that also places the jobs
+//! — re-solves only the resource-connected components an event touched
+//! and names the jobs it re-solved, so only those are re-rated, and
 //! completions come off a lazy-invalidation min-heap instead of a
 //! per-event scan (see the [`sim`](self) internals). There is one
 //! production path and no option selects another: the from-scratch

@@ -68,7 +68,12 @@ pub struct SimResult {
     pub telemetry: Vec<TelemetrySample>,
     /// Integral of allocated GPUs over time, in GPU-seconds.
     pub gpu_seconds: f64,
-    /// Event-loop work counters and phase timers for this run.
+    /// Event-loop work counters and phase timers for this run (`sim.rs`'s
+    /// module docs list them). The `wf_*` counters are
+    /// the warm estimator's: over NetPack that is the one estimator
+    /// placement and simulation share, so `wf_pushes` / `wf_removes`
+    /// include the pops and re-pushes of selective-INA reconciliation, not
+    /// only arrivals and completions.
     pub perf: PerfCounters,
 }
 

@@ -3,15 +3,33 @@
 //! # Fast path
 //!
 //! The loop's per-event cost is proportional to what changed, not to the
-//! cluster:
+//! cluster and not to the running set:
 //!
-//! - **Steady state** — under [`InaMode::Statistical`] the manager keeps
-//!   one warm water-filling estimator across the whole run and re-solves
-//!   only the resource-connected components touched by an arrival batch
-//!   or completion; [`InaMode::Synchronous`] has no incremental form and
-//!   solves from scratch. The warm result is bit-identical to the
-//!   from-scratch oracle `Simulation::run_reference`, which nothing
-//!   selects: tests and the `fig9_scale` smoke call it.
+//! - **Books** — [`Simulation::run`] under [`InaMode::Statistical`] opens
+//!   its job manager warm (`JobManager::warm`). Over NetPack that is one
+//!   `NetPackSession` for the whole run — one GPU ledger, one server
+//!   index, one water-filling estimator shared by placement and
+//!   simulation — so an epoch rebuilds nothing and a completion stages one
+//!   removal. A baseline placer has no session: the manager keeps its
+//!   stateless books and a warm estimator beside them. The oracle
+//!   `Simulation::run_reference` and [`InaMode::Synchronous`] (which has no
+//!   incremental form) keep the stateless books and solve every steady
+//!   state from scratch, so the oracle shares neither session nor
+//!   estimator with the run it checks. Nothing selects the oracle: tests
+//!   and the `fig9_scale` smoke call it.
+//! - **Steady state** — the warm estimator re-solves only the
+//!   resource-connected components an arrival batch or a completion
+//!   touched, bit-identical to the from-scratch solve.
+//! - **Re-rating** — the estimator stamps every job it re-solves with the
+//!   number of the settle that did, and the loop remembers the last number
+//!   it saw, so after a settle it revisits exactly the jobs stamped since
+//!   (`rates_changed_since`) instead of walking the running set. That is
+//!   exact, not approximate: a job's iteration time is a function of its
+//!   own `(rate, shards)` entry, which only a solve of its component or
+//!   its own push writes, and both stamp it — however many settles an
+//!   epoch ran between two reads. The from-scratch path has no stamps and
+//!   walks every running job; a debug build re-checks every running job
+//!   after each selective pass.
 //! - **Completions** — rather than scanning every running job per event,
 //!   predicted finish times live in a lazy-invalidation min-heap. A
 //!   job's fluid progress is anchored at the last rate change
@@ -19,16 +37,23 @@
 //!   finish time is constant while its rate is constant and heap entries
 //!   stay valid without re-keying. When a rate *does* change, the job's
 //!   generation counter is bumped and a fresh entry pushed; entries with
-//!   stale generations are discarded when they surface at the top.
+//!   stale generations are discarded when they surface at the top. Heap
+//!   entries are totally ordered on `(finish, id, generation)`, so the
+//!   order in which one event's re-rates push them does not matter.
 //! - **Epoch grid** — the next scheduling-epoch time is computed in
 //!   closed form (no stepping loop), so a huge gap between the last
 //!   epoch and the next arrival costs O(1).
 //!
 //! [`SimResult::perf`] records the work: `sim_events`, `heap_pushes`,
-//! `heap_stale_pops` counters and `events`, `resolve_component` (warm
-//! solves), `resolve_full` (from-scratch solves: synchronous mode, and
-//! every solve of the reference), `heap_ops` phase timers, plus the warm
-//! estimator's own counters (`wf_*`).
+//! `heap_stale_pops`, `sim_rerate_visits` (jobs the re-rate pass looked
+//! at) and `sim_finish_errors` counters and `events`, `resolve_component`
+//! (warm settles), `resolve_full` (from-scratch solves: synchronous mode,
+//! and every solve of the reference), `heap_ops`, `place` phase timers,
+//! plus the warm estimator's own counters (`wf_*`). Over NetPack that
+//! estimator is the session's — the one placement pushes every job onto —
+//! so `wf_pushes` and `wf_removes` count the selective-INA reconciliation
+//! too (every job from the first one switched off to the end of its batch
+//! is popped and re-pushed), not only arrivals and completions.
 
 use crate::{JobOutcome, SimResult, TelemetrySample};
 use netpack_core::{JobManager, ManagerConfig};
@@ -122,6 +147,44 @@ impl Progress {
             self.anchor_s + self.remaining_at_anchor.max(0.0) * self.iter_time_s
         } else {
             f64::INFINITY
+        }
+    }
+
+    /// Seconds per iteration of job `id` under `state`.
+    fn iter_time_under(&self, id: JobId, state: &SteadyState) -> f64 {
+        let comm = state
+            .comm_time_s(id, self.gradient_gbits)
+            .unwrap_or(f64::INFINITY);
+        self.compute_time_s + comm
+    }
+
+    /// Take job `id`'s rate from `state`. Re-anchors (and re-keys the
+    /// heap) only on an actual change: an unchanged rate keeps the
+    /// existing entry's predicted finish time exactly valid.
+    fn rerate(
+        &mut self,
+        id: JobId,
+        state: &SteadyState,
+        clock: f64,
+        heap: &mut BinaryHeap<Reverse<Completion>>,
+        perf: &mut PerfCounters,
+    ) {
+        let iter_time = self.iter_time_under(id, state);
+        if iter_time == self.iter_time_s {
+            return;
+        }
+        self.remaining_at_anchor = self.remaining_at(clock);
+        self.anchor_s = clock;
+        self.iter_time_s = iter_time;
+        self.generation += 1;
+        let finish = self.predicted_finish_s();
+        if finish.is_finite() {
+            heap.push(Reverse(Completion {
+                finish_s: finish,
+                id,
+                generation: self.generation,
+            }));
+            perf.incr("heap_pushes", 1);
         }
     }
 }
@@ -226,8 +289,9 @@ impl Simulation {
         self.replay(trace, false)
     }
 
-    /// The event loop. `warm` takes each steady state from the manager's
-    /// incremental estimator; otherwise every solve is from scratch.
+    /// The event loop. `warm` opens the manager warm and takes each steady
+    /// state, and the jobs it moved, from its incremental estimator;
+    /// otherwise the books are stateless and every solve is from scratch.
     fn replay(self, trace: &Trace, warm: bool) -> SimResult {
         let Simulation {
             cluster,
@@ -236,7 +300,11 @@ impl Simulation {
         } = self;
         let epoch = config.manager.epoch_s.max(1e-6);
         let total_gpus = cluster.total_gpus();
-        let mut manager = JobManager::new(cluster, placer, config.manager);
+        let mut manager = if warm {
+            JobManager::warm(cluster, placer, config.manager)
+        } else {
+            JobManager::new(cluster, placer, config.manager)
+        };
         let mut result = SimResult::default();
         let mut perf = PerfCounters::new();
 
@@ -264,6 +332,10 @@ impl Simulation {
         // The last from-scratch state; a warm run reads the manager's.
         let mut state: Option<SteadyState> = None;
         let mut state_ready = false;
+        // The warm estimator's settle number as of the last re-rate, and
+        // the jobs re-solved since (an arena).
+        let mut seen_epoch = 0u64;
+        let mut changed: Vec<JobId> = Vec::new();
         let mut next_telemetry = 0.0f64;
 
         loop {
@@ -357,10 +429,17 @@ impl Simulation {
                     break;
                 }
                 heap.pop();
-                // `running` mirrors the manager's running set, so both
-                // lookups succeed for a live entry.
+                // `running` mirrors the manager's running set, so the
+                // lookup succeeds for a live entry.
                 let Some(p) = running.remove(&c.id) else { continue };
-                let Ok((job, _placement)) = manager.finish(c.id) else { continue };
+                let Ok((job, _placement)) = manager.finish(c.id) else {
+                    // The manager's books are broken and refuse the
+                    // release: the job keeps its GPUs there, can never
+                    // complete, and must still be accounted for.
+                    result.unfinished.push(c.id);
+                    perf.incr("sim_finish_errors", 1);
+                    continue;
+                };
                 used_gpus -= job.gpus;
                 result.outcomes.push(JobOutcome {
                     id: c.id,
@@ -400,47 +479,38 @@ impl Simulation {
             // -------- rate recomputation --------
             if rates_dirty || !state_ready {
                 state_ready = true;
-                let s: &SteadyState = if warm {
+                if warm {
                     let solve_start = Stopwatch::start();
-                    let s = manager.steady_state_incremental();
+                    manager.steady_state_incremental();
                     perf.record("resolve_component", solve_start.elapsed());
-                    s
+                    seen_epoch = manager.rates_changed_since(seen_epoch, &mut changed);
+                    // Settled just above: this is a read.
+                    let s = manager.steady_state_incremental();
+                    perf.incr("sim_rerate_visits", changed.len() as u64);
+                    for &id in &changed {
+                        if let Some(p) = running.get_mut(&id) {
+                            p.rerate(id, s, clock, &mut heap, &mut perf);
+                        }
+                    }
+                    debug_assert!(
+                        running.iter().all(|(&id, p)| p.iter_time_s == p.iter_time_under(id, s)),
+                        "a running job's rate moved without a stamp"
+                    );
                 } else {
-                    state.insert(perf.time("resolve_full", || match config.ina_mode {
+                    let s = state.insert(perf.time("resolve_full", || match config.ina_mode {
                         InaMode::Statistical => manager.steady_state(),
                         InaMode::Synchronous => {
                             let cluster = manager.cluster();
                             let placed: Vec<netpack_waterfill::PlacedJob> = manager
                                 .running()
-                                .iter()
-                                .map(|(j, p)| netpack_waterfill::PlacedJob::new(j.id, cluster, p))
+                                .map(|(id, p)| netpack_waterfill::PlacedJob::new(id, cluster, p))
                                 .collect();
                             netpack_waterfill::estimate_synchronous(cluster, &placed)
                         }
-                    }))
-                };
-                for (id, p) in running.iter_mut() {
-                    let comm = s
-                        .comm_time_s(*id, p.gradient_gbits)
-                        .unwrap_or(f64::INFINITY);
-                    let iter_time = p.compute_time_s + comm;
-                    // Re-anchor (and re-key the heap) only on an actual
-                    // change: an unchanged rate keeps the existing entry's
-                    // predicted finish time exactly valid.
-                    if iter_time != p.iter_time_s {
-                        p.remaining_at_anchor = p.remaining_at(clock);
-                        p.anchor_s = clock;
-                        p.iter_time_s = iter_time;
-                        p.generation += 1;
-                        let finish = p.predicted_finish_s();
-                        if finish.is_finite() {
-                            heap.push(Reverse(Completion {
-                                finish_s: finish,
-                                id: *id,
-                                generation: p.generation,
-                            }));
-                            perf.incr("heap_pushes", 1);
-                        }
+                    }));
+                    perf.incr("sim_rerate_visits", running.len() as u64);
+                    for (&id, p) in running.iter_mut() {
+                        p.rerate(id, s, clock, &mut heap, &mut perf);
                     }
                 }
             }

@@ -171,3 +171,72 @@ proptest! {
         prop_assert_eq!(sim().run(&trace), sim().run_reference(&trace));
     }
 }
+
+/// 40-80 jobs of up to 16 GPUs arriving over five scheduling epochs and
+/// running from seconds to minutes: on 128 GPUs the queue backs up, jobs
+/// span racks, and completions land between epochs.
+fn arb_loaded_trace() -> impl Strategy<Value = Trace> {
+    proptest::collection::vec((1usize..17, 50u64..1500, 0u32..3000, 0usize..6), 40..81).prop_map(
+        |raw| {
+            let jobs: Vec<Job> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (gpus, iters, arrival_ds, model))| {
+                    Job::builder(JobId(i as u64), ModelKind::ALL[model], gpus)
+                        .iterations(iters)
+                        .arrival_s(arrival_ds as f64 / 10.0)
+                        .build()
+                })
+                .collect();
+            Trace::from_jobs(jobs)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same bit-identity where a warm session has work to do: four
+    /// racks of eight 4-GPU servers under load, PAT from absent through
+    /// "runs dry" to "never binds", telemetry on. Completions staged
+    /// between epochs, the selective-INA reconciliation (pops and
+    /// re-pushes on the estimator the simulator reads) and PAT flips all
+    /// meet inside one `NetPackSession`, and every re-rate goes through the
+    /// estimator's stamps; GB takes the stateless books beside a warm
+    /// estimator through the same trace.
+    #[test]
+    fn incremental_replay_is_bit_identical_under_load(
+        (trace, pat) in (arb_loaded_trace(), 0usize..3)
+    ) {
+        let spec = ClusterSpec {
+            racks: 4,
+            servers_per_rack: 8,
+            gpus_per_server: 4,
+            pat_gbps: [0.0, 50.0, 1000.0][pat],
+            ..ClusterSpec::paper_default()
+        };
+        let placers: [fn() -> Box<dyn Placer>; 2] =
+            [|| Box::new(NetPackPlacer::default()), || Box::new(GpuBalance)];
+        for placer in placers {
+            let sim = || {
+                let config = SimConfig {
+                    telemetry_interval_s: Some(20.0),
+                    ..SimConfig::default()
+                };
+                Simulation::new(Cluster::new(spec.clone()), placer(), config)
+            };
+            let (run, oracle) = (sim().run(&trace), sim().run_reference(&trace));
+            prop_assert_eq!(&run, &oracle);
+            prop_assert!(run.unfinished.is_empty());
+            for counter in ["sim_events", "heap_pushes", "heap_stale_pops"] {
+                prop_assert_eq!(run.perf.counter(counter), oracle.perf.counter(counter));
+            }
+            // The warm estimator absorbed completions, and the re-rate
+            // pass looked at fewer jobs than the full walk.
+            prop_assert!(run.perf.counter("wf_removes") > 0);
+            prop_assert!(
+                run.perf.counter("sim_rerate_visits") < oracle.perf.counter("sim_rerate_visits")
+            );
+        }
+    }
+}

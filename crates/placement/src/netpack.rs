@@ -1,6 +1,7 @@
 //! The NetPack placer — the paper's Algorithm 2.
 
 use crate::placer::{BatchOutcome, Placer, RunningJob};
+use crate::session::NetPackSession;
 use netpack_metrics::PerfCounters;
 use netpack_model::{JobHierarchy, Placement};
 use netpack_topology::{Cluster, RackId, ServerId};
@@ -319,6 +320,13 @@ impl Placer for NetPackPlacer {
         batch: &[Job],
     ) -> BatchOutcome {
         self.place_batch_flat(cluster, running, batch)
+    }
+
+    /// The session inherits the configuration whole — the worker count as
+    /// this placer resolved it included.
+    fn open_session(&self, cluster: &Cluster) -> Option<NetPackSession> {
+        let config = NetPackConfig { threads: Some(self.threads), ..self.config.clone() };
+        Some(NetPackSession::new(cluster.clone(), config))
     }
 }
 

@@ -1,8 +1,8 @@
 //! The placer abstraction shared by NetPack and every baseline.
 
 use crate::{
-    Comb, FlowBalance, GpuBalance, LeastFragmentation, NetPackPlacer, OptimusLike, RandomPlacer,
-    TetrisLike,
+    Comb, FlowBalance, GpuBalance, LeastFragmentation, NetPackPlacer, NetPackSession, OptimusLike,
+    RandomPlacer, TetrisLike,
 };
 use netpack_model::Placement;
 use netpack_topology::{Cluster, JobId};
@@ -110,6 +110,15 @@ pub trait Placer {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome;
+
+    /// A warm session over `cluster` (taken as idle) that places every
+    /// batch exactly as [`place_batch`](Self::place_batch) would, for a
+    /// caller that wants one set of books kept across batches instead of a
+    /// rebuild per call. `None` — the default — for a placer that has no
+    /// warm form.
+    fn open_session(&self, _cluster: &Cluster) -> Option<NetPackSession> {
+        None
+    }
 }
 
 /// A fresh, default-configured placer for a [`Placer::name`] string — the

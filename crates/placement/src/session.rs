@@ -35,9 +35,13 @@
 //! [`is_settled`](NetPackSession::is_settled); a reader between passes
 //! calls [`settle`](NetPackSession::settle) first.
 //!
-//! The results are **bit-identical** to driving a `JobManager` +
-//! [`NetPackPlacer`] through the same sequence of batches and completions
-//! (pinned by the `session_equivalence` integration test): both run the
+//! The results are **bit-identical** to driving a stateless-books
+//! `JobManager` (`JobManager::new`) + [`NetPackPlacer`] through the same
+//! sequence of batches and completions (pinned by the
+//! `service_equivalence` integration test, and by the flow simulator's
+//! `run == run_reference` tests, whose production side is a `JobManager`
+//! opened warm — a thin queue in front of one of these sessions, handed
+//! out by [`Placer::open_session`](crate::Placer::open_session)): both run the
 //! same batch loop (`NetPackPlacer::place_batch_on`), the stateless placer
 //! on a `(ledger, estimator)` pair built for the batch, the session on the
 //! pair it keeps, and the estimator's settled state is a function of the
@@ -47,6 +51,12 @@
 //! of the batch off the estimator tail and re-pushes them with their final
 //! flags (staged, one settle), so the warm state stays equal to the
 //! manager's.
+//!
+//! A caller that caches per-job rates between reads of
+//! [`state`](NetPackSession::state) — the flow simulator — asks
+//! [`rates_changed_since`](NetPackSession::rates_changed_since) which jobs
+//! the settles since its last read re-solved; the reconciliation's pops and
+//! re-pushes are stamped like any other op, so it needs no special case.
 
 use crate::flat::FlatBatch;
 use crate::netpack::{record_waterfill, NetPackConfig, NetPackPlacer};
@@ -191,6 +201,25 @@ impl NetPackSession {
         let start = Stopwatch::start();
         self.tracker.settle(&self.cluster);
         self.placer.perf.record("waterfill_solve", start.elapsed());
+    }
+
+    /// The warm estimator's work counters since the session was opened.
+    pub fn waterfill_stats(&self) -> &WaterfillStats {
+        self.tracker.stats()
+    }
+
+    /// The number of the estimator's last counted settle: what a reader of
+    /// [`rates_changed_since`](Self::rates_changed_since) remembers.
+    pub fn solve_epoch(&self) -> u64 {
+        self.tracker.solve_epoch()
+    }
+
+    /// The running jobs whose rate in [`state`](Self::state) was written
+    /// after the settle numbered `seen` — see
+    /// [`IncrementalEstimator::changed_since`]. Read it when
+    /// [`is_settled`](Self::is_settled).
+    pub fn rates_changed_since(&self, seen: u64) -> impl Iterator<Item = JobId> + '_ {
+        self.tracker.changed_since(seen)
     }
 
     /// Perf counters accumulated by the underlying placer (same names as

@@ -99,7 +99,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
 
         // Service running set must mirror the manager's, placement for
         // placement (INA flags included).
-        assert_eq!(core.running_len(), manager.running().len());
+        assert_eq!(core.running_len(), manager.running().count());
 
         // Churn: retire the oldest running job on both sides.
         if let Some(&oldest) = completion_order.first() {
@@ -136,7 +136,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
             break; // nothing placeable without further completions
         }
     }
-    assert_eq!(core.running_len(), manager.running().len());
+    assert_eq!(core.running_len(), manager.running().count());
 }
 
 #[test]

@@ -83,6 +83,25 @@
 //! estimator nobody drains (the flow simulator's) holds at most
 //! `num_links` entries however long it runs. PAT pools are not journalled.
 //!
+//! # Which rates a settle wrote
+//!
+//! A consumer that caches something derived from *job rates* (the flow
+//! simulator's per-job iteration time) needs the dual question answered:
+//! not which links moved, but which jobs. The estimator keeps one stamp per
+//! job, parallel to the job list and shifting with it: the number of the
+//! counted settle that last solved the job, counted from 1 — the solve in
+//! [`new`](IncrementalEstimator::new). A staged push takes the next
+//! settle's number at once: a local job is never solved, and its infinite
+//! rate is written when it is staged. [`solve_epoch`](IncrementalEstimator::solve_epoch)
+//! is the number of the last counted settle, and
+//! [`changed_since(seen)`](IncrementalEstimator::changed_since) lists every
+//! job stamped above `seen`, so a reader that remembers the epoch of its
+//! last read finds every job whose `(rate, shards)` may differ from its
+//! copy — however many settles fell in between — and every job it does not
+//! find is bit-equal. The store is bounded by the running set, there is
+//! nothing to clear, and a caller that never reads pays one integer store
+//! per re-solved job.
+//!
 //! # Example
 //!
 //! ```
@@ -228,6 +247,11 @@ const LOST: u8 = 2;
 pub struct IncrementalEstimator {
     /// Every job in the estimate, in insertion order (solve order).
     jobs: Vec<PlacedJob>,
+    /// Parallel to `jobs`: the number of the counted settle that last wrote
+    /// the job's rate (see "Which rates a settle wrote").
+    stamps: Vec<u64>,
+    /// The number of the last counted settle; the solve in `new` is 1.
+    epoch: u64,
     /// Union-find over resource nodes (links, then rack PAT pools). Exact
     /// when settled; between settles a superset (removals are not undone
     /// until the next settle repairs them).
@@ -303,6 +327,8 @@ impl IncrementalEstimator {
         }
         IncrementalEstimator {
             jobs: jobs.to_vec(),
+            stamps: vec![1; jobs.len()],
+            epoch: 1,
             dsu,
             state,
             stats,
@@ -361,6 +387,28 @@ impl IncrementalEstimator {
         self.journal.clear();
     }
 
+    /// The number of the last counted settle (the solve in
+    /// [`new`](Self::new) is 1): what a reader of
+    /// [`changed_since`](Self::changed_since) remembers as `seen`.
+    pub fn solve_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The jobs whose rate a settle numbered above `seen` wrote — every job
+    /// of every component solved since, and every job pushed since — each
+    /// once, in insertion order. Read it when
+    /// [`is_settled`](Self::is_settled), then remember
+    /// [`solve_epoch`](Self::solve_epoch): a surviving job not listed has
+    /// the `(rate, shards)` it had at epoch `seen`, bit for bit. `seen = 0`
+    /// lists every job.
+    pub fn changed_since(&self, seen: u64) -> impl Iterator<Item = JobId> + '_ {
+        self.jobs
+            .iter()
+            .zip(&self.stamps)
+            .filter(move |&(_, &stamp)| stamp > seen)
+            .map(|(job, _)| job.id())
+    }
+
     fn staged_one(&mut self) {
         self.stats.staged += 1;
         self.unsettled = true;
@@ -380,6 +428,9 @@ impl IncrementalEstimator {
             // Local job: infinite rate, touches nothing.
             None => drop(self.state.job_rates.insert(job.id(), f64::INFINITY)),
         }
+        // The next counted settle's number: it solves a network job, and a
+        // local one, which no settle solves, had its rate written above.
+        self.stamps.push(self.epoch + 1);
         self.jobs.push(job);
     }
 
@@ -394,6 +445,7 @@ impl IncrementalEstimator {
         self.stats.removes += 1;
         self.staged_one();
         let job = self.jobs.remove(idx);
+        self.stamps.remove(idx);
         self.state.job_rates.remove(&id);
         self.state.job_shards.remove(&id);
         if job.is_network() {
@@ -432,6 +484,7 @@ impl IncrementalEstimator {
         }
         self.unsettled = false;
         self.stats.settles += 1;
+        self.epoch += 1;
         let resolved_before = self.stats.jobs_resolved;
         if !(self.pending_pushed.is_empty() && self.pending_removed.is_empty()) {
             self.solve_pending(cluster);
@@ -510,7 +563,10 @@ impl IncrementalEstimator {
         let mut group = std::mem::take(&mut self.scratch_group);
         for component in members.chunk_by(|a, b| a.0 == b.0) {
             group.clear();
-            group.extend(component.iter().map(|&(_, i)| i));
+            for &(_, i) in component {
+                group.push(i);
+                self.stamps[i] = self.epoch;
+            }
             solve_component(
                 cluster,
                 &self.jobs,
@@ -866,6 +922,34 @@ mod tests {
         inc.remove(&c, JobId(0));
         assert_eq!((*inc.stats() - before).jobs_reused, 1);
         assert_state_eq(inc.state(), &estimate(&c, &[b]));
+    }
+
+    #[test]
+    fn changed_since_lists_the_solved_components_and_nothing_else() {
+        // Rack 0 holds two jobs sharing a PS link, rack 1 one job alone.
+        let c = cluster(2, 4, 500.0);
+        let all = [
+            job(0, &c, vec![(0, 2)], 3),
+            job(1, &c, vec![(1, 2)], 3),
+            job(2, &c, vec![(4, 1), (5, 1)], 6),
+        ];
+        let mut inc = IncrementalEstimator::new(&c, &all);
+        let changed = |inc: &IncrementalEstimator, seen| inc.changed_since(seen).collect::<Vec<_>>();
+        assert_eq!(inc.solve_epoch(), 1);
+        assert_eq!(changed(&inc, 0), [JobId(0), JobId(1), JobId(2)]);
+        assert_eq!(changed(&inc, 1), []);
+        // Two settles between reads: a local job arrives, then job 0 leaves
+        // rack 0. The reader finds the newcomer and job 0's neighbour; rack
+        // 1 was not re-solved and is not listed.
+        inc.push(&c, PlacedJob::new(JobId(9), &c, &Placement::local(ServerId(7), 2)));
+        assert!(inc.remove(&c, JobId(0)));
+        assert_eq!(inc.solve_epoch(), 3);
+        assert_eq!(changed(&inc, 1), [JobId(1), JobId(9)]);
+        assert_eq!(changed(&inc, 2), [JobId(1)]);
+        assert_eq!(changed(&inc, 3), []);
+        // An empty settle is not counted and moves no number.
+        inc.settle(&c);
+        assert_eq!(inc.solve_epoch(), 3);
     }
 
     #[test]

@@ -121,6 +121,32 @@ fn arb_sharded_jobs(cluster: &Cluster) -> impl Strategy<Value = Vec<PlacedJob>> 
     })
 }
 
+/// Placements for jobs assigned ids as they are pushed: one in four local
+/// (one server, no PS), the rest as [`arb_sharded_jobs`] draws them.
+fn arb_mixed_placements(cluster: &Cluster) -> impl Strategy<Value = Vec<Placement>> {
+    let ns = cluster.num_servers();
+    let job = (
+        proptest::collection::btree_map(0..ns, 1usize..4, 1..4.min(ns + 1)),
+        proptest::collection::vec(0..ns, 1..4),
+        any::<bool>(),
+        0u8..4,
+    );
+    proptest::collection::vec(job, 2..14).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(workers, pses, ina, local)| {
+                let workers: Vec<(ServerId, usize)> =
+                    workers.into_iter().map(|(s, w)| (ServerId(s), w)).collect();
+                if local == 0 {
+                    return Placement::local(workers[0].0, workers[0].1);
+                }
+                let mut p = Placement::new_sharded(workers, pses.into_iter().map(ServerId).collect());
+                p.set_ina_enabled(ina);
+                p
+            })
+            .collect()
+    })
+}
+
 /// Algorithm 1's fixed point, checked from the converged rates alone.
 ///
 /// While a job is unfrozen its rate *is* the water level, so rack `r`'s
@@ -518,6 +544,114 @@ proptest! {
         prop_assert!(s.settles <= s.staged && s.jobs_resolved <= e.jobs_resolved);
         prop_assert!(windows_of_many == 0 || s.settles < e.settles);
         prop_assert_eq!(s.unconverged + e.unconverged, 0);
+    }
+
+    /// `changed_since` is complete. A reader keeps its last copy of
+    /// `(rate bits, shards)` per job and the settle number it last read
+    /// at, drops the jobs it removed itself, and at each read updates only
+    /// the ids listed. Over random interleavings of staged pushes (network
+    /// and local jobs), positional removals, pops, `replace` and settles —
+    /// with none to several settles between two reads — every listed id is
+    /// live and listed once, and every live job *not* listed is in the
+    /// reader's copy bit for bit: nothing that differs, and nothing new, is
+    /// missed. The estimator starts over a prefix of the jobs, so the first
+    /// read (from 0) must list all of them. Per word: bits 0-2 pick the op,
+    /// and a settled estimator is read two times in three.
+    ///
+    /// Three one-line mutations of `incremental.rs`, each failing this
+    /// property in debug and in `--release`: a staged *local* push stamped
+    /// 0 instead of the next settle's number; `epoch += 1` moved below
+    /// `solve_pending` (solved jobs take the number the reader already
+    /// holds); `stamps.remove(idx)` dropped from `stage_remove_at`.
+    #[test]
+    fn changed_since_lists_every_job_whose_rate_was_written(
+        ((cluster, placements), prefix, ops) in arb_pat_cluster()
+            .prop_flat_map(|c| {
+                let placements = arb_mixed_placements(&c);
+                (Just(c), placements)
+            })
+            .prop_flat_map(|(c, placements)| {
+                let n = placements.len();
+                let ops = proptest::collection::vec(any::<u32>(), 5 * n);
+                (Just((c, placements)), 0..n.min(4), ops)
+            })
+    ) {
+        let mut ids = 0u64;
+        let mut fresh = |p: &Placement| {
+            ids += 1;
+            PlacedJob::new(JobId(ids), &cluster, p)
+        };
+        let mut unused = placements.iter();
+        let mut live: Vec<PlacedJob> = unused.by_ref().take(prefix).map(&mut fresh).collect();
+        let mut inc = IncrementalEstimator::new(&cluster, &live);
+        let mut copy: std::collections::BTreeMap<JobId, (u64, usize)> = Default::default();
+        let mut seen = 0u64;
+        let last = ops.len() - 1;
+        for (step, &word) in ops.iter().enumerate() {
+            let pick = (word >> 8) as usize;
+            match word & 7 {
+                0 | 1 | 7 => {
+                    if let Some(p) = unused.next() {
+                        let job = fresh(p);
+                        live.push(job.clone());
+                        inc.stage_push(job);
+                    }
+                }
+                2 if !live.is_empty() => {
+                    let idx = pick % live.len();
+                    let id = live.remove(idx).id();
+                    prop_assert!(inc.stage_remove_at(idx, id));
+                    copy.remove(&id);
+                }
+                3 => {
+                    let id = live.pop().map(|j| j.id());
+                    prop_assert_eq!(inc.stage_pop(), id);
+                    if let Some(id) = id {
+                        copy.remove(&id);
+                    }
+                }
+                4 if !live.is_empty() => {
+                    // Re-tune a live job: same id, another placement.
+                    if let Some(p) = unused.next() {
+                        let id = live.remove(pick % live.len()).id();
+                        let job = PlacedJob::new(id, &cluster, p);
+                        live.push(job.clone());
+                        inc.replace(&cluster, job);
+                    }
+                }
+                _ => inc.settle(&cluster),
+            }
+            if step == last {
+                inc.settle(&cluster);
+            }
+            if !inc.is_settled() || (pick.is_multiple_of(3) && step != last) {
+                continue;
+            }
+            let mut listed: Vec<JobId> = inc.changed_since(seen).collect();
+            if seen == 0 {
+                prop_assert_eq!(listed.len(), live.len(), "a reader from 0 sees every job");
+            }
+            let count = listed.len();
+            listed.sort_unstable();
+            listed.dedup();
+            prop_assert_eq!(listed.len(), count, "step {}: an id listed twice", step);
+            prop_assert!(
+                listed.iter().all(|id| live.iter().any(|j| j.id() == *id)),
+                "step {}: a removed job listed", step
+            );
+            for job in &live {
+                let id = job.id();
+                let rate = inc.state().job_rate_gbps(id).expect("a settled job has a rate");
+                let now = (rate.to_bits(), inc.state().job_shards(id).expect("and shards"));
+                if listed.binary_search(&id).is_ok() {
+                    copy.insert(id, now);
+                } else {
+                    prop_assert_eq!(copy.get(&id), Some(&now), "step {}: {} missed", step, id);
+                }
+            }
+            prop_assert_eq!(copy.len(), live.len());
+            seen = inc.solve_epoch();
+        }
     }
 
     /// Scale invariance: doubling all capacities (links and PAT) doubles

@@ -10,8 +10,9 @@
 # table, or its declared gate, or any NETPACK_* read in a library crate
 # (M1)), the exact smoke (NETPACK_SMOKE=1 table_mip_vs_dp asserts the
 # branch-and-bound == the exhaustive reference in-binary), the full
-# workspace test suite, the doctests, the fig9 smoke (every replay of the
-# smoke cell asserted == Simulation::run_reference in-binary), the
+# workspace test suite, the doctests, the fig9 smoke (one 256-server x
+# 400-job loaded-trace cell, every placer's replay of it asserted ==
+# Simulation::run_reference in-binary), the
 # fig10_xl smoke (the binary asserts production == the literal algorithm;
 # its digest must be byte-identical at NETPACK_THREADS=1 and 4), the
 # fig10 dense smoke (the same contract on a 16-rack x 64-server, 200-job
@@ -19,8 +20,9 @@
 # large; the binary also pins the cell's ps_candidates_scored and
 # ps_rack_servers_skipped), the service determinism smoke (two identical
 # deterministic 10K-job bench_service runs at one worker and one at
-# NETPACK_THREADS=4 must be byte-identical, stdout + event log), the two
-# index smokes (a 2 000-job deterministic replay and the fig10_xl smoke, both from a
+# NETPACK_THREADS=4 must be byte-identical, stdout + event log), the three
+# debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke and
+# the fig9 smoke, all from a
 # *debug* build, so the placement path's debug assertions hold the
 # journal-fed server index — as the journals left it — to a full scan
 # after every refresh, the index-answered single-server shortcut to
@@ -28,9 +30,12 @@
 # staged completions are settled — the warm steady state to a
 # from-scratch estimate over the running set and the session's GPU
 # ledger to a recount from the running placements, on the session path
-# under real churn and on the stateless three-tier path; the debug fig10_xl
-# digest must equal the release one), and the fig14 smoke (every cell asserted ==
-# PacketSim::run_reference in-binary).
+# under real churn and on the stateless three-tier path, and — in the
+# fig9 smoke, where the session sits under the simulator's job manager —
+# every running job's iteration time to the settled steady state after
+# each selective re-rate; the debug fig10_xl digest and the debug fig9
+# table must equal the release ones), and the fig14 smoke (every cell
+# asserted == PacketSim::run_reference in-binary).
 # Keep this list in sync with README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,7 +62,8 @@ echo "==> cargo test --workspace --doc -q"
 cargo test --workspace --doc -q
 
 echo "==> fig9 smoke: run == run_reference on every replay (in-binary)"
-NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 ./target/release/fig9_scale
+fig9_release=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 ./target/release/fig9_scale)
+printf '%s\n' "$fig9_release"
 
 echo "==> fig10_xl smoke: production == reference (in-binary), digest identical at 1 and 4 workers"
 xl_t1=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 ./target/release/fig10_xl)
@@ -113,7 +119,7 @@ fi
 printf '%s\n' "$svc_a"
 echo "service event log: $(wc -l < "$tmp_dir/svc_a.log") lines, byte-identical across runs"
 
-echo "==> index smokes: debug builds, server index == full scan and shortcut == literal scan on every job"
+echo "==> debug smokes: debug builds, server index == full scan and shortcut == literal scan on every job, session audits on every pass, full re-rate walk after every selective one"
 # A debug build keeps `debug_assert!`: every job audits the index as its
 # change journals left it against a from-scratch build, and the class-walk
 # single-server pick against the literal scan (DESIGN.md §3.11), so a
@@ -122,12 +128,20 @@ echo "==> index smokes: debug builds, server index == full scan and shortcut == 
 # from-scratch estimate, and the GPU ledger against a recount
 # (DESIGN.md §3.12). The service replay
 # covers the session path under churn, fig10_xl the stateless three-tier
-# path; a debug build may not move a placement either.
+# path, and the fig9 smoke the session under the simulator's job manager,
+# where a debug build also re-checks every running job's iteration time
+# after each selective re-rate (~3 s); a debug build may not move a
+# placement or a table byte either.
 NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \
     cargo run -q -p netpack-bench --bin bench_service > /dev/null
 xl_debug=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 cargo run -q -p netpack-bench --bin fig10_xl)
 if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_debug"); then
     echo "check.sh: fig10_xl smoke DIVERGED between the release and debug builds" >&2
+    exit 1
+fi
+fig9_debug=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 cargo run -q -p netpack-bench --bin fig9_scale)
+if ! diff <(printf '%s\n' "$fig9_release") <(printf '%s\n' "$fig9_debug"); then
+    echo "check.sh: fig9 smoke DIVERGED between the release and debug builds" >&2
     exit 1
 fi
 

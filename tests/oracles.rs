@@ -4,8 +4,11 @@
 //! The NetPack placer: the four Fig. 10 quick cells, one ragged three-tier
 //! fat-tree, and one dense cell (2 racks x 64 servers, 60 jobs around a
 //! running cross-rack job) where many servers per rack share a PS class
-//! with the plan's own. The flow simulator, the packet simulator and the
-//! exact placer: one case each. Every reference is reached by calling it;
+//! with the plan's own. The flow simulator: one trace under NetPack (one
+//! warm session as the manager's books) and under GB (stateless books and
+//! a warm estimator), equal results and equal event and heap counts from
+//! fewer re-rate visits. The packet simulator and the exact placer: one
+//! case each. Every reference is reached by calling it;
 //! no configuration or environment variable selects one. Algorithm 1's
 //! solver is held to its literal twin inside `netpack-waterfill`; what
 //! tier-1 pins here is that a change of its mechanism moves no count of
@@ -109,26 +112,43 @@ fn flow_simulator_matches_its_from_scratch_reference() {
         .duration_scale(0.05)
         .max_gpus(8)
         .generate();
-    let sim = || {
-        let cluster = Cluster::new(ClusterSpec {
-            racks: 2,
-            servers_per_rack: 4,
-            gpus_per_server: 2,
-            ..ClusterSpec::paper_default()
-        });
-        let config = SimConfig {
-            telemetry_interval_s: Some(20.0),
-            ..SimConfig::default()
+    // NetPack runs on one warm session; GB has none, so its manager keeps
+    // stateless books and a warm estimator beside them. Both re-rate only
+    // the jobs the estimator says it re-solved.
+    let placers: [fn() -> Box<dyn Placer>; 2] =
+        [|| Box::new(NetPackPlacer::default()), || Box::new(GpuBalance)];
+    for placer in placers {
+        let sim = || {
+            let cluster = Cluster::new(ClusterSpec {
+                racks: 2,
+                servers_per_rack: 4,
+                gpus_per_server: 2,
+                ..ClusterSpec::paper_default()
+            });
+            let config = SimConfig {
+                telemetry_interval_s: Some(20.0),
+                ..SimConfig::default()
+            };
+            Simulation::new(cluster, placer(), config)
         };
-        Simulation::new(cluster, Box::new(NetPackPlacer::default()), config)
-    };
-    let result = sim().run(&trace);
-    assert_eq!(result, sim().run_reference(&trace));
-    assert_eq!(result.outcomes.len(), 30);
-    assert!(!result.telemetry.is_empty());
-    // Production took the warm estimator on every solve.
-    assert!(result.perf.timer_count("resolve_component") > 0);
-    assert_eq!(result.perf.timer_count("resolve_full"), 0);
+        let name = placer().name();
+        let (result, oracle) = (sim().run(&trace), sim().run_reference(&trace));
+        assert_eq!(result, oracle, "{name}");
+        assert_eq!(result.outcomes.len(), 30, "{name}");
+        assert!(!result.telemetry.is_empty(), "{name}");
+        // Production took the warm estimator on every solve.
+        assert!(result.perf.timer_count("resolve_component") > 0, "{name}");
+        assert_eq!(result.perf.timer_count("resolve_full"), 0, "{name}");
+        // The same events, the same heap traffic — from fewer jobs looked at.
+        for counter in ["sim_events", "heap_pushes", "heap_stale_pops"] {
+            assert_eq!(result.perf.counter(counter), oracle.perf.counter(counter), "{name} {counter}");
+        }
+        let (visits, full_walk) =
+            (result.perf.counter("sim_rerate_visits"), oracle.perf.counter("sim_rerate_visits"));
+        assert!(visits >= result.perf.counter("heap_pushes"), "{name}: a push without a visit");
+        assert!(visits < full_walk, "{name}: {visits} visits against a full walk of {full_walk}");
+        assert_eq!(result.perf.counter("sim_finish_errors"), 0, "{name}");
+    }
 }
 
 #[test]
