@@ -6,6 +6,14 @@
 //! total GPUs is `g` and whose maximum per-server steady-state flow count
 //! is `f`. Tracking `f` is what lets the PS-placement step punish plans
 //! with hot-spot servers.
+//!
+//! One table is updated in place, a server at a time and a row at a time.
+//! The row being written is first copied aside, so every read sees a
+//! pre-update value and a row's cells update in ascending `g` with no
+//! branch — an unreachable (`-inf`) source never wins the strict `>` —
+//! which lets the compiler vectorise the loop. The tests keep the earlier
+//! loop (`g` walked downward, `-inf` sources skipped) as `plans_literal`
+//! and hold the two to the same bits.
 
 use netpack_topology::ServerId;
 
@@ -126,6 +134,141 @@ impl WorkerDp {
         // Highest f row holding any finite cell; rows above it are all
         // -inf and can be skipped without changing any result.
         let mut top = 0usize;
+        // The pre-update values of the row being written.
+        let mut before = vec![0.0; width];
+
+        // 0/1 update, one server at a time. Taking server `s` moves
+        // (i, g-w) to (max(i, clamped), g): writes land in rows >= clamped,
+        // and the only row both read and written is the one being
+        // written, whose pre-update values are copied to `before` first —
+        // so every read is a pre-update value, exactly as a double buffer
+        // would give, and the cells of a row update in any order. An
+        // unreachable source adds up to -inf, which never wins the strict
+        // `>`, so no cell is tested for it. Candidates for a cell are
+        // applied in ascending `i` order with that strict test, so
+        // tie-breaks (and hence the backtracked plans) match the buffered
+        // formulation bit for bit.
+        for (si, srv) in servers.iter().enumerate() {
+            let w = srv.gpus_free;
+            if w == 0 || w > g_max {
+                continue;
+            }
+            let clamped = if self.track_flows {
+                srv.flows.min(self.fs_max) as usize
+            } else {
+                0
+            };
+            let dec = &mut decisions[si * cells..(si + 1) * cells];
+            // The cells (f, w..=g_max) of one row take `source[g - w] +
+            // value` where that is strictly greater, noting `from` as the
+            // predecessor row.
+            let relax = |source: &[f64], row: &mut [f64], dec: &mut [u8], from: usize| {
+                for ((cell, d), &prev) in row[w..].iter_mut().zip(&mut dec[w..]).zip(source) {
+                    let cand = prev + srv.value;
+                    let wins = cand > *cell;
+                    *cell = if wins { cand } else { *cell };
+                    *d = if wins { from as u8 } else { *d };
+                }
+            };
+            // Rows above `clamped`: the only candidate is i == f.
+            for f in clamped + 1..=top {
+                let row = f * width..(f + 1) * width;
+                before.copy_from_slice(&value[row.clone()]);
+                relax(&before, &mut value[row.clone()], &mut dec[row], f);
+            }
+            // Row `clamped` collects every i <= clamped (rows above `top`
+            // are all -inf and contribute nothing), its own from `before`.
+            let (below, rest) = value.split_at_mut(clamped * width);
+            let (own, dec) = (&mut rest[..width], &mut dec[clamped * width..(clamped + 1) * width]);
+            if clamped <= top {
+                before.copy_from_slice(own);
+            }
+            for i in 0..=clamped.min(top) {
+                let source = if i == clamped { &before[..] } else { &below[i * width..(i + 1) * width] };
+                relax(source, own, dec, i);
+            }
+            top = top.max(clamped);
+        }
+
+        // Collect and backtrack every feasible (f, g) cell in range.
+        let mut plans = Vec::new();
+        for f in 0..nf {
+            for g in demand..=g_max {
+                let cell = f * width + g;
+                if value[cell] == f64::NEG_INFINITY {
+                    continue;
+                }
+                let mut chosen = Vec::new();
+                let (mut cf, mut cg) = (f, g);
+                for si in (0..servers.len()).rev() {
+                    let d = decisions[si * cells + cf * width + cg];
+                    if d != NOT_CHOSEN {
+                        chosen.push(servers[si].id);
+                        cg -= servers[si].gpus_free;
+                        cf = d as usize;
+                    }
+                }
+                chosen.reverse();
+                plans.push(WorkerPlan {
+                    servers: chosen,
+                    gpus: g,
+                    max_flows: f as u32,
+                    value: value[cell],
+                });
+            }
+        }
+        plans
+    }
+}
+
+impl Default for WorkerDp {
+    fn default() -> Self {
+        WorkerDp::new(16)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn srv(id: usize, gpus: usize, value: f64, flows: u32) -> ServerStats {
+        ServerStats {
+            id: ServerId(id),
+            gpus_free: gpus,
+            value,
+            flows,
+        }
+    }
+
+    /// `WorkerDp::plans` as it stood before its rows were updated from a
+    /// snapshot, kept verbatim: in place, `g` walked downward so every read
+    /// is a pre-update value, and each cell's `-inf` sources skipped.
+    fn plans_literal(dp: &WorkerDp, servers: &[ServerStats], demand: usize, slack: usize) -> Vec<WorkerPlan> {
+        if demand == 0 {
+            return vec![WorkerPlan {
+                servers: Vec::new(),
+                gpus: 0,
+                max_flows: 0,
+                value: 0.0,
+            }];
+        }
+        let nf = if dp.track_flows {
+            dp.fs_max as usize + 1
+        } else {
+            1
+        };
+        let g_max = demand + slack;
+        let width = g_max + 1;
+        let cells = nf * width;
+        const NOT_CHOSEN: u8 = 0xFF;
+
+        let mut value = vec![f64::NEG_INFINITY; cells];
+        value[0] = 0.0;
+        // decisions[s][f * width + g] = predecessor f if server s chosen.
+        let mut decisions = vec![NOT_CHOSEN; servers.len() * cells];
+        // Highest f row holding any finite cell; rows above it are all
+        // -inf and can be skipped without changing any result.
+        let mut top = 0usize;
 
         // In-place 0/1 update. Taking server `s` moves (i, g-w) to
         // (max(i, clamped), g), so writes land in rows >= clamped while
@@ -139,8 +282,8 @@ impl WorkerDp {
             if w == 0 || w > g_max {
                 continue;
             }
-            let clamped = if self.track_flows {
-                srv.flows.min(self.fs_max) as usize
+            let clamped = if dp.track_flows {
+                srv.flows.min(dp.fs_max) as usize
             } else {
                 0
             };
@@ -207,26 +350,6 @@ impl WorkerDp {
             }
         }
         plans
-    }
-}
-
-impl Default for WorkerDp {
-    fn default() -> Self {
-        WorkerDp::new(16)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn srv(id: usize, gpus: usize, value: f64, flows: u32) -> ServerStats {
-        ServerStats {
-            id: ServerId(id),
-            gpus_free: gpus,
-            value,
-            flows,
-        }
     }
 
     fn best_exact(plans: &[WorkerPlan], gpus: usize) -> Option<&WorkerPlan> {
@@ -315,6 +438,112 @@ mod tests {
         let best = best_exact(&plans, 4).unwrap();
         assert_eq!(best.value, -6.0);
         assert_eq!(best.servers.len(), 2);
+    }
+
+    /// A random DP instance: 0–8 servers of 0–10 free GPUs (so some have
+    /// none and some more than `demand + slack`), 0–12 flows against an
+    /// `fs_max` of 0–8 (so some clamp), values that are small integers
+    /// three times in four (so subsets tie), then up to three copies of
+    /// earlier servers under new ids (so classes repeat); one instance in
+    /// four without the flow dimension.
+    fn dp_case(seed: u64) -> (WorkerDp, Vec<ServerStats>, usize, usize) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut below = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let dp = match below(4) {
+            0 => WorkerDp::without_flow_dimension(),
+            _ => WorkerDp::new(below(9) as u32),
+        };
+        let mut servers: Vec<ServerStats> = (0..below(9) as usize)
+            .map(|i| {
+                let value = below(10) as f64 - 3.0;
+                let value = if below(4) == 0 { value + below(1000) as f64 / 1000.0 } else { value };
+                srv(i, below(11) as usize, value, below(13) as u32)
+            })
+            .collect();
+        for _ in 0..below(4) {
+            if !servers.is_empty() {
+                let copy = servers[below(servers.len() as u64) as usize];
+                servers.push(ServerStats { id: ServerId(servers.len()), ..copy });
+            }
+        }
+        (dp, servers, 1 + below(12) as usize, below(5) as usize)
+    }
+
+    /// The DP as it runs — rows updated from a snapshot, branch-free — is
+    /// [`plans_literal`] on every output bit: the same plans in the same
+    /// order, each with the same servers, GPUs, `f` and value bits. The
+    /// instances ([`dp_case`]) reach, each in more than a hundred of the
+    /// 4 000 cases: a cell two server subsets fill with the same value (the
+    /// tie-break decides which is backtracked), two servers of equal
+    /// weight, clamped flows and value, a server whose flows exceed
+    /// `fs_max`, one with no free GPU, one too big for the plan, and the
+    /// DP without its flow dimension.
+    ///
+    /// Three one-line mutations of `WorkerDp::plans`, each failing this
+    /// test in a debug build and under `--release`:
+    ///
+    /// * `cand >= *cell` for `cand > *cell` (a later tie wins);
+    /// * `(0..=clamped.min(top)).rev()` for the ascending candidate rows
+    ///   (a higher row wins a tie);
+    /// * the `before.copy_from_slice` of a row above `clamped` dropped
+    ///   (`relax` reads whatever row the snapshot held last).
+    #[test]
+    fn plans_match_the_literal_loop_bit_for_bit() {
+        let mut reached = [0usize; 6];
+        for seed in 0..4000 {
+            let (dp, servers, demand, slack) = dp_case(seed);
+            let (fast, literal) = (dp.plans(&servers, demand, slack), plans_literal(&dp, &servers, demand, slack));
+            assert_eq!(fast.len(), literal.len(), "seed {seed}");
+            for (a, b) in fast.iter().zip(&literal) {
+                assert_eq!(
+                    (&a.servers, a.gpus, a.max_flows, a.value.to_bits()),
+                    (&b.servers, b.gpus, b.max_flows, b.value.to_bits()),
+                    "seed {seed}"
+                );
+            }
+            let g_max = demand + slack;
+            let clamp = |s: &ServerStats| if dp.track_flows { s.flows.min(dp.fs_max) } else { 0 };
+            // Best value per (f, g) cell over every subset, and how many
+            // subsets reach it.
+            let mut best: std::collections::BTreeMap<(u32, usize), (f64, usize)> = Default::default();
+            for mask in 0u32..1 << servers.len() {
+                let chosen = servers.iter().enumerate().filter(|&(i, _)| mask >> i & 1 == 1).map(|(_, s)| s);
+                let (mut g, mut v, mut f) = (0, 0.0, 0);
+                for s in chosen.filter(|s| s.gpus_free > 0) {
+                    (g, v, f) = (g + s.gpus_free, v + s.value, f.max(clamp(s)));
+                }
+                let cell = best.entry((f, g)).or_insert((v, 0));
+                if v > cell.0 {
+                    *cell = (v, 1);
+                } else if v == cell.0 {
+                    cell.1 += 1;
+                }
+            }
+            let live: Vec<&ServerStats> = servers.iter().filter(|s| (1..=g_max).contains(&s.gpus_free)).collect();
+            let twins = live.iter().enumerate().any(|(i, a)| {
+                live[i + 1..].iter().any(|b| (a.gpus_free, clamp(a), a.value) == (b.gpus_free, clamp(b), b.value))
+            });
+            let seen = [
+                best.iter().any(|(&(_, g), &(_, ways))| g >= demand && g <= g_max && ways > 1),
+                twins,
+                dp.track_flows && servers.iter().any(|s| s.flows > dp.fs_max),
+                servers.iter().any(|s| s.gpus_free == 0),
+                servers.iter().any(|s| s.gpus_free > g_max),
+                !dp.track_flows,
+            ];
+            for (count, seen) in reached.iter_mut().zip(seen) {
+                *count += usize::from(seen);
+            }
+        }
+        assert!(
+            reached.iter().all(|&n| n > 100),
+            "[tie, twins, flows > fs_max, w = 0, w > g_max, no flow dimension] = {reached:?}"
+        );
     }
 
     #[test]

@@ -22,13 +22,20 @@
 //! run it after every refresh.
 //!
 //! * **PS classes** ([`PsKey`]): servers interchangeable as ordinary PS
-//!   candidates. A rack-uplink flow change re-keys the whole rack.
+//!   candidates. A rack-uplink flow change re-keys the whole rack; an
+//!   access-link entry re-keys its server when the PS key's own flows or
+//!   avail bits moved.
 //! * **Filter classes** ([`FilterKey`]): servers with equal free GPUs,
 //!   flows and residual bandwidth — equal DP weight *and* equal value, so
 //!   the first `⌊g_max/w⌋` members by id are the class's only entries that
 //!   can survive [`CandidateFilter`](crate::CandidateFilter)'s top-K cut,
 //!   and the front member is the class's only entry the single-server
-//!   shortcut can pick.
+//!   shortcut can pick. Every server with no free GPU shares one key,
+//!   [`FilterKey::FULL`]: neither reader looks at its class (the DP is
+//!   offered no server of weight 0, the shortcut wants at least one GPU),
+//!   so a full server whose link changes — most of what a contended batch
+//!   journals — moves only in the PS partition, and no dead classes pile
+//!   up behind it.
 //!
 //! When more than one server in [`REBUILD_SHARE`] would be re-keyed, or
 //! dead (memberless) classes pile up, the partition is rebuilt by the same
@@ -81,7 +88,8 @@ impl ClassKey for PsKey {
 }
 
 /// Key under which two servers are interchangeable for the worker DP:
-/// same weight, same flow count, same value.
+/// same weight, same flow count, same value. Every server with no free GPU
+/// is filed under [`FilterKey::FULL`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FilterKey {
     /// Free GPUs on the server.
@@ -90,6 +98,13 @@ pub(crate) struct FilterKey {
     pub flows: u32,
     /// Bit pattern of the server's residual access bandwidth.
     pub avail_bits: u64,
+}
+
+impl FilterKey {
+    /// The one key of every full server. Neither reader looks at its
+    /// class: the DP is offered no server of weight 0, and no job fits on
+    /// one.
+    const FULL: FilterKey = FilterKey { free: 0, flows: 0, avail_bits: 0 };
 }
 
 impl ClassKey for FilterKey {
@@ -290,8 +305,9 @@ pub(crate) struct RefreshStats {
     pub rebuilds: u64,
     /// Servers moved between classes incrementally, both partitions.
     pub rekeyed: u64,
-    /// Journal entries whose filter key was compared with the live arrays
-    /// (0 when the partitions were built cold).
+    /// Journal entries whose keys were compared with the live arrays — a
+    /// ledger entry's filter key, an access link's PS key (0 when the
+    /// partitions were built cold).
     pub journal_servers: u64,
     /// Live PS classes after the refresh.
     pub classes: u64,
@@ -302,11 +318,11 @@ pub(crate) struct RefreshStats {
 pub(crate) struct ServerIndex {
     pub ps: Partition<PsKey>,
     pub filter: Partition<FilterKey>,
-    /// Refresh scratch: journalled servers, then those of them whose
-    /// filter key moved.
+    /// Refresh scratch: journalled servers whose filter key moved.
     changed: Vec<u32>,
-    /// Refresh scratch: servers whose PS key may have moved — `changed`
-    /// plus every server of a rack whose uplink flow count moved.
+    /// Refresh scratch: servers whose PS key moved — journalled ones whose
+    /// flows or avail bits did, plus every server of a rack whose uplink
+    /// flow count did.
     ps_stale: Vec<u32>,
 }
 
@@ -325,9 +341,10 @@ impl ServerIndex {
     /// `servers` must name every server whose free-GPU count was written
     /// since the previous refresh and `links` (flat link indices) every
     /// link whose flows or residual were — repeats and unchanged entries
-    /// are fine, omissions are not. Only those servers' `(free GPUs, flows,
-    /// avail bits)` are compared with their filter keys, and only those
-    /// racks' uplink flows with their first server's PS key.
+    /// are fine, omissions are not. Only those entries are compared, each
+    /// with the one key it can have moved: a ledger entry's server with its
+    /// filter key, an access link's with its PS key's `(flows, avail
+    /// bits)`, a rack uplink's flows with the rack's first server's PS key.
     pub(crate) fn refresh(
         &mut self,
         topo: &FlatTopology,
@@ -341,10 +358,13 @@ impl ServerIndex {
         let avail = state.servers_available_gbps();
         let rack_fc = state.rack_uplinks_flows();
         assert!(gpus_free.len() == n && flows.len() == n && avail.len() == n);
-        let filter_key = |s: usize| FilterKey {
-            free: gpus_free[s],
-            flows: flows[s],
-            avail_bits: avail[s].to_bits(),
+        let filter_key = |s: usize| match gpus_free[s] {
+            0 => FilterKey::FULL,
+            free => FilterKey {
+                free,
+                flows: flows[s],
+                avail_bits: avail[s].to_bits(),
+            },
         };
         let ps_key = |s: usize| {
             let rack = topo.rack_of(s);
@@ -359,27 +379,39 @@ impl ServerIndex {
         self.ps_stale.clear();
         let mut journal_servers = 0;
         if self.filter.class_of.len() == n {
-            self.changed.extend_from_slice(servers);
+            // A ledger entry wrote the server's free GPUs and nothing else:
+            // its filter key may have moved, its PS key has not.
+            let filter = &self.filter;
+            let moved = |&s: &u32| *filter.key_of(s as usize) != filter_key(s as usize);
+            self.changed.extend(servers.iter().copied().filter(moved));
+            journal_servers = servers.len() as u64;
             for &link in links {
                 let link = link as usize;
-                if link < n {
-                    self.changed.push(link as u32);
-                } else {
+                if link >= n {
                     let rack = link - n;
                     let rack_servers = topo.rack_server_range(rack);
                     if self.ps.key_of(rack_servers.start).fc_up != rack_fc[rack] {
                         self.ps_stale.extend(rack_servers.map(|s| s as u32));
                     }
+                    continue;
+                }
+                // An access-link entry may have moved the server's flows and
+                // avail bits. Its PS key holds the two as the last refresh
+                // left them, and so does its filter key unless that is
+                // `FULL` — which a full server keeps whatever its link does.
+                // So the PS key decides both; a free count that moved too
+                // is the ledger entry's to compare. A server named twice (a
+                // ledger entry, or a stale rack, besides this one) is
+                // re-keyed twice; the second is a no-op.
+                journal_servers += 1;
+                let filed = self.ps.key_of(link);
+                if filed.flows != flows[link] || filed.avail_bits != avail[link].to_bits() {
+                    self.ps_stale.push(link as u32);
+                    if gpus_free[link] != 0 {
+                        self.changed.push(link as u32);
+                    }
                 }
             }
-            journal_servers = self.changed.len() as u64;
-            let filter = &self.filter;
-            self.changed
-                .retain(|&s| *filter.key_of(s as usize) != filter_key(s as usize));
-            // A server named twice (both journals, or the ledger's twice),
-            // or sitting in a stale rack too, is re-keyed twice; the second
-            // is a no-op.
-            self.ps_stale.extend_from_slice(&self.changed);
         }
         let (f_rebuilt, f_rekeyed) = self.filter.update(n, &self.changed, filter_key);
         let (p_rebuilt, p_rekeyed) = self.ps.update(n, &self.ps_stale, ps_key);
@@ -395,8 +427,11 @@ impl ServerIndex {
     /// server Algorithm 2's scan of all servers picks for a job of `gpus`
     /// GPUs — tightest fit, ties toward the most residual bandwidth, first
     /// (lowest id) wins. Members of a class tie on both criteria, so only
-    /// each class's front member competes.
+    /// each class's front member competes. `gpus` is at least 1 (a `Job`
+    /// is built with one GPU or more), so the full servers' class, whose
+    /// key keeps no bandwidth, never competes.
     pub(crate) fn tightest_fit(&self, gpus: usize) -> Option<usize> {
+        debug_assert!(gpus > 0, "a job of no GPU would pick among full servers");
         let mut best: Option<(u32, f64, u32)> = None;
         for (key, members) in self.filter.classes() {
             let Some(&front) = members.front() else {
@@ -501,15 +536,14 @@ mod tests {
     /// once before the index reads the journals, so a link only a removed
     /// job touched must reach the journal through the pending list —
     /// refreshing the index from the two journals, each in a seeded random
-    /// order, after every 0–50
-    /// operations (0–3 in the quiet stretches; so anything from an empty
-    /// journal to every link marked arrives at once), and hold it to a
-    /// full scan: same PS and filter
-    /// partitions as a from-scratch build — compared as the journals left
-    /// them — same candidates out of the filter as offering every server,
-    /// same single-server pick as the literal scan. Returns how many
-    /// refreshes took the re-key path, the `n / 8` fallback, and the
-    /// dead-class reclaim.
+    /// order, after every 0–50 operations (0–3 in the quiet stretches; so
+    /// anything from an empty journal to every link marked arrives at
+    /// once), and hold it to a full scan: same PS and filter partitions as
+    /// a from-scratch build — compared as the journals left them — same
+    /// candidates out of the filter as offering every server, same
+    /// single-server pick as the literal scan. Returns how many refreshes
+    /// took the re-key path, the `n / 8` fallback, and the dead-class
+    /// reclaim.
     fn churn(cluster: &Cluster, seed: u64, refreshes: usize) -> [usize; 3] {
         let topo = FlatTopology::new(cluster);
         let n = topo.num_servers();
@@ -528,13 +562,23 @@ mod tests {
                 ledger.set_free(s.0, ledger.free()[s.0] + w as u32);
             }
         };
+        // A quiet stretch draws its operations from this list: commits
+        // are rare, and most operations (6) take the spare GPUs of a
+        // running job's worker server outside any job. A full server no
+        // longer moves between filter classes when its link does, so it is
+        // the servers leaving a class of their own for a shared one —
+        // taken full here, or credited back idle by a completion — that
+        // leave dead classes to pile up.
+        const QUIET_OPS: [usize; 7] = [0, 3, 4, 5, 6, 6, 6];
         for round in 0..refreshes {
             // Quiet stretches (a few operations per refresh, so dead classes
             // pile up with no fallback rebuild to sweep them) alternate
             // with busy ones.
-            let ops = if round % 40 < 30 { rng.below(4) } else { rng.below(51) };
+            let quiet = round % 80 < 60;
+            let ops = if quiet { rng.below(4) } else { rng.below(51) };
             for _ in 0..ops {
-                match rng.below(6) {
+                let op = if quiet { QUIET_OPS[rng.below(QUIET_OPS.len())] } else { rng.below(6) };
+                match op {
                     0..=2 => {
                         let mut workers: Vec<(ServerId, usize)> = Vec::new();
                         for _ in 0..2 + rng.below(5) {
@@ -573,6 +617,11 @@ mod tests {
                         assert!(inc.stage_remove(id));
                         inc.stage_push(PlacedJob::new(id, cluster, &p));
                         live.push((id, p));
+                    }
+                    6 if !live.is_empty() => {
+                        let workers = live[rng.below(live.len())].1.workers();
+                        let (s, _) = workers[rng.below(workers.len())];
+                        ledger.set_free(s.0, 0);
                     }
                     _ => {}
                 }
@@ -711,6 +760,58 @@ mod tests {
         freed.sort_unstable();
         // Three access links and, the PS sitting in rack 1, two uplinks.
         assert_eq!(freed, [0, 5, 9, 256, 257]);
+    }
+
+    /// A full server is filed under the one full key, so when its access
+    /// link changes — it hosts a PS — while it stays at 0 free GPUs, the
+    /// filter partition has nothing to move, and the PS partition must
+    /// re-key it all the same: on the way in and on the way out.
+    #[test]
+    fn a_full_server_whose_link_changes_moves_in_the_ps_partition_only() {
+        let cluster = Cluster::new(ClusterSpec {
+            racks: 32,
+            servers_per_rack: 8,
+            gpus_per_server: 4,
+            ..ClusterSpec::paper_default()
+        });
+        let topo = FlatTopology::new(&cluster);
+        let mut ledger = GpuLedger::new(&cluster);
+        let mut inc = IncrementalEstimator::new(&cluster, &[]);
+        let mut index = ServerIndex::new();
+        ledger.set_free(9, 0);
+        index.refresh(&topo, ledger.free(), inc.state(), &[], &[]);
+        ledger.clear_journal();
+        let full_class = index.filter.class_of[9];
+        assert_eq!(*index.filter.key_of(9), FilterKey::FULL);
+        let refresh = |index: &mut ServerIndex, ledger: &mut GpuLedger, inc: &mut IncrementalEstimator| {
+            let stats = index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
+            assert_eq!(index.audit(&topo, ledger.free(), inc.state(), &[], &[]), Ok(()));
+            ledger.clear_journal();
+            inc.clear_journal();
+            stats
+        };
+        // Workers on servers 8 and 10, PS on the full server 9: one rack,
+        // so no uplink re-keys a rack wholesale.
+        let p = Placement::new(vec![(ServerId(8), 2), (ServerId(10), 2)], Some(ServerId(9)));
+        for &(s, w) in p.workers() {
+            ledger.set_free(s.0, ledger.free()[s.0] - w as u32);
+        }
+        inc.push(&cluster, PlacedJob::new(JobId(0), &cluster, &p));
+        assert!(inc.state().servers_flows()[9] > 0, "the PS link must carry the job");
+        let stats = refresh(&mut index, &mut ledger, &mut inc);
+        // Servers 8 and 10 move in both partitions, server 9 in the PS one.
+        assert_eq!((stats.rebuilds, stats.rekeyed), (0, 5));
+        assert_eq!(index.filter.class_of[9], full_class);
+        assert_eq!(index.ps.key_of(9).flows, inc.state().servers_flows()[9]);
+
+        assert!(inc.remove(&cluster, JobId(0)));
+        for &(s, w) in p.workers() {
+            ledger.set_free(s.0, ledger.free()[s.0] + w as u32);
+        }
+        let stats = refresh(&mut index, &mut ledger, &mut inc);
+        assert_eq!((stats.rebuilds, stats.rekeyed), (0, 5));
+        assert_eq!(index.filter.class_of[9], full_class);
+        assert_eq!(index.ps.key_of(9).flows, 0);
     }
 
     /// An estimator nobody drains (the flow simulator's) journals each link

@@ -171,10 +171,12 @@ pub struct WaterfillStats {
     /// Filling rounds run by those solves.
     pub rounds: u64,
     /// What the filling rounds read, summed over them: the live ordinary
-    /// links and live lone-link classes in the share minimum, the active
-    /// entries in the augment, and the active entries again in a round
-    /// whose saturation makes it scan them for the jobs to freeze — the
-    /// solver's unit of work.
+    /// links and live lone-link classes in the share minimum, the live
+    /// entries (those of unfrozen jobs) in the augment, and the live
+    /// entries again in a round whose saturation makes it scan them for the
+    /// jobs to freeze — the solver's unit of work. A frozen job's entries
+    /// that wait in the list for a bulk drop are walked but not counted,
+    /// so the count is a function of the rounds alone.
     pub link_visits: u64,
     /// Arena entries filled through a lone-link class instead of one by
     /// one, summed over the solves: `lone_entries` against the entries of

@@ -279,11 +279,32 @@ const CLASSES: usize = 64;
 #[derive(Debug, Clone, Copy)]
 struct ActiveEntry {
     link: u32,
-    /// Flow count under the PAT view of the current round.
+    /// Flow count under the PAT view of the current round; 0 once its
+    /// owner froze (a live count never is: every link a run names carries
+    /// at least one stream under any view).
     flows: u32,
-    /// Position in its owner's flow run, where a PAT flip finds the new
-    /// count.
-    pos: u32,
+    /// Its owner's position in `members`.
+    member: u32,
+}
+
+/// `1 + 2⁻⁵⁰`: the margin [`share_cannot_undercut`] puts on a rounded
+/// product.
+const SHARE_MARGIN: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+/// Whether a link of residual `b` (≥ 0) and `t` (> 0) flows can be left out
+/// of a share minimum that stands at `delta` — `delta.min(b / t)` would
+/// keep `delta`'s bits — decided without the division.
+///
+/// With `θ = fl(fl(δ·t)·(1 + 2⁻⁵⁰))` a normal float, each rounding is off
+/// by a factor within `1 ± 2⁻⁵³` (a product just under the normal range
+/// rounds no worse), so `θ ≥ δ·t·(1 − 2⁻⁵³)²·(1 + 2⁻⁵⁰) > δ·t`. Then
+/// `b > θ` means `b / t > δ` exactly, rounding is monotone and `δ` is a
+/// float, so `fl(b / t) ≥ δ`. An infinite `δ` (the first link), a zero one
+/// and products that overflow or fall below the normal range all give a
+/// `θ` that is not normal, and take the division.
+fn share_cannot_undercut(delta: f64, b: f64, t: f64) -> bool {
+    let threshold = delta * t * SHARE_MARGIN;
+    threshold.is_normal() && b > threshold
 }
 
 /// Reusable arenas of [`solve_component`]. `degree`, `link_total` and
@@ -311,13 +332,26 @@ pub(crate) struct SolveScratch {
     live_racks: Vec<usize>,
     /// Racks whose pool ran dry in the round before this one.
     flipped: Vec<usize>,
-    /// Unfrozen members (positions in `members`), in member order.
+    /// Members (positions in `members`), in member order, that were
+    /// unfrozen when `active` was last compacted: a superset of the
+    /// unfrozen ones, which are those whose `rate` is still NaN.
     unfrozen: Vec<usize>,
-    /// The ordinary entries of the unfrozen members, member order, each
-    /// member's in run order: what the augment subtracts from one by one.
+    /// How many members are unfrozen.
+    live_members: usize,
+    /// The ordinary entries of the members, member order, each member's in
+    /// run order: what the augment subtracts from one by one. A frozen
+    /// member's entries stay, with flow count 0, until they are an eighth
+    /// of the list and one pass drops them all.
     active: Vec<ActiveEntry>,
-    /// Per member: how many entries of `active` it owns while unfrozen.
+    /// Entries of `active` whose owner is frozen.
+    stale: usize,
+    /// Per member: where its entries begin in `active` (ascending in
+    /// member order; kept current for unfrozen members only).
+    start: Vec<u32>,
+    /// Per member: how many entries of `active` it owns.
     ordinary_len: Vec<u32>,
+    /// Members a freeze found saturated, before it retires them.
+    hits: Vec<usize>,
     /// `(link, flow count)` of every lone entry — a steady entry whose
     /// link no other entry of the component names — back to back; member
     /// `m` owns
@@ -360,8 +394,12 @@ impl SolveScratch {
             live_racks: Vec::new(),
             flipped: Vec::new(),
             unfrozen: Vec::new(),
+            live_members: 0,
             active: Vec::new(),
+            stale: 0,
+            start: Vec::new(),
             ordinary_len: Vec::new(),
+            hits: Vec::new(),
             lone: Vec::new(),
             lone_start: Vec::new(),
             class_mask: Vec::new(),
@@ -385,86 +423,157 @@ impl SolveScratch {
     /// each link total by the difference. Lone entries are steady: their
     /// counts, and so the classes, stand.
     fn rewrite_flipped(&mut self, cluster: &Cluster, jobs: &[PlacedJob], members: &[usize], pat: &[f64]) {
-        let mut at = 0;
         for &m in &self.unfrozen {
-            let end = at + self.ordinary_len[m] as usize;
             let job = &jobs[members[m]];
-            if job.ina_enabled && job.switches.iter().any(|r| self.flipped.contains(r)) {
-                write_flow_run(cluster, &job.components, |r| pat[r.0] > EPSILON_GBPS, &mut self.run);
-                debug_assert!(
-                    job.flows.iter().zip(&self.run).all(|(e, &(l, f))| {
-                        e.link as usize == l && (!e.steady || e.flows == f)
-                    }),
-                    "a steady count moved under a PAT view"
-                );
-                for e in &mut self.active[at..end] {
-                    let flows = self.run[e.pos as usize].1;
-                    let total = &mut self.link_total[e.link as usize];
-                    *total = *total - u64::from(e.flows) + u64::from(flows);
-                    e.flows = flows;
-                }
+            let at_flipped = || job.ina_enabled && job.switches.iter().any(|r| self.flipped.contains(r));
+            if !self.rate[m].is_nan() || !at_flipped() {
+                continue;
             }
-            at = end;
+            write_flow_run(cluster, &job.components, |r| pat[r.0] > EPSILON_GBPS, &mut self.run);
+            debug_assert!(
+                job.flows.iter().zip(&self.run).all(|(e, &(l, f))| {
+                    e.link as usize == l && f > 0 && (!e.steady || e.flows == f)
+                }),
+                "a steady count moved under a PAT view, or a count fell to 0"
+            );
+            // The run splits into the member's lone entries and its active
+            // ones, each in run order: walk it beside the lone list.
+            let mut lone = self.lone[self.lone_start[m]..self.lone_start[m + 1]].iter().peekable();
+            let mut at = self.start[m] as usize;
+            for (re, &(_, flows)) in job.flows.iter().zip(&self.run) {
+                if lone.next_if(|&&(l, _)| l == re.link).is_some() {
+                    continue;
+                }
+                let e = &mut self.active[at];
+                debug_assert_eq!(e.link, re.link, "an entry left its owner's run");
+                let total = &mut self.link_total[e.link as usize];
+                *total = *total - u64::from(e.flows) + u64::from(flows);
+                e.flows = flows;
+                at += 1;
+            }
         }
         self.flipped.clear();
     }
 
-    /// Freeze, at rate `level`, every unfrozen member that crosses a
-    /// saturated link — an ordinary one at or under the threshold in `bw`,
-    /// or a lone one of a class in `pinned` — or, with `everyone`, all of
-    /// them. A frozen member leaves the running totals and the active
-    /// list, and its lone links take their class's residual: the value
-    /// each of them would hold had the rounds so far subtracted from it
-    /// one by one.
-    fn freeze(
-        &mut self,
-        jobs: &[PlacedJob],
-        members: &[usize],
-        bw: &mut [f64],
-        level: f64,
-        pinned: u64,
-        everyone: bool,
-    ) {
-        let (mut read, mut write, mut kept) = (0, 0, 0);
+    /// Freeze member `m` at rate `level`: its lone links take their class's
+    /// residual — the value each of them would hold had the rounds so far
+    /// subtracted from it one by one — and it leaves the class and rack
+    /// counts. Its entries are the caller's.
+    fn retire(&mut self, jobs: &[PlacedJob], members: &[usize], bw: &mut [f64], m: usize, level: f64) {
+        debug_assert!(self.rate[m].is_nan(), "a member froze twice");
+        self.rate[m] = level;
+        for &(l, f) in &self.lone[self.lone_start[m]..self.lone_start[m + 1]] {
+            bw[l as usize] = self.class_bw[f as usize];
+            self.class_count[f as usize] -= 1;
+            if self.class_count[f as usize] == 0 {
+                self.live_classes &= !(1 << f);
+            }
+        }
+        let job = &jobs[members[m]];
+        if job.ina_enabled {
+            for &r in &job.switches {
+                self.rack_jobs[r] -= 1;
+            }
+        }
+    }
+
+    /// The last member froze. Nothing reads the totals of a finished
+    /// solve: the next one resets each link's when it first names it.
+    fn finish(&mut self) {
+        self.live_members = 0;
+        self.unfrozen.clear();
+        self.active.clear();
+        self.live_links.clear();
+        self.stale = 0;
+    }
+
+    /// Freeze every unfrozen member at rate `level`.
+    fn freeze_all(&mut self, jobs: &[PlacedJob], members: &[usize], bw: &mut [f64], level: f64) {
         for u in 0..self.unfrozen.len() {
             let m = self.unfrozen[u];
-            let end = read + self.ordinary_len[m] as usize;
-            let own = &self.active[read..end];
-            let frozen = everyone
-                || self.class_mask[m] & pinned != 0
-                || own.iter().any(|e| bw[e.link as usize] <= EPSILON_GBPS);
-            if frozen {
-                debug_assert!(self.rate[m].is_nan(), "a frozen member was still listed unfrozen");
-                self.rate[m] = level;
-                for e in own {
-                    self.link_total[e.link as usize] -= u64::from(e.flows);
-                }
-                for &(l, f) in &self.lone[self.lone_start[m]..self.lone_start[m + 1]] {
-                    bw[l as usize] = self.class_bw[f as usize];
-                    self.class_count[f as usize] -= 1;
-                    if self.class_count[f as usize] == 0 {
-                        self.live_classes &= !(1 << f);
-                    }
-                }
-                let job = &jobs[members[m]];
-                if job.ina_enabled {
-                    for &r in &job.switches {
-                        self.rack_jobs[r] -= 1;
-                    }
-                }
-            } else {
-                self.active.copy_within(read..end, write);
-                write += end - read;
-                self.unfrozen[kept] = m;
-                kept += 1;
+            if self.rate[m].is_nan() {
+                self.retire(jobs, members, bw, m, level);
             }
-            read = end;
         }
-        debug_assert_eq!(read, self.active.len(), "the active list is the unfrozen members' entries");
-        self.active.truncate(write);
-        self.unfrozen.truncate(kept);
-        let link_total = &self.link_total;
-        self.live_links.retain(|&l| link_total[l] > 0);
+        self.finish();
+    }
+
+    /// Freeze, at rate `level`, every unfrozen member that crosses a
+    /// saturated link — an ordinary one at or under the threshold in `bw`,
+    /// or a lone one of a class in `pinned`.
+    ///
+    /// The class masks are read only when a class is pinned, and first:
+    /// when that freezes everyone — a packed component's one round, as a
+    /// rule — no entry is read. Otherwise one pass over the entries finds
+    /// the rest by the live entries on a saturated link, each naming its
+    /// owner. A frozen member's entries leave the running totals and keep
+    /// their place with flow count 0, which the augment subtracts as
+    /// `δ·0 = +0` and so leaves every bit alone; once they are an eighth of
+    /// the list one pass drops them, and the frozen members from
+    /// `unfrozen` with them. `live_links` is filtered only if a total
+    /// reached zero.
+    fn freeze(&mut self, jobs: &[PlacedJob], members: &[usize], bw: &mut [f64], level: f64, pinned: u64) {
+        self.hits.clear();
+        if pinned != 0 {
+            for u in 0..self.unfrozen.len() {
+                let m = self.unfrozen[u];
+                if self.class_mask[m] & pinned != 0 && self.rate[m].is_nan() {
+                    self.retire(jobs, members, bw, m, level);
+                    self.hits.push(m);
+                }
+            }
+        }
+        // A retired member writes its lone links, which no entry names.
+        if self.hits.len() < self.live_members {
+            for i in 0..self.active.len() {
+                let e = self.active[i];
+                let m = e.member as usize;
+                if (e.flows != 0) & (bw[e.link as usize] <= EPSILON_GBPS) && self.rate[m].is_nan() {
+                    self.retire(jobs, members, bw, m, level);
+                    self.hits.push(m);
+                }
+            }
+        }
+        if self.hits.len() == self.live_members {
+            self.finish();
+            return;
+        }
+        self.live_members -= self.hits.len();
+        let mut emptied = false;
+        for &m in &self.hits {
+            let from = self.start[m] as usize;
+            for e in &mut self.active[from..from + self.ordinary_len[m] as usize] {
+                let total = &mut self.link_total[e.link as usize];
+                *total -= u64::from(e.flows);
+                emptied |= *total == 0;
+                e.flows = 0;
+            }
+            self.stale += self.ordinary_len[m] as usize;
+        }
+        debug_assert_eq!(
+            (self.live_members, self.stale),
+            (
+                self.rate.iter().filter(|r| r.is_nan()).count(),
+                self.active.iter().filter(|e| e.flows == 0).count()
+            ),
+            "the unfrozen members or the stale entries were miscounted"
+        );
+        if emptied {
+            let link_total = &self.link_total;
+            self.live_links.retain(|&l| link_total[l] > 0);
+        }
+        if 8 * self.stale > self.active.len() {
+            self.active.retain(|e| e.flows != 0);
+            let rate = &self.rate;
+            self.unfrozen.retain(|&m| rate[m].is_nan());
+            let mut at = 0;
+            for &m in &self.unfrozen {
+                self.start[m] = at;
+                at += self.ordinary_len[m];
+            }
+            debug_assert_eq!(at as usize, self.active.len(), "a live entry had no owner");
+            self.stale = 0;
+        }
     }
 }
 
@@ -498,11 +607,22 @@ impl SolveScratch {
 /// * **One draw per rack.** A rack's PAT takes one guarded `-= δ` per
 ///   unfrozen INA member at it, the same whichever member makes it, so
 ///   the draws of a round run per rack, not per member.
-/// * **A flat active list** of the ordinary entries of unfrozen members
-///   is what the augment subtracts from, noting a link it leaves at or
-///   under the threshold; only a round that saturated something scans it
-///   for the owners to freeze, and compacts it. A PAT flip rewrites the
-///   members at the flipped rack and nothing else.
+/// * **A share minimum without the divisions it cannot use.** A live link
+///   whose residual is above `δ·t` with a margin no rounding can cross
+///   ([`share_cannot_undercut`]) leaves the running minimum as it is, so
+///   it skips its division; links are still visited in order, and the
+///   first link (`δ = ∞`) always divides.
+/// * **A flat active list** of the ordinary entries, each naming its
+///   owner, is what the augment subtracts from, noting a live entry it
+///   leaves at or under the threshold. Only a round that saturated
+///   something freezes, and it finds whom in one straight pass over the
+///   entries (after the pinned classes' owners, which in a packed
+///   component's one round are often everyone, and then no entry is
+///   read). A frozen member's entries stay in place with flow count 0 —
+///   `δ·0` subtracts nothing — until they are an eighth of the list and
+///   one pass drops them; `live_links` is filtered only when a total
+///   reached zero. A PAT flip rewrites the members at the flipped rack and
+///   nothing else.
 pub(crate) fn solve_component(
     cluster: &Cluster,
     jobs: &[PlacedJob],
@@ -542,17 +662,20 @@ pub(crate) fn solve_component(
     s.live_links.clear();
     s.live_racks.clear();
     s.active.clear();
+    s.stale = 0;
+    s.start.clear();
     s.ordinary_len.clear();
     s.lone.clear();
     s.lone_start.clear();
     s.class_mask.clear();
     s.class_count = [0; CLASSES];
     s.live_classes = 0;
-    for &ji in members {
+    for (m, &ji) in members.iter().enumerate() {
         let job = &jobs[ji];
         let (first, mut mask) = (s.active.len(), 0u64);
+        s.start.push(first as u32);
         s.lone_start.push(s.lone.len());
-        for (pos, e) in job.flows.iter().enumerate() {
+        for e in &job.flows {
             let l = e.link as usize;
             link_flows[l] += e.flows;
             if e.steady && s.degree[l] == 1 {
@@ -564,7 +687,7 @@ pub(crate) fn solve_component(
                     s.live_links.push(l);
                 }
                 s.link_total[l] += u64::from(e.flows);
-                s.active.push(ActiveEntry { link: e.link, flows: e.flows, pos: pos as u32 });
+                s.active.push(ActiveEntry { link: e.link, flows: e.flows, member: m as u32 });
             }
         }
         s.class_mask.push(mask);
@@ -592,6 +715,7 @@ pub(crate) fn solve_component(
     s.flipped.clear();
     s.unfrozen.clear();
     s.unfrozen.extend(0..members.len());
+    s.live_members = members.len();
     // NaN until the member freezes, which it does once.
     s.rate.clear();
     s.rate.resize(members.len(), f64::NAN);
@@ -602,7 +726,7 @@ pub(crate) fn solve_component(
     // virgin view's flow counts are the converged ones.
     let mut any_flip = false;
     for _ in 0..max_rounds {
-        if s.unfrozen.is_empty() {
+        if s.live_members == 0 {
             break;
         }
         stats.rounds += 1;
@@ -611,9 +735,15 @@ pub(crate) fn solve_component(
         }
 
         // Minimum per-flow share across loaded links, classes and switches.
+        // A link that cannot undercut the minimum so far skips its division.
         let mut delta = f64::INFINITY;
         for &l in &s.live_links {
-            delta = delta.min(bw[l].max(0.0) / s.link_total[l] as f64);
+            let (b, t) = (bw[l].max(0.0), s.link_total[l] as f64);
+            if share_cannot_undercut(delta, b, t) {
+                debug_assert_eq!(delta.min(b / t).to_bits(), delta.to_bits(), "a skipped share undercut");
+                continue;
+            }
+            delta = delta.min(b / t);
         }
         for f in bits(s.live_classes) {
             delta = delta.min(s.class_bw[f].max(0.0) / f as f64);
@@ -626,19 +756,22 @@ pub(crate) fn solve_component(
         if !delta.is_finite() {
             // No unfrozen job touches any link: freeze them all at their
             // current rate (degenerate but defensively handled).
-            s.freeze(jobs, members, bw, level, 0, true);
+            s.freeze_all(jobs, members, bw, level);
             break;
         }
-        stats.link_visits += (s.live_links.len() + s.active.len()) as u64
-            + u64::from(s.live_classes.count_ones());
+        let live_entries = (s.active.len() - s.stale) as u64;
+        stats.link_visits +=
+            s.live_links.len() as u64 + live_entries + u64::from(s.live_classes.count_ones());
 
         // Augment: raise every unfrozen job by delta, drain links and PAT.
+        // A frozen member's entry subtracts `δ·0 = +0` and saturates
+        // nothing.
         level += delta;
         let mut saturated = false;
         for e in &s.active {
             let cell = &mut bw[e.link as usize];
             *cell -= delta * f64::from(e.flows);
-            saturated |= *cell <= EPSILON_GBPS;
+            saturated |= (e.flows != 0) & (*cell <= EPSILON_GBPS);
         }
         // A class at or under the threshold is every one of its links
         // saturating at once.
@@ -672,13 +805,13 @@ pub(crate) fn solve_component(
         // Freeze jobs crossing a saturated link and take their flows out
         // of the running totals.
         if saturated || pinned != 0 {
-            stats.link_visits += s.active.len() as u64;
-            s.freeze(jobs, members, bw, level, pinned, false);
+            stats.link_visits += live_entries;
+            s.freeze(jobs, members, bw, level, pinned);
         }
     }
-    if !s.unfrozen.is_empty() {
+    if s.live_members > 0 {
         stats.unconverged += 1;
-        s.freeze(jobs, members, bw, level, 0, true);
+        s.freeze_all(jobs, members, bw, level);
     }
     debug_assert!(s.active.is_empty() && s.live_links.is_empty(), "an entry outlived its owner");
     debug_assert!(s.live_classes == 0 && s.class_count == [0; CLASSES], "a class outlived its members");
@@ -1146,6 +1279,93 @@ mod steady_tests {
                     prop_assert_eq!(e.steady, could_be && !moved);
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod share_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Whether the skip is sound here: if it skips, the minimum keeps
+    /// `delta`'s bits.
+    fn sound(delta: f64, b: f64, t: f64) -> bool {
+        !share_cannot_undercut(delta, b, t) || delta.min(b / t).to_bits() == delta.to_bits()
+    }
+
+    #[test]
+    fn the_share_skip_takes_the_division_at_every_edge() {
+        let skips = |delta: f64, b: f64, t: f64| {
+            assert!(sound(delta, b, t), "δ {delta:e}, b {b:e}, t {t}");
+            share_cannot_undercut(delta, b, t)
+        };
+        // The first link of a round meets an infinite minimum.
+        assert!(!skips(f64::INFINITY, 100.0, 1.0));
+        assert!(!skips(f64::INFINITY, f64::MAX, 3.0));
+        // A drained link: nothing is greater than nothing, and a zero
+        // minimum gives a zero threshold.
+        assert!(!skips(12.5, 0.0, 4.0));
+        assert!(!skips(0.0, 100.0, 4.0));
+        // One flow, and as many as an `f64` counts exactly.
+        assert!(skips(25.0, 100.0, 1.0));
+        assert!(!skips(25.0, 25.0, 1.0));
+        let t = 2f64.powi(53) - 1.0;
+        assert!(skips(2f64.powi(-40), 2f64.powi(14), t));
+        assert!(!skips(2f64.powi(-40), 2f64.powi(-40) * t, t));
+        // A product below the normal range takes the division, unless the
+        // margin lifts its threshold into the range — still above `δ·t`.
+        let tiny = f64::MIN_POSITIVE / 8.0;
+        assert!(!skips(tiny, 1.0, 3.0));
+        assert!(skips(f64::MIN_POSITIVE.next_down(), 1.0, 1.0));
+        // A product, or a threshold, past the largest float.
+        assert!(!skips(1e300, f64::MAX, 1e10));
+        assert!(!skips(f64::MAX.next_down(), f64::MAX, 1.0));
+        // One ulp either side of the product, and either side of the
+        // threshold the margin puts four to eight ulps above it.
+        for (delta, t) in [(0.1, 3.0), (1.0 / 3.0, 7.0), (33.333_333_333_333_336, 3.0), (1e-3, 1e6)] {
+            let product = delta * t;
+            let threshold = product * SHARE_MARGIN;
+            assert!((4..=8).contains(&(threshold.to_bits() - product.to_bits())));
+            assert!(!skips(delta, product.next_down(), t));
+            assert!(!skips(delta, product, t));
+            assert!(!skips(delta, product.next_up(), t));
+            assert!(!skips(delta, threshold, t));
+            assert!(skips(delta, threshold.next_up(), t));
+        }
+    }
+
+    /// A float from raw bits, sign cleared: every residual and share is
+    /// non-negative.
+    fn magnitude(bits: u64) -> f64 {
+        f64::from_bits(bits & !(1 << 63))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Over random bit patterns — any magnitude for `δ`, NaN excepted;
+        /// a flow count up to 2⁵³ − 1; a residual that is either any
+        /// magnitude or a few ulps from `δ·t` — a skip never moves the
+        /// minimum off `δ`'s bits.
+        #[test]
+        fn a_skipped_share_never_undercuts(
+            delta_bits in any::<u64>(),
+            flows in prop_oneof![1u64..64, 1u64..1 << 53],
+            raw in any::<u64>(),
+            near in any::<bool>(),
+            ulps in 0u64..16,
+        ) {
+            let (delta, t) = (magnitude(delta_bits), flows as f64);
+            let b = if near {
+                magnitude((delta * t).to_bits().wrapping_add(ulps).wrapping_sub(8))
+            } else {
+                magnitude(raw)
+            };
+            if delta.is_nan() || b.is_nan() {
+                return Ok(());
+            }
+            prop_assert!(sound(delta, b, t), "δ {:e}, b {:e}, t {}", delta, b, t);
         }
     }
 }

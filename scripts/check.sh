@@ -20,9 +20,9 @@
 # large; the binary also pins the cell's ps_candidates_scored and
 # ps_rack_servers_skipped), the service determinism smoke (two identical
 # deterministic 10K-job bench_service runs at one worker and one at
-# NETPACK_THREADS=4 must be byte-identical, stdout + event log), the three
-# debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke and
-# the fig9 smoke, all from a
+# NETPACK_THREADS=4 must be byte-identical, stdout + event log), the four
+# debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke, the
+# fig10 dense smoke and the fig9 smoke, all from a
 # *debug* build, so the placement path's debug assertions hold the
 # journal-fed server index — as the journals left it — to a full scan
 # after every refresh, the index-answered single-server shortcut to
@@ -33,9 +33,14 @@
 # under real churn and on the stateless three-tier path, and — in the
 # fig9 smoke, where the session sits under the simulator's job manager —
 # every running job's iteration time to the settled steady state after
-# each selective re-rate; the debug fig10_xl digest and the debug fig9
-# table must equal the release ones), and the fig14 smoke (every cell
-# asserted == PacketSim::run_reference in-binary).
+# each selective re-rate; in the fig10 dense smoke (~0.3 s from a debug
+# build), where flips and freezes are densest, every table-scored PS
+# candidate to the literal score, every skipped share-minimum division to
+# the division it skipped, and every water-fill freeze's counts of unfrozen
+# jobs and stale entries to a recount;
+# the debug fig10_xl and fig10 dense digests and the debug fig9 table must
+# equal the release ones), and the fig14 smoke (every cell asserted ==
+# PacketSim::run_reference in-binary).
 # Keep this list in sync with README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -128,15 +133,22 @@ echo "==> debug smokes: debug builds, server index == full scan and shortcut == 
 # from-scratch estimate, and the GPU ledger against a recount
 # (DESIGN.md §3.12). The service replay
 # covers the session path under churn, fig10_xl the stateless three-tier
-# path, and the fig9 smoke the session under the simulator's job manager,
-# where a debug build also re-checks every running job's iteration time
-# after each selective re-rate (~3 s); a debug build may not move a
-# placement or a table byte either.
+# path, the fig10 dense smoke the contended cell (PS-table bits, the
+# share-minimum skip and the freeze asserted on every use, ~0.3 s), and
+# the fig9 smoke the session under the simulator's job manager, where a
+# debug build also re-checks every running job's iteration time after
+# each selective re-rate (~3 s); a debug build may not move a placement or
+# a table byte either.
 NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \
     cargo run -q -p netpack-bench --bin bench_service > /dev/null
 xl_debug=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 cargo run -q -p netpack-bench --bin fig10_xl)
 if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_debug"); then
     echo "check.sh: fig10_xl smoke DIVERGED between the release and debug builds" >&2
+    exit 1
+fi
+dense_debug=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 cargo run -q -p netpack-bench --bin fig10_placement_time)
+if ! diff <(printf '%s\n' "$dense_t1") <(printf '%s\n' "$dense_debug"); then
+    echo "check.sh: fig10 dense smoke DIVERGED between the release and debug builds" >&2
     exit 1
 fi
 fig9_debug=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 cargo run -q -p netpack-bench --bin fig9_scale)

@@ -12,7 +12,9 @@
 //! no configuration or environment variable selects one. Algorithm 1's
 //! solver is held to its literal twin inside `netpack-waterfill`; what
 //! tier-1 pins here is that a change of its mechanism moves no count of
-//! rounds, solves or jobs re-solved on the Fig. 10 dense cell.
+//! rounds, solves or jobs re-solved on the Fig. 10 dense cell, and a change
+//! of Algorithm 2's mechanisms no count of plans, PS evaluations, DP
+//! candidates or index journal entries.
 
 use netpack::placement::{batch_comm_time_s, reference, ExactPlacer, RunningJob};
 use netpack::prelude::*;
@@ -78,11 +80,19 @@ fn production_matches_the_literal_algorithm() {
     }
 }
 
-/// The water-fill work of one dense batch — the first `dense_batch` input
-/// of the repo benchmark at seed 1 — as the round-by-round solver of PR 15
-/// counted it. The counts are functions of the `δ` sequence alone: a
+/// The work of one dense batch — the first `dense_batch` input of the repo
+/// benchmark at seed 1. The water-fill counts are those the plain
+/// round-by-round solver made, and functions of the `δ` sequence alone: a
 /// solver that takes the same minima freezes the same jobs in the same
-/// rounds, so any faster mechanism must reproduce them exactly.
+/// rounds, so any faster mechanism must reproduce them exactly;
+/// `waterfill_link_visits` counts live entries only, so an entry a freeze
+/// left in place for later does not count. The placement counts — plans,
+/// PS evaluations, DP candidates, journal entries — are the work of
+/// Algorithm 2 on those steady states, and a change of mechanism moves none
+/// of them. The index counts are the exception, and pinned as such: one
+/// filter key for every full server, and a refresh that compares each
+/// journal entry with the one key it can have moved, took them from 186 759
+/// re-keys and 72 rebuilds to the values below.
 #[test]
 fn a_dense_batch_costs_the_pinned_rounds_and_solves() {
     let cluster = Cluster::new(ClusterSpec {
@@ -102,7 +112,14 @@ fn a_dense_batch_costs_the_pinned_rounds_and_solves() {
     assert_eq!(count("waterfill_jobs_resolved"), 56_953);
     assert_eq!(count("waterfill_jobs_reused"), 12_001);
     assert_eq!(count("waterfill_unconverged"), 0);
+    assert_eq!(count("waterfill_link_visits"), 8_912_996);
     assert!(count("waterfill_lone_entries") > 0, "no link was filled through a class");
+    assert_eq!(count("ps_candidates_scored"), 2_382_798);
+    assert_eq!(count("plans_considered"), 13_344);
+    assert_eq!(count("dp_candidates_kept"), 17_783);
+    assert_eq!(count("index_journal_servers"), 312_508);
+    assert_eq!(count("index_rekeyed"), 102_768);
+    assert_eq!(count("index_rebuilds"), 40);
 }
 
 #[test]
