@@ -32,7 +32,7 @@
 //! `NETPACK_SERVICE_JOBS=<n>` overrides all three (`scripts/check.sh`
 //! uses it for the 2 000-job debug-build replay).
 
-use netpack_bench::{emit_table, quick, smoke};
+use netpack_bench::{emit_table, print_perf, quick, smoke};
 use netpack_metrics::{LatencyHistogram, Stopwatch, TextTable};
 use netpack_service::{Command, PlacementService, ServiceConfig, ServiceCore, ServiceReport};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
@@ -195,10 +195,7 @@ fn main() {
     }
     emit_table("bench_service", &table);
 
-    if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
-        println!("perf counters (service + placer):");
-        println!("{}", report.perf.to_table().render());
-    }
+    print_perf("perf counters (service + placer):", &report.perf);
 
     if let Some(path) = event_log_path {
         let mut text = report.events.join("\n");

@@ -13,7 +13,7 @@
 //! (`PacketSim::run_reference`) and asserted bit-identical — same output,
 //! which is how `scripts/check.sh` runs it.
 
-use netpack_bench::{emit_table, packet_stream_job, parallel_sweep, pat_ratio_config};
+use netpack_bench::{emit_table, packet_stream_job, parallel_sweep, pat_ratio_config, print_perf};
 use netpack_metrics::{PerfCounters, TextTable};
 use netpack_packetsim::PacketSim;
 
@@ -65,8 +65,5 @@ fn main() {
     }
     emit_table("fig14b", &table);
     println!("paper: measured tracks theory with small deviation; jobs share memory fairly.");
-    if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
-        println!("\nRound-loop perf counters (merged across all cells):");
-        println!("{}", perf.to_table());
-    }
+    print_perf("\nRound-loop perf counters (merged across all cells):", &perf);
 }

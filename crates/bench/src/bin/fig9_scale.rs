@@ -13,7 +13,7 @@
 //! threads via [`parallel_sweep`]; set `NETPACK_PERF=1` to print the
 //! merged event-loop counters afterwards.
 
-use netpack_bench::{loaded_trace, parallel_sweep, quick, repeats, roster_names};
+use netpack_bench::{loaded_trace, parallel_sweep, print_perf, quick, repeats, roster_names};
 use netpack_flowsim::{SimConfig, Simulation};
 use netpack_metrics::{PerfCounters, Summary, TextTable};
 use netpack_placement::placer_by_name;
@@ -111,8 +111,5 @@ fn main() {
         0,
         "a water-fill solve hit its round bound"
     );
-    if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
-        println!("\nEvent-loop perf counters (merged across all cells):");
-        println!("{}", perf.to_table());
-    }
+    print_perf("\nEvent-loop perf counters (merged across all cells):", &perf);
 }

@@ -69,6 +69,13 @@ pub fn smoke() -> bool {
     std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0")
 }
 
+/// Print `perf` as a table under `heading` if `NETPACK_PERF` is set.
+pub fn print_perf(heading: &str, perf: &PerfCounters) {
+    if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
+        println!("{heading}\n{}", perf.to_table());
+    }
+}
+
 /// The paper's 5-server testbed cluster spec (heavily loaded in our runs
 /// so placement quality matters, as the production replay does).
 pub fn testbed_spec() -> ClusterSpec {

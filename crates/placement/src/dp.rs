@@ -228,7 +228,7 @@ impl Default for WorkerDp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn srv(id: usize, gpus: usize, value: f64, flows: u32) -> ServerStats {
@@ -446,7 +446,7 @@ mod tests {
     /// three times in four (so subsets tie), then up to three copies of
     /// earlier servers under new ids (so classes repeat); one instance in
     /// four without the flow dimension.
-    fn dp_case(seed: u64) -> (WorkerDp, Vec<ServerStats>, usize, usize) {
+    pub(crate) fn dp_case(seed: u64) -> (WorkerDp, Vec<ServerStats>, usize, usize) {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut below = move |n: u64| {
             state ^= state << 13;
@@ -472,6 +472,13 @@ mod tests {
             }
         }
         (dp, servers, 1 + below(12) as usize, below(5) as usize)
+    }
+
+    /// The flow clamp a [`CandidateFilter`](crate::CandidateFilter) in
+    /// front of `dp` is built with: `fs_max`, or `None` without the flow
+    /// dimension.
+    pub(crate) fn filter_clamp(dp: &WorkerDp) -> Option<u32> {
+        dp.track_flows.then_some(dp.fs_max)
     }
 
     /// The DP as it runs — rows updated from a snapshot, branch-free — is

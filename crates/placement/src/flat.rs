@@ -40,7 +40,10 @@
 //!    build holds each representative's score to
 //!    [`score_candidate_flat`](NetPackPlacer::score_candidate_flat), the
 //!    literal formula, bit for bit. The winner under (max score, min
-//!    server id) equals the reference's first-strictly-greater scan.
+//!    server id) equals the reference's first-strictly-greater scan. The
+//!    table also bounds every representative of a plan from above, so a
+//!    plan whose bound cannot beat an earlier plan of the job scores its
+//!    own servers only.
 //! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
 //!    worker lists) lives in [`FlatBatch`] and is reused across the whole
 //!    batch; the hot loop allocates nothing, and the [`Cluster`] is static
@@ -126,6 +129,17 @@ struct ScoreTally {
     /// Plan-rack servers not evaluated: a lower-id server of the same PS
     /// class in the same rack already was.
     rack_skipped: u64,
+    /// Plans whose score ceiling did not clear the best score so far, so
+    /// none of their class representatives was evaluated.
+    ruled_out: u64,
+}
+
+/// Keep `(score, sid)` in `best` if it wins under (max score, min server
+/// id) — what the reference's ascending first-strictly-greater scan keeps.
+fn consider(best: &mut Option<(f64, usize)>, score: f64, sid: usize) {
+    if best.is_none_or(|(b, bsid)| score > b || (score == b && sid < bsid)) {
+        *best = Some((score, sid));
+    }
 }
 
 impl PlanScratch {
@@ -219,6 +233,12 @@ struct PsTable {
     /// quotients of the hot-spot term that depend on `f_max` alone. Grown,
     /// never cleared: `C` is the batch's.
     hot: Vec<(f64, f64)>,
+    /// Extremes over `rows` — the largest `avail`, the smallest `penalty`
+    /// and the largest `flows1` — from which a plan bounds every
+    /// representative's score ([`NetPackPlacer::score_plan_flat`]).
+    avail_max: f64,
+    penalty_min: f64,
+    flows1_max: u32,
 }
 
 impl PsTable {
@@ -231,6 +251,9 @@ impl PsTable {
             plan_racks: Vec::new(),
             rack_entries: Vec::new(),
             hot: Vec::new(),
+            avail_max: f64::NEG_INFINITY,
+            penalty_min: f64::INFINITY,
+            flows1_max: 0,
         }
     }
 
@@ -239,6 +262,9 @@ impl PsTable {
     fn build(&mut self, topo: &FlatTopology, classes: &Partition<PsKey>, plans: &[WorkerPlan]) {
         self.rows.clear();
         self.groups.clear();
+        self.avail_max = f64::NEG_INFINITY;
+        self.penalty_min = f64::INFINITY;
+        self.flows1_max = 0;
         for (class, (key, members)) in classes.classes().enumerate() {
             let (Some(&first), Some(&last)) = (members.front(), members.back()) else {
                 continue;
@@ -250,6 +276,10 @@ impl PsTable {
             });
             let avail = f64::from_bits(key.avail_bits);
             let flows1 = key.flows + 1;
+            let penalty = (self.capacity - avail) / (f64::from(flows1) + 1.0);
+            self.avail_max = self.avail_max.max(avail);
+            self.penalty_min = self.penalty_min.min(penalty);
+            self.flows1_max = self.flows1_max.max(flows1);
             self.rows.push(PsRow {
                 class: class as u32,
                 first,
@@ -258,11 +288,11 @@ impl PsTable {
                 group: group as u32,
                 flows1,
                 avail,
-                penalty: (self.capacity - avail) / (f64::from(flows1) + 1.0),
+                penalty,
             });
         }
-        let f_max = self.rows.iter().map(|r| r.flows1).chain(plans.iter().map(|p| p.max_flows)).max();
-        for f in self.hot.len() as u32..=f_max.unwrap_or(0) {
+        let f_max = plans.iter().map(|p| p.max_flows).fold(self.flows1_max, u32::max);
+        for f in self.hot.len() as u32..=f_max {
             self.hot.push((self.capacity / (f64::from(f) + 1.0), self.capacity / f64::from(f.max(1))));
         }
         // A rack's list is filled by the first plan server found in it;
@@ -483,6 +513,15 @@ impl NetPackPlacer {
     /// each class there, outside the plan racks each class's lowest-id
     /// member there. `tally` counts the evaluations performed and the
     /// plan-rack servers they stood in for.
+    ///
+    /// `floor` is the best score an earlier plan of the job reached. A
+    /// plan wins only by scoring strictly above it, so once its own
+    /// servers are scored, a plan whose [`score_ceiling`](Self::score_ceiling)
+    /// is `≤ floor` evaluates no representative and returns its own-server
+    /// best: no representative can reach the floor, and an own server
+    /// above it still wins the plan, with the same PS. A debug build walks
+    /// such a plan's representatives anyway, asserting each one's score
+    /// `≤ ceiling`, and neither considers nor counts them.
     #[allow(clippy::too_many_arguments)]
     fn score_plan_flat(
         &self,
@@ -492,11 +531,25 @@ impl NetPackPlacer {
         state: &SteadyState,
         capacity: f64,
         plan: &WorkerPlan,
+        floor: Option<f64>,
         tally: &mut ScoreTally,
     ) -> Option<(f64, ServerId)> {
         let stamp = ps.begin(&fb.topo, fb.ledger.free(), plan);
         let table = &fb.ps_table;
         let classes = &fb.index.ps;
+        let mut best: Option<(f64, usize)> = None;
+        for &sid in &plan.servers {
+            let score = self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid.0, stamp);
+            consider(&mut best, score, sid.0);
+        }
+        let own = plan.servers.len();
+        tally.evals += own as u64;
+        let ceiling = self.score_ceiling(table, plan);
+        let ruled_out = floor.is_some_and(|floor| ceiling <= floor);
+        tally.ruled_out += u64::from(ruled_out);
+        if ruled_out && !cfg!(debug_assertions) {
+            return best.map(|(score, sid)| (score, ServerId(sid)));
+        }
         let pick = match self.config.hotspot {
             HotSpotTerm::RewardBottleneckShare => f64::min,
             HotSpotTerm::PaperLiteral => f64::max,
@@ -520,33 +573,26 @@ impl NetPackPlacer {
         );
         let ps = &*ps;
 
-        let mut best: Option<(f64, usize)> = None;
-        let mut consider = |score: f64, sid: usize| {
-            let wins = match best {
-                None => true,
-                Some((b, bsid)) => score > b || (score == b && sid < bsid),
-            };
-            if wins {
-                best = Some((score, sid));
-            }
-        };
-        let literal =
-            |sid: usize| self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp);
         let score_row = |row: &PsRow, sid: usize, crossed: Option<f64>| {
             let f_max = plan.max_flows.max(row.flows1);
             let base = plan.value + row.avail - row.penalty;
             let score = base + self.table_term(table.hot[f_max as usize], crossed);
             debug_assert_eq!(
                 score.to_bits(),
-                literal(sid).to_bits(),
+                self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp).to_bits(),
                 "server {sid}: the PS class table is not the index's"
             );
             score
         };
-        for &sid in &plan.servers {
-            consider(literal(sid.0), sid.0);
-        }
-        let mut evals = plan.servers.len();
+        let mut visit = |score: f64, sid: usize| {
+            if ruled_out {
+                debug_assert!(score <= ceiling, "server {sid}: {score} above the plan's ceiling {ceiling}");
+            } else {
+                consider(&mut best, score, sid);
+            }
+        };
+        // Representatives walked: in the plan racks, then in all.
+        let mut reps = 0;
         let mut rack_servers = 0;
         for (ri, &(rack, w)) in ps.rack_workers.iter().enumerate() {
             // A PS in plan rack `rack` is crossed by every other plan
@@ -575,12 +621,12 @@ impl NetPackPlacer {
                         None => continue,
                     }
                 }
-                consider(score_row(row, sid, crossed), sid);
-                evals += 1;
+                visit(score_row(row, sid, crossed), sid);
+                reps += 1;
             }
         }
         // Every server of a plan rack was evaluated or stood in for.
-        tally.rack_skipped += (rack_servers - evals) as u64;
+        let rack_skipped = rack_servers - own - reps;
         // Members ascend and a rack is a contiguous id range, so a class's
         // first member past each plan rack is one binary search away.
         let first_outside = |class: u32| {
@@ -605,11 +651,29 @@ impl NetPackPlacer {
                 first_outside(row.class)
             };
             let Some(sid) = outside else { continue };
-            consider(score_row(row, sid, Some(ps.group_term[row.group as usize])), sid);
-            evals += 1;
+            visit(score_row(row, sid, Some(ps.group_term[row.group as usize])), sid);
+            reps += 1;
         }
-        tally.evals += evals as u64;
+        if !ruled_out {
+            tally.evals += reps as u64;
+            tally.rack_skipped += rack_skipped as u64;
+        }
         best.map(|(score, sid)| (score, ServerId(sid)))
+    }
+
+    /// An upper bound on the score of every class representative of
+    /// `plan` — `plan.value + avail_max − penalty_min + T` in
+    /// `score_row`'s association, `T` the largest hot-spot term any row
+    /// can give: `C/(plan.max_flows + 1)`, or under the paper-literal sign
+    /// `−C/max(f, 1)` at the largest `f_max` a row can ask for. Every
+    /// rounded operation is monotone in each operand and every operand is
+    /// at its extreme, so no margin is needed.
+    fn score_ceiling(&self, table: &PsTable, plan: &WorkerPlan) -> f64 {
+        let top = match self.config.hotspot {
+            HotSpotTerm::RewardBottleneckShare => table.hot[plan.max_flows as usize].0,
+            HotSpotTerm::PaperLiteral => -table.hot[plan.max_flows.max(table.flows1_max) as usize].1,
+        };
+        plan.value + table.avail_max - table.penalty_min + top
     }
 
     /// `place_one` over the flat arrays: identical algorithm, integer
@@ -700,7 +764,7 @@ impl NetPackPlacer {
                     let mut scratch = grab_slot(&fbr.plan_pool);
                     let mut t = ScoreTally::default();
                     let r = self.score_plan_flat(
-                        fbr, &mut scratch, cluster, state, capacity, &plans[pi], &mut t,
+                        fbr, &mut scratch, cluster, state, capacity, &plans[pi], None, &mut t,
                     );
                     (pi, r, t)
                 },
@@ -717,6 +781,7 @@ impl NetPackPlacer {
                     let tally = ScoreTally {
                         evals: tally.evals + t.evals,
                         rack_skipped: tally.rack_skipped + t.rack_skipped,
+                        ruled_out: tally.ruled_out + t.ruled_out,
                     };
                     (best, tally)
                 },
@@ -726,8 +791,9 @@ impl NetPackPlacer {
             let mut best: Option<(f64, usize, ServerId)> = None;
             let mut tally = ScoreTally::default();
             for (pi, plan) in plans.iter().enumerate() {
-                if let Some((score, sid)) =
-                    self.score_plan_flat(fb, &mut scratch, cluster, state, capacity, plan, &mut tally)
+                let floor = best.map(|(b, _, _)| b);
+                if let Some((score, sid)) = self
+                    .score_plan_flat(fb, &mut scratch, cluster, state, capacity, plan, floor, &mut tally)
                 {
                     if best.is_none_or(|(b, _, _)| score > b) {
                         best = Some((score, pi, sid));
@@ -739,6 +805,7 @@ impl NetPackPlacer {
         };
         perf.incr("ps_candidates_scored", tally.evals);
         perf.incr("ps_rack_servers_skipped", tally.rack_skipped);
+        perf.incr("ps_plans_ruled_out", tally.ruled_out);
         perf.record("ps_scoring", scoring_start.elapsed());
         let (_, pi, ps) = best?;
         let plan = &plans[pi];
@@ -964,23 +1031,12 @@ mod tests {
         }
     }
 
-    /// Per plan, the table scorer must return what a scan of every server
-    /// with the literal formula returns — winner and score bits — and its
-    /// counters must add up: every plan-rack server evaluated or stood in
-    /// for, one evaluation per class with a member outside. Plans over
-    /// one to four racks, both hot-spot variants, on an index churn has
-    /// left with dead classes and a class that spans racks; each path of
-    /// the scorer is asserted taken: a chosen server alone of its class in
-    /// its rack, chosen heads of a bigger class (the member-list step), a
-    /// spanning class that begins in a plan rack (the fallback walk, ending
-    /// outside or nowhere) and a class inside one plan rack (the O(1)
-    /// skip). Three one-line mutations of `score_plan_flat` each fail it,
-    /// in a release build too: folding *every* plan rack into a plan-rack
-    /// PS's term (`i != ri` dropped), `workers` where its own uplink
-    /// carries `workers - w`, and `continue` in place of the step past a
-    /// chosen head.
-    #[test]
-    fn plan_scoring_equals_a_full_scan() {
+    /// The index of [`plan_scoring_equals_a_full_scan`] and 400 plans over
+    /// it, with the job's [`PsTable`] built: 4 racks x 24 servers at 8:1,
+    /// churned until it holds dead classes and a class that spans racks.
+    /// `loaded` adds one more job with a worker on every server that has a
+    /// GPU free, so that no server's access link is idle.
+    fn churned_fixture(loaded: bool) -> (Cluster, FlatBatch, IncrementalEstimator, Vec<WorkerPlan>) {
         let c = Cluster::new(ClusterSpec {
             racks: 4,
             servers_per_rack: 24,
@@ -988,8 +1044,7 @@ mod tests {
             oversubscription: 8.0,
             ..ClusterSpec::paper_default()
         });
-        let (n, spr) = (96, 24);
-        let capacity = c.spec().server_link_gbps;
+        let spr = 24;
         let mut fb = FlatBatch::new(&c);
         // Background: racks 0 and 1 carry the same uplink load (so their
         // idle servers share one PS class), rack 2 another. The job that
@@ -1011,14 +1066,14 @@ mod tests {
         assert_eq!(inc.pop(&c), Some(JobId(103)));
         fb.credit(&background[3]).unwrap();
         assert_eq!(fb.refresh_index(&mut inc).rebuilds, 0);
-        let state = inc.state();
-        let classes: Vec<Vec<usize>> = fb
-            .index
-            .ps
-            .classes()
-            .map(|(_, members)| members.iter().map(|&m| m as usize).collect())
-            .collect();
-        assert!(classes.iter().any(|members| members.is_empty()), "no dead class");
+        if loaded {
+            let everywhere: Vec<(ServerId, usize)> =
+                (0..4 * spr).filter(|&s| fb.ledger.free()[s] > 0).map(|s| (ServerId(s), 1)).collect();
+            let p = Placement::new(everywhere, Some(ServerId(0)));
+            assert!(fb.commit(&p));
+            inc.push(&c, PlacedJob::new(JobId(104), &c, &p));
+            fb.refresh_index(&mut inc);
+        }
 
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut below = move |n: usize| {
@@ -1048,6 +1103,60 @@ mod tests {
             .filter(|plan| !plan.servers.is_empty())
             .collect();
         fb.ps_table.build(&fb.topo, &fb.index.ps, &plans);
+        (c, fb, inc, plans)
+    }
+
+    /// A job of no GPU is left out of FindSubset and deferred, never handed
+    /// to the single-server shortcut (where it would pick among full
+    /// servers): the stateless placer, a session and the literal algorithm
+    /// agree on every placement and deferral of a batch with two of them.
+    #[test]
+    fn a_zero_gpu_job_is_deferred_by_every_path() {
+        let c = cluster(2, 4, 4);
+        let mut batch: Vec<Job> = (0..8).map(|i| job(i, 1 + i as usize % 5)).collect();
+        for i in [2, 5] {
+            batch[i].gpus = 0;
+        }
+        let stateless = NetPackPlacer::default().place_batch(&c, &[], &batch);
+        let warm = NetPackSession::new(c.clone(), NetPackConfig::default()).place_batch(&batch);
+        let oracle = crate::reference::place_batch(&NetPackConfig::default(), &c, &[], &batch);
+        let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+        assert_eq!(ids(&stateless.deferred), [JobId(2), JobId(5)]);
+        assert_eq!(stateless.placed.len(), 6);
+        for out in [&warm, &oracle] {
+            assert_eq!(out.placed, stateless.placed);
+            assert_eq!(ids(&out.deferred), ids(&stateless.deferred));
+        }
+    }
+
+    /// Per plan, the table scorer must return what a scan of every server
+    /// with the literal formula returns — winner and score bits — and its
+    /// counters must add up: every plan-rack server evaluated or stood in
+    /// for, one evaluation per class with a member outside. Plans over
+    /// one to four racks, both hot-spot variants, on an index churn has
+    /// left with dead classes and a class that spans racks; each path of
+    /// the scorer is asserted taken: a chosen server alone of its class in
+    /// its rack, chosen heads of a bigger class (the member-list step), a
+    /// spanning class that begins in a plan rack (the fallback walk, ending
+    /// outside or nowhere) and a class inside one plan rack (the O(1)
+    /// skip). Three one-line mutations of `score_plan_flat` each fail it,
+    /// in a release build too: folding *every* plan rack into a plan-rack
+    /// PS's term (`i != ri` dropped), `workers` where its own uplink
+    /// carries `workers - w`, and `continue` in place of the step past a
+    /// chosen head.
+    #[test]
+    fn plan_scoring_equals_a_full_scan() {
+        let (c, mut fb, inc, plans) = churned_fixture(false);
+        let (n, spr) = (96, 24);
+        let capacity = c.spec().server_link_gbps;
+        let state = inc.state();
+        let classes: Vec<Vec<usize>> = fb
+            .index
+            .ps
+            .classes()
+            .map(|(_, members)| members.iter().map(|&m| m as usize).collect())
+            .collect();
+        assert!(classes.iter().any(|members| members.is_empty()), "no dead class");
 
         let mut scratch = std::mem::take(&mut fb.scratch);
         // [1, 2, 3, 4]-rack plans, then the scorer's paths.
@@ -1061,7 +1170,7 @@ mod tests {
             for (case, plan) in plans.iter().enumerate() {
                 let mut tally = ScoreTally::default();
                 let got =
-                    placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, plan, &mut tally);
+                    placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, plan, None, &mut tally);
                 let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
                 let mut want: Option<(f64, ServerId)> = None;
                 for sid in 0..n {
@@ -1106,6 +1215,96 @@ mod tests {
         assert!(paths.iter().all(|&taken| taken > 20), "{paths:?}");
     }
 
+    /// The score ceiling is sound and the skip it allows is exact. On the
+    /// index of [`plan_scoring_equals_a_full_scan`], as it is and with
+    /// every access link carrying a flow, under both hot-spot variants and
+    /// per plan:
+    ///
+    /// * the ceiling is `plan.value + max avail − min penalty + T` over the
+    ///   index's live classes, with `T` taken from the hot-spot formula;
+    /// * no server the plan leaves alone — each scores as some class
+    ///   representative does — scores above it;
+    /// * under any floor below the plan's true best (the next float down,
+    ///   one less, its own-server best, `−∞`), `score_plan_flat` returns
+    ///   the winner and score bits it returns with no floor; more than 20
+    ///   such calls rule the plan out, and more than 20 score it in full.
+    ///
+    /// Three one-line mutations of `score_ceiling` each fail it, in a debug
+    /// and a release build: `- table.penalty_min` dropped (a looser bound,
+    /// still sound, so only the first check sees it, and only on the loaded
+    /// index, where the smallest penalty is not 0), `T` taken at
+    /// `plan.max_flows + 1`, and `flows1_max` ignored under `PaperLiteral`
+    /// (both also fail the second check).
+    #[test]
+    fn the_score_ceiling_bounds_every_representative() {
+        // Calls under a floor below the plan's best: [ruled out, in full].
+        let mut calls = [0usize; 2];
+        for loaded in [false, true] {
+            let (c, mut fb, inc, plans) = churned_fixture(loaded);
+            let capacity = c.spec().server_link_gbps;
+            let state = inc.state();
+            let live: Vec<(f64, f64, u32)> = fb
+                .index
+                .ps
+                .classes()
+                .filter(|(_, members)| !members.is_empty())
+                .map(|(key, _)| {
+                    let avail = f64::from_bits(key.avail_bits);
+                    (avail, (capacity - avail) / (f64::from(key.flows + 1) + 1.0), key.flows + 1)
+                })
+                .collect();
+            let avail_max = live.iter().map(|r| r.0).fold(f64::NEG_INFINITY, f64::max);
+            let penalty_min = live.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+            let flows1_max = live.iter().map(|r| r.2).max().unwrap();
+            assert_eq!(penalty_min > 0.0, loaded, "only an idle access link pays no penalty");
+            let mut scratch = std::mem::take(&mut fb.scratch);
+            for hotspot in [HotSpotTerm::RewardBottleneckShare, HotSpotTerm::PaperLiteral] {
+                let placer = NetPackPlacer::new(NetPackConfig {
+                    hotspot,
+                    ..NetPackConfig::default()
+                });
+                for (case, plan) in plans.iter().enumerate() {
+                    let at = format!("loaded={loaded} {hotspot:?} case {case}");
+                    let top = match hotspot {
+                        HotSpotTerm::RewardBottleneckShare => capacity / (f64::from(plan.max_flows) + 1.0),
+                        HotSpotTerm::PaperLiteral => {
+                            -(capacity / f64::from(plan.max_flows.max(flows1_max).max(1)))
+                        }
+                    };
+                    let ceiling = placer.score_ceiling(&fb.ps_table, plan);
+                    assert_eq!(ceiling.to_bits(), (plan.value + avail_max - penalty_min + top).to_bits(), "{at}");
+                    let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
+                    let mut own_best = f64::NEG_INFINITY;
+                    for sid in 0..c.num_servers() {
+                        let score = placer
+                            .score_candidate_flat(&fb, &scratch, &c, state, capacity, plan, sid, stamp);
+                        if scratch.chosen_stamp[sid] == stamp {
+                            own_best = own_best.max(score);
+                        } else {
+                            assert!(score <= ceiling, "{at}: server {sid} scores {score} > {ceiling}");
+                        }
+                    }
+                    let mut score = |floor: Option<f64>| {
+                        let mut tally = ScoreTally::default();
+                        let got =
+                            placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, plan, floor, &mut tally);
+                        (got.map(|(score, sid)| (score.to_bits(), sid)), tally.ruled_out)
+                    };
+                    let (want, _) = score(None);
+                    let best = f64::from_bits(want.expect("a plan has servers").0);
+                    for floor in [best.next_down(), best - 1.0, own_best, f64::NEG_INFINITY] {
+                        if floor < best {
+                            let (got, ruled_out) = score(Some(floor));
+                            assert_eq!(got, want, "{at}: floor {floor}");
+                            calls[usize::from(ruled_out == 0)] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(calls.iter().all(|&n| n > 20), "[ruled out, in full] = {calls:?}");
+    }
+
     /// The table is a reading of the index: one built before the index
     /// moved on scores stale classes, and the per-representative assertion
     /// of a debug build says so.
@@ -1134,7 +1333,7 @@ mod tests {
         let mut scratch = std::mem::take(&mut fb.scratch);
         let mut tally = ScoreTally::default();
         NetPackPlacer::default()
-            .score_plan_flat(&fb, &mut scratch, &c, inc.state(), capacity, &plan, &mut tally);
+            .score_plan_flat(&fb, &mut scratch, &c, inc.state(), capacity, &plan, None, &mut tally);
     }
 
     /// Class keys separate servers whose racks differ in uplink load.

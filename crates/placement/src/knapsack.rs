@@ -7,7 +7,8 @@ use netpack_workload::Job;
 /// and valued at its (starvation-aged) user value.
 ///
 /// Returns indices into `batch`, in ascending order. Jobs demanding more
-/// GPUs than `free_gpus` can never fit and are excluded outright.
+/// GPUs than `free_gpus` can never fit, and jobs demanding none have
+/// nothing to place; both are excluded outright.
 ///
 /// The DP is the standard `O(|Jobs| × |GPUs|)` table the paper cites
 /// (Pisinger); values are compared with a deterministic tie-break toward
@@ -33,7 +34,7 @@ pub fn select_job_subset(batch: &[Job], free_gpus: usize) -> Vec<usize> {
         return Vec::new();
     }
     let eligible: Vec<usize> = (0..batch.len())
-        .filter(|&i| batch[i].gpus <= free_gpus)
+        .filter(|&i| (1..=free_gpus).contains(&batch[i].gpus))
         .collect();
     if eligible.is_empty() {
         return Vec::new();

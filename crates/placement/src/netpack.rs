@@ -137,7 +137,8 @@ impl NetPackPlacer {
     /// Perf counters accumulated over every `place_batch` call so far:
     /// water-fill work (`waterfill_*`, of which `waterfill_unconverged`
     /// must read 0), candidate-scoring volume (`plans_considered`,
-    /// `ps_candidates_scored`, `ps_rack_servers_skipped`), server-index upkeep
+    /// `ps_candidates_scored`, `ps_rack_servers_skipped`,
+    /// `ps_plans_ruled_out`), server-index upkeep
     /// (`index_*`), and phase timers (`place_batch`, `place_one`,
     /// `worker_dp`, `ps_scoring`, `waterfill_solve`).
     pub fn perf(&self) -> &PerfCounters {

@@ -42,8 +42,8 @@ impl JobStatus {
 /// One operation on the service's command stream.
 #[derive(Debug)]
 pub enum Command {
-    /// Enqueue a job for placement (rejected if the queue is at capacity
-    /// or its id is already pending or running).
+    /// Enqueue a job for placement (rejected if it asks for no GPU, if its
+    /// id is already pending or running, or if the queue is at capacity).
     Submit(Job),
     /// Abandon a job wherever it is: drop it from the queue if still
     /// pending, tear it down if running.
@@ -62,8 +62,9 @@ pub enum Command {
 pub struct ServiceCounters {
     /// Submissions accepted into the pending queue.
     pub submitted: u64,
-    /// Submissions refused: the queue was at `queue_cap`, or the id was
-    /// already pending or running.
+    /// Submissions refused: the job asked for no GPU, the id was already
+    /// pending or running, or the queue was at `queue_cap` (logged as
+    /// `kind=no-gpus`, `kind=duplicate` and `queue=<depth>`).
     pub rejected: u64,
     /// Jobs placed (each placement counted once, at the pass it landed).
     pub placed: u64,
@@ -258,15 +259,19 @@ impl ServiceCore {
     pub fn apply(&mut self, cmd: Command) {
         match cmd {
             Command::Submit(job) => {
-                // `watches` holds exactly the pending ids. Placing a second
-                // copy of a live id would orphan the first: one `Complete`
-                // retires one of them and the other holds its GPUs for good.
+                // A job of no GPU has nothing to place. `watches` holds
+                // exactly the pending ids; placing a second copy of a live
+                // id would orphan the first: one `Complete` retires one of
+                // them and the other holds its GPUs for good.
+                let no_gpus = job.gpus == 0;
                 let duplicate =
                     self.watches.contains_key(&job.id) || self.session.is_running(job.id);
-                if duplicate || self.pending.len() >= self.config.queue_cap {
+                if no_gpus || duplicate || self.pending.len() >= self.config.queue_cap {
                     self.counters.rejected += 1;
                     if self.config.event_log {
-                        let why = if duplicate {
+                        let why = if no_gpus {
+                            "kind=no-gpus".to_string()
+                        } else if duplicate {
                             "kind=duplicate".to_string()
                         } else {
                             format!("queue={}", self.pending.len())
@@ -470,6 +475,25 @@ mod tests {
         let c = *core.counters();
         assert_eq!((c.submitted, c.rejected), (2, 3));
         assert_eq!(c.max_queue_depth, 2);
+    }
+
+    /// A job of no GPU (the builder refuses one; the fields are public) is
+    /// refused at the door, counted and logged as such, and leaves no
+    /// trace in the queue, the watches or the session.
+    #[test]
+    fn a_zero_gpu_submit_is_refused() {
+        let mut core = core_with_events();
+        let mut empty = job(0, 1);
+        empty.gpus = 0;
+        core.apply(Command::Submit(empty));
+        core.apply(Command::Submit(job(1, 4)));
+        assert_eq!(core.status(JobId(0)), JobStatus::Unknown);
+        assert_eq!((core.pending_len(), core.watches.len()), (1, 1));
+        assert_eq!(core.place_pass(), 1);
+        let c = *core.counters();
+        assert_eq!((c.submitted, c.rejected, c.placed, c.deferrals), (1, 1, 1, 0));
+        assert_eq!(core.events()[0], "reject id=j0 kind=no-gpus");
+        assert_eq!(core.free_gpus(), 32 - 4);
     }
 
     #[test]

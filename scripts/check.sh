@@ -17,8 +17,9 @@
 # its digest must be byte-identical at NETPACK_THREADS=1 and 4), the
 # fig10 dense smoke (the same contract on a 16-rack x 64-server, 200-job
 # cell, where PS scoring dedups per rack and water-fill components are
-# large; the binary also pins the cell's ps_candidates_scored and
-# ps_rack_servers_skipped), the service determinism smoke (two identical
+# large; the binary also pins the cell's ps_candidates_scored,
+# ps_rack_servers_skipped and ps_plans_ruled_out, at one worker and past
+# one), the service determinism smoke (two identical
 # deterministic 10K-job bench_service runs at one worker and one at
 # NETPACK_THREADS=4 must be byte-identical, stdout + event log), the four
 # debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke, the
@@ -35,7 +36,9 @@
 # every running job's iteration time to the settled steady state after
 # each selective re-rate; in the fig10 dense smoke (~0.3 s from a debug
 # build), where flips and freezes are densest, every table-scored PS
-# candidate to the literal score, every skipped share-minimum division to
+# candidate to the literal score, every class representative of a plan
+# ruled out by its score ceiling to that ceiling, every skipped
+# share-minimum division to
 # the division it skipped, and every water-fill freeze's counts of unfrozen
 # jobs and stale entries to a recount;
 # the debug fig10_xl and fig10 dense digests and the debug fig9 table must
@@ -133,8 +136,9 @@ echo "==> debug smokes: debug builds, server index == full scan and shortcut == 
 # from-scratch estimate, and the GPU ledger against a recount
 # (DESIGN.md §3.12). The service replay
 # covers the session path under churn, fig10_xl the stateless three-tier
-# path, the fig10 dense smoke the contended cell (PS-table bits, the
-# share-minimum skip and the freeze asserted on every use, ~0.3 s), and
+# path, the fig10 dense smoke the contended cell (PS-table bits, the score
+# ceiling, the share-minimum skip and the freeze asserted on every use,
+# ~0.3 s), and
 # the fig9 smoke the session under the simulator's job manager, where a
 # debug build also re-checks every running job's iteration time after
 # each selective re-rate (~3 s); a debug build may not move a placement or
