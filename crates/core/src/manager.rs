@@ -38,7 +38,7 @@
 
 use netpack_model::Placement;
 use netpack_placement::{
-    AdmissionIndex, BatchOutcome, NetPackSession, Placer, RunningJob, SessionError,
+    AdmissionIndex, BatchOutcome, NetPackSession, PerfCounters, Placer, RunningJob, SessionError,
 };
 use netpack_topology::{Cluster, JobId, TopologyError};
 use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState, WaterfillStats};
@@ -135,6 +135,10 @@ trait Books {
     /// Refill `out` with the jobs re-solved after the settle numbered
     /// `seen` and return the number of the last one.
     fn changed_since(&self, seen: u64, out: &mut Vec<JobId>) -> u64;
+
+    /// The perf counters of the placement engine the books keep, if they
+    /// keep one: a warm session's.
+    fn perf(&self) -> Option<&PerfCounters>;
 }
 
 /// Books the manager keeps itself, around a stateless placer.
@@ -247,6 +251,11 @@ impl Books for StatelessBooks {
             tracker.solve_epoch()
         })
     }
+
+    /// A stateless placer keeps its own counters.
+    fn perf(&self) -> Option<&PerfCounters> {
+        None
+    }
 }
 
 /// One warm session as the only books.
@@ -308,6 +317,10 @@ impl Books for WarmBooks {
         out.clear();
         out.extend(self.session.rates_changed_since(seen));
         self.session.solve_epoch()
+    }
+
+    fn perf(&self) -> Option<&PerfCounters> {
+        Some(self.session.perf())
     }
 }
 
@@ -488,6 +501,14 @@ impl JobManager {
     /// Work counters from the warm estimator, if it exists.
     pub fn waterfill_stats(&self) -> Option<WaterfillStats> {
         self.books.waterfill_stats()
+    }
+
+    /// The perf counters of the warm session that is this manager's books
+    /// — the placement layer's phases and counters, as
+    /// [`NetPackSession::perf`] names them. `None` under stateless books:
+    /// the placer handed to [`new`](Self::new) keeps its own.
+    pub fn session_perf(&self) -> Option<&PerfCounters> {
+        self.books.perf()
     }
 }
 

@@ -53,7 +53,11 @@
 //! estimator is the session's — the one placement pushes every job onto —
 //! so `wf_pushes` and `wf_removes` count the selective-INA reconciliation
 //! too (every job from the first one switched off to the end of its batch
-//! is popped and re-pushed), not only arrivals and completions.
+//! is popped and re-pushed), not only arrivals and completions. A warm
+//! run over NetPack also carries the session's own perf counters
+//! (`place_batch`, `place_one`, `class_build`, `worker_dp`,
+//! `waterfill_solve`, `waterfill_*`, … — the names of
+//! `NetPackPlacer::perf`, none of which the loop's own use).
 
 use crate::{JobOutcome, SimResult, TelemetrySample};
 use netpack_core::{JobManager, ManagerConfig};
@@ -576,6 +580,11 @@ impl Simulation {
             perf.incr("wf_lone_entries", stats.lone_entries);
             perf.incr("wf_unconverged", stats.unconverged);
         }
+        // A warm run's placement layer: the session's phases and counters,
+        // under names none of the event loop's share.
+        if let Some(session) = manager.session_perf() {
+            perf.merge(session);
+        }
         result.perf = perf;
         result
     }
@@ -786,6 +795,44 @@ mod tests {
         assert_eq!(inc.perf.timer_count("resolve_full"), 0);
         // …and reused far more job solves than it redid.
         assert!(inc.perf.counter("wf_jobs_reused") > inc.perf.counter("wf_jobs_resolved") / 2);
+    }
+
+    /// A warm NetPack run reports its session's placement layer beside
+    /// the event loop's counters, one `place_batch` per epoch that placed
+    /// anything; a placer with no session (GB) and the from-scratch
+    /// reference have no session to report.
+    #[test]
+    fn a_warm_run_reports_its_sessions_perf_counters() {
+        let trace = TraceSpec::new(TraceKind::Real, 20)
+            .seed(11)
+            .duration_scale(0.03)
+            .max_gpus(12)
+            .generate();
+        let run = |placer: Box<dyn Placer>, reference: bool| {
+            let sim = Simulation::new(cluster(), placer, SimConfig::default());
+            if reference {
+                sim.run_reference(&trace)
+            } else {
+                sim.run(&trace)
+            }
+        };
+        let warm = run(Box::<NetPackPlacer>::default(), false);
+        let batches = warm.perf.timer_count("place_batch");
+        assert!(batches > 0 && batches <= warm.perf.timer_count("place"));
+        for phase in ["place_one", "class_build", "waterfill_solve"] {
+            assert!(warm.perf.timer_count(phase) > 0, "{phase}");
+        }
+        assert_eq!(
+            warm.perf.counter("waterfill_pushes"),
+            warm.perf.counter("wf_pushes")
+        );
+        for cold in [
+            run(Box::new(GpuBalance), false),
+            run(Box::<NetPackPlacer>::default(), true),
+        ] {
+            assert_eq!(cold.perf.timer_count("place_batch"), 0);
+            assert!(cold.perf.timer_count("place") > 0);
+        }
     }
 
     #[test]

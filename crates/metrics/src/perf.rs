@@ -68,6 +68,25 @@ impl Stopwatch {
     pub fn elapsed_s(&self) -> f64 {
         self.elapsed().as_secs_f64()
     }
+
+    /// End the phase running since the last lap (or [`start`](Self::start))
+    /// and begin the next one: the time it took, for one clock read where
+    /// two consecutive phases meet. Lapping between two timed phases and
+    /// dropping the result leaves the gap out of both.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let span = now - self.start;
+        self.start = now;
+        span
+    }
+
+    /// Time from `earlier` to this stopwatch's last lap: the span of an
+    /// enclosing phase that began where `earlier` stood and ends at that
+    /// lap, with no clock read of its own.
+    #[must_use]
+    pub fn since(&self, earlier: Stopwatch) -> Duration {
+        self.start - earlier.start
+    }
 }
 
 /// Named monotonic counters and wall-clock phase timers.
@@ -84,10 +103,26 @@ pub struct PerfCounters {
     hists: BTreeMap<&'static str, LatencyHistogram>,
 }
 
+/// One timer's total and interval count — what [`PerfCounters`] keeps per
+/// timer name, as a plain value a hot loop can add to without a name
+/// lookup and fold in once with [`PerfCounters::record_slot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TimerSlot {
+pub struct TimerSlot {
     total: Duration,
     count: u64,
+}
+
+impl TimerSlot {
+    /// Add one interval.
+    pub fn add(&mut self, elapsed: Duration) {
+        self.total += elapsed;
+        self.count += 1;
+    }
+
+    /// Intervals added so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
 }
 
 impl PerfCounters {
@@ -116,9 +151,17 @@ impl PerfCounters {
 
     /// Fold an externally-measured duration into the timer `name`.
     pub fn record(&mut self, name: &'static str, elapsed: Duration) {
-        let slot = self.timers.entry(name).or_default();
-        slot.total += elapsed;
-        slot.count += 1;
+        self.timers.entry(name).or_default().add(elapsed);
+    }
+
+    /// Fold the intervals of `slot` into the timer `name`, as that many
+    /// [`record`](Self::record) calls would. An empty slot creates nothing.
+    pub fn record_slot(&mut self, name: &'static str, slot: TimerSlot) {
+        if slot.count > 0 {
+            let mine = self.timers.entry(name).or_default();
+            mine.total += slot.total;
+            mine.count += slot.count;
+        }
     }
 
     /// Total wall-clock accumulated under the timer `name`.
@@ -160,10 +203,8 @@ impl PerfCounters {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
         }
-        for (name, slot) in &other.timers {
-            let mine = self.timers.entry(name).or_default();
-            mine.total += slot.total;
-            mine.count += slot.count;
+        for (name, &slot) in &other.timers {
+            self.record_slot(name, slot);
         }
         for (name, hist) in &other.hists {
             self.hists.entry(name).or_default().merge(hist);
@@ -258,6 +299,29 @@ mod tests {
         let b = w.elapsed();
         assert!(b >= a);
         assert!(w.elapsed_s() >= 0.0);
+    }
+
+    /// Laps tile the time from the start: an enclosing span read off with
+    /// `since` is the sum of the laps inside it.
+    #[test]
+    fn laps_split_one_span_between_phases() {
+        let mut w = Stopwatch::start();
+        let outer = w;
+        std::thread::sleep(Duration::from_millis(1));
+        let first = w.lap();
+        let second = w.lap();
+        assert!(first >= Duration::from_millis(1));
+        assert_eq!(w.since(outer), first + second);
+        let mut slot = TimerSlot::default();
+        slot.add(first);
+        slot.add(second);
+        let mut p = PerfCounters::new();
+        p.record_slot("empty", TimerSlot::default());
+        assert!(p.is_empty(), "an empty slot creates no timer");
+        p.record_slot("phase", slot);
+        p.record("phase", first);
+        assert_eq!((p.timer_count("phase"), slot.count()), (3, 2));
+        assert_eq!(p.timer_total("phase"), first + w.since(outer));
     }
 
     #[test]

@@ -64,12 +64,12 @@ use crate::ledger::GpuLedger;
 use crate::netpack::{record_waterfill, HotSpotTerm, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
-use netpack_metrics::{parallel_sweep_reduce, PerfCounters, Stopwatch};
+use netpack_metrics::{parallel_sweep_reduce, PerfCounters, Stopwatch, TimerSlot};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, FlatTopology, RackId, ServerId, TopologyError};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 use std::sync::{Mutex, TryLockError};
 
 /// Minimum plan count before the PS-scoring loop fans out across threads;
@@ -132,6 +132,74 @@ struct ScoreTally {
     /// Plans whose score ceiling did not clear the best score so far, so
     /// none of their class representatives was evaluated.
     ruled_out: u64,
+}
+
+impl AddAssign for ScoreTally {
+    fn add_assign(&mut self, other: ScoreTally) {
+        self.evals += other.evals;
+        self.rack_skipped += other.rack_skipped;
+        self.ruled_out += other.ruled_out;
+    }
+}
+
+/// What one batch did, in plain fields: the batch loop and
+/// [`place_one_flat`](NetPackPlacer::place_one_flat) add to it per job, and
+/// [`record`](Self::record) folds it into the placer's perf counters once
+/// per batch, as `record_waterfill` folds the estimator's counters. Each
+/// group of counters is recorded only if its phase ran, so a phase no job
+/// reached adds no name to the table, as it did not when every job
+/// recorded its own.
+#[derive(Debug, Default)]
+struct BatchTally {
+    place_one: TimerSlot,
+    /// The index refresh of every job, and what the refreshes did.
+    class_build: TimerSlot,
+    refresh: RefreshStats,
+    single_scan: TimerSlot,
+    /// Candidate selection, and the servers offered to and kept by the
+    /// filter.
+    candidate_select: TimerSlot,
+    dp_offered: u64,
+    dp_kept: u64,
+    worker_dp: TimerSlot,
+    /// PS scoring, the plans it scored and the scorer's own tally.
+    ps_scoring: TimerSlot,
+    plans: u64,
+    scored: ScoreTally,
+    /// The eager push of every placed job.
+    waterfill_solve: TimerSlot,
+}
+
+impl BatchTally {
+    fn record(&self, perf: &mut PerfCounters) {
+        if self.class_build.count() > 0 {
+            perf.incr("index_rebuilds", self.refresh.rebuilds);
+            perf.incr("index_rekeyed", self.refresh.rekeyed);
+            perf.incr("index_journal_servers", self.refresh.journal_servers);
+            perf.incr("index_classes", self.refresh.classes);
+        }
+        if self.candidate_select.count() > 0 {
+            perf.incr("dp_candidates_offered", self.dp_offered);
+            perf.incr("dp_candidates_kept", self.dp_kept);
+        }
+        if self.ps_scoring.count() > 0 {
+            perf.incr("plans_considered", self.plans);
+            perf.incr("ps_candidates_scored", self.scored.evals);
+            perf.incr("ps_rack_servers_skipped", self.scored.rack_skipped);
+            perf.incr("ps_plans_ruled_out", self.scored.ruled_out);
+        }
+        for (name, slot) in [
+            ("place_one", self.place_one),
+            ("class_build", self.class_build),
+            ("single_scan", self.single_scan),
+            ("candidate_select", self.candidate_select),
+            ("worker_dp", self.worker_dp),
+            ("ps_scoring", self.ps_scoring),
+            ("waterfill_solve", self.waterfill_solve),
+        ] {
+            perf.record_slot(name, slot);
+        }
+    }
 }
 
 /// Keep `(score, sid)` in `best` if it wins under (max score, min server
@@ -679,41 +747,41 @@ impl NetPackPlacer {
     /// `place_one` over the flat arrays: identical algorithm, integer
     /// indices, index-fed shortcut and selection, deduplicated scoring.
     /// Scores against `inc`'s steady state and drains its change journal.
-    pub(crate) fn place_one_flat(
+    ///
+    /// `clock` was lapped as the job began; each phase ends with a lap,
+    /// so a phase that follows another starts on the same clock read, and
+    /// what lies between two phases is lapped and dropped. A debug build's
+    /// oracle runs inside the phase it checks.
+    fn place_one_flat(
         &self,
         fb: &mut FlatBatch,
         cluster: &Cluster,
         inc: &mut IncrementalEstimator,
         job: &Job,
-        perf: &mut PerfCounters,
+        clock: &mut Stopwatch,
+        tally: &mut BatchTally,
     ) -> Option<Placement> {
         let threads = self.threads;
         // Bring the server index up to date with whatever the ledger and
         // the estimator did since the last job.
-        let class_start = Stopwatch::start();
-        let refreshed = fb.refresh_index(inc);
-        perf.record("class_build", class_start.elapsed());
-        perf.incr("index_rebuilds", refreshed.rebuilds);
-        perf.incr("index_rekeyed", refreshed.rekeyed);
-        perf.incr("index_journal_servers", refreshed.journal_servers);
-        perf.incr("index_classes", refreshed.classes);
+        tally.refresh += fb.refresh_index(inc);
         debug_assert_eq!(fb.audit_index(inc), Ok(()));
+        tally.class_build.add(clock.lap());
         let state = inc.state();
 
         // Single-server shortcut: tightest fit, ties toward the most
         // residual bandwidth, first wins (= the reference's `min_by`),
         // read off the filter classes' front members.
-        let scan_start = Stopwatch::start();
         let single = if fb.ledger.any_server_fits(job.gpus) {
             fb.index.tightest_fit(job.gpus)
         } else {
             None
         };
-        perf.record("single_scan", scan_start.elapsed());
         debug_assert_eq!(
             single,
             fb.ledger.scan_tightest_fit(state.servers_available_gbps(), job.gpus)
         );
+        tally.single_scan.add(clock.lap());
         if let Some(s) = single {
             return Some(Placement::local(ServerId(s), job.gpus));
         }
@@ -725,30 +793,28 @@ impl NetPackPlacer {
         let gps = cluster.spec().gpus_per_server;
         let slack = gps;
         let fs_max = self.config.flow_dimension.then_some(self.config.fs_max);
-        let select_start = Stopwatch::start();
         let mut filter = CandidateFilter::new(gps, job.gpus, slack, fs_max);
         fb.index.offer_candidates(capacity, job.gpus + slack, &mut filter);
-        perf.record("candidate_select", select_start.elapsed());
-        perf.incr("dp_candidates_offered", filter.offered());
-        perf.incr("dp_candidates_kept", filter.kept() as u64);
+        tally.candidate_select.add(clock.lap());
+        tally.dp_offered += filter.offered();
+        tally.dp_kept += filter.kept() as u64;
         let stats = filter.candidates();
         let dp = if self.config.flow_dimension {
             WorkerDp::new(self.config.fs_max)
         } else {
             WorkerDp::without_flow_dimension()
         };
-        let dp_start = Stopwatch::start();
+        clock.lap();
         let plans = dp.plans(&stats, job.gpus, slack);
-        perf.record("worker_dp", dp_start.elapsed());
+        tally.worker_dp.add(clock.lap());
         if plans.is_empty() {
             return None;
         }
 
         // PSPlacement: every plan against the one class table of this job.
-        perf.incr("plans_considered", plans.len() as u64);
-        let scoring_start = Stopwatch::start();
+        tally.plans += plans.len() as u64;
         fb.ps_table.build(&fb.topo, &fb.index.ps, &plans);
-        let (best, tally) = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
+        let best = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
             // Workers score disjoint plan ranges concurrently on pooled
             // scratches; the ordered fold re-applies the sequential
             // tie-break (strictly greater wins, lowest plan index keeps
@@ -757,7 +823,7 @@ impl NetPackPlacer {
             fb.ensure_plan_pool(threads);
             let fbr: &FlatBatch = fb;
             let cells: Vec<usize> = (0..plans.len()).collect();
-            parallel_sweep_reduce(
+            let (best, scored) = parallel_sweep_reduce(
                 threads,
                 &cells,
                 |&pi| {
@@ -769,7 +835,7 @@ impl NetPackPlacer {
                     (pi, r, t)
                 },
                 (None, ScoreTally::default()),
-                |(best, tally): (Option<(f64, usize, ServerId)>, ScoreTally), (pi, r, t)| {
+                |(best, mut scored): (Option<(f64, usize, ServerId)>, ScoreTally), (pi, r, t)| {
                     let best = match r {
                         Some((score, sid))
                             if best.is_none_or(|(b, _, _)| score > b) =>
@@ -778,35 +844,36 @@ impl NetPackPlacer {
                         }
                         _ => best,
                     };
-                    let tally = ScoreTally {
-                        evals: tally.evals + t.evals,
-                        rack_skipped: tally.rack_skipped + t.rack_skipped,
-                        ruled_out: tally.ruled_out + t.ruled_out,
-                    };
-                    (best, tally)
+                    scored += t;
+                    (best, scored)
                 },
-            )
+            );
+            tally.scored += scored;
+            best
         } else {
             let mut scratch = std::mem::take(&mut fb.scratch);
             let mut best: Option<(f64, usize, ServerId)> = None;
-            let mut tally = ScoreTally::default();
             for (pi, plan) in plans.iter().enumerate() {
                 let floor = best.map(|(b, _, _)| b);
-                if let Some((score, sid)) = self
-                    .score_plan_flat(fb, &mut scratch, cluster, state, capacity, plan, floor, &mut tally)
-                {
+                if let Some((score, sid)) = self.score_plan_flat(
+                    fb,
+                    &mut scratch,
+                    cluster,
+                    state,
+                    capacity,
+                    plan,
+                    floor,
+                    &mut tally.scored,
+                ) {
                     if best.is_none_or(|(b, _, _)| score > b) {
                         best = Some((score, pi, sid));
                     }
                 }
             }
             fb.scratch = scratch;
-            (best, tally)
+            best
         };
-        perf.incr("ps_candidates_scored", tally.evals);
-        perf.incr("ps_rack_servers_skipped", tally.rack_skipped);
-        perf.incr("ps_plans_ruled_out", tally.ruled_out);
-        perf.record("ps_scoring", scoring_start.elapsed());
+        tally.ps_scoring.add(clock.lap());
         let (_, pi, ps) = best?;
         let plan = &plans[pi];
 
@@ -890,26 +957,33 @@ impl NetPackPlacer {
         let ordered =
             subset_in_placement_order(batch, fb.ledger.total_free(), &mut outcome.deferred);
         // Steps 2-3: each job is scored against the steady state the jobs
-        // before it left (Algorithm 2 line 7), so every push is eager.
+        // before it left (Algorithm 2 line 7), so every push is eager. One
+        // stopwatch times every phase; its laps between two timed phases
+        // (the commit, the outcome's copy of the job) are dropped.
+        let mut tally = BatchTally::default();
+        let mut clock = Stopwatch::start();
         for job in ordered {
-            let one_start = Stopwatch::start();
-            let placed = self.place_one_flat(fb, cluster, inc, job, perf);
-            perf.record("place_one", one_start.elapsed());
+            clock.lap();
+            let begun = clock;
+            let placed = self.place_one_flat(fb, cluster, inc, job, &mut clock, &mut tally);
+            clock.lap();
+            tally.place_one.add(clock.since(begun));
             match placed {
                 Some(placement) if fb.commit(&placement) => {
-                    let start = Stopwatch::start();
+                    clock.lap();
                     inc.push(cluster, PlacedJob::new(job.id, cluster, &placement));
-                    perf.record("waterfill_solve", start.elapsed());
+                    tally.waterfill_solve.add(clock.lap());
                     outcome.placed.push((job.clone(), placement));
                 }
                 _ => outcome.deferred.push(job.clone()),
             }
         }
+        tally.record(perf);
         // Step 4: selective INA over the steady state the estimator already
         // holds — running + placed, batch placements still INA-on.
-        let ina_start = Stopwatch::start();
+        clock.lap();
         self.enable_ina(cluster, running, &mut outcome.placed, inc.state());
-        perf.record("ina_enable", ina_start.elapsed());
+        perf.record("ina_enable", clock.lap());
         outcome
     }
 
@@ -1029,6 +1103,115 @@ mod tests {
         for phase in ["place_batch", "place_one", "worker_dp", "ps_scoring", "ina_enable"] {
             assert!(timed.iter().any(|t| t == phase), "{phase}");
         }
+    }
+
+    /// Every counter of a perf table as `name=value`, every timer as
+    /// `name xcount`: what a batch did, without the wall clocks.
+    fn work_done(perf: &PerfCounters) -> Vec<String> {
+        let csv = perf.to_table().to_csv();
+        csv.lines()
+            .skip(1)
+            .map(|row| {
+                let cells: Vec<&str> = row.split(',').collect();
+                match cells[0].strip_suffix(" (ms)") {
+                    Some(timer) => format!("{timer} x{}", cells[2]),
+                    None => format!("{}={}", cells[0], cells[1]),
+                }
+            })
+            .collect()
+    }
+
+    /// The counters and timer counts of one small mixed batch, pinned:
+    /// three local jobs, two spanning ones and one FindSubset defers. Each
+    /// phase is tallied once per job that reaches it and the tally is
+    /// folded into the perf counters once per batch, so a phase dropped
+    /// or counted twice, or a counter no job touched showing up as a zero
+    /// row, moves this list.
+    #[test]
+    fn a_mixed_batch_tallies_every_phase_once() {
+        let c = cluster(2, 4, 4);
+        let batch: Vec<Job> = [4, 2, 6, 10, 3, 20]
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| job(i as u64, g))
+            .collect();
+        let one_worker = || {
+            NetPackPlacer::new(NetPackConfig {
+                threads: Some(1),
+                ..NetPackConfig::default()
+            })
+        };
+        let mut placer = one_worker();
+        let out = placer.place_batch(&c, &[], &batch);
+        assert_eq!(
+            out.deferred.iter().map(|j| j.id).collect::<Vec<_>>(),
+            [JobId(5)]
+        );
+        let local = out.placed.iter().filter(|(_, p)| p.is_local()).count();
+        assert_eq!((out.placed.len(), local), (5, 3));
+        assert_eq!(
+            work_done(placer.perf()),
+            [
+                "dp_candidates_kept=6",
+                "dp_candidates_offered=6",
+                "index_classes=11",
+                "index_journal_servers=17",
+                "index_rebuilds=6",
+                "index_rekeyed=2",
+                "plans_considered=4",
+                "ps_candidates_scored=20",
+                "ps_plans_ruled_out=0",
+                "ps_rack_servers_skipped=3",
+                "waterfill_components_solved=2",
+                "waterfill_jobs_resolved=3",
+                "waterfill_jobs_reused=2",
+                "waterfill_link_visits=19",
+                "waterfill_lone_entries=7",
+                "waterfill_pushes=5",
+                "waterfill_rounds=2",
+                "waterfill_settles=5",
+                "waterfill_staged_ops=5",
+                "waterfill_unconverged=0",
+                "candidate_select x2",
+                "class_build x5",
+                "ina_enable x1",
+                "place_batch x1",
+                "place_one x5",
+                "ps_scoring x2",
+                "single_scan x5",
+                "waterfill_solve x6",
+                "worker_dp x2",
+            ]
+        );
+        // A batch of local jobs never reaches the DP or PS scoring: their
+        // counters and timers stay out of the table, not at zero.
+        let mut placer = one_worker();
+        placer.place_batch(&c, &[], &[job(0, 4), job(1, 2)]);
+        assert_eq!(
+            work_done(placer.perf()),
+            [
+                "index_classes=2",
+                "index_journal_servers=1",
+                "index_rebuilds=2",
+                "index_rekeyed=1",
+                "waterfill_components_solved=0",
+                "waterfill_jobs_resolved=0",
+                "waterfill_jobs_reused=0",
+                "waterfill_link_visits=0",
+                "waterfill_lone_entries=0",
+                "waterfill_pushes=2",
+                "waterfill_rounds=0",
+                "waterfill_settles=2",
+                "waterfill_staged_ops=2",
+                "waterfill_unconverged=0",
+                "class_build x2",
+                "ina_enable x1",
+                "place_batch x1",
+                "place_one x2",
+                "single_scan x2",
+                "waterfill_solve x3",
+            ]
+        );
     }
 
     /// The index of [`plan_scoring_equals_a_full_scan`] and 400 plans over

@@ -47,6 +47,7 @@ use crate::select::CandidateFilter;
 use netpack_topology::{FlatTopology, ServerId};
 use netpack_waterfill::SteadyState;
 use std::collections::VecDeque;
+use std::ops::AddAssign;
 
 /// Re-key at most `n / REBUILD_SHARE` servers incrementally; past that a
 /// from-scratch pass (4–12 ns/server) is cheaper than the member-list moves.
@@ -196,9 +197,8 @@ impl<K: ClassKey> Partition<K> {
         }
     }
 
-    /// Bucket all `n` servers from scratch, in one ascending pass — the
-    /// cold build and the fallback when too much changed.
-    fn rebuild(&mut self, n: usize, key_of: impl Fn(usize) -> K) {
+    /// Empty the table for a rebuild.
+    fn reset(&mut self) {
         self.slots.fill(0);
         self.keys.clear();
         // Small lists keep their allocation for whichever class inherits
@@ -209,19 +209,26 @@ impl<K: ClassKey> Partition<K> {
             }
             m.clear();
         }
-        self.class_of.resize(n, 0);
-        // Neighbours usually share a key (idle runs, one job's workers):
-        // remember the last class and skip the probe when it repeats.
-        let mut last: Option<(K, u32)> = None;
-        for s in 0..n {
-            let key = key_of(s);
-            let cid = match last {
-                Some((k, cid)) if k == key => cid,
-                _ => self.class_for(key),
-            };
-            last = Some((key, cid));
-            self.class_of[s] = cid;
-            self.members[cid as usize].push_back(s as u32);
+        self.class_of.clear();
+    }
+
+    /// Bucket all `n` servers from scratch, in one ascending pass — the
+    /// cold build and the fallback when too much changed. Neighbours
+    /// usually share a key (idle runs, one job's workers), so keys are
+    /// compared server by server but filed a run at a time: one probe, one
+    /// fill of `class_of` and one extension of the member list per run of
+    /// equal keys.
+    fn rebuild(&mut self, n: usize, key_of: impl Fn(usize) -> K) {
+        self.reset();
+        let mut run = (n > 0).then(|| (0, key_of(0)));
+        while let Some((start, key)) = run {
+            run = (start + 1..n)
+                .map(|s| (s, key_of(s)))
+                .find(|&(_, k)| k != key);
+            let end = run.map_or(n, |(s, _)| s);
+            let cid = self.class_for(key);
+            self.class_of.resize(end, cid);
+            self.members[cid as usize].extend(start as u32..end as u32);
         }
         self.members.truncate(self.keys.len());
         self.dead = 0;
@@ -311,6 +318,16 @@ pub(crate) struct RefreshStats {
     pub journal_servers: u64,
     /// Live PS classes after the refresh.
     pub classes: u64,
+}
+
+/// Sums, field by field: what several refreshes did.
+impl AddAssign for RefreshStats {
+    fn add_assign(&mut self, other: RefreshStats) {
+        self.rebuilds += other.rebuilds;
+        self.rekeyed += other.rekeyed;
+        self.journal_servers += other.journal_servers;
+        self.classes += other.classes;
+    }
 }
 
 /// The two persistent partitions; see the [module docs](self).
@@ -648,6 +665,18 @@ mod tests {
                 Ok(()),
                 "seed {seed} round {round}"
             );
+            let ps: Vec<PsKey> = (0..n).map(|s| *index.ps.key_of(s)).collect();
+            let filter: Vec<FilterKey> = (0..n).map(|s| *index.filter.key_of(s)).collect();
+            assert_eq!(
+                rebuilds_agree(&index.ps, &ps),
+                Ok(()),
+                "seed {seed} round {round}"
+            );
+            assert_eq!(
+                rebuilds_agree(&index.filter, &filter),
+                Ok(()),
+                "seed {seed} round {round}"
+            );
             match stats.rebuilds {
                 0 => incremental += 1,
                 _ if bloated => reclaims += 1,
@@ -678,6 +707,104 @@ mod tests {
             }
         }
         [incremental, fallbacks, reclaims]
+    }
+
+    impl<K: ClassKey> Partition<K> {
+        /// The cold build as one probe-or-reuse and one `push_back` per
+        /// server — the loop [`rebuild`](Partition::rebuild)'s run-length
+        /// filing replaced, kept as its oracle.
+        fn rebuild_literal(&mut self, n: usize, key_of: impl Fn(usize) -> K) {
+            self.reset();
+            self.class_of.resize(n, 0);
+            let mut last: Option<(K, u32)> = None;
+            for s in 0..n {
+                let key = key_of(s);
+                let cid = match last {
+                    Some((k, cid)) if k == key => cid,
+                    _ => self.class_for(key),
+                };
+                last = Some((key, cid));
+                self.class_of[s] = cid;
+                self.members[cid as usize].push_back(s as u32);
+            }
+            self.members.truncate(self.keys.len());
+            self.dead = 0;
+        }
+    }
+
+    /// Rebuild two copies of `p` over `keys`, by runs and by the literal
+    /// loop: `Err` naming the first field in which they differ.
+    fn rebuilds_agree<K: ClassKey>(p: &Partition<K>, keys: &[K]) -> Result<(), String> {
+        let (mut runs, mut literal) = (p.clone(), p.clone());
+        runs.rebuild(keys.len(), |s| keys[s]);
+        literal.rebuild_literal(keys.len(), |s| keys[s]);
+        if runs.keys != literal.keys {
+            return Err(format!("keys {:?} != {:?}", runs.keys, literal.keys));
+        }
+        if runs.members != literal.members {
+            return Err(format!(
+                "members {:?} != {:?}",
+                runs.members, literal.members
+            ));
+        }
+        if runs.class_of != literal.class_of {
+            return Err(format!(
+                "class_of {:?} != {:?}",
+                runs.class_of, literal.class_of
+            ));
+        }
+        if runs.slots != literal.slots || (runs.dead, literal.dead) != (0, 0) {
+            return Err(format!(
+                "slots or dead counts differ ({} / {})",
+                runs.dead, literal.dead
+            ));
+        }
+        Ok(())
+    }
+
+    /// The run-length cold build files exactly what the per-server loop
+    /// does — the same keys in first-seen order, the same member lists,
+    /// the same `class_of`, the same probe table and no dead class — on
+    /// seeded key arrays whose runs are 1 to `n` long (a key recurring
+    /// after other runs reuses its class), and on the live keys of both
+    /// partitions after every refresh of the two churn fixtures (`churn`
+    /// holds them to it). The audit cannot stand in for it: its cold build
+    /// calls the same routine. Three one-line mutations of `rebuild` each
+    /// fail it: the last run dropped, a run's end one server off, and
+    /// `class_of` left unfilled.
+    #[test]
+    fn rebuild_by_runs_files_what_the_literal_loop_files() {
+        let mut rng = Rng(0xC01D_5EED);
+        let mut lengths = [false; 3]; // [a run of 1, a longer run, one run of n]
+        for case in 0..500 {
+            let n = rng.below(65);
+            let mut keys: Vec<FilterKey> = Vec::with_capacity(n);
+            while keys.len() < n {
+                let left = n - keys.len();
+                let len = if rng.below(4) == 0 {
+                    left
+                } else {
+                    1 + rng.below(left.min(6))
+                };
+                lengths[if len == n { 2 } else { usize::from(len > 1) }] = true;
+                let key = FilterKey {
+                    free: rng.below(4) as u32,
+                    flows: 0,
+                    avail_bits: 0,
+                };
+                keys.extend(std::iter::repeat_n(key, len));
+            }
+            // Start from a partition that has held classes before, as a
+            // fallback rebuild does.
+            let mut p = Partition::new();
+            p.rebuild_literal(n / 2, |s| FilterKey {
+                free: s as u32,
+                flows: 1,
+                avail_bits: 0,
+            });
+            assert_eq!(rebuilds_agree(&p, &keys), Ok(()), "case {case}: {keys:?}");
+        }
+        assert!(lengths.iter().all(|&seen| seen), "{lengths:?}");
     }
 
     /// Every refresh path must have been exercised across the seeds.

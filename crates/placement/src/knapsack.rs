@@ -10,6 +10,10 @@ use netpack_workload::Job;
 /// GPUs than `free_gpus` can never fit, and jobs demanding none have
 /// nothing to place; both are excluded outright.
 ///
+/// Every value must be finite and above 0, as `JobBuilder::build` makes
+/// it (a debug build asserts it): the table never selects a NaN-valued
+/// job, and takes nothing after an infinite one.
+///
 /// The DP is the standard `O(|Jobs| × |GPUs|)` table the paper cites
 /// (Pisinger); values are compared with a deterministic tie-break toward
 /// fewer GPUs used so results are stable across runs.
@@ -30,6 +34,10 @@ use netpack_workload::Job;
 /// assert_eq!(select_job_subset(&batch, 8), vec![1, 2]);
 /// ```
 pub fn select_job_subset(batch: &[Job], free_gpus: usize) -> Vec<usize> {
+    debug_assert!(
+        batch.iter().all(|j| j.value.is_finite() && j.value > 0.0),
+        "a job value FindSubset cannot weigh"
+    );
     if batch.is_empty() || free_gpus == 0 {
         return Vec::new();
     }

@@ -35,9 +35,11 @@ impl GpuLedger {
             .iter()
             .map(|s| s.gpus_free() as u32)
             .collect();
+        // Counted a run of equal counts at a time: on an idle cluster one
+        // increment per server would hit one slot, each waiting for the last.
         let mut with_free = vec![0; cluster.spec().gpus_per_server + 1];
-        for &f in &free {
-            with_free[f as usize] += 1;
+        for run in free.chunk_by(|a, b| a == b) {
+            with_free[run[0] as usize] += run.len() as u32;
         }
         GpuLedger {
             free,
@@ -134,9 +136,10 @@ impl GpuLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netpack_topology::ClusterSpec;
+    use netpack_topology::{ClusterSpec, ServerId};
 
-    /// The histogram and the journal follow every write.
+    /// The histogram, counted at construction, and the journal follow
+    /// every write.
     #[test]
     fn histogram_and_journal_follow_set_free() {
         let c = Cluster::new(ClusterSpec {
@@ -145,12 +148,23 @@ mod tests {
             gpus_per_server: 4,
             ..ClusterSpec::paper_default()
         });
-        let mut ledger = GpuLedger::new(&c);
         let recount = |l: &GpuLedger| {
             let mut hist = vec![0u32; 5];
             l.free.iter().for_each(|&f| hist[f as usize] += 1);
             hist
         };
+        // Built over an allocation whose free counts run 0, 4, 2, 2.
+        let mut held = c.clone();
+        Placement::new(
+            vec![(ServerId(0), 4), (ServerId(2), 2), (ServerId(3), 2)],
+            Some(ServerId(0)),
+        )
+        .allocate_on(&mut held)
+        .unwrap();
+        let mirrored = GpuLedger::new(&held);
+        assert_eq!(mirrored.free(), [0, 4, 2, 2]);
+        assert_eq!(mirrored.with_free, recount(&mirrored));
+        let mut ledger = GpuLedger::new(&c);
         assert!(ledger.any_server_fits(4) && !ledger.any_server_fits(5));
         assert!(ledger.journal().is_empty());
         for (s, f) in [(0, 0), (1, 3), (2, 2), (3, 1), (1, 0)] {

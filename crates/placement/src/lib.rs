@@ -104,3 +104,5 @@ pub use placer::{
 };
 pub use prior::{Comb, OptimusLike, TetrisLike};
 pub use session::{NetPackSession, SessionError};
+/// What [`NetPackPlacer::perf`] and [`NetPackSession::perf`] hand back.
+pub use netpack_metrics::PerfCounters;

@@ -43,7 +43,9 @@ impl JobStatus {
 #[derive(Debug)]
 pub enum Command {
     /// Enqueue a job for placement (rejected if it asks for no GPU, if its
-    /// id is already pending or running, or if the queue is at capacity).
+    /// value is not finite and above 0 — what `JobBuilder::build` would
+    /// refuse, though `Job`'s fields are public — if its id is already
+    /// pending or running, or if the queue is at capacity).
     Submit(Job),
     /// Abandon a job wherever it is: drop it from the queue if still
     /// pending, tear it down if running.
@@ -62,9 +64,10 @@ pub enum Command {
 pub struct ServiceCounters {
     /// Submissions accepted into the pending queue.
     pub submitted: u64,
-    /// Submissions refused: the job asked for no GPU, the id was already
-    /// pending or running, or the queue was at `queue_cap` (logged as
-    /// `kind=no-gpus`, `kind=duplicate` and `queue=<depth>`).
+    /// Submissions refused: the job asked for no GPU, its value was not
+    /// finite and above 0, the id was already pending or running, or the
+    /// queue was at `queue_cap` (logged as `kind=no-gpus`,
+    /// `kind=bad-value`, `kind=duplicate` and `queue=<depth>`).
     pub rejected: u64,
     /// Jobs placed (each placement counted once, at the pass it landed).
     pub placed: u64,
@@ -259,18 +262,25 @@ impl ServiceCore {
     pub fn apply(&mut self, cmd: Command) {
         match cmd {
             Command::Submit(job) => {
-                // A job of no GPU has nothing to place. `watches` holds
-                // exactly the pending ids; placing a second copy of a live
-                // id would orphan the first: one `Complete` retires one of
-                // them and the other holds its GPUs for good.
+                // A job of no GPU has nothing to place. FindSubset's
+                // knapsack never selects a NaN value, and an infinite one
+                // leaves it nothing after it; the values it weighs must be
+                // finite and positive. `watches` holds exactly the pending
+                // ids; placing a second copy of a live id would orphan the
+                // first: one `Complete` retires one of them and the other
+                // holds its GPUs for good.
                 let no_gpus = job.gpus == 0;
+                let bad_value = !(job.value.is_finite() && job.value > 0.0);
                 let duplicate =
                     self.watches.contains_key(&job.id) || self.session.is_running(job.id);
-                if no_gpus || duplicate || self.pending.len() >= self.config.queue_cap {
+                if no_gpus || bad_value || duplicate || self.pending.len() >= self.config.queue_cap
+                {
                     self.counters.rejected += 1;
                     if self.config.event_log {
                         let why = if no_gpus {
                             "kind=no-gpus".to_string()
+                        } else if bad_value {
+                            "kind=bad-value".to_string()
                         } else if duplicate {
                             "kind=duplicate".to_string()
                         } else {
@@ -494,6 +504,41 @@ mod tests {
         assert_eq!((c.submitted, c.rejected, c.placed, c.deferrals), (1, 1, 1, 0));
         assert_eq!(core.events()[0], "reject id=j0 kind=no-gpus");
         assert_eq!(core.free_gpus(), 32 - 4);
+    }
+
+    /// A value FindSubset cannot weigh — NaN, ±∞, zero, negative; the
+    /// builder refuses each, the fields are public — is refused at the door
+    /// and logged as such. Queued, a NaN-valued job would never be selected
+    /// and would keep the take-all fast path off, and an infinite one makes
+    /// the knapsack take nothing after it; refused, they leave the four
+    /// 8-GPU jobs behind them to fill the 32 GPUs in one pass.
+    #[test]
+    fn a_submit_of_a_value_findsubset_cannot_weigh_is_refused() {
+        let mut core = core_with_events();
+        for (i, value) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0]
+            .into_iter()
+            .enumerate()
+        {
+            let mut bad = job(i as u64, 4);
+            bad.value = value;
+            core.apply(Command::Submit(bad));
+        }
+        for id in 10..14 {
+            core.apply(Command::Submit(job(id, 8)));
+        }
+        assert_eq!((core.pending_len(), core.watches.len()), (4, 4));
+        assert_eq!(core.status(JobId(0)), JobStatus::Unknown);
+        assert_eq!(core.place_pass(), 4);
+        let c = *core.counters();
+        assert_eq!(
+            (c.submitted, c.rejected, c.placed, c.deferrals),
+            (4, 5, 4, 0)
+        );
+        let refused: Vec<String> = (0..5)
+            .map(|i| format!("reject id=j{i} kind=bad-value"))
+            .collect();
+        assert_eq!(core.events()[..5], refused);
+        assert_eq!(core.free_gpus(), 0);
     }
 
     #[test]

@@ -134,7 +134,7 @@
 //! ```
 
 use crate::waterfill::{
-    empty_state, link_capacity, partition_components, solve_component, Dsu, PlacedJob,
+    empty_state, group_components, link_capacity, solve_component, union_jobs, Dsu, PlacedJob,
     SolveScratch,
 };
 use crate::SteadyState;
@@ -318,15 +318,22 @@ impl IncrementalEstimator {
         let mut state = empty_state(cluster, jobs);
         let mut stats = WaterfillStats::default();
         let mut scratch_solve = SolveScratch::new(cluster);
-        for group in partition_components(cluster, jobs) {
-            solve_component(cluster, jobs, &group, &mut state, &mut scratch_solve, &mut stats);
+        // One union-find both groups the jobs for the solve and is kept.
+        let mut dsu = union_jobs(cluster, jobs);
+        if !jobs.is_empty() {
+            for group in group_components(&mut dsu, jobs) {
+                solve_component(
+                    cluster,
+                    jobs,
+                    &group,
+                    &mut state,
+                    &mut scratch_solve,
+                    &mut stats,
+                );
+            }
         }
         let n_links = cluster.num_links();
         let n_nodes = n_links + cluster.num_racks();
-        let mut dsu = Dsu::new(n_nodes);
-        for job in jobs {
-            dsu.union_all(job.nodes(n_links));
-        }
         IncrementalEstimator {
             jobs: jobs.to_vec(),
             stamps: vec![1; jobs.len()],

@@ -853,11 +853,25 @@ pub(crate) fn solve_component(
 /// with the components ordered by their first member. Local jobs appear in
 /// no component.
 pub(crate) fn partition_components(cluster: &Cluster, jobs: &[PlacedJob]) -> Vec<Vec<usize>> {
+    let mut dsu = union_jobs(cluster, jobs);
+    group_components(&mut dsu, jobs)
+}
+
+/// A union-find over `cluster`'s resource nodes with every job's nodes
+/// joined.
+pub(crate) fn union_jobs(cluster: &Cluster, jobs: &[PlacedJob]) -> Dsu {
     let n_links = cluster.num_links();
     let mut dsu = Dsu::new(n_links + cluster.num_racks());
     for job in jobs {
         dsu.union_all(job.nodes(n_links));
     }
+    dsu
+}
+
+/// [`partition_components`] over a union-find [`union_jobs`] built for
+/// `jobs`. It only compresses paths, so `dsu` names the same components
+/// by the same roots afterwards.
+pub(crate) fn group_components(dsu: &mut Dsu, jobs: &[PlacedJob]) -> Vec<Vec<usize>> {
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     let mut root_of: BTreeMap<usize, usize> = BTreeMap::new();
     for (i, job) in jobs.iter().enumerate() {
