@@ -20,8 +20,7 @@
 //! scoring and the live-link water-fill rounds to the literal algorithm,
 //! and pins the three PS-scoring counters of that cell: evaluations, the
 //! plan-rack servers those stood in for, and plans ruled out by their score
-//! ceiling, at one worker and at more (the plan fan-out rules none out).
-//! No change of mechanism may move them.
+//! ceiling. No change of mechanism may move them.
 
 use netpack_bench::{emit_table, placement_smoke, quick};
 use netpack_metrics::{Stopwatch, TextTable};
@@ -37,16 +36,13 @@ fn main() {
             ..ClusterSpec::paper_default()
         });
         let perf = placement_smoke("fig10 dense", &cluster, &xorshift_batch(200, 32, 7));
-        // The plan fan-out has no best score to rule plans out against, so
-        // past one worker the jobs with 16 plans or more are scored whole.
-        let pinned = if netpack_metrics::sweep_threads() == 1 {
-            [13_027, 18_057, 1_161]
-        } else {
-            [13_933, 23_161, 1_120]
-        };
         let counted = ["ps_candidates_scored", "ps_rack_servers_skipped", "ps_plans_ruled_out"]
             .map(|name| perf.counter(name));
-        assert_eq!(counted, pinned, "[evaluations, rack servers skipped, plans ruled out]");
+        assert_eq!(
+            counted,
+            [13_027, 18_057, 1_161],
+            "[evaluations, rack servers skipped, plans ruled out]"
+        );
         return;
     }
     let sizes: Vec<usize> = if quick() {

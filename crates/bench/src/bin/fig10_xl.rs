@@ -11,7 +11,7 @@
 //! Knob: `NETPACK_SMOKE=1` shrinks to a 160-server tree / 30 jobs and runs
 //! [`placement_smoke`]: production must equal the literal algorithm, and
 //! only a deterministic placement digest prints, so `scripts/check.sh`
-//! can byte-diff the stdout of runs at different worker counts.
+//! can byte-diff the stdout of a release and a debug build.
 
 use netpack_bench::{emit_table, placement_smoke};
 use netpack_metrics::{Stopwatch, TextTable};

@@ -184,7 +184,7 @@ fn outcome_digest(outcome: &BatchOutcome) -> String {
 /// with the production placer, assert that the outcome equals the literal
 /// algorithm's ([`reference::place_batch`]) and that every water-fill
 /// solve converged, and print only the outcome digest — nothing
-/// time-dependent — so runs at different worker counts can be
+/// time-dependent — so a release and a debug build's runs can be
 /// byte-diffed. Returns the placer's perf counters, for a caller that
 /// pins some of them.
 ///

@@ -118,7 +118,7 @@ pub const REGISTRY: &[EnvVar] = &[
         name: "NETPACK_THREADS",
         kind: VarKind::Knob,
         gate: Gate::None,
-        desc: "worker threads for sweeps and the placer's plan-scoring fan-out",
+        desc: "worker threads for the figure sweeps and the exact placer's first-level fan-out",
     },
 ];
 

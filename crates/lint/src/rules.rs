@@ -52,17 +52,20 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "N1" => "N1 — float accumulation inside parallel or batched regions.\n\n\
             Float addition is not associative: a += over a parallel fold or\n\
             a batched round loop re-associates the sum and the result\n\
-            depends on chunking. Route through exact accumulation\n\
-            (add_cycle-style integer/exact paths) or an ordered reduce\n\
-            (parallel_sweep_reduce merges in cell order).",
+            depends on chunking. The parallel regions left are the figure\n\
+            sweeps and the exact placer's first-level fan-out; the batched\n\
+            ones are packetsim's batch loops. Route through exact\n\
+            accumulation (add_cycle-style integer/exact paths), or fold\n\
+            after the join: parallel_sweep returns results in cell order.",
         "E1" => "E1 — unwrap/expect/panic! in library crates.\n\n\
             Library code returns typed errors; aborting is the caller's\n\
             decision. No use is grandfathered. A panic that asserts a proven\n\
             invariant may stay, with the proof in the expect message and an\n\
             allow(E1) pragma.",
         "C1" => "C1 — shared mutable state captured by a parallel closure.\n\n\
-            The deterministic-parallelism contract (parallel_sweep and its\n\
-            _with/_reduce variants, thread::spawn) is that every cell is\n\
+            The deterministic-parallelism contract (parallel_sweep and\n\
+            parallel_sweep_with in the figure sweeps and the exact placer's\n\
+            first-level fan-out, thread::spawn) is that every cell is\n\
             independent: results are merged in cell order, so any cell\n\
             writing state another cell can see makes the merge order\n\
             observable. The rule flags RefCell/Cell-typed bindings and &mut\n\
@@ -497,10 +500,9 @@ fn contains_float_literal(code: &str) -> bool {
 /// Call expressions that hand a closure to concurrent workers. The
 /// region of interest spans the call's argument list, which contains the
 /// closure body whether or not it is braced.
-const PARALLEL_TRIGGERS: [&str; 9] = [
+const PARALLEL_TRIGGERS: [&str; 8] = [
     "parallel_sweep(",
     "parallel_sweep_with(",
-    "parallel_sweep_reduce(",
     ".par_iter(",
     ".into_par_iter(",
     ".par_chunks(",

@@ -32,7 +32,7 @@ pub use hist::{LatencyHistogram, SUB_BUCKETS};
 pub use perf::{PerfCounters, Stopwatch, TimerSlot};
 pub use regression::{linear_fit, LinearFit};
 pub use stats::{normalize_to, Summary};
-pub use sweep::{parallel_sweep, parallel_sweep_reduce, parallel_sweep_with, sweep_threads};
+pub use sweep::{parallel_sweep, parallel_sweep_with, sweep_threads};
 pub use table::TextTable;
 
 /// One finished job's accounting record, the unit every metric consumes.

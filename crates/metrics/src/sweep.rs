@@ -1,9 +1,9 @@
 //! Deterministic fan-out over independent work cells.
 //!
-//! Lives here (rather than in `netpack-bench`) so that library crates —
-//! notably the placement scorer and the exact branch-and-bound — can share
-//! one audited parallelism primitive without depending on the benchmark
-//! driver crate. `netpack-bench` re-exports it unchanged.
+//! Lives here (rather than in `netpack-bench`) so that the exact
+//! branch-and-bound in `netpack-placement` can share one audited
+//! parallelism primitive with the figure sweeps without depending on the
+//! benchmark driver crate. `netpack-bench` re-exports it unchanged.
 
 /// Effective worker count for a sweep: `NETPACK_THREADS` (0 or unset →
 /// all available cores), clamped to the hardware parallelism actually
@@ -77,28 +77,6 @@ where
     })
 }
 
-/// Parallel map over `cells` followed by a deterministic ordered fold:
-/// cell `i`'s result is merged strictly before cell `i+1`'s, exactly as a
-/// sequential `for` loop would, regardless of which worker produced it.
-///
-/// This is the primitive behind ordered reductions such as the per-plan
-/// PS-scoring argmax in the flat placer: workers score disjoint plan
-/// ranges concurrently, and the fold re-applies the sequential tie-break
-/// ("strictly greater wins, first seen keeps ties") in plan order, so the
-/// winner is bit-identical to the single-threaded loop for any worker
-/// count.
-pub fn parallel_sweep_reduce<T, R, A, F, M>(threads: usize, cells: &[T], run: F, init: A, merge: M) -> A
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    M: FnMut(A, R) -> A,
-{
-    parallel_sweep_with(threads, cells, run)
-        .into_iter()
-        .fold(init, merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,24 +102,6 @@ mod tests {
         let want: Vec<usize> = cells.iter().map(|&c| c * 3 + 1).collect();
         for threads in [1, 2, 3, 4, 8, 101, 500] {
             let got = parallel_sweep_with(threads, &cells, |&c| c * 3 + 1);
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn reduce_is_a_sequential_fold_in_cell_order() {
-        // A non-commutative fold (string concat) detects any merge-order
-        // deviation from the sequential loop.
-        let cells: Vec<u32> = (0..23).collect();
-        let want = cells.iter().fold(String::new(), |acc, c| format!("{acc},{c}"));
-        for threads in [1, 2, 4, 7] {
-            let got = parallel_sweep_reduce(
-                threads,
-                &cells,
-                |&c| c,
-                String::new(),
-                |acc, c| format!("{acc},{c}"),
-            );
             assert_eq!(got, want, "threads={threads}");
         }
     }

@@ -29,6 +29,7 @@
 //! equivalence on 200 random instances.
 
 use crate::placer::{BatchOutcome, Placer, RunningJob};
+use crate::reference::Incumbent;
 use netpack_metrics::{parallel_sweep, PerfCounters, Stopwatch};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ServerId};
@@ -92,7 +93,7 @@ impl ExactPlacer {
         cluster: &Cluster,
         running: &[RunningJob],
         batch: &[Job],
-    ) -> Option<(f64, Vec<(Job, Placement)>)> {
+    ) -> Option<Incumbent> {
         let free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
         let mut touched = vec![0u32; free.len()];
         // Cache the RunningJob -> PlacedJob conversions once per batch; the
@@ -155,7 +156,7 @@ impl ExactPlacer {
         // an incumbent is only replaced by a strictly better objective, so
         // the winner is the first-enumerated optimum regardless of how the
         // branches interleaved at runtime.
-        let mut best: Option<(f64, Vec<(Job, Placement)>)> = None;
+        let mut best: Option<Incumbent> = None;
         let mut stats = root_stats;
         let mut wf = WaterfillStats::default();
         for (branch_best, branch_stats, branch_wf) in results {
@@ -389,7 +390,7 @@ struct BnbContext<'a> {
     rack_of: Vec<usize>,
 }
 
-type BranchResult = (Option<(f64, Vec<(Job, Placement)>)>, BnbStats, WaterfillStats);
+type BranchResult = (Option<Incumbent>, BnbStats, WaterfillStats);
 
 fn run_branch(
     ctx: &BnbContext<'_>,
@@ -423,7 +424,7 @@ struct BnbBranch<'a, 'b> {
     touched: Vec<u32>,
     inc: IncrementalEstimator,
     current: Vec<(Job, Placement)>,
-    best: Option<(f64, Vec<(Job, Placement)>)>,
+    best: Option<Incumbent>,
     stats: BnbStats,
 }
 

@@ -64,17 +64,12 @@ use crate::ledger::GpuLedger;
 use crate::netpack::{record_waterfill, HotSpotTerm, NetPackPlacer};
 use crate::placer::{BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
-use netpack_metrics::{parallel_sweep_reduce, PerfCounters, Stopwatch, TimerSlot};
+use netpack_metrics::{PerfCounters, Stopwatch, TimerSlot};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, FlatTopology, RackId, ServerId, TopologyError};
 use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
-use std::ops::{AddAssign, Range};
-use std::sync::{Mutex, TryLockError};
-
-/// Minimum plan count before the PS-scoring loop fans out across threads;
-/// below this the pool-grab overhead outweighs the dozen scores saved.
-const PLAN_PAR_MIN: usize = 16;
+use std::ops::Range;
 
 /// Batch-lifetime state of the flat placement path: the lowered topology,
 /// the GPU ledger, and every scratch arena the hot loops reuse.
@@ -89,12 +84,8 @@ pub(crate) struct FlatBatch {
     /// What PS scoring reads of the index, laid out per class for the job
     /// being placed; rebuilt by every job that reaches PS scoring.
     ps_table: PsTable,
-    // -- per-plan scratch (stamped, never cleared) --
-    /// The master [`PlanScratch`], used by every sequential plan loop.
+    /// Per-plan scratch (stamped, never cleared).
     scratch: PlanScratch,
-    /// Extra scratches for the parallel plan loop, lazily grown to the
-    /// worker count; workers grab a free one per plan via `try_lock`.
-    plan_pool: Vec<Mutex<PlanScratch>>,
     /// Gradient-sharding arena: per-server PS scores for the winning plan,
     /// reused across jobs instead of a fresh length-`n` `Vec` each time.
     ps_scored: Vec<(f64, ServerId)>,
@@ -102,11 +93,11 @@ pub(crate) struct FlatBatch {
 
 /// Per-plan scratch: which servers and racks the current plan touches
 /// (stamped, never cleared), its per-rack worker totals, and the plan's
-/// share of each rack uplink it would cross. Extracted from [`FlatBatch`]
-/// so the parallel plan loop can hand each worker an independent copy; the
-/// stamp trick (bump a counter instead of clearing arrays) is unchanged,
-/// and scores are a pure function of the plan — never of which scratch, or
-/// whose stamp history, computed them.
+/// share of each rack uplink it would cross. Kept apart from the rest of
+/// [`FlatBatch`] so a plan can write it while reading the ledger, the index
+/// and the class table; the stamp trick bumps a counter instead of
+/// clearing arrays, and scores are a pure function of the plan, never of
+/// the stamp history.
 #[derive(Debug, Default)]
 struct PlanScratch {
     chosen_stamp: Vec<u32>,
@@ -132,14 +123,6 @@ struct ScoreTally {
     /// Plans whose score ceiling did not clear the best score so far, so
     /// none of their class representatives was evaluated.
     ruled_out: u64,
-}
-
-impl AddAssign for ScoreTally {
-    fn add_assign(&mut self, other: ScoreTally) {
-        self.evals += other.evals;
-        self.rack_skipped += other.rack_skipped;
-        self.ruled_out += other.ruled_out;
-    }
 }
 
 /// What one batch did, in plain fields: the batch loop and
@@ -211,12 +194,12 @@ fn consider(best: &mut Option<(f64, usize)>, score: f64, sid: usize) {
 }
 
 impl PlanScratch {
-    /// Size the stamp arenas for a topology (idempotent).
-    fn ensure(&mut self, ns: usize, nr: usize) {
-        if self.chosen_stamp.len() != ns || self.rack_stamp.len() != nr {
-            self.chosen_stamp = vec![0; ns];
-            self.rack_stamp = vec![0; nr];
-            self.stamp = 0;
+    /// Stamp arenas sized for a topology of `ns` servers and `nr` racks.
+    fn new(ns: usize, nr: usize) -> Self {
+        PlanScratch {
+            chosen_stamp: vec![0; ns],
+            rack_stamp: vec![0; nr],
+            ..PlanScratch::default()
         }
     }
 
@@ -411,35 +394,16 @@ impl PsTable {
     }
 }
 
-/// Grab any free slot from a scratch pool, spinning across entries until
-/// one unlocks. Pools are sized to the worker count, so a free entry
-/// always exists; a poisoned entry is reclaimed (its contents are scratch,
-/// valid in any state).
-fn grab_slot<T>(pool: &[Mutex<T>]) -> std::sync::MutexGuard<'_, T> {
-    loop {
-        for m in pool {
-            match m.try_lock() {
-                Ok(g) => return g,
-                Err(TryLockError::Poisoned(p)) => return p.into_inner(),
-                Err(TryLockError::WouldBlock) => {}
-            }
-        }
-        std::hint::spin_loop();
-    }
-}
-
 impl FlatBatch {
     pub(crate) fn new(cluster: &Cluster) -> Self {
         let topo = FlatTopology::new(cluster);
-        let mut scratch = PlanScratch::default();
-        scratch.ensure(topo.num_servers(), topo.num_racks());
+        let scratch = PlanScratch::new(topo.num_servers(), topo.num_racks());
         FlatBatch {
             topo,
             ledger: GpuLedger::new(cluster),
             index: ServerIndex::new(),
             ps_table: PsTable::new(cluster.spec().server_link_gbps),
             scratch,
-            plan_pool: Vec::new(),
             ps_scored: Vec::new(),
         }
     }
@@ -447,17 +411,6 @@ impl FlatBatch {
     /// The free-GPU ledger.
     pub(crate) fn ledger(&self) -> &GpuLedger {
         &self.ledger
-    }
-
-    /// Grow the plan-scoring scratch pool to `workers` entries.
-    fn ensure_plan_pool(&mut self, workers: usize) {
-        let ns = self.topo.num_servers();
-        let nr = self.topo.num_racks();
-        while self.plan_pool.len() < workers {
-            let mut s = PlanScratch::default();
-            s.ensure(ns, nr);
-            self.plan_pool.push(Mutex::new(s));
-        }
     }
 
     /// Debit the ledger for a placement. Returns `false` (committing
@@ -761,7 +714,6 @@ impl NetPackPlacer {
         clock: &mut Stopwatch,
         tally: &mut BatchTally,
     ) -> Option<Placement> {
-        let threads = self.threads;
         // Bring the server index up to date with whatever the ledger and
         // the estimator did since the last job.
         tally.refresh += fb.refresh_index(inc);
@@ -814,65 +766,26 @@ impl NetPackPlacer {
         // PSPlacement: every plan against the one class table of this job.
         tally.plans += plans.len() as u64;
         fb.ps_table.build(&fb.topo, &fb.index.ps, &plans);
-        let best = if plans.len() >= PLAN_PAR_MIN && threads > 1 {
-            // Workers score disjoint plan ranges concurrently on pooled
-            // scratches; the ordered fold re-applies the sequential
-            // tie-break (strictly greater wins, lowest plan index keeps
-            // ties) in plan order, so the winner is bit-identical to the
-            // loop below for any worker count.
-            fb.ensure_plan_pool(threads);
-            let fbr: &FlatBatch = fb;
-            let cells: Vec<usize> = (0..plans.len()).collect();
-            let (best, scored) = parallel_sweep_reduce(
-                threads,
-                &cells,
-                |&pi| {
-                    let mut scratch = grab_slot(&fbr.plan_pool);
-                    let mut t = ScoreTally::default();
-                    let r = self.score_plan_flat(
-                        fbr, &mut scratch, cluster, state, capacity, &plans[pi], None, &mut t,
-                    );
-                    (pi, r, t)
-                },
-                (None, ScoreTally::default()),
-                |(best, mut scored): (Option<(f64, usize, ServerId)>, ScoreTally), (pi, r, t)| {
-                    let best = match r {
-                        Some((score, sid))
-                            if best.is_none_or(|(b, _, _)| score > b) =>
-                        {
-                            Some((score, pi, sid))
-                        }
-                        _ => best,
-                    };
-                    scored += t;
-                    (best, scored)
-                },
-            );
-            tally.scored += scored;
-            best
-        } else {
-            let mut scratch = std::mem::take(&mut fb.scratch);
-            let mut best: Option<(f64, usize, ServerId)> = None;
-            for (pi, plan) in plans.iter().enumerate() {
-                let floor = best.map(|(b, _, _)| b);
-                if let Some((score, sid)) = self.score_plan_flat(
-                    fb,
-                    &mut scratch,
-                    cluster,
-                    state,
-                    capacity,
-                    plan,
-                    floor,
-                    &mut tally.scored,
-                ) {
-                    if best.is_none_or(|(b, _, _)| score > b) {
-                        best = Some((score, pi, sid));
-                    }
+        let mut scratch = std::mem::take(&mut fb.scratch);
+        let mut best: Option<(f64, usize, ServerId)> = None;
+        for (pi, plan) in plans.iter().enumerate() {
+            let floor = best.map(|(b, _, _)| b);
+            if let Some((score, sid)) = self.score_plan_flat(
+                fb,
+                &mut scratch,
+                cluster,
+                state,
+                capacity,
+                plan,
+                floor,
+                &mut tally.scored,
+            ) {
+                if best.is_none_or(|(b, _, _)| score > b) {
+                    best = Some((score, pi, sid));
                 }
             }
-            fb.scratch = scratch;
-            best
-        };
+        }
+        fb.scratch = scratch;
         tally.ps_scoring.add(clock.lap());
         let (_, pi, ps) = best?;
         let plan = &plans[pi];
@@ -1135,13 +1048,7 @@ mod tests {
             .enumerate()
             .map(|(i, &g)| job(i as u64, g))
             .collect();
-        let one_worker = || {
-            NetPackPlacer::new(NetPackConfig {
-                threads: Some(1),
-                ..NetPackConfig::default()
-            })
-        };
-        let mut placer = one_worker();
+        let mut placer = NetPackPlacer::default();
         let out = placer.place_batch(&c, &[], &batch);
         assert_eq!(
             out.deferred.iter().map(|j| j.id).collect::<Vec<_>>(),
@@ -1185,7 +1092,7 @@ mod tests {
         );
         // A batch of local jobs never reaches the DP or PS scoring: their
         // counters and timers stay out of the table, not at zero.
-        let mut placer = one_worker();
+        let mut placer = NetPackPlacer::default();
         placer.place_batch(&c, &[], &[job(0, 4), job(1, 2)]);
         assert_eq!(
             work_done(placer.perf()),

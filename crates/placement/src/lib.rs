@@ -51,15 +51,12 @@
 //! persistent server-class index, class-deduplicated PS scoring, and an
 //! incremental estimator that keeps the steady state warm between jobs
 //! (re-solving only the resource component each placement touches); jobs
-//! commit one after another in Algorithm 2's order, and only the per-plan
-//! scoring inside one job fans out across [`NetPackConfig::threads`]
-//! workers. The literal algorithm lives in [`reference`] as the oracle —
+//! commit one after another in Algorithm 2's order, each placed on one
+//! thread. The literal algorithm lives in [`reference`] as the oracle —
 //! **bit-identical** to production by the `production_matches_reference`
 //! property suite, and reachable only by calling it, never through
 //! configuration or environment (this crate reads no environment
-//! variable; the worker-count default comes from
-//! `netpack_metrics::sweep_threads`, asked once when a placer is built).
-//! The work done is visible through
+//! variable). The work done is visible through
 //! [`NetPackPlacer::perf`]:
 //!
 //! ```

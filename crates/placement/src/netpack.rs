@@ -57,11 +57,10 @@ pub struct NetPackConfig {
     /// gradient over the k best-scoring PS locations, relieving PS-side
     /// fan-in bottlenecks at the cost of extra flows.
     pub pses_per_job: usize,
-    /// Worker-thread override for the placer's parallel regions. `None`
-    /// follows `NETPACK_THREADS` clamped to the machine (see
-    /// [`netpack_metrics::sweep_threads`]), read once when the placer is
-    /// built; equivalence tests pin explicit counts here to exercise every
-    /// chunking of the work.
+    /// Inert: the placer places a job on one thread and reads no worker
+    /// count. The field stays only because the benchmark adapter sets and
+    /// echoes it; ROADMAP item 1(d) moves that pinning off it and deletes
+    /// it. Nothing else sets it.
     pub threads: Option<usize>,
 }
 
@@ -107,10 +106,6 @@ pub(crate) fn record_waterfill(perf: &mut PerfCounters, work: WaterfillStats) {
 pub struct NetPackPlacer {
     pub(crate) config: NetPackConfig,
     pub(crate) perf: PerfCounters,
-    /// Worker count of the parallel regions: [`NetPackConfig::threads`], or
-    /// the environment / hardware default as it read when the placer was
-    /// built — asking the OS costs more than placing a small job.
-    pub(crate) threads: usize,
 }
 
 impl Default for NetPackPlacer {
@@ -123,7 +118,6 @@ impl NetPackPlacer {
     /// Placer with explicit configuration.
     pub fn new(config: NetPackConfig) -> Self {
         NetPackPlacer {
-            threads: config.threads.unwrap_or_else(netpack_metrics::sweep_threads),
             config,
             perf: PerfCounters::new(),
         }
@@ -323,11 +317,9 @@ impl Placer for NetPackPlacer {
         self.place_batch_flat(cluster, running, batch)
     }
 
-    /// The session inherits the configuration whole — the worker count as
-    /// this placer resolved it included.
+    /// The session inherits the configuration whole.
     fn open_session(&self, cluster: &Cluster) -> Option<NetPackSession> {
-        let config = NetPackConfig { threads: Some(self.threads), ..self.config.clone() };
-        Some(NetPackSession::new(cluster.clone(), config))
+        Some(NetPackSession::new(cluster.clone(), self.config.clone()))
     }
 }
 
@@ -349,25 +341,6 @@ mod tests {
 
     fn job(id: u64, gpus: usize) -> Job {
         Job::builder(JobId(id), ModelKind::Vgg16, gpus).build()
-    }
-
-    /// `threads: None` resolves the worker count once, when the placer is
-    /// built, to what the explicit override would say — never per job.
-    #[test]
-    fn the_worker_count_is_resolved_at_construction() {
-        let resolved = netpack_metrics::sweep_threads();
-        assert_eq!(NetPackPlacer::new(NetPackConfig::default()).threads, resolved);
-        assert_eq!(NetPackPlacer::default().threads, resolved);
-        let c = cluster(4, 8, 4);
-        let batch: Vec<Job> = (0..32).map(|i| job(i, 1 + (i as usize * 5) % 11)).collect();
-        let place = |threads: Option<usize>| {
-            let config = NetPackConfig { threads, ..NetPackConfig::default() };
-            NetPackPlacer::new(config).place_batch(&c, &[], &batch)
-        };
-        let (default, pinned) = (place(None), place(Some(resolved)));
-        assert!(default.placed.iter().any(|(_, p)| !p.is_local()));
-        assert_eq!(default.placed, pinned.placed);
-        assert_eq!(default.deferred, pinned.deferred);
     }
 
     #[test]

@@ -31,8 +31,7 @@ use netpack_waterfill::{estimate, PlacedJob, SteadyState};
 use netpack_workload::Job;
 use std::ops::ControlFlow;
 
-/// Place `batch` with the literal algorithm under `config`
-/// ([`NetPackConfig::threads`] is ignored: nothing here is parallel).
+/// Place `batch` with the literal algorithm under `config`.
 pub fn place_batch(
     config: &NetPackConfig,
     cluster: &Cluster,

@@ -66,9 +66,8 @@ fn all_placers() -> Vec<Box<dyn Placer>> {
 }
 
 /// The one production ≡ reference property (DESIGN.md §3.11): production
-/// at 1, 2 and 4 placer workers (the per-plan scoring fan-out is the only
-/// parallel region left) returns the literal algorithm's placements,
-/// deferral ids and batch-objective bits.
+/// returns the literal algorithm's placements, deferral ids and
+/// batch-objective bits.
 fn check_against_reference(
     config: &NetPackConfig,
     cluster: &Cluster,
@@ -78,18 +77,13 @@ fn check_against_reference(
     let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
     let oracle = reference::place_batch(config, cluster, running, batch);
     let oracle_obj = batch_comm_time_s(cluster, running, &oracle.placed);
-    for threads in [1usize, 2, 4] {
-        let mut placer = NetPackPlacer::new(NetPackConfig {
-            threads: Some(threads),
-            ..config.clone()
-        });
-        let out = placer.place_batch(cluster, running, batch);
-        prop_assert_eq!(&out.placed, &oracle.placed, "threads={}", threads);
-        prop_assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "threads={}", threads);
-        let obj = batch_comm_time_s(cluster, running, &out.placed);
-        prop_assert_eq!(obj.to_bits(), oracle_obj.to_bits());
-        prop_assert_eq!(placer.perf().counter("waterfill_unconverged"), 0);
-    }
+    let mut placer = NetPackPlacer::new(config.clone());
+    let out = placer.place_batch(cluster, running, batch);
+    prop_assert_eq!(&out.placed, &oracle.placed);
+    prop_assert_eq!(ids(&out.deferred), ids(&oracle.deferred));
+    let obj = batch_comm_time_s(cluster, running, &out.placed);
+    prop_assert_eq!(obj.to_bits(), oracle_obj.to_bits());
+    prop_assert_eq!(placer.perf().counter("waterfill_unconverged"), 0);
     Ok(())
 }
 
@@ -229,28 +223,22 @@ proptest! {
         }
         check_against_reference(&NetPackConfig::default(), &scratch, &running, &batch)?;
 
-        // The same batch through a warm session at each worker count: its
-        // persistent server index must equal a full scan after the pass,
-        // after completions, and after the pass that follows.
-        for threads in [1usize, 2, 4] {
-            let config = NetPackConfig {
-                threads: Some(threads),
-                ..NetPackConfig::default()
-            };
-            let mut session = NetPackSession::new(cluster.clone(), config);
-            let first = session.place_batch(&batch);
-            prop_assert_eq!(session.audit_index(), Ok(()));
-            prop_assert_eq!(session.audit_state(), Ok(()));
-            for (job, _) in first.placed.iter().step_by(2) {
-                prop_assert!(session.complete(job.id).is_ok());
-            }
-            prop_assert_eq!(session.audit_index(), Ok(()));
-            // The completions are staged; the next pass settles them all
-            // at once and must land on the from-scratch state.
-            session.place_batch(&first.deferred);
-            prop_assert_eq!(session.audit_index(), Ok(()));
-            prop_assert_eq!(session.audit_state(), Ok(()));
+        // The same batch through a warm session: its persistent server
+        // index must equal a full scan after the pass, after completions,
+        // and after the pass that follows.
+        let mut session = NetPackSession::new(cluster.clone(), NetPackConfig::default());
+        let first = session.place_batch(&batch);
+        prop_assert_eq!(session.audit_index(), Ok(()));
+        prop_assert_eq!(session.audit_state(), Ok(()));
+        for (job, _) in first.placed.iter().step_by(2) {
+            prop_assert!(session.complete(job.id).is_ok());
         }
+        prop_assert_eq!(session.audit_index(), Ok(()));
+        // The completions are staged; the next pass settles them all at
+        // once and must land on the from-scratch state.
+        session.place_batch(&first.deferred);
+        prop_assert_eq!(session.audit_index(), Ok(()));
+        prop_assert_eq!(session.audit_state(), Ok(()));
     }
 
     /// The candidate filter's kept set must not depend on offer order:
@@ -309,8 +297,7 @@ proptest! {
     /// re-keyed in and out, dead classes, classes spanning racks are
     /// whatever that leaves — and then places jobs one at a time: each
     /// must land exactly where the literal algorithm puts it on a cluster
-    /// holding the same running set, at one and four placer workers, with
-    /// one and two PSes a job.
+    /// holding the same running set, with one and two PSes a job.
     #[test]
     fn placement_after_churn_matches_reference(seed in any::<u64>()) {
         let cluster = Cluster::new(ClusterSpec {
@@ -320,9 +307,8 @@ proptest! {
             oversubscription: 8.0,
             ..ClusterSpec::paper_default()
         });
-        for (threads, pses_per_job) in [(1usize, 1usize), (4, 1), (1, 2), (4, 2)] {
+        for pses_per_job in [1usize, 2] {
             let config = NetPackConfig {
-                threads: Some(threads),
                 pses_per_job,
                 ..NetPackConfig::default()
             };
@@ -363,7 +349,7 @@ proptest! {
                 }
                 let oracle = reference::place_batch(&config, &held, &running, std::slice::from_ref(&job));
                 let out = session.place_batch(std::slice::from_ref(&job));
-                prop_assert_eq!(&out.placed, &oracle.placed, "threads={} pses={}", threads, pses_per_job);
+                prop_assert_eq!(&out.placed, &oracle.placed, "pses={}", pses_per_job);
                 prop_assert_eq!(out.deferred.len(), oracle.deferred.len());
                 prop_assert_eq!(session.audit_index(), Ok(()));
             }

@@ -46,9 +46,10 @@ pub struct ServiceConfig {
     /// Additive value bump for every deferred job, re-applied each pass —
     /// the same starvation-avoidance aging the `JobManager` uses.
     pub aging_value_bump: f64,
-    /// Placer worker count the adaptive batch limit floors at (default:
-    /// [`netpack_metrics::sweep_threads`]): the limit never drops below
-    /// it in adaptive mode.
+    /// Inert (default 1): the service places on one thread and reads no
+    /// worker count. The field stays only because the benchmark adapter
+    /// sets and echoes it; ROADMAP item 1(d) moves that pinning off it and
+    /// deletes it. Nothing else sets it.
     pub threads: usize,
     /// Placer configuration.
     pub placer: NetPackConfig,
@@ -66,7 +67,7 @@ impl Default for ServiceConfig {
             deterministic: false,
             event_log: false,
             aging_value_bump: 0.5,
-            threads: netpack_metrics::sweep_threads(),
+            threads: 1,
             placer: NetPackConfig::default(),
         }
     }
@@ -85,8 +86,7 @@ pub fn adaptive_batch_limit(cost_ewma_s: f64, cfg: &ServiceConfig) -> usize {
         return cfg.max_batch;
     }
     let budget_jobs = cfg.latency_budget.as_secs_f64() / cost_ewma_s;
-    // Floor at the placer's worker count.
-    let floor = cfg.min_batch.max(cfg.threads.max(1)).min(cfg.max_batch);
+    let floor = cfg.min_batch.max(1).min(cfg.max_batch);
     if budget_jobs >= cfg.max_batch as f64 {
         cfg.max_batch
     } else {
@@ -103,9 +103,6 @@ mod tests {
             min_batch: min,
             max_batch: max,
             latency_budget: Duration::from_micros(budget_us),
-            // Pin the worker count so these tests don't depend on the
-            // machine the suite runs on.
-            threads: 1,
             ..ServiceConfig::default()
         }
     }
@@ -134,17 +131,5 @@ mod tests {
         c.deterministic = true;
         assert_eq!(adaptive_batch_limit(1.0, &c), 512);
         assert_eq!(adaptive_batch_limit(1e-9, &c), 512);
-    }
-
-    #[test]
-    fn adaptive_limit_floors_at_the_worker_count() {
-        let mut c = cfg(1, 512, 1_000);
-        c.threads = 8;
-        // Cost so high the budget admits <1 job: the floor still hands
-        // the placer one job per worker.
-        assert_eq!(adaptive_batch_limit(1.0, &c), 8);
-        // The floor never exceeds max_batch.
-        c.max_batch = 4;
-        assert_eq!(adaptive_batch_limit(1.0, &c), 4);
     }
 }

@@ -11,7 +11,7 @@
 //! diverge here.
 
 use netpack_core::{JobManager, ManagerConfig};
-use netpack_placement::{NetPackConfig, NetPackPlacer};
+use netpack_placement::NetPackPlacer;
 use netpack_service::{Command, ServiceConfig, ServiceCore};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{TraceKind, TraceSpec};
@@ -28,17 +28,8 @@ fn cluster() -> Cluster {
 /// Drive both engines through the same schedule: jobs arrive in trace
 /// order, a placement pass runs every `batch` arrivals, and each pass is
 /// followed by completing the oldest still-running job (churn keeps the
-/// warm state honest). Compare placements after every pass. `threads`
-/// pins the service placer's worker count (`None`: the machine default);
-/// the reference manager always runs the default.
-fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, threads: Option<usize>) {
-    let svc_config = ServiceConfig {
-        placer: NetPackConfig {
-            threads,
-            ..NetPackConfig::default()
-        },
-        ..ServiceConfig::default()
-    };
+/// warm state honest). Compare placements after every pass.
+fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize) {
     let trace = TraceSpec::new(kind, jobs).seed(seed).open_loop().generate();
     let jobs = trace.jobs();
 
@@ -47,7 +38,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
         Box::new(NetPackPlacer::default()),
         ManagerConfig::default(),
     );
-    let mut core = ServiceCore::new(cluster(), svc_config);
+    let mut core = ServiceCore::new(cluster(), ServiceConfig::default());
 
     let mut completion_order: Vec<JobId> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -141,15 +132,15 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize, thread
 
 #[test]
 fn service_matches_job_manager_on_philly_open_loop() {
-    run_equivalence(17, TraceKind::Real, 120, 8, None);
+    run_equivalence(17, TraceKind::Real, 120, 8);
 }
 
 #[test]
 fn service_matches_job_manager_on_poisson_small_batches() {
-    run_equivalence(3, TraceKind::Poisson, 90, 3, Some(1));
+    run_equivalence(3, TraceKind::Poisson, 90, 3);
 }
 
 #[test]
 fn service_matches_job_manager_on_normal_large_batches() {
-    run_equivalence(29, TraceKind::Normal, 100, 16, Some(4));
+    run_equivalence(29, TraceKind::Normal, 100, 16);
 }

@@ -122,8 +122,9 @@ impl JobBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the GPU requirement or iteration count is zero, or if
-    /// arrival time or value is negative or non-finite.
+    /// Panics if the GPU requirement or iteration count is zero, if the
+    /// arrival time is negative or non-finite, or if the value is zero,
+    /// negative or non-finite.
     pub fn build(self) -> Job {
         assert!(self.job.gpus >= 1, "job needs at least one GPU");
         assert!(self.job.iterations >= 1, "job needs at least one iteration");

@@ -13,15 +13,14 @@
 # workspace test suite, the doctests, the fig9 smoke (one 256-server x
 # 400-job loaded-trace cell, every placer's replay of it asserted ==
 # Simulation::run_reference in-binary), the
-# fig10_xl smoke (the binary asserts production == the literal algorithm;
-# its digest must be byte-identical at NETPACK_THREADS=1 and 4), the
-# fig10 dense smoke (the same contract on a 16-rack x 64-server, 200-job
-# cell, where PS scoring dedups per rack and water-fill components are
-# large; the binary also pins the cell's ps_candidates_scored,
-# ps_rack_servers_skipped and ps_plans_ruled_out, at one worker and past
-# one), the service determinism smoke (two identical
-# deterministic 10K-job bench_service runs at one worker and one at
-# NETPACK_THREADS=4 must be byte-identical, stdout + event log), the four
+# fig10_xl smoke (the binary asserts production == the literal algorithm
+# and prints a placement digest), the fig10 dense smoke (the same contract
+# on a 16-rack x 64-server, 200-job cell, where PS scoring dedups per
+# rack and water-fill components are large; the binary also pins the
+# cell's ps_candidates_scored, ps_rack_servers_skipped and
+# ps_plans_ruled_out), the service determinism smoke (two identical
+# deterministic 10K-job bench_service runs must be byte-identical,
+# stdout + event log), the four
 # debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke, the
 # fig10 dense smoke and the fig9 smoke, all from a
 # *debug* build, so the placement path's debug assertions hold the
@@ -73,34 +72,24 @@ echo "==> fig9 smoke: run == run_reference on every replay (in-binary)"
 fig9_release=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 ./target/release/fig9_scale)
 printf '%s\n' "$fig9_release"
 
-echo "==> fig10_xl smoke: production == reference (in-binary), digest identical at 1 and 4 workers"
-xl_t1=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 ./target/release/fig10_xl)
-xl_t4=$(NETPACK_SMOKE=1 NETPACK_THREADS=4 ./target/release/fig10_xl)
-if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_t4"); then
-    echo "check.sh: fig10_xl smoke DIVERGED between NETPACK_THREADS=1 and 4" >&2
-    exit 1
-fi
-printf '%s\n' "$xl_t1"
+echo "==> fig10_xl smoke: production == reference (in-binary)"
+xl_release=$(NETPACK_SMOKE=1 ./target/release/fig10_xl)
+printf '%s\n' "$xl_release"
 
-echo "==> fig10 dense smoke: production == reference (in-binary), digest identical at 1 and 4 workers"
+echo "==> fig10 dense smoke: production == reference (in-binary)"
 # Many servers per rack and many contending jobs: the per-rack PS-class
 # representatives and the live-link water-fill rounds are the bill here.
-dense_t1=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 ./target/release/fig10_placement_time)
-dense_t4=$(NETPACK_SMOKE=1 NETPACK_THREADS=4 ./target/release/fig10_placement_time)
-if ! diff <(printf '%s\n' "$dense_t1") <(printf '%s\n' "$dense_t4"); then
-    echo "check.sh: fig10 dense smoke DIVERGED between NETPACK_THREADS=1 and 4" >&2
-    exit 1
-fi
-printf '%s\n' "$dense_t1" | head -n 1
-printf '%s\n' "$dense_t1" | tail -n 1
+dense_release=$(NETPACK_SMOKE=1 ./target/release/fig10_placement_time)
+printf '%s\n' "$dense_release" | head -n 1
+printf '%s\n' "$dense_release" | tail -n 1
 
 echo "==> service smoke: deterministic 10K-job replay must be byte-reproducible"
 # NETPACK_SERVICE_MODE is pinned explicitly: this smoke is the registered
 # enforcement point for that mode gate (see crates/lint/src/registry.rs).
-svc_a=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_MODE=deterministic \
+svc_a=$(NETPACK_SMOKE=1 NETPACK_SERVICE_MODE=deterministic \
     NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_a.log" \
     ./target/release/bench_service 2> /dev/null)
-svc_b=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_MODE=deterministic \
+svc_b=$(NETPACK_SMOKE=1 NETPACK_SERVICE_MODE=deterministic \
     NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_b.log" \
     ./target/release/bench_service 2> /dev/null)
 if ! diff <(printf '%s\n' "$svc_a") <(printf '%s\n' "$svc_b"); then
@@ -109,19 +98,6 @@ if ! diff <(printf '%s\n' "$svc_a") <(printf '%s\n' "$svc_b"); then
 fi
 if ! cmp "$tmp_dir/svc_a.log" "$tmp_dir/svc_b.log"; then
     echo "check.sh: service smoke DIVERGED between identical runs (event log)" >&2
-    exit 1
-fi
-# Same replay with the placer's plan-scoring fan-out on four workers:
-# the worker count may change timing, never a byte.
-svc_t4=$(NETPACK_SMOKE=1 NETPACK_THREADS=4 \
-    NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_t4.log" \
-    ./target/release/bench_service 2> /dev/null)
-if ! diff <(printf '%s\n' "$svc_a") <(printf '%s\n' "$svc_t4"); then
-    echo "check.sh: service smoke DIVERGED at NETPACK_THREADS=4 (stdout)" >&2
-    exit 1
-fi
-if ! cmp "$tmp_dir/svc_a.log" "$tmp_dir/svc_t4.log"; then
-    echo "check.sh: service smoke DIVERGED at NETPACK_THREADS=4 (event log)" >&2
     exit 1
 fi
 printf '%s\n' "$svc_a"
@@ -143,15 +119,15 @@ echo "==> debug smokes: debug builds, server index == full scan and shortcut == 
 # debug build also re-checks every running job's iteration time after
 # each selective re-rate (~3 s); a debug build may not move a placement or
 # a table byte either.
-NETPACK_SMOKE=1 NETPACK_THREADS=1 NETPACK_SERVICE_JOBS=2000 \
+NETPACK_SMOKE=1 NETPACK_SERVICE_JOBS=2000 \
     cargo run -q -p netpack-bench --bin bench_service > /dev/null
-xl_debug=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 cargo run -q -p netpack-bench --bin fig10_xl)
-if ! diff <(printf '%s\n' "$xl_t1") <(printf '%s\n' "$xl_debug"); then
+xl_debug=$(NETPACK_SMOKE=1 cargo run -q -p netpack-bench --bin fig10_xl)
+if ! diff <(printf '%s\n' "$xl_release") <(printf '%s\n' "$xl_debug"); then
     echo "check.sh: fig10_xl smoke DIVERGED between the release and debug builds" >&2
     exit 1
 fi
-dense_debug=$(NETPACK_SMOKE=1 NETPACK_THREADS=1 cargo run -q -p netpack-bench --bin fig10_placement_time)
-if ! diff <(printf '%s\n' "$dense_t1") <(printf '%s\n' "$dense_debug"); then
+dense_debug=$(NETPACK_SMOKE=1 cargo run -q -p netpack-bench --bin fig10_placement_time)
+if ! diff <(printf '%s\n' "$dense_release") <(printf '%s\n' "$dense_debug"); then
     echo "check.sh: fig10 dense smoke DIVERGED between the release and debug builds" >&2
     exit 1
 fi

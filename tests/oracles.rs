@@ -63,20 +63,15 @@ fn production_matches_the_literal_algorithm() {
         let cell = format!("servers={}/jobs={}", cluster.num_servers(), batch.len());
         let oracle = reference::place_batch(&NetPackConfig::default(), &cluster, &running, &batch);
         let oracle_obj = batch_comm_time_s(&cluster, &running, &oracle.placed);
-        for threads in [1usize, 4] {
-            let mut placer = NetPackPlacer::new(NetPackConfig {
-                threads: Some(threads),
-                ..NetPackConfig::default()
-            });
-            let out = placer.place_batch(&cluster, &running, &batch);
-            assert_eq!(out.placed, oracle.placed, "{cell} threads={threads}");
-            assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "{cell} threads={threads}");
-            let obj = batch_comm_time_s(&cluster, &running, &out.placed);
-            assert_eq!(obj.to_bits(), oracle_obj.to_bits(), "{cell} threads={threads}");
-            assert_eq!(placer.perf().counter("waterfill_unconverged"), 0, "{cell}");
-            // Every cell must have put the per-rack class dedup to work.
-            assert!(placer.perf().counter("ps_rack_servers_skipped") > 0, "{cell}");
-        }
+        let mut placer = NetPackPlacer::default();
+        let out = placer.place_batch(&cluster, &running, &batch);
+        assert_eq!(out.placed, oracle.placed, "{cell}");
+        assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "{cell}");
+        let obj = batch_comm_time_s(&cluster, &running, &out.placed);
+        assert_eq!(obj.to_bits(), oracle_obj.to_bits(), "{cell}");
+        assert_eq!(placer.perf().counter("waterfill_unconverged"), 0, "{cell}");
+        // Every cell must have put the per-rack class dedup to work.
+        assert!(placer.perf().counter("ps_rack_servers_skipped") > 0, "{cell}");
     }
 }
 
@@ -105,10 +100,7 @@ fn a_dense_batch_costs_the_pinned_rounds_and_solves() {
         servers_per_rack: 625,
         ..ClusterSpec::paper_default()
     });
-    let mut placer = NetPackPlacer::new(NetPackConfig {
-        threads: Some(1),
-        ..NetPackConfig::default()
-    });
+    let mut placer = NetPackPlacer::default();
     let outcome = placer.place_batch(&cluster, &[], &xorshift_batch(400, 32, 1007));
     assert_eq!(outcome.placed.len(), 400);
     let count = |name| placer.perf().counter(name);

@@ -117,7 +117,20 @@ fn the_books_balance_after_every_pass_of_a_hostile_command_stream() {
                     if core.status(JobId(ids[slot])) == JobStatus::Unknown && next() % 4 != 0 {
                         ids[slot] += 40;
                     }
-                    core.apply(Command::Submit(job(ids[slot], 1 + (r >> 32) as usize % 12)));
+                    let mut submit = job(ids[slot], 1 + (r >> 32) as usize % 12);
+                    // One submit in sixteen each carries a value FindSubset
+                    // cannot weigh, asks for no GPU, or asks for more GPUs
+                    // than the cluster holds.
+                    match next() % 16 {
+                        0 => {
+                            let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0];
+                            submit.value = values[(next() % 5) as usize];
+                        }
+                        1 => submit.gpus = 0,
+                        2 => submit.gpus = 33 + (next() % 8) as usize,
+                        _ => {}
+                    }
+                    core.apply(Command::Submit(submit));
                 }
                 40..=64 => core.apply(Command::Complete(target)),
                 65..=79 => core.apply(Command::Cancel(target)),
@@ -134,6 +147,19 @@ fn the_books_balance_after_every_pass_of_a_hostile_command_stream() {
         let c = *core.counters();
         let duplicates = core.events().iter().filter(|e| e.ends_with("kind=duplicate")).count();
         assert!(duplicates > 0 && (duplicates as u64) < c.rejected, "seed {seed}: {c:?}");
+        for kind in ["kind=bad-value", "kind=no-gpus"] {
+            assert!(
+                core.events().iter().any(|e| e.ends_with(kind)),
+                "seed {seed}: no {kind} reject"
+            );
+        }
+        let oversize = core
+            .events()
+            .iter()
+            .filter_map(|e| e.strip_prefix("submit "))
+            .filter_map(|e| e.split(' ').find_map(|f| f.strip_prefix("gpus=")))
+            .any(|gpus| gpus.parse::<usize>().is_ok_and(|gpus| gpus > 32));
+        assert!(oversize, "seed {seed}: no oversize job was accepted");
         for (name, count) in [
             ("deferrals", c.deferrals),
             ("cancelled_pending", c.cancelled_pending),
