@@ -152,7 +152,6 @@ fn main() {
         .ok()
         .filter(|p| !p.is_empty() && p != "0" && p != "1");
     let config = ServiceConfig {
-        deterministic,
         event_log: event_log_path.is_some(),
         ..ServiceConfig::default()
     };

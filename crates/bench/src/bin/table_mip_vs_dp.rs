@@ -11,12 +11,13 @@
 //! counts — so its bytes are reproducible. Under `NETPACK_SMOKE=1` the one
 //! smoke instance is also solved by the exhaustive reference
 //! ([`reference::place_exact`]) and the binary asserts identical
-//! placements, a bit-identical objective and strictly fewer evaluations;
-//! otherwise a second diagnostics table compares the two searches per
-//! row, with the reference capped on the instances it cannot finish
-//! (`table_mip_vs_dp_diag.csv` under `NETPACK_CSV_DIR`). Its wall clocks
-//! are single shots that show the blow-up, not measurements to compare
-//! across commits.
+//! placements, a bit-identical objective and strictly fewer evaluations,
+//! and prints the branch-and-bound's work counts, which depend on the
+//! instance alone; otherwise a second diagnostics table compares the two
+//! searches per row, with the reference capped on the instances it cannot
+//! finish (`table_mip_vs_dp_diag.csv` under `NETPACK_CSV_DIR`). Its wall
+//! clocks are single shots that show the blow-up, not measurements to
+//! compare across commits.
 
 use netpack_bench::emit_table;
 use netpack_metrics::Stopwatch;
@@ -140,6 +141,12 @@ fn main() {
             assert_eq!(exact_outcome.placed, scratch_placed, "bnb diverged from the reference");
             assert_eq!(exact_obj.to_bits(), scratch_obj.to_bits(), "objective not bit-identical");
             assert!(exact.evaluations() < scratch_evals, "bnb did not prune");
+            println!(
+                "{label} {jobs_label} bnb evals / nodes / pruned: {} / {} / {}",
+                exact.evaluations(),
+                exact.perf().counter("exact_nodes"),
+                exact.perf().counter("exact_pruned_subtrees"),
+            );
             continue;
         }
         let capped = scratch_evals >= budget;

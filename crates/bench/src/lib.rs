@@ -149,7 +149,8 @@ pub fn roster_names() -> Vec<&'static str> {
     vec!["NetPack", "GB", "FB", "LF", "Optimus", "Tetris"]
 }
 
-pub use netpack_metrics::parallel_sweep;
+mod sweep;
+pub use sweep::parallel_sweep;
 
 /// Stable fingerprint of a batch outcome: every placement's workers, PSes
 /// and INA flag, and the deferred ids.

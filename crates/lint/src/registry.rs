@@ -10,7 +10,7 @@
 //!   name is not registered → M1 at the read site;
 //! * a `NETPACK_*` literal in a library crate, registered or not → M1
 //!   (the per-file half, in [`crate::rules`]): only binaries read the
-//!   environment, `crates/metrics/src/sweep.rs` excepted;
+//!   environment;
 //! * a registered variable no source file reads → M1 (dead entry);
 //! * a registered variable missing from the README env table → M1;
 //! * a `NETPACK_*` name in README that is not registered → M1;
@@ -118,7 +118,7 @@ pub const REGISTRY: &[EnvVar] = &[
         name: "NETPACK_THREADS",
         kind: VarKind::Knob,
         gate: Gate::None,
-        desc: "worker threads for the figure sweeps and the exact placer's first-level fan-out",
+        desc: "worker threads for the figure sweeps",
     },
 ];
 

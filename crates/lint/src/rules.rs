@@ -53,19 +53,18 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             Float addition is not associative: a += over a parallel fold or\n\
             a batched round loop re-associates the sum and the result\n\
             depends on chunking. The parallel regions left are the figure\n\
-            sweeps and the exact placer's first-level fan-out; the batched\n\
-            ones are packetsim's batch loops. Route through exact\n\
-            accumulation (add_cycle-style integer/exact paths), or fold\n\
-            after the join: parallel_sweep returns results in cell order.",
+            sweeps; the batched ones are packetsim's batch loops. Route\n\
+            through exact accumulation (add_cycle-style integer/exact\n\
+            paths), or fold after the join: parallel_sweep returns results\n\
+            in cell order.",
         "E1" => "E1 — unwrap/expect/panic! in library crates.\n\n\
             Library code returns typed errors; aborting is the caller's\n\
             decision. No use is grandfathered. A panic that asserts a proven\n\
             invariant may stay, with the proof in the expect message and an\n\
             allow(E1) pragma.",
         "C1" => "C1 — shared mutable state captured by a parallel closure.\n\n\
-            The deterministic-parallelism contract (parallel_sweep and\n\
-            parallel_sweep_with in the figure sweeps and the exact placer's\n\
-            first-level fan-out, thread::spawn) is that every cell is\n\
+            The deterministic-parallelism contract (parallel_sweep in the\n\
+            figure sweeps, thread::scope, thread::spawn) is that every cell is\n\
             independent: results are merged in cell order, so any cell\n\
             writing state another cell can see makes the merge order\n\
             observable. The rule flags RefCell/Cell-typed bindings and &mut\n\
@@ -75,9 +74,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "C2" => "C2 — unjustified static mut / Ordering::Relaxed.\n\n\
             static mut is a data race waiting to happen (and unsafe, which\n\
             the workspace forbids). Ordering::Relaxed is sometimes correct —\n\
-            the exact placer's monotone shared best-bound, a sender\n\
-            refcount — but each site must say WHY relaxed ordering cannot\n\
-            reach results: every use carries a per-site\n\
+            a sender refcount — but each site must say WHY relaxed ordering\n\
+            cannot reach results: every use carries a per-site\n\
             `// netpack-lint: allow(C2): <proof>` pragma. An allowlist that\n\
             must be argued for is the point.",
         "M1" => "M1 — the NETPACK_* registry, read only at the edge.\n\n\
@@ -90,8 +88,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             literal in non-test code of an E1 crate is a finding, so\n\
             `cargo test` cannot be steered by a stray variable — binaries\n\
             (crates/bench, crates/cli) parse the environment into typed\n\
-            configs. The single declared exception is\n\
-            crates/metrics/src/sweep.rs (the NETPACK_THREADS default).",
+            configs.",
         "P1" => "P1 — stale suppression pragmas.\n\n\
             An `allow(<rule>)` pragma that no longer suppresses any finding\n\
             is debt pretending to be justification: the hazard it excused\n\
@@ -792,21 +789,16 @@ fn c2_relaxed_and_static_mut(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// The one library file that may read the environment (rule M1): the
-/// `NETPACK_THREADS` default of `netpack_metrics::sweep_threads`.
-const LIBRARY_ENV_EXCEPTION: &str = "crates/metrics/src/sweep.rs";
-
 /// M1 (per-file half) — `NETPACK_*` reads in a library crate
-/// ([`E1_CRATES`], save [`LIBRARY_ENV_EXCEPTION`]), and reads anywhere
-/// else whose name is not in the registry. The lint crate itself is
-/// exempt: it names every variable without reading any. The
-/// workspace-level cross-checks (dead entries, README, gates) run in
-/// [`crate::registry::cross_check`].
+/// ([`E1_CRATES`]), and reads anywhere else whose name is not in the
+/// registry. The lint crate itself is exempt: it names every variable
+/// without reading any. The workspace-level cross-checks (dead entries,
+/// README, gates) run in [`crate::registry::cross_check`].
 fn m1_env_reads(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     if ctx.path.starts_with("crates/lint/") {
         return;
     }
-    let library = E1_CRATES.contains(&ctx.crate_name) && ctx.path != LIBRARY_ENV_EXCEPTION;
+    let library = E1_CRATES.contains(&ctx.crate_name);
     for (idx, name) in registry::reads_in(ctx.lines, ctx.is_test) {
         let message = if library {
             format!(

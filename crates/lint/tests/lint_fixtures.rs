@@ -181,10 +181,6 @@ fn negatives_stay_quiet() {
             "crates/bench/src/fix.rs",
             include_str!("fixtures/snippets/m1_negative.rs"),
         ),
-        (
-            "crates/metrics/src/sweep.rs",
-            include_str!("fixtures/snippets/m1_sweep_negative.rs"),
-        ),
     ] {
         let fs = findings(path, src);
         assert!(fs.is_empty(), "{path} should be clean: {fs:#?}");

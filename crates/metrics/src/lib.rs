@@ -25,14 +25,12 @@ mod hist;
 mod perf;
 mod regression;
 mod stats;
-mod sweep;
 mod table;
 
 pub use hist::{LatencyHistogram, SUB_BUCKETS};
 pub use perf::{PerfCounters, Stopwatch, TimerSlot};
 pub use regression::{linear_fit, LinearFit};
 pub use stats::{normalize_to, Summary};
-pub use sweep::{parallel_sweep, parallel_sweep_with, sweep_threads};
 pub use table::TextTable;
 
 /// One finished job's accounting record, the unit every metric consumes.

@@ -11,13 +11,13 @@
 //! heuristic's optimality gap, and demonstrating the exponential blow-up
 //! that motivates the DP.
 //!
-//! The search is a branch-and-bound: the objective is maintained
-//! incrementally ([`IncrementalEstimator`] push/pop per decision),
-//! subtrees whose admissible lower bound cannot beat the incumbent are
-//! cut, symmetric assignments (permutations over interchangeable servers)
-//! are collapsed to canonical representatives, and the first decision
-//! level fans out across threads via [`parallel_sweep`] with a shared best
-//! bound.
+//! The search is one depth-first branch-and-bound on the caller's thread:
+//! the objective is maintained incrementally ([`IncrementalEstimator`]
+//! push/pop per decision), subtrees whose admissible lower bound cannot
+//! beat the incumbent are cut, and symmetric assignments (permutations
+//! over interchangeable servers) are collapsed to canonical
+//! representatives. With one incumbent and one leaf count, the answer and
+//! the work counters depend on the instance and the budget alone.
 //!
 //! It returns the **same** placement as the exhaustive DFS it replaced —
 //! the first-enumerated optimum in that DFS's order, bit-identical
@@ -25,18 +25,17 @@
 //! [`reference::place_exact`](crate::reference::place_exact), reached only
 //! by calling it. DESIGN.md §3.10 derives the bound, argues its
 //! admissibility under water-filling, and gives the symmetry and
-//! determinism arguments; the `tests/exact_bnb.rs` suite pins the
+//! tie-break arguments; the `tests/exact_bnb.rs` suite pins the
 //! equivalence on 200 random instances.
 
 use crate::placer::{BatchOutcome, Placer, RunningJob};
 use crate::reference::Incumbent;
-use netpack_metrics::{parallel_sweep, PerfCounters, Stopwatch};
+use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ServerId};
-use netpack_waterfill::{IncrementalEstimator, PlacedJob, WaterfillStats};
+use netpack_waterfill::{IncrementalEstimator, PlacedJob};
 use netpack_workload::Job;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exhaustive-search placer for toy instances.
 #[derive(Debug, Clone)]
@@ -94,11 +93,7 @@ impl ExactPlacer {
         running: &[RunningJob],
         batch: &[Job],
     ) -> Option<Incumbent> {
-        let free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
-        let mut touched = vec![0u32; free.len()];
-        // Cache the RunningJob -> PlacedJob conversions once per batch; the
-        // exhaustive reference re-does them at every leaf.
-        let running_placed: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
+        let mut touched = vec![0u32; cluster.num_servers()];
         for r in running {
             for &(s, _) in r.placement.workers() {
                 touched[s.0] += 1;
@@ -107,82 +102,34 @@ impl ExactPlacer {
                 touched[s.0] += 1;
             }
         }
-        if batch.is_empty() {
-            // Mirror the exhaustive reference: the empty assignment is one leaf.
-            if self.max_evaluations > 0 {
-                self.evaluations = 1;
-            }
-            return Some((0.0, Vec::new()));
-        }
-        let ctx = BnbContext {
+        // Convert the running jobs once per batch; the exhaustive reference
+        // re-does it at every leaf.
+        let running_placed: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
+        let mut search = Search {
             cluster,
             batch,
             enumerate_ina: self.enumerate_ina,
             max_evaluations: self.max_evaluations,
-            evaluations: AtomicU64::new(0),
-            best_bound_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             link_gbps: cluster.spec().server_link_gbps,
             rack_of: cluster.servers().iter().map(|s| s.rack().0).collect(),
+            free: cluster.servers().iter().map(|s| s.gpus_free()).collect(),
+            touched,
+            inc: IncrementalEstimator::new(cluster, &running_placed),
+            current: Vec::with_capacity(batch.len()),
+            best: None,
+            stats: BnbStats::default(),
         };
-        let base = IncrementalEstimator::new(cluster, &running_placed);
-        let base_stats = *base.stats();
-
-        // Materialize the first decision level (job 0's canonical
-        // candidates) and fan it out; deeper levels stay sequential within
-        // each branch.
-        let mut root_stats = BnbStats {
-            nodes: 1,
-            ..BnbStats::default()
-        };
-        let classes = symmetry_classes(&ctx.rack_of, &free, &touched);
-        let mut candidates: Vec<Placement> = Vec::new();
-        let job0 = &batch[0];
-        let _ = for_each_split(&free, Some(&classes), job0.gpus, &mut |split| {
-            for ps in ps_candidates(split, &classes, free.len(), &mut root_stats) {
-                for &ina in ina_options(self.enumerate_ina, split.len()) {
-                    let mut p = Placement::new(split.to_vec(), ps);
-                    p.set_ina_enabled(ina);
-                    candidates.push(p);
-                }
-            }
-            ControlFlow::Continue(())
-        });
-
-        let results = parallel_sweep(&candidates, |cand| {
-            run_branch(&ctx, &base, &free, &touched, cand)
-        });
-
-        // Deterministic merge: branches are visited in enumeration order and
-        // an incumbent is only replaced by a strictly better objective, so
-        // the winner is the first-enumerated optimum regardless of how the
-        // branches interleaved at runtime.
-        let mut best: Option<Incumbent> = None;
-        let mut stats = root_stats;
-        let mut wf = WaterfillStats::default();
-        for (branch_best, branch_stats, branch_wf) in results {
-            stats.merge(&branch_stats);
-            wf = wf + branch_wf;
-            if let Some((obj, placed)) = branch_best {
-                if best.as_ref().is_none_or(|(cur, _)| obj < *cur) {
-                    best = Some((obj, placed));
-                }
-            }
-        }
+        let _ = search.dfs(0);
+        let (stats, wf) = (search.stats, *search.inc.stats());
         self.evaluations = stats.leaves;
         self.perf.incr("exact_nodes", stats.nodes);
         self.perf.incr("exact_leaf_evals", stats.leaves);
         self.perf.incr("exact_pruned_subtrees", stats.pruned);
         self.perf.incr("exact_sym_ps_skips", stats.sym_ps_skips);
-        self.perf.incr(
-            "waterfill_jobs_resolved",
-            base_stats.jobs_resolved + wf.jobs_resolved,
-        );
+        self.perf.incr("waterfill_jobs_resolved", wf.jobs_resolved);
         self.perf.incr("waterfill_jobs_reused", wf.jobs_reused);
-        self.perf.incr(
-            "waterfill_components_solved",
-            base_stats.components_solved + wf.components_solved,
-        );
-        best
+        self.perf.incr("waterfill_components_solved", wf.components_solved);
+        search.best
     }
 }
 
@@ -204,7 +151,6 @@ impl Placer for ExactPlacer {
         batch: &[Job],
     ) -> BatchOutcome {
         let watch = Stopwatch::start();
-        self.evaluations = 0;
         let best = self.place_bnb(cluster, running, batch);
         self.perf.record("place_batch", watch.elapsed());
         match best {
@@ -356,7 +302,7 @@ fn ps_candidates(
     out
 }
 
-/// Search-work counters for one branch (merged across branches afterwards).
+/// Search-work counters of one `place_batch` call.
 #[derive(Debug, Clone, Copy, Default)]
 struct BnbStats {
     nodes: u64,
@@ -365,61 +311,17 @@ struct BnbStats {
     sym_ps_skips: u64,
 }
 
-impl BnbStats {
-    fn merge(&mut self, other: &BnbStats) {
-        self.nodes += other.nodes;
-        self.leaves += other.leaves;
-        self.pruned += other.pruned;
-        self.sym_ps_skips += other.sym_ps_skips;
-    }
-}
-
-/// Read-only state shared by every branch of one `place_batch` call.
-struct BnbContext<'a> {
+/// One search: the instance, a free-GPU ledger (no panicking `Cluster`
+/// allocate/release round-trips), touch counts for symmetry detection,
+/// the live incremental estimator, the assignment so far and the
+/// incumbent.
+struct Search<'a> {
     cluster: &'a Cluster,
     batch: &'a [Job],
     enumerate_ina: bool,
     max_evaluations: u64,
-    /// Leaf-evaluation budget ticket counter (shared across branches).
-    evaluations: AtomicU64,
-    /// Bits of the best objective found by any branch so far. Non-negative
-    /// f64 bit patterns order like the floats, so `fetch_min` maintains the
-    /// true minimum; stale reads only weaken pruning, never correctness.
-    best_bound_bits: AtomicU64,
     link_gbps: f64,
     rack_of: Vec<usize>,
-}
-
-type BranchResult = (Option<Incumbent>, BnbStats, WaterfillStats);
-
-fn run_branch(
-    ctx: &BnbContext<'_>,
-    base: &IncrementalEstimator,
-    free: &[usize],
-    touched: &[u32],
-    candidate: &Placement,
-) -> BranchResult {
-    let base_stats = *base.stats();
-    let mut branch = BnbBranch {
-        ctx,
-        free: free.to_vec(),
-        touched: touched.to_vec(),
-        inc: base.clone(),
-        current: Vec::with_capacity(ctx.batch.len()),
-        best: None,
-        stats: BnbStats::default(),
-    };
-    branch.apply(&ctx.batch[0], candidate.clone());
-    let _ = branch.dfs(1);
-    let wf = *branch.inc.stats() - base_stats;
-    (branch.best, branch.stats, wf)
-}
-
-/// One branch's mutable search state: a free-GPU ledger (no panicking
-/// `Cluster` allocate/release round-trips), touch counts for symmetry
-/// detection, and the live incremental estimator.
-struct BnbBranch<'a, 'b> {
-    ctx: &'a BnbContext<'b>,
     free: Vec<usize>,
     touched: Vec<u32>,
     inc: IncrementalEstimator,
@@ -428,7 +330,7 @@ struct BnbBranch<'a, 'b> {
     stats: BnbStats,
 }
 
-impl BnbBranch<'_, '_> {
+impl Search<'_> {
     /// Committed jobs' objective from the live estimator — the same value,
     /// to the bit, as the reference leaf's `batch_comm_time_s`, because the
     /// incremental state is bit-identical to a from-scratch solve and the
@@ -452,45 +354,45 @@ impl BnbBranch<'_, '_> {
     fn bound_from(&self, idx: usize, partial: f64) -> f64 {
         let max_free = self.free.iter().copied().max().unwrap_or(0);
         let mut bound = partial;
-        for job in &self.ctx.batch[idx..] {
+        for job in &self.batch[idx..] {
             if job.gpus > max_free {
-                bound += job.gradient_gbits() / self.ctx.link_gbps;
+                bound += job.gradient_gbits() / self.link_gbps;
             }
         }
         bound
     }
 
     fn dfs(&mut self, idx: usize) -> ControlFlow<()> {
+        // A spent budget stops the search with the incumbent intact, where
+        // the reference stops too.
+        if self.stats.leaves >= self.max_evaluations {
+            return ControlFlow::Break(());
+        }
         self.stats.nodes += 1;
         let partial = self.partial_objective();
-        if idx == self.ctx.batch.len() {
-            return self.leaf(partial);
+        if idx == self.batch.len() {
+            self.stats.leaves += 1;
+            if self.best.as_ref().is_none_or(|(b, _)| partial < *b) {
+                self.best = Some((partial, self.current.clone()));
+            }
+            return ControlFlow::Continue(());
         }
+        // `>=` keeps the first-enumerated optimum: an equal-bound subtree
+        // holds no strictly better leaf, and the incumbent, replaced only
+        // by a strictly better leaf, precedes the subtree in enumeration
+        // order.
         let bound = self.bound_from(idx, partial);
-        // Against the branch-local incumbent `>=` is safe: an equal-bound
-        // subtree cannot contain a *strictly* better leaf, and ties keep
-        // the first-enumerated incumbent. Against the cross-branch bound
-        // only `>` is safe — an equal-objective optimum found earlier in
-        // wall-time by a *later* branch must not cut the subtree holding
-        // the first-in-order optimum.
-        let local_cut = self.best.as_ref().is_some_and(|(b, _)| bound >= *b);
-        // netpack-lint: allow(C2): the shared bound is a monotone advisory — a stale read only prunes less, and the strict `>` cut keeps the first-in-order optimum regardless of which thread published the bound
-        let shared = f64::from_bits(self.ctx.best_bound_bits.load(Ordering::Relaxed));
-        if local_cut || bound > shared {
+        if self.best.as_ref().is_some_and(|(b, _)| bound >= *b) {
             self.stats.pruned += 1;
             return ControlFlow::Continue(());
         }
-        // netpack-lint: allow(C2): advisory early-exit only — the authoritative budget check is the per-leaf fetch_add ticket, so a stale count merely delays the abort by a few nodes
-        if self.ctx.evaluations.load(Ordering::Relaxed) >= self.ctx.max_evaluations {
-            return ControlFlow::Break(());
-        }
-        let job = self.ctx.batch[idx].clone();
+        let job = self.batch[idx].clone();
         let snapshot = self.free.clone();
-        let classes = symmetry_classes(&self.ctx.rack_of, &snapshot, &self.touched);
+        let classes = symmetry_classes(&self.rack_of, &snapshot, &self.touched);
         for_each_split(&snapshot, Some(&classes), job.gpus, &mut |split| {
             let candidates = ps_candidates(split, &classes, snapshot.len(), &mut self.stats);
             for ps in candidates {
-                for &ina in ina_options(self.ctx.enumerate_ina, split.len()) {
+                for &ina in ina_options(self.enumerate_ina, split.len()) {
                     let mut placement = Placement::new(split.to_vec(), ps);
                     placement.set_ina_enabled(ina);
                     self.apply(&job, placement);
@@ -503,25 +405,6 @@ impl BnbBranch<'_, '_> {
         })
     }
 
-    fn leaf(&mut self, obj: f64) -> ControlFlow<()> {
-        // One budget ticket per leaf; tickets past the budget abort the
-        // branch with the incumbent intact.
-        // netpack-lint: allow(C2): only the ticket *count* gates the budget, never its order, and budget-abort behaviour is pinned by the budget-exhaustion case of tests/exact_bnb.rs
-        let ticket = self.ctx.evaluations.fetch_add(1, Ordering::Relaxed);
-        if ticket >= self.ctx.max_evaluations {
-            return ControlFlow::Break(());
-        }
-        self.stats.leaves += 1;
-        if self.best.as_ref().is_none_or(|(b, _)| obj < *b) {
-            self.best = Some((obj, self.current.clone()));
-            self.ctx
-                .best_bound_bits
-                // netpack-lint: allow(C2): fetch_min on non-negative objective bits is monotone — losing a race publishes a weaker bound, which can only reduce pruning, not change the committed result
-                .fetch_min(obj.to_bits(), Ordering::Relaxed);
-        }
-        ControlFlow::Continue(())
-    }
-
     fn apply(&mut self, job: &Job, placement: Placement) {
         for &(s, w) in placement.workers() {
             self.free[s.0] -= w;
@@ -530,16 +413,14 @@ impl BnbBranch<'_, '_> {
         for &s in placement.pses() {
             self.touched[s.0] += 1;
         }
-        self.inc.push(
-            self.ctx.cluster,
-            PlacedJob::new(job.id, self.ctx.cluster, &placement),
-        );
+        self.inc
+            .push(self.cluster, PlacedJob::new(job.id, self.cluster, &placement));
         self.current.push((job.clone(), placement));
     }
 
     fn unapply(&mut self) {
         if let Some((_, placement)) = self.current.pop() {
-            self.inc.pop(self.ctx.cluster);
+            self.inc.pop(self.cluster);
             for &(s, w) in placement.workers() {
                 self.free[s.0] += w;
                 self.touched[s.0] -= 1;
@@ -572,12 +453,12 @@ mod tests {
     }
 
     /// One search's `(label, placements, leaves evaluated)`.
-    type Search = (&'static str, Vec<(Job, Placement)>, u64);
+    type Outcome = (&'static str, Vec<(Job, Placement)>, u64);
 
     /// The branch-and-bound and the exhaustive reference on the empty
     /// cluster `c`; a search that reached no complete assignment places
     /// nothing.
-    fn both_searches(c: &Cluster, batch: &[Job], budget: u64) -> [Search; 2] {
+    fn both_searches(c: &Cluster, batch: &[Job], budget: u64) -> [Outcome; 2] {
         let mut p = ExactPlacer::new(budget);
         let out = p.place_batch(c, &[], batch);
         let (best, evals) = reference::place_exact(c, &[], batch, false, budget);
@@ -700,5 +581,28 @@ mod tests {
         assert!(bnb.perf().counter("exact_pruned_subtrees") > 0);
         assert!(bnb.perf().counter("exact_sym_ps_skips") > 0);
         assert_eq!(bnb.perf().timer_count("place_batch"), 1);
+    }
+
+    /// The §5.1 table's `5x2 / 3+3+2` row: one thread and one incumbent
+    /// make the search's work a function of the instance, so its counts
+    /// are pinned. A change of mechanism that keeps the answer may lower
+    /// them, never raise them.
+    #[test]
+    fn the_section_5_1_row_does_the_pinned_work() {
+        let c = Cluster::new(ClusterSpec {
+            racks: 1,
+            servers_per_rack: 5,
+            gpus_per_server: 2,
+            pat_gbps: 50.0,
+            ..ClusterSpec::paper_default()
+        });
+        let mut bnb = ExactPlacer::new(50_000_000);
+        bnb.place_batch(&c, &[], &[job(0, 3), job(1, 3), job(2, 2)]);
+        let work = (
+            bnb.evaluations(),
+            bnb.perf().counter("exact_nodes"),
+            bnb.perf().counter("exact_pruned_subtrees"),
+        );
+        assert_eq!(work, (40, 256, 205));
     }
 }

@@ -169,6 +169,33 @@ fn bnb_matches_scratch_on_random_instances() {
     assert!(infeasible < 200, "every instance was infeasible");
 }
 
+/// A capped search stops at the same leaf on every call: one thread and
+/// one incumbent leave nothing to thread timing. The `8x2 / 3+3+3` row of
+/// `table_mip_vs_dp`, capped far below the ~25K leaves its full search
+/// evaluates.
+#[test]
+fn a_capped_search_returns_the_same_incumbent_every_time() {
+    let cluster = Cluster::new(ClusterSpec {
+        racks: 1,
+        servers_per_rack: 8,
+        gpus_per_server: 2,
+        pat_gbps: 50.0,
+        ..ClusterSpec::paper_default()
+    });
+    let batch: Vec<Job> = (0..3)
+        .map(|i| Job::builder(JobId(i), ModelKind::Vgg16, 3).build())
+        .collect();
+    let search = || {
+        let mut p = ExactPlacer::new(2_000);
+        let out = p.place_batch(&cluster, &[], &batch);
+        (out.placed, p.evaluations(), p.perf().counter("exact_nodes"))
+    };
+    let first = search();
+    for call in 1..20 {
+        assert_eq!(search(), first, "call {call} differs from the first");
+    }
+}
+
 #[test]
 fn exhausted_budget_returns_the_best_incumbent() {
     let cluster = Cluster::new(ClusterSpec {

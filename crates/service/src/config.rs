@@ -35,10 +35,6 @@ pub struct ServiceConfig {
     /// of a pass per wakeup (default 8000 µs — half the latency budget;
     /// 0 disables gathering).
     pub gather: Duration,
-    /// Deterministic mode: batch sizing ignores wall-clock cost so
-    /// identical command streams drain identically, making the event log
-    /// byte-reproducible.
-    pub deterministic: bool,
     /// Record one event-log line per submit/place/defer/complete/cancel.
     /// Off by default: a million-job bench would otherwise spend its time
     /// formatting strings.
@@ -64,7 +60,6 @@ impl Default for ServiceConfig {
             queue_cap: 65_536,
             channel_cap: 1_024,
             gather: Duration::from_micros(8_000),
-            deterministic: false,
             event_log: false,
             aging_value_bump: 0.5,
             threads: 1,
@@ -75,14 +70,12 @@ impl Default for ServiceConfig {
 
 /// Commands the drain loop accepts before placing the next batch: the
 /// latency budget divided by the observed per-job placement cost, clamped
-/// to `[min_batch, max_batch]`. With no cost estimate yet — or in
-/// deterministic mode, where wall-clock must not steer behavior — the
-/// limit is `max_batch`, so batch size is then governed purely by queue
-/// depth (the drain never waits for commands that aren't there).
+/// to `[min_batch, max_batch]`. With no cost estimate yet the limit is
+/// `max_batch`, so batch size is then governed purely by queue depth (the
+/// drain never waits for commands that aren't there).
 pub fn adaptive_batch_limit(cost_ewma_s: f64, cfg: &ServiceConfig) -> usize {
     // NaN and zero both mean "no usable estimate yet".
-    let no_estimate = !cost_ewma_s.is_finite() || cost_ewma_s <= 0.0;
-    if cfg.deterministic || no_estimate {
+    if !cost_ewma_s.is_finite() || cost_ewma_s <= 0.0 {
         return cfg.max_batch;
     }
     let budget_jobs = cfg.latency_budget.as_secs_f64() / cost_ewma_s;
@@ -123,13 +116,5 @@ mod tests {
         assert_eq!(adaptive_batch_limit(f64::NAN, &c), 512, "NaN treated as none");
         assert_eq!(adaptive_batch_limit(1.0, &c), 4, "cost above budget -> min");
         assert_eq!(adaptive_batch_limit(1e-12, &c), 512, "tiny cost -> max");
-    }
-
-    #[test]
-    fn deterministic_mode_ignores_wall_clock_cost() {
-        let mut c = cfg(4, 512, 1_000);
-        c.deterministic = true;
-        assert_eq!(adaptive_batch_limit(1.0, &c), 512);
-        assert_eq!(adaptive_batch_limit(1e-9, &c), 512);
     }
 }

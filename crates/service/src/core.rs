@@ -448,7 +448,6 @@ mod tests {
     fn core_with_events() -> ServiceCore {
         let cfg = ServiceConfig {
             event_log: true,
-            deterministic: true,
             ..ServiceConfig::default()
         };
         ServiceCore::new(cluster(), cfg)
@@ -474,7 +473,6 @@ mod tests {
     fn queue_cap_rejects_and_counts_backpressure() {
         let cfg = ServiceConfig {
             queue_cap: 2,
-            deterministic: true,
             ..ServiceConfig::default()
         };
         let mut core = ServiceCore::new(cluster(), cfg);

@@ -195,8 +195,8 @@ impl CommandReceiver {
     /// admission, estimator-tail reconcile) per handful of jobs — the
     /// measured cause of the threaded driver trailing the synchronous
     /// core. Wall-clock here only shapes batch boundaries, never
-    /// placement outcomes; deterministic mode bypasses this queue
-    /// entirely.
+    /// placement outcomes; a driver that calls [`ServiceCore`] directly
+    /// bypasses this queue entirely.
     fn drain_into(&self, into: &mut Vec<Command>, max: usize, gather: Duration) -> bool {
         let mut q = lock(&self.shared.inner);
         while q.buf.is_empty() {
@@ -452,6 +452,47 @@ mod tests {
         assert_eq!(sent, 64);
         let report = svc.shutdown();
         assert_eq!(report.counters.submitted, 64);
+    }
+
+    #[test]
+    fn a_query_whose_asker_left_is_counted_and_the_service_carries_on() {
+        let svc = PlacementService::spawn(cluster(), ServiceConfig::default());
+        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
+        drop(reply_rx);
+        assert!(svc.send(Command::Query(JobId(0), Some(reply_tx))));
+        assert!(svc.send(Command::Submit(job(1, 2))));
+        let report = svc.shutdown();
+        assert_eq!(report.counters.queries, 1);
+        assert_eq!(report.counters.submitted, 1);
+        assert_eq!(report.counters.placed, 1);
+    }
+
+    #[test]
+    fn shutdown_while_a_sender_fills_the_queue_accounts_for_every_submit() {
+        // A second thread keeps a 4-slot queue full while the handle shuts
+        // down. The queue closes only when that sender drops, so every
+        // command is drained, and 64 one-GPU jobs on 32 GPUs end placed,
+        // retired from the queue or pending.
+        let cfg = ServiceConfig {
+            channel_cap: 4,
+            ..ServiceConfig::default()
+        };
+        let svc = PlacementService::spawn(cluster(), cfg);
+        let tx = svc.sender().expect("service alive");
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let go = Arc::clone(&start);
+        let producer = std::thread::spawn(move || {
+            go.wait();
+            tx.send_many((0..64).map(|i| Command::Submit(job(i, 1))))
+        });
+        start.wait();
+        let report = svc.shutdown();
+        let sent = producer.join().expect("the producer thread does not panic");
+        assert_eq!(sent, 64);
+        let c = &report.counters;
+        assert_eq!(c.submitted, 64);
+        assert_eq!(c.placed + c.completed_pending + report.pending_left as u64, 64);
+        assert_eq!(c.placed, 32);
     }
 
     #[test]

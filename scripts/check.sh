@@ -9,7 +9,8 @@
 # pragma (P1), a NETPACK_* variable missing from the registry, the README
 # table, or its declared gate, or any NETPACK_* read in a library crate
 # (M1)), the exact smoke (NETPACK_SMOKE=1 table_mip_vs_dp asserts the
-# branch-and-bound == the exhaustive reference in-binary), the full
+# branch-and-bound == the exhaustive reference in-binary and prints the
+# row's evals / nodes / pruned), the full
 # workspace test suite, the doctests, the fig9 smoke (one 256-server x
 # 400-job loaded-trace cell, every placer's replay of it asserted ==
 # Simulation::run_reference in-binary), the
@@ -20,9 +21,9 @@
 # cell's ps_candidates_scored, ps_rack_servers_skipped and
 # ps_plans_ruled_out), the service determinism smoke (two identical
 # deterministic 10K-job bench_service runs must be byte-identical,
-# stdout + event log), the four
+# stdout + event log), the five
 # debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke, the
-# fig10 dense smoke and the fig9 smoke, all from a
+# fig10 dense smoke, the fig9 smoke and the exact smoke, all from a
 # *debug* build, so the placement path's debug assertions hold the
 # journal-fed server index — as the journals left it — to a full scan
 # after every refresh, the index-answered single-server shortcut to
@@ -40,8 +41,9 @@
 # share-minimum division to
 # the division it skipped, and every water-fill freeze's counts of unfrozen
 # jobs and stale entries to a recount;
-# the debug fig10_xl and fig10 dense digests and the debug fig9 table must
-# equal the release ones), and the fig14 smoke (every cell asserted ==
+# the debug fig10_xl and fig10 dense digests, the debug fig9 table and the
+# debug exact smoke's work counts must equal the release ones), and the
+# fig14 smoke (every cell asserted ==
 # PacketSim::run_reference in-binary).
 # Keep this list in sync with README.md.
 set -euo pipefail
@@ -60,7 +62,8 @@ tmp_dir=$(mktemp -d)
 trap 'rm -rf "$tmp_dir"' EXIT
 
 echo "==> exact smoke: branch-and-bound == exhaustive reference (in-binary)"
-NETPACK_SMOKE=1 ./target/release/table_mip_vs_dp
+exact_release=$(NETPACK_SMOKE=1 ./target/release/table_mip_vs_dp)
+printf '%s\n' "$exact_release"
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -134,6 +137,11 @@ fi
 fig9_debug=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 cargo run -q -p netpack-bench --bin fig9_scale)
 if ! diff <(printf '%s\n' "$fig9_release") <(printf '%s\n' "$fig9_debug"); then
     echo "check.sh: fig9 smoke DIVERGED between the release and debug builds" >&2
+    exit 1
+fi
+exact_debug=$(NETPACK_SMOKE=1 cargo run -q -p netpack-bench --bin table_mip_vs_dp)
+if ! diff <(printf '%s\n' "$exact_release") <(printf '%s\n' "$exact_debug"); then
+    echo "check.sh: exact smoke DIVERGED between the release and debug builds" >&2
     exit 1
 fi
 

@@ -18,7 +18,6 @@ fn core(queue_cap: usize) -> ServiceCore {
     });
     let config = ServiceConfig {
         queue_cap,
-        deterministic: true,
         event_log: true,
         ..ServiceConfig::default()
     };
