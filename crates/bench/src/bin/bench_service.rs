@@ -5,22 +5,19 @@
 //! `netpack-service`: submissions arrive in trace order, each job's
 //! completion is injected at its ideal finish time, and the two streams
 //! are merged in virtual-time order so the service sees the same churn a
-//! live cluster would — just as fast as it can drain it. Reported per
-//! mode: sustained placements/sec and the submit-to-placement latency
-//! percentiles (p50/p99/p999) of this one run; the number a claim is
-//! measured by is the `service_saturate` workload of `benchmark/run.sh`,
-//! which replays this same schedule.
+//! live cluster would — just as fast as it can drain it. Reported:
+//! sustained placements/sec and the submit-to-placement latency
+//! percentiles (p50/p99/p999) of this one run.
 //!
-//! Modes:
-//!
-//! * `threaded` (default) — the real [`PlacementService`] thread behind
-//!   its bounded command channel, adaptive batch sizing on.
-//! * `deterministic` (`NETPACK_SERVICE_MODE=deterministic`, forced by
-//!   `NETPACK_SMOKE=1`) — the [`ServiceCore`] driven synchronously with a
-//!   fixed drain quantum; byte-reproducible, and with
-//!   `NETPACK_SERVICE_EVENT_LOG=<path>` the full event log is recorded and
-//!   written for `scripts/check.sh` to diff across runs (`0`, `1` and
-//!   empty name no file, so nothing is recorded).
+//! The driver is the [`ServiceCore`] called synchronously, one placement
+//! pass every `max_batch` commands — the batch schedule the threaded
+//! [`PlacementService`](netpack_service::PlacementService) runs when its
+//! queue is deep. It is byte-reproducible: with
+//! `NETPACK_SERVICE_EVENT_LOG=<path>` the full event log is recorded and
+//! written for `scripts/check.sh` to diff across runs (`0`, `1` and
+//! empty name no file, so nothing is recorded). The threaded front end on
+//! this same schedule is the `service_saturate` workload of
+//! `benchmark/run.sh`, the number a claim is measured by.
 //!
 //! The service library reads no environment: this binary parses those
 //! variables into a [`ServiceConfig`] and leaves every other tunable at
@@ -28,13 +25,13 @@
 //! counters.
 //!
 //! Scale with `NETPACK_QUICK=1` (50K jobs) or `NETPACK_SMOKE=1`
-//! (10K jobs, deterministic); the default is the 1M-job acceptance run.
+//! (10K jobs, no wall-clock rows); the default is the 1M-job acceptance run.
 //! `NETPACK_SERVICE_JOBS=<n>` overrides all three (`scripts/check.sh`
 //! uses it for the 2 000-job debug-build replay).
 
 use netpack_bench::{emit_table, print_perf, quick, smoke};
 use netpack_metrics::{LatencyHistogram, Stopwatch, TextTable};
-use netpack_service::{Command, PlacementService, ServiceConfig, ServiceCore, ServiceReport};
+use netpack_service::{Command, ServiceConfig, ServiceCore, ServiceReport};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
 use netpack_workload::{Trace, TraceKind, TraceSpec};
 
@@ -84,31 +81,9 @@ fn replay(trace: &Trace, mut issue: impl FnMut(Command)) {
     }
 }
 
-fn run_threaded(trace: &Trace, config: ServiceConfig) -> (ServiceReport, f64) {
-    // Submit in buffered chunks via the bulk path: one queue lock per
-    // chunk instead of per command. Backpressure still applies — a full
-    // channel blocks the flush, slowing the open-loop driver down, which
-    // is part of the measure.
-    let chunk = config.max_batch.max(1);
-    let svc = PlacementService::spawn(Cluster::new(spec()), config);
-    let wall = Stopwatch::start();
-    let mut buf: Vec<Command> = Vec::with_capacity(chunk);
-    replay(trace, |cmd| {
-        buf.push(cmd);
-        if buf.len() >= chunk {
-            let _ = svc.send_many(buf.drain(..));
-        }
-    });
-    let _ = svc.send_many(buf.drain(..));
-    let report = svc.shutdown();
-    let wall_s = wall.elapsed_s();
-    (report, wall_s)
-}
-
-fn run_deterministic(trace: &Trace, config: ServiceConfig) -> (ServiceReport, f64) {
-    // Fixed drain quantum instead of wall-clock-adaptive batching: the
-    // command schedule — and therefore the event log — depends only on
-    // the trace.
+fn run(trace: &Trace, config: ServiceConfig) -> (ServiceReport, f64) {
+    // A fixed drain quantum: the command schedule — and therefore the
+    // event log — depends only on the trace.
     let quantum = config.max_batch;
     let mut core = ServiceCore::new(Cluster::new(spec()), config);
     let wall = Stopwatch::start();
@@ -145,9 +120,6 @@ fn main() {
         } else {
             1_000_000
         });
-    let deterministic = smoke()
-        || std::env::var("NETPACK_SERVICE_MODE")
-            .is_ok_and(|m| m.trim().eq_ignore_ascii_case("deterministic"));
     let event_log_path = std::env::var("NETPACK_SERVICE_EVENT_LOG")
         .ok()
         .filter(|p| !p.is_empty() && p != "0" && p != "1");
@@ -155,17 +127,12 @@ fn main() {
         event_log: event_log_path.is_some(),
         ..ServiceConfig::default()
     };
-    let mode = if deterministic { "deterministic" } else { "threaded" };
     let trace = service_trace(&spec(), jobs, 1);
 
     println!("bench_service — open-loop Philly trace, Fig. 10 cluster ({} GPUs)", spec().total_gpus());
-    println!("jobs={jobs} mode={mode}\n");
+    println!("jobs={jobs}\n");
 
-    let (report, wall_s) = if deterministic {
-        run_deterministic(&trace, config)
-    } else {
-        run_threaded(&trace, config)
-    };
+    let (report, wall_s) = run(&trace, config);
 
     let placed = report.counters.placed;
     let throughput = placed as f64 / wall_s.max(1e-9);

@@ -9,14 +9,19 @@
 //! ledger, and hands the decisions to the caller's enforcement hook
 //! (step 5 — in this reproduction, the flow-level simulator's job table).
 //!
-//! Deferred jobs age: their knapsack value grows every epoch they wait,
-//! which is the paper's starvation-avoidance rule for FindSubset.
+//! Deferred jobs age: their knapsack value grows by
+//! [`DEFERRAL_AGING`](netpack_placement::DEFERRAL_AGING) every epoch they
+//! wait, which is the paper's starvation-avoidance rule for FindSubset.
+//! The epoch length is the caller's: the flow simulator runs one epoch
+//! a minute.
 //!
 //! The manager is the closed-loop, epoch-at-a-time half: the simulators
 //! drive it, and a job leaves through [`JobManager::finish`] only. The
 //! open-loop half — submissions, cancellations and completions arriving
 //! as a command stream — is `netpack-service`, which runs the same batch
-//! loop on a `NetPackSession` of its own and does not pass through here.
+//! policy ([`placement_order`](netpack_placement::placement_order) and the
+//! same aging) on a `NetPackSession` of its own and does not pass through
+//! here.
 //!
 //! [`Cluster`]: netpack_topology::Cluster
 //! [`Placer`]: netpack_placement::Placer
@@ -24,14 +29,13 @@
 //! # Example
 //!
 //! ```
-//! use netpack_core::{JobManager, ManagerConfig};
+//! use netpack_core::JobManager;
 //! use netpack_placement::NetPackPlacer;
 //! use netpack_topology::{Cluster, ClusterSpec, JobId};
 //! use netpack_workload::{Job, ModelKind};
 //!
 //! let cluster = Cluster::new(ClusterSpec::paper_testbed());
-//! let mut manager = JobManager::new(cluster, Box::new(NetPackPlacer::default()),
-//!     ManagerConfig::default());
+//! let mut manager = JobManager::new(cluster, Box::new(NetPackPlacer::default()));
 //! manager.submit(Job::builder(JobId(0), ModelKind::ResNet50, 4).build());
 //! let decisions = manager.run_epoch();
 //! assert_eq!(decisions.len(), 1);
@@ -43,4 +47,4 @@
 
 mod manager;
 
-pub use manager::{JobManager, ManagerConfig, ManagerError};
+pub use manager::{JobManager, ManagerError};

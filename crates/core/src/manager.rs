@@ -38,7 +38,8 @@
 
 use netpack_model::Placement;
 use netpack_placement::{
-    AdmissionIndex, BatchOutcome, NetPackSession, PerfCounters, Placer, RunningJob, SessionError,
+    placement_order, AdmissionIndex, BatchOutcome, NetPackSession, PerfCounters, Placer,
+    RunningJob, SessionError, DEFERRAL_AGING,
 };
 use netpack_topology::{Cluster, JobId, TopologyError};
 use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState, WaterfillStats};
@@ -46,26 +47,6 @@ use netpack_workload::Job;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::error::Error;
 use std::fmt;
-
-/// Manager tunables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ManagerConfig {
-    /// Scheduling period in seconds (the paper batches arrivals and places
-    /// them periodically; job lifetimes are hours, so 60 s is the default).
-    pub epoch_s: f64,
-    /// Additive value bump applied to every job that fails to be selected
-    /// or placed in an epoch — the starvation-avoidance aging of step 1.
-    pub aging_value_bump: f64,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            epoch_s: 60.0,
-            aging_value_bump: 0.5,
-        }
-    }
-}
 
 /// Errors from the manager's bookkeeping API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,7 +309,6 @@ impl Books for WarmBooks {
 pub struct JobManager {
     books: Box<dyn Books>,
     placer_name: &'static str,
-    config: ManagerConfig,
     pending: Vec<Job>,
 }
 
@@ -347,7 +327,7 @@ impl JobManager {
     /// Create a manager over a cluster with the given placement strategy,
     /// keeping stateless books: the placer is handed the running set every
     /// epoch and keeps nothing between calls.
-    pub fn new(cluster: Cluster, placer: Box<dyn Placer>, config: ManagerConfig) -> Self {
+    pub fn new(cluster: Cluster, placer: Box<dyn Placer>) -> Self {
         let placer_name = placer.name();
         let books = StatelessBooks {
             cluster,
@@ -357,22 +337,21 @@ impl JobManager {
             tracker: None,
             running_view: Vec::new(),
         };
-        JobManager { books: Box::new(books), placer_name, config, pending: Vec::new() }
+        JobManager { books: Box::new(books), placer_name, pending: Vec::new() }
     }
 
     /// Create a manager whose only books are the warm session `placer`
     /// [opens](Placer::open_session) over `cluster` (taken as idle) — same
     /// decisions as [`new`](Self::new), nothing rebuilt per epoch. A placer
     /// with no warm form gets the stateless books of [`new`](Self::new).
-    pub fn warm(cluster: Cluster, placer: Box<dyn Placer>, config: ManagerConfig) -> Self {
+    pub fn warm(cluster: Cluster, placer: Box<dyn Placer>) -> Self {
         let Some(session) = placer.open_session(&cluster) else {
-            return JobManager::new(cluster, placer, config);
+            return JobManager::new(cluster, placer);
         };
         let books = WarmBooks { session, cluster, jobs: BTreeMap::new() };
         JobManager {
             books: Box::new(books),
             placer_name: placer.name(),
-            config,
             pending: Vec::new(),
         }
     }
@@ -380,16 +359,6 @@ impl JobManager {
     /// Submit a job to the pending queue (Fig. 4, step 1).
     pub fn submit(&mut self, job: Job) {
         self.pending.push(job);
-    }
-
-    /// The scheduling period in seconds.
-    pub fn epoch_s(&self) -> f64 {
-        self.config.epoch_s
-    }
-
-    /// The placer's display name.
-    pub fn placer_name(&self) -> &'static str {
-        self.placer_name
     }
 
     /// The cluster's topology and capacities. Under stateless books its
@@ -417,7 +386,8 @@ impl JobManager {
 
     /// Run one scheduling epoch: batch the pending queue, place it,
     /// enforce the accepted placements on the GPU ledger, and age the
-    /// deferred jobs. Returns the decisions made this epoch.
+    /// deferred jobs by [`DEFERRAL_AGING`]. Returns the decisions made this
+    /// epoch.
     ///
     /// # Panics
     ///
@@ -428,15 +398,12 @@ impl JobManager {
             return Vec::new();
         }
         let mut batch = std::mem::take(&mut self.pending);
-        // Canonical batch order: value-descending, ties by id. The placers
-        // are free to reorder internally, but hand them a submission-order-
-        // independent batch so a shuffled submit sequence cannot leak into
-        // tie-breaks (the knapsack subset selection is order-sensitive
-        // under exact value ties).
-        batch.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+        // The placers are free to reorder internally, but hand them a
+        // submission-order-independent batch.
+        batch.sort_by(placement_order);
         let outcome = self.books.place(&batch);
         for mut job in outcome.deferred {
-            job.value += self.config.aging_value_bump;
+            job.value += DEFERRAL_AGING;
             self.pending.push(job);
         }
         outcome.placed
@@ -530,16 +497,13 @@ mod tests {
 
     /// A manager with stateless books.
     fn manager(placer: Box<dyn Placer>) -> JobManager {
-        JobManager::new(cluster(), placer, ManagerConfig::default())
+        JobManager::new(cluster(), placer)
     }
 
     /// NetPack under both kinds of books, stateless first.
     fn both_books() -> [JobManager; 2] {
         let netpack = || Box::new(NetPackPlacer::default());
-        [
-            manager(netpack()),
-            JobManager::warm(cluster(), netpack(), ManagerConfig::default()),
-        ]
+        [manager(netpack()), JobManager::warm(cluster(), netpack())]
     }
 
     fn job(id: u64, gpus: usize) -> Job {
@@ -560,7 +524,7 @@ mod tests {
 
     #[test]
     fn warm_is_stateless_for_a_placer_without_a_session() {
-        let mut m = JobManager::warm(cluster(), Box::new(GpuBalance), ManagerConfig::default());
+        let mut m = JobManager::warm(cluster(), Box::new(GpuBalance));
         m.submit(job(0, 4));
         m.run_epoch();
         // The ledger is the manager's own cluster, as under `new`.
@@ -673,11 +637,7 @@ mod tests {
 
     #[test]
     fn warm_steady_state_matches_scratch_across_churn() {
-        let mut m = JobManager::warm(
-            cluster(),
-            Box::new(NetPackPlacer::default()),
-            ManagerConfig::default(),
-        );
+        let mut m = JobManager::warm(cluster(), Box::new(NetPackPlacer::default()));
         churn(&mut m);
         // The session settled the finish before it placed job 2.
         let settled = m.incremental_state().expect("an epoch returns settled").clone();
@@ -718,11 +678,7 @@ mod tests {
 
     #[test]
     fn warm_state_is_settled_by_an_epoch_and_withheld_after_a_finish() {
-        let mut m = JobManager::warm(
-            cluster(),
-            Box::new(NetPackPlacer::default()),
-            ManagerConfig::default(),
-        );
+        let mut m = JobManager::warm(cluster(), Box::new(NetPackPlacer::default()));
         assert!(m.incremental_state().is_some(), "an idle session is settled");
         m.submit(job(0, 6));
         m.submit(job(1, 4));

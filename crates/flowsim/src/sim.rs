@@ -60,7 +60,7 @@
 //! `NetPackPlacer::perf`, none of which the loop's own use).
 
 use crate::{JobOutcome, SimResult, TelemetrySample};
-use netpack_core::{JobManager, ManagerConfig};
+use netpack_core::JobManager;
 use netpack_metrics::PerfCounters;
 use netpack_placement::Placer;
 use netpack_topology::{Cluster, JobId, LinkId};
@@ -82,11 +82,13 @@ pub enum InaMode {
     Synchronous,
 }
 
+/// The job manager's scheduling period in seconds: the paper batches
+/// arrivals and places them periodically, and job lifetimes are hours.
+const EPOCH_S: f64 = 60.0;
+
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Scheduling configuration forwarded to the job manager.
-    pub manager: ManagerConfig,
     /// Hard cap on simulated time; jobs still running at the cap are
     /// reported in [`SimResult::unfinished`]. Default: 90 days.
     pub max_sim_time_s: f64,
@@ -100,7 +102,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            manager: ManagerConfig::default(),
             max_sim_time_s: 90.0 * 86_400.0,
             telemetry_interval_s: None,
             ina_mode: InaMode::default(),
@@ -302,12 +303,11 @@ impl Simulation {
             placer,
             config,
         } = self;
-        let epoch = config.manager.epoch_s.max(1e-6);
         let total_gpus = cluster.total_gpus();
         let mut manager = if warm {
-            JobManager::warm(cluster, placer, config.manager)
+            JobManager::warm(cluster, placer)
         } else {
-            JobManager::new(cluster, placer, config.manager)
+            JobManager::new(cluster, placer)
         };
         let mut result = SimResult::default();
         let mut perf = PerfCounters::new();
@@ -351,7 +351,7 @@ impl Simulation {
             let next_epoch = if manager.pending().is_empty() {
                 None
             } else {
-                Some(next_epoch_after(clock, last_epoch_run, epoch))
+                Some(next_epoch_after(clock, last_epoch_run, EPOCH_S))
             };
             let heap_start = Stopwatch::start();
             let next_completion = loop {
@@ -458,7 +458,7 @@ impl Simulation {
             perf.record("heap_ops", heap_start.elapsed());
 
             // -------- scheduling epoch --------
-            let on_epoch_grid = ((clock / epoch).round() * epoch - clock).abs() < 1e-6;
+            let on_epoch_grid = ((clock / EPOCH_S).round() * EPOCH_S - clock).abs() < 1e-6;
             if !manager.pending().is_empty() && on_epoch_grid && clock > last_epoch_run + 1e-9 {
                 last_epoch_run = clock;
                 let placed = perf.time("place", || manager.run_epoch());
@@ -936,9 +936,8 @@ mod epoch_grid_tests {
         let result = sim.run(&Trace::from_jobs(jobs));
         assert_eq!(result.outcomes.len(), 2);
         let second = result.outcomes.iter().find(|o| o.id == JobId(1)).unwrap();
-        let epoch = ManagerConfig::default().epoch_s;
         assert!(second.start_s >= arrival - 1e-6);
-        let on_grid = ((second.start_s / epoch).round() * epoch - second.start_s).abs() < 1e-6;
+        let on_grid = ((second.start_s / EPOCH_S).round() * EPOCH_S - second.start_s).abs() < 1e-6;
         assert!(on_grid, "start {} not on the epoch grid", second.start_s);
     }
 }

@@ -268,10 +268,9 @@ pub fn run_root(root: &Path) -> io::Result<RunReport> {
             reads.push((rel.clone(), idx + 1, name));
         }
     }
-    // The registry cross-check (dead entries, README table, declared
-    // gates) only makes sense at the real workspace root; fixture trees
-    // have neither README.md nor scripts/check.sh.
-    if root.join("README.md").is_file() && root.join("scripts/check.sh").is_file() {
+    // The registry cross-check (dead entries, README table) only makes
+    // sense at the real workspace root; fixture trees have no README.md.
+    if root.join("README.md").is_file() {
         report.findings.extend(registry::cross_check(root, &reads));
     }
     Ok(report)

@@ -34,8 +34,8 @@
 //! finding to its enclosing function and lets the concurrency rules
 //! distinguish state declared inside a parallel closure from state
 //! captured across it. The [`registry`] module declares every `NETPACK_*`
-//! variable once and cross-checks it against workspace reads, the README
-//! env table, and `scripts/check.sh` gates.
+//! variable once and cross-checks it against workspace reads and the
+//! README env table.
 //!
 //! Test code is exempt from every rule. Individual findings are silenced
 //! with `// netpack-lint: allow(<rule>): <reason>` (the reason is

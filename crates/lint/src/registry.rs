@@ -1,10 +1,9 @@
 //! The declared registry of `NETPACK_*` environment variables (rule M1).
 //!
-//! Every env-gated behavior in this workspace — the one mode gate left
-//! (`NETPACK_SERVICE_MODE`), the knobs, the output redirects — is part of
-//! the repo's reproducibility contract: README.md documents it, and for a
-//! mode gate `scripts/check.sh` pins the behaviour it selects. The
-//! contract is *declared* here and cross-checked mechanically:
+//! Every env-gated behavior in this workspace — the knobs and the output
+//! redirects; no variable selects an implementation — is part of the
+//! repo's reproducibility contract: README.md documents it. The contract
+//! is *declared* here and cross-checked mechanically:
 //!
 //! * an `env::var("NETPACK_…")` read anywhere in workspace code whose
 //!   name is not registered → M1 at the read site;
@@ -13,9 +12,7 @@
 //!   environment;
 //! * a registered variable no source file reads → M1 (dead entry);
 //! * a registered variable missing from the README env table → M1;
-//! * a `NETPACK_*` name in README that is not registered → M1;
-//! * a mode gate whose declared enforcement point (`scripts/check.sh`)
-//!   no longer mentions it → M1.
+//! * a `NETPACK_*` name in README that is not registered → M1.
 //!
 //! The oracles of the simulators and placers (`run_reference`,
 //! `placement::reference`) are deliberately *not* here: no variable
@@ -28,96 +25,49 @@ use crate::lexer::Line;
 use crate::rules::Finding;
 use std::path::Path;
 
-/// How a variable's contract is enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// The variable must appear in `scripts/check.sh` — a smoke there
-    /// pins the behaviour it selects.
-    CheckSh,
-    /// A knob or output path with no two-mode contract to enforce.
-    None,
-}
-
-/// What kind of behavior the variable controls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarKind {
-    /// Selects between implementations that must stay bit-identical.
-    ModeGate,
-    /// Tunes sizes, budgets, or thread counts.
-    Knob,
-    /// Redirects or enables an output artifact.
-    Output,
-}
-
 /// One registered environment variable.
 #[derive(Debug, Clone, Copy)]
 pub struct EnvVar {
     /// The full variable name.
     pub name: &'static str,
-    /// Behavior class.
-    pub kind: VarKind,
-    /// Where the contract is enforced.
-    pub gate: Gate,
     /// One-line purpose, shown by `--explain M1`.
     pub desc: &'static str,
 }
 
 /// Every `NETPACK_*` variable the workspace may read. Keep sorted by
-/// name; M1 cross-checks this table against the code, README.md, and
-/// scripts/check.sh on every lint run.
+/// name; M1 cross-checks this table against the code and README.md on
+/// every lint run.
 pub const REGISTRY: &[EnvVar] = &[
     EnvVar {
         name: "NETPACK_CSV_DIR",
-        kind: VarKind::Output,
-        gate: Gate::None,
         desc: "also write each printed table as CSV under this directory",
     },
     EnvVar {
         name: "NETPACK_PERF",
-        kind: VarKind::Output,
-        gate: Gate::None,
         desc: "print merged perf counters after a sweep or service replay",
     },
     EnvVar {
         name: "NETPACK_QUICK",
-        kind: VarKind::Knob,
-        gate: Gate::None,
         desc: "shrunken smoke runs (smaller clusters/traces)",
     },
     EnvVar {
         name: "NETPACK_REPEATS",
-        kind: VarKind::Knob,
-        gate: Gate::None,
         desc: "trace seeds per data point",
     },
     EnvVar {
         name: "NETPACK_SERVICE_EVENT_LOG",
-        kind: VarKind::Output,
-        gate: Gate::None,
         desc: "bench_service: write the per-operation event log here",
     },
     EnvVar {
         name: "NETPACK_SERVICE_JOBS",
-        kind: VarKind::Knob,
-        gate: Gate::None,
         desc: "bench_service: replay length override",
     },
     EnvVar {
-        name: "NETPACK_SERVICE_MODE",
-        kind: VarKind::ModeGate,
-        gate: Gate::CheckSh,
-        desc: "service driver: deterministic byte-reproducible loop vs threaded",
-    },
-    EnvVar {
         name: "NETPACK_SMOKE",
-        kind: VarKind::Knob,
-        gate: Gate::None,
         desc: "single tiny cell (the scripts/check.sh gates)",
     },
     EnvVar {
         name: "NETPACK_THREADS",
-        kind: VarKind::Knob,
-        gate: Gate::None,
         desc: "worker threads for the figure sweeps",
     },
 ];
@@ -167,10 +117,9 @@ pub fn reads_in(lines: &[Line], is_test: &[bool]) -> Vec<(usize, String)> {
     out
 }
 
-/// Workspace-level cross-checks: registry vs collected reads, README.md,
-/// and the declared gates. Only meaningful at the real workspace root —
-/// the engine calls this when `README.md` and `scripts/check.sh` both
-/// exist under `root`.
+/// Workspace-level cross-checks: registry vs collected reads and
+/// README.md. Only meaningful at the real workspace root — the engine
+/// calls this when `README.md` exists under `root`.
 pub fn cross_check(root: &Path, reads: &[(String, usize, String)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let m1 = |path: &str, line: usize, message: String| Finding {
@@ -227,25 +176,6 @@ pub fn cross_check(root: &Path, reads: &[(String, usize, String)]) -> Vec<Findin
         }
     }
 
-    // Declared gates still hold.
-    let check_sh = std::fs::read_to_string(root.join("scripts/check.sh")).unwrap_or_default();
-    for var in REGISTRY {
-        match var.gate {
-            Gate::CheckSh => {
-                if !check_sh.contains(var.name) {
-                    findings.push(m1(
-                        "scripts/check.sh",
-                        1,
-                        format!(
-                            "mode gate `{}` is not exercised by scripts/check.sh — add a smoke that pins it or change its registry gate",
-                            var.name
-                        ),
-                    ));
-                }
-            }
-            Gate::None => {}
-        }
-    }
     findings
 }
 
@@ -287,18 +217,5 @@ mod tests {
         let reads = reads_in(&lines, &is_test[..lines.len()]);
         assert_eq!(reads.len(), 1);
         assert_eq!(reads[0].1, "NETPACK_SMOKE");
-    }
-
-    #[test]
-    fn every_mode_gate_declares_an_enforcement_point() {
-        for var in REGISTRY {
-            if var.kind == VarKind::ModeGate {
-                assert!(
-                    var.gate != Gate::None,
-                    "{} is a mode gate without a gate declaration",
-                    var.name
-                );
-            }
-        }
     }
 }

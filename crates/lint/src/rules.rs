@@ -82,8 +82,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             Every env-gated behavior is declared once, in\n\
             crates/lint/src/registry.rs, and cross-checked on every run:\n\
             an env::var read of an unregistered name, a registered name no\n\
-            code reads, a name missing from the README env table, and a\n\
-            mode gate whose check.sh smoke disappeared are all findings.\n\
+            code reads, and a name missing from the README env table are\n\
+            all findings.\n\
             Library crates read no environment at all: a NETPACK_* string\n\
             literal in non-test code of an E1 crate is a finding, so\n\
             `cargo test` cannot be steered by a stray variable — binaries\n\
@@ -793,7 +793,7 @@ fn c2_relaxed_and_static_mut(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 /// ([`E1_CRATES`]), and reads anywhere else whose name is not in the
 /// registry. The lint crate itself is exempt: it names every variable
 /// without reading any. The workspace-level cross-checks (dead entries,
-/// README, gates) run in [`crate::registry::cross_check`].
+/// README) run in [`crate::registry::cross_check`].
 fn m1_env_reads(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     if ctx.path.starts_with("crates/lint/") {
         return;
@@ -806,7 +806,7 @@ fn m1_env_reads(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             )
         } else if registry::find(&name).is_none() {
             format!(
-                "`{name}` is read but not in the mode-gate registry (crates/lint/src/registry.rs) — register it with kind, gate, and README row"
+                "`{name}` is read but not in the mode-gate registry (crates/lint/src/registry.rs) — register it with a README row"
             )
         } else {
             continue;

@@ -1,6 +1,23 @@
-//! Job-subset selection (Algorithm 2, step 1): a 0/1 knapsack over GPUs.
+//! Job-subset selection (Algorithm 2, step 1): a 0/1 knapsack over GPUs,
+//! and the batch policy around it that every batching loop shares — the
+//! canonical order a batch is handed over in and the aging of the jobs it
+//! defers.
 
 use netpack_workload::Job;
+use std::cmp::Ordering;
+
+/// Value a deferred job gains every batch it waits: FindSubset's
+/// starvation-avoidance aging (§5.2 step 1), so a job the knapsack keeps
+/// leaving out eventually outweighs the jobs that beat it.
+pub const DEFERRAL_AGING: f64 = 0.5;
+
+/// FindSubset's canonical batch order: value descending, ties by
+/// ascending id. A batch sorted by it does not depend on submission order,
+/// so a shuffled submit sequence cannot leak into tie-breaks (the
+/// knapsack is order-sensitive under exact value ties).
+pub fn placement_order(a: &Job, b: &Job) -> Ordering {
+    b.value.total_cmp(&a.value).then(a.id.cmp(&b.id))
+}
 
 /// Select the subset of `batch` to place this epoch: a 0/1 knapsack with
 /// the cluster's free GPUs as capacity, each job weighing its GPU demand
@@ -93,8 +110,8 @@ pub fn select_job_subset(batch: &[Job], free_gpus: usize) -> Vec<usize> {
 
 /// Algorithm 2's batch prologue, shared by the production paths and the
 /// reference: FindSubset over `free_gpus`, the jobs left out appended to
-/// `deferred` in batch order, and the chosen jobs returned in placement
-/// order — value-descending, ties by ascending id for determinism.
+/// `deferred` in batch order, and the chosen jobs returned in
+/// [`placement_order`].
 pub(crate) fn subset_in_placement_order<'a>(
     batch: &'a [Job],
     free_gpus: usize,
@@ -111,7 +128,7 @@ pub(crate) fn subset_in_placement_order<'a>(
         }
     }
     let mut ordered: Vec<&Job> = subset.iter().map(|&i| &batch[i]).collect();
-    ordered.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+    ordered.sort_by(|a, b| placement_order(a, b));
     ordered
 }
 

@@ -93,7 +93,7 @@ mod session;
 pub use baselines::{FlowBalance, GpuBalance, LeastFragmentation, RandomPlacer};
 pub use dp::{ServerStats, WorkerDp, WorkerPlan};
 pub use exact::ExactPlacer;
-pub use knapsack::select_job_subset;
+pub use knapsack::{placement_order, select_job_subset, DEFERRAL_AGING};
 pub use netpack::{HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer};
 pub use select::CandidateFilter;
 pub use placer::{

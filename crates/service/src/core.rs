@@ -8,10 +8,9 @@
 //! command schedule is exactly the input stream.
 
 use crate::config::ServiceConfig;
-use crate::config::adaptive_batch_limit;
 use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::Placement;
-use netpack_placement::{NetPackSession, SessionError};
+use netpack_placement::{placement_order, NetPackSession, SessionError, DEFERRAL_AGING};
 use netpack_topology::{Cluster, JobId};
 use netpack_workload::Job;
 use std::collections::BTreeMap;
@@ -127,9 +126,6 @@ pub struct ServiceCore {
     counters: ServiceCounters,
     perf: PerfCounters,
     events: Vec<String>,
-    /// EWMA of per-job placement cost (seconds); drives the adaptive
-    /// batch limit in threaded mode.
-    cost_ewma_s: f64,
     /// Double buffer for [`place_pass`](Self::place_pass): the drained
     /// batch vec is swapped back in after the pass, so steady-state passes
     /// reallocate neither the queue nor the batch.
@@ -148,7 +144,6 @@ impl ServiceCore {
             counters: ServiceCounters::default(),
             perf: PerfCounters::new(),
             events: Vec::new(),
-            cost_ewma_s: 0.0,
             batch_scratch: Vec::new(),
         }
     }
@@ -190,12 +185,6 @@ impl ServiceCore {
     /// first. Every [`place_pass`](Self::place_pass) does it itself.
     pub fn settle(&mut self) {
         self.session.settle();
-    }
-
-    /// How many commands the drain loop should accept before the next
-    /// placement pass, given the observed per-job cost so far.
-    pub fn batch_limit(&self) -> usize {
-        adaptive_batch_limit(self.cost_ewma_s, &self.config)
     }
 
     /// Where `id` currently stands. `watches` holds exactly the pending
@@ -328,10 +317,10 @@ impl ServiceCore {
         }
     }
 
-    /// Run one placement pass over the whole pending queue: canonical
-    /// value-descending (ties by id) order, one [`NetPackSession`] batch,
-    /// deferred jobs aged by `aging_value_bump` and requeued. Returns the
-    /// number of jobs placed.
+    /// Run one placement pass over the whole pending queue: sorted by
+    /// [`placement_order`], one [`NetPackSession`] batch, deferred jobs
+    /// aged by [`DEFERRAL_AGING`] and requeued. Returns the number of jobs
+    /// placed.
     ///
     /// Completions applied since the last pass only staged their estimator
     /// removals; the pass settles them, so after every pass — one that
@@ -345,20 +334,12 @@ impl ServiceCore {
         self.counters.batches += 1;
         let mut batch =
             std::mem::replace(&mut self.pending, std::mem::take(&mut self.batch_scratch));
-        batch.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.id.cmp(&b.id)));
+        batch.sort_by(placement_order);
         let n = batch.len();
 
         let pass = Stopwatch::start();
         let outcome = self.session.place_batch(&batch);
-        let elapsed = pass.elapsed();
-        self.perf.record("place_pass", elapsed);
-
-        let per_job_s = elapsed.as_secs_f64() / n as f64;
-        self.cost_ewma_s = if self.cost_ewma_s > 0.0 {
-            0.8 * self.cost_ewma_s + 0.2 * per_job_s
-        } else {
-            per_job_s
-        };
+        self.perf.record("place_pass", pass.elapsed());
 
         let placed = outcome.placed.len();
         for (job, p) in &outcome.placed {
@@ -371,7 +352,7 @@ impl ServiceCore {
             }
         }
         for mut job in outcome.deferred {
-            job.value += self.config.aging_value_bump;
+            job.value += DEFERRAL_AGING;
             self.counters.deferrals += 1;
             if self.config.event_log {
                 self.event(format!("defer id={} value={:.3}", job.id, job.value));

@@ -9,10 +9,10 @@
 //! completions that does not wait for placement to finish. This crate is
 //! that front end, in three layers:
 //!
-//! * [`ServiceConfig`] — typed tunables (batch bounds, latency budget,
-//!   queue cap). The crate reads no environment variable: a binary parses
-//!   whatever knobs it offers and fills the fields, as `bench_service`
-//!   does.
+//! * [`ServiceConfig`] — typed tunables (batch cap, queue and channel
+//!   caps, event log). The crate reads no environment variable: a binary
+//!   parses whatever knobs it offers and fills the fields, as
+//!   `bench_service` does.
 //! * [`ServiceCore`] — the deterministic engine: a
 //!   [`NetPackSession`](netpack_placement::NetPackSession) kept warm
 //!   across batches (no per-batch topology or steady-state rebuild), a
@@ -21,9 +21,9 @@
 //!   Driven synchronously it is byte-reproducible: the same command
 //!   stream always yields the same event log.
 //! * [`PlacementService`] — a thread wrapping the core behind a bounded
-//!   command channel. The drain loop adapts its batch size to the
-//!   observed per-job placement cost so one pass stays within the
-//!   configured latency budget while throughput scales with queue depth.
+//!   command channel. The drain loop takes up to `max_batch` commands per
+//!   placement pass, waiting a short gather window for a trickle to
+//!   coalesce, so batch size follows queue depth.
 //!
 //! # Example
 //!
@@ -44,6 +44,6 @@ mod config;
 mod core;
 mod runtime;
 
-pub use config::{ServiceConfig, adaptive_batch_limit};
+pub use config::ServiceConfig;
 pub use core::{Command, JobStatus, ServiceCore, ServiceCounters, ServiceReport};
 pub use runtime::PlacementService;

@@ -2,15 +2,16 @@
 //!
 //! The shape is a classic multiplexer: submitters push [`Command`]s into a
 //! bounded queue (a full queue is backpressure the caller sees
-//! immediately), and a single service thread drains it in adaptive batches
-//! and runs one placement pass per batch. Dropping every sender shuts the
-//! thread down; [`PlacementService::shutdown`] also flushes whatever was
-//! still queued and returns the final [`ServiceReport`].
+//! immediately), and a single service thread drains it in batches of up
+//! to `max_batch` commands and runs one placement pass per batch. Dropping
+//! every sender shuts the thread down; [`PlacementService::shutdown`] also
+//! flushes whatever was still queued and returns the final
+//! [`ServiceReport`].
 //!
 //! The queue is a hand-rolled `Mutex<VecDeque>` + condvar pair rather than
 //! an `mpsc::sync_channel`: the service thread takes **one lock per
 //! batch** ([`CommandReceiver::drain_into`] blocks for the first command
-//! and moves up to the batch limit out in the same critical section) where
+//! and moves up to `max_batch` out in the same critical section) where
 //! the channel paid a synchronized `recv`/`try_recv` round-trip per
 //! command. At open-loop replay rates the per-command wakeups were the
 //! threaded mode's bottleneck — drain-many is what lets it clear the
@@ -26,6 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Batching window of [`CommandReceiver::drain_into`].
+const GATHER: Duration = Duration::from_millis(8);
 
 #[derive(Debug)]
 struct QueueInner {
@@ -186,7 +190,7 @@ impl CommandReceiver {
     /// then move up to `max` commands into `into` under a single lock.
     /// Returns `false` when the queue is closed and drained — shutdown.
     ///
-    /// `gather` is the batching window: once the first command is in,
+    /// [`GATHER`] is the batching window: once the first command is in,
     /// keep sleeping (up to that long in total) while fewer than `max`
     /// commands are queued, so a slow trickle of submissions coalesces
     /// into one placement pass instead of a pass per wakeup. Without the
@@ -197,7 +201,7 @@ impl CommandReceiver {
     /// core. Wall-clock here only shapes batch boundaries, never
     /// placement outcomes; a driver that calls [`ServiceCore`] directly
     /// bypasses this queue entirely.
-    fn drain_into(&self, into: &mut Vec<Command>, max: usize, gather: Duration) -> bool {
+    fn drain_into(&self, into: &mut Vec<Command>, max: usize) -> bool {
         let mut q = lock(&self.shared.inner);
         while q.buf.is_empty() {
             if q.closed {
@@ -205,7 +209,7 @@ impl CommandReceiver {
             }
             q = wait(&self.shared.not_empty, q);
         }
-        if q.buf.len() < max && !q.closed && !gather.is_zero() {
+        if q.buf.len() < max && !q.closed {
             // Raise the producers' notify threshold for the duration of
             // the window: the sleep below then ends on the batch target,
             // the close, or the timeout — not on every push.
@@ -213,10 +217,10 @@ impl CommandReceiver {
             let started = Stopwatch::start();
             loop {
                 let elapsed = started.elapsed();
-                if q.buf.len() >= max || q.closed || elapsed >= gather {
+                if q.buf.len() >= max || q.closed || elapsed >= GATHER {
                     break;
                 }
-                q = wait_for(&self.shared.not_empty, q, gather - elapsed);
+                q = wait_for(&self.shared.not_empty, q, GATHER - elapsed);
             }
             q.wanted = 1;
         }
@@ -338,12 +342,12 @@ impl PlacementService {
 /// drain buffer is reused across iterations — the loop allocates nothing
 /// per batch.
 fn run_loop(cluster: Cluster, config: ServiceConfig, rx: CommandReceiver) -> ServiceReport {
-    let gather = config.gather;
+    let max = config.max_batch.max(1);
     let mut core = ServiceCore::new(cluster, config);
     let mut batch: Vec<Command> = Vec::new();
     loop {
         batch.clear();
-        if !rx.drain_into(&mut batch, core.batch_limit().max(1), gather) {
+        if !rx.drain_into(&mut batch, max) {
             break;
         }
         for cmd in batch.drain(..) {
@@ -452,6 +456,26 @@ mod tests {
         assert_eq!(sent, 64);
         let report = svc.shutdown();
         assert_eq!(report.counters.submitted, 64);
+    }
+
+    #[test]
+    fn max_batch_bounds_every_pass() {
+        // 64 commands land in the queue at once, but no pass may take more
+        // than 4 of them: at least 16 passes, and every submit ends placed
+        // (32 one-GPU jobs fill the 32 GPUs) or still pending.
+        let cfg = ServiceConfig {
+            max_batch: 4,
+            ..ServiceConfig::default()
+        };
+        let svc = PlacementService::spawn(cluster(), cfg);
+        let sent = svc.send_many((0..64).map(|i| Command::Submit(job(i, 1))));
+        assert_eq!(sent, 64);
+        let report = svc.shutdown();
+        let c = &report.counters;
+        assert!(c.batches >= 16, "{} passes for 64 commands at 4 a pass", c.batches);
+        assert_eq!((c.submitted, c.rejected), (64, 0));
+        assert_eq!(c.placed + report.pending_left as u64, 64);
+        assert_eq!(c.placed, 32);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! drifted from what a from-scratch rebuild computes, placements would
 //! diverge here.
 
-use netpack_core::{JobManager, ManagerConfig};
+use netpack_core::JobManager;
 use netpack_placement::NetPackPlacer;
 use netpack_service::{Command, ServiceConfig, ServiceCore};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
@@ -33,11 +33,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize) {
     let trace = TraceSpec::new(kind, jobs).seed(seed).open_loop().generate();
     let jobs = trace.jobs();
 
-    let mut manager = JobManager::new(
-        cluster(),
-        Box::new(NetPackPlacer::default()),
-        ManagerConfig::default(),
-    );
+    let mut manager = JobManager::new(cluster(), Box::new(NetPackPlacer::default()));
     let mut core = ServiceCore::new(cluster(), ServiceConfig::default());
 
     let mut completion_order: Vec<JobId> = Vec::new();

@@ -232,11 +232,6 @@ impl Trace {
         &self.jobs
     }
 
-    /// Consume the trace and return its jobs.
-    pub fn into_jobs(self) -> Vec<Job> {
-        self.jobs
-    }
-
     /// Total GPU demand across all jobs.
     pub fn total_gpu_demand(&self) -> usize {
         self.jobs.iter().map(|j| j.gpus).sum()

@@ -3,49 +3,22 @@
 #
 #   ./scripts/check.sh
 #
-# Runs the release build, clippy with warnings denied, netpack-lint (the
-# determinism/concurrency/env-registry static pass; any finding fails,
-# there is no baseline file — including a stale suppression
-# pragma (P1), a NETPACK_* variable missing from the registry, the README
-# table, or its declared gate, or any NETPACK_* read in a library crate
-# (M1)), the exact smoke (NETPACK_SMOKE=1 table_mip_vs_dp asserts the
-# branch-and-bound == the exhaustive reference in-binary and prints the
-# row's evals / nodes / pruned), the full
-# workspace test suite, the doctests, the fig9 smoke (one 256-server x
-# 400-job loaded-trace cell, every placer's replay of it asserted ==
-# Simulation::run_reference in-binary), the
-# fig10_xl smoke (the binary asserts production == the literal algorithm
-# and prints a placement digest), the fig10 dense smoke (the same contract
-# on a 16-rack x 64-server, 200-job cell, where PS scoring dedups per
-# rack and water-fill components are large; the binary also pins the
-# cell's ps_candidates_scored, ps_rack_servers_skipped and
-# ps_plans_ruled_out), the service determinism smoke (two identical
-# deterministic 10K-job bench_service runs must be byte-identical,
-# stdout + event log), the five
-# debug smokes (a 2 000-job deterministic replay, the fig10_xl smoke, the
-# fig10 dense smoke, the fig9 smoke and the exact smoke, all from a
-# *debug* build, so the placement path's debug assertions hold the
-# journal-fed server index — as the journals left it — to a full scan
-# after every refresh, the index-answered single-server shortcut to
-# the literal scan, and — at the top of every session pass, once the
-# staged completions are settled — the warm steady state to a
-# from-scratch estimate over the running set and the session's GPU
-# ledger to a recount from the running placements, on the session path
-# under real churn and on the stateless three-tier path, and — in the
-# fig9 smoke, where the session sits under the simulator's job manager —
-# every running job's iteration time to the settled steady state after
-# each selective re-rate; in the fig10 dense smoke (~0.3 s from a debug
-# build), where flips and freezes are densest, every table-scored PS
-# candidate to the literal score, every class representative of a plan
-# ruled out by its score ceiling to that ceiling, every skipped
-# share-minimum division to
-# the division it skipped, and every water-fill freeze's counts of unfrozen
-# jobs and stale entries to a recount;
-# the debug fig10_xl and fig10 dense digests, the debug fig9 table and the
-# debug exact smoke's work counts must equal the release ones), and the
-# fig14 smoke (every cell asserted ==
-# PacketSim::run_reference in-binary).
-# Keep this list in sync with README.md.
+# The steps, one a line, in run order. This is the one list of what the
+# gate runs: README, CI and the verify notes point here.
+#
+#  1. release build of the workspace
+#  2. clippy on all targets, warnings denied
+#  3. netpack-lint: any finding fails (stale pragmas and NETPACK_* registry drift too)
+#  4. exact smoke: table_mip_vs_dp, branch-and-bound == exhaustive reference in-binary
+#  5. workspace tests
+#  6. workspace doctests
+#  7. fig9 smoke: one 256-server x 400-job cell, every placer's run == run_reference
+#  8. fig10_xl smoke: production == the literal Algorithm 2 in-binary, digest printed
+#  9. fig10 dense smoke: the same on 16 racks x 64 servers, 200 jobs; pins its PS counts
+# 10. service smoke: two 10K-job bench_service replays, stdout and event log byte-identical
+# 11. debug smokes: service (2 000 jobs), fig10_xl, fig10 dense, fig9 and exact smokes
+#     from a debug build, its assertions on; every digest must equal the release one
+# 12. fig14 smoke: every cell == PacketSim::run_reference in-binary
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,13 +60,9 @@ printf '%s\n' "$dense_release" | head -n 1
 printf '%s\n' "$dense_release" | tail -n 1
 
 echo "==> service smoke: deterministic 10K-job replay must be byte-reproducible"
-# NETPACK_SERVICE_MODE is pinned explicitly: this smoke is the registered
-# enforcement point for that mode gate (see crates/lint/src/registry.rs).
-svc_a=$(NETPACK_SMOKE=1 NETPACK_SERVICE_MODE=deterministic \
-    NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_a.log" \
+svc_a=$(NETPACK_SMOKE=1 NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_a.log" \
     ./target/release/bench_service 2> /dev/null)
-svc_b=$(NETPACK_SMOKE=1 NETPACK_SERVICE_MODE=deterministic \
-    NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_b.log" \
+svc_b=$(NETPACK_SMOKE=1 NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_b.log" \
     ./target/release/bench_service 2> /dev/null)
 if ! diff <(printf '%s\n' "$svc_a") <(printf '%s\n' "$svc_b"); then
     echo "check.sh: service smoke DIVERGED between identical runs (stdout)" >&2

@@ -55,7 +55,7 @@ pub use netpack_workload as workload;
 
 /// The most frequently used items in one import.
 pub mod prelude {
-    pub use netpack_core::{JobManager, ManagerConfig};
+    pub use netpack_core::JobManager;
     pub use netpack_flowsim::{SimConfig, SimResult, Simulation};
     pub use netpack_metrics::{average_jct_s, distribution_efficiency, Summary, TextTable};
     pub use netpack_model::{JobHierarchy, Placement};

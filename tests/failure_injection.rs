@@ -148,12 +148,8 @@ impl Placer for EvilPlacer {
 #[test]
 #[should_panic(expected = "invalid placement")]
 fn manager_panics_on_over_committing_placer() {
-    use netpack::manager::{JobManager, ManagerConfig};
-    let mut m = JobManager::new(
-        Cluster::new(ClusterSpec::paper_testbed()),
-        Box::new(EvilPlacer),
-        ManagerConfig::default(),
-    );
+    use netpack::manager::JobManager;
+    let mut m = JobManager::new(Cluster::new(ClusterSpec::paper_testbed()), Box::new(EvilPlacer));
     m.submit(Job::builder(JobId(0), ModelKind::AlexNet, 1).build());
     let _ = m.run_epoch();
 }
