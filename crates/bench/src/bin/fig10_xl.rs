@@ -10,8 +10,10 @@
 //!
 //! Knob: `NETPACK_SMOKE=1` shrinks to a 160-server tree / 30 jobs and runs
 //! [`placement_smoke`]: production must equal the literal algorithm, and
-//! only a deterministic placement digest prints, so `scripts/check.sh`
-//! can byte-diff the stdout of a release and a debug build.
+//! only a deterministic placement digest prints, then `warm pushes: N`,
+//! the pushes the estimator absorbed without a solve (asserted above 0),
+//! so `scripts/check.sh` can byte-diff the stdout of a release and a debug
+//! build and pin both.
 
 use netpack_bench::{emit_table, placement_smoke};
 use netpack_metrics::{Stopwatch, TextTable};
@@ -37,7 +39,10 @@ fn main() {
 
     let cluster = Cluster::new(spec);
     if smoke {
-        placement_smoke("fig10_xl", &cluster, &b);
+        let perf = placement_smoke("fig10_xl", &cluster, &b);
+        let warm = perf.counter("waterfill_warm_pushes");
+        assert!(warm > 0, "no push was absorbed into a one-round component");
+        println!("warm pushes: {warm}");
         return;
     }
     let mut placer = NetPackPlacer::default();

@@ -573,6 +573,7 @@ impl Simulation {
             perf.incr("wf_staged_ops", stats.staged);
             perf.incr("wf_settles", stats.settles);
             perf.incr("wf_components_solved", stats.components_solved);
+            perf.incr("wf_warm_pushes", stats.warm_pushes);
             perf.incr("wf_jobs_resolved", stats.jobs_resolved);
             perf.incr("wf_jobs_reused", stats.jobs_reused);
             perf.incr("wf_rounds", stats.rounds);

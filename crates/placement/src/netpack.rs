@@ -86,6 +86,7 @@ pub(crate) fn record_waterfill(perf: &mut PerfCounters, work: WaterfillStats) {
     perf.incr("waterfill_jobs_resolved", work.jobs_resolved);
     perf.incr("waterfill_jobs_reused", work.jobs_reused);
     perf.incr("waterfill_components_solved", work.components_solved);
+    perf.incr("waterfill_warm_pushes", work.warm_pushes);
     perf.incr("waterfill_rounds", work.rounds);
     perf.incr("waterfill_link_visits", work.link_visits);
     perf.incr("waterfill_lone_entries", work.lone_entries);

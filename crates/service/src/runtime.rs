@@ -520,6 +520,32 @@ mod tests {
     }
 
     #[test]
+    fn a_producer_that_dies_inside_send_many_leaves_a_working_service() {
+        // The producer's command iterator panics on its eleventh command,
+        // in the middle of a `send_many` that waits out a 4-slot queue: its
+        // thread unwinds with the queue lock held (poisoning it) and drops
+        // its sender. The ten commands it did enqueue are served, nothing
+        // more, and the service still shuts down with its report.
+        let cfg = ServiceConfig {
+            channel_cap: 4,
+            ..ServiceConfig::default()
+        };
+        let svc = PlacementService::spawn(cluster(), cfg);
+        let tx = svc.sender().expect("service alive");
+        let producer = std::thread::spawn(move || {
+            tx.send_many((0..64).map(|i| {
+                assert!(i < 10, "the producer dies after 10 submits");
+                Command::Submit(job(i, 1))
+            }))
+        });
+        assert!(producer.join().is_err(), "the producer thread panicked");
+        let report = svc.shutdown();
+        let c = &report.counters;
+        assert_eq!((c.submitted, c.rejected), (10, 0));
+        assert_eq!(c.placed + report.pending_left as u64, 10);
+    }
+
+    #[test]
     fn cloned_senders_keep_the_queue_open_until_the_last_drop() {
         let svc = PlacementService::spawn(cluster(), ServiceConfig::default());
         let extra = svc.sender().expect("service alive");

@@ -63,6 +63,14 @@
 //!   component that *lost* a job (its members' and the removed jobs'),
 //!   re-joins the members, and regroups them by their new roots. Resources
 //!   only a removed job touched return to full capacity.
+//! * A **lone push into a one-round component** is absorbed, not
+//!   re-solved. A solve that froze every member in its first round, no
+//!   pool running dry, reports that round's level `δ`, kept per job. A
+//!   settle holding one network push and no network removal applies the
+//!   pushed job's round-1 arithmetic alone when the component it lands in
+//!   is all at one `δ` and the job cannot lower it, freezes in round 1 and
+//!   runs no pool dry (`absorb_push` checks each; `DESIGN.md` §3.6 has the
+//!   argument): the solve would repeat every other number bit for bit.
 //! * Ops staged in one window compose: a job pushed and removed between
 //!   two settles leaves the components it bridged dirty, repaired and
 //!   re-solved apart; several removals from one component cost one solve.
@@ -70,11 +78,13 @@
 //! # Change journal
 //!
 //! Every write to `SteadyState::{link_residual, link_flows}` after
-//! construction happens in a settle, in one of two places: the reset of a
-//! removed job's own nodes, and the solve of a dirty component, which
-//! resets and then fills exactly the links its members cross. `settle`
-//! records both — the removed nodes from the pending list, the component
-//! from the solver's own link list — in a journal
+//! construction happens in a settle, in one of three places: the reset of a
+//! removed job's own nodes, the solve of a dirty component, which resets
+//! and then fills exactly the links its members cross, and an absorbed
+//! push, which writes the pushed job's links and no other. `settle`
+//! records all three — the removed nodes from the pending list, the
+//! component from the solver's own link list, the pushed job's links from
+//! its run — in a journal
 //! ([`journal`](IncrementalEstimator::journal)), so a consumer that caches
 //! anything derived from per-link flows or residuals (the placement path's
 //! server index) re-reads exactly the journalled links and then calls
@@ -92,8 +102,11 @@
 //! counted settle that last solved the job, counted from 1 — the solve in
 //! [`new`](IncrementalEstimator::new). A staged push takes the next
 //! settle's number at once: a local job is never solved, and its infinite
-//! rate is written when it is staged. [`solve_epoch`](IncrementalEstimator::solve_epoch)
-//! is the number of the last counted settle, and
+//! rate is written when it is staged. A settle that absorbs a push writes
+//! that job's rate alone, so it stamps that job alone: every other member
+//! of its component keeps the `(rate, shards)` and the stamp it had.
+//! [`solve_epoch`](IncrementalEstimator::solve_epoch) is the number of the
+//! last counted settle, and
 //! [`changed_since(seen)`](IncrementalEstimator::changed_since) lists every
 //! job stamped above `seen`, so a reader that remembers the epoch of its
 //! last read finds every job whose `(rate, shards)` may differ from its
@@ -134,8 +147,8 @@
 //! ```
 
 use crate::waterfill::{
-    empty_state, group_components, link_capacity, solve_component, union_jobs, Dsu, PlacedJob,
-    SolveScratch,
+    absorb_push, empty_state, group_components, link_capacity, solve_component, union_jobs, Dsu,
+    PlacedJob, SolveScratch,
 };
 use crate::SteadyState;
 use netpack_topology::{Cluster, JobId};
@@ -160,7 +173,8 @@ pub struct WaterfillStats {
     pub staged: u64,
     /// Settles that had at least one staged op to absorb.
     pub settles: u64,
-    /// Network jobs actually water-filled (at construction and in settles).
+    /// Network jobs actually water-filled (at construction and in settles),
+    /// an absorbed push's one job included.
     pub jobs_resolved: u64,
     /// Network jobs whose converged rates a settle kept from the snapshot
     /// instead of re-solving: the network jobs in the estimate minus the
@@ -168,6 +182,10 @@ pub struct WaterfillStats {
     pub jobs_reused: u64,
     /// Resource-connected components re-solved.
     pub components_solved: u64,
+    /// Pushes a settle absorbed into a one-round component without
+    /// re-solving it (see "Invalidation rules"): each solved one job and
+    /// counted no component and no round.
+    pub warm_pushes: u64,
     /// Filling rounds run by those solves.
     pub rounds: u64,
     /// What the filling rounds read, summed over them: the live ordinary
@@ -201,6 +219,7 @@ impl Add for WaterfillStats {
             jobs_resolved: self.jobs_resolved + other.jobs_resolved,
             jobs_reused: self.jobs_reused + other.jobs_reused,
             components_solved: self.components_solved + other.components_solved,
+            warm_pushes: self.warm_pushes + other.warm_pushes,
             rounds: self.rounds + other.rounds,
             link_visits: self.link_visits + other.link_visits,
             lone_entries: self.lone_entries + other.lone_entries,
@@ -222,6 +241,7 @@ impl Sub for WaterfillStats {
             jobs_resolved: self.jobs_resolved - before.jobs_resolved,
             jobs_reused: self.jobs_reused - before.jobs_reused,
             components_solved: self.components_solved - before.components_solved,
+            warm_pushes: self.warm_pushes - before.warm_pushes,
             rounds: self.rounds - before.rounds,
             link_visits: self.link_visits - before.link_visits,
             lone_entries: self.lone_entries - before.lone_entries,
@@ -252,6 +272,13 @@ pub struct IncrementalEstimator {
     /// Parallel to `jobs`: the number of the counted settle that last wrote
     /// the job's rate (see "Which rates a settle wrote").
     stamps: Vec<u64>,
+    /// Parallel to `jobs`: the one-round level of the component the job was
+    /// last solved in (see `solve_component`), NaN when it had none or the
+    /// job awaits its first settle.
+    levels: Vec<f64>,
+    /// Per rack: the INA switch occurrences of every job in the estimate
+    /// there — the denominator of the rack's round-1 PAT share.
+    pool_jobs: Vec<u32>,
     /// The number of the last counted settle; the solve in `new` is 1.
     epoch: u64,
     /// Union-find over resource nodes (links, then rack PAT pools). Exact
@@ -320,9 +347,10 @@ impl IncrementalEstimator {
         let mut scratch_solve = SolveScratch::new(cluster);
         // One union-find both groups the jobs for the solve and is kept.
         let mut dsu = union_jobs(cluster, jobs);
+        let mut levels = vec![f64::NAN; jobs.len()];
         if !jobs.is_empty() {
             for group in group_components(&mut dsu, jobs) {
-                solve_component(
+                let level = solve_component(
                     cluster,
                     jobs,
                     &group,
@@ -330,13 +358,22 @@ impl IncrementalEstimator {
                     &mut scratch_solve,
                     &mut stats,
                 );
+                for &i in &group {
+                    levels[i] = level.unwrap_or(f64::NAN);
+                }
             }
+        }
+        let mut pool_jobs = vec![0; cluster.num_racks()];
+        for &r in jobs.iter().flat_map(PlacedJob::pools) {
+            pool_jobs[r] += 1;
         }
         let n_links = cluster.num_links();
         let n_nodes = n_links + cluster.num_racks();
         IncrementalEstimator {
             jobs: jobs.to_vec(),
             stamps: vec![1; jobs.len()],
+            levels,
+            pool_jobs,
             epoch: 1,
             dsu,
             state,
@@ -383,7 +420,8 @@ impl IncrementalEstimator {
     /// Flat indices (`LinkId::index`) of the links whose flows or residual
     /// may have changed since construction or the last
     /// [`clear_journal`](Self::clear_journal) — every link of every
-    /// component a settle re-solved and of every job it removed — each
+    /// component a settle re-solved, of every job it removed and of every
+    /// push it absorbed — each
     /// listed once, in no particular order (a component's links arrive in
     /// the order its members' runs name them). At most `num_links`
     /// entries.
@@ -404,7 +442,8 @@ impl IncrementalEstimator {
     }
 
     /// The jobs whose rate a settle numbered above `seen` wrote — every job
-    /// of every component solved since, and every job pushed since — each
+    /// of every component solved since, and every job pushed since (an
+    /// absorbed push writes its own rate only) — each
     /// once, in insertion order. Read it when
     /// [`is_settled`](Self::is_settled), then remember
     /// [`solve_epoch`](Self::solve_epoch): a surviving job not listed has
@@ -429,6 +468,9 @@ impl IncrementalEstimator {
         self.stats.pushes += 1;
         self.staged_one();
         self.state.job_shards.insert(job.id(), job.shards());
+        for &r in job.pools() {
+            self.pool_jobs[r] += 1;
+        }
         match self.dsu.union_all(job.nodes(self.n_links)) {
             Some(anchor) => {
                 self.network_jobs += 1;
@@ -440,6 +482,7 @@ impl IncrementalEstimator {
         // The next counted settle's number: it solves a network job, and a
         // local one, which no settle solves, had its rate written above.
         self.stamps.push(self.epoch + 1);
+        self.levels.push(f64::NAN);
         self.jobs.push(job);
     }
 
@@ -455,6 +498,10 @@ impl IncrementalEstimator {
         self.staged_one();
         let job = self.jobs.remove(idx);
         self.stamps.remove(idx);
+        self.levels.remove(idx);
+        for &r in job.pools() {
+            self.pool_jobs[r] -= 1;
+        }
         self.state.job_rates.remove(&id);
         self.state.job_shards.remove(&id);
         if job.is_network() {
@@ -484,9 +531,11 @@ impl IncrementalEstimator {
 
     /// Absorb every op staged since the last settle: re-solve each
     /// component they touched once, from virgin resources, members in
-    /// insertion order. Afterwards [`state`](Self::state) is bit-identical
-    /// to `estimate(cluster, jobs_in_insertion_order)`. A no-op (not even
-    /// counted) when nothing is staged.
+    /// insertion order — or, for a lone push the module docs' rule admits,
+    /// apply that job's round-1 arithmetic alone. Afterwards
+    /// [`state`](Self::state) is bit-identical to `estimate(cluster,
+    /// jobs_in_insertion_order)`. A no-op (not even counted) when nothing
+    /// is staged.
     pub fn settle(&mut self, cluster: &Cluster) {
         if !self.unsettled {
             return;
@@ -570,13 +619,23 @@ impl IncrementalEstimator {
         // order. Already sorted when one component is dirty.
         members.sort_unstable();
         let mut group = std::mem::take(&mut self.scratch_group);
+        // A lone network push, no removal: one dirty component, the pushed
+        // job its last member, which a one-round component may take in
+        // without a solve.
+        if removed.is_empty() && self.pending_pushed.len() == 1 {
+            group.clear();
+            group.extend(members.iter().map(|&(_, i)| i));
+            if self.absorb(cluster, &group) {
+                members.clear();
+            }
+        }
         for component in members.chunk_by(|a, b| a.0 == b.0) {
             group.clear();
             for &(_, i) in component {
                 group.push(i);
                 self.stamps[i] = self.epoch;
             }
-            solve_component(
+            let level = solve_component(
                 cluster,
                 &self.jobs,
                 &group,
@@ -584,6 +643,9 @@ impl IncrementalEstimator {
                 &mut self.scratch_solve,
                 &mut self.stats,
             );
+            for &i in &group {
+                self.levels[i] = level.unwrap_or(f64::NAN);
+            }
             for &link in self.scratch_solve.links() {
                 self.journal.record(link);
             }
@@ -595,6 +657,26 @@ impl IncrementalEstimator {
         self.pending_pushed.clear();
         self.pending_removed = removed;
         self.pending_removed.clear();
+    }
+
+    /// Take the last of `group` — a component's members in insertion order,
+    /// the one pushed network job last — into the settled state through
+    /// [`absorb_push`]: on success it alone is written, stamped and
+    /// journalled, and `false` means nothing was touched.
+    fn absorb(&mut self, cluster: &Cluster, group: &[usize]) -> bool {
+        let (jobs, levels, pools) = (&self.jobs, &self.levels, &self.pool_jobs);
+        let absorbed = absorb_push(cluster, jobs, group, levels, pools, &mut self.state);
+        let (Some(level), Some(&j)) = (absorbed, group.last()) else {
+            return false;
+        };
+        self.stats.warm_pushes += 1;
+        self.stats.jobs_resolved += 1;
+        // Its stamp is already this settle's number: `stage_push` wrote it.
+        self.levels[j] = level;
+        for link in self.jobs[j].links() {
+            self.journal.record(link);
+        }
+        true
     }
 
     /// Return the resource nodes of removed jobs to virgin capacity and

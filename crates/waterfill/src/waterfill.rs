@@ -141,9 +141,22 @@ impl PlacedJob {
     /// by `n_links`; a pool repeats once per tree that passes it). Nothing
     /// for local jobs.
     pub(crate) fn nodes(&self, n_links: usize) -> impl Iterator<Item = usize> + '_ {
-        let pools = if self.ina_enabled { &self.switches[..] } else { &[] };
-        let links = self.flows.iter().map(|e| e.link as usize);
-        links.chain(pools.iter().map(move |&r| n_links + r))
+        self.links().chain(self.pools().iter().map(move |&r| n_links + r))
+    }
+
+    /// The links of [`nodes`](Self::nodes), in run order.
+    pub(crate) fn links(&self) -> impl Iterator<Item = usize> + '_ {
+        self.flows.iter().map(|e| e.link as usize)
+    }
+
+    /// The racks whose PAT pools this job draws on, one entry per tree
+    /// occurrence: its switches when it participates in INA, else none.
+    pub(crate) fn pools(&self) -> &[usize] {
+        if self.ina_enabled {
+            &self.switches
+        } else {
+            &[]
+        }
     }
 
     /// One of [`nodes`](Self::nodes), enough to find the job's component;
@@ -623,6 +636,10 @@ impl SolveScratch {
 ///   one pass drops them; `live_links` is filtered only when a total
 ///   reached zero. A PAT flip rewrites the members at the flipped rack and
 ///   nothing else.
+///
+/// Returns the component's *one-round level* — `Some(δ)` when the solve
+/// froze every member in its first round at level `δ > 0` with no PAT pool
+/// running dry — and `None` otherwise: what [`absorb_push`] builds on.
 pub(crate) fn solve_component(
     cluster: &Cluster,
     jobs: &[PlacedJob],
@@ -630,9 +647,9 @@ pub(crate) fn solve_component(
     state: &mut SteadyState,
     scratch: &mut SolveScratch,
     stats: &mut WaterfillStats,
-) {
+) -> Option<f64> {
     if members.is_empty() {
-        return;
+        return None;
     }
     stats.components_solved += 1;
     stats.jobs_resolved += members.len() as u64;
@@ -725,10 +742,12 @@ pub(crate) fn solve_component(
     // Whether any pool ran dry during this solve: until one does, the
     // virgin view's flow counts are the converged ones.
     let mut any_flip = false;
+    let mut rounds = 0;
     for _ in 0..max_rounds {
         if s.live_members == 0 {
             break;
         }
+        rounds += 1;
         stats.rounds += 1;
         if !s.flipped.is_empty() {
             s.rewrite_flipped(cluster, jobs, members, pat);
@@ -787,12 +806,7 @@ pub(crate) fn solve_component(
         // is pinned, and flips its members' counts next round.
         let SolveScratch { live_racks, rack_jobs, flipped, .. } = &mut *s;
         live_racks.retain(|&r| {
-            let mut left = pat[r];
-            for _ in 0..rack_jobs[r] {
-                if left > EPSILON_GBPS {
-                    left -= delta;
-                }
-            }
+            let mut left = drawn(pat[r], rack_jobs[r] as usize, delta);
             let dry = left <= EPSILON_GBPS;
             if dry {
                 left = 0.0;
@@ -809,7 +823,8 @@ pub(crate) fn solve_component(
             s.freeze(jobs, members, bw, level, pinned);
         }
     }
-    if s.live_members > 0 {
+    let converged = s.live_members == 0;
+    if !converged {
         stats.unconverged += 1;
         s.freeze_all(jobs, members, bw, level);
     }
@@ -845,6 +860,101 @@ pub(crate) fn solve_component(
         bw[l] = bw[l].max(0.0);
         s.degree[l] = 0;
     }
+    (rounds == 1 && !any_flip && converged && level > 0.0).then_some(level)
+}
+
+/// A pool of residual `left` after `draws` guarded draws of `delta`: each
+/// takes `delta` while the pool is still above the threshold.
+fn drawn(mut left: f64, draws: usize, delta: f64) -> f64 {
+    for _ in 0..draws {
+        if left > EPSILON_GBPS {
+            left -= delta;
+        }
+    }
+    left
+}
+
+/// Absorb a push without re-solving its component: the second way a settle
+/// can bring a component up to date, beside [`solve_component`].
+///
+/// `members` are the network jobs of the component in insertion order; the
+/// last, `J`, is the one pushed since `state` was settled, and the others
+/// are one or more components `state` holds solved. `levels[i]` is job
+/// `i`'s one-round level (NaN when its component had none) and
+/// `pool_jobs[r]` the INA switch occurrences at rack `r` over every job,
+/// `J`'s included. With `δ` the older members' level, the literal loop's
+/// round 1 over the merged component is their round 1 with `J`'s arithmetic
+/// added last, and it ends the solve, when:
+///
+/// * every older member carries the one-round level `δ` — every component
+///   `J` merges froze everyone in one round at `δ`, with no pool running
+///   dry;
+/// * no share `J` changes falls under `δ`: `cap / (flows + f_J)` on each of
+///   its links, `PAT / occurrences` at each live pool it draws on. The
+///   other shares are the old ones, so round 1's minimum is `δ`, bit for
+///   bit;
+/// * `J`, subtracting last on each of its links, leaves one at or under
+///   the threshold, so it freezes in round 1 too. An older member froze on
+///   a link that was saturated without `J` and is no fuller with it;
+/// * `J`'s guarded draws, continuing from the stored pools, leave every
+///   live pool above the threshold: no flip, so the counts stay the
+///   virgin view's and no round follows.
+///
+/// Then `J`'s links continue from the stored residuals as `b − δ·f_J` (a
+/// stored 0 was clamped from at most 0, and either way the result clamps
+/// to 0), their counts add `f_J`, `J`'s pools take its draws and `J` the
+/// rate `δ`; every older member's subtraction sequence, and so every other
+/// number, is unchanged. Returns `δ` when it absorbed the push; when a
+/// check refuses it returns `None` and has written nothing.
+pub(crate) fn absorb_push(
+    cluster: &Cluster,
+    jobs: &[PlacedJob],
+    members: &[usize],
+    levels: &[f64],
+    pool_jobs: &[u32],
+    state: &mut SteadyState,
+) -> Option<f64> {
+    let (&j, older) = members.split_last()?;
+    let delta = levels[*older.first()?];
+    if delta.is_nan() || older.iter().any(|&i| levels[i].to_bits() != delta.to_bits()) {
+        return None;
+    }
+    let job = &jobs[j];
+    let mut saturates = false;
+    for e in &job.flows {
+        let l = e.link as usize;
+        let share = link_capacity(cluster, l) / f64::from(state.link_flows[l] + e.flows);
+        if share < delta {
+            return None;
+        }
+        saturates |= state.link_residual[l] - delta * f64::from(e.flows) <= EPSILON_GBPS;
+    }
+    if !saturates {
+        return None;
+    }
+    // `J`'s live pools, each once, with the draws it makes there.
+    let racks = cluster.racks();
+    let pools = job.pools();
+    let live = pools.iter().enumerate().filter_map(|(k, &r)| {
+        let first = racks[r].pat_gbps() > EPSILON_GBPS && !pools[..k].contains(&r);
+        first.then(|| (r, pools.iter().filter(|&&q| q == r).count()))
+    });
+    for (r, draws) in live.clone() {
+        let share = racks[r].pat_gbps() / f64::from(pool_jobs[r]);
+        if share < delta || drawn(state.pat_residual[r], draws, delta) <= EPSILON_GBPS {
+            return None;
+        }
+    }
+    for e in &job.flows {
+        let l = e.link as usize;
+        state.link_residual[l] = (state.link_residual[l] - delta * f64::from(e.flows)).max(0.0);
+        state.link_flows[l] += e.flows;
+    }
+    for (r, draws) in live {
+        state.pat_residual[r] = drawn(state.pat_residual[r], draws, delta);
+    }
+    state.job_rates.insert(job.id, delta);
+    Some(delta)
 }
 
 /// Group the network jobs of `jobs` into resource-connected components.

@@ -13,7 +13,7 @@
 #  5. workspace tests
 #  6. workspace doctests
 #  7. fig9 smoke: one 256-server x 400-job cell, every placer's run == run_reference
-#  8. fig10_xl smoke: production == the literal Algorithm 2 in-binary, digest printed
+#  8. fig10_xl smoke: production == the literal Algorithm 2 in-binary, digest and warm pushes (> 0) printed
 #  9. fig10 dense smoke: the same on 16 racks x 64 servers, 200 jobs; pins its PS counts
 # 10. service smoke: two 10K-job bench_service replays, stdout and event log byte-identical
 # 11. debug smokes: service (2 000 jobs), fig10_xl, fig10 dense, fig9 and exact smokes
@@ -48,7 +48,7 @@ echo "==> fig9 smoke: run == run_reference on every replay (in-binary)"
 fig9_release=$(NETPACK_SMOKE=1 NETPACK_QUICK=1 NETPACK_REPEATS=1 ./target/release/fig9_scale)
 printf '%s\n' "$fig9_release"
 
-echo "==> fig10_xl smoke: production == reference (in-binary)"
+echo "==> fig10_xl smoke: production == reference (in-binary), pushes absorbed without a solve"
 xl_release=$(NETPACK_SMOKE=1 ./target/release/fig10_xl)
 printf '%s\n' "$xl_release"
 
@@ -84,7 +84,9 @@ echo "==> debug smokes: debug builds, server index == full scan and shortcut == 
 # from-scratch estimate, and the GPU ledger against a recount
 # (DESIGN.md §3.12). The service replay
 # covers the session path under churn, fig10_xl the stateless three-tier
-# path, the fig10 dense smoke the contended cell (PS-table bits, the score
+# path (its index audit runs after every absorbed push, whose journal names
+# only the pushed job's links, and the diff pins the warm-push count), the
+# fig10 dense smoke the contended cell (PS-table bits, the score
 # ceiling, the share-minimum skip and the freeze asserted on every use,
 # ~0.3 s), and
 # the fig9 smoke the session under the simulator's job manager, where a
