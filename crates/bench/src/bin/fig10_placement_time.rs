@@ -20,7 +20,11 @@
 //! scoring and the live-link water-fill rounds to the literal algorithm,
 //! and pins the three PS-scoring counters of that cell: evaluations, the
 //! plan-rack servers those stood in for, and plans ruled out by their score
-//! ceiling. No change of mechanism may move them.
+//! ceiling. No change of mechanism may move them. No pool runs dry in that
+//! cell, so the smoke then places the same batch on the same cluster with
+//! 400 Gbps of PAT a rack, where pools do, and prints the water-fill class
+//! splits of that placement after the digest (`class splits: N`, asserted
+//! above 0); `check.sh`'s release-vs-debug diff pins the count.
 
 use netpack_bench::{emit_table, placement_smoke, quick};
 use netpack_metrics::{Stopwatch, TextTable};
@@ -35,7 +39,8 @@ fn main() {
             servers_per_rack: 64,
             ..ClusterSpec::paper_default()
         });
-        let perf = placement_smoke("fig10 dense", &cluster, &xorshift_batch(200, 32, 7));
+        let batch = xorshift_batch(200, 32, 7);
+        let perf = placement_smoke("fig10 dense", &cluster, &batch);
         let counted = ["ps_candidates_scored", "ps_rack_servers_skipped", "ps_plans_ruled_out"]
             .map(|name| perf.counter(name));
         assert_eq!(
@@ -43,6 +48,16 @@ fn main() {
             [13_027, 18_057, 1_161],
             "[evaluations, rack servers skipped, plans ruled out]"
         );
+        let starved = Cluster::new(ClusterSpec {
+            pat_gbps: 400.0,
+            ..cluster.spec().clone()
+        });
+        let mut placer = NetPackPlacer::default();
+        placer.place_batch(&starved, &[], &batch);
+        let count = |name| placer.perf().counter(name);
+        assert_eq!(count("waterfill_unconverged"), 0, "a water-fill solve hit its round bound");
+        assert!(count("waterfill_class_splits") > 0, "no refinable class split at a PAT flip");
+        println!("class splits: {}", count("waterfill_class_splits"));
         return;
     }
     let sizes: Vec<usize> = if quick() {

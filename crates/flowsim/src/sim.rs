@@ -579,6 +579,7 @@ impl Simulation {
             perf.incr("wf_rounds", stats.rounds);
             perf.incr("wf_link_visits", stats.link_visits);
             perf.incr("wf_lone_entries", stats.lone_entries);
+            perf.incr("wf_class_splits", stats.class_splits);
             perf.incr("wf_unconverged", stats.unconverged);
         }
         // A warm run's placement layer: the session's phases and counters,

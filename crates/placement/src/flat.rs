@@ -1042,6 +1042,12 @@ mod tests {
     /// row, moves this list. The second spanning job joins the first's
     /// one-round component, which takes it in without a solve
     /// (`waterfill_warm_pushes=1`): one component solved, in one round.
+    /// Its PS link, alone on its server but with a count the rack's pool
+    /// could move, fills through a refinable class: that took
+    /// `waterfill_lone_entries` from 2 to 3 and `waterfill_link_visits`
+    /// from 5 to 3 (the round reads three classes and no ordinary link or
+    /// entry, where it read two classes, the PS link, its entry, and the
+    /// entry again in the freeze scan).
     #[test]
     fn a_mixed_batch_tallies_every_phase_once() {
         let c = cluster(2, 4, 4);
@@ -1071,11 +1077,12 @@ mod tests {
                 "ps_candidates_scored=20",
                 "ps_plans_ruled_out=0",
                 "ps_rack_servers_skipped=3",
+                "waterfill_class_splits=0",
                 "waterfill_components_solved=1",
                 "waterfill_jobs_resolved=2",
                 "waterfill_jobs_reused=3",
-                "waterfill_link_visits=5",
-                "waterfill_lone_entries=2",
+                "waterfill_link_visits=3",
+                "waterfill_lone_entries=3",
                 "waterfill_pushes=5",
                 "waterfill_rounds=1",
                 "waterfill_settles=5",
@@ -1104,6 +1111,7 @@ mod tests {
                 "index_journal_servers=1",
                 "index_rebuilds=2",
                 "index_rekeyed=1",
+                "waterfill_class_splits=0",
                 "waterfill_components_solved=0",
                 "waterfill_jobs_resolved=0",
                 "waterfill_jobs_reused=0",

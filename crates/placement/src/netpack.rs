@@ -90,6 +90,7 @@ pub(crate) fn record_waterfill(perf: &mut PerfCounters, work: WaterfillStats) {
     perf.incr("waterfill_rounds", work.rounds);
     perf.incr("waterfill_link_visits", work.link_visits);
     perf.incr("waterfill_lone_entries", work.lone_entries);
+    perf.incr("waterfill_class_splits", work.class_splits);
     perf.incr("waterfill_unconverged", work.unconverged);
 }
 

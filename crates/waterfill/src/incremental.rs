@@ -189,18 +189,23 @@ pub struct WaterfillStats {
     /// Filling rounds run by those solves.
     pub rounds: u64,
     /// What the filling rounds read, summed over them: the live ordinary
-    /// links and live lone-link classes in the share minimum, the live
-    /// entries (those of unfrozen jobs) in the augment, and the live
-    /// entries again in a round whose saturation makes it scan them for the
-    /// jobs to freeze — the solver's unit of work. A frozen job's entries
-    /// that wait in the list for a bulk drop are walked but not counted,
-    /// so the count is a function of the rounds alone.
+    /// links and the live classes of both kinds in the share minimum, the
+    /// live entries (those of unfrozen jobs) in the augment, and the live
+    /// entries again in a round that scans them for the jobs to freeze —
+    /// one where an ordinary link saturated and the pinned classes' owners
+    /// left someone unfrozen — the solver's unit of work. A frozen job's
+    /// entries that wait in the list for a bulk drop are walked but not
+    /// counted, so the count is a function of the rounds alone.
     pub link_visits: u64,
-    /// Arena entries filled through a lone-link class instead of one by
-    /// one, summed over the solves: `lone_entries` against the entries of
-    /// the jobs re-solved is the share of a round's subtractions the
-    /// classes stand in for.
+    /// Arena entries filled through a class instead of one by one —
+    /// steady or refinable, an entry alone on its server access link —
+    /// summed over the solves: `lone_entries` against the entries of the
+    /// jobs re-solved is the share of a round's subtractions the classes
+    /// stand in for.
     pub lone_entries: u64,
+    /// Refinable classes opened at a PAT flip: each is the links of one
+    /// class whose count moved to one new value in one round.
+    pub class_splits: u64,
     /// Solves that hit the round bound with jobs still unfrozen. Always 0
     /// unless the solver is broken: every round saturates a link or
     /// exhausts a PAT pool.
@@ -223,6 +228,7 @@ impl Add for WaterfillStats {
             rounds: self.rounds + other.rounds,
             link_visits: self.link_visits + other.link_visits,
             lone_entries: self.lone_entries + other.lone_entries,
+            class_splits: self.class_splits + other.class_splits,
             unconverged: self.unconverged + other.unconverged,
         }
     }
@@ -245,6 +251,7 @@ impl Sub for WaterfillStats {
             rounds: self.rounds - before.rounds,
             link_visits: self.link_visits - before.link_visits,
             lone_entries: self.lone_entries - before.lone_entries,
+            class_splits: self.class_splits - before.class_splits,
             unconverged: self.unconverged - before.unconverged,
         }
     }

@@ -15,8 +15,11 @@
 //! pool changes ([`PlacedJob::new`] marks those entries *steady*); all such
 //! links of one flow count hold the same bits round after round, so the
 //! solver keeps one value per flow count — a *class* — and writes it into
-//! a job's links when the job freezes. What is left — links two jobs
-//! share, uplinks, PS links whose count follows the pools — sits in one
+//! a job's links when the job freezes. An access link one job has to
+//! itself whose count a pool *can* change — an INA job's PS link, as a
+//! rule — goes into a *refinable* class instead: one value per fill
+//! history, which splits when a flip moves some of its links' counts and
+//! not others. What is left — links two jobs share, uplinks — sits in one
 //! flat list the augment walks; the water level is one number, and a
 //! rack's PAT is drawn once per rack. `literal.rs` keeps the loop as
 //! Algorithm 1 states it, and the tests hold the two to identical bits.
@@ -283,8 +286,9 @@ pub(crate) fn empty_state(cluster: &Cluster, jobs: &[PlacedJob]) -> SteadyState 
     }
 }
 
-/// Flow counts a lone-link class can stand for: a class is keyed by its
-/// flow count and a member's classes are one bit each of a `u64`.
+/// Flow counts a steady lone-link class can stand for: such a class is
+/// keyed by its flow count and a member's classes are one bit each of a
+/// `u64`. A lone link past it fills through a refinable class.
 const CLASSES: usize = 64;
 
 /// An *ordinary* entry of a member's run — one a round must visit on its own
@@ -298,6 +302,103 @@ struct ActiveEntry {
     flows: u32,
     /// Its owner's position in `members`.
     member: u32,
+}
+
+/// A refinable entry: one on a server access link no other entry of the
+/// component names, with a count some PAT view moves (or past the steady
+/// table's 64). It fills through its class in `SolveScratch::classes`.
+#[derive(Debug, Clone, Copy)]
+struct ClassLink {
+    link: u32,
+    /// Its class now; a flip that moves its count moves it on.
+    class: u32,
+    /// Its owner's position in `members`.
+    member: u32,
+}
+
+/// Where a member's entry that a flip can move lives in the solve scratch.
+#[derive(Debug, Clone, Copy)]
+enum Home {
+    /// A refinable entry: its `class_links` slot.
+    Class(u32),
+    /// An ordinary entry: its offset in its owner's stretch of `active`.
+    Active(u32),
+}
+
+/// The links of one fill history: they started at the server link
+/// capacity and have had the same `δ·f` subtracted every round, so they
+/// hold the same bits, and `residual` is each of them.
+#[derive(Debug, Clone, Default)]
+struct RefinableClass {
+    residual: f64,
+    /// The count each link has under the current PAT view.
+    flows: u32,
+    /// Links of the class whose owner is unfrozen.
+    live: u32,
+    /// Every `class_links` slot ever filed here, in filing order; a slot
+    /// that a flip has since moved on names another class.
+    owners: Vec<u32>,
+}
+
+/// The refinable classes of a solve, in records reused solve after solve.
+#[derive(Debug, Clone, Default)]
+struct ClassArena {
+    /// `records[..len]` are this solve's classes, the records past them
+    /// spares.
+    records: Vec<RefinableClass>,
+    len: usize,
+    /// This solve's classes with a live link, in no particular order.
+    live: Vec<u32>,
+    /// Whether a class lost its last live link since `live` was last
+    /// filtered.
+    died: bool,
+}
+
+impl ClassArena {
+    fn clear(&mut self) {
+        self.len = 0;
+        self.live.clear();
+        self.died = false;
+    }
+
+    /// Open a live class at `residual` with `flows` per link and no links
+    /// yet; returns its index.
+    fn open(&mut self, residual: f64, flows: u32) -> usize {
+        let c = self.len;
+        if c == self.records.len() {
+            self.records.push(RefinableClass::default());
+        }
+        let k = &mut self.records[c];
+        (k.residual, k.flows, k.live) = (residual, flows, 0);
+        k.owners.clear();
+        self.len += 1;
+        self.live.push(c as u32);
+        c
+    }
+
+    /// File `class_links` slot `slot` under class `c`.
+    fn file(&mut self, c: usize, slot: usize) {
+        let k = &mut self.records[c];
+        k.live += 1;
+        k.owners.push(slot as u32);
+    }
+
+    /// Take a link out of class `c`'s live count; a class left with none
+    /// is filtered out of `live` by the next [`drop_dead`](Self::drop_dead).
+    fn leave(&mut self, c: usize) {
+        let k = &mut self.records[c];
+        k.live -= 1;
+        self.died |= k.live == 0;
+    }
+
+    /// Filter the classes that lost their last live link out of `live`.
+    fn drop_dead(&mut self) {
+        if self.died {
+            let records = &self.records;
+            self.live.retain(|&c| records[c as usize].live > 0);
+            self.died = false;
+        }
+    }
 }
 
 /// `1 + 2⁻⁵⁰`: the margin [`share_cannot_undercut`] puts on a rounded
@@ -379,6 +480,23 @@ pub(crate) struct SolveScratch {
     class_count: [u32; CLASSES],
     /// Bit `f` set iff `class_count[f] > 0`.
     live_classes: u64,
+    /// The refinable entries, back to back; member `m` owns
+    /// `class_links[class_start[m]..class_start[m + 1]]`, in run order.
+    class_links: Vec<ClassLink>,
+    class_start: Vec<usize>,
+    /// The refinable classes.
+    classes: ClassArena,
+    /// Refinable classes the round's subtraction left at or under the
+    /// threshold.
+    pinned_refinable: Vec<u32>,
+    /// `(class, new count, new class)` of each split of the flip being
+    /// rewritten.
+    splits: Vec<(u32, u32, u32)>,
+    /// `(run position, home)` of every entry a flip can move — every one
+    /// not steady — back to back; member `m` owns
+    /// `moves[moves_start[m]..moves_start[m + 1]]`, in run order.
+    moves: Vec<(u32, Home)>,
+    moves_start: Vec<usize>,
     /// Per member: the level it froze at.
     rate: Vec<f64>,
     /// A flipped member's run under the new view.
@@ -419,6 +537,13 @@ impl SolveScratch {
             class_bw: [0.0; CLASSES],
             class_count: [0; CLASSES],
             live_classes: 0,
+            class_links: Vec::new(),
+            class_start: Vec::new(),
+            classes: ClassArena::default(),
+            pinned_refinable: Vec::new(),
+            splits: Vec::new(),
+            moves: Vec::new(),
+            moves_start: Vec::new(),
             rate: Vec::new(),
             run: Vec::new(),
         }
@@ -433,9 +558,22 @@ impl SolveScratch {
     /// UpdateFlows after a PAT flip: recount, under the view `pat` now
     /// gives, the unfrozen INA-enabled members with a switch at a rack in
     /// `flipped` — no other member's counts can have moved — and shift
-    /// each link total by the difference. Lone entries are steady: their
-    /// counts, and so the classes, stand.
-    fn rewrite_flipped(&mut self, cluster: &Cluster, jobs: &[PlacedJob], members: &[usize], pat: &[f64]) {
+    /// each link total by the difference. Only the entries in `moves` are
+    /// read: a steady one keeps its count, so the steady classes stand,
+    /// and an ordinary steady entry's total does too. A refinable link whose
+    /// count moved from its class `c`'s to `f` joins the class `(c, f)`
+    /// of this flip, opened at `c`'s residual as it stands: the links that
+    /// make the same move here held `c`'s bits and take the same `δ·f`
+    /// from now on, so they stay one class.
+    fn rewrite_flipped(
+        &mut self,
+        cluster: &Cluster,
+        jobs: &[PlacedJob],
+        members: &[usize],
+        pat: &[f64],
+        stats: &mut WaterfillStats,
+    ) {
+        self.splits.clear();
         for &m in &self.unfrozen {
             let job = &jobs[members[m]];
             let at_flipped = || job.ina_enabled && job.switches.iter().any(|r| self.flipped.contains(r));
@@ -449,29 +587,51 @@ impl SolveScratch {
                 }),
                 "a steady count moved under a PAT view, or a count fell to 0"
             );
-            // The run splits into the member's lone entries and its active
-            // ones, each in run order: walk it beside the lone list.
-            let mut lone = self.lone[self.lone_start[m]..self.lone_start[m + 1]].iter().peekable();
-            let mut at = self.start[m] as usize;
-            for (re, &(_, flows)) in job.flows.iter().zip(&self.run) {
-                if lone.next_if(|&&(l, _)| l == re.link).is_some() {
-                    continue;
+            // Only the entries that are not steady can have moved.
+            for &(at, home) in &self.moves[self.moves_start[m]..self.moves_start[m + 1]] {
+                let (link, flows) = self.run[at as usize];
+                match home {
+                    Home::Class(slot) => {
+                        let slot = slot as usize;
+                        let owned = self.class_links[slot].link as usize;
+                        debug_assert_eq!(owned, link, "a slot left its owner's run");
+                        let from = self.class_links[slot].class;
+                        if self.classes.records[from as usize].flows == flows {
+                            continue;
+                        }
+                        let split = self.splits.iter().find(|&&(c, f, _)| (c, f) == (from, flows));
+                        let to = match split {
+                            Some(&(_, _, to)) => to as usize,
+                            None => {
+                                let residual = self.classes.records[from as usize].residual;
+                                let to = self.classes.open(residual, flows);
+                                self.splits.push((from, flows, to as u32));
+                                stats.class_splits += 1;
+                                to
+                            }
+                        };
+                        self.classes.leave(from as usize);
+                        self.classes.file(to, slot);
+                        self.class_links[slot].class = to as u32;
+                    }
+                    Home::Active(k) => {
+                        let e = &mut self.active[(self.start[m] + k) as usize];
+                        debug_assert_eq!(e.link as usize, link, "an entry left its owner's run");
+                        let total = &mut self.link_total[link];
+                        *total = *total - u64::from(e.flows) + u64::from(flows);
+                        e.flows = flows;
+                    }
                 }
-                let e = &mut self.active[at];
-                debug_assert_eq!(e.link, re.link, "an entry left its owner's run");
-                let total = &mut self.link_total[e.link as usize];
-                *total = *total - u64::from(e.flows) + u64::from(flows);
-                e.flows = flows;
-                at += 1;
             }
         }
         self.flipped.clear();
+        self.classes.drop_dead();
     }
 
-    /// Freeze member `m` at rate `level`: its lone links take their class's
-    /// residual — the value each of them would hold had the rounds so far
-    /// subtracted from it one by one — and it leaves the class and rack
-    /// counts. Its entries are the caller's.
+    /// Freeze member `m` at rate `level`: its lone and refinable links take
+    /// their class's residual — the value each of them would hold had the
+    /// rounds so far subtracted from it one by one — and it leaves the
+    /// class and rack counts. Its entries are the caller's.
     fn retire(&mut self, jobs: &[PlacedJob], members: &[usize], bw: &mut [f64], m: usize, level: f64) {
         debug_assert!(self.rate[m].is_nan(), "a member froze twice");
         self.rate[m] = level;
@@ -481,6 +641,10 @@ impl SolveScratch {
             if self.class_count[f as usize] == 0 {
                 self.live_classes &= !(1 << f);
             }
+        }
+        for cl in &self.class_links[self.class_start[m]..self.class_start[m + 1]] {
+            bw[cl.link as usize] = self.classes.records[cl.class as usize].residual;
+            self.classes.leave(cl.class as usize);
         }
         let job = &jobs[members[m]];
         if job.ina_enabled {
@@ -497,6 +661,7 @@ impl SolveScratch {
         self.unfrozen.clear();
         self.active.clear();
         self.live_links.clear();
+        self.classes.drop_dead();
         self.stale = 0;
     }
 
@@ -512,20 +677,33 @@ impl SolveScratch {
     }
 
     /// Freeze, at rate `level`, every unfrozen member that crosses a
-    /// saturated link — an ordinary one at or under the threshold in `bw`,
-    /// or a lone one of a class in `pinned`.
+    /// saturated link — an ordinary one at or under the threshold in `bw`
+    /// (only if `saturated`: the round left one there), a lone one of a
+    /// steady class in `pinned`, or a refinable one of a class in
+    /// `pinned_refinable`. Returns whether it scanned the entries.
     ///
-    /// The class masks are read only when a class is pinned, and first:
-    /// when that freezes everyone — a packed component's one round, as a
-    /// rule — no entry is read. Otherwise one pass over the entries finds
-    /// the rest by the live entries on a saturated link, each naming its
-    /// owner. A frozen member's entries leave the running totals and keep
-    /// their place with flow count 0, which the augment subtracts as
-    /// `δ·0 = +0` and so leaves every bit alone; once they are an eighth of
-    /// the list one pass drops them, and the frozen members from
-    /// `unfrozen` with them. `live_links` is filtered only if a total
-    /// reached zero.
-    fn freeze(&mut self, jobs: &[PlacedJob], members: &[usize], bw: &mut [f64], level: f64, pinned: u64) {
+    /// The pinned classes' owners come first — the steady ones through
+    /// the class masks, the refinable ones through their owner lists — and
+    /// when they are everyone, as in a packed component's one round as a
+    /// rule, no entry is read. Otherwise, and only when an ordinary link
+    /// saturated, one pass over the entries finds the rest by the live
+    /// entries on a saturated link, each naming its owner: an ordinary
+    /// link at or under the threshold with a live entry on it went under
+    /// this round, since its crossers froze in the round it did. A frozen
+    /// member's entries leave the running totals and keep their place with
+    /// flow count 0, which the augment subtracts as `δ·0 = +0` and so
+    /// leaves every bit alone; once they are an eighth of the list one pass
+    /// drops them, and the frozen members from `unfrozen` with them.
+    /// `live_links` is filtered only if a total reached zero.
+    fn freeze(
+        &mut self,
+        jobs: &[PlacedJob],
+        members: &[usize],
+        bw: &mut [f64],
+        level: f64,
+        pinned: u64,
+        saturated: bool,
+    ) -> bool {
         self.hits.clear();
         if pinned != 0 {
             for u in 0..self.unfrozen.len() {
@@ -536,8 +714,21 @@ impl SolveScratch {
                 }
             }
         }
-        // A retired member writes its lone links, which no entry names.
-        if self.hits.len() < self.live_members {
+        for p in 0..self.pinned_refinable.len() {
+            let c = self.pinned_refinable[p];
+            for o in 0..self.classes.records[c as usize].owners.len() {
+                let cl = self.class_links[self.classes.records[c as usize].owners[o] as usize];
+                let m = cl.member as usize;
+                if cl.class == c && self.rate[m].is_nan() {
+                    self.retire(jobs, members, bw, m, level);
+                    self.hits.push(m);
+                }
+            }
+        }
+        // A retired member writes its lone and refinable links, which no
+        // entry names.
+        let scan = saturated && self.hits.len() < self.live_members;
+        if scan {
             for i in 0..self.active.len() {
                 let e = self.active[i];
                 let m = e.member as usize;
@@ -549,8 +740,9 @@ impl SolveScratch {
         }
         if self.hits.len() == self.live_members {
             self.finish();
-            return;
+            return scan;
         }
+        self.classes.drop_dead();
         self.live_members -= self.hits.len();
         let mut emptied = false;
         for &m in &self.hits {
@@ -587,6 +779,7 @@ impl SolveScratch {
             debug_assert_eq!(at as usize, self.active.len(), "a live entry had no owner");
             self.stale = 0;
         }
+        scan
     }
 }
 
@@ -609,12 +802,24 @@ impl SolveScratch {
 ///   derived it under the view a solve starts from) twice and sorts
 ///   nothing: one pass counts the entries on each link and lists a link
 ///   the first time it is named, one pass sorts the entries into *lone*
-///   ones — steady, and alone on their link — and *ordinary* ones.
+///   ones — steady, and alone on their link — *refinable* ones — alone on
+///   a server access link, but not steady — and *ordinary* ones.
 /// * **Lone links collapse to classes.** Every lone link of `f` flows
 ///   starts at the server link capacity and, while its owner is unfrozen,
 ///   has `δ·f` subtracted each round: identical operations on identical
 ///   values, so one `class_bw[f]` holds them all, offers one share to the
 ///   minimum, and is copied into a member's lone links when it freezes.
+///   A refinable link starts there too, so set-up files it under its
+///   virgin count in a [`RefinableClass`], which takes one share and one
+///   `δ·flows` a round for all its links and freezes the owners on its
+///   list when it pins. The round after a flip moves a link whose count
+///   changed from its class `c` to the class `(c, new count)` opened at
+///   that flip from `c`'s residual as it stands: links that started
+///   equal and took the same `−δ·f` sequence hold the same bits, which is
+///   what the literal loop gives each of them alone. The steady table
+///   stays beside these classes: its bitmask finds a pinned class's
+///   owners for less than an owner list on the one-round components it
+///   serves (`DESIGN.md` §3.14).
 /// * **One level.** Every unfrozen member has added the same `δ`s to
 ///   `0.0`; one `level` does, and a freeze stores it.
 /// * **One draw per rack.** A rack's PAT takes one guarded `-= δ` per
@@ -628,14 +833,14 @@ impl SolveScratch {
 /// * **A flat active list** of the ordinary entries, each naming its
 ///   owner, is what the augment subtracts from, noting a live entry it
 ///   leaves at or under the threshold. Only a round that saturated
-///   something freezes, and it finds whom in one straight pass over the
-///   entries (after the pinned classes' owners, which in a packed
-///   component's one round are often everyone, and then no entry is
-///   read). A frozen member's entries stay in place with flow count 0 —
-///   `δ·0` subtracts nothing — until they are an eighth of the list and
-///   one pass drops them; `live_links` is filtered only when a total
-///   reached zero. A PAT flip rewrites the members at the flipped rack and
-///   nothing else.
+///   something freezes: first the pinned classes' owners, which in a
+///   packed component's one round are often everyone, then — only when
+///   an ordinary link saturated — one straight pass over the entries. A
+///   frozen member's entries stay in place with flow count 0 — `δ·0`
+///   subtracts nothing — until they are an eighth of the list and one pass
+///   drops them; `live_links` is filtered only when a total reached zero.
+///   A PAT flip rewrites the members at the flipped rack, and of each
+///   only the entries that are not steady, and nothing else.
 ///
 /// Returns the component's *one-round level* — `Some(δ)` when the solve
 /// froze every member in its first round at level `δ > 0` with no PAT pool
@@ -673,9 +878,11 @@ pub(crate) fn solve_component(
             s.degree[l] += 1;
         }
     }
-    // Classify pass: lone and ordinary entries, the totals and classes
-    // they feed, the racks, and the flow counts a solve without a PAT flip
-    // converges to (the virgin view's).
+    // Classify pass: lone, refinable and ordinary entries, the totals and
+    // classes they feed, the racks, and the flow counts a solve without a
+    // PAT flip converges to (the virgin view's). Every refinable link starts
+    // at the server link capacity, so set-up files it under its virgin
+    // count.
     s.live_links.clear();
     s.live_racks.clear();
     s.active.clear();
@@ -687,23 +894,40 @@ pub(crate) fn solve_component(
     s.class_mask.clear();
     s.class_count = [0; CLASSES];
     s.live_classes = 0;
+    s.class_links.clear();
+    s.class_start.clear();
+    s.classes.clear();
+    s.moves.clear();
+    s.moves_start.clear();
+    let (n_servers, server_gbps) = (cluster.num_servers(), cluster.spec().server_link_gbps);
     for (m, &ji) in members.iter().enumerate() {
         let job = &jobs[ji];
         let (first, mut mask) = (s.active.len(), 0u64);
         s.start.push(first as u32);
         s.lone_start.push(s.lone.len());
-        for e in &job.flows {
+        s.class_start.push(s.class_links.len());
+        s.moves_start.push(s.moves.len());
+        for (at, e) in job.flows.iter().enumerate() {
             let l = e.link as usize;
             link_flows[l] += e.flows;
             if e.steady && s.degree[l] == 1 {
                 s.lone.push((e.link, e.flows));
                 s.class_count[e.flows as usize] += 1;
                 mask |= 1 << e.flows;
+            } else if l < n_servers && s.degree[l] == 1 {
+                let opened = s.classes.records[..s.classes.len].iter().position(|k| k.flows == e.flows);
+                let c = opened.unwrap_or_else(|| s.classes.open(server_gbps, e.flows));
+                s.moves.push((at as u32, Home::Class(s.class_links.len() as u32)));
+                s.classes.file(c, s.class_links.len());
+                s.class_links.push(ClassLink { link: e.link, class: c as u32, member: m as u32 });
             } else {
                 if s.link_total[l] == 0 {
                     s.live_links.push(l);
                 }
                 s.link_total[l] += u64::from(e.flows);
+                if !e.steady {
+                    s.moves.push((at as u32, Home::Active((s.active.len() - first) as u32)));
+                }
                 s.active.push(ActiveEntry { link: e.link, flows: e.flows, member: m as u32 });
             }
         }
@@ -721,9 +945,11 @@ pub(crate) fn solve_component(
         }
     }
     s.lone_start.push(s.lone.len());
-    stats.lone_entries += s.lone.len() as u64;
+    s.class_start.push(s.class_links.len());
+    s.moves_start.push(s.moves.len());
+    stats.lone_entries += (s.lone.len() + s.class_links.len()) as u64;
     for f in bits(s.live_classes) {
-        s.class_bw[f] = cluster.spec().server_link_gbps;
+        s.class_bw[f] = server_gbps;
     }
     // Round bound with headroom; the loop always exits earlier because
     // every round saturates a link or exhausts a PAT pool.
@@ -750,7 +976,7 @@ pub(crate) fn solve_component(
         rounds += 1;
         stats.rounds += 1;
         if !s.flipped.is_empty() {
-            s.rewrite_flipped(cluster, jobs, members, pat);
+            s.rewrite_flipped(cluster, jobs, members, pat, stats);
         }
 
         // Minimum per-flow share across loaded links, classes and switches.
@@ -767,6 +993,10 @@ pub(crate) fn solve_component(
         for f in bits(s.live_classes) {
             delta = delta.min(s.class_bw[f].max(0.0) / f as f64);
         }
+        for &c in &s.classes.live {
+            let k = &s.classes.records[c as usize];
+            delta = delta.min(k.residual.max(0.0) / f64::from(k.flows));
+        }
         for &r in &s.live_racks {
             if s.rack_jobs[r] > 0 {
                 delta = delta.min(pat[r].max(0.0) / f64::from(s.rack_jobs[r]));
@@ -779,8 +1009,8 @@ pub(crate) fn solve_component(
             break;
         }
         let live_entries = (s.active.len() - s.stale) as u64;
-        stats.link_visits +=
-            s.live_links.len() as u64 + live_entries + u64::from(s.live_classes.count_ones());
+        let live_classes = u64::from(s.live_classes.count_ones()) + s.classes.live.len() as u64;
+        stats.link_visits += s.live_links.len() as u64 + live_entries + live_classes;
 
         // Augment: raise every unfrozen job by delta, drain links and PAT.
         // A frozen member's entry subtracts `δ·0 = +0` and saturates
@@ -801,6 +1031,14 @@ pub(crate) fn solve_component(
                 pinned |= 1 << f;
             }
         }
+        s.pinned_refinable.clear();
+        for &c in &s.classes.live {
+            let k = &mut s.classes.records[c as usize];
+            k.residual -= delta * f64::from(k.flows);
+            if k.residual <= EPSILON_GBPS {
+                s.pinned_refinable.push(c);
+            }
+        }
         // The round's PAT draws, rack by rack: one guarded `-= δ` per
         // unfrozen INA member there. A pool left at or under the threshold
         // is pinned, and flips its members' counts next round.
@@ -818,9 +1056,10 @@ pub(crate) fn solve_component(
         any_flip |= !s.flipped.is_empty();
         // Freeze jobs crossing a saturated link and take their flows out
         // of the running totals.
-        if saturated || pinned != 0 {
+        if (saturated || pinned != 0 || !s.pinned_refinable.is_empty())
+            && s.freeze(jobs, members, bw, level, pinned, saturated)
+        {
             stats.link_visits += live_entries;
-            s.freeze(jobs, members, bw, level, pinned);
         }
     }
     let converged = s.live_members == 0;
@@ -830,6 +1069,10 @@ pub(crate) fn solve_component(
     }
     debug_assert!(s.active.is_empty() && s.live_links.is_empty(), "an entry outlived its owner");
     debug_assert!(s.live_classes == 0 && s.class_count == [0; CLASSES], "a class outlived its members");
+    debug_assert!(
+        s.classes.live.is_empty() && s.classes.records[..s.classes.len].iter().all(|k| k.live == 0),
+        "a refinable class outlived its members"
+    );
     debug_assert!(s.rate.iter().all(|r| !r.is_nan()), "a member never froze");
     debug_assert!(
         members.iter().flat_map(|&ji| &jobs[ji].switches).all(|&r| s.rack_jobs[r] == 0),
