@@ -4,28 +4,11 @@
 //! step can punish hot-spot plans. Collapsing the dimension turns the DP
 //! into a plain GPU knapsack; this bench quantifies what that costs.
 
-use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_bench::{netpack_jct_sweep, repeats};
 use netpack_flowsim::SimConfig;
-use netpack_metrics::{Summary, TextTable};
-use netpack_placement::{NetPackConfig, NetPackPlacer};
+use netpack_metrics::TextTable;
+use netpack_placement::NetPackConfig;
 use netpack_topology::ClusterSpec;
-use netpack_workload::TraceKind;
-
-fn run(spec: &ClusterSpec, flow_dimension: bool, jobs: usize) -> Summary {
-    let config = NetPackConfig {
-        flow_dimension,
-        ..NetPackConfig::default()
-    };
-    replay_with(
-        spec,
-        TraceKind::Real,
-        jobs,
-        8000,
-        || Box::new(NetPackPlacer::new(config.clone())),
-        SimConfig::default(),
-    )
-    .jct
-}
 
 fn main() {
     println!(
@@ -38,7 +21,7 @@ fn main() {
         "without JCT (s)",
         "without / with",
     ]);
-    for (label, spec) in [
+    let clusters = [
         (
             "testbed 5x2",
             ClusterSpec {
@@ -54,10 +37,22 @@ fn main() {
                 ..ClusterSpec::paper_default()
             },
         ),
-    ] {
-        let jobs = standard_jobs(&spec);
-        let with = run(&spec, true, jobs);
-        let without = run(&spec, false, jobs);
+    ];
+    let points: Vec<_> = clusters
+        .iter()
+        .flat_map(|(_, spec)| {
+            [true, false].map(|flow_dimension| {
+                let config = NetPackConfig {
+                    flow_dimension,
+                    ..NetPackConfig::default()
+                };
+                (spec.clone(), config, SimConfig::default())
+            })
+        })
+        .collect();
+    let jct = netpack_jct_sweep(&points, 8000);
+    for ((label, _), pair) in clusters.iter().zip(jct.chunks(2)) {
+        let (with, without) = (pair[0], pair[1]);
         table.row(vec![
             label.to_string(),
             format!("{:.1} ± {:.1}", with.mean, with.std),

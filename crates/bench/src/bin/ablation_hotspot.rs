@@ -5,28 +5,11 @@
 //! share as a reward instead. This bench compares the two variants (plus
 //! the flat-network/oversubscribed settings where the term matters most).
 
-use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_bench::{netpack_jct_sweep, repeats};
 use netpack_flowsim::SimConfig;
-use netpack_metrics::{Summary, TextTable};
-use netpack_placement::{HotSpotTerm, NetPackConfig, NetPackPlacer};
+use netpack_metrics::TextTable;
+use netpack_placement::{HotSpotTerm, NetPackConfig};
 use netpack_topology::ClusterSpec;
-use netpack_workload::TraceKind;
-
-fn run(spec: &ClusterSpec, hotspot: HotSpotTerm, jobs: usize) -> Summary {
-    let config = NetPackConfig {
-        hotspot,
-        ..NetPackConfig::default()
-    };
-    replay_with(
-        spec,
-        TraceKind::Real,
-        jobs,
-        6000,
-        || Box::new(NetPackPlacer::new(config.clone())),
-        SimConfig::default(),
-    )
-    .jct
-}
 
 fn main() {
     println!(
@@ -39,7 +22,7 @@ fn main() {
         "literal JCT (s)",
         "literal / reward",
     ]);
-    for (label, spec) in [
+    let clusters = [
         (
             "flat 4x8",
             ClusterSpec {
@@ -57,10 +40,26 @@ fn main() {
                 ..ClusterSpec::paper_default()
             },
         ),
-    ] {
-        let jobs = standard_jobs(&spec);
-        let reward = run(&spec, HotSpotTerm::RewardBottleneckShare, jobs);
-        let literal = run(&spec, HotSpotTerm::PaperLiteral, jobs);
+    ];
+    let terms = [
+        HotSpotTerm::RewardBottleneckShare,
+        HotSpotTerm::PaperLiteral,
+    ];
+    let points: Vec<_> = clusters
+        .iter()
+        .flat_map(|(_, spec)| {
+            terms.map(|hotspot| {
+                let config = NetPackConfig {
+                    hotspot,
+                    ..NetPackConfig::default()
+                };
+                (spec.clone(), config, SimConfig::default())
+            })
+        })
+        .collect();
+    let jct = netpack_jct_sweep(&points, 6000);
+    for ((label, _), pair) in clusters.iter().zip(jct.chunks(2)) {
+        let (reward, literal) = (pair[0], pair[1]);
         table.row(vec![
             label.to_string(),
             format!("{:.1} ± {:.1}", reward.mean, reward.std),

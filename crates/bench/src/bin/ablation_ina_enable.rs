@@ -5,28 +5,11 @@
 //! PAT-scarce cluster where the choice matters (the Fig. 12 discussion
 //! credits selective enabling for part of NetPack's oversubscribed wins).
 
-use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_bench::{netpack_jct_sweep, repeats};
 use netpack_flowsim::SimConfig;
-use netpack_metrics::{Summary, TextTable};
-use netpack_placement::{InaPolicy, NetPackConfig, NetPackPlacer};
+use netpack_metrics::TextTable;
+use netpack_placement::{InaPolicy, NetPackConfig};
 use netpack_topology::ClusterSpec;
-use netpack_workload::TraceKind;
-
-fn run(spec: &ClusterSpec, policy: InaPolicy, jobs: usize) -> Summary {
-    let config = NetPackConfig {
-        ina_policy: policy,
-        ..NetPackConfig::default()
-    };
-    replay_with(
-        spec,
-        TraceKind::Real,
-        jobs,
-        7000,
-        || Box::new(NetPackPlacer::new(config.clone())),
-        SimConfig::default(),
-    )
-    .jct
-}
 
 fn main() {
     println!(
@@ -39,18 +22,26 @@ fn main() {
         "AlwaysOn JCT (s)",
         "AlwaysOff JCT (s)",
     ]);
-    for pat in [400.0, 100.0, 25.0] {
-        let spec = ClusterSpec {
-            racks: 2,
-            servers_per_rack: 8,
-            pat_gbps: pat,
-            oversubscription: 4.0,
-            ..ClusterSpec::paper_default()
-        };
-        let jobs = standard_jobs(&spec);
-        let selective = run(&spec, InaPolicy::Selective, jobs);
-        let on = run(&spec, InaPolicy::AlwaysOn, jobs);
-        let off = run(&spec, InaPolicy::AlwaysOff, jobs);
+    let pats = [400.0, 100.0, 25.0];
+    let policies = [InaPolicy::Selective, InaPolicy::AlwaysOn, InaPolicy::AlwaysOff];
+    let points: Vec<_> = pats
+        .iter()
+        .flat_map(|&pat| {
+            let spec = ClusterSpec {
+                racks: 2,
+                servers_per_rack: 8,
+                pat_gbps: pat,
+                oversubscription: 4.0,
+                ..ClusterSpec::paper_default()
+            };
+            policies.map(|ina_policy| {
+                let config = NetPackConfig { ina_policy, ..NetPackConfig::default() };
+                (spec.clone(), config, SimConfig::default())
+            })
+        })
+        .collect();
+    for (pat, row) in pats.iter().zip(netpack_jct_sweep(&points, 7000).chunks(3)) {
+        let (selective, on, off) = (row[0], row[1], row[2]);
         table.row(vec![
             format!("{pat:.0}"),
             format!("{:.1} ± {:.1}", selective.mean, selective.std),

@@ -6,28 +6,11 @@
 //! PS-side fan-in bottleneck (biggest when INA is scarce) but adds flows
 //! everywhere else — this bench quantifies the trade.
 
-use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_bench::{netpack_jct_sweep, repeats};
 use netpack_flowsim::SimConfig;
-use netpack_metrics::{Summary, TextTable};
-use netpack_placement::{NetPackConfig, NetPackPlacer};
+use netpack_metrics::TextTable;
+use netpack_placement::NetPackConfig;
 use netpack_topology::ClusterSpec;
-use netpack_workload::TraceKind;
-
-fn run(spec: &ClusterSpec, pses: usize, jobs: usize) -> Summary {
-    let config = NetPackConfig {
-        pses_per_job: pses,
-        ..NetPackConfig::default()
-    };
-    replay_with(
-        spec,
-        TraceKind::Real,
-        jobs,
-        9000,
-        || Box::new(NetPackPlacer::new(config.clone())),
-        SimConfig::default(),
-    )
-    .jct
-}
 
 fn main() {
     println!(
@@ -40,15 +23,26 @@ fn main() {
         "2 PS JCT (s)",
         "4 PS JCT (s)",
     ]);
-    for pat in [1000.0, 100.0, 0.0] {
-        let spec = ClusterSpec {
-            racks: 2,
-            servers_per_rack: 8,
-            pat_gbps: pat,
-            ..ClusterSpec::paper_default()
-        };
-        let jobs = standard_jobs(&spec);
-        let row: Vec<Summary> = [1, 2, 4].iter().map(|&k| run(&spec, k, jobs)).collect();
+    let pats = [1000.0, 100.0, 0.0];
+    let points: Vec<_> = pats
+        .iter()
+        .flat_map(|&pat| {
+            let spec = ClusterSpec {
+                racks: 2,
+                servers_per_rack: 8,
+                pat_gbps: pat,
+                ..ClusterSpec::paper_default()
+            };
+            [1, 2, 4].map(|pses_per_job| {
+                let config = NetPackConfig {
+                    pses_per_job,
+                    ..NetPackConfig::default()
+                };
+                (spec.clone(), config, SimConfig::default())
+            })
+        })
+        .collect();
+    for (pat, row) in pats.iter().zip(netpack_jct_sweep(&points, 9000).chunks(3)) {
         table.row(vec![
             format!("{pat:.0}"),
             format!("{:.1} ± {:.1}", row[0].mean, row[0].std),

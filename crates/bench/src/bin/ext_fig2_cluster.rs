@@ -7,28 +7,11 @@
 //! statistical pool? (INAlloc-style re-partitioning would sit between the
 //! two, at the cost of the central controller the paper argues against.)
 
-use netpack_bench::{repeats, replay_with, standard_jobs};
+use netpack_bench::{netpack_jct_sweep, repeats};
 use netpack_flowsim::{InaMode, SimConfig};
-use netpack_metrics::{Summary, TextTable};
-use netpack_placement::NetPackPlacer;
+use netpack_metrics::TextTable;
+use netpack_placement::NetPackConfig;
 use netpack_topology::ClusterSpec;
-use netpack_workload::TraceKind;
-
-fn run(spec: &ClusterSpec, mode: InaMode, jobs: usize) -> Summary {
-    let config = SimConfig {
-        ina_mode: mode,
-        ..SimConfig::default()
-    };
-    replay_with(
-        spec,
-        TraceKind::Real,
-        jobs,
-        9500,
-        || Box::new(NetPackPlacer::default()),
-        config,
-    )
-    .jct
-}
 
 fn main() {
     println!(
@@ -41,16 +24,27 @@ fn main() {
         "synchronous JCT (s)",
         "sync / stat",
     ]);
-    for pat in [1000.0, 200.0, 50.0] {
-        let spec = ClusterSpec {
-            racks: 2,
-            servers_per_rack: 8,
-            pat_gbps: pat,
-            ..ClusterSpec::paper_default()
-        };
-        let jobs = standard_jobs(&spec);
-        let stat = run(&spec, InaMode::Statistical, jobs);
-        let sync = run(&spec, InaMode::Synchronous, jobs);
+    let pats = [1000.0, 200.0, 50.0];
+    let points: Vec<_> = pats
+        .iter()
+        .flat_map(|&pat| {
+            let spec = ClusterSpec {
+                racks: 2,
+                servers_per_rack: 8,
+                pat_gbps: pat,
+                ..ClusterSpec::paper_default()
+            };
+            [InaMode::Statistical, InaMode::Synchronous].map(|ina_mode| {
+                let config = SimConfig {
+                    ina_mode,
+                    ..SimConfig::default()
+                };
+                (spec.clone(), NetPackConfig::default(), config)
+            })
+        })
+        .collect();
+    for (pat, pair) in pats.iter().zip(netpack_jct_sweep(&points, 9500).chunks(2)) {
+        let (stat, sync) = (pair[0], pair[1]);
         table.row(vec![
             format!("{pat:.0}"),
             format!("{:.1} ± {:.1}", stat.mean, stat.std),

@@ -6,9 +6,12 @@
 //! starving stragglers would show up here.
 //!
 //! Every (placer, repetition) cell is an independent simulation, fanned
-//! out via [`parallel_sweep`] with a deterministic ordered merge.
+//! out via [`sweep`] with a deterministic ordered merge.
 
-use netpack_bench::{emit_table, parallel_sweep, repeats, replay_cell, roster_names, standard_jobs};
+use netpack_bench::{
+    emit_table, named_placer, repeats, replay_cell, roster_names, standard_jobs, sweep,
+};
+use netpack_flowsim::SimConfig;
 use netpack_metrics::{Summary, TextTable};
 use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
@@ -26,12 +29,10 @@ fn main() {
         jobs,
         repeats()
     );
-    let cells: Vec<(&'static str, usize)> = roster_names()
-        .into_iter()
-        .flat_map(|name| (0..repeats()).map(move |rep| (name, rep)))
-        .collect();
-    let results = parallel_sweep(&cells, |&(name, rep)| {
-        let result = replay_cell(name, &spec, TraceKind::Real, jobs, 9900 + rep as u64);
+    let names = roster_names();
+    let results = sweep(&names, repeats(), 9900, |&name, seed| {
+        let placer = named_placer(name);
+        let result = replay_cell(&spec, TraceKind::Real, jobs, seed, placer, SimConfig::default());
         (
             result.average_jct_s().expect("jobs finished"),
             result.p95_jct_s().expect("jobs finished"),
@@ -46,20 +47,13 @@ fn main() {
         "p95 / mean",
         "GPU util",
     ]);
-    let mut it = results.iter();
-    for name in roster_names() {
-        let mut means = Vec::new();
-        let mut p95s = Vec::new();
-        let mut utils = Vec::new();
-        for _rep in 0..repeats() {
-            let &(m, p, u) = it.next().expect("one result per cell");
-            means.push(m);
-            p95s.push(p);
-            utils.push(u);
-        }
-        let mean = Summary::of(&means).mean;
-        let p95 = Summary::of(&p95s).mean;
-        let util = Summary::of(&utils).mean;
+    for (name, reps) in names.iter().zip(&results) {
+        let mean_of = |metric: fn(&(f64, f64, f64)) -> f64| {
+            Summary::of(&reps.iter().map(metric).collect::<Vec<_>>()).mean
+        };
+        let mean = mean_of(|r| r.0);
+        let p95 = mean_of(|r| r.1);
+        let util = mean_of(|r| r.2);
         table.row(vec![
             name.to_string(),
             format!("{mean:.1}"),

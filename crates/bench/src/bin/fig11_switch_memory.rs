@@ -6,9 +6,12 @@
 //! the scarce resource NetPack alone manages.
 //!
 //! Every (PAT, placer, repetition) cell is an independent simulation,
-//! fanned out via [`parallel_sweep`] with a deterministic ordered merge.
+//! fanned out via [`roster_sweep`] with a deterministic ordered merge.
 
-use netpack_bench::{emit_table, parallel_sweep, repeats, replay_cell, roster_names, standard_jobs};
+use netpack_bench::{
+    emit_table, named_placer, repeats, replay_cell, roster_names, roster_sweep, standard_jobs,
+};
+use netpack_flowsim::SimConfig;
 use netpack_metrics::{Summary, TextTable};
 use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
@@ -19,23 +22,15 @@ fn main() {
         "Fig. 11 — JCT vs available switch PAT (Real trace, {} repetitions)\n",
         repeats()
     );
-    let cells: Vec<(f64, &'static str, usize)> = pats
-        .iter()
-        .flat_map(|&pat| {
-            roster_names()
-                .into_iter()
-                .flat_map(move |name| (0..repeats()).map(move |rep| (pat, name, rep)))
-        })
-        .collect();
-    let results = parallel_sweep(&cells, |&(pat, name, rep)| {
+    let results = roster_sweep(&pats, repeats(), 4000, |&pat, name, seed| {
         let spec = ClusterSpec {
             pat_gbps: pat,
             ..ClusterSpec::paper_testbed()
         };
         let jobs = standard_jobs(&spec);
-        replay_cell(name, &spec, TraceKind::Real, jobs, 4000 + rep as u64)
-            .average_jct_s()
-            .expect("jobs finished")
+        let placer = named_placer(name);
+        let result = replay_cell(&spec, TraceKind::Real, jobs, seed, placer, SimConfig::default());
+        result.average_jct_s().expect("jobs finished")
     });
 
     let mut table = TextTable::new(
@@ -43,15 +38,8 @@ fn main() {
             .chain(roster_names().iter().map(|s| format!("{s} (norm)")))
             .collect::<Vec<_>>(),
     );
-    let mut it = results.iter();
-    for &pat in &pats {
-        let mut means = Vec::new();
-        for _name in roster_names() {
-            let jcts: Vec<f64> = (0..repeats())
-                .map(|_| *it.next().expect("one result per cell"))
-                .collect();
-            means.push(Summary::of(&jcts).mean);
-        }
+    for (&pat, row) in pats.iter().zip(&results) {
+        let means: Vec<f64> = row.iter().map(|jcts| Summary::of(jcts).mean).collect();
         let netpack = means[0];
         let mut row = vec![format!("{pat:.0}")];
         row.extend(means.iter().map(|m| format!("{:.3}", m / netpack)));

@@ -5,9 +5,10 @@
 //! the uplinks get scarcer (the paper reports the average reduction
 //! growing from 52% at 1:1 to 89% at 20:1). Each (ratio, placer,
 //! repetition) cell is an independent simulation, fanned out across
-//! threads via [`parallel_sweep`].
+//! threads via [`roster_sweep`].
 
-use netpack_bench::{parallel_sweep, quick, repeats, replay_cell, roster_names};
+use netpack_bench::{named_placer, quick, repeats, replay_cell, roster_names, roster_sweep};
+use netpack_flowsim::SimConfig;
 use netpack_metrics::{Summary, TextTable};
 use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
@@ -25,34 +26,26 @@ fn main() {
             .chain(roster_names().iter().map(|s| format!("{s} (norm)")))
             .collect::<Vec<_>>(),
     );
-    let cells: Vec<(f64, &'static str, usize)> = ratios
-        .iter()
-        .flat_map(|&ratio| {
-            roster_names()
-                .into_iter()
-                .flat_map(move |name| (0..repeats()).map(move |rep| (ratio, name, rep)))
-        })
-        .collect();
-    let results = parallel_sweep(&cells, |&(ratio, name, rep)| {
+    let results = roster_sweep(&ratios, repeats(), 5000, |&ratio, name, seed| {
         let spec = ClusterSpec {
             racks: 8,
             servers_per_rack: 8,
             oversubscription: ratio,
             ..ClusterSpec::paper_default()
         };
-        replay_cell(name, &spec, TraceKind::Real, jobs, 5000 + rep as u64)
-            .average_jct_s()
-            .expect("jobs finished")
+        let placer = named_placer(name);
+        let result = replay_cell(
+            &spec,
+            TraceKind::Real,
+            jobs,
+            seed,
+            placer,
+            SimConfig::default(),
+        );
+        result.average_jct_s().expect("jobs finished")
     });
-    let mut it = results.iter();
-    for &ratio in &ratios {
-        let mut means = Vec::new();
-        for _name in roster_names() {
-            let jcts: Vec<f64> = (0..repeats())
-                .map(|_| *it.next().expect("one result per cell"))
-                .collect();
-            means.push(Summary::of(&jcts).mean);
-        }
+    for (&ratio, row) in ratios.iter().zip(&results) {
+        let means: Vec<f64> = row.iter().map(|jcts| Summary::of(jcts).mean).collect();
         let netpack = means[0];
         let mut row = vec![format!("{ratio:.0}:1")];
         row.extend(means.iter().map(|m| format!("{:.3}", m / netpack)));

@@ -5,8 +5,10 @@
 //! lexicographically by each resource in turn. NetPack's joint valuation
 //! should beat it on all three workloads.
 
-use netpack_bench::{repeats, replay, standard_jobs, testbed_spec};
-use netpack_metrics::TextTable;
+use netpack_bench::{named_placer, repeats, replay_cell, standard_jobs, sweep, testbed_spec};
+use netpack_flowsim::SimConfig;
+use netpack_metrics::{Summary, TextTable};
+use netpack_topology::ClusterSpec;
 use netpack_workload::TraceKind;
 
 fn main() {
@@ -21,25 +23,34 @@ fn main() {
         "Comb JCT (s)",
         "Comb / NetPack",
     ]);
-    let multi_rack = netpack_topology::ClusterSpec {
+    let multi_rack = ClusterSpec {
         racks: 4,
         servers_per_rack: 8,
         oversubscription: 4.0,
-        ..netpack_topology::ClusterSpec::paper_default()
+        ..ClusterSpec::paper_default()
     };
-    for (label, spec) in [("testbed", testbed_spec()), ("4-rack 4:1", multi_rack)] {
-        let jobs = standard_jobs(&spec);
-        for kind in TraceKind::ALL {
-            let np = replay("NetPack", &spec, kind, jobs);
-            let comb = replay("Comb", &spec, kind, jobs);
-            table.row(vec![
-                label.to_string(),
-                kind.label().to_string(),
-                format!("{:.1}", np.jct.mean),
-                format!("{:.1}", comb.jct.mean),
-                format!("{:.3}x", comb.jct.mean / np.jct.mean),
-            ]);
-        }
+    let clusters = [("testbed", testbed_spec()), ("4-rack 4:1", multi_rack)];
+    // One point per (cluster, trace, placer), NetPack before Comb.
+    let points: Vec<_> = clusters
+        .iter()
+        .flat_map(|(label, spec)| TraceKind::ALL.map(|kind| (label, spec, kind)))
+        .flat_map(|(label, spec, kind)| ["NetPack", "Comb"].map(|name| (label, spec, kind, name)))
+        .collect();
+    let results = sweep(&points, repeats(), 1000, |&(_, spec, kind, name), seed| {
+        let (jobs, placer) = (standard_jobs(spec), named_placer(name));
+        let result = replay_cell(spec, kind, jobs, seed, placer, SimConfig::default());
+        result.average_jct_s().expect("jobs finished")
+    });
+    for (pair, jcts) in points.chunks(2).zip(results.chunks(2)) {
+        let (label, _, kind, _) = pair[0];
+        let (np, comb) = (Summary::of(&jcts[0]).mean, Summary::of(&jcts[1]).mean);
+        table.row(vec![
+            label.to_string(),
+            kind.label().to_string(),
+            format!("{np:.1}"),
+            format!("{comb:.1}"),
+            format!("{:.3}x", comb / np),
+        ]);
     }
     println!("{table}");
     println!("paper: NetPack outperforms Comb by up to 63% JCT reduction on all workloads.");

@@ -3,13 +3,15 @@
 //!
 //! JCT is normalized to NetPack (= 1.00) within each group, as the paper
 //! plots it; the raw seconds and the std-dev across repetitions are also
-//! printed. The placer × trace matrix fans out across threads via
-//! [`parallel_sweep`], one replay series per cell.
+//! printed. Every (trace, placer, repetition) cell is an independent
+//! replay, fanned out across threads via [`roster_sweep`].
 
 use netpack_bench::{
-    parallel_sweep, repeats, replay, roster_names, simulator_spec, standard_jobs, testbed_spec,
+    named_placer, repeats, replay_cell, roster_names, roster_sweep, simulator_spec, standard_jobs,
+    testbed_spec,
 };
-use netpack_metrics::TextTable;
+use netpack_flowsim::SimConfig;
+use netpack_metrics::{Summary, TextTable};
 use netpack_workload::TraceKind;
 
 fn main() {
@@ -22,36 +24,22 @@ fn main() {
         let jobs = standard_jobs(&spec);
         println!("{label}: {} jobs per trace", jobs);
         let mut table = TextTable::new(vec!["placer", "Real", "Poisson", "Normal", "Real JCT (s)", "±std"]);
-        let cells: Vec<(&'static str, TraceKind)> = roster_names()
-            .into_iter()
-            .flat_map(|name| TraceKind::ALL.into_iter().map(move |kind| (name, kind)))
-            .collect();
-        let points = parallel_sweep(&cells, |&(name, kind)| replay(name, &spec, kind, jobs));
-        let mut per_kind: Vec<Vec<f64>> = Vec::new();
-        let mut stds: Vec<f64> = Vec::new();
-        let mut it = cells.iter().zip(&points);
-        for _name in roster_names() {
-            let mut row = Vec::new();
-            let mut real_std = 0.0;
-            for _ in TraceKind::ALL {
-                let (&(_, kind), point) = it.next().expect("one point per cell");
-                row.push(point.jct.mean);
-                if kind == TraceKind::Real {
-                    real_std = point.jct.std;
-                }
-            }
-            per_kind.push(row);
-            stds.push(real_std);
-        }
-        let netpack = per_kind[0].clone();
+        let results = roster_sweep(&TraceKind::ALL, repeats(), 1000, |&kind, name, seed| {
+            let placer = named_placer(name);
+            let result = replay_cell(&spec, kind, jobs, seed, placer, SimConfig::default());
+            result.average_jct_s().expect("jobs finished")
+        });
+        // [trace][placer] -> JCT summary across repetitions.
+        let jct: Vec<Vec<Summary>> =
+            results.iter().map(|row| row.iter().map(|r| Summary::of(r)).collect()).collect();
         for (i, name) in roster_names().iter().enumerate() {
             table.row(vec![
                 name.to_string(),
-                format!("{:.3}", per_kind[i][0] / netpack[0]),
-                format!("{:.3}", per_kind[i][1] / netpack[1]),
-                format!("{:.3}", per_kind[i][2] / netpack[2]),
-                format!("{:.1}", per_kind[i][0]),
-                format!("{:.1}", stds[i]),
+                format!("{:.3}", jct[0][i].mean / jct[0][0].mean),
+                format!("{:.3}", jct[1][i].mean / jct[1][0].mean),
+                format!("{:.3}", jct[2][i].mean / jct[2][0].mean),
+                format!("{:.1}", jct[0][i].mean),
+                format!("{:.1}", jct[0][i].std),
             ]);
         }
         println!("{table}");

@@ -2,13 +2,16 @@
 //!
 //! DE isolates the placement effect from model size:
 //! `DE = (1/|Jobs|) Σ JCT_1gpu / (JCT × gpus)`; a linearly scaling system
-//! with zero network overhead scores 1.0. The placer × trace matrix fans
-//! out across threads via [`parallel_sweep`], one replay series per cell.
+//! with zero network overhead scores 1.0. Every (trace, placer,
+//! repetition) cell is an independent replay, fanned out across threads
+//! via [`roster_sweep`].
 
 use netpack_bench::{
-    parallel_sweep, repeats, replay, roster_names, simulator_spec, standard_jobs, testbed_spec,
+    named_placer, repeats, replay_cell, roster_names, roster_sweep, simulator_spec, standard_jobs,
+    testbed_spec,
 };
-use netpack_metrics::TextTable;
+use netpack_flowsim::SimConfig;
+use netpack_metrics::{Summary, TextTable};
 use netpack_workload::TraceKind;
 
 fn main() {
@@ -21,28 +24,21 @@ fn main() {
         let jobs = standard_jobs(&spec);
         println!("{label}: {} jobs per trace", jobs);
         let mut table = TextTable::new(vec!["placer", "Real", "Poisson", "Normal", "±std (Real)"]);
-        let cells: Vec<(&'static str, TraceKind)> = roster_names()
-            .into_iter()
-            .flat_map(|name| TraceKind::ALL.into_iter().map(move |kind| (name, kind)))
-            .collect();
-        let points = parallel_sweep(&cells, |&(name, kind)| replay(name, &spec, kind, jobs));
-        let mut it = cells.iter().zip(&points);
-        for name in roster_names() {
-            let mut row = Vec::new();
-            let mut real_std = 0.0;
-            for _ in TraceKind::ALL {
-                let (&(_, kind), point) = it.next().expect("one point per cell");
-                row.push(point.de.mean);
-                if kind == TraceKind::Real {
-                    real_std = point.de.std;
-                }
-            }
+        let results = roster_sweep(&TraceKind::ALL, repeats(), 1000, |&kind, name, seed| {
+            let placer = named_placer(name);
+            let result = replay_cell(&spec, kind, jobs, seed, placer, SimConfig::default());
+            result.distribution_efficiency().expect("jobs finished")
+        });
+        // [trace][placer] -> DE summary across repetitions.
+        let de: Vec<Vec<Summary>> =
+            results.iter().map(|row| row.iter().map(|r| Summary::of(r)).collect()).collect();
+        for (i, name) in roster_names().iter().enumerate() {
             table.row(vec![
                 name.to_string(),
-                format!("{:.3}", row[0]),
-                format!("{:.3}", row[1]),
-                format!("{:.3}", row[2]),
-                format!("{:.3}", real_std),
+                format!("{:.3}", de[0][i].mean),
+                format!("{:.3}", de[1][i].mean),
+                format!("{:.3}", de[2][i].mean),
+                format!("{:.3}", de[0][i].std),
             ]);
         }
         println!("{table}");

@@ -10,10 +10,10 @@
 //! bit-identical (the `scripts/check.sh` equivalence gate, run from a
 //! release and from a debug build). Every (size, placer, repetition)
 //! cell is an independent simulation, so the sweep fans out across
-//! threads via [`parallel_sweep`]; set `NETPACK_PERF=1` to print the
+//! threads via [`roster_sweep`]; set `NETPACK_PERF=1` to print the
 //! merged event-loop counters afterwards.
 
-use netpack_bench::{loaded_trace, parallel_sweep, print_perf, quick, repeats, roster_names};
+use netpack_bench::{loaded_trace, print_perf, quick, repeats, roster_names, roster_sweep};
 use netpack_flowsim::{SimConfig, Simulation};
 use netpack_metrics::{PerfCounters, Summary, TextTable};
 use netpack_placement::placer_by_name;
@@ -55,25 +55,14 @@ fn main() {
         servers_per_rack: sizes[0] / 16.min(sizes[0]),
         ..ClusterSpec::paper_default()
     };
-    // One cell per (cluster size, placer, repetition), fanned out in
-    // parallel; results come back in cell order, so the merge below reads
-    // them off sequentially.
-    let cells: Vec<(usize, &'static str, usize)> = sizes
-        .iter()
-        .flat_map(|&servers| {
-            roster_names()
-                .into_iter()
-                .flat_map(move |name| (0..repeats()).map(move |rep| (servers, name, rep)))
-        })
-        .collect();
-    let results = parallel_sweep(&cells, |&(servers, name, rep)| {
+    let results = roster_sweep(&sizes, repeats(), 3000, |&servers, name, seed| {
         let racks = 16.min(servers);
         let spec = ClusterSpec {
             racks,
             servers_per_rack: servers / racks,
             ..ClusterSpec::paper_default()
         };
-        let trace = loaded_trace(TraceKind::Real, &base_spec, jobs, 3000 + rep as u64);
+        let trace = loaded_trace(TraceKind::Real, &base_spec, jobs, seed);
         let sim = || {
             let placer = placer_by_name(name).expect("a roster name");
             Simulation::new(Cluster::new(spec.clone()), placer, SimConfig::default())
@@ -86,14 +75,11 @@ fn main() {
         (jct, result.perf)
     });
     let mut perf = PerfCounters::new();
-    let mut it = results.iter();
-    for &servers in &sizes {
+    for (&servers, row) in sizes.iter().zip(&results) {
         let mut means = Vec::new();
-        for _name in roster_names() {
-            let mut jcts = Vec::new();
-            for _rep in 0..repeats() {
-                let (jct, cell_perf) = it.next().expect("one result per cell");
-                jcts.push(*jct);
+        for cell in row {
+            let jcts: Vec<f64> = cell.iter().map(|&(jct, _)| jct).collect();
+            for (_, cell_perf) in cell {
                 perf.merge(cell_perf);
             }
             means.push(Summary::of(&jcts).mean);

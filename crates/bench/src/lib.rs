@@ -34,10 +34,11 @@
 //! This crate regenerates figures; it is not the measuring instrument.
 //! A binary's one machine-readable output is [`emit_table`] (stdout, plus
 //! a CSV under `NETPACK_CSV_DIR`), and the trace-replay figures share one
-//! repetition loop, [`replay_with`]. Timing claims are measured by
-//! `benchmark/run.sh` (alternating pairs: `scripts/pairs.sh`); the wall
-//! clocks `fig10_placement_time`, `fig10_xl`, `table_mip_vs_dp` and
-//! `bench_service` print are single shots for the figure, nothing more.
+//! repetition loop, [`sweep`], over one unit cell, [`replay_cell`]. Timing
+//! claims are measured by `benchmark/run.sh` (alternating pairs:
+//! `scripts/pairs.sh`); the wall clocks `fig10_placement_time`,
+//! `fig10_xl`, `table_mip_vs_dp` and `bench_service` print are single
+//! shots for the figure, nothing more.
 
 use netpack_flowsim::{SimConfig, SimResult, Simulation};
 use netpack_metrics::{PerfCounters, Summary, TextTable};
@@ -150,7 +151,31 @@ pub fn roster_names() -> Vec<&'static str> {
 }
 
 mod sweep;
-pub use sweep::parallel_sweep;
+pub use sweep::{parallel_sweep, sweep};
+
+/// [`sweep`] over every (point, [`roster_names`] placer) pair: per point,
+/// one entry per roster placer in row order, each holding that cell's
+/// results in seed order.
+pub fn roster_sweep<P, R, F>(
+    points: &[P],
+    reps: usize,
+    seed_base: u64,
+    cell: F,
+) -> Vec<Vec<Vec<R>>>
+where
+    P: Sync,
+    R: Send,
+    F: Fn(&P, &'static str, u64) -> R + Sync,
+{
+    let names = roster_names();
+    let cells: Vec<(&P, &'static str)> = points
+        .iter()
+        .flat_map(|p| names.iter().map(move |&name| (p, name)))
+        .collect();
+    let results = sweep(&cells, reps, seed_base, |&(p, name), seed| cell(p, name, seed));
+    let mut rows = results.into_iter();
+    points.iter().map(|_| rows.by_ref().take(names.len()).collect()).collect()
+}
 
 /// Stable fingerprint of a batch outcome: every placement's workers, PSes
 /// and INA flag, and the deferred ids.
@@ -218,22 +243,20 @@ pub fn placement_smoke(label: &str, cluster: &Cluster, batch: &[Job]) -> PerfCou
     placer.take_perf()
 }
 
-/// Outcome of repeated trace replays for one placer.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayPoint {
-    /// Average-JCT summary across repetitions.
-    pub jct: Summary,
-    /// Distribution-efficiency summary across repetitions.
-    pub de: Summary,
-}
-
 /// A fresh placer for a roster (or `"Comb"`) name — placers are stateful,
 /// so every replay builds its own.
-fn named_placer(name: &str) -> Box<dyn Placer> {
+///
+/// # Panics
+///
+/// Panics on a name [`placer_by_name`] does not know.
+pub fn named_placer(name: &str) -> Box<dyn Placer> {
     placer_by_name(name).unwrap_or_else(|| panic!("unknown placer {name}"))
 }
 
-fn replay_one(
+/// One seeded replay — a loaded `kind` trace of `jobs` jobs, seeded
+/// `seed`, on a fresh `spec` cluster under `placer` and `sim_config` — the
+/// unit cell every trace-replay figure hands to [`sweep`].
+pub fn replay_cell(
     spec: &ClusterSpec,
     kind: TraceKind,
     jobs: usize,
@@ -245,47 +268,21 @@ fn replay_one(
     Simulation::new(Cluster::new(spec.clone()), placer, sim_config).run(&trace)
 }
 
-/// Replay one seeded trace for one placer name on one cluster spec — the
-/// unit cell the figure sweeps fan out over [`parallel_sweep`].
-pub fn replay_cell(
-    name: &str,
-    spec: &ClusterSpec,
-    kind: TraceKind,
-    jobs: usize,
-    seed: u64,
-) -> SimResult {
-    replay_one(spec, kind, jobs, seed, named_placer(name), SimConfig::default())
-}
-
-/// The repetition loop of every trace-replay figure: replay `repeats()`
-/// loaded traces, seeded `seed_base + rep`, each on a fresh cluster with a
-/// fresh placer from `make_placer`, and summarise JCT and DE. The
-/// ablations pass their `NetPackConfig` / `SimConfig` variant here.
-pub fn replay_with(
-    spec: &ClusterSpec,
-    kind: TraceKind,
-    jobs: usize,
+/// Per point, the average-JCT summary of NetPack under the point's
+/// [`NetPackConfig`] and [`SimConfig`], replaying its cluster's standard
+/// Real trace through [`sweep`] on `repeats()` seeds from `seed_base` —
+/// the sweep of the ablations and `ext_fig2_cluster`.
+pub fn netpack_jct_sweep(
+    points: &[(ClusterSpec, NetPackConfig, SimConfig)],
     seed_base: u64,
-    make_placer: impl Fn() -> Box<dyn Placer>,
-    sim_config: SimConfig,
-) -> ReplayPoint {
-    let mut jcts = Vec::new();
-    let mut des = Vec::new();
-    for rep in 0..repeats() {
-        let result = replay_one(spec, kind, jobs, seed_base + rep as u64, make_placer(), sim_config);
-        jcts.push(result.average_jct_s().expect("jobs finished"));
-        des.push(result.distribution_efficiency().expect("jobs finished"));
-    }
-    ReplayPoint {
-        jct: Summary::of(&jcts),
-        de: Summary::of(&des),
-    }
-}
-
-/// [`replay_with`] for one roster placer name under the default simulator
-/// configuration (seeds 1000, 1001, …).
-pub fn replay(name: &str, spec: &ClusterSpec, kind: TraceKind, jobs: usize) -> ReplayPoint {
-    replay_with(spec, kind, jobs, 1000, || named_placer(name), SimConfig::default())
+) -> Vec<Summary> {
+    let jcts = sweep(points, repeats(), seed_base, |(spec, config, sim_config), seed| {
+        let placer = Box::new(NetPackPlacer::new(config.clone()));
+        let jobs = standard_jobs(spec);
+        let result = replay_cell(spec, TraceKind::Real, jobs, seed, placer, *sim_config);
+        result.average_jct_s().expect("jobs finished")
+    });
+    jcts.iter().map(|reps| Summary::of(reps)).collect()
 }
 
 /// The packet microbenchmarks' standard continuously-streaming job: 0.5 Gb
@@ -350,17 +347,31 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_sequential_simulation() {
         // The real use: one simulation per cell must give the same
-        // results as running the cells in a plain loop.
+        // results as running the cells in a plain loop — for the flat
+        // fan-out, and for `sweep`'s per-point, per-seed rows.
         let spec = testbed_spec();
-        let cells: Vec<u64> = vec![1, 2, 3];
-        let run = |&seed: &u64| {
-            replay_cell("GB", &spec, TraceKind::Real, 12, seed)
+        let run = |name: &str, seed: u64| {
+            let placer = named_placer(name);
+            replay_cell(&spec, TraceKind::Real, 12, seed, placer, SimConfig::default())
                 .average_jct_s()
                 .expect("jobs finished")
         };
-        let par = parallel_sweep(&cells, run);
-        let seq: Vec<f64> = cells.iter().map(run).collect();
+        let cells: Vec<u64> = vec![1, 2, 3];
+        let par = parallel_sweep(&cells, |&seed| run("GB", seed));
+        let seq: Vec<f64> = cells.iter().map(|&seed| run("GB", seed)).collect();
         assert_eq!(par, seq);
+
+        let points = ["GB", "FB", "Tetris"];
+        let swept = sweep(&points, 2, 7, |&name, seed| (name, seed, run(name, seed)));
+        let mut looped = Vec::new();
+        for name in points {
+            let mut row = Vec::new();
+            for seed in 7..9 {
+                row.push((name, seed, run(name, seed)));
+            }
+            looped.push(row);
+        }
+        assert_eq!(swept, looped);
     }
 
     #[test]

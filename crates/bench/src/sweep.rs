@@ -1,4 +1,5 @@
-//! Deterministic fan-out of a figure sweep's independent cells.
+//! Deterministic fan-out of a figure sweep's independent cells, and the
+//! one repetition loop built on it.
 
 /// Effective worker count for a sweep: `NETPACK_THREADS` (0 or unset →
 /// all available cores), clamped to the hardware parallelism actually
@@ -35,6 +36,27 @@ where
     F: Fn(&T) -> R + Sync,
 {
     parallel_sweep_with(sweep_threads(), cells, run)
+}
+
+/// The repetition loop of every trace-replay figure: run `cell(point,
+/// seed)` for each point on seeds `seed_base..seed_base + reps`, all
+/// `points.len() * reps` cells fanned out over [`parallel_sweep`], and
+/// return each point's results in seed order.
+pub fn sweep<P, R, F>(points: &[P], reps: usize, seed_base: u64, cell: F) -> Vec<Vec<R>>
+where
+    P: Sync,
+    R: Send,
+    F: Fn(&P, u64) -> R + Sync,
+{
+    let cells: Vec<(&P, u64)> = points
+        .iter()
+        .flat_map(|p| (seed_base..seed_base + reps as u64).map(move |seed| (p, seed)))
+        .collect();
+    let mut results = parallel_sweep(&cells, |&(p, seed)| cell(p, seed)).into_iter();
+    points
+        .iter()
+        .map(|_| results.by_ref().take(reps).collect())
+        .collect()
 }
 
 /// [`parallel_sweep`] on `threads` workers; results are identical for any

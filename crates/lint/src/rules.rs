@@ -496,10 +496,11 @@ fn contains_float_literal(code: &str) -> bool {
 
 /// Call expressions that hand a closure to concurrent workers. The
 /// region of interest spans the call's argument list, which contains the
-/// closure body whether or not it is braced.
+/// closure body whether or not it is braced. `sweep(` also matches the
+/// figure sweeps built on `parallel_sweep`: `sweep`, `roster_sweep`.
 const PARALLEL_TRIGGERS: [&str; 8] = [
-    "parallel_sweep(",
-    "parallel_sweep_with(",
+    "sweep(",
+    "sweep_with(",
     ".par_iter(",
     ".into_par_iter(",
     ".par_chunks(",

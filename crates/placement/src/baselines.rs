@@ -5,26 +5,9 @@
 //! with INA "enabled silently and transparently"): every placement they
 //! emit keeps the default `ina_enabled = true`.
 
-use crate::placer::{
-    free_on, greedy_batch, take_in_order, try_allocate, BatchOutcome, Placer, RunningJob,
-};
-use netpack_model::Placement;
-use netpack_topology::{Cluster, ServerId};
-use netpack_waterfill::{IncrementalEstimator, PlacedJob};
+use crate::placer::{free_on, greedy_batch, place_by_order, BatchOutcome, Placer, RunningJob};
+use netpack_topology::Cluster;
 use netpack_workload::Job;
-
-/// Turn an ordered server preference into a placement: fill GPUs in order,
-/// put the PS on the first chosen server (colocating makes single-server
-/// jobs local, mirroring how the baselines were run in the paper).
-fn place_by_order(cluster: &Cluster, order: &[ServerId], job: &Job) -> Option<Placement> {
-    let workers = take_in_order(cluster, order, job.gpus)?;
-    let ps = if workers.len() > 1 {
-        Some(workers[0].0)
-    } else {
-        None
-    };
-    Some(Placement::new(workers, ps))
-}
 
 /// **GB** — GPU-balance: prefer servers with the most free GPUs, spreading
 /// load by GPU count.
@@ -42,7 +25,7 @@ impl Placer for GpuBalance {
         _running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        greedy_batch(cluster, batch, |scratch, job, order| {
+        greedy_batch(cluster, None, batch, |scratch, _, job, order| {
             order.clear();
             order.extend(scratch.servers().iter().map(|s| s.id()));
             order.sort_by_key(|&s| std::cmp::Reverse(free_on(scratch, s)));
@@ -68,31 +51,18 @@ impl Placer for FlowBalance {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        let active: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
-        let mut scratch = cluster.clone();
-        // One incremental tracker per batch: each placed job is pushed
-        // into the running estimate instead of re-solving from scratch
-        // per candidate (bit-identical by the waterfill property tests).
-        let mut tracker = IncrementalEstimator::new(&scratch, &active);
-        let mut outcome = BatchOutcome::default();
-        for job in batch {
-            let state = tracker.state();
-            let mut order: Vec<ServerId> = scratch.servers().iter().map(|s| s.id()).collect();
+        greedy_batch(cluster, Some(running), batch, |scratch, state, job, order| {
+            let state = state?;
+            order.clear();
+            order.extend(scratch.servers().iter().map(|s| s.id()));
             order.sort_by(|&a, &b| {
                 state
                     .server_flows(a)
                     .cmp(&state.server_flows(b))
-                    .then_with(|| free_on(&scratch, b).cmp(&free_on(&scratch, a)))
+                    .then_with(|| free_on(scratch, b).cmp(&free_on(scratch, a)))
             });
-            match place_by_order(&scratch, &order, job) {
-                Some(placement) if try_allocate(&mut scratch, &placement) => {
-                    tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
-                    outcome.placed.push((job.clone(), placement));
-                }
-                _ => outcome.deferred.push(job.clone()),
-            }
-        }
-        outcome
+            place_by_order(scratch, order, job)
+        })
     }
 }
 
@@ -113,7 +83,7 @@ impl Placer for LeastFragmentation {
         _running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        greedy_batch(cluster, batch, |scratch, job, order| {
+        greedy_batch(cluster, None, batch, |scratch, _, job, order| {
             order.clear();
             order.extend(
                 scratch
@@ -174,30 +144,24 @@ impl Placer for RandomPlacer {
         _running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        let mut scratch = cluster.clone();
-        let mut outcome = BatchOutcome::default();
-        for job in batch {
-            let mut order: Vec<ServerId> = scratch.servers().iter().map(|s| s.id()).collect();
+        greedy_batch(cluster, None, batch, |scratch, _, job, order| {
+            order.clear();
+            order.extend(scratch.servers().iter().map(|s| s.id()));
             // Fisher-Yates with the internal xorshift.
             for i in (1..order.len()).rev() {
                 let j = (self.next() % (i as u64 + 1)) as usize;
                 order.swap(i, j);
             }
-            match place_by_order(&scratch, &order, job) {
-                Some(placement) if try_allocate(&mut scratch, &placement) => {
-                    outcome.placed.push((job.clone(), placement));
-                }
-                _ => outcome.deferred.push(job.clone()),
-            }
-        }
-        outcome
+            place_by_order(scratch, order, job)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netpack_topology::{ClusterSpec, JobId};
+    use netpack_model::Placement;
+    use netpack_topology::{ClusterSpec, JobId, ServerId};
     use netpack_workload::ModelKind;
 
     fn cluster() -> Cluster {

@@ -5,8 +5,8 @@ use crate::{
     RandomPlacer, TetrisLike,
 };
 use netpack_model::Placement;
-use netpack_topology::{Cluster, JobId};
-use netpack_waterfill::PlacedJob;
+use netpack_topology::{Cluster, JobId, ServerId};
+use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
 use netpack_workload::Job;
 use std::collections::BTreeMap;
 
@@ -163,12 +163,12 @@ pub fn batch_comm_time_s(
     running: &[RunningJob],
     placed: &[(Job, Placement)],
 ) -> f64 {
-    let mut all: Vec<netpack_waterfill::PlacedJob> =
+    let mut all: Vec<PlacedJob> =
         running.iter().map(|r| r.to_placed(cluster)).collect();
     all.extend(
         placed
             .iter()
-            .map(|(j, p)| netpack_waterfill::PlacedJob::new(j.id, cluster, p)),
+            .map(|(j, p)| PlacedJob::new(j.id, cluster, p)),
     );
     let state = netpack_waterfill::estimate(cluster, &all);
     placed
@@ -181,27 +181,40 @@ pub fn batch_comm_time_s(
         .sum()
 }
 
-/// Greedy FIFO batch driver shared by the single-job baselines: places each
-/// job in arrival order on a scratch ledger, deferring jobs that do not fit.
+/// The batch loop of every baseline: places each job in arrival order on
+/// a scratch ledger, deferring jobs that do not fit.
 ///
-/// The driver owns a candidate-order arena passed to `place_one` on every
+/// Given the `running` jobs, the loop also keeps a warm
+/// [`IncrementalEstimator`] over them and over every job placed so far,
+/// and hands `place_one` its settled state — the signal FB, Tetris and
+/// Comb read; without them `place_one` sees `None` and no water-fill runs.
+/// The loop owns a candidate-order arena passed to `place_one` on every
 /// call: placers refill (`clear` + `extend`) and sort it in place, so a
 /// batch performs one allocation for the order list however many jobs it
 /// holds.
 pub(crate) fn greedy_batch<F>(
     cluster: &Cluster,
+    running: Option<&[RunningJob]>,
     batch: &[Job],
     mut place_one: F,
 ) -> BatchOutcome
 where
-    F: FnMut(&Cluster, &Job, &mut Vec<netpack_topology::ServerId>) -> Option<Placement>,
+    F: FnMut(&Cluster, Option<&SteadyState>, &Job, &mut Vec<ServerId>) -> Option<Placement>,
 {
     let mut scratch = cluster.clone();
+    let mut tracker = running.map(|running| {
+        let active: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
+        IncrementalEstimator::new(cluster, &active)
+    });
     let mut outcome = BatchOutcome::default();
-    let mut order: Vec<netpack_topology::ServerId> = Vec::with_capacity(cluster.num_servers());
+    let mut order: Vec<ServerId> = Vec::with_capacity(cluster.num_servers());
     for job in batch {
-        match place_one(&scratch, job, &mut order) {
+        let state = tracker.as_ref().map(IncrementalEstimator::state);
+        match place_one(&scratch, state, job, &mut order) {
             Some(placement) if try_allocate(&mut scratch, &placement) => {
+                if let Some(tracker) = &mut tracker {
+                    tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
+                }
                 outcome.placed.push((job.clone(), placement));
             }
             // No proposal, or an over-committed one: defer. A buggy
@@ -215,7 +228,7 @@ where
 
 /// Allocate every worker of `placement` on the scratch ledger, rolling the
 /// ledger back and returning `false` when any server lacks the free GPUs.
-pub(crate) fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
+fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
     for (i, &(s, w)) in placement.workers().iter().enumerate() {
         if scratch.allocate_gpus(s, w).is_err() {
             for &(s2, w2) in &placement.workers()[..i] {
@@ -230,7 +243,7 @@ pub(crate) fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool
 
 /// Free GPUs on server `s` — the sort key of most baselines; an id the
 /// cluster does not know has none.
-pub(crate) fn free_on(cluster: &Cluster, s: netpack_topology::ServerId) -> usize {
+pub(crate) fn free_on(cluster: &Cluster, s: ServerId) -> usize {
     cluster.server(s).map_or(0, netpack_topology::Server::gpus_free)
 }
 
@@ -239,9 +252,9 @@ pub(crate) fn free_on(cluster: &Cluster, s: netpack_topology::ServerId) -> usize
 /// needed. Returns `None` when the cluster lacks free GPUs overall.
 pub(crate) fn take_in_order(
     cluster: &Cluster,
-    order: &[netpack_topology::ServerId],
+    order: &[ServerId],
     gpus: usize,
-) -> Option<Vec<(netpack_topology::ServerId, usize)>> {
+) -> Option<Vec<(ServerId, usize)>> {
     let mut remaining = gpus;
     let mut chosen = Vec::new();
     for &s in order {
@@ -263,10 +276,23 @@ pub(crate) fn take_in_order(
     }
 }
 
+/// Turn an ordered server preference into a placement: fill GPUs in order,
+/// put the PS on the first chosen server (colocating makes single-server
+/// jobs local, mirroring how the baselines were run in the paper).
+pub(crate) fn place_by_order(
+    cluster: &Cluster,
+    order: &[ServerId],
+    job: &Job,
+) -> Option<Placement> {
+    let workers = take_in_order(cluster, order, job.gpus)?;
+    let ps = (workers.len() > 1).then(|| workers[0].0);
+    Some(Placement::new(workers, ps))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netpack_topology::{ClusterSpec, ServerId};
+    use netpack_topology::ClusterSpec;
     use netpack_workload::ModelKind;
 
     #[test]
@@ -321,7 +347,7 @@ mod tests {
         let c = cluster();
         let batch = [job(0, 2), job(1, 2), job(2, 2), job(3, 2)];
         // Place each job on the first server with free GPUs.
-        let outcome = greedy_batch(&c, &batch, |scratch, j, order| {
+        let outcome = greedy_batch(&c, None, &batch, |scratch, _, j, order| {
             order.clear();
             order.extend(scratch.servers().iter().map(|s| s.id()));
             let workers = take_in_order(scratch, order, j.gpus)?;
@@ -342,7 +368,7 @@ mod tests {
         // the proposal is deferred, the scratch ledger stays clean, and
         // later feasible proposals still land.
         let batch = [job(0, 5), job(1, 2)];
-        let outcome = greedy_batch(&c, &batch, |_, j, _| {
+        let outcome = greedy_batch(&c, None, &batch, |_, _, j, _| {
             Some(Placement::new(vec![(ServerId(0), j.gpus)], None))
         });
         assert_eq!(outcome.deferred.len(), 1);
@@ -363,7 +389,7 @@ mod tests {
         );
         let batch = [job(0, 7), job(1, 6)];
         let mut first = true;
-        let outcome = greedy_batch(&c, &batch, |_, _, _| {
+        let outcome = greedy_batch(&c, None, &batch, |_, _, _, _| {
             if first {
                 first = false;
                 Some(over.clone())
@@ -376,6 +402,65 @@ mod tests {
         });
         assert_eq!(outcome.deferred.len(), 1);
         assert_eq!(outcome.placed.len(), 1, "rollback must free the GPUs");
+    }
+
+    #[test]
+    fn greedy_batch_hands_place_one_the_state_of_everything_placed() {
+        // Four 2-GPU servers; a running job spans s1 and s2 with its PS on
+        // s0. The scripted proposals place job 0, over-commit job 1 (s1
+        // has one GPU free), place jobs 2 and 3, and propose nothing for
+        // job 4 — so calls 2 to 4 would see job 1's flows if a deferred
+        // proposal were ever pushed.
+        let mut c = Cluster::new(ClusterSpec {
+            racks: 1,
+            servers_per_rack: 4,
+            gpus_per_server: 2,
+            ..ClusterSpec::paper_default()
+        });
+        let running = [RunningJob {
+            id: JobId(9),
+            gradient_gbits: 4.0,
+            placement: Placement::new(vec![(ServerId(1), 1), (ServerId(2), 1)], Some(ServerId(0))),
+        }];
+        c.allocate_gpus(ServerId(1), 1).unwrap();
+        c.allocate_gpus(ServerId(2), 1).unwrap();
+        let span = |a: usize, b: usize, w: usize, ps: usize| {
+            Some(Placement::new(vec![(ServerId(a), w), (ServerId(b), w)], Some(ServerId(ps))))
+        };
+        let proposals =
+            [span(0, 3, 1, 3), span(1, 2, 2, 1), span(1, 2, 1, 2), span(0, 3, 1, 0), None];
+        let batch: Vec<Job> = (0..proposals.len() as u64).map(|id| job(id, 2)).collect();
+        let run = |running: Option<&[RunningJob]>| {
+            let mut seen = Vec::new();
+            let outcome = greedy_batch(&c, running, &batch, |_, state, j, _| {
+                seen.push(state.cloned());
+                proposals[j.id.0 as usize].clone()
+            });
+            (outcome, seen)
+        };
+
+        let (outcome, seen) = run(Some(&running));
+        let placed: Vec<JobId> = outcome.placed.iter().map(|(j, _)| j.id).collect();
+        assert_eq!(placed, [JobId(0), JobId(2), JobId(3)]);
+        assert_eq!(outcome.deferred.len(), 2);
+        assert_eq!(seen.len(), batch.len(), "one call per job");
+        for (i, state) in seen.iter().enumerate() {
+            let mut jobs: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(&c)).collect();
+            jobs.extend(
+                outcome
+                    .placed
+                    .iter()
+                    .filter(|(j, _)| j.id.0 < i as u64)
+                    .map(|(j, p)| PlacedJob::new(j.id, &c, p)),
+            );
+            let want = netpack_waterfill::estimate(&c, &jobs);
+            let state = state.as_ref().expect("running jobs given: a state every call");
+            assert_eq!(state.first_difference(&want), None, "call {i}");
+        }
+
+        let (bare, seen) = run(None);
+        assert!(seen.iter().all(Option::is_none), "no running jobs: no state");
+        assert_eq!(bare.placed.len(), outcome.placed.len());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Prior-art placement strategies the paper compares against: Optimus,
 //! Tetris, and the naive multi-resource combination `Comb` (§6.1, §6.4).
 
-use crate::placer::{free_on, try_allocate, BatchOutcome, Placer, RunningJob};
+use crate::placer::{free_on, greedy_batch, place_by_order, BatchOutcome, Placer, RunningJob};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, Server, ServerId};
-use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState};
+use netpack_waterfill::SteadyState;
 use netpack_workload::Job;
 
 /// **Optimus** (Peng et al., EuroSys'18): sort candidate servers by
@@ -82,9 +82,7 @@ impl Placer for OptimusLike {
         _running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        crate::placer::greedy_batch(cluster, batch, |scratch, job, _| {
-            Self::place_one(scratch, job)
-        })
+        greedy_batch(cluster, None, batch, |scratch, _, job, _| Self::place_one(scratch, job))
     }
 }
 
@@ -154,22 +152,9 @@ impl Placer for TetrisLike {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        let active: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
-        let mut scratch = cluster.clone();
-        // Incremental steady-state across the batch: push each placed job
-        // instead of a from-scratch water-fill per candidate.
-        let mut tracker = IncrementalEstimator::new(&scratch, &active);
-        let mut outcome = BatchOutcome::default();
-        for job in batch {
-            match Self::place_one(&scratch, tracker.state(), job) {
-                Some(placement) if try_allocate(&mut scratch, &placement) => {
-                    tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
-                    outcome.placed.push((job.clone(), placement));
-                }
-                _ => outcome.deferred.push(job.clone()),
-            }
-        }
-        outcome
+        greedy_batch(cluster, Some(running), batch, |scratch, state, job, _| {
+            Self::place_one(scratch, state?, job)
+        })
     }
 }
 
@@ -190,17 +175,13 @@ impl Placer for Comb {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        let active: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
-        let mut scratch = cluster.clone();
-        // Same incremental-tracker pattern as Tetris above.
-        let mut tracker = IncrementalEstimator::new(&scratch, &active);
-        let mut outcome = BatchOutcome::default();
-        for job in batch {
-            let state = tracker.state();
-            let mut order: Vec<ServerId> = scratch.servers().iter().map(|s| s.id()).collect();
+        greedy_batch(cluster, Some(running), batch, |scratch, state, job, order| {
+            let state = state?;
+            order.clear();
+            order.extend(scratch.servers().iter().map(|s| s.id()));
             order.sort_by(|&a, &b| {
-                free_on(&scratch, b)
-                    .cmp(&free_on(&scratch, a))
+                free_on(scratch, b)
+                    .cmp(&free_on(scratch, a))
                     .then_with(|| {
                         state
                             .pat_residual_gbps(scratch.rack_of(b))
@@ -212,24 +193,8 @@ impl Placer for Comb {
                             .total_cmp(&state.server_available_gbps(a))
                     })
             });
-            let placement = crate::placer::take_in_order(&scratch, &order, job.gpus)
-                .map(|workers| {
-                    let ps = if workers.len() > 1 {
-                        Some(workers[0].0)
-                    } else {
-                        None
-                    };
-                    Placement::new(workers, ps)
-                });
-            match placement {
-                Some(placement) if try_allocate(&mut scratch, &placement) => {
-                    tracker.push(&scratch, PlacedJob::new(job.id, &scratch, &placement));
-                    outcome.placed.push((job.clone(), placement));
-                }
-                _ => outcome.deferred.push(job.clone()),
-            }
-        }
-        outcome
+            place_by_order(scratch, order, job)
+        })
     }
 }
 
