@@ -108,9 +108,6 @@ trait Books {
     /// Settle the staged ops and return the warm steady state.
     fn settle(&mut self) -> &SteadyState;
 
-    /// The warm steady state, if it exists and nothing is staged.
-    fn settled_state(&self) -> Option<&SteadyState>;
-
     fn waterfill_stats(&self) -> Option<WaterfillStats>;
 
     /// Refill `out` with the jobs re-solved after the settle numbered
@@ -216,11 +213,6 @@ impl Books for StatelessBooks {
         }
     }
 
-    fn settled_state(&self) -> Option<&SteadyState> {
-        let tracker = self.tracker.as_ref()?;
-        tracker.is_settled().then(|| tracker.state())
-    }
-
     fn waterfill_stats(&self) -> Option<WaterfillStats> {
         self.tracker.as_ref().map(|t| *t.stats())
     }
@@ -284,10 +276,6 @@ impl Books for WarmBooks {
     fn settle(&mut self) -> &SteadyState {
         self.session.settle();
         self.session.state()
-    }
-
-    fn settled_state(&self) -> Option<&SteadyState> {
-        self.session.is_settled().then(|| self.session.state())
     }
 
     fn waterfill_stats(&self) -> Option<WaterfillStats> {
@@ -445,13 +433,6 @@ impl JobManager {
     /// however many ops hit it.
     pub fn steady_state_incremental(&mut self) -> &SteadyState {
         self.books.settle()
-    }
-
-    /// The warm estimator's current state, if it exists and nothing has
-    /// been staged since it was last settled. Borrows `self` immutably so
-    /// callers can read the state alongside [`cluster`](Self::cluster).
-    pub fn incremental_state(&self) -> Option<&SteadyState> {
-        self.books.settled_state()
     }
 
     /// Refill `changed` with the running jobs whose rate in the warm
@@ -626,23 +607,26 @@ mod tests {
     fn incremental_steady_state_matches_scratch_across_churn() {
         let mut m = manager(Box::new(NetPackPlacer::default()));
         churn(&mut m);
-        assert!(m.incremental_state().is_none(), "ops staged → no stale view");
         let scratch = m.steady_state();
         assert_eq!(m.steady_state_incremental().first_difference(&scratch), None);
-        assert!(m.incremental_state().is_some());
-        // The estimator was built over jobs 0 and 1: it saw job 2 only.
+        // The estimator was built over jobs 0 and 1: it saw job 2 only,
+        // and the finish and the epoch staged between two reads landed in
+        // one settle.
         let stats = m.waterfill_stats().unwrap();
         assert_eq!((stats.removes, stats.pushes), (1, 1));
+        assert_eq!((stats.staged, stats.settles), (2, 1));
     }
 
     #[test]
     fn warm_steady_state_matches_scratch_across_churn() {
         let mut m = JobManager::warm(cluster(), Box::new(NetPackPlacer::default()));
         churn(&mut m);
-        // The session settled the finish before it placed job 2.
-        let settled = m.incremental_state().expect("an epoch returns settled").clone();
+        // The session settled the finish before it placed job 2, and the
+        // epoch returned settled: reading the state solves nothing.
+        let settles = m.waterfill_stats().unwrap().settles;
+        let settled = m.steady_state_incremental().clone();
+        assert_eq!(m.waterfill_stats().unwrap().settles, settles);
         assert_eq!(settled.first_difference(&m.steady_state()), None);
-        assert_eq!(m.steady_state_incremental(), &settled);
         // One estimator for placement and steady state: it saw all three
         // pushes and the finish (and re-pushed whatever INA step 4 popped).
         let stats = m.waterfill_stats().unwrap();
@@ -651,51 +635,32 @@ mod tests {
     }
 
     #[test]
-    fn incremental_state_is_withheld_while_ops_are_staged() {
-        let mut m = manager(Box::new(NetPackPlacer::default()));
-        m.submit(job(0, 6));
-        m.submit(job(1, 4));
-        m.run_epoch();
-        assert!(m.incremental_state().is_none(), "no tracker yet");
-        m.steady_state_incremental();
-        assert!(m.incremental_state().is_some());
-        // A finish stages its removal: no stale view until the settle.
-        m.finish(JobId(0)).unwrap();
-        assert!(m.incremental_state().is_none());
-        let settled = m.steady_state_incremental().clone();
-        assert_eq!(settled.first_difference(&m.steady_state()), None);
-        assert_eq!(m.incremental_state(), Some(&settled));
-        // So does an epoch's placement; both land in one settle.
-        m.submit(job(2, 6));
-        m.run_epoch();
-        m.finish(JobId(1)).unwrap();
-        assert!(m.incremental_state().is_none());
-        let settled = m.steady_state_incremental().clone();
-        assert_eq!(settled.first_difference(&m.steady_state()), None);
-        let stats = m.waterfill_stats().unwrap();
-        assert_eq!((stats.staged, stats.settles), (3, 2));
-    }
-
-    #[test]
-    fn warm_state_is_settled_by_an_epoch_and_withheld_after_a_finish() {
+    fn warm_state_is_settled_by_an_epoch_and_staged_by_a_finish() {
         let mut m = JobManager::warm(cluster(), Box::new(NetPackPlacer::default()));
-        assert!(m.incremental_state().is_some(), "an idle session is settled");
+        // A read solves only what is staged: count the settles it takes.
+        let settles_to_read = |m: &mut JobManager| {
+            let before = m.waterfill_stats().unwrap().settles;
+            let state = m.steady_state_incremental().clone();
+            (m.waterfill_stats().unwrap().settles - before, state)
+        };
+        assert_eq!(settles_to_read(&mut m).0, 0, "an idle session is settled");
         m.submit(job(0, 6));
         m.submit(job(1, 4));
         m.run_epoch();
-        let after_epoch = m.incremental_state().expect("an epoch returns settled").clone();
+        let (settles, after_epoch) = settles_to_read(&mut m);
+        assert_eq!(settles, 0, "an epoch returns settled");
         assert_eq!(after_epoch.first_difference(&m.steady_state()), None);
-        // A finish stages its removal: no stale view until the settle.
+        // A finish stages its removal; the read settles it.
         m.finish(JobId(0)).unwrap();
-        assert!(m.incremental_state().is_none());
-        let settled = m.steady_state_incremental().clone();
+        let (settles, settled) = settles_to_read(&mut m);
+        assert_eq!(settles, 1);
         assert_eq!(settled.first_difference(&m.steady_state()), None);
-        assert_eq!(m.incremental_state(), Some(&settled));
         // The next epoch absorbs a finish staged before it.
         m.finish(JobId(1)).unwrap();
         m.submit(job(2, 6));
         m.run_epoch();
-        let settled = m.incremental_state().expect("an epoch returns settled").clone();
+        let (settles, settled) = settles_to_read(&mut m);
+        assert_eq!(settles, 0, "an epoch returns settled");
         assert_eq!(settled.first_difference(&m.steady_state()), None);
         assert_eq!(m.running().map(|(id, _)| id).collect::<Vec<_>>(), [JobId(2)]);
     }
@@ -756,7 +721,7 @@ mod tests {
         assert!(matches!(err, ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })));
         assert_eq!(books.free_gpus(), 16 - 6 + w);
         assert_eq!(books.running.len(), 1);
-        assert!(books.settled_state().is_some(), "nothing was staged");
+        assert!(books.tracker.as_ref().is_some_and(|t| t.is_settled()), "nothing was staged");
         assert!(books.settle().job_rate_gbps(JobId(0)).is_some());
         books.cluster.allocate_gpus(last, w).unwrap();
 
@@ -781,7 +746,7 @@ mod tests {
         assert!(matches!(err, ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })));
         assert_eq!(books.running().count(), 1);
         assert!(books.jobs.contains_key(&JobId(0)), "the job record stays with the job");
-        assert!(books.settled_state().is_some(), "nothing was staged");
+        assert!(books.session.is_settled(), "nothing was staged");
     }
 
     #[test]

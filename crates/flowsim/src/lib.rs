@@ -53,5 +53,5 @@
 mod outcome;
 mod sim;
 
-pub use outcome::{JobOutcome, SimResult, TelemetrySample};
+pub use outcome::{JobOutcome, SimResult};
 pub use sim::{InaMode, SimConfig, Simulation};

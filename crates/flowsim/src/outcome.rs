@@ -41,18 +41,6 @@ impl JobOutcome {
     }
 }
 
-/// A telemetry snapshot of per-link bandwidth usage at one sim time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetrySample {
-    /// Simulation time of the sample.
-    pub time_s: f64,
-    /// Used bandwidth per link, in Gbps, indexed by `LinkId::index`.
-    pub link_used_gbps: Vec<f64>,
-    /// Per-job per-worker steady rates at this instant (finite jobs only),
-    /// as `(job, rate_gbps)` pairs sorted by job id.
-    pub job_rates: Vec<(JobId, f64)>,
-}
-
 /// The full result of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {
@@ -64,8 +52,6 @@ pub struct SimResult {
     pub unfinished: Vec<JobId>,
     /// Time the last event was processed.
     pub makespan_s: f64,
-    /// Telemetry samples (only when enabled in the config).
-    pub telemetry: Vec<TelemetrySample>,
     /// Integral of allocated GPUs over time, in GPU-seconds.
     pub gpu_seconds: f64,
     /// Event-loop work counters and phase timers for this run (`sim.rs`'s
@@ -85,7 +71,6 @@ impl PartialEq for SimResult {
         self.outcomes == other.outcomes
             && self.unfinished == other.unfinished
             && self.makespan_s == other.makespan_s
-            && self.telemetry == other.telemetry
             && self.gpu_seconds == other.gpu_seconds
     }
 }

@@ -59,11 +59,11 @@
 //! `waterfill_solve`, `waterfill_*`, … — the names of
 //! `NetPackPlacer::perf`, none of which the loop's own use).
 
-use crate::{JobOutcome, SimResult, TelemetrySample};
+use crate::{JobOutcome, SimResult};
 use netpack_core::JobManager;
 use netpack_metrics::PerfCounters;
 use netpack_placement::Placer;
-use netpack_topology::{Cluster, JobId, LinkId};
+use netpack_topology::{Cluster, JobId};
 use netpack_waterfill::SteadyState;
 use netpack_workload::{Job, Trace};
 use std::cmp::{Ordering, Reverse};
@@ -92,9 +92,6 @@ pub struct SimConfig {
     /// Hard cap on simulated time; jobs still running at the cap are
     /// reported in [`SimResult::unfinished`]. Default: 90 days.
     pub max_sim_time_s: f64,
-    /// When set, sample per-link bandwidth usage and per-job rates at
-    /// every event and at this fixed interval (Fig. 15 telemetry).
-    pub telemetry_interval_s: Option<f64>,
     /// Switch memory-multiplexing mode (default statistical).
     pub ina_mode: InaMode,
 }
@@ -103,7 +100,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             max_sim_time_s: 90.0 * 86_400.0,
-            telemetry_interval_s: None,
             ina_mode: InaMode::default(),
         }
     }
@@ -333,14 +329,11 @@ impl Simulation {
         let mut used_gpus: usize = 0;
         let mut clock = 0.0f64;
         let mut last_epoch_run = f64::NEG_INFINITY;
-        // The last from-scratch state; a warm run reads the manager's.
-        let mut state: Option<SteadyState> = None;
         let mut state_ready = false;
         // The warm estimator's settle number as of the last re-rate, and
         // the jobs re-solved since (an arena).
         let mut seen_epoch = 0u64;
         let mut changed: Vec<JobId> = Vec::new();
-        let mut next_telemetry = 0.0f64;
 
         loop {
             let event_start = Stopwatch::start();
@@ -370,17 +363,12 @@ impl Simulation {
                 }
             };
             perf.record("heap_ops", heap_start.elapsed());
-            let next_tele = config
-                .telemetry_interval_s
-                .map(|_| next_telemetry)
-                .unwrap_or(f64::INFINITY);
 
             let mut t = f64::INFINITY;
             for cand in [
                 next_arrival.unwrap_or(f64::INFINITY),
                 next_epoch.unwrap_or(f64::INFINITY),
                 next_completion,
-                next_tele,
             ] {
                 t = t.min(cand);
             }
@@ -501,7 +489,7 @@ impl Simulation {
                         "a running job's rate moved without a stamp"
                     );
                 } else {
-                    let s = state.insert(perf.time("resolve_full", || match config.ina_mode {
+                    let s = perf.time("resolve_full", || match config.ina_mode {
                         InaMode::Statistical => manager.steady_state(),
                         InaMode::Synchronous => {
                             let cluster = manager.cluster();
@@ -511,46 +499,11 @@ impl Simulation {
                                 .collect();
                             netpack_waterfill::estimate_synchronous(cluster, &placed)
                         }
-                    }));
+                    });
                     perf.incr("sim_rerate_visits", running.len() as u64);
                     for (&id, p) in running.iter_mut() {
-                        p.rerate(id, s, clock, &mut heap, &mut perf);
+                        p.rerate(id, &s, clock, &mut heap, &mut perf);
                     }
-                }
-            }
-
-            // -------- telemetry --------
-            if let Some(interval) = config.telemetry_interval_s {
-                if clock + 1e-9 >= next_telemetry {
-                    next_telemetry = clock + interval;
-                }
-                let view = if warm {
-                    manager.incremental_state()
-                } else {
-                    state.as_ref()
-                };
-                if let Some(s) = view {
-                    let cluster = manager.cluster();
-                    let link_used: Vec<f64> = (0..cluster.num_links())
-                        .map(|i| {
-                            let link = LinkId::from_index(i, cluster);
-                            link.capacity_gbps(cluster) - s.link_residual_gbps(link, cluster)
-                        })
-                        .collect();
-                    let mut job_rates: Vec<(JobId, f64)> = running
-                        .keys()
-                        .filter_map(|&id| {
-                            s.job_rate_gbps(id)
-                                .filter(|r| r.is_finite())
-                                .map(|r| (id, r))
-                        })
-                        .collect();
-                    job_rates.sort_by_key(|&(id, _)| id);
-                    result.telemetry.push(TelemetrySample {
-                        time_s: clock,
-                        link_used_gbps: link_used,
-                        job_rates,
-                    });
                 }
             }
 
@@ -731,33 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sampling_produces_snapshots() {
-        let trace = Trace::from_jobs(vec![Job::builder(JobId(0), ModelKind::Vgg16, 8)
-            .iterations(2000)
-            .build()]);
-        let config = SimConfig {
-            telemetry_interval_s: Some(10.0),
-            ..quick_config()
-        };
-        let c = cluster();
-        let n_links = c.num_links();
-        let sim = Simulation::new(c, Box::new(NetPackPlacer::default()), config);
-        let result = sim.run(&trace);
-        assert!(result.telemetry.len() >= 3);
-        for sample in &result.telemetry {
-            assert_eq!(sample.link_used_gbps.len(), n_links);
-            assert!(sample.link_used_gbps.iter().all(|&u| u >= -1e-9));
-        }
-        // While the spanning job runs, some link must be carrying traffic.
-        let busiest: f64 = result
-            .telemetry
-            .iter()
-            .flat_map(|s| s.link_used_gbps.iter().copied())
-            .fold(0.0, f64::max);
-        assert!(busiest > 0.0);
-    }
-
-    #[test]
     fn makespan_covers_the_last_finish() {
         let trace = TraceSpec::new(TraceKind::Poisson, 10)
             .seed(5)
@@ -781,13 +707,7 @@ mod tests {
             .duration_scale(0.03)
             .max_gpus(12)
             .generate();
-        let sim = || {
-            let config = SimConfig {
-                telemetry_interval_s: Some(50.0),
-                ..SimConfig::default()
-            };
-            Simulation::new(cluster(), Box::new(NetPackPlacer::default()), config)
-        };
+        let sim = || Simulation::new(cluster(), Box::new(NetPackPlacer::default()), quick_config());
         let inc = sim().run(&trace);
         let scratch = sim().run_reference(&trace);
         assert_eq!(inc, scratch);

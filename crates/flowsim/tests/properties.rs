@@ -134,16 +134,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `run` replays any trace with a *bit-identical* `SimResult` —
-    /// outcomes, unfinished set, makespan, telemetry, and GPU-seconds —
+    /// outcomes, unfinished set, makespan and GPU-seconds —
     /// to the from-scratch `run_reference`, across random clusters, INA
     /// modes (including synchronous), and placers. Exact equality is deliberate: the warm estimator must
     /// replay the very same float-op sequence, not merely approximate it.
     #[test]
     fn incremental_replay_is_bit_identical_to_scratch(
-        (trace, racks, sync_mode, telemetry, placer_pick) in (
+        (trace, racks, sync_mode, placer_pick) in (
             arb_trace(8),
             1usize..3,
-            any::<bool>(),
             any::<bool>(),
             0usize..3,
         )
@@ -158,7 +157,6 @@ proptest! {
         let sim = || {
             let config = SimConfig {
                 ina_mode,
-                telemetry_interval_s: telemetry.then_some(20.0),
                 ..SimConfig::default()
             };
             let placer: Box<dyn Placer> = match placer_pick {
@@ -198,7 +196,7 @@ proptest! {
 
     /// The same bit-identity where a warm session has work to do: four
     /// racks of eight 4-GPU servers under load, PAT from absent through
-    /// "runs dry" to "never binds", telemetry on. Completions staged
+    /// "runs dry" to "never binds". Completions staged
     /// between epochs, the selective-INA reconciliation (pops and
     /// re-pushes on the estimator the simulator reads) and PAT flips all
     /// meet inside one `NetPackSession`, and every re-rate goes through the
@@ -218,13 +216,7 @@ proptest! {
         let placers: [fn() -> Box<dyn Placer>; 2] =
             [|| Box::new(NetPackPlacer::default()), || Box::new(GpuBalance)];
         for placer in placers {
-            let sim = || {
-                let config = SimConfig {
-                    telemetry_interval_s: Some(20.0),
-                    ..SimConfig::default()
-                };
-                Simulation::new(Cluster::new(spec.clone()), placer(), config)
-            };
+            let sim = || Simulation::new(Cluster::new(spec.clone()), placer(), SimConfig::default());
             let (run, oracle) = (sim().run(&trace), sim().run_reference(&trace));
             prop_assert_eq!(&run, &oracle);
             prop_assert!(run.unfinished.is_empty());

@@ -62,8 +62,8 @@ fn bucket_high(idx: usize) -> u64 {
 }
 
 /// Fixed-memory histogram of `u64` values (nanoseconds by convention) with
-/// ≤ `1/`[`SUB_BUCKETS`] relative quantile error. See the [module
-/// docs](self) for the layout.
+/// ≤ `1/`[`SUB_BUCKETS`] relative quantile error. The module docs of
+/// `hist.rs` give the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,

@@ -91,7 +91,7 @@ impl Stopwatch {
 
 /// Named monotonic counters and wall-clock phase timers.
 ///
-/// See the [module docs](self) for the intended use. All operations are
+/// The module docs of `perf.rs` give the intended use. All operations are
 /// infallible; reading a name that was never written returns zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PerfCounters {

@@ -68,8 +68,8 @@ pub struct HierarchyReport {
 /// Run the two-tier microbenchmark for `duration_s` simulated seconds.
 ///
 /// Deterministic: leaf and root pools use sequential (job-offset)
-/// addressing with a fixed base, matching
-/// [`Addressing::JobOffset`](crate::Addressing).
+/// addressing with a fixed base, as [`PacketSim`](crate::PacketSim) does
+/// with a seeded one.
 ///
 /// # Panics
 ///

@@ -11,9 +11,12 @@
 //! at packet granularity:
 //!
 //! * the switch keeps a shared pool of aggregator slots;
-//! * a packet addresses `Hash(JobID, PSN)`; the first packet of a
-//!   `(job, PSN)` group reserves the slot, the completed aggregate is
-//!   multicast back and the slot is released within the same RTT;
+//! * each job's slots start at a seeded base and its PSNs run
+//!   sequentially from it: group `PSN` addresses slot
+//!   `(base + PSN) mod pool`, so a job never collides with itself; the
+//!   first packet of a `(job, PSN)` group reserves the slot, the completed
+//!   aggregate is multicast back and the slot is released within the same
+//!   RTT;
 //! * a packet that collides with a busy slot *falls back* to the PS
 //!   unaggregated;
 //! * senders run windowed AIMD, so jobs converge to max-min shares;
@@ -59,5 +62,5 @@ mod sim;
 mod stats;
 
 pub use hierarchy::{run_hierarchy, slots_to_pat_gbps, HierarchyReport, HierarchySpec};
-pub use sim::{Addressing, MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
+pub use sim::{MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 pub use stats::{JobStats, PacketSimReport};

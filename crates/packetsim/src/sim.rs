@@ -5,15 +5,16 @@
 //! [`PacketSim::run`] is the only production loop; no option selects
 //! another. It differs from the literal per-packet loop in two ways:
 //!
-//! - **Collision counting** — with [`Addressing::JobOffset`] a job's
-//!   round window is a contiguous arc `[base + psn, base + psn + window)`
-//!   on the slot ring, so the per-packet `slot_owner` stamping collapses
-//!   to interval-overlap arithmetic: a job aggregates exactly the slots of
+//! - **Collision counting** — a job's slots start at a seeded base and
+//!   its PSNs run sequentially from it, so its round window is a
+//!   contiguous arc `[base + psn, base + psn + window)` on the slot ring
+//!   and the per-packet `slot_owner` stamping collapses to
+//!   interval-overlap arithmetic: a job aggregates exactly the slots of
 //!   its arc not already claimed by jobs processed earlier in the round
-//!   ([`RingOccupancy`]), O(jobs²) per round instead of O(Σ window).
-//!   [`Addressing::HashPerPacket`] keeps the exact per-packet loop (each
-//!   PSN hashes to an unrelated slot, so there is no arc structure to
-//!   exploit) but still reuses the epoch-stamped table without clearing.
+//!   ([`RingOccupancy`]), O(jobs²) per round instead of O(Σ window). A job
+//!   never collides with itself, so one job's aggregation ratio tracks
+//!   `min(1, PAT ratio)` (Fig. 14a). `run` stamps no packet; its
+//!   `packets_touched` counter reads 0.
 //! - **Round batching** — when no job can change phase, finish an
 //!   iteration, or cross a goodput bucket within the next K rounds, and
 //!   every sender's window and collision outcome are round-invariant
@@ -52,18 +53,6 @@ pub enum MemoryMode {
     Synchronous,
 }
 
-/// How a `(job, PSN)` group is addressed to an aggregator slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Addressing {
-    /// `index = base(job) + PSN (mod pool)`: sequential per job, so a job
-    /// never collides with itself (ATP's streaming behaviour; default).
-    #[default]
-    JobOffset,
-    /// `index = Hash(job, PSN) (mod pool)`: independent uniform hashing,
-    /// which adds birthday-problem self-collisions.
-    HashPerPacket,
-}
-
 /// Switch and link configuration for the packet simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchConfig {
@@ -71,8 +60,6 @@ pub struct SwitchConfig {
     pub pool_slots: usize,
     /// Memory multiplexing mode.
     pub mode: MemoryMode,
-    /// Slot addressing scheme.
-    pub addressing: Addressing,
     /// Packet payload in bytes.
     pub payload_bytes: usize,
     /// Round-trip time in microseconds (one simulation round).
@@ -114,7 +101,6 @@ impl Default for SwitchConfig {
         SwitchConfig {
             pool_slots: 4096,
             mode: MemoryMode::default(),
-            addressing: Addressing::default(),
             payload_bytes: 1024,
             rtt_us: 50.0,
             link_gbps: 100.0,
@@ -160,7 +146,8 @@ struct JobState {
     /// Packet groups left in the current iteration's gradient.
     remaining_groups: u64,
     iterations_done: u64,
-    /// Slot base for `Addressing::JobOffset`.
+    /// The slot of PSN 0: the job's group `psn` reserves slot
+    /// `(base + psn) % pool`.
     base: usize,
     /// Fixed region `(offset, size)` in synchronous mode.
     region: (usize, usize),
@@ -171,9 +158,9 @@ struct JobState {
 /// Sorted, disjoint, half-open occupied intervals over the slot ring —
 /// the fast path's replacement for per-packet `slot_owner` stamping.
 ///
-/// A [`Addressing::JobOffset`] window is a contiguous arc on the ring, so
-/// per-round contention reduces to: claim each arc in processing order,
-/// counting how many of its slots were still free. Arcs longer than the
+/// A job's window is a contiguous arc on the ring, so per-round
+/// contention reduces to: claim each arc in processing order, counting
+/// how many of its slots were still free. Arcs longer than the
 /// pool are clamped first (the extra packets revisit slots and always
 /// fall back, exactly as the stamping loop behaves).
 #[derive(Debug, Default)]
@@ -277,8 +264,8 @@ pub struct PacketSim {
     config: SwitchConfig,
     jobs: Vec<JobState>,
     /// Slot reservation table for the current round: stamped with the
-    /// round number to avoid clearing each round. Used by
-    /// `HashPerPacket` addressing and by the per-packet reference.
+    /// round number to avoid clearing each round. Only the per-packet
+    /// reference uses it.
     slot_owner: Vec<u64>,
     round: u64,
     rng: u64,
@@ -371,8 +358,8 @@ impl PacketSim {
         self.run_rounds(duration_s, false)
     }
 
-    /// The round loop. `fast` counts `JobOffset` arcs instead of stamping
-    /// packets and batches round-invariant stretches.
+    /// The round loop. `fast` counts arcs instead of stamping packets and
+    /// batches round-invariant stretches.
     fn run_rounds(&mut self, duration_s: f64, fast: bool) -> PacketSimReport {
         assert!(duration_s > 0.0, "duration must be positive");
         let start = Stopwatch::start();
@@ -522,12 +509,10 @@ impl PacketSim {
     ///    `cwnd` is a fixed point of the additive increase);
     /// 4. the collision outcome is round-invariant up to the processing
     ///    rotation: the pool is irrelevant (synchronous, empty pool, or
-    ///    no senders), or all `JobOffset` arcs shift by the same amount
-    ///    per round (equal `window % pool`), making overlaps
-    ///    translation-invariant. The outcome then cycles with period
-    ///    `n_jobs` (the rotation period), which K is a multiple of.
-    ///    `HashPerPacket` slots depend on the PSN value itself — no
-    ///    translation invariance — so it never batches.
+    ///    no senders), or all arcs shift by the same amount per round
+    ///    (equal `window % pool`), making overlaps translation-invariant.
+    ///    The outcome then cycles with period `n_jobs` (the rotation
+    ///    period), which K is a multiple of.
     #[allow(clippy::too_many_arguments)]
     fn try_batch(
         &mut self,
@@ -583,9 +568,6 @@ impl PacketSim {
         // Collision-outcome invariance (condition 4).
         let contended = mode == MemoryMode::Statistical && pool > 0 && !senders.is_empty();
         if contended {
-            if self.config.addressing == Addressing::HashPerPacket {
-                return 0;
-            }
             let shift = senders[0].1 % pool;
             if senders.iter().any(|&(_, w)| w % pool != shift) {
                 return 0;
@@ -703,7 +685,6 @@ impl PacketSim {
     ) {
         let pool = self.config.pool_slots;
         let mode = self.config.mode;
-        let addressing = self.config.addressing;
         let job = &mut self.jobs[ji];
         if job.phase != Phase::Communicating {
             return;
@@ -736,7 +717,7 @@ impl PacketSim {
             MemoryMode::Statistical => {
                 if pool == 0 {
                     fallback = window as u64;
-                } else if fast && addressing == Addressing::JobOffset {
+                } else if fast {
                     // The window is a contiguous arc on the slot ring:
                     // count its free slots instead of stamping them.
                     let s0 = (job.base + job.next_psn as usize) % pool;
@@ -749,19 +730,7 @@ impl PacketSim {
                     let stamp = round;
                     acc.packets_touched += window as u64;
                     for k in 0..window {
-                        let psn = job.next_psn + k as u64;
-                        let slot = match addressing {
-                            Addressing::JobOffset => (job.base + psn as usize) % pool,
-                            Addressing::HashPerPacket => {
-                                let mut h = psn
-                                    .wrapping_mul(0x9E3779B97F4A7C15)
-                                    .wrapping_add(job.base as u64);
-                                h ^= h >> 31;
-                                h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-                                h ^= h >> 27;
-                                (h % pool as u64) as usize
-                            }
-                        };
+                        let slot = (job.base + (job.next_psn + k as u64) as usize) % pool;
                         if self.slot_owner[slot] == stamp {
                             fallback += 1;
                         } else {
@@ -999,21 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_addressing_self_collides() {
-        let config = SwitchConfig {
-            addressing: Addressing::HashPerPacket,
-            ..fig14_config(1.0, 10.0)
-        };
-        let mut sim = PacketSim::new(config);
-        sim.add_job(spec(0, 2, Some(10.0)));
-        let report = sim.run(0.05);
-        let y = report.per_job[0].aggregation_ratio();
-        // Birthday losses: measurably below the sequential ratio of ~1.0.
-        assert!(y < 0.8, "expected hash collisions, ratio {y}");
-        assert!(y > 0.4, "hashing should not collapse entirely, ratio {y}");
-    }
-
-    #[test]
     fn delayed_start_keeps_job_idle() {
         let mut sim = PacketSim::new(SwitchConfig::default());
         sim.add_job(PacketJobSpec {
@@ -1048,7 +1002,7 @@ mod tests {
         assert_eq!(
             report.perf.counter("packets_touched"),
             0,
-            "JobOffset fast path must not touch packets"
+            "the fast path must not touch packets"
         );
     }
 

@@ -1,7 +1,7 @@
 //! Seeded determinism: the packet simulator is a pure function of
 //! `(SwitchConfig, jobs, seed)`.
 
-use netpack_packetsim::{Addressing, MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
+use netpack_packetsim::{MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 use netpack_topology::JobId;
 
 fn jobs() -> Vec<PacketJobSpec> {
@@ -49,39 +49,33 @@ fn run(config: &SwitchConfig, seed: u64) -> netpack_packetsim::PacketSimReport {
 }
 
 /// Two fresh simulators with the same config, job set, and seed produce
-/// byte-identical reports — across both addressing modes, both memory
-/// modes, and both the production loop and the per-packet reference.
+/// byte-identical reports — across both memory modes, and both the
+/// production loop and the per-packet reference.
 #[test]
 fn same_seed_same_report_across_all_modes() {
     for mode in [MemoryMode::Statistical, MemoryMode::Synchronous] {
-        for addressing in [Addressing::JobOffset, Addressing::HashPerPacket] {
-            for reference in [false, true] {
-                let config = SwitchConfig {
-                    pool_slots: 256,
-                    mode,
-                    addressing,
-                    ..SwitchConfig::default()
-                };
-                let run = |seed| {
-                    if reference {
-                        sim(&config, seed).run_reference(0.06)
-                    } else {
-                        sim(&config, seed).run(0.06)
-                    }
-                };
-                let a = run(7);
-                let b = run(7);
-                assert_eq!(
-                    a, b,
-                    "{mode:?}/{addressing:?}/reference={reference}: same seed must reproduce"
-                );
-                // Bit-level check on the float fields, beyond PartialEq.
-                for (x, y) in a.per_job.iter().zip(&b.per_job) {
-                    assert_eq!(x.goodput_bits.to_bits(), y.goodput_bits.to_bits());
-                    for (p, q) in x.goodput_series.iter().zip(&y.goodput_series) {
-                        assert_eq!(p.0.to_bits(), q.0.to_bits());
-                        assert_eq!(p.1.to_bits(), q.1.to_bits());
-                    }
+        for reference in [false, true] {
+            let config = SwitchConfig {
+                pool_slots: 256,
+                mode,
+                ..SwitchConfig::default()
+            };
+            let run = |seed| {
+                if reference {
+                    sim(&config, seed).run_reference(0.06)
+                } else {
+                    sim(&config, seed).run(0.06)
+                }
+            };
+            let a = run(7);
+            let b = run(7);
+            assert_eq!(a, b, "{mode:?}/reference={reference}: same seed must reproduce");
+            // Bit-level check on the float fields, beyond PartialEq.
+            for (x, y) in a.per_job.iter().zip(&b.per_job) {
+                assert_eq!(x.goodput_bits.to_bits(), y.goodput_bits.to_bits());
+                for (p, q) in x.goodput_series.iter().zip(&y.goodput_series) {
+                    assert_eq!(p.0.to_bits(), q.0.to_bits());
+                    assert_eq!(p.1.to_bits(), q.1.to_bits());
                 }
             }
         }

@@ -1,21 +1,16 @@
 //! Property tests for the packet-level simulator's conservation laws.
 
-use netpack_packetsim::{Addressing, MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
+use netpack_packetsim::{MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 use netpack_topology::JobId;
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = SwitchConfig> {
-    (0usize..2048, any::<bool>(), any::<bool>()).prop_map(|(pool, sync, hash)| SwitchConfig {
+    (0usize..2048, any::<bool>()).prop_map(|(pool, sync)| SwitchConfig {
         pool_slots: pool,
         mode: if sync {
             MemoryMode::Synchronous
         } else {
             MemoryMode::Statistical
-        },
-        addressing: if hash {
-            Addressing::HashPerPacket
-        } else {
-            Addressing::JobOffset
         },
         ..SwitchConfig::default()
     })
@@ -151,6 +146,7 @@ proptest! {
     /// bit-identical to the literal per-packet `run_reference` across random
     /// pools, fan-ins, rate caps, iteration counts, and staggered starts —
     /// the packetsim analogue of flowsim's `run` vs `run_reference` pin.
+    /// Production never stamps a packet: its `packets_touched` reads 0.
     #[test]
     fn fast_path_is_bit_identical_to_scratch(
         (config, jobs) in (arb_config(), arb_rich_jobs())
@@ -165,6 +161,7 @@ proptest! {
         let fast = sim().run(0.03);
         let scratch = sim().run_reference(0.03);
         prop_assert_eq!(&fast, &scratch, "run diverged from run_reference");
+        prop_assert_eq!(fast.perf.counter("packets_touched"), 0);
         for (f, s) in fast.per_job.iter().zip(&scratch.per_job) {
             // PartialEq on the report already covers these, but compare the
             // float fields for *bit* equality, not just numeric equality.

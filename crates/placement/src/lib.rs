@@ -52,9 +52,10 @@
 //! incremental estimator that keeps the steady state warm between jobs
 //! (re-solving only the resource component each placement touches); jobs
 //! commit one after another in Algorithm 2's order, each placed on one
-//! thread. The literal algorithm lives in [`reference`] as the oracle —
-//! **bit-identical** to production by the `production_matches_reference`
-//! property suite, and reachable only by calling it, never through
+//! thread. The literal algorithm lives in [`reference`](mod@reference) as
+//! the oracle — **bit-identical** to production by the
+//! `production_matches_reference` property suite, and reachable only by
+//! calling it, never through
 //! configuration or environment (this crate reads no environment
 //! variable). The work done is visible through
 //! [`NetPackPlacer::perf`]:

@@ -50,8 +50,8 @@ use crate::dp::ServerStats;
 ///
 /// Classes are `(w, f)` pairs — free-GPU weight times clamped flow count —
 /// and each class keeps its top `⌊g_max / w⌋` servers by
-/// `(value desc, id asc)`. See the [module docs](self) for the loss-free
-/// argument.
+/// `(value desc, id asc)`. The module docs of `select.rs` give the
+/// loss-free argument.
 ///
 /// # Example
 ///

@@ -100,8 +100,8 @@ impl Error for SessionError {
 }
 
 /// A long-lived NetPack placement engine over one cluster: place batches,
-/// complete jobs, never rebuild. See the [module docs](self) for what is
-/// kept warm and why the results match the stateless path bit for bit.
+/// complete jobs, never rebuild. The module docs of `session.rs` say what
+/// is kept warm and why the results match the stateless path bit for bit.
 ///
 /// # Example
 ///

@@ -113,8 +113,8 @@ pub struct ServiceReport {
     pub running_left: usize,
 }
 
-/// The synchronous placement engine behind the service. See the
-/// [module docs](self) for how it relates to the threaded front end.
+/// The synchronous placement engine behind the service. The module docs
+/// of `core.rs` say how it relates to the threaded front end.
 #[derive(Debug)]
 pub struct ServiceCore {
     session: NetPackSession,
@@ -199,8 +199,11 @@ impl ServiceCore {
         }
     }
 
-    fn event(&mut self, line: String) {
+    /// Log the line `line` formats, only when the event log is on: a
+    /// service that keeps no log formats nothing.
+    fn event(&mut self, line: impl FnOnce(&Self) -> String) {
         if self.config.event_log {
+            let line = line(self);
             self.events.push(line);
         }
     }
@@ -240,9 +243,7 @@ impl ServiceCore {
                 }
             }
         };
-        if self.config.event_log {
-            self.event(format!("{op} id={id} kind={kind}"));
-        }
+        self.event(|_| format!("{op} id={id} kind={kind}"));
     }
 
     /// Apply one command. Placement only happens in
@@ -265,7 +266,7 @@ impl ServiceCore {
                 if no_gpus || bad_value || duplicate || self.pending.len() >= self.config.queue_cap
                 {
                     self.counters.rejected += 1;
-                    if self.config.event_log {
+                    self.event(|core| {
                         let why = if no_gpus {
                             "kind=no-gpus".to_string()
                         } else if bad_value {
@@ -273,21 +274,21 @@ impl ServiceCore {
                         } else if duplicate {
                             "kind=duplicate".to_string()
                         } else {
-                            format!("queue={}", self.pending.len())
+                            format!("queue={}", core.pending.len())
                         };
-                        self.event(format!("reject id={} {why}", job.id));
-                    }
+                        format!("reject id={} {why}", job.id)
+                    });
                     return;
                 }
                 self.counters.submitted += 1;
-                if self.config.event_log {
-                    self.event(format!(
+                self.event(|core| {
+                    format!(
                         "submit id={} gpus={} queue={}",
                         job.id,
                         job.gpus,
-                        self.pending.len() + 1
-                    ));
-                }
+                        core.pending.len() + 1
+                    )
+                });
                 self.watches.insert(job.id, Stopwatch::start());
                 self.pending.push(job);
                 self.counters.max_queue_depth =
@@ -308,7 +309,7 @@ impl ServiceCore {
             Command::Query(id, reply) => {
                 self.counters.queries += 1;
                 let status = self.status(id);
-                self.event(format!("query id={id} status={}", status.as_str()));
+                self.event(|_| format!("query id={id} status={}", status.as_str()));
                 if let Some(tx) = reply {
                     // A gone or saturated requester is its own problem.
                     let _ = tx.try_send(status);
@@ -347,25 +348,21 @@ impl ServiceCore {
             if let Some(watch) = self.watches.remove(&job.id) {
                 self.perf.record_latency("placement_latency", watch.elapsed());
             }
-            if self.config.event_log {
-                self.event(format!("place id={} {}", job.id, placement_digest(p)));
-            }
+            self.event(|_| format!("place id={} {}", job.id, placement_digest(p)));
         }
         for mut job in outcome.deferred {
             job.value += DEFERRAL_AGING;
             self.counters.deferrals += 1;
-            if self.config.event_log {
-                self.event(format!("defer id={} value={:.3}", job.id, job.value));
-            }
+            self.event(|_| format!("defer id={} value={:.3}", job.id, job.value));
             self.pending.push(job);
         }
-        if self.config.event_log {
-            self.event(format!(
+        self.event(|core| {
+            format!(
                 "batch n={n} placed={placed} deferred={} free={}",
                 n - placed,
-                self.session.free_gpus()
-            ));
-        }
+                core.session.free_gpus()
+            )
+        });
         batch.clear();
         self.batch_scratch = batch;
         placed

@@ -39,7 +39,7 @@ use crate::Cluster;
 ///
 /// Built once per placement batch (O(servers + racks), about a hundred
 /// microseconds at 50k servers) and then indexed with plain integers in the
-/// hot loops. See the [module docs](self) for the layout and invariants.
+/// hot loops. The module docs of `flat.rs` give the layout and invariants.
 ///
 /// # Example
 ///

@@ -25,9 +25,8 @@
 //!   over the jobs, and solves each resulting component **once**, however
 //!   many staged ops hit it.
 //!
-//! [`push`](IncrementalEstimator::push), [`remove`](IncrementalEstimator::remove),
-//! [`pop`](IncrementalEstimator::pop) and
-//! [`replace`](IncrementalEstimator::replace) are a staged op followed by a
+//! [`push`](IncrementalEstimator::push), [`remove`](IncrementalEstimator::remove)
+//! and [`pop`](IncrementalEstimator::pop) are a staged op followed by a
 //! settle — there is one code path. A caller that reads the state after
 //! every op (a placement pass: each job is scored against what the
 //! previous push left) uses those; a caller that applies many ops between
@@ -163,10 +162,9 @@ use std::ops::{Add, Sub};
 /// settle, and `staged / settles` is how many ops one solve absorbed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaterfillStats {
-    /// Jobs added (`push`, `stage_push`, and the push half of `replace`).
+    /// Jobs added (`push` and `stage_push`).
     pub pushes: u64,
-    /// Jobs taken out (`remove`, `pop`, their staged forms, and the remove
-    /// half of `replace`).
+    /// Jobs taken out (`remove`, `pop` and their staged forms).
     pub removes: u64,
     /// Ops staged, eager ones included (each stages one): `pushes +
     /// removes` since construction.
@@ -738,16 +736,6 @@ impl IncrementalEstimator {
         self.settle(cluster);
         id
     }
-
-    /// Re-tune a job in place: stage the removal of any existing job with
-    /// `job`'s id and the push of `job`, then settle once. The result is
-    /// bit-identical to a from-scratch solve over the current job list
-    /// with the re-tuned job moved to the end of the insertion order.
-    pub fn replace(&mut self, cluster: &Cluster, job: PlacedJob) {
-        self.stage_remove(job.id());
-        self.stage_push(job);
-        self.settle(cluster);
-    }
 }
 
 #[cfg(test)]
@@ -957,20 +945,6 @@ mod tests {
         let mut inc = IncrementalEstimator::new(&c, &[]);
         assert_eq!(inc.pop(&c), None);
         assert_eq!(inc.stats().removes, 0);
-    }
-
-    #[test]
-    fn replace_retunes_a_job_in_place() {
-        let c = cluster(1, 4, 500.0);
-        let a = job(0, &c, vec![(0, 1), (1, 1)], 2);
-        let b = job(1, &c, vec![(0, 2)], 3);
-        let mut inc = IncrementalEstimator::new(&c, &[a, b.clone()]);
-        // Job 0 migrates to a different worker set.
-        let moved = job(0, &c, vec![(2, 1), (3, 1)], 1);
-        inc.replace(&c, moved.clone());
-        assert_eq!(inc.num_jobs(), 2);
-        // Equivalent from-scratch order: survivors first, replaced job last.
-        assert_state_eq(inc.state(), &estimate(&c, &[b, moved]));
     }
 
     #[test]

@@ -573,7 +573,8 @@ proptest! {
     /// `(rate bits, shards)` per job and the settle number it last read
     /// at, drops the jobs it removed itself, and at each read updates only
     /// the ids listed. Over random interleavings of staged pushes (network
-    /// and local jobs), positional removals, pops, `replace` and settles —
+    /// and local jobs), positional removals, pops, re-tunes (a positional
+    /// removal and a push of the same id) and settles —
     /// with none to several settles between two reads — every listed id is
     /// live and listed once, and every live job *not* listed is in the
     /// reader's copy bit for bit: nothing that differs, and nothing new, is
@@ -636,10 +637,12 @@ proptest! {
                 4 if !live.is_empty() => {
                     // Re-tune a live job: same id, another placement.
                     if let Some(p) = unused.next() {
-                        let id = live.remove(pick % live.len()).id();
+                        let idx = pick % live.len();
+                        let id = live.remove(idx).id();
+                        prop_assert!(inc.stage_remove_at(idx, id));
                         let job = PlacedJob::new(id, &cluster, p);
                         live.push(job.clone());
-                        inc.replace(&cluster, job);
+                        inc.stage_push(job);
                     }
                 }
                 _ => inc.settle(&cluster),

@@ -9,17 +9,18 @@
 #  1. release build of the workspace
 #  2. clippy on all targets, warnings denied
 #  3. netpack-lint: any finding fails (stale pragmas and NETPACK_* registry drift too)
-#  4. exact smoke: table_mip_vs_dp, branch-and-bound == exhaustive reference in-binary
-#  5. workspace tests
-#  6. workspace doctests
-#  7. fig9 smoke: one 256-server x 400-job cell, every placer's run == run_reference
-#  8. fig10_xl smoke: production == the literal Algorithm 2 in-binary, digest and warm pushes (> 0) printed
-#  9. fig10 dense smoke: the same on 16 racks x 64 servers, 200 jobs; pins its PS counts, then
+#  4. rustdoc on the workspace's own crates, warnings denied (a dangling intra-doc link fails)
+#  5. exact smoke: table_mip_vs_dp, branch-and-bound == exhaustive reference in-binary
+#  6. workspace tests
+#  7. workspace doctests
+#  8. fig9 smoke: one 256-server x 400-job cell, every placer's run == run_reference
+#  9. fig10_xl smoke: production == the literal Algorithm 2 in-binary, digest and warm pushes (> 0) printed
+# 10. fig10 dense smoke: the same on 16 racks x 64 servers, 200 jobs; pins its PS counts, then
 #     class splits (> 0) printed from the same batch on 400 Gbps pools, which run dry
-# 10. service smoke: two 10K-job bench_service replays, stdout and event log byte-identical
-# 11. debug smokes: service (2 000 jobs), fig10_xl, fig10 dense, fig9 and exact smokes
+# 11. service smoke: two 10K-job bench_service replays, stdout and event log byte-identical
+# 12. debug smokes: service (2 000 jobs), fig10_xl, fig10 dense, fig9 and exact smokes
 #     from a debug build, its assertions on; every digest must equal the release one
-# 12. fig14 smoke: every cell == PacketSim::run_reference in-binary
+# 13. fig14 smoke: every cell == PacketSim::run_reference in-binary
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo run -p netpack-lint (any finding, stale pragma or unregistered NETPACK_* var fails)"
 cargo run -q -p netpack-lint
+
+echo "==> cargo doc --workspace --no-deps, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
 
 tmp_dir=$(mktemp -d)
 trap 'rm -rf "$tmp_dir"' EXIT
