@@ -20,11 +20,15 @@
 //! scoring and the live-link water-fill rounds to the literal algorithm,
 //! and pins the three PS-scoring counters of that cell: evaluations, the
 //! plan-rack servers those stood in for, and plans ruled out by their score
-//! ceiling. No change of mechanism may move them. No pool runs dry in that
-//! cell, so the smoke then places the same batch on the same cluster with
-//! 400 Gbps of PAT a rack, where pools do, and prints the water-fill class
-//! splits of that placement after the digest (`class splits: N`, asserted
-//! above 0); `check.sh`'s release-vs-debug diff pins the count.
+//! ceiling. No change of mechanism may move them. After the digest it
+//! prints the server-index classes that cell renamed in place (`index
+//! renames: N`, asserted above 0), which `check.sh`'s release-vs-debug diff
+//! pins while the debug build audits the index after every refresh. No
+//! pool runs dry in that cell, so the smoke then places the same batch on
+//! the same cluster with 400 Gbps of PAT a rack, where pools do, and
+//! prints the water-fill class splits of that placement (`class splits:
+//! N`, asserted above 0); `check.sh`'s release-vs-debug diff pins the
+//! count.
 
 use netpack_bench::{emit_table, placement_smoke, quick};
 use netpack_metrics::{Stopwatch, TextTable};
@@ -48,6 +52,9 @@ fn main() {
             [13_027, 18_057, 1_161],
             "[evaluations, rack servers skipped, plans ruled out]"
         );
+        let renames = perf.counter("index_renamed");
+        assert!(renames > 0, "no server-index class was renamed");
+        println!("index renames: {renames}");
         let starved = Cluster::new(ClusterSpec {
             pat_gbps: 400.0,
             ..cluster.spec().clone()

@@ -158,6 +158,7 @@ impl BatchTally {
         if self.class_build.count() > 0 {
             perf.incr("index_rebuilds", self.refresh.rebuilds);
             perf.incr("index_rekeyed", self.refresh.rekeyed);
+            perf.incr("index_renamed", self.refresh.renamed);
             perf.incr("index_journal_servers", self.refresh.journal_servers);
             perf.incr("index_classes", self.refresh.classes);
         }
@@ -1047,7 +1048,13 @@ mod tests {
     /// `waterfill_lone_entries` from 2 to 3 and `waterfill_link_visits`
     /// from 5 to 3 (the round reads three classes and no ordinary link or
     /// entry, where it read two classes, the PS link, its entry, and the
-    /// entry again in the freeze scan).
+    /// entry again in the freeze scan). `index_renamed` is a new row and
+    /// reads 0 in both lists. On eight servers the `n / 8` rebuild takes
+    /// any refresh that leaves two servers to move one by one, and every
+    /// refresh here with a class to rename also has such servers, so the
+    /// rebuild is certain before any rename is made; in the second list the
+    /// one refresh that re-keys moves a server out of a class whose other
+    /// members stay. No other count moved.
     #[test]
     fn a_mixed_batch_tallies_every_phase_once() {
         let c = cluster(2, 4, 4);
@@ -1073,6 +1080,7 @@ mod tests {
                 "index_journal_servers=14",
                 "index_rebuilds=6",
                 "index_rekeyed=2",
+                "index_renamed=0",
                 "plans_considered=4",
                 "ps_candidates_scored=20",
                 "ps_plans_ruled_out=0",
@@ -1111,6 +1119,7 @@ mod tests {
                 "index_journal_servers=1",
                 "index_rebuilds=2",
                 "index_rekeyed=1",
+                "index_renamed=0",
                 "waterfill_class_splits=0",
                 "waterfill_components_solved=0",
                 "waterfill_jobs_resolved=0",

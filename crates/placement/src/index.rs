@@ -37,8 +37,19 @@
 //!   journals — moves only in the PS partition, and no dead classes pile
 //!   up behind it.
 //!
-//! When more than one server in [`REBUILD_SHARE`] would be re-keyed, or
-//! dead (memberless) classes pile up, the partition is rebuilt by the same
+//! A refresh re-keys a class, not its servers, where it can: a re-solved
+//! job's servers all take its new residual at once, so most servers that
+//! change key change it with their whole class. [`Partition::update`]
+//! counts each stale server once and groups the ones whose key moved by
+//! class; a class all of whose members move to one key that no class holds
+//! is renamed in place — its slot leaves the probe table by backward-shift
+//! deletion and its new key goes in, and no member list, `class_of` entry
+//! or dead class is touched. The invariant, which the audit checks: every
+//! class's key probes to that class, and the table holds one slot per
+//! class. Only the servers left over move one by one.
+//!
+//! When more than one server in [`REBUILD_SHARE`] is left over, or dead
+//! (memberless) classes pile up, the partition is rebuilt by the same
 //! routine that builds it cold.
 
 use crate::dp::ServerStats;
@@ -49,9 +60,32 @@ use netpack_waterfill::SteadyState;
 use std::collections::VecDeque;
 use std::ops::AddAssign;
 
-/// Re-key at most `n / REBUILD_SHARE` servers incrementally; past that a
-/// from-scratch pass (4–12 ns/server) is cheaper than the member-list moves.
+/// Move at most `n / REBUILD_SHARE` servers one by one; past that a
+/// from-scratch pass is cheaper than the member-list moves. It costs ~3
+/// ns/server on a cold 50 176-server warehouse build and ~40 on the
+/// contended 256-server rebuilds of the simulator sweep (`warehouse_batch`
+/// and `sim_sweep`, seed 1, 2-core VM).
+/// Servers whose whole class is renamed are not counted: a rename costs a
+/// delete and a probe in the class table, whatever the class's size.
 const REBUILD_SHARE: usize = 8;
+
+/// High bit of a `class_of` entry: the server was already counted by the
+/// running [`Partition::update`]. Class ids stay below it.
+const COUNTED: u32 = 1 << 31;
+
+/// [`Group::first`] of a class that cannot be renamed: two of its movers
+/// disagree on the new key, or it has more members than there are stale
+/// servers.
+const NO_RENAME: u32 = u32::MAX;
+
+/// What one [`Partition::update`] found in one class: how many of its
+/// servers' keys moved, and where the first of them sits in the update's
+/// move list (`NO_RENAME` once the class cannot be renamed).
+#[derive(Debug, Clone, Copy, Default)]
+struct Group {
+    movers: u32,
+    first: u32,
+}
 
 /// Mixes a 64-bit word (splitmix64 finalizer) — the class-table hash.
 fn mix64(mut x: u64) -> u64 {
@@ -130,6 +164,15 @@ pub(crate) struct Partition<K> {
     /// Classes with no members: they keep their table entry (and revive if
     /// the key recurs) until the next rebuild reclaims them.
     dead: usize,
+    /// Update scratch, one entry per class id, all zero between updates.
+    /// It only grows, so an update writes the entries of the classes it
+    /// touches and nothing else.
+    groups: Vec<Group>,
+    /// Update scratch: each stale server whose key moved, once, with its
+    /// new key.
+    moves: Vec<(u32, K)>,
+    /// Update scratch: the classes those servers belong to, once each.
+    touched: Vec<u32>,
 }
 
 impl<K: ClassKey> Partition<K> {
@@ -140,6 +183,9 @@ impl<K: ClassKey> Partition<K> {
             members: Vec::new(),
             class_of: Vec::new(),
             dead: 0,
+            groups: Vec::new(),
+            moves: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -165,36 +211,94 @@ impl<K: ClassKey> Partition<K> {
         self.dead > self.keys.len() - self.dead + n / 32
     }
 
-    /// Class id of `key`, creating an empty class if it is new.
-    fn class_for(&mut self, key: K) -> u32 {
-        if (self.keys.len() + 1) * 2 > self.slots.len() {
-            self.slots = vec![0; self.slots.len() * 2];
-            for (cid, k) in self.keys.iter().enumerate() {
-                let mut slot = k.hash() as usize & (self.slots.len() - 1);
-                while self.slots[slot] != 0 {
-                    slot = (slot + 1) & (self.slots.len() - 1);
-                }
-                self.slots[slot] = cid as u32 + 1;
-            }
-        }
+    /// `Ok(class id)` of the class holding `key`, or `Err(slot)`: the empty
+    /// slot that ends the key's probe run.
+    fn probe(&self, key: &K) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = key.hash() as usize & mask;
         loop {
             match self.slots[slot] {
-                0 => {
-                    let cid = self.keys.len() as u32;
-                    self.slots[slot] = cid + 1;
-                    self.keys.push(key);
-                    if self.members.len() < self.keys.len() {
-                        self.members.push(VecDeque::new());
-                    }
-                    self.dead += 1;
-                    return cid;
-                }
-                v if self.keys[v as usize - 1] == key => return v - 1,
+                0 => return Err(slot),
+                v if self.keys[v as usize - 1] == *key => return Ok(v - 1),
                 _ => slot = (slot + 1) & mask,
             }
         }
+    }
+
+    /// File class `class` in the first empty slot of its key's probe run;
+    /// no slot may hold that key yet.
+    fn slot_in(&mut self, class: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.keys[class as usize].hash() as usize & mask;
+        while self.slots[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = class + 1;
+    }
+
+    /// Take class `class`'s slot out of the table by backward shift: each
+    /// later entry of the probe run whose home does not lie between the
+    /// hole and itself moves back into the hole, so every key stays
+    /// reachable from its home without crossing an empty slot. Returns the
+    /// one slot it left empty.
+    fn unslot(&mut self, class: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.keys[class as usize].hash() as usize & mask;
+        while self.slots[hole] != class + 1 {
+            hole = (hole + 1) & mask;
+        }
+        let mut next = (hole + 1) & mask;
+        while self.slots[next] != 0 {
+            let home = self.keys[self.slots[next] as usize - 1].hash() as usize & mask;
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = 0;
+        hole
+    }
+
+    /// Class id of `key`, creating an empty class if it is new.
+    fn class_for(&mut self, key: K) -> u32 {
+        if (self.keys.len() + 1) * 2 > self.slots.len() {
+            self.slots = vec![0; self.slots.len() * 2];
+            for cid in 0..self.keys.len() as u32 {
+                self.slot_in(cid);
+            }
+        }
+        match self.probe(&key) {
+            Ok(cid) => cid,
+            Err(slot) => {
+                let cid = self.keys.len() as u32;
+                self.slots[slot] = cid + 1;
+                self.keys.push(key);
+                if self.members.len() < self.keys.len() {
+                    self.members.push(VecDeque::new());
+                }
+                self.dead += 1;
+                cid
+            }
+        }
+    }
+
+    /// File class `class`, members and all, under `key` if no class holds
+    /// it; `true` if it did. Neither its member list nor any `class_of`
+    /// entry changes.
+    fn rename(&mut self, class: u32, key: K) -> bool {
+        let Err(slot) = self.probe(&key) else {
+            return false;
+        };
+        // The slot the delete empties is the key's first empty one if it
+        // lies in the key's probe run before `slot`.
+        let hole = self.unslot(class);
+        let mask = self.slots.len() - 1;
+        let home = key.hash() as usize & mask;
+        let slot = if hole.wrapping_sub(home) & mask < slot.wrapping_sub(home) & mask { hole } else { slot };
+        self.keys[class as usize] = key;
+        self.slots[slot] = class + 1;
+        true
     }
 
     /// Empty the table for a rebuild.
@@ -253,25 +357,115 @@ impl<K: ClassKey> Partition<K> {
         true
     }
 
-    /// Bring the partition in line with `key_of`: re-key the `stale`
-    /// servers one by one, or rebuild when that would move more than
-    /// `n / REBUILD_SHARE` of them. Returns `(rebuilt, servers re-keyed)`.
-    fn update(&mut self, n: usize, stale: &[u32], key_of: impl Fn(usize) -> K) -> (bool, u64) {
-        if self.class_of.len() != n || stale.len() > n / REBUILD_SHARE || self.bloated(n) {
+    /// Bring the partition in line with `key_of` for the `stale` servers
+    /// (repeats allowed). Each stale server whose key moved is counted once
+    /// in its class; a class all of whose members move to one key no class
+    /// holds is renamed in place, and the servers left over move one by
+    /// one — or the partition is rebuilt when more than
+    /// `n / REBUILD_SHARE` are left over, decided as soon as that is
+    /// certain. What it did, in `rebuilds`, `rekeyed` and `renamed`.
+    fn update(&mut self, n: usize, stale: &[u32], key_of: impl Fn(usize) -> K) -> RefreshStats {
+        let most = n / REBUILD_SHARE;
+        let mut done = RefreshStats::default();
+        if self.class_of.len() != n || self.bloated(n) {
             self.rebuild(n, key_of);
-            return (true, 0);
+            done.rebuilds = 1;
+            return done;
         }
-        let rekeyed = stale
+        if self.groups.len() < self.keys.len() {
+            self.groups.resize(self.keys.len(), Group::default());
+        }
+        // Movers of classes that cannot be renamed: left over whatever the
+        // rest of `stale` holds, so past `most` the count can stop.
+        let mut stuck = 0;
+        for &s in stale {
+            let class = self.class_of[s as usize];
+            if class & COUNTED != 0 {
+                continue;
+            }
+            self.class_of[s as usize] = class | COUNTED;
+            let key = key_of(s as usize);
+            if self.keys[class as usize] == key {
+                continue;
+            }
+            let group = &mut self.groups[class as usize];
+            if group.movers == 0 {
+                group.first = self.moves.len() as u32;
+                self.touched.push(class);
+                if self.members[class as usize].len() > stale.len() {
+                    group.first = NO_RENAME;
+                }
+            } else if group.first != NO_RENAME && self.moves[group.first as usize].1 != key {
+                stuck += group.movers as usize;
+                group.first = NO_RENAME;
+            }
+            group.movers += 1;
+            stuck += usize::from(group.first == NO_RENAME);
+            self.moves.push((s, key));
+            if stuck > most {
+                break;
+            }
+        }
+        for &s in stale {
+            self.class_of[s as usize] &= !COUNTED;
+        }
+        let whole = |p: &Self, class: u32| {
+            let group = p.groups[class as usize];
+            group.first != NO_RENAME && group.movers as usize == p.members[class as usize].len()
+        };
+        let touched = std::mem::take(&mut self.touched);
+        let renamable: usize = touched
             .iter()
-            .map(|&s| u64::from(self.rekey(s as usize, key_of(s as usize))))
+            .filter(|&&class| whole(self, class))
+            .map(|&class| self.groups[class as usize].movers as usize)
             .sum();
-        (false, rekeyed)
+        // Renames stop once a rebuild is certain.
+        let mut left_over = self.moves.len() - renamable;
+        for &class in &touched {
+            if left_over <= most && whole(self, class) {
+                let group = self.groups[class as usize];
+                if self.rename(class, self.moves[group.first as usize].1) {
+                    done.renamed += 1;
+                } else {
+                    left_over += group.movers as usize;
+                }
+            }
+            self.groups[class as usize] = Group::default();
+        }
+        self.touched = touched;
+        self.touched.clear();
+        let moves = std::mem::take(&mut self.moves);
+        if left_over > most {
+            self.rebuild(n, key_of);
+            done.rebuilds = 1;
+        } else {
+            // A renamed class's movers already sit under their new key.
+            for &(s, key) in &moves {
+                done.rekeyed += u64::from(self.rekey(s as usize, key));
+            }
+        }
+        self.moves = moves;
+        self.moves.clear();
+        done
     }
 
     /// Test oracle: `Err` naming the first difference between two
     /// partitions as sets of `(key, ascending members)` live classes (class
-    /// ids and dead classes may differ), or a miscounted `dead`.
+    /// ids and dead classes may differ), a miscounted `dead`, a class its
+    /// own key does not probe to, a slot no class owns, or update scratch
+    /// left dirty.
     fn same_as(&self, other: &Self) -> Result<(), String> {
+        if let Some(class) = (0..self.keys.len() as u32).find(|&c| self.probe(&self.keys[c as usize]) != Ok(c)) {
+            let key = self.keys[class as usize];
+            return Err(format!("class {class} ({key:?}) probes to {:?}", self.probe(&key)));
+        }
+        let filed = self.slots.iter().filter(|&&v| v != 0).count();
+        if filed != self.keys.len() {
+            return Err(format!("{filed} slots filed for {} classes", self.keys.len()));
+        }
+        if !self.moves.is_empty() || !self.touched.is_empty() || self.groups.iter().any(|g| g.movers != 0) {
+            return Err("update scratch left dirty".to_string());
+        }
         let canonical = |p: &Self| {
             let mut live: Vec<(K, Vec<u32>)> = p
                 .classes()
@@ -310,8 +504,10 @@ impl<K: ClassKey> Partition<K> {
 pub(crate) struct RefreshStats {
     /// Partitions rebuilt from scratch (0..=2).
     pub rebuilds: u64,
-    /// Servers moved between classes incrementally, both partitions.
+    /// Servers moved between classes one by one, both partitions.
     pub rekeyed: u64,
+    /// Classes renamed in place, members and all, both partitions.
+    pub renamed: u64,
     /// Journal entries whose keys were compared with the live arrays — a
     /// ledger entry's filter key, an access link's PS key (0 when the
     /// partitions were built cold).
@@ -325,6 +521,7 @@ impl AddAssign for RefreshStats {
     fn add_assign(&mut self, other: RefreshStats) {
         self.rebuilds += other.rebuilds;
         self.rekeyed += other.rekeyed;
+        self.renamed += other.renamed;
         self.journal_servers += other.journal_servers;
         self.classes += other.classes;
     }
@@ -419,7 +616,7 @@ impl ServerIndex {
                 // So the PS key decides both; a free count that moved too
                 // is the ledger entry's to compare. A server named twice (a
                 // ledger entry, or a stale rack, besides this one) is
-                // re-keyed twice; the second is a no-op.
+                // counted once by the update.
                 journal_servers += 1;
                 let filed = self.ps.key_of(link);
                 if filed.flows != flows[link] || filed.avail_bits != avail[link].to_bits() {
@@ -430,14 +627,11 @@ impl ServerIndex {
                 }
             }
         }
-        let (f_rebuilt, f_rekeyed) = self.filter.update(n, &self.changed, filter_key);
-        let (p_rebuilt, p_rekeyed) = self.ps.update(n, &self.ps_stale, ps_key);
-        RefreshStats {
-            rebuilds: u64::from(f_rebuilt) + u64::from(p_rebuilt),
-            rekeyed: f_rekeyed + p_rekeyed,
-            journal_servers,
-            classes: (self.ps.keys.len() - self.ps.dead) as u64,
-        }
+        let mut stats = self.filter.update(n, &self.changed, filter_key);
+        stats += self.ps.update(n, &self.ps_stale, ps_key);
+        stats.journal_servers = journal_servers;
+        stats.classes = (self.ps.keys.len() - self.ps.dead) as u64;
+        stats
     }
 
     /// The single-server shortcut answered from the filter partition: the
@@ -559,9 +753,10 @@ mod tests {
     /// a from-scratch build — compared as the journals left them — same
     /// candidates out of the filter as offering every server, same
     /// single-server pick as the literal scan. Returns how many refreshes
-    /// took the re-key path, the `n / 8` fallback, and the dead-class
-    /// reclaim.
-    fn churn(cluster: &Cluster, seed: u64, refreshes: usize) -> [usize; 3] {
+    /// took each path ([`PATHS`]): the incremental update, the `n / 8`
+    /// fallback and the dead-class reclaim, then, of the incremental ones,
+    /// how many had a class take each of [`class_paths`]' four.
+    fn churn(cluster: &Cluster, seed: u64, refreshes: usize) -> [usize; 7] {
         let topo = FlatTopology::new(cluster);
         let n = topo.num_servers();
         let gps = topo.gpus_per_server();
@@ -573,7 +768,7 @@ mod tests {
         let mut live: Vec<(JobId, Placement)> = Vec::new();
         let mut index = ServerIndex::new();
         let mut next_id = 0;
-        let (mut incremental, mut fallbacks, mut reclaims) = (0, 0, 0);
+        let mut paths = [0; 7];
         let credit = |ledger: &mut GpuLedger, p: &Placement| {
             for &(s, w) in p.workers() {
                 ledger.set_free(s.0, ledger.free()[s.0] + w as u32);
@@ -656,6 +851,7 @@ mod tests {
                 journal
             };
             let (servers, links) = (shuffled(ledger.journal()), shuffled(inc.journal()));
+            let before = index.clone();
             let stats = index.refresh(&topo, ledger.free(), inc.state(), &servers, &links);
             ledger.clear_journal();
             inc.clear_journal();
@@ -678,9 +874,17 @@ mod tests {
                 "seed {seed} round {round}"
             );
             match stats.rebuilds {
-                0 => incremental += 1,
-                _ if bloated => reclaims += 1,
-                _ => fallbacks += 1,
+                0 => {
+                    paths[0] += 1;
+                    let ps = class_paths(&before.ps, &index.ps);
+                    let filter = class_paths(&before.filter, &index.filter);
+                    assert_eq!(stats.renamed, (ps[0] + filter[0]) as u64, "seed {seed} round {round}");
+                    for (path, (p, f)) in ps.into_iter().zip(filter).enumerate() {
+                        paths[3 + path] += usize::from(p + f > 0);
+                    }
+                }
+                _ if bloated => paths[2] += 1,
+                _ => paths[1] += 1,
             }
             let demand = 1 + rng.below(3 * gps);
             let mut full = CandidateFilter::new(gps, demand, gps, Some(16));
@@ -706,7 +910,44 @@ mod tests {
                 );
             }
         }
-        [incremental, fallbacks, reclaims]
+        paths
+    }
+
+    /// Names of [`churn`]'s paths, in its order.
+    const PATHS: [&str; 7] = ["update", "fallback", "reclaim", "rename", "blocked", "split", "partial"];
+
+    /// What one incremental update did to each live class of `before`,
+    /// read from class ids and keys alone: `[renamed, blocked, split,
+    /// partial]` class counts. Every member moved to one key and kept its
+    /// class id: renamed. Every member moved to one key under another
+    /// class id: a rename blocked, because another class held the key.
+    /// Moved servers split across two keys or more: split. Some members
+    /// moved, to one key, and the rest stayed: partial.
+    fn class_paths<K: ClassKey>(before: &Partition<K>, after: &Partition<K>) -> [usize; 4] {
+        let mut paths = [0; 4];
+        for (class, members) in before.members.iter().enumerate() {
+            let old = before.keys[class];
+            let moved: Vec<usize> = members
+                .iter()
+                .map(|&s| s as usize)
+                .filter(|&s| *after.key_of(s) != old)
+                .collect();
+            let Some(&first) = moved.first() else {
+                continue;
+            };
+            let key = *after.key_of(first);
+            let path = if moved.iter().any(|&s| *after.key_of(s) != key) {
+                2
+            } else if moved.len() < members.len() {
+                3
+            } else if members.iter().all(|&s| after.class_of[s as usize] == class as u32) {
+                0
+            } else {
+                1
+            };
+            paths[path] += 1;
+        }
+        paths
     }
 
     impl<K: ClassKey> Partition<K> {
@@ -729,6 +970,24 @@ mod tests {
             }
             self.members.truncate(self.keys.len());
             self.dead = 0;
+        }
+
+        /// Exchange the ids of classes `a` and `b`: keys, member lists,
+        /// `class_of` entries and slots.
+        fn swap_classes(&mut self, a: u32, b: u32) {
+            self.keys.swap(a as usize, b as usize);
+            self.members.swap(a as usize, b as usize);
+            for class in &mut self.class_of {
+                if *class == a {
+                    *class = b;
+                } else if *class == b {
+                    *class = a;
+                }
+            }
+            self.slots.fill(0);
+            for class in 0..self.keys.len() as u32 {
+                self.slot_in(class);
+            }
         }
     }
 
@@ -807,14 +1066,22 @@ mod tests {
         assert!(lengths.iter().all(|&seen| seen), "{lengths:?}");
     }
 
-    /// Every refresh path must have been exercised across the seeds.
+    /// Every refresh path must have been taken more than 20 times across
+    /// the seeds; the counts print with `--nocapture`. Five small
+    /// mutations of the rename path each fail the audit in both fixtures:
+    /// a rename allowed with one member staying behind, a rename onto a
+    /// key another class holds, a slot zeroed without the backward shift,
+    /// a renamed key filed past the slot the delete emptied, and a server
+    /// named twice counted twice.
     fn churn_seeds(cluster: &Cluster, seeds: std::ops::Range<u64>) {
-        let mut paths = [0; 3];
+        let mut paths = [0; 7];
         for seed in seeds {
             let ran = churn(cluster, seed, 80);
             paths.iter_mut().zip(ran).for_each(|(total, r)| *total += r);
         }
-        assert!(paths.iter().all(|&p| p > 0), "[re-key, fallback, reclaim] = {paths:?}");
+        let counts: Vec<String> = PATHS.iter().zip(paths).map(|(name, p)| format!("{name} {p}")).collect();
+        println!("refreshes per path: {}", counts.join(", "));
+        assert!(paths.iter().all(|&p| p > 20), "{counts:?}");
     }
 
     #[test]
@@ -826,7 +1093,7 @@ mod tests {
             racks_per_pod: Some(8),
             ..ClusterSpec::paper_default()
         });
-        churn_seeds(&cluster, 1..7);
+        churn_seeds(&cluster, 1..25);
     }
 
     #[test]
@@ -837,7 +1104,7 @@ mod tests {
             gpus_per_server: 8,
             ..ClusterSpec::paper_default()
         });
-        churn_seeds(&cluster, 11..15);
+        churn_seeds(&cluster, 11..81);
     }
 
     /// The strict audit must see what a full diff would have healed: a
@@ -977,7 +1244,10 @@ mod tests {
 
     /// Classes that differ only in `flows` tie on both of the shortcut's
     /// criteria: the lowest front member across them must win, as the
-    /// literal scan's "first wins" has it — whichever class came first.
+    /// literal scan's "first wins" has it — whichever class comes first.
+    /// Which ids a refresh hands the two classes is its own business (a
+    /// rename keeps an old id), so the test checks both orders: as the
+    /// refreshes left them, then with the two ids exchanged.
     #[test]
     fn shortcut_breaks_ties_across_flow_classes_toward_the_lowest_id() {
         let cluster = Cluster::new(ClusterSpec {
@@ -1007,8 +1277,7 @@ mod tests {
         // No aggregation, so a PS's access link carries one flow per worker
         // server and is the bottleneck: it ends saturated — residual zero —
         // whatever the count. Server 5 serves two worker servers, server 2
-        // three; both keep all their GPUs. Each job is re-keyed in as it
-        // lands, so the class of the higher id is created first.
+        // three; both keep all their GPUs.
         let jobs = [
             Placement::new(vec![(ServerId(6), 1), (ServerId(7), 1)], Some(ServerId(5))),
             Placement::new(vec![(ServerId(9), 1), (ServerId(10), 1), (ServerId(11), 1)], Some(ServerId(2))),
@@ -1024,12 +1293,18 @@ mod tests {
         let (avail, flows) = (state.servers_available_gbps(), state.servers_flows());
         assert_eq!(avail[2].to_bits(), avail[5].to_bits(), "the fixture must tie on bandwidth");
         assert_ne!(flows[2], flows[5], "the fixture must split the tie into two classes");
-        assert!(index.filter.class_of[5] < index.filter.class_of[2]);
-        for gpus in 1..=5 {
-            let want = ledger.scan_tightest_fit(avail, gpus);
-            assert_eq!(index.tightest_fit(gpus), want, "{gpus} GPUs");
+        let (two, five) = (index.filter.class_of[2], index.filter.class_of[5]);
+        for swapped in [false, true] {
+            if swapped {
+                index.filter.swap_classes(two, five);
+            }
+            assert_eq!(index.audit(&topo, ledger.free(), state, &[], &[]), Ok(()), "swapped: {swapped}");
+            for gpus in 1..=5 {
+                let want = ledger.scan_tightest_fit(avail, gpus);
+                assert_eq!(index.tightest_fit(gpus), want, "{gpus} GPUs, swapped: {swapped}");
+            }
+            assert_eq!(index.tightest_fit(4), Some(2));
+            assert_eq!(index.tightest_fit(5), None);
         }
-        assert_eq!(index.tightest_fit(4), Some(2));
-        assert_eq!(index.tightest_fit(5), None);
     }
 }

@@ -15,8 +15,8 @@
 #  7. workspace doctests
 #  8. fig9 smoke: one 256-server x 400-job cell, every placer's run == run_reference
 #  9. fig10_xl smoke: production == the literal Algorithm 2 in-binary, digest and warm pushes (> 0) printed
-# 10. fig10 dense smoke: the same on 16 racks x 64 servers, 200 jobs; pins its PS counts, then
-#     class splits (> 0) printed from the same batch on 400 Gbps pools, which run dry
+# 10. fig10 dense smoke: the same on 16 racks x 64 servers, 200 jobs; pins its PS counts, prints
+#     index renames (> 0), then class splits (> 0) from the same batch on 400 Gbps pools, which run dry
 # 11. service smoke: two 10K-job bench_service replays, stdout and event log byte-identical
 # 12. debug smokes: service (2 000 jobs), fig10_xl, fig10 dense, fig9 and exact smokes
 #     from a debug build, its assertions on; every digest must equal the release one
@@ -57,14 +57,14 @@ echo "==> fig10_xl smoke: production == reference (in-binary), pushes absorbed w
 xl_release=$(NETPACK_SMOKE=1 ./target/release/fig10_xl)
 printf '%s\n' "$xl_release"
 
-echo "==> fig10 dense smoke: production == reference (in-binary), refinable classes split on drier pools"
+echo "==> fig10 dense smoke: production == reference (in-binary), index classes renamed in place, refinable classes split on drier pools"
 # Many servers per rack and many contending jobs: the per-rack PS-class
 # representatives and the live-link water-fill rounds are the bill here.
-# Its last line is the class split count of the same batch on 400 Gbps
-# pools, which run dry.
+# After the digest come the index classes renamed in place and the class
+# split count of the same batch on 400 Gbps pools, which run dry.
 dense_release=$(NETPACK_SMOKE=1 ./target/release/fig10_placement_time)
 printf '%s\n' "$dense_release" | head -n 1
-printf '%s\n' "$dense_release" | tail -n 2
+printf '%s\n' "$dense_release" | tail -n 3
 
 echo "==> service smoke: deterministic 10K-job replay must be byte-reproducible"
 svc_a=$(NETPACK_SMOKE=1 NETPACK_SERVICE_EVENT_LOG="$tmp_dir/svc_a.log" \
@@ -95,7 +95,8 @@ echo "==> debug smokes: debug builds, server index == full scan and shortcut == 
 # only the pushed job's links, and the diff pins the warm-push count), the
 # fig10 dense smoke the contended cell (PS-table bits, the score
 # ceiling, the share-minimum skip, the freeze and the refinable classes
-# asserted on every use, ~0.6 s; the diff pins the class split count), and
+# asserted on every use, the index audited after every refresh, renames
+# included, ~0.6 s; the diff pins the rename and class split counts), and
 # the fig9 smoke the session under the simulator's job manager, where a
 # debug build also re-checks every running job's iteration time after
 # each selective re-rate (~3 s); a debug build may not move a placement or

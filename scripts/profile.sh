@@ -7,8 +7,10 @@
 # Builds benchmark/ as benchmark/run.sh does (`cargo build --release
 # --offline`, into $CARGO_TARGET_DIR or benchmark/target), unsets every
 # NETPACK_* variable, runs the binary on one workload of BENCHMARK.json
-# (seed 1, tracing off) under `gprofng collect app`, and prints the top
-# functions by exclusive CPU time, then the call tree.
+# (seed 1, tracing off) under `gprofng collect app`, and prints the CPU
+# time the profile recorded against the CPU time the process used (user +
+# system, as the shell's `time` reports it), then the top functions by
+# exclusive CPU time, then the call tree.
 #
 # It attributes time and never claims it: a profile is one run, slowed by
 # the profiler, on a host whose speed drifts. scripts/pairs.sh stays the
@@ -17,7 +19,12 @@
 # On the 2-core VM this repository's benchmark numbers come from, clock
 # profiling yields ~10 samples per second of run, not the nominal 100: the
 # default 30 s gives ~300 samples, enough to rank functions, not to split
-# a few percent between them.
+# a few percent between them. And it records little of the threaded
+# service workload: over 10 s runs it recorded 0.25 s of the 11.7 s of CPU the
+# `service_saturate` process used (2.1 %), against 1.07 s of 10.8 s
+# (9.9 %) on `dense_batch`. Read the recorded share the script prints
+# first: a profile that saw a few percent of the run ranks what it saw,
+# not the run.
 #
 # Exits 2 if gprofng (GNU binutils 2.39 or later) is not installed.
 set -euo pipefail
@@ -42,11 +49,23 @@ bin="$target/release/netpack-benchmark"
 
 experiment=$(mktemp -d "${TMPDIR:-/tmp}/netpack-profile.XXXXXX")
 trap 'rm -rf "$experiment"' EXIT
-gprofng collect app -o "$experiment/run.er" \
-    "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >&2
+# The `time` report goes to a file; the run's own output to stderr.
+TIMEFORMAT='%U %S'
+{ time gprofng collect app -o "$experiment/run.er" \
+    "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 1>&3 2>&3; } \
+    3>&2 2> "$experiment/process_cpu"
+functions=$(gprofng display text -limit 40 -functions "$experiment/run.er")
+recorded=$(awk '/<Total>/ { print $1; exit }' <<< "$functions")
+read -r user system < "$experiment/process_cpu"
+awk -v w="$workload" -v secs="$seconds" -v rec="${recorded:-0}" -v user="$user" -v sys="$system" 'BEGIN {
+    cpu = user + sys
+    printf "== %s, %s s: the profile recorded %.2f s of CPU; the process used %.2f s (%.2f user + %.2f system): %.1f %% ==\n",
+        w, secs, rec, cpu, user, sys, (cpu > 0 ? 100 * rec / cpu : 0)
+}'
+echo
 
 echo "== $workload, $seconds s: top functions by exclusive CPU time =="
-gprofng display text -limit 40 -functions "$experiment/run.er"
+printf '%s\n' "$functions"
 echo
 echo "== $workload, $seconds s: call tree =="
 gprofng display text -calltree "$experiment/run.er"
