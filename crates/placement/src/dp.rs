@@ -7,17 +7,24 @@
 //! is `f`. Tracking `f` is what lets the PS-placement step punish plans
 //! with hot-spot servers.
 //!
-//! One table is updated in place, a server at a time and a row at a time.
-//! The row being written is first copied aside, so every read sees a
-//! pre-update value and a row's cells update in ascending `g` with no
-//! `-inf` test — an unreachable source never wins the strict `>`. The
-//! loop is not vectorised: in the release build (x86-64) each cell is a
-//! scalar `addsd` and `ucomisd`, and the only packed instruction is the
-//! row copy's `movupd`. What the form buys is a shorter loop: one compare
-//! per cell instead of two, walked forward over zipped slices, which the
-//! compiler unrolls by two with no bounds check. The tests keep the
-//! earlier loop (`g` walked downward, `-inf` sources skipped) as
-//! `plans_literal` and hold the two to the same bits.
+//! One table is updated in place, a server at a time and a row at a time,
+//! and only the rows that hold a finite cell — the *live* rows, kept in a
+//! sorted list — are read or written: a row of `-inf` never wins the
+//! strict `>`, so skipping it changes no bit. The table has one row per
+//! flow count up to the highest clamped flow among the servers that fit,
+//! however large `fs_max` is. The row being written is first copied aside,
+//! so every read sees a pre-update value and a row's cells update in
+//! ascending `g` with no `-inf` test, in a forward loop over zipped
+//! slices. Each cell holds the head of a chain instead of a per-server
+//! decision: a cell that wins appends a node `(server, the source cell's
+//! pre-update head)` to an arena, so a plan is read off its cell's chain
+//! in O(plan size). The table, the chain heads, the nodes and the live
+//! rows form a [`DpArena`], which the flat path keeps for a batch (or a
+//! session) and [`WorkerDp::plans`] builds fresh per call. The tests keep
+//! the earlier loop (`g` walked downward over every row up to the highest
+//! live one, `-inf` sources skipped, a `servers × cells` table of `u8`
+//! predecessor rows backtracked over every candidate) as `plans_literal`
+//! and hold the two to the same bits.
 
 use netpack_topology::ServerId;
 
@@ -80,15 +87,33 @@ pub struct WorkerDp {
     track_flows: bool,
 }
 
+/// The end of a chain: the empty subset of cell `(0, 0)`.
+const NO_NODE: u32 = u32::MAX;
+
+/// The DP's working memory, reused across calls: [`WorkerDp::plans_in`]
+/// resets what it reads, so one arena serves any sequence of instances.
+#[derive(Debug, Default)]
+pub(crate) struct DpArena {
+    /// `value[f * width + g]`: best value of cell `(f, g)`, `-inf` if no
+    /// subset reaches it.
+    value: Vec<f64>,
+    /// Per cell, the node of the server whose update set its value (or
+    /// [`NO_NODE`]).
+    head: Vec<u32>,
+    /// `(server index, node of the source cell before the update)` — one
+    /// per cell update, so a cell's chain lists its subset, last server
+    /// first.
+    nodes: Vec<(u32, u32)>,
+    /// Rows holding a finite cell, ascending.
+    live: Vec<usize>,
+    /// The pre-update values and heads of the row being written.
+    before: Vec<f64>,
+    before_head: Vec<u32>,
+}
+
 impl WorkerDp {
-    /// DP with the flow dimension clamped to `fs_max` (must be ≤ 254).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fs_max > 254` (the decision table stores predecessor `f`
-    /// coordinates in a `u8`, reserving 255 as "not chosen").
+    /// DP with the flow dimension clamped to `fs_max`.
     pub fn new(fs_max: u32) -> Self {
-        assert!(fs_max <= 254, "fs_max must fit in a u8");
         WorkerDp {
             fs_max,
             track_flows: true,
@@ -113,6 +138,17 @@ impl WorkerDp {
     ///
     /// Returns an empty vector when no server subset covers the demand.
     pub fn plans(&self, servers: &[ServerStats], demand: usize, slack: usize) -> Vec<WorkerPlan> {
+        self.plans_in(&mut DpArena::default(), servers, demand, slack)
+    }
+
+    /// [`plans`](Self::plans) in `arena`'s memory.
+    pub(crate) fn plans_in(
+        &self,
+        arena: &mut DpArena,
+        servers: &[ServerStats],
+        demand: usize,
+        slack: usize,
+    ) -> Vec<WorkerPlan> {
         if demand == 0 {
             return vec![WorkerPlan {
                 servers: Vec::new(),
@@ -121,96 +157,109 @@ impl WorkerDp {
                 value: 0.0,
             }];
         }
-        let nf = if self.track_flows {
-            self.fs_max as usize + 1
-        } else {
-            1
-        };
         let g_max = demand + slack;
         let width = g_max + 1;
-        let cells = nf * width;
-        const NOT_CHOSEN: u8 = 0xFF;
-
-        let mut value = vec![f64::NEG_INFINITY; cells];
-        value[0] = 0.0;
-        // decisions[s][f * width + g] = predecessor f if server s chosen.
-        let mut decisions = vec![NOT_CHOSEN; servers.len() * cells];
-        // Highest f row holding any finite cell; rows above it are all
-        // -inf and can be skipped without changing any result.
-        let mut top = 0usize;
-        // The pre-update values of the row being written.
-        let mut before = vec![0.0; width];
-
-        // 0/1 update, one server at a time. Taking server `s` moves
-        // (i, g-w) to (max(i, clamped), g): writes land in rows >= clamped,
-        // and the only row both read and written is the one being
-        // written, whose pre-update values are copied to `before` first —
-        // so every read is a pre-update value, exactly as a double buffer
-        // would give, and the cells of a row update in any order. An
-        // unreachable source adds up to -inf, which never wins the strict
-        // `>`, so no cell is tested for it. Candidates for a cell are
-        // applied in ascending `i` order with that strict test, so
-        // tie-breaks (and hence the backtracked plans) match the buffered
-        // formulation bit for bit.
-        for (si, srv) in servers.iter().enumerate() {
-            let w = srv.gpus_free;
-            if w == 0 || w > g_max {
-                continue;
-            }
-            let clamped = if self.track_flows {
+        let fits = |srv: &&ServerStats| (1..=g_max).contains(&srv.gpus_free);
+        let clamp = |srv: &ServerStats| {
+            if self.track_flows {
                 srv.flows.min(self.fs_max) as usize
             } else {
                 0
-            };
-            let dec = &mut decisions[si * cells..(si + 1) * cells];
-            // The cells (f, w..=g_max) of one row take `source[g - w] +
-            // value` where that is strictly greater, noting `from` as the
-            // predecessor row.
-            let relax = |source: &[f64], row: &mut [f64], dec: &mut [u8], from: usize| {
-                for ((cell, d), &prev) in row[w..].iter_mut().zip(&mut dec[w..]).zip(source) {
+            }
+        };
+        // No update writes above the highest clamped flow among the
+        // servers that fit, so no row above it is ever live.
+        let rows = servers.iter().filter(fits).map(clamp).max().map_or(1, |f| f + 1);
+        let DpArena { value, head, nodes, live, before, before_head } = arena;
+        value.clear();
+        value.resize(rows * width, f64::NEG_INFINITY);
+        value[0] = 0.0;
+        head.clear();
+        head.resize(rows * width, NO_NODE);
+        nodes.clear();
+        live.clear();
+        live.push(0);
+        before.resize(width, 0.0);
+        before_head.resize(width, NO_NODE);
+
+        // 0/1 update, one server at a time. Taking server `s` moves
+        // (i, g-w) to (max(i, clamped), g): writes land in live rows above
+        // `clamped` (each from itself) and in row `clamped` (from every
+        // live row at or below it). A row that is not live holds only
+        // -inf, which never wins the strict `>`, so it is neither read nor
+        // written; row `clamped` is live from this server on. The only row
+        // both read and written is the one being written, whose pre-update
+        // values and heads are copied aside first — so every read is a
+        // pre-update value, exactly as a double buffer would give, and the
+        // cells of a row update in any order. An unreachable source adds
+        // up to -inf, so no cell is tested for it. Candidates for a cell
+        // are applied in ascending row order with that strict test, so
+        // tie-breaks (and hence the plans) match the buffered formulation
+        // bit for bit. A win appends a node naming the server and the
+        // source cell's pre-update head, and makes it the cell's head.
+        for (si, srv) in servers.iter().enumerate().filter(|(_, srv)| fits(srv)) {
+            let w = srv.gpus_free;
+            let clamped = clamp(srv);
+            // The cells (f, w..) of one row take `source[g - w] + value`
+            // where that is strictly greater.
+            let relax = |source: &[f64], source_head: &[u32], row: &mut [f64], heads: &mut [u32], nodes: &mut Vec<(u32, u32)>| {
+                let sources = source.iter().zip(source_head);
+                for ((cell, h), (&prev, &from)) in row[w..].iter_mut().zip(&mut heads[w..]).zip(sources) {
                     let cand = prev + srv.value;
-                    let wins = cand > *cell;
-                    *cell = if wins { cand } else { *cell };
-                    *d = if wins { from as u8 } else { *d };
+                    if cand > *cell {
+                        *cell = cand;
+                        *h = nodes.len() as u32;
+                        nodes.push((si as u32, from));
+                    }
                 }
             };
-            // Rows above `clamped`: the only candidate is i == f.
-            for f in clamped + 1..=top {
+            // Live rows at or below `clamped`, and whether `clamped` is one.
+            let below = live.partition_point(|&f| f <= clamped);
+            let own = below > 0 && live[below - 1] == clamped;
+            // Live rows above `clamped`: the only candidate is i == f.
+            for &f in &live[below..] {
                 let row = f * width..(f + 1) * width;
                 before.copy_from_slice(&value[row.clone()]);
-                relax(&before, &mut value[row.clone()], &mut dec[row], f);
+                before_head.copy_from_slice(&head[row.clone()]);
+                relax(before, before_head, &mut value[row.clone()], &mut head[row], nodes);
             }
-            // Row `clamped` collects every i <= clamped (rows above `top`
-            // are all -inf and contribute nothing), its own from `before`.
-            let (below, rest) = value.split_at_mut(clamped * width);
-            let (own, dec) = (&mut rest[..width], &mut dec[clamped * width..(clamped + 1) * width]);
-            if clamped <= top {
-                before.copy_from_slice(own);
+            // Row `clamped` collects every live i <= clamped, its own from
+            // the copy.
+            let (lower, rest) = value.split_at_mut(clamped * width);
+            let (lower_head, rest_head) = head.split_at_mut(clamped * width);
+            let (own_row, own_head) = (&mut rest[..width], &mut rest_head[..width]);
+            if own {
+                before.copy_from_slice(own_row);
+                before_head.copy_from_slice(own_head);
             }
-            for i in 0..=clamped.min(top) {
-                let source = if i == clamped { &before[..] } else { &below[i * width..(i + 1) * width] };
-                relax(source, own, dec, i);
+            for &i in &live[..below] {
+                let (source, source_head) = if i == clamped {
+                    (&before[..], &before_head[..])
+                } else {
+                    (&lower[i * width..(i + 1) * width], &lower_head[i * width..(i + 1) * width])
+                };
+                relax(source, source_head, own_row, own_head, nodes);
             }
-            top = top.max(clamped);
+            if !own {
+                live.insert(below, clamped);
+            }
         }
 
-        // Collect and backtrack every feasible (f, g) cell in range.
+        // Collect every feasible (f, g) cell in range, its subset read off
+        // its chain.
         let mut plans = Vec::new();
-        for f in 0..nf {
+        for &f in live.iter() {
             for g in demand..=g_max {
                 let cell = f * width + g;
                 if value[cell] == f64::NEG_INFINITY {
                     continue;
                 }
                 let mut chosen = Vec::new();
-                let (mut cf, mut cg) = (f, g);
-                for si in (0..servers.len()).rev() {
-                    let d = decisions[si * cells + cf * width + cg];
-                    if d != NOT_CHOSEN {
-                        chosen.push(servers[si].id);
-                        cg -= servers[si].gpus_free;
-                        cf = d as usize;
-                    }
+                let mut node = head[cell];
+                while node != NO_NODE {
+                    let (si, prev) = nodes[node as usize];
+                    chosen.push(servers[si as usize].id);
+                    node = prev;
                 }
                 chosen.reverse();
                 plans.push(WorkerPlan {
@@ -485,38 +534,54 @@ pub(crate) mod tests {
         dp.track_flows.then_some(dp.fs_max)
     }
 
-    /// The DP as it runs — rows updated from a snapshot, branch-free — is
-    /// [`plans_literal`] on every output bit: the same plans in the same
-    /// order, each with the same servers, GPUs, `f` and value bits. The
-    /// instances ([`dp_case`]) reach, each in more than a hundred of the
-    /// 4 000 cases: a cell two server subsets fill with the same value (the
-    /// tie-break decides which is backtracked), two servers of equal
-    /// weight, clamped flows and value, a server whose flows exceed
-    /// `fs_max`, one with no free GPU, one too big for the plan, and the
-    /// DP without its flow dimension.
+    /// Assert `a` and `b` are the same plans in the same order, each with
+    /// the same servers, GPUs, `f` and value bits.
+    fn assert_same_plans(a: &[WorkerPlan], b: &[WorkerPlan], seed: u64) {
+        assert_eq!(a.len(), b.len(), "seed {seed}");
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(
+                (&a.servers, a.gpus, a.max_flows, a.value.to_bits()),
+                (&b.servers, b.gpus, b.max_flows, b.value.to_bits()),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// The DP as it runs — live rows only, each updated from a snapshot,
+    /// plans read off chains — is [`plans_literal`] on every output bit:
+    /// the same plans in the same order, each with the same servers, GPUs,
+    /// `f` and value bits. The instances ([`dp_case`]) reach, each in more
+    /// than a hundred of the 4 000 cases: a cell two server subsets fill
+    /// with the same value (the tie-break decides which is backtracked),
+    /// two servers of equal weight, clamped flows and value, a server whose
+    /// flows exceed `fs_max`, one with no free GPU, one too big for the
+    /// plan, the DP without its flow dimension, a server taken while a dead
+    /// row lies between two live ones (the literal loop relaxes it, the
+    /// DP skips it), and a row made live after a higher one.
     ///
-    /// Three one-line mutations of `WorkerDp::plans`, each failing this
-    /// test in a debug build and under `--release`:
+    /// One-line mutations of `WorkerDp::plans_in`, each failing this test
+    /// in a debug build and under `--release`:
     ///
     /// * `cand >= *cell` for `cand > *cell` (a later tie wins);
-    /// * `(0..=clamped.min(top)).rev()` for the ascending candidate rows
-    ///   (a higher row wins a tie);
-    /// * the `before.copy_from_slice` of a row above `clamped` dropped
-    ///   (`relax` reads whatever row the snapshot held last).
+    /// * `live[..below].iter().rev()` for the ascending candidate rows (a
+    ///   higher row wins a tie);
+    /// * the `before.copy_from_slice` of a live row above `clamped` dropped
+    ///   (`relax` reads whatever row the snapshot held last);
+    /// * either `before_head.copy_from_slice` dropped (a node links to a
+    ///   head another row left in the snapshot);
+    /// * `live.push(clamped)` for the sorted insert (rows relaxed and
+    ///   plans listed out of order).
+    ///
+    /// A predecessor's head read from the row being written, after its
+    /// update, instead of from the snapshot cannot be written against this
+    /// loop: the row's heads are borrowed mutably by the loop that writes
+    /// them, and the compiler refuses the read.
     #[test]
     fn plans_match_the_literal_loop_bit_for_bit() {
-        let mut reached = [0usize; 6];
+        let mut reached = [0usize; 8];
         for seed in 0..4000 {
             let (dp, servers, demand, slack) = dp_case(seed);
-            let (fast, literal) = (dp.plans(&servers, demand, slack), plans_literal(&dp, &servers, demand, slack));
-            assert_eq!(fast.len(), literal.len(), "seed {seed}");
-            for (a, b) in fast.iter().zip(&literal) {
-                assert_eq!(
-                    (&a.servers, a.gpus, a.max_flows, a.value.to_bits()),
-                    (&b.servers, b.gpus, b.max_flows, b.value.to_bits()),
-                    "seed {seed}"
-                );
-            }
+            assert_same_plans(&dp.plans(&servers, demand, slack), &plans_literal(&dp, &servers, demand, slack), seed);
             let g_max = demand + slack;
             let clamp = |s: &ServerStats| if dp.track_flows { s.flows.min(dp.fs_max) } else { 0 };
             // Best value per (f, g) cell over every subset, and how many
@@ -539,6 +604,16 @@ pub(crate) mod tests {
             let twins = live.iter().enumerate().any(|(i, a)| {
                 live[i + 1..].iter().any(|b| (a.gpus_free, clamp(a), a.value) == (b.gpus_free, clamp(b), b.value))
             });
+            // Live rows as the servers that fit are taken in turn.
+            let (mut rows, mut dead_between, mut late) = (vec![0], false, false);
+            for s in &live {
+                let top = *rows.iter().max().unwrap_or(&0);
+                dead_between |= (1..top).any(|r| !rows.contains(&r));
+                if !rows.contains(&clamp(s)) {
+                    late |= clamp(s) < top;
+                    rows.push(clamp(s));
+                }
+            }
             let seen = [
                 best.iter().any(|(&(_, g), &(_, ways))| g >= demand && g <= g_max && ways > 1),
                 twins,
@@ -546,6 +621,8 @@ pub(crate) mod tests {
                 servers.iter().any(|s| s.gpus_free == 0),
                 servers.iter().any(|s| s.gpus_free > g_max),
                 !dp.track_flows,
+                dead_between,
+                late,
             ];
             for (count, seen) in reached.iter_mut().zip(seen) {
                 *count += usize::from(seen);
@@ -553,8 +630,43 @@ pub(crate) mod tests {
         }
         assert!(
             reached.iter().all(|&n| n > 100),
-            "[tie, twins, flows > fs_max, w = 0, w > g_max, no flow dimension] = {reached:?}"
+            "[tie, twins, flows > fs_max, w = 0, w > g_max, no flow dimension, dead row between live ones, row live after a higher one] = {reached:?}"
         );
+    }
+
+    /// One arena serves any sequence of instances: reused across the 4 000
+    /// [`dp_case`] instances in a shuffled order, it returns what a fresh
+    /// arena returns, bit for bit.
+    #[test]
+    fn a_reused_arena_plans_what_a_fresh_one_plans() {
+        let mut order: Vec<u64> = (0..4000).collect();
+        let mut state = 0x5EED_u64;
+        for i in (1..order.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut arena = DpArena::default();
+        for seed in order {
+            let (dp, servers, demand, slack) = dp_case(seed);
+            assert_same_plans(&dp.plans_in(&mut arena, &servers, demand, slack), &dp.plans(&servers, demand, slack), seed);
+        }
+    }
+
+    /// A flow clamp above every flow count changes nothing, however large:
+    /// the DP's rows follow the highest clamped flow among its servers, not
+    /// `fs_max`, so `WorkerDp::new(300)` (more than a `u8` row index holds)
+    /// plans what `WorkerDp::new(m)` plans, `m` the instance's highest flow
+    /// count, on the 4 000 [`dp_case`] instances.
+    #[test]
+    fn a_clamp_above_every_flow_count_plans_like_the_highest_count() {
+        for seed in 0..4000 {
+            let (_, servers, demand, slack) = dp_case(seed);
+            let m = servers.iter().map(|s| s.flows).max().unwrap_or(0);
+            let wide = WorkerDp::new(300).plans(&servers, demand, slack);
+            assert_same_plans(&wide, &WorkerDp::new(m).plans(&servers, demand, slack), seed);
+        }
     }
 
     #[test]

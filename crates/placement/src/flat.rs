@@ -45,8 +45,8 @@
 //!    plan whose bound cannot beat an earlier plan of the job scores its
 //!    own servers only.
 //! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
-//!    worker lists) lives in [`FlatBatch`] and is reused across the whole
-//!    batch; the hot loop allocates nothing, and the [`Cluster`] is static
+//!    worker lists, the worker DP's tables) lives in [`FlatBatch`] and is
+//!    reused across the whole batch; the hot loop allocates nothing, and the [`Cluster`] is static
 //!    information that is never cloned or written — the free GPUs are
 //!    [`GpuLedger`]'s, the only book of them on this path.
 //!
@@ -57,7 +57,7 @@
 //! `(cluster, running)` and drops it after the batch;
 //! [`NetPackSession`](crate::NetPackSession) keeps its pair warm.
 
-use crate::dp::{WorkerDp, WorkerPlan};
+use crate::dp::{DpArena, WorkerDp, WorkerPlan};
 use crate::index::{Partition, PsKey, RefreshStats, ServerIndex};
 use crate::knapsack::subset_in_placement_order;
 use crate::ledger::GpuLedger;
@@ -89,6 +89,8 @@ pub(crate) struct FlatBatch {
     /// Gradient-sharding arena: per-server PS scores for the winning plan,
     /// reused across jobs instead of a fresh length-`n` `Vec` each time.
     ps_scored: Vec<(f64, ServerId)>,
+    /// The worker DP's tables, reused across jobs.
+    dp: DpArena,
 }
 
 /// Per-plan scratch: which servers and racks the current plan touches
@@ -406,6 +408,7 @@ impl FlatBatch {
             ps_table: PsTable::new(cluster.spec().server_link_gbps),
             scratch,
             ps_scored: Vec::new(),
+            dp: DpArena::default(),
         }
     }
 
@@ -758,7 +761,7 @@ impl NetPackPlacer {
             WorkerDp::without_flow_dimension()
         };
         clock.lap();
-        let plans = dp.plans(&stats, job.gpus, slack);
+        let plans = dp.plans_in(&mut fb.dp, &stats, job.gpus, slack);
         tally.worker_dp.add(clock.lap());
         if plans.is_empty() {
             return None;
@@ -964,6 +967,25 @@ mod tests {
         for (_, p) in &out.placed {
             p.validate(&c, p.total_workers()).unwrap();
         }
+    }
+
+    /// A flow clamp wider than a `u8` places: at `fs_max = 300` a batch of
+    /// spanning jobs, some over busy servers, is placed by the production
+    /// path exactly as the literal algorithm places it.
+    #[test]
+    fn a_flow_clamp_above_254_places_like_the_reference() {
+        let c = cluster(4, 4, 4);
+        let config = NetPackConfig {
+            fs_max: 300,
+            ..NetPackConfig::default()
+        };
+        let batch: Vec<Job> = (0..12).map(|i| job(i, [6, 3, 9, 5][i as usize % 4])).collect();
+        let out = NetPackPlacer::new(config.clone()).place_batch(&c, &[], &batch);
+        let oracle = crate::reference::place_batch(&config, &c, &[], &batch);
+        assert!(out.placed.iter().filter(|(_, p)| p.workers().len() > 1).count() > 2);
+        assert_eq!(out.placed, oracle.placed);
+        let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+        assert_eq!(ids(&out.deferred), ids(&oracle.deferred));
     }
 
     /// "Does any server fit" follows commit and credit, both journal the

@@ -50,7 +50,16 @@
 //!
 //! When more than one server in [`REBUILD_SHARE`] is left over, or dead
 //! (memberless) classes pile up, the partition is rebuilt by the same
-//! routine that builds it cold.
+//! routine that builds it cold, [`Partition::rebuild`]. It files a run of
+//! equal keys at a time and compares the first [`HEAD`] (16) servers of a
+//! run key by key, so the short runs of a loaded cluster cost what they
+//! always did. A run that reaches past them is ended by the partition's
+//! finder ([`KeyArrays::run_end`]), which compares only the arrays the
+//! key is made of — free GPUs, flows and avail bits, or flows and avail
+//! bits rack by rack with each rack's uplink flows and capacity — 16
+//! servers at a time, with a fold that does not stop early. An idle
+//! partition is one run: 0.5–0.8 ns a server on the 50 176-server
+//! warehouse tree, where comparing keys cost 2–4.
 
 use crate::dp::ServerStats;
 use crate::netpack::NetPackPlacer;
@@ -58,13 +67,14 @@ use crate::select::CandidateFilter;
 use netpack_topology::{FlatTopology, ServerId};
 use netpack_waterfill::SteadyState;
 use std::collections::VecDeque;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 
 /// Move at most `n / REBUILD_SHARE` servers one by one; past that a
-/// from-scratch pass is cheaper than the member-list moves. It costs ~3
-/// ns/server on a cold 50 176-server warehouse build and ~40 on the
-/// contended 256-server rebuilds of the simulator sweep (`warehouse_batch`
-/// and `sim_sweep`, seed 1, 2-core VM).
+/// from-scratch pass is cheaper than the member-list moves. It costs under
+/// 1 ns/server per partition on a cold 50 176-server warehouse build, whose
+/// partitions are one run each, ~33 on the contended 256-server rebuilds of
+/// `service_saturate`, whose runs are ~2 servers long, and ~24 on
+/// `sim_sweep`'s, which average ~540 servers (seed 1, 2-core VM).
 /// Servers whose whole class is renamed are not counted: a rename costs a
 /// delete and a probe in the class table, whatever the class's size.
 const REBUILD_SHARE: usize = 8;
@@ -147,6 +157,158 @@ impl ClassKey for FilterKey {
         let ints = u64::from(self.free) << 32 | u64::from(self.flows);
         mix64(ints.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.avail_bits)
     }
+}
+
+/// Servers of a run [`Partition::rebuild`] compares key by key before it
+/// hands the rest of the run to [`KeyArrays::run_end`]; also the chunk that
+/// finder compares at a time.
+const HEAD: usize = 16;
+
+/// Where a partition's keys come from: the live arrays a key is made of.
+trait KeyArrays<K> {
+    /// Number of servers.
+    fn len(&self) -> usize;
+
+    /// The key of server `s`.
+    fn key(&self, s: usize) -> K;
+
+    /// The first server at or after server `from` whose key is not `key`,
+    /// or [`len`](Self::len): every server in `from..` up to it has `key`.
+    /// It compares only the arrays the key is made of, [`HEAD`] servers
+    /// at a time ([`first_differing`]).
+    fn run_end(&self, from: usize, key: &K) -> usize;
+}
+
+/// The first `s` in `from..end` whose key differs, or `end`;
+/// `any_differs(r)` tells whether some server in `r` does. Whole chunks of
+/// [`HEAD`] servers are asked first, each folded without stopping early so
+/// the compiler can compare the chunk's arrays in vector registers; only
+/// the chunk that holds a difference, and the tail, are asked server by
+/// server.
+fn first_differing(from: usize, end: usize, any_differs: impl Fn(Range<usize>) -> bool) -> usize {
+    let mut s = from;
+    while end - s >= HEAD && !any_differs(s..s + HEAD) {
+        s += HEAD;
+    }
+    (s..end).find(|&t| any_differs(t..t + 1)).unwrap_or(end)
+}
+
+/// The arrays a [`FilterKey`] is made of: free GPUs, flows and residual
+/// bandwidth per server.
+struct FilterArrays<'a> {
+    gpus_free: &'a [u32],
+    flows: &'a [u32],
+    avail: &'a [f64],
+}
+
+impl KeyArrays<FilterKey> for FilterArrays<'_> {
+    fn len(&self) -> usize {
+        self.gpus_free.len()
+    }
+
+    fn key(&self, s: usize) -> FilterKey {
+        match self.gpus_free[s] {
+            0 => FilterKey::FULL,
+            free => FilterKey {
+                free,
+                flows: self.flows[s],
+                avail_bits: self.avail[s].to_bits(),
+            },
+        }
+    }
+
+    /// A run of [`FilterKey::FULL`] ends at the first server with a free
+    /// GPU, whatever the flows and bandwidth of the full ones; any other
+    /// run at the first server that differs in one of the three arrays.
+    fn run_end(&self, from: usize, key: &FilterKey) -> usize {
+        let free = self.gpus_free;
+        if *key == FilterKey::FULL {
+            return first_differing(from, self.len(), |r| free[r].iter().fold(false, |any, &g| any | (g != 0)));
+        }
+        first_differing(from, self.len(), |r| {
+            let servers = free[r.clone()].iter().zip(&self.flows[r.clone()]).zip(&self.avail[r]);
+            servers.fold(false, |any, ((&g, &f), &a)| {
+                any | (g != key.free) | (f != key.flows) | (a.to_bits() != key.avail_bits)
+            })
+        })
+    }
+}
+
+/// The arrays a [`PsKey`] is made of: flows and residual bandwidth per
+/// server, and per rack its servers, uplink flows and uplink capacity.
+struct PsArrays<'a> {
+    flows: &'a [u32],
+    avail: &'a [f64],
+    /// The rack of every server.
+    server_rack: &'a [u32],
+    /// The first server of every rack, then the server count.
+    rack_start: &'a [u32],
+    /// Flows on every rack's uplink.
+    rack_fc: &'a [u32],
+    /// Every rack's uplink capacity.
+    rack_up: &'a [f64],
+}
+
+impl KeyArrays<PsKey> for PsArrays<'_> {
+    fn len(&self) -> usize {
+        self.flows.len()
+    }
+
+    fn key(&self, s: usize) -> PsKey {
+        let rack = self.server_rack[s] as usize;
+        PsKey {
+            flows: self.flows[s],
+            avail_bits: self.avail[s].to_bits(),
+            fc_up: self.rack_fc[rack],
+            up_bits: self.rack_up[rack].to_bits(),
+        }
+    }
+
+    /// Rack by rack: a rack whose `(fc_up, uplink bits)` differ from the
+    /// key's ends the run at its first server; inside a rack that matches,
+    /// the run ends at the first server whose flows or avail bits differ.
+    fn run_end(&self, from: usize, key: &PsKey) -> usize {
+        let n = self.len();
+        let mut rack = self.server_rack[from] as usize;
+        let mut s = from;
+        loop {
+            let end = self.rack_start[rack + 1] as usize;
+            if s < end {
+                if self.rack_fc[rack] != key.fc_up || self.rack_up[rack].to_bits() != key.up_bits {
+                    return s;
+                }
+                s = first_differing(s, end, |r| {
+                    let servers = self.flows[r.clone()].iter().zip(&self.avail[r]);
+                    servers.fold(false, |any, (&f, &a)| any | (f != key.flows) | (a.to_bits() != key.avail_bits))
+                });
+                if s < end {
+                    return s;
+                }
+            }
+            if end >= n {
+                return n;
+            }
+            rack += 1;
+        }
+    }
+}
+
+/// The live arrays of both partitions' keys.
+fn key_arrays<'a>(
+    topo: &'a FlatTopology,
+    gpus_free: &'a [u32],
+    state: &'a SteadyState,
+) -> (FilterArrays<'a>, PsArrays<'a>) {
+    let (flows, avail) = (state.servers_flows(), state.servers_available_gbps());
+    let ps = PsArrays {
+        flows,
+        avail,
+        server_rack: topo.server_racks(),
+        rack_start: topo.rack_starts(),
+        rack_fc: state.rack_uplinks_flows(),
+        rack_up: topo.rack_uplinks_gbps(),
+    };
+    (FilterArrays { gpus_free, flows, avail }, ps)
 }
 
 /// One partition of the servers into classes of equal key.
@@ -316,20 +478,33 @@ impl<K: ClassKey> Partition<K> {
         self.class_of.clear();
     }
 
-    /// Bucket all `n` servers from scratch, in one ascending pass — the
-    /// cold build and the fallback when too much changed. Neighbours
-    /// usually share a key (idle runs, one job's workers), so keys are
-    /// compared server by server but filed a run at a time: one probe, one
-    /// fill of `class_of` and one extension of the member list per run of
-    /// equal keys.
-    fn rebuild(&mut self, n: usize, key_of: impl Fn(usize) -> K) {
+    /// Bucket all servers from scratch, in one ascending pass — the cold
+    /// build and the fallback when too much changed. Neighbours usually
+    /// share a key (idle runs, one job's workers), so keys are filed a run
+    /// at a time: one probe, one fill of `class_of` and one extension of
+    /// the member list per run of equal keys. The first [`HEAD`] servers of
+    /// a run are compared key by key, so short runs cost no more than
+    /// that; a run that reaches past them is ended by
+    /// [`run_end`](KeyArrays::run_end), which compares the key's arrays
+    /// instead of building keys. A debug build checks every run it files
+    /// against [`key`](KeyArrays::key): each server of the run has the
+    /// run's key, and the server after it does not.
+    fn rebuild(&mut self, arrays: &impl KeyArrays<K>) {
+        let n = arrays.len();
         self.reset();
-        let mut run = (n > 0).then(|| (0, key_of(0)));
+        let mut run = (n > 0).then(|| (0, arrays.key(0)));
         while let Some((start, key)) = run {
-            run = (start + 1..n)
-                .map(|s| (s, key_of(s)))
-                .find(|&(_, k)| k != key);
+            let head = n.min(start + HEAD);
+            run = (start + 1..head).map(|s| (s, arrays.key(s))).find(|&(_, k)| k != key);
+            if run.is_none() && head < n {
+                let end = arrays.run_end(head, &key);
+                run = (end < n).then(|| (end, arrays.key(end)));
+            }
             let end = run.map_or(n, |(s, _)| s);
+            debug_assert!(
+                (start..end).all(|s| arrays.key(s) == key) && run.is_none_or(|(_, k)| k != key),
+                "run {start}..{end} of {key:?} misfiled"
+            );
             let cid = self.class_for(key);
             self.class_of.resize(end, cid);
             self.members[cid as usize].extend(start as u32..end as u32);
@@ -357,18 +532,19 @@ impl<K: ClassKey> Partition<K> {
         true
     }
 
-    /// Bring the partition in line with `key_of` for the `stale` servers
+    /// Bring the partition in line with `arrays` for the `stale` servers
     /// (repeats allowed). Each stale server whose key moved is counted once
     /// in its class; a class all of whose members move to one key no class
     /// holds is renamed in place, and the servers left over move one by
     /// one — or the partition is rebuilt when more than
     /// `n / REBUILD_SHARE` are left over, decided as soon as that is
     /// certain. What it did, in `rebuilds`, `rekeyed` and `renamed`.
-    fn update(&mut self, n: usize, stale: &[u32], key_of: impl Fn(usize) -> K) -> RefreshStats {
+    fn update(&mut self, stale: &[u32], arrays: &impl KeyArrays<K>) -> RefreshStats {
+        let n = arrays.len();
         let most = n / REBUILD_SHARE;
         let mut done = RefreshStats::default();
         if self.class_of.len() != n || self.bloated(n) {
-            self.rebuild(n, key_of);
+            self.rebuild(arrays);
             done.rebuilds = 1;
             return done;
         }
@@ -384,7 +560,7 @@ impl<K: ClassKey> Partition<K> {
                 continue;
             }
             self.class_of[s as usize] = class | COUNTED;
-            let key = key_of(s as usize);
+            let key = arrays.key(s as usize);
             if self.keys[class as usize] == key {
                 continue;
             }
@@ -436,7 +612,7 @@ impl<K: ClassKey> Partition<K> {
         self.touched.clear();
         let moves = std::mem::take(&mut self.moves);
         if left_over > most {
-            self.rebuild(n, key_of);
+            self.rebuild(arrays);
             done.rebuilds = 1;
         } else {
             // A renamed class's movers already sit under their new key.
@@ -572,23 +748,7 @@ impl ServerIndex {
         let avail = state.servers_available_gbps();
         let rack_fc = state.rack_uplinks_flows();
         assert!(gpus_free.len() == n && flows.len() == n && avail.len() == n);
-        let filter_key = |s: usize| match gpus_free[s] {
-            0 => FilterKey::FULL,
-            free => FilterKey {
-                free,
-                flows: flows[s],
-                avail_bits: avail[s].to_bits(),
-            },
-        };
-        let ps_key = |s: usize| {
-            let rack = topo.rack_of(s);
-            PsKey {
-                flows: flows[s],
-                avail_bits: avail[s].to_bits(),
-                fc_up: rack_fc[rack],
-                up_bits: topo.rack_uplink_gbps(rack).to_bits(),
-            }
-        };
+        let (filter_arrays, ps_arrays) = key_arrays(topo, gpus_free, state);
         self.changed.clear();
         self.ps_stale.clear();
         let mut journal_servers = 0;
@@ -596,7 +756,7 @@ impl ServerIndex {
             // A ledger entry wrote the server's free GPUs and nothing else:
             // its filter key may have moved, its PS key has not.
             let filter = &self.filter;
-            let moved = |&s: &u32| *filter.key_of(s as usize) != filter_key(s as usize);
+            let moved = |&s: &u32| *filter.key_of(s as usize) != filter_arrays.key(s as usize);
             self.changed.extend(servers.iter().copied().filter(moved));
             journal_servers = servers.len() as u64;
             for &link in links {
@@ -627,8 +787,8 @@ impl ServerIndex {
                 }
             }
         }
-        let mut stats = self.filter.update(n, &self.changed, filter_key);
-        stats += self.ps.update(n, &self.ps_stale, ps_key);
+        let mut stats = self.filter.update(&self.changed, &filter_arrays);
+        stats += self.ps.update(&self.ps_stale, &ps_arrays);
         stats.journal_servers = journal_servers;
         stats.classes = (self.ps.keys.len() - self.ps.dead) as u64;
         stats
@@ -861,18 +1021,9 @@ mod tests {
                 Ok(()),
                 "seed {seed} round {round}"
             );
-            let ps: Vec<PsKey> = (0..n).map(|s| *index.ps.key_of(s)).collect();
-            let filter: Vec<FilterKey> = (0..n).map(|s| *index.filter.key_of(s)).collect();
-            assert_eq!(
-                rebuilds_agree(&index.ps, &ps),
-                Ok(()),
-                "seed {seed} round {round}"
-            );
-            assert_eq!(
-                rebuilds_agree(&index.filter, &filter),
-                Ok(()),
-                "seed {seed} round {round}"
-            );
+            let (filter_arrays, ps_arrays) = key_arrays(&topo, ledger.free(), state);
+            assert_eq!(rebuilds_agree(&index.ps, &ps_arrays), Ok(()), "seed {seed} round {round}");
+            assert_eq!(rebuilds_agree(&index.filter, &filter_arrays), Ok(()), "seed {seed} round {round}");
             match stats.rebuilds {
                 0 => {
                     paths[0] += 1;
@@ -991,12 +1142,24 @@ mod tests {
         }
     }
 
-    /// Rebuild two copies of `p` over `keys`, by runs and by the literal
-    /// loop: `Err` naming the first field in which they differ.
-    fn rebuilds_agree<K: ClassKey>(p: &Partition<K>, keys: &[K]) -> Result<(), String> {
+    /// Rebuild two copies of `p` over `arrays`, by runs and by the literal
+    /// loop: `Err` naming the first field in which they differ, or the
+    /// first maximal run of equal keys whose end the finder, asked from
+    /// the run's second server or from past its head, misses (a finder
+    /// that ends a run early files the same classes, one run at a time).
+    fn rebuilds_agree<K: ClassKey>(p: &Partition<K>, arrays: &impl KeyArrays<K>) -> Result<(), String> {
+        for run in runs_of(arrays) {
+            let key = arrays.key(run.start);
+            for from in [run.start + 1, run.start + HEAD].into_iter().filter(|&s| s < run.end) {
+                let end = arrays.run_end(from, &key);
+                if end != run.end {
+                    return Err(format!("run {run:?} of {key:?} ended at {end} from {from}"));
+                }
+            }
+        }
         let (mut runs, mut literal) = (p.clone(), p.clone());
-        runs.rebuild(keys.len(), |s| keys[s]);
-        literal.rebuild_literal(keys.len(), |s| keys[s]);
+        runs.rebuild(arrays);
+        literal.rebuild_literal(arrays.len(), |s| arrays.key(s));
         if runs.keys != literal.keys {
             return Err(format!("keys {:?} != {:?}", runs.keys, literal.keys));
         }
@@ -1021,49 +1184,156 @@ mod tests {
         Ok(())
     }
 
-    /// The run-length cold build files exactly what the per-server loop
-    /// does — the same keys in first-seen order, the same member lists,
-    /// the same `class_of`, the same probe table and no dead class — on
-    /// seeded key arrays whose runs are 1 to `n` long (a key recurring
-    /// after other runs reuses its class), and on the live keys of both
-    /// partitions after every refresh of the two churn fixtures (`churn`
-    /// holds them to it). The audit cannot stand in for it: its cold build
-    /// calls the same routine. Three one-line mutations of `rebuild` each
-    /// fail it: the last run dropped, a run's end one server off, and
-    /// `class_of` left unfilled.
+    /// Seeded key arrays for [`rebuild_by_runs_files_what_the_literal_loop_files`]:
+    /// runs of equal `(free, flows, avail)` whose lengths are 1–6, one of
+    /// 15/16/17/31/32/33/47/48/49, or 50–80 (more than three finder chunks
+    /// past the head). A run of no free GPU draws every server's flows and
+    /// bandwidth apart. Racks are 1–40 servers wide, and a rack's uplink
+    /// flows and capacity repeat its predecessor's two times in three.
+    struct RunCase {
+        gpus_free: Vec<u32>,
+        flows: Vec<u32>,
+        avail: Vec<f64>,
+        server_rack: Vec<u32>,
+        rack_start: Vec<u32>,
+        rack_fc: Vec<u32>,
+        rack_up: Vec<f64>,
+    }
+
+    impl RunCase {
+        fn new(rng: &mut Rng) -> Self {
+            const EDGES: [usize; 9] = [15, 16, 17, 31, 32, 33, 47, 48, 49];
+            let target = rng.below(300);
+            let (mut gpus_free, mut flows, mut avail) = (Vec::new(), Vec::new(), Vec::new());
+            while gpus_free.len() < target {
+                let len = match rng.below(3) {
+                    0 => 1 + rng.below(6),
+                    1 => EDGES[rng.below(EDGES.len())],
+                    _ => 50 + rng.below(31),
+                };
+                let (free, f, a) = (rng.below(3) as u32, rng.below(2) as u32, rng.below(2) as f64 * 25.0);
+                for _ in 0..len {
+                    gpus_free.push(free);
+                    let full = free == 0;
+                    flows.push(if full { rng.below(2) as u32 } else { f });
+                    avail.push(if full { rng.below(2) as f64 * 25.0 } else { a });
+                }
+            }
+            let n = gpus_free.len();
+            let (mut server_rack, mut rack_start, mut rack_fc, mut rack_up) = (vec![], vec![], vec![], vec![]);
+            while server_rack.len() < n {
+                let width = (1 + rng.below(40)).min(n - server_rack.len());
+                rack_start.push(server_rack.len() as u32);
+                let (fc, up) = match rack_fc.last() {
+                    Some(&fc) if rng.below(3) > 0 => (fc, rack_up[rack_up.len() - 1]),
+                    _ => (rng.below(2) as u32, 100.0 * (1 + rng.below(2)) as f64),
+                };
+                rack_fc.push(fc);
+                rack_up.push(up);
+                server_rack.extend(std::iter::repeat_n(rack_start.len() as u32 - 1, width));
+            }
+            rack_start.push(n as u32);
+            RunCase { gpus_free, flows, avail, server_rack, rack_start, rack_fc, rack_up }
+        }
+
+        fn arrays(&self) -> (FilterArrays<'_>, PsArrays<'_>) {
+            let filter = FilterArrays {
+                gpus_free: &self.gpus_free,
+                flows: &self.flows,
+                avail: &self.avail,
+            };
+            let ps = PsArrays {
+                flows: &self.flows,
+                avail: &self.avail,
+                server_rack: &self.server_rack,
+                rack_start: &self.rack_start,
+                rack_fc: &self.rack_fc,
+                rack_up: &self.rack_up,
+            };
+            (filter, ps)
+        }
+    }
+
+    /// The maximal runs of equal keys in `arrays`, as `start..end`.
+    fn runs_of<K: ClassKey>(arrays: &impl KeyArrays<K>) -> Vec<Range<usize>> {
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for s in 0..arrays.len() {
+            match runs.last_mut() {
+                Some(run) if arrays.key(run.start) == arrays.key(s) => run.end = s + 1,
+                _ => runs.push(s..s + 1),
+            }
+        }
+        runs
+    }
+
+    /// The run-length cold build, with the production finders ending every
+    /// run past its head, files exactly what the per-server loop does — the
+    /// same keys in first-seen order, the same member lists, the same
+    /// `class_of`, the same probe table and no dead class — in both
+    /// partitions: on seeded arrays ([`RunCase`]; a key recurring after
+    /// other runs reuses its class), and on the live arrays after every
+    /// refresh of the two churn fixtures (`churn` holds them to it). The
+    /// audit cannot stand in for it: its cold build calls the same routine.
+    /// The cases reached are asserted: runs of 1 server and of more than
+    /// three chunks past the head; runs ending at 15/16/17 and 31/32/33
+    /// servers; a full-server run past its head whose flows or bandwidth
+    /// change inside it; a PS run that crosses, past its head, into a rack
+    /// of equal `(fc_up, uplink bits)`; and PS runs ended at a rack
+    /// boundary past their head by a rack of other `fc_up`, and of other
+    /// uplink bits, only.
+    ///
+    /// Mutations that each fail it: the last run dropped, a run's end one
+    /// server off, `class_of` left unfilled; a filter finder that ignores
+    /// the avail bits, a PS finder that crosses into a rack whose `fc_up`
+    /// differs, a chunk edge off by one (`s..s + HEAD - 1` folded), and a
+    /// full-server run cut where the flows change.
     #[test]
     fn rebuild_by_runs_files_what_the_literal_loop_files() {
         let mut rng = Rng(0xC01D_5EED);
-        let mut lengths = [false; 3]; // [a run of 1, a longer run, one run of n]
-        for case in 0..500 {
-            let n = rng.below(65);
-            let mut keys: Vec<FilterKey> = Vec::with_capacity(n);
-            while keys.len() < n {
-                let left = n - keys.len();
-                let len = if rng.below(4) == 0 {
-                    left
-                } else {
-                    1 + rng.below(left.min(6))
-                };
-                lengths[if len == n { 2 } else { usize::from(len > 1) }] = true;
-                let key = FilterKey {
-                    free: rng.below(4) as u32,
-                    flows: 0,
-                    avail_bits: 0,
-                };
-                keys.extend(std::iter::repeat_n(key, len));
-            }
-            // Start from a partition that has held classes before, as a
+        // [length 1, > head + 3 chunks, ends at 15, 16, 17, 31, 32, 33,
+        // full run varying past its head, PS run across equal racks, PS run
+        // cut by fc_up, PS run cut by uplink bits]
+        let mut seen = [0usize; 12];
+        for case in 0..600 {
+            let fixture = RunCase::new(&mut rng);
+            let (filter, ps) = fixture.arrays();
+            // Start from partitions that have held classes before, as a
             // fallback rebuild does.
             let mut p = Partition::new();
-            p.rebuild_literal(n / 2, |s| FilterKey {
+            p.rebuild_literal(fixture.gpus_free.len() / 2, |s| FilterKey {
                 free: s as u32,
                 flows: 1,
                 avail_bits: 0,
             });
-            assert_eq!(rebuilds_agree(&p, &keys), Ok(()), "case {case}: {keys:?}");
+            assert_eq!(rebuilds_agree(&p, &filter), Ok(()), "case {case}: filter");
+            let mut q = Partition::new();
+            q.rebuild_literal(fixture.gpus_free.len() / 3, |s| ps.key(s / 2));
+            assert_eq!(rebuilds_agree(&q, &ps), Ok(()), "case {case}: PS");
+
+            for run in runs_of(&filter) {
+                seen[0] += usize::from(run.len() == 1);
+                seen[1] += usize::from(run.len() > HEAD * 4);
+                if let Some(i) = [15, 16, 17, 31, 32, 33].iter().position(|&l| l == run.len()) {
+                    seen[2 + i] += 1;
+                }
+                let varies = |t: usize| (fixture.flows[t], fixture.avail[t]) != (fixture.flows[run.start], fixture.avail[run.start]);
+                seen[8] += usize::from(filter.key(run.start) == FilterKey::FULL && (run.start + HEAD..run.end).any(varies));
+            }
+            for run in runs_of(&ps) {
+                let past_head = run.start + HEAD;
+                let rack = |s: usize| fixture.server_rack[s] as usize;
+                seen[9] += usize::from((past_head + 1..run.end).any(|s| rack(s) != rack(s - 1)));
+                if run.end < ps.len() && run.end > past_head && rack(run.end) != rack(run.end - 1) {
+                    let (a, b) = (rack(run.end - 1), rack(run.end));
+                    let same_server = (fixture.flows[run.end], fixture.avail[run.end]) == (fixture.flows[run.start], fixture.avail[run.start]);
+                    let fc = fixture.rack_fc[a] != fixture.rack_fc[b];
+                    let up = fixture.rack_up[a] != fixture.rack_up[b];
+                    seen[10] += usize::from(same_server && fc && !up);
+                    seen[11] += usize::from(same_server && up && !fc);
+                }
+            }
         }
-        assert!(lengths.iter().all(|&seen| seen), "{lengths:?}");
+        assert!(seen.iter().all(|&n| n > 10), "{seen:?}");
     }
 
     /// Every refresh path must have been taken more than 20 times across

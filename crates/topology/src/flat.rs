@@ -114,6 +114,22 @@ impl FlatTopology {
     pub fn rack_uplink_gbps(&self, rack: usize) -> f64 {
         self.rack_uplink_gbps[rack]
     }
+
+    /// The owning rack of every server: `server_racks()[s] == rack_of(s)`.
+    pub fn server_racks(&self) -> &[u32] {
+        &self.server_rack
+    }
+
+    /// The first server of every rack, then the server count: rack `r`
+    /// owns `rack_starts()[r]..rack_starts()[r + 1]`.
+    pub fn rack_starts(&self) -> &[u32] {
+        &self.rack_first_server
+    }
+
+    /// Every rack's uplink capacity in Gbps, indexed by rack.
+    pub fn rack_uplinks_gbps(&self) -> &[f64] {
+        &self.rack_uplink_gbps
+    }
 }
 
 #[cfg(test)]

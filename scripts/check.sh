@@ -19,8 +19,11 @@
 #     index renames (> 0), then class splits (> 0) from the same batch on 400 Gbps pools, which run dry
 # 11. service smoke: two 10K-job bench_service replays, stdout and event log byte-identical
 # 12. debug smokes: service (2 000 jobs), fig10_xl, fig10 dense, fig9 and exact smokes
-#     from a debug build, its assertions on; every digest must equal the release one
+#     from a debug build, its assertions on (the index run finders checked on every
+#     rebuild among them); every digest must equal the release one
 # 13. fig14 smoke: every cell == PacketSim::run_reference in-binary
+# 14. benchmark package compiles against the library (cargo check of benchmark/,
+#     its Cargo.lock restored byte for byte)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,7 +85,7 @@ fi
 printf '%s\n' "$svc_a"
 echo "service event log: $(wc -l < "$tmp_dir/svc_a.log") lines, byte-identical across runs"
 
-echo "==> debug smokes: debug builds, server index == full scan and shortcut == literal scan on every job, session audits on every pass, full re-rate walk after every selective one"
+echo "==> debug smokes: debug builds, server index == full scan and shortcut == literal scan on every job, every rebuilt run checked key by key, session audits on every pass, full re-rate walk after every selective one"
 # A debug build keeps `debug_assert!`: every job audits the index as its
 # change journals left it against a from-scratch build, and the class-walk
 # single-server pick against the literal scan (DESIGN.md §3.11), so a
@@ -100,7 +103,11 @@ echo "==> debug smokes: debug builds, server index == full scan and shortcut == 
 # the fig9 smoke the session under the simulator's job manager, where a
 # debug build also re-checks every running job's iteration time after
 # each selective re-rate (~3 s); a debug build may not move a placement or
-# a table byte either.
+# a table byte either. Every index rebuild — the cold build of each batch
+# and each `n/8` fallback — also checks each run it files against the key
+# of every server in it and of the server after it, so these smokes check
+# the run finders on every rebuild, which the index audit cannot: its cold
+# build calls the same routine.
 NETPACK_SMOKE=1 NETPACK_SERVICE_JOBS=2000 \
     cargo run -q -p netpack-bench --bin bench_service > /dev/null
 xl_debug=$(NETPACK_SMOKE=1 cargo run -q -p netpack-bench --bin fig10_xl)
@@ -126,5 +133,19 @@ fi
 
 echo "==> fig14 smoke: run == run_reference on every cell (in-binary)"
 NETPACK_SMOKE=1 ./target/release/fig14_aggregation_ratio
+
+echo "==> cargo check of the benchmark package (benchmark/Cargo.lock restored byte for byte)"
+# benchmark/ is a package of its own, so nothing above compiles it; the
+# adapter calls `WorkerDp::plans`, the estimator's push / remove / pop and
+# `NetPackConfig::threads`. An offline build rewrites its stale Cargo.lock,
+# so the file is saved first and put back whatever the check returns.
+cp benchmark/Cargo.lock "$tmp_dir/benchmark-Cargo.lock"
+trap 'cp "$tmp_dir/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp_dir"' EXIT
+if ! cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark-check; then
+    echo "check.sh: the benchmark package no longer compiles against the library" >&2
+    exit 1
+fi
+cp "$tmp_dir/benchmark-Cargo.lock" benchmark/Cargo.lock
+trap 'rm -rf "$tmp_dir"' EXIT
 
 echo "check.sh: all green"
