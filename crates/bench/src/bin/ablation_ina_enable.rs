@@ -12,10 +12,7 @@ use netpack_placement::{InaPolicy, NetPackConfig};
 use netpack_topology::ClusterSpec;
 
 fn main() {
-    println!(
-        "Ablation — INA-enable policy ({} repetitions)\n",
-        repeats()
-    );
+    println!("Ablation — INA-enable policy ({} repetitions)\n", repeats());
     let mut table = TextTable::new(vec![
         "PAT (Gbps)",
         "Selective JCT (s)",
@@ -23,7 +20,11 @@ fn main() {
         "AlwaysOff JCT (s)",
     ]);
     let pats = [400.0, 100.0, 25.0];
-    let policies = [InaPolicy::Selective, InaPolicy::AlwaysOn, InaPolicy::AlwaysOff];
+    let policies = [
+        InaPolicy::Selective,
+        InaPolicy::AlwaysOn,
+        InaPolicy::AlwaysOff,
+    ];
     let points: Vec<_> = pats
         .iter()
         .flat_map(|&pat| {
@@ -35,7 +36,10 @@ fn main() {
                 ..ClusterSpec::paper_default()
             };
             policies.map(|ina_policy| {
-                let config = NetPackConfig { ina_policy, ..NetPackConfig::default() };
+                let config = NetPackConfig {
+                    ina_policy,
+                    ..NetPackConfig::default()
+                };
                 (spec.clone(), config, SimConfig::default())
             })
         })

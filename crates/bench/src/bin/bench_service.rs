@@ -48,7 +48,8 @@ fn service_trace(spec: &ClusterSpec, jobs: usize, seed: u64) -> Trace {
     let mean_duration_s = 480.0 * (1.1f64 * 1.1 / 2.0).exp() * duration_scale;
     let mean_gpus = 4.5;
     let utilization_target = 0.85;
-    let interarrival = mean_gpus * mean_duration_s / (spec.total_gpus() as f64 * utilization_target);
+    let interarrival =
+        mean_gpus * mean_duration_s / (spec.total_gpus() as f64 * utilization_target);
     TraceSpec::new(TraceKind::Real, jobs)
         .seed(seed)
         .open_loop()
@@ -129,7 +130,10 @@ fn main() {
     };
     let trace = service_trace(&spec(), jobs, 1);
 
-    println!("bench_service — open-loop Philly trace, Fig. 10 cluster ({} GPUs)", spec().total_gpus());
+    println!(
+        "bench_service — open-loop Philly trace, Fig. 10 cluster ({} GPUs)",
+        spec().total_gpus()
+    );
     println!("jobs={jobs}\n");
 
     let (report, wall_s) = run(&trace, config);
@@ -145,11 +149,23 @@ fn main() {
     table.row(vec!["deferrals".into(), c.deferrals.to_string()]);
     table.row(vec!["rejected".into(), c.rejected.to_string()]);
     table.row(vec!["completed".into(), c.completed.to_string()]);
-    table.row(vec!["completed pending".into(), c.completed_pending.to_string()]);
+    table.row(vec![
+        "completed pending".into(),
+        c.completed_pending.to_string(),
+    ]);
     table.row(vec!["batches".into(), c.batches.to_string()]);
-    table.row(vec!["max queue depth".into(), c.max_queue_depth.to_string()]);
-    table.row(vec!["running at shutdown".into(), report.running_left.to_string()]);
-    table.row(vec!["pending at shutdown".into(), report.pending_left.to_string()]);
+    table.row(vec![
+        "max queue depth".into(),
+        c.max_queue_depth.to_string(),
+    ]);
+    table.row(vec![
+        "running at shutdown".into(),
+        report.running_left.to_string(),
+    ]);
+    table.row(vec![
+        "pending at shutdown".into(),
+        report.pending_left.to_string(),
+    ]);
     if !smoke() {
         // Wall-clock rows stay out of the smoke digest so the determinism
         // gate can byte-diff stdout across runs.

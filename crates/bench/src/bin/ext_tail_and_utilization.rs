@@ -32,7 +32,14 @@ fn main() {
     let names = roster_names();
     let results = sweep(&names, repeats(), 9900, |&name, seed| {
         let placer = named_placer(name);
-        let result = replay_cell(&spec, TraceKind::Real, jobs, seed, placer, SimConfig::default());
+        let result = replay_cell(
+            &spec,
+            TraceKind::Real,
+            jobs,
+            seed,
+            placer,
+            SimConfig::default(),
+        );
         (
             result.average_jct_s().expect("jobs finished"),
             result.p95_jct_s().expect("jobs finished"),

@@ -45,8 +45,12 @@ fn main() {
         });
         let batch = xorshift_batch(200, 32, 7);
         let perf = placement_smoke("fig10 dense", &cluster, &batch);
-        let counted = ["ps_candidates_scored", "ps_rack_servers_skipped", "ps_plans_ruled_out"]
-            .map(|name| perf.counter(name));
+        let counted = [
+            "ps_candidates_scored",
+            "ps_rack_servers_skipped",
+            "ps_plans_ruled_out",
+        ]
+        .map(|name| perf.counter(name));
         assert_eq!(
             counted,
             [13_027, 18_057, 1_161],
@@ -62,8 +66,15 @@ fn main() {
         let mut placer = NetPackPlacer::default();
         placer.place_batch(&starved, &[], &batch);
         let count = |name| placer.perf().counter(name);
-        assert_eq!(count("waterfill_unconverged"), 0, "a water-fill solve hit its round bound");
-        assert!(count("waterfill_class_splits") > 0, "no refinable class split at a PAT flip");
+        assert_eq!(
+            count("waterfill_unconverged"),
+            0,
+            "a water-fill solve hit its round bound"
+        );
+        assert!(
+            count("waterfill_class_splits") > 0,
+            "no refinable class split at a PAT flip"
+        );
         println!("class splits: {}", count("waterfill_class_splits"));
         return;
     }

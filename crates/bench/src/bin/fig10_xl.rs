@@ -25,8 +25,11 @@ fn main() {
     let smoke = netpack_bench::smoke();
     // 32 pods x 49 racks x 32 servers x 4 GPUs = 50 176 servers; the smoke
     // tree keeps three tiers (4 pods x 5 racks x 8 servers) at 160 servers.
-    let (pods, racks_per_pod, servers_per_rack, jobs) =
-        if smoke { (4, 5, 8, 30) } else { (32, 49, 32, 100) };
+    let (pods, racks_per_pod, servers_per_rack, jobs) = if smoke {
+        (4, 5, 8, 30)
+    } else {
+        (32, 49, 32, 100)
+    };
     let spec = ClusterSpec {
         racks: pods * racks_per_pod,
         servers_per_rack,

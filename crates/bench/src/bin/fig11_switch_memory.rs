@@ -29,7 +29,14 @@ fn main() {
         };
         let jobs = standard_jobs(&spec);
         let placer = named_placer(name);
-        let result = replay_cell(&spec, TraceKind::Real, jobs, seed, placer, SimConfig::default());
+        let result = replay_cell(
+            &spec,
+            TraceKind::Real,
+            jobs,
+            seed,
+            placer,
+            SimConfig::default(),
+        );
         result.average_jct_s().expect("jobs finished")
     });
 

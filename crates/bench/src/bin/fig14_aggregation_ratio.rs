@@ -22,7 +22,9 @@ const XS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 fn main() {
     // One cell per (part, PAT ratio): part 0 = Fig. 14a (one job, 0.05 s),
     // part 1 = Fig. 14b (two jobs, 0.1 s).
-    let cells: Vec<(usize, f64)> = (0..2).flat_map(|p| XS.iter().map(move |&x| (p, x))).collect();
+    let cells: Vec<(usize, f64)> = (0..2)
+        .flat_map(|p| XS.iter().map(move |&x| (p, x)))
+        .collect();
     let smoke = netpack_bench::smoke();
     let results = parallel_sweep(&cells, |&(part, x)| {
         let mut sim = PacketSim::new(pat_ratio_config(x, 10.0));
@@ -35,12 +37,19 @@ fn main() {
         let report = sim.run(duration_s);
         if let Some(mut oracle) = oracle {
             let reference = oracle.run_reference(duration_s);
-            assert_eq!(report, reference, "part {part} x={x}: run diverged from run_reference");
+            assert_eq!(
+                report, reference,
+                "part {part} x={x}: run diverged from run_reference"
+            );
             for (a, b) in report.per_job.iter().zip(&reference.per_job) {
                 assert_eq!(a.goodput_bits.to_bits(), b.goodput_bits.to_bits());
             }
         }
-        let ratios: Vec<f64> = report.per_job.iter().map(|s| s.aggregation_ratio()).collect();
+        let ratios: Vec<f64> = report
+            .per_job
+            .iter()
+            .map(|s| s.aggregation_ratio())
+            .collect();
         (ratios, report.perf)
     });
 
@@ -65,5 +74,8 @@ fn main() {
     }
     emit_table("fig14b", &table);
     println!("paper: measured tracks theory with small deviation; jobs share memory fairly.");
-    print_perf("\nRound-loop perf counters (merged across all cells):", &perf);
+    print_perf(
+        "\nRound-loop perf counters (merged across all cells):",
+        &perf,
+    );
 }

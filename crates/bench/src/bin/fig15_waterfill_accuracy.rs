@@ -70,7 +70,13 @@ fn main() {
     // skipping a short convergence margin after each join.
     let margin = 0.8;
     println!("Fig. 15 — per-job bandwidth: water-filling estimate vs packet measurement\n");
-    let mut table = TextTable::new(vec!["stage", "active jobs", "job", "estimated (Gbps)", "measured (Gbps)"]);
+    let mut table = TextTable::new(vec![
+        "stage",
+        "active jobs",
+        "job",
+        "estimated (Gbps)",
+        "measured (Gbps)",
+    ]);
     let mut abs_err = Vec::new();
     for (stage, (&t0, &t1)) in starts.iter().zip(&stage_ends).enumerate() {
         #[allow(clippy::needless_range_loop)] // k also indexes `estimates[stage]`

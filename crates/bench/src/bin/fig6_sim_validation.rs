@@ -24,14 +24,38 @@ struct Scenario {
 fn scenarios() -> Vec<Scenario> {
     use ModelKind::*;
     vec![
-        Scenario { name: "vgg16-pair", jobs: vec![(Vgg16, 4, 40), (Vgg16, 4, 40)] },
-        Scenario { name: "mixed-comm", jobs: vec![(Vgg19, 4, 30), (Vgg11, 4, 50)] },
-        Scenario { name: "compute-heavy", jobs: vec![(ResNet101, 4, 60), (ResNet50, 4, 60)] },
-        Scenario { name: "alexnet-burst", jobs: vec![(AlexNet, 4, 400), (AlexNet, 4, 400)] },
-        Scenario { name: "asymmetric", jobs: vec![(Vgg16, 6, 40), (ResNet50, 3, 80)] },
-        Scenario { name: "lone-vgg", jobs: vec![(Vgg16, 4, 60)] },
-        Scenario { name: "three-way", jobs: vec![(Vgg11, 3, 40), (ResNet50, 3, 60), (AlexNet, 3, 200)] },
-        Scenario { name: "big-fanin", jobs: vec![(Vgg16, 8, 30)] },
+        Scenario {
+            name: "vgg16-pair",
+            jobs: vec![(Vgg16, 4, 40), (Vgg16, 4, 40)],
+        },
+        Scenario {
+            name: "mixed-comm",
+            jobs: vec![(Vgg19, 4, 30), (Vgg11, 4, 50)],
+        },
+        Scenario {
+            name: "compute-heavy",
+            jobs: vec![(ResNet101, 4, 60), (ResNet50, 4, 60)],
+        },
+        Scenario {
+            name: "alexnet-burst",
+            jobs: vec![(AlexNet, 4, 400), (AlexNet, 4, 400)],
+        },
+        Scenario {
+            name: "asymmetric",
+            jobs: vec![(Vgg16, 6, 40), (ResNet50, 3, 80)],
+        },
+        Scenario {
+            name: "lone-vgg",
+            jobs: vec![(Vgg16, 4, 60)],
+        },
+        Scenario {
+            name: "three-way",
+            jobs: vec![(Vgg11, 3, 40), (ResNet50, 3, 60), (AlexNet, 3, 200)],
+        },
+        Scenario {
+            name: "big-fanin",
+            jobs: vec![(Vgg16, 8, 30)],
+        },
     ]
 }
 

@@ -19,19 +19,30 @@ fn main() {
         "Fig. 7 — normalized average JCT ({} repetitions per point)\n",
         repeats()
     );
-    for (label, spec) in [("[Testbed] 5 servers", testbed_spec()), ("[Simulator] 16 racks", simulator_spec())]
-    {
+    for (label, spec) in [
+        ("[Testbed] 5 servers", testbed_spec()),
+        ("[Simulator] 16 racks", simulator_spec()),
+    ] {
         let jobs = standard_jobs(&spec);
         println!("{label}: {} jobs per trace", jobs);
-        let mut table = TextTable::new(vec!["placer", "Real", "Poisson", "Normal", "Real JCT (s)", "±std"]);
+        let mut table = TextTable::new(vec![
+            "placer",
+            "Real",
+            "Poisson",
+            "Normal",
+            "Real JCT (s)",
+            "±std",
+        ]);
         let results = roster_sweep(&TraceKind::ALL, repeats(), 1000, |&kind, name, seed| {
             let placer = named_placer(name);
             let result = replay_cell(&spec, kind, jobs, seed, placer, SimConfig::default());
             result.average_jct_s().expect("jobs finished")
         });
         // [trace][placer] -> JCT summary across repetitions.
-        let jct: Vec<Vec<Summary>> =
-            results.iter().map(|row| row.iter().map(|r| Summary::of(r)).collect()).collect();
+        let jct: Vec<Vec<Summary>> = results
+            .iter()
+            .map(|row| row.iter().map(|r| Summary::of(r)).collect())
+            .collect();
         for (i, name) in roster_names().iter().enumerate() {
             table.row(vec![
                 name.to_string(),

@@ -19,8 +19,10 @@ fn main() {
         "Fig. 8 — average distribution efficiency ({} repetitions per point)\n",
         repeats()
     );
-    for (label, spec) in [("[Testbed] 5 servers", testbed_spec()), ("[Simulator] 16 racks", simulator_spec())]
-    {
+    for (label, spec) in [
+        ("[Testbed] 5 servers", testbed_spec()),
+        ("[Simulator] 16 racks", simulator_spec()),
+    ] {
         let jobs = standard_jobs(&spec);
         println!("{label}: {} jobs per trace", jobs);
         let mut table = TextTable::new(vec!["placer", "Real", "Poisson", "Normal", "±std (Real)"]);
@@ -30,8 +32,10 @@ fn main() {
             result.distribution_efficiency().expect("jobs finished")
         });
         // [trace][placer] -> DE summary across repetitions.
-        let de: Vec<Vec<Summary>> =
-            results.iter().map(|row| row.iter().map(|r| Summary::of(r)).collect()).collect();
+        let de: Vec<Vec<Summary>> = results
+            .iter()
+            .map(|row| row.iter().map(|r| Summary::of(r)).collect())
+            .collect();
         for (i, name) in roster_names().iter().enumerate() {
             table.row(vec![
                 name.to_string(),

@@ -69,7 +69,11 @@ fn main() {
         };
         let result = sim().run(&trace);
         if smoke {
-            assert_eq!(result, sim().run_reference(&trace), "{name}: run diverged from run_reference");
+            assert_eq!(
+                result,
+                sim().run_reference(&trace),
+                "{name}: run diverged from run_reference"
+            );
         }
         let jct = result.average_jct_s().expect("jobs finished");
         (jct, result.perf)
@@ -97,5 +101,8 @@ fn main() {
         0,
         "a water-fill solve hit its round bound"
     );
-    print_perf("\nEvent-loop perf counters (merged across all cells):", &perf);
+    print_perf(
+        "\nEvent-loop perf counters (merged across all cells):",
+        &perf,
+    );
 }

@@ -131,15 +131,27 @@ fn main() {
 
         // The exhaustive reference: the smoke holds the branch-and-bound
         // to it, the full run times it for the diagnostics table.
-        let budget = if inst.scratch_full { BUDGET } else { SCRATCH_CAP };
+        let budget = if inst.scratch_full {
+            BUDGET
+        } else {
+            SCRATCH_CAP
+        };
         let t0 = Stopwatch::start();
         let (scratch_best, scratch_evals) =
             reference::place_exact(&cluster, &[], &batch, false, budget);
         let scratch_time = t0.elapsed().as_secs_f64();
         if smoke {
-            let (scratch_obj, scratch_placed) = scratch_best.expect("the smoke instance is feasible");
-            assert_eq!(exact_outcome.placed, scratch_placed, "bnb diverged from the reference");
-            assert_eq!(exact_obj.to_bits(), scratch_obj.to_bits(), "objective not bit-identical");
+            let (scratch_obj, scratch_placed) =
+                scratch_best.expect("the smoke instance is feasible");
+            assert_eq!(
+                exact_outcome.placed, scratch_placed,
+                "bnb diverged from the reference"
+            );
+            assert_eq!(
+                exact_obj.to_bits(),
+                scratch_obj.to_bits(),
+                "objective not bit-identical"
+            );
             assert!(exact.evaluations() < scratch_evals, "bnb did not prune");
             println!(
                 "{label} {jobs_label} bnb evals / nodes / pruned: {} / {} / {}",

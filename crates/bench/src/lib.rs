@@ -156,12 +156,7 @@ pub use sweep::{parallel_sweep, sweep};
 /// [`sweep`] over every (point, [`roster_names`] placer) pair: per point,
 /// one entry per roster placer in row order, each holding that cell's
 /// results in seed order.
-pub fn roster_sweep<P, R, F>(
-    points: &[P],
-    reps: usize,
-    seed_base: u64,
-    cell: F,
-) -> Vec<Vec<Vec<R>>>
+pub fn roster_sweep<P, R, F>(points: &[P], reps: usize, seed_base: u64, cell: F) -> Vec<Vec<Vec<R>>>
 where
     P: Sync,
     R: Send,
@@ -172,9 +167,14 @@ where
         .iter()
         .flat_map(|p| names.iter().map(move |&name| (p, name)))
         .collect();
-    let results = sweep(&cells, reps, seed_base, |&(p, name), seed| cell(p, name, seed));
+    let results = sweep(&cells, reps, seed_base, |&(p, name), seed| {
+        cell(p, name, seed)
+    });
     let mut rows = results.into_iter();
-    points.iter().map(|_| rows.by_ref().take(names.len()).collect()).collect()
+    points
+        .iter()
+        .map(|_| rows.by_ref().take(names.len()).collect())
+        .collect()
 }
 
 /// Stable fingerprint of a batch outcome: every placement's workers, PSes
@@ -201,7 +201,11 @@ fn outcome_digest(outcome: &BatchOutcome) -> String {
             p.ina_enabled()
         ));
     }
-    let deferred: Vec<String> = outcome.deferred.iter().map(|j| j.id.0.to_string()).collect();
+    let deferred: Vec<String> = outcome
+        .deferred
+        .iter()
+        .map(|j| j.id.0.to_string())
+        .collect();
     out.push_str(&format!("deferred=[{}]\n", deferred.join(",")));
     out
 }
@@ -276,12 +280,17 @@ pub fn netpack_jct_sweep(
     points: &[(ClusterSpec, NetPackConfig, SimConfig)],
     seed_base: u64,
 ) -> Vec<Summary> {
-    let jcts = sweep(points, repeats(), seed_base, |(spec, config, sim_config), seed| {
-        let placer = Box::new(NetPackPlacer::new(config.clone()));
-        let jobs = standard_jobs(spec);
-        let result = replay_cell(spec, TraceKind::Real, jobs, seed, placer, *sim_config);
-        result.average_jct_s().expect("jobs finished")
-    });
+    let jcts = sweep(
+        points,
+        repeats(),
+        seed_base,
+        |(spec, config, sim_config), seed| {
+            let placer = Box::new(NetPackPlacer::new(config.clone()));
+            let jobs = standard_jobs(spec);
+            let result = replay_cell(spec, TraceKind::Real, jobs, seed, placer, *sim_config);
+            result.average_jct_s().expect("jobs finished")
+        },
+    );
     jcts.iter().map(|reps| Summary::of(reps)).collect()
 }
 
@@ -352,9 +361,16 @@ mod tests {
         let spec = testbed_spec();
         let run = |name: &str, seed: u64| {
             let placer = named_placer(name);
-            replay_cell(&spec, TraceKind::Real, 12, seed, placer, SimConfig::default())
-                .average_jct_s()
-                .expect("jobs finished")
+            replay_cell(
+                &spec,
+                TraceKind::Real,
+                12,
+                seed,
+                placer,
+                SimConfig::default(),
+            )
+            .average_jct_s()
+            .expect("jobs finished")
         };
         let cells: Vec<u64> = vec![1, 2, 3];
         let par = parallel_sweep(&cells, |&seed| run("GB", seed));

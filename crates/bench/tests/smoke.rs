@@ -12,7 +12,14 @@ use netpack_workload::TraceKind;
 fn replay_produces_finite_summaries_for_every_roster_placer() {
     let spec = testbed_spec();
     let rows = roster_sweep(&[TraceKind::Real], 2, 1000, |&kind, name, seed| {
-        let result = replay_cell(&spec, kind, 20, seed, named_placer(name), SimConfig::default());
+        let result = replay_cell(
+            &spec,
+            kind,
+            20,
+            seed,
+            named_placer(name),
+            SimConfig::default(),
+        );
         (
             result.average_jct_s().expect("jobs finished"),
             result.distribution_efficiency().expect("jobs finished"),
@@ -34,10 +41,7 @@ fn loaded_traces_saturate_without_overflowing() {
         let trace = loaded_trace(kind, &spec, 30, 77);
         assert_eq!(trace.jobs().len(), 30, "{kind}");
         // Demand clamp keeps every job placeable.
-        assert!(trace
-            .jobs()
-            .iter()
-            .all(|j| j.gpus <= spec.total_gpus()));
+        assert!(trace.jobs().iter().all(|j| j.gpus <= spec.total_gpus()));
         // And the same trace must actually finish when replayed.
         let placer = named_placer("NetPack");
         let result = replay_cell(&spec, kind, 30, 77, placer, SimConfig::default());

@@ -133,7 +133,9 @@ fn parse_trace(name: &str) -> Result<TraceKind, ParseError> {
         "real" => Ok(TraceKind::Real),
         "poisson" => Ok(TraceKind::Poisson),
         "normal" => Ok(TraceKind::Normal),
-        other => Err(err(format!("unknown trace '{other}' (real|poisson|normal)"))),
+        other => Err(err(format!(
+            "unknown trace '{other}' (real|poisson|normal)"
+        ))),
     }
 }
 
@@ -141,7 +143,8 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
     flag: &str,
     iter: &mut I,
 ) -> Result<&'a str, ParseError> {
-    iter.next().ok_or_else(|| err(format!("{flag} needs a value")))
+    iter.next()
+        .ok_or_else(|| err(format!("{flag} needs a value")))
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseError> {
@@ -181,9 +184,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseError> {
                     "--oversub" => a.oversub = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--seed" => a.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--csv" => a.csv = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--trace-file" => {
-                        a.trace_file = Some(take_value(flag, &mut iter)?.to_string())
-                    }
+                    "--trace-file" => a.trace_file = Some(take_value(flag, &mut iter)?.to_string()),
                     other => return Err(err(format!("unknown flag '{other}' for simulate"))),
                 }
             }
@@ -205,9 +206,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseError> {
                     "--trace" => a.trace = parse_trace(take_value(flag, &mut iter)?)?,
                     "--jobs" => a.jobs = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--seed" => a.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-                    "--max-gpus" => {
-                        a.max_gpus = parse_num(flag, take_value(flag, &mut iter)?)?
-                    }
+                    "--max-gpus" => a.max_gpus = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--out" => a.out = take_value(flag, &mut iter)?.to_string(),
                     other => return Err(err(format!("unknown flag '{other}' for synth"))),
                 }
@@ -230,7 +229,8 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseError> {
                         let (model, gpus) = v
                             .split_once(':')
                             .ok_or_else(|| err(format!("--job wants model:gpus, got '{v}'")))?;
-                        a.jobs.push((parse_model(model)?, parse_num("--job", gpus)?));
+                        a.jobs
+                            .push((parse_model(model)?, parse_num("--job", gpus)?));
                     }
                     "--racks" => a.racks = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--servers-per-rack" => {
@@ -283,9 +283,27 @@ mod tests {
     #[test]
     fn simulate_parses_all_flags() {
         let cmd = parse(&[
-            "simulate", "--placer", "GB", "--trace", "poisson", "--jobs", "7", "--racks",
-            "2", "--servers-per-rack", "3", "--gpus-per-server", "8", "--pat", "500",
-            "--oversub", "4", "--seed", "9", "--csv", "/tmp/x.csv",
+            "simulate",
+            "--placer",
+            "GB",
+            "--trace",
+            "poisson",
+            "--jobs",
+            "7",
+            "--racks",
+            "2",
+            "--servers-per-rack",
+            "3",
+            "--gpus-per-server",
+            "8",
+            "--pat",
+            "500",
+            "--oversub",
+            "4",
+            "--seed",
+            "9",
+            "--csv",
+            "/tmp/x.csv",
         ])
         .unwrap();
         let Command::Simulate(a) = cmd else {
@@ -309,7 +327,10 @@ mod tests {
         let Command::Place(a) = cmd else {
             panic!("expected place")
         };
-        assert_eq!(a.jobs, vec![(ModelKind::Vgg16, 4), (ModelKind::ResNet50, 2)]);
+        assert_eq!(
+            a.jobs,
+            vec![(ModelKind::Vgg16, 4), (ModelKind::ResNet50, 2)]
+        );
     }
 
     #[test]

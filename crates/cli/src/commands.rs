@@ -88,8 +88,8 @@ fn simulate(args: SimulateArgs, out: &mut impl std::io::Write) -> Result<(), Str
         args.pat_gbps,
         args.oversub,
     )?;
-    let placer = placer_by_name(&args.placer)
-        .ok_or_else(|| format!("unknown placer '{}'", args.placer))?;
+    let placer =
+        placer_by_name(&args.placer).ok_or_else(|| format!("unknown placer '{}'", args.placer))?;
     let trace = match &args.trace_file {
         Some(path) => netpack_workload::Trace::read_csv(path).map_err(|e| e.to_string())?,
         None => TraceSpec::new(args.trace, args.jobs)
@@ -102,18 +102,34 @@ fn simulate(args: SimulateArgs, out: &mut impl std::io::Write) -> Result<(), Str
     let mut table = TextTable::new(vec!["metric", "value"]);
     table.row(vec!["placer".into(), args.placer.clone()]);
     table.row(vec!["trace".into(), args.trace.label().into()]);
-    table.row(vec!["jobs finished".into(), result.outcomes.len().to_string()]);
-    table.row(vec!["jobs unfinished".into(), result.unfinished.len().to_string()]);
+    table.row(vec![
+        "jobs finished".into(),
+        result.outcomes.len().to_string(),
+    ]);
+    table.row(vec![
+        "jobs unfinished".into(),
+        result.unfinished.len().to_string(),
+    ]);
     if let Some(jct) = result.average_jct_s() {
         table.row(vec!["avg JCT (s)".into(), format!("{jct:.1}")]);
     }
     if let Some(de) = result.distribution_efficiency() {
         table.row(vec!["distribution efficiency".into(), format!("{de:.3}")]);
     }
-    table.row(vec!["makespan (s)".into(), format!("{:.1}", result.makespan_s)]);
+    table.row(vec![
+        "makespan (s)".into(),
+        format!("{:.1}", result.makespan_s),
+    ]);
     writeln!(out, "{table}").map_err(|e| e.to_string())?;
     if let Some(path) = &args.csv {
-        let mut csv = TextTable::new(vec!["job", "gpus", "arrival_s", "start_s", "finish_s", "jct_s"]);
+        let mut csv = TextTable::new(vec![
+            "job",
+            "gpus",
+            "arrival_s",
+            "start_s",
+            "finish_s",
+            "jct_s",
+        ]);
         for o in &result.outcomes {
             csv.row(vec![
                 o.id.to_string(),
@@ -235,8 +251,17 @@ mod tests {
     #[test]
     fn simulate_small_trace_end_to_end() {
         let out = run_str(&[
-            "simulate", "--jobs", "10", "--racks", "1", "--servers-per-rack", "4",
-            "--placer", "GB", "--seed", "3",
+            "simulate",
+            "--jobs",
+            "10",
+            "--racks",
+            "1",
+            "--servers-per-rack",
+            "4",
+            "--placer",
+            "GB",
+            "--seed",
+            "3",
         ])
         .unwrap();
         assert!(out.contains("avg JCT"));
@@ -248,8 +273,15 @@ mod tests {
         let dir = std::env::temp_dir().join("netpack-cli-test");
         let path = dir.join("jobs.csv");
         let out = run_str(&[
-            "simulate", "--jobs", "5", "--racks", "1", "--servers-per-rack", "3",
-            "--csv", path.to_str().unwrap(),
+            "simulate",
+            "--jobs",
+            "5",
+            "--racks",
+            "1",
+            "--servers-per-rack",
+            "3",
+            "--csv",
+            path.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("written to"));
@@ -294,11 +326,27 @@ mod synth_tests {
         let dir = std::env::temp_dir().join("netpack-cli-synth");
         let path = dir.join("trace.csv");
         let p = path.to_str().unwrap();
-        let out = run_str(&["synth", "--jobs", "8", "--seed", "5", "--max-gpus", "4", "--out", p])
-            .unwrap();
+        let out = run_str(&[
+            "synth",
+            "--jobs",
+            "8",
+            "--seed",
+            "5",
+            "--max-gpus",
+            "4",
+            "--out",
+            p,
+        ])
+        .unwrap();
         assert!(out.contains("wrote 8 jobs"));
         let out = run_str(&[
-            "simulate", "--trace-file", p, "--racks", "1", "--servers-per-rack", "4",
+            "simulate",
+            "--trace-file",
+            p,
+            "--racks",
+            "1",
+            "--servers-per-rack",
+            "4",
         ])
         .unwrap();
         assert!(out.contains("jobs finished            8"), "{out}");

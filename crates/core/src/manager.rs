@@ -152,18 +152,24 @@ impl Books for StatelessBooks {
 
     fn place(&mut self, batch: &[Job]) -> BatchOutcome {
         self.running_view.clear();
-        self.running_view.extend(self.running.iter().map(|(j, p)| RunningJob {
-            id: j.id,
-            gradient_gbits: j.gradient_gbits(),
-            placement: p.clone(),
-        }));
-        let outcome = self.placer.place_batch(&self.cluster, &self.running_view, batch);
+        self.running_view
+            .extend(self.running.iter().map(|(j, p)| RunningJob {
+                id: j.id,
+                gradient_gbits: j.gradient_gbits(),
+                placement: p.clone(),
+            }));
+        let outcome = self
+            .placer
+            .place_batch(&self.cluster, &self.running_view, batch);
         for (job, placement) in &outcome.placed {
             placement
                 .validate(&self.cluster, job.gpus)
                 .unwrap_or_else(|e| {
                     // netpack-lint: allow(E1): documented `# Panics` contract — a placer returning an invalid placement is a bug in the placer, not a recoverable condition for the epoch loop
-                    panic!("placer {} proposed invalid placement: {e}", self.placer.name())
+                    panic!(
+                        "placer {} proposed invalid placement: {e}",
+                        self.placer.name()
+                    )
                 });
             placement
                 .allocate_on(&mut self.cluster)
@@ -184,7 +190,10 @@ impl Books for StatelessBooks {
     /// order, and bit-identity with from-scratch [`estimate`] depends on
     /// replaying the same float-op sequence.
     fn finish(&mut self, id: JobId) -> Result<(Job, Placement), ManagerError> {
-        let idx = self.index.position(id).ok_or(ManagerError::UnknownJob(id))?;
+        let idx = self
+            .index
+            .position(id)
+            .ok_or(ManagerError::UnknownJob(id))?;
         self.running[idx].1.release_on(&mut self.cluster)?;
         self.index.retire(id, idx);
         if let Some(tracker) = &mut self.tracker {
@@ -325,7 +334,11 @@ impl JobManager {
             tracker: None,
             running_view: Vec::new(),
         };
-        JobManager { books: Box::new(books), placer_name, pending: Vec::new() }
+        JobManager {
+            books: Box::new(books),
+            placer_name,
+            pending: Vec::new(),
+        }
     }
 
     /// Create a manager whose only books are the warm session `placer`
@@ -336,7 +349,11 @@ impl JobManager {
         let Some(session) = placer.open_session(&cluster) else {
             return JobManager::new(cluster, placer);
         };
-        let books = WarmBooks { session, cluster, jobs: BTreeMap::new() };
+        let books = WarmBooks {
+            session,
+            cluster,
+            jobs: BTreeMap::new(),
+        };
         JobManager {
             books: Box::new(books),
             placer_name: placer.name(),
@@ -416,8 +433,10 @@ impl JobManager {
     /// Estimate the current steady state of all running jobs from scratch.
     pub fn steady_state(&self) -> SteadyState {
         let cluster = self.cluster();
-        let placed: Vec<PlacedJob> =
-            self.running().map(|(id, p)| PlacedJob::new(id, cluster, p)).collect();
+        let placed: Vec<PlacedJob> = self
+            .running()
+            .map(|(id, p)| PlacedJob::new(id, cluster, p))
+            .collect();
         estimate(cluster, &placed)
     }
 
@@ -510,7 +529,10 @@ mod tests {
         m.run_epoch();
         // The ledger is the manager's own cluster, as under `new`.
         assert_eq!(m.cluster().free_gpus(), 12);
-        assert!(m.waterfill_stats().is_none(), "no estimator until asked for");
+        assert!(
+            m.waterfill_stats().is_none(),
+            "no estimator until asked for"
+        );
     }
 
     #[test]
@@ -597,7 +619,10 @@ mod tests {
         m.submit(job(1, 4));
         m.run_epoch();
         let scratch = m.steady_state();
-        assert_eq!(m.steady_state_incremental().first_difference(&scratch), None);
+        assert_eq!(
+            m.steady_state_incremental().first_difference(&scratch),
+            None
+        );
         m.finish(JobId(0)).unwrap();
         m.submit(job(2, 6));
         m.run_epoch();
@@ -608,7 +633,10 @@ mod tests {
         let mut m = manager(Box::new(NetPackPlacer::default()));
         churn(&mut m);
         let scratch = m.steady_state();
-        assert_eq!(m.steady_state_incremental().first_difference(&scratch), None);
+        assert_eq!(
+            m.steady_state_incremental().first_difference(&scratch),
+            None
+        );
         // The estimator was built over jobs 0 and 1: it saw job 2 only,
         // and the finish and the epoch staged between two reads landed in
         // one settle.
@@ -662,7 +690,10 @@ mod tests {
         let (settles, settled) = settles_to_read(&mut m);
         assert_eq!(settles, 0, "an epoch returns settled");
         assert_eq!(settled.first_difference(&m.steady_state()), None);
-        assert_eq!(m.running().map(|(id, _)| id).collect::<Vec<_>>(), [JobId(2)]);
+        assert_eq!(
+            m.running().map(|(id, _)| id).collect::<Vec<_>>(),
+            [JobId(2)]
+        );
     }
 
     #[test]
@@ -718,24 +749,35 @@ mod tests {
         let &(last, w) = placement.workers().last().unwrap();
         books.cluster.release_gpus(last, w).unwrap();
         let err = books.finish(JobId(0)).unwrap_err();
-        assert!(matches!(err, ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert!(matches!(
+            err,
+            ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })
+        ));
         assert_eq!(books.free_gpus(), 16 - 6 + w);
         assert_eq!(books.running.len(), 1);
-        assert!(books.tracker.as_ref().is_some_and(|t| t.is_settled()), "nothing was staged");
+        assert!(
+            books.tracker.as_ref().is_some_and(|t| t.is_settled()),
+            "nothing was staged"
+        );
         assert!(books.settle().job_rate_gbps(JobId(0)).is_some());
         books.cluster.allocate_gpus(last, w).unwrap();
 
         // Books back in step: the finish now goes through, once.
         books.finish(JobId(0)).unwrap();
         assert_eq!(books.free_gpus(), 16);
-        assert_eq!(books.finish(JobId(0)), Err(ManagerError::UnknownJob(JobId(0))));
+        assert_eq!(
+            books.finish(JobId(0)),
+            Err(ManagerError::UnknownJob(JobId(0)))
+        );
     }
 
     #[test]
     fn refused_warm_finish_changes_nothing() {
         let placer = NetPackPlacer::default();
         let mut books = WarmBooks {
-            session: placer.open_session(&cluster()).expect("NetPack opens a session"),
+            session: placer
+                .open_session(&cluster())
+                .expect("NetPack opens a session"),
             cluster: cluster(),
             jobs: BTreeMap::new(),
         };
@@ -743,9 +785,15 @@ mod tests {
         // The session's ledger was credited while the job kept running.
         assert!(books.session.precredit_flat_ledger(JobId(0)));
         let err = books.finish(JobId(0)).unwrap_err();
-        assert!(matches!(err, ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert!(matches!(
+            err,
+            ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })
+        ));
         assert_eq!(books.running().count(), 1);
-        assert!(books.jobs.contains_key(&JobId(0)), "the job record stays with the job");
+        assert!(
+            books.jobs.contains_key(&JobId(0)),
+            "the job record stays with the job"
+        );
         assert!(books.session.is_settled(), "nothing was staged");
     }
 
@@ -775,7 +823,10 @@ mod tests {
         for mut m in both_books() {
             m.submit(job(0, 4));
             m.run_epoch();
-            assert_eq!(m.finish(JobId(99)), Err(ManagerError::UnknownJob(JobId(99))));
+            assert_eq!(
+                m.finish(JobId(99)),
+                Err(ManagerError::UnknownJob(JobId(99)))
+            );
             // A pending (never placed) job is not "running" either.
             m.submit(job(7, 2));
             assert_eq!(m.finish(JobId(7)), Err(ManagerError::UnknownJob(JobId(7))));

@@ -62,13 +62,13 @@
 use crate::{JobOutcome, SimResult};
 use netpack_core::JobManager;
 use netpack_metrics::PerfCounters;
+use netpack_metrics::Stopwatch;
 use netpack_placement::Placer;
 use netpack_topology::{Cluster, JobId};
 use netpack_waterfill::SteadyState;
 use netpack_workload::{Job, Trace};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
-use netpack_metrics::Stopwatch;
 
 /// Which INA memory-multiplexing mode the cluster's switches run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -377,7 +377,9 @@ impl Simulation {
                 // drain everything still in flight as unfinished.
                 result.unfinished.extend(running.keys().copied());
                 result.unfinished.extend(arrivals.iter().map(|j| j.id));
-                result.unfinished.extend(manager.pending().iter().map(|j| j.id));
+                result
+                    .unfinished
+                    .extend(manager.pending().iter().map(|j| j.id));
                 break;
             }
             let t = t.clamp(clock, config.max_sim_time_s);
@@ -391,7 +393,9 @@ impl Simulation {
             if clock >= config.max_sim_time_s {
                 result.unfinished.extend(running.keys().copied());
                 result.unfinished.extend(arrivals.iter().map(|j| j.id));
-                result.unfinished.extend(manager.pending().iter().map(|j| j.id));
+                result
+                    .unfinished
+                    .extend(manager.pending().iter().map(|j| j.id));
                 break;
             }
 
@@ -402,7 +406,9 @@ impl Simulation {
                 .front()
                 .is_some_and(|j| j.arrival_s <= clock + 1e-9)
             {
-                let Some(job) = arrivals.pop_front() else { break };
+                let Some(job) = arrivals.pop_front() else {
+                    break;
+                };
                 manager.submit(job);
             }
 
@@ -423,7 +429,9 @@ impl Simulation {
                 heap.pop();
                 // `running` mirrors the manager's running set, so the
                 // lookup succeeds for a live entry.
-                let Some(p) = running.remove(&c.id) else { continue };
+                let Some(p) = running.remove(&c.id) else {
+                    continue;
+                };
                 let Ok((job, _placement)) = manager.finish(c.id) else {
                     // The manager's books are broken and refuse the
                     // release: the job keeps its GPUs there, can never
@@ -485,7 +493,9 @@ impl Simulation {
                         }
                     }
                     debug_assert!(
-                        running.iter().all(|(&id, p)| p.iter_time_s == p.iter_time_under(id, s)),
+                        running
+                            .iter()
+                            .all(|(&id, p)| p.iter_time_s == p.iter_time_under(id, s)),
                         "a running job's rate moved without a stamp"
                     );
                 } else {
@@ -515,7 +525,9 @@ impl Simulation {
             }
         }
         result.makespan_s = clock;
-        result.outcomes.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
+        result
+            .outcomes
+            .sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
         result.unfinished.sort_unstable();
         for w in result.unfinished.windows(2) {
             assert!(w[0] != w[1], "job {} reported unfinished twice", w[0]);
@@ -570,7 +582,11 @@ mod tests {
         let trace = Trace::from_jobs(vec![Job::builder(JobId(0), ModelKind::ResNet50, 4)
             .iterations(100)
             .build()]);
-        let sim = Simulation::new(cluster(), Box::new(NetPackPlacer::default()), quick_config());
+        let sim = Simulation::new(
+            cluster(),
+            Box::new(NetPackPlacer::default()),
+            quick_config(),
+        );
         let result = sim.run(&trace);
         assert_eq!(result.outcomes.len(), 1);
         let o = &result.outcomes[0];
@@ -586,7 +602,11 @@ mod tests {
         let trace = Trace::from_jobs(vec![Job::builder(JobId(0), ModelKind::Vgg16, 8)
             .iterations(50)
             .build()]);
-        let sim = Simulation::new(cluster(), Box::new(NetPackPlacer::default()), quick_config());
+        let sim = Simulation::new(
+            cluster(),
+            Box::new(NetPackPlacer::default()),
+            quick_config(),
+        );
         let result = sim.run(&trace);
         let o = &result.outcomes[0];
         let ideal = 50.0 * ModelKind::Vgg16.compute_time_s();
@@ -604,7 +624,11 @@ mod tests {
                 .build()
         };
         let trace = Trace::from_jobs(vec![mk(0), mk(1)]);
-        let sim = Simulation::new(cluster(), Box::new(NetPackPlacer::default()), quick_config());
+        let sim = Simulation::new(
+            cluster(),
+            Box::new(NetPackPlacer::default()),
+            quick_config(),
+        );
         let result = sim.run(&trace);
         assert_eq!(result.outcomes.len(), 2);
         let first = result.outcomes.iter().find(|o| o.id == JobId(0)).unwrap();
@@ -664,8 +688,11 @@ mod tests {
         ];
         let run = |order: &[usize]| {
             let shuffled: Vec<Job> = order.iter().map(|&i| jobs[i].clone()).collect();
-            let sim =
-                Simulation::new(cluster(), Box::new(NetPackPlacer::default()), quick_config());
+            let sim = Simulation::new(
+                cluster(),
+                Box::new(NetPackPlacer::default()),
+                quick_config(),
+            );
             sim.run(&Trace::from_jobs(shuffled))
         };
         let reference = run(&[0, 1, 2, 3, 4, 5, 6, 7]);
@@ -707,7 +734,13 @@ mod tests {
             .duration_scale(0.03)
             .max_gpus(12)
             .generate();
-        let sim = || Simulation::new(cluster(), Box::new(NetPackPlacer::default()), quick_config());
+        let sim = || {
+            Simulation::new(
+                cluster(),
+                Box::new(NetPackPlacer::default()),
+                quick_config(),
+            )
+        };
         let inc = sim().run(&trace);
         let scratch = sim().run_reference(&trace);
         assert_eq!(inc, scratch);

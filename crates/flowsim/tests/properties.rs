@@ -8,27 +8,25 @@ use netpack_workload::{Job, ModelKind, Trace};
 use proptest::prelude::*;
 
 fn arb_trace(max_gpus: usize) -> impl Strategy<Value = Trace> {
-    proptest::collection::vec(
-        (1usize..9, 1u64..60, 0u32..200, 0usize..6),
-        1..12,
+    proptest::collection::vec((1usize..9, 1u64..60, 0u32..200, 0usize..6), 1..12).prop_map(
+        move |raw| {
+            let jobs: Vec<Job> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (gpus, iters, arrival_ds, model))| {
+                    Job::builder(
+                        JobId(i as u64),
+                        ModelKind::ALL[model],
+                        gpus.min(max_gpus.max(1)),
+                    )
+                    .iterations(iters)
+                    .arrival_s(arrival_ds as f64 / 10.0)
+                    .build()
+                })
+                .collect();
+            Trace::from_jobs(jobs)
+        },
     )
-    .prop_map(move |raw| {
-        let jobs: Vec<Job> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(i, (gpus, iters, arrival_ds, model))| {
-                Job::builder(
-                    JobId(i as u64),
-                    ModelKind::ALL[model],
-                    gpus.min(max_gpus.max(1)),
-                )
-                .iterations(iters)
-                .arrival_s(arrival_ds as f64 / 10.0)
-                .build()
-            })
-            .collect();
-        Trace::from_jobs(jobs)
-    })
 }
 
 fn placers() -> Vec<Box<dyn Placer>> {

@@ -3,7 +3,7 @@
 
 use crate::lexer::{self, Line};
 use crate::registry;
-use crate::rules::{self, Finding, FileContext, RULES};
+use crate::rules::{self, FileContext, Finding, RULES};
 use crate::scopes;
 use std::collections::BTreeMap;
 use std::io;
@@ -56,7 +56,10 @@ fn parse_pragma(comment: &str) -> Option<Pragma> {
             rule,
         });
     }
-    Some(Pragma { rule, problem: None })
+    Some(Pragma {
+        rule,
+        problem: None,
+    })
 }
 
 /// Mark every line covered by a `#[cfg(test)]` or `#[test]` item.
@@ -351,7 +354,11 @@ pub fn run(root: &Path, format: OutputFormat) -> io::Result<i32> {
         return Ok(0);
     }
     for f in &report.findings {
-        let func = f.func.as_deref().map(|n| format!(" (in fn {n})")).unwrap_or_default();
+        let func = f
+            .func
+            .as_deref()
+            .map(|n| format!(" (in fn {n})"))
+            .unwrap_or_default();
         println!("{}:{}: [{}] {}{func}", f.path, f.line, f.rule, f.message);
     }
     println!(

@@ -245,7 +245,14 @@ fn consume_prefixed_literal(
     i += 1;
     // Raw interior: no escapes; closes at `"` followed by `hashes` `#`s.
     while i < chars.len() {
-        if chars[i] == '"' && chars[i + 1..].iter().take(hashes).filter(|&&c| c == '#').count() == hashes {
+        if chars[i] == '"'
+            && chars[i + 1..]
+                .iter()
+                .take(hashes)
+                .filter(|&&c| c == '#')
+                .count()
+                == hashes
+        {
             code.push('"');
             literal.push(' ');
             i += 1;

@@ -35,34 +35,45 @@ pub const RULES: [&str; 9] = ["D1", "D2", "D3", "N1", "E1", "C1", "C2", "M1", "P
 /// Long-form rationale per rule, printed by `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "D1" => "D1 — hash-order iteration in sim/placement crates.\n\n\
+        "D1" => {
+            "D1 — hash-order iteration in sim/placement crates.\n\n\
             HashMap/HashSet iteration order changes across runs and Rust\n\
             versions. Any such iteration that reaches simulation results,\n\
             placements, or printed output silently breaks the bit-identity\n\
             contract between fast paths and their scratch references.\n\
-            Fix: BTreeMap/BTreeSet, or collect-and-sort before iterating.",
-        "D2" => "D2 — wall-clock reads outside metrics::perf.\n\n\
+            Fix: BTreeMap/BTreeSet, or collect-and-sort before iterating."
+        }
+        "D2" => {
+            "D2 — wall-clock reads outside metrics::perf.\n\n\
             Instant::now / SystemTime in simulation or placement state makes\n\
             replays irreproducible. All timing goes through\n\
-            netpack_metrics::Stopwatch, the one sanctioned clock site.",
-        "D3" => "D3 — unseeded randomness.\n\n\
+            netpack_metrics::Stopwatch, the one sanctioned clock site."
+        }
+        "D3" => {
+            "D3 — unseeded randomness.\n\n\
             thread_rng / from_entropy / rand::random draw from OS entropy,\n\
             so two runs of the same experiment disagree. Every RNG must be\n\
-            derived from an explicit seed that the caller controls.",
-        "N1" => "N1 — float accumulation inside parallel or batched regions.\n\n\
+            derived from an explicit seed that the caller controls."
+        }
+        "N1" => {
+            "N1 — float accumulation inside parallel or batched regions.\n\n\
             Float addition is not associative: a += over a parallel fold or\n\
             a batched round loop re-associates the sum and the result\n\
             depends on chunking. The parallel regions left are the figure\n\
             sweeps; the batched ones are packetsim's batch loops. Route\n\
             through exact accumulation (add_cycle-style integer/exact\n\
             paths), or fold after the join: parallel_sweep returns results\n\
-            in cell order.",
-        "E1" => "E1 — unwrap/expect/panic! in library crates.\n\n\
+            in cell order."
+        }
+        "E1" => {
+            "E1 — unwrap/expect/panic! in library crates.\n\n\
             Library code returns typed errors; aborting is the caller's\n\
             decision. No use is grandfathered. A panic that asserts a proven\n\
             invariant may stay, with the proof in the expect message and an\n\
-            allow(E1) pragma.",
-        "C1" => "C1 — shared mutable state captured by a parallel closure.\n\n\
+            allow(E1) pragma."
+        }
+        "C1" => {
+            "C1 — shared mutable state captured by a parallel closure.\n\n\
             The deterministic-parallelism contract (parallel_sweep in the\n\
             figure sweeps, thread::scope, thread::spawn) is that every cell is\n\
             independent: results are merged in cell order, so any cell\n\
@@ -70,15 +81,19 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             observable. The rule flags RefCell/Cell-typed bindings and &mut\n\
             borrows/aliases that originate OUTSIDE a parallel region but\n\
             are used inside its closure. Fix: give each cell its own state\n\
-            and commit deterministically after the join.",
-        "C2" => "C2 — unjustified static mut / Ordering::Relaxed.\n\n\
+            and commit deterministically after the join."
+        }
+        "C2" => {
+            "C2 — unjustified static mut / Ordering::Relaxed.\n\n\
             static mut is a data race waiting to happen (and unsafe, which\n\
             the workspace forbids). Ordering::Relaxed is sometimes correct —\n\
             a sender refcount — but each site must say WHY relaxed ordering\n\
             cannot reach results: every use carries a per-site\n\
             `// netpack-lint: allow(C2): <proof>` pragma. An allowlist that\n\
-            must be argued for is the point.",
-        "M1" => "M1 — the NETPACK_* registry, read only at the edge.\n\n\
+            must be argued for is the point."
+        }
+        "M1" => {
+            "M1 — the NETPACK_* registry, read only at the edge.\n\n\
             Every env-gated behavior is declared once, in\n\
             crates/lint/src/registry.rs, and cross-checked on every run:\n\
             an env::var read of an unregistered name, a registered name no\n\
@@ -88,13 +103,16 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             literal in non-test code of an E1 crate is a finding, so\n\
             `cargo test` cannot be steered by a stray variable — binaries\n\
             (crates/bench, crates/cli) parse the environment into typed\n\
-            configs.",
-        "P1" => "P1 — stale suppression pragmas.\n\n\
+            configs."
+        }
+        "P1" => {
+            "P1 — stale suppression pragmas.\n\n\
             An `allow(<rule>)` pragma that no longer suppresses any finding\n\
             is debt pretending to be justification: the hazard it excused\n\
             is gone, but the excuse invites the next one. Stale pragmas are\n\
             findings themselves, so the suppression set can only shrink.\n\
-            P1 cannot be suppressed.",
+            P1 cannot be suppressed."
+        }
         _ => return None,
     })
 }
@@ -102,15 +120,29 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// Crates whose non-test code must not iterate hash-ordered containers
 /// (rule D1): the simulation / placement / reporting pipeline where
 /// iteration order reaches results.
-pub const D1_CRATES: [&str; 6] =
-    ["waterfill", "flowsim", "packetsim", "placement", "core", "service"];
+pub const D1_CRATES: [&str; 6] = [
+    "waterfill",
+    "flowsim",
+    "packetsim",
+    "placement",
+    "core",
+    "service",
+];
 
 /// Library crates where new panics are forbidden (rule E1). `bench` and
 /// `cli` are driver/report binaries where aborting on a malformed flag or
 /// an unwritable CSV directory is the intended behavior.
 pub const E1_CRATES: [&str; 10] = [
-    "topology", "workload", "model", "waterfill", "placement", "core", "flowsim", "packetsim",
-    "metrics", "service",
+    "topology",
+    "workload",
+    "model",
+    "waterfill",
+    "placement",
+    "core",
+    "flowsim",
+    "packetsim",
+    "metrics",
+    "service",
 ];
 
 /// Per-file inputs shared by all rules.
@@ -154,10 +186,7 @@ fn finding(ctx: &FileContext<'_>, rule: &'static str, idx: usize, message: Strin
         path: ctx.path.to_string(),
         line: idx + 1,
         message,
-        func: ctx
-            .scopes
-            .enclosing_fn(idx + 1)
-            .map(|s| s.name.clone()),
+        func: ctx.scopes.enclosing_fn(idx + 1).map(|s| s.name.clone()),
     }
 }
 
@@ -168,8 +197,8 @@ fn has_ident(hay: &str, needle: &str) -> bool {
     while let Some(pos) = hay[from..].find(needle) {
         let start = from + pos;
         let end = start + needle.len();
-        let before_ok = start == 0
-            || !is_ident_char(hay[..start].chars().next_back().unwrap_or(' '));
+        let before_ok =
+            start == 0 || !is_ident_char(hay[..start].chars().next_back().unwrap_or(' '));
         let after_ok = end >= hay.len() || !is_ident_char(hay[end..].chars().next().unwrap_or(' '));
         if before_ok && after_ok {
             return true;
@@ -248,7 +277,10 @@ fn bound_names(ctx: &FileContext<'_>, markers: &[&str]) -> Vec<String> {
         }
         // `let [mut] NAME …` binding on this line.
         if let Some(pos) = code.find("let ") {
-            let rest = code[pos + 4..].trim_start().trim_start_matches("mut ").trim_start();
+            let rest = code[pos + 4..]
+                .trim_start()
+                .trim_start_matches("mut ")
+                .trim_start();
             let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
             if !name.is_empty() {
                 names.push(name);
@@ -353,8 +385,7 @@ fn find_keyword(s: &str, kw: &str) -> Option<usize> {
     while let Some(pos) = s[from..].find(kw) {
         let start = from + pos;
         let end = start + kw.len();
-        let before_ok =
-            start == 0 || !is_ident_char(s[..start].chars().next_back().unwrap_or(' '));
+        let before_ok = start == 0 || !is_ident_char(s[..start].chars().next_back().unwrap_or(' '));
         let after_ok = end >= s.len() || !is_ident_char(s[end..].chars().next().unwrap_or(' '));
         if before_ok && after_ok {
             return Some(start);
@@ -448,8 +479,7 @@ fn n1_parallel_float_accumulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>)
                 .next()
                 .unwrap_or("");
             let target_last = target.rsplit('.').next().unwrap_or(target);
-            let floaty = float_names.iter().any(|n| n == target_last)
-                || has_float_evidence(code);
+            let floaty = float_names.iter().any(|n| n == target_last) || has_float_evidence(code);
             if floaty {
                 out.push(finding(
                     ctx,
@@ -633,7 +663,10 @@ fn let_binding_lines(ctx: &FileContext<'_>) -> Vec<(String, usize)> {
     for (idx, line) in ctx.lines.iter().enumerate() {
         let code = &line.code;
         if let Some(pos) = find_keyword(code, "let") {
-            let rest = code[pos + 3..].trim_start().trim_start_matches("mut ").trim_start();
+            let rest = code[pos + 3..]
+                .trim_start()
+                .trim_start_matches("mut ")
+                .trim_start();
             let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
             if !name.is_empty() {
                 out.push((name, idx));
@@ -654,7 +687,10 @@ fn typed_binding_lines(ctx: &FileContext<'_>, markers: &[&str]) -> Vec<(String, 
             continue;
         }
         if let Some(pos) = find_keyword(code, "let") {
-            let rest = code[pos + 3..].trim_start().trim_start_matches("mut ").trim_start();
+            let rest = code[pos + 3..]
+                .trim_start()
+                .trim_start_matches("mut ")
+                .trim_start();
             let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
             if !name.is_empty() {
                 out.push((name, idx));
@@ -730,8 +766,10 @@ fn c1_captured_mutable_state(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             let mut from = 0usize;
             while let Some(pos) = code[from..].find("&mut ") {
                 let at = from + pos + "&mut ".len();
-                let name: String =
-                    code[at..].chars().take_while(|&c| is_ident_char(c)).collect();
+                let name: String = code[at..]
+                    .chars()
+                    .take_while(|&c| is_ident_char(c))
+                    .collect();
                 from = at;
                 if name.is_empty() || mut_flagged.contains(&name) {
                     continue;
@@ -777,7 +815,10 @@ fn c2_relaxed_and_static_mut(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             ));
         }
         if let Some(pos) = find_keyword(code, "static") {
-            if code[pos + "static".len()..].trim_start().starts_with("mut ") {
+            if code[pos + "static".len()..]
+                .trim_start()
+                .starts_with("mut ")
+            {
                 out.push(finding(
                     ctx,
                     "C2",

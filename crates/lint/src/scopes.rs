@@ -119,10 +119,7 @@ impl ScopeTree {
                     ));
                 }
                 if child.start < prev_start {
-                    problems.push(format!(
-                        "children out of order at line {}",
-                        child.start
-                    ));
+                    problems.push(format!("children out of order at line {}", child.start));
                 }
                 prev_start = child.start;
                 stack.push(child);
@@ -240,8 +237,8 @@ fn ident_after_last_keyword(header: &str, kw: &str) -> Option<String> {
     while let Some(pos) = header[from..].find(kw) {
         let start = from + pos;
         let end = start + kw.len();
-        let before_ok = start == 0
-            || !is_ident_char(header[..start].chars().next_back().unwrap_or(' '));
+        let before_ok =
+            start == 0 || !is_ident_char(header[..start].chars().next_back().unwrap_or(' '));
         let after_ok =
             end >= header.len() || !is_ident_char(header[end..].chars().next().unwrap_or(' '));
         if before_ok && after_ok {
@@ -287,7 +284,10 @@ mod outer {
         let t = tree(src);
         assert!(t.diagnostics.is_empty(), "{:?}", t.diagnostics);
         let outer = &t.root.children[0];
-        assert_eq!((outer.kind, outer.name.as_str()), (ScopeKind::Item, "outer"));
+        assert_eq!(
+            (outer.kind, outer.name.as_str()),
+            (ScopeKind::Item, "outer")
+        );
         assert_eq!((outer.start, outer.end), (1, 10));
         let imp = &outer.children[0];
         assert_eq!((imp.kind, imp.name.as_str()), (ScopeKind::Item, "Cluster"));

@@ -17,7 +17,10 @@ fn findings(virtual_path: &str, source: &str) -> Vec<Finding> {
 }
 
 fn rule_lines(fs: &[Finding], rule: &str) -> Vec<usize> {
-    fs.iter().filter(|f| f.rule == rule).map(|f| f.line).collect()
+    fs.iter()
+        .filter(|f| f.rule == rule)
+        .map(|f| f.line)
+        .collect()
 }
 
 // ---------------------------------------------------------------- positives
@@ -109,7 +112,10 @@ fn m1_positive_flags_unregistered_read() {
     let src = include_str!("fixtures/tree_m1/crates/cli/src/lib.rs");
     let fs = findings("crates/cli/src/lib.rs", src);
     assert_eq!(rule_lines(&fs, "M1"), vec![4], "{fs:#?}");
-    assert!(fs[0].message.contains("not in the mode-gate registry"), "{fs:#?}");
+    assert!(
+        fs[0].message.contains("not in the mode-gate registry"),
+        "{fs:#?}"
+    );
 }
 
 #[test]
@@ -117,7 +123,10 @@ fn m1_positive_flags_library_reads_even_of_registered_names() {
     let src = include_str!("fixtures/tree_m1_library/crates/flowsim/src/lib.rs");
     let fs = findings("crates/flowsim/src/lib.rs", src);
     assert_eq!(rule_lines(&fs, "M1"), vec![4], "{fs:#?}");
-    assert!(fs[0].message.contains("library crates read no environment"), "{fs:#?}");
+    assert!(
+        fs[0].message.contains("library crates read no environment"),
+        "{fs:#?}"
+    );
     // What is sanctioned in a binary is a finding in any library crate.
     let src = include_str!("fixtures/snippets/m1_negative.rs");
     for krate in netpack_lint::E1_CRATES {
@@ -229,7 +238,8 @@ fn pragmas_suppress_with_reason() {
 
 #[test]
 fn pragma_without_reason_is_its_own_finding() {
-    let src = "pub fn f() -> u32 {\n    [1u32].first().copied().unwrap() // netpack-lint: allow(E1)\n}\n";
+    let src =
+        "pub fn f() -> u32 {\n    [1u32].first().copied().unwrap() // netpack-lint: allow(E1)\n}\n";
     let report = analyze_source("crates/topology/src/fix.rs", src);
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert!(rules.contains(&"pragma"), "{:#?}", report.findings);
@@ -323,16 +333,18 @@ fn run_binary(args: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn json_format_keeps_the_exit_contract_and_emits_findings() {
     let root = fixture_dir().join("tree_c1");
-    let (code, stdout, _) =
-        run_binary(&["--root", root.to_str().unwrap(), "--format=json"]);
-    assert_eq!(code, Some(1), "seeded tree must still fail in json: {stdout}");
+    let (code, stdout, _) = run_binary(&["--root", root.to_str().unwrap(), "--format=json"]);
+    assert_eq!(
+        code,
+        Some(1),
+        "seeded tree must still fail in json: {stdout}"
+    );
     assert!(stdout.contains("\"rule\": \"C1\""), "{stdout}");
     assert!(stdout.contains("\"func\": \"sweep\""), "{stdout}");
     assert!(stdout.trim_start().starts_with('{') && stdout.trim_end().ends_with('}'));
 
     let root = fixture_dir().join("tree_clean");
-    let (code, stdout, _) =
-        run_binary(&["--root", root.to_str().unwrap(), "--format=json"]);
+    let (code, stdout, _) = run_binary(&["--root", root.to_str().unwrap(), "--format=json"]);
     assert_eq!(code, Some(0), "clean tree must pass in json: {stdout}");
     assert!(stdout.contains("\"findings\": []"), "{stdout}");
 }
@@ -346,7 +358,10 @@ fn explain_prints_rationale_and_rejects_unknown_rules() {
     }
     let (code, stdout, _) = run_binary(&["--explain", "M1"]);
     assert_eq!(code, Some(0));
-    assert!(stdout.contains("NETPACK_SMOKE"), "M1 lists the registry: {stdout}");
+    assert!(
+        stdout.contains("NETPACK_SMOKE"),
+        "M1 lists the registry: {stdout}"
+    );
     let (code, _, stderr) = run_binary(&["--explain", "Z9"]);
     assert_eq!(code, Some(2), "unknown rule must exit 2: {stderr}");
 }

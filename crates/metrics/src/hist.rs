@@ -269,7 +269,10 @@ mod tests {
         for v in [1u64, 33, 100, 4_097, 1 << 20, (1 << 40) + 12345] {
             let high = bucket_high(bucket_index(v));
             assert!(high >= v, "never understates: {v} -> {high}");
-            assert!(high - v <= v / SUB_BUCKETS + 1, "bounded error: {v} -> {high}");
+            assert!(
+                high - v <= v / SUB_BUCKETS + 1,
+                "bounded error: {v} -> {high}"
+            );
         }
         // With the exact-max clamp, a single-value histogram reports the
         // value itself at every quantile.

@@ -54,7 +54,9 @@ impl Stopwatch {
     /// Start timing now.
     #[must_use]
     pub fn start() -> Self {
-        Self { start: Instant::now() }
+        Self {
+            start: Instant::now(),
+        }
     }
 
     /// Wall-clock time elapsed since [`start`](Self::start).
@@ -218,7 +220,12 @@ impl PerfCounters {
     pub fn to_table(&self) -> TextTable {
         let mut t = TextTable::new(vec!["metric", "value", "count", "mean"]);
         for (name, v) in &self.counters {
-            t.row(vec![(*name).to_string(), v.to_string(), String::new(), String::new()]);
+            t.row(vec![
+                (*name).to_string(),
+                v.to_string(),
+                String::new(),
+                String::new(),
+            ]);
         }
         for (name, slot) in &self.timers {
             let total_ms = slot.total.as_secs_f64() * 1e3;

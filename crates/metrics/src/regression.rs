@@ -89,7 +89,15 @@ mod tests {
         let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let y: Vec<f64> = x
             .iter()
-            .map(|&v| 3.0 * v + 1.0 + if (v as usize).is_multiple_of(2) { 0.5 } else { -0.5 })
+            .map(|&v| {
+                3.0 * v
+                    + 1.0
+                    + if (v as usize).is_multiple_of(2) {
+                        0.5
+                    } else {
+                        -0.5
+                    }
+            })
             .collect();
         let fit = linear_fit(&x, &y).unwrap();
         assert!((fit.slope - 3.0).abs() < 0.01);

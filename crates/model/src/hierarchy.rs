@@ -154,7 +154,11 @@ impl JobHierarchy {
     ///
     /// This is the `incoming_flows` of the paper's aggregation-efficiency
     /// metric (Algorithm 2 step 4).
-    pub fn incoming_flows<F: Fn(RackId) -> bool>(&self, rack: RackId, aggregating: F) -> Option<u32> {
+    pub fn incoming_flows<F: Fn(RackId) -> bool>(
+        &self,
+        rack: RackId,
+        aggregating: F,
+    ) -> Option<u32> {
         if rack == self.ps_rack {
             let from_core: u32 = self
                 .remote_racks
@@ -210,10 +214,16 @@ impl JobHierarchy {
         for &(s, w) in &self.worker_servers {
             let shared = s == self.ps_server;
             ps_merged |= shared;
-            visit(LinkId::ServerAccess(s), w as u32 + if shared { root_out } else { 0 });
+            visit(
+                LinkId::ServerAccess(s),
+                w as u32 + if shared { root_out } else { 0 },
+            );
         }
         for &(r, w) in &self.remote_racks {
-            visit(LinkId::RackUplink(r), self.rack_output_flows(r, w, &aggregating));
+            visit(
+                LinkId::RackUplink(r),
+                self.rack_output_flows(r, w, &aggregating),
+            );
         }
         if into_root_from_core > 0 {
             visit(LinkId::RackUplink(self.ps_rack), into_root_from_core);
@@ -367,7 +377,9 @@ mod tests {
         let flows = flows_map(&h, |_| true);
         assert!(flows.contains(&(LinkId::ServerAccess(ServerId(0)), 3)));
         // No uplinks involved in a single-rack job.
-        assert!(flows.iter().all(|(l, _)| matches!(l, LinkId::ServerAccess(_))));
+        assert!(flows
+            .iter()
+            .all(|(l, _)| matches!(l, LinkId::ServerAccess(_))));
     }
 
     #[test]
@@ -442,7 +454,9 @@ mod sharded_tests {
     #[test]
     fn components_empty_for_local_placements() {
         let c = cluster();
-        assert!(JobHierarchy::components_from_placement(&c, &Placement::local(ServerId(0), 4))
-            .is_empty());
+        assert!(
+            JobHierarchy::components_from_placement(&c, &Placement::local(ServerId(0), 4))
+                .is_empty()
+        );
     }
 }

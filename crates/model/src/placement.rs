@@ -128,9 +128,7 @@ impl Placement {
     /// relative to the cluster's *free* GPUs.
     pub fn validate(&self, cluster: &Cluster, required_gpus: usize) -> Result<(), PlacementError> {
         for &(s, w) in &self.workers {
-            let server = cluster
-                .server(s)
-                .ok_or(PlacementError::UnknownServer(s))?;
+            let server = cluster.server(s).ok_or(PlacementError::UnknownServer(s))?;
             if w > server.gpus_free() {
                 return Err(PlacementError::GpuOverCommit {
                     server: s,
@@ -261,7 +259,12 @@ mod tests {
     #[test]
     fn new_merges_and_sorts_worker_entries() {
         let p = Placement::new(
-            vec![(ServerId(2), 1), (ServerId(0), 2), (ServerId(2), 1), (ServerId(1), 0)],
+            vec![
+                (ServerId(2), 1),
+                (ServerId(0), 2),
+                (ServerId(2), 1),
+                (ServerId(1), 0),
+            ],
             None,
         );
         assert_eq!(p.workers(), &[(ServerId(0), 2), (ServerId(2), 2)]);
@@ -347,13 +350,19 @@ mod tests {
         let q = Placement::new(vec![(ServerId(0), 1), (ServerId(1), 3)], Some(ServerId(2)));
         assert!(matches!(
             q.allocate_on(&mut c),
-            Err(TopologyError::InsufficientGpus { server: ServerId(1), .. })
+            Err(TopologyError::InsufficientGpus {
+                server: ServerId(1),
+                ..
+            })
         ));
         assert_eq!(c.free_gpus(), 16 - 5);
         // Server 1 holds two, not three: releasing `q` is refused whole.
         assert!(matches!(
             q.release_on(&mut c),
-            Err(TopologyError::ReleaseOverflow { server: ServerId(1), .. })
+            Err(TopologyError::ReleaseOverflow {
+                server: ServerId(1),
+                ..
+            })
         ));
         assert_eq!(c.free_gpus(), 16 - 5);
         p.release_on(&mut c).unwrap();
@@ -419,7 +428,11 @@ mod sharded_tests {
             vec![ServerId(2), ServerId(3)],
         );
         p.validate(&c, 4).unwrap();
-        let bad = Placement::new_sharded(vec![(ServerId(0), 2), (ServerId(1), 2)], vec![ServerId(99)]);
-        assert_eq!(bad.validate(&c, 4), Err(PlacementError::UnknownServer(ServerId(99))));
+        let bad =
+            Placement::new_sharded(vec![(ServerId(0), 2), (ServerId(1), 2)], vec![ServerId(99)]);
+        assert_eq!(
+            bad.validate(&c, 4),
+            Err(PlacementError::UnknownServer(ServerId(99)))
+        );
     }
 }

@@ -101,7 +101,11 @@ pub fn single_job_report<F: Fn(RackId) -> f64>(
     let mut core_traffic = 0.0f64;
     for &(rack, workers) in hierarchy.remote_racks() {
         let n = workers as u32;
-        let a = if ina { pat_of(rack).min(rate_gbps) } else { 0.0 };
+        let a = if ina {
+            pat_of(rack).min(rate_gbps)
+        } else {
+            0.0
+        };
         switch_aggregated.push((rack, a));
         let (out_flows, out_traffic) = if aggregates(rack) {
             (1u32, rate_gbps)
@@ -119,7 +123,11 @@ pub fn single_job_report<F: Fn(RackId) -> f64>(
     // Root switch (PS rack). Its subtree flows are whatever arrives from
     // the core plus the local workers (Table 1 with the current flow set).
     let root_in_flows = fc + hierarchy.local_workers() as u32;
-    let a_root = if ina { pat_of(ps_rack).min(rate_gbps) } else { 0.0 };
+    let a_root = if ina {
+        pat_of(ps_rack).min(rate_gbps)
+    } else {
+        0.0
+    };
     switch_aggregated.push((ps_rack, a_root));
     let (fs, root_traffic) = if aggregates(ps_rack) {
         (1u32, rate_gbps)

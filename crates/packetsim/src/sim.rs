@@ -36,8 +36,8 @@
 
 use crate::{JobStats, PacketSimReport};
 use netpack_metrics::PerfCounters;
-use netpack_topology::JobId;
 use netpack_metrics::Stopwatch;
+use netpack_topology::JobId;
 
 /// How the switch memory is multiplexed (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -430,7 +430,17 @@ impl PacketSim {
                 ring.clear();
                 for k in 0..self.jobs.len() {
                     let ji = (k + rotation) % self.jobs.len();
-                    self.step_job(ji, round, bdp, payload_bits, rtt_s, now_s, fast, &mut ring, &mut acc);
+                    self.step_job(
+                        ji,
+                        round,
+                        bdp,
+                        payload_bits,
+                        rtt_s,
+                        now_s,
+                        fast,
+                        &mut ring,
+                        &mut acc,
+                    );
                 }
                 local_round += 1;
                 acc.rounds_stepped += 1;
@@ -539,8 +549,12 @@ impl PacketSim {
                     // Largest k with start_s > (round + k) * rtt_s, probed
                     // with the per-round loop's own float predicate.
                     let est = ((job.spec.start_s / rtt_s) - self.round as f64).floor();
-                    let mut k = if est <= 0.0 { 0 } else { (est as u64).saturating_add(2) }
-                        .min(kmax);
+                    let mut k = if est <= 0.0 {
+                        0
+                    } else {
+                        (est as u64).saturating_add(2)
+                    }
+                    .min(kmax);
                     while k > 0 && job.spec.start_s <= (self.round + k) as f64 * rtt_s {
                         k -= 1;
                     }
@@ -625,7 +639,11 @@ impl PacketSim {
         // Iteration-end bound (condition 1): keep every sender's
         // remaining_groups strictly above its window throughout.
         for (si, &(ji, w)) in senders.iter().enumerate() {
-            let maxdec = outcomes[si].iter().map(|o| o.acked_whole).max().unwrap_or(0);
+            let maxdec = outcomes[si]
+                .iter()
+                .map(|o| o.acked_whole)
+                .max()
+                .unwrap_or(0);
             let headroom = self.jobs[ji].remaining_groups - w as u64 - 1;
             if let Some(k) = headroom.checked_div(maxdec) {
                 kmax = kmax.min(k + 1);
@@ -775,8 +793,7 @@ impl PacketSim {
 
         if job.remaining_groups == 0 {
             job.iterations_done += 1;
-            let done_all =
-                job.spec.iterations > 0 && job.iterations_done >= job.spec.iterations;
+            let done_all = job.spec.iterations > 0 && job.iterations_done >= job.spec.iterations;
             if done_all {
                 job.phase = Phase::Finished;
                 job.stats.finish_s = Some(now_s);
@@ -832,10 +849,7 @@ mod tests {
             sim.add_job(spec(0, 2, Some(10.0)));
             let report = sim.run(0.05);
             let y = report.per_job[0].aggregation_ratio();
-            assert!(
-                (y - x).abs() < 0.05,
-                "PAT ratio {x}: aggregation ratio {y}"
-            );
+            assert!((y - x).abs() < 0.05, "PAT ratio {x}: aggregation ratio {y}");
         }
     }
 
@@ -1055,7 +1069,10 @@ mod tests {
     #[test]
     fn add_cycle_matches_sequential_addition() {
         // Integral fast branch.
-        assert_eq!(add_cycle(10.0, &[3.0, 5.0], 6), 10.0 + 3.0 * 3.0 + 3.0 * 5.0);
+        assert_eq!(
+            add_cycle(10.0, &[3.0, 5.0], 6),
+            10.0 + 3.0 * 3.0 + 3.0 * 5.0
+        );
         // Fractional values take the literal replay branch.
         let vals = [0.3, 0.7];
         let mut want = 1.5;

@@ -69,7 +69,10 @@ fn same_seed_same_report_across_all_modes() {
             };
             let a = run(7);
             let b = run(7);
-            assert_eq!(a, b, "{mode:?}/reference={reference}: same seed must reproduce");
+            assert_eq!(
+                a, b,
+                "{mode:?}/reference={reference}: same seed must reproduce"
+            );
             // Bit-level check on the float fields, beyond PartialEq.
             for (x, y) in a.per_job.iter().zip(&b.per_job) {
                 assert_eq!(x.goodput_bits.to_bits(), y.goodput_bits.to_bits());

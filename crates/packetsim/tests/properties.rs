@@ -17,11 +17,7 @@ fn arb_config() -> impl Strategy<Value = SwitchConfig> {
 }
 
 fn arb_jobs() -> impl Strategy<Value = Vec<PacketJobSpec>> {
-    proptest::collection::vec(
-        (1usize..5, 1u32..40, 0u32..3, any::<bool>()),
-        1..4,
-    )
-    .prop_map(|raw| {
+    proptest::collection::vec((1usize..5, 1u32..40, 0u32..3, any::<bool>()), 1..4).prop_map(|raw| {
         raw.into_iter()
             .enumerate()
             .map(|(i, (fan_in, grad_dmb, compute_ms, paced))| PacketJobSpec {

@@ -51,18 +51,23 @@ impl Placer for FlowBalance {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        greedy_batch(cluster, Some(running), batch, |scratch, state, job, order| {
-            let state = state?;
-            order.clear();
-            order.extend(scratch.servers().iter().map(|s| s.id()));
-            order.sort_by(|&a, &b| {
-                state
-                    .server_flows(a)
-                    .cmp(&state.server_flows(b))
-                    .then_with(|| free_on(scratch, b).cmp(&free_on(scratch, a)))
-            });
-            place_by_order(scratch, order, job)
-        })
+        greedy_batch(
+            cluster,
+            Some(running),
+            batch,
+            |scratch, state, job, order| {
+                let state = state?;
+                order.clear();
+                order.extend(scratch.servers().iter().map(|s| s.id()));
+                order.sort_by(|&a, &b| {
+                    state
+                        .server_flows(a)
+                        .cmp(&state.server_flows(b))
+                        .then_with(|| free_on(scratch, b).cmp(&free_on(scratch, a)))
+                });
+                place_by_order(scratch, order, job)
+            },
+        )
     }
 }
 
@@ -113,9 +118,7 @@ pub struct RandomPlacer {
 impl RandomPlacer {
     /// Deterministic placer seeded for reproducibility.
     pub fn new(seed: u64) -> Self {
-        RandomPlacer {
-            state: seed.max(1),
-        }
+        RandomPlacer { state: seed.max(1) }
     }
 
     fn next(&mut self) -> u64 {
@@ -208,10 +211,7 @@ mod tests {
         let running = RunningJob {
             id: JobId(9),
             gradient_gbits: 4.0,
-            placement: Placement::new(
-                vec![(ServerId(1), 2), (ServerId(2), 2)],
-                Some(ServerId(0)),
-            ),
+            placement: Placement::new(vec![(ServerId(1), 2), (ServerId(2), 2)], Some(ServerId(0))),
         };
         c.allocate_gpus(ServerId(1), 2).unwrap();
         c.allocate_gpus(ServerId(2), 2).unwrap();

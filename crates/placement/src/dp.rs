@@ -169,8 +169,20 @@ impl WorkerDp {
         };
         // No update writes above the highest clamped flow among the
         // servers that fit, so no row above it is ever live.
-        let rows = servers.iter().filter(fits).map(clamp).max().map_or(1, |f| f + 1);
-        let DpArena { value, head, nodes, live, before, before_head } = arena;
+        let rows = servers
+            .iter()
+            .filter(fits)
+            .map(clamp)
+            .max()
+            .map_or(1, |f| f + 1);
+        let DpArena {
+            value,
+            head,
+            nodes,
+            live,
+            before,
+            before_head,
+        } = arena;
         value.clear();
         value.resize(rows * width, f64::NEG_INFINITY);
         value[0] = 0.0;
@@ -202,9 +214,15 @@ impl WorkerDp {
             let clamped = clamp(srv);
             // The cells (f, w..) of one row take `source[g - w] + value`
             // where that is strictly greater.
-            let relax = |source: &[f64], source_head: &[u32], row: &mut [f64], heads: &mut [u32], nodes: &mut Vec<(u32, u32)>| {
+            let relax = |source: &[f64],
+                         source_head: &[u32],
+                         row: &mut [f64],
+                         heads: &mut [u32],
+                         nodes: &mut Vec<(u32, u32)>| {
                 let sources = source.iter().zip(source_head);
-                for ((cell, h), (&prev, &from)) in row[w..].iter_mut().zip(&mut heads[w..]).zip(sources) {
+                for ((cell, h), (&prev, &from)) in
+                    row[w..].iter_mut().zip(&mut heads[w..]).zip(sources)
+                {
                     let cand = prev + srv.value;
                     if cand > *cell {
                         *cell = cand;
@@ -221,7 +239,13 @@ impl WorkerDp {
                 let row = f * width..(f + 1) * width;
                 before.copy_from_slice(&value[row.clone()]);
                 before_head.copy_from_slice(&head[row.clone()]);
-                relax(before, before_head, &mut value[row.clone()], &mut head[row], nodes);
+                relax(
+                    before,
+                    before_head,
+                    &mut value[row.clone()],
+                    &mut head[row],
+                    nodes,
+                );
             }
             // Row `clamped` collects every live i <= clamped, its own from
             // the copy.
@@ -236,7 +260,10 @@ impl WorkerDp {
                 let (source, source_head) = if i == clamped {
                     (&before[..], &before_head[..])
                 } else {
-                    (&lower[i * width..(i + 1) * width], &lower_head[i * width..(i + 1) * width])
+                    (
+                        &lower[i * width..(i + 1) * width],
+                        &lower_head[i * width..(i + 1) * width],
+                    )
                 };
                 relax(source, source_head, own_row, own_head, nodes);
             }
@@ -296,7 +323,12 @@ pub(crate) mod tests {
     /// `WorkerDp::plans` as it stood before its rows were updated from a
     /// snapshot, kept verbatim: in place, `g` walked downward so every read
     /// is a pre-update value, and each cell's `-inf` sources skipped.
-    fn plans_literal(dp: &WorkerDp, servers: &[ServerStats], demand: usize, slack: usize) -> Vec<WorkerPlan> {
+    fn plans_literal(
+        dp: &WorkerDp,
+        servers: &[ServerStats],
+        demand: usize,
+        slack: usize,
+    ) -> Vec<WorkerPlan> {
         if demand == 0 {
             return vec![WorkerPlan {
                 servers: Vec::new(),
@@ -514,14 +546,21 @@ pub(crate) mod tests {
         let mut servers: Vec<ServerStats> = (0..below(9) as usize)
             .map(|i| {
                 let value = below(10) as f64 - 3.0;
-                let value = if below(4) == 0 { value + below(1000) as f64 / 1000.0 } else { value };
+                let value = if below(4) == 0 {
+                    value + below(1000) as f64 / 1000.0
+                } else {
+                    value
+                };
                 srv(i, below(11) as usize, value, below(13) as u32)
             })
             .collect();
         for _ in 0..below(4) {
             if !servers.is_empty() {
                 let copy = servers[below(servers.len() as u64) as usize];
-                servers.push(ServerStats { id: ServerId(servers.len()), ..copy });
+                servers.push(ServerStats {
+                    id: ServerId(servers.len()),
+                    ..copy
+                });
             }
         }
         (dp, servers, 1 + below(12) as usize, below(5) as usize)
@@ -581,14 +620,29 @@ pub(crate) mod tests {
         let mut reached = [0usize; 8];
         for seed in 0..4000 {
             let (dp, servers, demand, slack) = dp_case(seed);
-            assert_same_plans(&dp.plans(&servers, demand, slack), &plans_literal(&dp, &servers, demand, slack), seed);
+            assert_same_plans(
+                &dp.plans(&servers, demand, slack),
+                &plans_literal(&dp, &servers, demand, slack),
+                seed,
+            );
             let g_max = demand + slack;
-            let clamp = |s: &ServerStats| if dp.track_flows { s.flows.min(dp.fs_max) } else { 0 };
+            let clamp = |s: &ServerStats| {
+                if dp.track_flows {
+                    s.flows.min(dp.fs_max)
+                } else {
+                    0
+                }
+            };
             // Best value per (f, g) cell over every subset, and how many
             // subsets reach it.
-            let mut best: std::collections::BTreeMap<(u32, usize), (f64, usize)> = Default::default();
+            let mut best: std::collections::BTreeMap<(u32, usize), (f64, usize)> =
+                Default::default();
             for mask in 0u32..1 << servers.len() {
-                let chosen = servers.iter().enumerate().filter(|&(i, _)| mask >> i & 1 == 1).map(|(_, s)| s);
+                let chosen = servers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, s)| s);
                 let (mut g, mut v, mut f) = (0, 0.0, 0);
                 for s in chosen.filter(|s| s.gpus_free > 0) {
                     (g, v, f) = (g + s.gpus_free, v + s.value, f.max(clamp(s)));
@@ -600,9 +654,14 @@ pub(crate) mod tests {
                     cell.1 += 1;
                 }
             }
-            let live: Vec<&ServerStats> = servers.iter().filter(|s| (1..=g_max).contains(&s.gpus_free)).collect();
+            let live: Vec<&ServerStats> = servers
+                .iter()
+                .filter(|s| (1..=g_max).contains(&s.gpus_free))
+                .collect();
             let twins = live.iter().enumerate().any(|(i, a)| {
-                live[i + 1..].iter().any(|b| (a.gpus_free, clamp(a), a.value) == (b.gpus_free, clamp(b), b.value))
+                live[i + 1..]
+                    .iter()
+                    .any(|b| (a.gpus_free, clamp(a), a.value) == (b.gpus_free, clamp(b), b.value))
             });
             // Live rows as the servers that fit are taken in turn.
             let (mut rows, mut dead_between, mut late) = (vec![0], false, false);
@@ -615,7 +674,8 @@ pub(crate) mod tests {
                 }
             }
             let seen = [
-                best.iter().any(|(&(_, g), &(_, ways))| g >= demand && g <= g_max && ways > 1),
+                best.iter()
+                    .any(|(&(_, g), &(_, ways))| g >= demand && g <= g_max && ways > 1),
                 twins,
                 dp.track_flows && servers.iter().any(|s| s.flows > dp.fs_max),
                 servers.iter().any(|s| s.gpus_free == 0),
@@ -650,7 +710,11 @@ pub(crate) mod tests {
         let mut arena = DpArena::default();
         for seed in order {
             let (dp, servers, demand, slack) = dp_case(seed);
-            assert_same_plans(&dp.plans_in(&mut arena, &servers, demand, slack), &dp.plans(&servers, demand, slack), seed);
+            assert_same_plans(
+                &dp.plans_in(&mut arena, &servers, demand, slack),
+                &dp.plans(&servers, demand, slack),
+                seed,
+            );
         }
     }
 
@@ -665,7 +729,11 @@ pub(crate) mod tests {
             let (_, servers, demand, slack) = dp_case(seed);
             let m = servers.iter().map(|s| s.flows).max().unwrap_or(0);
             let wide = WorkerDp::new(300).plans(&servers, demand, slack);
-            assert_same_plans(&wide, &WorkerDp::new(m).plans(&servers, demand, slack), seed);
+            assert_same_plans(
+                &wide,
+                &WorkerDp::new(m).plans(&servers, demand, slack),
+                seed,
+            );
         }
     }
 

@@ -128,7 +128,8 @@ impl ExactPlacer {
         self.perf.incr("exact_sym_ps_skips", stats.sym_ps_skips);
         self.perf.incr("waterfill_jobs_resolved", wf.jobs_resolved);
         self.perf.incr("waterfill_jobs_reused", wf.jobs_reused);
-        self.perf.incr("waterfill_components_solved", wf.components_solved);
+        self.perf
+            .incr("waterfill_components_solved", wf.components_solved);
         search.best
     }
 }
@@ -204,7 +205,16 @@ pub(crate) fn for_each_split(
     }
     let mut current: Vec<(ServerId, usize)> = Vec::new();
     let mut last_take = vec![usize::MAX; free.len()];
-    split_rec(free, class, &suffix, 0, gpus, &mut current, &mut last_take, f)
+    split_rec(
+        free,
+        class,
+        &suffix,
+        0,
+        gpus,
+        &mut current,
+        &mut last_take,
+        f,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -237,7 +247,16 @@ fn split_rec(
         }
         let saved = last_take[rep];
         last_take[rep] = take;
-        let flow = split_rec(free, class, suffix, idx + 1, remaining - take, current, last_take, f);
+        let flow = split_rec(
+            free,
+            class,
+            suffix,
+            idx + 1,
+            remaining - take,
+            current,
+            last_take,
+            f,
+        );
         last_take[rep] = saved;
         if take > 0 {
             current.pop();
@@ -413,8 +432,10 @@ impl Search<'_> {
         for &s in placement.pses() {
             self.touched[s.0] += 1;
         }
-        self.inc
-            .push(self.cluster, PlacedJob::new(job.id, self.cluster, &placement));
+        self.inc.push(
+            self.cluster,
+            PlacedJob::new(job.id, self.cluster, &placement),
+        );
         self.current.push((job.clone(), placement));
     }
 
@@ -463,7 +484,10 @@ mod tests {
         let out = p.place_batch(c, &[], batch);
         let (best, evals) = reference::place_exact(c, &[], batch, false, budget);
         let reference = best.map(|(_, placed)| placed).unwrap_or_default();
-        [("bnb", out.placed, p.evaluations()), ("reference", reference, evals)]
+        [
+            ("bnb", out.placed, p.evaluations()),
+            ("reference", reference, evals),
+        ]
     }
 
     const BUDGET: u64 = 2_000_000;
@@ -563,7 +587,9 @@ mod tests {
         let out = ExactPlacer::default().place_batch(&c, &[], &batch);
         assert!(out.placed.is_empty());
         assert_eq!(out.deferred.len(), 1);
-        assert!(reference::place_exact(&c, &[], &batch, false, BUDGET).0.is_none());
+        assert!(reference::place_exact(&c, &[], &batch, false, BUDGET)
+            .0
+            .is_none());
     }
 
     #[test]

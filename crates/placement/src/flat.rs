@@ -324,10 +324,14 @@ impl PsTable {
                 continue;
             };
             let uplink = (key.fc_up, f64::from_bits(key.up_bits));
-            let group = self.groups.iter().position(|&g| g == uplink).unwrap_or_else(|| {
-                self.groups.push(uplink);
-                self.groups.len() - 1
-            });
+            let group = self
+                .groups
+                .iter()
+                .position(|&g| g == uplink)
+                .unwrap_or_else(|| {
+                    self.groups.push(uplink);
+                    self.groups.len() - 1
+                });
             let avail = f64::from_bits(key.avail_bits);
             let flows1 = key.flows + 1;
             let penalty = (self.capacity - avail) / (f64::from(flows1) + 1.0);
@@ -345,9 +349,15 @@ impl PsTable {
                 penalty,
             });
         }
-        let f_max = plans.iter().map(|p| p.max_flows).fold(self.flows1_max, u32::max);
+        let f_max = plans
+            .iter()
+            .map(|p| p.max_flows)
+            .fold(self.flows1_max, u32::max);
         for f in self.hot.len() as u32..=f_max {
-            self.hot.push((self.capacity / (f64::from(f) + 1.0), self.capacity / f64::from(f.max(1))));
+            self.hot.push((
+                self.capacity / (f64::from(f) + 1.0),
+                self.capacity / f64::from(f.max(1)),
+            ));
         }
         // A rack's list is filled by the first plan server found in it;
         // only the previous job's lists need emptying first.
@@ -367,7 +377,12 @@ impl PsTable {
 
     /// Append rack `rack`'s classes to `rack_entries`; returns their range
     /// (never empty: the rack has servers, each in a live class).
-    fn fill_rack(&mut self, topo: &FlatTopology, classes: &Partition<PsKey>, rack: usize) -> Range<u32> {
+    fn fill_rack(
+        &mut self,
+        topo: &FlatTopology,
+        classes: &Partition<PsKey>,
+        rack: usize,
+    ) -> Range<u32> {
         let servers = topo.rack_server_range(rack);
         let begin = self.rack_entries.len() as u32;
         for (row, r) in self.rows.iter().enumerate() {
@@ -382,7 +397,11 @@ impl PsTable {
             };
             match members.get(pos) {
                 Some(&first) if (first as usize) < servers.end => {
-                    self.rack_entries.push(RackEntry { row: row as u32, first, pos: pos as u32 });
+                    self.rack_entries.push(RackEntry {
+                        row: row as u32,
+                        first,
+                        pos: pos as u32,
+                    });
                 }
                 _ => {}
             }
@@ -422,10 +441,14 @@ impl FlatBatch {
     /// never happens, but the ledger refuses rather than panics.
     pub(crate) fn commit(&mut self, placement: &Placement) -> bool {
         let free = self.ledger.free();
-        let fits = placement.workers().iter().all(|&(s, w)| w <= free[s.0] as usize);
+        let fits = placement
+            .workers()
+            .iter()
+            .all(|&(s, w)| w <= free[s.0] as usize);
         if fits {
             for &(s, w) in placement.workers() {
-                self.ledger.set_free(s.0, self.ledger.free()[s.0] - w as u32);
+                self.ledger
+                    .set_free(s.0, self.ledger.free()[s.0] - w as u32);
             }
         }
         fits
@@ -449,7 +472,8 @@ impl FlatBatch {
             }
         }
         for &(s, w) in placement.workers() {
-            self.ledger.set_free(s.0, self.ledger.free()[s.0] + w as u32);
+            self.ledger
+                .set_free(s.0, self.ledger.free()[s.0] + w as u32);
         }
         Ok(())
     }
@@ -564,7 +588,8 @@ impl NetPackPlacer {
         let classes = &fb.index.ps;
         let mut best: Option<(f64, usize)> = None;
         for &sid in &plan.servers {
-            let score = self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid.0, stamp);
+            let score =
+                self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid.0, stamp);
             consider(&mut best, score, sid.0);
         }
         let own = plan.servers.len();
@@ -589,12 +614,16 @@ impl NetPackPlacer {
             fb.topo.rack_uplink_gbps(rack) / f64::from(rack_fc[rack] + added)
         };
         ps.rack_share.clear();
-        ps.rack_share.extend(ps.rack_workers.iter().map(|&(r, w)| share(r.0, w)));
+        ps.rack_share
+            .extend(ps.rack_workers.iter().map(|&(r, w)| share(r.0, w)));
         let workers: u32 = ps.rack_workers.iter().map(|&(_, w)| w).sum();
         let all = ps.rack_share.iter().copied().reduce(pick)?;
         ps.group_term.clear();
         ps.group_term.extend(
-            table.groups.iter().map(|&(fc, gbps)| pick(all, gbps / f64::from(fc + workers))),
+            table
+                .groups
+                .iter()
+                .map(|&(fc, gbps)| pick(all, gbps / f64::from(fc + workers))),
         );
         let ps = &*ps;
 
@@ -604,14 +633,18 @@ impl NetPackPlacer {
             let score = base + self.table_term(table.hot[f_max as usize], crossed);
             debug_assert_eq!(
                 score.to_bits(),
-                self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp).to_bits(),
+                self.score_candidate_flat(fb, ps, cluster, state, capacity, plan, sid, stamp)
+                    .to_bits(),
                 "server {sid}: the PS class table is not the index's"
             );
             score
         };
         let mut visit = |score: f64, sid: usize| {
             if ruled_out {
-                debug_assert!(score <= ceiling, "server {sid}: {score} above the plan's ceiling {ceiling}");
+                debug_assert!(
+                    score <= ceiling,
+                    "server {sid}: {score} above the plan's ceiling {ceiling}"
+                );
             } else {
                 consider(&mut best, score, sid);
             }
@@ -676,7 +709,10 @@ impl NetPackPlacer {
                 first_outside(row.class)
             };
             let Some(sid) = outside else { continue };
-            visit(score_row(row, sid, Some(ps.group_term[row.group as usize])), sid);
+            visit(
+                score_row(row, sid, Some(ps.group_term[row.group as usize])),
+                sid,
+            );
             reps += 1;
         }
         if !ruled_out {
@@ -696,7 +732,9 @@ impl NetPackPlacer {
     fn score_ceiling(&self, table: &PsTable, plan: &WorkerPlan) -> f64 {
         let top = match self.config.hotspot {
             HotSpotTerm::RewardBottleneckShare => table.hot[plan.max_flows as usize].0,
-            HotSpotTerm::PaperLiteral => -table.hot[plan.max_flows.max(table.flows1_max) as usize].1,
+            HotSpotTerm::PaperLiteral => {
+                -table.hot[plan.max_flows.max(table.flows1_max) as usize].1
+            }
         };
         plan.value + table.avail_max - table.penalty_min + top
     }
@@ -735,7 +773,8 @@ impl NetPackPlacer {
         };
         debug_assert_eq!(
             single,
-            fb.ledger.scan_tightest_fit(state.servers_available_gbps(), job.gpus)
+            fb.ledger
+                .scan_tightest_fit(state.servers_available_gbps(), job.gpus)
         );
         tally.single_scan.add(clock.lap());
         if let Some(s) = single {
@@ -750,7 +789,8 @@ impl NetPackPlacer {
         let slack = gps;
         let fs_max = self.config.flow_dimension.then_some(self.config.fs_max);
         let mut filter = CandidateFilter::new(gps, job.gpus, slack, fs_max);
-        fb.index.offer_candidates(capacity, job.gpus + slack, &mut filter);
+        fb.index
+            .offer_candidates(capacity, job.gpus + slack, &mut filter);
         tally.candidate_select.add(clock.lap());
         tally.dp_offered += filter.offered();
         tally.dp_kept += filter.kept() as u64;
@@ -804,8 +844,8 @@ impl NetPackPlacer {
             let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
             scored.clear();
             for sid in 0..fb.topo.num_servers() {
-                let score =
-                    self.score_candidate_flat(fb, &scratch, cluster, state, capacity, plan, sid, stamp);
+                let score = self
+                    .score_candidate_flat(fb, &scratch, cluster, state, capacity, plan, sid, stamp);
                 scored.push((score, ServerId(sid)));
             }
             scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -915,8 +955,7 @@ impl NetPackPlacer {
         let mut perf = std::mem::take(&mut self.perf);
         let batch_start = Stopwatch::start();
         let mut fb = FlatBatch::new(cluster);
-        let running_placed: Vec<PlacedJob> =
-            running.iter().map(|r| r.to_placed(cluster)).collect();
+        let running_placed: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
         let start = Stopwatch::start();
         let mut inc = IncrementalEstimator::new(cluster, &running_placed);
         perf.record("waterfill_solve", start.elapsed());
@@ -958,11 +997,7 @@ mod tests {
         let c = cluster(2, 2, 4);
         let batch: Vec<Job> = vec![job(0, 6), job(1, 6), job(2, 6)];
         let out = NetPackPlacer::default().place_batch(&c, &[], &batch);
-        let booked: usize = out
-            .placed
-            .iter()
-            .map(|(_, p)| p.total_workers())
-            .sum();
+        let booked: usize = out.placed.iter().map(|(_, p)| p.total_workers()).sum();
         assert!(booked <= c.free_gpus());
         for (_, p) in &out.placed {
             p.validate(&c, p.total_workers()).unwrap();
@@ -979,10 +1014,18 @@ mod tests {
             fs_max: 300,
             ..NetPackConfig::default()
         };
-        let batch: Vec<Job> = (0..12).map(|i| job(i, [6, 3, 9, 5][i as usize % 4])).collect();
+        let batch: Vec<Job> = (0..12)
+            .map(|i| job(i, [6, 3, 9, 5][i as usize % 4]))
+            .collect();
         let out = NetPackPlacer::new(config.clone()).place_batch(&c, &[], &batch);
         let oracle = crate::reference::place_batch(&config, &c, &[], &batch);
-        assert!(out.placed.iter().filter(|(_, p)| p.workers().len() > 1).count() > 2);
+        assert!(
+            out.placed
+                .iter()
+                .filter(|(_, p)| p.workers().len() > 1)
+                .count()
+                > 2
+        );
         assert_eq!(out.placed, oracle.placed);
         let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
         assert_eq!(ids(&out.deferred), ids(&oracle.deferred));
@@ -1007,7 +1050,10 @@ mod tests {
         // Server 2 is full again: a second credit must change nothing,
         // not even server 3's share of it.
         let before = fb.ledger.free().to_vec();
-        assert!(matches!(fb.credit(&q), Err(TopologyError::ReleaseOverflow { .. })));
+        assert!(matches!(
+            fb.credit(&q),
+            Err(TopologyError::ReleaseOverflow { .. })
+        ));
         assert_eq!(fb.ledger.free(), before);
         assert_eq!(fb.ledger.journal().len(), 6);
     }
@@ -1031,12 +1077,23 @@ mod tests {
         let timers = |perf: &PerfCounters| -> Vec<String> {
             let rows = perf.to_table().to_csv();
             rows.lines()
-                .filter_map(|row| row.split(',').next()?.strip_suffix(" (ms)").map(str::to_string))
+                .filter_map(|row| {
+                    row.split(',')
+                        .next()?
+                        .strip_suffix(" (ms)")
+                        .map(str::to_string)
+                })
                 .collect()
         };
         let timed = timers(placer.perf());
         assert_eq!(timers(session.perf()), timed);
-        for phase in ["place_batch", "place_one", "worker_dp", "ps_scoring", "ina_enable"] {
+        for phase in [
+            "place_batch",
+            "place_one",
+            "worker_dp",
+            "ps_scoring",
+            "ina_enable",
+        ] {
             assert!(timed.iter().any(|t| t == phase), "{phase}");
         }
     }
@@ -1169,7 +1226,9 @@ mod tests {
     /// churned until it holds dead classes and a class that spans racks.
     /// `loaded` adds one more job with a worker on every server that has a
     /// GPU free, so that no server's access link is idle.
-    fn churned_fixture(loaded: bool) -> (Cluster, FlatBatch, IncrementalEstimator, Vec<WorkerPlan>) {
+    fn churned_fixture(
+        loaded: bool,
+    ) -> (Cluster, FlatBatch, IncrementalEstimator, Vec<WorkerPlan>) {
         let c = Cluster::new(ClusterSpec {
             racks: 4,
             servers_per_rack: 24,
@@ -1185,9 +1244,18 @@ mod tests {
         // server, and leaves its classes dead.
         let background = [
             Placement::new(vec![(ServerId(1), 2), (ServerId(25), 2)], Some(ServerId(2))),
-            Placement::new(vec![(ServerId(30), 3), (ServerId(50), 1), (ServerId(51), 1)], Some(ServerId(52))),
-            Placement::new(vec![(ServerId(60), 4), (ServerId(61), 2)], Some(ServerId(61))),
-            Placement::new(vec![(ServerId(80), 1), (ServerId(81), 1)], Some(ServerId(82))),
+            Placement::new(
+                vec![(ServerId(30), 3), (ServerId(50), 1), (ServerId(51), 1)],
+                Some(ServerId(52)),
+            ),
+            Placement::new(
+                vec![(ServerId(60), 4), (ServerId(61), 2)],
+                Some(ServerId(61)),
+            ),
+            Placement::new(
+                vec![(ServerId(80), 1), (ServerId(81), 1)],
+                Some(ServerId(82)),
+            ),
         ];
         let mut inc = IncrementalEstimator::new(&c, &[]);
         fb.refresh_index(&mut inc);
@@ -1200,8 +1268,10 @@ mod tests {
         fb.credit(&background[3]).unwrap();
         assert_eq!(fb.refresh_index(&mut inc).rebuilds, 0);
         if loaded {
-            let everywhere: Vec<(ServerId, usize)> =
-                (0..4 * spr).filter(|&s| fb.ledger.free()[s] > 0).map(|s| (ServerId(s), 1)).collect();
+            let everywhere: Vec<(ServerId, usize)> = (0..4 * spr)
+                .filter(|&s| fb.ledger.free()[s] > 0)
+                .map(|s| (ServerId(s), 1))
+                .collect();
             let p = Placement::new(everywhere, Some(ServerId(0)));
             assert!(fb.commit(&p));
             inc.push(&c, PlacedJob::new(JobId(104), &c, &p));
@@ -1289,21 +1359,35 @@ mod tests {
             .classes()
             .map(|(_, members)| members.iter().map(|&m| m as usize).collect())
             .collect();
-        assert!(classes.iter().any(|members| members.is_empty()), "no dead class");
+        assert!(
+            classes.iter().any(|members| members.is_empty()),
+            "no dead class"
+        );
 
         let mut scratch = std::mem::take(&mut fb.scratch);
         // [1, 2, 3, 4]-rack plans, then the scorer's paths.
         let mut rack_counts = [0; 4];
         let (mut alone, mut stepped, mut walked_out, mut walked_off, mut skipped) = (0, 0, 0, 0, 0);
-        for hotspot in [HotSpotTerm::RewardBottleneckShare, HotSpotTerm::PaperLiteral] {
+        for hotspot in [
+            HotSpotTerm::RewardBottleneckShare,
+            HotSpotTerm::PaperLiteral,
+        ] {
             let placer = NetPackPlacer::new(NetPackConfig {
                 hotspot,
                 ..NetPackConfig::default()
             });
             for (case, plan) in plans.iter().enumerate() {
                 let mut tally = ScoreTally::default();
-                let got =
-                    placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, plan, None, &mut tally);
+                let got = placer.score_plan_flat(
+                    &fb,
+                    &mut scratch,
+                    &c,
+                    state,
+                    capacity,
+                    plan,
+                    None,
+                    &mut tally,
+                );
                 let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
                 let mut want: Option<(f64, ServerId)> = None;
                 for sid in 0..n {
@@ -1313,12 +1397,15 @@ mod tests {
                         want = Some((score, ServerId(sid)));
                     }
                 }
-                let bits = |r: Option<(f64, ServerId)>| r.map(|(score, sid)| (score.to_bits(), sid));
+                let bits =
+                    |r: Option<(f64, ServerId)>| r.map(|(score, sid)| (score.to_bits(), sid));
                 assert_eq!(bits(got), bits(want), "{hotspot:?} case {case}: {plan:?}");
 
                 let in_plan = |s: usize| scratch.rack_stamp[s / spr] == stamp;
                 let chosen = |s: usize| scratch.chosen_stamp[s] == stamp;
-                let outside = classes.iter().filter(|members| !members.iter().all(|&s| in_plan(s)));
+                let outside = classes
+                    .iter()
+                    .filter(|members| !members.iter().all(|&s| in_plan(s)));
                 assert_eq!(
                     tally.evals + tally.rack_skipped,
                     (scratch.rack_workers.len() * spr + outside.count()) as u64,
@@ -1328,8 +1415,11 @@ mod tests {
                 for members in classes.iter().filter(|members| !members.is_empty()) {
                     let (first, last) = (members[0], members[members.len() - 1]);
                     for &(rack, _) in &scratch.rack_workers {
-                        let here: Vec<usize> =
-                            members.iter().copied().filter(|&s| s / spr == rack.0).collect();
+                        let here: Vec<usize> = members
+                            .iter()
+                            .copied()
+                            .filter(|&s| s / spr == rack.0)
+                            .collect();
                         alone += usize::from(here.len() == 1 && chosen(here[0]));
                         stepped += usize::from(here.len() > 1 && chosen(here[0]));
                     }
@@ -1343,7 +1433,10 @@ mod tests {
                 }
             }
         }
-        assert!(rack_counts.iter().all(|&plans| plans > 20), "{rack_counts:?}");
+        assert!(
+            rack_counts.iter().all(|&plans| plans > 20),
+            "{rack_counts:?}"
+        );
         let paths = [alone, stepped, walked_out, walked_off, skipped];
         assert!(paths.iter().all(|&taken| taken > 20), "{paths:?}");
     }
@@ -1383,15 +1476,26 @@ mod tests {
                 .filter(|(_, members)| !members.is_empty())
                 .map(|(key, _)| {
                     let avail = f64::from_bits(key.avail_bits);
-                    (avail, (capacity - avail) / (f64::from(key.flows + 1) + 1.0), key.flows + 1)
+                    (
+                        avail,
+                        (capacity - avail) / (f64::from(key.flows + 1) + 1.0),
+                        key.flows + 1,
+                    )
                 })
                 .collect();
             let avail_max = live.iter().map(|r| r.0).fold(f64::NEG_INFINITY, f64::max);
             let penalty_min = live.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
             let flows1_max = live.iter().map(|r| r.2).max().unwrap();
-            assert_eq!(penalty_min > 0.0, loaded, "only an idle access link pays no penalty");
+            assert_eq!(
+                penalty_min > 0.0,
+                loaded,
+                "only an idle access link pays no penalty"
+            );
             let mut scratch = std::mem::take(&mut fb.scratch);
-            for hotspot in [HotSpotTerm::RewardBottleneckShare, HotSpotTerm::PaperLiteral] {
+            for hotspot in [
+                HotSpotTerm::RewardBottleneckShare,
+                HotSpotTerm::PaperLiteral,
+            ] {
                 let placer = NetPackPlacer::new(NetPackConfig {
                     hotspot,
                     ..NetPackConfig::default()
@@ -1399,29 +1503,50 @@ mod tests {
                 for (case, plan) in plans.iter().enumerate() {
                     let at = format!("loaded={loaded} {hotspot:?} case {case}");
                     let top = match hotspot {
-                        HotSpotTerm::RewardBottleneckShare => capacity / (f64::from(plan.max_flows) + 1.0),
+                        HotSpotTerm::RewardBottleneckShare => {
+                            capacity / (f64::from(plan.max_flows) + 1.0)
+                        }
                         HotSpotTerm::PaperLiteral => {
                             -(capacity / f64::from(plan.max_flows.max(flows1_max).max(1)))
                         }
                     };
                     let ceiling = placer.score_ceiling(&fb.ps_table, plan);
-                    assert_eq!(ceiling.to_bits(), (plan.value + avail_max - penalty_min + top).to_bits(), "{at}");
+                    assert_eq!(
+                        ceiling.to_bits(),
+                        (plan.value + avail_max - penalty_min + top).to_bits(),
+                        "{at}"
+                    );
                     let stamp = scratch.begin(&fb.topo, fb.ledger.free(), plan);
                     let mut own_best = f64::NEG_INFINITY;
                     for sid in 0..c.num_servers() {
-                        let score = placer
-                            .score_candidate_flat(&fb, &scratch, &c, state, capacity, plan, sid, stamp);
+                        let score = placer.score_candidate_flat(
+                            &fb, &scratch, &c, state, capacity, plan, sid, stamp,
+                        );
                         if scratch.chosen_stamp[sid] == stamp {
                             own_best = own_best.max(score);
                         } else {
-                            assert!(score <= ceiling, "{at}: server {sid} scores {score} > {ceiling}");
+                            assert!(
+                                score <= ceiling,
+                                "{at}: server {sid} scores {score} > {ceiling}"
+                            );
                         }
                     }
                     let mut score = |floor: Option<f64>| {
                         let mut tally = ScoreTally::default();
-                        let got =
-                            placer.score_plan_flat(&fb, &mut scratch, &c, state, capacity, plan, floor, &mut tally);
-                        (got.map(|(score, sid)| (score.to_bits(), sid)), tally.ruled_out)
+                        let got = placer.score_plan_flat(
+                            &fb,
+                            &mut scratch,
+                            &c,
+                            state,
+                            capacity,
+                            plan,
+                            floor,
+                            &mut tally,
+                        );
+                        (
+                            got.map(|(score, sid)| (score.to_bits(), sid)),
+                            tally.ruled_out,
+                        )
                     };
                     let (want, _) = score(None);
                     let best = f64::from_bits(want.expect("a plan has servers").0);
@@ -1435,7 +1560,10 @@ mod tests {
                 }
             }
         }
-        assert!(calls.iter().all(|&n| n > 20), "[ruled out, in full] = {calls:?}");
+        assert!(
+            calls.iter().all(|&n| n > 20),
+            "[ruled out, in full] = {calls:?}"
+        );
     }
 
     /// The table is a reading of the index: one built before the index
@@ -1456,7 +1584,8 @@ mod tests {
             max_flows: 1,
             value: 10.0,
         };
-        fb.ps_table.build(&fb.topo, &fb.index.ps, std::slice::from_ref(&plan));
+        fb.ps_table
+            .build(&fb.topo, &fb.index.ps, std::slice::from_ref(&plan));
         // Rack 0's idle class loses its head to a job; the table still
         // scores server 0 as idle.
         let p = Placement::new(vec![(ServerId(0), 4), (ServerId(9), 4)], Some(ServerId(0)));
@@ -1465,8 +1594,16 @@ mod tests {
         assert_eq!(fb.refresh_index(&mut inc).rebuilds, 0);
         let mut scratch = std::mem::take(&mut fb.scratch);
         let mut tally = ScoreTally::default();
-        NetPackPlacer::default()
-            .score_plan_flat(&fb, &mut scratch, &c, inc.state(), capacity, &plan, None, &mut tally);
+        NetPackPlacer::default().score_plan_flat(
+            &fb,
+            &mut scratch,
+            &c,
+            inc.state(),
+            capacity,
+            &plan,
+            None,
+            &mut tally,
+        );
     }
 
     /// Class keys separate servers whose racks differ in uplink load.
@@ -1481,7 +1618,11 @@ mod tests {
         let all: Vec<u32> = (0..128).collect();
         for classes in [
             fb.index.ps.classes().map(|(_, m)| m).collect::<Vec<_>>(),
-            fb.index.filter.classes().map(|(_, m)| m).collect::<Vec<_>>(),
+            fb.index
+                .filter
+                .classes()
+                .map(|(_, m)| m)
+                .collect::<Vec<_>>(),
         ] {
             assert_eq!(classes.len(), 1);
             assert!(classes[0].iter().eq(&all));

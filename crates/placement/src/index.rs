@@ -128,7 +128,11 @@ pub(crate) struct PsKey {
 impl ClassKey for PsKey {
     fn hash(&self) -> u64 {
         let ints = u64::from(self.flows) << 32 | u64::from(self.fc_up);
-        mix64(ints.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.avail_bits ^ self.up_bits.rotate_left(32))
+        mix64(
+            ints.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ self.avail_bits
+                ^ self.up_bits.rotate_left(32),
+        )
     }
 }
 
@@ -149,7 +153,11 @@ impl FilterKey {
     /// The one key of every full server. Neither reader looks at its
     /// class: the DP is offered no server of weight 0, and no job fits on
     /// one.
-    const FULL: FilterKey = FilterKey { free: 0, flows: 0, avail_bits: 0 };
+    const FULL: FilterKey = FilterKey {
+        free: 0,
+        flows: 0,
+        avail_bits: 0,
+    };
 }
 
 impl ClassKey for FilterKey {
@@ -223,10 +231,15 @@ impl KeyArrays<FilterKey> for FilterArrays<'_> {
     fn run_end(&self, from: usize, key: &FilterKey) -> usize {
         let free = self.gpus_free;
         if *key == FilterKey::FULL {
-            return first_differing(from, self.len(), |r| free[r].iter().fold(false, |any, &g| any | (g != 0)));
+            return first_differing(from, self.len(), |r| {
+                free[r].iter().fold(false, |any, &g| any | (g != 0))
+            });
         }
         first_differing(from, self.len(), |r| {
-            let servers = free[r.clone()].iter().zip(&self.flows[r.clone()]).zip(&self.avail[r]);
+            let servers = free[r.clone()]
+                .iter()
+                .zip(&self.flows[r.clone()])
+                .zip(&self.avail[r]);
             servers.fold(false, |any, ((&g, &f), &a)| {
                 any | (g != key.free) | (f != key.flows) | (a.to_bits() != key.avail_bits)
             })
@@ -279,7 +292,9 @@ impl KeyArrays<PsKey> for PsArrays<'_> {
                 }
                 s = first_differing(s, end, |r| {
                     let servers = self.flows[r.clone()].iter().zip(&self.avail[r]);
-                    servers.fold(false, |any, (&f, &a)| any | (f != key.flows) | (a.to_bits() != key.avail_bits))
+                    servers.fold(false, |any, (&f, &a)| {
+                        any | (f != key.flows) | (a.to_bits() != key.avail_bits)
+                    })
                 });
                 if s < end {
                     return s;
@@ -308,7 +323,14 @@ fn key_arrays<'a>(
         rack_fc: state.rack_uplinks_flows(),
         rack_up: topo.rack_uplinks_gbps(),
     };
-    (FilterArrays { gpus_free, flows, avail }, ps)
+    (
+        FilterArrays {
+            gpus_free,
+            flows,
+            avail,
+        },
+        ps,
+    )
 }
 
 /// One partition of the servers into classes of equal key.
@@ -457,7 +479,11 @@ impl<K: ClassKey> Partition<K> {
         let hole = self.unslot(class);
         let mask = self.slots.len() - 1;
         let home = key.hash() as usize & mask;
-        let slot = if hole.wrapping_sub(home) & mask < slot.wrapping_sub(home) & mask { hole } else { slot };
+        let slot = if hole.wrapping_sub(home) & mask < slot.wrapping_sub(home) & mask {
+            hole
+        } else {
+            slot
+        };
         self.keys[class as usize] = key;
         self.slots[slot] = class + 1;
         true
@@ -495,7 +521,9 @@ impl<K: ClassKey> Partition<K> {
         let mut run = (n > 0).then(|| (0, arrays.key(0)));
         while let Some((start, key)) = run {
             let head = n.min(start + HEAD);
-            run = (start + 1..head).map(|s| (s, arrays.key(s))).find(|&(_, k)| k != key);
+            run = (start + 1..head)
+                .map(|s| (s, arrays.key(s)))
+                .find(|&(_, k)| k != key);
             if run.is_none() && head < n {
                 let end = arrays.run_end(head, &key);
                 run = (end < n).then(|| (end, arrays.key(end)));
@@ -631,15 +659,26 @@ impl<K: ClassKey> Partition<K> {
     /// own key does not probe to, a slot no class owns, or update scratch
     /// left dirty.
     fn same_as(&self, other: &Self) -> Result<(), String> {
-        if let Some(class) = (0..self.keys.len() as u32).find(|&c| self.probe(&self.keys[c as usize]) != Ok(c)) {
+        if let Some(class) =
+            (0..self.keys.len() as u32).find(|&c| self.probe(&self.keys[c as usize]) != Ok(c))
+        {
             let key = self.keys[class as usize];
-            return Err(format!("class {class} ({key:?}) probes to {:?}", self.probe(&key)));
+            return Err(format!(
+                "class {class} ({key:?}) probes to {:?}",
+                self.probe(&key)
+            ));
         }
         let filed = self.slots.iter().filter(|&&v| v != 0).count();
         if filed != self.keys.len() {
-            return Err(format!("{filed} slots filed for {} classes", self.keys.len()));
+            return Err(format!(
+                "{filed} slots filed for {} classes",
+                self.keys.len()
+            ));
         }
-        if !self.moves.is_empty() || !self.touched.is_empty() || self.groups.iter().any(|g| g.movers != 0) {
+        if !self.moves.is_empty()
+            || !self.touched.is_empty()
+            || self.groups.iter().any(|g| g.movers != 0)
+        {
             return Err("update scratch left dirty".to_string());
         }
         let canonical = |p: &Self| {
@@ -833,7 +872,12 @@ impl ServerIndex {
     /// class share weight, flows and value, so past the first `g_max / w`
     /// (ascending id) each has that many strictly better class-mates and
     /// the filter would drop it: the kept set equals a full scan's.
-    pub(crate) fn offer_candidates(&self, capacity: f64, g_max: usize, filter: &mut CandidateFilter) {
+    pub(crate) fn offer_candidates(
+        &self,
+        capacity: f64,
+        g_max: usize,
+        filter: &mut CandidateFilter,
+    ) {
         for (key, members) in self.filter.classes() {
             let w = key.free as usize;
             if w == 0 {
@@ -877,8 +921,12 @@ impl ServerIndex {
         let warm = caught_up.as_ref().unwrap_or(self);
         let mut cold = ServerIndex::new();
         cold.refresh(topo, gpus_free, state, &[], &[]);
-        warm.ps.same_as(&cold.ps).map_err(|e| format!("PS partition: {e}"))?;
-        warm.filter.same_as(&cold.filter).map_err(|e| format!("filter partition: {e}"))
+        warm.ps
+            .same_as(&cold.ps)
+            .map_err(|e| format!("PS partition: {e}"))?;
+        warm.filter
+            .same_as(&cold.filter)
+            .map_err(|e| format!("filter partition: {e}"))
     }
 }
 
@@ -949,7 +997,11 @@ mod tests {
             let quiet = round % 80 < 60;
             let ops = if quiet { rng.below(4) } else { rng.below(51) };
             for _ in 0..ops {
-                let op = if quiet { QUIET_OPS[rng.below(QUIET_OPS.len())] } else { rng.below(6) };
+                let op = if quiet {
+                    QUIET_OPS[rng.below(QUIET_OPS.len())]
+                } else {
+                    rng.below(6)
+                };
                 match op {
                     0..=2 => {
                         let mut workers: Vec<(ServerId, usize)> = Vec::new();
@@ -1022,14 +1074,26 @@ mod tests {
                 "seed {seed} round {round}"
             );
             let (filter_arrays, ps_arrays) = key_arrays(&topo, ledger.free(), state);
-            assert_eq!(rebuilds_agree(&index.ps, &ps_arrays), Ok(()), "seed {seed} round {round}");
-            assert_eq!(rebuilds_agree(&index.filter, &filter_arrays), Ok(()), "seed {seed} round {round}");
+            assert_eq!(
+                rebuilds_agree(&index.ps, &ps_arrays),
+                Ok(()),
+                "seed {seed} round {round}"
+            );
+            assert_eq!(
+                rebuilds_agree(&index.filter, &filter_arrays),
+                Ok(()),
+                "seed {seed} round {round}"
+            );
             match stats.rebuilds {
                 0 => {
                     paths[0] += 1;
                     let ps = class_paths(&before.ps, &index.ps);
                     let filter = class_paths(&before.filter, &index.filter);
-                    assert_eq!(stats.renamed, (ps[0] + filter[0]) as u64, "seed {seed} round {round}");
+                    assert_eq!(
+                        stats.renamed,
+                        (ps[0] + filter[0]) as u64,
+                        "seed {seed} round {round}"
+                    );
                     for (path, (p, f)) in ps.into_iter().zip(filter).enumerate() {
                         paths[3 + path] += usize::from(p + f > 0);
                     }
@@ -1051,7 +1115,11 @@ mod tests {
             }
             let mut fed = CandidateFilter::new(gps, demand, gps, Some(16));
             index.offer_candidates(capacity, demand + gps, &mut fed);
-            assert_eq!(fed.candidates(), full.candidates(), "seed {seed} round {round}");
+            assert_eq!(
+                fed.candidates(),
+                full.candidates(),
+                "seed {seed} round {round}"
+            );
             assert!(fed.offered() <= full.offered());
             for gpus in 1..=gps + 1 {
                 assert_eq!(
@@ -1065,7 +1133,9 @@ mod tests {
     }
 
     /// Names of [`churn`]'s paths, in its order.
-    const PATHS: [&str; 7] = ["update", "fallback", "reclaim", "rename", "blocked", "split", "partial"];
+    const PATHS: [&str; 7] = [
+        "update", "fallback", "reclaim", "rename", "blocked", "split", "partial",
+    ];
 
     /// What one incremental update did to each live class of `before`,
     /// read from class ids and keys alone: `[renamed, blocked, split,
@@ -1091,7 +1161,10 @@ mod tests {
                 2
             } else if moved.len() < members.len() {
                 3
-            } else if members.iter().all(|&s| after.class_of[s as usize] == class as u32) {
+            } else if members
+                .iter()
+                .all(|&s| after.class_of[s as usize] == class as u32)
+            {
                 0
             } else {
                 1
@@ -1147,10 +1220,16 @@ mod tests {
     /// first maximal run of equal keys whose end the finder, asked from
     /// the run's second server or from past its head, misses (a finder
     /// that ends a run early files the same classes, one run at a time).
-    fn rebuilds_agree<K: ClassKey>(p: &Partition<K>, arrays: &impl KeyArrays<K>) -> Result<(), String> {
+    fn rebuilds_agree<K: ClassKey>(
+        p: &Partition<K>,
+        arrays: &impl KeyArrays<K>,
+    ) -> Result<(), String> {
         for run in runs_of(arrays) {
             let key = arrays.key(run.start);
-            for from in [run.start + 1, run.start + HEAD].into_iter().filter(|&s| s < run.end) {
+            for from in [run.start + 1, run.start + HEAD]
+                .into_iter()
+                .filter(|&s| s < run.end)
+            {
                 let end = arrays.run_end(from, &key);
                 if end != run.end {
                     return Err(format!("run {run:?} of {key:?} ended at {end} from {from}"));
@@ -1211,7 +1290,11 @@ mod tests {
                     1 => EDGES[rng.below(EDGES.len())],
                     _ => 50 + rng.below(31),
                 };
-                let (free, f, a) = (rng.below(3) as u32, rng.below(2) as u32, rng.below(2) as f64 * 25.0);
+                let (free, f, a) = (
+                    rng.below(3) as u32,
+                    rng.below(2) as u32,
+                    rng.below(2) as f64 * 25.0,
+                );
                 for _ in 0..len {
                     gpus_free.push(free);
                     let full = free == 0;
@@ -1220,7 +1303,8 @@ mod tests {
                 }
             }
             let n = gpus_free.len();
-            let (mut server_rack, mut rack_start, mut rack_fc, mut rack_up) = (vec![], vec![], vec![], vec![]);
+            let (mut server_rack, mut rack_start, mut rack_fc, mut rack_up) =
+                (vec![], vec![], vec![], vec![]);
             while server_rack.len() < n {
                 let width = (1 + rng.below(40)).min(n - server_rack.len());
                 rack_start.push(server_rack.len() as u32);
@@ -1233,7 +1317,15 @@ mod tests {
                 server_rack.extend(std::iter::repeat_n(rack_start.len() as u32 - 1, width));
             }
             rack_start.push(n as u32);
-            RunCase { gpus_free, flows, avail, server_rack, rack_start, rack_fc, rack_up }
+            RunCase {
+                gpus_free,
+                flows,
+                avail,
+                server_rack,
+                rack_start,
+                rack_fc,
+                rack_up,
+            }
         }
 
         fn arrays(&self) -> (FilterArrays<'_>, PsArrays<'_>) {
@@ -1313,11 +1405,20 @@ mod tests {
             for run in runs_of(&filter) {
                 seen[0] += usize::from(run.len() == 1);
                 seen[1] += usize::from(run.len() > HEAD * 4);
-                if let Some(i) = [15, 16, 17, 31, 32, 33].iter().position(|&l| l == run.len()) {
+                if let Some(i) = [15, 16, 17, 31, 32, 33]
+                    .iter()
+                    .position(|&l| l == run.len())
+                {
                     seen[2 + i] += 1;
                 }
-                let varies = |t: usize| (fixture.flows[t], fixture.avail[t]) != (fixture.flows[run.start], fixture.avail[run.start]);
-                seen[8] += usize::from(filter.key(run.start) == FilterKey::FULL && (run.start + HEAD..run.end).any(varies));
+                let varies = |t: usize| {
+                    (fixture.flows[t], fixture.avail[t])
+                        != (fixture.flows[run.start], fixture.avail[run.start])
+                };
+                seen[8] += usize::from(
+                    filter.key(run.start) == FilterKey::FULL
+                        && (run.start + HEAD..run.end).any(varies),
+                );
             }
             for run in runs_of(&ps) {
                 let past_head = run.start + HEAD;
@@ -1325,7 +1426,8 @@ mod tests {
                 seen[9] += usize::from((past_head + 1..run.end).any(|s| rack(s) != rack(s - 1)));
                 if run.end < ps.len() && run.end > past_head && rack(run.end) != rack(run.end - 1) {
                     let (a, b) = (rack(run.end - 1), rack(run.end));
-                    let same_server = (fixture.flows[run.end], fixture.avail[run.end]) == (fixture.flows[run.start], fixture.avail[run.start]);
+                    let same_server = (fixture.flows[run.end], fixture.avail[run.end])
+                        == (fixture.flows[run.start], fixture.avail[run.start]);
                     let fc = fixture.rack_fc[a] != fixture.rack_fc[b];
                     let up = fixture.rack_up[a] != fixture.rack_up[b];
                     seen[10] += usize::from(same_server && fc && !up);
@@ -1349,7 +1451,11 @@ mod tests {
             let ran = churn(cluster, seed, 80);
             paths.iter_mut().zip(ran).for_each(|(total, r)| *total += r);
         }
-        let counts: Vec<String> = PATHS.iter().zip(paths).map(|(name, p)| format!("{name} {p}")).collect();
+        let counts: Vec<String> = PATHS
+            .iter()
+            .zip(paths)
+            .map(|(name, p)| format!("{name} {p}"))
+            .collect();
         println!("refreshes per path: {}", counts.join(", "));
         assert!(paths.iter().all(|&p| p > 20), "{counts:?}");
     }
@@ -1401,12 +1507,33 @@ mod tests {
             index.audit(&topo, ledger.free(), inc.state(), servers, links)
         };
         assert_eq!(audit(&index, ledger.journal(), inc.journal()), Ok(()));
-        assert!(audit(&index, &[], inc.journal()).is_err(), "server 3's write went unreported");
-        assert!(audit(&index, ledger.journal(), &[]).is_err(), "the push went unreported");
+        assert!(
+            audit(&index, &[], inc.journal()).is_err(),
+            "server 3's write went unreported"
+        );
+        assert!(
+            audit(&index, ledger.journal(), &[]).is_err(),
+            "the push went unreported"
+        );
         let mut partial = index.clone();
-        partial.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), &inc.journal()[1..]);
-        assert!(audit(&partial, &[], &[]).is_err(), "one link went unreported");
-        index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
+        partial.refresh(
+            &topo,
+            ledger.free(),
+            inc.state(),
+            ledger.journal(),
+            &inc.journal()[1..],
+        );
+        assert!(
+            audit(&partial, &[], &[]).is_err(),
+            "one link went unreported"
+        );
+        index.refresh(
+            &topo,
+            ledger.free(),
+            inc.state(),
+            ledger.journal(),
+            inc.journal(),
+        );
         assert_eq!(audit(&index, &[], &[]), Ok(()));
         ledger.clear_journal();
         inc.clear_journal();
@@ -1447,13 +1574,23 @@ mod tests {
         ledger.clear_journal();
         let full_class = index.filter.class_of[9];
         assert_eq!(*index.filter.key_of(9), FilterKey::FULL);
-        let refresh = |index: &mut ServerIndex, ledger: &mut GpuLedger, inc: &mut IncrementalEstimator| {
-            let stats = index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
-            assert_eq!(index.audit(&topo, ledger.free(), inc.state(), &[], &[]), Ok(()));
-            ledger.clear_journal();
-            inc.clear_journal();
-            stats
-        };
+        let refresh =
+            |index: &mut ServerIndex, ledger: &mut GpuLedger, inc: &mut IncrementalEstimator| {
+                let stats = index.refresh(
+                    &topo,
+                    ledger.free(),
+                    inc.state(),
+                    ledger.journal(),
+                    inc.journal(),
+                );
+                assert_eq!(
+                    index.audit(&topo, ledger.free(), inc.state(), &[], &[]),
+                    Ok(())
+                );
+                ledger.clear_journal();
+                inc.clear_journal();
+                stats
+            };
         // Workers on servers 8 and 10, PS on the full server 9: one rack,
         // so no uplink re-keys a rack wholesale.
         let p = Placement::new(vec![(ServerId(8), 2), (ServerId(10), 2)], Some(ServerId(9)));
@@ -1461,7 +1598,10 @@ mod tests {
             ledger.set_free(s.0, ledger.free()[s.0] - w as u32);
         }
         inc.push(&cluster, PlacedJob::new(JobId(0), &cluster, &p));
-        assert!(inc.state().servers_flows()[9] > 0, "the PS link must carry the job");
+        assert!(
+            inc.state().servers_flows()[9] > 0,
+            "the PS link must carry the job"
+        );
         let stats = refresh(&mut index, &mut ledger, &mut inc);
         // Servers 8 and 10 move in both partitions, server 9 in the PS one.
         assert_eq!((stats.rebuilds, stats.rekeyed), (0, 5));
@@ -1509,7 +1649,10 @@ mod tests {
         inc.clear_journal();
         assert!(inc.journal().is_empty());
         inc.pop(&cluster);
-        assert!(!inc.journal().is_empty(), "marks must clear with the journal");
+        assert!(
+            !inc.journal().is_empty(),
+            "marks must clear with the journal"
+        );
     }
 
     /// Classes that differ only in `flows` tie on both of the shortcut's
@@ -1536,13 +1679,18 @@ mod tests {
         }
         let mut inc = IncrementalEstimator::new(&cluster, &[]);
         let mut index = ServerIndex::new();
-        let refresh = |index: &mut ServerIndex,
-                       ledger: &mut GpuLedger,
-                       inc: &mut IncrementalEstimator| {
-            index.refresh(&topo, ledger.free(), inc.state(), ledger.journal(), inc.journal());
-            ledger.clear_journal();
-            inc.clear_journal();
-        };
+        let refresh =
+            |index: &mut ServerIndex, ledger: &mut GpuLedger, inc: &mut IncrementalEstimator| {
+                index.refresh(
+                    &topo,
+                    ledger.free(),
+                    inc.state(),
+                    ledger.journal(),
+                    inc.journal(),
+                );
+                ledger.clear_journal();
+                inc.clear_journal();
+            };
         refresh(&mut index, &mut ledger, &mut inc);
         // No aggregation, so a PS's access link carries one flow per worker
         // server and is the bottleneck: it ends saturated — residual zero —
@@ -1550,7 +1698,10 @@ mod tests {
         // three; both keep all their GPUs.
         let jobs = [
             Placement::new(vec![(ServerId(6), 1), (ServerId(7), 1)], Some(ServerId(5))),
-            Placement::new(vec![(ServerId(9), 1), (ServerId(10), 1), (ServerId(11), 1)], Some(ServerId(2))),
+            Placement::new(
+                vec![(ServerId(9), 1), (ServerId(10), 1), (ServerId(11), 1)],
+                Some(ServerId(2)),
+            ),
         ];
         for (i, p) in jobs.iter().enumerate() {
             for &(s, w) in p.workers() {
@@ -1561,17 +1712,32 @@ mod tests {
         }
         let state = inc.state();
         let (avail, flows) = (state.servers_available_gbps(), state.servers_flows());
-        assert_eq!(avail[2].to_bits(), avail[5].to_bits(), "the fixture must tie on bandwidth");
-        assert_ne!(flows[2], flows[5], "the fixture must split the tie into two classes");
+        assert_eq!(
+            avail[2].to_bits(),
+            avail[5].to_bits(),
+            "the fixture must tie on bandwidth"
+        );
+        assert_ne!(
+            flows[2], flows[5],
+            "the fixture must split the tie into two classes"
+        );
         let (two, five) = (index.filter.class_of[2], index.filter.class_of[5]);
         for swapped in [false, true] {
             if swapped {
                 index.filter.swap_classes(two, five);
             }
-            assert_eq!(index.audit(&topo, ledger.free(), state, &[], &[]), Ok(()), "swapped: {swapped}");
+            assert_eq!(
+                index.audit(&topo, ledger.free(), state, &[], &[]),
+                Ok(()),
+                "swapped: {swapped}"
+            );
             for gpus in 1..=5 {
                 let want = ledger.scan_tightest_fit(avail, gpus);
-                assert_eq!(index.tightest_fit(gpus), want, "{gpus} GPUs, swapped: {swapped}");
+                assert_eq!(
+                    index.tightest_fit(gpus),
+                    want,
+                    "{gpus} GPUs, swapped: {swapped}"
+                );
             }
             assert_eq!(index.tightest_fit(4), Some(2));
             assert_eq!(index.tightest_fit(5), None);

@@ -63,7 +63,11 @@ impl GpuLedger {
 
     /// Free GPUs over all servers, read off the histogram.
     pub(crate) fn total_free(&self) -> usize {
-        self.with_free.iter().enumerate().map(|(w, &servers)| w * servers as usize).sum()
+        self.with_free
+            .iter()
+            .enumerate()
+            .map(|(w, &servers)| w * servers as usize)
+            .sum()
     }
 
     /// Whether some server has at least `gpus` GPUs free.
@@ -91,20 +95,30 @@ impl GpuLedger {
         cluster: &Cluster,
         held: impl Iterator<Item = &'a Placement>,
     ) -> Result<(), String> {
-        let mut free: Vec<i64> = cluster.servers().iter().map(|s| s.gpus_free() as i64).collect();
+        let mut free: Vec<i64> = cluster
+            .servers()
+            .iter()
+            .map(|s| s.gpus_free() as i64)
+            .collect();
         for &(s, w) in held.flat_map(|p| p.workers()) {
             free[s.0] -= w as i64;
         }
         let mut with_free = vec![0u32; self.with_free.len()];
         for (s, &f) in free.iter().enumerate() {
             if f != i64::from(self.free[s]) {
-                return Err(format!("server {s}: {} free on the ledger, {f} on recount", self.free[s]));
+                return Err(format!(
+                    "server {s}: {} free on the ledger, {f} on recount",
+                    self.free[s]
+                ));
             }
             with_free[f as usize] += 1;
         }
         let total: i64 = free.iter().sum();
         if with_free != self.with_free || total != self.total_free() as i64 {
-            return Err(format!("histogram {:?} != recount {with_free:?} ({total} free)", self.with_free));
+            return Err(format!(
+                "histogram {:?} != recount {with_free:?} ({total} free)",
+                self.with_free
+            ));
         }
         Ok(())
     }
@@ -170,7 +184,10 @@ mod tests {
         for (s, f) in [(0, 0), (1, 3), (2, 2), (3, 1), (1, 0)] {
             ledger.set_free(s, f);
             assert_eq!(ledger.with_free, recount(&ledger));
-            assert_eq!(ledger.total_free(), ledger.free.iter().sum::<u32>() as usize);
+            assert_eq!(
+                ledger.total_free(),
+                ledger.free.iter().sum::<u32>() as usize
+            );
         }
         assert_eq!(ledger.free(), [0, 0, 2, 1]);
         assert!(ledger.any_server_fits(2) && !ledger.any_server_fits(3));

@@ -96,11 +96,11 @@ pub use dp::{ServerStats, WorkerDp, WorkerPlan};
 pub use exact::ExactPlacer;
 pub use knapsack::{placement_order, select_job_subset, DEFERRAL_AGING};
 pub use netpack::{HotSpotTerm, InaPolicy, NetPackConfig, NetPackPlacer};
-pub use select::CandidateFilter;
+/// What [`NetPackPlacer::perf`] and [`NetPackSession::perf`] hand back.
+pub use netpack_metrics::PerfCounters;
 pub use placer::{
     batch_comm_time_s, placer_by_name, AdmissionIndex, BatchOutcome, Placer, RunningJob,
 };
 pub use prior::{Comb, OptimusLike, TetrisLike};
+pub use select::CandidateFilter;
 pub use session::{NetPackSession, SessionError};
-/// What [`NetPackPlacer::perf`] and [`NetPackSession::perf`] hand back.
-pub use netpack_metrics::PerfCounters;

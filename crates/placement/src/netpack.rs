@@ -177,7 +177,8 @@ impl NetPackPlacer {
         match self.config.hotspot {
             HotSpotTerm::PaperLiteral => {
                 let literal = capacity / f64::from(f_max.max(1));
-                let worst = Self::fold_rack_shares(cluster, state, rack_workers, ps_rack, share, f64::max);
+                let worst =
+                    Self::fold_rack_shares(cluster, state, rack_workers, ps_rack, share, f64::max);
                 -worst.max(literal)
             }
             HotSpotTerm::RewardBottleneckShare => {
@@ -284,7 +285,10 @@ impl NetPackPlacer {
             }
             order.push((i, rate * f64::from(fan_in), rate, switches));
         }
-        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(placed[a.0].0.id.cmp(&placed[b.0].0.id)));
+        order.sort_by(|a, b| {
+            b.1.total_cmp(&a.1)
+                .then(placed[a.0].0.id.cmp(&placed[b.0].0.id))
+        });
 
         // "Enable INA for these jobs ... until using up the switch memory":
         // a job keeps INA while every switch it aggregates at still has
@@ -394,10 +398,7 @@ mod tests {
         let running = RunningJob {
             id: JobId(100),
             gradient_gbits: 4.0,
-            placement: Placement::new(
-                vec![(ServerId(1), 2), (ServerId(2), 2)],
-                Some(ServerId(0)),
-            ),
+            placement: Placement::new(vec![(ServerId(1), 2), (ServerId(2), 2)], Some(ServerId(0))),
         };
         c.allocate_gpus(ServerId(1), 2).unwrap();
         c.allocate_gpus(ServerId(2), 2).unwrap();
@@ -483,7 +484,10 @@ mod tests {
             .collect();
         let state = estimate(&c, &all);
         let rate = state.job_rate_gbps(JobId(0)).unwrap();
-        assert!(rate > 50.0, "test premise: one job overshoots alone, rate {rate}");
+        assert!(
+            rate > 50.0,
+            "test premise: one job overshoots alone, rate {rate}"
+        );
         placer.enable_ina(&c, &[], &mut placed, &state);
 
         // The marginal (first, highest-AE) job must still be enabled —
@@ -525,7 +529,11 @@ mod tests {
             .filter(|(_, p)| p.ina_enabled())
             .map(|(j, _)| state2.job_rate_gbps(j.id).unwrap())
             .collect();
-        assert_eq!(enabled2.len(), 2, "budget admits one full + one marginal job");
+        assert_eq!(
+            enabled2.len(),
+            2,
+            "budget admits one full + one marginal job"
+        );
         let total2: f64 = enabled2.iter().sum();
         let min2 = enabled2.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(total2 > 120.0);
@@ -559,8 +567,12 @@ mod tests {
     #[test]
     fn value_ordering_places_high_value_jobs_first() {
         let c = cluster(1, 2, 4);
-        let low = Job::builder(JobId(0), ModelKind::Vgg16, 8).value(1.0).build();
-        let high = Job::builder(JobId(1), ModelKind::Vgg16, 8).value(5.0).build();
+        let low = Job::builder(JobId(0), ModelKind::Vgg16, 8)
+            .value(1.0)
+            .build();
+        let high = Job::builder(JobId(1), ModelKind::Vgg16, 8)
+            .value(5.0)
+            .build();
         let mut p = NetPackPlacer::default();
         // Both want all 8 GPUs; knapsack can satisfy only one: the valuable.
         let out = p.place_batch(&c, &[], &[low, high]);

@@ -85,10 +85,7 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Look up the placement decided for a job this epoch.
     pub fn placement_of(&self, id: JobId) -> Option<&Placement> {
-        self.placed
-            .iter()
-            .find(|(j, _)| j.id == id)
-            .map(|(_, p)| p)
+        self.placed.iter().find(|(j, _)| j.id == id).map(|(_, p)| p)
     }
 }
 
@@ -163,13 +160,8 @@ pub fn batch_comm_time_s(
     running: &[RunningJob],
     placed: &[(Job, Placement)],
 ) -> f64 {
-    let mut all: Vec<PlacedJob> =
-        running.iter().map(|r| r.to_placed(cluster)).collect();
-    all.extend(
-        placed
-            .iter()
-            .map(|(j, p)| PlacedJob::new(j.id, cluster, p)),
-    );
+    let mut all: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
+    all.extend(placed.iter().map(|(j, p)| PlacedJob::new(j.id, cluster, p)));
     let state = netpack_waterfill::estimate(cluster, &all);
     placed
         .iter()
@@ -244,7 +236,9 @@ fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
 /// Free GPUs on server `s` — the sort key of most baselines; an id the
 /// cluster does not know has none.
 pub(crate) fn free_on(cluster: &Cluster, s: ServerId) -> usize {
-    cluster.server(s).map_or(0, netpack_topology::Server::gpus_free)
+    cluster
+        .server(s)
+        .map_or(0, netpack_topology::Server::gpus_free)
 }
 
 /// Shared helper: pick servers from a preference-ordered candidate list
@@ -322,10 +316,15 @@ mod tests {
 
     #[test]
     fn placer_by_name_inverts_name() {
-        for name in ["NetPack", "GB", "FB", "LF", "Optimus", "Tetris", "Comb", "Random"] {
+        for name in [
+            "NetPack", "GB", "FB", "LF", "Optimus", "Tetris", "Comb", "Random",
+        ] {
             assert_eq!(placer_by_name(name).map(|p| p.name()), Some(name));
         }
-        assert!(placer_by_name("Exact").is_none(), "built with a budget, not looked up");
+        assert!(
+            placer_by_name("Exact").is_none(),
+            "built with a budget, not looked up"
+        );
         assert!(placer_by_name("nope").is_none());
     }
 
@@ -384,7 +383,12 @@ mod tests {
         // succeed, the fourth overcommits; all three must be rolled back so
         // the follow-up job still sees a virgin ledger.
         let over = Placement::new(
-            vec![(ServerId(0), 2), (ServerId(1), 2), (ServerId(2), 2), (ServerId(0), 1)],
+            vec![
+                (ServerId(0), 2),
+                (ServerId(1), 2),
+                (ServerId(2), 2),
+                (ServerId(0), 1),
+            ],
             None,
         );
         let batch = [job(0, 7), job(1, 6)];
@@ -425,10 +429,18 @@ mod tests {
         c.allocate_gpus(ServerId(1), 1).unwrap();
         c.allocate_gpus(ServerId(2), 1).unwrap();
         let span = |a: usize, b: usize, w: usize, ps: usize| {
-            Some(Placement::new(vec![(ServerId(a), w), (ServerId(b), w)], Some(ServerId(ps))))
+            Some(Placement::new(
+                vec![(ServerId(a), w), (ServerId(b), w)],
+                Some(ServerId(ps)),
+            ))
         };
-        let proposals =
-            [span(0, 3, 1, 3), span(1, 2, 2, 1), span(1, 2, 1, 2), span(0, 3, 1, 0), None];
+        let proposals = [
+            span(0, 3, 1, 3),
+            span(1, 2, 2, 1),
+            span(1, 2, 1, 2),
+            span(0, 3, 1, 0),
+            None,
+        ];
         let batch: Vec<Job> = (0..proposals.len() as u64).map(|id| job(id, 2)).collect();
         let run = |running: Option<&[RunningJob]>| {
             let mut seen = Vec::new();
@@ -454,12 +466,17 @@ mod tests {
                     .map(|(j, p)| PlacedJob::new(j.id, &c, p)),
             );
             let want = netpack_waterfill::estimate(&c, &jobs);
-            let state = state.as_ref().expect("running jobs given: a state every call");
+            let state = state
+                .as_ref()
+                .expect("running jobs given: a state every call");
             assert_eq!(state.first_difference(&want), None, "call {i}");
         }
 
         let (bare, seen) = run(None);
-        assert!(seen.iter().all(Option::is_none), "no running jobs: no state");
+        assert!(
+            seen.iter().all(Option::is_none),
+            "no running jobs: no state"
+        );
         assert_eq!(bare.placed.len(), outcome.placed.len());
     }
 
@@ -481,11 +498,7 @@ mod tests {
         // job's contribution bit-identical to what it scores alone.
         let spanning = Placement::new(vec![(ServerId(1), 1), (ServerId(2), 1)], Some(ServerId(0)));
         let alone = batch_comm_time_s(&c, &[], &[(job(1, 2), spanning.clone())]);
-        let mixed = batch_comm_time_s(
-            &c,
-            &[],
-            &[(job(0, 2), no_ps), (job(1, 2), spanning)],
-        );
+        let mixed = batch_comm_time_s(&c, &[], &[(job(0, 2), no_ps), (job(1, 2), spanning)]);
         assert!(alone.is_finite() && alone > 0.0);
         assert_eq!(mixed.to_bits(), alone.to_bits());
     }

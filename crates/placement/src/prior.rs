@@ -15,8 +15,11 @@ pub struct OptimusLike;
 
 impl OptimusLike {
     fn place_one(cluster: &Cluster, job: &Job) -> Option<Placement> {
-        let mut order: Vec<&Server> =
-            cluster.servers().iter().filter(|s| s.gpus_free() > 0).collect();
+        let mut order: Vec<&Server> = cluster
+            .servers()
+            .iter()
+            .filter(|s| s.gpus_free() > 0)
+            .collect();
         order.sort_by_key(|s| std::cmp::Reverse(s.gpus_free()));
         // Minimal k whose free GPUs cover the demand.
         let mut k = 0;
@@ -60,10 +63,7 @@ impl OptimusLike {
             .collect();
         // PS on the least-loaded member of the subset (fewest assigned).
         let ps = if workers.len() > 1 {
-            workers
-                .iter()
-                .min_by_key(|&&(_, w)| w)
-                .map(|&(s, _)| s)
+            workers.iter().min_by_key(|&&(_, w)| w).map(|&(s, _)| s)
         } else {
             None
         };
@@ -82,7 +82,9 @@ impl Placer for OptimusLike {
         _running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        greedy_batch(cluster, None, batch, |scratch, _, job, _| Self::place_one(scratch, job))
+        greedy_batch(cluster, None, batch, |scratch, _, job, _| {
+            Self::place_one(scratch, job)
+        })
     }
 }
 
@@ -93,11 +95,7 @@ impl Placer for OptimusLike {
 pub struct TetrisLike;
 
 impl TetrisLike {
-    fn place_one(
-        cluster: &Cluster,
-        state: &SteadyState,
-        job: &Job,
-    ) -> Option<Placement> {
+    fn place_one(cluster: &Cluster, state: &SteadyState, job: &Job) -> Option<Placement> {
         let gpu_cap = cluster.spec().gpus_per_server as f64;
         let bw_cap = cluster.spec().server_link_gbps;
         // Per-worker demand: one GPU plus the model's communication
@@ -107,17 +105,14 @@ impl TetrisLike {
         let mut free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
         let mut chosen: Vec<(ServerId, usize)> = Vec::new();
         for _ in 0..job.gpus {
-            let best = (0..free.len())
-                .filter(|&i| free[i] > 0)
-                .max_by(|&a, &b| {
-                    let score = |i: usize| {
-                        let avail_gpu = free[i] as f64 / gpu_cap;
-                        let avail_bw =
-                            state.server_available_gbps(ServerId(i)) / bw_cap;
-                        avail_gpu * demand_gpu + avail_bw * demand_bw
-                    };
-                    score(a).total_cmp(&score(b)).then(b.cmp(&a))
-                })?;
+            let best = (0..free.len()).filter(|&i| free[i] > 0).max_by(|&a, &b| {
+                let score = |i: usize| {
+                    let avail_gpu = free[i] as f64 / gpu_cap;
+                    let avail_bw = state.server_available_gbps(ServerId(i)) / bw_cap;
+                    avail_gpu * demand_gpu + avail_bw * demand_bw
+                };
+                score(a).total_cmp(&score(b)).then(b.cmp(&a))
+            })?;
             free[best] -= 1;
             match chosen.iter_mut().find(|(s, _)| s.0 == best) {
                 Some(e) => e.1 += 1,
@@ -175,26 +170,31 @@ impl Placer for Comb {
         running: &[RunningJob],
         batch: &[Job],
     ) -> BatchOutcome {
-        greedy_batch(cluster, Some(running), batch, |scratch, state, job, order| {
-            let state = state?;
-            order.clear();
-            order.extend(scratch.servers().iter().map(|s| s.id()));
-            order.sort_by(|&a, &b| {
-                free_on(scratch, b)
-                    .cmp(&free_on(scratch, a))
-                    .then_with(|| {
-                        state
-                            .pat_residual_gbps(scratch.rack_of(b))
-                            .total_cmp(&state.pat_residual_gbps(scratch.rack_of(a)))
-                    })
-                    .then_with(|| {
-                        state
-                            .server_available_gbps(b)
-                            .total_cmp(&state.server_available_gbps(a))
-                    })
-            });
-            place_by_order(scratch, order, job)
-        })
+        greedy_batch(
+            cluster,
+            Some(running),
+            batch,
+            |scratch, state, job, order| {
+                let state = state?;
+                order.clear();
+                order.extend(scratch.servers().iter().map(|s| s.id()));
+                order.sort_by(|&a, &b| {
+                    free_on(scratch, b)
+                        .cmp(&free_on(scratch, a))
+                        .then_with(|| {
+                            state
+                                .pat_residual_gbps(scratch.rack_of(b))
+                                .total_cmp(&state.pat_residual_gbps(scratch.rack_of(a)))
+                        })
+                        .then_with(|| {
+                            state
+                                .server_available_gbps(b)
+                                .total_cmp(&state.server_available_gbps(a))
+                        })
+                });
+                place_by_order(scratch, order, job)
+            },
+        )
     }
 }
 
@@ -253,10 +253,7 @@ mod tests {
         let running = RunningJob {
             id: JobId(9),
             gradient_gbits: 4.4,
-            placement: Placement::new(
-                vec![(ServerId(1), 4), (ServerId(2), 4)],
-                Some(ServerId(0)),
-            ),
+            placement: Placement::new(vec![(ServerId(1), 4), (ServerId(2), 4)], Some(ServerId(0))),
         };
         c.allocate_gpus(ServerId(1), 4).unwrap();
         c.allocate_gpus(ServerId(2), 4).unwrap();
@@ -271,7 +268,10 @@ mod tests {
             .find(|&&(s, _)| s == ServerId(3))
             .map(|&(_, w)| w)
             .unwrap_or(0);
-        assert!(on_s3 >= 2, "expected most workers on the idle server, got {on_s3}");
+        assert!(
+            on_s3 >= 2,
+            "expected most workers on the idle server, got {on_s3}"
+        );
     }
 
     #[test]

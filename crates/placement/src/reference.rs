@@ -52,8 +52,10 @@ pub fn place_batch(
         match placer.place_one(&scratch, &state, job) {
             Some(placement) => {
                 for &(s, w) in placement.workers() {
-                    // netpack-lint: allow(E1): the DP only plans over each server's free GPUs on this same scratch ledger and surplus release only lowers a worker count, so the allocation cannot be refused
-                    scratch.allocate_gpus(s, w).expect("DP placed within free GPUs");
+                    scratch
+                        .allocate_gpus(s, w)
+                        // netpack-lint: allow(E1): the DP only plans over each server's free GPUs on this same scratch ledger and surplus release only lowers a worker count, so the allocation cannot be refused
+                        .expect("DP placed within free GPUs");
                 }
                 active.push(PlacedJob::new(job.id, &scratch, &placement));
                 outcome.placed.push((job.clone(), placement));
@@ -152,10 +154,9 @@ impl NetPackPlacer {
                     let s_flows = state.server_flows(sid) + own_workers;
                     let f_max = plan.max_flows.max(s_flows + eps);
                     let avail = state.server_available_gbps(sid);
-                    let base = plan.value + avail
-                        - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
-                    let term =
-                        self.hotspot_term(scratch, state, &rack_workers, sid, f_max);
+                    let base =
+                        plan.value + avail - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
+                    let term = self.hotspot_term(scratch, state, &rack_workers, sid, f_max);
                     (base + term, sid)
                 })
                 .collect();
@@ -248,8 +249,8 @@ impl NetPackPlacer {
                 let s_flows = state.server_flows(sid) + own_workers;
                 let f_max = plan.max_flows.max(s_flows + eps);
                 let avail = state.server_available_gbps(sid);
-                let base = plan.value + avail
-                    - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
+                let base =
+                    plan.value + avail - (capacity - avail) / (f64::from(s_flows + eps) + 1.0);
                 let term = self.hotspot_term(scratch, state, &rack_workers, sid, f_max);
                 let score = base + term;
                 if best.is_none_or(|(b, _, _)| score > b) {

@@ -193,7 +193,12 @@ mod tests {
                 // Well-separated distinct values: pruning is then exactly
                 // plan-preserving, not just value-preserving.
                 let value = (rng.next() % 1000) as f64 + i as f64 * 1e-6;
-                stats(i, (rng.next() % (gps as u64 + 1)) as usize, value, (rng.next() % 20) as u32)
+                stats(
+                    i,
+                    (rng.next() % (gps as u64 + 1)) as usize,
+                    value,
+                    (rng.next() % 20) as u32,
+                )
             })
             .collect()
     }
@@ -326,11 +331,18 @@ mod tests {
             let full = dp.plans(&servers, demand, slack);
             let kept = dp.plans(&filter.candidates(), demand, slack);
             let exact = |plan: &WorkerPlan| -> i64 {
-                plan.servers.iter().map(|id| (servers[id.0].value * 1000.0).round() as i64).sum()
+                plan.servers
+                    .iter()
+                    .map(|id| (servers[id.0].value * 1000.0).round() as i64)
+                    .sum()
             };
             assert_eq!(kept.len(), full.len(), "seed {seed}");
             for (a, b) in kept.iter().zip(&full) {
-                assert_eq!((a.gpus, a.max_flows, exact(a)), (b.gpus, b.max_flows, exact(b)), "seed {seed}");
+                assert_eq!(
+                    (a.gpus, a.max_flows, exact(a)),
+                    (b.gpus, b.max_flows, exact(b)),
+                    "seed {seed}"
+                );
                 if a.servers == b.servers {
                     assert_eq!(a.value.to_bits(), b.value.to_bits(), "seed {seed}");
                 } else {

@@ -272,11 +272,15 @@ impl NetPackSession {
                 let _ = self.tracker.stage_pop();
             }
             for (job, p) in &outcome.placed[first..] {
-                self.tracker.stage_push(PlacedJob::new(job.id, &self.cluster, p));
+                self.tracker
+                    .stage_push(PlacedJob::new(job.id, &self.cluster, p));
             }
             self.tracker.settle(&self.cluster);
             perf.record("waterfill_solve", start.elapsed());
-            perf.incr("ina_reconcile_repushes", (outcome.placed.len() - first) as u64);
+            perf.incr(
+                "ina_reconcile_repushes",
+                (outcome.placed.len() - first) as u64,
+            );
         }
 
         // The batch joins the running set with its final placements.
@@ -314,8 +318,13 @@ impl NetPackSession {
     /// twice). The credit is all-or-nothing: on error the ledger is
     /// unchanged, nothing is staged, and the job is still running.
     pub fn complete(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
-        let idx = self.index.position(id).ok_or(SessionError::UnknownJob(id))?;
-        self.fb.credit(&self.running[idx].placement).map_err(SessionError::Ledger)?;
+        let idx = self
+            .index
+            .position(id)
+            .ok_or(SessionError::UnknownJob(id))?;
+        self.fb
+            .credit(&self.running[idx].placement)
+            .map_err(SessionError::Ledger)?;
         self.index.retire(id, idx);
         // `running` is the tracker's insertion order, so the position is
         // the tracker's too.
@@ -341,9 +350,16 @@ impl NetPackSession {
         if !self.is_settled() {
             return Err("staged completions not settled".to_string());
         }
-        let placed: Vec<PlacedJob> =
-            self.running.iter().map(|r| r.to_placed(&self.cluster)).collect();
-        match self.tracker.state().first_difference(&estimate(&self.cluster, &placed)) {
+        let placed: Vec<PlacedJob> = self
+            .running
+            .iter()
+            .map(|r| r.to_placed(&self.cluster))
+            .collect();
+        match self
+            .tracker
+            .state()
+            .first_difference(&estimate(&self.cluster, &placed))
+        {
             None => Ok(()),
             Some(field) => Err(format!("warm {field} differ from a from-scratch estimate")),
         }
@@ -355,7 +371,9 @@ impl NetPackSession {
     /// [`free_gpus`](Self::free_gpus).
     #[doc(hidden)]
     pub fn audit_ledger(&self) -> Result<(), String> {
-        self.fb.ledger().audit(&self.cluster, self.running.iter().map(|r| &r.placement))
+        self.fb
+            .ledger()
+            .audit(&self.cluster, self.running.iter().map(|r| &r.placement))
     }
 
     /// Fault injection for tests: credit running job `id`'s GPUs back on
@@ -403,7 +421,10 @@ mod tests {
         assert_eq!(s.free_gpus(), 32 - 4);
         s.complete(JobId(0)).unwrap();
         assert_eq!(s.free_gpus(), 32);
-        assert_eq!(s.complete(JobId(0)), Err(SessionError::UnknownJob(JobId(0))));
+        assert_eq!(
+            s.complete(JobId(0)),
+            Err(SessionError::UnknownJob(JobId(0)))
+        );
     }
 
     #[test]
@@ -465,10 +486,16 @@ mod tests {
         let &(last, w) = placement.workers().last().unwrap();
         let early = Placement::local(last, w);
         s.fb.credit(&early).unwrap();
-        assert!(s.audit_ledger().is_err(), "the audit must see the early credit");
+        assert!(
+            s.audit_ledger().is_err(),
+            "the audit must see the early credit"
+        );
         let before = s.fb.ledger().free().to_vec();
         let err = s.complete(JobId(0)).unwrap_err();
-        assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert!(matches!(
+            err,
+            SessionError::Ledger(TopologyError::ReleaseOverflow { .. })
+        ));
         untouched(&s, 32 - 9 + w, &before);
         assert!(s.fb.commit(&early));
 
@@ -477,7 +504,10 @@ mod tests {
         assert!(s.precredit_flat_ledger(JobId(0)));
         let before = s.fb.ledger().free().to_vec();
         let err = s.complete(JobId(0)).unwrap_err();
-        assert!(matches!(err, SessionError::Ledger(TopologyError::ReleaseOverflow { .. })));
+        assert!(matches!(
+            err,
+            SessionError::Ledger(TopologyError::ReleaseOverflow { .. })
+        ));
         untouched(&s, 32 - 3, &before);
         assert!(s.fb.commit(&placement));
 
@@ -486,7 +516,10 @@ mod tests {
         s.complete(JobId(0)).unwrap();
         assert_eq!(s.free_gpus(), 32 - 3);
         assert_eq!(s.audit_ledger(), Ok(()));
-        assert_eq!(s.complete(JobId(0)), Err(SessionError::UnknownJob(JobId(0))));
+        assert_eq!(
+            s.complete(JobId(0)),
+            Err(SessionError::UnknownJob(JobId(0)))
+        );
     }
 
     #[test]
@@ -504,7 +537,10 @@ mod tests {
         assert!(!s.is_running(JobId(0)));
         assert_eq!(s.state().job_rate_gbps(JobId(0)), None);
         assert_eq!(s.state().servers_flows(), stale.servers_flows());
-        assert!(s.audit_state().is_err(), "the audit must see the staged removal");
+        assert!(
+            s.audit_state().is_err(),
+            "the audit must see the staged removal"
+        );
         s.settle();
         assert!(s.is_settled());
         assert_eq!(s.audit_state(), Ok(()));
@@ -530,13 +566,22 @@ mod tests {
             let out = s.place_batch(&second);
             assert_eq!(s.audit_state(), Ok(()));
             assert_eq!(s.audit_index(), Ok(()));
-            (out.placed, out.deferred, s.state().clone(), s.perf().counter("waterfill_settles"))
+            (
+                out.placed,
+                out.deferred,
+                s.state().clone(),
+                s.perf().counter("waterfill_settles"),
+            )
         };
         let (staged, eager) = (run(false), run(true));
         assert!(!staged.0.is_empty());
         assert_eq!((&staged.0, &staged.1), (&eager.0, &eager.1));
         assert_eq!(staged.2.first_difference(&eager.2), None);
-        assert_eq!(eager.3 - staged.3, 2, "three completions, one settle instead of three");
+        assert_eq!(
+            eager.3 - staged.3,
+            2,
+            "three completions, one settle instead of three"
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! placements in the same order, bit-identical objective), with the B&B
 //! doing no more leaf evaluations than the reference.
 
-use netpack_placement::{batch_comm_time_s, reference, ExactPlacer, Placer, RunningJob};
 use netpack_model::Placement;
+use netpack_placement::{batch_comm_time_s, reference, ExactPlacer, Placer, RunningJob};
 use netpack_topology::{Cluster, ClusterSpec, JobId, ServerId};
 use netpack_workload::{Job, ModelKind};
 
@@ -83,11 +83,7 @@ fn instance(seed: u64) -> Instance {
             break;
         }
         let a = with_free[rng.below(with_free.len() as u64) as usize];
-        let b = with_free
-            .iter()
-            .copied()
-            .find(|&s| s != a)
-            .unwrap();
+        let b = with_free.iter().copied().find(|&s| s != a).unwrap();
         cluster.allocate_gpus(a, 1).unwrap();
         cluster.allocate_gpus(b, 1).unwrap();
         let ps = ServerId(rng.below(total_servers as u64) as usize);

@@ -1,12 +1,12 @@
 //! Property tests: every placer only ever proposes valid placements, and
 //! NetPack's DP never loses to a greedy plan on the same server values.
 
+use netpack_model::Placement;
 use netpack_placement::{
     batch_comm_time_s, reference, CandidateFilter, Comb, FlowBalance, GpuBalance,
     LeastFragmentation, NetPackConfig, NetPackPlacer, NetPackSession, OptimusLike, Placer,
     RandomPlacer, RunningJob, ServerStats, TetrisLike, WorkerDp,
 };
-use netpack_model::Placement;
 use netpack_topology::{Cluster, ClusterSpec, JobId, ServerId};
 use netpack_workload::{xorshift_batch, Job, ModelKind};
 use proptest::prelude::*;
@@ -113,14 +113,26 @@ fn production_matches_reference_on_pinned_inputs() {
                 servers_per_rack: servers / 16,
                 ..ClusterSpec::paper_default()
             });
-            cases.push((NetPackConfig::default(), cluster, vec![], xorshift_batch(jobs, 32, 7)));
+            cases.push((
+                NetPackConfig::default(),
+                cluster,
+                vec![],
+                xorshift_batch(jobs, 32, 7),
+            ));
         }
     }
     cases.push((
         NetPackConfig::default(),
         podded(6),
         vec![],
-        vec![vgg(0, 4), vgg(1, 6), vgg(2, 13), vgg(3, 2), vgg(4, 9), vgg(5, 40)],
+        vec![
+            vgg(0, 4),
+            vgg(1, 6),
+            vgg(2, 13),
+            vgg(3, 2),
+            vgg(4, 9),
+            vgg(5, 40),
+        ],
     ));
     cases.push((
         NetPackConfig {
@@ -145,10 +157,20 @@ fn production_matches_reference_on_pinned_inputs() {
     for &(s, w) in running.placement.workers() {
         dense.allocate_gpus(s, w).unwrap();
     }
-    cases.push((NetPackConfig::default(), dense, vec![running], xorshift_batch(60, 32, 7)));
+    cases.push((
+        NetPackConfig::default(),
+        dense,
+        vec![running],
+        xorshift_batch(60, 32, 7),
+    ));
     for (config, cluster, running, batch) in &cases {
-        check_against_reference(config, cluster, running, batch)
-            .unwrap_or_else(|e| panic!("{} servers, {} jobs: {e:?}", cluster.num_servers(), batch.len()));
+        check_against_reference(config, cluster, running, batch).unwrap_or_else(|e| {
+            panic!(
+                "{} servers, {} jobs: {e:?}",
+                cluster.num_servers(),
+                batch.len()
+            )
+        });
     }
 }
 

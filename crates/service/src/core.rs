@@ -346,7 +346,8 @@ impl ServiceCore {
         for (job, p) in &outcome.placed {
             self.counters.placed += 1;
             if let Some(watch) = self.watches.remove(&job.id) {
-                self.perf.record_latency("placement_latency", watch.elapsed());
+                self.perf
+                    .record_latency("placement_latency", watch.elapsed());
             }
             self.event(|_| format!("place id={} {}", job.id, placement_digest(p)));
         }
@@ -477,7 +478,10 @@ mod tests {
         assert_eq!((core.pending_len(), core.watches.len()), (1, 1));
         assert_eq!(core.place_pass(), 1);
         let c = *core.counters();
-        assert_eq!((c.submitted, c.rejected, c.placed, c.deferrals), (1, 1, 1, 0));
+        assert_eq!(
+            (c.submitted, c.rejected, c.placed, c.deferrals),
+            (1, 1, 1, 0)
+        );
         assert_eq!(core.events()[0], "reject id=j0 kind=no-gpus");
         assert_eq!(core.free_gpus(), 32 - 4);
     }
@@ -586,8 +590,11 @@ mod tests {
             ]
         );
         let left: Vec<JobId> = core.pending.iter().map(|j| j.id).collect();
-        let want: Vec<JobId> =
-            queued.iter().copied().filter(|&id| id != deep && id != deeper).collect();
+        let want: Vec<JobId> = queued
+            .iter()
+            .copied()
+            .filter(|&id| id != deep && id != deeper)
+            .collect();
         assert_eq!(left, want);
         assert_eq!(core.watches.len(), left.len());
         for id in [deep, deeper, running, also_running, stranger] {
@@ -611,7 +618,11 @@ mod tests {
         let c = *core.counters();
         assert_eq!((c.ledger_errors, c.unknown_ops), (2, 1));
         assert_eq!((c.completed, c.cancelled_running), (0, 0));
-        assert_eq!(core.status(JobId(0)), JobStatus::Running, "a refused job keeps running");
+        assert_eq!(
+            core.status(JobId(0)),
+            JobStatus::Running,
+            "a refused job keeps running"
+        );
         let events = core.events();
         assert_eq!(
             events[events.len() - 3..],
@@ -706,8 +717,15 @@ mod tests {
         let _ = core.place_pass();
         let report = core.finish();
         assert_eq!(report.perf.timer_count("place_pass"), 1);
-        assert_eq!(report.perf.timer_count("place_batch"), 1, "placer perf merged");
-        let hist = report.perf.latency("placement_latency").expect("histogram recorded");
+        assert_eq!(
+            report.perf.timer_count("place_batch"),
+            1,
+            "placer perf merged"
+        );
+        let hist = report
+            .perf
+            .latency("placement_latency")
+            .expect("histogram recorded");
         assert_eq!(hist.count(), 1);
         assert_eq!(report.running_left, 1);
     }

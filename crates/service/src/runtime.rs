@@ -397,9 +397,7 @@ mod tests {
         // Every submission is accounted for: placed, retired straight out
         // of the queue by the Complete, or still pending at shutdown.
         assert_eq!(
-            report.counters.placed
-                + report.counters.completed_pending
-                + report.pending_left as u64,
+            report.counters.placed + report.counters.completed_pending + report.pending_left as u64,
             8
         );
         assert!(report.counters.batches > 0);
@@ -440,7 +438,10 @@ mod tests {
         }
         let report = svc.shutdown();
         assert_eq!(accepted + bounced, 256);
-        assert_eq!(report.counters.submitted + report.counters.rejected, accepted);
+        assert_eq!(
+            report.counters.submitted + report.counters.rejected,
+            accepted
+        );
     }
 
     #[test]
@@ -472,7 +473,11 @@ mod tests {
         assert_eq!(sent, 64);
         let report = svc.shutdown();
         let c = &report.counters;
-        assert!(c.batches >= 16, "{} passes for 64 commands at 4 a pass", c.batches);
+        assert!(
+            c.batches >= 16,
+            "{} passes for 64 commands at 4 a pass",
+            c.batches
+        );
         assert_eq!((c.submitted, c.rejected), (64, 0));
         assert_eq!(c.placed + report.pending_left as u64, 64);
         assert_eq!(c.placed, 32);
@@ -515,7 +520,10 @@ mod tests {
         assert_eq!(sent, 64);
         let c = &report.counters;
         assert_eq!(c.submitted, 64);
-        assert_eq!(c.placed + c.completed_pending + report.pending_left as u64, 64);
+        assert_eq!(
+            c.placed + c.completed_pending + report.pending_left as u64,
+            64
+        );
         assert_eq!(c.placed, 32);
     }
 

@@ -4,8 +4,15 @@ use netpack_topology::{Cluster, ClusterSpec, LinkId, ServerId};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = ClusterSpec> {
-    (1usize..8, 1usize..12, 1usize..9, 1u32..21, 1u32..11, 0usize..4).prop_map(
-        |(racks, spr, gps, oversub, pat, rpp)| ClusterSpec {
+    (
+        1usize..8,
+        1usize..12,
+        1usize..9,
+        1u32..21,
+        1u32..11,
+        0usize..4,
+    )
+        .prop_map(|(racks, spr, gps, oversub, pat, rpp)| ClusterSpec {
             racks,
             servers_per_rack: spr,
             gpus_per_server: gps,
@@ -14,8 +21,7 @@ fn arb_spec() -> impl Strategy<Value = ClusterSpec> {
             oversubscription: oversub as f64,
             rtt_us: 50.0,
             racks_per_pod: (rpp > 0).then_some(rpp),
-        },
-    )
+        })
 }
 
 proptest! {

@@ -393,7 +393,10 @@ impl IncrementalEstimator {
             scratch_members: Vec::new(),
             scratch_group: Vec::new(),
             scratch_solve,
-            journal: Journal { links: Vec::new(), marked: vec![false; n_links] },
+            journal: Journal {
+                links: Vec::new(),
+                marked: vec![false; n_links],
+            },
         }
     }
 
@@ -846,7 +849,10 @@ mod tests {
             &estimate(&c, &[all[0].clone(), all[2].clone(), all[3].clone()]),
         );
         assert!(inc.remove(&c, JobId(3)));
-        assert_state_eq(inc.state(), &estimate(&c, &[all[0].clone(), all[2].clone()]));
+        assert_state_eq(
+            inc.state(),
+            &estimate(&c, &[all[0].clone(), all[2].clone()]),
+        );
         assert!(inc.remove(&c, JobId(0)));
         assert_state_eq(inc.state(), &estimate(&c, std::slice::from_ref(&all[2])));
         assert!(inc.remove(&c, JobId(2)));
@@ -931,7 +937,14 @@ mod tests {
         assert_eq!(inc.pop(&c), Some(JobId(3)));
         assert_state_eq(
             inc.state(),
-            &estimate(&c, &[base[0].clone(), base[1].clone(), job(2, &c, vec![(3, 4)], 7)]),
+            &estimate(
+                &c,
+                &[
+                    base[0].clone(),
+                    base[1].clone(),
+                    job(2, &c, vec![(3, 4)], 7),
+                ],
+            ),
         );
         assert_eq!(inc.pop(&c), Some(JobId(2)));
         assert_state_eq(inc.state(), &snapshot);
@@ -952,7 +965,9 @@ mod tests {
         // Four jobs funnel into one PS server: one component. Two of them
         // finish between two reads.
         let c = cluster(1, 6, 500.0);
-        let all: Vec<PlacedJob> = (0..4).map(|i| job(i, &c, vec![(i as usize, 2)], 5)).collect();
+        let all: Vec<PlacedJob> = (0..4)
+            .map(|i| job(i, &c, vec![(i as usize, 2)], 5))
+            .collect();
         let mut inc = IncrementalEstimator::new(&c, &all);
         let before = *inc.stats();
         assert!(inc.stage_remove_at(1, JobId(1)));
@@ -964,9 +979,15 @@ mod tests {
         inc.settle(&c);
         assert!(inc.is_settled());
         let work = *inc.stats() - before;
-        assert_eq!((work.staged, work.settles, work.components_solved), (2, 1, 1));
+        assert_eq!(
+            (work.staged, work.settles, work.components_solved),
+            (2, 1, 1)
+        );
         assert_eq!((work.jobs_resolved, work.jobs_reused), (2, 0));
-        assert_state_eq(inc.state(), &estimate(&c, &[all[0].clone(), all[2].clone()]));
+        assert_state_eq(
+            inc.state(),
+            &estimate(&c, &[all[0].clone(), all[2].clone()]),
+        );
         // Nothing staged: a settle is free and uncounted.
         inc.settle(&c);
         assert_eq!(*inc.stats() - before, work);
@@ -986,9 +1007,15 @@ mod tests {
         assert_eq!(inc.stage_pop(), Some(JobId(2)));
         inc.settle(&c);
         let work = *inc.stats() - before;
-        assert_eq!((work.staged, work.settles, work.components_solved), (2, 1, 2));
+        assert_eq!(
+            (work.staged, work.settles, work.components_solved),
+            (2, 1, 2)
+        );
         assert_state_eq(inc.state(), &estimate(&c, &[a, b.clone()]));
-        assert!(inc.journal().contains(&5), "server 5 carried only the bridge's PS");
+        assert!(
+            inc.journal().contains(&5),
+            "server 5 carried only the bridge's PS"
+        );
         // The repair was real: a removal in rack 0 now leaves rack 1 alone.
         let before = *inc.stats();
         inc.remove(&c, JobId(0));
@@ -1006,14 +1033,18 @@ mod tests {
             job(2, &c, vec![(4, 1), (5, 1)], 6),
         ];
         let mut inc = IncrementalEstimator::new(&c, &all);
-        let changed = |inc: &IncrementalEstimator, seen| inc.changed_since(seen).collect::<Vec<_>>();
+        let changed =
+            |inc: &IncrementalEstimator, seen| inc.changed_since(seen).collect::<Vec<_>>();
         assert_eq!(inc.solve_epoch(), 1);
         assert_eq!(changed(&inc, 0), [JobId(0), JobId(1), JobId(2)]);
         assert_eq!(changed(&inc, 1), []);
         // Two settles between reads: a local job arrives, then job 0 leaves
         // rack 0. The reader finds the newcomer and job 0's neighbour; rack
         // 1 was not re-solved and is not listed.
-        inc.push(&c, PlacedJob::new(JobId(9), &c, &Placement::local(ServerId(7), 2)));
+        inc.push(
+            &c,
+            PlacedJob::new(JobId(9), &c, &Placement::local(ServerId(7), 2)),
+        );
         assert!(inc.remove(&c, JobId(0)));
         assert_eq!(inc.solve_epoch(), 3);
         assert_eq!(changed(&inc, 1), [JobId(1), JobId(9)]);
@@ -1027,7 +1058,10 @@ mod tests {
     #[test]
     fn stage_remove_at_refuses_a_mismatched_position() {
         let c = cluster(1, 4, 500.0);
-        let all = [job(0, &c, vec![(0, 1), (1, 1)], 2), job(1, &c, vec![(0, 2)], 3)];
+        let all = [
+            job(0, &c, vec![(0, 1), (1, 1)], 2),
+            job(1, &c, vec![(0, 2)], 3),
+        ];
         let mut inc = IncrementalEstimator::new(&c, &all);
         assert!(!inc.stage_remove_at(0, JobId(1)));
         assert!(!inc.stage_remove_at(2, JobId(1)));
@@ -1041,7 +1075,11 @@ mod tests {
         let net = job(0, &c, vec![(0, 1), (1, 1)], 2);
         let mut inc = IncrementalEstimator::new(&c, std::slice::from_ref(&net));
         for id in [8, 9] {
-            inc.stage_push(PlacedJob::new(JobId(id), &c, &Placement::local(ServerId(0), 1)));
+            inc.stage_push(PlacedJob::new(
+                JobId(id),
+                &c,
+                &Placement::local(ServerId(0), 1),
+            ));
         }
         assert!(!inc.is_settled());
         assert_eq!(inc.state().job_rate_gbps(JobId(9)), Some(f64::INFINITY));
@@ -1066,7 +1104,10 @@ mod tests {
             inc.state(),
             &estimate(
                 &c,
-                &[net, PlacedJob::new(JobId(9), &c, &Placement::local(ServerId(0), 4))],
+                &[
+                    net,
+                    PlacedJob::new(JobId(9), &c, &Placement::local(ServerId(0), 4)),
+                ],
             ),
         );
     }

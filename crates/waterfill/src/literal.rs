@@ -23,7 +23,12 @@ type CountLog = BTreeMap<(JobId, usize), Vec<u32>>;
 /// The literal loop. `members` are the network jobs of one component in
 /// insertion order; the component's resources in `state` are virgin. Each
 /// round's counts are appended to `log`, which no number of the loop reads.
-fn solve_component(cluster: &Cluster, members: &[&PlacedJob], state: &mut SteadyState, log: &mut CountLog) {
+fn solve_component(
+    cluster: &Cluster,
+    members: &[&PlacedJob],
+    state: &mut SteadyState,
+    log: &mut CountLog,
+) {
     if members.is_empty() {
         return;
     }
@@ -197,10 +202,7 @@ fn solve_component(cluster: &Cluster, members: &[&PlacedJob], state: &mut Steady
         // Freeze jobs crossing a saturated link.
         if any_link_saturated {
             for a in active.iter_mut().filter(|a| !a.frozen) {
-                if a.flows
-                    .iter()
-                    .any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS)
-                {
+                if a.flows.iter().any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS) {
                     a.frozen = true;
                     unfrozen -= 1;
                 }
@@ -329,7 +331,11 @@ fn packed_case(seed: u64) -> (Cluster, Vec<PlacedJob>) {
 fn run_extremes(cluster: &Cluster, job: &PlacedJob) -> Vec<(usize, u32, u32)> {
     let mut run: Vec<(usize, u32, u32)> = Vec::new();
     for h in job.components() {
-        for ((l, all), (_, none)) in h.link_flows(|_| true).into_iter().zip(h.link_flows(|_| false)) {
+        for ((l, all), (_, none)) in h
+            .link_flows(|_| true)
+            .into_iter()
+            .zip(h.link_flows(|_| false))
+        {
             let idx = l.index(cluster);
             match run.iter_mut().find(|e| e.0 == idx) {
                 Some(e) => (e.1, e.2) = (e.1 + all, e.2 + none),
@@ -360,7 +366,10 @@ fn class_coverage(cluster: &Cluster, jobs: &[PlacedJob], state: &SteadyState) ->
     let rate = |j: usize| state.job_rates[&jobs[j].id()];
     let saturated = |l: usize| state.link_residual[l] <= EPSILON_GBPS;
     for group in partition_components(cluster, jobs) {
-        let runs: Vec<_> = group.iter().map(|&j| (j, run_extremes(cluster, &jobs[j]))).collect();
+        let runs: Vec<_> = group
+            .iter()
+            .map(|&j| (j, run_extremes(cluster, &jobs[j])))
+            .collect();
         let mut crossers: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (j, run) in &runs {
             for e in run {
@@ -380,7 +389,10 @@ fn class_coverage(cluster: &Cluster, jobs: &[PlacedJob], state: &SteadyState) ->
         // (owner, flows) of every lone entry of the component.
         let lone = |(j, run): &(usize, Vec<(usize, u32, u32)>)| {
             let j = *j;
-            run.iter().filter(|e| is_lone(e)).map(move |e| (j, e.1)).collect::<Vec<_>>()
+            run.iter()
+                .filter(|e| is_lone(e))
+                .map(move |e| (j, e.1))
+                .collect::<Vec<_>>()
         };
         let all_lone: Vec<(usize, u32)> = runs.iter().flat_map(lone).collect();
         seen[0] |= !all_lone.is_empty();
@@ -388,7 +400,9 @@ fn class_coverage(cluster: &Cluster, jobs: &[PlacedJob], state: &SteadyState) ->
         for (j, run) in &runs {
             for e in run.iter().filter(|e| is_lone(e)) {
                 seen[2] |= saturated(e.0) && frozen_by_ordinary(*j, run);
-                let outlived = all_lone.iter().any(|&(k, f)| f == e.1 && rate(k) > rate(*j));
+                let outlived = all_lone
+                    .iter()
+                    .any(|&(k, f)| f == e.1 && rate(k) > rate(*j));
                 seen[3] |= outlived && frozen_by_ordinary(*j, run);
             }
         }
@@ -441,7 +455,10 @@ fn class_rounds_match_the_literal_loop_on_packed_clusters() {
         let literal = estimate_literal(&cluster, &jobs);
         assert_eq!(bits(&fast), bits(&literal), "seed {seed}");
         assert_eq!(fast.job_shards, literal.job_shards, "seed {seed}");
-        for (count, seen) in reached.iter_mut().zip(class_coverage(&cluster, &jobs, &literal)) {
+        for (count, seen) in reached
+            .iter_mut()
+            .zip(class_coverage(&cluster, &jobs, &literal))
+        {
             *count += usize::from(seen);
         }
     }
@@ -495,11 +512,22 @@ fn dry_case(seed: u64) -> (Cluster, Vec<Placement>) {
             let home = rng.below(racks);
             let away = (home + 1 + rng.below(racks - 1)) % racks;
             let mut workers = BTreeMap::new();
-            let elsewhere = if rng.below(3) == 0 { 1 + rng.below(2) } else { 0 };
+            let elsewhere = if rng.below(3) == 0 {
+                1 + rng.below(2)
+            } else {
+                0
+            };
             for (rack, servers) in [(home, 1 + rng.below(4)), (away, elsewhere)] {
                 for _ in 0..servers {
                     let server = take(&mut rng, rack);
-                    workers.insert(ServerId(server), if rng.below(3) > 0 { gps } else { 1 + rng.below(gps) });
+                    workers.insert(
+                        ServerId(server),
+                        if rng.below(3) > 0 {
+                            gps
+                        } else {
+                            1 + rng.below(gps)
+                        },
+                    );
                 }
             }
             let held: Vec<ServerId> = workers.keys().copied().collect();
@@ -539,7 +567,10 @@ fn refinable_coverage(
 ) -> [bool; 6] {
     let mut seen = [false; 6];
     for group in partition_components(cluster, jobs) {
-        let runs: Vec<_> = group.iter().map(|&j| (j, run_extremes(cluster, &jobs[j]))).collect();
+        let runs: Vec<_> = group
+            .iter()
+            .map(|&j| (j, run_extremes(cluster, &jobs[j])))
+            .collect();
         let mut crossers: BTreeMap<usize, usize> = BTreeMap::new();
         for e in runs.iter().flat_map(|(_, run)| run) {
             *crossers.entry(e.0).or_default() += 1;
@@ -611,14 +642,29 @@ fn refinable_classes_match_the_literal_loop_after_every_settle() {
             inc.settle(&cluster);
             let mut log = CountLog::new();
             let literal = estimate_logged(&cluster, &live, &mut log);
-            assert_eq!(bits(inc.state()), bits(&literal), "seed {seed}, {} jobs", live.len());
-            for (s, now) in seen.iter_mut().zip(refinable_coverage(&cluster, &live, &literal, &log)) {
+            assert_eq!(
+                bits(inc.state()),
+                bits(&literal),
+                "seed {seed}, {} jobs",
+                live.len()
+            );
+            for (s, now) in seen
+                .iter_mut()
+                .zip(refinable_coverage(&cluster, &live, &literal, &log))
+            {
                 *s |= now;
             }
         }
-        assert_eq!(bits(&estimate(&cluster, &live)), bits(&estimate_literal(&cluster, &live)), "seed {seed}");
+        assert_eq!(
+            bits(&estimate(&cluster, &live)),
+            bits(&estimate_literal(&cluster, &live)),
+            "seed {seed}"
+        );
         let split = inc.stats().class_splits > 0;
-        assert_eq!(seen[0], split, "seed {seed}: the solver and the literal loop disagree on a split");
+        assert_eq!(
+            seen[0], split,
+            "seed {seed}: the solver and the literal loop disagree on a split"
+        );
         for (count, seen) in reached.iter_mut().zip(seen) {
             *count += usize::from(seen);
         }

@@ -144,10 +144,7 @@ pub fn estimate_synchronous(cluster: &Cluster, jobs: &[PlacedJob]) -> SteadyStat
         // Freeze at caps and on saturated links.
         for a in active.iter_mut().filter(|a| !a.frozen) {
             let capped = a.cap.is_finite() && a.rate + EPSILON_GBPS >= a.cap;
-            let bottlenecked = a
-                .flows
-                .iter()
-                .any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS);
+            let bottlenecked = a.flows.iter().any(|&(l, f)| f > 0 && bw[l] <= EPSILON_GBPS);
             if capped || bottlenecked {
                 a.frozen = true;
                 unfrozen -= 1;

@@ -76,7 +76,12 @@ impl PlacedJob {
         let ina_enabled = components.iter().any(JobHierarchy::ina_enabled);
         let racks = cluster.racks();
         let mut run = Vec::new();
-        write_flow_run(cluster, &components, |r| racks[r.0].pat_gbps() > EPSILON_GBPS, &mut run);
+        write_flow_run(
+            cluster,
+            &components,
+            |r| racks[r.0].pat_gbps() > EPSILON_GBPS,
+            &mut run,
+        );
         // A count is monotone in the set of aggregating pools (one more
         // pool aggregating never adds a flow), so a count that is equal
         // with every pool aggregating and with none is equal under every
@@ -101,7 +106,11 @@ impl PlacedJob {
                 }
             })
             .collect();
-        let switches = components.iter().flat_map(|h| h.switches()).map(|r| r.0).collect();
+        let switches = components
+            .iter()
+            .flat_map(|h| h.switches())
+            .map(|r| r.0)
+            .collect();
         PlacedJob {
             id,
             ina_enabled,
@@ -144,7 +153,8 @@ impl PlacedJob {
     /// by `n_links`; a pool repeats once per tree that passes it). Nothing
     /// for local jobs.
     pub(crate) fn nodes(&self, n_links: usize) -> impl Iterator<Item = usize> + '_ {
-        self.links().chain(self.pools().iter().map(move |&r| n_links + r))
+        self.links()
+            .chain(self.pools().iter().map(move |&r| n_links + r))
     }
 
     /// The links of [`nodes`](Self::nodes), in run order.
@@ -576,11 +586,17 @@ impl SolveScratch {
         self.splits.clear();
         for &m in &self.unfrozen {
             let job = &jobs[members[m]];
-            let at_flipped = || job.ina_enabled && job.switches.iter().any(|r| self.flipped.contains(r));
+            let at_flipped =
+                || job.ina_enabled && job.switches.iter().any(|r| self.flipped.contains(r));
             if !self.rate[m].is_nan() || !at_flipped() {
                 continue;
             }
-            write_flow_run(cluster, &job.components, |r| pat[r.0] > EPSILON_GBPS, &mut self.run);
+            write_flow_run(
+                cluster,
+                &job.components,
+                |r| pat[r.0] > EPSILON_GBPS,
+                &mut self.run,
+            );
             debug_assert!(
                 job.flows.iter().zip(&self.run).all(|(e, &(l, f))| {
                     e.link as usize == l && f > 0 && (!e.steady || e.flows == f)
@@ -599,7 +615,10 @@ impl SolveScratch {
                         if self.classes.records[from as usize].flows == flows {
                             continue;
                         }
-                        let split = self.splits.iter().find(|&&(c, f, _)| (c, f) == (from, flows));
+                        let split = self
+                            .splits
+                            .iter()
+                            .find(|&&(c, f, _)| (c, f) == (from, flows));
                         let to = match split {
                             Some(&(_, _, to)) => to as usize,
                             None => {
@@ -632,7 +651,14 @@ impl SolveScratch {
     /// their class's residual — the value each of them would hold had the
     /// rounds so far subtracted from it one by one — and it leaves the
     /// class and rack counts. Its entries are the caller's.
-    fn retire(&mut self, jobs: &[PlacedJob], members: &[usize], bw: &mut [f64], m: usize, level: f64) {
+    fn retire(
+        &mut self,
+        jobs: &[PlacedJob],
+        members: &[usize],
+        bw: &mut [f64],
+        m: usize,
+        level: f64,
+    ) {
         debug_assert!(self.rate[m].is_nan(), "a member froze twice");
         self.rate[m] = level;
         for &(l, f) in &self.lone[self.lone_start[m]..self.lone_start[m + 1]] {
@@ -862,7 +888,10 @@ pub(crate) fn solve_component(
     let pat = &mut state.pat_residual;
     let link_flows = &mut state.link_flows;
     let s = scratch;
-    debug_assert!(s.links.iter().all(|&l| s.degree[l] == 0), "a solve left a link degree behind");
+    debug_assert!(
+        s.links.iter().all(|&l| s.degree[l] == 0),
+        "a solve left a link degree behind"
+    );
 
     // Degree pass: the component's links, each reset when first named.
     s.links.clear();
@@ -915,20 +944,32 @@ pub(crate) fn solve_component(
                 s.class_count[e.flows as usize] += 1;
                 mask |= 1 << e.flows;
             } else if l < n_servers && s.degree[l] == 1 {
-                let opened = s.classes.records[..s.classes.len].iter().position(|k| k.flows == e.flows);
+                let opened = s.classes.records[..s.classes.len]
+                    .iter()
+                    .position(|k| k.flows == e.flows);
                 let c = opened.unwrap_or_else(|| s.classes.open(server_gbps, e.flows));
-                s.moves.push((at as u32, Home::Class(s.class_links.len() as u32)));
+                s.moves
+                    .push((at as u32, Home::Class(s.class_links.len() as u32)));
                 s.classes.file(c, s.class_links.len());
-                s.class_links.push(ClassLink { link: e.link, class: c as u32, member: m as u32 });
+                s.class_links.push(ClassLink {
+                    link: e.link,
+                    class: c as u32,
+                    member: m as u32,
+                });
             } else {
                 if s.link_total[l] == 0 {
                     s.live_links.push(l);
                 }
                 s.link_total[l] += u64::from(e.flows);
                 if !e.steady {
-                    s.moves.push((at as u32, Home::Active((s.active.len() - first) as u32)));
+                    s.moves
+                        .push((at as u32, Home::Active((s.active.len() - first) as u32)));
                 }
-                s.active.push(ActiveEntry { link: e.link, flows: e.flows, member: m as u32 });
+                s.active.push(ActiveEntry {
+                    link: e.link,
+                    flows: e.flows,
+                    member: m as u32,
+                });
             }
         }
         s.class_mask.push(mask);
@@ -985,7 +1026,11 @@ pub(crate) fn solve_component(
         for &l in &s.live_links {
             let (b, t) = (bw[l].max(0.0), s.link_total[l] as f64);
             if share_cannot_undercut(delta, b, t) {
-                debug_assert_eq!(delta.min(b / t).to_bits(), delta.to_bits(), "a skipped share undercut");
+                debug_assert_eq!(
+                    delta.min(b / t).to_bits(),
+                    delta.to_bits(),
+                    "a skipped share undercut"
+                );
                 continue;
             }
             delta = delta.min(b / t);
@@ -1042,7 +1087,12 @@ pub(crate) fn solve_component(
         // The round's PAT draws, rack by rack: one guarded `-= δ` per
         // unfrozen INA member there. A pool left at or under the threshold
         // is pinned, and flips its members' counts next round.
-        let SolveScratch { live_racks, rack_jobs, flipped, .. } = &mut *s;
+        let SolveScratch {
+            live_racks,
+            rack_jobs,
+            flipped,
+            ..
+        } = &mut *s;
         live_racks.retain(|&r| {
             let mut left = drawn(pat[r], rack_jobs[r] as usize, delta);
             let dry = left <= EPSILON_GBPS;
@@ -1067,15 +1117,27 @@ pub(crate) fn solve_component(
         stats.unconverged += 1;
         s.freeze_all(jobs, members, bw, level);
     }
-    debug_assert!(s.active.is_empty() && s.live_links.is_empty(), "an entry outlived its owner");
-    debug_assert!(s.live_classes == 0 && s.class_count == [0; CLASSES], "a class outlived its members");
     debug_assert!(
-        s.classes.live.is_empty() && s.classes.records[..s.classes.len].iter().all(|k| k.live == 0),
+        s.active.is_empty() && s.live_links.is_empty(),
+        "an entry outlived its owner"
+    );
+    debug_assert!(
+        s.live_classes == 0 && s.class_count == [0; CLASSES],
+        "a class outlived its members"
+    );
+    debug_assert!(
+        s.classes.live.is_empty()
+            && s.classes.records[..s.classes.len]
+                .iter()
+                .all(|k| k.live == 0),
         "a refinable class outlived its members"
     );
     debug_assert!(s.rate.iter().all(|r| !r.is_nan()), "a member never froze");
     debug_assert!(
-        members.iter().flat_map(|&ji| &jobs[ji].switches).all(|&r| s.rack_jobs[r] == 0),
+        members
+            .iter()
+            .flat_map(|&ji| &jobs[ji].switches)
+            .all(|&r| s.rack_jobs[r] == 0),
         "a rack count outlived its members"
     );
 
@@ -1159,7 +1221,11 @@ pub(crate) fn absorb_push(
 ) -> Option<f64> {
     let (&j, older) = members.split_last()?;
     let delta = levels[*older.first()?];
-    if delta.is_nan() || older.iter().any(|&i| levels[i].to_bits() != delta.to_bits()) {
+    if delta.is_nan()
+        || older
+            .iter()
+            .any(|&i| levels[i].to_bits() != delta.to_bits())
+    {
         return None;
     }
     let job = &jobs[j];
@@ -1479,9 +1545,10 @@ mod tests {
         for pj in &jobs {
             let h = pj.hierarchy().unwrap();
             let agg = |r: RackId| s.rack_aggregating(r);
-            let saturated = h.link_flows(agg).iter().any(|&(l, f)| {
-                f > 0 && s.link_residual_gbps(l, &c) <= 1e-6
-            });
+            let saturated = h
+                .link_flows(agg)
+                .iter()
+                .any(|&(l, f)| f > 0 && s.link_residual_gbps(l, &c) <= 1e-6);
             assert!(saturated, "job {} not bottlenecked", pj.id());
         }
     }
@@ -1546,10 +1613,8 @@ mod sharded_tests {
             pat_gbps: 0.0,
             ..ClusterSpec::paper_default()
         });
-        let mut single = Placement::new(
-            vec![(ServerId(0), 4), (ServerId(1), 4)],
-            Some(ServerId(2)),
-        );
+        let mut single =
+            Placement::new(vec![(ServerId(0), 4), (ServerId(1), 4)], Some(ServerId(2)));
         single.set_ina_enabled(false);
         let s1 = estimate(&c, &[PlacedJob::new(JobId(0), &c, &single)]);
         let r1 = s1.job_rate_gbps(JobId(0)).unwrap();
@@ -1690,7 +1755,12 @@ mod share_tests {
         assert!(!skips(f64::MAX.next_down(), f64::MAX, 1.0));
         // One ulp either side of the product, and either side of the
         // threshold the margin puts four to eight ulps above it.
-        for (delta, t) in [(0.1, 3.0), (1.0 / 3.0, 7.0), (33.333_333_333_333_336, 3.0), (1e-3, 1e6)] {
+        for (delta, t) in [
+            (0.1, 3.0),
+            (1.0 / 3.0, 7.0),
+            (33.333_333_333_333_336, 3.0),
+            (1e-3, 1e6),
+        ] {
             let product = delta * t;
             let threshold = product * SHARE_MARGIN;
             assert!((4..=8).contains(&(threshold.to_bits() - product.to_bits())));

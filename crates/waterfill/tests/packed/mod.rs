@@ -50,7 +50,11 @@ pub fn packed_case(seed: u64) -> (Cluster, Vec<Placement>) {
             let mut workers = BTreeMap::new();
             for _ in 0..1 + rng.below(5) {
                 let own = if rng.below(8) > 0 { deck.pop() } else { None };
-                let w = if rng.below(3) > 0 { gps } else { 1 + rng.below(gps) };
+                let w = if rng.below(3) > 0 {
+                    gps
+                } else {
+                    1 + rng.below(gps)
+                };
                 workers.insert(own.unwrap_or_else(|| rng.below(ns)), w);
             }
             let held: Vec<usize> = workers.keys().copied().collect();

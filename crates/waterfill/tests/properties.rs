@@ -31,7 +31,10 @@ fn assert_bitwise_match(
             inc.link_residual_gbps(link, cluster),
             scratch.link_residual_gbps(link, cluster)
         );
-        prop_assert_eq!(inc.link_flows(link, cluster), scratch.link_flows(link, cluster));
+        prop_assert_eq!(
+            inc.link_flows(link, cluster),
+            scratch.link_flows(link, cluster)
+        );
     }
     for r in 0..cluster.num_racks() {
         prop_assert_eq!(
@@ -115,7 +118,8 @@ fn arb_sharded_jobs(cluster: &Cluster) -> impl Strategy<Value = Vec<PlacedJob>> 
             .enumerate()
             .map(|(i, (workers, pses, ina))| {
                 let workers = workers.into_iter().map(|(s, w)| (ServerId(s), w)).collect();
-                let mut p = Placement::new_sharded(workers, pses.into_iter().map(ServerId).collect());
+                let mut p =
+                    Placement::new_sharded(workers, pses.into_iter().map(ServerId).collect());
                 p.set_ina_enabled(ina);
                 PlacedJob::new(JobId(i as u64), &cluster, &p)
             })
@@ -141,7 +145,8 @@ fn arb_mixed_placements(cluster: &Cluster) -> impl Strategy<Value = Vec<Placemen
                 if local == 0 {
                     return Placement::local(workers[0].0, workers[0].1);
                 }
-                let mut p = Placement::new_sharded(workers, pses.into_iter().map(ServerId).collect());
+                let mut p =
+                    Placement::new_sharded(workers, pses.into_iter().map(ServerId).collect());
                 p.set_ina_enabled(ina);
                 p
             })
@@ -187,15 +192,24 @@ fn check_two_resource_max_min(
     for (r, level) in rho.iter_mut().enumerate() {
         let pat = cluster.racks()[r].pat_gbps();
         let left = state.pat_residual_gbps(RackId(r));
-        prop_assert!((0.0..=pat + TOL).contains(&left), "pool {r} residual {left}");
+        prop_assert!(
+            (0.0..=pat + TOL).contains(&left),
+            "pool {r} residual {left}"
+        );
         if state.rack_aggregating(RackId(r)) {
             let draw = pool_draw(r, f64::INFINITY);
-            prop_assert!((pat - draw - left).abs() <= TOL, "pool {r}: {pat} - {draw} != {left}");
+            prop_assert!(
+                (pat - draw - left).abs() <= TOL,
+                "pool {r}: {pat} - {draw} != {left}"
+            );
             continue;
         }
         // Dry: the level at which the draw reached the pool, by bisection
         // (the draw is continuous and non-decreasing in the level).
-        prop_assert!(pool_draw(r, top) >= pat - TOL, "pool {r} reads dry but was not drawn down");
+        prop_assert!(
+            pool_draw(r, top) >= pat - TOL,
+            "pool {r} reads dry but was not drawn down"
+        );
         let (mut lo, mut hi) = (0.0, top);
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
@@ -212,7 +226,12 @@ fn check_two_resource_max_min(
     let mut draw = vec![0.0; cluster.num_links()];
     for &(job, x) in &network {
         for h in job.components() {
-            let mut cuts: Vec<f64> = h.switches().iter().map(|s| rho[s.0]).filter(|&c| c < x).collect();
+            let mut cuts: Vec<f64> = h
+                .switches()
+                .iter()
+                .map(|s| rho[s.0])
+                .filter(|&c| c < x)
+                .collect();
             cuts.push(x);
             cuts.sort_by(f64::total_cmp);
             let mut from = 0.0;
@@ -232,19 +251,25 @@ fn check_two_resource_max_min(
         let cap = link.capacity_gbps(cluster);
         let left = state.link_residual_gbps(link, cluster);
         prop_assert!(used <= cap + TOL, "{link} over capacity: {used} > {cap}");
-        prop_assert!((cap - used - left).abs() <= TOL, "{link}: {cap} - {used} != {left}");
+        prop_assert!(
+            (cap - used - left).abs() <= TOL,
+            "{link}: {cap} - {used} != {left}"
+        );
     }
     for &(job, x) in &network {
         let bottlenecked = job.components().iter().any(|h| {
-            h.link_flows(|r| state.rack_aggregating(r)).iter().any(|&(l, _)| {
-                let crossers_no_faster = network.iter().all(|&(other, y)| {
-                    let crosses = other.components().iter().any(|oh| {
-                        oh.link_flows(|_| false).iter().any(|&(ol, _)| ol == l)
+            h.link_flows(|r| state.rack_aggregating(r))
+                .iter()
+                .any(|&(l, _)| {
+                    let crossers_no_faster = network.iter().all(|&(other, y)| {
+                        let crosses = other
+                            .components()
+                            .iter()
+                            .any(|oh| oh.link_flows(|_| false).iter().any(|&(ol, _)| ol == l));
+                        !crosses || y <= x + TOL
                     });
-                    !crosses || y <= x + TOL
-                });
-                state.link_residual_gbps(l, cluster) <= TOL && crossers_no_faster
-            })
+                    state.link_residual_gbps(l, cluster) <= TOL && crossers_no_faster
+                })
         });
         prop_assert!(bottlenecked, "job {} could still rise", job.id());
     }
@@ -758,7 +783,11 @@ fn resources(cluster: &Cluster, job: &PlacedJob) -> (Vec<(usize, u32)>, Vec<usiz
         }
     }
     let pools = if job.components().iter().any(|h| h.ina_enabled()) {
-        job.components().iter().flat_map(|h| h.switches()).map(|r| r.0).collect()
+        job.components()
+            .iter()
+            .flat_map(|h| h.switches())
+            .map(|r| r.0)
+            .collect()
     } else {
         Vec::new()
     };
@@ -791,11 +820,20 @@ fn drawn(mut left: f64, draws: usize, delta: f64) -> f64 {
 /// ran one round and left every live pool it draws on above the
 /// threshold; `δ` is the level of the component of `job`'s first co-member
 /// in insertion order.
-fn absorb_verdict(cluster: &Cluster, live: &[PlacedJob], before: &SteadyState, job: &PlacedJob) -> (usize, u8) {
+fn absorb_verdict(
+    cluster: &Cluster,
+    live: &[PlacedJob],
+    before: &SteadyState,
+    job: &PlacedJob,
+) -> (usize, u8) {
     let n_links = cluster.num_links();
     let held: Vec<_> = live.iter().map(|j| resources(cluster, j)).collect();
     let nodes = |(links, pools): &(Vec<(usize, u32)>, Vec<usize>)| {
-        links.iter().map(|e| e.0).chain(pools.iter().map(|r| n_links + r)).collect::<Vec<_>>()
+        links
+            .iter()
+            .map(|e| e.0)
+            .chain(pools.iter().map(|r| n_links + r))
+            .collect::<Vec<_>>()
     };
     let mut parent: Vec<usize> = (0..n_links + cluster.num_racks()).collect();
     let find = |parent: &mut Vec<usize>, mut x: usize| {
@@ -811,13 +849,18 @@ fn absorb_verdict(cluster: &Cluster, live: &[PlacedJob], before: &SteadyState, j
         }
     }
     let mine = resources(cluster, job);
-    let joined: Vec<usize> = nodes(&mine).into_iter().map(|n| find(&mut parent, n)).collect();
+    let joined: Vec<usize> = nodes(&mine)
+        .into_iter()
+        .map(|n| find(&mut parent, n))
+        .collect();
     let (links, pools) = mine;
     // Each joined component's members in insertion order, the components
     // by their first member.
     let mut comps: Vec<(usize, Vec<PlacedJob>)> = Vec::new();
     for (other, res) in live.iter().zip(&held) {
-        let Some(&(first, _)) = res.0.first() else { continue };
+        let Some(&(first, _)) = res.0.first() else {
+            continue;
+        };
         let root = find(&mut parent, first);
         if !joined.contains(&root) {
             continue;
@@ -827,7 +870,9 @@ fn absorb_verdict(cluster: &Cluster, live: &[PlacedJob], before: &SteadyState, j
             None => comps.push((root, vec![other.clone()])),
         }
     }
-    let Some((_, first)) = comps.first() else { return (0, 0) };
+    let Some((_, first)) = comps.first() else {
+        return (0, 0);
+    };
     let delta = before.job_rate_gbps(first[0].id()).unwrap();
     let mut refusals = 0;
     for (_, members) in &comps {
@@ -836,10 +881,13 @@ fn absorb_verdict(cluster: &Cluster, live: &[PlacedJob], before: &SteadyState, j
             refusals |= TWO_LEVELS;
         }
         let alone = IncrementalEstimator::new(cluster, members);
-        let dried = members.iter().flat_map(|m| resources(cluster, m).1).any(|r| {
-            cluster.racks()[r].pat_gbps() > EPSILON_GBPS
-                && alone.state().pat_residual_gbps(RackId(r)) <= EPSILON_GBPS
-        });
+        let dried = members
+            .iter()
+            .flat_map(|m| resources(cluster, m).1)
+            .any(|r| {
+                cluster.racks()[r].pat_gbps() > EPSILON_GBPS
+                    && alone.state().pat_residual_gbps(RackId(r)) <= EPSILON_GBPS
+            });
         if alone.stats().rounds != 1 || alone.stats().unconverged != 0 || dried {
             refusals |= TWO_ROUNDS;
         }
@@ -850,7 +898,8 @@ fn absorb_verdict(cluster: &Cluster, live: &[PlacedJob], before: &SteadyState, j
         if capacity(cluster, l) / f64::from(before.link_flows(link, cluster) + f) < delta {
             refusals |= LINK_UNDER;
         }
-        saturates |= before.link_residual_gbps(link, cluster) - delta * f64::from(f) <= EPSILON_GBPS;
+        saturates |=
+            before.link_residual_gbps(link, cluster) - delta * f64::from(f) <= EPSILON_GBPS;
     }
     if !saturates {
         refusals |= SATURATES_NOTHING;
@@ -908,8 +957,13 @@ fn an_absorbed_push_settles_to_the_estimate() {
     for seed in 0..3072 {
         let (cluster, mut placements) = packed::packed_case(seed);
         placements.sort_by_key(|p| {
-            let servers = p.workers().iter().map(|&(s, _)| s).chain(p.pses().iter().copied());
-            let racks: std::collections::BTreeSet<_> = servers.map(|s| cluster.rack_of(s)).collect();
+            let servers = p
+                .workers()
+                .iter()
+                .map(|&(s, _)| s)
+                .chain(p.pses().iter().copied());
+            let racks: std::collections::BTreeSet<_> =
+                servers.map(|s| cluster.rack_of(s)).collect();
             racks.len()
         });
         let mut rng = packed::Rng(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
@@ -924,7 +978,11 @@ fn an_absorbed_push_settles_to_the_estimate() {
                 assert!(inc.stage_remove(victim.id()));
                 if roll == 0 {
                     inc.settle(&cluster);
-                    assert_eq!(inc.state().first_difference(&estimate(&cluster, &live)), None, "seed {seed}");
+                    assert_eq!(
+                        inc.state().first_difference(&estimate(&cluster, &live)),
+                        None,
+                        "seed {seed}"
+                    );
                 } else if victim.is_network() {
                     refusals |= REMOVAL;
                 }
@@ -937,18 +995,34 @@ fn an_absorbed_push_settles_to_the_estimate() {
             live.push(job.clone());
             inc.push(&cluster, job.clone());
             let at = format!("seed {seed}, push {i}, refusals {refusals:#b}");
-            assert_eq!(inc.state().first_difference(&estimate(&cluster, &live)), None, "{at}");
+            assert_eq!(
+                inc.state().first_difference(&estimate(&cluster, &live)),
+                None,
+                "{at}"
+            );
             let applies = job.is_network() && joins > 0;
-            assert_eq!(inc.stats().warm_pushes - warm, u64::from(applies && refusals == 0), "{at}");
+            assert_eq!(
+                inc.stats().warm_pushes - warm,
+                u64::from(applies && refusals == 0),
+                "{at}"
+            );
             if applies && refusals == 0 {
                 seed_absorbed[0] = true;
                 seed_absorbed[1] |= joins > 1;
             } else if applies && (refusals.count_ones() == 1 || refusals & POOL_UNDER != 0) {
-                let why = if refusals & POOL_UNDER != 0 { POOL_UNDER } else { refusals };
+                let why = if refusals & POOL_UNDER != 0 {
+                    POOL_UNDER
+                } else {
+                    refusals
+                };
                 seed_refused[why.trailing_zeros() as usize] = true;
             }
         }
-        for (count, seen) in absorbed.iter_mut().zip(seed_absorbed).chain(refused.iter_mut().zip(seed_refused)) {
+        for (count, seen) in absorbed
+            .iter_mut()
+            .zip(seed_absorbed)
+            .chain(refused.iter_mut().zip(seed_refused))
+        {
             *count += usize::from(seen);
         }
     }

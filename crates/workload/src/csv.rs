@@ -130,10 +130,8 @@ impl Trace {
                 .find(|m| m.name() == cols[1].to_ascii_lowercase())
                 .ok_or_else(|| field("model", cols[1]))?;
             let gpus: usize = cols[2].parse().map_err(|_| field("gpus", cols[2]))?;
-            let iterations: u64 =
-                cols[3].parse().map_err(|_| field("iterations", cols[3]))?;
-            let arrival_s: f64 =
-                cols[4].parse().map_err(|_| field("arrival_s", cols[4]))?;
+            let iterations: u64 = cols[3].parse().map_err(|_| field("iterations", cols[3]))?;
+            let arrival_s: f64 = cols[4].parse().map_err(|_| field("arrival_s", cols[4]))?;
             let value: f64 = cols[5].parse().map_err(|_| field("value", cols[5]))?;
             if gpus == 0
                 || iterations == 0
@@ -213,23 +211,20 @@ mod tests {
     fn column_count_is_validated() {
         let csv = format!("{TRACE_CSV_HEADER}\n1,vgg16,2\n");
         let err = Trace::from_csv_str(&csv).unwrap_err();
-        assert_eq!(
-            err,
-            ParseTraceError::BadColumnCount { line: 2, found: 3 }
-        );
+        assert_eq!(err, ParseTraceError::BadColumnCount { line: 2, found: 3 });
     }
 
     #[test]
     fn fields_are_validated() {
         for bad in [
-            "x,vgg16,2,10,0,1",     // id
+            "x,vgg16,2,10,0,1",       // id
             "1,nosuchmodel,2,10,0,1", // model
-            "1,vgg16,zero,10,0,1",  // gpus
-            "1,vgg16,2,ten,0,1",    // iterations
-            "1,vgg16,2,10,minus,1", // arrival
-            "1,vgg16,2,10,0,zero",  // value
-            "1,vgg16,0,10,0,1",     // zero gpus
-            "1,vgg16,2,10,-5,1",    // negative arrival
+            "1,vgg16,zero,10,0,1",    // gpus
+            "1,vgg16,2,ten,0,1",      // iterations
+            "1,vgg16,2,10,minus,1",   // arrival
+            "1,vgg16,2,10,0,zero",    // value
+            "1,vgg16,0,10,0,1",       // zero gpus
+            "1,vgg16,2,10,-5,1",      // negative arrival
         ] {
             let csv = format!("{TRACE_CSV_HEADER}\n{bad}\n");
             assert!(
@@ -258,9 +253,7 @@ mod tests {
 
     #[test]
     fn rows_are_sorted_by_arrival_after_parse() {
-        let csv = format!(
-            "{TRACE_CSV_HEADER}\n1,vgg16,2,10,9.0,1\n2,alexnet,1,5,1.0,1\n"
-        );
+        let csv = format!("{TRACE_CSV_HEADER}\n1,vgg16,2,10,9.0,1\n2,alexnet,1,5,1.0,1\n");
         let trace = Trace::from_csv_str(&csv).unwrap();
         assert_eq!(trace.jobs()[0].id, JobId(2));
     }

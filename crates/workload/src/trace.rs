@@ -311,16 +311,14 @@ mod tests {
     #[test]
     fn poisson_demands_center_near_lambda() {
         let t = TraceSpec::new(TraceKind::Poisson, 4000).seed(2).generate();
-        let mean =
-            t.jobs().iter().map(|j| j.gpus as f64).sum::<f64>() / t.jobs().len() as f64;
+        let mean = t.jobs().iter().map(|j| j.gpus as f64).sum::<f64>() / t.jobs().len() as f64;
         assert!((mean - 4.0).abs() < 0.5, "mean {mean}");
     }
 
     #[test]
     fn normal_demands_center_near_mean() {
         let t = TraceSpec::new(TraceKind::Normal, 4000).seed(2).generate();
-        let mean =
-            t.jobs().iter().map(|j| j.gpus as f64).sum::<f64>() / t.jobs().len() as f64;
+        let mean = t.jobs().iter().map(|j| j.gpus as f64).sum::<f64>() / t.jobs().len() as f64;
         assert!((mean - 8.0).abs() < 0.8, "mean {mean}");
     }
 
@@ -362,51 +360,150 @@ mod tests {
     #[test]
     fn open_loop_arrivals_are_pinned_per_seed() {
         let pinned: &[(TraceKind, u64, [u64; 10])] = &[
-            (TraceKind::Real, 1, [
-                0x40410B8AB6026A5D, 0x40492A06164187DA, 0x405A2C02096E2A96, 0x406A81F19AA25818,
-                0x407772ED7600E03A, 0x40816BFFC0696AF0, 0x408262EAAB1D2C17, 0x408393E0C5CD19A6,
-                0x4083DB40EF3CD2B2, 0x40842F5356221999,
-            ]),
-            (TraceKind::Real, 7, [
-                0x404C42E82EDEAC88, 0x40617AC8653F072C, 0x40713E4AB655755C, 0x40737F35926C9B35,
-                0x4074F925855CC583, 0x40752001B9012737, 0x40753C1FC87375EF, 0x40771BBE80253AC2,
-                0x4078C262D103D32A, 0x407D0996065F7F48,
-            ]),
-            (TraceKind::Real, 42, [
-                0x4031F086D6B16635, 0x403A6AE857566146, 0x405E61FCF71A973C, 0x406B226AF5CEE563,
-                0x406B76272D37AE61, 0x407289801B72147B, 0x40736BE7C4316D1B, 0x40770CBA6D5A9879,
-                0x40796DC04C411DC9, 0x407DAF717924057A,
-            ]),
-            (TraceKind::Poisson, 1, [
-                0x40410B8AB6026A5D, 0x40545622178C339A, 0x405EDB976640FAE5, 0x405EE43FCED165EF,
-                0x4060F3C2ACC4B5E7, 0x4069EF8B6FB98A0C, 0x406A4142F80BF7A8, 0x407B6FF34600F7E2,
-                0x407D92FBC903E784, 0x407EFE16BC750DE1,
-            ]),
-            (TraceKind::Poisson, 7, [
-                0x404C42E82EDEAC88, 0x40617AC8653F072C, 0x4062833AA9E885AF, 0x4062D0F311314918,
-                0x406C4B5EC4E5BA3D, 0x4071C177F08CF902, 0x407262C0C1E6870D, 0x4074FED336D25A21,
-                0x4078D8300A66C6F7, 0x407913534FB8B6B4,
-            ]),
-            (TraceKind::Poisson, 42, [
-                0x4031F086D6B16635, 0x403F47E2692E6633, 0x4064EA8584EB1E6C, 0x406E875E8E979901,
-                0x4071A4B5263251D1, 0x4071C29228CBA19A, 0x40732F930B4FBB24, 0x407ED302AEECE3C7,
-                0x4083BFB15A0B88DB, 0x40844EE781788E0B,
-            ]),
-            (TraceKind::Normal, 1, [
-                0x40410B8AB6026A5D, 0x4044F879CD9CAE97, 0x40564C99A35955B7, 0x405C0BED940C3A60,
-                0x4067633DCDB50A76, 0x406B3EE978840F13, 0x406FD0FB5A6845FC, 0x4075513126A12EC4,
-                0x4075BCD332BA7FAB, 0x40793BCBF5404B79,
-            ]),
-            (TraceKind::Normal, 7, [
-                0x404C42E82EDEAC88, 0x40598580499DC1EE, 0x405ACDF62440DF06, 0x4060FF88E324AC11,
-                0x4061C46AA58B44C5, 0x4061FCA6C46FE236, 0x4072AB821CDFAE92, 0x4076474AAAF9CA75,
-                0x4076E8937C535880, 0x4078FE4C1A76DD0D,
-            ]),
-            (TraceKind::Normal, 42, [
-                0x4031F086D6B16635, 0x405B4E51F71248E3, 0x4062A73D17052854, 0x4072375D4EBD08A6,
-                0x407BF8D2B872FBC8, 0x407CDB3A61325468, 0x40839C7105BC11B0, 0x40860B81194E0704,
-                0x4087538FAE5071CA, 0x408E29F71FE80C54,
-            ]),
+            (
+                TraceKind::Real,
+                1,
+                [
+                    0x40410B8AB6026A5D,
+                    0x40492A06164187DA,
+                    0x405A2C02096E2A96,
+                    0x406A81F19AA25818,
+                    0x407772ED7600E03A,
+                    0x40816BFFC0696AF0,
+                    0x408262EAAB1D2C17,
+                    0x408393E0C5CD19A6,
+                    0x4083DB40EF3CD2B2,
+                    0x40842F5356221999,
+                ],
+            ),
+            (
+                TraceKind::Real,
+                7,
+                [
+                    0x404C42E82EDEAC88,
+                    0x40617AC8653F072C,
+                    0x40713E4AB655755C,
+                    0x40737F35926C9B35,
+                    0x4074F925855CC583,
+                    0x40752001B9012737,
+                    0x40753C1FC87375EF,
+                    0x40771BBE80253AC2,
+                    0x4078C262D103D32A,
+                    0x407D0996065F7F48,
+                ],
+            ),
+            (
+                TraceKind::Real,
+                42,
+                [
+                    0x4031F086D6B16635,
+                    0x403A6AE857566146,
+                    0x405E61FCF71A973C,
+                    0x406B226AF5CEE563,
+                    0x406B76272D37AE61,
+                    0x407289801B72147B,
+                    0x40736BE7C4316D1B,
+                    0x40770CBA6D5A9879,
+                    0x40796DC04C411DC9,
+                    0x407DAF717924057A,
+                ],
+            ),
+            (
+                TraceKind::Poisson,
+                1,
+                [
+                    0x40410B8AB6026A5D,
+                    0x40545622178C339A,
+                    0x405EDB976640FAE5,
+                    0x405EE43FCED165EF,
+                    0x4060F3C2ACC4B5E7,
+                    0x4069EF8B6FB98A0C,
+                    0x406A4142F80BF7A8,
+                    0x407B6FF34600F7E2,
+                    0x407D92FBC903E784,
+                    0x407EFE16BC750DE1,
+                ],
+            ),
+            (
+                TraceKind::Poisson,
+                7,
+                [
+                    0x404C42E82EDEAC88,
+                    0x40617AC8653F072C,
+                    0x4062833AA9E885AF,
+                    0x4062D0F311314918,
+                    0x406C4B5EC4E5BA3D,
+                    0x4071C177F08CF902,
+                    0x407262C0C1E6870D,
+                    0x4074FED336D25A21,
+                    0x4078D8300A66C6F7,
+                    0x407913534FB8B6B4,
+                ],
+            ),
+            (
+                TraceKind::Poisson,
+                42,
+                [
+                    0x4031F086D6B16635,
+                    0x403F47E2692E6633,
+                    0x4064EA8584EB1E6C,
+                    0x406E875E8E979901,
+                    0x4071A4B5263251D1,
+                    0x4071C29228CBA19A,
+                    0x40732F930B4FBB24,
+                    0x407ED302AEECE3C7,
+                    0x4083BFB15A0B88DB,
+                    0x40844EE781788E0B,
+                ],
+            ),
+            (
+                TraceKind::Normal,
+                1,
+                [
+                    0x40410B8AB6026A5D,
+                    0x4044F879CD9CAE97,
+                    0x40564C99A35955B7,
+                    0x405C0BED940C3A60,
+                    0x4067633DCDB50A76,
+                    0x406B3EE978840F13,
+                    0x406FD0FB5A6845FC,
+                    0x4075513126A12EC4,
+                    0x4075BCD332BA7FAB,
+                    0x40793BCBF5404B79,
+                ],
+            ),
+            (
+                TraceKind::Normal,
+                7,
+                [
+                    0x404C42E82EDEAC88,
+                    0x40598580499DC1EE,
+                    0x405ACDF62440DF06,
+                    0x4060FF88E324AC11,
+                    0x4061C46AA58B44C5,
+                    0x4061FCA6C46FE236,
+                    0x4072AB821CDFAE92,
+                    0x4076474AAAF9CA75,
+                    0x4076E8937C535880,
+                    0x4078FE4C1A76DD0D,
+                ],
+            ),
+            (
+                TraceKind::Normal,
+                42,
+                [
+                    0x4031F086D6B16635,
+                    0x405B4E51F71248E3,
+                    0x4062A73D17052854,
+                    0x4072375D4EBD08A6,
+                    0x407BF8D2B872FBC8,
+                    0x407CDB3A61325468,
+                    0x40839C7105BC11B0,
+                    0x40860B81194E0704,
+                    0x4087538FAE5071CA,
+                    0x408E29F71FE80C54,
+                ],
+            ),
         ];
         for (kind, seed, bits) in pinned {
             let t = TraceSpec::new(*kind, 10).seed(*seed).open_loop().generate();
@@ -426,7 +523,10 @@ mod tests {
             assert_eq!(closed, open, "{kind}");
         }
         let closed = TraceSpec::new(TraceKind::Real, 100).seed(3).generate();
-        let open = TraceSpec::new(TraceKind::Real, 100).seed(3).open_loop().generate();
+        let open = TraceSpec::new(TraceKind::Real, 100)
+            .seed(3)
+            .open_loop()
+            .generate();
         assert_ne!(closed, open);
     }
 
@@ -449,11 +549,15 @@ mod tests {
         let n = 20_000;
         let exp_mean: f64 = (0..n).map(|_| sample_exp(&mut rng, 3.0)).sum::<f64>() / n as f64;
         assert!((exp_mean - 3.0).abs() < 0.1, "exp mean {exp_mean}");
-        let norm_mean: f64 =
-            (0..n).map(|_| sample_normal(&mut rng, 1.0, 2.0)).sum::<f64>() / n as f64;
+        let norm_mean: f64 = (0..n)
+            .map(|_| sample_normal(&mut rng, 1.0, 2.0))
+            .sum::<f64>()
+            / n as f64;
         assert!((norm_mean - 1.0).abs() < 0.1, "normal mean {norm_mean}");
-        let pois_mean: f64 =
-            (0..n).map(|_| sample_poisson(&mut rng, 6.0) as f64).sum::<f64>() / n as f64;
+        let pois_mean: f64 = (0..n)
+            .map(|_| sample_poisson(&mut rng, 6.0) as f64)
+            .sum::<f64>()
+            / n as f64;
         assert!((pois_mean - 6.0).abs() < 0.1, "poisson mean {pois_mean}");
     }
 }

@@ -34,7 +34,10 @@ fn main() {
         let mut sim = PacketSim::new(config);
         sim.add_job(streaming_job(0, 10.0));
         let report = sim.run(0.05);
-        table.row_f64(format!("{x:.1}"), &[report.per_job[0].aggregation_ratio(), x]);
+        table.row_f64(
+            format!("{x:.1}"),
+            &[report.per_job[0].aggregation_ratio(), x],
+        );
     }
     println!("{table}");
 

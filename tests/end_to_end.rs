@@ -32,12 +32,8 @@ fn every_placer_replays_a_real_trace_to_completion() {
         .generate();
     for placer in all_placers() {
         let name = placer.name();
-        let result = Simulation::new(
-            Cluster::new(testbed()),
-            placer,
-            SimConfig::default(),
-        )
-        .run(&trace);
+        let result =
+            Simulation::new(Cluster::new(testbed()), placer, SimConfig::default()).run(&trace);
         assert_eq!(result.outcomes.len(), 40, "{name}: all jobs must finish");
         assert!(result.unfinished.is_empty(), "{name}");
         let de = result.distribution_efficiency().unwrap();

@@ -54,10 +54,14 @@ fn sharding_beats_single_ps_when_ina_is_off() {
             ina_policy: InaPolicy::AlwaysOff,
             ..NetPackConfig::default()
         });
-        Simulation::new(Cluster::new(spec.clone()), Box::new(placer), SimConfig::default())
-            .run(&trace)
-            .average_jct_s()
-            .expect("jobs finished")
+        Simulation::new(
+            Cluster::new(spec.clone()),
+            Box::new(placer),
+            SimConfig::default(),
+        )
+        .run(&trace)
+        .average_jct_s()
+        .expect("jobs finished")
     };
     let one = run(1);
     let two = run(2);

@@ -72,7 +72,10 @@ fn production_matches_the_literal_algorithm() {
         assert_eq!(obj.to_bits(), oracle_obj.to_bits(), "{cell}");
         assert_eq!(placer.perf().counter("waterfill_unconverged"), 0, "{cell}");
         // Every cell must have put the per-rack class dedup to work.
-        assert!(placer.perf().counter("ps_rack_servers_skipped") > 0, "{cell}");
+        assert!(
+            placer.perf().counter("ps_rack_servers_skipped") > 0,
+            "{cell}"
+        );
     }
 }
 
@@ -154,8 +157,10 @@ fn flow_simulator_matches_its_from_scratch_reference() {
     // NetPack runs on one warm session; GB has none, so its manager keeps
     // stateless books and a warm estimator beside them. Both re-rate only
     // the jobs the estimator says it re-solved.
-    let placers: [fn() -> Box<dyn Placer>; 2] =
-        [|| Box::new(NetPackPlacer::default()), || Box::new(GpuBalance)];
+    let placers: [fn() -> Box<dyn Placer>; 2] = [
+        || Box::new(NetPackPlacer::default()),
+        || Box::new(GpuBalance),
+    ];
     for placer in placers {
         let sim = || {
             let cluster = Cluster::new(ClusterSpec {
@@ -175,12 +180,24 @@ fn flow_simulator_matches_its_from_scratch_reference() {
         assert_eq!(result.perf.timer_count("resolve_full"), 0, "{name}");
         // The same events, the same heap traffic — from fewer jobs looked at.
         for counter in ["sim_events", "heap_pushes", "heap_stale_pops"] {
-            assert_eq!(result.perf.counter(counter), oracle.perf.counter(counter), "{name} {counter}");
+            assert_eq!(
+                result.perf.counter(counter),
+                oracle.perf.counter(counter),
+                "{name} {counter}"
+            );
         }
-        let (visits, full_walk) =
-            (result.perf.counter("sim_rerate_visits"), oracle.perf.counter("sim_rerate_visits"));
-        assert!(visits >= result.perf.counter("heap_pushes"), "{name}: a push without a visit");
-        assert!(visits < full_walk, "{name}: {visits} visits against a full walk of {full_walk}");
+        let (visits, full_walk) = (
+            result.perf.counter("sim_rerate_visits"),
+            oracle.perf.counter("sim_rerate_visits"),
+        );
+        assert!(
+            visits >= result.perf.counter("heap_pushes"),
+            "{name}: a push without a visit"
+        );
+        assert!(
+            visits < full_walk,
+            "{name}: {visits} visits against a full walk of {full_walk}"
+        );
         assert_eq!(result.perf.counter("sim_finish_errors"), 0, "{name}");
     }
 }

@@ -81,8 +81,15 @@ fn a_duplicate_submit_is_refused_while_the_id_is_pending_or_running() {
     let c = *core.counters();
     assert_eq!((c.submitted, c.rejected, c.placed), (1, 2, 1));
     assert_eq!((c.completed, c.unknown_ops), (1, 1));
-    let rejects: Vec<&String> = core.events().iter().filter(|e| e.starts_with("reject")).collect();
-    assert_eq!(rejects, ["reject id=j7 kind=duplicate", "reject id=j7 kind=duplicate"]);
+    let rejects: Vec<&String> = core
+        .events()
+        .iter()
+        .filter(|e| e.starts_with("reject"))
+        .collect();
+    assert_eq!(
+        rejects,
+        ["reject id=j7 kind=duplicate", "reject id=j7 kind=duplicate"]
+    );
 
     // A retired id is free again.
     core.apply(Command::Submit(job(7, 4)));
@@ -109,7 +116,11 @@ fn hostile_stream(seed: u64, queue_cap: usize) -> ServiceCore {
         let r = next();
         let slot = (next() % 40) as usize;
         // One target in eight is an id nobody ever submitted.
-        let target = JobId(if next() % 8 == 0 { ids[slot] | 1 << 40 } else { ids[slot] });
+        let target = JobId(if next() % 8 == 0 {
+            ids[slot] | 1 << 40
+        } else {
+            ids[slot]
+        });
         match r % 100 {
             0..=39 => {
                 // A slot whose job is gone usually moves on to a fresh
@@ -153,8 +164,15 @@ fn the_books_balance_after_every_pass_of_a_hostile_command_stream() {
         let core = hostile_stream(seed, 16);
         // The stream reached every corner it was written to reach.
         let c = *core.counters();
-        let duplicates = core.events().iter().filter(|e| e.ends_with("kind=duplicate")).count();
-        assert!(duplicates > 0 && (duplicates as u64) < c.rejected, "seed {seed}: {c:?}");
+        let duplicates = core
+            .events()
+            .iter()
+            .filter(|e| e.ends_with("kind=duplicate"))
+            .count();
+        assert!(
+            duplicates > 0 && (duplicates as u64) < c.rejected,
+            "seed {seed}: {c:?}"
+        );
         for kind in ["kind=bad-value", "kind=no-gpus"] {
             assert!(
                 core.events().iter().any(|e| e.ends_with(kind)),
@@ -195,7 +213,9 @@ fn the_books_balance_after_every_pass_of_a_hostile_command_stream() {
         // Room for one: a second job waiting is refused.
         let core = hostile_stream(seed, 1);
         assert!(
-            core.events().iter().any(|e| e.starts_with("reject ") && e.ends_with("queue=1")),
+            core.events()
+                .iter()
+                .any(|e| e.starts_with("reject ") && e.ends_with("queue=1")),
             "seed {seed}: no queue=1 reject"
         );
     }
