@@ -8,46 +8,29 @@
 //! `warehouse_batch` workload of `benchmark/run.sh`, which places this
 //! same batch family.
 //!
-//! Knob: `NETPACK_SMOKE=1` shrinks to a 160-server tree / 30 jobs and runs
-//! [`placement_smoke`]: production must equal the literal algorithm, and
-//! only a deterministic placement digest prints, then `warm pushes: N`,
-//! the pushes the estimator absorbed without a solve (asserted above 0),
-//! so `scripts/check.sh` can byte-diff the stdout of a release and a debug
-//! build and pin both.
+//! The same placement path on a 160-server three-tier tree (4 pods x 5
+//! racks x 8 servers, 30 jobs) is held to the literal algorithm by the
+//! root `oracles` test `production_matches_the_literal_algorithm`.
 
-use netpack_bench::{emit_table, placement_smoke};
+use netpack_bench::emit_table;
 use netpack_metrics::{Stopwatch, TextTable};
 use netpack_placement::{NetPackPlacer, Placer};
 use netpack_topology::{Cluster, ClusterSpec};
 use netpack_workload::xorshift_batch;
 
 fn main() {
-    let smoke = netpack_bench::smoke();
-    // 32 pods x 49 racks x 32 servers x 4 GPUs = 50 176 servers; the smoke
-    // tree keeps three tiers (4 pods x 5 racks x 8 servers) at 160 servers.
-    let (pods, racks_per_pod, servers_per_rack, jobs) = if smoke {
-        (4, 5, 8, 30)
-    } else {
-        (32, 49, 32, 100)
-    };
+    // 32 pods x 49 racks x 32 servers x 4 GPUs = 50 176 servers.
     let spec = ClusterSpec {
-        racks: pods * racks_per_pod,
-        servers_per_rack,
+        racks: 32 * 49,
+        servers_per_rack: 32,
         gpus_per_server: 4,
-        racks_per_pod: Some(racks_per_pod),
+        racks_per_pod: Some(49),
         ..ClusterSpec::paper_default()
     };
     let servers = spec.num_servers();
-    let b = xorshift_batch(jobs, 32, 7);
+    let b = xorshift_batch(100, 32, 7);
 
     let cluster = Cluster::new(spec);
-    if smoke {
-        let perf = placement_smoke("fig10_xl", &cluster, &b);
-        let warm = perf.counter("waterfill_warm_pushes");
-        assert!(warm > 0, "no push was absorbed into a one-round component");
-        println!("warm pushes: {warm}");
-        return;
-    }
     let mut placer = NetPackPlacer::default();
 
     println!("fig10_xl — 100-job batch on a {servers}-server three-tier fat-tree\n");

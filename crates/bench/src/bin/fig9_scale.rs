@@ -2,40 +2,29 @@
 //!
 //! The paper replays a 4K-job real workload on clusters of 100 to 10K
 //! servers (16 racks) and reports an average 31% JCT reduction for
-//! NetPack. We sweep the same shape; `NETPACK_QUICK=1` trims the sweep
-//! and `NETPACK_SMOKE=1` shrinks it to one 256-server x 400-job cell —
-//! loaded enough that completions, epochs and INA reconciliation meet in
-//! one warm session — every replay of which is repeated through the
-//! from-scratch oracle (`Simulation::run_reference`) and asserted
-//! bit-identical (the `scripts/check.sh` equivalence gate, run from a
-//! release and from a debug build). Every (size, placer, repetition)
+//! NetPack. We sweep the same shape; `NETPACK_QUICK=1` trims the sweep.
+//! The bench crate's `smoke` test replays one 256-server x 400-job cell
+//! of it under every roster placer through the from-scratch oracle
+//! (`Simulation::run_reference`) as well. Every (size, placer, repetition)
 //! cell is an independent simulation, so the sweep fans out across
 //! threads via [`roster_sweep`]; set `NETPACK_PERF=1` to print the
 //! merged event-loop counters afterwards.
 
-use netpack_bench::{loaded_trace, print_perf, quick, repeats, roster_names, roster_sweep};
+use netpack_bench::{
+    loaded_trace, named_placer, print_perf, quick, repeats, roster_names, roster_sweep,
+};
 use netpack_flowsim::{SimConfig, Simulation};
 use netpack_metrics::{PerfCounters, Summary, TextTable};
-use netpack_placement::placer_by_name;
 use netpack_topology::{Cluster, ClusterSpec};
 use netpack_workload::TraceKind;
 
 fn main() {
-    let smoke = netpack_bench::smoke();
-    let sizes: Vec<usize> = if smoke {
-        vec![256]
-    } else if quick() {
+    let sizes: Vec<usize> = if quick() {
         vec![100, 400]
     } else {
         vec![100, 256, 1024, 4096, 10_000]
     };
-    let jobs = if smoke {
-        400
-    } else if quick() {
-        100
-    } else {
-        1000
-    };
+    let jobs = if quick() { 100 } else { 1000 };
     println!(
         "Fig. 9 — JCT vs cluster scale (Real trace, {} jobs, {} repetitions)\n",
         jobs,
@@ -63,18 +52,8 @@ fn main() {
             ..ClusterSpec::paper_default()
         };
         let trace = loaded_trace(TraceKind::Real, &base_spec, jobs, seed);
-        let sim = || {
-            let placer = placer_by_name(name).expect("a roster name");
-            Simulation::new(Cluster::new(spec.clone()), placer, SimConfig::default())
-        };
-        let result = sim().run(&trace);
-        if smoke {
-            assert_eq!(
-                result,
-                sim().run_reference(&trace),
-                "{name}: run diverged from run_reference"
-            );
-        }
+        let sim = Simulation::new(Cluster::new(spec), named_placer(name), SimConfig::default());
+        let result = sim.run(&trace);
         let jct = result.average_jct_s().expect("jobs finished");
         (jct, result.perf)
     });

@@ -8,16 +8,15 @@
 //!
 //! The exact solver is the branch-and-bound [`ExactPlacer`]. The main
 //! table prints only objectives and gaps — never times or evaluation
-//! counts — so its bytes are reproducible. Under `NETPACK_SMOKE=1` the one
-//! smoke instance is also solved by the exhaustive reference
-//! ([`reference::place_exact`]) and the binary asserts identical
-//! placements, a bit-identical objective and strictly fewer evaluations,
-//! and prints the branch-and-bound's work counts, which depend on the
-//! instance alone; otherwise a second diagnostics table compares the two
-//! searches per row, with the reference capped on the instances it cannot
-//! finish (`table_mip_vs_dp_diag.csv` under `NETPACK_CSV_DIR`). Its wall
-//! clocks are single shots that show the blow-up, not measurements to
-//! compare across commits.
+//! counts — so its bytes are reproducible. A second diagnostics table
+//! compares the search with the exhaustive reference
+//! ([`reference::place_exact`]) per row, with the reference capped on the
+//! instances it cannot finish (`table_mip_vs_dp_diag.csv` under
+//! `NETPACK_CSV_DIR`). Its wall clocks are single shots that show the
+//! blow-up, not measurements to compare across commits. The root
+//! `oracles` test `exact_placer_matches_the_exhaustive_reference` holds
+//! the two searches to the same placement on the `4x2 / 3+3` row and pins
+//! the branch-and-bound's work counts there.
 
 use netpack_bench::emit_table;
 use netpack_metrics::Stopwatch;
@@ -41,16 +40,13 @@ struct Instance {
     scratch_full: bool,
 }
 
-fn instances(smoke: bool) -> Vec<Instance> {
+fn instances() -> Vec<Instance> {
     let mk = |servers, gpus, sizes: Vec<usize>, scratch_full| Instance {
         servers,
         gpus,
         sizes,
         scratch_full,
     };
-    if smoke {
-        return vec![mk(4, 2, vec![3, 3], true)];
-    }
     vec![
         mk(2, 2, vec![3], true),
         mk(3, 2, vec![2, 3], true),
@@ -68,7 +64,6 @@ fn instances(smoke: bool) -> Vec<Instance> {
 }
 
 fn main() {
-    let smoke = netpack_bench::smoke();
     println!("§5.1 — exact search vs NetPack DP (objective: total comm time per iteration)\n");
     let mut table = TextTable::new(vec!["servers x gpus", "jobs", "exact obj", "dp obj", "gap"]);
     let mut diag = TextTable::new(vec![
@@ -82,7 +77,7 @@ fn main() {
         "scratch evals",
         "speedup",
     ]);
-    for inst in instances(smoke) {
+    for inst in instances() {
         let spec = ClusterSpec {
             racks: 1,
             servers_per_rack: inst.servers,
@@ -129,38 +124,15 @@ fn main() {
             gap,
         ]);
 
-        // The exhaustive reference: the smoke holds the branch-and-bound
-        // to it, the full run times it for the diagnostics table.
+        // The exhaustive reference, timed for the diagnostics table.
         let budget = if inst.scratch_full {
             BUDGET
         } else {
             SCRATCH_CAP
         };
         let t0 = Stopwatch::start();
-        let (scratch_best, scratch_evals) =
-            reference::place_exact(&cluster, &[], &batch, false, budget);
+        let (_, scratch_evals) = reference::place_exact(&cluster, &[], &batch, false, budget);
         let scratch_time = t0.elapsed().as_secs_f64();
-        if smoke {
-            let (scratch_obj, scratch_placed) =
-                scratch_best.expect("the smoke instance is feasible");
-            assert_eq!(
-                exact_outcome.placed, scratch_placed,
-                "bnb diverged from the reference"
-            );
-            assert_eq!(
-                exact_obj.to_bits(),
-                scratch_obj.to_bits(),
-                "objective not bit-identical"
-            );
-            assert!(exact.evaluations() < scratch_evals, "bnb did not prune");
-            println!(
-                "{label} {jobs_label} bnb evals / nodes / pruned: {} / {} / {}",
-                exact.evaluations(),
-                exact.perf().counter("exact_nodes"),
-                exact.perf().counter("exact_pruned_subtrees"),
-            );
-            continue;
-        }
         let capped = scratch_evals >= budget;
         let prefix = if capped { ">" } else { "" };
         let speedup = if exact_time > 0.0 {
@@ -181,13 +153,11 @@ fn main() {
         ]);
     }
     emit_table("table_mip_vs_dp", &table);
-    if !smoke {
-        println!(
-            "branch-and-bound vs exhaustive scratch reference \
-             (scratch capped at {SCRATCH_CAP} evals on the large rows):\n"
-        );
-        emit_table("table_mip_vs_dp_diag", &diag);
-    }
+    println!(
+        "branch-and-bound vs exhaustive scratch reference \
+         (scratch capped at {SCRATCH_CAP} evals on the large rows):\n"
+    );
+    emit_table("table_mip_vs_dp_diag", &diag);
     println!("paper: Gurobi takes >4 hours on 100K jobs / 1K racks; NetPack's DP runs in");
     println!("polynomial time and (here) stays within a few percent of the true optimum.");
 }

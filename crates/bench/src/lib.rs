@@ -41,33 +41,47 @@
 //! shots for the figure, nothing more.
 
 use netpack_flowsim::{SimConfig, SimResult, Simulation};
-use netpack_metrics::{PerfCounters, Summary, TextTable};
+use netpack_metrics::{PerfCounters, Stopwatch, Summary, TextTable};
 use netpack_packetsim::{PacketJobSpec, SwitchConfig};
-use netpack_placement::{
-    batch_comm_time_s, placer_by_name, reference, BatchOutcome, NetPackConfig, NetPackPlacer,
-    Placer,
-};
+use netpack_placement::{placer_by_name, NetPackConfig, NetPackPlacer, Placer};
+use netpack_service::{Command, ServiceConfig, ServiceCore, ServiceReport};
 use netpack_topology::{Cluster, ClusterSpec, JobId};
-use netpack_workload::{Job, TraceKind, TraceSpec};
+use netpack_workload::{Trace, TraceKind, TraceSpec};
 
-/// Number of repetitions (distinct trace seeds) per data point.
+/// Number of repetitions (distinct trace seeds) per data point:
+/// `NETPACK_REPEATS`, default 5.
 pub fn repeats() -> usize {
-    std::env::var("NETPACK_REPEATS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5)
+    env_count("NETPACK_REPEATS", 1).unwrap_or(5)
+}
+
+/// The count the variable `name` holds, `None` when it is unset or empty.
+/// A value that is not a whole number of at least `min` ends the process
+/// with a message that names the variable, before the sweep that would
+/// have run on a default or panicked on an empty sample.
+fn env_count(name: &str, min: usize) -> Option<usize> {
+    let value = std::env::var(name).ok();
+    parse_count(name, value.as_deref(), min).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// [`env_count`]'s parser, apart from the environment.
+fn parse_count(name: &str, value: Option<&str>, min: usize) -> Result<Option<usize>, String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(text) => match text.parse::<usize>() {
+            Ok(n) if n >= min => Ok(Some(n)),
+            _ => Err(format!(
+                "{name}={text}: expected a whole number of at least {min}"
+            )),
+        },
+    }
 }
 
 /// Whether to shrink experiments for a quick smoke run.
 pub fn quick() -> bool {
     std::env::var("NETPACK_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// Whether to run the single tiny cell `scripts/check.sh` gates on; a
-/// binary whose layer has a reference also runs it on that cell and
-/// asserts it equals production.
-pub fn smoke() -> bool {
-    std::env::var("NETPACK_SMOKE").is_ok_and(|v| v != "0")
 }
 
 /// Print `perf` as a table under `heading` if `NETPACK_PERF` is set.
@@ -177,76 +191,6 @@ where
         .collect()
 }
 
-/// Stable fingerprint of a batch outcome: every placement's workers, PSes
-/// and INA flag, and the deferred ids.
-fn outcome_digest(outcome: &BatchOutcome) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "placed={} deferred={}\n",
-        outcome.placed.len(),
-        outcome.deferred.len()
-    ));
-    for (job, p) in &outcome.placed {
-        let workers: Vec<String> = p
-            .workers()
-            .iter()
-            .map(|&(s, w)| format!("{}x{w}", s.0))
-            .collect();
-        let pses: Vec<String> = p.pses().iter().map(|s| s.0.to_string()).collect();
-        out.push_str(&format!(
-            "job {}: workers=[{}] ps=[{}] ina={}\n",
-            job.id.0,
-            workers.join(","),
-            pses.join(","),
-            p.ina_enabled()
-        ));
-    }
-    let deferred: Vec<String> = outcome
-        .deferred
-        .iter()
-        .map(|j| j.id.0.to_string())
-        .collect();
-    out.push_str(&format!("deferred=[{}]\n", deferred.join(",")));
-    out
-}
-
-/// The placement smoke of `scripts/check.sh`: place `batch` on `cluster`
-/// with the production placer, assert that the outcome equals the literal
-/// algorithm's ([`reference::place_batch`]) and that every water-fill
-/// solve converged, and print only the outcome digest — nothing
-/// time-dependent — so a release and a debug build's runs can be
-/// byte-diffed. Returns the placer's perf counters, for a caller that
-/// pins some of them.
-///
-/// # Panics
-///
-/// Panics when production and the reference disagree, or a solve hit its
-/// round bound.
-pub fn placement_smoke(label: &str, cluster: &Cluster, batch: &[Job]) -> PerfCounters {
-    let mut placer = NetPackPlacer::default();
-    let outcome = placer.place_batch(cluster, &[], batch);
-    let oracle = reference::place_batch(&NetPackConfig::default(), cluster, &[], batch);
-    assert_eq!(
-        outcome_digest(&outcome),
-        outcome_digest(&oracle),
-        "production diverged from the literal algorithm"
-    );
-    assert_eq!(
-        placer.perf().counter("waterfill_unconverged"),
-        0,
-        "a water-fill solve hit its round bound"
-    );
-    let objective = batch_comm_time_s(cluster, &[], &outcome.placed);
-    println!(
-        "{label} smoke digest (servers={}, jobs={})",
-        cluster.num_servers(),
-        batch.len()
-    );
-    print!("{}", outcome_digest(&outcome));
-    println!("objective_bits={:#018x}", objective.to_bits());
-    placer.take_perf()
-}
-
 /// A fresh placer for a roster (or `"Comb"`) name — placers are stateful,
 /// so every replay builds its own.
 ///
@@ -292,6 +236,68 @@ pub fn netpack_jct_sweep(
         },
     );
     jcts.iter().map(|reps| Summary::of(reps)).collect()
+}
+
+/// The open-loop service replay's trace: Philly-style
+/// (`TraceKind::Real`) jobs at ~85 % offered GPU load on `spec`, so the
+/// service churns continuously without its queue diverging.
+pub fn service_trace(spec: &ClusterSpec, jobs: usize, seed: u64) -> Trace {
+    let duration_scale = 0.3;
+    // Log-normal mean duration: median 480 s, sigma 1.1 (see TraceSpec).
+    let mean_duration_s = 480.0 * (1.1f64 * 1.1 / 2.0).exp() * duration_scale;
+    let mean_gpus = 4.5;
+    let utilization_target = 0.85;
+    let interarrival =
+        mean_gpus * mean_duration_s / (spec.total_gpus() as f64 * utilization_target);
+    TraceSpec::new(TraceKind::Real, jobs)
+        .seed(seed)
+        .open_loop()
+        .mean_interarrival_s(interarrival)
+        .duration_scale(duration_scale)
+        .max_gpus(64)
+        .generate()
+}
+
+/// Replay `trace` through a [`ServiceCore`] on a fresh `spec` cluster,
+/// called synchronously: submissions in arrival order, merged in
+/// virtual-time order with each job's completion at `arrival +
+/// ideal_time`, one placement pass every `config.max_batch` commands, then
+/// passes until the queue is empty or a pass places nothing. The schedule
+/// depends on the trace alone, so two replays report the same counters
+/// and event log. Returns the report and the replay's wall seconds.
+pub fn replay(spec: &ClusterSpec, trace: &Trace, config: ServiceConfig) -> (ServiceReport, f64) {
+    let quantum = config.max_batch;
+    let mut core = ServiceCore::new(Cluster::new(spec.clone()), config);
+    let wall = Stopwatch::start();
+    let jobs = trace.jobs();
+    let mut completions: Vec<(f64, JobId)> = jobs
+        .iter()
+        .map(|j| (j.arrival_s + j.ideal_time_s(), j.id))
+        .collect();
+    completions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut since_pass = 0usize;
+    let mut issue = |cmd| {
+        core.apply(cmd);
+        since_pass += 1;
+        if since_pass == quantum {
+            let _ = core.place_pass();
+            since_pass = 0;
+        }
+    };
+    let mut next_done = 0usize;
+    for job in jobs {
+        while next_done < completions.len() && completions[next_done].0 <= job.arrival_s {
+            issue(Command::Complete(completions[next_done].1));
+            next_done += 1;
+        }
+        issue(Command::Submit(job.clone()));
+    }
+    for &(_, id) in &completions[next_done..] {
+        issue(Command::Complete(id));
+    }
+    while core.pending_len() > 0 && core.place_pass() > 0 {}
+    let wall_s = wall.elapsed_s();
+    (core.finish(), wall_s)
 }
 
 /// The packet microbenchmarks' standard continuously-streaming job: 0.5 Gb
@@ -388,6 +394,22 @@ mod tests {
             looped.push(row);
         }
         assert_eq!(swept, looped);
+    }
+
+    #[test]
+    fn count_variables_reject_what_they_cannot_use() {
+        let parse = |value, min| parse_count("NETPACK_REPEATS", value, min);
+        assert_eq!(parse(None, 1), Ok(None));
+        assert_eq!(parse(Some(""), 1), Ok(None));
+        assert_eq!(parse(Some(" 3 "), 1), Ok(Some(3)));
+        assert_eq!(parse(Some("0"), 0), Ok(Some(0)));
+        for bad in ["0", "x", "-1", "2.5"] {
+            let message = parse(Some(bad), 1).unwrap_err();
+            assert!(
+                message.starts_with(&format!("NETPACK_REPEATS={bad}:")),
+                "{message}"
+            );
+        }
     }
 
     #[test]

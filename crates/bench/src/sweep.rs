@@ -10,9 +10,7 @@ fn sweep_threads() -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    std::env::var("NETPACK_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+    crate::env_count("NETPACK_THREADS", 0)
         .filter(|&n| n > 0)
         .unwrap_or(cores)
         .min(cores)

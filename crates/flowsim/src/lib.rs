@@ -19,8 +19,7 @@
 //! per-event scan (see the [`sim`](self) internals). There is one
 //! production path and no option selects another: the from-scratch
 //! oracle it is bit-identical to is the hidden
-//! `Simulation::run_reference`, which tests and the `fig9_scale` smoke
-//! call directly. This crate reads no environment variable.
+//! `Simulation::run_reference`, which tests call directly. This crate reads no environment variable.
 //!
 //! The fluid model assumes every job communicates continuously. Real
 //! iterative jobs interleave compute and communication and can take turns

@@ -16,7 +16,7 @@
 //!   incremental form) keep the stateless books and solve every steady
 //!   state from scratch, so the oracle shares neither session nor
 //!   estimator with the run it checks. Nothing selects the oracle: tests
-//!   and the `fig9_scale` smoke call it.
+//!   call it.
 //! - **Steady state** — the warm estimator re-solves only the
 //!   resource-connected components an arrival batch or a completion
 //!   touched, bit-identical to the from-scratch solve.
@@ -283,8 +283,8 @@ impl Simulation {
 
     /// The oracle [`run`](Self::run) is held to: the same event loop with
     /// the steady state re-solved from scratch over every running job at
-    /// every event. Bit-identical [`SimResult`], far slower; tests and the
-    /// `fig9_scale` smoke call it, nothing selects it.
+    /// every event. Bit-identical [`SimResult`], far slower; tests call
+    /// it, nothing selects it.
     #[doc(hidden)]
     pub fn run_reference(self, trace: &Trace) -> SimResult {
         self.replay(trace, false)

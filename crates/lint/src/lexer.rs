@@ -331,8 +331,8 @@ mod tests {
 
     #[test]
     fn literal_interiors_are_collected_per_line() {
-        let lines = scan("let v = std::env::var(\"NETPACK_SMOKE\"); // NETPACK_FAKE\nlet w = r#\"NETPACK_QUICK\"#;");
-        assert!(lines[0].literal.contains("NETPACK_SMOKE"));
+        let lines = scan("let v = std::env::var(\"NETPACK_PERF\"); // NETPACK_FAKE\nlet w = r#\"NETPACK_QUICK\"#;");
+        assert!(lines[0].literal.contains("NETPACK_PERF"));
         assert!(
             !lines[0].literal.contains("NETPACK_FAKE"),
             "comment text must not leak into literal text: {:?}",

@@ -16,7 +16,7 @@
 //!
 //! The oracles of the simulators and placers (`run_reference`,
 //! `placement::reference`) are deliberately *not* here: no variable
-//! selects them, tests and smokes call them.
+//! selects them, tests call them.
 //!
 //! The lint crate itself is exempt from read collection — this file
 //! *names* every variable without reading any.
@@ -53,18 +53,6 @@ pub const REGISTRY: &[EnvVar] = &[
     EnvVar {
         name: "NETPACK_REPEATS",
         desc: "trace seeds per data point",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_EVENT_LOG",
-        desc: "bench_service: write the per-operation event log here",
-    },
-    EnvVar {
-        name: "NETPACK_SERVICE_JOBS",
-        desc: "bench_service: replay length override",
-    },
-    EnvVar {
-        name: "NETPACK_SMOKE",
-        desc: "single tiny cell (the scripts/check.sh gates)",
     },
     EnvVar {
         name: "NETPACK_THREADS",
@@ -197,16 +185,16 @@ mod tests {
 
     #[test]
     fn tokens_require_full_names() {
-        let toks = env_tokens("reads NETPACK_SMOKE and the NETPACK_SERVICE_ prefix, not NETPACK_");
+        let toks = env_tokens("reads NETPACK_QUICK and the NETPACK_SERVICE_ prefix, not NETPACK_");
         let names: Vec<&str> = toks.iter().map(|(_, n)| n.as_str()).collect();
-        assert_eq!(names, vec!["NETPACK_SMOKE"]);
+        assert_eq!(names, vec!["NETPACK_QUICK"]);
     }
 
     #[test]
     fn reads_skip_comments_and_tests() {
         let src = "\
 // NETPACK_COMMENTED is prose, not a read
-fn f() { let v = std::env::var(\"NETPACK_SMOKE\"); }
+fn f() { let v = std::env::var(\"NETPACK_PERF\"); }
 #[cfg(test)]
 mod tests {
     fn t() { std::env::set_var(\"NETPACK_QUICK\", \"1\"); }
@@ -216,6 +204,6 @@ mod tests {
         let is_test = [false, false, true, true, true, true, false];
         let reads = reads_in(&lines, &is_test[..lines.len()]);
         assert_eq!(reads.len(), 1);
-        assert_eq!(reads[0].1, "NETPACK_SMOKE");
+        assert_eq!(reads[0].1, "NETPACK_PERF");
     }
 }

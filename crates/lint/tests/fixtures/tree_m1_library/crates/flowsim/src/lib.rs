@@ -1,5 +1,5 @@
 // M1 positive fixture: a library crate reading the environment. The name
 // is registered, which does not help — only binaries read it.
-pub fn smoke() -> bool {
-    std::env::var("NETPACK_SMOKE").is_ok()
+pub fn quick() -> bool {
+    std::env::var("NETPACK_QUICK").is_ok()
 }

@@ -359,7 +359,7 @@ fn explain_prints_rationale_and_rejects_unknown_rules() {
     let (code, stdout, _) = run_binary(&["--explain", "M1"]);
     assert_eq!(code, Some(0));
     assert!(
-        stdout.contains("NETPACK_SMOKE"),
+        stdout.contains("NETPACK_THREADS"),
         "M1 lists the registry: {stdout}"
     );
     let (code, _, stderr) = run_binary(&["--explain", "Z9"]);

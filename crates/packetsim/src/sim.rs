@@ -27,8 +27,8 @@
 //! Both keep the report *bit-identical* to the literal loop, which stays
 //! in the library as the hidden oracle `PacketSim::run_reference`: every
 //! packet stamped, one round at a time. The
-//! `fast_path_is_bit_identical_to_scratch` property test, the root
-//! `oracles` test and the `fig14_aggregation_ratio` smoke call it.
+//! `fast_path_is_bit_identical_to_scratch` property test and the root
+//! `oracles` test (every Fig. 14 cell) call it.
 //!
 //! [`PacketSimReport::perf`] records the work: `rounds_simulated`,
 //! `rounds_stepped`, `rounds_batched`, `batches`, `packets_modeled`,
@@ -351,8 +351,7 @@ impl PacketSim {
 
     /// The oracle [`run`](Self::run) is held to: the literal loop, every
     /// packet stamped into `slot_owner`, one round at a time. Bit-identical
-    /// report, far slower; tests and the `fig14_aggregation_ratio` smoke
-    /// call it, nothing selects it.
+    /// report, far slower; tests call it, nothing selects it.
     #[doc(hidden)]
     pub fn run_reference(&mut self, duration_s: f64) -> PacketSimReport {
         self.run_rounds(duration_s, false)

@@ -7,8 +7,8 @@
 //! arrays while keeping the *algorithm* — every comparison, every float
 //! operation, every tie-break — identical, so both return bit-identical
 //! placements (`DESIGN.md` §3.11; pinned by the
-//! `production_matches_reference` property suite and the `fig10_xl`
-//! smoke). Three mechanisms carry the speedup:
+//! `production_matches_reference` property suite and the root `oracles`
+//! test). Three mechanisms carry the speedup:
 //!
 //! 1. **A persistent server-class index** ([`ServerIndex`]). Servers stay
 //!    bucketed across jobs, by DP weight-and-value for candidate selection

@@ -1,6 +1,6 @@
 //! The literal algorithms production is checked against. No configuration
-//! field or environment variable selects this code; tests and smokes call
-//! the two entry points directly.
+//! field or environment variable selects this code; tests call the two
+//! entry points directly.
 //!
 //! [`place_batch`] is Algorithm 2 exactly as the paper writes it — the
 //! oracle for [`NetPackPlacer::place_batch`](crate::Placer::place_batch)
@@ -11,13 +11,13 @@
 //! `hotspot_term`, `enable_ina`, `server_value`, [`CandidateFilter`] and
 //! [`WorkerDp`] with production, so the two must return **bit-identical**
 //! placements, deferrals and objective — pinned by the
-//! `production_matches_reference` property suite, the root `oracles` test
-//! and the `fig10_xl` smoke.
+//! `production_matches_reference` property suite and the root `oracles`
+//! test, whose cells include a 160-server `fig10_xl` tree.
 //!
 //! [`place_exact`] is the exhaustive DFS over the exact placer's decision
 //! space — the oracle for [`ExactPlacer`](crate::ExactPlacer)'s
-//! branch-and-bound, pinned by `tests/exact_bnb.rs`, the root `oracles`
-//! test and the `table_mip_vs_dp` smoke.
+//! branch-and-bound, pinned by `tests/exact_bnb.rs` and the root
+//! `oracles` test on a `table_mip_vs_dp` row.
 
 use crate::dp::{ServerStats, WorkerDp, WorkerPlan};
 use crate::exact::{for_each_split, ina_options};

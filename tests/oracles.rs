@@ -1,48 +1,88 @@
 //! Tier-1 sees the oracles: `cargo test -q` runs only this root package,
 //! so each layer's production ≡ reference contract (whose full property
-//! suites run under `scripts/check.sh`) is pinned here on fixed inputs.
-//! The NetPack placer: the four Fig. 10 quick cells, one ragged three-tier
-//! fat-tree, and one dense cell (2 racks x 64 servers, 60 jobs around a
-//! running cross-rack job) where many servers per rack share a PS class
-//! with the plan's own. The flow simulator: one trace under NetPack (one
-//! warm session as the manager's books) and under GB (stateless books and
-//! a warm estimator), equal results and equal event and heap counts from
-//! fewer re-rate visits. The packet simulator and the exact placer: one
-//! case each. Every reference is reached by calling it;
-//! no configuration or environment variable selects one. Algorithm 1's
-//! solver is held to its literal twin inside `netpack-waterfill`; what
-//! tier-1 pins here is that a change of its round mechanism moves no count
-//! of rounds, solves or jobs re-solved on the Fig. 10 dense cell, and a
-//! change of the estimator's invalidation rule or of Algorithm 2's
-//! mechanisms no count of solves, plans, PS evaluations, DP candidates or
-//! index journal entries unless the test says why.
+//! suites run under `scripts/check.sh`) is held here on fixed inputs,
+//! which `check.sh` runs from a debug build (every `debug_assert!` audit
+//! on) and from a release build. Every reference is reached by calling
+//! it; no configuration or environment variable selects one.
+//!
+//! - The NetPack placer against the literal Algorithm 2: the four Fig. 10
+//!   quick cells, one ragged three-tier fat-tree, one dense cell (2 racks
+//!   x 64 servers, 60 jobs around a running cross-rack job) where many
+//!   servers per rack share a PS class with the plan's own, the
+//!   160-server three-tier tree of `fig10_xl`'s family, where most pushes
+//!   are absorbed without a solve, and a contended 16 x 64 cell, placed
+//!   again on 400 Gbps pools, which run dry. The last three pin the
+//!   objective's bits and the counts that show their mechanism did work.
+//! - The flow simulator against its from-scratch reference: one trace
+//!   under NetPack (one warm session as the manager's books) and under GB
+//!   (stateless books and a warm estimator), equal results and equal
+//!   event and heap counts from fewer re-rate visits. The bench crate's
+//!   `smoke` test replays the Fig. 9 cell under every roster placer.
+//! - The packet simulator against its per-packet loop: every Fig. 14
+//!   cell.
+//! - The exact placer against the exhaustive search: one
+//!   `table_mip_vs_dp` row, with the branch-and-bound's work pinned.
+//!
+//! Algorithm 1's solver is held to its literal twin inside
+//! `netpack-waterfill`; what tier-1 pins here is that a change of its
+//! round mechanism moves no count of rounds, solves or jobs re-solved on
+//! the Fig. 10 dense cell, and a change of the estimator's invalidation
+//! rule or of Algorithm 2's mechanisms no count of solves, plans, PS
+//! evaluations, DP candidates or index journal entries unless the test
+//! says why.
 
+use netpack::metrics::PerfCounters;
 use netpack::placement::{batch_comm_time_s, reference, ExactPlacer, RunningJob};
 use netpack::prelude::*;
 use netpack::workload::xorshift_batch;
 
+/// Place `batch` with the production placer and with the literal
+/// algorithm and assert the two agree: placements, deferred ids and the
+/// objective's bits. Every solve must have converged and the per-rack
+/// class dedup must have done work. Returns the objective's bits and
+/// production's perf counters.
+fn matches_the_literal_algorithm(
+    cluster: &Cluster,
+    running: &[RunningJob],
+    batch: &[Job],
+) -> (u64, PerfCounters) {
+    let cell = format!("servers={}/jobs={}", cluster.num_servers(), batch.len());
+    let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+    let oracle = reference::place_batch(&NetPackConfig::default(), cluster, running, batch);
+    let oracle_obj = batch_comm_time_s(cluster, running, &oracle.placed);
+    let mut placer = NetPackPlacer::default();
+    let out = placer.place_batch(cluster, running, batch);
+    assert_eq!(out.placed, oracle.placed, "{cell}");
+    assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "{cell}");
+    let obj = batch_comm_time_s(cluster, running, &out.placed);
+    assert_eq!(obj.to_bits(), oracle_obj.to_bits(), "{cell}");
+    let perf = placer.take_perf();
+    assert_eq!(perf.counter("waterfill_unconverged"), 0, "{cell}");
+    assert!(perf.counter("ps_rack_servers_skipped") > 0, "{cell}");
+    (obj.to_bits(), perf)
+}
+
 #[test]
 fn production_matches_the_literal_algorithm() {
-    let mut cells: Vec<(Cluster, Vec<RunningJob>, Vec<Job>)> = Vec::new();
     for servers in [100usize, 400] {
         for jobs in [50usize, 100] {
-            let spec = ClusterSpec {
+            let cluster = Cluster::new(ClusterSpec {
                 racks: 16,
                 servers_per_rack: servers / 16,
                 ..ClusterSpec::paper_default()
-            };
-            cells.push((Cluster::new(spec), vec![], xorshift_batch(jobs, 32, 7)));
+            });
+            matches_the_literal_algorithm(&cluster, &[], &xorshift_batch(jobs, 32, 7));
         }
     }
     // Seven racks in pods of three: the last pod is ragged.
-    let ragged = ClusterSpec {
+    let ragged = Cluster::new(ClusterSpec {
         racks: 7,
         servers_per_rack: 5,
         gpus_per_server: 4,
         racks_per_pod: Some(3),
         ..ClusterSpec::paper_default()
-    };
-    cells.push((Cluster::new(ragged), vec![], xorshift_batch(40, 32, 7)));
+    });
+    matches_the_literal_algorithm(&ragged, &[], &xorshift_batch(40, 32, 7));
     let mut dense = Cluster::new(ClusterSpec {
         racks: 2,
         servers_per_rack: 64,
@@ -57,26 +97,51 @@ fn production_matches_the_literal_algorithm() {
     for &(s, w) in running.placement.workers() {
         dense.allocate_gpus(s, w).unwrap();
     }
-    cells.push((dense, vec![running], xorshift_batch(60, 32, 7)));
+    matches_the_literal_algorithm(&dense, &[running], &xorshift_batch(60, 32, 7));
 
-    let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-    for (cluster, running, batch) in cells {
-        let cell = format!("servers={}/jobs={}", cluster.num_servers(), batch.len());
-        let oracle = reference::place_batch(&NetPackConfig::default(), &cluster, &running, &batch);
-        let oracle_obj = batch_comm_time_s(&cluster, &running, &oracle.placed);
-        let mut placer = NetPackPlacer::default();
-        let out = placer.place_batch(&cluster, &running, &batch);
-        assert_eq!(out.placed, oracle.placed, "{cell}");
-        assert_eq!(ids(&out.deferred), ids(&oracle.deferred), "{cell}");
-        let obj = batch_comm_time_s(&cluster, &running, &out.placed);
-        assert_eq!(obj.to_bits(), oracle_obj.to_bits(), "{cell}");
-        assert_eq!(placer.perf().counter("waterfill_unconverged"), 0, "{cell}");
-        // Every cell must have put the per-rack class dedup to work.
-        assert!(
-            placer.perf().counter("ps_rack_servers_skipped") > 0,
-            "{cell}"
-        );
-    }
+    // `fig10_xl`'s tree at 160 servers (4 pods x 5 racks x 8 servers):
+    // 22 of its 30 pushes are absorbed into a one-round component without
+    // a solve, and journal only the pushed job's links, so a debug build
+    // audits the index after each of those shorter journals.
+    let xl = Cluster::new(ClusterSpec {
+        racks: 4 * 5,
+        servers_per_rack: 8,
+        gpus_per_server: 4,
+        racks_per_pod: Some(5),
+        ..ClusterSpec::paper_default()
+    });
+    let (objective, perf) = matches_the_literal_algorithm(&xl, &[], &xorshift_batch(30, 32, 7));
+    assert_eq!(objective, 0x4006_f21f_6cac_d185);
+    assert_eq!(perf.counter("waterfill_warm_pushes"), 22);
+
+    // Many servers per rack and many contending jobs: the per-rack
+    // PS-class representatives and the live-link water-fill rounds are the
+    // bill here. The PS-scoring counts — evaluations, the plan-rack
+    // servers those stood in for, plans ruled out by their score ceiling —
+    // are pinned, and so are the index classes renamed in place.
+    let contended = Cluster::new(ClusterSpec {
+        racks: 16,
+        servers_per_rack: 64,
+        ..ClusterSpec::paper_default()
+    });
+    let batch = xorshift_batch(200, 32, 7);
+    let (objective, perf) = matches_the_literal_algorithm(&contended, &[], &batch);
+    assert_eq!(objective, 0x4035_4ff8_65d7_cb29);
+    let ps = [
+        "ps_candidates_scored",
+        "ps_rack_servers_skipped",
+        "ps_plans_ruled_out",
+    ];
+    assert_eq!(ps.map(|name| perf.counter(name)), [13_027, 18_057, 1_161]);
+    assert_eq!(perf.counter("index_renamed"), 16);
+    // No pool runs dry there; at 400 Gbps of PAT a rack they do, and the
+    // refinable classes split at the PAT flips.
+    let starved = Cluster::new(ClusterSpec {
+        pat_gbps: 400.0,
+        ..contended.spec().clone()
+    });
+    let (_, perf) = matches_the_literal_algorithm(&starved, &[], &batch);
+    assert_eq!(perf.counter("waterfill_class_splits"), 1_144);
 }
 
 /// The work of one dense batch — the first `dense_batch` input of the repo
@@ -204,41 +269,51 @@ fn flow_simulator_matches_its_from_scratch_reference() {
 
 #[test]
 fn packet_simulator_matches_its_per_packet_reference() {
-    // Fig. 14b at PAT ratio 0.5: two 10 Gbps jobs over a pool sized to
-    // half of one job's window.
+    // Every Fig. 14 cell: one 10 Gbps job for 0.05 s (14a), or two for
+    // 0.1 s (14b), over a pool sized to a tenth to all of one job's
+    // window.
     let base = SwitchConfig::default();
-    let config = SwitchConfig {
-        pool_slots: (0.5 * base.rate_to_pkts(10.0) as f64).round() as usize,
-        ..base
-    };
-    let sim = || {
-        let mut sim = PacketSim::new(config.clone());
-        for id in 0..2 {
-            sim.add_job(PacketJobSpec {
-                id: JobId(id),
-                fan_in: 2,
-                gradient_gbits: 0.5,
-                compute_time_s: 0.0,
-                iterations: 0,
-                start_s: 0.0,
-                target_gbps: Some(10.0),
-            });
+    for jobs in [1u64, 2] {
+        for tenths in 1..=10 {
+            let cell = format!("jobs={jobs}/pat_ratio={tenths}/10");
+            let config = SwitchConfig {
+                pool_slots: (f64::from(tenths) / 10.0 * base.rate_to_pkts(10.0) as f64).round()
+                    as usize,
+                ..base.clone()
+            };
+            let sim = || {
+                let mut sim = PacketSim::new(config.clone());
+                for id in 0..jobs {
+                    sim.add_job(PacketJobSpec {
+                        id: JobId(id),
+                        fan_in: 2,
+                        gradient_gbits: 0.5,
+                        compute_time_s: 0.0,
+                        iterations: 0,
+                        start_s: 0.0,
+                        target_gbps: Some(10.0),
+                    });
+                }
+                sim
+            };
+            let duration_s = if jobs == 1 { 0.05 } else { 0.1 };
+            let report = sim().run(duration_s);
+            let oracle = sim().run_reference(duration_s);
+            assert_eq!(report, oracle, "{cell}");
+            for (a, b) in report.per_job.iter().zip(&oracle.per_job) {
+                assert_eq!(a.goodput_bits.to_bits(), b.goodput_bits.to_bits(), "{cell}");
+            }
+            // Production batched rounds and stamped no packet; the oracle
+            // stamped all.
+            assert!(report.perf.counter("rounds_batched") > 0, "{cell}");
+            assert_eq!(report.perf.counter("packets_touched"), 0, "{cell}");
+            assert_eq!(
+                oracle.perf.counter("packets_touched"),
+                oracle.perf.counter("packets_modeled"),
+                "{cell}"
+            );
         }
-        sim
-    };
-    let report = sim().run(0.1);
-    let oracle = sim().run_reference(0.1);
-    assert_eq!(report, oracle);
-    for (a, b) in report.per_job.iter().zip(&oracle.per_job) {
-        assert_eq!(a.goodput_bits.to_bits(), b.goodput_bits.to_bits());
     }
-    // Production batched rounds and stamped no packet; the oracle stamped all.
-    assert!(report.perf.counter("rounds_batched") > 0);
-    assert_eq!(report.perf.counter("packets_touched"), 0);
-    assert_eq!(
-        oracle.perf.counter("packets_touched"),
-        oracle.perf.counter("packets_modeled")
-    );
 }
 
 #[test]
@@ -268,4 +343,8 @@ fn exact_placer_matches_the_exhaustive_reference() {
         "bnb evaluated {} leaves, the reference {oracle_evaluations}",
         exact.evaluations()
     );
+    // The branch-and-bound's work depends on the instance alone.
+    let nodes = exact.perf().counter("exact_nodes");
+    let pruned = exact.perf().counter("exact_pruned_subtrees");
+    assert_eq!([exact.evaluations(), nodes, pruned], [98, 104, 0]);
 }
