@@ -9,8 +9,8 @@
 //! Each (part, PAT-ratio) cell is an independent packet simulation, so
 //! the sweep fans out via [`parallel_sweep`]; set `NETPACK_PERF=1` to
 //! print the merged round-loop counters. The root `oracles` test
-//! `packet_simulator_matches_its_per_packet_reference` replays every cell
-//! through the per-packet oracle (`PacketSim::run_reference`) as well.
+//! `packet_simulator_reproduces_the_pinned_fig14_cells` pins every cell's
+//! group counts and goodput bits.
 
 use netpack_bench::{emit_table, packet_stream_job, parallel_sweep, pat_ratio_config, print_perf};
 use netpack_metrics::{PerfCounters, TextTable};

@@ -79,14 +79,34 @@ fn parse_count(name: &str, value: Option<&str>, min: usize) -> Result<Option<usi
     }
 }
 
-/// Whether to shrink experiments for a quick smoke run.
-pub fn quick() -> bool {
-    std::env::var("NETPACK_QUICK").is_ok_and(|v| v != "0")
+/// Whether the switch `name` is on: unset, empty or `0` is off, `1` is
+/// on. Any other value ends the process with a message that names the
+/// variable, rather than guessing what `false` or `yes` meant.
+fn env_flag(name: &str) -> bool {
+    let value = std::env::var(name).ok();
+    parse_flag(name, value.as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
 }
 
-/// Print `perf` as a table under `heading` if `NETPACK_PERF` is set.
+/// [`env_flag`]'s parser, apart from the environment.
+fn parse_flag(name: &str, value: Option<&str>) -> Result<bool, String> {
+    match value.map(str::trim) {
+        None | Some("" | "0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(text) => Err(format!("{name}={text}: expected 1 (on) or 0 (off)")),
+    }
+}
+
+/// Whether to shrink experiments for a quick smoke run: `NETPACK_QUICK=1`.
+pub fn quick() -> bool {
+    env_flag("NETPACK_QUICK")
+}
+
+/// Print `perf` as a table under `heading` if `NETPACK_PERF=1`.
 pub fn print_perf(heading: &str, perf: &PerfCounters) {
-    if std::env::var("NETPACK_PERF").is_ok_and(|v| v != "0") {
+    if env_flag("NETPACK_PERF") {
         println!("{heading}\n{}", perf.to_table());
     }
 }
@@ -407,6 +427,22 @@ mod tests {
             let message = parse(Some(bad), 1).unwrap_err();
             assert!(
                 message.starts_with(&format!("NETPACK_REPEATS={bad}:")),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn flag_variables_reject_what_they_cannot_use() {
+        let parse = |value| parse_flag("NETPACK_QUICK", value);
+        for off in [None, Some(""), Some("0"), Some(" 0 ")] {
+            assert_eq!(parse(off), Ok(false), "{off:?}");
+        }
+        assert_eq!(parse(Some("1")), Ok(true));
+        for bad in ["false", "true", "yes", "2", "01"] {
+            let message = parse(Some(bad)).unwrap_err();
+            assert!(
+                message.starts_with(&format!("NETPACK_QUICK={bad}:")),
                 "{message}"
             );
         }

@@ -22,7 +22,7 @@
 //! | `D1` | `HashMap`/`HashSet` iteration in sim/placement crates |
 //! | `D2` | `Instant::now` / `SystemTime` outside `metrics::perf` |
 //! | `D3` | unseeded randomness (`thread_rng`, `from_entropy`, `rand::random`) |
-//! | `N1` | float `+=` / `.sum()` inside parallel or batched-round regions |
+//! | `N1` | float `+=` / `.sum()` inside parallel regions |
 //! | `E1` | `.unwrap()` / `.expect()` / `panic!` in library-crate code |
 //! | `C1` | shared mutable state captured by a parallel closure |
 //! | `C2` | `static mut` / `Ordering::Relaxed` without a per-site proof |

@@ -56,14 +56,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             derived from an explicit seed that the caller controls."
         }
         "N1" => {
-            "N1 — float accumulation inside parallel or batched regions.\n\n\
-            Float addition is not associative: a += over a parallel fold or\n\
-            a batched round loop re-associates the sum and the result\n\
-            depends on chunking. The parallel regions left are the figure\n\
-            sweeps; the batched ones are packetsim's batch loops. Route\n\
-            through exact accumulation (add_cycle-style integer/exact\n\
-            paths), or fold after the join: parallel_sweep returns results\n\
-            in cell order."
+            "N1 — float accumulation inside parallel regions.\n\n\
+            Float addition is not associative: a += over a parallel fold\n\
+            re-associates the sum and the result depends on chunking. The\n\
+            parallel regions left are the figure sweeps. Fold after the\n\
+            join instead: parallel_sweep returns results in cell order."
         }
         "E1" => {
             "E1 — unwrap/expect/panic! in library crates.\n\n\
@@ -456,8 +453,7 @@ fn d3_unseeded_randomness(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// N1 — float accumulation inside parallel or batched-round regions that
-/// bypasses exact (`add_cycle`-style) accumulation.
+/// N1 — float accumulation inside a parallel region.
 fn n1_parallel_float_accumulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     let region = n1_regions(ctx);
     if !region.iter().any(|&r| r) {
@@ -469,9 +465,6 @@ fn n1_parallel_float_accumulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>)
             continue;
         }
         let code = &line.code;
-        if code.contains("add_cycle") {
-            continue;
-        }
         if let Some(pos) = code.find("+=") {
             let lhs = code[..pos].trim_end();
             let target = lhs
@@ -486,7 +479,7 @@ fn n1_parallel_float_accumulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>)
                     "N1",
                     idx,
                     format!(
-                        "float `+=` on `{target_last}` in a parallel/batched region — route through exact accumulation (add_cycle)"
+                        "float `+=` on `{target_last}` in a parallel region — fold after the join"
                     ),
                 ));
             }
@@ -499,7 +492,7 @@ fn n1_parallel_float_accumulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>)
                 ctx,
                 "N1",
                 idx,
-                "float `.sum()` in a parallel/batched region re-associates — use exact accumulation"
+                "float `.sum()` in a parallel region re-associates — fold after the join"
                     .to_string(),
             ));
         }
@@ -563,8 +556,7 @@ fn parallel_regions(ctx: &FileContext<'_>) -> Vec<Region> {
     regions
 }
 
-/// Lines inside a parallel closure (see [`PARALLEL_TRIGGERS`]) or, in
-/// `packetsim`, inside a `fn …batch…` body.
+/// Lines inside a parallel closure (see [`PARALLEL_TRIGGERS`]).
 fn n1_regions(ctx: &FileContext<'_>) -> Vec<bool> {
     let mut region = vec![false; ctx.lines.len()];
     for r in parallel_regions(ctx) {
@@ -572,67 +564,7 @@ fn n1_regions(ctx: &FileContext<'_>) -> Vec<bool> {
             *m = true;
         }
     }
-    if ctx.crate_name == "packetsim" {
-        for (idx, line) in ctx.lines.iter().enumerate() {
-            if let Some(pos) = find_keyword(&line.code, "fn") {
-                let name: String = line.code[pos + 2..]
-                    .trim_start()
-                    .chars()
-                    .take_while(|&c| is_ident_char(c))
-                    .collect();
-                if name.contains("batch") {
-                    if let Some((l, c)) = next_char_from(ctx, idx, pos, '{') {
-                        mark_balanced(ctx, l, c, '{', '}', &mut region);
-                    }
-                }
-            }
-        }
-    }
     region
-}
-
-/// First position of `want` at or after (`line`, `col`), scanning forward.
-fn next_char_from(
-    ctx: &FileContext<'_>,
-    line: usize,
-    col: usize,
-    want: char,
-) -> Option<(usize, usize)> {
-    for idx in line..ctx.lines.len() {
-        let start = if idx == line { col } else { 0 };
-        if let Some(pos) = ctx.code(idx)[start.min(ctx.code(idx).len())..].find(want) {
-            return Some((idx, start + pos));
-        }
-    }
-    None
-}
-
-/// Mark every line from the `open` delimiter at (`line`, `col`) through
-/// its balanced close as in-region.
-fn mark_balanced(
-    ctx: &FileContext<'_>,
-    line: usize,
-    col: usize,
-    open: char,
-    close: char,
-    region: &mut [bool],
-) {
-    let mut depth = 0i32;
-    for (idx, in_region) in region.iter_mut().enumerate().skip(line) {
-        *in_region = true;
-        let code = ctx.code(idx);
-        let start = if idx == line { col } else { 0 };
-        for c in code[start.min(code.len())..].chars() {
-            if c == open {
-                depth += 1;
-            } else if c == close {
-                depth -= 1;
-                if depth == 0 {
-                    return;
-                }
-            }
-        }
-    }
 }
 
 /// 0-based index of the line holding the delimiter that balances `open`

@@ -1,9 +1,9 @@
-// N1 negative: exact accumulation via add_cycle, integer accumulation,
-// and float folds outside any parallel region.
+// N1 negative: assignment from a call, integer accumulation, and float
+// folds outside any parallel region.
 pub fn exact(xs: &[f64]) -> f64 {
     let mut acc = 0.0;
     parallel_sweep(xs, |x| {
-        acc = add_cycle(acc, *x, 4);
+        acc = combine(acc, *x);
         let mut count = 0usize;
         count += 1;
         count

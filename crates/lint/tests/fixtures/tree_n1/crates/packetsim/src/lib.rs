@@ -1,5 +1,5 @@
-// N1 positive fixture: float accumulation inside a parallel closure and
-// inside a batched-round function, neither routed through add_cycle.
+// N1 positive fixture: float accumulation inside a parallel closure, both
+// a `+=` and a float `.sum()`.
 pub fn sweep(xs: &[f64]) -> f64 {
     let mut acc = 0.0;
     parallel_sweep(xs, |x| {
@@ -7,10 +7,4 @@ pub fn sweep(xs: &[f64]) -> f64 {
         xs.iter().map(|v| *v).sum::<f64>()
     });
     acc
-}
-
-fn apply_batch(goodput: &mut f64, deltas: &[f64]) {
-    for d in deltas {
-        *goodput += *d;
-    }
 }

@@ -13,11 +13,6 @@ pub struct LinearFit {
 }
 
 impl LinearFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-
     /// Coefficient of determination `r²`.
     pub fn r_squared(&self) -> f64 {
         self.r * self.r
@@ -125,7 +120,6 @@ mod tests {
         let fit = linear_fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
         assert_eq!(fit.slope, 0.0);
         assert_eq!(fit.intercept, 5.0);
-        assert_eq!(fit.predict(10.0), 5.0);
     }
 
     #[test]

@@ -233,16 +233,6 @@ impl JobHierarchy {
         }
     }
 
-    /// Largest per-link flow count this job induces (feeds the hot-spot
-    /// term of the PS-placement score).
-    pub fn max_link_flows<F: Fn(RackId) -> bool>(&self, aggregating: F) -> u32 {
-        self.link_flows(aggregating)
-            .into_iter()
-            .map(|(_, f)| f)
-            .max()
-            .unwrap_or(0)
-    }
-
     fn aggregates_at<F: Fn(RackId) -> bool>(&self, rack: RackId, aggregating: &F) -> bool {
         self.ina_enabled && aggregating(rack)
     }
@@ -329,7 +319,6 @@ mod tests {
         // FS = 8 (6 remote + 2 local) on the PS access link.
         assert!(flows.contains(&(LinkId::RackUplink(RackId(1)), 6)));
         assert!(flows.contains(&(LinkId::ServerAccess(ServerId(3)), 8)));
-        assert_eq!(h.max_link_flows(|_| false), 8);
     }
 
     #[test]

@@ -105,23 +105,14 @@ pub fn run_hierarchy(spec: &HierarchySpec, duration_s: f64) -> HierarchyReport {
             // wins a leaf slot, `workers` packets otherwise. Sequential
             // addressing: the group wins iff its offset fits the pool.
             let mut root_in_packets = 0u64; // packets arriving at root
-            let mut root_in_streams = 0u64; // distinct upstream flows
             for (r, &workers) in spec.rack_workers.iter().enumerate() {
                 let slots = spec.leaf_slots[r] as u64;
                 let aggregated = slots > 0 && (g % window.max(1)) < slots.min(window);
-                if aggregated {
-                    root_in_packets += 1;
-                    root_in_streams += 1;
-                } else {
-                    root_in_packets += workers as u64;
-                    root_in_streams += workers as u64;
-                }
+                root_in_packets += if aggregated { 1 } else { workers as u64 };
             }
             core_packets += root_in_packets;
             // Local workers feed the root directly.
             root_in_packets += spec.local_workers as u64;
-            root_in_streams += spec.local_workers as u64;
-            let _ = root_in_streams;
             // Root stage.
             let root_slots = spec.root_slots as u64;
             let aggregated = root_slots > 0 && (g % window.max(1)) < root_slots.min(window);
@@ -141,11 +132,6 @@ pub fn run_hierarchy(spec: &HierarchySpec, duration_s: f64) -> HierarchyReport {
         root_aggregation_ratio: root_aggregated as f64 / groups as f64,
         rounds,
     }
-}
-
-/// Convenience: the per-switch PAT (in Gbps) a slot count corresponds to.
-pub fn slots_to_pat_gbps(spec: &HierarchySpec, slots: usize) -> f64 {
-    slots as f64 * spec.payload_bytes as f64 * 8.0 / (spec.rtt_us * 1e-6) / 1e9
 }
 
 #[cfg(test)]

@@ -27,13 +27,10 @@
 //! "one window away") is also implemented for the Fig. 2 motivation
 //! comparison.
 //!
-//! [`PacketSim::run`] is the one production round loop: interval-overlap
-//! collision counting plus steady-state round batching (see the
-//! [`sim`](self) module docs and DESIGN.md §3.8). The literal per-packet
-//! loop it is bit-identical to stays in the library as the hidden oracle
-//! `PacketSim::run_reference`, reached only by calling it; the report's
-//! `perf` block records how much work either loop actually did. This
-//! crate reads no environment variable.
+//! [`PacketSim::run`] is the simulator's one round loop: one RTT at a
+//! time, every packet addressed to its slot (see the `sim` module docs
+//! and DESIGN.md §3.8). The report's `perf` block records the rounds
+//! and packets it modeled. This crate reads no environment variable.
 //!
 //! # Example
 //!
@@ -61,6 +58,6 @@ mod hierarchy;
 mod sim;
 mod stats;
 
-pub use hierarchy::{run_hierarchy, slots_to_pat_gbps, HierarchyReport, HierarchySpec};
+pub use hierarchy::{run_hierarchy, HierarchyReport, HierarchySpec};
 pub use sim::{MemoryMode, PacketJobSpec, PacketSim, SwitchConfig};
 pub use stats::{JobStats, PacketSimReport};

@@ -1,38 +1,19 @@
 //! The per-RTT packet simulation loop.
 //!
-//! # Fast path
+//! [`PacketSim::run`] steps one RTT round at a time and models every
+//! packet. Each round it fires the phase transitions (start times,
+//! compute phases ending), then lets every communicating job send its
+//! window in an order that rotates by one job per round, so pool
+//! contention is FCFS-fair over time. A job's `(job, PSN)` group
+//! addresses slot `(base + PSN) mod pool`; the first group to reach a slot
+//! in a round reserves it (stamped with the round number in `slot_owner`,
+//! so the table is never cleared) and aggregates, a later one falls back
+//! to the PS. A job's PSNs run sequentially from its base, so it never
+//! collides with itself and one job's aggregation ratio tracks
+//! `min(1, PAT ratio)` (Fig. 14a).
 //!
-//! [`PacketSim::run`] is the only production loop; no option selects
-//! another. It differs from the literal per-packet loop in two ways:
-//!
-//! - **Collision counting** — a job's slots start at a seeded base and
-//!   its PSNs run sequentially from it, so its round window is a
-//!   contiguous arc `[base + psn, base + psn + window)` on the slot ring
-//!   and the per-packet `slot_owner` stamping collapses to
-//!   interval-overlap arithmetic: a job aggregates exactly the slots of
-//!   its arc not already claimed by jobs processed earlier in the round
-//!   ([`RingOccupancy`]), O(jobs²) per round instead of O(Σ window). A job
-//!   never collides with itself, so one job's aggregation ratio tracks
-//!   `min(1, PAT ratio)` (Fig. 14a). `run` stamps no packet; its
-//!   `packets_touched` counter reads 0.
-//! - **Round batching** — when no job can change phase, finish an
-//!   iteration, or cross a goodput bucket within the next K rounds, and
-//!   every sender's window and collision outcome are round-invariant
-//!   (see [`PacketSim::try_batch`]), all counters advance K rounds at
-//!   once. Integer counters multiply exactly; the two float goodput
-//!   accumulators go through [`add_cycle`], which proves the repeated
-//!   additions exact (integral partial sums below 2⁵³) before replacing
-//!   them with a closed form.
-//!
-//! Both keep the report *bit-identical* to the literal loop, which stays
-//! in the library as the hidden oracle `PacketSim::run_reference`: every
-//! packet stamped, one round at a time. The
-//! `fast_path_is_bit_identical_to_scratch` property test and the root
-//! `oracles` test (every Fig. 14 cell) call it.
-//!
-//! [`PacketSimReport::perf`] records the work: `rounds_simulated`,
-//! `rounds_stepped`, `rounds_batched`, `batches`, `packets_modeled`,
-//! `packets_touched` counters and a `run` wall-clock timer.
+//! [`PacketSimReport::perf`] records the work: the `rounds_simulated` and
+//! `packets_modeled` counters and a `run` wall-clock timer.
 
 use crate::{JobStats, PacketSimReport};
 use netpack_metrics::PerfCounters;
@@ -155,108 +136,6 @@ struct JobState {
     goodput_bucket_bits: f64,
 }
 
-/// Sorted, disjoint, half-open occupied intervals over the slot ring —
-/// the fast path's replacement for per-packet `slot_owner` stamping.
-///
-/// A job's window is a contiguous arc on the ring, so per-round
-/// contention reduces to: claim each arc in processing order, counting
-/// how many of its slots were still free. Arcs longer than the
-/// pool are clamped first (the extra packets revisit slots and always
-/// fall back, exactly as the stamping loop behaves).
-#[derive(Debug, Default)]
-struct RingOccupancy {
-    segs: Vec<(usize, usize)>,
-}
-
-impl RingOccupancy {
-    fn clear(&mut self) {
-        self.segs.clear();
-    }
-
-    /// Claim the arc of `len` (`<= pool`) slots starting at `start`,
-    /// returning how many were previously free.
-    fn claim_arc(&mut self, start: usize, len: usize, pool: usize) -> usize {
-        debug_assert!(len <= pool && start < pool.max(1));
-        if len == 0 {
-            return 0;
-        }
-        let end = start + len;
-        if end <= pool {
-            self.claim_segment(start, end)
-        } else {
-            self.claim_segment(start, pool) + self.claim_segment(0, end - pool)
-        }
-    }
-
-    /// Claim the linear segment `[lo, hi)`, returning its free-slot count.
-    fn claim_segment(&mut self, lo: usize, hi: usize) -> usize {
-        let mut covered = 0;
-        let mut i = 0;
-        while i < self.segs.len() && self.segs[i].1 < lo {
-            i += 1;
-        }
-        let mut j = i;
-        let mut new_lo = lo;
-        let mut new_hi = hi;
-        while j < self.segs.len() && self.segs[j].0 <= hi {
-            let (a, b) = self.segs[j];
-            covered += hi.min(b).saturating_sub(lo.max(a));
-            new_lo = new_lo.min(a);
-            new_hi = new_hi.max(b);
-            j += 1;
-        }
-        self.segs.splice(i..j, std::iter::once((new_lo, new_hi)));
-        hi - lo - covered
-    }
-}
-
-/// Work counters accumulated by the hot loop (folded into
-/// [`PerfCounters`] once per run, so the loop never touches a map).
-#[derive(Debug, Default, Clone, Copy)]
-struct PerfAcc {
-    rounds_stepped: u64,
-    rounds_batched: u64,
-    batches: u64,
-    packets_modeled: u64,
-    packets_touched: u64,
-}
-
-/// One sender's per-round transmission outcome, as observed over one
-/// rotation period by the batcher.
-#[derive(Debug, Clone, Copy)]
-struct RoundOutcome {
-    aggregated: u64,
-    fallback: u64,
-    acked: f64,
-    acked_whole: u64,
-}
-
-/// Accumulate `k` rounds of the cyclic per-round increments `vals` onto
-/// `acc`, bit-identical to adding them one round at a time.
-///
-/// When `acc` and every increment are non-negative integers and the grand
-/// total stays at or below 2⁵³, every partial sum is an exactly
-/// representable integer, so each float addition is exact and the whole
-/// sequence equals the closed form. Otherwise the addition sequence is
-/// replayed literally — still O(k), but k float additions, not k windows
-/// of packet work.
-fn add_cycle(acc: f64, vals: &[f64], k: u64) -> f64 {
-    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    let period = vals.len() as u64;
-    debug_assert!(period > 0 && k.is_multiple_of(period));
-    if acc >= 0.0 && acc.fract() == 0.0 && vals.iter().all(|v| *v >= 0.0 && v.fract() == 0.0) {
-        let total = acc + vals.iter().sum::<f64>() * (k / period) as f64;
-        if total <= MAX_EXACT {
-            return total;
-        }
-    }
-    let mut a = acc;
-    for t in 0..k {
-        a += vals[(t % period) as usize];
-    }
-    a
-}
-
 /// The packet-level simulator: one statistical-INA (or synchronous-INA)
 /// switch, its aggregator pool, and a set of iterative training jobs.
 #[derive(Debug, Clone)]
@@ -264,8 +143,7 @@ pub struct PacketSim {
     config: SwitchConfig,
     jobs: Vec<JobState>,
     /// Slot reservation table for the current round: stamped with the
-    /// round number to avoid clearing each round. Only the per-packet
-    /// reference uses it.
+    /// round number to avoid clearing each round.
     slot_owner: Vec<u64>,
     round: u64,
     rng: u64,
@@ -346,20 +224,6 @@ impl PacketSim {
     /// RTT rounds) and return per-job statistics. Goodput is sampled into
     /// 100 buckets across the duration.
     pub fn run(&mut self, duration_s: f64) -> PacketSimReport {
-        self.run_rounds(duration_s, true)
-    }
-
-    /// The oracle [`run`](Self::run) is held to: the literal loop, every
-    /// packet stamped into `slot_owner`, one round at a time. Bit-identical
-    /// report, far slower; tests call it, nothing selects it.
-    #[doc(hidden)]
-    pub fn run_reference(&mut self, duration_s: f64) -> PacketSimReport {
-        self.run_rounds(duration_s, false)
-    }
-
-    /// The round loop. `fast` counts arcs instead of stamping packets and
-    /// batches round-invariant stretches.
-    fn run_rounds(&mut self, duration_s: f64, fast: bool) -> PacketSimReport {
         assert!(duration_s > 0.0, "duration must be positive");
         let start = Stopwatch::start();
         let rtt_s = self.config.rtt_us * 1e-6;
@@ -377,81 +241,46 @@ impl PacketSim {
         let bdp = self.config.bdp_pkts();
         let payload_bits = self.config.payload_bytes as f64 * 8.0;
         let n_jobs = self.jobs.len().max(1);
-        let mut ring = RingOccupancy::default();
-        let mut acc = PerfAcc::default();
+        let mut packets_modeled = 0u64;
 
-        let mut local_round = 0u64;
         let mut last_flush = 0u64;
-        while local_round < rounds {
-            let batched = if fast {
-                self.try_batch(
-                    local_round,
-                    rounds,
-                    bucket_rounds,
-                    bdp,
-                    payload_bits,
-                    rtt_s,
-                    &mut ring,
-                    &mut acc,
-                )
-            } else {
-                0
-            };
-            if batched > 0 {
-                local_round += batched;
-            } else {
-                self.round += 1;
-                let round = self.round;
-                let now_s = round as f64 * rtt_s;
+        for step in 1..=rounds {
+            self.round += 1;
+            let round = self.round;
+            let now_s = round as f64 * rtt_s;
 
-                // Phase transitions.
-                for job in self.jobs.iter_mut() {
-                    match job.phase {
-                        Phase::Waiting if job.spec.start_s <= now_s => {
-                            job.phase = Phase::Communicating;
-                        }
-                        Phase::Computing { rounds_left } => {
-                            if rounds_left <= 1 {
-                                job.phase = Phase::Communicating;
-                            } else {
-                                job.phase = Phase::Computing {
-                                    rounds_left: rounds_left - 1,
-                                };
-                            }
-                        }
-                        _ => {}
+            // Phase transitions.
+            for job in self.jobs.iter_mut() {
+                match job.phase {
+                    Phase::Waiting if job.spec.start_s <= now_s => {
+                        job.phase = Phase::Communicating;
                     }
+                    Phase::Computing { rounds_left } => {
+                        if rounds_left <= 1 {
+                            job.phase = Phase::Communicating;
+                        } else {
+                            job.phase = Phase::Computing {
+                                rounds_left: rounds_left - 1,
+                            };
+                        }
+                    }
+                    _ => {}
                 }
-
-                // Transmit: rotate the processing order every round so pool
-                // contention is FCFS-fair over time.
-                let rotation = (round as usize) % n_jobs;
-                ring.clear();
-                for k in 0..self.jobs.len() {
-                    let ji = (k + rotation) % self.jobs.len();
-                    self.step_job(
-                        ji,
-                        round,
-                        bdp,
-                        payload_bits,
-                        rtt_s,
-                        now_s,
-                        fast,
-                        &mut ring,
-                        &mut acc,
-                    );
-                }
-                local_round += 1;
-                acc.rounds_stepped += 1;
             }
 
-            // Goodput sampling. A batch never crosses a bucket boundary,
-            // so at most one flush is due here; the bucket's span is the
-            // rounds it actually covers (the final bucket can be short).
-            if local_round.is_multiple_of(bucket_rounds) || local_round == rounds {
-                let span_s = (local_round - last_flush) as f64 * rtt_s;
-                last_flush = local_round;
-                let now_s = self.round as f64 * rtt_s;
+            // Transmit: rotate the processing order every round so pool
+            // contention is FCFS-fair over time.
+            let rotation = (round as usize) % n_jobs;
+            for k in 0..self.jobs.len() {
+                let ji = (k + rotation) % self.jobs.len();
+                packets_modeled += self.step_job(ji, round, bdp, payload_bits, rtt_s, now_s);
+            }
+
+            // Goodput sampling; the bucket's span is the rounds it actually
+            // covers (the final bucket can be short).
+            if step.is_multiple_of(bucket_rounds) || step == rounds {
+                let span_s = (step - last_flush) as f64 * rtt_s;
+                last_flush = step;
                 for job in self.jobs.iter_mut() {
                     let gbps = job.goodput_bucket_bits / span_s / 1e9;
                     job.stats.goodput_series.push((now_s, gbps));
@@ -462,11 +291,7 @@ impl PacketSim {
 
         let mut perf = PerfCounters::new();
         perf.incr("rounds_simulated", rounds);
-        perf.incr("rounds_stepped", acc.rounds_stepped);
-        perf.incr("rounds_batched", acc.rounds_batched);
-        perf.incr("batches", acc.batches);
-        perf.incr("packets_modeled", acc.packets_modeled);
-        perf.incr("packets_touched", acc.packets_touched);
+        perf.incr("packets_modeled", packets_modeled);
         perf.record("run", start.elapsed());
 
         PacketSimReport {
@@ -485,209 +310,7 @@ impl PacketSim {
         }
     }
 
-    /// The window a communicating job would send this round *before* the
-    /// remaining-groups cap: `min(pacing, BDP)` and, in synchronous mode,
-    /// the job's fixed region.
-    fn free_window(&self, job: &JobState, bdp: usize) -> Option<usize> {
-        let rate_window = match job.spec.target_gbps {
-            Some(rate) => self.config.rate_to_pkts(rate),
-            None => job.cwnd.floor() as usize,
-        };
-        let mut w = rate_window.min(bdp);
-        if self.config.mode == MemoryMode::Synchronous {
-            w = w.min(job.region.1);
-        }
-        (w > 0).then_some(w)
-    }
-
-    /// Try to advance many rounds at once. Returns the number of rounds
-    /// batched (0 = not batchable right now; the caller steps one exact
-    /// round instead).
-    ///
-    /// A batch of K rounds is sound — bit-identical to K exact rounds —
-    /// when, over the whole span:
-    ///
-    /// 1. no phase transition fires: no waiting job's start time is
-    ///    reached, every computing job has more than K rounds left, and
-    ///    no sender's iteration can end (its `remaining_groups` stays
-    ///    strictly above its window);
-    /// 2. no goodput bucket boundary is crossed (K is clamped to the next
-    ///    flush);
-    /// 3. every sender's window is round-invariant: paced, or AIMD pinned
-    ///    at the BDP with an uncongested PS link (`delivered <= cap`, so
-    ///    `cwnd` is a fixed point of the additive increase);
-    /// 4. the collision outcome is round-invariant up to the processing
-    ///    rotation: the pool is irrelevant (synchronous, empty pool, or
-    ///    no senders), or all arcs shift by the same amount per round
-    ///    (equal `window % pool`), making overlaps translation-invariant.
-    ///    The outcome then cycles with period `n_jobs` (the rotation
-    ///    period), which K is a multiple of.
-    #[allow(clippy::too_many_arguments)]
-    fn try_batch(
-        &mut self,
-        local_round: u64,
-        rounds: u64,
-        bucket_rounds: u64,
-        bdp: usize,
-        payload_bits: f64,
-        rtt_s: f64,
-        ring: &mut RingOccupancy,
-        acc: &mut PerfAcc,
-    ) -> u64 {
-        let pool = self.config.pool_slots;
-        let mode = self.config.mode;
-        let n_jobs = self.jobs.len().max(1);
-
-        // Horizon bounds that do not depend on transmission outcomes.
-        let mut kmax = (bucket_rounds - local_round % bucket_rounds).min(rounds - local_round);
-        let mut senders: Vec<(usize, usize)> = Vec::new(); // (job index, window)
-        for (ji, job) in self.jobs.iter().enumerate() {
-            match job.phase {
-                Phase::Finished => {}
-                Phase::Waiting => {
-                    // Largest k with start_s > (round + k) * rtt_s, probed
-                    // with the per-round loop's own float predicate.
-                    let est = ((job.spec.start_s / rtt_s) - self.round as f64).floor();
-                    let mut k = if est <= 0.0 {
-                        0
-                    } else {
-                        (est as u64).saturating_add(2)
-                    }
-                    .min(kmax);
-                    while k > 0 && job.spec.start_s <= (self.round + k) as f64 * rtt_s {
-                        k -= 1;
-                    }
-                    kmax = kmax.min(k);
-                }
-                Phase::Computing { rounds_left } => kmax = kmax.min(rounds_left - 1),
-                Phase::Communicating => {
-                    let Some(w) = self.free_window(job, bdp) else {
-                        continue; // sends nothing every round: a no-op
-                    };
-                    if job.spec.target_gbps.is_none() && job.cwnd != bdp as f64 {
-                        return 0; // AIMD still ramping or backing off
-                    }
-                    if job.remaining_groups <= w as u64 {
-                        return 0; // iteration boundary is near
-                    }
-                    senders.push((ji, w));
-                }
-            }
-        }
-        if kmax < 2 {
-            return 0;
-        }
-
-        // Collision-outcome invariance (condition 4).
-        let contended = mode == MemoryMode::Statistical && pool > 0 && !senders.is_empty();
-        if contended {
-            let shift = senders[0].1 % pool;
-            if senders.iter().any(|&(_, w)| w % pool != shift) {
-                return 0;
-            }
-        }
-        let period = if contended && senders.len() > 1 {
-            n_jobs as u64
-        } else {
-            1
-        };
-
-        // One rotation period of outcomes. Arc positions are taken at the
-        // current PSNs: later rounds shift every arc uniformly, which
-        // preserves all overlaps, so only the rotation varies.
-        let mut outcomes: Vec<Vec<RoundOutcome>> = vec![Vec::new(); senders.len()];
-        for p in 0..period {
-            let rotation = ((self.round + 1 + p) as usize) % n_jobs;
-            ring.clear();
-            for k in 0..self.jobs.len() {
-                let ji = (k + rotation) % self.jobs.len();
-                let Some(si) = senders.iter().position(|&(sj, _)| sj == ji) else {
-                    continue;
-                };
-                let (_, w) = senders[si];
-                let job = &self.jobs[ji];
-                let (aggregated, fallback) = match mode {
-                    MemoryMode::Synchronous => (w as u64, 0),
-                    MemoryMode::Statistical if pool == 0 => (0, w as u64),
-                    MemoryMode::Statistical => {
-                        let s0 = (job.base + job.next_psn as usize) % pool;
-                        let a = ring.claim_arc(s0, w.min(pool), pool) as u64;
-                        (a, w as u64 - a)
-                    }
-                };
-                let delivered = aggregated + fallback * job.spec.fan_in as u64;
-                let cap = bdp as u64;
-                if job.spec.target_gbps.is_none() && delivered > cap {
-                    return 0; // cwnd would decrease: not steady
-                }
-                let sent = (aggregated + fallback) as f64;
-                let acked = if delivered <= cap {
-                    sent
-                } else {
-                    sent * cap as f64 / delivered as f64
-                };
-                outcomes[si].push(RoundOutcome {
-                    aggregated,
-                    fallback,
-                    acked,
-                    acked_whole: acked.floor() as u64,
-                });
-            }
-        }
-
-        // Iteration-end bound (condition 1): keep every sender's
-        // remaining_groups strictly above its window throughout.
-        for (si, &(ji, w)) in senders.iter().enumerate() {
-            let maxdec = outcomes[si]
-                .iter()
-                .map(|o| o.acked_whole)
-                .max()
-                .unwrap_or(0);
-            let headroom = self.jobs[ji].remaining_groups - w as u64 - 1;
-            if let Some(k) = headroom.checked_div(maxdec) {
-                kmax = kmax.min(k + 1);
-            }
-        }
-        let k_total = (kmax / period) * period;
-        if k_total < 2 {
-            return 0;
-        }
-
-        // Apply K rounds at once.
-        self.round += k_total;
-        for job in self.jobs.iter_mut() {
-            if let Phase::Computing { rounds_left } = job.phase {
-                job.phase = Phase::Computing {
-                    rounds_left: rounds_left - k_total,
-                };
-            }
-        }
-        let m = k_total / period;
-        for (si, &(ji, w)) in senders.iter().enumerate() {
-            let job = &mut self.jobs[ji];
-            let os = &outcomes[si];
-            let agg_sum: u64 = os.iter().map(|o| o.aggregated).sum();
-            let fall_sum: u64 = os.iter().map(|o| o.fallback).sum();
-            let dec_sum: u64 = os.iter().map(|o| o.acked_whole).sum();
-            job.stats.aggregated_groups += m * agg_sum;
-            job.stats.fallback_groups += m * fall_sum;
-            job.next_psn += k_total * w as u64;
-            job.remaining_groups -= m * dec_sum;
-            // AIMD senders hold cwnd == BDP with delivered <= cap in every
-            // sub-round, so the additive increase is a no-op; paced
-            // senders never touch cwnd.
-            let vals: Vec<f64> = os.iter().map(|o| o.acked * payload_bits).collect();
-            job.goodput_bucket_bits = add_cycle(job.goodput_bucket_bits, &vals, k_total);
-            job.stats.goodput_bits = add_cycle(job.stats.goodput_bits, &vals, k_total);
-            acc.packets_modeled += k_total * w as u64;
-        }
-        acc.rounds_batched += k_total;
-        acc.batches += 1;
-        k_total
-    }
-
-    /// One job's transmissions for one round.
-    #[allow(clippy::too_many_arguments)]
+    /// One job's transmissions for one round; returns the packets it sent.
     fn step_job(
         &mut self,
         ji: usize,
@@ -696,15 +319,12 @@ impl PacketSim {
         payload_bits: f64,
         rtt_s: f64,
         now_s: f64,
-        fast: bool,
-        ring: &mut RingOccupancy,
-        acc: &mut PerfAcc,
-    ) {
+    ) -> u64 {
         let pool = self.config.pool_slots;
         let mode = self.config.mode;
         let job = &mut self.jobs[ji];
         if job.phase != Phase::Communicating {
-            return;
+            return 0;
         }
         // Window for this round.
         let mut window = match job.spec.target_gbps {
@@ -715,13 +335,12 @@ impl PacketSim {
         if mode == MemoryMode::Synchronous {
             window = window.min(job.region.1);
             if window == 0 {
-                return; // zero memory halts a synchronous job (§2.2)
+                return 0; // zero memory halts a synchronous job (§2.2)
             }
         }
         if window == 0 {
-            return;
+            return 0;
         }
-        acc.packets_modeled += window as u64;
 
         // Address each (job, PSN) group to a slot.
         let mut aggregated = 0u64;
@@ -734,18 +353,11 @@ impl PacketSim {
             MemoryMode::Statistical => {
                 if pool == 0 {
                     fallback = window as u64;
-                } else if fast {
-                    // The window is a contiguous arc on the slot ring:
-                    // count its free slots instead of stamping them.
-                    let s0 = (job.base + job.next_psn as usize) % pool;
-                    aggregated = ring.claim_arc(s0, window.min(pool), pool) as u64;
-                    fallback = window as u64 - aggregated;
                 } else {
                     // Slots release within the round; a slot is busy only
                     // if some group reserved it *this* round. `round`
                     // starts at 1, so the zero-initialized table is free.
                     let stamp = round;
-                    acc.packets_touched += window as u64;
                     for k in 0..window {
                         let slot = (job.base + (job.next_psn + k as u64) as usize) % pool;
                         if self.slot_owner[slot] == stamp {
@@ -808,6 +420,7 @@ impl PacketSim {
                 };
             }
         }
+        window as u64
     }
 }
 
@@ -999,85 +612,22 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_batches_the_steady_stream() {
-        let mut sim = PacketSim::new(fig14_config(0.5, 10.0));
-        sim.add_job(spec(0, 2, Some(10.0)));
-        let report = sim.run(0.05);
-        assert_eq!(
-            report.perf.counter("rounds_batched") + report.perf.counter("rounds_stepped"),
-            report.perf.counter("rounds_simulated")
-        );
-        assert!(
-            report.perf.counter("rounds_batched") > report.perf.counter("rounds_stepped"),
-            "a paced steady stream should mostly batch: {:?}",
-            report.perf
-        );
-        assert_eq!(
-            report.perf.counter("packets_touched"),
-            0,
-            "the fast path must not touch packets"
-        );
-    }
-
-    #[test]
-    fn scratch_path_touches_every_packet() {
-        let mut sim = PacketSim::new(fig14_config(0.5, 10.0));
-        sim.add_job(spec(0, 2, Some(10.0)));
-        let report = sim.run_reference(0.05);
-        assert_eq!(report.perf.counter("rounds_batched"), 0);
-        assert_eq!(
-            report.perf.counter("packets_touched"),
-            report.perf.counter("packets_modeled")
-        );
-    }
-
-    #[test]
     fn final_partial_bucket_uses_its_actual_span() {
         // 205 rounds -> bucket_rounds = 2, so the last bucket covers one
         // round. A steady paced stream must report the same goodput in
         // the final (short) bucket as in the full ones.
-        for fast in [true, false] {
-            let config = SwitchConfig::default();
-            let rtt_s = config.rtt_us * 1e-6;
-            let mut sim = PacketSim::new(config);
-            sim.add_job(spec(0, 2, Some(10.0)));
-            let report = sim.run_rounds(205.0 * rtt_s, fast);
-            assert_eq!(report.rounds, 205);
-            let series = &report.per_job[0].goodput_series;
-            let first = series[0].1;
-            let last = series.last().unwrap().1;
-            assert!(
-                (last - first).abs() < 0.5,
-                "fast={fast}: short final bucket misscaled: {first} vs {last}"
-            );
-        }
-    }
-
-    #[test]
-    fn ring_occupancy_counts_free_slots_and_wraps() {
-        let mut ring = RingOccupancy::default();
-        assert_eq!(ring.claim_arc(2, 4, 10), 4); // [2,6) all free
-        assert_eq!(ring.claim_arc(4, 4, 10), 2); // [4,8): 4,5 busy
-        assert_eq!(ring.claim_arc(8, 4, 10), 4); // wraps to [8,10)+[0,2)
-        assert_eq!(ring.claim_arc(0, 10, 10), 0); // ring now full
-        ring.clear();
-        assert_eq!(ring.claim_arc(9, 3, 10), 3); // [9,10)+[0,2)
-        assert_eq!(ring.claim_arc(1, 2, 10), 1); // 1 busy, 2 free
-    }
-
-    #[test]
-    fn add_cycle_matches_sequential_addition() {
-        // Integral fast branch.
-        assert_eq!(
-            add_cycle(10.0, &[3.0, 5.0], 6),
-            10.0 + 3.0 * 3.0 + 3.0 * 5.0
+        let config = SwitchConfig::default();
+        let rtt_s = config.rtt_us * 1e-6;
+        let mut sim = PacketSim::new(config);
+        sim.add_job(spec(0, 2, Some(10.0)));
+        let report = sim.run(205.0 * rtt_s);
+        assert_eq!(report.rounds, 205);
+        let series = &report.per_job[0].goodput_series;
+        let first = series[0].1;
+        let last = series.last().unwrap().1;
+        assert!(
+            (last - first).abs() < 0.5,
+            "short final bucket misscaled: {first} vs {last}"
         );
-        // Fractional values take the literal replay branch.
-        let vals = [0.3, 0.7];
-        let mut want = 1.5;
-        for t in 0..8 {
-            want += vals[t % 2];
-        }
-        assert_eq!(add_cycle(1.5, &vals, 8), want);
     }
 }

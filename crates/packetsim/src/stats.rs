@@ -52,15 +52,14 @@ pub struct PacketSimReport {
     pub rounds: u64,
     /// Simulated duration in seconds.
     pub duration_s: f64,
-    /// Work counters and wall-clock timers for the run: rounds simulated
-    /// vs. stepped vs. batched, packets modeled vs. actually touched by
-    /// the per-packet loop, and the `run` timer.
+    /// Work counters and the wall-clock timer for the run: rounds
+    /// simulated, packets modeled, and the `run` timer.
     pub perf: PerfCounters,
 }
 
-/// Equality covers the simulation *outputs* only — `perf` holds
-/// wall-clock timers and work counters that legitimately differ between
-/// the fast and scratch paths producing the same result.
+/// Equality covers the simulation *outputs* only: `perf` holds a
+/// wall-clock timer, which differs between two runs of the same
+/// simulation.
 impl PartialEq for PacketSimReport {
     fn eq(&self, other: &Self) -> bool {
         self.per_job == other.per_job

@@ -49,37 +49,24 @@ fn run(config: &SwitchConfig, seed: u64) -> netpack_packetsim::PacketSimReport {
 }
 
 /// Two fresh simulators with the same config, job set, and seed produce
-/// byte-identical reports — across both memory modes, and both the
-/// production loop and the per-packet reference.
+/// byte-identical reports, in both memory modes.
 #[test]
 fn same_seed_same_report_across_all_modes() {
     for mode in [MemoryMode::Statistical, MemoryMode::Synchronous] {
-        for reference in [false, true] {
-            let config = SwitchConfig {
-                pool_slots: 256,
-                mode,
-                ..SwitchConfig::default()
-            };
-            let run = |seed| {
-                if reference {
-                    sim(&config, seed).run_reference(0.06)
-                } else {
-                    sim(&config, seed).run(0.06)
-                }
-            };
-            let a = run(7);
-            let b = run(7);
-            assert_eq!(
-                a, b,
-                "{mode:?}/reference={reference}: same seed must reproduce"
-            );
-            // Bit-level check on the float fields, beyond PartialEq.
-            for (x, y) in a.per_job.iter().zip(&b.per_job) {
-                assert_eq!(x.goodput_bits.to_bits(), y.goodput_bits.to_bits());
-                for (p, q) in x.goodput_series.iter().zip(&y.goodput_series) {
-                    assert_eq!(p.0.to_bits(), q.0.to_bits());
-                    assert_eq!(p.1.to_bits(), q.1.to_bits());
-                }
+        let config = SwitchConfig {
+            pool_slots: 256,
+            mode,
+            ..SwitchConfig::default()
+        };
+        let a = run(&config, 7);
+        let b = run(&config, 7);
+        assert_eq!(a, b, "{mode:?}: same seed must reproduce");
+        // Bit-level check on the float fields, beyond PartialEq.
+        for (x, y) in a.per_job.iter().zip(&b.per_job) {
+            assert_eq!(x.goodput_bits.to_bits(), y.goodput_bits.to_bits());
+            for (p, q) in x.goodput_series.iter().zip(&y.goodput_series) {
+                assert_eq!(p.0.to_bits(), q.0.to_bits());
+                assert_eq!(p.1.to_bits(), q.1.to_bits());
             }
         }
     }

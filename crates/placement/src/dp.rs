@@ -128,11 +128,6 @@ impl WorkerDp {
         }
     }
 
-    /// Whether the `f` dimension is tracked.
-    pub fn tracks_flows(&self) -> bool {
-        self.track_flows
-    }
-
     /// Run the DP and return every feasible plan with
     /// `demand ≤ gpus ≤ demand + slack`, one per reachable `(f, g)` cell.
     ///
@@ -501,7 +496,6 @@ pub(crate) mod tests {
     fn without_flow_dimension_collapses_to_plain_knapsack() {
         let servers = vec![srv(0, 2, 1.0, 9), srv(1, 2, 5.0, 0)];
         let dp = WorkerDp::without_flow_dimension();
-        assert!(!dp.tracks_flows());
         let plans = dp.plans(&servers, 2, 0);
         // A single (f=0, g=2) cell holding the better server.
         assert_eq!(plans.len(), 1);

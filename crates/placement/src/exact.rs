@@ -26,14 +26,14 @@
 //! by calling it. DESIGN.md §3.10 derives the bound, argues its
 //! admissibility under water-filling, and gives the symmetry and
 //! tie-break arguments; the `tests/exact_bnb.rs` suite pins the
-//! equivalence on 200 random instances.
+//! equivalence on 2 003 random instances.
 
 use crate::placer::{BatchOutcome, Placer, RunningJob};
 use crate::reference::Incumbent;
 use netpack_metrics::{PerfCounters, Stopwatch};
 use netpack_model::Placement;
 use netpack_topology::{Cluster, ServerId};
-use netpack_waterfill::{IncrementalEstimator, PlacedJob};
+use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob};
 use netpack_workload::Job;
 use std::ops::ControlFlow;
 
@@ -116,6 +116,7 @@ impl ExactPlacer {
             touched,
             inc: IncrementalEstimator::new(cluster, &running_placed),
             current: Vec::with_capacity(batch.len()),
+            solo: Vec::with_capacity(batch.len()),
             best: None,
             stats: BnbStats::default(),
         };
@@ -332,8 +333,8 @@ struct BnbStats {
 
 /// One search: the instance, a free-GPU ledger (no panicking `Cluster`
 /// allocate/release round-trips), touch counts for symmetry detection,
-/// the live incremental estimator, the assignment so far and the
-/// incumbent.
+/// the live incremental estimator, the assignment so far with each
+/// committed job's solo comm time, and the incumbent.
 struct Search<'a> {
     cluster: &'a Cluster,
     batch: &'a [Job],
@@ -345,6 +346,9 @@ struct Search<'a> {
     touched: Vec<u32>,
     inc: IncrementalEstimator,
     current: Vec<(Job, Placement)>,
+    /// Comm time of each job of `current` alone in the idle cluster: a
+    /// floor under its comm time in any leaf below.
+    solo: Vec<f64>,
     best: Option<Incumbent>,
     stats: BnbStats,
 }
@@ -357,22 +361,33 @@ impl Search<'_> {
     fn partial_objective(&self) -> f64 {
         let state = self.inc.state();
         let mut total = 0.0;
-        for (job, _) in &self.current {
-            total += state
+        for ((job, _), &floor) in self.current.iter().zip(&self.solo) {
+            let time = state
                 .comm_time_s(job.id, job.gradient_gbits())
                 .unwrap_or(f64::INFINITY);
+            debug_assert!(
+                time >= floor,
+                "job {:?} beats its solo comm time: {time} < {floor}",
+                job.id
+            );
+            total += time;
         }
         total
     }
 
     /// Admissible lower bound for completing the assignment from job `idx`:
-    /// the committed jobs' current objective (which only grows as more jobs
-    /// contend — water-filled rates are monotone non-increasing in the job
-    /// set) plus each unplaced job's zero-contention best case — 0 if it
-    /// could still fit on one server, else one access-link traversal.
-    fn bound_from(&self, idx: usize, partial: f64) -> f64 {
+    /// each committed job's solo comm time (no job's max-min rate exceeds
+    /// its rate alone in the idle cluster, whatever else is placed) plus
+    /// each unplaced job's zero-contention best case — 0 if it could still
+    /// fit on one server, else one access-link traversal. The committed
+    /// jobs' current objective is no floor: a job placed later can speed
+    /// one up (DESIGN.md §3.10).
+    fn bound_from(&self, idx: usize) -> f64 {
         let max_free = self.free.iter().copied().max().unwrap_or(0);
-        let mut bound = partial;
+        let mut bound = 0.0;
+        for &floor in &self.solo {
+            bound += floor;
+        }
         for job in &self.batch[idx..] {
             if job.gpus > max_free {
                 bound += job.gradient_gbits() / self.link_gbps;
@@ -388,9 +403,9 @@ impl Search<'_> {
             return ControlFlow::Break(());
         }
         self.stats.nodes += 1;
-        let partial = self.partial_objective();
         if idx == self.batch.len() {
             self.stats.leaves += 1;
+            let partial = self.partial_objective();
             if self.best.as_ref().is_none_or(|(b, _)| partial < *b) {
                 self.best = Some((partial, self.current.clone()));
             }
@@ -400,7 +415,7 @@ impl Search<'_> {
         // holds no strictly better leaf, and the incumbent, replaced only
         // by a strictly better leaf, precedes the subtree in enumeration
         // order.
-        let bound = self.bound_from(idx, partial);
+        let bound = self.bound_from(idx);
         if self.best.as_ref().is_some_and(|(b, _)| bound >= *b) {
             self.stats.pruned += 1;
             return ControlFlow::Continue(());
@@ -432,15 +447,18 @@ impl Search<'_> {
         for &s in placement.pses() {
             self.touched[s.0] += 1;
         }
-        self.inc.push(
-            self.cluster,
-            PlacedJob::new(job.id, self.cluster, &placement),
-        );
+        let placed = PlacedJob::new(job.id, self.cluster, &placement);
+        let solo = estimate(self.cluster, std::slice::from_ref(&placed))
+            .comm_time_s(job.id, job.gradient_gbits())
+            .unwrap_or(0.0);
+        self.inc.push(self.cluster, placed);
         self.current.push((job.clone(), placement));
+        self.solo.push(solo);
     }
 
     fn unapply(&mut self) {
         if let Some((_, placement)) = self.current.pop() {
+            self.solo.pop();
             self.inc.pop(self.cluster);
             for &(s, w) in placement.workers() {
                 self.free[s.0] += w;
@@ -629,6 +647,6 @@ mod tests {
             bnb.perf().counter("exact_nodes"),
             bnb.perf().counter("exact_pruned_subtrees"),
         );
-        assert_eq!(work, (40, 256, 205));
+        assert_eq!(work, (1_715, 1_931, 97));
     }
 }

@@ -18,8 +18,8 @@
 //!   (stateless books and a warm estimator), equal results and equal
 //!   event and heap counts from fewer re-rate visits. The bench crate's
 //!   `smoke` test replays the Fig. 9 cell under every roster placer.
-//! - The packet simulator against its per-packet loop: every Fig. 14
-//!   cell.
+//! - The packet simulator's one loop on every Fig. 14 cell, its counts
+//!   and goodput bits pinned.
 //! - The exact placer against the exhaustive search: one
 //!   `table_mip_vs_dp` row, with the branch-and-bound's work pinned.
 //!
@@ -268,50 +268,80 @@ fn flow_simulator_matches_its_from_scratch_reference() {
 }
 
 #[test]
-fn packet_simulator_matches_its_per_packet_reference() {
+fn packet_simulator_reproduces_the_pinned_fig14_cells() {
     // Every Fig. 14 cell: one 10 Gbps job for 0.05 s (14a), or two for
     // 0.1 s (14b), over a pool sized to a tenth to all of one job's
-    // window.
+    // window. Per job: aggregated groups, fallback groups, iterations
+    // done. Every job of a cell also pins the same goodput bits and 100
+    // goodput buckets.
+    const SOLO: [[u64; 3]; 10] = [
+        [6_000, 55_000, 0],
+        [12_000, 49_000, 0],
+        [18_000, 43_000, 0],
+        [24_000, 37_000, 0],
+        [31_000, 30_000, 0],
+        [37_000, 24_000, 0],
+        [43_000, 18_000, 0],
+        [49_000, 12_000, 0],
+        [55_000, 6_000, 0],
+        [61_000, 0, 0],
+    ];
+    const PAIR: [[[u64; 3]; 2]; 10] = [
+        [[6_000, 115_975, 1], [6_000, 115_975, 1]],
+        [[12_000, 109_975, 1], [12_000, 109_975, 1]],
+        [[18_000, 103_975, 1], [18_000, 103_975, 1]],
+        [[24_000, 97_975, 1], [24_000, 97_975, 1]],
+        [[31_000, 90_975, 1], [31_000, 90_975, 1]],
+        [[37_001, 84_974, 1], [36_999, 84_976, 1]],
+        [[43_004, 78_971, 1], [42_993, 78_982, 1]],
+        [[49_001, 72_974, 1], [48_987, 72_988, 1]],
+        [[55_000, 66_975, 1], [54_981, 66_994, 1]],
+        [[61_021, 60_954, 1], [60_975, 61_000, 1]],
+    ];
     let base = SwitchConfig::default();
     for jobs in [1u64, 2] {
-        for tenths in 1..=10 {
+        for tenths in 1..=10u8 {
             let cell = format!("jobs={jobs}/pat_ratio={tenths}/10");
+            let row = usize::from(tenths) - 1;
             let config = SwitchConfig {
                 pool_slots: (f64::from(tenths) / 10.0 * base.rate_to_pkts(10.0) as f64).round()
                     as usize,
                 ..base.clone()
             };
-            let sim = || {
-                let mut sim = PacketSim::new(config.clone());
-                for id in 0..jobs {
-                    sim.add_job(PacketJobSpec {
-                        id: JobId(id),
-                        fan_in: 2,
-                        gradient_gbits: 0.5,
-                        compute_time_s: 0.0,
-                        iterations: 0,
-                        start_s: 0.0,
-                        target_gbps: Some(10.0),
-                    });
-                }
-                sim
-            };
-            let duration_s = if jobs == 1 { 0.05 } else { 0.1 };
-            let report = sim().run(duration_s);
-            let oracle = sim().run_reference(duration_s);
-            assert_eq!(report, oracle, "{cell}");
-            for (a, b) in report.per_job.iter().zip(&oracle.per_job) {
-                assert_eq!(a.goodput_bits.to_bits(), b.goodput_bits.to_bits(), "{cell}");
+            let mut sim = PacketSim::new(config);
+            for id in 0..jobs {
+                sim.add_job(PacketJobSpec {
+                    id: JobId(id),
+                    fan_in: 2,
+                    gradient_gbits: 0.5,
+                    compute_time_s: 0.0,
+                    iterations: 0,
+                    start_s: 0.0,
+                    target_gbps: Some(10.0),
+                });
             }
-            // Production batched rounds and stamped no packet; the oracle
-            // stamped all.
-            assert!(report.perf.counter("rounds_batched") > 0, "{cell}");
-            assert_eq!(report.perf.counter("packets_touched"), 0, "{cell}");
-            assert_eq!(
-                oracle.perf.counter("packets_touched"),
-                oracle.perf.counter("packets_modeled"),
-                "{cell}"
-            );
+            let (duration_s, rounds, goodput_bits, want) = if jobs == 1 {
+                (
+                    0.05,
+                    1_000,
+                    0x41bd_c900_0000_0000_u64,
+                    std::slice::from_ref(&SOLO[row]),
+                )
+            } else {
+                (0.1, 2_000, 0x41cd_c770_0000_0000, &PAIR[row][..])
+            };
+            let report = sim.run(duration_s);
+            assert_eq!(report.rounds, rounds, "{cell}");
+            let got: Vec<[u64; 3]> = report
+                .per_job
+                .iter()
+                .map(|s| [s.aggregated_groups, s.fallback_groups, s.iterations_done])
+                .collect();
+            assert_eq!(got, want, "{cell}");
+            for s in &report.per_job {
+                assert_eq!(s.goodput_bits.to_bits(), goodput_bits, "{cell}");
+                assert_eq!(s.goodput_series.len(), 100, "{cell}");
+            }
         }
     }
 }
