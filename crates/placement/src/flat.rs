@@ -46,15 +46,19 @@
 //!    own servers only.
 //! 3. **Arena reuse.** All per-job and per-plan scratch (stamp masks,
 //!    worker lists, the worker DP's tables) lives in [`FlatBatch`] and is
-//!    reused across the whole batch; the hot loop allocates nothing, and the [`Cluster`] is static
+//!    reused across the whole batch, and a stateless placer keeps its
+//!    [`FlatBatch`] from one call to the next for the capacity of its
+//!    arrays; the hot loop allocates nothing, and the [`Cluster`] is static
 //!    information that is never cloned or written — the free GPUs are
 //!    [`GpuLedger`]'s, the only book of them on this path.
 //!
 //! The batch loop itself — FindSubset, per job worker DP + PS score +
 //! commit + eager push, INAEnable — is written once, in
 //! [`NetPackPlacer::place_batch_on`], over a `(FlatBatch,
-//! IncrementalEstimator)` pair. The stateless placer builds the pair from
-//! `(cluster, running)` and drops it after the batch;
+//! IncrementalEstimator)` pair. The stateless placer resets the batch it
+//! kept from its last call to `(cluster, running)` — every array's
+//! contents rebuilt, only capacity kept — builds a fresh estimator, and
+//! drops the estimator after the batch;
 //! [`NetPackSession`](crate::NetPackSession) keeps its pair warm.
 
 use crate::dp::{DpArena, WorkerDp, WorkerPlan};
@@ -91,6 +95,25 @@ pub(crate) struct FlatBatch {
     ps_scored: Vec<(f64, ServerId)>,
     /// The worker DP's tables, reused across jobs.
     dp: DpArena,
+}
+
+/// The [`FlatBatch`] a stateless [`NetPackPlacer`] keeps between calls for
+/// the capacity of its arrays: every call resets its contents from the
+/// call's `(cluster, running)`. A clone starts with none.
+#[derive(Default)]
+pub(crate) struct KeptBatch(Option<FlatBatch>);
+
+impl Clone for KeptBatch {
+    fn clone(&self) -> Self {
+        KeptBatch(None)
+    }
+}
+
+impl std::fmt::Debug for KeptBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let servers = self.0.as_ref().map(|fb| fb.topo.num_servers());
+        f.debug_tuple("KeptBatch").field(&servers).finish()
+    }
 }
 
 /// Per-plan scratch: which servers and racks the current plan touches
@@ -161,6 +184,7 @@ impl BatchTally {
             perf.incr("index_rebuilds", self.refresh.rebuilds);
             perf.incr("index_rekeyed", self.refresh.rekeyed);
             perf.incr("index_renamed", self.refresh.renamed);
+            perf.incr("index_slices", self.refresh.slices);
             perf.incr("index_journal_servers", self.refresh.journal_servers);
             perf.incr("index_classes", self.refresh.classes);
         }
@@ -197,13 +221,12 @@ fn consider(best: &mut Option<(f64, usize)>, score: f64, sid: usize) {
 }
 
 impl PlanScratch {
-    /// Stamp arenas sized for a topology of `ns` servers and `nr` racks.
-    fn new(ns: usize, nr: usize) -> Self {
-        PlanScratch {
-            chosen_stamp: vec![0; ns],
-            rack_stamp: vec![0; nr],
-            ..PlanScratch::default()
-        }
+    /// Size the stamp arenas for a topology of `ns` servers and `nr` racks.
+    /// Entries kept from an earlier topology hold stamps no later than the
+    /// current one, so no later plan reads them as its own.
+    fn resize(&mut self, ns: usize, nr: usize) {
+        self.chosen_stamp.resize(ns, 0);
+        self.rack_stamp.resize(nr, 0);
     }
 
     /// Stamp one plan's chosen servers and racks and rebuild the per-rack
@@ -416,19 +439,44 @@ impl PsTable {
     }
 }
 
-impl FlatBatch {
-    pub(crate) fn new(cluster: &Cluster) -> Self {
-        let topo = FlatTopology::new(cluster);
-        let scratch = PlanScratch::new(topo.num_servers(), topo.num_racks());
+/// A batch over no cluster, holding no arrays; [`FlatBatch::reset`] makes
+/// it one.
+impl Default for FlatBatch {
+    fn default() -> Self {
         FlatBatch {
-            topo,
-            ledger: GpuLedger::new(cluster),
+            topo: FlatTopology::default(),
+            ledger: GpuLedger::default(),
             index: ServerIndex::new(),
-            ps_table: PsTable::new(cluster.spec().server_link_gbps),
-            scratch,
+            ps_table: PsTable::new(0.0),
+            scratch: PlanScratch::default(),
             ps_scored: Vec::new(),
             dp: DpArena::default(),
         }
+    }
+}
+
+impl FlatBatch {
+    /// A fresh batch over `cluster`: an empty one [`reset`](Self::reset)
+    /// to it.
+    pub(crate) fn new(cluster: &Cluster) -> Self {
+        let mut fb = FlatBatch::default();
+        fb.reset(cluster);
+        fb
+    }
+
+    /// Make this a fresh batch over `cluster`, keeping the capacity of its
+    /// arrays and nothing of their contents: the topology re-lowered (an
+    /// O(racks) compare when the shape is the one it holds), the ledger
+    /// re-mirrored from `cluster`'s allocation, the index emptied so the
+    /// next refresh builds it cold, and the PS class table built anew for
+    /// `cluster`'s server-link capacity.
+    pub(crate) fn reset(&mut self, cluster: &Cluster) {
+        self.topo.lower(cluster);
+        self.ledger.reset(cluster);
+        self.index.forget();
+        self.ps_table = PsTable::new(cluster.spec().server_link_gbps);
+        self.scratch
+            .resize(self.topo.num_servers(), self.topo.num_racks());
     }
 
     /// The free-GPU ledger.
@@ -944,8 +992,9 @@ impl NetPackPlacer {
         outcome
     }
 
-    /// The stateless `place_batch`: build the pair from `(cluster,
-    /// running)`, run the batch on it, drop it.
+    /// The stateless `place_batch`: reset the placer's kept [`FlatBatch`]
+    /// to `(cluster, running)` and build an estimator from them, run the
+    /// batch on the pair, keep the batch's arrays and drop the estimator.
     pub(crate) fn place_batch_flat(
         &mut self,
         cluster: &Cluster,
@@ -954,7 +1003,8 @@ impl NetPackPlacer {
     ) -> BatchOutcome {
         let mut perf = std::mem::take(&mut self.perf);
         let batch_start = Stopwatch::start();
-        let mut fb = FlatBatch::new(cluster);
+        let mut fb = self.kept.0.take().unwrap_or_default();
+        fb.reset(cluster);
         let running_placed: Vec<PlacedJob> = running.iter().map(|r| r.to_placed(cluster)).collect();
         let start = Stopwatch::start();
         let mut inc = IncrementalEstimator::new(cluster, &running_placed);
@@ -963,6 +1013,7 @@ impl NetPackPlacer {
         record_waterfill(&mut perf, *inc.stats());
         perf.record("place_batch", batch_start.elapsed());
         self.perf = perf;
+        self.kept.0 = Some(fb);
         outcome
     }
 }
@@ -1133,7 +1184,8 @@ mod tests {
     /// refresh here with a class to rename also has such servers, so the
     /// rebuild is certain before any rename is made; in the second list the
     /// one refresh that re-keys moves a server out of a class whose other
-    /// members stay. No other count moved.
+    /// members stay. No other count moved. `index_slices` is a new row and
+    /// reads 0 in both lists.
     #[test]
     fn a_mixed_batch_tallies_every_phase_once() {
         let c = cluster(2, 4, 4);
@@ -1160,6 +1212,7 @@ mod tests {
                 "index_rebuilds=6",
                 "index_rekeyed=2",
                 "index_renamed=0",
+                "index_slices=0",
                 "plans_considered=4",
                 "ps_candidates_scored=20",
                 "ps_plans_ruled_out=0",
@@ -1199,6 +1252,7 @@ mod tests {
                 "index_rebuilds=2",
                 "index_rekeyed=1",
                 "index_renamed=0",
+                "index_slices=0",
                 "waterfill_class_splits=0",
                 "waterfill_components_solved=0",
                 "waterfill_jobs_resolved=0",

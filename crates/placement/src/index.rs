@@ -22,9 +22,12 @@
 //! run it after every refresh.
 //!
 //! * **PS classes** ([`PsKey`]): servers interchangeable as ordinary PS
-//!   candidates. A rack-uplink flow change re-keys the whole rack; an
-//!   access-link entry re-keys its server when the PS key's own flows or
-//!   avail bits moved.
+//!   candidates. An access-link entry re-keys its server when the PS key's
+//!   own flows or avail bits moved. A rack-uplink flow change moves every
+//!   class present in the rack a slice at a time
+//!   ([`Partition::refile_range`]): a class's members in the rack are one
+//!   contiguous run of its ascending member list, and they all take the
+//!   same new key.
 //! * **Filter classes** ([`FilterKey`]): servers with equal free GPUs,
 //!   flows and residual bandwidth — equal DP weight *and* equal value, so
 //!   the first `⌊g_max/w⌋` members by id are the class's only entries that
@@ -46,7 +49,11 @@
 //! deletion and its new key goes in, and no member list, `class_of` entry
 //! or dead class is touched. The invariant, which the audit checks: every
 //! class's key probes to that class, and the table holds one slot per
-//! class. Only the servers left over move one by one.
+//! class. Only the servers left over move one by one. The racks whose
+//! uplink flow count moved come after that update, unless it rebuilt the
+//! partition: a class lying wholly in such a rack is renamed the same way,
+//! and the rack's run of any other class is drained from its member list
+//! and merged into the new key's class, one run per class and rack.
 //!
 //! When more than one server in [`REBUILD_SHARE`] is left over, or dead
 //! (memberless) classes pile up, the partition is rebuilt by the same
@@ -76,7 +83,10 @@ use std::ops::{AddAssign, Range};
 /// `service_saturate`, whose runs are ~2 servers long, and ~24 on
 /// `sim_sweep`'s, which average ~540 servers (seed 1, 2-core VM).
 /// Servers whose whole class is renamed are not counted: a rename costs a
-/// delete and a probe in the class table, whatever the class's size.
+/// delete and a probe in the class table, whatever the class's size. Nor
+/// are the servers of a rack whose uplink flow count moved: they move a
+/// class's run at a time ([`Partition::refile_range`]), at the cost of a
+/// pass over the rack and one drain and merge per class present there.
 const REBUILD_SHARE: usize = 8;
 
 /// High bit of a `class_of` entry: the server was already counted by the
@@ -333,6 +343,44 @@ fn key_arrays<'a>(
     )
 }
 
+/// Merge the ascending `run` into the ascending `dst`, which holds none of
+/// its ids, through `side`: the shorter end of `dst` past the run's
+/// position is drained into `side` and put back merged with it, so the
+/// cost is the run plus that end, not the list.
+fn merge_into(dst: &mut VecDeque<u32>, run: &[u32], side: &mut Vec<u32>) {
+    let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
+        return;
+    };
+    let lo = dst.partition_point(|&m| m < first);
+    let hi = dst.partition_point(|&m| m < last);
+    side.clear();
+    if lo < dst.len() - hi {
+        side.extend(dst.drain(..hi));
+        let (mut i, mut j) = (run.len(), side.len());
+        while i + j > 0 {
+            if j == 0 || (i > 0 && run[i - 1] > side[j - 1]) {
+                i -= 1;
+                dst.push_front(run[i]);
+            } else {
+                j -= 1;
+                dst.push_front(side[j]);
+            }
+        }
+    } else {
+        side.extend(dst.drain(lo..));
+        let (mut i, mut j) = (0, 0);
+        while i < run.len() || j < side.len() {
+            if j == side.len() || (i < run.len() && run[i] < side[j]) {
+                dst.push_back(run[i]);
+                i += 1;
+            } else {
+                dst.push_back(side[j]);
+                j += 1;
+            }
+        }
+    }
+}
+
 /// One partition of the servers into classes of equal key.
 #[derive(Debug, Clone)]
 pub(crate) struct Partition<K> {
@@ -357,6 +405,10 @@ pub(crate) struct Partition<K> {
     moves: Vec<(u32, K)>,
     /// Update scratch: the classes those servers belong to, once each.
     touched: Vec<u32>,
+    /// [`refile_range`](Self::refile_range) scratch: the run being moved,
+    /// and the part of its new class's member list it is merged with.
+    run: Vec<u32>,
+    side: Vec<u32>,
 }
 
 impl<K: ClassKey> Partition<K> {
@@ -370,6 +422,8 @@ impl<K: ClassKey> Partition<K> {
             groups: Vec::new(),
             moves: Vec::new(),
             touched: Vec::new(),
+            run: Vec::new(),
+            side: Vec::new(),
         }
     }
 
@@ -502,6 +556,7 @@ impl<K: ClassKey> Partition<K> {
             m.clear();
         }
         self.class_of.clear();
+        self.dead = 0;
     }
 
     /// Bucket all servers from scratch, in one ascending pass — the cold
@@ -653,6 +708,47 @@ impl<K: ClassKey> Partition<K> {
         done
     }
 
+    /// Re-key every server of `range` whose key `refile` moves, one class
+    /// at a time. A class's members in `range` are one contiguous run of its
+    /// ascending member list, and all of them take one new key. A class
+    /// whose run is its whole member list is renamed in place if no class
+    /// holds the new key; otherwise the run is drained and merged into the
+    /// class of the new key. `refile` must map each key it returns to
+    /// itself, so a server already moved is left where it is. What it did,
+    /// in `renamed` and `slices` (runs drained).
+    fn refile_range(&mut self, range: Range<usize>, refile: impl Fn(&K) -> K) -> RefreshStats {
+        let mut done = RefreshStats::default();
+        for s in range.clone() {
+            let class = self.class_of[s];
+            let key = refile(&self.keys[class as usize]);
+            if key == self.keys[class as usize] {
+                continue;
+            }
+            // `s` is the class's first member in `range`: a lower one would
+            // have moved the run already.
+            let members = &self.members[class as usize];
+            let from = members.partition_point(|&m| (m as usize) < s);
+            let to = members.partition_point(|&m| (m as usize) < range.end);
+            let whole = from == 0 && to == members.len();
+            if whole && self.rename(class, key) {
+                done.renamed += 1;
+                continue;
+            }
+            let into = self.class_for(key);
+            self.dead -= usize::from(self.members[into as usize].is_empty());
+            self.run.clear();
+            self.run
+                .extend(self.members[class as usize].drain(from..to));
+            merge_into(&mut self.members[into as usize], &self.run, &mut self.side);
+            for &m in &self.run {
+                self.class_of[m as usize] = into;
+            }
+            self.dead += usize::from(whole);
+            done.slices += 1;
+        }
+        done
+    }
+
     /// Test oracle: `Err` naming the first difference between two
     /// partitions as sets of `(key, ascending members)` live classes (class
     /// ids and dead classes may differ), a miscounted `dead`, a class its
@@ -723,6 +819,10 @@ pub(crate) struct RefreshStats {
     pub rekeyed: u64,
     /// Classes renamed in place, members and all, both partitions.
     pub renamed: u64,
+    /// Runs of a class's member list moved to another class whole — one
+    /// per class present in a rack whose uplink flow count moved, unless
+    /// the class was renamed.
+    pub slices: u64,
     /// Journal entries whose keys were compared with the live arrays — a
     /// ledger entry's filter key, an access link's PS key (0 when the
     /// partitions were built cold).
@@ -737,6 +837,7 @@ impl AddAssign for RefreshStats {
         self.rebuilds += other.rebuilds;
         self.rekeyed += other.rekeyed;
         self.renamed += other.renamed;
+        self.slices += other.slices;
         self.journal_servers += other.journal_servers;
         self.classes += other.classes;
     }
@@ -749,10 +850,11 @@ pub(crate) struct ServerIndex {
     pub filter: Partition<FilterKey>,
     /// Refresh scratch: journalled servers whose filter key moved.
     changed: Vec<u32>,
-    /// Refresh scratch: servers whose PS key moved — journalled ones whose
-    /// flows or avail bits did, plus every server of a rack whose uplink
-    /// flow count did.
+    /// Refresh scratch: journalled servers whose PS key's flows or avail
+    /// bits moved.
     ps_stale: Vec<u32>,
+    /// Refresh scratch: racks whose uplink flow count moved.
+    stale_racks: Vec<u32>,
 }
 
 impl ServerIndex {
@@ -762,7 +864,15 @@ impl ServerIndex {
             filter: Partition::new(),
             changed: Vec::new(),
             ps_stale: Vec::new(),
+            stale_racks: Vec::new(),
         }
+    }
+
+    /// Forget every class but keep the arrays: the next
+    /// [`refresh`](Self::refresh) builds both partitions cold.
+    pub(crate) fn forget(&mut self) {
+        self.ps.reset();
+        self.filter.reset();
     }
 
     /// Bring both partitions in line with the live ledger and steady
@@ -774,6 +884,9 @@ impl ServerIndex {
     /// with the one key it can have moved: a ledger entry's server with its
     /// filter key, an access link's with its PS key's `(flows, avail
     /// bits)`, a rack uplink's flows with the rack's first server's PS key.
+    /// The servers whose keys moved are updated one by one or with their
+    /// class; then, unless that rebuilt the PS partition, each rack whose
+    /// uplink flows moved has its classes refiled a run at a time.
     pub(crate) fn refresh(
         &mut self,
         topo: &FlatTopology,
@@ -790,6 +903,7 @@ impl ServerIndex {
         let (filter_arrays, ps_arrays) = key_arrays(topo, gpus_free, state);
         self.changed.clear();
         self.ps_stale.clear();
+        self.stale_racks.clear();
         let mut journal_servers = 0;
         if self.filter.class_of.len() == n {
             // A ledger entry wrote the server's free GPUs and nothing else:
@@ -802,9 +916,9 @@ impl ServerIndex {
                 let link = link as usize;
                 if link >= n {
                     let rack = link - n;
-                    let rack_servers = topo.rack_server_range(rack);
-                    if self.ps.key_of(rack_servers.start).fc_up != rack_fc[rack] {
-                        self.ps_stale.extend(rack_servers.map(|s| s as u32));
+                    let first = topo.rack_server_range(rack).start;
+                    if self.ps.key_of(first).fc_up != rack_fc[rack] {
+                        self.stale_racks.push(rack as u32);
                     }
                     continue;
                 }
@@ -827,7 +941,17 @@ impl ServerIndex {
             }
         }
         let mut stats = self.filter.update(&self.changed, &filter_arrays);
-        stats += self.ps.update(&self.ps_stale, &ps_arrays);
+        let ps = self.ps.update(&self.ps_stale, &ps_arrays);
+        if ps.rebuilds == 0 {
+            // Every server the update moved holds its live key; the rest
+            // of a stale rack holds its rack's old uplink flow count.
+            for &rack in &self.stale_racks {
+                let fc_up = rack_fc[rack as usize];
+                let servers = topo.rack_server_range(rack as usize);
+                stats += self.ps.refile_range(servers, |key| PsKey { fc_up, ..*key });
+            }
+        }
+        stats += ps;
         stats.journal_servers = journal_servers;
         stats.classes = (self.ps.keys.len() - self.ps.dead) as u64;
         stats
@@ -963,8 +1087,11 @@ mod tests {
     /// single-server pick as the literal scan. Returns how many refreshes
     /// took each path ([`PATHS`]): the incremental update, the `n / 8`
     /// fallback and the dead-class reclaim, then, of the incremental ones,
-    /// how many had a class take each of [`class_paths`]' four.
-    fn churn(cluster: &Cluster, seed: u64, refreshes: usize) -> [usize; 7] {
+    /// how many had a class take each of [`class_paths`]' four and each of
+    /// [`slice_paths`]' four. Of those it also holds the counts to what the
+    /// partitions show: `renamed` to the class ids whose key changed, and
+    /// `slices` to the runs a stale rack moved out of their class.
+    fn churn(cluster: &Cluster, seed: u64, refreshes: usize) -> [usize; PATHS.len()] {
         let topo = FlatTopology::new(cluster);
         let n = topo.num_servers();
         let gps = topo.gpus_per_server();
@@ -976,7 +1103,7 @@ mod tests {
         let mut live: Vec<(JobId, Placement)> = Vec::new();
         let mut index = ServerIndex::new();
         let mut next_id = 0;
-        let mut paths = [0; 7];
+        let mut paths = [0; PATHS.len()];
         let credit = |ledger: &mut GpuLedger, p: &Placement| {
             for &(s, w) in p.workers() {
                 ledger.set_free(s.0, ledger.free()[s.0] + w as u32);
@@ -1097,6 +1224,11 @@ mod tests {
                     for (path, (p, f)) in ps.into_iter().zip(filter).enumerate() {
                         paths[3 + path] += usize::from(p + f > 0);
                     }
+                    let (slices, moved) = slice_paths(&topo, state, &before.ps, &index.ps);
+                    assert_eq!(stats.slices, moved, "seed {seed} round {round}");
+                    for (path, pairs) in slices.into_iter().enumerate() {
+                        paths[7 + path] += usize::from(pairs > 0);
+                    }
                 }
                 _ if bloated => paths[2] += 1,
                 _ => paths[1] += 1,
@@ -1133,21 +1265,38 @@ mod tests {
     }
 
     /// Names of [`churn`]'s paths, in its order.
-    const PATHS: [&str; 7] = [
-        "update", "fallback", "reclaim", "rename", "blocked", "split", "partial",
+    const PATHS: [&str; 11] = [
+        "update",
+        "fallback",
+        "reclaim",
+        "rename",
+        "blocked",
+        "split",
+        "partial",
+        "rack rename",
+        "slice into a held class",
+        "slice into a new class",
+        "class across racks",
     ];
 
     /// What one incremental update did to each live class of `before`,
     /// read from class ids and keys alone: `[renamed, blocked, split,
-    /// partial]` class counts. Every member moved to one key and kept its
-    /// class id: renamed. Every member moved to one key under another
-    /// class id: a rename blocked, because another class held the key.
-    /// Moved servers split across two keys or more: split. Some members
-    /// moved, to one key, and the rest stayed: partial.
+    /// partial]` class counts. Its key changed under the same class id:
+    /// renamed, by the update or by a stale rack, once (a class the update
+    /// renamed holds its live key, and a class a stale rack renames lies in
+    /// that rack alone). Of the others, every member moved to one key under
+    /// another class id: a rename blocked, because another class held the
+    /// key, or a whole run merged into another class. Moved servers split
+    /// across two keys or more: split. Some members moved, to one key, and
+    /// the rest stayed: partial.
     fn class_paths<K: ClassKey>(before: &Partition<K>, after: &Partition<K>) -> [usize; 4] {
         let mut paths = [0; 4];
         for (class, members) in before.members.iter().enumerate() {
             let old = before.keys[class];
+            if after.keys[class] != old {
+                paths[0] += 1;
+                continue;
+            }
             let moved: Vec<usize> = members
                 .iter()
                 .map(|&s| s as usize)
@@ -1161,17 +1310,64 @@ mod tests {
                 2
             } else if moved.len() < members.len() {
                 3
-            } else if members
-                .iter()
-                .all(|&s| after.class_of[s as usize] == class as u32)
-            {
-                0
             } else {
                 1
             };
             paths[path] += 1;
         }
         paths
+    }
+
+    /// What the stale racks of one incremental update did to the PS
+    /// partition, a (class of `before`, rack) pair at a time. A rack is
+    /// stale if its live uplink flow count is not the one `before` filed
+    /// it under; the pair's run is the class's members in the rack whose
+    /// key changed in that count alone (the update moved the others, whose
+    /// flows or bandwidth moved). Returns `[renamed, into a held class,
+    /// into a new class, class across racks]` pair counts — the run is
+    /// the class, renamed in place; the run joined a class that existed
+    /// before the refresh; one that did not; the class has members in
+    /// more than one rack — and the runs that left their class. Each run
+    /// must end in one class.
+    fn slice_paths(
+        topo: &FlatTopology,
+        state: &SteadyState,
+        before: &Partition<PsKey>,
+        after: &Partition<PsKey>,
+    ) -> ([usize; 4], u64) {
+        let (mut paths, mut moved) = ([0; 4], 0);
+        for (rack, &fc_up) in state.rack_uplinks_flows().iter().enumerate() {
+            let servers = topo.rack_server_range(rack);
+            if before.key_of(servers.start).fc_up == fc_up {
+                continue;
+            }
+            for (class, members) in before.members.iter().enumerate() {
+                let refiled = PsKey {
+                    fc_up,
+                    ..before.keys[class]
+                };
+                let run: Vec<usize> = members
+                    .iter()
+                    .map(|&s| s as usize)
+                    .filter(|s| servers.contains(s) && *after.key_of(*s) == refiled)
+                    .collect();
+                let Some(&first) = run.first() else {
+                    continue;
+                };
+                let into = after.class_of[first];
+                assert!(run.iter().all(|&s| after.class_of[s] == into));
+                let path = match into as usize {
+                    c if c == class => 0,
+                    c if c < before.keys.len() => 1,
+                    _ => 2,
+                };
+                paths[path] += 1;
+                moved += u64::from(path > 0);
+                let racks = |s: &u32| topo.rack_of(*s as usize);
+                paths[3] += usize::from(members.iter().map(racks).any(|r| r != rack));
+            }
+        }
+        (paths, moved)
     }
 
     impl<K: ClassKey> Partition<K> {
@@ -1446,7 +1642,7 @@ mod tests {
     /// a renamed key filed past the slot the delete emptied, and a server
     /// named twice counted twice.
     fn churn_seeds(cluster: &Cluster, seeds: std::ops::Range<u64>) {
-        let mut paths = [0; 7];
+        let mut paths = [0; PATHS.len()];
         for seed in seeds {
             let ran = churn(cluster, seed, 80);
             paths.iter_mut().zip(ran).for_each(|(total, r)| *total += r);
@@ -1481,6 +1677,38 @@ mod tests {
             ..ClusterSpec::paper_default()
         });
         churn_seeds(&cluster, 11..81);
+    }
+
+    /// [`merge_into`] leaves the ascending union of the run and the list,
+    /// whichever end it drains: runs before, after, inside and interleaved
+    /// with the list, lists empty and lists whose deque has wrapped.
+    #[test]
+    fn merge_into_keeps_a_member_list_ascending() {
+        let mut rng = Rng(0x5_11CE);
+        let mut side = Vec::new();
+        for case in 0..3_000 {
+            let (mut run, mut rest) = (Vec::new(), Vec::new());
+            let split = rng.below(4);
+            for id in 0..rng.below(60) as u32 {
+                match rng.below(3) {
+                    0 => {}
+                    1 if split == 0 || (split == 1) == (id < 30) => run.push(id),
+                    _ => rest.push(id),
+                }
+            }
+            // Half the lists are built from the front, so their storage
+            // wraps around the deque's buffer.
+            let mut dst = VecDeque::with_capacity(rest.len() + 1);
+            if rng.below(2) == 0 {
+                dst.extend(&rest);
+            } else {
+                rest.iter().rev().for_each(|&m| dst.push_front(m));
+            }
+            merge_into(&mut dst, &run, &mut side);
+            let mut want = [run, rest].concat();
+            want.sort_unstable();
+            assert!(dst.iter().eq(&want), "case {case}");
+        }
     }
 
     /// The strict audit must see what a full diff would have healed: a

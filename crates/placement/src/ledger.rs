@@ -14,7 +14,7 @@ use netpack_model::Placement;
 use netpack_topology::Cluster;
 
 /// Free GPUs per server, the histogram over them, and the change journal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct GpuLedger {
     free: Vec<u32>,
     /// `with_free[w]` = servers with exactly `w` free GPUs; answers "can
@@ -28,24 +28,20 @@ pub(crate) struct GpuLedger {
 }
 
 impl GpuLedger {
-    /// A ledger mirroring `cluster`'s current allocation, nothing journalled.
-    pub(crate) fn new(cluster: &Cluster) -> Self {
-        let free: Vec<u32> = cluster
-            .servers()
-            .iter()
-            .map(|s| s.gpus_free() as u32)
-            .collect();
+    /// Mirror `cluster`'s current allocation into this ledger's arrays,
+    /// forgetting everything it held, journal included.
+    pub(crate) fn reset(&mut self, cluster: &Cluster) {
+        self.free.clear();
+        self.free
+            .extend(cluster.servers().iter().map(|s| s.gpus_free() as u32));
         // Counted a run of equal counts at a time: on an idle cluster one
         // increment per server would hit one slot, each waiting for the last.
-        let mut with_free = vec![0; cluster.spec().gpus_per_server + 1];
-        for run in free.chunk_by(|a, b| a == b) {
-            with_free[run[0] as usize] += run.len() as u32;
+        self.with_free.clear();
+        self.with_free.resize(cluster.spec().gpus_per_server + 1, 0);
+        for run in self.free.chunk_by(|a, b| a == b) {
+            self.with_free[run[0] as usize] += run.len() as u32;
         }
-        GpuLedger {
-            free,
-            with_free,
-            journal: Vec::new(),
-        }
+        self.journal.clear();
     }
 
     /// Free GPUs per server, indexed by server id.
@@ -152,6 +148,16 @@ mod tests {
     use super::*;
     use netpack_topology::{ClusterSpec, ServerId};
 
+    impl GpuLedger {
+        /// A ledger mirroring `cluster`'s current allocation, nothing
+        /// journalled: a default one [`reset`](GpuLedger::reset) to it.
+        pub(crate) fn new(cluster: &Cluster) -> Self {
+            let mut ledger = GpuLedger::default();
+            ledger.reset(cluster);
+            ledger
+        }
+    }
+
     /// The histogram, counted at construction, and the journal follow
     /// every write.
     #[test]
@@ -193,6 +199,13 @@ mod tests {
         assert!(ledger.any_server_fits(2) && !ledger.any_server_fits(3));
         assert_eq!(ledger.journal(), [0, 1, 2, 3, 1]);
         ledger.clear_journal();
+        assert!(ledger.journal().is_empty());
+        // Reset over another allocation, with a write journalled: the
+        // arrays are the ones `new` builds there, and the journal is empty.
+        ledger.set_free(2, 0);
+        ledger.reset(&held);
+        assert_eq!(ledger.free(), mirrored.free());
+        assert_eq!(ledger.with_free, mirrored.with_free);
         assert!(ledger.journal().is_empty());
     }
 }

@@ -1,8 +1,9 @@
 //! Persistent placement session — the continuous-service fast path.
 //!
-//! [`Placer::place_batch`] is stateless: every call rebuilds the flat
-//! topology mirror and re-solves the water-filled steady state of the
-//! whole running set before placing a single job. A closed-batch
+//! [`Placer::place_batch`] is stateless: every call re-mirrors the GPU
+//! ledger, rebuilds the server index and re-solves the water-filled steady
+//! state of the whole running set before placing a single job (into
+//! arrays the placer keeps, but from scratch). A closed-batch
 //! experiment pays that once; a long-running service placing thousands of
 //! small batches pays it on every one, and at warehouse scale the rebuild
 //! dwarfs the placement itself. [`NetPackSession`] keeps all of that state
@@ -43,7 +44,7 @@
 //! opened warm — a thin queue in front of one of these sessions, handed
 //! out by [`Placer::open_session`](crate::Placer::open_session)): both run the
 //! same batch loop (`NetPackPlacer::place_batch_on`), the stateless placer
-//! on a `(ledger, estimator)` pair built for the batch, the session on the
+//! on a `(ledger, estimator)` pair rebuilt for the batch, the session on the
 //! pair it keeps, and the estimator's settled state is a function of the
 //! surviving insertion order alone — equal to a from-scratch solve over it
 //! wherever the settles fell. After the loop's selective-INA step the

@@ -33,13 +33,20 @@
 //! placement layer uses this view and why it stays bit-identical to the
 //! literal algorithm.
 
-use crate::Cluster;
+use crate::{Cluster, Rack};
+
+/// The id of `rack`'s first server, or `ns` if it has none.
+fn first_server(rack: &Rack, ns: usize) -> usize {
+    rack.server_ids().next().map_or(ns, |s| s.0)
+}
 
 /// Dense structure-of-arrays snapshot of a cluster's static topology.
 ///
-/// Built once per placement batch (O(servers + racks), about a hundred
-/// microseconds at 50k servers) and then indexed with plain integers in the
-/// hot loops. The module docs of `flat.rs` give the layout and invariants.
+/// Lowered once per placement batch or session (O(servers + racks), 20–40
+/// µs at 50k servers) and then indexed with plain integers in the hot
+/// loops. [`lower`](Self::lower) re-lowers a cluster into the arrays a view
+/// already holds: an O(racks) compare when the cluster has the same shape.
+/// The module docs of `flat.rs` give the layout and invariants.
 ///
 /// # Example
 ///
@@ -53,7 +60,7 @@ use crate::Cluster;
 /// assert_eq!(flat.rack_server_range(1), 16..32);
 /// assert_eq!(flat.rack_uplink_gbps(1), cluster.racks()[1].uplink_gbps());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatTopology {
     server_rack: Vec<u32>,
     rack_first_server: Vec<u32>,
@@ -64,25 +71,43 @@ pub struct FlatTopology {
 impl FlatTopology {
     /// Lower `cluster`'s static topology into dense arrays.
     pub fn new(cluster: &Cluster) -> Self {
+        let mut flat = FlatTopology::default();
+        flat.lower(cluster);
+        flat
+    }
+
+    /// Make this view `cluster`'s, reusing its arrays. When the view
+    /// already holds `cluster`'s rack ranges, uplink capacities (bit for
+    /// bit) and GPUs per server, nothing is written and the cost is one
+    /// pass over the racks; otherwise the cluster is lowered in full.
+    pub fn lower(&mut self, cluster: &Cluster) {
         let ns = cluster.num_servers();
-        let nr = cluster.num_racks();
-        let mut server_rack = vec![0u32; ns];
-        let mut rack_first_server = Vec::with_capacity(nr + 1);
-        let mut rack_uplink_gbps = Vec::with_capacity(nr);
+        let gps = cluster.spec().gpus_per_server;
+        let same = self.gpus_per_server == gps
+            && self.server_rack.len() == ns
+            && self.rack_uplink_gbps.len() == cluster.num_racks()
+            && cluster.racks().iter().enumerate().all(|(r, rack)| {
+                let range = self.rack_server_range(r);
+                range.start == first_server(rack, ns)
+                    && range.len() == rack.num_servers()
+                    && self.rack_uplink_gbps[r].to_bits() == rack.uplink_gbps().to_bits()
+            });
+        if same {
+            return;
+        }
+        self.server_rack.clear();
+        self.server_rack.resize(ns, 0);
+        self.rack_first_server.clear();
+        self.rack_uplink_gbps.clear();
         for rack in cluster.racks() {
-            rack_first_server.push(rack.server_ids().next().map_or(ns, |s| s.0) as u32);
-            rack_uplink_gbps.push(rack.uplink_gbps());
+            self.rack_first_server.push(first_server(rack, ns) as u32);
+            self.rack_uplink_gbps.push(rack.uplink_gbps());
             for sid in rack.server_ids() {
-                server_rack[sid.0] = rack.id().0 as u32;
+                self.server_rack[sid.0] = rack.id().0 as u32;
             }
         }
-        rack_first_server.push(ns as u32);
-        FlatTopology {
-            server_rack,
-            rack_first_server,
-            rack_uplink_gbps,
-            gpus_per_server: cluster.spec().gpus_per_server,
-        }
+        self.rack_first_server.push(ns as u32);
+        self.gpus_per_server = gps;
     }
 
     /// Number of servers.
@@ -153,6 +178,47 @@ mod tests {
             let range = flat.rack_server_range(r);
             let ids: Vec<usize> = rack.server_ids().map(|s| s.0).collect();
             assert_eq!(range.clone().collect::<Vec<_>>(), ids);
+        }
+    }
+
+    /// A view re-lowered over another cluster is the view `new` builds,
+    /// whichever compared field differs: racks, servers per rack, GPUs per
+    /// server or uplink capacity.
+    #[test]
+    fn lower_reuses_a_view_only_for_the_same_shape() {
+        let base = ClusterSpec {
+            racks: 3,
+            servers_per_rack: 4,
+            ..ClusterSpec::paper_default()
+        };
+        let clusters = [
+            Cluster::new(base.clone()),
+            Cluster::new(ClusterSpec {
+                racks: 4,
+                ..base.clone()
+            }),
+            Cluster::new(ClusterSpec {
+                servers_per_rack: 5,
+                ..base.clone()
+            }),
+            Cluster::new(ClusterSpec {
+                gpus_per_server: 2,
+                ..base.clone()
+            }),
+            Cluster::new(ClusterSpec {
+                oversubscription: 2.0,
+                ..base
+            }),
+            FatTreeSpec::paper_like().compile().unwrap(),
+        ];
+        let mut view = FlatTopology::default();
+        for a in &clusters {
+            for b in &clusters {
+                view.lower(a);
+                assert_eq!(view, FlatTopology::new(a));
+                view.lower(b);
+                assert_eq!(view, FlatTopology::new(b));
+            }
         }
     }
 

@@ -208,32 +208,34 @@ fn write_flow_run(
     }
 }
 
-/// Minimal union-find over resource-node indices.
+/// Minimal union-find over resource-node indices. Parents are `u32`: a
+/// cluster has one node per link and per rack, far below `u32::MAX`.
 #[derive(Debug, Clone)]
 pub(crate) struct Dsu {
-    parent: Vec<usize>,
+    parent: Vec<u32>,
 }
 
 impl Dsu {
     pub(crate) fn new(nodes: usize) -> Self {
         Dsu {
-            parent: (0..nodes).collect(),
+            parent: (0..nodes as u32).collect(),
         }
     }
 
-    pub(crate) fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    pub(crate) fn find(&mut self, x: usize) -> usize {
+        let mut x = x as u32;
+        while self.parent[x as usize] != x {
+            self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
+            x = self.parent[x as usize];
         }
-        x
+        x as usize
     }
 
     /// Make `x` a singleton again. Sound only when every node of `x`'s
     /// component is isolated in the same sweep: a node left pointing at `x`
     /// would otherwise be cut off from its old root.
     pub(crate) fn isolate(&mut self, x: usize) {
-        self.parent[x] = x;
+        self.parent[x] = x as u32;
     }
 
     /// Join `nodes` into one component; returns the first of them.
@@ -251,7 +253,7 @@ impl Dsu {
             // Deterministic: the smaller root wins, so component identity
             // does not depend on union order.
             let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
+            self.parent[hi] = lo as u32;
         }
     }
 }
@@ -441,8 +443,9 @@ pub(crate) struct SolveScratch {
     /// Entries of the members' runs per link of the component being
     /// solved.
     degree: Vec<u32>,
-    /// Flows of unfrozen members' ordinary entries per link.
-    link_total: Vec<u64>,
+    /// Flows of unfrozen members' ordinary entries per link: at most the
+    /// link's flow count, a `u32`.
+    link_total: Vec<u32>,
     /// INA-enabled unfrozen members per rack (one per switch occurrence),
     /// whatever the rack's PAT; only read for racks with PAT left.
     rack_jobs: Vec<u32>,
@@ -637,7 +640,7 @@ impl SolveScratch {
                         let e = &mut self.active[(self.start[m] + k) as usize];
                         debug_assert_eq!(e.link as usize, link, "an entry left its owner's run");
                         let total = &mut self.link_total[link];
-                        *total = *total - u64::from(e.flows) + u64::from(flows);
+                        *total = *total - e.flows + flows;
                         e.flows = flows;
                     }
                 }
@@ -775,7 +778,7 @@ impl SolveScratch {
             let from = self.start[m] as usize;
             for e in &mut self.active[from..from + self.ordinary_len[m] as usize] {
                 let total = &mut self.link_total[e.link as usize];
-                *total -= u64::from(e.flows);
+                *total -= e.flows;
                 emptied |= *total == 0;
                 e.flows = 0;
             }
@@ -960,7 +963,7 @@ pub(crate) fn solve_component(
                 if s.link_total[l] == 0 {
                     s.live_links.push(l);
                 }
-                s.link_total[l] += u64::from(e.flows);
+                s.link_total[l] += e.flows;
                 if !e.steady {
                     s.moves
                         .push((at as u32, Home::Active((s.active.len() - first) as u32)));
@@ -1024,7 +1027,7 @@ pub(crate) fn solve_component(
         // A link that cannot undercut the minimum so far skips its division.
         let mut delta = f64::INFINITY;
         for &l in &s.live_links {
-            let (b, t) = (bw[l].max(0.0), s.link_total[l] as f64);
+            let (b, t) = (bw[l].max(0.0), f64::from(s.link_total[l]));
             if share_cannot_undercut(delta, b, t) {
                 debug_assert_eq!(
                     delta.min(b / t).to_bits(),

@@ -14,8 +14,9 @@
 #  5. rustdoc on the workspace's own crates, warnings denied (a dangling intra-doc link fails)
 #  6. workspace tests from a debug build, every debug_assert audit on
 #  7. workspace doctests
-#  8. the oracle tests from a release build: root tests/oracles.rs and
-#     crates/bench/tests/smoke.rs, whose pinned values must hold in both builds
+#  8. the oracle and property tests from a release build: root tests/oracles.rs
+#     and crates/bench/tests/smoke.rs, whose pinned values must hold in both
+#     builds, the placement property suite and the water-fill crate's tests
 #  9. benchmark package compiles against the library (cargo check of benchmark/,
 #     its Cargo.lock restored byte for byte)
 set -euo pipefail
@@ -46,13 +47,17 @@ cargo test --workspace -q
 echo "==> cargo test --workspace --doc -q"
 cargo test --workspace --doc -q
 
-echo "==> oracle tests from a release build"
+echo "==> oracle and property tests from a release build"
 # The same production == reference checks step 6 ran with every
 # debug_assert! audit on, now on the optimised code, against the same
 # pinned values: a debug and a release build may not place, simulate or
-# count differently.
+# count differently. The placement properties reach paths only a release
+# build takes (a plan ruled out by its score ceiling returns early), and
+# the solver is held to its literal twin in both builds.
 cargo test --release -q -p netpack --test oracles
 cargo test --release -q -p netpack-bench --test smoke
+cargo test --release -q -p netpack-placement --test properties
+cargo test --release -q -p netpack-waterfill
 
 echo "==> cargo check of the benchmark package (benchmark/Cargo.lock restored byte for byte)"
 # benchmark/ is a package of its own, so nothing above compiles it; the

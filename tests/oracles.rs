@@ -118,7 +118,11 @@ fn production_matches_the_literal_algorithm() {
     // PS-class representatives and the live-link water-fill rounds are the
     // bill here. The PS-scoring counts — evaluations, the plan-rack
     // servers those stood in for, plans ruled out by their score ceiling —
-    // are pinned, and so are the index classes renamed in place.
+    // are pinned, and so are the index classes renamed in place and the
+    // class runs a rack whose uplink flows moved took elsewhere. Moving a
+    // rack's classes a run at a time, after the update, took the renames
+    // from 16 to 22: a class lying in one such rack is renamed whole even
+    // when some of its servers also moved on their own.
     let contended = Cluster::new(ClusterSpec {
         racks: 16,
         servers_per_rack: 64,
@@ -133,7 +137,8 @@ fn production_matches_the_literal_algorithm() {
         "ps_plans_ruled_out",
     ];
     assert_eq!(ps.map(|name| perf.counter(name)), [13_027, 18_057, 1_161]);
-    assert_eq!(perf.counter("index_renamed"), 16);
+    assert_eq!(perf.counter("index_renamed"), 22);
+    assert_eq!(perf.counter("index_slices"), 121);
     // No pool runs dry there; at 400 Gbps of PAT a rack they do, and the
     // refinable classes split at the PAT flips.
     let starved = Cluster::new(ClusterSpec {
@@ -142,6 +147,82 @@ fn production_matches_the_literal_algorithm() {
     });
     let (_, perf) = matches_the_literal_algorithm(&starved, &[], &batch);
     assert_eq!(perf.counter("waterfill_class_splits"), 1_144);
+}
+
+/// A placer keeps the arrays of its last stateless batch for their
+/// capacity and rebuilds their contents from each call's `(cluster,
+/// running)`, so one placer driven through many calls must return, call
+/// by call, what a fresh placer returns. The seeded sequence changes one
+/// field of the cluster between calls — racks, servers per rack, GPUs per
+/// server, oversubscription (so only the uplink capacities move), PAT or
+/// server-link capacity — or none, and allocates the GPUs of up to three
+/// running jobs, so the kept topology is re-lowered or reused, the ledger
+/// re-mirrored and the PS class table rebuilt on every kind of change;
+/// each kind is asserted taken more than ten times. Two mutations fail it:
+/// a topology compare that ignores the uplink capacities, and a PS class
+/// table kept across a server-link capacity change.
+#[test]
+fn one_placer_across_calls_equals_a_fresh_placer_per_call() {
+    let mut rng = 0x5EED_CA11_u64;
+    let mut below = move |n: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % n as u64) as usize
+    };
+    let ids = |jobs: &[Job]| jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+    let mut spec = ClusterSpec {
+        racks: 3,
+        servers_per_rack: 4,
+        ..ClusterSpec::paper_default()
+    };
+    let mut kept = NetPackPlacer::default();
+    // Calls that kept the spec, then calls that changed each field.
+    let mut changes = [0usize; 7];
+    for call in 0..300 {
+        let change = below(changes.len());
+        match change {
+            1 => spec.racks = 2 + below(3),
+            2 => spec.servers_per_rack = 3 + below(4),
+            3 => spec.gpus_per_server = [2, 4, 8][below(3)],
+            4 => spec.oversubscription = [1.0, 2.0, 4.0][below(3)],
+            5 => spec.pat_gbps = [0.0, 150.0, 1000.0][below(3)],
+            6 => spec.server_link_gbps = [40.0, 100.0, 400.0][below(3)],
+            _ => {}
+        }
+        changes[change] += 1;
+        let mut cluster = Cluster::new(spec.clone());
+        let n = cluster.num_servers();
+        let mut running = Vec::new();
+        for id in 0..below(4) {
+            let mut workers: Vec<(ServerId, usize)> = Vec::new();
+            for _ in 0..2 + below(2) {
+                let s = below(n);
+                let free = cluster.servers()[s].gpus_free();
+                if free > 0 && workers.iter().all(|&(w, _)| w.0 != s) {
+                    workers.push((ServerId(s), 1 + below(free)));
+                }
+            }
+            if workers.len() < 2 {
+                continue;
+            }
+            for &(s, w) in &workers {
+                cluster.allocate_gpus(s, w).unwrap();
+            }
+            running.push(RunningJob {
+                id: JobId(1_000 + id as u64),
+                gradient_gbits: 4.0,
+                placement: Placement::new(workers, Some(ServerId(below(n)))),
+            });
+        }
+        let max_gpus = 3 * spec.gpus_per_server;
+        let batch = xorshift_batch(4 + below(12), max_gpus, call + 1);
+        let out = kept.place_batch(&cluster, &running, &batch);
+        let fresh = NetPackPlacer::default().place_batch(&cluster, &running, &batch);
+        assert_eq!(out.placed, fresh.placed, "call {call}: {spec:?}");
+        assert_eq!(ids(&out.deferred), ids(&fresh.deferred), "call {call}");
+    }
+    assert!(changes.iter().all(|&c| c > 10), "{changes:?}");
 }
 
 /// The work of one dense batch — the first `dense_batch` input of the repo
@@ -175,7 +256,11 @@ fn production_matches_the_literal_algorithm() {
 /// and 40. A class all of whose members move to one new key is now renamed
 /// in place (`index_renamed`, 22 126 classes) rather than moved server by
 /// server, and only the servers left over count toward the `n / 8`
-/// rebuild: that took the re-keys to 14 369 and the rebuilds to 2. So is
+/// rebuild: that took the re-keys to 14 369 and the rebuilds to 2. A rack
+/// whose uplink flow count moved now moves each class present there as
+/// one run of its member list, renamed in place when the run is the whole
+/// class (`index_slices`, 28 runs moved): that took the re-keys to 12 995
+/// and the renames to 22 129; the rebuilds stayed at 2. So is
 /// the PS evaluation count: a plan whose score ceiling does
 /// not clear the best score an earlier plan of its job reached evaluates
 /// its own servers only, never a class representative — 12 782 of the
@@ -207,9 +292,10 @@ fn a_dense_batch_costs_the_pinned_rounds_and_solves() {
     assert_eq!(count("plans_considered"), 13_344);
     assert_eq!(count("dp_candidates_kept"), 17_783);
     assert_eq!(count("index_journal_servers"), 308_675);
-    assert_eq!(count("index_rekeyed"), 14_369);
+    assert_eq!(count("index_rekeyed"), 12_995);
     assert_eq!(count("index_rebuilds"), 2);
-    assert_eq!(count("index_renamed"), 22_126);
+    assert_eq!(count("index_renamed"), 22_129);
+    assert_eq!(count("index_slices"), 28);
 }
 
 #[test]
