@@ -1,7 +1,7 @@
 //! Ablation — the DP's two-dimensional `(f, g)` knapsack weight.
 //!
 //! NetPack tracks the per-plan maximum flow count `f` precisely so the PS
-//! step can punish hot-spot plans. Collapsing the dimension turns the DP
+//! step can punish hot-spot plans. Collapsing the dimension (`fs_max: 0`) turns the DP
 //! into a plain GPU knapsack; this bench quantifies what that costs.
 
 use netpack_bench::{netpack_jct_sweep, repeats};
@@ -41,9 +41,9 @@ fn main() {
     let points: Vec<_> = clusters
         .iter()
         .flat_map(|(_, spec)| {
-            [true, false].map(|flow_dimension| {
+            [NetPackConfig::default().fs_max, 0].map(|fs_max| {
                 let config = NetPackConfig {
-                    flow_dimension,
+                    fs_max,
                     ..NetPackConfig::default()
                 };
                 (spec.clone(), config, SimConfig::default())

@@ -8,6 +8,9 @@
 //! propose placements (steps 2-4), validates and enforces them on the GPU
 //! ledger, and hands the decisions to the caller's enforcement hook
 //! (step 5 — in this reproduction, the flow-level simulator's job table).
+//! Its books hold one [`RunningJob`] per running job — under
+//! [`JobManager::warm`] the books are the `NetPackSession` itself — and
+//! [`JobManager::finish`] hands that record back.
 //!
 //! Deferred jobs age: their knapsack value grows by
 //! [`DEFERRAL_AGING`](netpack_placement::DEFERRAL_AGING) every epoch they
@@ -25,6 +28,7 @@
 //!
 //! [`Cluster`]: netpack_topology::Cluster
 //! [`Placer`]: netpack_placement::Placer
+//! [`RunningJob`]: netpack_placement::RunningJob
 //!
 //! # Example
 //!
@@ -39,12 +43,12 @@
 //! manager.submit(Job::builder(JobId(0), ModelKind::ResNet50, 4).build());
 //! let decisions = manager.run_epoch();
 //! assert_eq!(decisions.len(), 1);
-//! assert_eq!(manager.running().count(), 1);
+//! assert_eq!(manager.running().len(), 1);
 //! manager.finish(JobId(0))?;
-//! assert_eq!(manager.running().count(), 0);
-//! # Ok::<(), netpack_core::ManagerError>(())
+//! assert!(manager.running().is_empty());
+//! # Ok::<(), netpack_placement::SessionError>(())
 //! ```
 
 mod manager;
 
-pub use manager::{JobManager, ManagerError};
+pub use manager::JobManager;

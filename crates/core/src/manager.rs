@@ -2,27 +2,28 @@
 //!
 //! The manager owns the pending queue and the scheduling policy around it
 //! (canonical batch order, aging of deferred jobs). The *books* — the GPU
-//! ledger, the running placements and the water-filled steady state over
-//! them — are kept in one of two ways, chosen when the manager is built
-//! and hidden behind the private [`Books`] trait:
+//! ledger, the running set and the water-filled steady state over them —
+//! hold one [`RunningJob`] per running job and are kept in one of two
+//! ways, chosen when the manager is built and hidden behind the private
+//! [`Books`] trait:
 //!
 //! * **Stateless books** ([`JobManager::new`]): the manager keeps them
 //!   itself — a [`Cluster`] whose free-GPU counts are the ledger, the
-//!   running list, and, once a caller has asked for it, a warm
-//!   [`IncrementalEstimator`] mirroring that list in placement order — and
-//!   hands the placer a view of the running set every epoch, from which a
-//!   stateless [`Placer::place_batch`] rebuilds whatever it needs. Every
-//!   baseline placer runs this way, and so does every oracle: the
-//!   simulator's from-scratch reference and the service-equivalence
-//!   reference share neither session nor estimator with what they check.
+//!   running set, and, once a caller has asked for it, a warm
+//!   [`IncrementalEstimator`] mirroring that set in placement order — and
+//!   hands the placer the running set every epoch, from which a stateless
+//!   [`Placer::place_batch`] rebuilds whatever it needs. Every baseline
+//!   placer runs this way, and so does every oracle: the simulator's
+//!   from-scratch reference and the service-equivalence reference share
+//!   neither session nor estimator with what they check.
 //! * **Warm books** ([`JobManager::warm`] over a placer that
-//!   [opens a session](Placer::open_session)): one [`NetPackSession`] is
-//!   the only set of books. An epoch is `session.place_batch`, a finish is
-//!   `session.complete`, the steady state is the session's own estimator,
-//!   settled; there is no second estimator, no second ledger, and nothing
-//!   is rebuilt per epoch. The placements are bit-identical to the
-//!   stateless books' (`service_equivalence` and the simulator's
-//!   `run == run_reference` tests hold the two to each other).
+//!   [opens a session](Placer::open_session)): the books are the
+//!   [`NetPackSession`] itself. An epoch is `session.place_batch`, a
+//!   finish is `session.complete`, the steady state is the session's own
+//!   estimator, settled; nothing is kept beside the session and nothing is
+//!   rebuilt per epoch. The placements are bit-identical to the stateless
+//!   books' (this module's tests, `service_equivalence` and the
+//!   simulator's `run == run_reference` tests hold the two to each other).
 //!
 //! Either way the running set changes in [`JobManager::run_epoch`] and
 //! [`JobManager::finish`] and the steady state is read in
@@ -41,51 +42,15 @@ use netpack_placement::{
     placement_order, AdmissionIndex, BatchOutcome, NetPackSession, PerfCounters, Placer,
     RunningJob, SessionError, DEFERRAL_AGING,
 };
-use netpack_topology::{Cluster, JobId, TopologyError};
-use netpack_waterfill::{estimate, IncrementalEstimator, PlacedJob, SteadyState, WaterfillStats};
+use netpack_topology::{Cluster, JobId};
+use netpack_waterfill::{IncrementalEstimator, PlacedJob, SteadyState, WaterfillStats};
 use netpack_workload::Job;
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::error::Error;
 use std::fmt;
 
-/// Errors from the manager's bookkeeping API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ManagerError {
-    /// [`JobManager::finish`] was called for a job that is not running.
-    UnknownJob(JobId),
-    /// The GPU ledger rejected an operation (internal inconsistency).
-    Ledger(TopologyError),
-}
-
-impl fmt::Display for ManagerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ManagerError::UnknownJob(id) => write!(f, "job {id} is not running"),
-            ManagerError::Ledger(e) => write!(f, "gpu ledger error: {e}"),
-        }
-    }
-}
-
-impl Error for ManagerError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ManagerError::Ledger(e) => Some(e),
-            ManagerError::UnknownJob(_) => None,
-        }
-    }
-}
-
-impl From<TopologyError> for ManagerError {
-    fn from(e: TopologyError) -> Self {
-        ManagerError::Ledger(e)
-    }
-}
-
-/// The GPU ledger, the running placements and the steady state over them:
-/// what a manager keeps about the jobs it has placed. The two
-/// implementations are described in the [module docs](self); the manager
-/// picks one when it is built and never asks which.
+/// The GPU ledger, the running set and the steady state over it: what a
+/// manager keeps about the jobs it has placed. The two implementations
+/// are described in the [module docs](self); the manager picks one when
+/// it is built and never asks which.
 trait Books {
     /// Topology and capacities. Only the stateless books keep their ledger
     /// in it; [`free_gpus`](Self::free_gpus) reads either kind's.
@@ -95,7 +60,7 @@ trait Books {
 
     /// The running set in placement order — the estimator's insertion
     /// order.
-    fn running(&self) -> Box<dyn Iterator<Item = (JobId, &Placement)> + '_>;
+    fn running(&self) -> &[RunningJob];
 
     /// Place `batch` (already in canonical order) and enforce what was
     /// placed on the ledger, the running set and the estimator.
@@ -103,10 +68,10 @@ trait Books {
 
     /// Release `id`'s GPUs, drop it from the running set and stage its
     /// estimator removal, all or nothing.
-    fn finish(&mut self, id: JobId) -> Result<(Job, Placement), ManagerError>;
+    fn finish(&mut self, id: JobId) -> Result<RunningJob, SessionError>;
 
     /// Settle the staged ops and return the warm steady state.
-    fn settle(&mut self) -> &SteadyState;
+    fn settled_state(&mut self) -> &SteadyState;
 
     fn waterfill_stats(&self) -> Option<WaterfillStats>;
 
@@ -124,17 +89,26 @@ struct StatelessBooks {
     /// The ledger: free-GPU counts reflect the running jobs.
     cluster: Cluster,
     placer: Box<dyn Placer>,
-    running: Vec<(Job, Placement)>,
+    /// Handed to the placer as is every epoch.
+    running: Vec<RunningJob>,
     /// Id → position in `running` for `finish`.
     index: AdmissionIndex,
-    /// Warm incremental estimator, lazily created by the first `settle`.
+    /// Warm incremental estimator, lazily created by the first settle.
     /// Its insertion order always mirrors `running` — the bit-identity
-    /// contract with from-scratch [`estimate`] depends on it.
+    /// contract with a from-scratch solve depends on it.
     tracker: Option<IncrementalEstimator>,
-    /// Arena for the per-epoch running-jobs view handed to the placer,
-    /// reused across epochs (placements are cloned into it; the epoch
-    /// loop itself allocates no fresh vector).
-    running_view: Vec<RunningJob>,
+}
+
+impl StatelessBooks {
+    fn new(cluster: Cluster, placer: Box<dyn Placer>) -> Self {
+        StatelessBooks {
+            cluster,
+            placer,
+            running: Vec::new(),
+            index: AdmissionIndex::default(),
+            tracker: None,
+        }
+    }
 }
 
 impl Books for StatelessBooks {
@@ -146,21 +120,12 @@ impl Books for StatelessBooks {
         self.cluster.free_gpus()
     }
 
-    fn running(&self) -> Box<dyn Iterator<Item = (JobId, &Placement)> + '_> {
-        Box::new(self.running.iter().map(|(j, p)| (j.id, p)))
+    fn running(&self) -> &[RunningJob] {
+        &self.running
     }
 
     fn place(&mut self, batch: &[Job]) -> BatchOutcome {
-        self.running_view.clear();
-        self.running_view
-            .extend(self.running.iter().map(|(j, p)| RunningJob {
-                id: j.id,
-                gradient_gbits: j.gradient_gbits(),
-                placement: p.clone(),
-            }));
-        let outcome = self
-            .placer
-            .place_batch(&self.cluster, &self.running_view, batch);
+        let outcome = self.placer.place_batch(&self.cluster, &self.running, batch);
         for (job, placement) in &outcome.placed {
             placement
                 .validate(&self.cluster, job.gpus)
@@ -176,7 +141,11 @@ impl Books for StatelessBooks {
                 // netpack-lint: allow(E1): the line above validated this placement against the same ledger, so the allocation cannot fail
                 .expect("validated placement fits the ledger");
             self.index.admit(job.id);
-            self.running.push((job.clone(), placement.clone()));
+            self.running.push(RunningJob {
+                id: job.id,
+                gradient_gbits: job.gradient_gbits(),
+                placement: placement.clone(),
+            });
             if let Some(tracker) = &mut self.tracker {
                 tracker.stage_push(PlacedJob::new(job.id, &self.cluster, placement));
             }
@@ -187,14 +156,17 @@ impl Books for StatelessBooks {
     /// Lookup is a binary search over admission numbers; the removal
     /// itself is an order-preserving `Vec::remove` (not `swap_remove`)
     /// because the running order doubles as the warm estimator's insertion
-    /// order, and bit-identity with from-scratch [`estimate`] depends on
+    /// order, and bit-identity with a from-scratch solve depends on
     /// replaying the same float-op sequence.
-    fn finish(&mut self, id: JobId) -> Result<(Job, Placement), ManagerError> {
+    fn finish(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
         let idx = self
             .index
             .position(id)
-            .ok_or(ManagerError::UnknownJob(id))?;
-        self.running[idx].1.release_on(&mut self.cluster)?;
+            .ok_or(SessionError::UnknownJob(id))?;
+        self.running[idx]
+            .placement
+            .release_on(&mut self.cluster)
+            .map_err(SessionError::Ledger)?;
         self.index.retire(id, idx);
         if let Some(tracker) = &mut self.tracker {
             let staged = tracker.stage_remove_at(idx, id);
@@ -203,13 +175,13 @@ impl Books for StatelessBooks {
         Ok(self.running.remove(idx))
     }
 
-    fn settle(&mut self) -> &SteadyState {
+    fn settled_state(&mut self) -> &SteadyState {
         match self.tracker {
             None => {
                 let placed: Vec<PlacedJob> = self
                     .running
                     .iter()
-                    .map(|(j, p)| PlacedJob::new(j.id, &self.cluster, p))
+                    .map(|r| r.to_placed(&self.cluster))
                     .collect();
                 self.tracker
                     .insert(IncrementalEstimator::new(&self.cluster, &placed))
@@ -240,65 +212,46 @@ impl Books for StatelessBooks {
     }
 }
 
-/// One warm session as the only books.
-struct WarmBooks {
-    session: NetPackSession,
-    /// Topology and capacities, never written: the ledger is the session's.
-    cluster: Cluster,
-    /// The running jobs as submitted; the session keeps their placements.
-    jobs: BTreeMap<JobId, Job>,
-}
-
-impl Books for WarmBooks {
+/// The warm books: the session is the ledger, the running set and the
+/// estimator, and the one record of each running job.
+impl Books for NetPackSession {
     fn cluster(&self) -> &Cluster {
-        &self.cluster
+        NetPackSession::cluster(self)
     }
 
     fn free_gpus(&self) -> usize {
-        self.session.free_gpus()
+        NetPackSession::free_gpus(self)
     }
 
-    fn running(&self) -> Box<dyn Iterator<Item = (JobId, &Placement)> + '_> {
-        Box::new(self.session.running().iter().map(|r| (r.id, &r.placement)))
+    fn running(&self) -> &[RunningJob] {
+        NetPackSession::running(self)
     }
 
     fn place(&mut self, batch: &[Job]) -> BatchOutcome {
-        let outcome = self.session.place_batch(batch);
-        for (job, _) in &outcome.placed {
-            self.jobs.insert(job.id, job.clone());
-        }
-        outcome
+        self.place_batch(batch)
     }
 
-    fn finish(&mut self, id: JobId) -> Result<(Job, Placement), ManagerError> {
-        let Entry::Occupied(job) = self.jobs.entry(id) else {
-            return Err(ManagerError::UnknownJob(id));
-        };
-        let done = self.session.complete(id).map_err(|e| match e {
-            SessionError::Ledger(e) => ManagerError::Ledger(e),
-            // The one other refusal `complete` documents.
-            _ => ManagerError::UnknownJob(id),
-        })?;
-        Ok((job.remove(), done.placement))
+    fn finish(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
+        self.complete(id)
     }
 
-    fn settle(&mut self) -> &SteadyState {
-        self.session.settle();
-        self.session.state()
+    fn settled_state(&mut self) -> &SteadyState {
+        self.settle();
+        self.state()
     }
 
     fn waterfill_stats(&self) -> Option<WaterfillStats> {
-        Some(*self.session.waterfill_stats())
+        Some(*NetPackSession::waterfill_stats(self))
     }
 
     fn changed_since(&self, seen: u64, out: &mut Vec<JobId>) -> u64 {
         out.clear();
-        out.extend(self.session.rates_changed_since(seen));
-        self.session.solve_epoch()
+        out.extend(self.rates_changed_since(seen));
+        self.solve_epoch()
     }
 
     fn perf(&self) -> Option<&PerfCounters> {
-        Some(self.session.perf())
+        Some(NetPackSession::perf(self))
     }
 }
 
@@ -314,7 +267,7 @@ impl fmt::Debug for JobManager {
         f.debug_struct("JobManager")
             .field("placer", &self.placer_name)
             .field("pending", &self.pending.len())
-            .field("running", &self.books.running().count())
+            .field("running", &self.books.running().len())
             .field("free_gpus", &self.books.free_gpus())
             .finish()
     }
@@ -325,39 +278,25 @@ impl JobManager {
     /// keeping stateless books: the placer is handed the running set every
     /// epoch and keeps nothing between calls.
     pub fn new(cluster: Cluster, placer: Box<dyn Placer>) -> Self {
-        let placer_name = placer.name();
-        let books = StatelessBooks {
-            cluster,
-            placer,
-            running: Vec::new(),
-            index: AdmissionIndex::default(),
-            tracker: None,
-            running_view: Vec::new(),
-        };
         JobManager {
-            books: Box::new(books),
-            placer_name,
+            placer_name: placer.name(),
+            books: Box::new(StatelessBooks::new(cluster, placer)),
             pending: Vec::new(),
         }
     }
 
-    /// Create a manager whose only books are the warm session `placer`
+    /// Create a manager whose books are the warm session `placer`
     /// [opens](Placer::open_session) over `cluster` (taken as idle) — same
     /// decisions as [`new`](Self::new), nothing rebuilt per epoch. A placer
     /// with no warm form gets the stateless books of [`new`](Self::new).
     pub fn warm(cluster: Cluster, placer: Box<dyn Placer>) -> Self {
-        let Some(session) = placer.open_session(&cluster) else {
-            return JobManager::new(cluster, placer);
-        };
-        let books = WarmBooks {
-            session,
-            cluster,
-            jobs: BTreeMap::new(),
-        };
-        JobManager {
-            books: Box::new(books),
-            placer_name: placer.name(),
-            pending: Vec::new(),
+        match placer.open_session(&cluster) {
+            Some(session) => JobManager {
+                placer_name: placer.name(),
+                books: Box::new(session),
+                pending: Vec::new(),
+            },
+            None => JobManager::new(cluster, placer),
         }
     }
 
@@ -380,7 +319,7 @@ impl JobManager {
     }
 
     /// Jobs currently running with their placements, in placement order.
-    pub fn running(&self) -> impl Iterator<Item = (JobId, &Placement)> + '_ {
+    pub fn running(&self) -> &[RunningJob] {
         self.books.running()
     }
 
@@ -414,36 +353,25 @@ impl JobManager {
         outcome.placed
     }
 
-    /// Mark a running job finished, releasing its GPUs, and return the
-    /// removed `(Job, Placement)` so callers need not keep their own copy.
-    /// The running order of the other jobs is preserved, and the estimator
-    /// removal is staged, not solved, until the next
+    /// Mark a running job finished, releasing its GPUs, and return its
+    /// removed record. The running order of the other jobs is preserved,
+    /// and the estimator removal is staged, not solved, until the next
     /// [`steady_state_incremental`](Self::steady_state_incremental).
     ///
     /// # Errors
     ///
-    /// [`ManagerError::UnknownJob`] if the job is not running;
-    /// [`ManagerError::Ledger`] if the ledger refuses the release (the
+    /// [`SessionError::UnknownJob`] if the job is not running;
+    /// [`SessionError::Ledger`] if the ledger refuses the release (the
     /// manager's books were already inconsistent). All-or-nothing: on
     /// error the ledger is unchanged and the job is still running.
-    pub fn finish(&mut self, id: JobId) -> Result<(Job, Placement), ManagerError> {
+    pub fn finish(&mut self, id: JobId) -> Result<RunningJob, SessionError> {
         self.books.finish(id)
     }
 
-    /// Estimate the current steady state of all running jobs from scratch.
-    pub fn steady_state(&self) -> SteadyState {
-        let cluster = self.cluster();
-        let placed: Vec<PlacedJob> = self
-            .running()
-            .map(|(id, p)| PlacedJob::new(id, cluster, p))
-            .collect();
-        estimate(cluster, &placed)
-    }
-
     /// Steady state of all running jobs from the warm incremental
-    /// estimator — bit-identical to [`steady_state`](Self::steady_state)
-    /// but re-solving only the resource-connected components touched since
-    /// the last call.
+    /// estimator — bit-identical to a from-scratch solve over
+    /// [`running`](Self::running) but re-solving only the
+    /// resource-connected components touched since the last call.
     ///
     /// Stateless books build their estimator from the current running set
     /// at the first call; after that, and always under warm books, the
@@ -451,7 +379,7 @@ impl JobManager {
     /// [`finish`](Self::finish) staged — one solve per dirty component,
     /// however many ops hit it.
     pub fn steady_state_incremental(&mut self) -> &SteadyState {
-        self.books.settle()
+        self.books.settled_state()
     }
 
     /// Refill `changed` with the running jobs whose rate in the warm
@@ -483,7 +411,8 @@ impl JobManager {
 mod tests {
     use super::*;
     use netpack_placement::{GpuBalance, NetPackPlacer};
-    use netpack_topology::ClusterSpec;
+    use netpack_topology::{ClusterSpec, TopologyError};
+    use netpack_waterfill::estimate;
     use netpack_workload::ModelKind;
 
     fn cluster() -> Cluster {
@@ -508,6 +437,16 @@ mod tests {
 
     fn job(id: u64, gpus: usize) -> Job {
         Job::builder(JobId(id), ModelKind::Vgg16, gpus).build()
+    }
+
+    /// Algorithm 1 from scratch over the running set in placement order.
+    fn scratch(m: &JobManager) -> SteadyState {
+        let placed: Vec<PlacedJob> = m
+            .running()
+            .iter()
+            .map(|r| r.to_placed(m.cluster()))
+            .collect();
+        estimate(m.cluster(), &placed)
     }
 
     #[test]
@@ -543,7 +482,7 @@ mod tests {
             assert_eq!(m.free_gpus(), 12);
             m.finish(JobId(0)).unwrap();
             assert_eq!(m.free_gpus(), 16);
-            assert_eq!(m.finish(JobId(0)), Err(ManagerError::UnknownJob(JobId(0))));
+            assert_eq!(m.finish(JobId(0)), Err(SessionError::UnknownJob(JobId(0))));
         }
     }
 
@@ -574,23 +513,16 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_reflects_running_jobs() {
-        let mut m = manager(Box::new(GpuBalance));
-        m.submit(job(0, 6));
-        m.run_epoch();
-        let state = m.steady_state();
-        let rate = state.job_rate_gbps(JobId(0)).unwrap();
-        assert!(rate.is_finite() && rate > 0.0);
-    }
-
-    #[test]
-    fn finish_returns_the_removed_job_and_placement() {
+    fn finish_returns_the_running_record() {
         for mut m in both_books() {
             m.submit(job(3, 6));
             let placed = m.run_epoch();
-            let (fj, fp) = m.finish(JobId(3)).unwrap();
-            assert_eq!(fj.id, JobId(3));
-            assert_eq!((fj, fp), placed.into_iter().next().unwrap());
+            let record = m.running()[0].clone();
+            let done = m.finish(JobId(3)).unwrap();
+            assert_eq!(done, record);
+            assert_eq!(done.id, JobId(3));
+            assert_eq!(done.gradient_gbits, job(3, 6).gradient_gbits());
+            assert_eq!(done.placement, placed[0].1);
         }
     }
 
@@ -604,11 +536,10 @@ mod tests {
             // Remove from the middle, then the ends — every lookup must
             // still resolve after the index fix-ups.
             for id in [1u64, 3, 0, 2] {
-                let (fj, _) = m.finish(JobId(id)).unwrap();
-                assert_eq!(fj.id, JobId(id));
+                assert_eq!(m.finish(JobId(id)).unwrap().id, JobId(id));
             }
             assert_eq!(m.free_gpus(), 16);
-            assert_eq!(m.running().count(), 0);
+            assert!(m.running().is_empty());
         }
     }
 
@@ -618,7 +549,7 @@ mod tests {
         m.submit(job(0, 6));
         m.submit(job(1, 4));
         m.run_epoch();
-        let scratch = m.steady_state();
+        let scratch = scratch(m);
         assert_eq!(
             m.steady_state_incremental().first_difference(&scratch),
             None
@@ -632,7 +563,7 @@ mod tests {
     fn incremental_steady_state_matches_scratch_across_churn() {
         let mut m = manager(Box::new(NetPackPlacer::default()));
         churn(&mut m);
-        let scratch = m.steady_state();
+        let scratch = scratch(&m);
         assert_eq!(
             m.steady_state_incremental().first_difference(&scratch),
             None
@@ -654,7 +585,7 @@ mod tests {
         let settles = m.waterfill_stats().unwrap().settles;
         let settled = m.steady_state_incremental().clone();
         assert_eq!(m.waterfill_stats().unwrap().settles, settles);
-        assert_eq!(settled.first_difference(&m.steady_state()), None);
+        assert_eq!(settled.first_difference(&scratch(&m)), None);
         // One estimator for placement and steady state: it saw all three
         // pushes and the finish (and re-pushed whatever INA step 4 popped).
         let stats = m.waterfill_stats().unwrap();
@@ -677,21 +608,21 @@ mod tests {
         m.run_epoch();
         let (settles, after_epoch) = settles_to_read(&mut m);
         assert_eq!(settles, 0, "an epoch returns settled");
-        assert_eq!(after_epoch.first_difference(&m.steady_state()), None);
+        assert_eq!(after_epoch.first_difference(&scratch(&m)), None);
         // A finish stages its removal; the read settles it.
         m.finish(JobId(0)).unwrap();
         let (settles, settled) = settles_to_read(&mut m);
         assert_eq!(settles, 1);
-        assert_eq!(settled.first_difference(&m.steady_state()), None);
+        assert_eq!(settled.first_difference(&scratch(&m)), None);
         // The next epoch absorbs a finish staged before it.
         m.finish(JobId(1)).unwrap();
         m.submit(job(2, 6));
         m.run_epoch();
         let (settles, settled) = settles_to_read(&mut m);
         assert_eq!(settles, 0, "an epoch returns settled");
-        assert_eq!(settled.first_difference(&m.steady_state()), None);
+        assert_eq!(settled.first_difference(&scratch(&m)), None);
         assert_eq!(
-            m.running().map(|(id, _)| id).collect::<Vec<_>>(),
+            m.running().iter().map(|r| r.id).collect::<Vec<_>>(),
             [JobId(2)]
         );
     }
@@ -730,17 +661,10 @@ mod tests {
 
     #[test]
     fn refused_finish_changes_nothing() {
-        let mut books = StatelessBooks {
-            cluster: cluster(),
-            placer: Box::new(NetPackPlacer::default()),
-            running: Vec::new(),
-            index: AdmissionIndex::default(),
-            tracker: None,
-            running_view: Vec::new(),
-        };
+        let mut books = StatelessBooks::new(cluster(), Box::new(NetPackPlacer::default()));
         books.place(&[job(0, 6)]);
-        books.settle();
-        let placement = books.running[0].1.clone();
+        books.settled_state();
+        let placement = books.running[0].placement.clone();
         assert!(placement.workers().len() >= 2, "a spanning job");
 
         // The ledger refuses the *last* worker's release: the workers
@@ -751,7 +675,7 @@ mod tests {
         let err = books.finish(JobId(0)).unwrap_err();
         assert!(matches!(
             err,
-            ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })
+            SessionError::Ledger(TopologyError::ReleaseOverflow { .. })
         ));
         assert_eq!(books.free_gpus(), 16 - 6 + w);
         assert_eq!(books.running.len(), 1);
@@ -759,7 +683,7 @@ mod tests {
             books.tracker.as_ref().is_some_and(|t| t.is_settled()),
             "nothing was staged"
         );
-        assert!(books.settle().job_rate_gbps(JobId(0)).is_some());
+        assert!(books.settled_state().job_rate_gbps(JobId(0)).is_some());
         books.cluster.allocate_gpus(last, w).unwrap();
 
         // Books back in step: the finish now goes through, once.
@@ -767,34 +691,102 @@ mod tests {
         assert_eq!(books.free_gpus(), 16);
         assert_eq!(
             books.finish(JobId(0)),
-            Err(ManagerError::UnknownJob(JobId(0)))
+            Err(SessionError::UnknownJob(JobId(0)))
         );
     }
 
     #[test]
     fn refused_warm_finish_changes_nothing() {
-        let placer = NetPackPlacer::default();
-        let mut books = WarmBooks {
-            session: placer
-                .open_session(&cluster())
-                .expect("NetPack opens a session"),
-            cluster: cluster(),
-            jobs: BTreeMap::new(),
-        };
-        books.place(&[job(0, 6)]);
+        let mut books = NetPackPlacer::default()
+            .open_session(&cluster())
+            .expect("NetPack opens a session");
+        Books::place(&mut books, &[job(0, 6)]);
         // The session's ledger was credited while the job kept running.
-        assert!(books.session.precredit_flat_ledger(JobId(0)));
-        let err = books.finish(JobId(0)).unwrap_err();
+        assert!(books.precredit_flat_ledger(JobId(0)));
+        let err = Books::finish(&mut books, JobId(0)).unwrap_err();
         assert!(matches!(
             err,
-            ManagerError::Ledger(TopologyError::ReleaseOverflow { .. })
+            SessionError::Ledger(TopologyError::ReleaseOverflow { .. })
         ));
-        assert_eq!(books.running().count(), 1);
+        assert_eq!(Books::running(&books).len(), 1);
+        assert!(books.is_settled(), "nothing was staged");
+    }
+
+    /// NetPack under the stateless books and under the warm books, driven
+    /// by one seeded stream of submits, epochs, steady-state reads and
+    /// finishes — of running jobs, and of ids pending, finished or never
+    /// seen: after every step both hold the same running set, slice for
+    /// slice, and every finish returns the same record or the same error.
+    #[test]
+    fn stateless_and_warm_books_keep_the_same_running_set() {
+        let cluster = || {
+            Cluster::new(ClusterSpec {
+                racks: 2,
+                servers_per_rack: 4,
+                gpus_per_server: 4,
+                ..ClusterSpec::paper_default()
+            })
+        };
+        let models = [ModelKind::Vgg16, ModelKind::ResNet50, ModelKind::AlexNet];
+        let (mut finished, mut refused) = (0, 0);
+        for seed in 1..=6u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut below = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let netpack = || Box::new(NetPackPlacer::default());
+            let [mut cold, mut warm] = [
+                JobManager::new(cluster(), netpack()),
+                JobManager::warm(cluster(), netpack()),
+            ];
+            let mut next_id = 0;
+            for step in 0..150 {
+                match below(8) {
+                    0..=2 => {
+                        let model = models[below(3) as usize];
+                        let job =
+                            Job::builder(JobId(next_id), model, 1 + below(12) as usize).build();
+                        next_id += 1;
+                        cold.submit(job.clone());
+                        warm.submit(job);
+                    }
+                    3 | 4 => assert_eq!(
+                        cold.run_epoch(),
+                        warm.run_epoch(),
+                        "seed {seed} step {step}"
+                    ),
+                    5 => assert_eq!(
+                        cold.steady_state_incremental()
+                            .first_difference(warm.steady_state_incremental()),
+                        None,
+                        "seed {seed} step {step}"
+                    ),
+                    6 if !cold.running().is_empty() => {
+                        let id = cold.running()[below(cold.running().len() as u64) as usize].id;
+                        let done = cold.finish(id);
+                        assert_eq!(done, warm.finish(id), "seed {seed} step {step}");
+                        assert_eq!(done.map(|r| r.id), Ok(id));
+                        finished += 1;
+                    }
+                    _ => {
+                        let id = JobId(below(next_id + 2));
+                        let done = cold.finish(id);
+                        assert_eq!(done, warm.finish(id), "seed {seed} step {step}");
+                        refused += usize::from(done.is_err());
+                    }
+                }
+                assert_eq!(cold.running(), warm.running(), "seed {seed} step {step}");
+                assert_eq!(cold.free_gpus(), warm.free_gpus());
+                assert_eq!(cold.pending(), warm.pending());
+            }
+        }
         assert!(
-            books.jobs.contains_key(&JobId(0)),
-            "the job record stays with the job"
+            finished > 50 && refused > 20,
+            "{finished} finished, {refused} refused"
         );
-        assert!(books.session.is_settled(), "nothing was staged");
     }
 
     #[test]
@@ -825,13 +817,13 @@ mod tests {
             m.run_epoch();
             assert_eq!(
                 m.finish(JobId(99)),
-                Err(ManagerError::UnknownJob(JobId(99)))
+                Err(SessionError::UnknownJob(JobId(99)))
             );
             // A pending (never placed) job is not "running" either.
             m.submit(job(7, 2));
-            assert_eq!(m.finish(JobId(7)), Err(ManagerError::UnknownJob(JobId(7))));
+            assert_eq!(m.finish(JobId(7)), Err(SessionError::UnknownJob(JobId(7))));
             assert_eq!(m.free_gpus(), 12, "ledger untouched");
-            assert_eq!(m.running().count(), 1);
+            assert_eq!(m.running().len(), 1);
             assert_eq!(m.pending().len(), 1);
         }
     }
@@ -844,12 +836,11 @@ mod tests {
             }
             m.run_epoch();
             m.finish(JobId(1)).unwrap();
-            assert_eq!(m.finish(JobId(1)), Err(ManagerError::UnknownJob(JobId(1))));
+            assert_eq!(m.finish(JobId(1)), Err(SessionError::UnknownJob(JobId(1))));
             // The failed second finish must not have disturbed the index
             // fix-ups: the remaining jobs still resolve.
             for id in [0u64, 2] {
-                let (fj, _) = m.finish(JobId(id)).unwrap();
-                assert_eq!(fj.id, JobId(id));
+                assert_eq!(m.finish(JobId(id)).unwrap().id, JobId(id));
             }
             assert_eq!(m.free_gpus(), 16);
         }

@@ -12,8 +12,8 @@
 //! INA re-converges when the competing flow set changes.
 //!
 //! Recomputation is incremental: a warm water-filling estimator — over
-//! NetPack, the one inside the `NetPackSession` that also places the jobs
-//! — re-solves only the resource-connected components an event touched
+//! NetPack, the one inside the `NetPackSession` that places the jobs and
+//! is the job manager's books — re-solves only the resource-connected components an event touched
 //! and names the jobs it re-solved, so only those are re-rated, and
 //! completions come off a lazy-invalidation min-heap instead of a
 //! per-event scan (see the [`sim`](self) internals). There is one

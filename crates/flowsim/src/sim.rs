@@ -6,17 +6,18 @@
 //! cluster and not to the running set:
 //!
 //! - **Books** — [`Simulation::run`] under [`InaMode::Statistical`] opens
-//!   its job manager warm (`JobManager::warm`). Over NetPack that is one
-//!   `NetPackSession` for the whole run — one GPU ledger, one server
-//!   index, one water-filling estimator shared by placement and
-//!   simulation — so an epoch rebuilds nothing and a completion stages one
-//!   removal. A baseline placer has no session: the manager keeps its
-//!   stateless books and a warm estimator beside them. The oracle
-//!   `Simulation::run_reference` and [`InaMode::Synchronous`] (which has no
-//!   incremental form) keep the stateless books and solve every steady
-//!   state from scratch, so the oracle shares neither session nor
-//!   estimator with the run it checks. Nothing selects the oracle: tests
-//!   call it.
+//!   its job manager warm (`JobManager::warm`). Over NetPack the manager's
+//!   books are one `NetPackSession` for the whole run — one GPU ledger,
+//!   one running set, one server index, one water-filling estimator shared
+//!   by placement and simulation — so an epoch rebuilds nothing and a
+//!   completion stages one removal. A baseline placer has no session: the
+//!   manager keeps its stateless books and a warm estimator beside them.
+//!   The oracle `Simulation::run_reference` and [`InaMode::Synchronous`]
+//!   (which has no incremental form) keep the stateless books and solve
+//!   every steady state from scratch over `JobManager::running`, so the
+//!   oracle shares neither session nor estimator with the run it checks.
+//!   Nothing selects the oracle: tests call it. The loop itself keeps per
+//!   job only its fluid progress and what its outcome needs of the trace.
 //! - **Steady state** — the warm estimator re-solves only the
 //!   resource-connected components an arrival batch or a completion
 //!   touched, bit-identical to the from-scratch solve.
@@ -65,7 +66,7 @@ use netpack_metrics::PerfCounters;
 use netpack_metrics::Stopwatch;
 use netpack_placement::Placer;
 use netpack_topology::{Cluster, JobId};
-use netpack_waterfill::SteadyState;
+use netpack_waterfill::{estimate, estimate_synchronous, PlacedJob, SteadyState};
 use netpack_workload::{Job, Trace};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
@@ -105,7 +106,8 @@ impl Default for SimConfig {
     }
 }
 
-/// Per-running-job fluid state, anchored at the last rate change.
+/// Per-running-job fluid state, anchored at the last rate change, and
+/// what the job's [`JobOutcome`] needs of its trace record.
 ///
 /// Progress is *lazy*: nothing is updated per event. The remaining
 /// iteration count at time `t` is derived from the anchor, and the
@@ -114,6 +116,12 @@ impl Default for SimConfig {
 /// without per-event re-keying.
 #[derive(Debug, Clone, Copy)]
 struct Progress {
+    /// GPUs the job holds.
+    gpus: usize,
+    /// Submission time.
+    arrival_s: f64,
+    /// Single-GPU, zero-communication runtime (DE numerator).
+    serial_time_s: f64,
     /// Compute phase seconds per iteration (constant per job).
     compute_time_s: f64,
     /// Gradient size in gigabits (constant per job).
@@ -132,6 +140,22 @@ struct Progress {
 }
 
 impl Progress {
+    /// The state of `job`, placed at `clock`, before its first rate.
+    fn placed(job: &Job, clock: f64) -> Self {
+        Progress {
+            gpus: job.gpus,
+            arrival_s: job.arrival_s,
+            serial_time_s: job.serial_time_s(),
+            compute_time_s: job.compute_time_s(),
+            gradient_gbits: job.gradient_gbits(),
+            start_s: clock,
+            iter_time_s: f64::INFINITY, // set by the first re-rate
+            remaining_at_anchor: job.iterations as f64,
+            anchor_s: clock,
+            generation: 0,
+        }
+    }
+
     /// Remaining iterations at absolute time `t` under the current rate.
     fn remaining_at(&self, t: f64) -> f64 {
         if self.iter_time_s.is_finite() && self.iter_time_s > 0.0 {
@@ -220,6 +244,27 @@ impl PartialOrd for Completion {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// Pop the stale entries off the top of `heap` — those whose job is gone
+/// from `running` or has been re-rated since — and return the first live
+/// one, left in place.
+fn peek_live(
+    heap: &mut BinaryHeap<Reverse<Completion>>,
+    running: &BTreeMap<JobId, Progress>,
+    perf: &mut PerfCounters,
+) -> Option<Completion> {
+    while let Some(&Reverse(c)) = heap.peek() {
+        if running
+            .get(&c.id)
+            .is_some_and(|p| p.generation == c.generation)
+        {
+            return Some(c);
+        }
+        heap.pop();
+        perf.incr("heap_stale_pops", 1);
+    }
+    None
 }
 
 /// Next epoch-grid point at or after `clock` and strictly after
@@ -347,21 +392,8 @@ impl Simulation {
                 Some(next_epoch_after(clock, last_epoch_run, EPOCH_S))
             };
             let heap_start = Stopwatch::start();
-            let next_completion = loop {
-                match heap.peek() {
-                    None => break f64::INFINITY,
-                    Some(&Reverse(c)) => {
-                        let live = running
-                            .get(&c.id)
-                            .is_some_and(|p| p.generation == c.generation);
-                        if live {
-                            break c.finish_s;
-                        }
-                        heap.pop();
-                        perf.incr("heap_stale_pops", 1);
-                    }
-                }
-            };
+            let next_completion =
+                peek_live(&mut heap, &running, &mut perf).map_or(f64::INFINITY, |c| c.finish_s);
             perf.record("heap_ops", heap_start.elapsed());
 
             let mut t = f64::INFINITY;
@@ -373,13 +405,7 @@ impl Simulation {
                 t = t.min(cand);
             }
             if !t.is_finite() {
-                // No arrivals, no reachable epoch, no finite completions:
-                // drain everything still in flight as unfinished.
-                result.unfinished.extend(running.keys().copied());
-                result.unfinished.extend(arrivals.iter().map(|j| j.id));
-                result
-                    .unfinished
-                    .extend(manager.pending().iter().map(|j| j.id));
+                // No arrivals, no reachable epoch, no finite completions.
                 break;
             }
             let t = t.clamp(clock, config.max_sim_time_s);
@@ -391,11 +417,6 @@ impl Simulation {
             }
             clock = t;
             if clock >= config.max_sim_time_s {
-                result.unfinished.extend(running.keys().copied());
-                result.unfinished.extend(arrivals.iter().map(|j| j.id));
-                result
-                    .unfinished
-                    .extend(manager.pending().iter().map(|j| j.id));
                 break;
             }
 
@@ -414,15 +435,7 @@ impl Simulation {
 
             // -------- completions --------
             let heap_start = Stopwatch::start();
-            while let Some(&Reverse(c)) = heap.peek() {
-                let live = running
-                    .get(&c.id)
-                    .is_some_and(|p| p.generation == c.generation);
-                if !live {
-                    heap.pop();
-                    perf.incr("heap_stale_pops", 1);
-                    continue;
-                }
+            while let Some(c) = peek_live(&mut heap, &running, &mut perf) {
                 if c.finish_s > clock + 1e-9 {
                     break;
                 }
@@ -432,22 +445,22 @@ impl Simulation {
                 let Some(p) = running.remove(&c.id) else {
                     continue;
                 };
-                let Ok((job, _placement)) = manager.finish(c.id) else {
+                if manager.finish(c.id).is_err() {
                     // The manager's books are broken and refuse the
                     // release: the job keeps its GPUs there, can never
                     // complete, and must still be accounted for.
                     result.unfinished.push(c.id);
                     perf.incr("sim_finish_errors", 1);
                     continue;
-                };
-                used_gpus -= job.gpus;
+                }
+                used_gpus -= p.gpus;
                 result.outcomes.push(JobOutcome {
                     id: c.id,
-                    gpus: job.gpus,
-                    arrival_s: job.arrival_s,
+                    gpus: p.gpus,
+                    arrival_s: p.arrival_s,
                     start_s: p.start_s,
                     finish_s: clock,
-                    serial_time_s: job.serial_time_s(),
+                    serial_time_s: p.serial_time_s,
                 });
                 rates_dirty = true;
             }
@@ -460,18 +473,7 @@ impl Simulation {
                 let placed = perf.time("place", || manager.run_epoch());
                 for (job, _) in placed {
                     used_gpus += job.gpus;
-                    running.insert(
-                        job.id,
-                        Progress {
-                            compute_time_s: job.compute_time_s(),
-                            gradient_gbits: job.gradient_gbits(),
-                            start_s: clock,
-                            iter_time_s: f64::INFINITY, // set by the re-rate below
-                            remaining_at_anchor: job.iterations as f64,
-                            anchor_s: clock,
-                            generation: 0,
-                        },
-                    );
+                    running.insert(job.id, Progress::placed(&job, clock));
                     rates_dirty = true;
                 }
             }
@@ -499,15 +501,16 @@ impl Simulation {
                         "a running job's rate moved without a stamp"
                     );
                 } else {
-                    let s = perf.time("resolve_full", || match config.ina_mode {
-                        InaMode::Statistical => manager.steady_state(),
-                        InaMode::Synchronous => {
-                            let cluster = manager.cluster();
-                            let placed: Vec<netpack_waterfill::PlacedJob> = manager
-                                .running()
-                                .map(|(id, p)| netpack_waterfill::PlacedJob::new(id, cluster, p))
-                                .collect();
-                            netpack_waterfill::estimate_synchronous(cluster, &placed)
+                    let s = perf.time("resolve_full", || {
+                        let cluster = manager.cluster();
+                        let placed: Vec<PlacedJob> = manager
+                            .running()
+                            .iter()
+                            .map(|r| r.to_placed(cluster))
+                            .collect();
+                        match config.ina_mode {
+                            InaMode::Statistical => estimate(cluster, &placed),
+                            InaMode::Synchronous => estimate_synchronous(cluster, &placed),
                         }
                     });
                     perf.incr("sim_rerate_visits", running.len() as u64);
@@ -524,6 +527,13 @@ impl Simulation {
                 break;
             }
         }
+        // Whatever is still in flight — at the time cap, or with no
+        // finite event left — never finished.
+        result.unfinished.extend(running.keys().copied());
+        result.unfinished.extend(arrivals.iter().map(|j| j.id));
+        result
+            .unfinished
+            .extend(manager.pending().iter().map(|j| j.id));
         result.makespan_s = clock;
         result
             .outcomes

@@ -30,7 +30,7 @@ mod table;
 pub use hist::{LatencyHistogram, SUB_BUCKETS};
 pub use perf::{PerfCounters, Stopwatch, TimerSlot};
 pub use regression::{linear_fit, LinearFit};
-pub use stats::{normalize_to, Summary};
+pub use stats::Summary;
 pub use table::TextTable;
 
 /// One finished job's accounting record, the unit every metric consumes.

@@ -1,8 +1,8 @@
 //! Lightweight perf counters and phase timers for placement-time profiling.
 //!
-//! The placement fast path (incremental water-filling + parallel candidate
-//! scoring) is justified by numbers, so the scorer records how much work it
-//! did — water-fill invocations, cache hits, candidate plans scored — and
+//! The placement fast path (incremental water-filling, the persistent
+//! server index) is justified by numbers, so the scorer records how much
+//! work it did — water-fill invocations, cache hits, candidate plans scored — and
 //! how long each phase took. [`PerfCounters`] is that recording surface:
 //! a set of named monotonic counters plus named wall-clock timers, rendered
 //! through the same [`TextTable`](crate::TextTable) the figure binaries

@@ -84,26 +84,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Normalize `values` so that `values[reference]` becomes 1.0, as the paper
-/// does when plotting JCT relative to NetPack.
-///
-/// # Panics
-///
-/// Panics if `reference` is out of range or the reference value is zero.
-///
-/// # Example
-///
-/// ```
-/// use netpack_metrics::normalize_to;
-/// let v = normalize_to(&[2.0, 4.0, 1.0], 0);
-/// assert_eq!(v, vec![1.0, 2.0, 0.5]);
-/// ```
-pub fn normalize_to(values: &[f64], reference: usize) -> Vec<f64> {
-    let base = values[reference];
-    assert!(base != 0.0, "cannot normalize to a zero reference");
-    values.iter().map(|v| v / base).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,11 +133,5 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(!Summary::of(&[1.0]).to_string().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero reference")]
-    fn normalize_to_zero_panics() {
-        let _ = normalize_to(&[0.0, 1.0], 0);
     }
 }

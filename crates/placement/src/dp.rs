@@ -61,8 +61,8 @@ pub struct WorkerPlan {
 /// The worker-placement dynamic program.
 ///
 /// `fs_max` clamps the flow dimension (the paper bounds `FS_max` by a
-/// constant); `track_flows = false` collapses the `f` dimension entirely,
-/// which is the ablation knob for validating the two-dimensional weight.
+/// constant); `fs_max = 0` collapses the `f` dimension to one row, a plain
+/// GPU knapsack — the ablation that validates the two-dimensional weight.
 ///
 /// # Example
 ///
@@ -84,7 +84,6 @@ pub struct WorkerPlan {
 #[derive(Debug, Clone)]
 pub struct WorkerDp {
     fs_max: u32,
-    track_flows: bool,
 }
 
 /// The end of a chain: the empty subset of cell `(0, 0)`.
@@ -114,18 +113,7 @@ pub(crate) struct DpArena {
 impl WorkerDp {
     /// DP with the flow dimension clamped to `fs_max`.
     pub fn new(fs_max: u32) -> Self {
-        WorkerDp {
-            fs_max,
-            track_flows: true,
-        }
-    }
-
-    /// Ablation variant: ignore flow counts (one-dimensional knapsack).
-    pub fn without_flow_dimension() -> Self {
-        WorkerDp {
-            fs_max: 0,
-            track_flows: false,
-        }
+        WorkerDp { fs_max }
     }
 
     /// Run the DP and return every feasible plan with
@@ -155,13 +143,7 @@ impl WorkerDp {
         let g_max = demand + slack;
         let width = g_max + 1;
         let fits = |srv: &&ServerStats| (1..=g_max).contains(&srv.gpus_free);
-        let clamp = |srv: &ServerStats| {
-            if self.track_flows {
-                srv.flows.min(self.fs_max) as usize
-            } else {
-                0
-            }
-        };
+        let clamp = |srv: &ServerStats| srv.flows.min(self.fs_max) as usize;
         // No update writes above the highest clamped flow among the
         // servers that fit, so no row above it is ever live.
         let rows = servers
@@ -332,11 +314,7 @@ pub(crate) mod tests {
                 value: 0.0,
             }];
         }
-        let nf = if dp.track_flows {
-            dp.fs_max as usize + 1
-        } else {
-            1
-        };
+        let nf = dp.fs_max as usize + 1;
         let g_max = demand + slack;
         let width = g_max + 1;
         let cells = nf * width;
@@ -362,11 +340,7 @@ pub(crate) mod tests {
             if w == 0 || w > g_max {
                 continue;
             }
-            let clamped = if dp.track_flows {
-                srv.flows.min(dp.fs_max) as usize
-            } else {
-                0
-            };
+            let clamped = srv.flows.min(dp.fs_max) as usize;
             let dec = &mut decisions[si * cells..(si + 1) * cells];
             // Rows above `clamped`: the only candidate is i == f.
             for f in clamped + 1..=top.min(nf - 1) {
@@ -493,9 +467,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn without_flow_dimension_collapses_to_plain_knapsack() {
+    fn zero_fs_max_collapses_to_plain_knapsack() {
         let servers = vec![srv(0, 2, 1.0, 9), srv(1, 2, 5.0, 0)];
-        let dp = WorkerDp::without_flow_dimension();
+        let dp = WorkerDp::new(0);
         let plans = dp.plans(&servers, 2, 0);
         // A single (f=0, g=2) cell holding the better server.
         assert_eq!(plans.len(), 1);
@@ -524,7 +498,7 @@ pub(crate) mod tests {
     /// `fs_max` of 0–8 (so some clamp), values that are small integers
     /// three times in four (so subsets tie), then up to three copies of
     /// earlier servers under new ids (so classes repeat); one instance in
-    /// four without the flow dimension.
+    /// four without the flow dimension (`fs_max` 0).
     pub(crate) fn dp_case(seed: u64) -> (WorkerDp, Vec<ServerStats>, usize, usize) {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut below = move |n: u64| {
@@ -534,7 +508,7 @@ pub(crate) mod tests {
             state % n
         };
         let dp = match below(4) {
-            0 => WorkerDp::without_flow_dimension(),
+            0 => WorkerDp::new(0),
             _ => WorkerDp::new(below(9) as u32),
         };
         let mut servers: Vec<ServerStats> = (0..below(9) as usize)
@@ -561,10 +535,10 @@ pub(crate) mod tests {
     }
 
     /// The flow clamp a [`CandidateFilter`](crate::CandidateFilter) in
-    /// front of `dp` is built with: `fs_max`, or `None` without the flow
-    /// dimension.
+    /// front of `dp` is built with: `fs_max`, or `None` — the same single
+    /// flow column as `Some(0)` — when that is 0.
     pub(crate) fn filter_clamp(dp: &WorkerDp) -> Option<u32> {
-        dp.track_flows.then_some(dp.fs_max)
+        (dp.fs_max > 0).then_some(dp.fs_max)
     }
 
     /// Assert `a` and `b` are the same plans in the same order, each with
@@ -620,13 +594,7 @@ pub(crate) mod tests {
                 seed,
             );
             let g_max = demand + slack;
-            let clamp = |s: &ServerStats| {
-                if dp.track_flows {
-                    s.flows.min(dp.fs_max)
-                } else {
-                    0
-                }
-            };
+            let clamp = |s: &ServerStats| s.flows.min(dp.fs_max);
             // Best value per (f, g) cell over every subset, and how many
             // subsets reach it.
             let mut best: std::collections::BTreeMap<(u32, usize), (f64, usize)> =
@@ -671,10 +639,10 @@ pub(crate) mod tests {
                 best.iter()
                     .any(|(&(_, g), &(_, ways))| g >= demand && g <= g_max && ways > 1),
                 twins,
-                dp.track_flows && servers.iter().any(|s| s.flows > dp.fs_max),
+                dp.fs_max > 0 && servers.iter().any(|s| s.flows > dp.fs_max),
                 servers.iter().any(|s| s.gpus_free == 0),
                 servers.iter().any(|s| s.gpus_free > g_max),
-                !dp.track_flows,
+                dp.fs_max == 0,
                 dead_between,
                 late,
             ];

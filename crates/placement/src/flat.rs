@@ -835,21 +835,16 @@ impl NetPackPlacer {
         let capacity = cluster.spec().server_link_gbps;
         let gps = cluster.spec().gpus_per_server;
         let slack = gps;
-        let fs_max = self.config.flow_dimension.then_some(self.config.fs_max);
-        let mut filter = CandidateFilter::new(gps, job.gpus, slack, fs_max);
+        let fs_max = self.config.fs_max;
+        let mut filter = CandidateFilter::new(gps, job.gpus, slack, Some(fs_max));
         fb.index
             .offer_candidates(capacity, job.gpus + slack, &mut filter);
         tally.candidate_select.add(clock.lap());
         tally.dp_offered += filter.offered();
         tally.dp_kept += filter.kept() as u64;
         let stats = filter.candidates();
-        let dp = if self.config.flow_dimension {
-            WorkerDp::new(self.config.fs_max)
-        } else {
-            WorkerDp::without_flow_dimension()
-        };
         clock.lap();
-        let plans = dp.plans_in(&mut fb.dp, &stats, job.gpus, slack);
+        let plans = WorkerDp::new(fs_max).plans_in(&mut fb.dp, &stats, job.gpus, slack);
         tally.worker_dp.add(clock.lap());
         if plans.is_empty() {
             return None;

@@ -48,11 +48,10 @@ pub struct NetPackConfig {
     pub hotspot: HotSpotTerm,
     /// INA-enable policy (see [`InaPolicy`]).
     pub ina_policy: InaPolicy,
-    /// Clamp for the DP's flow dimension (`FS_max`).
+    /// Clamp for the DP's flow dimension (`FS_max`). 0 is the ablation
+    /// that collapses the two-dimensional `(f, g)` knapsack weight to a
+    /// plain GPU knapsack.
     pub fs_max: u32,
-    /// Track the two-dimensional `(f, g)` knapsack weight. Disabling this
-    /// is the ablation that collapses the DP to a plain GPU knapsack.
-    pub flow_dimension: bool,
     /// Parameter servers per spanning job (gradient shards, §4.1). The
     /// paper's Algorithm 2 places one PS; values above 1 shard the
     /// gradient over the k best-scoring PS locations, relieving PS-side
@@ -71,7 +70,6 @@ impl Default for NetPackConfig {
             hotspot: HotSpotTerm::default(),
             ina_policy: InaPolicy::default(),
             fs_max: 16,
-            flow_dimension: true,
             pses_per_job: 1,
             threads: None,
         }
@@ -567,7 +565,7 @@ mod tests {
     fn flow_dimension_ablation_places_validly() {
         let c = cluster(2, 3, 2);
         let mut p = NetPackPlacer::new(NetPackConfig {
-            flow_dimension: false,
+            fs_max: 0,
             ..NetPackConfig::default()
         });
         let out = p.place_batch(&c, &[], &[job(0, 5)]);

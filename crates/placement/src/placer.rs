@@ -82,13 +82,6 @@ pub struct BatchOutcome {
     pub deferred: Vec<Job>,
 }
 
-impl BatchOutcome {
-    /// Look up the placement decided for a job this epoch.
-    pub fn placement_of(&self, id: JobId) -> Option<&Placement> {
-        self.placed.iter().find(|(j, _)| j.id == id).map(|(_, p)| p)
-    }
-}
-
 /// A batch job-placement strategy.
 ///
 /// Implementations must not mutate the cluster they are given: they clone
@@ -356,8 +349,6 @@ mod tests {
         assert_eq!(outcome.placed.len(), 3);
         assert_eq!(outcome.deferred.len(), 1);
         assert_eq!(outcome.deferred[0].id, JobId(3));
-        assert!(outcome.placement_of(JobId(0)).is_some());
-        assert!(outcome.placement_of(JobId(3)).is_none());
     }
 
     #[test]

@@ -101,9 +101,13 @@ impl NetPackPlacer {
         // construction.
         let capacity = scratch.spec().server_link_gbps;
         let slack = scratch.spec().gpus_per_server;
-        let fs_max = self.config.flow_dimension.then_some(self.config.fs_max);
-        let mut filter =
-            CandidateFilter::new(scratch.spec().gpus_per_server, job.gpus, slack, fs_max);
+        let fs_max = self.config.fs_max;
+        let mut filter = CandidateFilter::new(
+            scratch.spec().gpus_per_server,
+            job.gpus,
+            slack,
+            Some(fs_max),
+        );
         for s in scratch.servers() {
             let avail = state.server_available_gbps(s.id());
             let flows = state.server_flows(s.id());
@@ -115,12 +119,7 @@ impl NetPackPlacer {
             });
         }
         let stats = filter.candidates();
-        let dp = if self.config.flow_dimension {
-            WorkerDp::new(self.config.fs_max)
-        } else {
-            WorkerDp::without_flow_dimension()
-        };
-        let plans = dp.plans(&stats, job.gpus, slack);
+        let plans = WorkerDp::new(fs_max).plans(&stats, job.gpus, slack);
         if plans.is_empty() {
             return None;
         }

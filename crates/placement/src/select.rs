@@ -73,9 +73,9 @@ pub struct CandidateFilter {
     /// `classes[(w-1) * nf + f]`, each sorted `(value desc, id asc)` and
     /// capped at `⌊g_max / w⌋` entries.
     classes: Vec<Vec<ServerStats>>,
-    /// Flow-dimension width: `fs_max + 1`, or 1 when flows are untracked.
+    /// Flow-dimension width: `fs_max + 1`.
     nf: usize,
-    /// Flow clamp; 0 when the flow dimension is disabled.
+    /// Flow clamp.
     fs_max: u32,
     /// Largest admissible plan size in GPUs (`demand + slack`).
     g_max: usize,
@@ -86,10 +86,9 @@ pub struct CandidateFilter {
 impl CandidateFilter {
     /// Filter for one job: `demand` GPUs with up to `slack` surplus on a
     /// cluster with `gpus_per_server` GPUs per server. `fs_max` is the
-    /// DP's flow clamp, or `None` when the flow dimension is disabled
-    /// (every server then lands in the `f = 0` class, exactly like
-    /// [`WorkerDp::without_flow_dimension`](crate::WorkerDp::without_flow_dimension)
-    /// ignores flows).
+    /// DP's flow clamp; `None` is `Some(0)`: every server lands in the
+    /// `f = 0` class, as a [`WorkerDp`](crate::WorkerDp) with `fs_max` 0
+    /// clamps every flow count to 0.
     pub fn new(gpus_per_server: usize, demand: usize, slack: usize, fs_max: Option<u32>) -> Self {
         let g_max = demand + slack;
         let nf = fs_max.map_or(1, |f| f as usize + 1);

@@ -39,10 +39,12 @@
 //! The results are **bit-identical** to driving a stateless-books
 //! `JobManager` (`JobManager::new`) + [`NetPackPlacer`] through the same
 //! sequence of batches and completions (pinned by the
-//! `service_equivalence` integration test, and by the flow simulator's
+//! `service_equivalence` integration test, by the job manager's own
+//! stateless-versus-warm test, and by the flow simulator's
 //! `run == run_reference` tests, whose production side is a `JobManager`
-//! opened warm — a thin queue in front of one of these sessions, handed
-//! out by [`Placer::open_session`](crate::Placer::open_session)): both run the
+//! opened warm — a pending queue whose books *are* one of these sessions,
+//! handed out by [`Placer::open_session`](crate::Placer::open_session),
+//! with nothing kept beside it): both run the
 //! same batch loop (`NetPackPlacer::place_batch_on`), the stateless placer
 //! on a `(ledger, estimator)` pair rebuilt for the batch, the session on the
 //! pair it keeps, and the estimator's settled state is a function of the
@@ -157,6 +159,12 @@ impl NetPackSession {
             index: AdmissionIndex::default(),
             stats_recorded: WaterfillStats::default(),
         }
+    }
+
+    /// The cluster the session was opened over: topology and capacities,
+    /// never written — the free GPUs are [`free_gpus`](Self::free_gpus).
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
     }
 
     /// Jobs currently running, in placement (= estimator insertion) order.

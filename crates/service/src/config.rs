@@ -4,8 +4,8 @@ use netpack_placement::NetPackConfig;
 
 /// Tunables of the placement service (see the [crate docs](crate) for the
 /// architecture). A plain typed config: the library reads no environment
-/// variable, so a binary that wants `NETPACK_SERVICE_*` knobs parses them
-/// itself and fills the fields (`bench_service` does for the event log).
+/// variable, so a binary that wants knobs parses them itself and fills
+/// the fields (`bench_service` runs every field at its default).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Most commands the threaded drain loop takes before a placement

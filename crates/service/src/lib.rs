@@ -11,8 +11,7 @@
 //!
 //! * [`ServiceConfig`] — typed tunables (batch cap, queue and channel
 //!   caps, event log). The crate reads no environment variable: a binary
-//!   parses whatever knobs it offers and fills the fields, as
-//!   `bench_service` does.
+//!   parses whatever knobs it offers and fills the fields.
 //! * [`ServiceCore`] — the deterministic engine: a
 //!   [`NetPackSession`](netpack_placement::NetPackSession) kept warm
 //!   across batches (no per-batch topology or steady-state rebuild), a

@@ -86,11 +86,11 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize) {
 
         // Service running set must mirror the manager's, placement for
         // placement (INA flags included).
-        assert_eq!(core.running_len(), manager.running().count());
+        assert_eq!(core.running_len(), manager.running().len());
 
         // Churn: retire the oldest running job on both sides.
         if let Some(&oldest) = completion_order.first() {
-            let (_, p_ref) = manager.finish(oldest).expect("reference finish");
+            let p_ref = manager.finish(oldest).expect("reference finish").placement;
             core.apply(Command::Complete(oldest));
             assert_eq!(core.session().audit_index(), Ok(()), "completing {oldest}");
             assert_eq!(core.session().audit_ledger(), Ok(()), "completing {oldest}");
@@ -123,7 +123,7 @@ fn run_equivalence(seed: u64, kind: TraceKind, jobs: usize, batch: usize) {
             break; // nothing placeable without further completions
         }
     }
-    assert_eq!(core.running_len(), manager.running().count());
+    assert_eq!(core.running_len(), manager.running().len());
 }
 
 #[test]

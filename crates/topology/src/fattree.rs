@@ -19,7 +19,7 @@
 //! view is *conservative*, never optimistic — the safe direction for a
 //! placement controller.
 
-use crate::{Cluster, ClusterSpec, RackId, TopologyError};
+use crate::{Cluster, ClusterSpec, TopologyError};
 
 /// A three-tier fat-tree: pods of racks, an aggregation layer per pod, and
 /// a core layer joining the pods.
@@ -68,16 +68,6 @@ impl FatTreeSpec {
     /// Total racks.
     pub fn racks(&self) -> usize {
         self.pods * self.racks_per_pod
-    }
-
-    /// The pod a rack belongs to (racks are numbered pod-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rack index is out of range.
-    pub fn pod_of(&self, rack: RackId) -> usize {
-        assert!(rack.0 < self.racks(), "rack {rack} out of range");
-        rack.0 / self.racks_per_pod
     }
 
     /// The guaranteed worst-case uplink share of one rack: its own
@@ -183,21 +173,6 @@ mod tests {
             ..FatTreeSpec::paper_like()
         };
         assert!((ft.effective_oversubscription() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pod_mapping_is_pod_major() {
-        let ft = FatTreeSpec::paper_like();
-        assert_eq!(ft.pod_of(RackId(0)), 0);
-        assert_eq!(ft.pod_of(RackId(3)), 0);
-        assert_eq!(ft.pod_of(RackId(4)), 1);
-        assert_eq!(ft.pod_of(RackId(15)), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn pod_of_rejects_unknown_racks() {
-        let _ = FatTreeSpec::paper_like().pod_of(RackId(16));
     }
 
     #[test]

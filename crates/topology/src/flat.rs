@@ -2,7 +2,7 @@
 //!
 //! The per-entity [`Server`](crate::Server)/[`Rack`](crate::Rack) structs
 //! are comfortable at the paper's 256-server scale, but a warehouse-scale
-//! placer (50k+ servers, see `ROADMAP.md` item 1) walks the server list
+//! placer (50k+ servers, the `fig10_xl` batch) walks the server list
 //! hundreds of times per batch; chasing `&Server` references and re-deriving
 //! per-rack constants in the hot loop costs both cache lines and branches.
 //! [`FlatTopology`] lowers what the placement layer reads of the static

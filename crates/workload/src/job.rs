@@ -85,12 +85,6 @@ impl Job {
     pub fn ideal_time_s(&self) -> f64 {
         self.iterations as f64 * self.compute_time_s()
     }
-
-    /// Whether this job generates AllReduce network traffic: single-worker
-    /// jobs train locally and need no PS (Table 3, constraint 6).
-    pub fn is_distributed(&self) -> bool {
-        self.gpus > 1
-    }
 }
 
 /// Builder for [`Job`] (guideline C-BUILDER).
@@ -187,12 +181,6 @@ mod tests {
         let expected = 10.0 * 4.0 * ModelKind::ResNet50.compute_time_s();
         assert!((j.serial_time_s() - expected).abs() < 1e-12);
         assert!((j.ideal_time_s() - expected / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_gpu_jobs_are_not_distributed() {
-        assert!(!job(1).is_distributed());
-        assert!(job(2).is_distributed());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 #  7. workspace doctests
 #  8. the oracle and property tests from a release build: root tests/oracles.rs
 #     and crates/bench/tests/smoke.rs, whose pinned values must hold in both
-#     builds, the placement property suite and the water-fill crate's tests
+#     builds, the placement and flow-simulator property suites, the job
+#     manager crate's tests (stateless books against warm ones) and the
+#     water-fill crate's tests
 #  9. benchmark package compiles against the library (cargo check of benchmark/,
 #     its Cargo.lock restored byte for byte)
 set -euo pipefail
@@ -57,6 +59,8 @@ echo "==> oracle and property tests from a release build"
 cargo test --release -q -p netpack --test oracles
 cargo test --release -q -p netpack-bench --test smoke
 cargo test --release -q -p netpack-placement --test properties
+cargo test --release -q -p netpack-flowsim --test properties
+cargo test --release -q -p netpack-core
 cargo test --release -q -p netpack-waterfill
 
 echo "==> cargo check of the benchmark package (benchmark/Cargo.lock restored byte for byte)"
