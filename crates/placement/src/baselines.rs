@@ -27,7 +27,7 @@ impl Placer for GpuBalance {
     ) -> BatchOutcome {
         greedy_batch(cluster, None, batch, |scratch, _, job, order| {
             order.clear();
-            order.extend(scratch.servers().iter().map(|s| s.id()));
+            order.extend(scratch.servers().map(|s| s.id()));
             order.sort_by_key(|&s| std::cmp::Reverse(free_on(scratch, s)));
             place_by_order(scratch, order, job)
         })
@@ -58,7 +58,7 @@ impl Placer for FlowBalance {
             |scratch, state, job, order| {
                 let state = state?;
                 order.clear();
-                order.extend(scratch.servers().iter().map(|s| s.id()));
+                order.extend(scratch.servers().map(|s| s.id()));
                 order.sort_by(|&a, &b| {
                     state
                         .server_flows(a)
@@ -93,7 +93,6 @@ impl Placer for LeastFragmentation {
             order.extend(
                 scratch
                     .servers()
-                    .iter()
                     .filter(|s| s.gpus_free() > 0)
                     .map(|s| s.id()),
             );
@@ -149,7 +148,7 @@ impl Placer for RandomPlacer {
     ) -> BatchOutcome {
         greedy_batch(cluster, None, batch, |scratch, _, job, order| {
             order.clear();
-            order.extend(scratch.servers().iter().map(|s| s.id()));
+            order.extend(scratch.servers().map(|s| s.id()));
             // Fisher-Yates with the internal xorshift.
             for i in (1..order.len()).rev() {
                 let j = (self.next() % (i as u64 + 1)) as usize;

@@ -111,8 +111,8 @@ impl ExactPlacer {
             enumerate_ina: self.enumerate_ina,
             max_evaluations: self.max_evaluations,
             link_gbps: cluster.spec().server_link_gbps,
-            rack_of: cluster.servers().iter().map(|s| s.rack().0).collect(),
-            free: cluster.servers().iter().map(|s| s.gpus_free()).collect(),
+            rack_of: cluster.servers().map(|s| s.rack().0).collect(),
+            free: cluster.servers().map(|s| s.gpus_free()).collect(),
             touched,
             inc: IncrementalEstimator::new(cluster, &running_placed),
             current: Vec::with_capacity(batch.len()),

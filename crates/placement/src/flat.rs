@@ -1,7 +1,7 @@
 //! The production placement path: Algorithm 2 over flat arrays.
 //!
 //! The literal algorithm in [`crate::reference`] clones the cluster and
-//! walks `&[Server]` slices per candidate; comfortable at 256 servers,
+//! walks every server's view per candidate; comfortable at 256 servers,
 //! hopeless at 50k. This module re-implements the *mechanics* of its
 //! `place_one` / `place_batch` over [`FlatTopology`]'s integer-indexed
 //! arrays while keeping the *algorithm* — every comparison, every float
@@ -510,12 +510,12 @@ impl FlatBatch {
     pub(crate) fn credit(&mut self, placement: &Placement) -> Result<(), TopologyError> {
         let gps = self.topo.gpus_per_server();
         for &(server, released) in placement.workers() {
-            let free = self.ledger.free()[server.0] as usize;
-            if free + released > gps {
+            let allocated = gps - self.ledger.free()[server.0] as usize;
+            if released > allocated {
                 return Err(TopologyError::ReleaseOverflow {
                     server,
                     released,
-                    allocated: gps - free,
+                    allocated,
                 });
             }
         }
@@ -1102,6 +1102,33 @@ mod tests {
         ));
         assert_eq!(fb.ledger.free(), before);
         assert_eq!(fb.ledger.journal().len(), 6);
+    }
+
+    /// A credit so large that `free + released` would wrap is refused
+    /// like any other overfill, in every build, and writes nothing.
+    #[test]
+    fn a_wrapping_credit_is_refused_whole() {
+        let c = cluster(2, 2, 4);
+        let mut fb = FlatBatch::new(&c);
+        assert!(fb.commit(&Placement::new(
+            vec![(ServerId(0), 1), (ServerId(1), 1)],
+            Some(ServerId(0))
+        )));
+        fb.ledger.clear_journal();
+        let huge = Placement::new(
+            vec![(ServerId(0), 1), (ServerId(1), usize::MAX)],
+            Some(ServerId(0)),
+        );
+        assert_eq!(
+            fb.credit(&huge),
+            Err(TopologyError::ReleaseOverflow {
+                server: ServerId(1),
+                released: usize::MAX,
+                allocated: 1,
+            })
+        );
+        assert_eq!(fb.ledger.free(), [3, 3, 4, 4]);
+        assert!(fb.ledger.journal().is_empty());
     }
 
     /// The stateless placer and the session are two callers of one batch

@@ -29,18 +29,14 @@ pub(crate) struct GpuLedger {
 
 impl GpuLedger {
     /// Mirror `cluster`'s current allocation into this ledger's arrays,
-    /// forgetting everything it held, journal included.
+    /// forgetting everything it held, journal included: two slice copies,
+    /// since the cluster keeps the same array and histogram.
     pub(crate) fn reset(&mut self, cluster: &Cluster) {
         self.free.clear();
-        self.free
-            .extend(cluster.servers().iter().map(|s| s.gpus_free() as u32));
-        // Counted a run of equal counts at a time: on an idle cluster one
-        // increment per server would hit one slot, each waiting for the last.
+        self.free.extend_from_slice(cluster.free_gpus_per_server());
         self.with_free.clear();
-        self.with_free.resize(cluster.spec().gpus_per_server + 1, 0);
-        for run in self.free.chunk_by(|a, b| a == b) {
-            self.with_free[run[0] as usize] += run.len() as u32;
-        }
+        self.with_free
+            .extend_from_slice(cluster.servers_with_free_gpus());
         self.journal.clear();
     }
 
@@ -92,9 +88,9 @@ impl GpuLedger {
         held: impl Iterator<Item = &'a Placement>,
     ) -> Result<(), String> {
         let mut free: Vec<i64> = cluster
-            .servers()
+            .free_gpus_per_server()
             .iter()
-            .map(|s| s.gpus_free() as i64)
+            .map(|&f| i64::from(f))
             .collect();
         for &(s, w) in held.flat_map(|p| p.workers()) {
             free[s.0] -= w as i64;
@@ -147,6 +143,7 @@ impl GpuLedger {
 mod tests {
     use super::*;
     use netpack_topology::{ClusterSpec, ServerId};
+    use proptest::prelude::*;
 
     impl GpuLedger {
         /// A ledger mirroring `cluster`'s current allocation, nothing
@@ -207,5 +204,40 @@ mod tests {
         assert_eq!(ledger.free(), mirrored.free());
         assert_eq!(ledger.with_free, mirrored.with_free);
         assert!(ledger.journal().is_empty());
+    }
+
+    proptest! {
+        /// `reset` copies the cluster's dense array and histogram: on a
+        /// random cluster under a random allocation, over a ledger that
+        /// mirrored another cluster and journalled a write, the arrays equal
+        /// a recount over the cluster's server views.
+        #[test]
+        fn reset_mirrors_a_recount_over_the_views(
+            shape in (1usize..6, 1usize..10, 1usize..9),
+            allocs in proptest::collection::vec((0usize..64, 1usize..9), 0..48),
+        ) {
+            let (racks, servers_per_rack, gpus_per_server) = shape;
+            let mut c = Cluster::new(ClusterSpec {
+                racks,
+                servers_per_rack,
+                gpus_per_server,
+                ..ClusterSpec::paper_default()
+            });
+            let mut ledger = GpuLedger::new(&Cluster::new(ClusterSpec::paper_testbed()));
+            ledger.set_free(0, 1);
+            for (s, w) in allocs {
+                // Refused when the server holds fewer than `w`.
+                let _ = c.allocate_gpus(ServerId(s % c.num_servers()), w);
+            }
+            ledger.reset(&c);
+            let free: Vec<u32> = c.servers().map(|s| s.gpus_free() as u32).collect();
+            let mut with_free = vec![0u32; gpus_per_server + 1];
+            c.servers().for_each(|s| with_free[s.gpus_free()] += 1);
+            prop_assert_eq!(ledger.free(), &free[..]);
+            prop_assert_eq!(&ledger.with_free, &with_free);
+            prop_assert_eq!(ledger.total_free(), c.free_gpus());
+            prop_assert!(ledger.journal().is_empty());
+            prop_assert_eq!(ledger.audit(&c, std::iter::empty()), Ok(()));
+        }
     }
 }

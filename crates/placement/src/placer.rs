@@ -230,8 +230,9 @@ fn try_allocate(scratch: &mut Cluster, placement: &Placement) -> bool {
 /// cluster does not know has none.
 pub(crate) fn free_on(cluster: &Cluster, s: ServerId) -> usize {
     cluster
-        .server(s)
-        .map_or(0, netpack_topology::Server::gpus_free)
+        .free_gpus_per_server()
+        .get(s.0)
+        .map_or(0, |&free| free as usize)
 }
 
 /// Shared helper: pick servers from a preference-ordered candidate list
@@ -341,7 +342,7 @@ mod tests {
         // Place each job on the first server with free GPUs.
         let outcome = greedy_batch(&c, None, &batch, |scratch, _, j, order| {
             order.clear();
-            order.extend(scratch.servers().iter().map(|s| s.id()));
+            order.extend(scratch.servers().map(|s| s.id()));
             let workers = take_in_order(scratch, order, j.gpus)?;
             Some(Placement::new(workers, None))
         });
@@ -498,7 +499,7 @@ mod tests {
     fn take_in_order_skips_full_servers() {
         let mut c = cluster();
         c.allocate_gpus(ServerId(0), 2).unwrap();
-        let order: Vec<ServerId> = c.servers().iter().map(|s| s.id()).collect();
+        let order: Vec<ServerId> = c.servers().map(|s| s.id()).collect();
         let chosen = take_in_order(&c, &order, 3).unwrap();
         assert_eq!(chosen, vec![(ServerId(1), 2), (ServerId(2), 1)]);
     }
@@ -506,7 +507,7 @@ mod tests {
     #[test]
     fn take_in_order_reports_shortage() {
         let c = cluster();
-        let order: Vec<ServerId> = c.servers().iter().map(|s| s.id()).collect();
+        let order: Vec<ServerId> = c.servers().map(|s| s.id()).collect();
         assert!(take_in_order(&c, &order, 7).is_none());
     }
 

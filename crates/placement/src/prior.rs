@@ -15,11 +15,7 @@ pub struct OptimusLike;
 
 impl OptimusLike {
     fn place_one(cluster: &Cluster, job: &Job) -> Option<Placement> {
-        let mut order: Vec<&Server> = cluster
-            .servers()
-            .iter()
-            .filter(|s| s.gpus_free() > 0)
-            .collect();
+        let mut order: Vec<Server> = cluster.servers().filter(|s| s.gpus_free() > 0).collect();
         order.sort_by_key(|s| std::cmp::Reverse(s.gpus_free()));
         // Minimal k whose free GPUs cover the demand.
         let mut k = 0;
@@ -34,7 +30,7 @@ impl OptimusLike {
         if covered < job.gpus {
             return None;
         }
-        let top: &[&Server] = &order[..k];
+        let top: &[Server] = &order[..k];
         // Round-robin workers across the top-k, respecting free capacity.
         let mut assigned = vec![0usize; k];
         let mut remaining = job.gpus;
@@ -102,7 +98,7 @@ impl TetrisLike {
         // pressure (gradient gigabits per compute second), both normalized.
         let demand_gpu = 1.0 / gpu_cap;
         let demand_bw = (job.model.comm_intensity() / bw_cap).min(1.0);
-        let mut free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
+        let mut free: Vec<usize> = cluster.servers().map(|s| s.gpus_free()).collect();
         let mut chosen: Vec<(ServerId, usize)> = Vec::new();
         for _ in 0..job.gpus {
             let best = (0..free.len()).filter(|&i| free[i] > 0).max_by(|&a, &b| {
@@ -177,7 +173,7 @@ impl Placer for Comb {
             |scratch, state, job, order| {
                 let state = state?;
                 order.clear();
-                order.extend(scratch.servers().iter().map(|s| s.id()));
+                order.extend(scratch.servers().map(|s| s.id()));
                 order.sort_by(|&a, &b| {
                     free_on(scratch, b)
                         .cmp(&free_on(scratch, a))

@@ -23,7 +23,7 @@ use crate::dp::{ServerStats, WorkerDp, WorkerPlan};
 use crate::exact::{for_each_split, ina_options};
 use crate::knapsack::subset_in_placement_order;
 use crate::netpack::{NetPackConfig, NetPackPlacer};
-use crate::placer::{BatchOutcome, RunningJob};
+use crate::placer::{free_on, BatchOutcome, RunningJob};
 use crate::select::CandidateFilter;
 use netpack_model::Placement;
 use netpack_topology::{Cluster, RackId, ServerId};
@@ -79,7 +79,6 @@ impl NetPackPlacer {
         // breaking ties toward the most residual bandwidth.
         let single = scratch
             .servers()
-            .iter()
             .filter(|s| s.gpus_free() >= job.gpus)
             .min_by(|a, b| {
                 (a.gpus_free() - job.gpus)
@@ -141,7 +140,6 @@ impl NetPackPlacer {
             let rack_workers = Self::plan_rack_workers(scratch, plan);
             let mut scored: Vec<(f64, ServerId)> = scratch
                 .servers()
-                .iter()
                 .map(|server| {
                     let sid = server.id();
                     let eps: u32 = u32::from(!chosen_mask[sid.0]);
@@ -172,7 +170,7 @@ impl NetPackPlacer {
         let mut workers: Vec<(ServerId, usize)> = plan
             .servers
             .iter()
-            .map(|&s| (s, scratch.servers()[s.0].gpus_free()))
+            .map(|&s| (s, free_on(scratch, s)))
             .collect();
         let mut surplus = plan.gpus.checked_sub(job.gpus)?;
         while surplus > 0 {
@@ -203,7 +201,7 @@ impl NetPackPlacer {
         let mut rack_workers: Vec<(RackId, u32)> = Vec::new();
         for &sid in &plan.servers {
             let r = scratch.rack_of(sid);
-            let w = scratch.servers()[sid.0].gpus_free() as u32;
+            let w = free_on(scratch, sid) as u32;
             match rack_workers.iter_mut().find(|(rr, _)| *rr == r) {
                 Some(e) => e.1 += w,
                 None => rack_workers.push((r, w)),
@@ -287,7 +285,7 @@ pub fn place_exact(
         evaluations: 0,
         best: None,
     };
-    let mut free: Vec<usize> = cluster.servers().iter().map(|s| s.gpus_free()).collect();
+    let mut free: Vec<usize> = cluster.servers().map(|s| s.gpus_free()).collect();
     let mut current = Vec::new();
     search.search(&mut free, &mut current, 0);
     (search.best, search.evaluations)

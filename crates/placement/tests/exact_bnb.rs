@@ -78,12 +78,11 @@ fn instance(seed: u64) -> Instance {
     for k in 0..rng.below(3) {
         let with_free: Vec<ServerId> = cluster
             .servers()
-            .iter()
             .filter(|s| s.gpus_free() > 0)
             .map(|s| s.id())
             .collect();
         // Leave the batch at least two GPUs.
-        let free: usize = cluster.servers().iter().map(|s| s.gpus_free()).sum();
+        let free = cluster.free_gpus();
         if with_free.len() < 2 || free < 4 {
             break;
         }
@@ -103,7 +102,7 @@ fn instance(seed: u64) -> Instance {
     }
 
     let kinds = [ModelKind::Vgg16, ModelKind::ResNet50, ModelKind::AlexNet];
-    let free_gpus: usize = cluster.servers().iter().map(|s| s.gpus_free()).sum();
+    let free_gpus = cluster.free_gpus();
     // Demands fit the free GPU count, or overrun it by one now and then
     // (the whole batch defers); larger clusters take fewer, smaller jobs.
     let mut jobs = 1 + rng.below(3) as usize;
@@ -194,7 +193,7 @@ fn bnb_matches_scratch_on_random_instances() {
         reached.scarce_pat += usize::from(spec.pat_gbps <= 150.0);
         reached.oversubscribed += usize::from(spec.oversubscription > 1.0);
         reached.cross_rack_running += usize::from(inst.running.iter().any(|r| {
-            let rack = |s: ServerId| inst.cluster.servers()[s.0].rack();
+            let rack = |s: ServerId| inst.cluster.rack_of(s);
             let workers = r.placement.workers();
             workers.iter().any(|&(s, _)| rack(s) != rack(workers[0].0))
         }));

@@ -2,8 +2,11 @@
 
 use crate::{ClusterSpec, RackId, ServerId, TopologyError};
 
-/// One GPU server.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One GPU server, as a value: a view the [`Cluster`] builds on demand from
+/// its per-server free-GPU array. A cluster stores no `Server`; the id is
+/// the index, the rack follows from it (racks are uniform), and every
+/// server has the spec's GPUs installed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Server {
     id: ServerId,
     rack: RackId,
@@ -27,12 +30,12 @@ impl Server {
         self.gpus_total
     }
 
-    /// Number of GPUs currently unallocated.
+    /// Number of GPUs unallocated when the view was taken.
     pub fn gpus_free(&self) -> usize {
         self.gpus_free
     }
 
-    /// Number of GPUs currently allocated to jobs.
+    /// Number of GPUs allocated to jobs when the view was taken.
     pub fn gpus_used(&self) -> usize {
         self.gpus_total - self.gpus_free
     }
@@ -83,6 +86,12 @@ impl Rack {
 /// when it finishes; per the paper's assumption they are never preempted
 /// while a job runs.
 ///
+/// The ledger is one dense array of free GPUs indexed by server id
+/// ([`free_gpus_per_server`](Self::free_gpus_per_server)), the histogram
+/// over it ([`servers_with_free_gpus`](Self::servers_with_free_gpus)) and
+/// the free total, all three written together. [`Server`]s are views built
+/// from it.
+///
 /// # Example
 ///
 /// ```
@@ -91,6 +100,7 @@ impl Rack {
 /// let mut cluster = Cluster::new(ClusterSpec::paper_testbed());
 /// cluster.allocate_gpus(ServerId(0), 2)?;
 /// assert_eq!(cluster.server(ServerId(0)).unwrap().gpus_free(), 0);
+/// assert_eq!(cluster.free_gpus_per_server()[..2], [0, 2]);
 /// cluster.release_gpus(ServerId(0), 2)?;
 /// assert_eq!(cluster.free_gpus(), cluster.total_gpus());
 /// # Ok::<(), netpack_topology::TopologyError>(())
@@ -98,8 +108,13 @@ impl Rack {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     spec: ClusterSpec,
-    servers: Vec<Server>,
     racks: Vec<Rack>,
+    /// Free GPUs per server, indexed by server id.
+    free: Vec<u32>,
+    /// `with_free[w]` = servers with exactly `w` free GPUs.
+    with_free: Vec<u32>,
+    /// The sum of `free`.
+    free_total: usize,
 }
 
 impl Cluster {
@@ -119,33 +134,28 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`TopologyError::InvalidSpec`] when the specification is
-    /// rejected by [`ClusterSpec::validate`].
+    /// rejected by [`ClusterSpec::validate`]; nothing is allocated then.
     pub fn try_new(spec: ClusterSpec) -> Result<Self, TopologyError> {
         spec.validate()?;
-        let mut servers = Vec::with_capacity(spec.num_servers());
-        let mut racks = Vec::with_capacity(spec.racks);
-        for r in 0..spec.racks {
-            let first = r * spec.servers_per_rack;
-            racks.push(Rack {
+        let racks = (0..spec.racks)
+            .map(|r| Rack {
                 id: RackId(r),
-                first_server: first,
+                first_server: r * spec.servers_per_rack,
                 servers: spec.servers_per_rack,
                 pat_gbps: spec.pat_gbps,
                 uplink_gbps: spec.rack_uplink_gbps(),
-            });
-            for s in 0..spec.servers_per_rack {
-                servers.push(Server {
-                    id: ServerId(first + s),
-                    rack: RackId(r),
-                    gpus_total: spec.gpus_per_server,
-                    gpus_free: spec.gpus_per_server,
-                });
-            }
-        }
+            })
+            .collect();
+        // `validate` bounds the server and GPU counts by `u32::MAX`.
+        let (servers, gpus) = (spec.num_servers(), spec.gpus_per_server);
+        let mut with_free = vec![0; gpus + 1];
+        with_free[gpus] = servers as u32;
         Ok(Cluster {
-            spec,
-            servers,
             racks,
+            free: vec![gpus as u32; servers],
+            with_free,
+            free_total: spec.total_gpus(),
+            spec,
         })
     }
 
@@ -154,9 +164,24 @@ impl Cluster {
         &self.spec
     }
 
-    /// All servers, indexed by [`ServerId`].
-    pub fn servers(&self) -> &[Server] {
-        &self.servers
+    /// A view of every server, in [`ServerId`] order.
+    pub fn servers(&self) -> impl ExactSizeIterator<Item = Server> + '_ {
+        self.free
+            .iter()
+            .enumerate()
+            .map(|(id, &free)| self.view(id, free))
+    }
+
+    /// Free GPUs per server, indexed by [`ServerId`]: the ledger itself.
+    pub fn free_gpus_per_server(&self) -> &[u32] {
+        &self.free
+    }
+
+    /// The histogram over [`free_gpus_per_server`](Self::free_gpus_per_server):
+    /// entry `w` counts the servers with exactly `w` free GPUs, for `w` in
+    /// `0..=gpus_per_server`.
+    pub fn servers_with_free_gpus(&self) -> &[u32] {
+        &self.with_free
     }
 
     /// All racks, indexed by [`RackId`].
@@ -164,9 +189,9 @@ impl Cluster {
         &self.racks
     }
 
-    /// Look up a server.
-    pub fn server(&self, id: ServerId) -> Option<&Server> {
-        self.servers.get(id.0)
+    /// A view of one server, or `None` if `id` is not part of this cluster.
+    pub fn server(&self, id: ServerId) -> Option<Server> {
+        self.free.get(id.0).map(|&free| self.view(id.0, free))
     }
 
     /// Look up a rack.
@@ -180,12 +205,16 @@ impl Cluster {
     ///
     /// Panics if `server` is not part of this cluster.
     pub fn rack_of(&self, server: ServerId) -> RackId {
-        self.servers[server.0].rack
+        assert!(
+            server.0 < self.free.len(),
+            "server {server} is not part of this cluster"
+        );
+        RackId(server.0 / self.spec.servers_per_rack)
     }
 
     /// Number of servers.
     pub fn num_servers(&self) -> usize {
-        self.servers.len()
+        self.free.len()
     }
 
     /// Number of racks.
@@ -201,12 +230,12 @@ impl Cluster {
 
     /// Total GPUs installed.
     pub fn total_gpus(&self) -> usize {
-        self.servers.iter().map(Server::gpus_total).sum()
+        self.spec.total_gpus()
     }
 
     /// Total GPUs currently free.
     pub fn free_gpus(&self) -> usize {
-        self.servers.iter().map(Server::gpus_free).sum()
+        self.free_total
     }
 
     /// Allocate `count` GPUs on `server`.
@@ -217,18 +246,15 @@ impl Cluster {
     /// and [`TopologyError::InsufficientGpus`] when fewer than `count` GPUs
     /// are free. On error the ledger is unchanged.
     pub fn allocate_gpus(&mut self, server: ServerId, count: usize) -> Result<(), TopologyError> {
-        let srv = self
-            .servers
-            .get_mut(server.0)
-            .ok_or(TopologyError::UnknownServer(server))?;
-        if srv.gpus_free < count {
+        let free = self.free_on(server)?;
+        if count > free {
             return Err(TopologyError::InsufficientGpus {
                 server,
                 requested: count,
-                available: srv.gpus_free,
+                available: free,
             });
         }
-        srv.gpus_free -= count;
+        self.set_free(server.0, free - count);
         Ok(())
     }
 
@@ -240,19 +266,45 @@ impl Cluster {
     /// and [`TopologyError::ReleaseOverflow`] when the release exceeds the
     /// currently-allocated count. On error the ledger is unchanged.
     pub fn release_gpus(&mut self, server: ServerId, count: usize) -> Result<(), TopologyError> {
-        let srv = self
-            .servers
-            .get_mut(server.0)
-            .ok_or(TopologyError::UnknownServer(server))?;
-        if srv.gpus_free + count > srv.gpus_total {
+        let free = self.free_on(server)?;
+        let allocated = self.spec.gpus_per_server - free;
+        if count > allocated {
             return Err(TopologyError::ReleaseOverflow {
                 server,
                 released: count,
-                allocated: srv.gpus_total - srv.gpus_free,
+                allocated,
             });
         }
-        srv.gpus_free += count;
+        self.set_free(server.0, free + count);
         Ok(())
+    }
+
+    /// The view of server `id`, whose free count is `free`.
+    fn view(&self, id: usize, free: u32) -> Server {
+        Server {
+            id: ServerId(id),
+            rack: RackId(id / self.spec.servers_per_rack),
+            gpus_total: self.spec.gpus_per_server,
+            gpus_free: free as usize,
+        }
+    }
+
+    /// Free GPUs on `server`.
+    fn free_on(&self, server: ServerId) -> Result<usize, TopologyError> {
+        self.free
+            .get(server.0)
+            .map(|&free| free as usize)
+            .ok_or(TopologyError::UnknownServer(server))
+    }
+
+    /// Set `server`'s free count, and the histogram and total with it —
+    /// the ledger's only write.
+    fn set_free(&mut self, server: usize, free: usize) {
+        let old = self.free[server] as usize;
+        self.with_free[old] -= 1;
+        self.with_free[free] += 1;
+        self.free_total = self.free_total - old + free;
+        self.free[server] = free as u32;
     }
 }
 
@@ -275,7 +327,7 @@ mod tests {
         assert_eq!(c.num_servers(), 6);
         assert_eq!(c.num_racks(), 2);
         assert_eq!(c.num_links(), 8);
-        for (i, s) in c.servers().iter().enumerate() {
+        for (i, s) in c.servers().enumerate() {
             assert_eq!(s.id(), ServerId(i));
         }
         assert_eq!(c.rack_of(ServerId(0)), RackId(0));
@@ -324,6 +376,26 @@ mod tests {
                 allocated: 2
             }
         );
+    }
+
+    /// A release so large that `free + count` would wrap is refused like
+    /// any other over-release, in every build, and changes nothing.
+    #[test]
+    fn a_wrapping_release_is_rejected_and_leaves_ledger_unchanged() {
+        let mut c = Cluster::new(ClusterSpec::paper_testbed());
+        c.allocate_gpus(ServerId(0), 1).unwrap();
+        let before = c.clone();
+        let err = c.release_gpus(ServerId(0), usize::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::ReleaseOverflow {
+                server: ServerId(0),
+                released: usize::MAX,
+                allocated: 1
+            }
+        );
+        assert_eq!(c, before);
+        assert_eq!(c.server(ServerId(0)).unwrap().gpus_free(), 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Flat integer-indexed (structure-of-arrays) view of a cluster.
 //!
-//! The per-entity [`Server`](crate::Server)/[`Rack`](crate::Rack) structs
-//! are comfortable at the paper's 256-server scale, but a warehouse-scale
-//! placer (50k+ servers, the `fig10_xl` batch) walks the server list
-//! hundreds of times per batch; chasing `&Server` references and re-deriving
-//! per-rack constants in the hot loop costs both cache lines and branches.
+//! The per-entity [`Server`](crate::Server) views and [`Rack`](crate::Rack)
+//! structs are comfortable at the paper's 256-server scale, but a
+//! warehouse-scale placer (50k+ servers, the `fig10_xl` batch) walks the
+//! server list hundreds of times per batch; building views and re-deriving
+//! per-rack constants in the hot loop costs both cycles and branches.
 //! [`FlatTopology`] lowers what the placement layer reads of the static
 //! side of a [`Cluster`] — and nothing else — once into dense parallel
 //! vectors indexed by raw ids:

@@ -17,10 +17,13 @@
 //! throughput `A = M / RTT` (paper §4.1).
 //!
 //! This crate owns the **static configuration** (capacities, GPU inventory)
-//! and the **GPU allocation ledger**. Transient network state (residual
-//! bandwidth, residual PAT) lives in the water-filling estimator, because in
-//! statistical INA the network allocation is decentralized and never enforced
-//! by the controller.
+//! and the **GPU allocation ledger**: one dense array of free GPUs indexed
+//! by server id, with the histogram over it and the free total. A
+//! [`Server`] is a `Copy` view built on demand from that array, the spec
+//! and the server's id; no per-server struct is stored. Transient network
+//! state (residual bandwidth, residual PAT) lives in the water-filling
+//! estimator, because in statistical INA the network allocation is
+//! decentralized and never enforced by the controller.
 //!
 //! # Example
 //!

@@ -102,12 +102,14 @@ impl ClusterSpec {
         self.servers_per_rack as f64 * self.server_link_gbps / self.oversubscription
     }
 
-    /// Total number of servers in the cluster.
+    /// Total number of servers in the cluster. [`validate`](Self::validate)
+    /// refuses a spec for which this product overflows.
     pub fn num_servers(&self) -> usize {
         self.racks * self.servers_per_rack
     }
 
-    /// Total number of GPUs in the cluster.
+    /// Total number of GPUs in the cluster. [`validate`](Self::validate)
+    /// refuses a spec for which this product overflows.
     pub fn total_gpus(&self) -> usize {
         self.num_servers() * self.gpus_per_server
     }
@@ -135,9 +137,11 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::InvalidSpec`] if any count is zero, any
-    /// bandwidth is non-positive or non-finite, or the oversubscription
-    /// ratio is below 1.0.
+    /// Returns [`TopologyError::InvalidSpec`] if any count is zero, the
+    /// servers, the links (servers plus racks) or the GPUs do not fit a
+    /// `u32` (the dense per-server arrays store ids and counts as `u32`),
+    /// any bandwidth is non-positive or non-finite, or the
+    /// oversubscription ratio is below 1.0.
     pub fn validate(&self) -> Result<(), TopologyError> {
         fn bad(msg: &str) -> Result<(), TopologyError> {
             Err(TopologyError::InvalidSpec(msg.to_string()))
@@ -150,6 +154,14 @@ impl ClusterSpec {
         }
         if self.gpus_per_server == 0 {
             return bad("gpus_per_server must be positive");
+        }
+        let fits_u32 = |n: Option<usize>| n.is_some_and(|n| u32::try_from(n).is_ok());
+        let servers = self.racks.checked_mul(self.servers_per_rack);
+        if !fits_u32(servers.and_then(|s| s.checked_add(self.racks))) {
+            return bad("servers plus racks (the link count) must fit in u32");
+        }
+        if !fits_u32(servers.and_then(|s| s.checked_mul(self.gpus_per_server))) {
+            return bad("total GPUs must fit in u32");
         }
         if !(self.server_link_gbps.is_finite() && self.server_link_gbps > 0.0) {
             return bad("server_link_gbps must be positive and finite");
@@ -268,6 +280,44 @@ mod tests {
         ] {
             assert!(spec.validate().is_err(), "spec should be invalid: {spec:?}");
         }
+    }
+
+    /// Counts whose products overflow `usize`, or do not fit the `u32`
+    /// the dense arrays store, are refused before anything is allocated.
+    #[test]
+    fn counts_beyond_u32_are_rejected() {
+        let max = u32::MAX as usize;
+        let base = ClusterSpec {
+            racks: 1,
+            servers_per_rack: 1,
+            gpus_per_server: 1,
+            ..ClusterSpec::paper_default()
+        };
+        let with = |racks, servers_per_rack, gpus_per_server| ClusterSpec {
+            racks,
+            servers_per_rack,
+            gpus_per_server,
+            ..base.clone()
+        };
+        for (spec, why) in [
+            (with(usize::MAX, 2, 1), "servers overflow usize"),
+            (with(2, 1 << 32, 1), "servers exceed u32"),
+            (with(1, max, 1), "servers plus racks exceed u32"),
+            (with(max, 1, 1), "racks plus servers exceed u32"),
+            (with(1, 2, usize::MAX), "GPUs overflow usize"),
+            (with(1, 1 << 16, 1 << 16), "GPUs exceed u32"),
+            (with(1, 1, max + 1), "GPUs per server exceed u32"),
+        ] {
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(err, TopologyError::InvalidSpec(_)),
+                "{why}: {err:?}"
+            );
+            assert_eq!(crate::Cluster::try_new(spec).unwrap_err(), err, "{why}");
+        }
+        // The largest counts that fit are accepted (nothing is built).
+        with(1, max - 1, 1).validate().unwrap();
+        with(1, 1, max).validate().unwrap();
     }
 
     #[test]

@@ -53,7 +53,12 @@ rev=$1 workloads=$2 pairs=${3:-10} seed=${4:-1}
 bounds=$(awk '/"name":/ { name = $2 } /"bound":/ { print name, $2 }' BENCHMARK.json | tr -d '",' | tr '\n' ' ')
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/netpack-pairs.XXXXXX")
-trap 'rm -rf "$work/parent" "$work/target-parent" "$work/target-change"' EXIT
+# An offline build of the working tree's benchmark/ rewrites its stale
+# Cargo.lock (check.sh step 9 does the same): put it back byte for byte on
+# exit, however the script ends.
+cp benchmark/Cargo.lock "$work/benchmark-Cargo.lock"
+trap 'cp "$work/benchmark-Cargo.lock" benchmark/Cargo.lock
+      rm -rf "$work/benchmark-Cargo.lock" "$work/parent" "$work/target-parent" "$work/target-change"' EXIT
 mkdir "$work/parent"
 git archive "$rev" | tar -x -C "$work/parent"
 

@@ -43,12 +43,15 @@ workload=$1 seconds=${2:-30}
 # What the benchmark runs must not read a NETPACK_* variable either.
 for var in $(compgen -v | grep '^NETPACK_' || true); do unset "$var"; done
 
+experiment=$(mktemp -d "${TMPDIR:-/tmp}/netpack-profile.XXXXXX")
+# The offline build rewrites benchmark/'s stale Cargo.lock: put it back
+# byte for byte on exit, as pairs.sh and check.sh step 9 do.
+cp benchmark/Cargo.lock "$experiment/benchmark-Cargo.lock"
+trap 'cp "$experiment/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$experiment"' EXIT
+
 target="${CARGO_TARGET_DIR:-benchmark/target}"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir "$target" >&2
 bin="$target/release/netpack-benchmark"
-
-experiment=$(mktemp -d "${TMPDIR:-/tmp}/netpack-profile.XXXXXX")
-trap 'rm -rf "$experiment"' EXIT
 # The `time` report goes to a file; the run's own output to stderr.
 TIMEFORMAT='%U %S'
 { time gprofng collect app -o "$experiment/run.er" \

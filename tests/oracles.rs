@@ -198,7 +198,7 @@ fn one_placer_across_calls_equals_a_fresh_placer_per_call() {
             let mut workers: Vec<(ServerId, usize)> = Vec::new();
             for _ in 0..2 + below(2) {
                 let s = below(n);
-                let free = cluster.servers()[s].gpus_free();
+                let free = cluster.free_gpus_per_server()[s] as usize;
                 if free > 0 && workers.iter().all(|&(w, _)| w.0 != s) {
                     workers.push((ServerId(s), 1 + below(free)));
                 }
